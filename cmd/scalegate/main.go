@@ -7,7 +7,7 @@
 //	scalegate -current BENCH_scale.json -baseline ci/BENCH_scale.baseline.json \
 //	          [-max-regress 0.20] [-min-realtime 1.0]
 //	scalegate -kind sched -current BENCH_sched.json -baseline ci/BENCH_sched.baseline.json \
-//	          [-max-regress 0.20] [-min-speedup 5]
+//	          [-max-regress 0.20]
 //	scalegate -kind batch -current BENCH_batch.json -baseline ci/BENCH_batch.baseline.json \
 //	          [-max-regress 0.20]
 //	scalegate -kind slo -current BENCH_slo.json -baseline ci/BENCH_slo.baseline.json \
@@ -19,10 +19,7 @@
 // simulate faster than real time by that factor.
 //
 // -kind sched gates BENCH_sched.json: entries are matched by (nodes, apps,
-// storm, mode) and compared on decisions/sec. -min-speedup additionally
-// requires the hot path to beat the legacy reference by that factor at the
-// largest storm configuration in the current report — the committed
-// artifact's headline claim, checked mechanically so it cannot rot.
+// storm, mode) and compared on absolute decisions/sec.
 //
 // -kind batch gates BENCH_batch.json: entries are matched by (nodes, apps)
 // and compared on batch goodput vs the baseline; independently of the
@@ -65,7 +62,6 @@ func run(args []string, stdout io.Writer) error {
 	basePath := fs.String("baseline", "", "checked-in baseline report (default ci/BENCH_<kind>.baseline.json)")
 	maxRegress := fs.Float64("max-regress", 0.20, "maximum allowed fractional throughput drop vs baseline")
 	minRealtime := fs.Float64("min-realtime", 0, "scale: minimum real-time factor every current entry must reach (0 = no floor)")
-	minSpeedup := fs.Float64("min-speedup", 0, "sched: minimum parallel-vs-legacy decisions/sec ratio at the largest storm config (0 = no check)")
 	minPrecision := fs.Float64("min-precision", 0.9, "slo: minimum alert precision every current entry must reach")
 	minRecall := fs.Float64("min-recall", 0.9, "slo: minimum fault-window recall every current entry must reach")
 	if err := fs.Parse(args); err != nil {
@@ -87,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	switch *kind {
 	case "sched":
-		return runSchedGate(stdout, *curPath, *basePath, *maxRegress, *minSpeedup)
+		return runSchedGate(stdout, *curPath, *basePath, *maxRegress)
 	case "batch":
 		return runBatchGate(stdout, *curPath, *basePath, *maxRegress)
 	case "slo":
@@ -165,7 +161,7 @@ func (k schedKey) String() string {
 	return fmt.Sprintf("%d nodes/%d apps/%s/%s", k.nodes, k.apps, load, k.mode)
 }
 
-func runSchedGate(stdout io.Writer, curPath, basePath string, maxRegress, minSpeedup float64) error {
+func runSchedGate(stdout io.Writer, curPath, basePath string, maxRegress float64) error {
 	cur, err := readSchedReport(curPath)
 	if err != nil {
 		return err
@@ -198,11 +194,6 @@ func runSchedGate(stdout io.Writer, curPath, basePath string, maxRegress, minSpe
 		fmt.Fprintf(stdout, "%s: %.0f decisions/sec (baseline %.0f, floor %.0f) — %s\n",
 			k, c.DecisionsPerSec, b.DecisionsPerSec, floor, status)
 	}
-	if minSpeedup > 0 {
-		if msg := checkSpeedup(stdout, cur.Entries, minSpeedup); msg != "" {
-			failures = append(failures, msg)
-		}
-	}
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(stdout, "FAIL:", f)
@@ -211,53 +202,6 @@ func runSchedGate(stdout io.Writer, curPath, basePath string, maxRegress, minSpe
 	}
 	fmt.Fprintln(stdout, "sched gate passed")
 	return nil
-}
-
-// checkSpeedup verifies the headline hot-path claim on the current report: at
-// the largest storm configuration carrying both a legacy and a parallel
-// measurement, parallel decisions/sec must be at least minSpeedup × legacy's.
-// Returns a failure message, or "" when the claim holds.
-func checkSpeedup(stdout io.Writer, entries []experiments.SchedEntry, minSpeedup float64) string {
-	type pair struct{ legacy, parallel float64 }
-	pairs := map[schedKey]*pair{}
-	for _, e := range entries {
-		if !e.Storm {
-			continue
-		}
-		k := schedKey{nodes: e.Nodes, apps: e.Apps, storm: true} // mode-less group key
-		p := pairs[k]
-		if p == nil {
-			p = &pair{}
-			pairs[k] = p
-		}
-		switch e.Mode {
-		case "legacy":
-			p.legacy = e.DecisionsPerSec
-		case "parallel":
-			p.parallel = e.DecisionsPerSec
-		}
-	}
-	var best schedKey
-	var bestPair *pair
-	for k, p := range pairs {
-		if p.legacy <= 0 || p.parallel <= 0 {
-			continue
-		}
-		if bestPair == nil || k.nodes*k.apps > best.nodes*best.apps {
-			best, bestPair = k, p
-		}
-	}
-	if bestPair == nil {
-		return "speedup check: no storm config with both legacy and parallel entries"
-	}
-	speedup := bestPair.parallel / bestPair.legacy
-	fmt.Fprintf(stdout, "hot-path speedup at %d nodes/%d apps/storm: %.1fx (floor %.1fx)\n",
-		best.nodes, best.apps, speedup, minSpeedup)
-	if speedup < minSpeedup {
-		return fmt.Sprintf("%d nodes/%d apps/storm: parallel/legacy speedup %.2fx below floor %.2fx",
-			best.nodes, best.apps, speedup, minSpeedup)
-	}
-	return ""
 }
 
 // batchEps absorbs float formatting jitter when comparing goodput fractions.

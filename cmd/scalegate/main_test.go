@@ -178,36 +178,6 @@ func TestSchedGateRegressionAndTolerance(t *testing.T) {
 	}
 }
 
-func TestSchedGateSpeedupFloor(t *testing.T) {
-	dir := t.TempDir()
-	// The largest storm config (196/1400) carries the speedup claim; the
-	// smaller one is below the floor but must not be consulted.
-	cur := writeSchedReport(t, dir, "cur.json",
-		experiments.SchedEntry{Nodes: 64, Apps: 80, Storm: true, Mode: "legacy", DecisionsPerSec: 9000},
-		experiments.SchedEntry{Nodes: 64, Apps: 80, Storm: true, Mode: "parallel", DecisionsPerSec: 18000},
-		experiments.SchedEntry{Nodes: 196, Apps: 1400, Storm: true, Mode: "legacy", DecisionsPerSec: 1000},
-		experiments.SchedEntry{Nodes: 196, Apps: 1400, Storm: true, Mode: "parallel", DecisionsPerSec: 8000},
-	)
-	var out strings.Builder
-	if err := run([]string{"-kind", "sched", "-current", cur, "-baseline", cur, "-min-speedup", "5"}, &out); err != nil {
-		t.Fatalf("8x speedup at largest config, want pass: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "hot-path speedup at 196 nodes/1400 apps") {
-		t.Errorf("speedup not measured at largest config:\n%s", out.String())
-	}
-	// Floor above the measured ratio: failure.
-	if err := run([]string{"-kind", "sched", "-current", cur, "-baseline", cur, "-min-speedup", "10"}, io.Discard); err == nil {
-		t.Error("8x speedup under 10x floor: want failure")
-	}
-	// No legacy entries at all: the check cannot pass vacuously.
-	noLegacy := writeSchedReport(t, dir, "nolegacy.json",
-		experiments.SchedEntry{Nodes: 64, Apps: 80, Storm: true, Mode: "parallel", DecisionsPerSec: 18000},
-	)
-	if err := run([]string{"-kind", "sched", "-current", noLegacy, "-baseline", noLegacy, "-min-speedup", "5"}, io.Discard); err == nil {
-		t.Error("no legacy entry: want failure, not a vacuous pass")
-	}
-}
-
 func TestSchedGateRejectsWrongSchemaAndKind(t *testing.T) {
 	dir := t.TempDir()
 	good := writeSchedReport(t, dir, "good.json",

@@ -67,7 +67,7 @@ func run() error {
 		scheduler.NewBass(scheduler.HeuristicLongestPath),
 		scheduler.NewK3s(),
 	} {
-		assignment, err := policy.Schedule(g, nodes)
+		assignment, err := policy.Schedule(g, nodes, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", policy.Name(), err)
 		}

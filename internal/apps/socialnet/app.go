@@ -2,6 +2,7 @@ package socialnet
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"bass/internal/core"
@@ -128,7 +129,22 @@ func New(cfg Config) (*App, error) {
 	}
 
 	rate := cfg.Arrival.Rate()
-	for key, load := range aggregateLoads() {
+	loads := aggregateLoads()
+	// Sorted (from, to) order: AddEdge order is Graph.Edges() order, which the
+	// orchestrator's per-edge scratch and metric emission inherit, so map
+	// order here would make identical runs differ.
+	keys := make([]edgeKey, 0, len(loads))
+	for key := range loads {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].from != keys[j].from {
+			return keys[i].from < keys[j].from
+		}
+		return keys[i].to < keys[j].to
+	})
+	for _, key := range keys {
+		load := loads[key]
 		ch := &channel{
 			key:        key,
 			msgsPerSec: load.msgsPerReq * rate,

@@ -1,6 +1,7 @@
 package socialnet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -52,6 +53,23 @@ func TestGraphShape(t *testing.T) {
 			t.Errorf("edge %s->%s (%v) heavier than client->nginx (%v)",
 				e.From, e.To, e.BandwidthMbps, front)
 		}
+	}
+}
+
+// TestGraphEdgeOrderDeterministic pins DAG construction order: Graph.Edges()
+// follows AddEdge order, and the orchestrator's per-edge scratch and metric
+// emission follow Edges(), so equal configs must yield equal edge sequences.
+func TestGraphEdgeOrderDeterministic(t *testing.T) {
+	first, err := New(Config{ClientNode: "node1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := New(Config{ClientNode: "node1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Graph().Edges(), again.Graph().Edges()) {
+		t.Fatal("Graph().Edges() order differs between identical New calls")
 	}
 }
 

@@ -105,25 +105,17 @@ type Config struct {
 	ReservedCPU float64
 	// OnlineProfiling refines DAG edge bandwidth requirements from observed
 	// traffic peaks (§8's future-work item): each controller cycle, any edge
-	// whose measured peak × ProfilingPeakFactor exceeds its declared
+	// whose measured peak × profilingPeakFactor exceeds its declared
 	// requirement is raised to that value. Declared requirements act as a
 	// floor; profiling never lowers them.
 	OnlineProfiling bool
-	// ProfilingPeakFactor is the burst headroom applied to observed peaks
-	// (default 1.6, the same factor the social-network profile uses).
-	ProfilingPeakFactor float64
 	// FailoverMaxRetries bounds placement attempts for a component stranded
 	// by a node failure before it parks in the recovery queue (default 5).
 	FailoverMaxRetries int
 	// FailoverBackoffBase is the first retry delay after a failed failover
-	// placement; each subsequent retry doubles it (default 5 s).
+	// placement; each subsequent retry doubles it (default 5 s), capped at
+	// failoverBackoffMax and spread by ±failoverBackoffJitter.
 	FailoverBackoffBase time.Duration
-	// FailoverBackoffMax caps the retry delay (default 2 min).
-	FailoverBackoffMax time.Duration
-	// FailoverBackoffJitter spreads each retry delay by ±frac, drawn from the
-	// engine's seeded RNG so equal seeds stay byte-identical (default 0.2;
-	// negative disables jitter).
-	FailoverBackoffJitter float64
 	// EnableReconcile replaces the reactive failover path with the
 	// declarative reconciliation loop: deployments register desired-state
 	// specs, and a reconciler diffs desired vs. observed placement each
@@ -154,12 +146,6 @@ type Config struct {
 	// metric, and placement mutation is committed serially in deployment
 	// order afterwards.
 	EvalWorkers int
-	// LegacyControlLoop restores the pre-oracle control path: no path-metric
-	// cache, per-link headroom probes, per-app probe sweeps, fresh node and
-	// assignment snapshots on every migration. It exists as the reference
-	// side of the control-plane benchmarks; decisions are equivalent but the
-	// multi-app journal interleaving differs (probes repeat per app).
-	LegacyControlLoop bool
 	// BatchPlacement wraps Policy in the batch joint search: each deployed
 	// DAG is first placed by the greedy seed policy, then improved by a
 	// budgeted k-best local search scored against the path oracle (see
@@ -187,9 +173,23 @@ type Config struct {
 
 // DefaultBatchMoveBudget is the joint-candidate evaluation budget used when
 // BatchPlacement is on and Config.Batch.MoveBudget is zero. Solve time grows
-// linearly in the budget; 256 keeps per-DAG scheduling well under the
-// millisecond scale the scheduler benchmarks gate.
+// linearly in the budget; at 256 one five-stage DAG on the 196-node city mesh
+// takes milliseconds to place (bench city-batch: place_ms_p50 8.3), against
+// microseconds for the greedy seed alone.
 const DefaultBatchMoveBudget = 256
+
+// Fixed retry and profiling parameters. The backoff pair also seeds the
+// reconciler's defaults, so both recovery paths retry on one schedule.
+const (
+	// failoverBackoffMax caps the failover retry delay.
+	failoverBackoffMax = 2 * time.Minute
+	// failoverBackoffJitter spreads each retry delay by ±frac, drawn from the
+	// engine's seeded RNG so equal seeds stay byte-identical.
+	failoverBackoffJitter = 0.2
+	// profilingPeakFactor is the burst headroom online profiling applies to
+	// observed peaks (the same factor the social-network profile uses).
+	profilingPeakFactor = 1.6
+)
 
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
@@ -204,22 +204,11 @@ func (c Config) withDefaults() Config {
 	if c.Controller == (controller.Config{}) {
 		c.Controller = controller.DefaultConfig()
 	}
-	if c.ProfilingPeakFactor == 0 {
-		c.ProfilingPeakFactor = 1.6
-	}
 	if c.FailoverMaxRetries == 0 {
 		c.FailoverMaxRetries = 5
 	}
 	if c.FailoverBackoffBase == 0 {
 		c.FailoverBackoffBase = 5 * time.Second
-	}
-	if c.FailoverBackoffMax == 0 {
-		c.FailoverBackoffMax = 2 * time.Minute
-	}
-	if c.FailoverBackoffJitter == 0 {
-		c.FailoverBackoffJitter = 0.2
-	} else if c.FailoverBackoffJitter < 0 {
-		c.FailoverBackoffJitter = 0
 	}
 	if c.Reconcile.Epoch == 0 {
 		c.Reconcile.Epoch = c.MonitorInterval
@@ -228,10 +217,10 @@ func (c Config) withDefaults() Config {
 		c.Reconcile.BackoffBase = c.FailoverBackoffBase
 	}
 	if c.Reconcile.BackoffMax == 0 {
-		c.Reconcile.BackoffMax = c.FailoverBackoffMax
+		c.Reconcile.BackoffMax = failoverBackoffMax
 	}
 	if c.Reconcile.JitterFrac == 0 {
-		c.Reconcile.JitterFrac = c.FailoverBackoffJitter
+		c.Reconcile.JitterFrac = failoverBackoffJitter
 	}
 	if c.SLO.Interval == 0 {
 		c.SLO.Interval = c.MonitorInterval
@@ -331,11 +320,6 @@ type Orchestrator struct {
 // New wires an orchestrator over an engine, topology, network, and cluster.
 func New(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluster.Cluster, cfg Config) *Orchestrator {
 	cfg = cfg.withDefaults()
-	if cfg.LegacyControlLoop {
-		cfg.Monitor.DisablePathCache = true
-		cfg.Monitor.DisableBatchProbe = true
-		cfg.EvalWorkers = 0
-	}
 	o := &Orchestrator{
 		cfg:  cfg,
 		eng:  eng,
@@ -659,18 +643,12 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 }
 
 // schedule runs the placement policy, recording Table 3/4 timings. When a
-// recorder is attached and the policy can explain itself, the per-component
-// candidate scoreboards are journaled alongside the decision.
+// recorder is attached the per-component candidate scoreboards are journaled
+// alongside the decision.
 func (o *Orchestrator) schedule(g *dag.Graph, rec scheduler.Recorder) (scheduler.Assignment, error) {
 	nodes := o.nodeInfos()
 	procStart := time.Now()
-	var assignment scheduler.Assignment
-	var err error
-	if ep, ok := o.cfg.Policy.(scheduler.ExplainingPolicy); ok && rec != nil {
-		assignment, err = ep.ScheduleExplained(g, nodes, rec)
-	} else {
-		assignment, err = o.cfg.Policy.Schedule(g, nodes)
-	}
+	assignment, err := o.cfg.Policy.Schedule(g, nodes, rec)
 	elapsed := time.Since(procStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: schedule %q with %s: %w", g.AppName, o.cfg.Policy.Name(), err)
@@ -698,63 +676,6 @@ func (o *Orchestrator) DAGProcessingNS() []float64 {
 	return o.dagProc.snapshot()
 }
 
-// usages assembles the controller's view of every deployed, cross-node
-// dependency pair: required bandwidth from the DAG, achieved bandwidth from
-// passive per-tag measurement, and path capacity/spare from the monitor.
-func (o *Orchestrator) usages(app *deployedApp) []scheduler.DependencyUsage {
-	var out []scheduler.DependencyUsage
-	for _, e := range app.graph.Edges() {
-		fromNode := o.clus.NodeOf(app.name, e.From)
-		toNode := o.clus.NodeOf(app.name, e.To)
-		if fromNode == "" || toNode == "" || fromNode == toNode {
-			continue
-		}
-		pathCap, _, err := o.monitor.PathCapacityMbps(fromNode, toNode)
-		if err != nil {
-			o.notePathQueryErrors(1)
-			continue
-		}
-		pathSpare, _, err := o.monitor.PathSpareMbps(fromNode, toNode)
-		if err != nil {
-			o.notePathQueryErrors(1)
-			continue
-		}
-		usage := scheduler.DependencyUsage{
-			Component:         e.From,
-			Dep:               e.To,
-			RequiredMbps:      e.BandwidthMbps,
-			AchievedMbps:      o.net.FlowRateByTag(app.env.Tag(e.From, e.To)),
-			PathCapacityMbps:  pathCap,
-			PathAvailableMbps: pathSpare,
-		}
-		if o.plane.Enabled() && usage.RequiredMbps > 0 {
-			o.plane.Metric(obs.MetricDepGoodput, usage.AchievedMbps/usage.RequiredMbps,
-				"app", app.name, "component", e.From, "dep", e.To)
-		}
-		out = append(out, usage)
-	}
-	return out
-}
-
-// profileEdges tracks per-edge traffic peaks and, when online profiling is
-// enabled, raises edge requirements whose observed peak outgrew the declared
-// value (§8).
-func (o *Orchestrator) profileEdges(app *deployedApp) {
-	for _, e := range app.graph.Edges() {
-		tag := app.env.Tag(e.From, e.To)
-		rate := o.net.FlowRateByTag(tag)
-		if rate > app.edgePeaks[tag] {
-			app.edgePeaks[tag] = rate
-		}
-		if !o.cfg.OnlineProfiling {
-			continue
-		}
-		if want := app.edgePeaks[tag] * o.cfg.ProfilingPeakFactor; want > e.BandwidthMbps {
-			_ = app.graph.SetWeight(e.From, e.To, want)
-		}
-	}
-}
-
 // EdgePeakMbps reports the peak observed traffic for an app edge so far.
 func (o *Orchestrator) EdgePeakMbps(appName, from, to string) float64 {
 	app, ok := o.apps[appName]
@@ -764,16 +685,11 @@ func (o *Orchestrator) EdgePeakMbps(appName, from, to string) float64 {
 	return app.edgePeaks[app.env.Tag(from, to)]
 }
 
-// controlCycle runs one controller evaluation across all apps, dispatching
-// to the hot path (hotpath.go) or the legacy reference loop, and accounts
-// the wall-clock the control plane spent.
+// controlCycle runs one controller evaluation across all apps on the hot
+// path (hotpath.go) and accounts the wall-clock the control plane spent.
 func (o *Orchestrator) controlCycle() {
 	start := time.Now()
-	if o.cfg.LegacyControlLoop {
-		o.legacyControlCycle()
-	} else {
-		o.fastControlCycle()
-	}
+	o.fastControlCycle()
 	o.ctrlWallNS += time.Since(start).Nanoseconds()
 	o.ctrlCycles++
 	o.ctrlAppEvals += len(o.appOrder)
@@ -795,92 +711,8 @@ func (o *Orchestrator) finishControlEpoch() {
 	}
 }
 
-// legacyControlCycle is the pre-oracle control loop: each app runs a full
-// Evaluate — probe sweep included — in sequence. Node liveness transitions
-// (verdicts and recoveries) surface on whichever app's evaluation first
-// observes them and are handled globally — failover evacuates the dead
-// node's components for every app, not just the observer. Kept as the
-// reference side of the control-plane benchmarks.
-func (o *Orchestrator) legacyControlCycle() {
-	for _, name := range o.appOrder {
-		app := o.apps[name]
-		o.profileEdges(app)
-		decision, err := o.ctrl.Evaluate(app.graph,
-			func() []scheduler.DependencyUsage { return o.usages(app) },
-			o.monitor.FullProbe)
-		if err != nil {
-			continue // evaluation failure: retry next cycle
-		}
-		for _, node := range decision.NodesDown {
-			o.handleNodeDown(node, decision.NodeDownSpans[node])
-		}
-		for _, node := range decision.NodesRecovered {
-			o.handleNodeRecovered(node, decision.NodeRecoveredSpans[node])
-		}
-		migrated := 0
-		for _, comp := range decision.Migrate {
-			if o.migrate(app, comp, decision.CandidateSpans[comp]) {
-				migrated++
-			}
-		}
-		o.evaluations = append(o.evaluations, EvaluationRecord{
-			At:         o.eng.Now(),
-			Violating:  len(decision.Report.Violating),
-			Candidates: len(decision.Report.Candidates),
-			Migrated:   migrated,
-		})
-	}
-	// Capacity can return without a node-recovery transition (e.g. another
-	// app released resources): give queued components a chance every cycle.
-	o.drainFailoverQueue()
-}
-
-// migrate moves one component to the best target node, reporting success.
-// cause is the span of the migration_candidate verdict that approved the
-// move; every journal event the move produces chains back to it.
-func (o *Orchestrator) migrate(app *deployedApp, comp string, cause uint64) bool {
-	o.ctrlTargetScans++
-	assignment := make(scheduler.Assignment)
-	for _, c := range app.graph.Components() {
-		if node := o.clus.NodeOf(app.name, c); node != "" {
-			assignment[c] = node
-		}
-	}
-	target, err := scheduler.ChooseMigrationTargetExplained(
-		app.graph, comp, assignment, o.nodeInfos(),
-		func(a, b string) float64 {
-			spare, networked, perr := o.monitor.PathSpareMbps(a, b)
-			if perr != nil {
-				return 0
-			}
-			if !networked {
-				return simnet.LocalMbps
-			}
-			return spare
-		},
-		o.ctrl.Config().Migration,
-		o.recorder(app.name, cause),
-	)
-	if err != nil {
-		o.ctrl.RecordMigrationFailure(comp)
-		o.plane.Emit(obs.Event{Type: obs.EventMigrationRejected, App: app.name,
-			Component: comp, Cause: cause, Reason: "no feasible target: " + err.Error()})
-		return false
-	}
-	from := assignment[comp]
-	if err := o.clus.Move(app.name, comp, target); err != nil {
-		o.ctrl.RecordMigrationFailure(comp)
-		o.plane.Emit(obs.Event{Type: obs.EventMigrationRejected, App: app.name,
-			Component: comp, To: target, Cause: cause, Reason: "commit failed: " + err.Error()})
-		return false
-	}
-	o.cycleNodesDirty = true
-	o.commitMigration(app, comp, from, target, cause)
-	return true
-}
-
 // commitMigration records and journals a committed move and notifies the
-// workload — the shared tail of migrate and migrateFast.
+// workload.
 func (o *Orchestrator) commitMigration(app *deployedApp, comp, from, target string, cause uint64) {
 	o.ctrl.RecordMigration(comp)
 	o.migrations = append(o.migrations, MigrationEvent{

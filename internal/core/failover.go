@@ -8,7 +8,6 @@ import (
 	"bass/internal/obs"
 	"bass/internal/reconcile"
 	"bass/internal/scheduler"
-	"bass/internal/simnet"
 )
 
 // DetectionRecord logs one node-down verdict from the controller.
@@ -157,8 +156,8 @@ func (o *Orchestrator) tryFailover(p *pendingFailover) {
 			Value:  float64(p.attempts)})
 		return
 	}
-	delay := reconcile.Backoff(o.cfg.FailoverBackoffBase, o.cfg.FailoverBackoffMax,
-		o.cfg.FailoverBackoffJitter, p.attempts, o.eng.Rand())
+	delay := reconcile.Backoff(o.cfg.FailoverBackoffBase, failoverBackoffMax,
+		failoverBackoffJitter, p.attempts, o.eng.Rand())
 	o.eng.After(delay, func() { o.tryFailover(p) })
 }
 
@@ -181,20 +180,10 @@ func (o *Orchestrator) placeFailover(app *deployedApp, p *pendingFailover) bool 
 			assignment[c] = node
 		}
 	}
-	target, err := scheduler.ChooseFailoverTargetExplained(
-		app.graph, p.component, assignment, o.nodeInfos(),
-		func(a, b string) float64 {
-			spare, networked, perr := o.monitor.PathSpareMbps(a, b)
-			if perr != nil {
-				return 0
-			}
-			if !networked {
-				return simnet.LocalMbps
-			}
-			return spare
-		},
+	target, err := scheduler.ChooseFailoverTarget(
+		app.graph, p.component, assignment, o.nodeInfos(), o.pathSpareFn,
 		o.ctrl.Config().Migration,
-		o.recorder(app.name, p.cause),
+		scheduler.TargetOptions{Recorder: o.recorder(app.name, p.cause)},
 	)
 	if err != nil {
 		return false

@@ -151,7 +151,7 @@ func (o *Orchestrator) evalApp(s *appEvalScratch) {
 		if !o.cfg.OnlineProfiling {
 			continue
 		}
-		if want := app.edgePeaks[e.tag] * o.cfg.ProfilingPeakFactor; want > g.Weight(e.from, e.to) {
+		if want := app.edgePeaks[e.tag] * profilingPeakFactor; want > g.Weight(e.from, e.to) {
 			_ = g.SetWeight(e.from, e.to, want)
 		}
 	}
@@ -224,8 +224,8 @@ func (o *Orchestrator) fastControlCycle() {
 		o.notePathQueryErrors(s.pathErrs)
 		dec := o.ctrl.ResolveApp(&cyc, s.report)
 		if i == 0 {
-			// Liveness transitions are cycle-global; handle them once, in the
-			// same position the legacy loop's first evaluation would.
+			// Liveness transitions are cycle-global; handle them once, after
+			// the first app's goodput samples and verdicts.
 			for _, node := range cyc.NodesDown {
 				o.handleNodeDown(node, cyc.NodeDownSpans[node])
 			}
@@ -288,14 +288,18 @@ func (o *Orchestrator) schedPool() scheduler.Parallel {
 	return o.evalPool
 }
 
-// migrateFast is migrate against the cycle's reused assignment and node
-// snapshot, with candidate scoring chunked across the eval pool.
+// migrateFast moves one component to the best target node, reporting
+// success. It scores against the cycle's reused assignment and node snapshot,
+// chunked across the eval pool. cause is the span of the migration_candidate
+// verdict that approved the move; every journal event the move produces
+// chains back to it.
 func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64) bool {
 	o.ctrlTargetScans++
 	app := s.app
-	target, err := scheduler.ChooseMigrationTargetPooled(
+	target, err := scheduler.ChooseMigrationTarget(
 		app.graph, comp, s.assignment, o.cycleNodeInfos(), o.pathSpareFn,
-		o.ctrl.Config().Migration, o.recorder(app.name, cause), o.schedPool(),
+		o.ctrl.Config().Migration,
+		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause), Pool: o.schedPool()},
 	)
 	if err != nil {
 		o.ctrl.RecordMigrationFailure(comp)

@@ -9,7 +9,6 @@ import (
 	"bass/internal/obs"
 	"bass/internal/reconcile"
 	"bass/internal/scheduler"
-	"bass/internal/simnet"
 )
 
 // reconcileHost adapts the orchestrator to the reconciler's Host interface:
@@ -77,26 +76,11 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 			assignment[c] = node
 		}
 	}
-	pathAvail := func(x, y string) float64 {
-		spare, networked, perr := o.monitor.PathSpareMbps(x, y)
-		if perr != nil {
-			return 0
-		}
-		if !networked {
-			return simnet.LocalMbps
-		}
-		return spare
-	}
-	var target string
-	if a.Rung == reconcile.RungMigrate {
-		target, err = scheduler.ChooseFailoverTargetStrict(
-			app.graph, a.Component, assignment, o.nodeInfos(), pathAvail,
-			o.ctrl.Config().Migration, o.recorder(a.App, a.Cause))
-	} else {
-		target, err = scheduler.ChooseFailoverTargetExplained(
-			app.graph, a.Component, assignment, o.nodeInfos(), pathAvail,
-			o.ctrl.Config().Migration, o.recorder(a.App, a.Cause))
-	}
+	target, err := scheduler.ChooseFailoverTarget(
+		app.graph, a.Component, assignment, o.nodeInfos(), o.pathSpareFn,
+		o.ctrl.Config().Migration,
+		scheduler.TargetOptions{Recorder: o.recorder(a.App, a.Cause), Strict: a.Rung == reconcile.RungMigrate},
+	)
 	if err != nil {
 		return "", err
 	}

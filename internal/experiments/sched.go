@@ -22,13 +22,8 @@ import (
 type SchedOptions struct {
 	Nodes int // grid node target (rounded up to Rows×Cols)
 	Apps  int // chain applications deployed
-	// Mode selects the control path: "legacy" (pre-oracle reference: no path
-	// cache, per-app probe sweeps), "serial" (hot path, no pool), "parallel"
-	// (hot path, EvalWorkers pool). Serial and parallel produce identical
-	// decisions; legacy diverges under multi-app load because its per-app
-	// Evaluate closes the controller cycle after every app, resetting other
-	// apps' violation windows — cooldowns rarely mature, so it scans and
-	// migrates less while probing far more.
+	// Mode selects how the control cycle evaluates apps: "serial" (no pool)
+	// or "parallel" (EvalWorkers pool). Both produce identical decisions.
 	Mode    string
 	Workers int  // eval pool size for parallel mode (default NumCPU, capped 8)
 	Storm   bool // oversubscribed demands: violations every cycle
@@ -211,10 +206,7 @@ func RunSched(opts SchedOptions) (SchedResult, error) {
 		MonitorInterval: interval,
 	}
 	switch opts.Mode {
-	case "legacy":
-		cfg.LegacyControlLoop = true
 	case "serial":
-		// hot path, no pool
 	case "parallel":
 		cfg.EvalWorkers = opts.Workers
 	default:
@@ -297,11 +289,8 @@ func RunSched(opts SchedOptions) (SchedResult, error) {
 }
 
 // SchedSweep is the canonical BENCH_sched.json sweep: town/city mesh ×
-// 1×/10×/100× app density × quiet/storm, on the hot path serial and
-// parallel; the legacy reference runs the storm configs so the committed
-// report carries the speedup evidence (fewer cycles — its per-epoch cost is
-// what is being measured, and at city/100× one epoch is already expensive).
-// quick is the CI smoke subset: town mesh only, 1×/10× density.
+// 1×/10×/100× app density × quiet/storm, serial and parallel. quick is the
+// CI smoke subset: town mesh only, 1×/10× density.
 func SchedSweep(seed int64, quick bool) []SchedOptions {
 	type meshSize struct{ nodes, baseApps int }
 	meshes := []meshSize{{64, 8}, {196, 14}}
@@ -323,18 +312,6 @@ func SchedSweep(seed int64, quick bool) []SchedOptions {
 					SchedOptions{Nodes: m.nodes, Apps: apps, Storm: storm, Mode: "serial", Cycles: cycles, Seed: seed},
 					SchedOptions{Nodes: m.nodes, Apps: apps, Storm: storm, Mode: "parallel", Cycles: cycles, Seed: seed},
 				)
-				if storm {
-					legacyCycles := 2
-					if m.nodes >= 100 && d >= 100 {
-						legacyCycles = 1 // one pre-oracle city/100× epoch is minutes of probing
-					}
-					if quick {
-						legacyCycles = 1
-					}
-					sweep = append(sweep, SchedOptions{
-						Nodes: m.nodes, Apps: apps, Storm: true, Mode: "legacy", Cycles: legacyCycles, Seed: seed,
-					})
-				}
 			}
 		}
 	}
@@ -346,7 +323,7 @@ func SchedSweep(seed int64, quick bool) []SchedOptions {
 const SchedReportSchema = "bass/bench-sched/v1"
 
 // SchedReport is the BENCH_sched.json document: the control-plane sweep
-// (mesh size × app density × quiet/storm × control path). cmd/benchtab
+// (mesh size × app density × quiet/storm × serial/parallel). cmd/benchtab
 // -sched-out writes it; cmd/scalegate -kind sched compares it against the
 // checked-in baseline in ci/.
 type SchedReport struct {

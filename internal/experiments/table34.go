@@ -89,7 +89,7 @@ func RunTable34(trials int) (Table34Result, error) {
 			var dagHist, perHist metrics.Histogram
 			for i := 0; i < trials; i++ {
 				start := time.Now()
-				if _, err := policy.Schedule(g, nodes); err != nil {
+				if _, err := policy.Schedule(g, nodes, nil); err != nil {
 					return out, fmt.Errorf("table3/4: %s with %s: %w", appName, policy.Name(), err)
 				}
 				elapsed := time.Since(start)

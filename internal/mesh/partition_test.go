@@ -53,7 +53,7 @@ func TestPartitionCoversAllNodes(t *testing.T) {
 			t.Fatalf("node %s in region %d", n, r)
 		}
 	}
-	min, max := 1 << 30, 0
+	min, max := 1<<30, 0
 	for _, s := range p.Sizes() {
 		total += s
 		if s < min {

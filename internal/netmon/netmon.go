@@ -69,15 +69,6 @@ type Config struct {
 	// ChangeTolerance is the relative spare-capacity change that counts as
 	// "headroom changed" and triggers a full probe (default 0.25).
 	ChangeTolerance float64
-	// DisablePathCache bypasses the epoch-versioned path-metric oracle and
-	// recomputes every PathCapacityMbps/PathSpareMbps/PathMetrics query with
-	// a fresh route walk. It exists as a correctness escape hatch and as the
-	// reference side of the pre-oracle control-plane benchmark baseline.
-	DisablePathCache bool
-	// DisableBatchProbe forces HeadroomProbeAll back to one ProbeSpare call
-	// per link even when the prober supports the single-sweep batch form —
-	// the other half of the benchmark baseline.
-	DisableBatchProbe bool
 }
 
 // DefaultConfig mirrors the paper's settings.
@@ -196,7 +187,7 @@ type Monitor struct {
 	nodeOrder []string
 	nodeLinks map[string][]*LinkView
 
-	// oracle memoises routed path metrics; nil when DisablePathCache.
+	// oracle memoises routed path metrics.
 	oracle *pathOracle
 
 	// sweepEvents/sweepFails are HeadroomProbeAll's reused result buffers and
@@ -236,14 +227,12 @@ func New(topo *mesh.Topology, prober Prober, cfg Config, now func() time.Duratio
 			}
 		}
 	}
-	if !m.cfg.DisablePathCache {
-		m.oracle = newPathOracle(m.nodeOrder)
-		// Both invalidation sources the cache honours beyond probe refreshes:
-		// capacity-trace swaps (the view may be refreshed by the very next
-		// probe) and availability flips are folded in lazily through
-		// syncEpoch; the listener catches swaps that do not move the epoch.
-		topo.OnCapacityChange(func(mesh.LinkID) { m.oracle.bump() })
-	}
+	m.oracle = newPathOracle(m.nodeOrder)
+	// Both invalidation sources the cache honours beyond probe refreshes:
+	// capacity-trace swaps (the view may be refreshed by the very next probe)
+	// and availability flips are folded in lazily through syncEpoch; the
+	// listener catches swaps that do not move the epoch.
+	topo.OnCapacityChange(func(mesh.LinkID) { m.oracle.bump() })
 	return m
 }
 
@@ -290,9 +279,7 @@ func (m *Monitor) FullProbe(id mesh.LinkID) error {
 	v.CapacityMbps = cap
 	v.HeadroomMbps = m.cfg.HeadroomFrac * cap
 	v.LastFullProbe = m.now()
-	if m.oracle != nil {
-		m.oracle.bump() // cached bottlenecks may include this link
-	}
+	m.oracle.bump() // cached bottlenecks may include this link
 	m.stats.FullProbes++
 	// A full probe floods the link for ProbeDuration.
 	m.stats.OverheadMbits += cap * m.cfg.ProbeDuration.Seconds()
@@ -327,7 +314,7 @@ type SpareSweeper interface {
 func (m *Monitor) HeadroomProbeAll() ([]HeadroomEvent, []ProbeError) {
 	m.sweepEvents = m.sweepEvents[:0]
 	m.sweepFails = m.sweepFails[:0]
-	if sw, ok := m.prober.(SpareSweeper); ok && !m.cfg.DisableBatchProbe {
+	if sw, ok := m.prober.(SpareSweeper); ok {
 		if m.sweepVisit == nil {
 			m.sweepVisit = func(id mesh.LinkID, spare float64, perr error) {
 				v, vok := m.views[id]
@@ -390,9 +377,7 @@ func (m *Monitor) applySpare(v *LinkView, spare float64, err error) (HeadroomEve
 	prev := v.SpareMbps
 	v.SpareMbps = spare
 	v.LastHeadroomProbe = m.now()
-	if m.oracle != nil {
-		m.oracle.bump() // cached spare bottlenecks may include this link
-	}
+	m.oracle.bump() // cached spare bottlenecks may include this link
 	m.stats.HeadroomProbes++
 	m.stats.OverheadMbits += v.CapacityMbps * m.cfg.ProbeRateFrac * m.cfg.ProbeDuration.Seconds()
 
@@ -491,16 +476,15 @@ func (m *Monitor) Nodes() []string { return m.nodeOrder }
 
 // PathCapacityMbps estimates node-pair capacity as the bottleneck cached
 // capacity along the routed path (the paper's traceroute + per-link
-// bandwidth method). Co-located pairs report ok=false (no network involved).
-// Served from the path oracle unless Config.DisablePathCache.
+// bandwidth method). Co-located pairs report networked=false (no network
+// involved). Served from the path oracle.
 func (m *Monitor) PathCapacityMbps(src, dst string) (mbps float64, networked bool, err error) {
 	pm, err := m.PathMetrics(src, dst)
 	return pm.CapacityMbps, pm.Networked, err
 }
 
 // PathSpareMbps estimates spare node-pair capacity as the bottleneck cached
-// spare capacity along the routed path. Served from the path oracle unless
-// Config.DisablePathCache.
+// spare capacity along the routed path. Served from the path oracle.
 func (m *Monitor) PathSpareMbps(src, dst string) (mbps float64, networked bool, err error) {
 	pm, err := m.PathMetrics(src, dst)
 	return pm.SpareMbps, pm.Networked, err

@@ -188,18 +188,15 @@ func entryFrom(pm PathMetrics, err error) pathEntry {
 	}
 }
 
-// OracleStats reports the path oracle's hit accounting (zero when the cache
-// is disabled). Reads are not synchronised with in-flight queries; call it
-// from the same serial context that drives the monitor.
+// OracleStats reports the path oracle's hit accounting. Reads are not
+// synchronised with in-flight queries; call it from the same serial context
+// that drives the monitor.
 type OracleStats struct {
 	Hits, Misses uint64
 }
 
 // OracleStats exposes cache effectiveness for benchmarks and experiments.
 func (m *Monitor) OracleStats() OracleStats {
-	if m.oracle == nil {
-		return OracleStats{}
-	}
 	return OracleStats{
 		Hits:   atomic.LoadUint64(&m.oracle.hits),
 		Misses: atomic.LoadUint64(&m.oracle.misses),
@@ -211,9 +208,6 @@ func (m *Monitor) OracleStats() OracleStats {
 // Errors from cached queries are normalised to ErrPathUnavailable.
 func (m *Monitor) PathMetrics(src, dst string) (PathMetrics, error) {
 	o := m.oracle
-	if o == nil {
-		return m.pathMetricsUncached(src, dst)
-	}
 	slot, ok := o.slot(src, dst)
 	if !ok {
 		return m.pathMetricsUncached(src, dst)
@@ -233,7 +227,8 @@ func (m *Monitor) PathMetrics(src, dst string) (PathMetrics, error) {
 
 // PathMetricsBatch resolves every request into out (resliced and returned),
 // amortising the epoch sync and lock traffic across the batch — the shape
-// usages() wants: one call per application, one entry per deployed edge.
+// the control cycle wants: one call per application, one entry per deployed
+// edge.
 func (m *Monitor) PathMetricsBatch(reqs []PathRequest, out []PathResult) []PathResult {
 	out = out[:0]
 	for _, r := range reqs {

@@ -76,7 +76,7 @@ func TestAutoScheduleWorks(t *testing.T) {
 		t.Errorf("Name = %q", sched.Name())
 	}
 	for _, g := range []*dag.Graph{fanOutGraph(), pipelineGraph()} {
-		got, err := sched.Schedule(g, testNodes())
+		got, err := sched.Schedule(g, testNodes(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", g.AppName, err)
 		}

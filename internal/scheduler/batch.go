@@ -101,25 +101,14 @@ func (b *Batch) Name() string {
 }
 
 // Schedule assigns every component of g to a node: greedy seed, then the
-// budgeted joint search.
-func (b *Batch) Schedule(g *dag.Graph, nodes []NodeInfo) (Assignment, error) {
-	return b.ScheduleExplained(g, nodes, nil)
-}
-
-// ScheduleExplained is Schedule narrating through rec: the seed policy's
-// per-component scoreboards first (exactly as a greedy run records them),
-// then one ChoiceBatch explanation per relocation scan and swap probe, then
-// a final ChoiceBatch verdict whose pseudo-candidates "greedy" and "batch"
-// carry the two joint scores — so a trace shows why batch beat (or matched)
-// greedy.
-func (b *Batch) ScheduleExplained(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
-	var seeded Assignment
-	var err error
-	if ep, ok := b.seed.(ExplainingPolicy); ok {
-		seeded, err = ep.ScheduleExplained(g, nodes, rec)
-	} else {
-		seeded, err = b.seed.Schedule(g, nodes)
-	}
+// budgeted joint search. It narrates through rec (nil = silent): the seed
+// policy's per-component scoreboards first (exactly as a greedy run records
+// them), then one ChoiceBatch explanation per relocation scan and swap probe,
+// then a final ChoiceBatch verdict whose pseudo-candidates "greedy" and
+// "batch" carry the two joint scores — so a trace shows why batch beat (or
+// matched) greedy.
+func (b *Batch) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
+	seeded, err := b.seed.Schedule(g, nodes, rec)
 	if err != nil || b.cfg.MoveBudget <= 0 {
 		return seeded, err
 	}
@@ -575,8 +564,5 @@ func (s *batchSearch) relocationTargets(comp string, a Assignment, current strin
 	return out
 }
 
-// Compile-time interface checks.
-var (
-	_ Policy           = (*Batch)(nil)
-	_ ExplainingPolicy = (*Batch)(nil)
-)
+// Compile-time interface check.
+var _ Policy = (*Batch)(nil)

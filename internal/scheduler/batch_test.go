@@ -53,11 +53,11 @@ func TestBatchZeroBudgetIsSeedExactly(t *testing.T) {
 	}
 
 	var greedyRec, batchRec captureRecorder
-	want, err := seed.ScheduleExplained(g, nodes, &greedyRec)
+	want, err := seed.Schedule(g, nodes, &greedyRec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := batch.ScheduleExplained(g, nodes, &batchRec)
+	got, err := batch.Schedule(g, nodes, &batchRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestBatchRelocatesOntoRelayNode(t *testing.T) {
 	batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
 	batch.SetPathQuery(trianglePaths)
 
-	greedy, err := NewBass(HeuristicLongestPath).Schedule(g, batchTriangleNodes())
+	greedy, err := NewBass(HeuristicLongestPath).Schedule(g, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBatchRelocatesOntoRelayNode(t *testing.T) {
 		t.Fatalf("test premise broken: greedy already found the relay (%v)", greedy)
 	}
 
-	got, err := batch.Schedule(g, batchTriangleNodes())
+	got, err := batch.Schedule(g, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBatchDeterministicAcrossRuns(t *testing.T) {
 		batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
 		batch.SetPathQuery(trianglePaths)
 		var rec captureRecorder
-		got, err := batch.ScheduleExplained(g, batchTriangleNodes(), &rec)
+		got, err := batch.Schedule(g, batchTriangleNodes(), &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestBatchDeterministicAcrossRuns(t *testing.T) {
 		batch2 := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
 		batch2.SetPathQuery(trianglePaths)
 		var rec2 captureRecorder
-		got2, err := batch2.ScheduleExplained(g2, batchTriangleNodes(), &rec2)
+		got2, err := batch2.Schedule(g2, batchTriangleNodes(), &rec2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestBatchRecordsSearchAndVerdict(t *testing.T) {
 	batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
 	batch.SetPathQuery(trianglePaths)
 	var rec captureRecorder
-	if _, err := batch.ScheduleExplained(g, batchTriangleNodes(), &rec); err != nil {
+	if _, err := batch.Schedule(g, batchTriangleNodes(), &rec); err != nil {
 		t.Fatal(err)
 	}
 	var sawSchedule, sawScan, sawVerdict bool
@@ -194,7 +194,7 @@ func TestBatchRespectsCapacity(t *testing.T) {
 	}
 	batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
 	batch.SetPathQuery(trianglePaths)
-	got, err := batch.Schedule(g, nodes)
+	got, err := batch.Schedule(g, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestBatchTinyBudgetStillValid(t *testing.T) {
 	g := batchTriangle(t)
 	batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 1, Seed: 7})
 	batch.SetPathQuery(trianglePaths)
-	got, err := batch.Schedule(g, batchTriangleNodes())
+	got, err := batch.Schedule(g, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestBatchNilPathQueryBalancesCompute(t *testing.T) {
 	// term disabled too, the objective is flat and the greedy seed survives.
 	g := batchTriangle(t)
 	batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7})
-	got, err := batch.Schedule(g, batchTriangleNodes())
+	got, err := batch.Schedule(g, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestBatchNilPathQueryBalancesCompute(t *testing.T) {
 
 	g2 := batchTriangle(t)
 	flat := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 64, Seed: 7, ComputeWeight: -1})
-	greedy, err := NewBass(HeuristicLongestPath).Schedule(g2, batchTriangleNodes())
+	greedy, err := NewBass(HeuristicLongestPath).Schedule(g2, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := flat.Schedule(g2, batchTriangleNodes())
+	got2, err := flat.Schedule(g2, batchTriangleNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

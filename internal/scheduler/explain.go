@@ -1,7 +1,5 @@
 package scheduler
 
-import "bass/internal/dag"
-
 // Scheduler explainability: every target-choice pass can record a structured
 // Explanation — the full candidate scoreboard with per-node score term
 // breakdowns and typed rejection reasons — through an optional Recorder.
@@ -83,13 +81,6 @@ type Explanation struct {
 // must not retain the Candidates slice beyond the call if they mutate it.
 type Recorder interface {
 	RecordExplanation(Explanation)
-}
-
-// ExplainingPolicy is a Policy whose Schedule can narrate its per-component
-// placement decisions through a Recorder.
-type ExplainingPolicy interface {
-	Policy
-	ScheduleExplained(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error)
 }
 
 // explain invokes the recorder if one is attached. Call sites gate candidate

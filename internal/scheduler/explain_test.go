@@ -1,6 +1,9 @@
 package scheduler
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,7 +89,7 @@ func TestChooseMigrationTargetExplained(t *testing.T) {
 	cfg := MigrationConfig{HeadroomMbps: 4}
 
 	rec := &captureRecorder{}
-	got, err := ChooseMigrationTargetExplained(g, "producer", assignment, explainNodes(), pathAvail, cfg, rec)
+	got, err := ChooseMigrationTarget(g, "producer", assignment, explainNodes(), pathAvail, cfg, TargetOptions{Recorder: rec})
 	if err != nil || got != "n2" {
 		t.Fatalf("chose %q, %v; want n2", got, err)
 	}
@@ -136,7 +139,7 @@ func TestChooseMigrationTargetExplainsHysteresis(t *testing.T) {
 		{Name: "n3", FreeCPU: 4, FreeMemoryMB: 4096},
 	}
 	rec := &captureRecorder{}
-	_, err := ChooseMigrationTargetExplained(g, "producer", assignment, nodes, pathAvail, MigrationConfig{HeadroomMbps: 4}, rec)
+	_, err := ChooseMigrationTarget(g, "producer", assignment, nodes, pathAvail, MigrationConfig{HeadroomMbps: 4}, TargetOptions{Recorder: rec})
 	if err == nil {
 		t.Fatal("saturated mesh produced a move")
 	}
@@ -171,7 +174,7 @@ func TestChooseFailoverTargetExplained(t *testing.T) {
 		return 1
 	}
 	rec := &captureRecorder{}
-	got, err := ChooseFailoverTargetExplained(g, "producer", assignment, explainNodes(), pathAvail, MigrationConfig{HeadroomMbps: 4}, rec)
+	got, err := ChooseFailoverTarget(g, "producer", assignment, explainNodes(), pathAvail, MigrationConfig{HeadroomMbps: 4}, TargetOptions{Recorder: rec})
 	if err != nil || got != "n2" {
 		t.Fatalf("chose %q, %v; want n2", got, err)
 	}
@@ -204,7 +207,7 @@ func TestChooseFailoverTargetExplainsPinned(t *testing.T) {
 	g := dag.NewGraph("cam")
 	g.MustAddComponent(dag.Component{Name: "camera", CPU: 1, Labels: dag.Pin("n3")})
 	rec := &captureRecorder{}
-	got, err := ChooseFailoverTargetExplained(g, "camera", Assignment{}, explainNodes(), nil, MigrationConfig{}, rec)
+	got, err := ChooseFailoverTarget(g, "camera", Assignment{}, explainNodes(), nil, MigrationConfig{}, TargetOptions{Recorder: rec})
 	if err != nil || got != "n3" {
 		t.Fatalf("chose %q, %v; want pinned n3", got, err)
 	}
@@ -234,13 +237,13 @@ func TestScheduleExplainedMatchesSchedule(t *testing.T) {
 		{Name: "n1", FreeCPU: 2, FreeMemoryMB: 2048, TotalCPU: 4, TotalMemoryMB: 4096, LinkCapacityMbps: 40},
 		{Name: "n2", FreeCPU: 2, FreeMemoryMB: 2048, TotalCPU: 4, TotalMemoryMB: 4096, LinkCapacityMbps: 20},
 	}
-	for _, p := range []ExplainingPolicy{NewBass(HeuristicBFS), NewK3s()} {
+	for _, p := range []Policy{NewBass(HeuristicBFS), NewK3s()} {
 		rec := &captureRecorder{}
-		explained, err := p.ScheduleExplained(g, nodes, rec)
+		explained, err := p.Schedule(g, nodes, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		plain, err := p.Schedule(g, nodes)
+		plain, err := p.Schedule(g, nodes, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -277,17 +280,209 @@ func TestExplainedNilRecorderAllocParity(t *testing.T) {
 	cfg := MigrationConfig{HeadroomMbps: 4}
 
 	nilRec := testing.AllocsPerRun(200, func() {
-		_, _ = ChooseMigrationTargetExplained(g, "producer", assignment, nodes, pathAvail, cfg, nil)
+		_, _ = ChooseMigrationTarget(g, "producer", assignment, nodes, pathAvail, cfg)
 	})
 	rec := &captureRecorder{}
 	withRec := testing.AllocsPerRun(200, func() {
 		rec.explanations = rec.explanations[:0]
-		_, _ = ChooseMigrationTargetExplained(g, "producer", assignment, nodes, pathAvail, cfg, rec)
+		_, _ = ChooseMigrationTarget(g, "producer", assignment, nodes, pathAvail, cfg, TargetOptions{Recorder: rec})
 	})
 	if nilRec >= withRec {
 		t.Errorf("nil recorder allocates %.1f per op, recording %.1f: bookkeeping is not gated", nilRec, withRec)
 	}
-	if nilRec > 6 { // candidate slice growth + sort closure; no scoreboard rows
+	if nilRec > 6 { // neighbor list + node slots + sort; no scoreboard rows
 		t.Errorf("nil-recorder migration choice allocates %.1f per op, want ≤ 6", nilRec)
+	}
+}
+
+// TestCandidateScoresBitReproducible pins the accumulation order of candidate
+// scoring: 0.1 + 0.2 + 0.3 rounds differently depending on which pair is
+// summed first, so a loop over the Neighbors map would journal two different
+// bit patterns for the same choice. Scoring walks the neighbors in sorted
+// order; every repeat of an identical choice must produce identical bits.
+func TestCandidateScoresBitReproducible(t *testing.T) {
+	g := dag.NewGraph("hub")
+	g.MustAddComponent(dag.Component{Name: "hub", CPU: 1})
+	assignment := Assignment{"hub": "n1"}
+	for i, dep := range []string{"a", "b", "c"} {
+		g.MustAddComponent(dag.Component{Name: dep, CPU: 1})
+		g.MustAddEdge("hub", dep, 0.1*float64(i+1))
+		assignment[dep] = []string{"n2", "n3", "n4"}[i]
+	}
+	var nodes []NodeInfo
+	for _, name := range []string{"n1", "n2", "n3", "n4", "n5"} {
+		nodes = append(nodes, NodeInfo{Name: name, FreeCPU: 4, FreeMemoryMB: 4096})
+	}
+	pathAvail := func(from, to string) float64 { return 100 }
+
+	type bits struct{ score, remote uint64 }
+	seen := make(map[string]map[bits]int) // node → distinct bit patterns
+	for i := 0; i < 500; i++ {
+		rec := &captureRecorder{}
+		if _, err := ChooseMigrationTarget(g, "hub", assignment, nodes, pathAvail,
+			MigrationConfig{HeadroomMbps: 1}, TargetOptions{Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range rec.explanations[0].Candidates {
+			if seen[cs.Node] == nil {
+				seen[cs.Node] = make(map[bits]int)
+			}
+			seen[cs.Node][bits{math.Float64bits(cs.Score), math.Float64bits(cs.RemoteMbps)}]++
+		}
+	}
+	if len(seen["n5"]) == 0 {
+		t.Fatal("n5 (all three neighbors remote) missing from the scoreboard")
+	}
+	for node, patterns := range seen {
+		if len(patterns) != 1 {
+			t.Errorf("node %s: %d distinct score bit patterns over identical choices: %v", node, len(patterns), patterns)
+		}
+	}
+}
+
+// TestFailoverStrictness covers the unified failover chooser's
+// lenient and strict outcomes side by side.
+func TestFailoverStrictness(t *testing.T) {
+	pinned := dag.NewGraph("cam")
+	pinned.MustAddComponent(dag.Component{Name: "producer", CPU: 1, Labels: dag.Pin("n3")})
+	wide := func(from, to string) float64 { return 100 }
+	saturated := func(from, to string) float64 { return 1 }
+	cases := []struct {
+		name       string
+		g          *dag.Graph
+		nodes      []NodeInfo
+		pathAvail  PathQuery
+		strict     bool
+		want       string
+		wantErr    error
+		wantScored int // scoreboard rows that carry a score (fit CPU/memory)
+	}{
+		{name: "lenient takes the partially-feasible best", g: pairGraph(t), nodes: explainNodes()[2:], pathAvail: saturated,
+			want: "n3", wantScored: 1},
+		{name: "strict picks a feasible winner", g: pairGraph(t), nodes: explainNodes(), pathAvail: wide, strict: true,
+			want: "n2", wantScored: 3},
+		{name: "strict refuses partially-feasible candidates", g: pairGraph(t), nodes: explainNodes()[2:], pathAvail: saturated, strict: true,
+			wantErr: ErrNoFeasibleNode, wantScored: 1},
+		{name: "strict with no node that fits", g: pairGraph(t), nodes: explainNodes()[3:], pathAvail: wide, strict: true,
+			wantErr: ErrNoFailoverNode},
+		{name: "pinned ignores strictness", g: pinned, nodes: explainNodes(), pathAvail: saturated, strict: true,
+			want: "n3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &captureRecorder{}
+			got, err := ChooseFailoverTarget(tc.g, "producer", Assignment{"consumer": "n2"}, tc.nodes, tc.pathAvail,
+				MigrationConfig{HeadroomMbps: 4}, TargetOptions{Recorder: rec, Strict: tc.strict})
+			if got != tc.want || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("chose %q, %v; want %q, %v", got, err, tc.want, tc.wantErr)
+			}
+			if len(rec.explanations) != 1 {
+				t.Fatalf("recorded %d explanations, want 1", len(rec.explanations))
+			}
+			ex := rec.explanations[0]
+			if ex.Kind != ChoiceFailover || ex.Chosen != tc.want {
+				t.Errorf("explanation header = %+v, want failover choosing %q", ex, tc.want)
+			}
+			if len(ex.Candidates) != len(tc.nodes) {
+				t.Errorf("scoreboard has %d rows, want every node (%d): %+v", len(ex.Candidates), len(tc.nodes), ex.Candidates)
+			}
+			scored := 0
+			for _, cs := range ex.Candidates {
+				if cs.Score > 0 {
+					scored++
+				}
+			}
+			if scored != tc.wantScored {
+				t.Errorf("%d scored rows, want %d: %+v", scored, tc.wantScored, ex.Candidates)
+			}
+		})
+	}
+}
+
+// countingPool runs tasks inline and counts what it was handed, standing in
+// for sim.Pool to prove the chunked scoring path was taken.
+type countingPool struct{ runs, tasks int }
+
+func (p *countingPool) Run(fns []func()) {
+	p.runs++
+	p.tasks += len(fns)
+	for _, fn := range fns {
+		fn()
+	}
+}
+
+// TestTargetOptionsDoNotChangeTheChoice pins the options contract on a node
+// list large enough to chunk: whatever the recorder and pool, migration and
+// failover return the same target, and every recorded scoreboard is deep-equal
+// to the serial one.
+func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
+	g := dag.NewGraph("hub")
+	g.MustAddComponent(dag.Component{Name: "hub", CPU: 1})
+	assignment := Assignment{"hub": "n000"}
+	for i, dep := range []string{"a", "b", "c"} {
+		g.MustAddComponent(dag.Component{Name: dep, CPU: 1})
+		g.MustAddEdge("hub", dep, 2*float64(i+1))
+		assignment[dep] = fmt.Sprintf("n%03d", 10*(i+1))
+	}
+	const n = 2 * parallelScoreMin
+	nodes := make([]NodeInfo, n)
+	index := make(map[string]int, n)
+	for i := range nodes {
+		nodes[i] = NodeInfo{Name: fmt.Sprintf("n%03d", i), FreeCPU: float64(i % 3), FreeMemoryMB: 4096}
+		index[nodes[i].Name] = i
+	}
+	// Spare falls off with index distance, so rows differ and some nodes are
+	// feasible, some partially, some (FreeCPU 0) not at all.
+	pathAvail := func(from, to string) float64 {
+		return 12 - math.Abs(float64(index[from]-index[to]))/8
+	}
+	cfg := MigrationConfig{HeadroomMbps: 1}
+	choosers := map[string]func(opt TargetOptions) (string, error){
+		"migration": func(opt TargetOptions) (string, error) {
+			return ChooseMigrationTarget(g, "hub", assignment, nodes, pathAvail, cfg, opt)
+		},
+		"failover": func(opt TargetOptions) (string, error) {
+			return ChooseFailoverTarget(g, "hub", assignment, nodes, pathAvail, cfg, opt)
+		},
+	}
+	for name, choose := range choosers {
+		t.Run(name, func(t *testing.T) {
+			want, err := choose(TargetOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantEx []Explanation
+			for _, withRec := range []bool{false, true} {
+				for _, withPool := range []bool{false, true} {
+					var opt TargetOptions
+					rec := &captureRecorder{}
+					pool := &countingPool{}
+					if withRec {
+						opt.Recorder = rec
+					}
+					if withPool {
+						opt.Pool = pool
+					}
+					got, err := choose(opt)
+					if err != nil || got != want {
+						t.Errorf("rec=%v pool=%v: chose %q, %v; want %q", withRec, withPool, got, err, want)
+					}
+					if withPool && (pool.runs != 1 || pool.tasks < 2) {
+						t.Errorf("rec=%v: pool saw %d runs / %d tasks, want one chunked pass", withRec, pool.runs, pool.tasks)
+					}
+					if !withRec {
+						continue
+					}
+					if len(rec.explanations) != 1 || len(rec.explanations[0].Candidates) != n {
+						t.Fatalf("pool=%v: recorded %+v, want one explanation with %d rows", withPool, rec.explanations, n)
+					}
+					if wantEx == nil {
+						wantEx = rec.explanations
+					} else if !reflect.DeepEqual(rec.explanations, wantEx) {
+						t.Errorf("pool=%v: explanation differs from the serial one", withPool)
+					}
+				}
+			}
+		})
 	}
 }

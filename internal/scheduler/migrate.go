@@ -3,7 +3,9 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"bass/internal/dag"
 )
@@ -15,6 +17,12 @@ var ErrNoBetterNode = errors.New("scheduler: no better node for component")
 // ErrNoFailoverNode is returned by ChooseFailoverTarget when no surviving
 // node can host the component at all.
 var ErrNoFailoverNode = errors.New("scheduler: no surviving node can host component")
+
+// ErrNoFeasibleNode is returned by a strict ChooseFailoverTarget when nodes
+// have the CPU and memory but none can also carry the component's bandwidth —
+// the caller should escalate (re-route, shed) rather than accept a placement
+// the data plane cannot serve.
+var ErrNoFeasibleNode = errors.New("scheduler: no bandwidth-feasible node for component")
 
 // DependencyUsage is the controller's observation of one deployed component
 // pair (an edge of the application DAG whose endpoints sit on different
@@ -240,107 +248,66 @@ type PathQuery func(fromNode, toNode string) float64
 // Parallel runs a batch of independent tasks, returning when all are done.
 // sim.Pool satisfies it structurally; nil means run serially. Candidate
 // scoring hands chunks of the node list to it — scoring is a pure read of
-// the graph, assignment, and path cache, so chunks race on nothing, and
-// every result lands in its node's slot so assembly order (and therefore
+// the node list, neighbor list, and path cache, so chunks race on nothing,
+// and every result lands in its node's slot so assembly order (and therefore
 // every scoreboard and journal byte) is independent of execution order.
 type Parallel interface {
 	Run(fns []func())
+}
+
+// TargetOptions carries the optional collaborators of a target choice. The
+// zero value is the default: silent, serial, lenient.
+type TargetOptions struct {
+	// Recorder receives the full candidate scoreboard. Nil skips all
+	// explanation bookkeeping.
+	Recorder Recorder
+	// Pool chunks the candidate-scoring pass across workers once the node
+	// list reaches parallelScoreMin; nil scores serially. The chosen target,
+	// every scoreboard row, and every journal byte are identical either way.
+	Pool Parallel
+	// Strict makes ChooseFailoverTarget refuse the partially-feasible
+	// fallback and return ErrNoFeasibleNode instead. Migration ignores it:
+	// its hysteresis margin already guards the fallback.
+	Strict bool
 }
 
 // parallelScoreMin is the node count below which chunked scoring is not
 // worth the task handoff.
 const parallelScoreMin = 64
 
-// nodeSlot is one node's scoring outcome, indexed by position in the node
-// list. A zero Rejection (RejectNone) marks a scored candidate.
-type nodeSlot struct {
-	c      candidate
-	reject Rejection
+// neighbor is one placed DAG neighbor of the component being re-homed, with
+// everything candidate scoring needs resolved once per choice instead of
+// once per node.
+type neighbor struct {
+	name string
+	node string  // where the neighbor runs
+	mbps float64 // edge bandwidth, both directions summed
+	// weight is 2 for pinned neighbors, else 1: no later migration can
+	// relieve an edge to a pinned endpoint, so satisfying it now matters more
+	// than edges between movable pairs, which progressive relocation can fix.
+	weight float64
 }
 
-// scoreSlots evaluates every node into its slot — serially, or chunked on
-// pool when it pays. current skips that node (pass "" for failover-style
-// choices where every node competes).
-func scoreSlots(
-	g *dag.Graph,
-	comp *dag.Component,
-	neighbors map[string]float64,
-	assignment Assignment,
-	nodes []NodeInfo,
-	current string,
-	pathAvail PathQuery,
-	headroomMbps float64,
-	pool Parallel,
-	slots []nodeSlot,
-) []nodeSlot {
-	if cap(slots) < len(nodes) {
-		slots = make([]nodeSlot, len(nodes))
-	}
-	slots = slots[:len(nodes)]
-	eval := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			n := nodes[i]
-			switch {
-			case n.Name == current:
-				slots[i] = nodeSlot{reject: RejectCurrentNode}
-			case !fits(n, comp):
-				slots[i] = nodeSlot{reject: RejectNoCapacity}
-			default:
-				c := scoreCandidate(g, neighbors, assignment, n.Name, pathAvail, headroomMbps)
-				c.node = n
-				slots[i] = nodeSlot{c: c}
-			}
-		}
-	}
-	if pool == nil || len(nodes) < parallelScoreMin {
-		eval(0, len(nodes))
-		return slots
-	}
-	const maxChunks = 16
-	step := (len(nodes) + maxChunks - 1) / maxChunks
-	tasks := make([]func(), 0, maxChunks)
-	for lo := 0; lo < len(nodes); lo += step {
-		lo, hi := lo, lo+step
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		tasks = append(tasks, func() { eval(lo, hi) })
-	}
-	pool.Run(tasks)
-	return slots
-}
-
-// pooledScoreboard is the chunk-parallel scoring pass: every node scored
-// into its slot, then assembled in node order into the same cands/skipped
-// sequence the serial loop builds. Kept separate from the chooser body so
-// the serial path's neighbors map never escapes into the pool closures.
-func pooledScoreboard(
-	g *dag.Graph,
-	comp *dag.Component,
-	component string,
-	assignment Assignment,
-	nodes []NodeInfo,
-	current string,
-	pathAvail PathQuery,
-	headroomMbps float64,
-	pool Parallel,
-	wantSkipped bool,
-) ([]candidate, []CandidateScore) {
-	neighbors := g.Neighbors(component)
-	slots := scoreSlots(g, comp, neighbors, assignment, nodes, current, pathAvail, headroomMbps, pool, nil)
-	var cands []candidate
-	var skipped []CandidateScore
-	for i := range slots {
-		s := &slots[i]
-		if s.reject != RejectNone {
-			if wantSkipped {
-				skipped = append(skipped, CandidateScore{Node: nodes[i].Name, Rejection: s.reject})
-			}
+// placedNeighbors lists the component's placed DAG neighbors in sorted-name
+// order. Scoring accumulates over this slice, never over the Neighbors map,
+// so the floating-point sums — and every journaled score — have one bit
+// pattern per input whatever the map's iteration order.
+func placedNeighbors(g *dag.Graph, component string, assignment Assignment) []neighbor {
+	nbrs := g.Neighbors(component)
+	deps := make([]neighbor, 0, len(nbrs))
+	for dep, mbps := range nbrs {
+		node, placed := assignment[dep]
+		if !placed {
 			continue
 		}
-		cands = append(cands, s.c)
+		weight := 1.0
+		if d, err := g.Component(dep); err == nil && d.Pinned() {
+			weight = 2
+		}
+		deps = append(deps, neighbor{name: dep, node: node, mbps: mbps, weight: weight})
 	}
-	return cands, skipped
+	slices.SortFunc(deps, func(a, b neighbor) int { return strings.Compare(a.name, b.name) })
+	return deps
 }
 
 // candidate is one node's evaluation during migration or failover target
@@ -358,51 +325,117 @@ type candidate struct {
 	// feasible reports whether every remote dependency fits in the path's
 	// available capacity plus headroom.
 	feasible bool
+	// reject is why the node was filtered out before scoring (current
+	// placement, no capacity); RejectNone marks a scored candidate.
+	reject Rejection
 }
 
-// scoreCandidate evaluates placing the component (whose DAG edges are
-// neighbors) on nodeName: local edges count in full, remote edges up to the
-// path's available capacity, edges to pinned endpoints weigh double — no
-// later migration can relieve them, so satisfying them now matters more than
-// edges between movable pairs, which progressive relocation can fix.
-func scoreCandidate(
-	g *dag.Graph,
-	neighbors map[string]float64,
-	assignment Assignment,
-	nodeName string,
-	pathAvail PathQuery,
-	headroomMbps float64,
-) candidate {
+// scoreCandidate evaluates placing the component (whose placed DAG neighbors
+// are deps) on nodeName: local edges count in full, remote edges up to the
+// path's available capacity, each scaled by the neighbor's weight.
+func scoreCandidate(deps []neighbor, nodeName string, pathAvail PathQuery, headroomMbps float64) candidate {
 	c := candidate{feasible: true}
-	for dep, mbps := range neighbors {
-		depNode, placed := assignment[dep]
-		if !placed {
-			continue
-		}
-		weight := 1.0
-		if d, derr := g.Component(dep); derr == nil && d.Pinned() {
-			weight = 2
-		}
-		if depNode == nodeName {
+	for _, d := range deps {
+		if d.node == nodeName {
 			c.depCount++
-			c.local += weight * mbps
+			c.local += d.weight * d.mbps
 			continue
 		}
-		avail := mbps
+		avail := d.mbps
 		if pathAvail != nil {
-			avail = pathAvail(nodeName, depNode)
+			avail = pathAvail(nodeName, d.node)
 		}
-		if avail < mbps+headroomMbps {
+		if avail < d.mbps+headroomMbps {
 			c.feasible = false
 		}
-		if avail < mbps {
-			c.remote += weight * avail
+		if avail < d.mbps {
+			c.remote += d.weight * avail
 		} else {
-			c.remote += weight * mbps
+			c.remote += d.weight * d.mbps
 		}
 	}
 	c.score = c.local + c.remote
 	return c
+}
+
+// scoring is one candidate-scoring pass: every node evaluated into the slot
+// at its position in the node list.
+type scoring struct {
+	comp      *dag.Component
+	deps      []neighbor
+	nodes     []NodeInfo
+	current   string // skipped; "" when every node competes (failover)
+	pathAvail PathQuery
+	headroom  float64
+	slots     []candidate
+}
+
+// eval is the per-node scoring loop, over nodes[lo:hi].
+func (s *scoring) eval(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		n := s.nodes[i]
+		switch {
+		case n.Name == s.current:
+			s.slots[i] = candidate{node: n, reject: RejectCurrentNode}
+		case !fits(n, s.comp):
+			s.slots[i] = candidate{node: n, reject: RejectNoCapacity}
+		default:
+			c := scoreCandidate(s.deps, n.Name, s.pathAvail, s.headroom)
+			c.node = n
+			s.slots[i] = c
+		}
+	}
+}
+
+// evalChunked runs eval over the whole node list in chunks on pool. The
+// value receiver is deliberate: only this copy escapes into the task
+// closures, so the serial path's scoring stays on the caller's stack.
+func (s scoring) evalChunked(pool Parallel) {
+	const maxChunks = 16
+	step := (len(s.nodes) + maxChunks - 1) / maxChunks
+	tasks := make([]func(), 0, maxChunks)
+	for lo := 0; lo < len(s.nodes); lo += step {
+		lo, hi := lo, min(lo+step, len(s.nodes))
+		tasks = append(tasks, func() { s.eval(lo, hi) })
+	}
+	pool.Run(tasks)
+}
+
+// rankCandidates scores every node — serially, or chunked on opt.Pool when
+// it pays — and returns the scored candidates best first, plus (only when
+// recording) the pre-filtered rejects in node order. current skips that node;
+// pass "" for failover-style choices where every node competes.
+func rankCandidates(
+	comp *dag.Component,
+	deps []neighbor,
+	nodes []NodeInfo,
+	current string,
+	pathAvail PathQuery,
+	headroomMbps float64,
+	opt TargetOptions,
+) (cands []candidate, skipped []CandidateScore) {
+	s := scoring{
+		comp: comp, deps: deps, nodes: nodes, current: current,
+		pathAvail: pathAvail, headroom: headroomMbps,
+		slots: make([]candidate, len(nodes)),
+	}
+	if opt.Pool == nil || len(nodes) < parallelScoreMin {
+		s.eval(0, len(nodes))
+	} else {
+		s.evalChunked(opt.Pool)
+	}
+	// Compact the scored slots to the front in node order; the stable sort
+	// below then sees the same input sequence whichever way scoring ran.
+	cands = s.slots[:0]
+	for _, c := range s.slots {
+		if c.reject == RejectNone {
+			cands = append(cands, c)
+		} else if opt.Recorder != nil {
+			skipped = append(skipped, CandidateScore{Node: c.node.Name, Rejection: c.reject})
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return betterCandidate(cands[i], cands[j]) })
+	return cands, skipped
 }
 
 // betterCandidate is the single tie-break comparator for migration and
@@ -467,12 +500,21 @@ func explainScoreboard(cands []candidate, chosen string, bestHysteresis bool, sk
 	return append(out, skipped...)
 }
 
+// targetOptions resolves the optional trailing argument of the choosers.
+func targetOptions(opts []TargetOptions) TargetOptions {
+	if len(opts) == 0 {
+		return TargetOptions{}
+	}
+	return opts[0]
+}
+
 // ChooseMigrationTarget picks the node to move a component to (§3.2.2): among
 // nodes with sufficient CPU and memory, prefer the node hosting the most of
 // the component's DAG neighbors (minimising inter-node transfer), requiring
 // that every remote dependency's bandwidth fits within the path's available
 // capacity plus headroom. Returns ErrNoBetterNode when no candidate beats
-// the current placement.
+// the current placement. At most one TargetOptions is consulted; omitting it
+// means no recorder and serial scoring.
 func ChooseMigrationTarget(
 	g *dag.Graph,
 	component string,
@@ -480,40 +522,10 @@ func ChooseMigrationTarget(
 	nodes []NodeInfo,
 	pathAvail PathQuery,
 	cfg MigrationConfig,
+	opts ...TargetOptions,
 ) (string, error) {
-	return ChooseMigrationTargetExplained(g, component, assignment, nodes, pathAvail, cfg, nil)
-}
-
-// ChooseMigrationTargetExplained is ChooseMigrationTarget recording the full
-// candidate scoreboard through rec. A nil rec skips all explanation
-// bookkeeping and behaves identically to ChooseMigrationTarget.
-func ChooseMigrationTargetExplained(
-	g *dag.Graph,
-	component string,
-	assignment Assignment,
-	nodes []NodeInfo,
-	pathAvail PathQuery,
-	cfg MigrationConfig,
-	rec Recorder,
-) (string, error) {
-	return ChooseMigrationTargetPooled(g, component, assignment, nodes, pathAvail, cfg, rec, nil)
-}
-
-// ChooseMigrationTargetPooled is ChooseMigrationTargetExplained with the
-// candidate-scoring pass chunked across pool (nil scores serially). Scoring
-// writes into per-node slots and the serial assembly below reads them in
-// node order, so the chosen target, every scoreboard row, and every journal
-// byte are identical whichever way the chunks execute.
-func ChooseMigrationTargetPooled(
-	g *dag.Graph,
-	component string,
-	assignment Assignment,
-	nodes []NodeInfo,
-	pathAvail PathQuery,
-	cfg MigrationConfig,
-	rec Recorder,
-	pool Parallel,
-) (string, error) {
+	opt := targetOptions(opts)
+	rec := opt.Recorder
 	comp, err := g.Component(component)
 	if err != nil {
 		return "", err
@@ -526,35 +538,12 @@ func ChooseMigrationTargetPooled(
 	if !ok {
 		return "", fmt.Errorf("scheduler: component %q not in assignment", component)
 	}
-	var cands []candidate
-	var skipped []CandidateScore
-	if pool != nil && len(nodes) >= parallelScoreMin {
-		cands, skipped = pooledScoreboard(g, comp, component, assignment, nodes, current, pathAvail, cfg.HeadroomMbps, pool, rec != nil)
-	} else {
-		neighbors := g.Neighbors(component)
-		for _, n := range nodes {
-			if n.Name == current {
-				if rec != nil {
-					skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectCurrentNode})
-				}
-				continue
-			}
-			if !fits(n, comp) {
-				if rec != nil {
-					skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectNoCapacity})
-				}
-				continue
-			}
-			c := scoreCandidate(g, neighbors, assignment, n.Name, pathAvail, cfg.HeadroomMbps)
-			c.node = n
-			cands = append(cands, c)
-		}
-	}
+	deps := placedNeighbors(g, component, assignment)
+	cands, skipped := rankCandidates(comp, deps, nodes, current, pathAvail, cfg.HeadroomMbps, opt)
 	if len(cands) == 0 {
 		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: current, Candidates: skipped})
 		return "", fmt.Errorf("%w: %q stays on %q", ErrNoBetterNode, component, current)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return betterCandidate(cands[i], cands[j]) })
 	best := cands[0]
 	chosen := ""
 	hysteresis := false
@@ -569,7 +558,7 @@ func ChooseMigrationTargetPooled(
 		// partially-feasible node shifts the bottleneck onto edges whose
 		// endpoints are movable, unlocking the progressive relocation the
 		// paper observes in Table 1.
-		currentScore := scoreCandidate(g, g.Neighbors(component), assignment, current, pathAvail, cfg.HeadroomMbps).score
+		currentScore := scoreCandidate(deps, current, pathAvail, cfg.HeadroomMbps).score
 		if best.score > currentScore*1.05 {
 			chosen = best.node.Name
 		} else {
@@ -597,11 +586,12 @@ func ChooseMigrationTargetPooled(
 // CPU and memory beats leaving it dead. Bandwidth-feasible candidates (every
 // placed remote dependency fits in path headroom) rank first by dependency
 // count then satisfiable bandwidth, exactly like migration; when none is
-// feasible the best partially-feasible node wins outright. nodes must already
-// exclude dead or cordoned hosts; assignment must not contain components
-// stranded on dead nodes (their paths would be meaningless). Only when no
-// node has the CPU and memory does it return ErrNoFailoverNode — the caller
-// queues the component until capacity returns.
+// feasible the best partially-feasible node wins outright — unless
+// TargetOptions.Strict, which returns ErrNoFeasibleNode instead so the caller
+// can escalate. nodes must already exclude dead or cordoned hosts; assignment
+// must not contain components stranded on dead nodes (their paths would be
+// meaningless). Only when no node has the CPU and memory does it return
+// ErrNoFailoverNode — the caller queues the component until capacity returns.
 func ChooseFailoverTarget(
 	g *dag.Graph,
 	component string,
@@ -609,22 +599,10 @@ func ChooseFailoverTarget(
 	nodes []NodeInfo,
 	pathAvail PathQuery,
 	cfg MigrationConfig,
+	opts ...TargetOptions,
 ) (string, error) {
-	return ChooseFailoverTargetExplained(g, component, assignment, nodes, pathAvail, cfg, nil)
-}
-
-// ChooseFailoverTargetExplained is ChooseFailoverTarget recording the full
-// candidate scoreboard through rec. A nil rec skips all explanation
-// bookkeeping and behaves identically to ChooseFailoverTarget.
-func ChooseFailoverTargetExplained(
-	g *dag.Graph,
-	component string,
-	assignment Assignment,
-	nodes []NodeInfo,
-	pathAvail PathQuery,
-	cfg MigrationConfig,
-	rec Recorder,
-) (string, error) {
+	opt := targetOptions(opts)
+	rec := opt.Recorder
 	comp, err := g.Component(component)
 	if err != nil {
 		return "", err
@@ -632,6 +610,7 @@ func ChooseFailoverTargetExplained(
 	if comp.Pinned() {
 		// A pinned component can only ever run on its pinned node; if that
 		// node is not among the survivors, the component waits for it.
+		// Strictness adds nothing beyond the fits() check.
 		chosen := ""
 		for _, n := range nodes {
 			if n.Name == comp.PinnedTo() && fits(n, comp) {
@@ -660,91 +639,18 @@ func ChooseFailoverTargetExplained(
 		}
 		return "", fmt.Errorf("%w: %q pinned to %q", ErrNoFailoverNode, component, comp.PinnedTo())
 	}
-	neighbors := g.Neighbors(component)
-
-	var cands []candidate
-	var skipped []CandidateScore
-	for _, n := range nodes {
-		if !fits(n, comp) {
-			if rec != nil {
-				skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectNoCapacity})
-			}
-			continue
-		}
-		c := scoreCandidate(g, neighbors, assignment, n.Name, pathAvail, cfg.HeadroomMbps)
-		c.node = n
-		cands = append(cands, c)
-	}
+	deps := placedNeighbors(g, component, assignment)
+	cands, skipped := rankCandidates(comp, deps, nodes, "", pathAvail, cfg.HeadroomMbps, opt)
 	if len(cands) == 0 {
 		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: skipped})
 		return "", fmt.Errorf("%w: %q", ErrNoFailoverNode, component)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return betterCandidate(cands[i], cands[j]) })
 	// The component is down: ANY node that fits beats leaving it dead, so
-	// even an infeasible best candidate wins outright — no hysteresis.
+	// even an infeasible best candidate wins outright — no hysteresis. Strict
+	// callers claim a placement only when the network can carry the result.
 	chosen := cands[0].node.Name
-	if rec != nil {
-		rec.RecordExplanation(Explanation{
-			Kind:       ChoiceFailover,
-			Component:  component,
-			Chosen:     chosen,
-			Candidates: explainScoreboard(cands, chosen, false, skipped),
-		})
-	}
-	return chosen, nil
-}
-
-// ErrNoFeasibleNode is returned by ChooseFailoverTargetStrict when nodes have
-// the CPU and memory but none can also carry the component's bandwidth — the
-// caller should escalate (re-route, shed) rather than accept a placement the
-// data plane cannot serve.
-var ErrNoFeasibleNode = errors.New("scheduler: no bandwidth-feasible node for component")
-
-// ChooseFailoverTargetStrict is ChooseFailoverTargetExplained restricted to
-// bandwidth-feasible winners: it refuses the partially-feasible fallback and
-// returns ErrNoFeasibleNode instead. The reconciler's first ladder rung uses
-// it so a clean migration is only claimed when the network can actually carry
-// the result; subsequent rungs fall back to the lenient chooser.
-func ChooseFailoverTargetStrict(
-	g *dag.Graph,
-	component string,
-	assignment Assignment,
-	nodes []NodeInfo,
-	pathAvail PathQuery,
-	cfg MigrationConfig,
-	rec Recorder,
-) (string, error) {
-	comp, err := g.Component(component)
-	if err != nil {
-		return "", err
-	}
-	if comp.Pinned() {
-		// Pinned components have exactly one legal home; strictness adds
-		// nothing beyond the lenient path's fits() check.
-		return ChooseFailoverTargetExplained(g, component, assignment, nodes, pathAvail, cfg, rec)
-	}
-	neighbors := g.Neighbors(component)
-	var cands []candidate
-	var skipped []CandidateScore
-	for _, n := range nodes {
-		if !fits(n, comp) {
-			if rec != nil {
-				skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectNoCapacity})
-			}
-			continue
-		}
-		c := scoreCandidate(g, neighbors, assignment, n.Name, pathAvail, cfg.HeadroomMbps)
-		c.node = n
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 {
-		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: skipped})
-		return "", fmt.Errorf("%w: %q", ErrNoFailoverNode, component)
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return betterCandidate(cands[i], cands[j]) })
-	chosen := ""
-	if cands[0].feasible {
-		chosen = cands[0].node.Name
+	if opt.Strict && !cands[0].feasible {
+		chosen = ""
 	}
 	if rec != nil {
 		rec.RecordExplanation(Explanation{

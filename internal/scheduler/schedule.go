@@ -146,16 +146,10 @@ func (b *Bass) Heuristic() Heuristic { return b.heuristic }
 // advances — so heuristic-adjacent (bandwidth-heavy) components co-locate.
 // For the longest-path heuristic, each extracted chain restarts the cursor
 // at the best-ranked node with remaining capacity, keeping whole chains
-// together when possible.
-func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo) (Assignment, error) {
-	return b.ScheduleExplained(g, nodes, nil)
-}
-
-// ScheduleExplained is Schedule recording one Explanation per component —
-// the ranked node scoreboard at the instant it was placed — through rec. A
-// nil rec skips all explanation bookkeeping and behaves identically to
-// Schedule.
-func (b *Bass) ScheduleExplained(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
+// together when possible. One Explanation per component — the ranked node
+// scoreboard at the instant it was placed — goes through rec; a nil rec
+// skips all explanation bookkeeping.
+func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -349,15 +343,10 @@ func NewK3s() *K3s { return &K3s{} }
 // Name identifies the scheduler in experiment output.
 func (*K3s) Name() string { return "k3s-default" }
 
-// Schedule assigns every component of g to a node, one component at a time.
-func (k *K3s) Schedule(g *dag.Graph, nodes []NodeInfo) (Assignment, error) {
-	return k.ScheduleExplained(g, nodes, nil)
-}
-
-// ScheduleExplained is Schedule recording one Explanation per component —
-// every node's k3s score at placement time — through rec. A nil rec skips
-// all explanation bookkeeping and behaves identically to Schedule.
-func (*K3s) ScheduleExplained(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
+// Schedule assigns every component of g to a node, one component at a time,
+// recording one Explanation per component — every node's k3s score at
+// placement time — through rec. A nil rec skips all explanation bookkeeping.
+func (*K3s) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -456,16 +445,15 @@ func k3sScore(n NodeInfo, c *dag.Component) float64 {
 	return leastReq + balanced
 }
 
-// Policy is the interface all placement policies satisfy.
+// Policy is the interface all placement policies satisfy. Schedule narrates
+// its per-component placement decisions through rec; nil means silent.
 type Policy interface {
 	Name() string
-	Schedule(g *dag.Graph, nodes []NodeInfo) (Assignment, error)
+	Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error)
 }
 
 // Compile-time interface checks.
 var (
-	_ Policy           = (*Bass)(nil)
-	_ Policy           = (*K3s)(nil)
-	_ ExplainingPolicy = (*Bass)(nil)
-	_ ExplainingPolicy = (*K3s)(nil)
+	_ Policy = (*Bass)(nil)
+	_ Policy = (*K3s)(nil)
 )

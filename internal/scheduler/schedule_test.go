@@ -50,7 +50,7 @@ func TestFig6Placement(t *testing.T) {
 	g := fig6Graph(t)
 	nodes := testNodes()
 
-	bfs, err := NewBass(HeuristicBFS).Schedule(g, nodes)
+	bfs, err := NewBass(HeuristicBFS).Schedule(g, nodes, nil)
 	if err != nil {
 		t.Fatalf("bfs schedule: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestFig6Placement(t *testing.T) {
 		}
 	}
 
-	lp, err := NewBass(HeuristicLongestPath).Schedule(g, nodes)
+	lp, err := NewBass(HeuristicLongestPath).Schedule(g, nodes, nil)
 	if err != nil {
 		t.Fatalf("lp schedule: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestScheduleRespectsCapacity(t *testing.T) {
 		{Name: "n2", FreeCPU: 4, FreeMemoryMB: 1024, TotalCPU: 4, TotalMemoryMB: 1024},
 	}
 	for _, policy := range []Policy{NewBass(HeuristicBFS), NewBass(HeuristicLongestPath), NewK3s()} {
-		got, err := policy.Schedule(g, nodes)
+		got, err := policy.Schedule(g, nodes, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
@@ -104,7 +104,7 @@ func TestScheduleInfeasible(t *testing.T) {
 	g.MustAddComponent(dag.Component{Name: "huge", CPU: 64})
 	nodes := testNodes()
 	for _, policy := range []Policy{NewBass(HeuristicBFS), NewBass(HeuristicLongestPath), NewK3s()} {
-		if _, err := policy.Schedule(g, nodes); !errors.Is(err, ErrInfeasible) {
+		if _, err := policy.Schedule(g, nodes, nil); !errors.Is(err, ErrInfeasible) {
 			t.Errorf("%s: want ErrInfeasible, got %v", policy.Name(), err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestScheduleHonorsPin(t *testing.T) {
 	g.MustAddComponent(dag.Component{Name: "stuck", CPU: 1, Labels: dag.Pin("node3")})
 	g.MustAddEdge("free", "stuck", 5)
 	for _, policy := range []Policy{NewBass(HeuristicBFS), NewBass(HeuristicLongestPath), NewK3s()} {
-		got, err := policy.Schedule(g, testNodes())
+		got, err := policy.Schedule(g, testNodes(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
@@ -129,7 +129,7 @@ func TestScheduleHonorsPin(t *testing.T) {
 func TestSchedulePinToUnknownNode(t *testing.T) {
 	g := dag.NewGraph("app")
 	g.MustAddComponent(dag.Component{Name: "stuck", CPU: 1, Labels: dag.Pin("nowhere")})
-	if _, err := NewBass(HeuristicBFS).Schedule(g, testNodes()); !errors.Is(err, ErrInfeasible) {
+	if _, err := NewBass(HeuristicBFS).Schedule(g, testNodes(), nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("want ErrInfeasible for pin to unknown node, got %v", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestK3sSpreadsComponents(t *testing.T) {
 	}
 	g.MustAddEdge("a", "b", 50)
 	g.MustAddEdge("b", "c", 50)
-	got, err := NewK3s().Schedule(g, testNodes())
+	got, err := NewK3s().Schedule(g, testNodes(), nil)
 	if err != nil {
 		t.Fatalf("k3s: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestBassCoLocatesHeavyEdges(t *testing.T) {
 	g.MustAddEdge("a", "b", 50)
 	g.MustAddEdge("b", "c", 50)
 	for _, h := range []Heuristic{HeuristicBFS, HeuristicLongestPath} {
-		got, err := NewBass(h).Schedule(g, testNodes())
+		got, err := NewBass(h).Schedule(g, testNodes(), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -205,7 +205,7 @@ func TestSchedulePropertyAllPlacedWithinCapacity(t *testing.T) {
 			{Name: "n3", FreeCPU: 24, FreeMemoryMB: 32768, TotalCPU: 24, TotalMemoryMB: 32768, LinkCapacityMbps: 30},
 		}
 		for _, p := range policies {
-			got, err := p.Schedule(g, nodes)
+			got, err := p.Schedule(g, nodes, nil)
 			if err != nil {
 				return false
 			}
@@ -248,7 +248,7 @@ func BenchmarkBassSchedule27Components(b *testing.B) {
 	sched := NewBass(HeuristicLongestPath)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Schedule(g, nodes); err != nil {
+		if _, err := sched.Schedule(g, nodes, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

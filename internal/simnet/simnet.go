@@ -232,7 +232,7 @@ type Network struct {
 	// FlowID like flowOrder, so per-tag rate queries — the control plane
 	// issues one per deployed edge per cycle — cost O(flows-with-tag)
 	// instead of a scan over every flow in the network.
-	tagFlows map[string][]*flow
+	tagFlows    map[string][]*flow
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
 	lastAdvance time.Duration

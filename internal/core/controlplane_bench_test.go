@@ -79,6 +79,9 @@ func TestQuietEpochZeroAlloc(t *testing.T) {
 	if avg >= 1 {
 		t.Fatalf("quiet controller epoch allocates: %.2f allocs/op, want < 1", avg)
 	}
+	if cs := s.Orch.ControlStats(); cs.SLOTickNS != 0 {
+		t.Errorf("SLOTickNS = %d with no evaluator attached, want 0", cs.SLOTickNS)
+	}
 }
 
 // TestQuietEpochZeroAllocParallel is the same contract with the eval pool
@@ -112,5 +115,9 @@ func TestQuietEpochZeroAllocSLO(t *testing.T) {
 	})
 	if avg >= 1 {
 		t.Fatalf("quiet observed epoch allocates: %.2f allocs/op, want < 1", avg)
+	}
+	// The tick is timed apart from the cycles WallNS covers.
+	if cs := s.Orch.ControlStats(); cs.SLOTickNS <= 0 || cs.WallNS <= 0 {
+		t.Errorf("ControlStats = %+v, want SLOTickNS and WallNS both > 0 after %d observed epochs", cs, cs.Cycles)
 	}
 }

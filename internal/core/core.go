@@ -288,6 +288,7 @@ type Orchestrator struct {
 	ctrlAppEvals    int
 	ctrlTargetScans int
 	ctrlWallNS      int64
+	sloTickNS       int64
 
 	// Failure-handling state (see failover.go).
 	detections    []DetectionRecord
@@ -707,7 +708,9 @@ func (o *Orchestrator) finishControlEpoch() {
 	}
 	o.lastCycleAt, o.hasCycleTime = now, true
 	if o.sloEval != nil {
+		start := time.Now()
 		o.sloEval.Tick()
+		o.sloTickNS += time.Since(start).Nanoseconds()
 	}
 }
 

@@ -348,8 +348,13 @@ type ControlStats struct {
 	// O(nodes × deps) candidate-scoring pass, the loop the hot path
 	// parallelises. Attempts count whether or not a feasible target emerged.
 	TargetScans int
-	// WallNS is real wall-clock time spent inside control cycles.
+	// WallNS is real wall-clock time spent inside control cycles. It stops
+	// before the epoch tail (cadence metric + SLO tick) — its historical
+	// meaning, kept so decisions/sec stays comparable across reports.
 	WallNS int64
+	// SLOTickNS is real wall-clock time spent in the SLO evaluator's
+	// per-epoch Tick, the bulk of what WallNS omits (0 with SLOs off).
+	SLOTickNS int64
 	// PathQueryErrors mirrors PathQueryErrors().
 	PathQueryErrors uint64
 }
@@ -362,6 +367,7 @@ func (o *Orchestrator) ControlStats() ControlStats {
 		AppEvaluations:  o.ctrlAppEvals,
 		TargetScans:     o.ctrlTargetScans,
 		WallNS:          o.ctrlWallNS,
+		SLOTickNS:       o.sloTickNS,
 		PathQueryErrors: o.pathQueryErrs,
 	}
 }

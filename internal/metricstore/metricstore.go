@@ -11,13 +11,21 @@
 // aggregate queries (AvgOver, RateOver, BudgetRemaining, ...) answer from
 // raw samples when the window is fully covered and fall back to rollups for
 // older data, so a store sized for hours of raw data still answers
-// day-length windows. A cardinality guard caps the number of distinct
-// series; appends that would mint series beyond the cap are dropped and
-// surfaced through the metricstore_dropped_samples_total self-metric instead
-// of growing without bound.
+// day-length windows. A window read costs O(log retention + samples in the
+// window): every tier's ring is time-ordered, so the fold binary-searches
+// the window's start instead of walking history, and a Selection resolves a
+// (metric, selector) pair once to the store's own list of its series — the
+// read-side twin of the write-side Handle — so repeated reads examine no
+// series but their own.
+//
+// A cardinality guard caps the number of distinct series; appends that would
+// mint series beyond the cap are dropped and surfaced through the
+// metricstore_dropped_samples_total self-metric instead of growing without
+// bound.
 package metricstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,7 +190,10 @@ func (r *rollupRing) push(b bucket, width time.Duration, capN int) {
 }
 
 func (r *rollupRing) at(i int) *bucket {
-	return &r.buf[(r.start+i)%len(r.buf)]
+	if i += r.start; i >= len(r.buf) {
+		i -= len(r.buf) // one wrap at most (i < n ≤ len); a % here costs a division per bucket folded
+	}
+	return &r.buf[i]
 }
 
 // series is the internal representation: a raw sample ring plus two rollup
@@ -197,12 +208,19 @@ type series struct {
 	rawStart, rawN int
 	evicted        bool
 	evictedThrough time.Time // At of the newest evicted raw sample
+	// unordered is set, for good, by the first append older than its
+	// predecessor. While clear the raw ring is sorted by At and window reads
+	// binary-search it; once set they scan the whole ring.
+	unordered bool
 
 	r10, r5m       rollupRing
 	open10, open5m bucket
 }
 
 func (sr *series) append(cfg Config, smp Sample) {
+	if sr.rawN > 0 && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
+		sr.unordered = true
+	}
 	if sr.rawN < cfg.MaxSamples {
 		sr.raw = append(sr.raw, smp)
 		sr.rawN++
@@ -239,7 +257,10 @@ func foldRollup(open *bucket, ring *rollupRing, width time.Duration, capN int, s
 }
 
 func (sr *series) rawAt(i int) Sample {
-	return sr.raw[(sr.rawStart+i)%len(sr.raw)]
+	if i += sr.rawStart; i >= len(sr.raw) {
+		i -= len(sr.raw) // one wrap at most (i < rawN ≤ len); a % here costs a division per sample folded
+	}
+	return sr.raw[i]
 }
 
 // Store holds series in memory. It is safe for concurrent use. Each series
@@ -249,8 +270,88 @@ type Store struct {
 	mu       sync.RWMutex
 	cfg      Config
 	series   map[string]*series
-	byMetric map[string][]*series // creation-order index per metric name
-	dropped  uint64               // samples refused by the cardinality guard
+	byMetric map[string]*metricIndex
+	dropped  uint64 // samples refused by the cardinality guard
+}
+
+// index is a list of series in creation order. Series are never deleted, so
+// it only grows at its tail. A Selection holds a pointer to one and so sees
+// every series appended to it after Select.
+type index struct {
+	srs []*series
+	// few backs srs until a fifth series joins. Most label values name one
+	// app's or one link's handful of series; this keeps their minting — which
+	// happens mid-run, as deployments first report — off the heap.
+	few [4]*series
+}
+
+func newIndex() *index {
+	ix := &index{}
+	ix.srs = ix.few[:0]
+	return ix
+}
+
+// metricIndex is what the store knows about one metric name: every series,
+// and the subset carrying each label pair. The label lists let a Selection
+// find its series without examining the metric's others; a subsequence of
+// creation order is still creation order, so they fold identically.
+type metricIndex struct {
+	all     *index
+	byLabel map[labelPair]*index
+}
+
+type labelPair struct{ name, value string }
+
+// metricIndexLocked returns the metric's index, creating it empty if absent.
+func (s *Store) metricIndexLocked(metric string) *metricIndex {
+	mi := s.byMetric[metric]
+	if mi == nil {
+		mi = &metricIndex{all: newIndex(), byLabel: make(map[labelPair]*index)}
+		s.byMetric[metric] = mi
+	}
+	return mi
+}
+
+// labelIndex returns the list for one label pair, creating it empty if
+// absent. Callers hold the store's write lock.
+func (mi *metricIndex) labelIndex(lp labelPair) *index {
+	ix := mi.byLabel[lp]
+	if ix == nil {
+		ix = newIndex()
+		mi.byLabel[lp] = ix
+	}
+	return ix
+}
+
+// indexPair picks the selector pair whose list a read starts from: any
+// pair's list holds every match, and taking the smallest label name makes
+// the choice, and so a read's cost, the same run to run. ok=false for an
+// empty selector, which every series of the metric matches.
+func indexPair(selector map[string]string) (by labelPair, ok bool) {
+	for name, value := range selector {
+		if !ok || name < by.name {
+			by, ok = labelPair{name, value}, true
+		}
+	}
+	return by, ok
+}
+
+// candidates returns, in creation order, the metric's series that can match
+// the selector: those carrying its index pair, which callers still match
+// against the whole selector. Callers hold the store lock.
+func (s *Store) candidates(metric string, selector map[string]string) []*series {
+	mi := s.byMetric[metric]
+	if mi == nil {
+		return nil
+	}
+	by, ok := indexPair(selector)
+	if !ok {
+		return mi.all.srs
+	}
+	if ix := mi.byLabel[by]; ix != nil {
+		return ix.srs
+	}
+	return nil
 }
 
 // New returns a store capping each series at maxSamples (default 10000 when
@@ -264,7 +365,7 @@ func NewWithConfig(cfg Config) *Store {
 	return &Store{
 		cfg:      cfg.withDefaults(),
 		series:   make(map[string]*series),
-		byMetric: make(map[string][]*series),
+		byMetric: make(map[string]*metricIndex),
 	}
 }
 
@@ -275,7 +376,12 @@ func (s *Store) newSeriesLocked(metric string, labels map[string]string, key str
 	}
 	sr := &series{metric: metric, labels: copied, key: key}
 	s.series[key] = sr
-	s.byMetric[metric] = append(s.byMetric[metric], sr)
+	mi := s.metricIndexLocked(metric)
+	mi.all.srs = append(mi.all.srs, sr)
+	for k, v := range copied {
+		ix := mi.labelIndex(labelPair{k, v})
+		ix.srs = append(ix.srs, sr)
+	}
 	return sr
 }
 
@@ -374,11 +480,15 @@ func matchesLabels(labels, selector map[string]string) bool {
 func (s *Store) Query(metric string, selector map[string]string, from, to time.Time) []Series {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Series
-	for _, sr := range s.byMetric[metric] {
-		if !matchesLabels(sr.labels, selector) {
-			continue
+	var matched []*series
+	for _, sr := range s.candidates(metric, selector) {
+		if matchesLabels(sr.labels, selector) {
+			matched = append(matched, sr)
 		}
+	}
+	sortByKey(matched)
+	var out []Series
+	for _, sr := range matched {
 		copied := Series{Metric: sr.metric, Labels: sr.labels}
 		for i := 0; i < sr.rawN; i++ {
 			sample := sr.rawAt(i)
@@ -392,9 +502,6 @@ func (s *Store) Query(metric string, selector map[string]string, from, to time.T
 		}
 		out = append(out, copied)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return seriesKey(out[i].Metric, out[i].Labels) < seriesKey(out[j].Metric, out[j].Labels)
-	})
 	return out
 }
 
@@ -408,7 +515,7 @@ func (s *Store) Latest(metric string, selector map[string]string) (Sample, bool)
 	defer s.mu.RUnlock()
 	var best Sample
 	found := false
-	for _, sr := range s.byMetric[metric] {
+	for _, sr := range s.candidates(metric, selector) {
 		if !matchesLabels(sr.labels, selector) {
 			continue
 		}
@@ -513,45 +620,93 @@ func bucketOverlaps(b *bucket, width time.Duration, from, to time.Time) bool {
 	return !b.start.After(to) && b.start.Add(width).After(from)
 }
 
+// aggInto folds the series' samples in [from, to] into a, oldest first.
+// Every tier is read in ring order from the first entry that can reach the
+// window to the first one past it, so the fold visits exactly the entries a
+// walk of the whole ring would select, in the same order — sums are
+// bit-equal to that walk at any retention depth.
 func (sr *series) aggInto(a *Agg, from, to time.Time, res Resolution) {
 	if res == ResAuto {
 		res = sr.pickRes(from)
 	}
 	switch res {
 	case ResRaw:
-		for i := 0; i < sr.rawN; i++ {
+		i := 0
+		if !sr.unordered {
+			i = sort.Search(sr.rawN, func(i int) bool { return !sr.rawAt(i).At.Before(from) })
+		}
+		for ; i < sr.rawN; i++ {
 			smp := sr.rawAt(i)
 			if smp.At.Before(from) || smp.At.After(to) {
-				continue
+				if sr.unordered {
+					continue
+				}
+				break // sorted and searched past from: this and all later ones are past to
 			}
 			a.foldSample(smp)
 		}
 	case Res10s:
-		for i := 0; i < sr.r10.n; i++ {
-			if b := sr.r10.at(i); bucketOverlaps(b, Rollup10sWidth, from, to) {
-				a.foldBucket(b)
-			}
-		}
-		if sr.open10.count > 0 && bucketOverlaps(&sr.open10, Rollup10sWidth, from, to) {
-			a.foldBucket(&sr.open10)
-		}
+		sr.r10.aggInto(a, &sr.open10, Rollup10sWidth, from, to)
 	case Res5m:
-		for i := 0; i < sr.r5m.n; i++ {
-			if b := sr.r5m.at(i); bucketOverlaps(b, Rollup5mWidth, from, to) {
-				a.foldBucket(b)
-			}
+		sr.r5m.aggInto(a, &sr.open5m, Rollup5mWidth, from, to)
+	}
+}
+
+// aggInto folds the closed buckets overlapping [from, to], then the open one.
+// Bucket starts strictly increase whatever order samples arrived in
+// (foldRollup only ever opens a later bucket), so unlike the raw ring the
+// search needs no fallback.
+func (r *rollupRing) aggInto(a *Agg, open *bucket, width time.Duration, from, to time.Time) {
+	i := sort.Search(r.n, func(i int) bool { return r.at(i).start.Add(width).After(from) })
+	for ; i < r.n; i++ {
+		b := r.at(i)
+		if b.start.After(to) {
+			break
 		}
-		if sr.open5m.count > 0 && bucketOverlaps(&sr.open5m, Rollup5mWidth, from, to) {
-			a.foldBucket(&sr.open5m)
+		a.foldBucket(b)
+	}
+	if open.count > 0 && bucketOverlaps(open, width, from, to) {
+		a.foldBucket(open)
+	}
+}
+
+// aggSeries is the one window fold behind every windowed read: the series of
+// srs matching selector, in slice (= creation) order, each folded over
+// [now-window, now] at the given resolution. Callers hold the store lock.
+func aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
+	from := now.Add(-window)
+	var agg Agg
+	for _, sr := range srs {
+		if matchesLabels(sr.labels, selector) {
+			sr.aggInto(&agg, from, now, res)
 		}
 	}
+	return agg, agg.Count > 0
+}
+
+// budgetRemaining converts a good-indicator aggregate into the fraction of
+// the error budget left for an SLO target.
+func budgetRemaining(agg Agg, ok bool, target float64) (float64, bool) {
+	if !ok || target >= 1 {
+		return 0, false
+	}
+	badFrac := 1 - agg.Avg()
+	if badFrac < 0 {
+		badFrac = 0
+	} else if badFrac > 1 {
+		badFrac = 1
+	}
+	return 1 - badFrac/(1-target), true
 }
 
 // AggOver aggregates every sample of the metric matching the selector in the
 // trailing window [now-window, now] (inclusive), auto-selecting resolution
-// per series. It allocates nothing and iterates series in creation order, so
-// floating-point sums are identical run to run. ok=false when no sample
-// falls in the window.
+// per series. It allocates nothing, binary-searches each series' ring for
+// the window start rather than scanning its history, and iterates series in
+// creation order, so floating-point sums are identical run to run. ok=false
+// when no sample falls in the window. Callers that repeat a read should
+// Select once and read through the Selection, which examines only the
+// series it matches rather than all of the metric's.
 func (s *Store) AggOver(metric string, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
 	return s.AggOverRes(metric, selector, now, window, ResAuto)
 }
@@ -561,17 +716,9 @@ func (s *Store) AggOver(metric string, selector map[string]string, now time.Time
 // boundaries may over-cover by up to one bucket width at each edge; aligned
 // windows are exact.
 func (s *Store) AggOverRes(metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
-	from := now.Add(-window)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var agg Agg
-	for _, sr := range s.byMetric[metric] {
-		if !matchesLabels(sr.labels, selector) {
-			continue
-		}
-		sr.aggInto(&agg, from, now, res)
-	}
-	return agg, agg.Count > 0
+	return aggSeries(s.candidates(metric, selector), selector, now, window, res)
 }
 
 // AvgOver returns the mean sample value over the trailing window.
@@ -613,20 +760,8 @@ func (s *Store) RateOver(metric string, selector map[string]string, now time.Tim
 // 0.99 the budget is 1% bad samples, so 1 means untouched, 0 exhausted, and
 // negative overspent. ok=false when the window is empty or target ≥ 1.
 func (s *Store) BudgetRemaining(metric string, selector map[string]string, now time.Time, window time.Duration, target float64) (float64, bool) {
-	if target >= 1 {
-		return 0, false
-	}
 	agg, ok := s.AggOver(metric, selector, now, window)
-	if !ok {
-		return 0, false
-	}
-	badFrac := 1 - agg.Avg()
-	if badFrac < 0 {
-		badFrac = 0
-	} else if badFrac > 1 {
-		badFrac = 1
-	}
-	return 1 - badFrac/(1-target), true
+	return budgetRemaining(agg, ok, target)
 }
 
 // Rate computes the average of the samples within the trailing window ending
@@ -635,18 +770,104 @@ func (s *Store) Rate(metric string, selector map[string]string, now time.Time, w
 	return s.AvgOver(metric, selector, now, window)
 }
 
+// Selection is a pre-resolved (metric, selector) pair for repeated windowed
+// reads — the read-side twin of Handle. Select finds the store's own list of
+// the series carrying the selector's label pair (or of all the metric's
+// series, for an empty selector) and a read folds that list, in creation
+// order, without examining any other series. The list is the store's, not a
+// copy, so series minted after Select are in it the moment they exist.
+// Results are identical to the Store methods of the same name given the same
+// metric and selector. A Selection is immutable and safe for concurrent use.
+type Selection struct {
+	s    *Store
+	from *index
+	// filter is the whole selector, copied, when it has more than one pair:
+	// from then lists the series carrying one of them and a read matches the
+	// rest. nil when membership of from is the match.
+	filter map[string]string
+}
+
+// Select resolves the selector to a Selection. It costs one index lookup
+// however many series the metric has.
+func (s *Store) Select(metric string, selector map[string]string) *Selection {
+	sel := &Selection{s: s}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mi := s.metricIndexLocked(metric)
+	if by, ok := indexPair(selector); ok {
+		sel.from = mi.labelIndex(by)
+	} else {
+		sel.from = mi.all
+	}
+	if len(selector) > 1 {
+		sel.filter = make(map[string]string, len(selector))
+		for name, value := range selector {
+			sel.filter[name] = value
+		}
+	}
+	return sel
+}
+
+// AggOver is Store.AggOver over the selection.
+func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
+	sel.s.mu.RLock()
+	defer sel.s.mu.RUnlock()
+	return aggSeries(sel.from.srs, sel.filter, now, window, ResAuto)
+}
+
+// AvgOver is Store.AvgOver over the selection.
+func (sel *Selection) AvgOver(now time.Time, window time.Duration) (float64, bool) {
+	agg, ok := sel.AggOver(now, window)
+	return agg.Avg(), ok
+}
+
+// MinOver is Store.MinOver over the selection.
+func (sel *Selection) MinOver(now time.Time, window time.Duration) (float64, bool) {
+	agg, ok := sel.AggOver(now, window)
+	return agg.Min, ok
+}
+
+// MaxOver is Store.MaxOver over the selection.
+func (sel *Selection) MaxOver(now time.Time, window time.Duration) (float64, bool) {
+	agg, ok := sel.AggOver(now, window)
+	return agg.Max, ok
+}
+
+// BudgetRemaining is Store.BudgetRemaining over the selection.
+func (sel *Selection) BudgetRemaining(now time.Time, window time.Duration, target float64) (float64, bool) {
+	agg, ok := sel.AggOver(now, window)
+	return budgetRemaining(agg, ok, target)
+}
+
 // Metrics lists distinct metric names, sorted.
 func (s *Store) Metrics() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.byMetric))
-	for m, srs := range s.byMetric {
-		if len(srs) > 0 {
+	for m, mi := range s.byMetric {
+		if len(mi.all.srs) > 0 {
 			out = append(out, m)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// sortedSeriesLocked returns every series ordered by canonical key — the
+// deterministic order of whole-store dumps. Callers hold the store lock.
+func (s *Store) sortedSeriesLocked() []*series {
+	all := make([]*series, 0, len(s.series))
+	for _, sr := range s.series {
+		all = append(all, sr)
+	}
+	sortByKey(all)
+	return all
+}
+
+// sortByKey orders series by the canonical key each was minted under (unique
+// per series, so the order is total).
+func sortByKey(srs []*series) {
+	sort.Slice(srs, func(i, j int) bool { return srs[i].key < srs[j].key })
 }
 
 // Snapshot returns copies of every series, sorted by canonical key — the
@@ -655,7 +876,7 @@ func (s *Store) Snapshot() []Series {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Series, 0, len(s.series))
-	for _, sr := range s.series {
+	for _, sr := range s.sortedSeriesLocked() {
 		copied := Series{Metric: sr.metric, Labels: sr.labels}
 		copied.Samples = make([]Sample, 0, sr.rawN)
 		for i := 0; i < sr.rawN; i++ {
@@ -663,9 +884,6 @@ func (s *Store) Snapshot() []Series {
 		}
 		out = append(out, copied)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return seriesKey(out[i].Metric, out[i].Labels) < seriesKey(out[j].Metric, out[j].Labels)
-	})
 	return out
 }
 
@@ -676,25 +894,35 @@ var promLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // WritePrometheus renders the latest sample of every series in the
 // Prometheus text exposition format (version 0.0.4): a # TYPE line per
 // metric, then one sample line per series with millisecond timestamps.
-// Series order is deterministic (sorted by canonical key).
+// Series order is deterministic (sorted by canonical key). The dump is
+// rendered under the read lock straight from each ring's newest slot — no
+// sample history is copied — and written to w in one call after the lock is
+// released, so a slow scraper never stalls appends.
 func (s *Store) WritePrometheus(w io.Writer) error {
-	series := s.Snapshot()
+	_, err := w.Write(s.renderPrometheus())
+	return err
+}
+
+func (s *Store) renderPrometheus() []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var b bytes.Buffer
+	var keys []string
 	lastMetric := ""
-	for _, sr := range series {
-		if len(sr.Samples) == 0 {
+	for _, sr := range s.sortedSeriesLocked() {
+		if sr.rawN == 0 {
 			continue
 		}
-		if sr.Metric != lastMetric {
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", sr.Metric); err != nil {
-				return err
-			}
-			lastMetric = sr.Metric
+		if sr.metric != lastMetric {
+			b.WriteString("# TYPE ")
+			b.WriteString(sr.metric)
+			b.WriteString(" gauge\n")
+			lastMetric = sr.metric
 		}
-		var b strings.Builder
-		b.WriteString(sr.Metric)
-		if len(sr.Labels) > 0 {
-			keys := make([]string, 0, len(sr.Labels))
-			for k := range sr.Labels {
+		b.WriteString(sr.metric)
+		if len(sr.labels) > 0 {
+			keys = keys[:0]
+			for k := range sr.labels {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
@@ -705,18 +933,19 @@ func (s *Store) WritePrometheus(w io.Writer) error {
 				}
 				b.WriteString(k)
 				b.WriteString(`="`)
-				b.WriteString(promLabelEscaper.Replace(sr.Labels[k]))
+				_, _ = promLabelEscaper.WriteString(&b, sr.labels[k]) // bytes.Buffer writes cannot fail
 				b.WriteString(`"`)
 			}
 			b.WriteString("}")
 		}
-		last := sr.Samples[len(sr.Samples)-1]
-		if _, err := fmt.Fprintf(w, "%s %s %d\n",
-			b.String(), strconv.FormatFloat(last.Value, 'g', -1, 64), last.At.UnixMilli()); err != nil {
-			return err
-		}
+		last := sr.rawAt(sr.rawN - 1)
+		b.WriteString(" ")
+		b.Write(strconv.AppendFloat(b.AvailableBuffer(), last.Value, 'g', -1, 64))
+		b.WriteString(" ")
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), last.At.UnixMilli(), 10))
+		b.WriteString("\n")
 	}
-	return nil
+	return b.Bytes()
 }
 
 // PrometheusHandler serves WritePrometheus — the /metrics endpoint a real

@@ -165,26 +165,40 @@ func TestEmptySelectorValueRequiresLabel(t *testing.T) {
 
 func TestConcurrentAppendQuery(t *testing.T) {
 	s := New(0)
+	// One selection shared by every goroutine while they mint the series it
+	// must grow to include, plus one per goroutine taken mid-stream.
+	shared := s.Select("m", nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			labels := map[string]string{"w": string(rune('a' + i))}
+			own := s.Select("m", labels)
 			for j := 0; j < 200; j++ {
-				s.Append("m", map[string]string{"w": string(rune('a' + i))}, at(j), float64(j))
+				s.Append("m", labels, at(j), float64(j))
 				_ = s.Query("m", nil, time.Time{}, time.Time{})
 				_, _ = s.Latest("m", nil)
 				_, _ = s.Rate("m", nil, at(j), 5*time.Second)
 				_ = s.Metrics()
 				_ = s.WritePrometheus(io.Discard)
 				_ = s.Snapshot()
+				_, _ = shared.AggOver(at(j), 5*time.Second)
+				if agg, _ := own.AggOver(at(j), time.Hour); agg.Count != j+1 {
+					t.Errorf("worker %d: own selection saw %d samples after %d appends", i, agg.Count, j+1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if got := len(s.Query("m", nil, time.Time{}, time.Time{})); got != 4 {
 		t.Errorf("series = %d, want 4", got)
+	}
+	got, _ := shared.AggOver(at(199), time.Hour)
+	want, _ := s.AggOver("m", nil, at(199), time.Hour)
+	if got != want || got.Count != 800 {
+		t.Errorf("shared selection = %+v, store = %+v, want equal with 800 samples", got, want)
 	}
 }
 

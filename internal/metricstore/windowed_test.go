@@ -212,23 +212,30 @@ func TestCardinalityGuard(t *testing.T) {
 }
 
 // TestAggOverZeroAlloc pins the SLO evaluator's per-epoch read path: windowed
-// aggregates with prebuilt selectors must not allocate.
+// aggregates must not allocate, whether through the selector-taking methods
+// with a prebuilt selector or through a resolved Selection.
 func TestAggOverZeroAlloc(t *testing.T) {
 	s := New(0)
-	sel := map[string]string{"link": "a-b"}
+	labels := map[string]string{"link": "a-b"}
 	for sec := 0; sec < 1000; sec++ {
-		s.Append("headroom", sel, at(sec), float64(sec%17))
+		s.Append("headroom", labels, at(sec), float64(sec%17))
 	}
 	now := at(999)
+	sel := s.Select("headroom", labels)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := s.AggOver("headroom", sel, now, 60*time.Second); !ok {
+		if _, ok := s.AggOver("headroom", labels, now, 60*time.Second); !ok {
 			t.Fatal("no samples")
 		}
-		_, _ = s.AvgOver("headroom", sel, now, 60*time.Second)
-		_, _ = s.BudgetRemaining("headroom", sel, now, 60*time.Second, 0.99)
+		_, _ = s.AvgOver("headroom", labels, now, 60*time.Second)
+		_, _ = s.BudgetRemaining("headroom", labels, now, 60*time.Second, 0.99)
+		if _, ok := sel.AggOver(now, 60*time.Second); !ok {
+			t.Fatal("no samples through the selection")
+		}
+		_, _ = sel.MinOver(now, 60*time.Second)
+		_, _ = sel.BudgetRemaining(now, 60*time.Second, 0.99)
 	})
 	if allocs > 0 {
-		t.Errorf("AggOver allocated %.1f times per run, want 0", allocs)
+		t.Errorf("windowed reads allocated %.1f times per run, want 0", allocs)
 	}
 }
 

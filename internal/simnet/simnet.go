@@ -189,9 +189,11 @@ type linkState struct {
 	// Water-filling scratch state, valid only inside a full pass.
 	residual  float64
 	iterCount int
-	// probeAllocBps is batch-probe scratch: the direction's summed flow
-	// allocations, valid only inside one ProbeSpareAll sweep.
-	probeAllocBps float64
+	// probeAllocBps and sweepInflightBits are one-pass sweep scratch: the
+	// direction's summed flow allocations and unsettled carried bits, valid
+	// only inside one ProbeSpareAll or AllLinkStats sweep.
+	probeAllocBps     float64
+	sweepInflightBits float64
 	// flows lists the pass's active flows crossing this direction, ascending
 	// FlowID (built alongside iterCount). A bottleneck round freezes from this
 	// list directly instead of rescanning every active flow — at city scale

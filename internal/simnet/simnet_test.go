@@ -327,6 +327,58 @@ func TestLinkStatsAndAccounting(t *testing.T) {
 	}
 }
 
+// TestAllLinkStatsMatchesPerLink pins the one-pass sweep to the per-direction
+// scan it replaces: on a congested lattice with streams, an unfinished
+// transfer and unsettled in-flight bytes, every entry must be bit-equal to
+// LinkStats(from, to), twice in a row (the sweep re-zeroes its scratch).
+func TestAllLinkStatsMatchesPerLink(t *testing.T) {
+	topo, err := mesh.Grid(mesh.GridOptions{Rows: 5, Cols: 5, Seed: 3, Duration: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(9)
+	net := New(eng, topo)
+	defer net.Start()()
+	nn := mesh.GridNodeName
+	for i := 0; i < 40; i++ {
+		src, dst := nn(i%5, (i/5)%5), nn((i*3+1)%5, (i*7+2)%5)
+		if _, err := net.AddStream("s", src, dst, 0.7+float64(i)*1.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.AddTransfer("t", nn(0, 0), nn(4, 4), 1e12, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(7500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Now() <= net.lastAdvance {
+		t.Fatal("no unsettled interval: the in-flight terms are not exercised")
+	}
+	for round := 0; round < 2; round++ {
+		all := net.AllLinkStats()
+		if len(all) != len(net.linkOrder) {
+			t.Fatalf("AllLinkStats returned %d directions, want %d", len(all), len(net.linkOrder))
+		}
+		loaded := 0
+		for _, got := range all {
+			want, err := net.LinkStats(got.From, got.To)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("round %d %s->%s: sweep %+v != per-link %+v", round, got.From, got.To, got, want)
+			}
+			if got.AllocatedMbps > 0 {
+				loaded++
+			}
+		}
+		if loaded < 10 {
+			t.Fatalf("only %d loaded directions: the net is not loaded enough to pin summation order", loaded)
+		}
+	}
+}
+
 func TestProberMatchesStats(t *testing.T) {
 	_, net := lineNet(t, 10)
 	if _, err := net.AddStream("s", "a", "b", 4); err != nil {

@@ -53,8 +53,7 @@ func (n *Network) inflightBits(f *flow, dt float64) float64 {
 // read from their anchors plus the closed-form in-flight component, without
 // settling anything.
 func (n *Network) statsOf(ls *linkState) LinkStats {
-	now := n.eng.Now()
-	dt := (now - n.lastAdvance).Seconds()
+	dt := (n.eng.Now() - n.lastAdvance).Seconds()
 	var alloc, inflight float64
 	for _, f := range n.flowOrder {
 		if f.gone {
@@ -70,22 +69,51 @@ func (n *Network) statsOf(ls *linkState) LinkStats {
 			}
 		}
 	}
+	return n.statsWith(ls, alloc, inflight)
+}
+
+// statsWith assembles a direction's view from its summed flow allocations
+// and in-flight bits, however the caller accumulated them.
+func (n *Network) statsWith(ls *linkState, allocBps, inflightBits float64) LinkStats {
 	return LinkStats{
 		From:          ls.hop.from,
 		To:            ls.hop.to,
 		CapacityMbps:  ls.capacityBps / 1e6,
 		DemandMbps:    ls.demandBps / 1e6,
-		AllocatedMbps: alloc / 1e6,
-		BacklogKB:     n.backlogAt(ls, now) / 8 / 1e3,
-		CarriedMB:     (ls.carriedBits + inflight) / 8 / 1e6,
+		AllocatedMbps: allocBps / 1e6,
+		BacklogKB:     n.backlogAt(ls, n.eng.Now()) / 8 / 1e3,
+		CarriedMB:     (ls.carriedBits + inflightBits) / 8 / 1e6,
 	}
 }
 
-// AllLinkStats returns stats for every link direction, sorted.
+// AllLinkStats returns stats for every link direction, sorted. Calling
+// statsOf per direction would rescan every flow each time — O(directions ×
+// flows × path) — so, like ProbeSpareAll, the sweep makes one pass over the
+// flows accumulating into per-link scratch. Each direction still receives
+// its additions in ascending-FlowID order, statsOf's summation order, so
+// every entry is bit-equal to LinkStats(from, to). Not safe to call
+// concurrently with itself or ProbeSpareAll (shared scratch).
 func (n *Network) AllLinkStats() []LinkStats {
+	dt := (n.eng.Now() - n.lastAdvance).Seconds()
+	for _, ls := range n.linkOrder {
+		ls.probeAllocBps, ls.sweepInflightBits = 0, 0
+	}
+	for _, f := range n.flowOrder {
+		if f.gone {
+			continue
+		}
+		var inflight float64
+		if dt > 0 {
+			inflight = n.inflightBits(f, dt)
+		}
+		for _, ls := range f.linkPath {
+			ls.probeAllocBps += f.rateBps
+			ls.sweepInflightBits += inflight
+		}
+	}
 	out := make([]LinkStats, 0, len(n.linkOrder))
 	for _, ls := range n.linkOrder {
-		out = append(out, n.statsOf(ls))
+		out = append(out, n.statsWith(ls, ls.probeAllocBps, ls.sweepInflightBits))
 	}
 	return out
 }

@@ -134,11 +134,12 @@ type tierState struct {
 }
 
 // specState is a registered spec plus everything pre-resolved for
-// allocation-free per-epoch evaluation.
+// allocation-free per-epoch evaluation: append handles for what the spec
+// writes and selections for what it reads, so a tick matches no labels.
 type specState struct {
 	spec     Spec
-	sliSel   map[string]string // selector into the SLI source metric
-	goodSel  map[string]string // selector into slo_good for burn reads
+	sli      *metricstore.Selection // the SLI source metric's series
+	good     *metricstore.Selection // this spec's slo_good, for budget and burn reads
 	goodH    metricstore.Handle
 	budgetH  metricstore.Handle
 	tiers    []tierState
@@ -245,18 +246,23 @@ func (e *Evaluator) Register(spec Spec) error {
 	}
 
 	st := &specState{spec: spec, lastGood: true, budget: 1}
-	switch spec.Kind {
-	case DependencyGoodput:
-		st.sliSel = map[string]string{"app": spec.App}
-	case LinkHeadroom:
-		if spec.Link != "" {
-			st.sliSel = map[string]string{"link": spec.Link}
-		}
-	}
-	st.goodSel = map[string]string{"slo": spec.Name}
 	if e.store != nil {
-		st.goodH = e.store.Handle(obs.MetricSLOGood, st.goodSel)
-		st.budgetH = e.store.Handle(obs.MetricSLOBudget, st.goodSel)
+		switch spec.Kind {
+		case DependencyGoodput:
+			st.sli = e.store.Select(obs.MetricDepGoodput, map[string]string{"app": spec.App})
+		case LinkHeadroom:
+			var sel map[string]string // nil = every link
+			if spec.Link != "" {
+				sel = map[string]string{"link": spec.Link}
+			}
+			st.sli = e.store.Select(obs.MetricLinkHeadroom, sel)
+		case ControlLatency:
+			st.sli = e.store.Select(obs.MetricControlEpochGap, nil)
+		}
+		goodSel := map[string]string{"slo": spec.Name}
+		st.goodH = e.store.Handle(obs.MetricSLOGood, goodSel)
+		st.budgetH = e.store.Handle(obs.MetricSLOBudget, goodSel)
+		st.good = e.store.Select(obs.MetricSLOGood, goodSel)
 	}
 	st.tiers = make([]tierState, len(e.cfg.Tiers))
 	for i, tier := range e.cfg.Tiers {
@@ -276,11 +282,11 @@ func (e *Evaluator) measure(st *specState, now time.Time) (float64, bool) {
 	window := e.cfg.Interval - time.Nanosecond // half-open: exclude the prior epoch's own sample
 	switch st.spec.Kind {
 	case DependencyGoodput:
-		return e.store.AvgOver(obs.MetricDepGoodput, st.sliSel, now, window)
+		return st.sli.AvgOver(now, window)
 	case LinkHeadroom:
-		return e.store.MinOver(obs.MetricLinkHeadroom, st.sliSel, now, window)
+		return st.sli.MinOver(now, window)
 	default: // ControlLatency
-		return e.store.MaxOver(obs.MetricControlEpochGap, st.sliSel, now, window)
+		return st.sli.MaxOver(now, window)
 	}
 }
 
@@ -293,8 +299,8 @@ func (st *specState) isGood(val float64) bool {
 
 // burn converts the bad fraction of slo_good over the trailing window into a
 // burn-rate multiple of the budget's sustainable rate.
-func (e *Evaluator) burn(st *specState, now time.Time, window time.Duration) float64 {
-	agg, ok := e.store.AggOver(obs.MetricSLOGood, st.goodSel, now, window)
+func (st *specState) burn(now time.Time, window time.Duration) float64 {
+	agg, ok := st.good.AggOver(now, window)
 	if !ok {
 		return 0
 	}
@@ -337,15 +343,15 @@ func (e *Evaluator) Tick() {
 			indicator = 1
 		}
 		st.goodH.Append(now, indicator)
-		if budget, ok := e.store.BudgetRemaining(obs.MetricSLOGood, st.goodSel, now, st.spec.Window, st.spec.Target); ok {
+		if budget, ok := st.good.BudgetRemaining(now, st.spec.Window, st.spec.Target); ok {
 			st.budget = budget
 		}
 		st.budgetH.Append(now, st.budget)
 
 		for i := range st.tiers {
 			ts := &st.tiers[i]
-			ts.burnShort = e.burn(st, now, ts.tier.Short)
-			ts.burnLong = e.burn(st, now, ts.tier.Long)
+			ts.burnShort = st.burn(now, ts.tier.Short)
+			ts.burnLong = st.burn(now, ts.tier.Long)
 			over := ts.burnShort >= ts.tier.Burn && ts.burnLong >= ts.tier.Burn
 			under := ts.burnShort < ts.tier.Burn && ts.burnLong < ts.tier.Burn
 			switch {

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ type fixture struct {
 	ev      *Evaluator
 }
 
-func newFixture(t *testing.T, cfg Config, storeCfg metricstore.Config) *fixture {
+func newFixture(t testing.TB, cfg Config, storeCfg metricstore.Config) *fixture {
 	t.Helper()
 	f := &fixture{
 		journal: obs.NewJournal(0),
@@ -292,5 +293,98 @@ func TestQuietTickZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("quiet Tick allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// tickBench is the city-storm evaluator shape: one goodput spec per app plus
+// the all-links mesh/headroom spec, over a store that already retains the
+// given number of 30 s epochs for every series a tick reads. History is
+// appended straight through store handles (ticking it in would cost the
+// set-up what the benchmark measures, a thousand times over); the evaluator
+// then registers against the loaded store, as it would after a restart.
+type tickBench struct {
+	*fixture
+	goodput  []metricstore.Handle
+	headroom []metricstore.Handle
+}
+
+const tickInterval = 30 * time.Second
+
+func newTickBench(tb testing.TB, apps, links, epochs int) *tickBench {
+	tb.Helper()
+	f := &tickBench{fixture: newFixture(tb, Config{Interval: tickInterval}, metricstore.Config{})}
+	var good, budget []metricstore.Handle
+	for a := 0; a < apps; a++ {
+		app := fmt.Sprintf("app%04d", a)
+		slo := map[string]string{"slo": "goodput/" + app}
+		f.goodput = append(f.goodput, f.store.Handle(obs.MetricDepGoodput, map[string]string{"app": app}))
+		good = append(good, f.store.Handle(obs.MetricSLOGood, slo))
+		budget = append(budget, f.store.Handle(obs.MetricSLOBudget, slo))
+	}
+	for l := 0; l < links; l++ {
+		f.headroom = append(f.headroom, f.store.Handle(obs.MetricLinkHeadroom, map[string]string{"link": fmt.Sprintf("n%03d-n%03d", l, l+1)}))
+	}
+	meshSLO := map[string]string{"slo": "mesh/headroom"}
+	good = append(good, f.store.Handle(obs.MetricSLOGood, meshSLO))
+	budget = append(budget, f.store.Handle(obs.MetricSLOBudget, meshSLO))
+	for e := 0; e < epochs; e++ {
+		f.now += tickInterval
+		f.feed()
+		now := unixEpoch.Add(f.now)
+		for i := range good {
+			good[i].Append(now, 1)
+			budget[i].Append(now, 1)
+		}
+	}
+	for a := 0; a < apps; a++ {
+		app := fmt.Sprintf("app%04d", a)
+		if err := f.ev.Register(Spec{Name: "goodput/" + app, Kind: DependencyGoodput, App: app}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := f.ev.Register(Spec{Name: "mesh/headroom", Kind: LinkHeadroom}); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// feed writes the epoch's SLI samples, the monitor's and controller's part.
+func (f *tickBench) feed() {
+	now := unixEpoch.Add(f.now)
+	for _, h := range f.goodput {
+		h.Append(now, 0.97)
+	}
+	for _, h := range f.headroom {
+		h.Append(now, 12)
+	}
+}
+
+// epoch advances one interval, feeds it off the clock, and ticks.
+func (f *tickBench) epoch(timed func(func())) {
+	f.now += tickInterval
+	f.feed()
+	timed(f.ev.Tick)
+}
+
+// BenchmarkTick measures one quiet evaluator epoch at city-storm's size —
+// 1,400 goodput specs plus mesh/headroom over 364 links — with 10, 130 and
+// 1,000 epochs of history behind it. At 130 every burn and budget window is
+// full, so 130 → 1,000 is pure history growth and must cost nothing; below
+// that a tick has less to fold (TestTickCostIgnoresHistory pins the claim).
+func BenchmarkTick(b *testing.B) {
+	for _, epochs := range []int{10, 130, 1000} {
+		b.Run(fmt.Sprintf("specs=1401/epochs=%d", epochs), func(b *testing.B) {
+			f := newTickBench(b, 1400, 364, epochs)
+			f.epoch(func(tick func()) { tick() }) // warm-up epoch, off the clock
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f.epoch(func(tick func()) {
+					b.StartTimer()
+					tick()
+				})
+			}
+		})
 	}
 }

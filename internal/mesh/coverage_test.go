@@ -7,17 +7,6 @@ import (
 	"bass/internal/trace"
 )
 
-func TestPathLinksMissing(t *testing.T) {
-	topo := square(t)
-	if _, err := topo.PathLinks([]string{"a", "ghost"}); err == nil {
-		t.Error("path over missing link: want error")
-	}
-	links, err := topo.PathLinks([]string{"a"})
-	if err != nil || links != nil {
-		t.Errorf("single-node path: %v, %v", links, err)
-	}
-}
-
 func TestPathCapacityUnknownNode(t *testing.T) {
 	topo := square(t)
 	if _, _, err := topo.PathCapacityAt("ghost", "a", 0); err == nil {

@@ -8,6 +8,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,6 +56,11 @@ type Link struct {
 	capRev *trace.Trace
 	// LatencyOneWay is the propagation + MAC latency per traversal.
 	LatencyOneWay time.Duration
+	// a and b are the dense node ids of ID.A and ID.B.
+	a, b int32
+	// down is the link's own administrative state (Topology.SetLinkUp); an up
+	// link can still be unusable because an endpoint node is down.
+	down bool
 }
 
 // CapacityToward returns the capacity trace for the from→to direction.
@@ -112,16 +118,22 @@ func (l *Link) CapacityDir(fwd bool) *trace.Trace {
 // all mutation): a down node or link stays in the graph but is invisible to
 // routing, modelling a crashed router or a radio outage.
 type Topology struct {
-	nodes     map[string]bool
-	nodeOrder []string
+	nodeID    map[string]int32 // name → dense id, assigned at AddNode
+	nodeOrder []string         // id → name, insertion order
+	nodeDown  []bool           // by id
 	links     map[LinkID]*Link
 	adj       map[string][]string
-	downNodes map[string]bool
-	downLinks map[LinkID]bool
 
-	// availEpoch counts graph-shape changes: availability flips and link/node
+	// The routing plane's compiled graph. Every link contributes two directed
+	// edges; out[u] lists the edges leaving node u in the order of
+	// adj[name(u)] (sorted by neighbour name), which is what makes the BFS
+	// tie-break lexicographic.
+	edges []dirEdge
+	out   [][]outEdge
+
+	// availEpoch counts graph-shape changes: availability flips and link
 	// additions. Routes computed under one epoch stay valid for its duration,
-	// which is what makes the route cache sound.
+	// which is what makes the route trees and the route cache sound.
 	availEpoch uint64
 
 	// capListeners are invoked when a link's capacity trace is swapped via
@@ -129,40 +141,74 @@ type Topology struct {
 	// Registration and invocation are mutation, i.e. single-goroutine.
 	capListeners []func(LinkID)
 
-	// mu guards the route cache and its BFS scratch. Queries are documented
-	// as safe from any number of goroutines, and with memoisation a query is
-	// no longer read-only under the hood.
+	// mu guards the route trees, the route cache and the BFS queue. Queries
+	// are documented as safe from any number of goroutines, and with lazily
+	// built trees a query is not read-only under the hood.
 	mu          sync.Mutex
+	trees       []routeTree // by source id
 	routeCache  map[routeKey][]string
-	bfsPrev     map[string]string
-	bfsQueue    []string
+	bfsQueue    []int32
 	sortedLinks []*Link
 }
 
-type routeKey struct{ src, dst string }
+// dirEdge is one direction of a link, between dense node ids.
+type dirEdge struct {
+	from, to int32
+	link     *Link
+}
+
+// outEdge is an adjacency entry: edge id plus its head, so the BFS inner loop
+// reads the neighbour without touching the edge table.
+type outEdge struct {
+	to, edge int32
+}
+
+// routeTree is the min-hop shortest-path tree of one source: via[v] is the
+// directed edge that first reached v in the BFS from the source (unreached
+// for nodes with no route, treeRoot for the source itself). The tree answers
+// every destination by a walk up the via edges. A tree is current while
+// epoch matches the topology's and via still covers every node; a stale tree
+// is rebuilt in place, so storage is allocated once per source.
+type routeTree struct {
+	epoch uint64
+	via   []int32
+}
+
+// Sentinel via values.
+const (
+	unreached int32 = -1
+	treeRoot  int32 = -2
+)
+
+type routeKey struct{ src, dst int32 }
 
 // NewTopology returns an empty topology.
 func NewTopology() *Topology {
 	return &Topology{
-		nodes:      make(map[string]bool),
+		nodeID:     make(map[string]int32),
 		links:      make(map[LinkID]*Link),
 		adj:        make(map[string][]string),
-		downNodes:  make(map[string]bool),
-		downLinks:  make(map[LinkID]bool),
 		routeCache: make(map[routeKey][]string),
 	}
 }
 
 // AddNode registers a node; adding an existing node is a no-op.
 func (t *Topology) AddNode(name string) {
-	if !t.nodes[name] {
-		t.nodes[name] = true
-		t.nodeOrder = append(t.nodeOrder, name)
+	if _, ok := t.nodeID[name]; ok {
+		return
 	}
+	t.nodeID[name] = int32(len(t.nodeOrder))
+	t.nodeOrder = append(t.nodeOrder, name)
+	t.nodeDown = append(t.nodeDown, false)
+	t.out = append(t.out, nil)
+	t.trees = append(t.trees, routeTree{})
 }
 
 // HasNode reports whether the node exists.
-func (t *Topology) HasNode(name string) bool { return t.nodes[name] }
+func (t *Topology) HasNode(name string) bool {
+	_, ok := t.nodeID[name]
+	return ok
+}
 
 // Nodes returns node names in insertion order.
 func (t *Topology) Nodes() []string {
@@ -176,21 +222,25 @@ func (t *Topology) AddLink(a, b string, capacity *trace.Trace, latency time.Dura
 	if a == b {
 		return fmt.Errorf("%w: %q", ErrSelfLink, a)
 	}
-	if !t.nodes[a] {
+	ia, ok := t.nodeID[a]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, a)
 	}
-	if !t.nodes[b] {
+	ib, ok := t.nodeID[b]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, b)
 	}
 	id := MakeLinkID(a, b)
 	if _, ok := t.links[id]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateLink, id)
 	}
-	t.links[id] = &Link{ID: id, capFwd: capacity, capRev: capacity, LatencyOneWay: latency}
-	t.adj[a] = append(t.adj[a], b)
-	t.adj[b] = append(t.adj[b], a)
-	sort.Strings(t.adj[a])
-	sort.Strings(t.adj[b])
+	l := &Link{ID: id, capFwd: capacity, capRev: capacity, LatencyOneWay: latency,
+		a: t.nodeID[id.A], b: t.nodeID[id.B]}
+	t.links[id] = l
+	e := int32(len(t.edges))
+	t.edges = append(t.edges, dirEdge{from: ia, to: ib, link: l}, dirEdge{from: ib, to: ia, link: l})
+	t.addNeighbor(a, ia, b, outEdge{to: ib, edge: e})
+	t.addNeighbor(b, ib, a, outEdge{to: ia, edge: e + 1})
 	t.bumpEpoch()
 	t.mu.Lock()
 	t.sortedLinks = nil
@@ -198,7 +248,16 @@ func (t *Topology) AddLink(a, b string, capacity *trace.Trace, latency time.Dura
 	return nil
 }
 
-// bumpEpoch advances the availability epoch and drops every cached route.
+// addNeighbor records edge (leaving node, towards nb) at nb's sorted position
+// in both of node's adjacency views.
+func (t *Topology) addNeighbor(node string, id int32, nb string, edge outEdge) {
+	i := sort.SearchStrings(t.adj[node], nb)
+	t.adj[node] = slices.Insert(t.adj[node], i, nb)
+	t.out[id] = slices.Insert(t.out[id], i, edge)
+}
+
+// bumpEpoch advances the availability epoch, which makes every route tree
+// stale, and drops every cached route.
 func (t *Topology) bumpEpoch() {
 	t.availEpoch++
 	t.mu.Lock()
@@ -263,7 +322,7 @@ func (t *Topology) SetDirectedCapacity(from, to string, capacity *trace.Trace) e
 // ThrottleEgress applies the capacity trace to the outgoing direction of
 // every link of the node, modelling tc on the node's interface.
 func (t *Topology) ThrottleEgress(node string, capacity *trace.Trace) error {
-	if !t.nodes[node] {
+	if !t.HasNode(node) {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, node)
 	}
 	for _, nb := range t.adj[node] {
@@ -278,41 +337,36 @@ func (t *Topology) ThrottleEgress(node string, capacity *trace.Trace) error {
 // its links and placements in the data structures, but routing treats it —
 // and every link incident to it — as absent.
 func (t *Topology) SetNodeUp(name string, up bool) error {
-	if !t.nodes[name] {
+	id, ok := t.nodeID[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
 	}
-	if up == !t.downNodes[name] {
+	if up == !t.nodeDown[id] {
 		return nil // no transition: routes stay valid
 	}
-	if up {
-		delete(t.downNodes, name)
-	} else {
-		t.downNodes[name] = true
-	}
+	t.nodeDown[id] = !up
 	t.bumpEpoch()
 	return nil
 }
 
 // NodeUp reports whether a node is currently up (unknown nodes are down).
 func (t *Topology) NodeUp(name string) bool {
-	return t.nodes[name] && !t.downNodes[name]
+	id, ok := t.nodeID[name]
+	return ok && !t.nodeDown[id]
 }
 
 // SetLinkUp marks a link as up (true) or down (false). A down link stays in
 // the topology but routing skips it and its effective capacity is zero.
 func (t *Topology) SetLinkUp(a, b string, up bool) error {
 	id := MakeLinkID(a, b)
-	if _, ok := t.links[id]; !ok {
+	l, ok := t.links[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
 	}
-	if up == !t.downLinks[id] {
+	if up == !l.down {
 		return nil // no transition
 	}
-	if up {
-		delete(t.downLinks, id)
-	} else {
-		t.downLinks[id] = true
-	}
+	l.down = !up
 	t.bumpEpoch()
 	return nil
 }
@@ -320,25 +374,24 @@ func (t *Topology) SetLinkUp(a, b string, up bool) error {
 // LinkUp reports whether the link itself is administratively up (it may still
 // be unusable because an endpoint node is down; see LinkAvailable).
 func (t *Topology) LinkUp(a, b string) bool {
-	id := MakeLinkID(a, b)
-	_, ok := t.links[id]
-	return ok && !t.downLinks[id]
+	l, ok := t.links[MakeLinkID(a, b)]
+	return ok && !l.down
 }
 
 // LinkAvailable reports whether traffic can cross the link right now: the
 // link is up and both endpoint nodes are up.
 func (t *Topology) LinkAvailable(id LinkID) bool {
-	if _, ok := t.links[id]; !ok {
-		return false
-	}
-	return !t.downLinks[id] && !t.downNodes[id.A] && !t.downNodes[id.B]
+	l, ok := t.links[id]
+	return ok && !l.down && !t.nodeDown[l.a] && !t.nodeDown[l.b]
 }
 
 // DownNodes returns the currently-down node names, sorted.
 func (t *Topology) DownNodes() []string {
-	out := make([]string, 0, len(t.downNodes))
-	for n := range t.downNodes {
-		out = append(out, n)
+	out := []string{}
+	for id, down := range t.nodeDown {
+		if down {
+			out = append(out, t.nodeOrder[id])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -395,155 +448,4 @@ func (t *Topology) CapacityAt(a, b string, at time.Duration) (float64, error) {
 		return 0, err
 	}
 	return tr.At(at), nil
-}
-
-// Route returns the minimum-hop path from src to dst (inclusive), breaking
-// ties lexicographically — a deterministic stand-in for the mesh's own
-// decentralised routing, which BASS treats as a black box it can only
-// observe. A node routes to itself via the single-element path. Down nodes
-// and down links are invisible, exactly as a converged mesh routing protocol
-// would see them: routing to or through a dead element fails or detours.
-//
-// Routes are memoised per (src, dst) and invalidated whenever the
-// availability epoch advances, so steady-state queries cost two map lookups
-// and no allocation. The returned slice is shared with the cache: callers
-// must treat it as read-only.
-func (t *Topology) Route(src, dst string) ([]string, error) {
-	if !t.nodes[src] {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
-	}
-	if !t.nodes[dst] {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
-	}
-	if t.downNodes[src] {
-		return nil, fmt.Errorf("%w: %q", ErrNodeDown, src)
-	}
-	if t.downNodes[dst] {
-		return nil, fmt.Errorf("%w: %q", ErrNodeDown, dst)
-	}
-	if src == dst {
-		return []string{src}, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := routeKey{src: src, dst: dst}
-	if path, ok := t.routeCache[key]; ok {
-		if path == nil {
-			return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, src, dst)
-		}
-		return path, nil
-	}
-	path := t.bfs(src, dst)
-	t.routeCache[key] = path // negative results cache as nil
-	if path == nil {
-		return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, src, dst)
-	}
-	return path, nil
-}
-
-// bfs runs the minimum-hop search with reused scratch (prev map, queue).
-// Callers hold t.mu. The returned path slice is freshly allocated (it is
-// retained by the cache and handed to callers, who must not modify it).
-func (t *Topology) bfs(src, dst string) []string {
-	if t.bfsPrev == nil {
-		t.bfsPrev = make(map[string]string, len(t.nodes))
-	} else {
-		clear(t.bfsPrev)
-	}
-	prev := t.bfsPrev
-	queue := t.bfsQueue[:0]
-	prev[src] = src
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		if cur == dst {
-			break
-		}
-		for _, nb := range t.adj[cur] {
-			if t.downNodes[nb] || t.downLinks[MakeLinkID(cur, nb)] {
-				continue
-			}
-			if _, seen := prev[nb]; !seen {
-				prev[nb] = cur
-				queue = append(queue, nb)
-			}
-		}
-	}
-	t.bfsQueue = queue
-	if _, ok := prev[dst]; !ok {
-		return nil
-	}
-	n := 1
-	for cur := dst; cur != src; cur = prev[cur] {
-		n++
-	}
-	path := make([]string, n)
-	for cur, i := dst, n-1; i >= 0; cur, i = prev[cur], i-1 {
-		path[i] = cur
-	}
-	return path
-}
-
-// PathLinks returns the links along a path.
-func (t *Topology) PathLinks(path []string) ([]*Link, error) {
-	if len(path) < 2 {
-		return nil, nil
-	}
-	out := make([]*Link, 0, len(path)-1)
-	for i := 0; i+1 < len(path); i++ {
-		l, ok := t.Link(path[i], path[i+1])
-		if !ok {
-			return nil, fmt.Errorf("mesh: path uses missing link %s-%s", path[i], path[i+1])
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
-// PathCapacityAt returns the bottleneck capacity in Mbps between two nodes at
-// offset at, following the routed path — exactly how the BASS net-monitor
-// estimates node-pair capacity (§4.2). Co-located endpoints report +Inf via
-// ok=false semantics: the second return is false when src == dst (no network
-// involved).
-func (t *Topology) PathCapacityAt(src, dst string, at time.Duration) (mbps float64, networked bool, err error) {
-	path, err := t.Route(src, dst)
-	if err != nil {
-		return 0, false, err
-	}
-	links, err := t.PathLinks(path)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(links) == 0 {
-		return 0, false, nil
-	}
-	bottleneck := -1.0
-	for i, l := range links {
-		tr, terr := l.CapacityToward(path[i], path[i+1])
-		if terr != nil {
-			return 0, false, terr
-		}
-		c := tr.At(at)
-		if bottleneck < 0 || c < bottleneck {
-			bottleneck = c
-		}
-	}
-	return bottleneck, true, nil
-}
-
-// PathLatency sums one-way link latencies along the routed path.
-func (t *Topology) PathLatency(src, dst string) (time.Duration, error) {
-	path, err := t.Route(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	links, err := t.PathLinks(path)
-	if err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for _, l := range links {
-		total += l.LatencyOneWay
-	}
-	return total, nil
 }

@@ -241,26 +241,29 @@ func (m *Monitor) PathMetricsBatch(reqs []PathRequest, out []PathResult) []PathR
 // pathMetricsUncached walks the routed path once, taking the bottleneck of
 // both cached metrics simultaneously.
 func (m *Monitor) pathMetricsUncached(src, dst string) (PathMetrics, error) {
-	path, err := m.topo.Route(src, dst)
-	if err != nil {
-		return PathMetrics{}, err
-	}
-	if len(path) < 2 {
-		return PathMetrics{}, nil
-	}
-	pm := PathMetrics{CapacityMbps: -1, SpareMbps: -1, Networked: true}
-	for i := 0; i+1 < len(path); i++ {
-		id := mesh.MakeLinkID(path[i], path[i+1])
-		v, ok := m.views[id]
+	pm := PathMetrics{CapacityMbps: -1, SpareMbps: -1}
+	var unknown error
+	err := m.topo.WalkRoute(src, dst, func(_, _ string, l *mesh.Link) {
+		v, ok := m.views[l.ID]
 		if !ok {
-			return PathMetrics{}, fmt.Errorf("%w: %s", ErrUnknownLink, id)
+			if unknown == nil {
+				unknown = fmt.Errorf("%w: %s", ErrUnknownLink, l.ID)
+			}
+			return
 		}
+		pm.Networked = true
 		if pm.CapacityMbps < 0 || v.CapacityMbps < pm.CapacityMbps {
 			pm.CapacityMbps = v.CapacityMbps
 		}
 		if pm.SpareMbps < 0 || v.SpareMbps < pm.SpareMbps {
 			pm.SpareMbps = v.SpareMbps
 		}
+	})
+	if err == nil {
+		err = unknown
+	}
+	if err != nil || !pm.Networked {
+		return PathMetrics{}, err
 	}
 	return pm, nil
 }

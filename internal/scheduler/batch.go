@@ -168,7 +168,7 @@ type batchSearch struct {
 	budget   int
 	frontier []batchState
 	seen     map[string]bool
-	pathMemo map[string]float64
+	pathMemo map[nodePair]float64
 
 	// scratch buffers reused across eval calls.
 	usedCPU, usedMem []float64
@@ -188,7 +188,7 @@ func newBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, pathAvail P
 		nodeByName: make(map[string]int, len(nodes)),
 		budget:     cfg.MoveBudget,
 		seen:       make(map[string]bool),
-		pathMemo:   make(map[string]float64),
+		pathMemo:   make(map[nodePair]float64),
 		usedCPU:    make([]float64, len(nodes)),
 		usedMem:    make([]float64, len(nodes)),
 	}
@@ -234,9 +234,11 @@ func newBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, pathAvail P
 	return s, len(s.movable) > 0 && len(s.nodes) > 1
 }
 
+type nodePair struct{ from, to string }
+
 // avail memoises the path oracle per node pair within one search.
 func (s *batchSearch) avail(from, to string) float64 {
-	key := from + "\x00" + to
+	key := nodePair{from, to}
 	if v, ok := s.pathMemo[key]; ok {
 		return v
 	}

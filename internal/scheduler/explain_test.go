@@ -29,6 +29,9 @@ func explainNodes() []NodeInfo {
 	}
 }
 
+// betterCandidate reports whether a ranks strictly before b.
+func betterCandidate(a, b candidate) bool { return compareCandidates(&a, &b) < 0 }
+
 // TestBetterCandidateTieBreakOrder pins the comparator's tie-break order —
 // the one comparator both migration and failover sort with: feasibility,
 // then (depCount, score) for feasible / (score, depCount) for saturated
@@ -66,9 +69,13 @@ func TestBetterCandidateTieBreakOrder(t *testing.T) {
 		if got := betterCandidate(tc.a, tc.b); got != tc.want {
 			t.Errorf("%s: betterCandidate = %v, want %v", tc.name, got, tc.want)
 		}
-		// Strict weak ordering: a<b and b<a cannot both hold.
+		// Strict weak ordering: a<b and b<a cannot both hold, and the
+		// three-way result must flip sign with its arguments.
 		if betterCandidate(tc.a, tc.b) && betterCandidate(tc.b, tc.a) {
 			t.Errorf("%s: comparator is not antisymmetric", tc.name)
+		}
+		if ab, ba := compareCandidates(&tc.a, &tc.b), compareCandidates(&tc.b, &tc.a); ab != -ba {
+			t.Errorf("%s: compare(a,b) = %d but compare(b,a) = %d", tc.name, ab, ba)
 		}
 	}
 	self := candidate{node: n("a", 1), feasible: true, depCount: 1, score: 1}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -434,39 +435,55 @@ func rankCandidates(
 			skipped = append(skipped, CandidateScore{Node: c.node.Name, Rejection: c.reject})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return betterCandidate(cands[i], cands[j]) })
+	slices.SortStableFunc(cands, func(a, b candidate) int { return compareCandidates(&a, &b) })
 	return cands, skipped
 }
 
-// betterCandidate is the single tie-break comparator for migration and
-// failover target choice. Feasible nodes rank by dependency count (the
-// paper's rule) then satisfiable bandwidth; saturated fallbacks rank by
-// satisfiable bandwidth first, where a single light co-located dependency
-// must not outvote a heavy reachable one, then dependency count. Secondary:
-// more free CPU, then name for determinism.
-func betterCandidate(a, b candidate) bool {
+// compareCandidates is the single tie-break comparator for migration and
+// failover target choice, negative when a ranks first. Feasible nodes rank by
+// dependency count (the paper's rule) then satisfiable bandwidth; saturated
+// fallbacks rank by satisfiable bandwidth first, where a single light
+// co-located dependency must not outvote a heavy reachable one, then
+// dependency count. Secondary: more free CPU, then name for determinism.
+func compareCandidates(a, b *candidate) int {
 	if a.feasible != b.feasible {
-		return a.feasible
+		if a.feasible {
+			return -1
+		}
+		return 1
 	}
 	if a.feasible {
 		if a.depCount != b.depCount {
-			return a.depCount > b.depCount
+			return cmp.Compare(b.depCount, a.depCount)
 		}
 		if a.score != b.score {
-			return a.score > b.score
+			return largerFirst(a.score, b.score)
 		}
 	} else {
 		if a.score != b.score {
-			return a.score > b.score
+			return largerFirst(a.score, b.score)
 		}
 		if a.depCount != b.depCount {
-			return a.depCount > b.depCount
+			return cmp.Compare(b.depCount, a.depCount)
 		}
 	}
 	if a.node.FreeCPU != b.node.FreeCPU {
-		return a.node.FreeCPU > b.node.FreeCPU
+		return largerFirst(a.node.FreeCPU, b.node.FreeCPU)
 	}
-	return a.node.Name < b.node.Name
+	return strings.Compare(a.node.Name, b.node.Name)
+}
+
+// largerFirst orders the larger value first. An unordered pair (a NaN)
+// compares equal, so the key decides nothing and the stable sort keeps node
+// order.
+func largerFirst(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 // explainScoreboard renders a sorted candidate slice plus the pre-filtered

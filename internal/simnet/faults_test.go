@@ -113,8 +113,8 @@ func TestLinkDownReroutesAroundOutage(t *testing.T) {
 		t.Errorf("rerouted stream rate = %v, want full demand 10", rate)
 	}
 	f := net.flows[id]
-	if len(f.path) != 3 {
-		t.Errorf("rerouted path = %v, want 3 hops via d,c", f.path)
+	if len(f.linkPath) != 3 {
+		t.Errorf("rerouted path = %d hops, want 3 hops via d,c", len(f.linkPath))
 	}
 }
 

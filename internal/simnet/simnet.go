@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -97,18 +98,15 @@ type dhop struct {
 	from, to string
 }
 
-// linkID returns the undirected link the hop crosses.
-func (h dhop) linkID() mesh.LinkID { return mesh.MakeLinkID(h.from, h.to) }
-
 type flow struct {
 	id   FlowID
 	kind Kind
 	tag  string
 	src  string
 	dst  string
-	path []dhop
-	// linkPath holds the resolved link states along path, in hop order, so
-	// the allocation hot loops never touch the link map.
+	// linkPath holds the link states along the routed path src→dst, in hop
+	// order (empty when co-located or parked), so the allocation hot loops
+	// never touch the link map.
 	linkPath []*linkState
 
 	demandBps float64 // rate cap; streams: offered rate, transfers: cap or unbounded
@@ -288,6 +286,7 @@ type Network struct {
 	transferScratch []*flow
 	byDemandScratch []*flow // active set sorted by demand, per full pass
 	batchScratch    []*flow // per-round demand-limited freeze batch
+	routeScratch    []*linkState
 }
 
 // New builds a network over the topology. Call Start to begin trace-driven
@@ -627,32 +626,26 @@ func (n *Network) backlogAt(ls *linkState, now time.Duration) float64 {
 	return b
 }
 
-// route resolves the directed hop path between two nodes (empty for
-// co-location).
-func (n *Network) route(src, dst string) ([]dhop, error) {
+// route resolves the link states along the mesh's routed path between two
+// nodes (empty for co-location) into a scratch buffer that the next call
+// overwrites: flows copy it, queries just iterate it.
+func (n *Network) route(src, dst string) ([]*linkState, error) {
+	hops := n.routeScratch[:0]
 	if src == dst {
-		return nil, nil
+		return hops, nil
 	}
-	path, err := n.topo.Route(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	hops := make([]dhop, 0, len(path)-1)
-	for i := 0; i+1 < len(path); i++ {
-		hops = append(hops, dhop{from: path[i], to: path[i+1]})
-	}
-	return hops, nil
+	err := n.topo.WalkRoute(src, dst, func(from, to string, _ *mesh.Link) {
+		if ls, ok := n.links[dhop{from: from, to: to}]; ok {
+			hops = append(hops, ls)
+		}
+	})
+	n.routeScratch = hops
+	return hops, err
 }
 
 // addFlow registers a fully-built flow: id ordering, link crossing counts,
 // and the dirty flag that forces the next allocation through the full pass.
 func (n *Network) addFlow(f *flow) {
-	f.linkPath = f.linkPath[:0]
-	for _, h := range f.path {
-		if ls, ok := n.links[h]; ok {
-			f.linkPath = append(f.linkPath, ls)
-		}
-	}
 	n.flows[f.id] = f
 	n.flowOrder = append(n.flowOrder, f) // ids are assigned in increasing order
 	n.tagFlows[f.tag] = append(n.tagFlows[f.tag], f)
@@ -843,7 +836,6 @@ func (n *Network) parkFlow(f *flow) {
 		ls.flowCount--
 	}
 	f.linkPath = f.linkPath[:0]
-	f.path = nil
 	f.rateBps = 0
 	f.parked = true
 	if f.kind == KindTransfer && f.hasEvent {
@@ -852,18 +844,13 @@ func (n *Network) parkFlow(f *flow) {
 	}
 }
 
-// setFlowPath rebinds a flow (possibly parked) onto a new hop path.
-func (n *Network) setFlowPath(f *flow, hops []dhop) {
+// setFlowPath rebinds a flow (possibly parked) onto a new hop path, copying
+// hops into the flow's own storage.
+func (n *Network) setFlowPath(f *flow, hops []*linkState) {
 	for _, ls := range f.linkPath {
 		ls.flowCount--
 	}
-	f.path = hops
-	f.linkPath = f.linkPath[:0]
-	for _, h := range hops {
-		if ls, ok := n.links[h]; ok {
-			f.linkPath = append(f.linkPath, ls)
-		}
-	}
+	f.linkPath = append(f.linkPath[:0], hops...)
 	for _, ls := range f.linkPath {
 		ls.flowCount++
 	}
@@ -932,7 +919,7 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 		tag:       tag,
 		src:       src,
 		dst:       dst,
-		path:      path,
+		linkPath:  slices.Clone(path),
 		demandBps: demandMbps * 1e6,
 		started:   n.eng.Now(),
 		cause:     n.causeSpan,
@@ -1015,7 +1002,7 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 		tag:           tag,
 		src:           src,
 		dst:           dst,
-		path:          path,
+		linkPath:      slices.Clone(path),
 		demandBps:     demand,
 		remainingBits: bytes * 8,
 		totalBits:     bytes * 8,

@@ -165,11 +165,7 @@ func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
 	}
 	now := n.eng.Now()
 	var total time.Duration
-	for _, h := range hops {
-		ls, ok := n.links[h]
-		if !ok {
-			continue
-		}
+	for _, ls := range hops {
 		backlog := n.backlogAt(ls, now)
 		if backlog > 0 && ls.capacityBps > 0 {
 			total += time.Duration(backlog / ls.capacityBps * float64(time.Second))
@@ -191,11 +187,7 @@ func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float6
 		return min(demandMbps, LocalMbps), nil
 	}
 	rate := demandMbps
-	for _, h := range hops {
-		ls, ok := n.links[h]
-		if !ok {
-			continue
-		}
+	for _, ls := range hops {
 		s := n.statsOf(ls)
 		avail := s.CapacityMbps - s.AllocatedMbps
 		if avail < 0 {

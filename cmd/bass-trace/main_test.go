@@ -107,7 +107,7 @@ func TestExplainRendersAlerts(t *testing.T) {
 	}
 }
 
-// TestCheckJournalGatesAlertChains is the causal contract the CI slo-smoke
+// TestCheckJournalGatesAlertChains is the causal contract the CI obs-smoke
 // job enforces: alert events must chain to probe/fault ground truth, and
 // resolves must chain through the alert that opened them.
 func TestCheckJournalGatesAlertChains(t *testing.T) {

@@ -6,11 +6,6 @@
 //	benchtab [-seed N] [-quick] [-workers N] [-replicas N] [-shards N]
 //	         [-cpuprofile FILE] [-memprofile FILE] <experiment>...
 //	benchtab all
-//	benchtab -scale-out BENCH_scale.json [-scale-nodes N] [-scale-flows N]
-//	         [-scale-horizon D] [-scale-shards 1,4,8]
-//	benchtab -sched-out BENCH_sched.json [-quick]
-//	benchtab -batch-out BENCH_batch.json [-quick]
-//	benchtab -slo-out BENCH_slo.json [-quick]
 //
 // Experiments: fig2 fig4 fig5 fig6 fig8 fig10 fig11 fig12 fig13 table1
 // table2 fig14a fig14b fig14cd fig15a fig15b fig16 table3 table4 scale, plus
@@ -26,13 +21,11 @@
 // equal seeds. N must be at least 1 and no larger than the experiment
 // topology's node count (the region ceiling).
 //
-// -scale-out runs the city-scale benchmark across the -scale-shards counts
-// and writes a BENCH_scale.json report — the artifact CI's scale-smoke job
-// regression-gates with cmd/scalegate.
+// How fast the simulator itself runs is measured by `go run ./bench`, not
+// here.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -40,7 +33,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -62,14 +54,6 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = sequential)")
 	replicas := fs.Int("replicas", 1, "per-seed replicas of each experiment (seed, seed+1, ...)")
 	shards := fs.Int("shards", 1, "mesh regions per experiment run (1 = single-shard; byte-identical output at any count)")
-	scaleOut := fs.String("scale-out", "", "run the scale benchmark sweep and write a BENCH_scale.json report to this file")
-	scaleNodes := fs.Int("scale-nodes", 200, "scale sweep: grid node target")
-	scaleFlows := fs.Int("scale-flows", 5000, "scale sweep: concurrent streams")
-	scaleHorizon := fs.Duration("scale-horizon", time.Minute, "scale sweep: simulated horizon")
-	scaleShards := fs.String("scale-shards", "1,4,8", "scale sweep: comma-separated shard counts to measure")
-	schedOut := fs.String("sched-out", "", "run the control-plane benchmark sweep and write a BENCH_sched.json report to this file")
-	batchOut := fs.String("batch-out", "", "run the batch placement ablation sweep and write a BENCH_batch.json report to this file")
-	sloOut := fs.String("slo-out", "", "run the alert-quality sweep and write a BENCH_slo.json report to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -101,18 +85,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			f.Close()
 		}()
-	}
-	if *scaleOut != "" {
-		return runScaleSweep(stdout, *scaleOut, *scaleNodes, *scaleFlows, *scaleHorizon, *scaleShards, *seed)
-	}
-	if *schedOut != "" {
-		return runSchedSweep(stdout, *schedOut, *seed, *quick)
-	}
-	if *batchOut != "" {
-		return runBatchSweep(stdout, *batchOut, *seed, *quick)
-	}
-	if *sloOut != "" {
-		return runSLOSweep(stdout, *sloOut, *seed, *quick)
 	}
 	names := fs.Args()
 	if len(names) == 0 {
@@ -157,149 +129,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w (usage: -shards N, 1 <= N <= the experiment topology's node count)", firstErr)
 	}
 	return firstErr
-}
-
-// runScaleSweep measures the scale workload at each requested shard count and
-// writes the BENCH_scale.json report CI's scale-smoke job gates on.
-func runScaleSweep(stdout io.Writer, outPath string, nodes, flows int, horizon time.Duration, shardList string, seed int64) error {
-	counts, err := parseShardList(shardList)
-	if err != nil {
-		return err
-	}
-	report := experiments.ScaleReport{
-		Schema:     experiments.ScaleReportSchema,
-		Nodes:      nodes,
-		Flows:      flows,
-		HorizonSec: horizon.Seconds(),
-		Seed:       seed,
-	}
-	for _, k := range counts {
-		res, err := experiments.RunScale(experiments.ScaleOptions{
-			Nodes: nodes, Flows: flows, Shards: k, Horizon: horizon, Seed: seed,
-		})
-		if err != nil {
-			if errors.Is(err, mesh.ErrPartitionRange) {
-				return fmt.Errorf("%w (usage: -scale-shards counts must not exceed the grid's node count)", err)
-			}
-			return fmt.Errorf("scale sweep, %d shard(s): %w", k, err)
-		}
-		report.Nodes = res.Nodes // grid rounding may bump the node target
-		report.Entries = append(report.Entries, res.Entry())
-		fmt.Fprintln(stdout, res.Table().String())
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("scale report: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d entries)\n", outPath, len(report.Entries))
-	return nil
-}
-
-// runSchedSweep measures the control-plane decision loop across the
-// canonical mesh × density × load × mode grid and writes the
-// BENCH_sched.json report CI's sched-smoke job gates on. -quick selects the
-// reduced smoke subset.
-func runSchedSweep(stdout io.Writer, outPath string, seed int64, quick bool) error {
-	report := experiments.SchedReport{
-		Schema: experiments.SchedReportSchema,
-		Seed:   seed,
-	}
-	for _, opts := range experiments.SchedSweep(seed, quick) {
-		res, err := experiments.RunSched(opts)
-		if err != nil {
-			return fmt.Errorf("sched sweep (%d nodes, %d apps, %s): %w",
-				opts.Nodes, opts.Apps, opts.Mode, err)
-		}
-		report.Entries = append(report.Entries, res.Entry())
-		fmt.Fprintln(stdout, res.Table().String())
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("sched report: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d entries)\n", outPath, len(report.Entries))
-	return nil
-}
-
-// runBatchSweep runs the greedy-vs-batch placement ablation across the
-// canonical mesh × density grid and writes the BENCH_batch.json report CI's
-// batch-smoke job gates on. -quick selects the reduced smoke subset.
-func runBatchSweep(stdout io.Writer, outPath string, seed int64, quick bool) error {
-	report := experiments.BatchReport{
-		Schema: experiments.BatchReportSchema,
-		Seed:   seed,
-	}
-	for _, opts := range experiments.BatchSweep(seed, quick) {
-		entry, err := experiments.RunBatchPair(opts)
-		if err != nil {
-			return fmt.Errorf("batch sweep (%d nodes, %d apps, %d×): %w",
-				opts.Nodes, opts.Apps, opts.Density, err)
-		}
-		report.Entries = append(report.Entries, entry)
-	}
-	fmt.Fprintln(stdout, experiments.BatchAblationTable(report.Entries).String())
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("batch report: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d entries)\n", outPath, len(report.Entries))
-	return nil
-}
-
-// runSLOSweep replays the alert-quality scenario across the canonical seed ×
-// driver grid and writes the BENCH_slo.json report CI's slo-smoke job gates
-// on. -quick selects the reduced smoke subset.
-func runSLOSweep(stdout io.Writer, outPath string, seed int64, quick bool) error {
-	report := experiments.SLOReport{
-		Schema: experiments.SLOReportSchema,
-		Seed:   seed,
-	}
-	for _, opts := range experiments.SLOSweep(seed, quick) {
-		res, err := experiments.RunAlertQuality(opts)
-		if err != nil {
-			return fmt.Errorf("slo sweep (seed %d, polling=%v): %w", opts.Seed, opts.Polling, err)
-		}
-		report.Entries = append(report.Entries, res.Entry())
-		fmt.Fprintln(stdout, res.Table().String())
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("slo report: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d entries)\n", outPath, len(report.Entries))
-	return nil
-}
-
-// parseShardList parses "-scale-shards 1,4,8" into validated counts.
-func parseShardList(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := strconv.Atoi(part)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("-scale-shards: bad count %q (want comma-separated integers >= 1)", part)
-		}
-		counts = append(counts, k)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("-scale-shards: no counts given")
-	}
-	return counts, nil
 }
 
 // runOne executes a single named experiment — the registry-backed

@@ -1,15 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"bass/internal/experiments"
 )
 
 func TestRunOneQuickExperiments(t *testing.T) {
@@ -88,52 +83,6 @@ func TestRunRejectsBadShards(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "usage") || !strings.Contains(err.Error(), "partition count out of range") {
 		t.Errorf("-shards 1000: error missing usage hint: %v", err)
-	}
-	if err := run([]string{"-scale-out", "x.json", "-scale-shards", "1,nope"}, io.Discard); err == nil {
-		t.Error("bad -scale-shards list: want error")
-	}
-	if err := run([]string{"-scale-out", "x.json", "-scale-shards", "0"}, io.Discard); err == nil {
-		t.Error("-scale-shards 0: want error")
-	}
-}
-
-// TestScaleSweepWritesReport runs a miniature -scale-out sweep end to end and
-// checks the JSON artifact plus cross-shard checksum agreement.
-func TestScaleSweepWritesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs scale simulations")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	var buf strings.Builder
-	err := run([]string{
-		"-scale-out", out, "-scale-nodes", "36", "-scale-flows", "150",
-		"-scale-horizon", "10s", "-scale-shards", "1,4", "-seed", "42",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("scale sweep: %v\n%s", err, buf.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.ScaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bad report JSON: %v", err)
-	}
-	if rep.Schema != experiments.ScaleReportSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, experiments.ScaleReportSchema)
-	}
-	if len(rep.Entries) != 2 || rep.Entries[0].Shards != 1 || rep.Entries[1].Shards != 4 {
-		t.Fatalf("entries = %+v, want shard counts 1 and 4", rep.Entries)
-	}
-	for _, e := range rep.Entries {
-		if e.Events == 0 || e.EventsPerSec <= 0 {
-			t.Errorf("%d shard(s): empty measurement %+v", e.Shards, e)
-		}
-	}
-	if rep.Entries[0].RateChecksum != rep.Entries[1].RateChecksum {
-		t.Errorf("rate checksum differs across shard counts: %v vs %v",
-			rep.Entries[0].RateChecksum, rep.Entries[1].RateChecksum)
 	}
 }
 

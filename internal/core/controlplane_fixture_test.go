@@ -20,8 +20,8 @@ import (
 // at town (64 nodes) and city (196 nodes) meshes across 1×/10×/100× app
 // density, quiet and storm. Cycles are driven directly (no data-plane time
 // passes between iterations), so the numbers isolate control-plane cost; the
-// committed BENCH_sched.json carries the end-to-end runs, migrations
-// included. Excluded from -race runs: AllocsPerRun and timing are both
+// city-storm workload of `go run ./bench` measures end-to-end runs,
+// migrations included. Excluded from -race runs: AllocsPerRun and timing are both
 // meaningless under the race detector.
 
 // benchChain is the benchmark workload: src→mid→dst with pinned endpoints so

@@ -122,7 +122,7 @@ func TestSLOAlertJournalDifferential(t *testing.T) {
 // TestSLOAlertCauseChains pins the explainability half: every alert_fired in
 // a fault-driven run carries a cause chain whose root is ground truth — a
 // probe observation, a headroom violation verdict, or the injected fault
-// itself. This is the invariant the CI slo-smoke job gates with bass-trace.
+// itself. This is the invariant the CI obs-smoke job gates with bass-trace.
 func TestSLOAlertCauseChains(t *testing.T) {
 	journal, alerts := runSLOScenario(t, 42, false, 0)
 	events := journal.Events()

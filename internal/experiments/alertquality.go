@@ -304,74 +304,6 @@ func (r *AlertQualityResult) score(linkWins []faults.Window, events []obs.Event)
 	}
 }
 
-// SLOReportSchema identifies the BENCH_slo.json layout; bump on any
-// incompatible field change so cmd/scalegate can reject stale baselines.
-const SLOReportSchema = "bass/bench-slo/v1"
-
-// SLOReport is the BENCH_slo.json document: alert quality across seeds and
-// both net drivers. cmd/benchtab -slo-out writes it; cmd/scalegate -kind slo
-// compares it against the checked-in baseline in ci/.
-type SLOReport struct {
-	Schema  string     `json:"schema"`
-	Seed    int64      `json:"seed"`
-	Entries []SLOEntry `json:"entries"`
-}
-
-// SLOEntry is one replay's scorecard inside an SLOReport. Entries are
-// matched across runs by (Seed, Polling).
-type SLOEntry struct {
-	Seed          int64   `json:"seed"`
-	Polling       bool    `json:"polling"`
-	HorizonSec    float64 `json:"horizonSec"`
-	FaultWindows  int     `json:"faultWindows"`
-	LinkWindows   int     `json:"linkWindows"`
-	Detected      int     `json:"detected"`
-	AlertsFired   int     `json:"alertsFired"`
-	TruePositives int     `json:"truePositives"`
-	Precision     float64 `json:"precision"`
-	Recall        float64 `json:"recall"`
-	MTTDSec       float64 `json:"mttdSec"`
-	DetectP50Sec  float64 `json:"detectP50Sec"`
-	DetectMaxSec  float64 `json:"detectMaxSec"`
-	MTTRSec       float64 `json:"mttrSec"`
-}
-
-// Entry projects the result into its BENCH_slo.json row.
-func (r AlertQualityResult) Entry() SLOEntry {
-	return SLOEntry{
-		Seed:          r.Seed,
-		Polling:       r.Polling,
-		HorizonSec:    r.Horizon.Seconds(),
-		FaultWindows:  r.FaultWindows,
-		LinkWindows:   r.LinkWindows,
-		Detected:      r.Detected,
-		AlertsFired:   r.AlertsFired,
-		TruePositives: r.TruePositives,
-		Precision:     r.Precision,
-		Recall:        r.Recall,
-		MTTDSec:       r.MTTD.Seconds(),
-		DetectP50Sec:  r.DetectP50.Seconds(),
-		DetectMaxSec:  r.DetectMax.Seconds(),
-		MTTRSec:       r.MTTR.Seconds(),
-	}
-}
-
-// SLOSweep is the canonical BENCH_slo.json sweep: three seeds on both net
-// drivers (quick: two seeds — the CI smoke subset).
-func SLOSweep(seed int64, quick bool) []AlertQualityOptions {
-	seeds, horizon := 3, 2*time.Hour
-	if quick {
-		seeds, horizon = 2, 30*time.Minute
-	}
-	var sweep []AlertQualityOptions
-	for s := 0; s < seeds; s++ {
-		for _, polling := range []bool{false, true} {
-			sweep = append(sweep, AlertQualityOptions{Seed: seed + int64(s), Horizon: horizon, Polling: polling})
-		}
-	}
-	return sweep
-}
-
 // Table renders one replay's scorecard.
 func (r AlertQualityResult) Table() Table {
 	driver := "event-driven"

@@ -7,10 +7,8 @@ import (
 
 	"bass/internal/cluster"
 	"bass/internal/core"
-	"bass/internal/dag"
 	"bass/internal/mesh"
 	"bass/internal/scheduler"
-	"bass/internal/simnet"
 )
 
 // Batch placement ablation (ROADMAP: "Optimization-based placement baselines
@@ -49,15 +47,6 @@ func (o BatchAblationOptions) withDefaults() BatchAblationOptions {
 	return o
 }
 
-func (o BatchAblationOptions) dims() (rows, cols int) {
-	rows = 1
-	for rows*rows < o.Nodes {
-		rows++
-	}
-	cols = (o.Nodes + rows - 1) / rows
-	return rows, cols
-}
-
 // BatchAblationResult reports one mode's run. Goodput is the headline: the
 // fraction of the population's total required edge bandwidth the data plane
 // actually delivers at the end of the horizon.
@@ -71,110 +60,11 @@ type BatchAblationResult struct {
 	SolveMS    float64 // Σ DAG scheduling wall-clock, ms (not deterministic)
 }
 
-// pipeApp is the ablation workload: a five-component pipeline
-// in→f1→f2→f3→out with two skip edges (in→f2, f2→out at 40% of the main
-// demand), endpoints pinned, middles movable, one stream per edge. The skip
-// edges give the joint search real trade-offs: no single chain ordering
-// satisfies every edge, so placement quality — not ordering luck — decides
-// goodput.
-type pipeApp struct {
-	graph  *dag.Graph
-	comps  [5]string
-	edges  [6][2]int // index pairs into comps
-	demand [6]float64
-
-	env     *core.Env
-	streams [6]simnet.FlowID
-	live    [6]bool
-}
-
-var _ core.Workload = (*pipeApp)(nil)
-
-func newPipeApp(app string, demandMbps float64, pinSrc, pinDst string) *pipeApp {
-	g := dag.NewGraph(app)
-	p := &pipeApp{graph: g}
-	p.comps = [5]string{"in-" + app, "f1-" + app, "f2-" + app, "f3-" + app, "out-" + app}
-	// The pinned endpoints are ingress/egress taps — where the user's traffic
-	// enters and leaves the mesh — and consume no orchestrated compute, so a
-	// pin can never fail to fit. All capacity pressure lives on the movable
-	// middle stages: the placement decision actually under ablation.
-	g.MustAddComponent(dag.Component{Name: p.comps[0], Labels: dag.Pin(pinSrc)})
-	g.MustAddComponent(dag.Component{Name: p.comps[1], CPU: 0.25})
-	g.MustAddComponent(dag.Component{Name: p.comps[2], CPU: 0.25})
-	g.MustAddComponent(dag.Component{Name: p.comps[3], CPU: 0.25})
-	g.MustAddComponent(dag.Component{Name: p.comps[4], Labels: dag.Pin(pinDst)})
-	p.edges = [6][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 2}, {2, 4}}
-	p.demand = [6]float64{demandMbps, demandMbps, demandMbps, demandMbps, 0.4 * demandMbps, 0.4 * demandMbps}
-	for i, e := range p.edges {
-		g.MustAddEdge(p.comps[e[0]], p.comps[e[1]], p.demand[i])
-	}
-	return p
-}
-
-func (p *pipeApp) Graph() *dag.Graph { return p.graph }
-
-func (p *pipeApp) attach(i int) {
-	from, to := p.comps[p.edges[i][0]], p.comps[p.edges[i][1]]
-	id, err := p.env.Net().AddStream(p.env.Tag(from, to),
-		p.env.NodeOf(from), p.env.NodeOf(to), p.demand[i])
-	if err != nil {
-		return
-	}
-	p.streams[i], p.live[i] = id, true
-}
-
-func (p *pipeApp) Start(env *core.Env) error {
-	p.env = env
-	for i := range p.edges {
-		p.attach(i)
-	}
-	return nil
-}
-
-func (p *pipeApp) OnMigration(env *core.Env, component, fromNode, toNode string, downtime time.Duration) {
-	for i := range p.edges {
-		from, to := p.comps[p.edges[i][0]], p.comps[p.edges[i][1]]
-		if component != from && component != to {
-			continue
-		}
-		if p.live[i] {
-			_ = env.Net().RemoveStream(p.streams[i])
-			p.live[i] = false
-		}
-		i := i
-		env.Engine().After(downtime, func() {
-			if !p.live[i] {
-				p.attach(i)
-			}
-		})
-	}
-}
-
-// measure reports (achieved, required) bandwidth over the app's edges and how
-// many of them cross nodes under the final placement.
-func (p *pipeApp) measure() (achieved, required float64, cross int) {
-	for i := range p.edges {
-		required += p.demand[i]
-		if p.live[i] {
-			if rate, err := p.env.Net().StreamRate(p.streams[i]); err == nil {
-				if rate > p.demand[i] {
-					rate = p.demand[i]
-				}
-				achieved += rate
-			}
-		}
-		if p.env.NodeOf(p.comps[p.edges[i][0]]) != p.env.NodeOf(p.comps[p.edges[i][1]]) {
-			cross++
-		}
-	}
-	return achieved, required, cross
-}
-
 // RunBatchAblation deploys the pipeline population over a grid mesh with the
 // chosen placement mode and measures delivered goodput after the horizon.
 func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 	opts = opts.withDefaults()
-	rows, cols := opts.dims()
+	rows, cols := gridDims(opts.Nodes)
 	horizon := time.Minute
 	topo, err := mesh.Grid(mesh.GridOptions{
 		Rows:     rows,
@@ -227,7 +117,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 	// city-crossing.
 	const demand = 12.0
 	rng := rand.New(rand.NewSource(opts.Seed * 31))
-	apps := make([]*pipeApp, 0, opts.Apps)
+	apps := make([]*streamApp, 0, opts.Apps)
 	for i := 0; i < opts.Apps; i++ {
 		sr, sc := rng.Intn(rows), rng.Intn(cols)
 		var dr, dc int
@@ -284,11 +174,11 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 	return res, nil
 }
 
-// BatchSweep is the canonical BENCH_batch.json sweep: town/city mesh ×
-// 1×/10×/100× app density. Each returned config is run twice — greedy and
-// batch — and paired into one BatchEntry. quick is the CI smoke subset: town
-// mesh only, 1×/10×.
-func BatchSweep(seed int64, quick bool) []BatchAblationOptions {
+// batchSweep is the batchablation job's sweep: town/city mesh × 1×/10×/100×
+// app density. Each returned config is run twice — greedy and batch — and
+// paired into one batchEntry. quick is the reduced subset: town mesh only,
+// 1×/10×.
+func batchSweep(seed int64, quick bool) []BatchAblationOptions {
 	type meshSize struct{ nodes, baseApps int }
 	meshes := []meshSize{{64, 8}, {196, 14}}
 	densities := []int{1, 10, 100}
@@ -307,42 +197,26 @@ func BatchSweep(seed int64, quick bool) []BatchAblationOptions {
 	return sweep
 }
 
-// BatchReportSchema identifies the BENCH_batch.json layout; bump on any
-// incompatible field change so cmd/scalegate can reject stale baselines.
-const BatchReportSchema = "bass/bench-batch/v1"
-
-// BatchReport is the BENCH_batch.json document: the placement ablation
-// (mesh size × app density, greedy vs batch). cmd/benchtab -batch-out writes
-// it; cmd/scalegate -kind batch compares it against the checked-in baseline
-// in ci/ and enforces batch ≥ greedy at contended densities.
-type BatchReport struct {
-	Schema  string       `json:"schema"`
-	Seed    int64        `json:"seed"`
-	Entries []BatchEntry `json:"entries"`
+// batchEntry pairs the two modes' measurements for one configuration. The
+// SolveMS fields are wall-clock and therefore NOT deterministic.
+type batchEntry struct {
+	Nodes         int
+	Apps          int
+	Density       int
+	Budget        int
+	GreedyGoodput float64
+	BatchGoodput  float64
+	GainFrac      float64 // (batch − greedy) / greedy
+	GreedyCross   int
+	BatchCross    int
+	GreedySolveMS float64
+	BatchSolveMS  float64
 }
 
-// BatchEntry pairs the two modes' measurements for one configuration.
-// Entries are matched across runs by (Nodes, Apps). The SolveMS fields are
-// wall-clock and therefore NOT deterministic — CI's double-run diff strips
-// them.
-type BatchEntry struct {
-	Nodes         int     `json:"nodes"`
-	Apps          int     `json:"apps"`
-	Density       int     `json:"density"`
-	Budget        int     `json:"budget"`
-	GreedyGoodput float64 `json:"greedyGoodput"`
-	BatchGoodput  float64 `json:"batchGoodput"`
-	GainFrac      float64 `json:"gainFrac"` // (batch − greedy) / greedy
-	GreedyCross   int     `json:"greedyCross"`
-	BatchCross    int     `json:"batchCross"`
-	GreedySolveMS float64 `json:"greedySolveMS"`
-	BatchSolveMS  float64 `json:"batchSolveMS"`
-}
-
-// BatchPairEntry folds a greedy run and a batch run of the same
-// configuration into one report entry.
-func BatchPairEntry(greedy, batch BatchAblationResult) BatchEntry {
-	e := BatchEntry{
+// batchPairEntry folds a greedy run and a batch run of the same
+// configuration into one table row.
+func batchPairEntry(greedy, batch BatchAblationResult) batchEntry {
+	e := batchEntry{
 		Nodes:         greedy.Nodes,
 		Apps:          greedy.Apps,
 		Density:       greedy.Density,
@@ -360,8 +234,8 @@ func BatchPairEntry(greedy, batch BatchAblationResult) BatchEntry {
 	return e
 }
 
-// BatchAblationTable renders paired entries as the ROADMAP's ablation table.
-func BatchAblationTable(entries []BatchEntry) Table {
+// batchAblationTable renders paired entries as the ablation table.
+func batchAblationTable(entries []batchEntry) Table {
 	t := Table{
 		Title: "Batch placement ablation: greedy vs budgeted joint search",
 		Header: []string{"nodes", "apps", "density", "budget",
@@ -383,34 +257,34 @@ func BatchAblationTable(entries []BatchEntry) Table {
 	return t
 }
 
-// RunBatchPair runs one configuration in both modes and pairs the results.
-func RunBatchPair(opts BatchAblationOptions) (BatchEntry, error) {
+// runBatchPair runs one configuration in both modes and pairs the results.
+func runBatchPair(opts BatchAblationOptions) (batchEntry, error) {
 	greedyOpts := opts
 	greedyOpts.Batch = false
 	greedy, err := RunBatchAblation(greedyOpts)
 	if err != nil {
-		return BatchEntry{}, err
+		return batchEntry{}, err
 	}
 	batchOpts := opts
 	batchOpts.Batch = true
 	batch, err := RunBatchAblation(batchOpts)
 	if err != nil {
-		return BatchEntry{}, err
+		return batchEntry{}, err
 	}
-	return BatchPairEntry(greedy, batch), nil
+	return batchPairEntry(greedy, batch), nil
 }
 
 func init() {
 	register("batchablation", func(p Params) ([]Table, error) {
-		sweep := BatchSweep(p.Seed, p.Quick)
-		entries := make([]BatchEntry, 0, len(sweep))
+		sweep := batchSweep(p.Seed, p.Quick)
+		entries := make([]batchEntry, 0, len(sweep))
 		for _, opts := range sweep {
-			e, err := RunBatchPair(opts)
+			e, err := runBatchPair(opts)
 			if err != nil {
 				return nil, err
 			}
 			entries = append(entries, e)
 		}
-		return []Table{BatchAblationTable(entries)}, nil
+		return []Table{batchAblationTable(entries)}, nil
 	})
 }

@@ -6,11 +6,11 @@ import (
 )
 
 func TestBatchSweepShape(t *testing.T) {
-	full := BatchSweep(1, false)
+	full := batchSweep(1, false)
 	if len(full) != 6 {
 		t.Fatalf("full sweep has %d configs, want 6", len(full))
 	}
-	quick := BatchSweep(1, true)
+	quick := batchSweep(1, true)
 	if len(quick) != 2 {
 		t.Fatalf("quick sweep has %d configs, want 2", len(quick))
 	}
@@ -29,30 +29,40 @@ func TestBatchSweepShape(t *testing.T) {
 	}
 }
 
-// TestBatchAblationImprovesAtDensity is the issue's acceptance check in test
-// form: on the contended 10× town grid, batch goodput must be at least greedy
-// goodput (strict improvement is expected but only no-regression is pinned —
-// the margin is seed-dependent and belongs in BENCH_batch.json).
+// TestBatchAblationImprovesAtDensity pins the quick sweep at seed 42 exactly:
+// on the town grid at 1× both modes deliver everything, and at the contended
+// 10× density batch goodput beats greedy by ~10 %. Batch must never fall
+// below greedy at 10×, whatever the exact values.
 func TestBatchAblationImprovesAtDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run ablation; skipped in -short")
 	}
-	entry, err := RunBatchPair(BatchAblationOptions{Nodes: 64, Apps: 80, Density: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	type pinned struct {
+		density                     int
+		greedyGoodput, batchGoodput float64
+		greedyCross, batchCross     int
 	}
-	t.Logf("town 10×: greedy=%.4f batch=%.4f gain=%+.2f%% cross %d→%d",
-		entry.GreedyGoodput, entry.BatchGoodput, 100*entry.GainFrac,
-		entry.GreedyCross, entry.BatchCross)
-	if entry.GreedyGoodput <= 0 || entry.GreedyGoodput > 1+1e-9 {
-		t.Errorf("greedy goodput %v outside (0,1]", entry.GreedyGoodput)
+	want := []pinned{
+		{1, 1, 1, 16, 16},
+		{10, 0.7780700128707537, 0.8554025753202965, 223, 189},
 	}
-	if entry.BatchGoodput <= 0 || entry.BatchGoodput > 1+1e-9 {
-		t.Errorf("batch goodput %v outside (0,1]", entry.BatchGoodput)
+	sweep := batchSweep(42, true)
+	if len(sweep) != len(want) {
+		t.Fatalf("quick sweep has %d configs, want %d", len(sweep), len(want))
 	}
-	if entry.BatchGoodput < entry.GreedyGoodput-1e-9 {
-		t.Errorf("batch goodput %v regressed below greedy %v at 10× density",
-			entry.BatchGoodput, entry.GreedyGoodput)
+	for i, opts := range sweep {
+		e, err := runBatchPair(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pinned{e.Density, e.GreedyGoodput, e.BatchGoodput, e.GreedyCross, e.BatchCross}
+		if got != want[i] {
+			t.Errorf("town %d×: got %+v, want %+v", opts.Density, got, want[i])
+		}
+		if e.Density >= 10 && e.BatchGoodput < e.GreedyGoodput {
+			t.Errorf("batch goodput %v regressed below greedy %v at %d× density",
+				e.BatchGoodput, e.GreedyGoodput, e.Density)
+		}
 	}
 }
 
@@ -63,11 +73,11 @@ func TestBatchAblationDeterministic(t *testing.T) {
 		t.Skip("multi-run ablation; skipped in -short")
 	}
 	opts := BatchAblationOptions{Nodes: 16, Apps: 8, Density: 1, Seed: 5}
-	a, err := RunBatchPair(opts)
+	a, err := runBatchPair(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBatchPair(opts)
+	b, err := runBatchPair(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestBatchAblationDeterministic(t *testing.T) {
 }
 
 func TestBatchPairEntryGain(t *testing.T) {
-	e := BatchPairEntry(
+	e := batchPairEntry(
 		BatchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.5, CrossEdges: 10, SolveMS: 1},
 		BatchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.6, CrossEdges: 8, SolveMS: 2, Budget: 256, Batch: true},
 	)
@@ -89,7 +99,7 @@ func TestBatchPairEntryGain(t *testing.T) {
 	if e.Budget != 256 || e.GreedyCross != 10 || e.BatchCross != 8 {
 		t.Errorf("entry fields wrong: %+v", e)
 	}
-	zero := BatchPairEntry(BatchAblationResult{}, BatchAblationResult{Goodput: 0.5})
+	zero := batchPairEntry(BatchAblationResult{}, BatchAblationResult{Goodput: 0.5})
 	if zero.GainFrac != 0 {
 		t.Errorf("zero greedy goodput should leave GainFrac 0, got %v", zero.GainFrac)
 	}

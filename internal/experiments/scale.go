@@ -14,8 +14,8 @@ import (
 // ScaleOptions sizes a city-scale simnet run: a Rows×Cols street grid with
 // seeded step traces carrying a mixed-tier stream population. The workload is
 // a pure function of the options, so equal options yield byte-identical
-// simulation trajectories at every shard count — the property the sharded
-// scale tests and the BENCH_scale regression gate rest on.
+// simulation trajectories at every shard count — the property
+// TestScaleRateChecksumIdenticalSharded pins.
 type ScaleOptions struct {
 	Nodes   int           // grid node target (rounded up to Rows×Cols)
 	Flows   int           // concurrent streams
@@ -40,13 +40,13 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 	return o
 }
 
-// grid dimensions: the squarest Rows×Cols cover of the node target.
-func (o ScaleOptions) dims() (rows, cols int) {
+// gridDims is the squarest rows×cols cover of a node target.
+func gridDims(nodes int) (rows, cols int) {
 	rows = 1
-	for rows*rows < o.Nodes {
+	for rows*rows < nodes {
 		rows++
 	}
-	cols = (o.Nodes + rows - 1) / rows
+	cols = (nodes + rows - 1) / rows
 	return rows, cols
 }
 
@@ -86,7 +86,7 @@ type ScaleResult struct {
 // water-filling faces real contention every pass.
 func RunScale(opts ScaleOptions) (ScaleResult, error) {
 	opts = opts.withDefaults()
-	rows, cols := opts.dims()
+	rows, cols := gridDims(opts.Nodes)
 	topo, err := mesh.Grid(mesh.GridOptions{
 		Rows:     rows,
 		Cols:     cols,
@@ -185,48 +185,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 		res.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(events)
 	}
 	return res, nil
-}
-
-// ScaleReportSchema identifies the BENCH_scale.json layout; bump on any
-// incompatible field change so cmd/scalegate can reject stale baselines.
-const ScaleReportSchema = "bass/bench-scale/v1"
-
-// ScaleReport is the BENCH_scale.json document: one workload, measured at
-// several shard counts. cmd/benchtab -scale-out writes it; cmd/scalegate
-// compares it against the checked-in baseline in ci/.
-type ScaleReport struct {
-	Schema     string       `json:"schema"`
-	Nodes      int          `json:"nodes"`
-	Flows      int          `json:"flows"`
-	HorizonSec float64      `json:"horizonSec"`
-	Seed       int64        `json:"seed"`
-	Entries    []ScaleEntry `json:"entries"`
-}
-
-// ScaleEntry is one shard count's measurement inside a ScaleReport.
-type ScaleEntry struct {
-	Shards         int     `json:"shards"`
-	Links          int     `json:"links"`
-	WallSec        float64 `json:"wallSec"`
-	Events         uint64  `json:"events"`
-	EventsPerSec   float64 `json:"eventsPerSec"`
-	RealTimeFactor float64 `json:"realTimeFactor"`
-	AllocsPerEvent float64 `json:"allocsPerEvent"`
-	RateChecksum   float64 `json:"rateChecksum"`
-}
-
-// Entry projects the result into its BENCH_scale.json row.
-func (r ScaleResult) Entry() ScaleEntry {
-	return ScaleEntry{
-		Shards:         r.Shards,
-		Links:          r.Links,
-		WallSec:        r.WallSec,
-		Events:         r.Events,
-		EventsPerSec:   r.EventsPerSec,
-		RealTimeFactor: r.RealTimeFactor,
-		AllocsPerEvent: r.AllocsPerEvent,
-		RateChecksum:   r.RateChecksum,
-	}
 }
 
 func clamp(v, n int) int {

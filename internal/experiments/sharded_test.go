@@ -46,6 +46,25 @@ func TestTable2OutputIdenticalSharded(t *testing.T) {
 	}
 }
 
+// TestScaleRateChecksumIdenticalSharded runs a miniature city grid at one and
+// four shards: every stream's horizon rate, summed in FlowID order, must be
+// bit-identical, and equal to the pinned value.
+func TestScaleRateChecksumIdenticalSharded(t *testing.T) {
+	const want = 128.5
+	for _, shards := range []int{1, 4} {
+		r, err := RunScale(ScaleOptions{Nodes: 36, Flows: 150, Horizon: 10 * time.Second, Shards: shards, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Shards != shards || r.Events == 0 {
+			t.Fatalf("%d shard(s): empty or mis-sharded run %+v", shards, r)
+		}
+		if r.RateChecksum != want {
+			t.Errorf("%d shard(s): rate checksum %v, want %v", shards, r.RateChecksum, want)
+		}
+	}
+}
+
 func TestChaosOutputIdenticalSharded(t *testing.T) {
 	const horizon = 8 * time.Minute
 	one, err := runChaos(42, horizon, false, 1)

@@ -181,8 +181,35 @@ func TestGridDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ca.Mbps, cb.Mbps) {
-			t.Fatalf("link %s traces differ", la[i].ID)
+		if sa := ca.Samples(); len(sa) == 0 || !reflect.DeepEqual(sa, cb.Samples()) {
+			t.Fatalf("link %s traces differ or are empty", la[i].ID)
+		}
+	}
+}
+
+// TestGridTracesStoreLevels pins the grid's memory shape: over a 5 h
+// horizon (18,000 one-second samples) a link trace keeps no dense samples
+// and changes value at most ChangesPerLink times a cycle, one run per level.
+func TestGridTracesStoreLevels(t *testing.T) {
+	const changes = 6
+	topo, err := Grid(GridOptions{Rows: 3, Cols: 3, Seed: 5, Duration: 5 * time.Hour, ChangesPerLink: changes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range topo.Links() {
+		tr, err := l.CapacityToward(l.ID.A, l.ID.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != 18000 || len(tr.Mbps) != 0 {
+			t.Fatalf("link %s: %d samples, %d stored densely; want 18000, 0", l.ID, tr.Len(), len(tr.Mbps))
+		}
+		runs := 1
+		for d, ok := tr.NextChangeAfter(-1); ok && d < tr.Duration(); d, ok = tr.NextChangeAfter(d) {
+			runs++
+		}
+		if runs > changes+1 {
+			t.Errorf("link %s: %d runs, want at most %d", l.ID, runs, changes+1)
 		}
 	}
 }

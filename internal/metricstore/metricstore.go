@@ -6,17 +6,21 @@
 // queries.
 //
 // Retention is bounded per series: a raw ring of the newest MaxSamples
-// samples, plus two downsampled rollup rings (10-second and 5-minute buckets
-// carrying sum/count/min/max and the exact first/last sample). Windowed
-// aggregate queries (AvgOver, RateOver, BudgetRemaining, ...) answer from
-// raw samples when the window is fully covered and fall back to rollups for
-// older data, so a store sized for hours of raw data still answers
-// day-length windows. A window read costs O(log retention + samples in the
-// window): every tier's ring is time-ordered, so the fold binary-searches
-// the window's start instead of walking history, and a Selection resolves a
-// (metric, selector) pair once to the store's own list of its series — the
-// read-side twin of the write-side Handle — so repeated reads examine no
-// series but their own.
+// samples, plus two downsampled rollup tiers (10-second and 5-minute buckets
+// carrying sum/count/min/max and the exact first/last sample). Each sample is
+// kept once: a rollup tier stores only the buckets of samples the raw ring
+// has evicted, and a rollup read derives the newer buckets from the raw ring
+// itself, so a store whose raw ring never fills holds no rollup buckets at
+// all. Windowed aggregate queries (AvgOver, RateOver, BudgetRemaining, ...)
+// answer from raw samples when the window is fully covered and fall back to
+// rollups for older data, so a store sized for hours of raw data still
+// answers day-length windows. A raw window read costs O(log retention +
+// samples in the window): the raw ring is time-ordered, so the fold
+// binary-searches the window's start instead of walking history, and a
+// Selection resolves a (metric, selector) pair once to the store's own list
+// of its series — the read-side twin of the write-side Handle — so repeated
+// reads examine no series but their own. A rollup read also walks the raw
+// ring once, to rebuild the buckets its samples make.
 //
 // A cardinality guard caps the number of distinct series; appends that would
 // mint series beyond the cap are dropped and surfaced through the
@@ -59,9 +63,9 @@ const (
 	MetricDroppedSamples = "metricstore_dropped_samples_total"
 )
 
-// Rollup bucket widths. Raw samples downsample into 10s buckets, which are
-// retained independently of the 5m buckets (both fold directly from raw
-// appends, so their contents are exact, not re-derived).
+// Rollup bucket widths. The 10s and 5m tiers are independent: each folds the
+// raw samples themselves (those the raw ring evicts on append, the rest on
+// read), so their contents are exact, not re-derived from each other.
 const (
 	Rollup10sWidth = 10 * time.Second
 	Rollup5mWidth  = 5 * time.Minute
@@ -75,11 +79,13 @@ type Config struct {
 	// MaxSeries caps distinct series; appends that would mint series
 	// beyond it are dropped and counted (default 50000).
 	MaxSeries int
-	// Rollup10s caps closed 10-second buckets retained per series
-	// (default 4096 ≈ 11 hours).
+	// Rollup10s caps the closed 10-second buckets a series answers from
+	// (default 4096 ≈ 11 hours): the newest Rollup10s buckets, counting
+	// those rebuilt from the raw ring on read, so the history it bounds
+	// behind raw retention shrinks as raw spans more buckets.
 	Rollup10s int
-	// Rollup5m caps closed 5-minute buckets retained per series
-	// (default 2048 ≈ 7 days).
+	// Rollup5m caps closed 5-minute buckets the same way (default 2048 ≈
+	// 7 days).
 	Rollup5m int
 }
 
@@ -163,15 +169,27 @@ func (b *bucket) fold(s Sample) {
 	}
 }
 
-// rollupRing retains the newest capN closed buckets.
+// rollupRing is one rollup tier of a series. It stores only what the raw
+// ring has evicted: buf holds the newest capN closed buckets of evicted
+// samples and open the bucket they are filling. The buckets the raw ring's
+// own samples make are rebuilt on read by continuing open over the ring
+// (walkRaw). head and closed follow the eager fold of every append — the
+// start of its open bucket and how many buckets it has closed — so a read
+// retains, and pickRes sees evicted, exactly what folding every sample on
+// append would have.
 type rollupRing struct {
 	buf            []bucket
 	start, n       int
-	evicted        bool
-	evictedThrough time.Time // end of the newest evicted bucket
+	pushed         int       // buckets ever pushed into buf
+	evictedThrough time.Time // end of the newest bucket buf evicted
+	open           bucket
+
+	head   time.Time
+	closed int
 }
 
 func (r *rollupRing) push(b bucket, width time.Duration, capN int) {
+	r.pushed++
 	if capN <= 0 {
 		return
 	}
@@ -181,7 +199,6 @@ func (r *rollupRing) push(b bucket, width time.Duration, capN int) {
 		return
 	}
 	old := r.buf[r.start]
-	r.evicted = true
 	if end := old.start.Add(width); end.After(r.evictedThrough) {
 		r.evictedThrough = end
 	}
@@ -196,9 +213,43 @@ func (r *rollupRing) at(i int) *bucket {
 	return &r.buf[i]
 }
 
+// note counts smp into the eager fold's bucket sequence: a sample in a later
+// bucket than head closes one. first marks the series' first append.
+func (r *rollupRing) note(width time.Duration, smp Sample, first bool) {
+	bs := smp.At.Truncate(width)
+	if first {
+		r.head = bs
+	} else if bs.After(r.head) {
+		r.head = bs
+		r.closed++
+	}
+}
+
+// evictedEnd is the tier's eviction state as pickRes reads it: whether the
+// eager fold has closed more than capN buckets, and if so the end of the
+// newest one it evicted — closing number closed−capN, counting from one.
+// That bucket is in buf or was buf's newest eviction, or else it is one
+// rebuilt from raw. A rebuilt bucket starts no earlier than open, which holds
+// the raw ring's newest eviction, so open's end stands in for it: both lie
+// past every window start pickRes asks the tier about.
+func (r *rollupRing) evictedEnd(width time.Duration, capN int) (time.Time, bool) {
+	j := r.closed - capN
+	if j <= 0 {
+		return time.Time{}, false
+	}
+	gone := r.pushed - r.n // closings buf has evicted; j ≥ gone always
+	switch {
+	case j == gone:
+		return r.evictedThrough, true
+	case j <= r.pushed:
+		return r.at(j - gone - 1).start.Add(width), true
+	}
+	return r.open.start.Add(width), true
+}
+
 // series is the internal representation: a raw sample ring plus two rollup
-// rings and their open (still-filling) buckets. The exported Series shape is
-// materialised on demand by Query/Snapshot.
+// tiers behind it. The exported Series shape is materialised on demand by
+// Query/Snapshot.
 type series struct {
 	metric string
 	labels map[string]string
@@ -213,12 +264,12 @@ type series struct {
 	// binary-search it; once set they scan the whole ring.
 	unordered bool
 
-	r10, r5m       rollupRing
-	open10, open5m bucket
+	r10, r5m rollupRing
 }
 
 func (sr *series) append(cfg Config, smp Sample) {
-	if sr.rawN > 0 && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
+	first := sr.rawN == 0
+	if !first && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
 		sr.unordered = true
 	}
 	if sr.rawN < cfg.MaxSamples {
@@ -230,30 +281,50 @@ func (sr *series) append(cfg Config, smp Sample) {
 		if old.At.After(sr.evictedThrough) {
 			sr.evictedThrough = old.At
 		}
+		foldRollup(&sr.r10, Rollup10sWidth, cfg.Rollup10s, old)
+		foldRollup(&sr.r5m, Rollup5mWidth, cfg.Rollup5m, old)
 		sr.raw[sr.rawStart] = smp
 		sr.rawStart = (sr.rawStart + 1) % len(sr.raw)
 	}
-	foldRollup(&sr.open10, &sr.r10, Rollup10sWidth, cfg.Rollup10s, smp)
-	foldRollup(&sr.open5m, &sr.r5m, Rollup5mWidth, cfg.Rollup5m, smp)
+	sr.r10.note(Rollup10sWidth, smp, first)
+	sr.r5m.note(Rollup5mWidth, smp, first)
 }
 
-// foldRollup adds a sample to the open bucket, closing it into the ring when
-// the sample crosses into a later bucket. Samples older than the open bucket
-// (out-of-order appends) fold into the open bucket rather than rewriting
-// closed history; rollup exactness assumes per-series appends arrive in time
-// order, which every writer in this repo satisfies.
-func foldRollup(open *bucket, ring *rollupRing, width time.Duration, capN int, smp Sample) {
+// foldRollup folds a sample the raw ring evicts into the tier, closing the
+// open bucket into buf when the sample crosses into a later one.
+func foldRollup(r *rollupRing, width time.Duration, capN int, smp Sample) {
+	foldInto(&r.open, width, smp, func(b bucket) { r.push(b, width, capN) })
+}
+
+// foldInto adds a sample to the open bucket, first passing the bucket to
+// closeFn when the sample falls in a later one. Samples older than the open
+// bucket (out-of-order appends) fold into it rather than rewriting closed
+// history; rollup exactness assumes per-series appends arrive in time order,
+// which every writer in this repo satisfies.
+func foldInto(open *bucket, width time.Duration, smp Sample, closeFn func(bucket)) {
 	bs := smp.At.Truncate(width)
-	if open.count == 0 {
+	switch {
+	case open.count == 0:
 		open.reset(bs, smp)
-		return
-	}
-	if bs.After(open.start) {
-		ring.push(*open, width, capN)
+	case bs.After(open.start):
+		closeFn(*open)
 		open.reset(bs, smp)
-		return
+	default:
+		open.fold(smp)
 	}
-	open.fold(smp)
+}
+
+// walkRaw continues the tier's open bucket over the raw ring in ring (=
+// append) order, as if each raw sample had been folded on append: emit gets
+// every bucket a sample closes, oldest first, and the bucket left open is
+// returned. Evicted samples preceded the raw ring, so the reset/fold calls
+// are the ones an eager fold of every append makes, and sums are bit-equal.
+func (sr *series) walkRaw(r *rollupRing, width time.Duration, emit func(bucket)) bucket {
+	open := r.open
+	for i := 0; i < sr.rawN; i++ {
+		foldInto(&open, width, sr.rawAt(i), emit)
+	}
+	return open
 }
 
 func (sr *series) rawAt(i int) Sample {
@@ -264,7 +335,7 @@ func (sr *series) rawAt(i int) Sample {
 }
 
 // Store holds series in memory. It is safe for concurrent use. Each series
-// is capped at Config.MaxSamples raw samples (oldest dropped into rollups),
+// is capped at Config.MaxSamples raw samples (oldest folded into rollups),
 // bounding memory for long runs.
 type Store struct {
 	mu       sync.RWMutex
@@ -606,11 +677,11 @@ func (a *Agg) foldBucket(b *bucket) {
 
 // pickRes chooses the finest tier that still covers the window start.
 // Falls through to 5m rollups as the best effort when nothing covers.
-func (sr *series) pickRes(from time.Time) Resolution {
+func (sr *series) pickRes(cfg *Config, from time.Time) Resolution {
 	if !sr.evicted || from.After(sr.evictedThrough) {
 		return ResRaw
 	}
-	if !sr.r10.evicted || from.After(sr.r10.evictedThrough) {
+	if end, ok := sr.r10.evictedEnd(Rollup10sWidth, cfg.Rollup10s); !ok || from.After(end) {
 		return Res10s
 	}
 	return Res5m
@@ -625,9 +696,9 @@ func bucketOverlaps(b *bucket, width time.Duration, from, to time.Time) bool {
 // window to the first one past it, so the fold visits exactly the entries a
 // walk of the whole ring would select, in the same order — sums are
 // bit-equal to that walk at any retention depth.
-func (sr *series) aggInto(a *Agg, from, to time.Time, res Resolution) {
+func (sr *series) aggInto(a *Agg, cfg *Config, from, to time.Time, res Resolution) {
 	if res == ResAuto {
-		res = sr.pickRes(from)
+		res = sr.pickRes(cfg, from)
 	}
 	switch res {
 	case ResRaw:
@@ -646,39 +717,54 @@ func (sr *series) aggInto(a *Agg, from, to time.Time, res Resolution) {
 			a.foldSample(smp)
 		}
 	case Res10s:
-		sr.r10.aggInto(a, &sr.open10, Rollup10sWidth, from, to)
+		sr.aggRollup(a, &sr.r10, Rollup10sWidth, cfg.Rollup10s, from, to)
 	case Res5m:
-		sr.r5m.aggInto(a, &sr.open5m, Rollup5mWidth, from, to)
+		sr.aggRollup(a, &sr.r5m, Rollup5mWidth, cfg.Rollup5m, from, to)
 	}
 }
 
-// aggInto folds the closed buckets overlapping [from, to], then the open one.
-// Bucket starts strictly increase whatever order samples arrived in
-// (foldRollup only ever opens a later bucket), so unlike the raw ring the
-// search needs no fallback.
-func (r *rollupRing) aggInto(a *Agg, open *bucket, width time.Duration, from, to time.Time) {
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).start.Add(width).After(from) })
-	for ; i < r.n; i++ {
-		b := r.at(i)
-		if b.start.After(to) {
-			break
-		}
-		a.foldBucket(b)
+// aggRollup folds the tier's buckets overlapping [from, to] — the closed
+// ones in buf, those rebuilt from the raw ring, then the open one — keeping
+// only the newest capN closed buckets of the whole sequence, as an eager
+// tier retains. Bucket starts strictly increase whatever order samples
+// arrived in (foldInto only ever opens a later bucket), so the search over
+// buf needs no fallback.
+func (sr *series) aggRollup(a *Agg, r *rollupRing, width time.Duration, capN int, from, to time.Time) {
+	oldest := r.closed - capN // closings numbered up to here are evicted
+	lo := oldest - (r.pushed - r.n)
+	if lo < 0 {
+		lo = 0
 	}
-	if open.count > 0 && bucketOverlaps(open, width, from, to) {
-		a.foldBucket(open)
+	if lo < r.n {
+		i := lo + sort.Search(r.n-lo, func(i int) bool { return r.at(lo + i).start.Add(width).After(from) })
+		for ; i < r.n; i++ {
+			b := r.at(i)
+			if b.start.After(to) {
+				break
+			}
+			a.foldBucket(b)
+		}
+	}
+	ord := r.pushed
+	open := sr.walkRaw(r, width, func(b bucket) {
+		if ord++; ord > oldest && bucketOverlaps(&b, width, from, to) {
+			a.foldBucket(&b)
+		}
+	})
+	if open.count > 0 && bucketOverlaps(&open, width, from, to) {
+		a.foldBucket(&open)
 	}
 }
 
 // aggSeries is the one window fold behind every windowed read: the series of
 // srs matching selector, in slice (= creation) order, each folded over
 // [now-window, now] at the given resolution. Callers hold the store lock.
-func aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
+func aggSeries(cfg *Config, srs []*series, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
 	from := now.Add(-window)
 	var agg Agg
 	for _, sr := range srs {
 		if matchesLabels(sr.labels, selector) {
-			sr.aggInto(&agg, from, now, res)
+			sr.aggInto(&agg, cfg, from, now, res)
 		}
 	}
 	return agg, agg.Count > 0
@@ -714,11 +800,13 @@ func (s *Store) AggOver(metric string, selector map[string]string, now time.Time
 // AggOverRes is AggOver pinned to a retention tier. Rollup answers include
 // every bucket overlapping the window, so a window not aligned to bucket
 // boundaries may over-cover by up to one bucket width at each edge; aligned
-// windows are exact.
+// windows are exact. A rollup read also walks each series' raw ring once, to
+// rebuild the buckets its samples make, so it costs O(MaxSamples) per series
+// where a raw read costs O(log MaxSamples + samples in the window).
 func (s *Store) AggOverRes(metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return aggSeries(s.candidates(metric, selector), selector, now, window, res)
+	return aggSeries(&s.cfg, s.candidates(metric, selector), selector, now, window, res)
 }
 
 // AvgOver returns the mean sample value over the trailing window.
@@ -812,7 +900,7 @@ func (s *Store) Select(metric string, selector map[string]string) *Selection {
 func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
 	sel.s.mu.RLock()
 	defer sel.s.mu.RUnlock()
-	return aggSeries(sel.from.srs, sel.filter, now, window, ResAuto)
+	return aggSeries(&sel.s.cfg, sel.from.srs, sel.filter, now, window, ResAuto)
 }
 
 // AvgOver is Store.AvgOver over the selection.

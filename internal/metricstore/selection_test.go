@@ -8,22 +8,107 @@ import (
 	"time"
 )
 
-// refAgg is the full-scan reference the window fold is checked against: every
-// series of the metric in creation order, labels matched one by one, every
-// ring walked end to end with a per-entry window test. It is the read path
-// as it was before window reads became searches, kept here — and only here —
-// as the oracle.
-func refAgg(s *Store, metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
+// eagerModel is the reference the window fold is checked against. It knows
+// nothing of the store's layout: it records every sample appended, per series
+// in creation order, and rebuilds from them the store as it was when every
+// append folded eagerly into both rollup tiers — a raw ring of the newest
+// MaxSamples samples, and per tier every closed bucket, of which the newest
+// capN are retained — then answers by walking each of those end to end with a
+// per-entry window test.
+type eagerModel struct {
+	cfg     Config
+	order   map[string][]string // metric -> series keys in creation order
+	labels  map[string]map[string]string
+	samples map[string][]Sample
+}
+
+func newEagerModel(cfg Config) *eagerModel {
+	return &eagerModel{cfg: cfg.withDefaults(), order: map[string][]string{},
+		labels: map[string]map[string]string{}, samples: map[string][]Sample{}}
+}
+
+func (m *eagerModel) append(metric string, labels map[string]string, at time.Time, v float64) {
+	key := seriesKey(metric, labels)
+	if _, ok := m.samples[key]; !ok {
+		m.order[metric] = append(m.order[metric], key)
+		m.labels[key] = labels
+	}
+	m.samples[key] = append(m.samples[key], Sample{At: at, Value: v})
+}
+
+// eagerTier is one rollup tier folded from every append.
+type eagerTier struct {
+	width          time.Duration
+	kept           []bucket // the newest capN closed buckets
+	open           bucket
+	evicted        bool
+	evictedThrough time.Time
+}
+
+func foldEager(samples []Sample, width time.Duration, capN int) eagerTier {
+	t := eagerTier{width: width}
+	var closed []bucket
+	for _, smp := range samples {
+		bs := smp.At.Truncate(width)
+		switch {
+		case t.open.count == 0:
+			t.open.reset(bs, smp)
+		case bs.After(t.open.start):
+			closed = append(closed, t.open)
+			t.open.reset(bs, smp)
+		default:
+			t.open.fold(smp)
+		}
+	}
+	if len(closed) > capN {
+		t.evicted = true
+		t.evictedThrough = closed[len(closed)-capN-1].start.Add(width)
+		closed = closed[len(closed)-capN:]
+	}
+	t.kept = closed
+	return t
+}
+
+// eagerSeries is one series as the eager store held it.
+type eagerSeries struct {
+	labels         map[string]string
+	raw            []Sample
+	evicted        bool
+	evictedThrough time.Time
+	r10, r5m       eagerTier
+}
+
+// build snapshots the eager store: metric -> series in creation order.
+func (m *eagerModel) build() map[string][]eagerSeries {
+	out := map[string][]eagerSeries{}
+	for metric, keys := range m.order {
+		for _, key := range keys {
+			all := m.samples[key]
+			es := eagerSeries{labels: m.labels[key], raw: all}
+			if drop := len(all) - m.cfg.MaxSamples; drop > 0 {
+				es.evicted = true
+				for _, smp := range all[:drop] {
+					if smp.At.After(es.evictedThrough) {
+						es.evictedThrough = smp.At
+					}
+				}
+				es.raw = all[drop:]
+			}
+			es.r10 = foldEager(all, Rollup10sWidth, m.cfg.Rollup10s)
+			es.r5m = foldEager(all, Rollup5mWidth, m.cfg.Rollup5m)
+			out[metric] = append(out[metric], es)
+		}
+	}
+	return out
+}
+
+func refAgg(snap map[string][]eagerSeries, metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
 	from := now.Add(-window)
 	var a Agg
-	mi := s.byMetric[metric]
-	if mi == nil {
-		return a, false
-	}
-	for _, sr := range mi.all.srs {
+	for _, es := range snap[metric] {
 		match := true
 		for k, v := range selector {
-			if got, ok := sr.labels[k]; !ok || got != v {
+			if got, ok := es.labels[k]; !ok || got != v {
 				match = false
 			}
 		}
@@ -32,27 +117,34 @@ func refAgg(s *Store, metric string, selector map[string]string, now time.Time, 
 		}
 		r := res
 		if r == ResAuto {
-			r = sr.pickRes(from)
+			switch {
+			case !es.evicted || from.After(es.evictedThrough):
+				r = ResRaw
+			case !es.r10.evicted || from.After(es.r10.evictedThrough):
+				r = Res10s
+			default:
+				r = Res5m
+			}
 		}
-		ring, open, width := &sr.r10, &sr.open10, Rollup10sWidth
+		tier := &es.r10
 		switch r {
 		case ResRaw:
-			for i := 0; i < sr.rawN; i++ {
-				if smp := sr.rawAt(i); !smp.At.Before(from) && !smp.At.After(now) {
+			for _, smp := range es.raw {
+				if !smp.At.Before(from) && !smp.At.After(now) {
 					a.foldSample(smp)
 				}
 			}
 			continue
 		case Res5m:
-			ring, open, width = &sr.r5m, &sr.open5m, Rollup5mWidth
+			tier = &es.r5m
 		}
-		for i := 0; i < ring.n; i++ {
-			if b := ring.at(i); bucketOverlaps(b, width, from, now) {
+		for i := range tier.kept {
+			if b := &tier.kept[i]; bucketOverlaps(b, tier.width, from, now) {
 				a.foldBucket(b)
 			}
 		}
-		if open.count > 0 && bucketOverlaps(open, width, from, now) {
-			a.foldBucket(open)
+		if tier.open.count > 0 && bucketOverlaps(&tier.open, tier.width, from, now) {
+			a.foldBucket(&tier.open)
 		}
 	}
 	return a, a.Count > 0
@@ -63,7 +155,7 @@ func refAgg(s *Store, metric string, selector map[string]string, now time.Time, 
 // ties, gaps, out-of-order appends, selections taken before and after the
 // series they match were minted — and requires the window fold, through the
 // Store methods at every resolution and through Selections, to equal the
-// full-scan reference on every field, sums bit for bit.
+// eager reference model on every field, sums bit for bit.
 func TestWindowFoldDifferential(t *testing.T) {
 	labelSets := []map[string]string{
 		nil,
@@ -94,11 +186,13 @@ func TestWindowFoldDifferential(t *testing.T) {
 
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewWithConfig(Config{
+		cfg := Config{
 			MaxSamples: 2 + rng.Intn(40),
 			Rollup10s:  1 + rng.Intn(12),
 			Rollup5m:   1 + rng.Intn(6),
-		})
+		}
+		s := NewWithConfig(cfg)
+		model := newEagerModel(cfg)
 		unordered := rng.Intn(3) == 0
 		steps := 30 + rng.Intn(500)
 		// Selections are taken at random points of the append stream; label
@@ -110,14 +204,34 @@ func TestWindowFoldDifferential(t *testing.T) {
 			selectAt[i] = rng.Intn(steps)
 		}
 		ok := true
-		verify := func(now time.Time) {
+		var snap map[string][]eagerSeries // the model at the current append
+		verify := func(now time.Time, edges bool) {
+			// With edges, besides the fixed windows start one at, just
+			// before and just after every eviction edge, where ResAuto
+			// changes tier; only ResAuto reads are checked on those.
+			ws := append([]time.Duration(nil), windows...)
+			for _, es := range snap["m"] {
+				if !edges {
+					break
+				}
+				for _, edge := range []time.Time{es.evictedThrough, es.r10.evictedThrough} {
+					for _, d := range []time.Duration{-time.Second, 0, time.Second} {
+						if w := now.Sub(edge.Add(d)); !edge.IsZero() && w >= 0 {
+							ws = append(ws, w)
+						}
+					}
+				}
+			}
 			for si, selector := range selectors {
-				for _, w := range windows {
-					want, wantOK := refAgg(s, "m", selector, now, w, ResAuto)
+				for wi, w := range ws {
+					want, wantOK := refAgg(snap, "m", selector, now, w, ResAuto)
 					for _, res := range resolutions {
+						if res != ResAuto && wi >= len(windows) {
+							continue
+						}
 						ref, refOK := want, wantOK
 						if res != ResAuto {
-							ref, refOK = refAgg(s, "m", selector, now, w, res)
+							ref, refOK = refAgg(snap, "m", selector, now, w, res)
 						}
 						if got, gotOK := s.AggOverRes("m", selector, now, w, res); got != ref || gotOK != refOK {
 							t.Errorf("seed %d: AggOverRes(%v, %v, res %d) = %+v %v, reference %+v %v", seed, selector, w, res, got, gotOK, ref, refOK)
@@ -162,9 +276,14 @@ func TestWindowFoldDifferential(t *testing.T) {
 				stamp -= time.Duration(rng.Intn(120000)) * time.Millisecond
 			}
 			known := 1 + step*len(labelSets)/steps // label sets in play so far
-			s.Append("m", labelSets[rng.Intn(known)], time.Unix(0, 0).UTC().Add(stamp), rng.NormFloat64()*10)
+			ts := time.Unix(0, 0).UTC().Add(stamp)
+			ls, v := labelSets[rng.Intn(known)], rng.NormFloat64()*10
+			s.Append("m", ls, ts, v)
+			model.append("m", ls, ts, v)
 			if rng.Intn(4) == 0 {
-				s.Append("other", labelSets[rng.Intn(len(labelSets))], time.Unix(0, 0).UTC().Add(stamp), 1e6)
+				ls := labelSets[rng.Intn(len(labelSets))]
+				s.Append("other", ls, ts, 1e6)
+				model.append("other", ls, ts, 1e6)
 			}
 			for i := range sels {
 				if selectAt[i] == step {
@@ -173,12 +292,13 @@ func TestWindowFoldDifferential(t *testing.T) {
 			}
 			if rng.Intn(25) == 0 || step == steps-1 {
 				now := time.Unix(0, 0).UTC().Add(clock)
-				verify(now)
-				verify(now.Add(-time.Duration(rng.Intn(90)) * time.Second))
-				verify(now.Add(time.Duration(rng.Intn(400)) * time.Second))
+				snap = model.build()
+				verify(now, true)
+				verify(now.Add(-time.Duration(rng.Intn(90))*time.Second), false)
+				verify(now.Add(time.Duration(rng.Intn(400))*time.Second), false)
 				// Window edges landing exactly on bucket boundaries.
-				verify(now.Truncate(Rollup10sWidth))
-				verify(now.Truncate(Rollup5mWidth))
+				verify(now.Truncate(Rollup10sWidth), false)
+				verify(now.Truncate(Rollup5mWidth), false)
 			}
 		}
 		return ok

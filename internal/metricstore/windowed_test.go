@@ -237,6 +237,50 @@ func TestAggOverZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("windowed reads allocated %.1f times per run, want 0", allocs)
 	}
+
+	// Rollup reads, which rebuild the newest buckets from the raw ring, on a
+	// series whose raw ring has evicted into both tiers.
+	ev := NewWithConfig(Config{MaxSamples: 100})
+	for sec := 0; sec < 1000; sec++ {
+		ev.Append("headroom", labels, at(sec), float64(sec%17))
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, res := range []Resolution{Res10s, Res5m, ResAuto} {
+			if _, ok := ev.AggOverRes("headroom", labels, now, 900*time.Second, res); !ok {
+				t.Fatal("no samples")
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("rollup reads allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRollupsHoldOnlyEvicted pins the memory shape: a sample is kept once.
+// While the raw ring has room no rollup bucket is stored, yet rollup reads
+// answer as before; once it wraps, a tier stores only the buckets of evicted
+// samples.
+func TestRollupsHoldOnlyEvicted(t *testing.T) {
+	s := NewWithConfig(Config{MaxSamples: 600})
+	for sec := 0; sec < 600; sec++ {
+		s.Append("m", nil, at(sec), 1)
+	}
+	sr := s.series[seriesKey("m", nil)]
+	if sr.r10.n != 0 || sr.r5m.n != 0 || sr.r10.buf != nil || sr.r5m.buf != nil {
+		t.Fatalf("unfilled raw ring: 10s/5m tiers hold %d/%d closed buckets, want 0/0", sr.r10.n, sr.r5m.n)
+	}
+	if agg, _ := s.AggOverRes("m", nil, at(599), 599*time.Second, Res10s); agg.Count != 600 {
+		t.Errorf("10s read over an unfilled raw ring counts %d samples, want 600", agg.Count)
+	}
+	// 60 more samples evict seconds 0..59: six 10s buckets close, and the
+	// 5m bucket holding them is still open.
+	for sec := 600; sec < 660; sec++ {
+		s.Append("m", nil, at(sec), 1)
+	}
+	if sr.r10.n != 5 || sr.r10.open.count != 10 || sr.r5m.n != 0 || sr.r5m.open.count != 60 {
+		t.Errorf("after 60 evictions: 10s tier %d closed + %d open, 5m tier %d closed + %d open; want 5+10, 0+60",
+			sr.r10.n, sr.r10.open.count, sr.r5m.n, sr.r5m.open.count)
+	}
 }
 
 // TestRingQueryOrder pins that Query/Snapshot unwrap the raw ring in time

@@ -9,8 +9,9 @@ type cpRun struct {
 	val float64
 }
 
-// changePoints returns the run-length encoding of the sample array, building
-// and memoizing it on first use. The index is derived state: it is built
+// changePoints returns the run-length encoding of the samples. A level-built
+// trace carries it from construction; a dense trace builds it from Mbps and
+// memoizes it on first use. The index is derived state: it is built
 // lazily by whichever goroutine first calls NextChangeAfter, so a Trace must
 // not be shared across goroutines while unindexed (simnet pre-builds the
 // index for every link trace when a network starts; the usual

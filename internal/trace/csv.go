@@ -15,7 +15,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"offset_s", "mbps"}); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
-	for i, v := range t.Mbps {
+	for i, v := range t.Samples() {
 		at := time.Duration(i) * t.Step
 		rec := []string{
 			strconv.FormatFloat(at.Seconds(), 'f', 3, 64),

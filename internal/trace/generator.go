@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -151,13 +152,39 @@ func CityLabVolatile(seed int64) GenConfig {
 }
 
 // StepTrace builds a piecewise-constant trace from (start offset, Mbps)
-// breakpoints; capacity holds each level until the next breakpoint. Used to
-// script controlled experiments such as the paper's 25 Mbps throttling
-// windows (Figs 3, 5, 11, 13).
+// breakpoints: sample i holds the Mbps of the last level, in slice order,
+// whose From ≤ i·step, or 0 while none applies. Levels need not be sorted,
+// and of two with the same From the later in the slice wins. The trace is
+// level-built: it stores its runs, O(levels) whatever the horizon, and its
+// Mbps field is empty (Samples expands it). Used to script controlled
+// experiments such as the paper's 25 Mbps throttling windows (Figs 3, 5, 11,
+// 13) and every mesh.Grid link.
 func StepTrace(name string, step time.Duration, total time.Duration, levels []Level) *Trace {
 	n := int(total / step)
-	out := &Trace{Name: name, Step: step, Mbps: make([]float64, n)}
-	for i := 0; i < n; i++ {
+	if n <= 0 {
+		return &Trace{Name: name, Step: step}
+	}
+	// The sample value can change only where a level starts to apply: at
+	// index 0, and at ⌈From/step⌉ for a level starting later.
+	starts := []int{0}
+	for _, l := range levels {
+		if l.From <= 0 {
+			continue
+		}
+		i := int(l.From / step)
+		if l.From%step != 0 {
+			i++
+		}
+		if i < n {
+			starts = append(starts, i)
+		}
+	}
+	sort.Ints(starts)
+	out := &Trace{Name: name, Step: step, n: n, cpBuilt: true}
+	for k, i := range starts {
+		if k > 0 && i == starts[k-1] {
+			continue
+		}
 		at := time.Duration(i) * step
 		v := 0.0
 		for _, l := range levels {
@@ -165,7 +192,9 @@ func StepTrace(name string, step time.Duration, total time.Duration, levels []Le
 				v = l.Mbps
 			}
 		}
-		out.Mbps[i] = v
+		if len(out.cp) == 0 || v != out.cp[len(out.cp)-1].val {
+			out.cp = append(out.cp, cpRun{idx: i, val: v})
+		}
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"bass/internal/metrics"
@@ -25,15 +26,20 @@ type Trace struct {
 	Name string
 	// Step is the sampling interval.
 	Step time.Duration
-	// Mbps holds capacity samples in megabits per second.
+	// Mbps holds capacity samples in megabits per second. It is empty on a
+	// level-built trace (StepTrace), which stores its runs instead; Samples
+	// reads the samples of either kind.
 	Mbps []float64
 
-	// cp memoizes the change-point index (see changepoints.go). It is
-	// derived from Mbps and built lazily; mutating Mbps after the index is
-	// built is not supported (traces are treated as immutable once driving a
-	// simulation).
+	// cp is the change-point index (see changepoints.go): the run-length
+	// encoding of the samples. A dense trace derives it from Mbps lazily;
+	// mutating Mbps after the index is built is not supported (traces are
+	// treated as immutable once driving a simulation). On a level-built
+	// trace it is the only copy of the samples, and n is their count (0 on
+	// a dense trace).
 	cp      []cpRun
 	cpBuilt bool
+	n       int
 }
 
 // New returns an empty trace with the given name and sampling step.
@@ -51,11 +57,36 @@ func Constant(name string, step time.Duration, mbps float64, n int) *Trace {
 }
 
 // Len reports the number of samples.
-func (t *Trace) Len() int { return len(t.Mbps) }
+func (t *Trace) Len() int {
+	if t.n > 0 {
+		return t.n
+	}
+	return len(t.Mbps)
+}
 
 // Duration reports the time covered by the trace.
 func (t *Trace) Duration() time.Duration {
-	return time.Duration(len(t.Mbps)) * t.Step
+	return time.Duration(t.Len()) * t.Step
+}
+
+// Samples returns the capacity samples in Mbps: Mbps itself on a dense
+// trace, a fresh slice expanded from the runs on a level-built one. Callers
+// must not modify the result.
+func (t *Trace) Samples() []float64 {
+	if t.n == 0 {
+		return t.Mbps
+	}
+	out := make([]float64, t.n)
+	for k, r := range t.cp {
+		end := t.n
+		if k+1 < len(t.cp) {
+			end = t.cp[k+1].idx
+		}
+		for i := r.idx; i < end; i++ {
+			out[i] = r.val
+		}
+	}
+	return out
 }
 
 // At returns the capacity in Mbps in effect at offset d. Offsets before the
@@ -63,14 +94,20 @@ func (t *Trace) Duration() time.Duration {
 // short trace can drive an arbitrarily long experiment (the paper replays a
 // 20-minute trace in a loop).
 func (t *Trace) At(d time.Duration) float64 {
-	if len(t.Mbps) == 0 {
+	n := t.Len()
+	if n == 0 {
 		return 0
 	}
-	if d < 0 {
-		return t.Mbps[0]
+	idx := 0
+	if d >= 0 {
+		idx = int(d/t.Step) % n
 	}
-	idx := int(d/t.Step) % len(t.Mbps)
-	return t.Mbps[idx]
+	if t.n == 0 {
+		return t.Mbps[idx]
+	}
+	runs := t.cp
+	k := sort.Search(len(runs), func(k int) bool { return runs[k].idx > idx })
+	return runs[k-1].val
 }
 
 // AtBps returns the capacity at offset d in bits per second.
@@ -79,39 +116,48 @@ func (t *Trace) AtBps(d time.Duration) float64 {
 }
 
 // Mean reports the mean capacity in Mbps.
-func (t *Trace) Mean() float64 {
-	if len(t.Mbps) == 0 {
+func (t *Trace) Mean() float64 { return mean(t.Samples()) }
+
+// StdDev reports the population standard deviation in Mbps.
+func (t *Trace) StdDev() float64 { return stdDev(t.Samples()) }
+
+// Min reports the smallest sample, or 0 for an empty trace.
+func (t *Trace) Min() float64 { return minOf(t.Samples()) }
+
+// Max reports the largest sample, or 0 for an empty trace.
+func (t *Trace) Max() float64 { return maxOf(t.Samples()) }
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
 	var s float64
-	for _, v := range t.Mbps {
+	for _, v := range xs {
 		s += v
 	}
-	return s / float64(len(t.Mbps))
+	return s / float64(len(xs))
 }
 
-// StdDev reports the population standard deviation in Mbps.
-func (t *Trace) StdDev() float64 {
-	n := len(t.Mbps)
+func stdDev(xs []float64) float64 {
+	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	mean := t.Mean()
+	m := mean(xs)
 	var ss float64
-	for _, v := range t.Mbps {
-		d := v - mean
+	for _, v := range xs {
+		d := v - m
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
 }
 
-// Min reports the smallest sample, or 0 for an empty trace.
-func (t *Trace) Min() float64 {
-	if len(t.Mbps) == 0 {
+func minOf(xs []float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	m := t.Mbps[0]
-	for _, v := range t.Mbps[1:] {
+	m := xs[0]
+	for _, v := range xs[1:] {
 		if v < m {
 			m = v
 		}
@@ -119,13 +165,12 @@ func (t *Trace) Min() float64 {
 	return m
 }
 
-// Max reports the largest sample, or 0 for an empty trace.
-func (t *Trace) Max() float64 {
-	if len(t.Mbps) == 0 {
+func maxOf(xs []float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	m := t.Mbps[0]
-	for _, v := range t.Mbps[1:] {
+	m := xs[0]
+	for _, v := range xs[1:] {
 		if v > m {
 			m = v
 		}
@@ -133,19 +178,21 @@ func (t *Trace) Max() float64 {
 	return m
 }
 
-// Scale returns a copy of the trace with every sample multiplied by f.
+// Scale returns a dense copy of the trace with every sample multiplied by f.
 func (t *Trace) Scale(f float64) *Trace {
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(t.Mbps))}
-	for i, v := range t.Mbps {
+	in := t.Samples()
+	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
+	for i, v := range in {
 		out.Mbps[i] = v * f
 	}
 	return out
 }
 
-// Clip returns a copy with every sample clamped to [lo, hi].
+// Clip returns a dense copy with every sample clamped to [lo, hi].
 func (t *Trace) Clip(lo, hi float64) *Trace {
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(t.Mbps))}
-	for i, v := range t.Mbps {
+	in := t.Samples()
+	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
+	for i, v := range in {
 		out.Mbps[i] = math.Min(hi, math.Max(lo, v))
 	}
 	return out
@@ -158,30 +205,31 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 	}
 	lo := int(from / t.Step)
 	hi := int(to / t.Step)
-	if lo < 0 || hi > len(t.Mbps) || lo > hi {
-		return nil, fmt.Errorf("trace: slice [%v,%v) out of range for %v samples", from, to, len(t.Mbps))
+	if lo < 0 || hi > t.Len() || lo > hi {
+		return nil, fmt.Errorf("trace: slice [%v,%v) out of range for %v samples", from, to, t.Len())
 	}
 	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, hi-lo)}
-	copy(out.Mbps, t.Mbps[lo:hi])
+	copy(out.Mbps, t.Samples()[lo:hi])
 	return out, nil
 }
 
 // RollingMean returns the trace smoothed by a trailing mean over the given
 // window, matching the paper's Fig 2 presentation.
 func (t *Trace) RollingMean(window time.Duration) *Trace {
-	if t.Step <= 0 || len(t.Mbps) == 0 {
+	in := t.Samples()
+	if t.Step <= 0 || len(in) == 0 {
 		return &Trace{Name: t.Name, Step: t.Step}
 	}
 	w := int(window / t.Step)
 	if w < 1 {
 		w = 1
 	}
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(t.Mbps))}
+	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
 	var sum float64
-	for i, v := range t.Mbps {
+	for i, v := range in {
 		sum += v
 		if i >= w {
-			sum -= t.Mbps[i-w]
+			sum -= in[i-w]
 		}
 		n := i + 1
 		if n > w {
@@ -194,8 +242,9 @@ func (t *Trace) RollingMean(window time.Duration) *Trace {
 
 // TimeSeries converts the trace to a metrics.TimeSeries.
 func (t *Trace) TimeSeries() *metrics.TimeSeries {
-	ts := metrics.NewTimeSeries(len(t.Mbps))
-	for i, v := range t.Mbps {
+	in := t.Samples()
+	ts := metrics.NewTimeSeries(len(in))
+	for i, v := range in {
 		ts.Append(time.Duration(i)*t.Step, v)
 	}
 	return ts
@@ -216,22 +265,23 @@ type Summary struct {
 // Summarize computes the trace summary. It returns ErrEmptyTrace for an
 // empty trace.
 func (t *Trace) Summarize() (Summary, error) {
-	if len(t.Mbps) == 0 {
+	xs := t.Samples()
+	if len(xs) == 0 {
 		return Summary{}, ErrEmptyTrace
 	}
-	mean := t.Mean()
-	std := t.StdDev()
+	m := mean(xs)
+	std := stdDev(xs)
 	pct := 0.0
-	if mean != 0 {
-		pct = 100 * std / mean
+	if m != 0 {
+		pct = 100 * std / m
 	}
 	return Summary{
 		Name:        t.Name,
-		MeanMbps:    mean,
+		MeanMbps:    m,
 		StdMbps:     std,
 		StdPctMean:  pct,
-		MinMbps:     t.Min(),
-		MaxMbps:     t.Max(),
+		MinMbps:     minOf(xs),
+		MaxMbps:     maxOf(xs),
 		DurationSec: t.Duration().Seconds(),
 	}, nil
 }

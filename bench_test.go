@@ -322,7 +322,7 @@ func BenchmarkReallocate(b *testing.B) {
 // the all-constant ring (the driver schedules zero events), "steppy" the
 // ring with one stepping link (two observed capacity changes per simulated
 // minute). The drivers produce bit-identical simulation output (asserted by
-// the simnet and experiments differential tests); this measures the
+// the simnet differential tests); this measures the
 // wall-clock and allocation cost of getting there. No observability plane is
 // attached, so the run also pins the disabled-tracing contract: the network's
 // span-threaded flow lifecycle (ambient cause stamping, nil-plane EmitSpan at
@@ -334,40 +334,6 @@ func BenchmarkEventDriven(b *testing.B) {
 	b.Run("quiet/polling", func(b *testing.B) { benchNetRun(b, benchQuietMesh, false, true) })
 	b.Run("steppy/event", func(b *testing.B) { benchNetRun(b, benchMesh, false, false) })
 	b.Run("steppy/polling", func(b *testing.B) { benchNetRun(b, benchMesh, false, true) })
-}
-
-// BenchmarkShardedScale measures the sharded simnet on the city-scale
-// workload at increasing shard counts: a ~200-node street grid carrying 5k
-// mixed-tier flows under per-link trace churn ("town"), and the ROADMAP's
-// headline 1024-node / 100k-flow configuration ("city", -benchtime=1x
-// territory). Reported metrics are engine events per wall second and the
-// real-time factor (simulated seconds per host second; >1 = faster than real
-// time). Output is byte-identical across shard counts — the differential
-// tests pin that — so this benchmark isolates pure throughput:
-//
-//	go test -bench=ShardedScale -benchtime=1x -benchmem
-func BenchmarkShardedScale(b *testing.B) {
-	bench := func(nodes, flows, shards int, horizon time.Duration) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunScale(experiments.ScaleOptions{
-					Nodes: nodes, Flows: flows, Shards: shards, Horizon: horizon, Seed: 42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.EventsPerSec, "events/sec")
-				b.ReportMetric(res.RealTimeFactor, "realtime_x")
-				b.ReportMetric(res.AllocsPerEvent, "allocs/event")
-			}
-		}
-	}
-	for _, k := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("town/shards=%d", k), bench(200, 5_000, k, time.Minute))
-	}
-	for _, k := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("city/shards=%d", k), bench(1024, 100_000, k, time.Minute))
-	}
 }
 
 func nonZero(v float64) float64 {

@@ -25,7 +25,6 @@
 //	  "migration": true, "monitorIntervalSec": 30,
 //	  "reconcile": true, "slo": true,
 //	  "batch": true, "batchBudget": 256, "batchK": 4,
-//	  "shards": 4, "evalWorkers": 4,
 //	  "rps": 50, "clientNode": "node1",
 //	  "participantsPerNode": 3, "publishMbps": 0.5,
 //	  "faults": [{"atSec": 120, "type": "node-crash", "node": "node2"}],
@@ -47,6 +46,9 @@
 // burn-rate SLO evaluator over the run — mesh headroom, control-loop cadence,
 // and per-app goodput specs — and appends a budget/alert summary; pair it
 // with -events-out to capture the alert journal for bass-trace.
+//
+// A key outside this schema is an error, reported with the file name before
+// anything runs: a misspelt key would otherwise run a different scenario.
 package main
 
 import (
@@ -108,20 +110,6 @@ type scenario struct {
 	Batch       bool `json:"batch,omitempty"`
 	BatchBudget int  `json:"batchBudget,omitempty"`
 	BatchK      int  `json:"batchK,omitempty"`
-	// PollingNet switches the simulated network to the legacy once-per-second
-	// polling driver; output is bit-identical to the default event-driven
-	// driver (the equivalence the trace-smoke CI job asserts).
-	PollingNet bool `json:"pollingNet,omitempty"`
-	// Shards partitions the mesh into this many regions and runs the
-	// simulated network shard-parallel; 0/1 = single-shard. Output — report,
-	// journal, trace export — is byte-identical at every shard count (the
-	// equivalence the sharded seed-sweep CI test asserts).
-	Shards int `json:"shards,omitempty"`
-	// EvalWorkers fans the controller's per-app evaluation phase across this
-	// many workers; 0/1 = serial. Output — report, journal, trace export —
-	// is byte-identical at every worker count (the equivalence the
-	// parallel-eval CI test asserts).
-	EvalWorkers int `json:"evalWorkers,omitempty"`
 
 	// Social network.
 	RPS        float64 `json:"rps,omitempty"`
@@ -236,14 +224,11 @@ func run(args []string, stdout io.Writer) error {
 	eventsOut := fs.String("events-out", "", "write the decision journal as JSONL to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	metricsOut := fs.String("metrics-out", "", "write the collected metric series as JSON to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	traceOut := fs.String("trace-out", "", "write the decision journal as Chrome trace-event JSON (Perfetto-loadable) to this path (\".NNN\" run index inserted when running multiple scenarios)")
-	polling := fs.Bool("polling", false, "force the legacy polling network driver for every scenario (output stays bit-identical to event-driven)")
 	reconcile := fs.Bool("reconcile", false, "force the declarative reconciliation loop for every scenario (equivalent to \"reconcile\": true)")
 	sloFlag := fs.Bool("slo", false, "force the burn-rate SLO evaluator for every scenario (equivalent to \"slo\": true)")
 	batch := fs.Bool("batch", false, "force the batch joint-placement mode for every scenario (equivalent to \"batch\": true)")
 	batchBudget := fs.Int("batch-budget", 0, "force this batch search move budget for every scenario (0 = scenario value)")
 	batchK := fs.Int("batch-k", 0, "force this batch search frontier width for every scenario (0 = scenario value)")
-	shards := fs.Int("shards", 0, "force this mesh shard count for every scenario (0 = scenario value; output stays byte-identical at any count)")
-	evalWorkers := fs.Int("eval-workers", 0, "force this controller eval-worker count for every scenario (0 = scenario value; output stays byte-identical at any count)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -266,20 +251,13 @@ func run(args []string, stdout io.Writer) error {
 	// Load and validate every config before running anything.
 	specs := make([]runSpec, 0, len(paths)**seeds)
 	for _, p := range paths {
-		raw, err := os.ReadFile(p)
+		sc, err := loadScenario(p)
 		if err != nil {
 			return err
-		}
-		var sc scenario
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return fmt.Errorf("parse %s: %w", p, err)
 		}
 		for s := 0; s < *seeds; s++ {
 			replica := sc
 			replica.Seed = sc.Seed + int64(s)
-			if *polling {
-				replica.PollingNet = true
-			}
 			if *reconcile {
 				replica.Reconcile = true
 			}
@@ -295,12 +273,6 @@ func run(args []string, stdout io.Writer) error {
 			if *batchK != 0 {
 				replica.BatchK = *batchK
 			}
-			if *shards > 0 {
-				replica.Shards = *shards
-			}
-			if *evalWorkers > 0 {
-				replica.EvalWorkers = *evalWorkers
-			}
 			specs = append(specs, runSpec{
 				label: fmt.Sprintf("%s seed=%d", p, replica.Seed),
 				sc:    replica,
@@ -313,6 +285,27 @@ func run(args []string, stdout io.Writer) error {
 		specs[i].tracePath = derivePath(*traceOut, i, len(specs))
 	}
 	return executeAll(specs, *workers, stdout)
+}
+
+// loadScenario decodes one scenario file. Unknown keys and trailing data are
+// errors naming the file, so a typo such as "migraton" cannot silently run a
+// different scenario.
+func loadScenario(path string) (scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return scenario{}, err
+	}
+	defer f.Close()
+	var sc scenario
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return scenario{}, fmt.Errorf("parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return scenario{}, fmt.Errorf("parse %s: trailing data after the scenario object", path)
+	}
+	return sc, nil
 }
 
 // executeAll runs every spec across a bounded worker pool, buffering each
@@ -393,9 +386,6 @@ func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath, traceP
 		EnableReconcile: sc.Reconcile,
 		EnableSLO:       sc.SLO,
 		ReservedCPU:     1,
-		PollingNet:      sc.PollingNet,
-		Shards:          sc.Shards,
-		EvalWorkers:     sc.EvalWorkers,
 	}
 	if sc.Batch {
 		cfg.BatchPlacement = true

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab [-seed N] [-quick] [-workers N] [-replicas N] [-shards N]
+//	benchtab [-seed N] [-quick] [-workers N] [-replicas N]
 //	         [-cpuprofile FILE] [-memprofile FILE] <experiment>...
 //	benchtab all
 //
@@ -16,17 +16,11 @@
 // seed..seed+R-1. Output order — and, modulo timing lines, output bytes —
 // is identical whatever the worker count.
 //
-// -shards partitions each experiment's mesh into N regions and runs the
-// simulated network shard-parallel; output is byte-identical to -shards 1 at
-// equal seeds. N must be at least 1 and no larger than the experiment
-// topology's node count (the region ceiling).
-//
 // How fast the simulator itself runs is measured by `go run ./bench`, not
 // here.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +31,6 @@ import (
 	"time"
 
 	"bass/internal/experiments"
-	"bass/internal/mesh"
 )
 
 func main() {
@@ -53,14 +46,10 @@ func run(args []string, stdout io.Writer) error {
 	quick := fs.Bool("quick", false, "shorter horizons and smaller sweeps")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = sequential)")
 	replicas := fs.Int("replicas", 1, "per-seed replicas of each experiment (seed, seed+1, ...)")
-	shards := fs.Int("shards", 1, "mesh regions per experiment run (1 = single-shard; byte-identical output at any count)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d (usage: -shards N, 1 <= N <= the experiment topology's node count)", *shards)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -106,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("replicas must be >= 1, got %d", *replicas)
 	}
 
-	runs := experiments.Replicate(names, *seed, *replicas, *quick, *shards)
+	runs := experiments.Replicate(names, *seed, *replicas, *quick)
 	var firstErr error
 	experiments.ExecuteStream(runs, *workers, func(res experiments.Result) {
 		label := res.Run.Job
@@ -125,9 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", label, res.Elapsed.Round(time.Millisecond))
 	})
-	if errors.Is(firstErr, mesh.ErrPartitionRange) {
-		return fmt.Errorf("%w (usage: -shards N, 1 <= N <= the experiment topology's node count)", firstErr)
-	}
 	return firstErr
 }
 

@@ -18,7 +18,7 @@ import (
 // returns the journal JSONL and the Prometheus metric dump. moveBudget only
 // applies when batch is true; a negative budget is the zero-move search the
 // differential below pins against greedy.
-func batchDiffRun(t *testing.T, seed int64, polling, batch bool, moveBudget int) (journal, metrics []byte) {
+func batchDiffRun(t *testing.T, seed int64, batch bool, moveBudget int) (journal, metrics []byte) {
 	t.Helper()
 	const rows, cols, apps = 6, 6, 12
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: rows, Cols: cols, Seed: seed, Duration: 10 * time.Minute})
@@ -35,7 +35,6 @@ func batchDiffRun(t *testing.T, seed int64, polling, batch bool, moveBudget int)
 	cfg := Config{
 		EnableMigration: true,
 		MonitorInterval: 30 * time.Second,
-		PollingNet:      polling,
 	}
 	if batch {
 		cfg.BatchPlacement = true
@@ -74,31 +73,25 @@ func batchDiffRun(t *testing.T, seed int64, polling, batch bool, moveBudget int)
 // TestBatchZeroBudgetByteIdenticalToGreedy pins the batch mode's containment
 // contract: with a zero-move budget (MoveBudget < 0 at the core level) the
 // batch-wrapped policy must produce byte-identical journals — including every
-// sched_candidate scoreboard row — and metric dumps to the plain greedy path,
-// across both net drivers and three seeds. The new mode cannot silently
+// sched_candidate scoreboard row — and metric dumps to the plain greedy path
+// at three seeds. The new mode cannot silently
 // perturb existing experiment output.
 func TestBatchZeroBudgetByteIdenticalToGreedy(t *testing.T) {
-	for _, polling := range []bool{false, true} {
-		driver := "event-driven"
-		if polling {
-			driver = "polling"
-		}
-		t.Run(driver, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				refJournal, refMetrics := batchDiffRun(t, seed, polling, false, 0)
-				if len(refJournal) == 0 {
-					t.Fatalf("seed %d: greedy run produced an empty journal", seed)
-				}
-				gotJournal, gotMetrics := batchDiffRun(t, seed, polling, true, -1)
-				if !bytes.Equal(refJournal, gotJournal) {
-					t.Errorf("seed %d: zero-budget batch journal differs from greedy", seed)
-				}
-				if !bytes.Equal(refMetrics, gotMetrics) {
-					t.Errorf("seed %d: zero-budget batch metric dump differs from greedy", seed)
-				}
+	t.Run("event-driven", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			refJournal, refMetrics := batchDiffRun(t, seed, false, 0)
+			if len(refJournal) == 0 {
+				t.Fatalf("seed %d: greedy run produced an empty journal", seed)
 			}
-		})
-	}
+			gotJournal, gotMetrics := batchDiffRun(t, seed, true, -1)
+			if !bytes.Equal(refJournal, gotJournal) {
+				t.Errorf("seed %d: zero-budget batch journal differs from greedy", seed)
+			}
+			if !bytes.Equal(refMetrics, gotMetrics) {
+				t.Errorf("seed %d: zero-budget batch metric dump differs from greedy", seed)
+			}
+		}
+	})
 }
 
 // TestBatchSearchDeterministicAndVisible pins the other half of the
@@ -106,27 +99,21 @@ func TestBatchZeroBudgetByteIdenticalToGreedy(t *testing.T) {
 // identical journals and metrics) and its decisions are visible — ChoiceBatch
 // scoreboards reach the journal through the recorder.
 func TestBatchSearchDeterministicAndVisible(t *testing.T) {
-	for _, polling := range []bool{false, true} {
-		driver := "event-driven"
-		if polling {
-			driver = "polling"
+	t.Run("event-driven", func(t *testing.T) {
+		seed := int64(2)
+		j1, m1 := batchDiffRun(t, seed, true, 128)
+		j2, m2 := batchDiffRun(t, seed, true, 128)
+		if !bytes.Equal(j1, j2) {
+			t.Error("batch double-run journals differ")
 		}
-		t.Run(driver, func(t *testing.T) {
-			seed := int64(2)
-			j1, m1 := batchDiffRun(t, seed, polling, true, 128)
-			j2, m2 := batchDiffRun(t, seed, polling, true, 128)
-			if !bytes.Equal(j1, j2) {
-				t.Error("batch double-run journals differ")
-			}
-			if !bytes.Equal(m1, m2) {
-				t.Error("batch double-run metric dumps differ")
-			}
-			// The final verdict explanation emits candidate rows for the
-			// pseudo-component "joint" — its presence proves ChoiceBatch
-			// scoreboards flow through the recorder into the journal.
-			if !bytes.Contains(j1, []byte(`"joint"`)) {
-				t.Error("batch journal records no ChoiceBatch verdict explanations")
-			}
-		})
-	}
+		if !bytes.Equal(m1, m2) {
+			t.Error("batch double-run metric dumps differ")
+		}
+		// The final verdict explanation emits candidate rows for the
+		// pseudo-component "joint" — its presence proves ChoiceBatch
+		// scoreboards flow through the recorder into the journal.
+		if !bytes.Contains(j1, []byte(`"joint"`)) {
+			t.Error("batch journal records no ChoiceBatch verdict explanations")
+		}
+	})
 }

@@ -109,36 +109,12 @@ type Config struct {
 	// requirement is raised to that value. Declared requirements act as a
 	// floor; profiling never lowers them.
 	OnlineProfiling bool
-	// FailoverMaxRetries bounds placement attempts for a component stranded
-	// by a node failure before it parks in the recovery queue (default 5).
-	FailoverMaxRetries int
-	// FailoverBackoffBase is the first retry delay after a failed failover
-	// placement; each subsequent retry doubles it (default 5 s), capped at
-	// failoverBackoffMax and spread by ±failoverBackoffJitter.
-	FailoverBackoffBase time.Duration
 	// EnableReconcile replaces the reactive failover path with the
 	// declarative reconciliation loop: deployments register desired-state
-	// specs, and a reconciler diffs desired vs. observed placement each
-	// epoch, converging through idempotent, bounded actions (see
+	// specs, and a reconciler diffs desired vs. observed placement every
+	// MonitorInterval, converging through idempotent, bounded actions (see
 	// internal/reconcile).
 	EnableReconcile bool
-	// Reconcile tunes the reconciliation loop (zero fields take reconcile
-	// package defaults; a zero Epoch follows MonitorInterval).
-	Reconcile reconcile.Config
-	// PollingNet drives the simulated network with the legacy once-per-second
-	// capacity polling loop instead of event-driven change-point scheduling.
-	// Both drivers produce bit-identical experiment output (the equivalence
-	// the simnet and experiments differential tests assert); polling exists
-	// as an escape hatch and as the reference side of those tests.
-	PollingNet bool
-	// Shards partitions the mesh into this many regions (keyed by the
-	// simulation seed) and runs the network's per-link and per-flow allocator
-	// phases shard-parallel behind a bounded worker pool. 0 or 1 means
-	// single-shard. The sharded driver is byte-identical to the single-shard
-	// one at equal seeds — the sharded differential tests pin this — so the
-	// setting trades wall-clock for nothing but worker overhead at small
-	// scales. NewSimulation fails when Shards exceeds the node count.
-	Shards int
 	// EvalWorkers sizes the worker pool for the controller's per-application
 	// evaluation fan-out and for chunked migration-candidate scoring. 0 or 1
 	// evaluates serially. Decisions are byte-identical at any worker count:
@@ -166,9 +142,6 @@ type Config struct {
 	// supplies a store, and — like migration itself — only evaluated while
 	// the controller loop runs (EnableMigration).
 	EnableSLO bool
-	// SLO tunes the evaluator (zero fields take slo package defaults; a zero
-	// Interval follows MonitorInterval).
-	SLO slo.Config
 }
 
 // DefaultBatchMoveBudget is the joint-candidate evaluation budget used when
@@ -178,9 +151,15 @@ type Config struct {
 // microseconds for the greedy seed alone.
 const DefaultBatchMoveBudget = 256
 
-// Fixed retry and profiling parameters. The backoff pair also seeds the
-// reconciler's defaults, so both recovery paths retry on one schedule.
+// Fixed retry and profiling parameters. The backoff constants also configure
+// the reconciler, so both recovery paths retry on one schedule.
 const (
+	// failoverMaxRetries bounds placement attempts for a component stranded
+	// by a node failure before it parks in the recovery queue.
+	failoverMaxRetries = 5
+	// failoverBackoffBase is the first retry delay after a failed failover
+	// placement; each subsequent retry doubles it.
+	failoverBackoffBase = 5 * time.Second
 	// failoverBackoffMax caps the failover retry delay.
 	failoverBackoffMax = 2 * time.Minute
 	// failoverBackoffJitter spreads each retry delay by ±frac, drawn from the
@@ -203,27 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Controller == (controller.Config{}) {
 		c.Controller = controller.DefaultConfig()
-	}
-	if c.FailoverMaxRetries == 0 {
-		c.FailoverMaxRetries = 5
-	}
-	if c.FailoverBackoffBase == 0 {
-		c.FailoverBackoffBase = 5 * time.Second
-	}
-	if c.Reconcile.Epoch == 0 {
-		c.Reconcile.Epoch = c.MonitorInterval
-	}
-	if c.Reconcile.BackoffBase == 0 {
-		c.Reconcile.BackoffBase = c.FailoverBackoffBase
-	}
-	if c.Reconcile.BackoffMax == 0 {
-		c.Reconcile.BackoffMax = failoverBackoffMax
-	}
-	if c.Reconcile.JitterFrac == 0 {
-		c.Reconcile.JitterFrac = failoverBackoffJitter
-	}
-	if c.SLO.Interval == 0 {
-		c.SLO.Interval = c.MonitorInterval
 	}
 	return c
 }
@@ -359,7 +317,12 @@ func New(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluste
 		o.cfg.Policy = batch
 	}
 	if cfg.EnableReconcile {
-		o.rec = reconcile.New(cfg.Reconcile, reconcileHost{o})
+		o.rec = reconcile.New(reconcile.Config{
+			Epoch:       cfg.MonitorInterval,
+			BackoffBase: failoverBackoffBase,
+			BackoffMax:  failoverBackoffMax,
+			JitterFrac:  failoverBackoffJitter,
+		}, reconcileHost{o})
 		o.nodeDownSpan = make(map[string]uint64)
 	}
 	return o
@@ -383,7 +346,7 @@ func (o *Orchestrator) AttachObservability(journal *obs.Journal, store *metricst
 		o.resolveEdgeHandles(s)
 	}
 	if o.cfg.EnableSLO {
-		o.sloEval = slo.New(o.plane, o.cfg.SLO)
+		o.sloEval = slo.New(o.plane, slo.Config{Interval: o.cfg.MonitorInterval})
 		o.epochGapH = o.plane.MetricHandle(obs.MetricControlEpochGap, nil)
 		// Mesh-wide headroom and the control loop's own cadence are always
 		// worth watching; per-app goodput specs ride along with each Deploy.

@@ -137,7 +137,7 @@ func (o *Orchestrator) handleNodeRecovered(node string, cause uint64) {
 // tryFailover attempts to re-place one stranded component. Placement failures
 // retry with exponential backoff (base × 2^attempt, capped, jittered ±frac
 // from the engine's seeded RNG so retries de-synchronize without breaking the
-// equal-seeds-byte-identical contract) up to the configured attempt budget,
+// equal-seeds-byte-identical contract) up to failoverMaxRetries attempts,
 // then park in the recovery queue.
 func (o *Orchestrator) tryFailover(p *pendingFailover) {
 	app, ok := o.apps[p.app]
@@ -148,7 +148,7 @@ func (o *Orchestrator) tryFailover(p *pendingFailover) {
 	if o.placeFailover(app, p) {
 		return
 	}
-	if p.attempts >= o.cfg.FailoverMaxRetries {
+	if p.attempts >= failoverMaxRetries {
 		o.failoverQueue = append(o.failoverQueue, p)
 		o.plane.Emit(obs.Event{Type: obs.EventFailoverQueued, App: p.app, Component: p.component,
 			From: p.fromNode, Cause: p.cause,
@@ -156,7 +156,7 @@ func (o *Orchestrator) tryFailover(p *pendingFailover) {
 			Value:  float64(p.attempts)})
 		return
 	}
-	delay := reconcile.Backoff(o.cfg.FailoverBackoffBase, failoverBackoffMax,
+	delay := reconcile.Backoff(failoverBackoffBase, failoverBackoffMax,
 		failoverBackoffJitter, p.attempts, o.eng.Rand())
 	o.eng.After(delay, func() { o.tryFailover(p) })
 }
@@ -205,12 +205,12 @@ func (o *Orchestrator) placeFailover(app *deployedApp, p *pendingFailover) bool 
 		From:      p.fromNode,
 		To:        target,
 		Attempts:  p.attempts,
-		FromQueue: p.attempts > o.cfg.FailoverMaxRetries,
+		FromQueue: p.attempts > failoverMaxRetries,
 	})
 	mttr := o.eng.Now() + o.cfg.MigrationDowntime - p.detectedAt
 	o.mttrs = append(o.mttrs, mttr)
 	reason := "re-placed after node failure"
-	if p.attempts > o.cfg.FailoverMaxRetries {
+	if p.attempts > failoverMaxRetries {
 		reason = "re-placed from recovery queue"
 	}
 	foSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventFailover, App: app.name, Component: p.component,

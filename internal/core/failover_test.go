@@ -8,6 +8,7 @@ import (
 	"bass/internal/cluster"
 	"bass/internal/faults"
 	"bass/internal/mesh"
+	"bass/internal/obs"
 )
 
 // chaosSim builds a full-mesh simulation with failure detection armed: the
@@ -126,20 +127,19 @@ func TestNodeCrashDetectedAndFailedOver(t *testing.T) {
 	}
 }
 
-// TestFailoverQueuesUntilCapacityReturns exhausts placement retries (no
-// surviving node fits the component) and checks the component waits in the
-// recovery queue, then lands as soon as the crashed node returns.
+// TestFailoverQueuesUntilCapacityReturns exhausts the five placement retries
+// (no surviving node fits the component) and checks the component waits in
+// the recovery queue, then lands as soon as the crashed node returns.
 func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	nodes := []cluster.Node{
 		{Name: "n1", CPU: 4, MemoryMB: 4096},
 		{Name: "n2", CPU: 4, MemoryMB: 4096},
 		{Name: "n3", CPU: 1, MemoryMB: 512}, // too small for a CPU-4 component
 	}
-	s := chaosSim(t, nodes, Config{
-		FailoverMaxRetries:  2,
-		FailoverBackoffBase: 5 * time.Second,
-	})
+	s := chaosSim(t, nodes, Config{})
 	defer s.Close()
+	journal := obs.NewJournal(0)
+	s.AttachObservability(journal, nil)
 	w := newPairWorkload("pair", 8, "", 4) // CPU 4: exactly one per big node
 	assignment, err := s.Orch.Deploy("pair", w)
 	if err != nil {
@@ -178,6 +178,21 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	fo := report.Failovers[0]
 	if !fo.FromQueue {
 		t.Errorf("failover %+v should have come from the queue", fo)
+	}
+	// The retry schedule: five attempts, the four gaps between them backing
+	// off 5+10+20+40 s, each jittered ±20 %, before the component parks.
+	var queued []obs.Event
+	for _, ev := range journal.Events() {
+		if ev.Type == obs.EventFailoverQueued {
+			queued = append(queued, ev)
+		}
+	}
+	if len(queued) != 1 || queued[0].Value != failoverMaxRetries {
+		t.Fatalf("failover_queued events = %+v, want one after %d attempts", queued, failoverMaxRetries)
+	}
+	const schedule = 75 * time.Second
+	if wait := queued[0].At - report.Detections[0].DetectedAt; wait < schedule*8/10 || wait > schedule*12/10 {
+		t.Errorf("parked %v after detection, want %v ±20%%", wait, schedule)
 	}
 	if fo.To != victim {
 		t.Errorf("dst re-placed on %q, want the recovered %q (only node that fits)", fo.To, victim)

@@ -28,7 +28,7 @@ var (
 // diffRun executes a storm-loaded multi-app simulation with observability
 // attached and the given eval-worker count, returning the journal JSONL, the
 // Prometheus metric dump, and the number of migrations committed.
-func diffRun(t *testing.T, grid diffGrid, seed int64, polling bool, workers int) (journal, metrics []byte, migrations int) {
+func diffRun(t *testing.T, grid diffGrid, seed int64, workers int) (journal, metrics []byte, migrations int) {
 	t.Helper()
 	rows, cols, apps := grid.rows, grid.cols, grid.apps
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: rows, Cols: cols, Seed: seed, Duration: 10 * time.Minute})
@@ -46,7 +46,6 @@ func diffRun(t *testing.T, grid diffGrid, seed int64, polling bool, workers int)
 		EnableMigration: true,
 		MonitorInterval: 30 * time.Second,
 		EvalWorkers:     workers,
-		PollingNet:      polling,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +83,8 @@ func diffRun(t *testing.T, grid diffGrid, seed int64, polling bool, workers int)
 // at seeds 1–3, captured at the commit before the target choosers were folded
 // into one scoring loop. Chain apps have at most two neighbors per component,
 // so those bytes were already reproducible there. Matching them is the
-// cross-commit proof that no scoreboard moved — something neither the
-// worker-count differential nor the net-driver differential can show.
+// cross-commit proof that no scoreboard moved — something the worker-count
+// differential cannot show.
 var goldenDiffRun = map[int64][2]string{
 	1: {"a903c3c7a3a130db9b1c0b942ad6e1ef13874d69d0cc4a993a0e03029e94b2b3", "1bf812e9fb6085c62213be921ef4a2d94399a649fcfc7b68ea21c2f5b5a52087"},
 	2: {"786491fa755bb5cc41d88dd86a5eb6c1574a2d75de9e893a645b156a0b193f60", "888f060700bed61fd9f740aca89d903cb1b4bfb39fa9d99bf02ee6cf1cb6f362"},
@@ -95,25 +94,23 @@ var goldenDiffRun = map[int64][2]string{
 // TestParallelEvalByteIdentical pins the hot path's determinism contract at
 // the core level: with many storm-loaded apps contending, the controller's
 // journal and metric output must be byte-identical whatever the eval-worker
-// count, on both net drivers. Candidate scoring may fan out, but every
+// count. Candidate scoring may fan out, but every
 // emission happens in the serial commit phase in deployment order, so span
 // IDs, journal bytes, and metric series cannot depend on scheduling.
 func TestParallelEvalByteIdentical(t *testing.T) {
 	cases := []struct {
-		name    string
-		grid    diffGrid
-		polling bool
-		golden  map[int64][2]string
+		name   string
+		grid   diffGrid
+		golden map[int64][2]string
 	}{
-		{"event-driven", diffGridTown, false, goldenDiffRun},
-		{"polling", diffGridTown, true, goldenDiffRun},
-		{"chunked-scoring", diffGridWide, false, nil},
+		{"event-driven", diffGridTown, goldenDiffRun},
+		{"chunked-scoring", diffGridWide, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sawMigration := false
 			for seed := int64(1); seed <= 3; seed++ {
-				refJournal, refMetrics, migs := diffRun(t, tc.grid, seed, tc.polling, 0)
+				refJournal, refMetrics, migs := diffRun(t, tc.grid, seed, 0)
 				if len(refJournal) == 0 {
 					t.Fatalf("seed %d: serial run produced an empty journal", seed)
 				}
@@ -127,7 +124,7 @@ func TestParallelEvalByteIdentical(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{4, 7} {
-					gotJournal, gotMetrics, _ := diffRun(t, tc.grid, seed, tc.polling, workers)
+					gotJournal, gotMetrics, _ := diffRun(t, tc.grid, seed, workers)
 					if !bytes.Equal(refJournal, gotJournal) {
 						t.Errorf("seed %d: journal with %d workers differs from serial", seed, workers)
 					}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -143,7 +145,7 @@ func TestReconcileParksThenConvergesWhenCapacityReturns(t *testing.T) {
 
 // reconcileCrashRun executes the reconcile-mode crash scenario with a journal
 // attached and returns the journal bytes.
-func reconcileCrashRun(t *testing.T, polling bool) []byte {
+func reconcileCrashRun(t *testing.T) []byte {
 	t.Helper()
 	nodes := fourNodes()
 	nodes[0].CPU = 3
@@ -157,7 +159,6 @@ func reconcileCrashRun(t *testing.T, polling bool) []byte {
 		EnableReconcile:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 2 * time.Second,
-		PollingNet:        polling,
 	}
 	s, err := NewSimulation(topo, nodes, 1, cfg)
 	if err != nil {
@@ -188,19 +189,25 @@ func reconcileCrashRun(t *testing.T, polling bool) []byte {
 	return buf.Bytes()
 }
 
+// goldenReconcileJournal is the SHA-256 of reconcileCrashRun's journal,
+// captured when the polling network driver was still selectable here and both
+// drivers produced these bytes.
+const goldenReconcileJournal = "9fca8d80708f481633f5c31a184940bd3afc68f8c0736d4b3a6b6ba2b0d58f35"
+
 // TestReconcileJournalIdenticalAcrossDrivers extends the determinism contract
 // to the reconciler: at equal seeds the full decision journal — drift,
-// actions, convergence, gauges — is byte-identical whether the network runs
-// event-driven or polling.
+// actions, convergence, gauges — is byte-identical run to run, and equal to
+// the journal both network drivers once agreed on.
 func TestReconcileJournalIdenticalAcrossDrivers(t *testing.T) {
-	event := reconcileCrashRun(t, false)
-	poll := reconcileCrashRun(t, true)
-	if !bytes.Equal(event, poll) {
-		t.Fatalf("reconcile journals differ across drivers:\nevent-driven %d bytes\npolling %d bytes",
-			len(event), len(poll))
+	first := reconcileCrashRun(t)
+	if second := reconcileCrashRun(t); !bytes.Equal(first, second) {
+		t.Fatalf("reconcile journals differ at equal seeds: %d vs %d bytes", len(first), len(second))
 	}
-	if !bytes.Contains(event, []byte(obs.EventReconcileDrift)) ||
-		!bytes.Contains(event, []byte(obs.EventReconcileConverged)) {
+	if got := fmt.Sprintf("%x", sha256.Sum256(first)); got != goldenReconcileJournal {
+		t.Errorf("reconcile journal digest %s, want golden %s", got, goldenReconcileJournal)
+	}
+	if !bytes.Contains(first, []byte(obs.EventReconcileDrift)) ||
+		!bytes.Contains(first, []byte(obs.EventReconcileConverged)) {
 		t.Fatal("journal missing reconcile drift/converged events")
 	}
 }

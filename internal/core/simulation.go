@@ -41,14 +41,6 @@ func NewSimulation(topo *mesh.Topology, nodes []cluster.Node, seed int64, cfg Co
 	}
 	eng := sim.NewEngine(seed)
 	net := simnet.New(eng, topo)
-	if cfg.PollingNet {
-		net.SetPolling(true)
-	}
-	if cfg.Shards > 1 {
-		if err := net.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
 	orch := New(eng, topo, net, clus, cfg)
 	s := &Simulation{
 		Eng:     eng,

@@ -19,7 +19,7 @@ import (
 // row 1, overcommitting the surviving middle link (~40 Mbps of demand on a
 // 25 Mbps link) — goodput and headroom SLIs both go bad for the fault
 // window, so alerts must fire and later resolve.
-func runSLOScenario(t *testing.T, seed int64, polling bool, workers int) (*obs.Journal, []obs.Event) {
+func runSLOScenario(t *testing.T, seed int64, workers int) (*obs.Journal, []obs.Event) {
 	t.Helper()
 	rows, cols := 2, 4
 	topo := staticGrid(rows, cols, 25)
@@ -32,7 +32,6 @@ func runSLOScenario(t *testing.T, seed int64, polling bool, workers int) (*obs.J
 	s, err := NewSimulation(topo, nodes, seed, Config{
 		EnableMigration: true,
 		MonitorInterval: 30 * time.Second,
-		PollingNet:      polling,
 		EvalWorkers:     workers,
 		EnableSLO:       true,
 	})
@@ -84,12 +83,12 @@ func alertBytes(t *testing.T, alerts []obs.Event) []byte {
 }
 
 // TestSLOAlertJournalDifferential pins the determinism half of the SLO
-// contract: at equal seeds the alert journal is byte-identical across both
-// net drivers and any EvalWorkers count — and alerts actually fire during
+// contract: at equal seeds the alert journal is byte-identical at any
+// EvalWorkers count — and alerts actually fire during
 // the injected fault window and resolve after it.
 func TestSLOAlertJournalDifferential(t *testing.T) {
 	for _, seed := range []int64{42, 7} {
-		_, base := runSLOScenario(t, seed, false, 0)
+		_, base := runSLOScenario(t, seed, 0)
 		fired, resolved := 0, 0
 		for _, ev := range base {
 			switch ev.Type {
@@ -106,15 +105,9 @@ func TestSLOAlertJournalDifferential(t *testing.T) {
 			t.Fatalf("seed %d: no alerts resolved after recovery", seed)
 		}
 		want := alertBytes(t, base)
-		for _, v := range []struct {
-			polling bool
-			workers int
-		}{{false, 4}, {true, 0}, {true, 4}} {
-			_, alerts := runSLOScenario(t, seed, v.polling, v.workers)
-			if got := alertBytes(t, alerts); !bytes.Equal(got, want) {
-				t.Errorf("seed %d polling=%v workers=%d: alert journal diverged\nwant:\n%s\ngot:\n%s",
-					seed, v.polling, v.workers, want, got)
-			}
+		_, alerts := runSLOScenario(t, seed, 4)
+		if got := alertBytes(t, alerts); !bytes.Equal(got, want) {
+			t.Errorf("seed %d workers=4: alert journal diverged\nwant:\n%s\ngot:\n%s", seed, want, got)
 		}
 	}
 }
@@ -124,7 +117,7 @@ func TestSLOAlertJournalDifferential(t *testing.T) {
 // probe observation, a headroom violation verdict, or the injected fault
 // itself. This is the invariant the CI obs-smoke job gates with bass-trace.
 func TestSLOAlertCauseChains(t *testing.T) {
-	journal, alerts := runSLOScenario(t, 42, false, 0)
+	journal, alerts := runSLOScenario(t, 42, 0)
 	events := journal.Events()
 	checked := 0
 	for _, ev := range alerts {

@@ -40,8 +40,6 @@ import (
 type AlertQualityOptions struct {
 	Seed    int64
 	Horizon time.Duration // 0 = 2h
-	Polling bool          // polling net driver instead of event-driven
-	Shards  int           // mesh regions (0/1 = single shard)
 }
 
 // detectGrace is how far past a window's repair an alert may still fire and
@@ -53,7 +51,6 @@ const detectGrace = 2 * time.Minute
 type AlertQualityResult struct {
 	Seed    int64
 	Horizon time.Duration
-	Polling bool
 
 	// FaultWindows counts every ground-truth window in the schedule;
 	// LinkWindows are the alertable (service-degrading) subset scored for
@@ -144,7 +141,7 @@ func alertStorm(seed int64, horizon time.Duration) *faults.Schedule {
 }
 
 // RunAlertQuality replays one seeded schedule and scores the alert journal.
-// Equal seeds yield identical results whatever the net driver or shard count.
+// Equal seeds yield identical results.
 func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * time.Hour
@@ -162,8 +159,6 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 		EnableMigration:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 5 * time.Second,
-		PollingNet:        o.Polling,
-		Shards:            o.Shards,
 		EnableSLO:         true,
 	})
 	if err != nil {
@@ -199,7 +194,6 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 	res := AlertQualityResult{
 		Seed:           o.Seed,
 		Horizon:        o.Horizon,
-		Polling:        o.Polling,
 		JournalSummary: obs.Summarize(journal.Events()),
 	}
 	goodput := 0.0
@@ -306,13 +300,9 @@ func (r *AlertQualityResult) score(linkWins []faults.Window, events []obs.Event)
 
 // Table renders one replay's scorecard.
 func (r AlertQualityResult) Table() Table {
-	driver := "event-driven"
-	if r.Polling {
-		driver = "polling"
-	}
 	return Table{
-		Title: fmt.Sprintf("Alert quality: seeded fault replay over %s, %s net (page 1m/5m @14.4x, ticket 5m/30m @6x)",
-			r.Horizon, driver),
+		Title: fmt.Sprintf("Alert quality: seeded fault replay over %s, event-driven net (page 1m/5m @14.4x, ticket 5m/30m @6x)",
+			r.Horizon),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"fault windows", fmt.Sprintf("%d (%d link, %d probe-loss)", r.FaultWindows, r.LinkWindows, r.ProbeWindows)},
@@ -331,9 +321,7 @@ func (r AlertQualityResult) Table() Table {
 
 func init() {
 	register("alertquality", func(p Params) ([]Table, error) {
-		r, err := RunAlertQuality(AlertQualityOptions{
-			Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour), Shards: p.ShardCount(),
-		})
+		r, err := RunAlertQuality(AlertQualityOptions{Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour)})
 		if err != nil {
 			return nil, err
 		}

@@ -5,16 +5,11 @@ import (
 	"time"
 )
 
-// aqOpts is the test-sized replay: 30 minutes fits two link windows and at
-// most one probe-loss window, enough to score without a long run.
-func aqOpts(seed int64, polling bool, shards int) AlertQualityOptions {
-	return AlertQualityOptions{Seed: seed, Horizon: 30 * time.Minute, Polling: polling, Shards: shards}
-}
-
-// TestAlertQualityScores pins the full two-hour scorecard at three seeds on
-// both net drivers: every injected link outage is detected, every alert falls
-// inside a (graced) fault window, and detection and repair-to-clear latencies
-// are exact to the nanosecond. Both drivers must produce the same card.
+// TestAlertQualityScores pins the full two-hour scorecard at three seeds:
+// every injected link outage is detected, every alert falls inside a (graced)
+// fault window, and detection and repair-to-clear latencies are exact to the
+// nanosecond. Both network drivers produced these cards when the driver was
+// still an option here.
 func TestAlertQualityScores(t *testing.T) {
 	type card struct {
 		FaultWindows, LinkWindows, Detected, AlertsFired, TruePositives int
@@ -29,42 +24,29 @@ func TestAlertQualityScores(t *testing.T) {
 		{43, card{15, 10, 10, 99, 99, 1, 1, 36593777396, 40609472000, 53693161795, 282712547373}},
 		{44, card{13, 9, 9, 90, 90, 1, 1, 36782105428, 40074073151, 55071539073, 291853330586}},
 	} {
-		for _, polling := range []bool{false, true} {
-			r, err := RunAlertQuality(AlertQualityOptions{Seed: tc.seed, Polling: polling})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := card{r.FaultWindows, r.LinkWindows, r.Detected, r.AlertsFired, r.TruePositives,
-				r.Precision, r.Recall, r.MTTD, r.DetectP50, r.DetectMax, r.MTTR}
-			if got != tc.want {
-				t.Errorf("seed %d polling=%v: scorecard\n got %+v\nwant %+v", tc.seed, polling, got, tc.want)
-			}
+		r, err := RunAlertQuality(AlertQualityOptions{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := card{r.FaultWindows, r.LinkWindows, r.Detected, r.AlertsFired, r.TruePositives,
+			r.Precision, r.Recall, r.MTTD, r.DetectP50, r.DetectMax, r.MTTR}
+		if got != tc.want {
+			t.Errorf("seed %d: scorecard\n got %+v\nwant %+v", tc.seed, got, tc.want)
 		}
 	}
 }
 
-// TestAlertQualityDifferential pins the determinism claim the slo gate
-// checks mechanically: the scorecard is identical across both net drivers
-// and shard counts at equal seeds.
+// TestAlertQualityDifferential pins the rendered seed-7 scorecard of a
+// 30-minute replay (two link windows, enough to score) to the bytes every net
+// driver and shard count produced when those were options here (see
+// golden_test.go).
 func TestAlertQualityDifferential(t *testing.T) {
-	base, err := RunAlertQuality(aqOpts(7, false, 1))
+	r, err := RunAlertQuality(AlertQualityOptions{Seed: 7, Horizon: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := base.Table().String()
-	for _, v := range []struct {
-		polling bool
-		shards  int
-	}{{true, 1}, {false, 4}, {true, 4}} {
-		r, err := RunAlertQuality(aqOpts(7, v.polling, v.shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Polling = base.Polling // the driver name in the title is the one allowed difference
-		if got := r.Table().String(); got != want {
-			t.Errorf("polling=%v shards=%d: scorecard diverged\nwant:\n%s\ngot:\n%s", v.polling, v.shards, want, got)
-		}
-	}
+	pinDigest(t, "alert quality table", r.Table().String(),
+		"68228d6689b3978717809fff2e9adbcf1b8eea8e9b96c7d439f144ad7284840d")
 }
 
 // TestAlertStormValid checks generated schedules against the window

@@ -38,7 +38,7 @@ type ChaosResult struct {
 	FramesLost      int
 	Migrations      int
 	// JournalSummary is the decision journal rolled up by event type
-	// ("type:count ..."), identical for equal seeds and across net drivers.
+	// ("type:count ..."), identical for equal seeds.
 	JournalSummary string
 }
 
@@ -49,12 +49,6 @@ type ChaosResult struct {
 // with bounded-retry backoff are armed; the result reports MTTR,
 // availability, and requests lost. Equal seeds yield identical results.
 func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
-	return runChaos(seed, horizon, false, 1)
-}
-
-// runChaos selects the network driver and shard count so the differential
-// tests can compare event-driven, polling, and sharded runs byte for byte.
-func runChaos(seed int64, horizon time.Duration, polling bool, shards int) (ChaosResult, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
@@ -69,8 +63,6 @@ func runChaos(seed int64, horizon time.Duration, polling bool, shards int) (Chao
 		EnableMigration:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 5 * time.Second,
-		PollingNet:        polling,
-		Shards:            shards,
 	})
 	if err != nil {
 		return ChaosResult{}, err
@@ -176,7 +168,7 @@ func (r ChaosResult) queuedFailovers() int {
 
 func init() {
 	register("chaos", func(p Params) ([]Table, error) {
-		r, err := runChaos(p.Seed, p.Horizon(20*time.Minute), false, p.ShardCount())
+		r, err := RunChaos(p.Seed, p.Horizon(20*time.Minute))
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ type Fig8Result struct {
 	GoodputAfterFirstMigration float64
 	GoodputEnd                 float64
 	// JournalSummary is the decision journal rolled up by event type
-	// ("type:count ..."), identical for equal seeds and across net drivers.
+	// ("type:count ..."), identical for equal seeds.
 	JournalSummary string
 }
 
@@ -36,12 +36,6 @@ type Fig8Result struct {
 // node1-node3 link degrades and node3-node4 recovers, forcing a migration
 // back.
 func RunFig8(seed int64) (Fig8Result, error) {
-	return runFig8(seed, false, 1)
-}
-
-// runFig8 selects the network driver and shard count so the differential
-// tests can compare event-driven, polling, and sharded runs byte for byte.
-func runFig8(seed int64, polling bool, shards int) (Fig8Result, error) {
 	const (
 		firstDrop  = 540 * time.Second
 		secondFlip = 1119 * time.Second
@@ -86,8 +80,6 @@ func runFig8(seed int64, polling bool, shards int) (Fig8Result, error) {
 		EnableMigration:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 10 * time.Second,
-		PollingNet:        polling,
-		Shards:            shards,
 	})
 	if err != nil {
 		return Fig8Result{}, err
@@ -146,7 +138,7 @@ func (r Fig8Result) Table() Table {
 
 func init() {
 	register("fig8", func(p Params) ([]Table, error) {
-		r, err := runFig8(p.Seed, false, p.ShardCount())
+		r, err := RunFig8(p.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ type LongevityResult struct {
 	MaxWaveActions int
 	Report         core.RecoveryReport
 	// JournalSummary rolls up the decision journal by event type; identical
-	// for equal seeds and across net drivers.
+	// for equal seeds.
 	JournalSummary string
 }
 
@@ -58,17 +58,16 @@ type LongevityResult struct {
 // clamped to the first half of its wave so the second half is quiet, and the
 // reconciler enabled. Equal seeds yield identical results.
 func RunLongevity(seed int64, horizon time.Duration) (LongevityResult, error) {
-	r, _, err := runLongevity(seed, horizon, false, 1)
+	r, _, err := runLongevity(seed, horizon)
 	return r, err
 }
 
 // longevityWaves is the number of storm waves a soak always runs.
 const longevityWaves = 4
 
-// runLongevity selects the network driver and shard count, and also returns
-// the raw decision journal so differential tests can compare drivers byte for
-// byte.
-func runLongevity(seed int64, horizon time.Duration, polling bool, shards int) (LongevityResult, []obs.Event, error) {
+// runLongevity is RunLongevity that also returns the raw decision journal, so
+// tests can check its cause chains and pin its bytes.
+func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Event, error) {
 	if horizon == 0 {
 		horizon = 80 * time.Minute
 	}
@@ -87,8 +86,6 @@ func runLongevity(seed int64, horizon time.Duration, polling bool, shards int) (
 		EnableReconcile:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 5 * time.Second,
-		PollingNet:        polling,
-		Shards:            shards,
 	})
 	if err != nil {
 		return LongevityResult{}, nil, err
@@ -212,7 +209,7 @@ func (r LongevityResult) Table() Table {
 
 func init() {
 	register("longevity", func(p Params) ([]Table, error) {
-		r, _, err := runLongevity(p.Seed, p.Horizon(80*time.Minute), false, p.ShardCount())
+		r, err := RunLongevity(p.Seed, p.Horizon(80*time.Minute))
 		if err != nil {
 			return nil, err
 		}

@@ -15,11 +15,6 @@ type Params struct {
 	Seed int64
 	// Quick shrinks horizons and sweep sizes for smoke runs.
 	Quick bool
-	// Shards partitions each run's mesh into this many regions and runs the
-	// network shard-parallel (see core.Config.Shards). 0 or 1 means
-	// single-shard; counts above a topology's node count fail the job with
-	// mesh.ErrPartitionRange.
-	Shards int
 }
 
 // Horizon scales a full experiment horizon down in quick mode.
@@ -28,14 +23,6 @@ func (p Params) Horizon(full time.Duration) time.Duration {
 		return full / 4
 	}
 	return full
-}
-
-// ShardCount normalises Shards for core.Config (minimum 1).
-func (p Params) ShardCount() int {
-	if p.Shards < 1 {
-		return 1
-	}
-	return p.Shards
 }
 
 // Job is a named, self-contained experiment: one table or figure of the
@@ -102,14 +89,14 @@ type Result struct {
 // Replicate expands the named jobs into per-seed replicas: for each job, one
 // Run per seed in [seed, seed+replicas). The returned order is job-major,
 // seed-ascending — the deterministic aggregation order Execute preserves.
-func Replicate(names []string, seed int64, replicas int, quick bool, shards int) []Run {
+func Replicate(names []string, seed int64, replicas int, quick bool) []Run {
 	if replicas < 1 {
 		replicas = 1
 	}
 	runs := make([]Run, 0, len(names)*replicas)
 	for _, name := range names {
 		for r := 0; r < replicas; r++ {
-			runs = append(runs, Run{Job: name, Params: Params{Seed: seed + int64(r), Quick: quick, Shards: shards}})
+			runs = append(runs, Run{Job: name, Params: Params{Seed: seed + int64(r), Quick: quick}})
 		}
 	}
 	return runs

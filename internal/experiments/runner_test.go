@@ -29,17 +29,17 @@ func TestCanonicalOrderMatchesRegistry(t *testing.T) {
 }
 
 func TestReplicateSeedOrdered(t *testing.T) {
-	runs := Replicate([]string{"fig2", "fig8"}, 10, 3, true, 2)
+	runs := Replicate([]string{"fig2", "fig8"}, 10, 3, true)
 	if len(runs) != 6 {
 		t.Fatalf("runs = %d, want 6", len(runs))
 	}
 	want := []Run{
-		{Job: "fig2", Params: Params{Seed: 10, Quick: true, Shards: 2}},
-		{Job: "fig2", Params: Params{Seed: 11, Quick: true, Shards: 2}},
-		{Job: "fig2", Params: Params{Seed: 12, Quick: true, Shards: 2}},
-		{Job: "fig8", Params: Params{Seed: 10, Quick: true, Shards: 2}},
-		{Job: "fig8", Params: Params{Seed: 11, Quick: true, Shards: 2}},
-		{Job: "fig8", Params: Params{Seed: 12, Quick: true, Shards: 2}},
+		{Job: "fig2", Params: Params{Seed: 10, Quick: true}},
+		{Job: "fig2", Params: Params{Seed: 11, Quick: true}},
+		{Job: "fig2", Params: Params{Seed: 12, Quick: true}},
+		{Job: "fig8", Params: Params{Seed: 10, Quick: true}},
+		{Job: "fig8", Params: Params{Seed: 11, Quick: true}},
+		{Job: "fig8", Params: Params{Seed: 12, Quick: true}},
 	}
 	for i, r := range runs {
 		if r != want[i] {
@@ -78,7 +78,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	runs := Replicate([]string{"fig2", "fig8", "table2"}, 42, 2, true, 1)
+	runs := Replicate([]string{"fig2", "fig8", "table2"}, 42, 2, true)
 
 	sequential := render(Execute(runs, 1))
 	var mu sync.Mutex
@@ -118,7 +118,7 @@ func TestRunsAreSeedDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	runs := Replicate([]string{"fig8"}, 7, 1, true, 1)
+	runs := Replicate([]string{"fig8"}, 7, 1, true)
 	a := render(Execute(runs, 1))
 	b := render(Execute(runs, 1))
 	if a != b {

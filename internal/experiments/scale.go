@@ -14,12 +14,11 @@ import (
 // ScaleOptions sizes a city-scale simnet run: a Rows×Cols street grid with
 // seeded step traces carrying a mixed-tier stream population. The workload is
 // a pure function of the options, so equal options yield byte-identical
-// simulation trajectories at every shard count — the property
-// TestScaleRateChecksumIdenticalSharded pins.
+// simulation trajectories — TestScaleRateChecksumIdenticalSharded pins the
+// rate checksum.
 type ScaleOptions struct {
 	Nodes   int           // grid node target (rounded up to Rows×Cols)
 	Flows   int           // concurrent streams
-	Shards  int           // 0/1 = single-shard
 	Horizon time.Duration // simulated duration (default 60 s)
 	Seed    int64
 }
@@ -33,9 +32,6 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 	}
 	if o.Horizon == 0 {
 		o.Horizon = time.Minute
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 	return o
 }
@@ -51,9 +47,9 @@ func gridDims(nodes int) (rows, cols int) {
 }
 
 // ScaleResult reports one scale run: sizing, simulator throughput, and a
-// rate checksum that pins cross-shard determinism.
+// rate checksum that pins the simulated trajectory.
 type ScaleResult struct {
-	Nodes, Links, Flows, Shards int
+	Nodes, Links, Flows int
 
 	SimSec  float64 // simulated seconds
 	WallSec float64 // host seconds
@@ -71,7 +67,7 @@ type ScaleResult struct {
 	FullPasses, SkippedPasses uint64
 
 	// RateChecksum is the sum of all stream rates at the horizon, in Mbps,
-	// summed in FlowID order. Bit-identical across shard counts.
+	// summed in FlowID order.
 	RateChecksum float64
 }
 
@@ -98,9 +94,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 	}
 	eng := sim.NewEngine(opts.Seed)
 	net := simnet.New(eng, topo)
-	if err := net.SetShards(opts.Shards); err != nil {
-		return ScaleResult{}, err
-	}
 	stop := net.Start()
 	defer stop()
 
@@ -169,7 +162,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 		Nodes:          rows * cols,
 		Links:          len(topo.Links()),
 		Flows:          len(ids),
-		Shards:         net.Shards(),
 		SimSec:         opts.Horizon.Seconds(),
 		WallSec:        wall,
 		Events:         events,
@@ -200,7 +192,7 @@ func clamp(v, n int) int {
 // Table renders one scale run.
 func (r ScaleResult) Table() Table {
 	return Table{
-		Title:  fmt.Sprintf("Scale: %d-node grid, %d flows, %d shard(s)", r.Nodes, r.Flows, r.Shards),
+		Title:  fmt.Sprintf("Scale: %d-node grid, %d flows", r.Nodes, r.Flows),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"links", fmt.Sprintf("%d", r.Links)},
@@ -219,7 +211,7 @@ func (r ScaleResult) Table() Table {
 
 func init() {
 	register("scale", func(p Params) ([]Table, error) {
-		opts := ScaleOptions{Nodes: 200, Flows: 5000, Horizon: time.Minute, Seed: p.Seed, Shards: p.ShardCount()}
+		opts := ScaleOptions{Nodes: 200, Flows: 5000, Horizon: time.Minute, Seed: p.Seed}
 		if p.Quick {
 			opts.Nodes, opts.Flows, opts.Horizon = 48, 400, 15*time.Second
 		}

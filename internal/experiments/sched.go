@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"bass/internal/cluster"
@@ -15,15 +14,13 @@ import (
 // Apps three-component chain applications under the full orchestration stack,
 // measuring how fast the controller's decision loop turns over. The workload
 // is a pure function of the options, so equal options yield identical
-// decisions at every worker count — the differential tests pin the stronger
-// byte-identity claim on journals.
+// decisions.
 type SchedOptions struct {
-	Nodes   int  // grid node target (rounded up to Rows×Cols)
-	Apps    int  // chain applications deployed
-	Workers int  // eval pool size, as core.Config.EvalWorkers (0 = serial)
-	Storm   bool // oversubscribed demands: violations every cycle
-	Cycles  int  // controller epochs to run (default 4)
-	Seed    int64
+	Nodes  int  // grid node target (rounded up to Rows×Cols)
+	Apps   int  // chain applications deployed
+	Storm  bool // oversubscribed demands: violations every cycle
+	Cycles int  // controller epochs to run (default 4)
+	Seed   int64
 }
 
 func (o SchedOptions) withDefaults() SchedOptions {
@@ -45,7 +42,6 @@ func (o SchedOptions) withDefaults() SchedOptions {
 // simulation between epochs is excluded).
 type SchedResult struct {
 	Nodes, Links, Apps int
-	Workers            int
 	Storm              bool
 	Cycles             int
 
@@ -95,13 +91,10 @@ func RunSched(opts SchedOptions) (SchedResult, error) {
 		}
 	}
 
-	cfg := core.Config{
+	s, err := core.NewSimulation(topo, nodes, opts.Seed, core.Config{
 		EnableMigration: true,
 		MonitorInterval: interval,
-		EvalWorkers:     opts.Workers,
-	}
-
-	s, err := core.NewSimulation(topo, nodes, opts.Seed, cfg)
+	})
 	if err != nil {
 		return SchedResult{}, err
 	}
@@ -160,7 +153,6 @@ func RunSched(opts SchedOptions) (SchedResult, error) {
 		Nodes:           n,
 		Links:           len(topo.Links()),
 		Apps:            opts.Apps,
-		Workers:         cfg.EvalWorkers,
 		Storm:           opts.Storm,
 		Cycles:          cs.Cycles,
 		AppEvals:        cs.AppEvaluations,
@@ -182,8 +174,7 @@ func (r SchedResult) Table() Table {
 		load = "storm"
 	}
 	return Table{
-		Title: fmt.Sprintf("Control plane: %d nodes, %d chain apps, %s, workers=%d",
-			r.Nodes, r.Apps, load, r.Workers),
+		Title:  fmt.Sprintf("Control plane: %d nodes, %d chain apps, %s", r.Nodes, r.Apps, load),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"links", fmt.Sprintf("%d", r.Links)},
@@ -203,9 +194,7 @@ func (r SchedResult) Table() Table {
 
 func init() {
 	register("sched", func(p Params) ([]Table, error) {
-		// Score on a pool of NumCPU workers, clamped to [2, 8].
-		workers := min(max(runtime.NumCPU(), 2), 8)
-		opts := SchedOptions{Nodes: 64, Apps: 80, Storm: true, Workers: workers, Seed: p.Seed}
+		opts := SchedOptions{Nodes: 64, Apps: 80, Storm: true, Seed: p.Seed}
 		if p.Quick {
 			opts.Nodes, opts.Apps, opts.Cycles = 16, 10, 2
 		}

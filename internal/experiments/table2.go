@@ -30,12 +30,6 @@ type Table2Result struct {
 // The paper's medians (ms): BFS 540/538, longest-path 551/552, k3s 577/692 —
 // BASS placements are insensitive to the variation while k3s inflates ~20%.
 func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
-	return runTable2(seed, horizon, false, 1)
-}
-
-// runTable2 selects the network driver and shard count so the differential
-// tests can compare event-driven, polling, and sharded runs byte for byte.
-func runTable2(seed int64, horizon time.Duration, polling bool, shards int) (Table2Result, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
@@ -60,8 +54,6 @@ func runTable2(seed int64, horizon time.Duration, polling bool, shards int) (Tab
 			sim, err := core.NewSimulation(topo, CityLabWorkers(), seed, core.Config{
 				Policy:      policy,
 				ReservedCPU: 1,
-				PollingNet:  polling,
-				Shards:      shards,
 			})
 			if err != nil {
 				return out, err
@@ -118,7 +110,7 @@ func (r Table2Result) Table() Table {
 
 func init() {
 	register("table2", func(p Params) ([]Table, error) {
-		r, err := runTable2(p.Seed, p.Horizon(20*time.Minute), false, p.ShardCount())
+		r, err := RunTable2(p.Seed, p.Horizon(20*time.Minute))
 		if err != nil {
 			return nil, err
 		}

@@ -1,16 +1,10 @@
 package mesh
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 )
-
-// ErrPartitionRange reports a region count outside [1, node count]. Callers
-// that expose a shard-count knob (cmd/benchtab's -shards) match on it to turn
-// the failure into a usage error.
-var ErrPartitionRange = errors.New("mesh: partition count out of range")
 
 // Partition is a deterministic k-way division of a topology's nodes into
 // contiguous regions, the unit of parallelism for the sharded network
@@ -44,7 +38,7 @@ func PartitionTopology(t *Topology, k int, seed int64) (*Partition, error) {
 	names := t.Nodes()
 	sort.Strings(names)
 	if k < 1 || k > len(names) {
-		return nil, fmt.Errorf("%w: %d not in [1, %d]", ErrPartitionRange, k, len(names))
+		return nil, fmt.Errorf("mesh: partition count out of range: %d not in [1, %d]", k, len(names))
 	}
 	p := &Partition{
 		k:        k,

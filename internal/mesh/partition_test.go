@@ -100,8 +100,7 @@ func TestPartitionGateways(t *testing.T) {
 	}
 }
 
-// TestPartitionRange pins the error contract benchtab's -shards validation
-// leans on.
+// TestPartitionRange pins the error contract simnet.SetShards leans on.
 func TestPartitionRange(t *testing.T) {
 	topo := gridOrDie(t, 2, 2, 1)
 	for _, k := range []int{0, -1, 5} {

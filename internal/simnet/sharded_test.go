@@ -212,7 +212,8 @@ func TestShardedMaxShards(t *testing.T) {
 	}
 }
 
-// TestSetShardsValidation pins the error/panic contract benchtab leans on.
+// TestSetShardsValidation pins the error/panic contract SetShards callers
+// (bench's shards2 rep) lean on.
 func TestSetShardsValidation(t *testing.T) {
 	topo := shardGrid(t, time.Minute)
 	eng := sim.NewEngine(1)

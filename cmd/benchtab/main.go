@@ -7,9 +7,11 @@
 //	         [-cpuprofile FILE] [-memprofile FILE] <experiment>...
 //	benchtab all
 //
-// Experiments: fig2 fig4 fig5 fig6 fig8 fig10 fig11 fig12 fig13 table1
-// table2 fig14a fig14b fig14cd fig15a fig15b fig16 table3 table4 scale, plus
-// design-choice ablations: ablate-pack ablate-cooldown ablate-probe
+// Experiments, in the order `all` runs them: the paper's fig2 fig4 fig5 fig6
+// fig8 fig10 fig11 fig12 fig13 table1 table2 fig14a fig14b fig14cd fig15a
+// fig15b fig16 table3 table4; the design-choice ablations ablate-pack
+// ablate-cooldown ablate-probe; and the robustness and placement studies
+// chaos longevity batchablation alertquality.
 //
 // Experiments run as jobs on a bounded worker pool (-workers, default
 // GOMAXPROCS); -replicas R fans each experiment out over seeds
@@ -115,14 +117,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", label, res.Elapsed.Round(time.Millisecond))
 	})
 	return firstErr
-}
-
-// runOne executes a single named experiment — the registry-backed
-// equivalent of the pre-runner per-experiment switch, kept for tests.
-func runOne(name string, seed int64, quick bool) ([]experiments.Table, error) {
-	job, ok := experiments.Lookup(strings.ToLower(name))
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q", name)
-	}
-	return job.Run(experiments.Params{Seed: seed, Quick: quick})
 }

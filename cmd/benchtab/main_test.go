@@ -1,11 +1,23 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"regexp"
 	"strings"
 	"testing"
+
+	"bass/internal/experiments"
 )
+
+// runOne executes a single named experiment straight from the registry.
+func runOne(name string, seed int64, quick bool) ([]experiments.Table, error) {
+	job, ok := experiments.Lookup(strings.ToLower(name))
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return job.Run(experiments.Params{Seed: seed, Quick: quick})
+}
 
 func TestRunOneQuickExperiments(t *testing.T) {
 	// Fast experiments run at full scale; heavier ones in quick mode.

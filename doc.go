@@ -7,6 +7,7 @@
 // table and figure of the paper's evaluation.
 //
 // The library lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are under cmd/ and examples/; the
-// benchmarks in bench_test.go regenerate the paper's tables and figures.
+// inventory); runnable entry points are under cmd/ and examples/;
+// cmd/benchtab regenerates the paper's tables and figures, and ./bench
+// measures the simulator's own speed.
 package bass

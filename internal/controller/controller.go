@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"bass/internal/dag"
 	"bass/internal/mesh"
 	"bass/internal/netmon"
 	"bass/internal/obs"
@@ -46,42 +45,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Decision is the outcome of one evaluation cycle.
-type Decision struct {
-	// FullProbeLinks are links whose headroom changed enough that the
-	// cached capacity should be refreshed with a max-capacity probe.
-	FullProbeLinks []mesh.LinkID
-	// Migrate lists components whose violations survived the cooldown and
-	// should be rescheduled now.
-	Migrate []string
-	// Report is the raw Algorithm 3 output for this cycle (pre-cooldown).
-	Report scheduler.MigrationReport
-	// HeadroomEvents are the probe observations that fed the decision.
-	HeadroomEvents []netmon.HeadroomEvent
-	// ProbeErrors are the links that could not be probed this cycle (link
-	// down, endpoint crashed, or measurement loss), including failures of the
-	// full probes triggered by FullProbeLinks.
-	ProbeErrors []netmon.ProbeError
-	// NodesDown lists nodes newly declared dead this cycle: every one of
-	// their links has failed FailureThreshold consecutive sweeps. Only
-	// transitions are reported — a node stays in the controller's dead set,
-	// not in every Decision.
-	NodesDown []string
-	// NodesRecovered lists previously-dead nodes that answered a probe again.
-	NodesRecovered []string
-	// CandidateSpans maps each current migration candidate to the span of its
-	// migration_candidate journal event — the cause the orchestrator threads
-	// into the migrations it executes. Empty without observability.
-	CandidateSpans map[string]uint64
-	// NodeDownSpans maps each newly-dead node to the span of its node_down
-	// verdict, the cause of the cordon/evacuate/failover chain that follows.
-	NodeDownSpans map[string]uint64
-	// NodeRecoveredSpans maps each recovered node to its node_recovered span.
-	NodeRecoveredSpans map[string]uint64
-}
-
 // Controller tracks violation persistence across evaluation cycles. Drive it
-// by calling Evaluate on the monitoring interval; it does not spawn
+// once per monitoring interval: Observe, then ResolveApp for each
+// application's Algorithm 3 report, then FinishCycle. It does not spawn
 // goroutines.
 type Controller struct {
 	cfg     Config
@@ -97,7 +63,7 @@ type Controller struct {
 	migrations         int
 
 	// deadNodes holds the controller's current node-down verdicts, so
-	// Decisions report transitions rather than repeating standing state.
+	// observations report transitions rather than repeating standing state.
 	deadNodes map[string]bool
 
 	// Per-cycle scratch, reused so a quiet cycle allocates nothing. exclude
@@ -352,32 +318,6 @@ func (c *Controller) FinishCycle() {
 		}
 	}
 	clear(c.cycleCandidates)
-}
-
-// Evaluate runs one complete single-application monitoring cycle: Observe,
-// then usages → Algorithm 3 → ResolveApp → FinishCycle. usagesFn runs after
-// probing so decisions never lag the network by a monitoring interval.
-// Multi-application orchestrators drive the pieces directly — one Observe,
-// then per-app candidate selection (parallelisable) and serial ResolveApp.
-func (c *Controller) Evaluate(g *dag.Graph, usagesFn func() []scheduler.DependencyUsage, fullProbe func(mesh.LinkID) error) (Decision, error) {
-	o := c.Observe(fullProbe)
-	usages := usagesFn()
-	report := scheduler.FindMigrationCandidates(g, usages, c.cfg.Migration, o.Exclude)
-	dec := c.ResolveApp(&o, report)
-	c.FinishCycle()
-
-	return Decision{
-		FullProbeLinks:     o.FullProbeLinks,
-		Migrate:            dec.Migrate,
-		Report:             report,
-		HeadroomEvents:     o.HeadroomEvents,
-		ProbeErrors:        o.ProbeErrors,
-		NodesDown:          o.NodesDown,
-		NodesRecovered:     o.NodesRecovered,
-		CandidateSpans:     dec.CandidateSpans,
-		NodeDownSpans:      o.NodeDownSpans,
-		NodeRecoveredSpans: o.NodeRecoveredSpans,
-	}, nil
 }
 
 // NodeDown reports whether the controller currently considers a node dead.

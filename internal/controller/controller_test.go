@@ -43,6 +43,25 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	}
 }
 
+// cycleResult is one monitoring cycle's outcome for the fixture's single
+// application.
+type cycleResult struct {
+	CycleObservation
+	AppDecision
+	Report scheduler.MigrationReport // Algorithm 3's output, pre-cooldown
+}
+
+// runCycle drives one single-application monitoring cycle the way the
+// orchestrator does: Observe, then Algorithm 3 over usages read after the
+// probe sweep, ResolveApp, and FinishCycle.
+func (f *fixture) runCycle(usages func() []scheduler.DependencyUsage, fullProbe func(mesh.LinkID) error) cycleResult {
+	o := f.ctrl.Observe(fullProbe)
+	report := scheduler.FindMigrationCandidates(f.g, usages(), f.ctrl.Config().Migration, o.Exclude)
+	dec := f.ctrl.ResolveApp(&o, report)
+	f.ctrl.FinishCycle()
+	return cycleResult{CycleObservation: o, AppDecision: dec, Report: report}
+}
+
 func badUsage() []scheduler.DependencyUsage {
 	return []scheduler.DependencyUsage{{
 		Component: "x", Dep: "y",
@@ -65,10 +84,7 @@ func TestCooldownDelaysMigration(t *testing.T) {
 	f := newFixture(t, cfg)
 
 	// First evaluation: violation detected, cooldown starts — no migration.
-	d, err := f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 0 {
 		t.Errorf("migrated during cooldown: %v", d.Migrate)
 	}
@@ -80,10 +96,7 @@ func TestCooldownDelaysMigration(t *testing.T) {
 	if err := f.eng.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	d, err = f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 0 {
 		t.Errorf("migrated at 30s with 60s cooldown: %v", d.Migrate)
 	}
@@ -92,10 +105,7 @@ func TestCooldownDelaysMigration(t *testing.T) {
 	if err := f.eng.Run(70 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	d, err = f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 1 {
 		t.Errorf("Migrate = %v, want the surviving candidate", d.Migrate)
 	}
@@ -106,24 +116,17 @@ func TestTransientViolationResetsCooldown(t *testing.T) {
 	cfg.Cooldown = 60 * time.Second
 	f := newFixture(t, cfg)
 
-	if _, err := f.ctrl.Evaluate(f.g, badUsage, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.runCycle(badUsage, nil)
 	if err := f.eng.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Violation clears: the clock must reset.
-	if _, err := f.ctrl.Evaluate(f.g, goodUsage, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.runCycle(goodUsage, nil)
 	if err := f.eng.Run(70 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Violation returns: not yet past a fresh cooldown.
-	d, err := f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 0 {
 		t.Errorf("transient violation migrated: %v", d.Migrate)
 	}
@@ -135,10 +138,7 @@ func TestReMigrationGuard(t *testing.T) {
 	cfg.ReMigrationInterval = 5 * time.Minute
 	f := newFixture(t, cfg)
 
-	d, err := f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 1 {
 		t.Fatalf("want immediate migration with zero cooldown, got %v", d.Migrate)
 	}
@@ -151,10 +151,7 @@ func TestReMigrationGuard(t *testing.T) {
 	if err := f.eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	d, err = f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(badUsage, nil)
 	for _, m := range d.Migrate {
 		if m == comp {
 			t.Error("component re-migrated within the guard interval")
@@ -167,26 +164,18 @@ func TestMigrationFailureDefersRetry(t *testing.T) {
 	cfg.Cooldown = 30 * time.Second
 	f := newFixture(t, cfg)
 
-	if _, err := f.ctrl.Evaluate(f.g, badUsage, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.runCycle(badUsage, nil)
 	if err := f.eng.Run(40 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	d, err := f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 1 {
 		t.Fatalf("Migrate = %v", d.Migrate)
 	}
 	f.ctrl.RecordMigrationFailure(d.Migrate[0])
 
 	// Immediately after a failure the cooldown restarts.
-	d, err = f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(badUsage, nil)
 	if len(d.Migrate) != 0 {
 		t.Errorf("failed migration retried without fresh cooldown: %v", d.Migrate)
 	}
@@ -197,18 +186,12 @@ func TestEvaluateRequestsFullProbesOnHeadroomChange(t *testing.T) {
 	f := newFixture(t, cfg)
 	// First evaluation observes initial spare capacity (a change from
 	// nothing): expect full-probe requests.
-	d, err := f.ctrl.Evaluate(f.g, goodUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(goodUsage, nil)
 	if len(d.FullProbeLinks) == 0 {
 		t.Error("no full probes requested on first headroom observation")
 	}
 	// Steady state: quiet.
-	d, err = f.ctrl.Evaluate(f.g, goodUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(goodUsage, nil)
 	if len(d.FullProbeLinks) != 0 {
 		t.Errorf("steady state requested probes: %v", d.FullProbeLinks)
 	}
@@ -243,10 +226,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 	f.net.ApplyTopologyState()
 
 	for cycle := 1; cycle <= 2; cycle++ {
-		d, err := f.ctrl.Evaluate(f.g, noUsage, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := f.runCycle(noUsage, nil)
 		if len(d.NodesDown) != 0 {
 			t.Fatalf("cycle %d: premature verdict %v", cycle, d.NodesDown)
 		}
@@ -254,10 +234,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 			t.Fatalf("cycle %d: probe errors = %v", cycle, d.ProbeErrors)
 		}
 	}
-	d, err := f.ctrl.Evaluate(f.g, noUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(noUsage, nil)
 	if len(d.NodesDown) != 1 || d.NodesDown[0] != "c" {
 		t.Fatalf("third cycle verdict = %v, want [c]", d.NodesDown)
 	}
@@ -265,10 +242,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 		t.Error("NodeDown(c) = false after verdict")
 	}
 	// Standing state is not re-reported.
-	d, err = f.ctrl.Evaluate(f.g, noUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(noUsage, nil)
 	if len(d.NodesDown) != 0 {
 		t.Errorf("verdict repeated: %v", d.NodesDown)
 	}
@@ -278,10 +252,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.net.ApplyTopologyState()
-	d, err = f.ctrl.Evaluate(f.g, noUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = f.runCycle(noUsage, nil)
 	if len(d.NodesRecovered) != 1 || d.NodesRecovered[0] != "c" {
 		t.Errorf("recovery = %v, want [c]", d.NodesRecovered)
 	}
@@ -298,10 +269,7 @@ func TestProbeLossAloneNeverKillsAConnectedNode(t *testing.T) {
 	f.net.SetProbeLoss(mesh.MakeLinkID("b", "c"), true)
 	var cDown bool
 	for i := 0; i < 5; i++ {
-		d, err := f.ctrl.Evaluate(f.g, noUsage, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := f.runCycle(noUsage, nil)
 		for _, n := range d.NodesDown {
 			if n == "b" {
 				t.Fatalf("cycle %d: declared b down with a healthy link", i)
@@ -319,9 +287,7 @@ func TestProbeLossAloneNeverKillsAConnectedNode(t *testing.T) {
 func TestEvaluateSurfacesFullProbeErrors(t *testing.T) {
 	f, topo := failureFixture(t, 3)
 	// Prime spare-capacity history so the next sweep reports changes.
-	if _, err := f.ctrl.Evaluate(f.g, noUsage, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.runCycle(noUsage, nil)
 	// Load a link so its headroom changes, then kill it between the headroom
 	// sweep's observation and nothing else: the full probe must fail and the
 	// failure must surface on the decision instead of being swallowed.
@@ -337,10 +303,7 @@ func TestEvaluateSurfacesFullProbeErrors(t *testing.T) {
 		}
 		return f.mon.FullProbe(id)
 	}
-	d, err := f.ctrl.Evaluate(f.g, noUsage, fullProbe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(noUsage, fullProbe)
 	var surfaced bool
 	for _, pe := range d.ProbeErrors {
 		if pe.Link == ab && pe.Op == "full" {

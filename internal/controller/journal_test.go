@@ -23,7 +23,7 @@ func observedFixture(t testing.TB, threshold int) (*fixture, *mesh.Topology, *ob
 }
 
 // TestProbeErrorsRoundTripThroughJournal pins the emit → JSONL → parse path
-// for per-link probe errors on a Decision: the spans the controller hands out
+// for per-link probe errors on a cycle's observation: the spans the controller hands out
 // must survive serialisation and resolve to the same probe_error events, and
 // the node_down verdict that follows must cite one of them as its cause.
 func TestProbeErrorsRoundTripThroughJournal(t *testing.T) {
@@ -33,12 +33,9 @@ func TestProbeErrorsRoundTripThroughJournal(t *testing.T) {
 	}
 	f.net.ApplyTopologyState()
 
-	var lastDecision, verdictDecision = Decision{}, Decision{}
+	var lastDecision, verdictDecision cycleResult
 	for cycle := 1; cycle <= 3; cycle++ {
-		d, err := f.ctrl.Evaluate(f.g, noUsage, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := f.runCycle(noUsage, nil)
 		lastDecision = d
 		if len(d.NodesDown) > 0 {
 			verdictDecision = d
@@ -113,10 +110,7 @@ func TestMigrationCandidateCitesViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := f.ctrl.Evaluate(f.g, badUsage, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := f.runCycle(badUsage, nil)
 	if len(d.Report.Candidates) == 0 {
 		t.Fatal("no migration candidates")
 	}

@@ -116,8 +116,9 @@ type Config struct {
 	// internal/reconcile).
 	EnableReconcile bool
 	// EvalWorkers sizes the worker pool for the controller's per-application
-	// evaluation fan-out and for chunked migration-candidate scoring. 0 or 1
-	// evaluates serially. Decisions are byte-identical at any worker count:
+	// evaluation fan-out (usage reads and candidate selection). 0 or 1
+	// evaluates serially. Migration-target scoring always runs serially in
+	// the commit phase. Decisions are byte-identical at any worker count:
 	// the parallel phase only reads shared state, and every journal event,
 	// metric, and placement mutation is committed serially in deployment
 	// order afterwards.

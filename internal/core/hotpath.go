@@ -278,28 +278,17 @@ func (o *Orchestrator) cycleNodeInfos() []scheduler.NodeInfo {
 	return o.cycleNodes
 }
 
-// schedPool adapts the eval pool to the scheduler's Parallel interface; a
-// typed nil inside a non-nil interface would defeat the scheduler's nil
-// check, hence the explicit branch.
-func (o *Orchestrator) schedPool() scheduler.Parallel {
-	if o.evalPool == nil {
-		return nil
-	}
-	return o.evalPool
-}
-
 // migrateFast moves one component to the best target node, reporting
-// success. It scores against the cycle's reused assignment and node snapshot,
-// chunked across the eval pool. cause is the span of the migration_candidate
-// verdict that approved the move; every journal event the move produces
-// chains back to it.
+// success. It scores against the cycle's reused assignment and node snapshot.
+// cause is the span of the migration_candidate verdict that approved the
+// move; every journal event the move produces chains back to it.
 func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64) bool {
 	o.ctrlTargetScans++
 	app := s.app
 	target, err := scheduler.ChooseMigrationTarget(
 		app.graph, comp, s.assignment, o.cycleNodeInfos(), o.pathSpareFn,
 		o.ctrl.Config().Migration,
-		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause), Pool: o.schedPool()},
+		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause)},
 	)
 	if err != nil {
 		o.ctrl.RecordMigrationFailure(comp)
@@ -345,8 +334,8 @@ type ControlStats struct {
 	// AppEvaluations counts per-application evaluations across all cycles.
 	AppEvaluations int
 	// TargetScans counts migration-target searches — each is one
-	// O(nodes × deps) candidate-scoring pass, the loop the hot path
-	// parallelises. Attempts count whether or not a feasible target emerged.
+	// O(nodes × deps) candidate-scoring pass, run serially in the commit
+	// phase. Attempts count whether or not a feasible target emerged.
 	TargetScans int
 	// WallNS is real wall-clock time spent inside control cycles. It stops
 	// before the epoch tail (cadence metric + SLO tick) — its historical

@@ -17,11 +17,10 @@ import (
 type diffGrid struct{ rows, cols, apps int }
 
 var (
-	// diffGridTown stays under the scheduler's chunked-scoring threshold (64
-	// nodes): only the per-app evaluation fans out.
+	// diffGridTown is the golden-pinned fixture.
 	diffGridTown = diffGrid{6, 6, 12}
-	// diffGridWide clears it with margin, so migration target scans really
-	// score in chunks on the eval pool.
+	// diffGridWide checks the per-app fan-out on a larger mesh and app count
+	// than the golden fixture, against its own serial run.
 	diffGridWide = diffGrid{9, 9, 27}
 )
 
@@ -94,7 +93,7 @@ var goldenDiffRun = map[int64][2]string{
 // TestParallelEvalByteIdentical pins the hot path's determinism contract at
 // the core level: with many storm-loaded apps contending, the controller's
 // journal and metric output must be byte-identical whatever the eval-worker
-// count. Candidate scoring may fan out, but every
+// count. The per-app read/score phase fans out, but every
 // emission happens in the serial commit phase in deployment order, so span
 // IDs, journal bytes, and metric series cannot depend on scheduling.
 func TestParallelEvalByteIdentical(t *testing.T) {
@@ -104,7 +103,7 @@ func TestParallelEvalByteIdentical(t *testing.T) {
 		golden map[int64][2]string
 	}{
 		{"event-driven", diffGridTown, goldenDiffRun},
-		{"chunked-scoring", diffGridWide, nil},
+		{"per-app-fanout-wide", diffGridWide, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

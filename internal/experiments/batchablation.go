@@ -13,8 +13,8 @@ import (
 
 // Batch placement ablation (ROADMAP: "Optimization-based placement baselines
 // and batch scheduling"): the greedy per-component heuristics against the
-// batch joint search, on the same meshes and app densities the control-plane
-// sweep uses. Migration is disabled so the comparison isolates initial
+// batch joint search, on town and city grid meshes across 1×/10×/100× app
+// density. Migration is disabled so the comparison isolates initial
 // placement: whatever goodput a mode reaches, it reached by choosing nodes,
 // not by repairing choices later.
 
@@ -112,8 +112,8 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 
 	// Pipelines demand 4.8×12 ≈ 58 Mbps across six edges on jittered ~25 Mbps
 	// links, so any edge left crossing the mesh is a real cost: quiet at 1×
-	// density, contended at 10×, oversubscribed at 100×. Pins follow the
-	// scale workload's population: 90% near-local pairs, the rest
+	// density, contended at 10×, oversubscribed at 100×. Pins model a
+	// community mesh: 90% near-local pairs (within two grid steps), the rest
 	// city-crossing.
 	const demand = 12.0
 	rng := rand.New(rand.NewSource(opts.Seed * 31))
@@ -172,6 +172,26 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		res.Goodput = achieved / required
 	}
 	return res, nil
+}
+
+// gridDims is the squarest rows×cols cover of a node target.
+func gridDims(nodes int) (rows, cols int) {
+	rows = 1
+	for rows*rows < nodes {
+		rows++
+	}
+	cols = (nodes + rows - 1) / rows
+	return rows, cols
+}
+
+func clamp(v, n int) int {
+	if v < 0 {
+		return 0
+	}
+	if v >= n {
+		return n - 1
+	}
+	return v
 }
 
 // batchSweep is the batchablation job's sweep: town/city mesh × 1×/10×/100×

@@ -12,9 +12,9 @@ import (
 // polling) and the shard count could still be chosen per run here, and every
 // choice rendered these bytes. Polling and sharding now live on only as
 // simnet's own differential references (TestEventDrivenMatchesPolling*,
-// TestShardedMatchesSingleShard), so the literals are what keeps the
-// experiment output from drifting. Horizons are shortened where the full
-// paper horizon adds run time but no coverage.
+// TestShardedMatchesSingleShard, TestGridPopulationGolden), so the literals
+// are what keeps the experiment output from drifting. Horizons are shortened
+// where the full paper horizon adds run time but no coverage.
 
 // pinDigest fails the test when text's SHA-256 differs from want.
 func pinDigest(t *testing.T, what, text, want string) {
@@ -52,22 +52,4 @@ func TestChaosOutputIdenticalAcrossDrivers(t *testing.T) {
 	}
 	pinDigest(t, "chaos table", r.Table().String(),
 		"60bb01354bd1e4bb43d547f2d75ab50321237b56ed91ff3f87b44e13622df5d8")
-}
-
-// TestScaleRateChecksumIdenticalSharded runs a miniature city grid: every
-// stream's horizon rate, summed in FlowID order, must equal the value the
-// single-shard and four-shard networks both produced when the shard count was
-// an option here.
-func TestScaleRateChecksumIdenticalSharded(t *testing.T) {
-	const want = 128.5
-	r, err := RunScale(ScaleOptions{Nodes: 36, Flows: 150, Horizon: 10 * time.Second, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Events == 0 {
-		t.Fatalf("empty run %+v", r)
-	}
-	if r.RateChecksum != want {
-		t.Errorf("rate checksum %v, want %v", r.RateChecksum, want)
-	}
 }

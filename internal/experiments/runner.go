@@ -67,8 +67,8 @@ func CanonicalOrder() []string {
 		"fig2", "fig4", "fig5", "fig6", "fig8", "fig10", "fig11",
 		"fig12", "fig13", "table1", "table2", "fig14a", "fig14b",
 		"fig14cd", "fig15a", "fig15b", "fig16", "table3", "table4",
-		"ablate-pack", "ablate-cooldown", "ablate-probe", "chaos", "scale",
-		"longevity", "sched", "batchablation", "alertquality",
+		"ablate-pack", "ablate-cooldown", "ablate-probe", "chaos",
+		"longevity", "batchablation", "alertquality",
 	}
 }
 

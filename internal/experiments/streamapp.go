@@ -8,10 +8,10 @@ import (
 	"bass/internal/simnet"
 )
 
-// streamApp is the synthetic workload of the sched and batchablation
-// experiments: a DAG with one persistent stream per edge, each re-attached
-// `downtime` after either of its endpoints moves. Streams attach in edge-list
-// order, which fixes their flow ids.
+// streamApp is the synthetic workload of the batchablation experiment: a DAG
+// with one persistent stream per edge, each re-attached `downtime` after
+// either of its endpoints moves. Streams attach in edge-list order, which
+// fixes their flow ids.
 type streamApp struct {
 	graph *dag.Graph
 	edges []streamEdge
@@ -43,24 +43,6 @@ func newStreamApp(app string, comps []dag.Component, edges []streamEdge) *stream
 		a.graph.MustAddEdge(e.from, e.to, e.mbps)
 	}
 	return a
-}
-
-// newChainApp is the control-plane workload: src→mid→dst with one stream per
-// edge. The endpoints are pinned to distinct nodes (the paper's Fig 8
-// pattern — sources and sinks sit where the users are) so the chain always
-// crosses the mesh; only mid migrates. Demands are set by the caller — far
-// below link capacity for quiet runs, oversubscribing for storms.
-//
-// Component names carry the app name as a suffix: the controller keys
-// violation windows and re-migration guards by component name, so shared
-// names would collapse every app's cooldown clock into one.
-func newChainApp(app string, demandMbps float64, pinSrc, pinDst string) *streamApp {
-	src, mid, dst := "src-"+app, "mid-"+app, "dst-"+app
-	return newStreamApp(app, []dag.Component{
-		{Name: src, CPU: 0.1, Labels: dag.Pin(pinSrc)},
-		{Name: mid, CPU: 0.1},
-		{Name: dst, CPU: 0.1, Labels: dag.Pin(pinDst)},
-	}, []streamEdge{{src, mid, demandMbps}, {mid, dst, demandMbps}})
 }
 
 // newPipeApp is the placement-ablation workload: a five-component pipeline

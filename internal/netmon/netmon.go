@@ -5,8 +5,8 @@
 // reports (~0.3% of link traffic).
 //
 // The monitor is substrate-agnostic: it probes through the Prober interface,
-// implemented by the simulation (simnet) and by the real token-bucket link
-// emulator (netem).
+// implemented by the simulated network (simnet). The live daemon (bassd)
+// probes real peers through netem directly.
 package netmon
 
 import (
@@ -52,6 +52,13 @@ type Prober interface {
 	// ProbeSpare measures the link's currently unused capacity in Mbps by
 	// probing at a small fraction of the cached capacity (headroom probing).
 	ProbeSpare(id mesh.LinkID) (float64, error)
+	// ProbeSpareAll measures every link's spare capacity in one sweep, with
+	// values identical to per-link ProbeSpare calls, and calls visit once per
+	// link. Implementations MUST visit links in the topology's sorted link
+	// order: the monitor's probe bookkeeping and journal emissions happen
+	// inside visit, and their order is part of the byte-identical output
+	// contract.
+	ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error))
 }
 
 // Config tunes the monitor.
@@ -191,9 +198,9 @@ type Monitor struct {
 	oracle *pathOracle
 
 	// sweepEvents/sweepFails are HeadroomProbeAll's reused result buffers and
-	// sweepVisit its prebuilt batch visitor — per-sweep closures and result
-	// slices would otherwise be the only allocations of a quiet epoch. The
-	// returned slices are valid until the next sweep.
+	// sweepVisit its visitor, built once in New — per-sweep closures and
+	// result slices would otherwise be the only allocations of a quiet epoch.
+	// The returned slices are valid until the next sweep.
 	sweepEvents []HeadroomEvent
 	sweepFails  []ProbeError
 	sweepVisit  func(id mesh.LinkID, spareMbps float64, err error)
@@ -228,6 +235,13 @@ func New(topo *mesh.Topology, prober Prober, cfg Config, now func() time.Duratio
 		}
 	}
 	m.oracle = newPathOracle(m.nodeOrder)
+	m.sweepVisit = func(id mesh.LinkID, spare float64, perr error) {
+		v, ok := m.views[id]
+		if !ok {
+			return // link added behind the monitor's back: not tracked
+		}
+		m.collectSweep(m.applySpare(v, spare, perr))
+	}
 	// Both invalidation sources the cache honours beyond probe refreshes:
 	// capacity-trace swaps (the view may be refreshed by the very next probe)
 	// and availability flips are folded in lazily through syncEpoch; the
@@ -291,46 +305,17 @@ func (m *Monitor) FullProbe(id mesh.LinkID) error {
 	return nil
 }
 
-// SpareSweeper is an optional Prober extension: one call measures every
-// link's spare capacity in a single pass over the substrate's flow state
-// instead of one O(flows) scan per link. Implementations MUST visit links in
-// the topology's sorted link order — the monitor's probe bookkeeping and
-// journal emissions happen inside the visit callback, and their order is
-// part of the byte-identical output contract.
-type SpareSweeper interface {
-	ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error))
-}
-
-// HeadroomProbeAll probes every link's spare capacity. It returns events for
-// links whose headroom is violated or materially changed, plus a probe error
-// per link that could not be measured this sweep. A failed probe does not
-// abort the sweep — in a mesh where links flap, stopping at the first dead
-// link would blind the monitor to every link after it. When the prober
-// supports the single-sweep batch form the whole sweep costs one pass over
-// the flow table; per-link bookkeeping, events, and journal order are
-// identical either way. A quiet sweep (no changes, no failures) allocates
-// nothing: results land in reused monitor buffers, so the returned slices
-// are only valid until the next sweep.
+// HeadroomProbeAll probes every link's spare capacity in one prober sweep. It
+// returns events for links whose headroom is violated or materially changed,
+// plus a probe error per link that could not be measured this sweep. A failed
+// probe does not abort the sweep — in a mesh where links flap, stopping at the
+// first dead link would blind the monitor to every link after it. A quiet
+// sweep (no changes, no failures) allocates nothing: results land in reused
+// monitor buffers, so the returned slices are only valid until the next sweep.
 func (m *Monitor) HeadroomProbeAll() ([]HeadroomEvent, []ProbeError) {
 	m.sweepEvents = m.sweepEvents[:0]
 	m.sweepFails = m.sweepFails[:0]
-	if sw, ok := m.prober.(SpareSweeper); ok {
-		if m.sweepVisit == nil {
-			m.sweepVisit = func(id mesh.LinkID, spare float64, perr error) {
-				v, vok := m.views[id]
-				if !vok {
-					return // link added behind the monitor's back: not tracked
-				}
-				m.collectSweep(m.applySpare(v, spare, perr))
-			}
-		}
-		sw.ProbeSpareAll(m.sweepVisit)
-		return m.sweepEvents, m.sweepFails
-	}
-	for _, v := range m.linkOrder {
-		spare, err := m.prober.ProbeSpare(v.ID)
-		m.collectSweep(m.applySpare(v, spare, err))
-	}
+	m.prober.ProbeSpareAll(m.sweepVisit)
 	return m.sweepEvents, m.sweepFails
 }
 

@@ -297,7 +297,7 @@ func TestExplainedNilRecorderAllocParity(t *testing.T) {
 	if nilRec >= withRec {
 		t.Errorf("nil recorder allocates %.1f per op, recording %.1f: bookkeeping is not gated", nilRec, withRec)
 	}
-	if nilRec > 6 { // neighbor list + node slots + sort; no scoreboard rows
+	if nilRec > 6 { // neighbor list + candidate slice + sort; no scoreboard rows
 		t.Errorf("nil-recorder migration choice allocates %.1f per op, want ≤ 6", nilRec)
 	}
 }
@@ -406,22 +406,10 @@ func TestFailoverStrictness(t *testing.T) {
 	}
 }
 
-// countingPool runs tasks inline and counts what it was handed, standing in
-// for sim.Pool to prove the chunked scoring path was taken.
-type countingPool struct{ runs, tasks int }
-
-func (p *countingPool) Run(fns []func()) {
-	p.runs++
-	p.tasks += len(fns)
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// TestTargetOptionsDoNotChangeTheChoice pins the options contract on a node
-// list large enough to chunk: whatever the recorder and pool, migration and
-// failover return the same target, and every recorded scoreboard is deep-equal
-// to the serial one.
+// TestTargetOptionsDoNotChangeTheChoice pins the recorder contract on a
+// 128-node list: with or without a recorder, migration and failover return
+// the same target, the scoreboard lists every node, and two recorded runs
+// are deep-equal.
 func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
 	g := dag.NewGraph("hub")
 	g.MustAddComponent(dag.Component{Name: "hub", CPU: 1})
@@ -431,7 +419,7 @@ func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
 		g.MustAddEdge("hub", dep, 2*float64(i+1))
 		assignment[dep] = fmt.Sprintf("n%03d", 10*(i+1))
 	}
-	const n = 2 * parallelScoreMin
+	const n = 128
 	nodes := make([]NodeInfo, n)
 	index := make(map[string]int, n)
 	for i := range nodes {
@@ -459,35 +447,19 @@ func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wantEx []Explanation
-			for _, withRec := range []bool{false, true} {
-				for _, withPool := range []bool{false, true} {
-					var opt TargetOptions
-					rec := &captureRecorder{}
-					pool := &countingPool{}
-					if withRec {
-						opt.Recorder = rec
-					}
-					if withPool {
-						opt.Pool = pool
-					}
-					got, err := choose(opt)
-					if err != nil || got != want {
-						t.Errorf("rec=%v pool=%v: chose %q, %v; want %q", withRec, withPool, got, err, want)
-					}
-					if withPool && (pool.runs != 1 || pool.tasks < 2) {
-						t.Errorf("rec=%v: pool saw %d runs / %d tasks, want one chunked pass", withRec, pool.runs, pool.tasks)
-					}
-					if !withRec {
-						continue
-					}
-					if len(rec.explanations) != 1 || len(rec.explanations[0].Candidates) != n {
-						t.Fatalf("pool=%v: recorded %+v, want one explanation with %d rows", withPool, rec.explanations, n)
-					}
-					if wantEx == nil {
-						wantEx = rec.explanations
-					} else if !reflect.DeepEqual(rec.explanations, wantEx) {
-						t.Errorf("pool=%v: explanation differs from the serial one", withPool)
-					}
+			for run := 0; run < 2; run++ {
+				rec := &captureRecorder{}
+				got, err := choose(TargetOptions{Recorder: rec})
+				if err != nil || got != want {
+					t.Errorf("run %d with recorder: chose %q, %v; want %q", run, got, err, want)
+				}
+				if len(rec.explanations) != 1 || len(rec.explanations[0].Candidates) != n {
+					t.Fatalf("run %d: recorded %+v, want one explanation with %d rows", run, rec.explanations, n)
+				}
+				if wantEx == nil {
+					wantEx = rec.explanations
+				} else if !reflect.DeepEqual(rec.explanations, wantEx) {
+					t.Errorf("run %d: explanation differs from the first recorded one", run)
 				}
 			}
 		})

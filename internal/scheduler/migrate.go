@@ -246,35 +246,17 @@ func FindMigrationCandidates(g *dag.Graph, usages []DependencyUsage, cfg Migrati
 // between two nodes; co-located nodes report a very large value.
 type PathQuery func(fromNode, toNode string) float64
 
-// Parallel runs a batch of independent tasks, returning when all are done.
-// sim.Pool satisfies it structurally; nil means run serially. Candidate
-// scoring hands chunks of the node list to it — scoring is a pure read of
-// the node list, neighbor list, and path cache, so chunks race on nothing,
-// and every result lands in its node's slot so assembly order (and therefore
-// every scoreboard and journal byte) is independent of execution order.
-type Parallel interface {
-	Run(fns []func())
-}
-
 // TargetOptions carries the optional collaborators of a target choice. The
-// zero value is the default: silent, serial, lenient.
+// zero value is the default: silent and lenient.
 type TargetOptions struct {
 	// Recorder receives the full candidate scoreboard. Nil skips all
 	// explanation bookkeeping.
 	Recorder Recorder
-	// Pool chunks the candidate-scoring pass across workers once the node
-	// list reaches parallelScoreMin; nil scores serially. The chosen target,
-	// every scoreboard row, and every journal byte are identical either way.
-	Pool Parallel
 	// Strict makes ChooseFailoverTarget refuse the partially-feasible
 	// fallback and return ErrNoFeasibleNode instead. Migration ignores it:
 	// its hysteresis margin already guards the fallback.
 	Strict bool
 }
-
-// parallelScoreMin is the node count below which chunked scoring is not
-// worth the task handoff.
-const parallelScoreMin = 64
 
 // neighbor is one placed DAG neighbor of the component being re-homed, with
 // everything candidate scoring needs resolved once per choice instead of
@@ -326,9 +308,6 @@ type candidate struct {
 	// feasible reports whether every remote dependency fits in the path's
 	// available capacity plus headroom.
 	feasible bool
-	// reject is why the node was filtered out before scoring (current
-	// placement, no capacity); RejectNone marks a scored candidate.
-	reject Rejection
 }
 
 // scoreCandidate evaluates placing the component (whose placed DAG neighbors
@@ -359,53 +338,11 @@ func scoreCandidate(deps []neighbor, nodeName string, pathAvail PathQuery, headr
 	return c
 }
 
-// scoring is one candidate-scoring pass: every node evaluated into the slot
-// at its position in the node list.
-type scoring struct {
-	comp      *dag.Component
-	deps      []neighbor
-	nodes     []NodeInfo
-	current   string // skipped; "" when every node competes (failover)
-	pathAvail PathQuery
-	headroom  float64
-	slots     []candidate
-}
-
-// eval is the per-node scoring loop, over nodes[lo:hi].
-func (s *scoring) eval(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		n := s.nodes[i]
-		switch {
-		case n.Name == s.current:
-			s.slots[i] = candidate{node: n, reject: RejectCurrentNode}
-		case !fits(n, s.comp):
-			s.slots[i] = candidate{node: n, reject: RejectNoCapacity}
-		default:
-			c := scoreCandidate(s.deps, n.Name, s.pathAvail, s.headroom)
-			c.node = n
-			s.slots[i] = c
-		}
-	}
-}
-
-// evalChunked runs eval over the whole node list in chunks on pool. The
-// value receiver is deliberate: only this copy escapes into the task
-// closures, so the serial path's scoring stays on the caller's stack.
-func (s scoring) evalChunked(pool Parallel) {
-	const maxChunks = 16
-	step := (len(s.nodes) + maxChunks - 1) / maxChunks
-	tasks := make([]func(), 0, maxChunks)
-	for lo := 0; lo < len(s.nodes); lo += step {
-		lo, hi := lo, min(lo+step, len(s.nodes))
-		tasks = append(tasks, func() { s.eval(lo, hi) })
-	}
-	pool.Run(tasks)
-}
-
-// rankCandidates scores every node — serially, or chunked on opt.Pool when
-// it pays — and returns the scored candidates best first, plus (only when
-// recording) the pre-filtered rejects in node order. current skips that node;
-// pass "" for failover-style choices where every node competes.
+// rankCandidates scores every node in node order and returns the scored
+// candidates best first, plus (only when rec is non-nil) the nodes filtered
+// out before scoring — the current placement and nodes without the CPU or
+// memory — in node order. current skips that node; pass "" for failover-style
+// choices where every node competes.
 func rankCandidates(
 	comp *dag.Component,
 	deps []neighbor,
@@ -413,26 +350,23 @@ func rankCandidates(
 	current string,
 	pathAvail PathQuery,
 	headroomMbps float64,
-	opt TargetOptions,
+	rec Recorder,
 ) (cands []candidate, skipped []CandidateScore) {
-	s := scoring{
-		comp: comp, deps: deps, nodes: nodes, current: current,
-		pathAvail: pathAvail, headroom: headroomMbps,
-		slots: make([]candidate, len(nodes)),
-	}
-	if opt.Pool == nil || len(nodes) < parallelScoreMin {
-		s.eval(0, len(nodes))
-	} else {
-		s.evalChunked(opt.Pool)
-	}
-	// Compact the scored slots to the front in node order; the stable sort
-	// below then sees the same input sequence whichever way scoring ran.
-	cands = s.slots[:0]
-	for _, c := range s.slots {
-		if c.reject == RejectNone {
+	cands = make([]candidate, 0, len(nodes))
+	for _, n := range nodes {
+		reject := RejectNone
+		switch {
+		case n.Name == current:
+			reject = RejectCurrentNode
+		case !fits(n, comp):
+			reject = RejectNoCapacity
+		}
+		if reject == RejectNone {
+			c := scoreCandidate(deps, n.Name, pathAvail, headroomMbps)
+			c.node = n
 			cands = append(cands, c)
-		} else if opt.Recorder != nil {
-			skipped = append(skipped, CandidateScore{Node: c.node.Name, Rejection: c.reject})
+		} else if rec != nil {
+			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: reject})
 		}
 	}
 	slices.SortStableFunc(cands, func(a, b candidate) int { return compareCandidates(&a, &b) })
@@ -531,7 +465,7 @@ func targetOptions(opts []TargetOptions) TargetOptions {
 // that every remote dependency's bandwidth fits within the path's available
 // capacity plus headroom. Returns ErrNoBetterNode when no candidate beats
 // the current placement. At most one TargetOptions is consulted; omitting it
-// means no recorder and serial scoring.
+// means no recorder.
 func ChooseMigrationTarget(
 	g *dag.Graph,
 	component string,
@@ -556,7 +490,7 @@ func ChooseMigrationTarget(
 		return "", fmt.Errorf("scheduler: component %q not in assignment", component)
 	}
 	deps := placedNeighbors(g, component, assignment)
-	cands, skipped := rankCandidates(comp, deps, nodes, current, pathAvail, cfg.HeadroomMbps, opt)
+	cands, skipped := rankCandidates(comp, deps, nodes, current, pathAvail, cfg.HeadroomMbps, rec)
 	if len(cands) == 0 {
 		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: current, Candidates: skipped})
 		return "", fmt.Errorf("%w: %q stays on %q", ErrNoBetterNode, component, current)
@@ -657,7 +591,7 @@ func ChooseFailoverTarget(
 		return "", fmt.Errorf("%w: %q pinned to %q", ErrNoFailoverNode, component, comp.PinnedTo())
 	}
 	deps := placedNeighbors(g, component, assignment)
-	cands, skipped := rankCandidates(comp, deps, nodes, "", pathAvail, cfg.HeadroomMbps, opt)
+	cands, skipped := rankCandidates(comp, deps, nodes, "", pathAvail, cfg.HeadroomMbps, rec)
 	if len(cands) == 0 {
 		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: skipped})
 		return "", fmt.Errorf("%w: %q", ErrNoFailoverNode, component)

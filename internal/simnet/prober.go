@@ -86,8 +86,8 @@ func (p *Prober) ProbeSpare(id mesh.LinkID) (float64, error) {
 }
 
 // ProbeSpareAll probes the spare capacity of every link in one sweep,
-// visiting links in the topology's sorted order — the contract of
-// netmon's SpareSweeper. Per-link ProbeSpare costs O(flows × path) per
+// visiting links in the topology's sorted order, as netmon.Prober requires.
+// Per-link ProbeSpare costs O(flows × path) per
 // direction because statsOf rescans every flow; the sweep instead makes one
 // pass over all flows, accumulating each direction's allocation into
 // per-link scratch, then visits each link with the bottleneck of its two

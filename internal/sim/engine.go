@@ -72,6 +72,8 @@ type Engine struct {
 	seed       int64
 	rng        *rand.Rand
 	executed   uint64
+	// beforeDispatch runs at every dispatch boundary (see BeforeDispatch).
+	beforeDispatch []func()
 }
 
 // NewEngine returns an engine with a deterministic random source.
@@ -182,11 +184,33 @@ func (e *Engine) compact() {
 // Stop halts Run after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
+// BeforeDispatch registers fn to run at every dispatch boundary: at the top
+// of each Run iteration, before the queue head is examined (and so before Run
+// moves the clock to its horizon), and at the top of Step. The clock still
+// reads the time of the last event, so fn settles work deferred by that event
+// at the virtual time it was requested, and may schedule events at now, which
+// dispatch before any later-time event. Register a method value once rather
+// than a fresh closure; invoking the hooks allocates nothing.
+func (e *Engine) BeforeDispatch(fn func()) {
+	e.beforeDispatch = append(e.beforeDispatch, fn)
+}
+
+// dispatchBoundary runs the BeforeDispatch hooks in registration order.
+func (e *Engine) dispatchBoundary() {
+	for _, fn := range e.beforeDispatch {
+		fn()
+	}
+}
+
 // Run executes events until the queue is empty or virtual time would exceed
 // until. The clock finishes at min(until, last event time); if events remain
 // beyond until the clock is set to until exactly.
 func (e *Engine) Run(until time.Duration) error {
-	for len(e.queue) > 0 {
+	for {
+		e.dispatchBoundary()
+		if len(e.queue) == 0 {
+			break
+		}
 		if e.stopped {
 			return ErrStopped
 		}
@@ -217,6 +241,7 @@ func (e *Engine) Run(until time.Duration) error {
 
 // Step executes exactly one pending event, reporting whether one ran.
 func (e *Engine) Step() bool {
+	e.dispatchBoundary()
 	for len(e.queue) > 0 {
 		next := heap.Pop(&e.queue).(*event)
 		if next.cancelled {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -271,5 +272,90 @@ func TestCancelIsNoOpForUnknownID(t *testing.T) {
 	e.Cancel(EventID(12345))
 	if len(e.pending) != 0 || e.ncancelled != 0 {
 		t.Error("cancel of unknown id mutated state")
+	}
+}
+
+// TestBeforeDispatchRunsAtEveryBoundary pins where the hook runs: before
+// every Run and Step dispatch, and before Run moves the clock to its horizon
+// — on an emptied queue and on one holding only later events — always at the
+// time of the last event dispatched.
+func TestBeforeDispatchRunsAtEveryBoundary(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	note := func(what string) { got = append(got, fmt.Sprintf("%s@%v", what, e.Now())) }
+	e.BeforeDispatch(func() { note("hook") })
+	e.At(time.Second, func() { note("a") })
+	e.At(2*time.Second, func() { note("b") })
+	if err := e.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	e.At(10*time.Second, func() { note("c") })
+	if err := e.Run(7 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Step() {
+		t.Fatal("Step ran nothing with an event queued")
+	}
+	want := []string{
+		"hook@0s", "a@1s", "hook@1s", "b@2s", "hook@2s", // Run to 5s on an emptied queue
+		"hook@5s",          // Run to 7s with only a 10s event queued
+		"hook@7s", "c@10s", // Step
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sequence = %v\nwant       %v", got, want)
+	}
+	if e.Now() != 10*time.Second {
+		t.Errorf("Now = %v, want 10s", e.Now())
+	}
+}
+
+// TestBeforeDispatchCanScheduleAtNow: an event the hook schedules at the
+// current time dispatches before every later-time event.
+func TestBeforeDispatchCanScheduleAtNow(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	armed := false
+	e.BeforeDispatch(func() {
+		if armed {
+			armed = false
+			e.At(e.Now(), func() { got = append(got, fmt.Sprintf("hooked@%v", e.Now())) })
+		}
+	})
+	e.At(time.Second, func() { got = append(got, "a"); armed = true })
+	e.At(time.Second+time.Nanosecond, func() { got = append(got, "b") })
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "hooked@1s", "b"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// TestBeforeDispatchAllocatesNothing: with a no-op hook registered, a
+// schedule-and-dispatch cycle through Step or Run stays allocation-free.
+func TestBeforeDispatchAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	calls := 0
+	e.BeforeDispatch(func() { calls++ })
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(time.Duration(i)*time.Millisecond, fn)
+	}
+	if err := e.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.After(time.Millisecond, fn)
+		e.Step()
+		e.After(time.Millisecond, fn)
+		if err := e.Run(e.Now() + time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("dispatch with a hook allocates %.1f objects/op, want 0", allocs)
+	}
+	if calls == 0 {
+		t.Error("hook never ran")
 	}
 }

@@ -66,6 +66,7 @@ func (p *Prober) ProbeCapacity(id mesh.LinkID) (float64, error) {
 // ProbeSpare reports the link's unallocated capacity in Mbps (the bottleneck
 // of its two directions).
 func (p *Prober) ProbeSpare(id mesh.LinkID) (float64, error) {
+	p.n.flush()
 	fwd, rev, err := p.directions(id)
 	if err != nil {
 		return 0, err
@@ -97,6 +98,7 @@ func (p *Prober) ProbeSpare(id mesh.LinkID) (float64, error) {
 // individual probes.
 func (p *Prober) ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error)) {
 	n := p.n
+	n.flush()
 	for _, ls := range n.linkOrder {
 		ls.probeAllocBps = 0
 	}

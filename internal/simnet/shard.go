@@ -133,23 +133,13 @@ func (n *Network) startPool() func() {
 	}
 }
 
-// Batch runs fn with reallocation deferred: flow mutations inside fn mark
-// the allocation dirty but the full water-filling pass runs once, after fn
-// returns, instead of per mutation. Rates read inside fn may be stale. Use it
-// to install large workloads (the city-scale bench adds 100k flows) without
-// paying a full pass per AddStream.
+// Batch runs fn, then flushes the pending reallocation. Every mutation
+// already defers its pass to the next read or dispatch boundary, so Batch
+// adds nothing but the flush; it remains for callers that install a
+// workload outside any event and want the rates settled on return.
 func (n *Network) Batch(fn func()) {
-	if n.batching {
-		fn() // nested batch: the outermost owns the final pass
-		return
-	}
-	n.batching = true
 	fn()
-	n.batching = false
-	if n.batchPending {
-		n.batchPending = false
-		n.reallocate()
-	}
+	n.flush()
 }
 
 // observe is observeCapacities over one shard's links; dirty transitions are

@@ -242,56 +242,3 @@ func TestSetShardsValidation(t *testing.T) {
 	}()
 	net.SetShards(2)
 }
-
-// TestBatchDefersReallocation: Batch must produce the same rates as
-// per-mutation reallocation (a full pass is a pure function of the flow set
-// and capacities, and no simulated time passes inside the batch) while
-// running exactly one full pass.
-func TestBatchDefersReallocation(t *testing.T) {
-	build := func(batch bool) (*Network, []FlowID, AllocStats) {
-		topo := shardGrid(t, time.Minute)
-		eng := sim.NewEngine(5)
-		net := New(eng, topo)
-		net.Start()
-		base := net.AllocStats()
-		var ids []FlowID
-		add := func() {
-			for i := 0; i < 12; i++ {
-				id, err := net.AddStream("s", mesh.GridNodeName(0, i%6), mesh.GridNodeName(5, (i*7)%6), float64(5+i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, id)
-			}
-		}
-		if batch {
-			net.Batch(add)
-		} else {
-			add()
-		}
-		stats := net.AllocStats()
-		stats.FullPasses -= base.FullPasses
-		return net, ids, stats
-	}
-	nb, idsB, statsB := build(true)
-	nu, idsU, statsU := build(false)
-	if statsB.FullPasses != 1 {
-		t.Errorf("batched adds ran %d full passes, want 1", statsB.FullPasses)
-	}
-	if statsU.FullPasses != 12 {
-		t.Errorf("unbatched adds ran %d full passes, want 12", statsU.FullPasses)
-	}
-	for i := range idsB {
-		rb, err := nb.StreamRate(idsB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ru, err := nu.StreamRate(idsU[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb != ru {
-			t.Fatalf("flow %d: batched rate %v != unbatched %v", i, rb, ru)
-		}
-	}
-}

@@ -1,8 +1,13 @@
 // Package simnet is a flow-level network simulator over a mesh topology.
 // Persistent streams (video feeds, RPC traffic aggregates) and bounded
 // transfers (frames, probes) share links under max-min fairness with demand
-// caps, recomputed on every flow arrival, completion, and link-capacity
-// change driven by bandwidth traces. Per-link fluid backlogs capture queueing
+// caps. Flow arrivals, completions and trace-driven link-capacity changes
+// only mark the allocation pending; one deferred pass recomputes it at the
+// next observation point — any read of network state, or the engine's next
+// dispatch boundary (sim.Engine.BeforeDispatch), which falls at the same
+// virtual time as the mutations it covers. Any number of mutations between
+// two observation points cost one pass, and every read sees state bit-equal
+// to a pass per mutation. Per-link fluid backlogs capture queueing
 // delay when offered load exceeds capacity — the mechanism behind the
 // order-of-magnitude latency inflation the BASS paper shows in Fig 5.
 //
@@ -20,7 +25,7 @@
 //
 // Allocation is incremental: every link carries a dirty flag and the set of
 // links that acted as water-filling bottlenecks in the last full pass is
-// cached, so a reallocation request on an epoch where no flow changed and no
+// cached, so a deferred pass on an epoch where no flow changed and no
 // binding capacity moved is absorbed without re-running the full pass (see
 // AllocStats). All rate computations iterate flows and links in a fixed
 // order, so a given (topology, workload, seed) triple yields bit-identical
@@ -199,20 +204,23 @@ type linkState struct {
 	flows []*flow
 }
 
-// AllocStats counts allocation work since the network was built. The
-// invariant behind SkippedPasses: a request is only absorbed when no flow
-// was added, removed, or re-demanded and every capacity change since the
-// last full pass either touched a link no flow crosses or increased the
-// capacity of a non-bottleneck link — cases where the full water-filling
-// pass would provably reproduce the cached rates bit-for-bit.
+// AllocStats counts allocation work since the network was built. Mutations
+// only request a reallocation; requests made between two observation points
+// (a read, or the engine's next dispatch) coalesce into one deferred pass,
+// so both counters count deferred passes, not mutations. The invariant
+// behind SkippedPasses: a pass is only absorbed when no flow was added,
+// removed, or re-demanded and every capacity change since the last full pass
+// either touched a link no flow crosses or increased the capacity of a
+// non-bottleneck link — cases where the full water-filling pass would
+// provably reproduce the cached rates bit-for-bit.
 type AllocStats struct {
 	// FullPasses counts complete water-filling recomputations.
 	FullPasses uint64
-	// SkippedPasses counts reallocation requests absorbed by the
-	// incremental path without recomputing any rate. The polling driver
-	// issues a request every second, so quiet seconds show up here; the
-	// event-driven driver only issues requests at capacity events, so the
-	// counter stays near zero on quiet traces.
+	// SkippedPasses counts deferred passes absorbed by the incremental path
+	// without recomputing any rate. The polling driver requests a pass every
+	// second, so quiet seconds show up here; the event-driven driver only
+	// requests one at capacity events, so the counter stays near zero on
+	// quiet traces.
 	SkippedPasses uint64
 }
 
@@ -277,9 +285,9 @@ type Network struct {
 	// Sharded-execution state (see shard.go); nil when single-shard.
 	sh *sharding
 
-	// Batch state: mutations inside Batch defer reallocation to batch end.
-	batching     bool
-	batchPending bool
+	// pending marks a reallocation requested since the last flush; the pass
+	// runs at the next read or dispatch boundary (see flush).
+	pending bool
 
 	// Scratch buffers reused across full passes.
 	activeScratch   []*flow
@@ -329,6 +337,7 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		}
 		return a.to < b.to
 	})
+	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
 		// A trace swapped mid-run may introduce an earlier capacity event
 		// than the one armed; re-aim the chain (no-op for the polling
@@ -412,14 +421,18 @@ func (n *Network) SetMaxQueueSeconds(sec float64) {
 	}
 }
 
-// SetFullRecompute forces every reallocation request through the full
+// SetFullRecompute forces every deferred pass through the full
 // water-filling pass (the pre-incremental behaviour). Benchmarks use it to
 // compare the two paths; production code should leave it off.
 func (n *Network) SetFullRecompute(v bool) { n.fullOnly = v }
 
-// AllocStats reports how many reallocation requests ran the full
-// water-filling pass versus how many the incremental path absorbed.
-func (n *Network) AllocStats() AllocStats { return n.alloc }
+// AllocStats reports how many deferred reallocations ran the full
+// water-filling pass versus how many the incremental path absorbed. A pending
+// reallocation is flushed first, so the counts cover every mutation so far.
+func (n *Network) AllocStats() AllocStats {
+	n.flush()
+	return n.alloc
+}
 
 // pollTick is the legacy driver: observe every link, then request a
 // reallocation (usually absorbed on quiet seconds).
@@ -708,6 +721,7 @@ func (n *Network) removeFlow(f *flow) {
 // TransferResult.Failed), modelling the connection errors an application
 // observes through a partition.
 func (n *Network) ApplyTopologyState() {
+	n.flush() // a pending pass may finish transfers that would otherwise fail
 	n.advanceProgress()
 	now := n.eng.Now()
 	if ep := n.topo.AvailabilityEpoch(); ep != n.lastAvailEpoch {
@@ -753,6 +767,7 @@ func (n *Network) OnTopologyApplied(fn func()) { n.topoHook = fn }
 // transfer. Returns the number of flows shed. The ambient cause span
 // (SetCause) threads the shed decision into each flow's disruption event.
 func (n *Network) ShedFlowsByTagPrefix(prefix string) int {
+	n.flush() // a pending pass may finish transfers that would otherwise fail
 	n.advanceProgress()
 	snapshot := make([]*flow, len(n.flowOrder))
 	copy(snapshot, n.flowOrder)
@@ -892,10 +907,14 @@ func (n *Network) SetProbeLoss(id mesh.LinkID, lossy bool) {
 }
 
 // FailedTransfers reports the number of transfers aborted by faults so far.
-func (n *Network) FailedTransfers() int { return n.failedTransfers }
+func (n *Network) FailedTransfers() int {
+	n.flush()
+	return n.failedTransfers
+}
 
 // ParkedFlows reports the number of currently parked (stranded) flows.
 func (n *Network) ParkedFlows() int {
+	n.flush()
 	var c int
 	for _, f := range n.flowOrder {
 		if !f.gone && f.parked {
@@ -959,6 +978,7 @@ func (n *Network) RemoveStream(id FlowID) error {
 
 // StreamRate reports a stream's current allocation in Mbps.
 func (n *Network) StreamRate(id FlowID) (float64, error) {
+	n.flush()
 	f, ok := n.flows[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
@@ -969,6 +989,7 @@ func (n *Network) StreamRate(id FlowID) (float64, error) {
 // StreamLoss reports the fraction of a stream's offered rate that the
 // network cannot carry: max(0, 1-alloc/demand).
 func (n *Network) StreamLoss(id FlowID) (float64, error) {
+	n.flush()
 	f, ok := n.flows[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
@@ -985,7 +1006,9 @@ func (n *Network) StreamLoss(id FlowID) (float64, error) {
 
 // AddTransfer starts a bounded transfer of the given size. capMbps limits the
 // transfer's rate (0 means unbounded). onComplete runs when the last bit is
-// delivered; it may start new flows.
+// delivered; it may start new flows. It never runs inside AddTransfer: a
+// transfer with nothing to send completes when the deferred pass runs, at
+// the same virtual time.
 func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float64, onComplete func(TransferResult)) (FlowID, error) {
 	path, err := n.route(src, dst)
 	if err != nil {
@@ -1017,6 +1040,7 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 
 // CancelTransfer aborts an in-flight transfer without invoking its callback.
 func (n *Network) CancelTransfer(id FlowID) error {
+	n.flush() // a pending pass may finish the transfer before it is cancelled
 	f, ok := n.flows[id]
 	if !ok || f.kind != KindTransfer {
 		return fmt.Errorf("%w: transfer %d", ErrUnknownFlow, id)
@@ -1047,6 +1071,12 @@ func (n *Network) advanceProgress() {
 			continue
 		}
 		carried := f.rateBps * dt
+		if carried == 0 {
+			// Adding zero changes no value; skipping it keeps a tag out of
+			// bytesByTag until it carries something, so whether a deferred
+			// pass settled a not-yet-allocated flow leaves no trace.
+			continue
+		}
 		if f.kind == KindTransfer {
 			if carried > f.remainingBits {
 				carried = f.remainingBits
@@ -1061,13 +1091,34 @@ func (n *Network) advanceProgress() {
 	}
 }
 
-// reallocate recomputes max-min fair rates and reschedules transfer
-// completion events — unless the incremental path can prove the cached
-// allocation is still exact and absorb the request outright. The absorb
-// path touches no float state at all (only dirty flags and the counter), so
-// drivers that issue different numbers of reallocation requests — polling
-// asks every second, event-driven only at capacity events — still evolve
-// bit-identical simulation state.
+// reallocate requests a reallocation after a mutation. It only marks the
+// network pending: the pass itself runs once, at the next observation point —
+// any read of network state, or the engine's next dispatch boundary — so a
+// handler that opens 2,800 streams pays for one pass, not 2,800.
+//
+// No virtual time passes between a mutation and the observation point that
+// flushes it, so the pass settles progress and backlogs over the same
+// intervals at the same rates as a pass per mutation would, and a full pass
+// is a pure function of the flow set and capacities. At every read and every
+// dispatch boundary the state is therefore bit-equal to running a pass per
+// mutation (TestDeferredPassMatchesEagerReads pins this). The one visible
+// difference is where, within the instant, a transfer that the pass itself
+// finishes (nothing left to send) reports completion: when the pass runs,
+// not inside the mutating call. Mutations whose outcome depends on which
+// transfers are still live (CancelTransfer, ShedFlowsByTagPrefix,
+// ApplyTopologyState) flush first, so they see what a pass per mutation
+// would have left.
+func (n *Network) reallocate() { n.pending = true }
+
+// flush runs the pending reallocation, if any: it recomputes max-min fair
+// rates and reschedules transfer completion events — unless the incremental
+// path can prove the cached allocation is still exact and absorb the pass
+// outright. The absorb path touches no float state at all (only dirty flags
+// and the counter), so drivers that request different numbers of passes —
+// polling asks every second, event-driven only at capacity events — still
+// evolve bit-identical simulation state. A pass may finish transfers whose
+// callbacks mutate the network again, so flush loops until nothing is
+// pending.
 //
 // The absorption rule: with an unchanged flow set and demands, a capacity
 // change cannot move any rate when the link either carries no flows, or its
@@ -1076,16 +1127,15 @@ func (n *Network) advanceProgress() {
 // so every iteration of a hypothetical re-run would select the same
 // bottlenecks, freeze the same flows at the same values, and terminate with
 // bit-identical rates.
-func (n *Network) reallocate() {
-	if n.batching {
-		n.batchPending = true
-		return
+func (n *Network) flush() {
+	for n.pending {
+		n.pending = false
+		if !n.fullOnly && !n.flowsDirty && n.canAbsorbCapacityChanges() {
+			n.alloc.SkippedPasses++
+			continue
+		}
+		n.fullReallocate()
 	}
-	if !n.fullOnly && !n.flowsDirty && n.canAbsorbCapacityChanges() {
-		n.alloc.SkippedPasses++
-		return
-	}
-	n.fullReallocate()
 }
 
 // canAbsorbCapacityChanges reports whether every dirty link's change is
@@ -1193,8 +1243,9 @@ func (n *Network) fullReallocate() {
 	}
 
 	// Reschedule transfer completions at the new rates. Completion callbacks
-	// may add or remove flows (recursing into reallocate), so iterate a
-	// snapshot and skip flows that vanished underneath us.
+	// may add or remove flows (requesting another pass, which flush runs next,
+	// or runs at once if the callback reads), so iterate a snapshot and skip
+	// flows that vanished underneath us.
 	transfers := n.transferScratch[:0]
 	for _, f := range n.flowOrder {
 		if !f.gone && f.kind == KindTransfer {

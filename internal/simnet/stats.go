@@ -31,6 +31,7 @@ func (s LinkStats) UtilizationFrac() float64 {
 
 // LinkStats returns the current stats of the from→to direction.
 func (n *Network) LinkStats(from, to string) (LinkStats, error) {
+	n.flush()
 	ls, ok := n.links[dhop{from: from, to: to}]
 	if !ok {
 		return LinkStats{}, fmt.Errorf("simnet: no link %s-%s", from, to)
@@ -94,6 +95,7 @@ func (n *Network) statsWith(ls *linkState, allocBps, inflightBits float64) LinkS
 // every entry is bit-equal to LinkStats(from, to). Not safe to call
 // concurrently with itself or ProbeSpareAll (shared scratch).
 func (n *Network) AllLinkStats() []LinkStats {
+	n.flush()
 	dt := (n.eng.Now() - n.lastAdvance).Seconds()
 	for _, ls := range n.linkOrder {
 		ls.probeAllocBps, ls.sweepInflightBits = 0, 0
@@ -146,6 +148,7 @@ func (n *Network) LinkAvailableMbps(from, to string) (float64, error) {
 // from→to direction: the time to drain the current backlog at the current
 // capacity.
 func (n *Network) QueueDelay(from, to string) (time.Duration, error) {
+	n.flush()
 	ls, ok := n.links[dhop{from: from, to: to}]
 	if !ok {
 		return 0, fmt.Errorf("simnet: no link %s-%s", from, to)
@@ -159,6 +162,7 @@ func (n *Network) QueueDelay(from, to string) (time.Duration, error) {
 
 // PathQueueDelay sums queueing delays along the routed path src→dst.
 func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
+	n.flush()
 	hops, err := n.route(src, dst)
 	if err != nil {
 		return 0, err
@@ -179,6 +183,7 @@ func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
 // spare capacity along the directed path, capped by demand. Co-located pairs
 // see the node-local bus.
 func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float64, error) {
+	n.flush()
 	hops, err := n.route(src, dst)
 	if err != nil {
 		return 0, err
@@ -208,6 +213,7 @@ func (n *Network) PathLatencyOf(src, dst string) (time.Duration, error) {
 // BytesByTag returns cumulative megabytes carried per accounting tag,
 // including progress accrued since the last settle.
 func (n *Network) BytesByTag() map[string]float64 {
+	n.flush()
 	dt := (n.eng.Now() - n.lastAdvance).Seconds()
 	out := make(map[string]float64, len(n.bytesByTag))
 	for tag, bits := range n.bytesByTag {
@@ -226,6 +232,7 @@ func (n *Network) BytesByTag() map[string]float64 {
 
 // TagRate reports a tag's cumulative average rate in Mbps since start.
 func (n *Network) TagRate(tag string) float64 {
+	n.flush()
 	elapsed := n.eng.Now().Seconds()
 	if elapsed <= 0 {
 		return 0
@@ -243,6 +250,7 @@ func (n *Network) TagRate(tag string) float64 {
 
 // ActiveFlows reports the number of active streams and transfers.
 func (n *Network) ActiveFlows() (streams, transfers int) {
+	n.flush()
 	for _, f := range n.flowOrder {
 		if f.gone {
 			continue
@@ -259,9 +267,14 @@ func (n *Network) ActiveFlows() (streams, transfers int) {
 // FlowRateByTag sums current allocations (Mbps) across flows with the tag.
 // Served from the per-tag index in ascending FlowID order — the same
 // summation order as the full-scan form it replaced, so results are
-// bit-identical. Safe for concurrent readers (the parallel evaluation phase
-// queries many tags at once); it mutates nothing.
+// bit-identical. Like every read it flushes a pending pass first, and it
+// writes nothing otherwise. Concurrent readers (the parallel evaluation
+// phase queries many tags at once) are safe because no pass is pending when
+// they fan out: the engine flushes at every dispatch boundary, and the
+// control tick mutates nothing before its fan-out, so each reader's flush is
+// a single read of a false flag.
 func (n *Network) FlowRateByTag(tag string) float64 {
+	n.flush()
 	var bps float64
 	for _, f := range n.tagFlows[tag] {
 		bps += f.rateBps
@@ -271,6 +284,7 @@ func (n *Network) FlowRateByTag(tag string) float64 {
 
 // FlowDemandByTag sums current demands (Mbps) across flows with the tag.
 func (n *Network) FlowDemandByTag(tag string) float64 {
+	n.flush()
 	var bps float64
 	for _, f := range n.tagFlows[tag] {
 		if f.demandBps >= unboundedBps {

@@ -2,11 +2,18 @@
 // nodes (Raspberry Pis through server-class machines) with CPU and memory
 // capacity, and the allocation bookkeeping the scheduler packs components
 // into. Link capacities live in package mesh; the scheduler combines both.
+//
+// Placements live in one per-app index whose component names are kept sorted
+// on every Place, Remove and Move, so the per-app reads (AppComponents,
+// ComponentsOn, NodeOf, PlacementOf) cost O(components of the app), never a
+// walk over the whole cluster. AppComponents hands out the index's own list:
+// it is valid only until the next mutation.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,21 +49,25 @@ type Placement struct {
 	MemoryMB  float64
 }
 
-func placementKey(app, component string) string { return app + "/" + component }
+// appIndex holds one application's placements sorted by component name:
+// names[i] is placements[i].Component. Every insert and delete keeps both
+// sorted, so a component lookup is a binary search and per-app reads cost
+// O(components of the app), with no walk over other apps and no sort.
+type appIndex struct {
+	names      []string
+	placements []Placement
+}
 
 // Cluster tracks nodes and current component placements. It is not safe for
 // concurrent use; the orchestrator serialises access.
 type Cluster struct {
-	nodes      map[string]Node
-	order      []string
-	usedCPU    map[string]float64
-	usedMem    map[string]float64
-	placements map[string]Placement // key: app/component
-	// byApp indexes placements as app → component → node so the hot-path
-	// NodeOf query is two map lookups with no key concatenation. The control
-	// loop calls NodeOf once per dependency edge per cycle; the string build
-	// in placementKey was a per-query allocation at city-scale density.
-	byApp map[string]map[string]string
+	nodes   map[string]Node
+	order   []string
+	usedCPU map[string]float64
+	usedMem map[string]float64
+	// apps is the one placement index: every placement read is served from
+	// it, with no key concatenation; Placements walks it in sorted app order.
+	apps map[string]*appIndex
 
 	// cordoned marks nodes temporarily closed to new placements (crashed or
 	// suspected down). Unlike Node.Unschedulable — a static property of
@@ -68,12 +79,11 @@ type Cluster struct {
 // New returns a cluster with the given nodes.
 func New(nodes ...Node) (*Cluster, error) {
 	c := &Cluster{
-		nodes:      make(map[string]Node, len(nodes)),
-		usedCPU:    make(map[string]float64, len(nodes)),
-		usedMem:    make(map[string]float64, len(nodes)),
-		placements: make(map[string]Placement),
-		byApp:      make(map[string]map[string]string),
-		cordoned:   make(map[string]bool),
+		nodes:    make(map[string]Node, len(nodes)),
+		usedCPU:  make(map[string]float64, len(nodes)),
+		usedMem:  make(map[string]float64, len(nodes)),
+		apps:     make(map[string]*appIndex),
+		cordoned: make(map[string]bool),
 	}
 	for _, n := range nodes {
 		if err := c.AddNode(n); err != nil {
@@ -215,52 +225,58 @@ func (c *Cluster) Place(p Placement) error {
 		// scheduler cannot use.
 		return fmt.Errorf("%w: %q", ErrNodeUnschedulable, p.Node)
 	}
-	key := placementKey(p.App, p.Component)
-	if _, ok := c.placements[key]; ok {
-		return fmt.Errorf("%w: %s", ErrAlreadyPlaced, key)
+	idx, i, placed := c.lookup(p.App, p.Component)
+	if placed {
+		return fmt.Errorf("%w: %s/%s", ErrAlreadyPlaced, p.App, p.Component)
 	}
 	if !c.Fits(p.Node, p.CPU, p.MemoryMB) {
-		return fmt.Errorf("%w: %s needs cpu=%.2f mem=%.0fMB on %q (free cpu=%.2f mem=%.0fMB)",
-			ErrInsufficient, key, p.CPU, p.MemoryMB, p.Node, c.FreeCPU(p.Node), c.FreeMemoryMB(p.Node))
+		return fmt.Errorf("%w: %s/%s needs cpu=%.2f mem=%.0fMB on %q (free cpu=%.2f mem=%.0fMB)",
+			ErrInsufficient, p.App, p.Component, p.CPU, p.MemoryMB, p.Node, c.FreeCPU(p.Node), c.FreeMemoryMB(p.Node))
 	}
 	c.usedCPU[p.Node] += p.CPU
 	c.usedMem[p.Node] += p.MemoryMB
-	c.placements[key] = p
-	app := c.byApp[p.App]
-	if app == nil {
-		app = make(map[string]string)
-		c.byApp[p.App] = app
+	if idx == nil {
+		idx = &appIndex{}
+		c.apps[p.App] = idx
 	}
-	app[p.Component] = p.Node
+	idx.names = slices.Insert(idx.names, i, p.Component)
+	idx.placements = slices.Insert(idx.placements, i, p)
 	return nil
+}
+
+// lookup finds a component in the index: its app's entry (nil if the app has
+// nothing placed) and its slot there, or the slot it would be inserted at.
+func (c *Cluster) lookup(app, component string) (idx *appIndex, i int, ok bool) {
+	if idx = c.apps[app]; idx != nil {
+		i, ok = slices.BinarySearch(idx.names, component)
+	}
+	return idx, i, ok
 }
 
 // Remove deallocates a component.
 func (c *Cluster) Remove(app, component string) error {
-	key := placementKey(app, component)
-	p, ok := c.placements[key]
+	idx, i, ok := c.lookup(app, component)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotPlaced, key)
+		return fmt.Errorf("%w: %s/%s", ErrNotPlaced, app, component)
 	}
+	p := idx.placements[i]
 	c.usedCPU[p.Node] -= p.CPU
 	c.usedMem[p.Node] -= p.MemoryMB
-	delete(c.placements, key)
-	if app := c.byApp[p.App]; app != nil {
-		delete(app, component)
-		if len(app) == 0 {
-			delete(c.byApp, p.App)
-		}
+	if len(idx.names) == 1 {
+		delete(c.apps, app)
+		return nil
 	}
+	idx.names = slices.Delete(idx.names, i, i+1)
+	idx.placements = slices.Delete(idx.placements, i, i+1)
 	return nil
 }
 
 // Move relocates a placed component to another node, atomically: on failure
 // the original placement is restored.
 func (c *Cluster) Move(app, component, toNode string) error {
-	key := placementKey(app, component)
-	p, ok := c.placements[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotPlaced, key)
+	p, err := c.PlacementOf(app, component)
+	if err != nil {
+		return err
 	}
 	if err := c.Remove(app, component); err != nil {
 		return err
@@ -279,56 +295,66 @@ func (c *Cluster) Move(app, component, toNode string) error {
 
 // PlacementOf returns the placement of a component.
 func (c *Cluster) PlacementOf(app, component string) (Placement, error) {
-	p, ok := c.placements[placementKey(app, component)]
+	idx, i, ok := c.lookup(app, component)
 	if !ok {
 		return Placement{}, fmt.Errorf("%w: %s/%s", ErrNotPlaced, app, component)
 	}
-	return p, nil
+	return idx.placements[i], nil
 }
 
 // NodeOf returns the node a component runs on, or "" if not placed.
-// Served from the per-app index: two lookups, no allocation.
+// Served from the per-app index: one map lookup and a binary search over the
+// app's components, no allocation.
 func (c *Cluster) NodeOf(app, component string) string {
-	return c.byApp[app][component]
+	if idx, i, ok := c.lookup(app, component); ok {
+		return idx.placements[i].Node
+	}
+	return ""
 }
 
 // Placements returns all placements sorted by (app, component).
 func (c *Cluster) Placements() []Placement {
-	out := make([]Placement, 0, len(c.placements))
-	for _, p := range c.placements {
-		out = append(out, p)
+	apps := make([]string, 0, len(c.apps))
+	total := 0
+	for app, idx := range c.apps {
+		apps = append(apps, app)
+		total += len(idx.placements)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
-		}
-		return out[i].Component < out[j].Component
-	})
+	sort.Strings(apps)
+	out := make([]Placement, 0, total)
+	for _, app := range apps {
+		out = append(out, c.apps[app].placements...)
+	}
 	return out
 }
 
 // AppComponents returns every placed component of app, sorted — the
-// reconciler's observed-state view of one application.
+// reconciler's observed-state view of one application. The slice is the
+// index's own sorted list, not a copy: it is valid until the next Place,
+// Remove or Move on the cluster, and must not be modified. A caller that
+// mutates the cluster while walking it must walk a copy.
 func (c *Cluster) AppComponents(app string) []string {
-	var out []string
-	for _, p := range c.placements {
-		if p.App == app {
-			out = append(out, p.Component)
-		}
+	idx := c.apps[app]
+	if idx == nil {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return idx.names[:len(idx.names):len(idx.names)]
 }
 
-// ComponentsOn returns the components of app placed on node, sorted.
+// ComponentsOn returns the components of app placed on node, sorted. The
+// slice is freshly allocated, so callers may mutate the cluster while
+// walking it.
 func (c *Cluster) ComponentsOn(app, node string) []string {
+	idx := c.apps[app]
+	if idx == nil {
+		return nil
+	}
 	var out []string
-	for _, p := range c.placements {
-		if p.App == app && p.Node == node {
+	for _, p := range idx.placements {
+		if p.Node == node {
 			out = append(out, p.Component)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -361,13 +387,12 @@ func (c *Cluster) Utilizations() []Utilization {
 // use clones for what-if packing before committing.
 func (c *Cluster) Clone() *Cluster {
 	out := &Cluster{
-		nodes:      make(map[string]Node, len(c.nodes)),
-		order:      append([]string(nil), c.order...),
-		usedCPU:    make(map[string]float64, len(c.usedCPU)),
-		usedMem:    make(map[string]float64, len(c.usedMem)),
-		placements: make(map[string]Placement, len(c.placements)),
-		byApp:      make(map[string]map[string]string, len(c.byApp)),
-		cordoned:   make(map[string]bool, len(c.cordoned)),
+		nodes:    make(map[string]Node, len(c.nodes)),
+		order:    append([]string(nil), c.order...),
+		usedCPU:  make(map[string]float64, len(c.usedCPU)),
+		usedMem:  make(map[string]float64, len(c.usedMem)),
+		apps:     make(map[string]*appIndex, len(c.apps)),
+		cordoned: make(map[string]bool, len(c.cordoned)),
 	}
 	for k, v := range c.cordoned {
 		out.cordoned[k] = v
@@ -381,15 +406,8 @@ func (c *Cluster) Clone() *Cluster {
 	for k, v := range c.usedMem {
 		out.usedMem[k] = v
 	}
-	for k, v := range c.placements {
-		out.placements[k] = v
-	}
-	for app, comps := range c.byApp {
-		cc := make(map[string]string, len(comps))
-		for comp, node := range comps {
-			cc[comp] = node
-		}
-		out.byApp[app] = cc
+	for app, idx := range c.apps {
+		out.apps[app] = &appIndex{names: slices.Clone(idx.names), placements: slices.Clone(idx.placements)}
 	}
 	return out
 }

@@ -202,6 +202,49 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	}
 }
 
+// TestNodeDownEvacuatesEveryComponentOfAnApp pins handleNodeDown's walk over
+// one app's components on the dead node: every one of them is evacuated,
+// although each removal changes the cluster's per-app bookkeeping mid-walk.
+func TestNodeDownEvacuatesEveryComponentOfAnApp(t *testing.T) {
+	s := chaosSim(t, fourNodes(), Config{})
+	defer s.Close()
+	journal := obs.NewJournal(0)
+	s.AttachObservability(journal, nil)
+	w := newBenchChain("tri", 1, "n2", "n2")
+	if _, err := s.Orch.Deploy("tri", w); err != nil {
+		t.Fatal(err)
+	}
+	for _, comp := range w.comps {
+		if s.Cluster.NodeOf("tri", comp) != "n2" {
+			if err := s.Cluster.Move("tri", comp, "n2"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := s.Cluster.ComponentsOn("tri", "n2"); len(got) != 3 {
+		t.Fatalf("components on n2 = %v, want all three", got)
+	}
+
+	s.Orch.handleNodeDown("n2", 0)
+
+	if got := s.Cluster.ComponentsOn("tri", "n2"); len(got) != 0 {
+		t.Fatalf("components left on the dead node: %v", got)
+	}
+	if det := s.Orch.Detections(); len(det) != 1 || det[0].Components != 3 {
+		t.Fatalf("detections = %+v, want one stranding 3 components", det)
+	}
+	var evacuated []string
+	for _, ev := range journal.Events() {
+		if ev.Type == obs.EventEvacuate && ev.Node == "n2" {
+			evacuated = append(evacuated, ev.Component)
+		}
+	}
+	want := []string{"dst-tri", "mid-tri", "src-tri"}
+	if !reflect.DeepEqual(evacuated, want) {
+		t.Fatalf("evacuations = %v, want %v (sorted)", evacuated, want)
+	}
+}
+
 // chaosRun executes one full generated-chaos run and returns its observable
 // outcome.
 func chaosRun(t *testing.T) (RecoveryReport, []MigrationEvent, []cluster.Placement, int) {

@@ -152,7 +152,9 @@ type Host interface {
 	After(d time.Duration, fn func())
 	// ObservedNode reports where a component actually runs ("" if nowhere).
 	ObservedNode(app, component string) string
-	// ObservedComponents lists an app's placed components, sorted.
+	// ObservedComponents lists an app's placed components, sorted. The list
+	// may alias the host's state: it need only stay valid until the next
+	// Place, Evict or Shed, and the reconciler never modifies it.
 	ObservedComponents(app string) []string
 	// NodeHealthy reports whether a node is known, uncordoned, and alive.
 	NodeHealthy(node string) bool
@@ -210,6 +212,10 @@ type Reconciler struct {
 	order    []string // sorted pending keys: deterministic action order
 
 	kickArmed bool
+
+	// evict is scan's reused copy of the components it is about to evict:
+	// the host's observed list may alias state that eviction changes.
+	evict []string
 
 	inEpisode      bool
 	episodeStart   time.Duration
@@ -361,13 +367,18 @@ func (r *Reconciler) Tick() {
 	r.settle()
 }
 
-// scan diffs every active spec against observed placement.
+// scan diffs every active spec against observed placement. Both sides are
+// sorted (SetSpec sorts the spec, the host sorts what it observes), so one
+// merge walk per app finds missing, dead-node and unexpected components.
+// Evictions change the host's observed list, so they walk r.evict, a copy.
 func (r *Reconciler) scan() {
 	for _, app := range r.specOrder {
 		st := r.specs[app]
+		observed := r.host.ObservedComponents(app)
 		if st.shed {
 			// A shed app's desired state is "absent": evict stragglers.
-			for _, comp := range r.host.ObservedComponents(app) {
+			r.evict = append(r.evict[:0], observed...)
+			for _, comp := range r.evict {
 				if err := r.host.Evict(app, comp, st.shedSpan); err == nil {
 					r.plane.Emit(obs.Event{
 						Type: obs.EventReconcileAction, App: app, Component: comp,
@@ -377,17 +388,27 @@ func (r *Reconciler) scan() {
 			}
 			continue
 		}
-		want := make(map[string]bool, len(st.spec.Components))
+		r.evict = r.evict[:0]
+		j := 0
 		for _, cs := range st.spec.Components {
-			want[cs.Name] = true
-			key := pendingKey(app, cs.Name)
+			for j < len(observed) && observed[j] < cs.Name {
+				r.evict = append(r.evict, observed[j])
+				j++
+			}
+			if j < len(observed) && observed[j] == cs.Name {
+				j++
+			}
 			node := r.host.ObservedNode(app, cs.Name)
 			if node != "" && r.host.NodeHealthy(node) {
 				// Converged (possibly by an external path): close the record.
-				r.removePending(key)
+				// With none open, skip building the key: the quiet tick stays
+				// allocation-free whatever the name lengths.
+				if len(r.pendings) > 0 {
+					r.removePending(pendingKey(app, cs.Name))
+				}
 				continue
 			}
-			if _, open := r.pendings[key]; open {
+			if _, open := r.pendings[pendingKey(app, cs.Name)]; open {
 				continue
 			}
 			if node != "" {
@@ -396,12 +417,10 @@ func (r *Reconciler) scan() {
 				r.addPending(app, cs.Name, DriftMissing, "", 0)
 			}
 		}
+		r.evict = append(r.evict, observed[j:]...)
 		// Observed components the spec does not ask for are drift too; the
 		// convergence action is eviction, cited to the drift record.
-		for _, comp := range r.host.ObservedComponents(app) {
-			if want[comp] {
-				continue
-			}
+		for _, comp := range r.evict {
 			span := r.plane.EmitSpan(obs.Event{
 				Type: obs.EventReconcileDrift, App: app, Component: comp,
 				Node: r.host.ObservedNode(app, comp), Reason: string(DriftUnexpected),
@@ -544,7 +563,7 @@ func (r *Reconciler) settle() {
 			}
 		}
 	}
-	if len(r.pendings) == 0 && !r.anyShed() && r.inEpisode {
+	if r.inEpisode && len(r.pendings) == 0 && !r.anyShed() {
 		elapsed := now - r.episodeStart
 		r.plane.Emit(obs.Event{
 			Type: obs.EventReconcileConverged, Value: elapsed.Seconds(),

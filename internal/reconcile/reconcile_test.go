@@ -136,7 +136,13 @@ func spec1(app string, prio int, comps ...string) Spec {
 }
 
 func newTestReconciler(h *fakeHost) (*Reconciler, *obs.Plane) {
-	plane := obs.NewPlane(obs.NewJournal(0), nil, func() time.Duration { return h.now })
+	return newReconcilerOn(h, func() time.Duration { return h.now })
+}
+
+// newReconcilerOn builds the tests' reconciler over any host, journaling
+// into a fresh plane on the host's clock.
+func newReconcilerOn(h Host, now func() time.Duration) (*Reconciler, *obs.Plane) {
+	plane := obs.NewPlane(obs.NewJournal(0), nil, now)
 	plane.SetTraceSeed(1)
 	r := New(Config{Epoch: 30 * time.Second, RetryBudget: 2, BackoffBase: time.Second,
 		BackoffMax: 8 * time.Second, JitterFrac: -1, RestoreCooldown: 10 * time.Second}, h)

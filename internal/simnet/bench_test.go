@@ -4,6 +4,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -136,5 +137,88 @@ func TestQuietEventDrivenZeroAlloc(t *testing.T) {
 	}
 	if s := net.AllocStats(); s.FullPasses == 0 {
 		t.Errorf("AllocStats %+v: the streams were never allocated", s)
+	}
+}
+
+// loadedGrid installs 150 streams over 40 tags and 15 unbounded transfers
+// that never finish (165 flows) between random nodes of the 6x6 grid, and
+// returns the stream ids and the flows' distinct-node endpoint pairs.
+func loadedGrid(tb testing.TB) (*Network, []FlowID, [][2]string, func()) {
+	tb.Helper()
+	topo, err := mesh.Grid(mesh.GridOptions{Rows: 6, Cols: 6, Seed: 17, Duration: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := New(sim.NewEngine(1), topo)
+	stop := net.Start()
+	rng := rand.New(rand.NewSource(7))
+	node := func() string { return mesh.GridNodeName(rng.Intn(6), rng.Intn(6)) }
+	var streams []FlowID
+	var pairs [][2]string
+	for i := 0; i < 165; i++ {
+		src, dst := node(), node()
+		var id FlowID
+		if i < 150 {
+			id, err = net.AddStream(fmt.Sprintf("s%d", i%40), src, dst, 0.25+rng.Float64()*8)
+			streams = append(streams, id)
+		} else {
+			_, err = net.AddTransfer(fmt.Sprintf("t%d", i), src, dst, 1e12, 0, nil)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if src != dst {
+			pairs = append(pairs, [2]string{src, dst})
+		}
+	}
+	net.flush()
+	return net, streams, pairs, stop
+}
+
+// TestFullPassZeroAlloc pins the full water-filling pass at zero heap
+// allocations on a loaded net: scratch buffers, crossing lists and the kept
+// demand order are reused, the demand order re-sorts one flow, and transfer
+// completions are rescheduled with a callback built once per transfer.
+func TestFullPassZeroAlloc(t *testing.T) {
+	net, streams, _, stop := loadedGrid(t)
+	defer stop()
+	demand := 1.0
+	pass := func() {
+		demand = 3 - demand // toggles 1 ↔ 2 Mbps: every call is a real change
+		if err := net.SetStreamDemand(streams[0], demand); err != nil {
+			t.Fatal(err)
+		}
+		net.flush()
+	}
+	for i := 0; i < 200; i++ {
+		pass() // let the engine's free list and maps reach their steady size
+	}
+	base := net.AllocStats().FullPasses
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Errorf("a full pass allocates: %.2f allocs per pass, want 0", allocs)
+	}
+	if got := net.AllocStats().FullPasses - base; got != 101 {
+		t.Errorf("%d full passes ran, want 101 (one per call)", got)
+	}
+}
+
+// BenchmarkPathAllocatedMbps measures the read socialnet issues per RPC hop:
+// the spare bandwidth of both directions between two nodes, on the loaded
+// 6x6 grid. One op is one hop, both directions:
+//
+//	go test -run='^$' -bench=PathAllocatedMbps -benchmem ./internal/simnet/
+func BenchmarkPathAllocatedMbps(b *testing.B) {
+	net, _, pairs, stop := loadedGrid(b)
+	defer stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, err := net.PathAllocatedMbps(p[0], p[1], LocalMbps); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := net.PathAllocatedMbps(p[1], p[0], LocalMbps); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -141,12 +141,14 @@ func replayDeferredScript(t *testing.T, seed int64, eager bool) deferredRun {
 	// boundary after reaping a cancelled event, and the eager run cancels
 	// more completion events than the deferred one. The network registered
 	// its flush first, so nothing may still be pending here; the reads below
-	// would otherwise hide a missing flush.
+	// would otherwise hide a missing flush. Every boundary also checks the
+	// per-pass link caches and the kept demand order against rescans.
 	lastExec := ^uint64(0)
 	eng.BeforeDispatch(func() {
 		if net.pending {
 			t.Errorf("reallocation still pending at the dispatch boundary after event %d", eng.Executed())
 		}
+		checkCachedReads(t, net)
 		if eng.Executed() != lastExec {
 			lastExec = eng.Executed()
 			run.boundaries = append(run.boundaries, digestNetwork(net))
@@ -286,6 +288,45 @@ func TestDeferredPassMatchesEagerReads(t *testing.T) {
 			}
 			if completions == 0 || chained == 0 {
 				t.Errorf("script completed %d transfers (%d chained); want both > 0", completions, chained)
+			}
+		})
+	}
+}
+
+// goldenDeferredScript pins replayDeferredScript per seed, {eager, deferred}:
+// the SHA-256 of every boundary digest, every log line and the full-pass
+// count, captured before the per-pass allocation cache, the tag table and
+// the kept demand order landed. Those changes must leave every read
+// bit-equal, so the literals never move.
+var goldenDeferredScript = map[int64][2]string{
+	3:  {"fa88d84199ca32f103d5d0d23e15c045db2cb2a97faeb7b96da20d057411c8ee", "026d249eeafbda551866bc32757c7f5d966ea9d1a987ebea172ebfeb65142328"},
+	11: {"09475419e0a135fdf162b42c9e96a3e79c58966e8d2bfb54235647c9e7227755", "40b1f4ad74affdd6dea6f8e874703426e774768af651372e29e64aa111252002"},
+	29: {"52e2a7f8625f851a21e61622bc5bcdd55401a5846a0b30705753e521b03eba19", "2ada164ffc5d9ae9f4d82bcc6461a516648ce769b0f8b815a8b0b2138ecf85ca"},
+}
+
+// hashDeferredRun folds one replay into a hex SHA-256.
+func hashDeferredRun(run deferredRun) string {
+	h := sha256.New()
+	for _, b := range run.boundaries {
+		h.Write(b[:])
+	}
+	for _, l := range run.log {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	binary.Write(h, binary.LittleEndian, run.fullPasses)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDeferredScriptGolden checks both schedules of the deferred-pass script
+// against the literals above.
+func TestDeferredScriptGolden(t *testing.T) {
+	for seed, want := range goldenDeferredScript {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			for i, eager := range []bool{true, false} {
+				if got := hashDeferredRun(replayDeferredScript(t, seed, eager)); got != want[i] {
+					t.Errorf("eager=%v: script digest %s, want golden %s", eager, got, want[i])
+				}
 			}
 		})
 	}

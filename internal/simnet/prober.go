@@ -71,52 +71,17 @@ func (p *Prober) ProbeSpare(id mesh.LinkID) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	spare := func(ls *linkState) float64 {
-		s := p.n.statsOf(ls)
-		v := s.CapacityMbps - s.AllocatedMbps
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	sf, sr := spare(fwd), spare(rev)
-	if sr < sf {
-		return sr, nil
-	}
-	return sf, nil
+	return linkSpare(fwd, rev), nil
 }
 
 // ProbeSpareAll probes the spare capacity of every link in one sweep,
 // visiting links in the topology's sorted order, as netmon.Prober requires.
-// Per-link ProbeSpare costs O(flows × path) per
-// direction because statsOf rescans every flow; the sweep instead makes one
-// pass over all flows, accumulating each direction's allocation into
-// per-link scratch, then visits each link with the bottleneck of its two
-// directions. Per-link the additions happen in ascending-FlowID order —
-// exactly statsOf's summation order — and the spare arithmetic mirrors
-// ProbeSpare term for term, so reported values are bit-identical to N
-// individual probes.
+// It only reads: each direction's allocation is the sum the last pass cached
+// (kept current by the flush), and the spare arithmetic is ProbeSpare's, so
+// reported values are bit-identical to N individual probes.
 func (p *Prober) ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error)) {
 	n := p.n
 	n.flush()
-	for _, ls := range n.linkOrder {
-		ls.probeAllocBps = 0
-	}
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
-		for _, ls := range f.linkPath {
-			ls.probeAllocBps += f.rateBps
-		}
-	}
-	spare := func(ls *linkState) float64 {
-		v := ls.capacityBps/1e6 - ls.probeAllocBps/1e6
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
 	for _, l := range n.topo.Links() {
 		id := l.ID
 		fwd, ok1 := n.links[dhop{from: id.A, to: id.B}]
@@ -129,11 +94,16 @@ func (p *Prober) ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err
 		case n.probeLoss[id]:
 			visit(id, 0, fmt.Errorf("probe %s: %w", id, ErrProbeTimeout))
 		default:
-			sf, sr := spare(fwd), spare(rev)
-			if sr < sf {
-				sf = sr
-			}
-			visit(id, sf, nil)
+			visit(id, linkSpare(fwd, rev), nil)
 		}
 	}
+}
+
+// linkSpare is the bottleneck of a link's two directions' spare capacity.
+func linkSpare(fwd, rev *linkState) float64 {
+	sf, sr := spareMbps(fwd), spareMbps(rev)
+	if sr < sf {
+		return sr
+	}
+	return sf
 }

@@ -38,11 +38,11 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -107,6 +107,7 @@ type flow struct {
 	id   FlowID
 	kind Kind
 	tag  string
+	ts   *tagState // the tag's entry in Network.tags
 	src  string
 	dst  string
 	// linkPath holds the link states along the routed path src→dst, in hop
@@ -121,31 +122,46 @@ type flow struct {
 	totalBits     float64
 	started       time.Duration
 	onComplete    func(TransferResult)
-	completionEv  sim.EventID
-	hasEvent      bool
-
-	accruedBits float64 // cumulative bits actually carried, settled
-
-	// parked marks a flow whose endpoints are currently unreachable (node
-	// crash or partition): it holds no links, carries nothing, and resumes
-	// when a route reappears.
-	parked bool
+	// fire is the transfer's completion-event callback, built once at
+	// AddTransfer so that rescheduling it in every full pass allocates nothing.
+	fire         func()
+	completionEv sim.EventID
 
 	// cause is the journal span under which the flow was created (the deploy,
 	// migration, or failover that started it); network lifecycle events fall
 	// back to it when no fault is being applied.
 	cause uint64
 
+	hasEvent bool
+	// parked marks a flow whose endpoints are currently unreachable (node
+	// crash or partition): it holds no links, carries nothing, and resumes
+	// when a route reappears.
+	parked bool
 	// gone marks a removed flow still occupying a flowOrder slot; every
 	// iteration skips it and removeFlow compacts the slice once tombstones
 	// dominate, replacing the old O(n) splice per removal.
 	gone bool
-
-	// Water-filling scratch state, valid during and after a full pass.
-	frozen        bool
-	frozenBy      *linkState // bottleneck link that froze the flow (nil if demand-limited)
-	demandLimited bool
+	// frozen is water-filling scratch, valid during and after a full pass.
+	frozen bool
+	// inOrder marks a flow held in Network.byDemand at its current demand;
+	// SetStreamDemand clears it, and so does the pass that drops the flow.
+	inOrder bool
 }
+
+// tagState is one accounting tag's entry in Network.tags.
+type tagState struct {
+	bits float64 // cumulative bits carried, settled
+	// seen marks a tag that has been credited at a settle (even with zero
+	// bits, when a transfer's last step was clipped to nothing): BytesByTag
+	// reports exactly the seen tags plus those of live flows.
+	seen  bool
+	flows []*flow // live flows with the tag, ascending FlowID
+}
+
+// tagSlabSize is how many tagStates one allocation provides. A slab per tag
+// would cost an allocation per tag; one growing slice would copy itself (and
+// hold the old copies) as a city-scale install mints 100k tags.
+const tagSlabSize = 256
 
 // TransferResult reports a finished transfer to its completion callback.
 type TransferResult struct {
@@ -182,6 +198,10 @@ type linkState struct {
 
 	carriedBits float64 // cumulative, settled as of Network.lastAdvance
 	demandBps   float64 // stream demand routed over the direction (last full pass)
+	// allocBps is the sum of rateBps over flows, in its ascending-FlowID
+	// order. Rates only change in a full pass, which recomputes it; a flow
+	// leaving the direction between passes marks it stale (see syncCrossings).
+	allocBps float64
 
 	// Incremental-allocation bookkeeping.
 	flowCount  int  // routed flows currently crossing this direction
@@ -192,15 +212,12 @@ type linkState struct {
 	// Water-filling scratch state, valid only inside a full pass.
 	residual  float64
 	iterCount int
-	// probeAllocBps and sweepInflightBits are one-pass sweep scratch: the
-	// direction's summed flow allocations and unsettled carried bits, valid
-	// only inside one ProbeSpareAll or AllLinkStats sweep.
-	probeAllocBps     float64
-	sweepInflightBits float64
-	// flows lists the pass's active flows crossing this direction, ascending
-	// FlowID (built alongside iterCount). A bottleneck round freezes from this
+	// flows lists the live flows crossing this direction, ascending FlowID:
+	// the pass's active flows (built alongside iterCount), kept current
+	// between passes by syncCrossings. A bottleneck round freezes from this
 	// list directly instead of rescanning every active flow — at city scale
-	// (100k flows, thousands of rounds) the rescan was the dominant cost.
+	// (100k flows, thousands of rounds) the rescan was the dominant cost —
+	// and link reads sum allocations and in-flight bits over it.
 	flows []*flow
 }
 
@@ -236,17 +253,19 @@ type Network struct {
 	flows     map[FlowID]*flow
 	flowOrder []*flow // ascending FlowID; the deterministic iteration order
 	deadFlows int     // tombstoned entries in flowOrder
-	// tagFlows indexes live flows by accounting tag, each list ascending
-	// FlowID like flowOrder, so per-tag rate queries — the control plane
-	// issues one per deployed edge per cycle — cost O(flows-with-tag)
-	// instead of a scan over every flow in the network.
-	tagFlows    map[string][]*flow
+	// tags is the accounting-tag table. Each entry keeps the tag's settled
+	// carried bits and its live flows (ascending FlowID like flowOrder), so
+	// per-tag rate queries — the control plane issues one per deployed edge
+	// per cycle — cost O(flows-with-tag), and a settle credits a flow's tag
+	// through f.ts without hashing the tag. Entries outlive their flows: the
+	// carried bits stay reportable. tagSlab is the current slab new entries
+	// are carved from.
+	tags        map[string]*tagState
+	tagSlab     []tagState
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
 	lastAdvance time.Duration
 	maxQueueSec float64
-
-	bytesByTag map[string]float64 // cumulative bits carried per tag, settled
 
 	// Driver state. The sampling grid is anchored at the Start time; both
 	// drivers observe capacities only at gridAnchor + k·gridStep.
@@ -288,11 +307,21 @@ type Network struct {
 	// pending marks a reallocation requested since the last flush; the pass
 	// runs at the next read or dispatch boundary (see flush).
 	pending bool
+	// crossingsStale marks a flow that left (or moved between) directions
+	// since the last pass without one being requested — a transfer finished
+	// or failed inside a pass or a reroute, or a flow parked — so the
+	// per-direction flows and allocBps no longer describe the live flows
+	// until flush calls syncCrossings.
+	crossingsStale bool
+
+	// byDemand is the last pass's active set sorted by ascending demand. It
+	// persists between passes, so a pass only sorts the flows that joined or
+	// changed demand since (see orderByDemand).
+	byDemand []*flow
 
 	// Scratch buffers reused across full passes.
 	activeScratch   []*flow
 	transferScratch []*flow
-	byDemandScratch []*flow // active set sorted by demand, per full pass
 	batchScratch    []*flow // per-round demand-limited freeze batch
 	routeScratch    []*linkState
 }
@@ -304,9 +333,8 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		eng:            eng,
 		topo:           topo,
 		flows:          make(map[FlowID]*flow),
-		tagFlows:       make(map[string][]*flow),
+		tags:           make(map[string]*tagState),
 		links:          make(map[dhop]*linkState),
-		bytesByTag:     make(map[string]float64),
 		probeLoss:      make(map[mesh.LinkID]bool),
 		maxQueueSec:    DefaultMaxQueueSeconds,
 		lastAvailEpoch: topo.AvailabilityEpoch(),
@@ -330,12 +358,11 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 			n.linkOrder = append(n.linkOrder, ls)
 		}
 	}
-	sort.Slice(n.linkOrder, func(i, j int) bool {
-		a, b := n.linkOrder[i].hop, n.linkOrder[j].hop
-		if a.from != b.from {
-			return a.from < b.from
+	slices.SortFunc(n.linkOrder, func(a, b *linkState) int {
+		if c := strings.Compare(a.hop.from, b.hop.from); c != 0 {
+			return c
 		}
-		return a.to < b.to
+		return strings.Compare(a.hop.to, b.hop.to)
 	})
 	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
@@ -661,7 +688,16 @@ func (n *Network) route(src, dst string) ([]*linkState, error) {
 func (n *Network) addFlow(f *flow) {
 	n.flows[f.id] = f
 	n.flowOrder = append(n.flowOrder, f) // ids are assigned in increasing order
-	n.tagFlows[f.tag] = append(n.tagFlows[f.tag], f)
+	f.ts = n.tags[f.tag]
+	if f.ts == nil {
+		if len(n.tagSlab) == cap(n.tagSlab) {
+			n.tagSlab = make([]tagState, 0, tagSlabSize)
+		}
+		n.tagSlab = n.tagSlab[:len(n.tagSlab)+1]
+		f.ts = &n.tagSlab[len(n.tagSlab)-1]
+		n.tags[f.tag] = f.ts
+	}
+	f.ts.flows = append(f.ts.flows, f)
 	for _, ls := range f.linkPath {
 		ls.flowCount++
 	}
@@ -676,25 +712,16 @@ func (n *Network) removeFlow(f *flow) {
 	f.gone = true
 	n.deadFlows++
 	// Splice the flow out of its tag list, preserving ascending-ID order so
-	// per-tag float summation keeps the exact order of the flowOrder scan it
-	// replaced. Tag lists are per application edge — a handful of flows — so
-	// the copy is cheap.
-	if byTag := n.tagFlows[f.tag]; len(byTag) > 0 {
-		for i, g := range byTag {
-			if g == f {
-				byTag = append(byTag[:i], byTag[i+1:]...)
-				break
-			}
-		}
-		if len(byTag) == 0 {
-			delete(n.tagFlows, f.tag)
-		} else {
-			n.tagFlows[f.tag] = byTag
-		}
+	// per-tag float summation keeps the exact order of a flowOrder scan. Tag
+	// lists are per application edge — a handful of flows — so the copy is
+	// cheap.
+	if i := slices.Index(f.ts.flows, f); i >= 0 {
+		f.ts.flows = slices.Delete(f.ts.flows, i, i+1)
 	}
 	for _, ls := range f.linkPath {
 		ls.flowCount--
 	}
+	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
 	n.flowsDirty = true
 	if n.deadFlows >= compactDeadFlows && n.deadFlows*2 > len(n.flowOrder) {
 		live := n.flowOrder[:0]
@@ -850,6 +877,7 @@ func (n *Network) parkFlow(f *flow) {
 	for _, ls := range f.linkPath {
 		ls.flowCount--
 	}
+	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
 	f.linkPath = f.linkPath[:0]
 	f.rateBps = 0
 	f.parked = true
@@ -870,6 +898,7 @@ func (n *Network) setFlowPath(f *flow, hops []*linkState) {
 		ls.flowCount++
 	}
 	f.parked = false
+	n.crossingsStale = true
 }
 
 // failTransfer aborts a transfer whose endpoints became unreachable and
@@ -959,6 +988,7 @@ func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 		return nil
 	}
 	f.demandBps = demandMbps * 1e6
+	f.inOrder = false // the next pass re-sorts it into byDemand
 	n.flowsDirty = true
 	n.reallocate()
 	return nil
@@ -1033,6 +1063,8 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 		onComplete:    onComplete,
 		cause:         n.causeSpan,
 	}
+	id := f.id
+	f.fire = func() { n.completeTransfer(id) }
 	n.addFlow(f)
 	n.reallocate()
 	return f.id, nil
@@ -1072,9 +1104,9 @@ func (n *Network) advanceProgress() {
 		}
 		carried := f.rateBps * dt
 		if carried == 0 {
-			// Adding zero changes no value; skipping it keeps a tag out of
-			// bytesByTag until it carries something, so whether a deferred
-			// pass settled a not-yet-allocated flow leaves no trace.
+			// Adding zero changes no value; skipping it keeps a tag unseen
+			// until it carries something, so whether a deferred pass settled
+			// a not-yet-allocated flow leaves no trace.
 			continue
 		}
 		if f.kind == KindTransfer {
@@ -1083,8 +1115,8 @@ func (n *Network) advanceProgress() {
 			}
 			f.remainingBits -= carried
 		}
-		f.accruedBits += carried
-		n.bytesByTag[f.tag] += carried
+		f.ts.bits += carried
+		f.ts.seen = true
 		for _, ls := range f.linkPath {
 			ls.carriedBits += carried
 		}
@@ -1127,6 +1159,9 @@ func (n *Network) reallocate() { n.pending = true }
 // so every iteration of a hypothetical re-run would select the same
 // bottlenecks, freeze the same flows at the same values, and terminate with
 // bit-identical rates.
+//
+// After the passes, every direction's flows and allocBps describe the live
+// flows (syncCrossings), so link reads never rescan the flow set.
 func (n *Network) flush() {
 	for n.pending {
 		n.pending = false
@@ -1135,6 +1170,40 @@ func (n *Network) flush() {
 			continue
 		}
 		n.fullReallocate()
+	}
+	if n.crossingsStale {
+		n.syncCrossings()
+	}
+}
+
+// syncCrossings rebuilds every direction's crossing list from the live flows
+// after some left or moved between passes, and re-sums allocBps. Rates have
+// not changed since the last pass, so this reproduces exactly the sums a
+// scan of flowOrder would add up: the same flows, in ascending FlowID order.
+func (n *Network) syncCrossings() {
+	n.crossingsStale = false
+	for _, ls := range n.linkOrder {
+		ls.flows = ls.flows[:0]
+	}
+	for _, f := range n.flowOrder {
+		if f.gone {
+			continue
+		}
+		for _, ls := range f.linkPath {
+			ls.flows = append(ls.flows, f)
+		}
+	}
+	n.sumAllocations()
+}
+
+// sumAllocations sets each direction's allocBps from its crossing list.
+func (n *Network) sumAllocations() {
+	for _, ls := range n.linkOrder {
+		var bps float64
+		for _, f := range ls.flows {
+			bps += f.rateBps
+		}
+		ls.allocBps = bps
 	}
 }
 
@@ -1225,8 +1294,6 @@ func (n *Network) fullReallocate() {
 			continue
 		}
 		f.frozen = false
-		f.frozenBy = nil
-		f.demandLimited = false
 		active = append(active, f)
 		remaining++
 		for _, ls := range f.linkPath {
@@ -1241,6 +1308,11 @@ func (n *Network) fullReallocate() {
 	} else {
 		n.waterFill(active, remaining, n.serialArgMin)
 	}
+	// Every live flow crossing a direction is active (parked and co-located
+	// flows have empty paths), so the crossing lists are complete: sum them
+	// once here, and every link read until the next pass is O(1).
+	n.sumAllocations()
+	n.crossingsStale = false
 
 	// Reschedule transfer completions at the new rates. Completion callbacks
 	// may add or remove flows (requesting another pass, which flush runs next,
@@ -1272,24 +1344,21 @@ func (n *Network) fullReallocate() {
 		if eta < time.Nanosecond {
 			eta = time.Nanosecond
 		}
-		id := f.id
-		f.completionEv = n.eng.At(now+eta, func() { n.completeTransfer(id) })
+		f.completionEv = n.eng.At(now+eta, f.fire)
 		f.hasEvent = true
 	}
 }
 
 // freezeFlow pins a flow's rate for the rest of the pass and withdraws it
-// from every link it crosses. by is the bottleneck that bound it (nil when
-// demand-limited). Both water-fill drivers share it, so a freeze performs the
-// identical float operations regardless of how the flow was selected.
-func (n *Network) freezeFlow(f *flow, rate float64, by *linkState) {
+// from every link it crosses. Both water-fill drivers share it, so a freeze
+// performs the identical float operations regardless of how the flow was
+// selected.
+func (n *Network) freezeFlow(f *flow, rate float64) {
 	if rate < 0 {
 		rate = 0
 	}
 	f.rateBps = rate
 	f.frozen = true
-	f.frozenBy = by
-	f.demandLimited = by == nil
 	for _, ls := range f.linkPath {
 		ls.residual -= rate
 		if ls.residual < 0 {
@@ -1318,10 +1387,6 @@ func (n *Network) serialArgMin() (float64, *linkState) {
 	return minShare, bottleneck
 }
 
-func (n *Network) waterFillSerial(active []*flow, remaining int) {
-	n.waterFill(active, remaining, n.serialArgMin)
-}
-
 // waterFill is the progressive-filling round loop with demand caps, shared by
 // the single-shard and sharded drivers — only the arg-min scan differs.
 //
@@ -1335,15 +1400,17 @@ func (n *Network) waterFillSerial(active []*flow, remaining int) {
 //     so far and flows behind it are already frozen — each round's batch is
 //     exactly the flows the full rescan would have caught, collected in
 //     amortized O(1). Batches are re-sorted by FlowID before freezing, which
-//     is the active-list order the rescan froze in.
+//     is the active-list order the rescan froze in. The view is kept across
+//     passes (orderByDemand), so a pass sorts only the flows that joined or
+//     changed demand since the last one. Tie order among equal demands never
+//     matters: the cursor always takes a whole equal-demand run or none of
+//     it, and every batch is re-sorted by FlowID.
 //   - per-link crossing lists (linkState.flows, FlowID-ascending by
 //     construction). A bottleneck round freezes straight off the bottleneck's
 //     own list — the same flows, in the same order, the full path-membership
 //     scan selected.
 func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float64, *linkState)) {
-	byDemand := append(n.byDemandScratch[:0], active...)
-	sort.Slice(byDemand, func(i, j int) bool { return byDemand[i].demandBps < byDemand[j].demandBps })
-	n.byDemandScratch = byDemand
+	byDemand := n.orderByDemand(active)
 	cursor := 0
 	batch := n.batchScratch[:0]
 	for remaining > 0 {
@@ -1364,10 +1431,10 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 		}
 		if len(batch) > 0 {
 			if len(batch) > 1 {
-				sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
+				slices.SortFunc(batch, func(a, b *flow) int { return cmp.Compare(a.id, b.id) })
 			}
 			for _, f := range batch {
-				n.freezeFlow(f, f.demandBps, nil)
+				n.freezeFlow(f, f.demandBps)
 			}
 			remaining -= len(batch)
 			continue
@@ -1376,7 +1443,7 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 			// No constrained links remain; all remaining flows get demand.
 			for _, f := range active {
 				if !f.frozen {
-					n.freezeFlow(f, f.demandBps, nil)
+					n.freezeFlow(f, f.demandBps)
 					remaining--
 				}
 			}
@@ -1387,11 +1454,72 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 			if f.frozen {
 				continue
 			}
-			n.freezeFlow(f, minShare, bottleneck)
+			n.freezeFlow(f, minShare)
 			remaining--
 		}
 	}
 	n.batchScratch = batch
+}
+
+// byDemandAsc orders flows by ascending demand, then FlowID. The tie-break
+// changes no freeze (see waterFill); it makes the kept order a function of
+// the active set alone, and a batch that spans few distinct demands comes
+// out in FlowID runs, which its re-sort gets through fastest.
+func byDemandAsc(a, b *flow) int {
+	switch {
+	case a.demandBps < b.demandBps:
+		return -1
+	case a.demandBps > b.demandBps:
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// orderByDemand brings n.byDemand up to date with this pass's active set,
+// sorted by byDemandAsc, and returns it. The kept order is compacted in
+// place, dropping flows that left
+// the active set or changed demand; the active flows not in it are sorted on
+// their own and merged in from the back. When they outnumber the kept ones
+// (a bulk install), one sort of the whole active set is cheaper.
+func (n *Network) orderByDemand(active []*flow) []*flow {
+	kept := n.byDemand[:0]
+	for _, f := range n.byDemand {
+		// Gone, parked and re-demanded flows drop out; parked flows have an
+		// empty path, and no co-located flow was ever in the order.
+		if f.inOrder && !f.gone && len(f.linkPath) > 0 {
+			kept = append(kept, f)
+		} else {
+			f.inOrder = false
+		}
+	}
+	clear(n.byDemand[len(kept):])
+	fresh := n.batchScratch[:0] // free until the round loop starts
+	for _, f := range active {
+		if !f.inOrder {
+			f.inOrder = true
+			fresh = append(fresh, f)
+		}
+	}
+	n.batchScratch = fresh
+	if len(fresh) > len(kept) {
+		n.byDemand = append(kept[:0], active...)
+		slices.SortFunc(n.byDemand, byDemandAsc)
+		return n.byDemand
+	}
+	slices.SortFunc(fresh, byDemandAsc)
+	i, j := len(kept)-1, len(fresh)-1
+	merged := slices.Grow(kept, len(fresh))[:len(kept)+len(fresh)]
+	for w := len(merged) - 1; j >= 0; w-- {
+		if i >= 0 && byDemandAsc(kept[i], fresh[j]) > 0 {
+			merged[w] = kept[i]
+			i--
+		} else {
+			merged[w] = fresh[j]
+			j--
+		}
+	}
+	n.byDemand = merged
+	return merged
 }
 
 func (n *Network) completeTransfer(id FlowID) {

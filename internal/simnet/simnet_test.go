@@ -327,10 +327,10 @@ func TestLinkStatsAndAccounting(t *testing.T) {
 	}
 }
 
-// TestAllLinkStatsMatchesPerLink pins the one-pass sweep to the per-direction
-// scan it replaces: on a congested lattice with streams, an unfinished
-// transfer and unsettled in-flight bytes, every entry must be bit-equal to
-// LinkStats(from, to), twice in a row (the sweep re-zeroes its scratch).
+// TestAllLinkStatsMatchesPerLink pins the sweep to the per-direction read:
+// on a congested lattice with streams, an unfinished transfer and unsettled
+// in-flight bytes, every entry must be bit-equal to LinkStats(from, to),
+// twice in a row (reads leave the per-pass sums untouched).
 func TestAllLinkStatsMatchesPerLink(t *testing.T) {
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: 5, Cols: 5, Seed: 3, Duration: time.Minute})
 	if err != nil {

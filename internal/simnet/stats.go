@@ -50,72 +50,45 @@ func (n *Network) inflightBits(f *flow, dt float64) float64 {
 	return carried
 }
 
-// statsOf builds a pure point-in-time view: carried bytes and backlog are
-// read from their anchors plus the closed-form in-flight component, without
-// settling anything.
+// statsOf builds a pure point-in-time view after a flush: the allocation is
+// the pass's cached sum, and carried bytes and backlog are read from their
+// anchors plus the closed-form in-flight component, summed over the
+// direction's crossing list in ascending FlowID order, without settling
+// anything.
 func (n *Network) statsOf(ls *linkState) LinkStats {
-	dt := (n.eng.Now() - n.lastAdvance).Seconds()
-	var alloc, inflight float64
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
-		for _, l := range f.linkPath {
-			if l == ls {
-				alloc += f.rateBps
-				if dt > 0 {
-					inflight += n.inflightBits(f, dt)
-				}
-				break
-			}
+	var inflight float64
+	if dt := (n.eng.Now() - n.lastAdvance).Seconds(); dt > 0 {
+		for _, f := range ls.flows {
+			inflight += n.inflightBits(f, dt)
 		}
 	}
-	return n.statsWith(ls, alloc, inflight)
-}
-
-// statsWith assembles a direction's view from its summed flow allocations
-// and in-flight bits, however the caller accumulated them.
-func (n *Network) statsWith(ls *linkState, allocBps, inflightBits float64) LinkStats {
 	return LinkStats{
 		From:          ls.hop.from,
 		To:            ls.hop.to,
 		CapacityMbps:  ls.capacityBps / 1e6,
 		DemandMbps:    ls.demandBps / 1e6,
-		AllocatedMbps: allocBps / 1e6,
+		AllocatedMbps: ls.allocBps / 1e6,
 		BacklogKB:     n.backlogAt(ls, n.eng.Now()) / 8 / 1e3,
-		CarriedMB:     (ls.carriedBits + inflightBits) / 8 / 1e6,
+		CarriedMB:     (ls.carriedBits + inflight) / 8 / 1e6,
 	}
 }
 
-// AllLinkStats returns stats for every link direction, sorted. Calling
-// statsOf per direction would rescan every flow each time — O(directions ×
-// flows × path) — so, like ProbeSpareAll, the sweep makes one pass over the
-// flows accumulating into per-link scratch. Each direction still receives
-// its additions in ascending-FlowID order, statsOf's summation order, so
-// every entry is bit-equal to LinkStats(from, to). Not safe to call
-// concurrently with itself or ProbeSpareAll (shared scratch).
+// spareMbps is a direction's unallocated capacity, floored at zero.
+func spareMbps(ls *linkState) float64 {
+	v := ls.capacityBps/1e6 - ls.allocBps/1e6
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// AllLinkStats returns stats for every link direction, sorted. Each entry
+// is LinkStats(from, to) for its direction.
 func (n *Network) AllLinkStats() []LinkStats {
 	n.flush()
-	dt := (n.eng.Now() - n.lastAdvance).Seconds()
-	for _, ls := range n.linkOrder {
-		ls.probeAllocBps, ls.sweepInflightBits = 0, 0
-	}
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
-		var inflight float64
-		if dt > 0 {
-			inflight = n.inflightBits(f, dt)
-		}
-		for _, ls := range f.linkPath {
-			ls.probeAllocBps += f.rateBps
-			ls.sweepInflightBits += inflight
-		}
-	}
 	out := make([]LinkStats, 0, len(n.linkOrder))
 	for _, ls := range n.linkOrder {
-		out = append(out, n.statsWith(ls, ls.probeAllocBps, ls.sweepInflightBits))
+		out = append(out, n.statsOf(ls))
 	}
 	return out
 }
@@ -193,12 +166,7 @@ func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float6
 	}
 	rate := demandMbps
 	for _, ls := range hops {
-		s := n.statsOf(ls)
-		avail := s.CapacityMbps - s.AllocatedMbps
-		if avail < 0 {
-			avail = 0
-		}
-		if avail < rate {
+		if avail := spareMbps(ls); avail < rate {
 			rate = avail
 		}
 	}
@@ -215,9 +183,11 @@ func (n *Network) PathLatencyOf(src, dst string) (time.Duration, error) {
 func (n *Network) BytesByTag() map[string]float64 {
 	n.flush()
 	dt := (n.eng.Now() - n.lastAdvance).Seconds()
-	out := make(map[string]float64, len(n.bytesByTag))
-	for tag, bits := range n.bytesByTag {
-		out[tag] = bits / 8 / 1e6
+	out := make(map[string]float64, len(n.tags))
+	for tag, ts := range n.tags {
+		if ts.seen {
+			out[tag] = ts.bits / 8 / 1e6
+		}
 	}
 	if dt > 0 {
 		for _, f := range n.flowOrder {
@@ -237,12 +207,13 @@ func (n *Network) TagRate(tag string) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	bits := n.bytesByTag[tag]
+	var bits float64
+	if ts := n.tags[tag]; ts != nil {
+		bits = ts.bits
+	}
 	if dt := (n.eng.Now() - n.lastAdvance).Seconds(); dt > 0 {
-		for _, f := range n.flowOrder {
-			if !f.gone && f.tag == tag {
-				bits += n.inflightBits(f, dt)
-			}
+		for _, f := range n.tagFlows(tag) {
+			bits += n.inflightBits(f, dt)
 		}
 	}
 	return bits / elapsed / 1e6 // bits per second → Mbps
@@ -272,21 +243,29 @@ func (n *Network) ActiveFlows() (streams, transfers int) {
 // phase queries many tags at once) are safe because no pass is pending when
 // they fan out: the engine flushes at every dispatch boundary, and the
 // control tick mutates nothing before its fan-out, so each reader's flush is
-// a single read of a false flag.
+// a read of two false flags.
 func (n *Network) FlowRateByTag(tag string) float64 {
 	n.flush()
 	var bps float64
-	for _, f := range n.tagFlows[tag] {
+	for _, f := range n.tagFlows(tag) {
 		bps += f.rateBps
 	}
 	return bps / 1e6
+}
+
+// tagFlows returns the live flows with the tag, ascending FlowID.
+func (n *Network) tagFlows(tag string) []*flow {
+	if ts := n.tags[tag]; ts != nil {
+		return ts.flows
+	}
+	return nil
 }
 
 // FlowDemandByTag sums current demands (Mbps) across flows with the tag.
 func (n *Network) FlowDemandByTag(tag string) float64 {
 	n.flush()
 	var bps float64
-	for _, f := range n.tagFlows[tag] {
+	for _, f := range n.tagFlows(tag) {
 		if f.demandBps >= unboundedBps {
 			continue
 		}

@@ -11,7 +11,7 @@
 // kept once: a rollup tier stores only the buckets of samples the raw ring
 // has evicted, and a rollup read derives the newer buckets from the raw ring
 // itself, so a store whose raw ring never fills holds no rollup buckets at
-// all. Windowed aggregate queries (AvgOver, RateOver, BudgetRemaining, ...)
+// all. Windowed aggregate queries (AvgOver, RateOver, ...)
 // answer from raw samples when the window is fully covered and fall back to
 // rollups for older data, so a store sized for hours of raw data still
 // answers day-length windows. A raw window read costs O(log retention +
@@ -770,21 +770,6 @@ func aggSeries(cfg *Config, srs []*series, selector map[string]string, now time.
 	return agg, agg.Count > 0
 }
 
-// budgetRemaining converts a good-indicator aggregate into the fraction of
-// the error budget left for an SLO target.
-func budgetRemaining(agg Agg, ok bool, target float64) (float64, bool) {
-	if !ok || target >= 1 {
-		return 0, false
-	}
-	badFrac := 1 - agg.Avg()
-	if badFrac < 0 {
-		badFrac = 0
-	} else if badFrac > 1 {
-		badFrac = 1
-	}
-	return 1 - badFrac/(1-target), true
-}
-
 // AggOver aggregates every sample of the metric matching the selector in the
 // trailing window [now-window, now] (inclusive), auto-selecting resolution
 // per series. It allocates nothing, binary-searches each series' ring for
@@ -840,16 +825,6 @@ func (s *Store) RateOver(metric string, selector map[string]string, now time.Tim
 		return 0, false
 	}
 	return (agg.Last.Value - agg.First.Value) / dt, true
-}
-
-// BudgetRemaining reads a boolean good-indicator metric (1 = good, 0 = bad
-// per sample; values are clamped through the mean) and returns the fraction
-// of the error budget left over the window for an SLO target: with target
-// 0.99 the budget is 1% bad samples, so 1 means untouched, 0 exhausted, and
-// negative overspent. ok=false when the window is empty or target ≥ 1.
-func (s *Store) BudgetRemaining(metric string, selector map[string]string, now time.Time, window time.Duration, target float64) (float64, bool) {
-	agg, ok := s.AggOver(metric, selector, now, window)
-	return budgetRemaining(agg, ok, target)
 }
 
 // Rate computes the average of the samples within the trailing window ending
@@ -919,12 +894,6 @@ func (sel *Selection) MinOver(now time.Time, window time.Duration) (float64, boo
 func (sel *Selection) MaxOver(now time.Time, window time.Duration) (float64, bool) {
 	agg, ok := sel.AggOver(now, window)
 	return agg.Max, ok
-}
-
-// BudgetRemaining is Store.BudgetRemaining over the selection.
-func (sel *Selection) BudgetRemaining(now time.Time, window time.Duration, target float64) (float64, bool) {
-	agg, ok := sel.AggOver(now, window)
-	return budgetRemaining(agg, ok, target)
 }
 
 // Metrics lists distinct metric names, sorted.

@@ -253,12 +253,6 @@ func TestWindowFoldDifferential(t *testing.T) {
 						t.Errorf("seed %d: Selection(%v) avg/min/max over %v = %v/%v/%v, reference %v/%v/%v", seed, selector, w, avg, mn, mx, want.Avg(), want.Min, want.Max)
 						ok = false
 					}
-					gotB, gotBOK := sel.BudgetRemaining(now, w, 0.9)
-					wantB, wantBOK := s.BudgetRemaining("m", selector, now, w, 0.9)
-					if gotB != wantB || gotBOK != wantBOK {
-						t.Errorf("seed %d: Selection(%v).BudgetRemaining(%v) = %v %v, Store %v %v", seed, selector, w, gotB, gotBOK, wantB, wantBOK)
-						ok = false
-					}
 				}
 			}
 		}

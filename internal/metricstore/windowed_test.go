@@ -54,37 +54,6 @@ func TestRateOverCounter(t *testing.T) {
 	}
 }
 
-func TestBudgetRemaining(t *testing.T) {
-	s := New(0)
-	// 100 good-indicator samples, 2 bad: 2% bad vs a 1% budget at target
-	// 0.99 → budget remaining = 1 - 0.02/0.01 = -1 (overspent).
-	for i := 0; i < 100; i++ {
-		v := 1.0
-		if i == 10 || i == 20 {
-			v = 0
-		}
-		s.Append("slo_good", nil, at(i), v)
-	}
-	got, ok := s.BudgetRemaining("slo_good", nil, at(99), 100*time.Second, 0.99)
-	if !ok {
-		t.Fatal("BudgetRemaining: no samples")
-	}
-	if diff := got - (-1.0); diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("BudgetRemaining = %v, want -1", got)
-	}
-	// All good → full budget.
-	s2 := New(0)
-	for i := 0; i < 10; i++ {
-		s2.Append("slo_good", nil, at(i), 1)
-	}
-	if got, _ := s2.BudgetRemaining("slo_good", nil, at(9), 10*time.Second, 0.99); got != 1 {
-		t.Errorf("BudgetRemaining all-good = %v, want 1", got)
-	}
-	if _, ok := s2.BudgetRemaining("slo_good", nil, at(9), 10*time.Second, 1.0); ok {
-		t.Error("target ≥ 1: want ok=false")
-	}
-}
-
 // TestRollupRawEquivalence pins the rollup schema: on windows aligned to
 // bucket boundaries (with samples strictly inside buckets), aggregates
 // answered from the 10s and 5m rings must equal the raw answer exactly —
@@ -227,12 +196,10 @@ func TestAggOverZeroAlloc(t *testing.T) {
 			t.Fatal("no samples")
 		}
 		_, _ = s.AvgOver("headroom", labels, now, 60*time.Second)
-		_, _ = s.BudgetRemaining("headroom", labels, now, 60*time.Second, 0.99)
 		if _, ok := sel.AggOver(now, 60*time.Second); !ok {
 			t.Fatal("no samples through the selection")
 		}
 		_, _ = sel.MinOver(now, 60*time.Second)
-		_, _ = sel.BudgetRemaining(now, 60*time.Second, 0.99)
 	})
 	if allocs > 0 {
 		t.Errorf("windowed reads allocated %.1f times per run, want 0", allocs)

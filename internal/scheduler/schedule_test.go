@@ -23,11 +23,11 @@ func TestRankNodesPrefersCapacity(t *testing.T) {
 		{Name: "big", FreeCPU: 16, FreeMemoryMB: 65536, LinkCapacityMbps: 50},
 		{Name: "mid", FreeCPU: 8, FreeMemoryMB: 8192, LinkCapacityMbps: 30},
 	}
-	ranked := RankNodes(nodes)
+	ranked := ScoreNodes(nodes)
 	want := []string{"big", "mid", "small"}
-	for i, n := range ranked {
-		if n.Name != want[i] {
-			t.Fatalf("rank %d = %q, want %q", i, n.Name, want[i])
+	for i, r := range ranked {
+		if r.Node.Name != want[i] {
+			t.Fatalf("rank %d = %q, want %q", i, r.Node.Name, want[i])
 		}
 	}
 }
@@ -37,9 +37,9 @@ func TestRankNodesDeterministicTieBreak(t *testing.T) {
 		{Name: "b", FreeCPU: 4, FreeMemoryMB: 4096, LinkCapacityMbps: 20},
 		{Name: "a", FreeCPU: 4, FreeMemoryMB: 4096, LinkCapacityMbps: 20},
 	}
-	ranked := RankNodes(nodes)
-	if ranked[0].Name != "a" {
-		t.Errorf("tie should break by name: got %q first", ranked[0].Name)
+	ranked := ScoreNodes(nodes)
+	if ranked[0].Node.Name != "a" {
+		t.Errorf("tie should break by name: got %q first", ranked[0].Node.Name)
 	}
 }
 

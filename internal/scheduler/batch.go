@@ -209,9 +209,13 @@ func newBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, pathAvail P
 		var dl []batchDep
 		for dep, w := range g.Neighbors(name) {
 			dl = append(dl, batchDep{name: dep, w: w})
-			totalBW[name] += w
 		}
 		sort.Slice(dl, func(i, j int) bool { return dl[i].name < dl[j].name })
+		// Sum in sorted order: map order would make the total differ in
+		// the last bit from run to run and flip ties in movable's order.
+		for _, d := range dl {
+			totalBW[name] += d.w
+		}
 		s.deps[name] = dl
 		if !comp.Pinned() {
 			s.movable = append(s.movable, name)

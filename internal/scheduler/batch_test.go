@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -262,5 +263,50 @@ func TestBatchDefaultSeedPolicy(t *testing.T) {
 	pure := NewBatch(nil, BatchConfig{MoveBudget: 4, ComputeWeight: -1})
 	if pure.Config().ComputeWeight != 0 {
 		t.Errorf("negative ComputeWeight should mean pure network objective, got %v", pure.Config().ComputeWeight)
+	}
+}
+
+// TestBatchMovableOrderIgnoresMapOrder pins the movable order against Go's
+// map iteration. hub's neighbour weights 0.1/0.2/0.3 sum to 0.6 or to
+// 0.6000000000000001 depending on the order they are added in, and a totals
+// exactly 0.6: a total summed in map order would put hub before a on some
+// runs and after it on others, and the search would differ with it.
+func TestBatchMovableOrderIgnoresMapOrder(t *testing.T) {
+	build := func() *dag.Graph {
+		g := dag.NewGraph("hub")
+		g.MustAddComponent(dag.Component{Name: "a", CPU: 0.1})
+		g.MustAddComponent(dag.Component{Name: "hub", CPU: 0.1})
+		for i, node := range []string{"n1", "n2", "n3", "n4"} {
+			g.MustAddComponent(dag.Component{Name: "p" + node, CPU: 0.1, Labels: dag.Pin(node)})
+			if i < 3 {
+				g.MustAddEdge("hub", "p"+node, []float64{0.1, 0.2, 0.3}[i])
+			}
+		}
+		g.MustAddEdge("a", "pn4", 0.6)
+		return g
+	}
+	nodes := make([]NodeInfo, 6)
+	for i := range nodes {
+		nodes[i] = NodeInfo{Name: fmt.Sprintf("n%d", i+1), FreeCPU: 4, FreeMemoryMB: 4096,
+			TotalCPU: 4, TotalMemoryMB: 4096, LinkCapacityMbps: 100}
+	}
+	paths := func(from, to string) float64 { return float64(len(from)+len(to)) / 40 }
+	var first []Explanation
+	var firstAssign Assignment
+	for run := 0; run < 50; run++ {
+		batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 12, K: 1, Seed: 3})
+		batch.SetPathQuery(paths)
+		var rec captureRecorder
+		got, err := batch.Schedule(build(), nodes, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first, firstAssign = rec.explanations, got
+			continue
+		}
+		if !reflect.DeepEqual(got, firstAssign) || !reflect.DeepEqual(rec.explanations, first) {
+			t.Fatalf("run %d diverges from run 0", run)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -628,9 +627,11 @@ func batchPipe(app, src, dst string) *dag.Graph {
 // batchPipePaths is a deterministic path table: spare Mbps from a hash of
 // the pair, with zeros, exact ties and values on both sides of the demand.
 func batchPipePaths(from, to string) float64 {
-	h := fnv.New32a()
-	io.WriteString(h, from+">"+to)
-	return []float64{0, 2, 4.8, 6, 12, 12, 20, 40}[h.Sum32()%8]
+	h := uint32(2166136261) // FNV-1a over from, '>', to
+	for _, c := range []byte(from + ">" + to) {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return [...]float64{0, 2, 4.8, 6, 12, 12, 20, 40}[h%8]
 }
 
 // TestBatchSearchGolden pins positive-budget batch searches: the assignments

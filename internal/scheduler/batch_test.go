@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bass/internal/dag"
@@ -308,5 +309,52 @@ func TestBatchMovableOrderIgnoresMapOrder(t *testing.T) {
 		if !reflect.DeepEqual(got, firstAssign) || !reflect.DeepEqual(rec.explanations, first) {
 			t.Fatalf("run %d diverges from run 0", run)
 		}
+	}
+}
+
+// TestBatchConcurrentMatchesSerial runs batch searches on eight distinct
+// DAGs and node lists from eight goroutines at once, twenty times each: the
+// scratch searches share through their pool must never leak from one search
+// into another, so every run equals the same search run alone.
+func TestBatchConcurrentMatchesSerial(t *testing.T) {
+	type job struct {
+		g     *dag.Graph
+		nodes []NodeInfo
+		want  string
+	}
+	run := func(j *job) string {
+		b := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 96, Seed: int64(len(j.nodes))})
+		b.SetPathQuery(batchPipePaths)
+		rec := &captureRecorder{}
+		a, err := b.Schedule(j.g, j.nodes, rec)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(a) + explanationText(rec.explanations)
+	}
+	jobs := make([]*job, 8)
+	for i := range jobs {
+		n := 16 + 12*i
+		jobs[i] = &job{g: batchPipe(fmt.Sprintf("p%d", i), fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", n-1-i)), nodes: batchPipeNodes(n)}
+		jobs[i].want = run(jobs[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, len(jobs))
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				if got := run(j); got != j.want {
+					errs <- fmt.Sprintf("job %d rep %d diverges from its serial run", i, rep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -129,3 +129,25 @@ func BenchmarkBassSchedule(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBatchSchedule is one batch placement of city-batch's five-stage
+// pipeline on 196 nodes with the default move budget of 256, greedy seed
+// included, with and without a recorder.
+func BenchmarkBatchSchedule(b *testing.B) {
+	g, nodes := batchPipe("p", "n7", "n150"), batchPipeNodes(196)
+	for _, run := range []struct {
+		name string
+		rec  Recorder
+	}{{"norec", nil}, {"rec", &countingRecorder{}}} {
+		b.Run(run.name, func(b *testing.B) {
+			batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 256, Seed: 42})
+			batch.SetPathQuery(batchPipePaths)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := batch.Schedule(g, nodes, run.rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

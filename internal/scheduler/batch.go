@@ -320,10 +320,9 @@ func (s *batchSearch) reset(g *dag.Graph, nodes []NodeInfo, seeded Assignment, c
 		return strings.Compare(s.comps[a], s.comps[b])
 	})
 
-	nh := len(s.hostName)
 	s.keyRank = s.rankHosts(s.keyRank, keyNameCompare)
 	s.nameRank = s.rankHosts(s.nameRank, strings.Compare)
-	s.memo.reset(nh)
+	s.memo.reset(len(s.hostName))
 	nn := len(nodes)
 	s.usedCPU, s.usedMem, s.util = resize(s.usedCPU, nn), resize(s.usedMem, nn), resize(s.util, nn)
 	clear(s.seen)
@@ -388,14 +387,14 @@ func (s *batchSearch) rankHosts(rank []int32, cmpName func(a, b string) int) []i
 // search to the next needs no clearing, and only destinations a search
 // actually asks about hold a column.
 type pathMemo struct {
-	gen  uint32
+	gen  uint64
 	cols [][]memoCell // by destination host id; nil until queried
 	used []int32      // destinations holding a column this search
 	free [][]memoCell
 }
 
 type memoCell struct {
-	gen uint32
+	gen uint64
 	v   float64
 }
 
@@ -407,9 +406,7 @@ func (m *pathMemo) reset(hosts int) {
 	}
 	m.used = m.used[:0]
 	m.cols = resize(m.cols, hosts)
-	if m.gen++; m.gen == 0 {
-		m.free, m.gen = nil, 1 // stamps wrapped: old cells could look current
-	}
+	m.gen++
 }
 
 // column returns the cells for destination to, taking one for it if this

@@ -456,7 +456,7 @@ var (
 	batchFuzzTotalMem = []float64{0, 256, 4096, 4096}
 	batchFuzzCompCPU  = []float64{0, 0.1, 0.25, 0.25, 0.5}
 	batchFuzzCompMem  = []float64{0, 0, 32, 64}
-	batchFuzzEdge     = []float64{0, 0.1, 0.2, 0.3, 0.6, 1, 4, 4, 12}
+	batchFuzzEdge     = []float64{0, 0.1, 0.2, 0.3, 0.6, 1, 4, 4, 12, math.NaN()}
 	batchFuzzPath     = []float64{0, -1, 0.1, 0.3, 1, 4, 4, 12, 100, math.NaN(), math.Inf(1)}
 	batchFuzzWeight   = []float64{0, -1, 0.25, 1}
 )
@@ -471,17 +471,20 @@ type batchFixture struct {
 
 // decodeBatchFixture turns fuzz bytes into a DAG of 2–12 components whose
 // ends are pinned (possibly to "ext", a host outside the node list), 2–40
-// nodes named n1…nN in a shuffled order (so n1 and n10 meet, and sometimes a
-// bare "n" that prefixes them all), tight and tied capacities, a per-pair
-// path table and a random search configuration.
+// nodes named n1…nN in a shuffled order (so n1 and n10 meet, sometimes with
+// a bare "n" that prefixes them all or one name listed twice), tight and
+// tied capacities, a per-pair path table and a random search configuration.
 func decodeBatchFixture(data []byte) batchFixture {
 	s := byteStream(data)
 	nodes := make([]NodeInfo, 2+s.next()%39)
 	for i := range nodes {
 		nodes[i].Name = fmt.Sprintf("n%d", i+1)
 	}
-	if s.next()%4 == 0 {
+	switch s.next() % 8 {
+	case 0, 1:
 		nodes[0].Name = "n"
+	case 2:
+		nodes[len(nodes)-1].Name = nodes[0].Name // a name listed twice
 	}
 	for i := len(nodes) - 1; i > 0; i-- {
 		j := s.next() % (i + 1)

@@ -363,7 +363,8 @@ func keyNameCompare(a, b string) int {
 }
 
 // rankHosts gives each host id its position in the name order cmpName
-// defines, equal names sharing one rank.
+// defines. Only a name listed twice in nodes ties, and assignments hold just
+// one of its ids.
 func (s *batchSearch) rankHosts(rank []int32, cmpName func(a, b string) int) []int32 {
 	n := len(s.hostName)
 	s.rankOrder = s.rankOrder[:0]
@@ -374,9 +375,6 @@ func (s *batchSearch) rankHosts(rank []int32, cmpName func(a, b string) int) []i
 	rank = resize(rank, n)
 	for k, h := range s.rankOrder {
 		rank[h] = int32(k)
-		if k > 0 && cmpName(s.hostName[s.rankOrder[k-1]], s.hostName[h]) == 0 {
-			rank[h] = rank[s.rankOrder[k-1]]
-		}
 	}
 	return rank
 }
@@ -416,10 +414,11 @@ func (m *pathMemo) column(to int32) []memoCell {
 		return col
 	}
 	var col []memoCell
-	if k := len(m.free) - 1; k >= 0 && len(m.free[k]) >= len(m.cols) {
+	if k := len(m.free) - 1; k >= 0 {
 		col, m.free = m.free[k], m.free[:k]
-	} else {
-		col = make([]memoCell, len(m.cols))
+	}
+	if len(col) < len(m.cols) {
+		col = make([]memoCell, len(m.cols)) // a column too short is dropped
 	}
 	m.cols[to] = col
 	m.used = append(m.used, to)

@@ -135,7 +135,6 @@ type App struct {
 	graph *dag.Graph
 
 	env       *core.Env
-	stopFeed  func()
 	busyUntil time.Duration // detector FIFO server
 	latency   *workload.LatencyRecorder
 	downUntil map[string]time.Duration
@@ -193,16 +192,8 @@ func (a *App) Graph() *dag.Graph { return a.graph }
 func (a *App) Start(env *core.Env) error {
 	a.env = env
 	interval := time.Duration(float64(time.Second) / a.cfg.FPS)
-	a.stopFeed = env.Engine().Every(interval, a.publishFrame)
+	env.Engine().Every(interval, a.publishFrame)
 	return nil
-}
-
-// Stop halts the camera feed.
-func (a *App) Stop() {
-	if a.stopFeed != nil {
-		a.stopFeed()
-		a.stopFeed = nil
-	}
 }
 
 // OnMigration marks the moved component unavailable for the downtime;

@@ -85,7 +85,6 @@ type App struct {
 	downUntil map[string]time.Duration
 	latency   *workload.LatencyRecorder
 	byType    map[string]*workload.LatencyRecorder
-	stopGen   func()
 	requests  int
 }
 
@@ -248,22 +247,9 @@ func (a *App) OnMigration(env *core.Env, component, fromNode, toNode string, dow
 	})
 }
 
-// Stop halts request generation.
-func (a *App) Stop() {
-	if a.stopGen != nil {
-		a.stopGen()
-		a.stopGen = nil
-	}
-}
-
 func (a *App) scheduleNext() {
 	gap := a.cfg.Arrival.Next(a.env.Engine().Rand())
-	stopped := false
-	a.stopGen = func() { stopped = true }
 	a.env.Engine().After(gap, func() {
-		if stopped {
-			return
-		}
 		a.serveRequest()
 		a.scheduleNext()
 	})

@@ -189,9 +189,6 @@ type edgeLoad struct {
 	respKBPerReq float64
 }
 
-// kbPerReq is the total traffic per workload request, both directions.
-func (l edgeLoad) kbPerReq() float64 { return l.reqKBPerReq + l.respKBPerReq }
-
 // aggregateLoads folds the request mix into per-channel expectations.
 func aggregateLoads() map[edgeKey]edgeLoad {
 	out := make(map[edgeKey]edgeLoad)

@@ -90,10 +90,9 @@ type App struct {
 	graph   *dag.Graph
 	clients []*client
 
-	env        *core.Env
-	downUntil  time.Duration
-	stopSample func()
-	downtimes  []time.Duration // migration downtime windows observed
+	env       *core.Env
+	downUntil time.Duration
+	downtimes []time.Duration // migration downtime windows observed
 }
 
 var _ core.Workload = (*App)(nil)
@@ -191,7 +190,7 @@ func (a *App) Start(env *core.Env) error {
 	if err := a.connect(); err != nil {
 		return err
 	}
-	a.stopSample = env.Engine().Every(a.cfg.SampleInterval, a.sample)
+	env.Engine().Every(a.cfg.SampleInterval, a.sample)
 	return nil
 }
 
@@ -355,18 +354,6 @@ func (a *App) StatsByNode() []NodeStats {
 	return out
 }
 
-// MeanBitrateAll reports the mean download bitrate across every client
-// sample (Fig 12's headline series).
-func (a *App) MeanBitrateAll() float64 {
-	var h metrics.Histogram
-	for _, c := range a.clients {
-		for _, p := range c.bitrate.Points() {
-			h.Observe(p.Value)
-		}
-	}
-	return h.Mean()
-}
-
 // BitrateSeries returns the per-sample mean bitrate across clients over
 // time.
 func (a *App) BitrateSeries() *metrics.TimeSeries {
@@ -396,12 +383,4 @@ func (a *App) BitrateSeries() *metrics.TimeSeries {
 		}
 	}
 	return out
-}
-
-// Stop halts the sampler.
-func (a *App) Stop() {
-	if a.stopSample != nil {
-		a.stopSample()
-		a.stopSample = nil
-	}
 }

@@ -127,13 +127,6 @@ func (c *Cluster) Node(name string) (Node, error) {
 	return n, nil
 }
 
-// Nodes returns node names in insertion order.
-func (c *Cluster) Nodes() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
 // SchedulableNodes returns names of nodes that may run components, excluding
 // cordoned ones.
 func (c *Cluster) SchedulableNodes() []string {
@@ -354,60 +347,6 @@ func (c *Cluster) ComponentsOn(app, node string) []string {
 		if p.Node == node {
 			out = append(out, p.Component)
 		}
-	}
-	return out
-}
-
-// Utilization summarises one node's allocation state.
-type Utilization struct {
-	Node     string
-	CPUUsed  float64
-	CPUTotal float64
-	MemUsed  float64
-	MemTotal float64
-}
-
-// Utilizations returns per-node allocation summaries in insertion order.
-func (c *Cluster) Utilizations() []Utilization {
-	out := make([]Utilization, 0, len(c.order))
-	for _, name := range c.order {
-		n := c.nodes[name]
-		out = append(out, Utilization{
-			Node:     name,
-			CPUUsed:  c.usedCPU[name],
-			CPUTotal: n.CPU,
-			MemUsed:  c.usedMem[name],
-			MemTotal: n.MemoryMB,
-		})
-	}
-	return out
-}
-
-// Clone returns a deep copy of the cluster, including placements. Schedulers
-// use clones for what-if packing before committing.
-func (c *Cluster) Clone() *Cluster {
-	out := &Cluster{
-		nodes:    make(map[string]Node, len(c.nodes)),
-		order:    append([]string(nil), c.order...),
-		usedCPU:  make(map[string]float64, len(c.usedCPU)),
-		usedMem:  make(map[string]float64, len(c.usedMem)),
-		apps:     make(map[string]*appIndex, len(c.apps)),
-		cordoned: make(map[string]bool, len(c.cordoned)),
-	}
-	for k, v := range c.cordoned {
-		out.cordoned[k] = v
-	}
-	for k, v := range c.nodes {
-		out.nodes[k] = v
-	}
-	for k, v := range c.usedCPU {
-		out.usedCPU[k] = v
-	}
-	for k, v := range c.usedMem {
-		out.usedMem[k] = v
-	}
-	for app, idx := range c.apps {
-		out.apps[app] = &appIndex{names: slices.Clone(idx.names), placements: slices.Clone(idx.placements)}
 	}
 	return out
 }

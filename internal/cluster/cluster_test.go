@@ -146,38 +146,6 @@ func TestComponentsOnAndPlacements(t *testing.T) {
 	}
 }
 
-func TestUtilizations(t *testing.T) {
-	c := threeNodes(t)
-	if err := c.Place(Placement{App: "a", Component: "x", Node: "n2", CPU: 1, MemoryMB: 1024}); err != nil {
-		t.Fatal(err)
-	}
-	us := c.Utilizations()
-	if len(us) != 3 {
-		t.Fatalf("Utilizations = %v", us)
-	}
-	for _, u := range us {
-		if u.Node == "n2" {
-			if u.CPUUsed != 1 || u.MemUsed != 1024 || u.CPUTotal != 4 {
-				t.Errorf("n2 utilization = %+v", u)
-			}
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	c := threeNodes(t)
-	if err := c.Place(Placement{App: "a", Component: "x", Node: "n1", CPU: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cl := c.Clone()
-	if err := cl.Remove("a", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if c.NodeOf("a", "x") != "n1" {
-		t.Error("clone removal leaked into original")
-	}
-}
-
 // TestAllocationNeverNegative property-checks that any sequence of
 // place/remove/move operations keeps free resources within [0, capacity].
 func TestAllocationNeverNegative(t *testing.T) {
@@ -248,23 +216,6 @@ func TestCordon(t *testing.T) {
 	}
 	if err := c.Place(Placement{App: "a", Component: "x", Node: "n2", CPU: 1}); err != nil {
 		t.Errorf("place after uncordon: %v", err)
-	}
-}
-
-func TestCloneCopiesCordonSet(t *testing.T) {
-	c := threeNodes(t)
-	if err := c.Cordon("n1"); err != nil {
-		t.Fatal(err)
-	}
-	clone := c.Clone()
-	if !clone.Cordoned("n1") {
-		t.Error("clone lost cordon state")
-	}
-	if err := clone.Uncordon("n1"); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Cordoned("n1") {
-		t.Error("uncordon on clone leaked into original")
 	}
 }
 

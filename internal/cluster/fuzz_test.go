@@ -28,7 +28,6 @@ const (
 	opRemove
 	opMove
 	opCordon // toggles: cordon an open node, uncordon a cordoned one
-	opClone
 	numOps
 )
 
@@ -114,14 +113,6 @@ func (r *refCluster) fits(p Placement) bool {
 }
 
 func (r *refCluster) remove(i int) { r.placed = append(r.placed[:i], r.placed[i+1:]...) }
-
-func (r *refCluster) clone() *refCluster {
-	out := &refCluster{placed: append([]Placement(nil), r.placed...), cordoned: make(map[string]bool)}
-	for k, v := range r.cordoned {
-		out.cordoned[k] = v
-	}
-	return out
-}
 
 // apply runs one operation on c and on the reference, and reports whether
 // the cluster accepted it as the reference predicts.
@@ -249,11 +240,10 @@ func (r *refCluster) check(t *testing.T, c *Cluster, step string) {
 	}
 }
 
-// FuzzClusterIndexMatchesScan drives random Place/Remove/Move/Cordon/Clone
+// FuzzClusterIndexMatchesScan drives random Place/Remove/Move/Cordon
 // sequences and, after every operation, checks each per-app and
 // per-component read of the index against a brute-force scan of the
-// reference. A Clone is checked against its source; the source is then
-// mutated, and the clone must keep matching the snapshot taken with it.
+// reference.
 func FuzzClusterIndexMatchesScan(f *testing.F) {
 	place := func(app, comp, node, cpu, mem int) fuzzOp { return fuzzOp{opPlace, app, comp, node, cpu, mem} }
 	op := func(kind, app, comp, node int) fuzzOp { return fuzzOp{kind: kind, app: app, comp: comp, node: node} }
@@ -268,40 +258,22 @@ func FuzzClusterIndexMatchesScan(f *testing.F) {
 	// TestMoveRestoreFailure: both ends cordoned, the component is dropped.
 	f.Add(encodeOps(place(2, 2, 0, 2, 0), op(opCordon, 0, 0, 0), op(opCordon, 0, 0, 1), op(opMove, 2, 2, 1),
 		op(opCordon, 0, 0, 0), place(2, 2, 0, 2, 0)))
-	// TestCordon, TestCloneCopiesCordonSet, TestCloneIndependence.
-	f.Add(encodeOps(op(opCordon, 0, 0, 1), place(0, 0, 1, 0, 0), op(opClone, 0, 0, 0), op(opCordon, 0, 0, 1),
-		place(0, 0, 1, 1, 0), op(opClone, 0, 0, 0), op(opRemove, 0, 0, 1)))
+	// TestCordon.
+	f.Add(encodeOps(op(opCordon, 0, 0, 1), place(0, 0, 1, 0, 0), op(opCordon, 0, 0, 1),
+		place(0, 0, 1, 1, 0), op(opRemove, 0, 0, 1)))
 	// The flat-key collision: app/x/a placed twice under different apps.
-	f.Add(encodeOps(place(0, 2, 0, 1, 0), place(1, 0, 1, 1, 0), op(opClone, 0, 0, 0), op(opRemove, 0, 2, 0),
+	f.Add(encodeOps(place(0, 2, 0, 1, 0), place(1, 0, 1, 1, 0), op(opRemove, 0, 2, 0),
 		op(opMove, 1, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := MustNew(fuzzNodes...)
 		ref := &refCluster{cordoned: make(map[string]bool)}
-		var clone *Cluster
-		var snapshot *refCluster
 		for i, o := range decodeOps(data) {
 			step := "op " + strconv.Itoa(i)
-			if o.kind == opClone {
-				clone, snapshot = c.Clone(), ref.clone()
-				snapshot.check(t, clone, step+" clone")
-				// Mutate the source: the clone must not see it.
-				if len(ref.placed) > 0 {
-					p := ref.placed[0]
-					if err := c.Remove(p.App, p.Component); err != nil {
-						t.Fatalf("%s: remove after clone: %v", step, err)
-					}
-					ref.remove(0)
-				} else if err := ref.apply(c, fuzzOp{kind: opCordon, node: 0}); err != nil {
-					t.Fatalf("%s: cordon after clone: %v", step, err)
-				}
-			} else if err := ref.apply(c, o); err != nil {
+			if err := ref.apply(c, o); err != nil {
 				t.Fatalf("%s %+v: %v", step, o, err)
 			}
 			ref.check(t, c, step)
-			if clone != nil {
-				snapshot.check(t, clone, step+" clone")
-			}
 		}
 	})
 }

@@ -7,7 +7,6 @@ package controller
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"bass/internal/mesh"
@@ -322,17 +321,6 @@ func (c *Controller) FinishCycle() {
 
 // NodeDown reports whether the controller currently considers a node dead.
 func (c *Controller) NodeDown(node string) bool { return c.deadNodes[node] }
-
-// DeadNodes lists the nodes currently considered dead, sorted — the health
-// snapshot the reconciler and run summaries report against.
-func (c *Controller) DeadNodes() []string {
-	out := make([]string, 0, len(c.deadNodes))
-	for n := range c.deadNodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // RecordMigration notes that a component was actually migrated, starting its
 // re-migration guard and clearing its violation clock.

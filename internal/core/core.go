@@ -59,9 +59,6 @@ type Env struct {
 	orch *Orchestrator
 }
 
-// App returns the application name the environment is scoped to.
-func (e *Env) App() string { return e.app }
-
 // Engine returns the simulation engine for timers and randomness.
 func (e *Env) Engine() *sim.Engine { return e.orch.eng }
 
@@ -103,12 +100,6 @@ type Config struct {
 	// ReservedCPU is subtracted from every node's schedulable CPU to model
 	// the k3s agent and monitoring daemons.
 	ReservedCPU float64
-	// OnlineProfiling refines DAG edge bandwidth requirements from observed
-	// traffic peaks (§8's future-work item): each controller cycle, any edge
-	// whose measured peak × profilingPeakFactor exceeds its declared
-	// requirement is raised to that value. Declared requirements act as a
-	// floor; profiling never lowers them.
-	OnlineProfiling bool
 	// EnableReconcile replaces the reactive failover path with the
 	// declarative reconciliation loop: deployments register desired-state
 	// specs, and a reconciler diffs desired vs. observed placement every
@@ -152,8 +143,8 @@ type Config struct {
 // microseconds for the greedy seed alone.
 const DefaultBatchMoveBudget = 256
 
-// Fixed retry and profiling parameters. The backoff constants also configure
-// the reconciler, so both recovery paths retry on one schedule.
+// Fixed retry parameters. The backoff constants also configure the
+// reconciler, so both recovery paths retry on one schedule.
 const (
 	// failoverMaxRetries bounds placement attempts for a component stranded
 	// by a node failure before it parks in the recovery queue.
@@ -166,9 +157,6 @@ const (
 	// failoverBackoffJitter spreads each retry delay by ±frac, drawn from the
 	// engine's seeded RNG so equal seeds stay byte-identical.
 	failoverBackoffJitter = 0.2
-	// profilingPeakFactor is the burst headroom online profiling applies to
-	// observed peaks (the same factor the social-network profile uses).
-	profilingPeakFactor = 1.6
 )
 
 func (c Config) withDefaults() Config {
@@ -204,12 +192,11 @@ type EvaluationRecord struct {
 }
 
 type deployedApp struct {
-	name      string
-	workload  Workload
-	graph     *dag.Graph
-	env       *Env
-	edgePeaks map[string]float64 // tag → peak observed Mbps (online profiling)
-	scratch   *appEvalScratch
+	name     string
+	workload Workload
+	graph    *dag.Graph
+	env      *Env
+	scratch  *appEvalScratch
 }
 
 // Orchestrator is the BASS control plane over a simulated mesh.
@@ -420,9 +407,6 @@ func (o *Orchestrator) Monitor() *netmon.Monitor { return o.monitor }
 // Controller exposes the bandwidth controller.
 func (o *Orchestrator) Controller() *controller.Controller { return o.ctrl }
 
-// Cluster exposes placement state.
-func (o *Orchestrator) Cluster() *cluster.Cluster { return o.clus }
-
 // Migrations returns the migration log.
 func (o *Orchestrator) Migrations() []MigrationEvent {
 	out := make([]MigrationEvent, len(o.migrations))
@@ -573,8 +557,7 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 			To: node, Cause: deploySpan, Reason: reason})
 	}
 	env := &Env{app: name, orch: o}
-	app := &deployedApp{name: name, workload: w, graph: g, env: env,
-		edgePeaks: make(map[string]float64)}
+	app := &deployedApp{name: name, workload: w, graph: g, env: env}
 	o.apps[name] = app
 	o.appOrder = append(o.appOrder, name)
 	o.registerAppSLO(name)
@@ -643,15 +626,6 @@ func (o *Orchestrator) SchedulingLatenciesNS() []float64 {
 // SchedulingLatenciesNS.
 func (o *Orchestrator) DAGProcessingNS() []float64 {
 	return o.dagProc.snapshot()
-}
-
-// EdgePeakMbps reports the peak observed traffic for an app edge so far.
-func (o *Orchestrator) EdgePeakMbps(appName, from, to string) float64 {
-	app, ok := o.apps[appName]
-	if !ok {
-		return 0
-	}
-	return app.edgePeaks[app.env.Tag(from, to)]
 }
 
 // controlCycle runs one controller evaluation across all apps on the hot

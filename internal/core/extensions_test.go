@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"bass/internal/dag"
 	"bass/internal/scheduler"
 )
 
@@ -66,82 +65,5 @@ func TestStatefulMigrationTakesLonger(t *testing.T) {
 	// 200 MB over a ≤20 Mbps path is at least 80 s of transfer.
 	if statefulDown < time.Minute {
 		t.Errorf("stateful downtime %v implausibly short for 200 MB", statefulDown)
-	}
-}
-
-// profiledWorkload under-declares its edge requirement, then streams much
-// more; online profiling must raise the DAG weight.
-func TestOnlineProfilingRaisesRequirements(t *testing.T) {
-	topo := fig8Topology(time.Hour)
-	sim, err := NewSimulation(topo, fig8Nodes(), 1, Config{
-		Policy:          scheduler.NewBass(scheduler.HeuristicBFS),
-		EnableMigration: true, // the controller loop drives profiling
-		MonitorInterval: 30 * time.Second,
-		OnlineProfiling: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-
-	// Declared 1 Mbps; actual traffic 10 Mbps.
-	w := newPairWorkload("pair", 1, "node3", 2)
-	w.demand = 10
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	got := w.graph.Weight("src", "dst")
-	if got < 10 {
-		t.Errorf("profiled requirement = %.1f Mbps, want ≥ observed 10", got)
-	}
-	peak := sim.Orch.EdgePeakMbps("pair", "src", "dst")
-	if peak < 9.9 {
-		t.Errorf("edge peak = %.1f, want ≈10", peak)
-	}
-}
-
-func TestOnlineProfilingDisabledKeepsDeclared(t *testing.T) {
-	topo := fig8Topology(time.Hour)
-	sim, err := NewSimulation(topo, fig8Nodes(), 1, Config{
-		Policy:          scheduler.NewBass(scheduler.HeuristicBFS),
-		EnableMigration: true,
-		MonitorInterval: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	w := newPairWorkload("pair", 1, "node3", 2)
-	w.demand = 10
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.graph.Weight("src", "dst"); got != 1 {
-		t.Errorf("requirement changed to %.1f with profiling disabled", got)
-	}
-}
-
-func TestSetWeightOnGraph(t *testing.T) {
-	g := dag.NewGraph("x")
-	g.MustAddComponent(dag.Component{Name: "a"})
-	g.MustAddComponent(dag.Component{Name: "b"})
-	g.MustAddEdge("a", "b", 1)
-	if err := g.SetWeight("a", "b", 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Weight("a", "b"); got != 7 {
-		t.Errorf("weight = %v", got)
-	}
-	if err := g.SetWeight("b", "a", 1); err == nil {
-		t.Error("missing edge: want error")
-	}
-	if err := g.SetWeight("a", "b", -1); err == nil {
-		t.Error("negative weight: want error")
 	}
 }

@@ -269,13 +269,6 @@ func (o *Orchestrator) RecoveryReport() RecoveryReport {
 	return r
 }
 
-// Failovers returns the failover log.
-func (o *Orchestrator) Failovers() []FailoverEvent {
-	out := make([]FailoverEvent, len(o.failovers))
-	copy(out, o.failovers)
-	return out
-}
-
 // Detections returns the node-down detection log.
 func (o *Orchestrator) Detections() []DetectionRecord {
 	out := make([]DetectionRecord, len(o.detections))

@@ -67,10 +67,8 @@ type edgeState struct {
 }
 
 // appEvalScratch is one application's reusable evaluation state. The edge
-// and component lists are frozen at deploy time (edge weights stay live —
-// they are read through the graph each cycle, so online profiling still
-// applies); everything else is per-cycle scratch whose capacity survives
-// between cycles.
+// and component lists are frozen at deploy time; everything else is
+// per-cycle scratch whose capacity survives between cycles.
 type appEvalScratch struct {
 	app   *deployedApp
 	comps []string
@@ -133,29 +131,15 @@ func (o *Orchestrator) rebuildEvalTasks() {
 	}
 }
 
-// evalApp runs one application's read/score phase: refresh profiling peaks,
-// assemble dependency usages through the batch path oracle, and select
-// migration candidates. It only reads shared state (the oracle and route
-// cache guard themselves), writes only into per-app scratch, and emits
-// nothing — safe to run concurrently across apps and bit-identical to the
-// serial order because per-app work never depends on other apps.
+// evalApp runs one application's read/score phase: assemble dependency
+// usages through the batch path oracle, and select migration candidates. It
+// only reads shared state (the oracle and route cache guard themselves),
+// writes only into per-app scratch, and emits nothing — safe to run
+// concurrently across apps and bit-identical to the serial order because
+// per-app work never depends on other apps.
 func (o *Orchestrator) evalApp(s *appEvalScratch) {
 	app := s.app
 	g := app.graph
-	for i := range s.edges {
-		e := &s.edges[i]
-		rate := o.net.FlowRateByTag(e.tag)
-		if rate > app.edgePeaks[e.tag] {
-			app.edgePeaks[e.tag] = rate
-		}
-		if !o.cfg.OnlineProfiling {
-			continue
-		}
-		if want := app.edgePeaks[e.tag] * profilingPeakFactor; want > g.Weight(e.from, e.to) {
-			_ = g.SetWeight(e.from, e.to, want)
-		}
-	}
-
 	s.reqs = s.reqs[:0]
 	s.reqEdge = s.reqEdge[:0]
 	for i := range s.edges {
@@ -323,10 +307,6 @@ func (o *Orchestrator) notePathQueryErrors(n int) {
 	}
 }
 
-// PathQueryErrors reports the cumulative count of dependency edges dropped
-// from controller evaluations by unanswerable path queries.
-func (o *Orchestrator) PathQueryErrors() uint64 { return o.pathQueryErrs }
-
 // ControlStats summarises control-plane work since bootstrap.
 type ControlStats struct {
 	// Cycles counts controller epochs run.
@@ -344,7 +324,8 @@ type ControlStats struct {
 	// SLOTickNS is real wall-clock time spent in the SLO evaluator's
 	// per-epoch Tick, the bulk of what WallNS omits (0 with SLOs off).
 	SLOTickNS int64
-	// PathQueryErrors mirrors PathQueryErrors().
+	// PathQueryErrors counts dependency edges dropped from controller
+	// evaluations by unanswerable path queries.
 	PathQueryErrors uint64
 }
 

@@ -172,14 +172,6 @@ func (g *Graph) Out(name string) []Edge {
 	return out
 }
 
-// In returns the incoming edges of a component, in insertion order.
-func (g *Graph) In(name string) []Edge {
-	es := g.in[name]
-	out := make([]Edge, len(es))
-	copy(out, es)
-	return out
-}
-
 // Edges returns all edges, grouped by source in insertion order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
@@ -199,33 +191,6 @@ func (g *Graph) Weight(from, to string) float64 {
 	return 0
 }
 
-// SetWeight updates the bandwidth requirement of an existing edge — the
-// hook online profiling uses to replace offline-profiled requirements with
-// observed ones (§8 of the paper lists this as future work).
-func (g *Graph) SetWeight(from, to string, bandwidthMbps float64) error {
-	if bandwidthMbps < 0 {
-		return fmt.Errorf("dag: negative bandwidth %v on edge %s->%s", bandwidthMbps, from, to)
-	}
-	found := false
-	for i := range g.out[from] {
-		if g.out[from][i].To == to {
-			g.out[from][i].BandwidthMbps = bandwidthMbps
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("dag: no edge %s->%s", from, to)
-	}
-	for i := range g.in[to] {
-		if g.in[to][i].From == from {
-			g.in[to][i].BandwidthMbps = bandwidthMbps
-			break
-		}
-	}
-	return nil
-}
-
 // Neighbors returns the undirected neighbor set of a component with the
 // bandwidth on the connecting edge (used by migration logic, which cares
 // about traffic in either direction).
@@ -238,35 +203,6 @@ func (g *Graph) Neighbors(name string) map[string]float64 {
 		out[e.From] += e.BandwidthMbps
 	}
 	return out
-}
-
-// TotalCPU sums the CPU requests of all components.
-func (g *Graph) TotalCPU() float64 {
-	var s float64
-	for _, c := range g.components {
-		s += c.CPU
-	}
-	return s
-}
-
-// TotalMemoryMB sums the memory requests of all components.
-func (g *Graph) TotalMemoryMB() float64 {
-	var s float64
-	for _, c := range g.components {
-		s += c.MemoryMB
-	}
-	return s
-}
-
-// TotalBandwidthMbps sums the bandwidth requirements of all edges.
-func (g *Graph) TotalBandwidthMbps() float64 {
-	var s float64
-	for _, es := range g.out {
-		for _, e := range es {
-			s += e.BandwidthMbps
-		}
-	}
-	return s
 }
 
 // TopoSort returns the components in topological order. Ties are broken by
@@ -329,38 +265,4 @@ func (g *Graph) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := NewGraph(g.AppName)
-	for _, name := range g.order {
-		out.MustAddComponent(*g.components[name])
-	}
-	for _, e := range g.Edges() {
-		out.MustAddEdge(e.From, e.To, e.BandwidthMbps)
-	}
-	return out
-}
-
-// Roots returns components with no incoming edges, in insertion order.
-func (g *Graph) Roots() []string {
-	var out []string
-	for _, name := range g.order {
-		if len(g.in[name]) == 0 {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// Leaves returns components with no outgoing edges, in insertion order.
-func (g *Graph) Leaves() []string {
-	var out []string
-	for _, name := range g.order {
-		if len(g.out[name]) == 0 {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -32,15 +32,6 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.Weight("b", "a"); got != 0 {
 		t.Errorf("Weight(b,a) = %v, want 0 (directed)", got)
 	}
-	if got := g.TotalCPU(); got != 4 {
-		t.Errorf("TotalCPU = %v", got)
-	}
-	if got := g.TotalMemoryMB(); got != 400 {
-		t.Errorf("TotalMemoryMB = %v", got)
-	}
-	if got := g.TotalBandwidthMbps(); got != 20 {
-		t.Errorf("TotalBandwidthMbps = %v", got)
-	}
 	if !g.HasComponent("a") || g.HasComponent("zz") {
 		t.Error("HasComponent wrong")
 	}
@@ -125,28 +116,6 @@ func TestNeighborsUndirected(t *testing.T) {
 	}
 	if len(nb) != 2 {
 		t.Errorf("Neighbors(b) has %d entries", len(nb))
-	}
-}
-
-func TestRootsLeaves(t *testing.T) {
-	g := diamond(t)
-	if got := g.Roots(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Errorf("Roots = %v", got)
-	}
-	if got := g.Leaves(); !reflect.DeepEqual(got, []string{"d"}) {
-		t.Errorf("Leaves = %v", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := diamond(t)
-	c := g.Clone()
-	c.MustAddComponent(Component{Name: "extra"})
-	if g.HasComponent("extra") {
-		t.Error("clone mutation leaked into original")
-	}
-	if c.NumEdges() != g.NumEdges() {
-		t.Errorf("clone edges = %d", c.NumEdges())
 	}
 }
 

@@ -88,7 +88,7 @@ type Result struct {
 
 // Replicate expands the named jobs into per-seed replicas: for each job, one
 // Run per seed in [seed, seed+replicas). The returned order is job-major,
-// seed-ascending — the deterministic aggregation order Execute preserves.
+// seed-ascending — the deterministic aggregation order ExecuteStream preserves.
 func Replicate(names []string, seed int64, replicas int, quick bool) []Run {
 	if replicas < 1 {
 		replicas = 1
@@ -102,18 +102,13 @@ func Replicate(names []string, seed int64, replicas int, quick bool) []Run {
 	return runs
 }
 
-// Execute runs every Run across a bounded worker pool and returns results in
-// input order. workers <= 0 defaults to GOMAXPROCS. Because jobs are pure
-// functions of Params and aggregation is by submission index, the returned
-// results — and anything rendered from them — are byte-identical whatever
-// the worker count.
-func Execute(runs []Run, workers int) []Result {
-	return ExecuteStream(runs, workers, nil)
-}
-
-// ExecuteStream is Execute with streaming: emit (if non-nil) is called on
-// the caller's goroutine, once per run, strictly in input order, as soon as
-// each result and all its predecessors are ready.
+// ExecuteStream runs every Run across a bounded worker pool and returns
+// results in input order. workers <= 0 defaults to GOMAXPROCS. Because jobs
+// are pure functions of Params and aggregation is by submission index, the
+// returned results — and anything rendered from them — are byte-identical
+// whatever the worker count. emit (if non-nil) is called on the caller's
+// goroutine, once per run, strictly in input order, as soon as each result
+// and all its predecessors are ready.
 func ExecuteStream(runs []Run, workers int, emit func(Result)) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -49,7 +49,7 @@ func TestReplicateSeedOrdered(t *testing.T) {
 }
 
 func TestExecuteUnknownJob(t *testing.T) {
-	res := Execute([]Run{{Job: "fig99"}}, 2)
+	res := ExecuteStream([]Run{{Job: "fig99"}}, 2, nil)
 	if len(res) != 1 || res[0].Err == nil {
 		t.Fatalf("unknown job: want error, got %+v", res)
 	}
@@ -80,7 +80,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	runs := Replicate([]string{"fig2", "fig8", "table2"}, 42, 2, true)
 
-	sequential := render(Execute(runs, 1))
+	sequential := render(ExecuteStream(runs, 1, nil))
 	var mu sync.Mutex
 	var streamed []Result
 	parallel := render(ExecuteStream(runs, 8, func(r Result) {
@@ -119,8 +119,8 @@ func TestRunsAreSeedDeterministic(t *testing.T) {
 		t.Skip("runs full simulations")
 	}
 	runs := Replicate([]string{"fig8"}, 7, 1, true)
-	a := render(Execute(runs, 1))
-	b := render(Execute(runs, 1))
+	a := render(ExecuteStream(runs, 1, nil))
+	b := render(ExecuteStream(runs, 1, nil))
 	if a != b {
 		t.Errorf("same seed, different output:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}

@@ -8,7 +8,6 @@
 package faults
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -88,23 +87,7 @@ func (e Event) String() string {
 
 // Schedule is an ordered list of fault events.
 type Schedule struct {
-	Events []Event `json:"events"`
-}
-
-// ParseSchedule decodes a JSON schedule — either a bare event array or an
-// object with an "events" field — and sorts it.
-func ParseSchedule(data []byte) (*Schedule, error) {
-	var events []Event
-	if err := json.Unmarshal(data, &events); err != nil {
-		var s Schedule
-		if oerr := json.Unmarshal(data, &s); oerr != nil {
-			return nil, fmt.Errorf("faults: parse schedule: %w", err)
-		}
-		events = s.Events
-	}
-	s := &Schedule{Events: events}
-	s.Sort()
-	return s, nil
+	Events []Event
 }
 
 // Sort orders events by time, breaking ties by (type, node, link) so equal

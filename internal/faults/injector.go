@@ -25,8 +25,7 @@ type Target interface {
 // Injector schedules a fault schedule's events onto a simulation engine and
 // records what it applied.
 type Injector struct {
-	schedule *Schedule
-	applied  []Event
+	applied []Event
 }
 
 // Inject arms every event of the schedule on the engine. Events at the same
@@ -34,7 +33,7 @@ type Injector struct {
 // scheduling order). The caller should Validate the schedule against the
 // topology first; unknown elements are skipped by the Target's own checks.
 func Inject(eng *sim.Engine, s *Schedule, target Target) *Injector {
-	inj := &Injector{schedule: s}
+	inj := &Injector{}
 	for _, e := range s.Events {
 		e := e
 		eng.At(e.At(), func() {
@@ -69,18 +68,4 @@ func (inj *Injector) Applied() []Event {
 	out := make([]Event, len(inj.applied))
 	copy(out, inj.applied)
 	return out
-}
-
-// Schedule returns the injector's full schedule.
-func (inj *Injector) Schedule() *Schedule { return inj.schedule }
-
-// FirstEvent returns the earliest event matching the type, and whether one
-// exists — convenient for computing detection latency in reports.
-func (s *Schedule) FirstEvent(t EventType) (Event, bool) {
-	for _, e := range s.Events {
-		if e.Type == t {
-			return e, true
-		}
-	}
-	return Event{}, false
 }

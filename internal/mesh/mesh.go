@@ -88,16 +88,6 @@ func (l *Link) SetCapacityToward(from, to string, capacity *trace.Trace) error {
 	return nil
 }
 
-// MinCapacityAt reports the lower of the two directions' capacities at
-// offset at — what a direction-agnostic probe of the link observes.
-func (l *Link) MinCapacityAt(at time.Duration) float64 {
-	fwd := l.capFwd.At(at)
-	if rev := l.capRev.At(at); rev < fwd {
-		return rev
-	}
-	return fwd
-}
-
 // CapacityFwd returns the A→B trace (for characterisation and tests; both
 // directions are identical until SetCapacityToward splits them).
 func (l *Link) CapacityFwd() *trace.Trace { return l.capFwd }

@@ -1,15 +1,12 @@
 // Package metrics provides the measurement primitives used across BASS:
-// latency histograms with percentile queries, empirical CDFs, rolling means,
-// and append-only time series. All types are safe for single-goroutine use;
-// ConcurrentHistogram adds a mutex for shared recording.
+// latency histograms with percentile queries, empirical CDFs, and
+// append-only time series. All types are for single-goroutine use.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Histogram accumulates float64 samples and answers order-statistic queries.
@@ -33,11 +30,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.samples = append(h.samples, v)
 	h.sorted = false
-}
-
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
 }
 
 // Count reports the number of recorded samples.
@@ -204,32 +196,4 @@ type Summary struct {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
 		s.Count, s.Mean, s.StdDev, s.Min, s.Median, s.P90, s.P99, s.Max)
-}
-
-// ConcurrentHistogram is a Histogram guarded by a mutex, for recording from
-// multiple goroutines.
-type ConcurrentHistogram struct {
-	mu sync.Mutex
-	h  Histogram
-}
-
-// Observe records one sample.
-func (c *ConcurrentHistogram) Observe(v float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.h.Observe(v)
-}
-
-// Summary returns summary statistics for the samples recorded so far.
-func (c *ConcurrentHistogram) Summary() Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.h.Summary()
-}
-
-// Snapshot returns a sorted copy of the samples recorded so far.
-func (c *ConcurrentHistogram) Snapshot() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.h.Snapshot()
 }

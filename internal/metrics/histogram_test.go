@@ -2,11 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -114,14 +111,6 @@ func TestHistogramCDF(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(1500 * time.Millisecond)
-	if got := h.Mean(); got != 1.5 {
-		t.Errorf("Mean = %v, want 1.5", got)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(3)
@@ -203,28 +192,6 @@ func TestCDFProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestConcurrentHistogram(t *testing.T) {
-	var c ConcurrentHistogram
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Observe(float64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Summary().Count; got != 800 {
-		t.Errorf("Count = %d, want 800", got)
-	}
-	snap := c.Snapshot()
-	if !sort.Float64sAreSorted(snap) {
-		t.Error("Snapshot not sorted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 	"time"
 )
@@ -69,61 +68,4 @@ func (ts *TimeSeries) Mean() float64 {
 		s += p.Value
 	}
 	return s / float64(len(ts.points))
-}
-
-// StdDev reports the population standard deviation of the point values.
-func (ts *TimeSeries) StdDev() float64 {
-	n := len(ts.points)
-	if n < 2 {
-		return 0
-	}
-	mean := ts.Mean()
-	var ss float64
-	for _, p := range ts.points {
-		d := p.Value - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// RollingMean returns a new series where each point is the mean of all points
-// within the trailing window ending at that point, mirroring the paper's
-// "10-second rolling mean" presentation of bandwidth traces (Fig 2).
-func (ts *TimeSeries) RollingMean(window time.Duration) *TimeSeries {
-	out := NewTimeSeries(len(ts.points))
-	start := 0
-	var sum float64
-	for i, p := range ts.points {
-		sum += p.Value
-		for ts.points[start].At < p.At-window {
-			sum -= ts.points[start].Value
-			start++
-		}
-		out.Append(p.At, sum/float64(i-start+1))
-	}
-	return out
-}
-
-// Resample returns the series sampled at a fixed step using
-// last-observation-carried-forward, from the first point's time to the last.
-func (ts *TimeSeries) Resample(step time.Duration) *TimeSeries {
-	out := NewTimeSeries(0)
-	if len(ts.points) == 0 || step <= 0 {
-		return out
-	}
-	last := ts.points[len(ts.points)-1].At
-	for t := ts.points[0].At; t <= last; t += step {
-		v, _ := ts.At(t)
-		out.Append(t, v)
-	}
-	return out
-}
-
-// Histogram folds all point values into a Histogram for percentile queries.
-func (ts *TimeSeries) Histogram() *Histogram {
-	h := NewHistogram(len(ts.points))
-	for _, p := range ts.points {
-		h.Observe(p.Value)
-	}
-	return h
 }

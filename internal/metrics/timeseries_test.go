@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -45,70 +44,13 @@ func TestTimeSeriesOutOfOrderInsert(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesMeanStd(t *testing.T) {
+func TestTimeSeriesMean(t *testing.T) {
 	ts := NewTimeSeries(0)
 	for i, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		ts.Append(time.Duration(i)*time.Second, v)
 	}
 	if got := ts.Mean(); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := ts.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestRollingMeanSmoothsStep(t *testing.T) {
-	// A step from 0 to 10: the rolling mean must lag the step.
-	ts := NewTimeSeries(0)
-	for i := 0; i < 20; i++ {
-		v := 0.0
-		if i >= 10 {
-			v = 10
-		}
-		ts.Append(time.Duration(i)*time.Second, v)
-	}
-	rm := ts.RollingMean(5 * time.Second)
-	pts := rm.Points()
-	if pts[10].Value >= 10 {
-		t.Errorf("rolling mean at the step = %v, want < 10 (lag)", pts[10].Value)
-	}
-	if got := pts[19].Value; got != 10 {
-		t.Errorf("rolling mean long after step = %v, want 10", got)
-	}
-}
-
-func TestResample(t *testing.T) {
-	ts := NewTimeSeries(0)
-	ts.Append(0, 1)
-	ts.Append(3*time.Second, 4)
-	rs := ts.Resample(time.Second)
-	pts := rs.Points()
-	if len(pts) != 4 {
-		t.Fatalf("resampled %d points, want 4", len(pts))
-	}
-	wantVals := []float64{1, 1, 1, 4}
-	for i, p := range pts {
-		if p.Value != wantVals[i] {
-			t.Errorf("resampled[%d] = %v, want %v", i, p.Value, wantVals[i])
-		}
-	}
-}
-
-func TestResampleEmpty(t *testing.T) {
-	ts := NewTimeSeries(0)
-	if got := ts.Resample(time.Second).Len(); got != 0 {
-		t.Errorf("resampled empty series has %d points", got)
-	}
-}
-
-func TestTimeSeriesHistogram(t *testing.T) {
-	ts := NewTimeSeries(0)
-	ts.Append(0, 5)
-	ts.Append(time.Second, 15)
-	h := ts.Histogram()
-	if h.Count() != 2 || h.Mean() != 10 {
-		t.Errorf("histogram count=%d mean=%v", h.Count(), h.Mean())
 	}
 }
 

@@ -11,7 +11,7 @@
 // kept once: a rollup tier stores only the buckets of samples the raw ring
 // has evicted, and a rollup read derives the newer buckets from the raw ring
 // itself, so a store whose raw ring never fills holds no rollup buckets at
-// all. Windowed aggregate queries (AvgOver, RateOver, ...)
+// all. Windowed aggregate queries (AggOver and the Selection reads)
 // answer from raw samples when the window is fully covered and fall back to
 // rollups for older data, so a store sized for hours of raw data still
 // answers day-length windows. A raw window read costs O(log retention +
@@ -794,53 +794,14 @@ func (s *Store) AggOverRes(metric string, selector map[string]string, now time.T
 	return aggSeries(&s.cfg, s.candidates(metric, selector), selector, now, window, res)
 }
 
-// AvgOver returns the mean sample value over the trailing window.
-func (s *Store) AvgOver(metric string, selector map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	agg, ok := s.AggOver(metric, selector, now, window)
-	return agg.Avg(), ok
-}
-
-// MinOver returns the minimum sample value over the trailing window.
-func (s *Store) MinOver(metric string, selector map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	agg, ok := s.AggOver(metric, selector, now, window)
-	return agg.Min, ok
-}
-
-// MaxOver returns the maximum sample value over the trailing window.
-func (s *Store) MaxOver(metric string, selector map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	agg, ok := s.AggOver(metric, selector, now, window)
-	return agg.Max, ok
-}
-
-// RateOver returns the per-second increase of a cumulative counter over the
-// trailing window: (last−first)/elapsed across all matching samples.
-// ok=false with fewer than two samples or zero elapsed time.
-func (s *Store) RateOver(metric string, selector map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	agg, ok := s.AggOver(metric, selector, now, window)
-	if !ok || agg.Count < 2 {
-		return 0, false
-	}
-	dt := agg.Last.At.Sub(agg.First.At).Seconds()
-	if dt <= 0 {
-		return 0, false
-	}
-	return (agg.Last.Value - agg.First.Value) / dt, true
-}
-
-// Rate computes the average of the samples within the trailing window ending
-// at now — the controller's "traffic over the last interval" query.
-func (s *Store) Rate(metric string, selector map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	return s.AvgOver(metric, selector, now, window)
-}
-
 // Selection is a pre-resolved (metric, selector) pair for repeated windowed
 // reads — the read-side twin of Handle. Select finds the store's own list of
 // the series carrying the selector's label pair (or of all the metric's
 // series, for an empty selector) and a read folds that list, in creation
 // order, without examining any other series. The list is the store's, not a
 // copy, so series minted after Select are in it the moment they exist.
-// Results are identical to the Store methods of the same name given the same
-// metric and selector. A Selection is immutable and safe for concurrent use.
+// AggOver's result is identical to Store.AggOver given the same metric and
+// selector. A Selection is immutable and safe for concurrent use.
 type Selection struct {
 	s    *Store
 	from *index
@@ -878,19 +839,19 @@ func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
 	return aggSeries(&sel.s.cfg, sel.from.srs, sel.filter, now, window, ResAuto)
 }
 
-// AvgOver is Store.AvgOver over the selection.
+// AvgOver is the mean of AggOver over the window.
 func (sel *Selection) AvgOver(now time.Time, window time.Duration) (float64, bool) {
 	agg, ok := sel.AggOver(now, window)
 	return agg.Avg(), ok
 }
 
-// MinOver is Store.MinOver over the selection.
+// MinOver is the minimum of AggOver over the window.
 func (sel *Selection) MinOver(now time.Time, window time.Duration) (float64, bool) {
 	agg, ok := sel.AggOver(now, window)
 	return agg.Min, ok
 }
 
-// MaxOver is Store.MaxOver over the selection.
+// MaxOver is the maximum of AggOver over the window.
 func (sel *Selection) MaxOver(now time.Time, window time.Duration) (float64, bool) {
 	agg, ok := sel.AggOver(now, window)
 	return agg.Max, ok

@@ -65,16 +65,16 @@ func TestRate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append("mbps", nil, at(i), float64(i))
 	}
-	avg, ok := s.Rate("mbps", nil, at(9), 3*time.Second)
+	agg, ok := s.AggOver("mbps", nil, at(9), 3*time.Second)
 	if !ok {
-		t.Fatal("Rate: no samples")
+		t.Fatal("AggOver: no samples")
 	}
-	// Samples at t=6..9: mean 7.5.
-	if avg != 7.5 {
-		t.Errorf("Rate = %v, want 7.5", avg)
+	// Samples at t=6..9: mean 7.5, min 6, max 9.
+	if avg := agg.Avg(); avg != 7.5 || agg.Min != 6 || agg.Max != 9 {
+		t.Errorf("Avg/Min/Max = %v/%v/%v, want 7.5/6/9", avg, agg.Min, agg.Max)
 	}
-	if _, ok := s.Rate("ghost", nil, at(9), time.Second); ok {
-		t.Error("Rate on missing metric: want ok=false")
+	if _, ok := s.AggOver("ghost", nil, at(9), time.Second); ok {
+		t.Error("AggOver on missing metric: want ok=false")
 	}
 }
 
@@ -180,7 +180,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 				s.Append("m", labels, at(j), float64(j))
 				_ = s.Query("m", nil, time.Time{}, time.Time{})
 				_, _ = s.Latest("m", nil)
-				_, _ = s.Rate("m", nil, at(j), 5*time.Second)
+				_, _ = s.AggOver("m", nil, at(j), 5*time.Second)
 				_ = s.Metrics()
 				_ = s.WritePrometheus(io.Discard)
 				_ = s.Snapshot()

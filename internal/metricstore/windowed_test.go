@@ -22,35 +22,11 @@ func TestAggOverBasics(t *testing.T) {
 	if agg.First.Value != 6 || agg.Last.Value != 9 {
 		t.Errorf("first/last = %v/%v", agg.First, agg.Last)
 	}
-	if avg, _ := s.AvgOver("mbps", nil, at(9), 3*time.Second); avg != 7.5 {
-		t.Errorf("AvgOver = %v, want 7.5", avg)
-	}
-	if mn, _ := s.MinOver("mbps", nil, at(9), 3*time.Second); mn != 6 {
-		t.Errorf("MinOver = %v, want 6", mn)
-	}
-	if mx, _ := s.MaxOver("mbps", nil, at(9), 3*time.Second); mx != 9 {
-		t.Errorf("MaxOver = %v, want 9", mx)
+	if avg := agg.Avg(); avg != 7.5 {
+		t.Errorf("Avg = %v, want 7.5", avg)
 	}
 	if _, ok := s.AggOver("ghost", nil, at(9), time.Second); ok {
 		t.Error("AggOver on missing metric: want ok=false")
-	}
-}
-
-func TestRateOverCounter(t *testing.T) {
-	s := New(0)
-	// Cumulative counter climbing 5 units/s.
-	for i := 0; i < 20; i++ {
-		s.Append("tx_total", nil, at(i), float64(5*i))
-	}
-	rate, ok := s.RateOver("tx_total", nil, at(19), 10*time.Second)
-	if !ok || rate != 5 {
-		t.Errorf("RateOver = %v ok=%v, want 5", rate, ok)
-	}
-	// A single sample cannot yield a rate.
-	s2 := New(0)
-	s2.Append("tx_total", nil, at(1), 10)
-	if _, ok := s2.RateOver("tx_total", nil, at(1), 10*time.Second); ok {
-		t.Error("RateOver with one sample: want ok=false")
 	}
 }
 
@@ -195,7 +171,6 @@ func TestAggOverZeroAlloc(t *testing.T) {
 		if _, ok := s.AggOver("headroom", labels, now, 60*time.Second); !ok {
 			t.Fatal("no samples")
 		}
-		_, _ = s.AvgOver("headroom", labels, now, 60*time.Second)
 		if _, ok := sel.AggOver(now, 60*time.Second); !ok {
 			t.Fatal("no samples through the selection")
 		}

@@ -250,9 +250,6 @@ func New(topo *mesh.Topology, prober Prober, cfg Config, now func() time.Duratio
 	return m
 }
 
-// Config returns the monitor's effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
 // SetObserver attaches an observability plane. Probe results, probe errors,
 // and headroom violations are journaled; measured capacities and spares feed
 // the link_capacity_mbps / link_headroom_mbps series. Per-link headroom

@@ -268,18 +268,6 @@ func (r *Reconciler) SetSpec(s Spec) {
 	r.specOrder[i] = s.App
 }
 
-// DeleteSpec forgets an application and drops its outstanding drift.
-func (r *Reconciler) DeleteSpec(app string) {
-	if _, ok := r.specs[app]; !ok {
-		return
-	}
-	delete(r.specs, app)
-	if i := sort.SearchStrings(r.specOrder, app); i < len(r.specOrder) && r.specOrder[i] == app {
-		r.specOrder = append(r.specOrder[:i], r.specOrder[i+1:]...)
-	}
-	r.dropPendings(app)
-}
-
 func pendingKey(app, component string) string { return app + "\x00" + component }
 
 // NoteDrift records drift observed by a reactive path (node-down evacuation,
@@ -678,18 +666,4 @@ func (r *Reconciler) Converges() []ConvergeRecord {
 		return nil
 	}
 	return append([]ConvergeRecord(nil), r.converges...)
-}
-
-// ShedApps lists currently-shed applications, sorted.
-func (r *Reconciler) ShedApps() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for _, app := range r.specOrder {
-		if r.specs[app].shed {
-			out = append(out, app)
-		}
-	}
-	return out
 }

@@ -85,13 +85,3 @@ func TestAutoScheduleWorks(t *testing.T) {
 		}
 	}
 }
-
-func TestParseHeuristicAuto(t *testing.T) {
-	h, err := ParseHeuristic("auto")
-	if err != nil || h != HeuristicAuto {
-		t.Errorf("ParseHeuristic(auto) = %v, %v", h, err)
-	}
-	if HeuristicAuto.String() != "auto" {
-		t.Errorf("String = %q", HeuristicAuto.String())
-	}
-}

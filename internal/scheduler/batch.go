@@ -36,6 +36,19 @@ import (
 // the greedy seed) wins, keeping the search stable under FP noise.
 const batchEps = 1e-9
 
+// Fixed parameters of the joint search.
+const (
+	// batchComputeWeight weighs the compute-balance term against the network
+	// term in the joint objective (DCSim-style combined scoring).
+	batchComputeWeight = 0.25
+	// batchNeighborhood caps the bandwidth-aware relocation targets
+	// considered per component per scan (Selimi-style: nodes ranked by the
+	// bandwidth they can satisfy toward the component's placed DAG
+	// neighbors); two extra seeded-random targets are added for
+	// diversification.
+	batchNeighborhood = 8
+)
+
 // BatchConfig tunes the batch placement search.
 type BatchConfig struct {
 	// MoveBudget caps how many joint candidate assignments the local search
@@ -49,29 +62,11 @@ type BatchConfig struct {
 	// Seed drives the deterministic RNG used to diversify relocation
 	// neighborhoods. Equal seeds yield byte-identical searches.
 	Seed int64
-	// ComputeWeight weighs the compute-balance term against the network term
-	// in the joint objective (DCSim-style combined scoring). Zero takes the
-	// default 0.25; negative means pure network objective.
-	ComputeWeight float64
-	// Neighborhood caps the bandwidth-aware relocation targets considered per
-	// component per scan (Selimi-style: nodes ranked by the bandwidth they
-	// can satisfy toward the component's placed DAG neighbors). Defaults to
-	// 8; two extra seeded-random targets are added for diversification.
-	Neighborhood int
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
 	if c.K <= 0 {
 		c.K = 4
-	}
-	switch {
-	case c.ComputeWeight == 0:
-		c.ComputeWeight = 0.25
-	case c.ComputeWeight < 0:
-		c.ComputeWeight = 0
-	}
-	if c.Neighborhood <= 0 {
-		c.Neighborhood = 8
 	}
 	return c
 }
@@ -504,9 +499,9 @@ func (s *batchSearch) load(a []int32) bool {
 }
 
 // score completes a joint score from the placement's worst node utilization:
-// score = netFrac + ComputeWeight·balance. netFrac is the fraction of total
-// DAG edge bandwidth the placement can satisfy — local edges in full, remote
-// edges capped at the path oracle's spare capacity (DependencyUsage's
+// score = netFrac + batchComputeWeight·balance. netFrac is the fraction of
+// total DAG edge bandwidth the placement can satisfy — local edges in full,
+// remote edges capped at the path oracle's spare capacity (DependencyUsage's
 // satisfiable-bandwidth rule applied jointly); balance is one minus worst.
 // Edges are walked in their fixed order, so equal assignments score
 // bit-identically.
@@ -525,7 +520,7 @@ func (s *batchSearch) score(a []int32, worst float64) batchState {
 	if s.totalW > 0 {
 		st.netFrac = sat / s.totalW
 	}
-	st.score = st.netFrac + s.cfg.ComputeWeight*st.balance
+	st.score = st.netFrac + batchComputeWeight*st.balance
 	return st
 }
 
@@ -770,9 +765,10 @@ func rowChosen(row CandidateScore) string {
 // could satisfy toward comp's placed DAG neighbors (local edges in full,
 // remote edges capped at the path oracle's spare capacity — the same
 // satisfiable-bandwidth rule migration scoring uses), and the top
-// Neighborhood nodes are kept, plus up to two seeded-random extras so the
-// search can escape bandwidth-local optima. The extras index into the fully
-// sorted remainder, so the whole list is stable-sorted, ties by node name.
+// batchNeighborhood nodes are kept, plus up to two seeded-random extras so
+// the search can escape bandwidth-local optima. The extras index into the
+// fully sorted remainder, so the whole list is stable-sorted, ties by node
+// name.
 func (s *batchSearch) relocationTargets(comp int32, a []int32) []int32 {
 	current := a[comp]
 	deps := s.deps[comp]
@@ -798,7 +794,7 @@ func (s *batchSearch) relocationTargets(comp int32, a []int32) []int32 {
 		return cmp.Compare(s.nameRank[x.host], s.nameRank[y.host])
 	})
 	s.ranked = ranked
-	limit := min(s.cfg.Neighborhood, len(ranked))
+	limit := min(batchNeighborhood, len(ranked))
 	out := s.targets[:0]
 	for _, r := range ranked[:limit] {
 		out = append(out, r.host)

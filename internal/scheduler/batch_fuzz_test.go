@@ -19,13 +19,15 @@ import (
 // ran before the search moved to dense ids: maps of component and host names,
 // a memo keyed by name pairs, one cloned Assignment per candidate and a full
 // re-evaluation of every node for each move. It is kept verbatim as the
-// reference the dense search must match bit for bit.
+// reference the dense search must match bit for bit, with its own copies of
+// the objective's compute weight (0.25) and the relocation neighbourhood
+// width (8).
 func refBatchSchedule(b *Batch, g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	seeded, err := b.seed.Schedule(g, nodes, rec)
 	if err != nil || b.cfg.MoveBudget <= 0 {
 		return seeded, err
 	}
-	s, ok := newRefBatchSearch(g, nodes, b.cfg, b.pathAvail, rec)
+	s, ok := newRefBatchSearch(g, nodes, b.cfg, 0.25, 8, b.pathAvail, rec)
 	if !ok {
 		return seeded, nil
 	}
@@ -61,6 +63,9 @@ type refBatchSearch struct {
 	rec       Recorder
 	rng       *rand.Rand
 
+	computeWeight float64
+	neighborhood  int
+
 	comps      []string
 	movable    []string
 	compByName map[string]*dag.Component
@@ -79,7 +84,7 @@ type refBatchSearch struct {
 	usedCPU, usedMem []float64
 }
 
-func newRefBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, pathAvail PathQuery, rec Recorder) (*refBatchSearch, bool) {
+func newRefBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, computeWeight float64, neighborhood int, pathAvail PathQuery, rec Recorder) (*refBatchSearch, bool) {
 	s := &refBatchSearch{
 		cfg:        cfg,
 		pathAvail:  pathAvail,
@@ -95,6 +100,9 @@ func newRefBatchSearch(g *dag.Graph, nodes []NodeInfo, cfg BatchConfig, pathAvai
 		pathMemo:   make(map[refNodePair]float64),
 		usedCPU:    make([]float64, len(nodes)),
 		usedMem:    make([]float64, len(nodes)),
+
+		computeWeight: computeWeight,
+		neighborhood:  neighborhood,
 	}
 	for i, n := range nodes {
 		s.nodeByName[n.Name] = i
@@ -201,7 +209,7 @@ func (s *refBatchSearch) eval(a Assignment) (refBatchState, bool) {
 	if s.totalW > 0 {
 		st.netFrac = sat / s.totalW
 	}
-	st.score = st.netFrac + s.cfg.ComputeWeight*st.balance
+	st.score = st.netFrac + s.computeWeight*st.balance
 	return st, true
 }
 
@@ -417,7 +425,7 @@ func (s *refBatchSearch) relocationTargets(comp string, a Assignment, current st
 		}
 		return ranked[i].name < ranked[j].name
 	})
-	limit := s.cfg.Neighborhood
+	limit := s.neighborhood
 	if limit > len(ranked) {
 		limit = len(ranked)
 	}
@@ -458,7 +466,6 @@ var (
 	batchFuzzCompMem  = []float64{0, 0, 32, 64}
 	batchFuzzEdge     = []float64{0, 0.1, 0.2, 0.3, 0.6, 1, 4, 4, 12, math.NaN()}
 	batchFuzzPath     = []float64{0, -1, 0.1, 0.3, 1, 4, 4, 12, 100, math.NaN(), math.Inf(1)}
-	batchFuzzWeight   = []float64{0, -1, 0.25, 1}
 )
 
 // batchFixture is one decoded batch placement problem.
@@ -525,11 +532,9 @@ func decodeBatchFixture(data []byte) batchFixture {
 	}
 
 	fx.cfg = BatchConfig{
-		MoveBudget:    1 + s.next() + s.next()%2*s.next(),
-		K:             s.next() % 7,
-		Neighborhood:  s.next() % 13,
-		Seed:          int64(s.next()),
-		ComputeWeight: pick(&s, batchFuzzWeight),
+		MoveBudget: 1 + s.next() + s.next()%2*s.next(),
+		K:          s.next() % 7,
+		Seed:       int64(s.next()),
 	}
 	if salt := s.next(); salt%8 != 0 {
 		fx.paths = func(from, to string) float64 {

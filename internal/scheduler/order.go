@@ -57,21 +57,6 @@ func (h Heuristic) String() string {
 	}
 }
 
-// ParseHeuristic resolves a heuristic by name ("bfs", "longest-path", or
-// "auto").
-func ParseHeuristic(s string) (Heuristic, error) {
-	switch s {
-	case "bfs":
-		return HeuristicBFS, nil
-	case "longest-path", "longestpath", "lp":
-		return HeuristicLongestPath, nil
-	case "auto":
-		return HeuristicAuto, nil
-	default:
-		return 0, fmt.Errorf("scheduler: unknown heuristic %q", s)
-	}
-}
-
 // ChooseHeuristic implements HeuristicAuto's decision (§8): compare the
 // bandwidth concentrated at fan-out points (the sum of out-edge weights of
 // vertices with two or more consumers) against the bandwidth of the single

@@ -238,43 +238,15 @@ func TestOrderUnknownHeuristic(t *testing.T) {
 	}
 }
 
-func TestParseHeuristic(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Heuristic
-		wantErr bool
-	}{
-		{in: "bfs", want: HeuristicBFS},
-		{in: "longest-path", want: HeuristicLongestPath},
-		{in: "longestpath", want: HeuristicLongestPath},
-		{in: "lp", want: HeuristicLongestPath},
-		{in: "dijkstra", wantErr: true},
-		{in: "", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := ParseHeuristic(tt.in)
-		if tt.wantErr {
-			if err == nil {
-				t.Errorf("ParseHeuristic(%q): want error", tt.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseHeuristic(%q): %v", tt.in, err)
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("ParseHeuristic(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestHeuristicString(t *testing.T) {
 	if HeuristicBFS.String() != "bfs" {
 		t.Errorf("HeuristicBFS.String() = %q", HeuristicBFS.String())
 	}
 	if HeuristicLongestPath.String() != "longest-path" {
 		t.Errorf("HeuristicLongestPath.String() = %q", HeuristicLongestPath.String())
+	}
+	if HeuristicAuto.String() != "auto" {
+		t.Errorf("HeuristicAuto.String() = %q", HeuristicAuto.String())
 	}
 }
 

@@ -141,9 +141,6 @@ func NewBass(h Heuristic, opts ...BassOption) *Bass {
 // Name identifies the scheduler in experiment output.
 func (b *Bass) Name() string { return "bass-" + b.heuristic.String() }
 
-// Heuristic reports the configured ordering heuristic.
-func (b *Bass) Heuristic() Heuristic { return b.heuristic }
-
 // Schedule assigns every component of g to a node. Packing walks the ranked
 // node list with a moving cursor: consecutive components in heuristic order
 // stay on the current node while its capacity permits, then the cursor

@@ -9,8 +9,6 @@ import (
 	"bass/internal/sim"
 )
 
-func statsID(a, b string) mesh.LinkID { return mesh.MakeLinkID(a, b) }
-
 func lineTopoForStop(t testing.TB) *mesh.Topology {
 	t.Helper()
 	return mesh.Line([]string{"a", "b"}, 10, time.Millisecond, time.Hour)
@@ -103,9 +101,6 @@ func TestBytesAndTagQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ID() != statsID("a", "b") {
-		t.Errorf("stats ID = %v", stats.ID())
-	}
 	if stats.CarriedMB <= 0 {
 		t.Errorf("CarriedMB = %v", stats.CarriedMB)
 	}
@@ -118,18 +113,6 @@ func TestQueueDelayUnknownLink(t *testing.T) {
 	}
 	if _, err := net.LinkStats("ghost", "a"); err == nil {
 		t.Error("unknown link: want error")
-	}
-}
-
-func TestSetMaxQueueSeconds(t *testing.T) {
-	_, net := lineNet(t, 10)
-	net.SetMaxQueueSeconds(5)
-	if net.maxQueueSec != 5 {
-		t.Errorf("maxQueueSec = %v", net.maxQueueSec)
-	}
-	net.SetMaxQueueSeconds(-1) // ignored
-	if net.maxQueueSec != 5 {
-		t.Errorf("negative accepted: %v", net.maxQueueSec)
 	}
 }
 

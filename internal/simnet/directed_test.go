@@ -135,14 +135,3 @@ func TestSetDirectedCapacityErrors(t *testing.T) {
 		t.Error("bad direction: want error")
 	}
 }
-
-func TestMinCapacityAt(t *testing.T) {
-	topo := mesh.Line([]string{"a", "b"}, 10, time.Millisecond, time.Minute)
-	if err := topo.SetDirectedCapacity("b", "a", trace.Constant("rev", time.Second, 2, 60)); err != nil {
-		t.Fatal(err)
-	}
-	l, _ := topo.Link("a", "b")
-	if got := l.MinCapacityAt(0); got != 2 {
-		t.Errorf("MinCapacityAt = %v, want 2", got)
-	}
-}

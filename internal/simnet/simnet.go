@@ -265,7 +265,6 @@ type Network struct {
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
 	lastAdvance time.Duration
-	maxQueueSec float64
 
 	// Driver state. The sampling grid is anchored at the Start time; both
 	// drivers observe capacities only at gridAnchor + k·gridStep.
@@ -336,7 +335,6 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		tags:           make(map[string]*tagState),
 		links:          make(map[dhop]*linkState),
 		probeLoss:      make(map[mesh.LinkID]bool),
-		maxQueueSec:    DefaultMaxQueueSeconds,
 		lastAvailEpoch: topo.AvailabilityEpoch(),
 	}
 	for _, l := range topo.Links() {
@@ -439,13 +437,6 @@ func (n *Network) eventCause(f *flow) uint64 {
 		return n.causeSpan
 	}
 	return f.cause
-}
-
-// SetMaxQueueSeconds overrides the per-link buffer budget.
-func (n *Network) SetMaxQueueSeconds(sec float64) {
-	if sec > 0 {
-		n.maxQueueSec = sec
-	}
 }
 
 // SetFullRecompute forces every deferred pass through the full
@@ -632,7 +623,7 @@ func (n *Network) settleBacklog(ls *linkState, now time.Duration) {
 	excess := ls.demandBps - ls.capacityBps
 	if excess > 0 {
 		ls.backlogBits += excess * dt
-		if maxBits := ls.capacityBps * n.maxQueueSec; ls.backlogBits > maxBits {
+		if maxBits := ls.capacityBps * DefaultMaxQueueSeconds; ls.backlogBits > maxBits {
 			ls.backlogBits = maxBits
 		}
 	} else if ls.backlogBits > 0 {
@@ -654,7 +645,7 @@ func (n *Network) backlogAt(ls *linkState, now time.Duration) float64 {
 	excess := ls.demandBps - ls.capacityBps
 	if excess > 0 {
 		b += excess * dt
-		if maxBits := ls.capacityBps * n.maxQueueSec; b > maxBits {
+		if maxBits := ls.capacityBps * DefaultMaxQueueSeconds; b > maxBits {
 			b = maxBits
 		}
 	} else if b > 0 {

@@ -315,9 +315,6 @@ func TestLinkStatsAndAccounting(t *testing.T) {
 	if math.Abs(stats.AllocatedMbps-4) > 1e-6 || stats.CapacityMbps != 10 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if got := stats.UtilizationFrac(); math.Abs(got-0.4) > 1e-6 {
-		t.Errorf("utilization = %v", got)
-	}
 	avail, err := net.LinkAvailableMbps("a", "b")
 	if err != nil {
 		t.Fatal(err)

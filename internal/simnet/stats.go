@@ -3,8 +3,6 @@ package simnet
 import (
 	"fmt"
 	"time"
-
-	"bass/internal/mesh"
 )
 
 // LinkStats is a point-in-time view of one link direction.
@@ -16,17 +14,6 @@ type LinkStats struct {
 	AllocatedMbps float64 // sum of current flow allocations over the direction
 	BacklogKB     float64
 	CarriedMB     float64 // cumulative
-}
-
-// ID returns the undirected link the direction belongs to.
-func (s LinkStats) ID() mesh.LinkID { return mesh.MakeLinkID(s.From, s.To) }
-
-// UtilizationFrac reports allocated/capacity (0 when capacity is 0).
-func (s LinkStats) UtilizationFrac() float64 {
-	if s.CapacityMbps <= 0 {
-		return 0
-	}
-	return s.AllocatedMbps / s.CapacityMbps
 }
 
 // LinkStats returns the current stats of the from→to direction.
@@ -91,16 +78,6 @@ func (n *Network) AllLinkStats() []LinkStats {
 		out = append(out, n.statsOf(ls))
 	}
 	return out
-}
-
-// LinkCapacityMbps reports the current (trace-sampled) capacity of the
-// from→to direction.
-func (n *Network) LinkCapacityMbps(from, to string) (float64, error) {
-	s, err := n.LinkStats(from, to)
-	if err != nil {
-		return 0, err
-	}
-	return s.CapacityMbps, nil
 }
 
 // LinkAvailableMbps reports capacity minus current allocations on the

@@ -8,12 +8,9 @@ package trace
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"time"
-
-	"bass/internal/metrics"
 )
 
 // ErrEmptyTrace is returned by operations that need at least one sample.
@@ -178,41 +175,6 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// Scale returns a dense copy of the trace with every sample multiplied by f.
-func (t *Trace) Scale(f float64) *Trace {
-	in := t.Samples()
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
-	for i, v := range in {
-		out.Mbps[i] = v * f
-	}
-	return out
-}
-
-// Clip returns a dense copy with every sample clamped to [lo, hi].
-func (t *Trace) Clip(lo, hi float64) *Trace {
-	in := t.Samples()
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
-	for i, v := range in {
-		out.Mbps[i] = math.Min(hi, math.Max(lo, v))
-	}
-	return out
-}
-
-// Slice returns the sub-trace covering [from, to).
-func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
-	if t.Step <= 0 {
-		return nil, fmt.Errorf("trace: invalid step %v", t.Step)
-	}
-	lo := int(from / t.Step)
-	hi := int(to / t.Step)
-	if lo < 0 || hi > t.Len() || lo > hi {
-		return nil, fmt.Errorf("trace: slice [%v,%v) out of range for %v samples", from, to, t.Len())
-	}
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, hi-lo)}
-	copy(out.Mbps, t.Samples()[lo:hi])
-	return out, nil
-}
-
 // RollingMean returns the trace smoothed by a trailing mean over the given
 // window, matching the paper's Fig 2 presentation.
 func (t *Trace) RollingMean(window time.Duration) *Trace {
@@ -238,16 +200,6 @@ func (t *Trace) RollingMean(window time.Duration) *Trace {
 		out.Mbps[i] = sum / float64(n)
 	}
 	return out
-}
-
-// TimeSeries converts the trace to a metrics.TimeSeries.
-func (t *Trace) TimeSeries() *metrics.TimeSeries {
-	in := t.Samples()
-	ts := metrics.NewTimeSeries(len(in))
-	for i, v := range in {
-		ts.Append(time.Duration(i)*t.Step, v)
-	}
-	return ts
 }
 
 // Summary describes a trace in the terms the paper uses: mean capacity and

@@ -153,26 +153,6 @@ func TestStepTrace(t *testing.T) {
 	}
 }
 
-func TestScaleClipSlice(t *testing.T) {
-	tr := &Trace{Name: "l", Step: time.Second, Mbps: []float64{1, 2, 3, 4}}
-	if got := tr.Scale(2).Mbps[3]; got != 8 {
-		t.Errorf("Scale: %v", got)
-	}
-	if got := tr.Clip(2, 3).Mbps; got[0] != 2 || got[3] != 3 {
-		t.Errorf("Clip: %v", got)
-	}
-	s, err := tr.Slice(time.Second, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.Mbps[0] != 2 {
-		t.Errorf("Slice: %+v", s)
-	}
-	if _, err := tr.Slice(0, time.Hour); err == nil {
-		t.Error("Slice out of range: want error")
-	}
-}
-
 func TestRollingMeanWindowOne(t *testing.T) {
 	tr := &Trace{Name: "l", Step: time.Second, Mbps: []float64{1, 5, 9}}
 	rm := tr.RollingMean(time.Second)

@@ -452,7 +452,8 @@ func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath, traceP
 	if ev := sim.Orch.SLO(); ev != nil {
 		reportSLO(ev, out)
 		// Host time differs run to run and stdout is byte-identical per seed
-		// (CI diffs it), so the slo: line's wall-clock half goes to stderr:
+		// (TestScenarioContracts pins its SHA-256), so the slo: line's
+		// wall-clock half goes to stderr:
 		// what the evaluator cost next to the control cycles WallNS covers.
 		cs := sim.Orch.ControlStats()
 		fmt.Fprintf(os.Stderr, "slo: seed=%d epochs=%d tick_wall_ms=%.3f control_wall_ms=%.3f\n",

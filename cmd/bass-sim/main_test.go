@@ -319,75 +319,6 @@ func TestExecuteWithFaults(t *testing.T) {
 	}
 }
 
-// TestEventsOutDeterministic runs the same faulted, seeded scenario twice
-// with -events-out/-metrics-out and demands byte-identical journal and metric
-// dumps — the observability plane's headline guarantee, end to end through
-// the CLI.
-func TestEventsOutDeterministic(t *testing.T) {
-	sc := scenario{
-		Topology:           "lan",
-		LANNodes:           4,
-		App:                "camera",
-		Scheduler:          "bfs",
-		HorizonSec:         300,
-		Seed:               9,
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		Faults: []faults.Event{
-			{AtSec: 60, Type: faults.NodeCrash, Node: "node2"},
-			{AtSec: 240, Type: faults.NodeRecover, Node: "node2"},
-		},
-	}
-	path := writeScenario(t, sc)
-	dir := t.TempDir()
-
-	read := func(name string) (events, metrics []byte) {
-		t.Helper()
-		ev := filepath.Join(dir, name+"-events.jsonl")
-		mt := filepath.Join(dir, name+"-metrics.json")
-		var out strings.Builder
-		if err := run([]string{"-events-out", ev, "-metrics-out", mt, path}, &out); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(out.String(), "journal: ") || !strings.Contains(out.String(), "metrics: ") {
-			t.Fatalf("output missing journal/metrics summary lines:\n%s", out.String())
-		}
-		events, err := os.ReadFile(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		metrics, err = os.ReadFile(mt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return events, metrics
-	}
-	ev1, mt1 := read("a")
-	ev2, mt2 := read("b")
-	if len(ev1) == 0 {
-		t.Fatal("journal is empty")
-	}
-	if string(ev1) != string(ev2) {
-		t.Errorf("same-seed journals differ:\n--- 1 ---\n%s--- 2 ---\n%s", ev1, ev2)
-	}
-	if string(mt1) != string(mt2) {
-		t.Errorf("same-seed metric dumps differ:\n--- 1 ---\n%s--- 2 ---\n%s", mt1, mt2)
-	}
-	// Every line must be a standalone JSON object (JSONL contract), and the
-	// failure handling must appear in the journal.
-	for _, line := range strings.Split(strings.TrimSuffix(string(ev1), "\n"), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("journal line is not JSON: %v\n%s", err, line)
-		}
-	}
-	for _, want := range []string{`"type":"node_down"`, `"type":"cordon"`, `"type":"failover"`} {
-		if !strings.Contains(string(ev1), want) {
-			t.Errorf("journal missing %s:\n%s", want, ev1)
-		}
-	}
-}
-
 // TestDerivePath checks per-run output path derivation.
 func TestDerivePath(t *testing.T) {
 	cases := []struct {
@@ -408,60 +339,218 @@ func TestDerivePath(t *testing.T) {
 	}
 }
 
-// goldenTrace is the SHA-256 of the -trace-out export for CI's trace-smoke
-// scenario, captured when bass-sim still had -polling and both network
-// drivers produced these bytes.
-const goldenTrace = "286110ecdc484eb8f9c49b5beb5ffe17ae015626b5488cf7e7859f5ff778a141"
+// scenarioContract is a seeded, faulted scenario run once through the CLI.
+// The JSON is written as a user would write it. The goldens are SHA-256
+// digests of stdout (output paths replaced by "DIR") and of each dump; a
+// dump is written (-events-out, -metrics-out, -trace-out) only when the
+// contract has a golden for it.
+type scenarioContract struct {
+	name, scenario                  string
+	stdout, journal, metrics, trace string
+	// wantLines must each start a stdout line; wantEvents must each appear
+	// in the journal.
+	wantLines, wantEvents []string
+	causes                obs.CauseCounts
+}
 
-// TestTraceOutDeterministicAcrossDrivers runs CI's faulted, seeded trace-smoke
-// scenario twice with -trace-out and demands byte-identical Chrome trace JSON
-// equal to the export both network drivers once agreed on — the causal trace
-// is part of the simulation's observable output.
+// crashScenario crashes node2 at 60 s and brings it back at 240 s.
+const crashScenario = `{
+  "topology": "lan", "lanNodes": 4, "app": "camera",
+  "scheduler": "bfs", "horizonSec": 300, "seed": 7,
+  "migration": true, "monitorIntervalSec": 30,
+  "faults": [
+    {"atSec": 60, "type": "node-crash", "node": "node2"},
+    {"atSec": 240, "type": "node-recover", "node": "node2"}
+  ]
+}`
+
+// scenarioContracts are the rows of TestScenarioContracts.
+var scenarioContracts = []scenarioContract{
+	{
+		name: "chaos",
+		scenario: `{
+  "topology": "lan", "lanNodes": 4, "app": "camera",
+  "scheduler": "bfs", "horizonSec": 300, "seed": 7,
+  "migration": true, "monitorIntervalSec": 30,
+  "faults": [
+    {"atSec": 60, "type": "node-crash", "node": "node2"},
+    {"atSec": 240, "type": "node-recover", "node": "node2"}
+  ],
+  "chaos": {"nodeCrashesPerHour": 6, "meanNodeDowntimeSec": 90,
+            "linkFlapsPerHour": 12, "meanLinkDowntimeSec": 20}
+}`,
+		stdout:    "7be60a54027a46a728c1f8083dd3dfe64b9e88ef65567db4bc8cf4a05b4afa88",
+		journal:   "61bea9452deb2a439a8525ffd030a4a57aeb159d03d28e44eec53af5edf60812",
+		wantLines: []string{"recovery: "},
+	},
+	{
+		name: "slo",
+		scenario: `{
+  "topology": "lan", "lanNodes": 4, "app": "camera",
+  "scheduler": "bfs", "horizonSec": 900, "seed": 7,
+  "migration": true, "monitorIntervalSec": 30, "slo": true,
+  "faults": [
+    {"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node2"},
+    {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}
+  ]
+}`,
+		stdout:     "88fde9834692c80dd2fd9a061c2189f3934310621283b2600a2a169e340b3c29",
+		journal:    "283234e993651dc5c646e1cb48228333fc2aadbbf2ea47a2716cb688d8cc3205",
+		wantLines:  []string{"slo: specs=3 "},
+		wantEvents: []string{`"type":"alert_fired"`},
+		causes:     obs.CauseCounts{Alerts: 2},
+	},
+	{
+		name: "longevity",
+		scenario: `{
+  "topology": "lan", "lanNodes": 4, "app": "camera",
+  "scheduler": "bfs", "horizonSec": 900, "seed": 42,
+  "migration": true, "reconcile": true, "monitorIntervalSec": 30,
+  "faults": [
+    {"atSec": 60, "type": "node-crash", "node": "node2"},
+    {"atSec": 240, "type": "node-recover", "node": "node2"}
+  ],
+  "chaos": {"nodeCrashesPerHour": 6, "meanNodeDowntimeSec": 120,
+            "linkFlapsPerHour": 6, "meanLinkDowntimeSec": 30}
+}`,
+		stdout:    "e057fd3ba90e4e39526b67474767bf87bab26a472b0e1465ead16b2c328a911b",
+		journal:   "895277373b06b3246f908487e0c6c57a7cb9a24e0a3e5b2ce16f84916f9caf3d",
+		wantLines: []string{"reconcile: converged=true drift=0 "},
+		causes:    obs.CauseCounts{Drifts: 6},
+	},
+}
+
+// TestScenarioContracts runs each row once through the CLI with -events-out
+// and checks its contracts (see checkContract).
+func TestScenarioContracts(t *testing.T) {
+	for _, c := range scenarioContracts {
+		t.Run(c.name, func(t *testing.T) { checkContract(t, c) })
+	}
+}
+
+// TestEventsOutDeterministic runs the crash scenario with -events-out and
+// -metrics-out: the journal and metric dump equal their goldens (same seed,
+// same bytes, across commits), the journal is non-empty, one JSON object per
+// line, and records the node failure, cordon and failover.
+func TestEventsOutDeterministic(t *testing.T) {
+	checkContract(t, scenarioContract{
+		scenario:   crashScenario,
+		stdout:     "f6680455e482aa4b9491104564b1ea78b2f1f8887139f3156176befff70aa2c5",
+		journal:    "a7a6bfb7088b27e3ba7f121892b42aaddf30988755344b6296bc878eac77c99f",
+		metrics:    "dc44a1f5132f0d1189ee89aae2de375022e0e939aeab5f4704f071ac02ea8b06",
+		wantLines:  []string{"journal: ", "metrics: "},
+		wantEvents: []string{`"type":"node_down"`, `"type":"cordon"`, `"type":"failover"`},
+	})
+}
+
+// TestTraceOutDeterministicAcrossDrivers runs the crash scenario with
+// -trace-out: the Chrome trace equals the golden captured when bass-sim
+// still had -polling and both network drivers produced these bytes.
 func TestTraceOutDeterministicAcrossDrivers(t *testing.T) {
-	sc := scenario{
-		Topology:           "lan",
-		LANNodes:           4,
-		App:                "camera",
-		Scheduler:          "bfs",
-		HorizonSec:         300,
-		Seed:               7,
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		Faults: []faults.Event{
-			{AtSec: 60, Type: faults.NodeCrash, Node: "node2"},
-			{AtSec: 240, Type: faults.NodeRecover, Node: "node2"},
-		},
-	}
-	path := writeScenario(t, sc)
-	dir := t.TempDir()
+	checkContract(t, scenarioContract{
+		scenario:  crashScenario,
+		stdout:    "3093674bce15e2d4b38684267a0909699b5caee59f78d381962322356c01513d",
+		trace:     "286110ecdc484eb8f9c49b5beb5ffe17ae015626b5488cf7e7859f5ff778a141",
+		wantLines: []string{"trace: "},
+	})
+}
 
-	read := func(name string) []byte {
-		t.Helper()
-		tr := filepath.Join(dir, name+"-trace.json")
-		var out strings.Builder
-		if err := run([]string{"-trace-out", tr, path}, &out); err != nil {
-			t.Fatal(err)
+// checkContract runs c once through the CLI and checks: stdout and every
+// dump equal their goldens; c's lines start stdout lines; a journal has c's
+// events, is one JSON object per line, and every decision's cause chain
+// passes obs.CheckCauses with exactly c.causes gated; a Chrome trace has
+// name/ph/ts on every event and balanced flow links.
+func checkContract(t *testing.T, c scenarioContract) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sc.json")
+	if err := os.WriteFile(path, []byte(c.scenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evPath := filepath.Join(dir, "events.jsonl")
+	mtPath := filepath.Join(dir, "metrics.json")
+	trPath := filepath.Join(dir, "trace.json")
+	var args []string
+	if c.journal != "" {
+		args = append(args, "-events-out", evPath)
+	}
+	if c.metrics != "" {
+		args = append(args, "-metrics-out", mtPath)
+	}
+	if c.trace != "" {
+		args = append(args, "-trace-out", trPath)
+	}
+	var out strings.Builder
+	if err := run(append(args, path), &out); err != nil {
+		t.Fatal(err)
+	}
+	stdout := strings.ReplaceAll(out.String(), dir, "DIR")
+	pin(t, "stdout", []byte(stdout), c.stdout)
+	for _, want := range c.wantLines {
+		if !strings.HasPrefix(stdout, want) && !strings.Contains(stdout, "\n"+want) {
+			t.Errorf("no stdout line starts with %q:\n%s", want, stdout)
 		}
-		if !strings.Contains(out.String(), "trace: ") {
-			t.Fatalf("output missing trace summary line:\n%s", out.String())
+	}
+	if c.metrics != "" {
+		pin(t, "metrics", readFile(t, mtPath), c.metrics)
+	}
+	if c.trace != "" {
+		trace := readFile(t, trPath)
+		pin(t, "trace", trace, c.trace)
+		checkTraceShape(t, trace)
+	}
+	if c.journal == "" {
+		return
+	}
+
+	journal := readFile(t, evPath)
+	pin(t, "journal", journal, c.journal)
+	if len(journal) == 0 {
+		t.Fatal("journal is empty")
+	}
+	for _, want := range c.wantEvents {
+		if !bytes.Contains(journal, []byte(want)) {
+			t.Errorf("journal missing %s", want)
 		}
-		raw, err := os.ReadFile(tr)
-		if err != nil {
-			t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(journal), "\n"), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("journal line is not JSON: %v\n%s", err, line)
 		}
-		return raw
 	}
-	event1 := read("event1")
-	event2 := read("event2")
-	if len(event1) == 0 {
-		t.Fatal("trace export is empty")
+	events, err := obs.ReadJSONL(bytes.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(event1) != string(event2) {
-		t.Error("same-seed traces differ")
+	if n, err := obs.CheckCauses(events); err != nil {
+		t.Error(err)
+	} else if n != c.causes {
+		t.Errorf("cause check gated %+v, want %+v", n, c.causes)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(event1)); got != goldenTrace {
-		t.Errorf("trace digest %s, want golden %s", got, goldenTrace)
+}
+
+// pin fails unless data's SHA-256 is the golden want.
+func pin(t *testing.T, what string, data []byte, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("%s digest %s, want golden %s", what, got, want)
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// checkTraceShape checks a Chrome trace export parses, every event carries
+// name and ph (and ts, unless metadata), and flow starts pair with flow ends.
+func checkTraceShape(t *testing.T, raw []byte) {
+	t.Helper()
 	var trace struct {
 		TraceEvents []struct {
 			Name string   `json:"name"`
@@ -469,7 +558,7 @@ func TestTraceOutDeterministicAcrossDrivers(t *testing.T) {
 			Ts   *float64 `json:"ts"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(event1, &trace); err != nil {
+	if err := json.Unmarshal(raw, &trace); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	counts := map[string]int{}

@@ -18,9 +18,9 @@
 // rate against the tier threshold and the error budget remaining. convert
 // produces the same Chrome trace JSON as bass-sim -trace-out. check verifies
 // an exported trace parses and every entry carries the required name/ph/ts
-// fields — the schema gate the CI trace-smoke job runs; handed a JSONL
-// journal instead, it verifies every reconcile_drift and alert event's cause
-// chain resolves to a concrete probe sample or an injected fault.
+// fields; handed a JSONL journal instead, it runs obs.CheckCauses: every
+// reconcile_drift and alert event's cause chain must resolve to a concrete
+// probe sample or an injected fault.
 package main
 
 import (
@@ -240,7 +240,13 @@ func runCheck(args []string, stdout io.Writer) error {
 			}
 			return fmt.Errorf("%s: neither trace JSON (%v) nor journal JSONL (%v)", fs.Arg(0), err, jerr)
 		}
-		return checkJournal(fs.Arg(0), events, stdout)
+		n, err := obs.CheckCauses(events)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fs.Arg(0), err)
+		}
+		fmt.Fprintf(stdout, "ok: %d journal events, %d/%d drift and %d/%d alert events resolve to probe samples or faults\n",
+			len(events), n.Drifts, n.Drifts, n.Alerts, n.Alerts)
+		return nil
 	}
 	counts := map[string]int{}
 	for i, te := range trace.TraceEvents {
@@ -262,77 +268,4 @@ func runCheck(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "ok: %d trace events (%d slices, %d flow links)\n",
 		len(trace.TraceEvents), counts["X"], counts["s"]+counts["f"])
 	return nil
-}
-
-// checkJournal validates a decision journal's causal contracts: every
-// reconcile_drift and alert_fired event must carry a cause chain that
-// resolves to ground truth — a concrete probe sample or an injected fault —
-// and every alert_resolved must chain back to the alert_fired that opened
-// it. An event with no cause, an unresolvable cause span, or a chain rooted
-// anywhere else fails the check.
-func checkJournal(path string, events []obs.Event, stdout io.Writer) error {
-	drifts, chained := 0, 0
-	alerts, alertsChained := 0, 0
-	for _, ev := range events {
-		switch ev.Type {
-		case obs.EventReconcileDrift:
-			drifts++
-			subject := fmt.Sprintf("%s: t=%.0fs drift %s/%s", path, ev.At.Seconds(), ev.App, ev.Component)
-			root, err := chainRoot(events, ev, subject)
-			if err != nil {
-				return err
-			}
-			if !root.IsProbeSample() && root.Type != obs.EventFault {
-				return fmt.Errorf("%s: chain roots at %q, want a probe sample or fault injection",
-					subject, root.Type)
-			}
-			chained++
-		case obs.EventAlertFired:
-			alerts++
-			subject := fmt.Sprintf("%s: t=%.0fs alert %s (%s)", path, ev.At.Seconds(), ev.SLO, ev.Reason)
-			root, err := chainRoot(events, ev, subject)
-			if err != nil {
-				return err
-			}
-			if !root.IsProbeSample() && root.Type != obs.EventFault {
-				return fmt.Errorf("%s: chain roots at %q, want a probe sample or fault injection",
-					subject, root.Type)
-			}
-			alertsChained++
-		case obs.EventAlertResolved:
-			alerts++
-			subject := fmt.Sprintf("%s: t=%.0fs resolve %s (%s)", path, ev.At.Seconds(), ev.SLO, ev.Reason)
-			root, err := chainRoot(events, ev, subject)
-			if err != nil {
-				return err
-			}
-			// A resolve chains through the alert that opened it, and from
-			// there down to the same ground truth.
-			if chain := obs.CauseChain(events, ev.Span); chain[1].Type != obs.EventAlertFired {
-				return fmt.Errorf("%s: cause is %q, want the alert_fired that opened it",
-					subject, chain[1].Type)
-			}
-			if !root.IsProbeSample() && root.Type != obs.EventFault {
-				return fmt.Errorf("%s: chain roots at %q, want a probe sample or fault injection",
-					subject, root.Type)
-			}
-			alertsChained++
-		}
-	}
-	fmt.Fprintf(stdout, "ok: %d journal events, %d/%d drift and %d/%d alert events resolve to probe samples or faults\n",
-		len(events), chained, drifts, alertsChained, alerts)
-	return nil
-}
-
-// chainRoot resolves an event's cause chain and returns its root, failing on
-// missing or dangling causes.
-func chainRoot(events []obs.Event, ev obs.Event, subject string) (obs.Event, error) {
-	if ev.Cause == 0 {
-		return obs.Event{}, fmt.Errorf("%s has no cause", subject)
-	}
-	chain := obs.CauseChain(events, ev.Span)
-	if len(chain) < 2 {
-		return obs.Event{}, fmt.Errorf("%s: cause span %d not in journal", subject, ev.Cause)
-	}
-	return chain[len(chain)-1], nil
 }

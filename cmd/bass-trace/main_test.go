@@ -107,9 +107,10 @@ func TestExplainRendersAlerts(t *testing.T) {
 	}
 }
 
-// TestCheckJournalGatesAlertChains is the causal contract the CI obs-smoke
-// job enforces: alert events must chain to probe/fault ground truth, and
-// resolves must chain through the alert that opened them.
+// TestCheckJournalGatesAlertChains checks that journal-mode check enforces
+// the causal contract (obs.CheckCauses): alert events must chain to
+// probe/fault ground truth, and resolves must chain through the alert that
+// opened them.
 func TestCheckJournalGatesAlertChains(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"check", writeJournal(t, alertJournal())}, &out); err != nil {

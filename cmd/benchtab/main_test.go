@@ -30,7 +30,7 @@ func TestRunOneQuickExperiments(t *testing.T) {
 			t.Errorf("%s: no tables", name)
 		}
 	}
-	for _, name := range []string{"fig4", "fig12", "table3"} {
+	for _, name := range []string{"fig4", "fig12", "table3", "chaos", "longevity"} {
 		tables, err := runOne(name, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

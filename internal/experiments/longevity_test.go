@@ -48,27 +48,11 @@ func TestLongevityReconvergesAfterEveryWave(t *testing.T) {
 
 	// Causal integrity: every drift event's cause chain must resolve to
 	// ground truth — a probe sample or an injected fault.
-	drifts := 0
-	for _, ev := range events {
-		if ev.Type != obs.EventReconcileDrift {
-			continue
-		}
-		drifts++
-		if ev.Cause == 0 {
-			t.Fatalf("drift %s/%s at %s has no cause", ev.App, ev.Component, ev.At)
-		}
-		chain := obs.CauseChain(events, ev.Span)
-		if len(chain) < 2 {
-			t.Fatalf("drift %s/%s at %s has unresolvable cause %d",
-				ev.App, ev.Component, ev.At, ev.Cause)
-		}
-		root := chain[len(chain)-1]
-		if !root.IsProbeSample() && root.Type != obs.EventFault {
-			t.Fatalf("drift %s/%s chain roots at %q, want probe sample or fault",
-				ev.App, ev.Component, root.Type)
-		}
+	n, err := obs.CheckCauses(events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if drifts == 0 {
+	if n.Drifts == 0 {
 		t.Fatal("journal holds no reconcile_drift events")
 	}
 }

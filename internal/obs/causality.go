@@ -51,11 +51,15 @@ func IndexBySpan(events []Event) map[uint64]int {
 // ring-buffered journal truncate the chain at the last resolvable hop; a
 // cycle (impossible for correctly threaded spans) also stops the walk.
 func CauseChain(events []Event, span uint64) []Event {
-	idx := IndexBySpan(events)
-	var chain []Event
-	seen := make(map[uint64]bool)
-	for span != 0 && !seen[span] {
-		seen[span] = true
+	return causeChain(events, IndexBySpan(events), span, nil)
+}
+
+// causeChain is CauseChain over a prebuilt span index, appending to chain.
+// Every event on the chain carries the span that led to it, so a span
+// already on the chain is a cycle; chains are a handful of hops, so a scan
+// finds it without a per-walk set.
+func causeChain(events []Event, idx map[uint64]int, span uint64, chain []Event) []Event {
+	for span != 0 && !onChain(chain, span) {
 		i, ok := idx[span]
 		if !ok {
 			break
@@ -64,6 +68,73 @@ func CauseChain(events []Event, span uint64) []Event {
 		span = events[i].Cause
 	}
 	return chain
+}
+
+func onChain(chain []Event, span uint64) bool {
+	for _, ev := range chain {
+		if ev.Span == span {
+			return true
+		}
+	}
+	return false
+}
+
+// CauseCounts tallies the events CheckCauses gated: reconcile drifts, and
+// SLO alert transitions (fired and resolved alike).
+type CauseCounts struct {
+	Drifts, Alerts int
+}
+
+// CheckCauses enforces a decision journal's causal contract: every
+// reconcile_drift, alert_fired and alert_resolved event must carry a cause
+// chain that resolves to ground truth — a concrete probe sample or an
+// injected fault — and every alert_resolved must chain through the
+// alert_fired that opened it. The first event with no cause, an
+// unresolvable cause span, or a chain rooted anywhere else fails the check;
+// on success every counted event resolved.
+func CheckCauses(events []Event) (CauseCounts, error) {
+	var n CauseCounts
+	idx := IndexBySpan(events)
+	var chain []Event
+	for _, ev := range events {
+		switch ev.Type {
+		case EventReconcileDrift:
+			n.Drifts++
+		case EventAlertFired, EventAlertResolved:
+			n.Alerts++
+		default:
+			continue
+		}
+		if ev.Cause == 0 {
+			return n, fmt.Errorf("%s has no cause", causeSubject(ev))
+		}
+		chain = causeChain(events, idx, ev.Span, chain[:0])
+		if len(chain) < 2 {
+			return n, fmt.Errorf("%s: cause span %d not in journal", causeSubject(ev), ev.Cause)
+		}
+		// A resolve chains through the alert that opened it, and from there
+		// down to the same ground truth.
+		if ev.Type == EventAlertResolved && chain[1].Type != EventAlertFired {
+			return n, fmt.Errorf("%s: cause is %q, want the alert_fired that opened it",
+				causeSubject(ev), chain[1].Type)
+		}
+		if root := chain[len(chain)-1]; !root.IsProbeSample() && root.Type != EventFault {
+			return n, fmt.Errorf("%s: chain roots at %q, want a probe sample or fault injection",
+				causeSubject(ev), root.Type)
+		}
+	}
+	return n, nil
+}
+
+// causeSubject names a gated event in CheckCauses' errors.
+func causeSubject(ev Event) string {
+	switch ev.Type {
+	case EventReconcileDrift:
+		return fmt.Sprintf("t=%.0fs drift %s/%s", ev.At.Seconds(), ev.App, ev.Component)
+	case EventAlertFired:
+		return fmt.Sprintf("t=%.0fs alert %s (%s)", ev.At.Seconds(), ev.SLO, ev.Reason)
+	}
+	return fmt.Sprintf("t=%.0fs resolve %s (%s)", ev.At.Seconds(), ev.SLO, ev.Reason)
 }
 
 // IsProbeSample reports whether the event is a concrete probe observation —

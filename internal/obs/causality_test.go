@@ -92,6 +92,59 @@ func TestCauseChainTruncatesAndSurvivesCycles(t *testing.T) {
 	}
 }
 
+// causeFixture is a journal CheckCauses accepts: a probe-rooted alert that
+// resolves through itself, and a fault-rooted reconcile drift.
+func causeFixture() []Event {
+	return []Event{
+		{At: 30 * time.Second, Type: EventProbeHeadroom, Span: 1, Link: "n1-n2"},
+		{At: 60 * time.Second, Type: EventFault, Span: 2, Node: "n2"},
+		{At: 60 * time.Second, Type: EventNodeDown, Span: 3, Cause: 2, Node: "n2"},
+		{At: 60 * time.Second, Type: EventReconcileDrift, Span: 4, Cause: 3, App: "cam", Component: "det"},
+		{At: 90 * time.Second, Type: EventAlertFired, Span: 5, Cause: 1, SLO: "mesh/headroom", Reason: "page"},
+		{At: 400 * time.Second, Type: EventAlertResolved, Span: 6, Cause: 5, SLO: "mesh/headroom", Reason: "page"},
+	}
+}
+
+// TestCheckCauses pins the one cause-chain rule every journal gate runs:
+// drifts and alerts root at a probe sample or a fault, resolves chain
+// through their alert_fired, and anything else fails naming the event.
+func TestCheckCauses(t *testing.T) {
+	n, err := CheckCauses(causeFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != (CauseCounts{Drifts: 1, Alerts: 2}) {
+		t.Errorf("counts = %+v, want 1 drift and 2 alerts", n)
+	}
+	if n, err := CheckCauses(chainFixture()); err != nil || n != (CauseCounts{}) {
+		t.Errorf("journal without gated events: counts %+v, err %v", n, err)
+	}
+
+	for _, c := range []struct {
+		name    string
+		mutate  func(ev []Event) []Event
+		wantErr string
+	}{
+		{"drift without cause", func(ev []Event) []Event { ev[3].Cause = 0; return ev },
+			"t=60s drift cam/det has no cause"},
+		{"dangling cause", func(ev []Event) []Event { ev[4].Cause = 99; return ev },
+			"t=90s alert mesh/headroom (page): cause span 99 not in journal"},
+		{"resolve skips its alert", func(ev []Event) []Event { ev[5].Cause = 1; return ev },
+			`t=400s resolve mesh/headroom (page): cause is "probe_headroom", want the alert_fired that opened it`},
+		{"alert rooted at a verdict", func(ev []Event) []Event {
+			return append(ev, Event{Type: EventHeadroomViolation, Span: 7, Link: "n1-n2"},
+				Event{At: 500 * time.Second, Type: EventAlertFired, Span: 8, Cause: 7, SLO: "mesh/headroom", Reason: "ticket"})
+		}, `t=500s alert mesh/headroom (ticket): chain roots at "headroom_violation", want a probe sample or fault injection`},
+		{"drift rooted at a decision", func(ev []Event) []Event { ev[2].Cause = 0; ev[2].Type = EventMigration; return ev },
+			`t=60s drift cam/det: chain roots at "migration", want a probe sample or fault injection`},
+	} {
+		_, err := CheckCauses(c.mutate(causeFixture()))
+		if err == nil || err.Error() != c.wantErr {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
 func TestScoreboard(t *testing.T) {
 	events := chainFixture()
 	decision := events[5]

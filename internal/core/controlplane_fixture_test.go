@@ -148,9 +148,7 @@ func setupControlPlaneObserved(tb testing.TB, rows, cols, apps int, storm bool, 
 		tb.Fatal(err)
 	}
 	if observed {
-		s.AttachObservability(obs.NewJournal(4096), metricstore.NewWithConfig(metricstore.Config{
-			MaxSamples: 256, Rollup10s: 64, Rollup5m: 16,
-		}))
+		s.AttachObservability(obs.NewJournal(4096), metricstore.NewWithConfig(metricstore.Config{MaxSamples: 256}))
 	}
 	demand := 0.5
 	if storm {

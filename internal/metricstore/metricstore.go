@@ -1,26 +1,18 @@
 // Package metricstore is a minimal Prometheus-like time-series store: named
-// metrics with label sets, append-only samples, range queries, downsampled
-// rollup rings, windowed aggregates, and an HTTP query API. It plays the role
-// Prometheus plays in the paper's implementation (§5): the sink the
-// monitoring services log into and the source the bandwidth controller
-// queries.
+// metrics with label sets, append-only samples, range queries, windowed
+// aggregates, and an HTTP query API. It plays the role Prometheus plays in
+// the paper's implementation (§5): the sink the monitoring services log into
+// and the source the bandwidth controller queries.
 //
-// Retention is bounded per series: a raw ring of the newest MaxSamples
-// samples, plus two downsampled rollup tiers (10-second and 5-minute buckets
-// carrying sum/count/min/max and the exact first/last sample). Each sample is
-// kept once: a rollup tier stores only the buckets of samples the raw ring
-// has evicted, and a rollup read derives the newer buckets from the raw ring
-// itself, so a store whose raw ring never fills holds no rollup buckets at
-// all. Windowed aggregate queries (AggOver and the Selection reads)
-// answer from raw samples when the window is fully covered and fall back to
-// rollups for older data, so a store sized for hours of raw data still
-// answers day-length windows. A raw window read costs O(log retention +
-// samples in the window): the raw ring is time-ordered, so the fold
-// binary-searches the window's start instead of walking history, and a
-// Selection resolves a (metric, selector) pair once to the store's own list
-// of its series — the read-side twin of the write-side Handle — so repeated
-// reads examine no series but their own. A rollup read also walks the raw
-// ring once, to rebuild the buckets its samples make.
+// Retention is bounded per series: a ring of the newest MaxSamples samples,
+// and nothing older. Windowed aggregate queries (AggOver and the Selection
+// reads) fold that ring, so a window reaching past retention counts only the
+// samples still held. A window read costs O(log retention + samples in the
+// window): the ring is time-ordered, so the fold binary-searches the window's
+// start instead of walking history, and a Selection resolves a (metric,
+// selector) pair once to the store's own list of its series — the read-side
+// twin of the write-side Handle — so repeated reads examine no series but
+// their own.
 //
 // A cardinality guard caps the number of distinct series; appends that would
 // mint series beyond the cap are dropped and surfaced through the
@@ -63,30 +55,15 @@ const (
 	MetricDroppedSamples = "metricstore_dropped_samples_total"
 )
 
-// Rollup bucket widths. The 10s and 5m tiers are independent: each folds the
-// raw samples themselves (those the raw ring evicts on append, the rest on
-// read), so their contents are exact, not re-derived from each other.
-const (
-	Rollup10sWidth = 10 * time.Second
-	Rollup5mWidth  = 5 * time.Minute
-)
-
 // Config sizes a store's per-series retention and its cardinality guard.
 // Zero fields take defaults.
 type Config struct {
-	// MaxSamples caps the raw ring per series (default 10000).
+	// MaxSamples caps the sample ring per series (default 10000); an append
+	// to a full ring evicts the series' oldest sample.
 	MaxSamples int
 	// MaxSeries caps distinct series; appends that would mint series
 	// beyond it are dropped and counted (default 50000).
 	MaxSeries int
-	// Rollup10s caps the closed 10-second buckets a series answers from
-	// (default 4096 ≈ 11 hours): the newest Rollup10s buckets, counting
-	// those rebuilt from the raw ring on read, so the history it bounds
-	// behind raw retention shrinks as raw spans more buckets.
-	Rollup10s int
-	// Rollup5m caps closed 5-minute buckets the same way (default 2048 ≈
-	// 7 days).
-	Rollup5m int
 }
 
 func (c Config) withDefaults() Config {
@@ -95,12 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSeries <= 0 {
 		c.MaxSeries = 50000
-	}
-	if c.Rollup10s <= 0 {
-		c.Rollup10s = 4096
-	}
-	if c.Rollup5m <= 0 {
-		c.Rollup5m = 2048
 	}
 	return c
 }
@@ -133,123 +104,8 @@ func seriesKey(metric string, labels map[string]string) string {
 	return b.String()
 }
 
-// bucket is one downsampled rollup interval: aggregate moments plus the
-// exact first/last raw samples that fell into it (so counter rates survive
-// downsampling).
-type bucket struct {
-	start       time.Time
-	sum         float64
-	min, max    float64
-	count       int
-	first, last Sample
-}
-
-func (b *bucket) reset(start time.Time, s Sample) {
-	b.start = start
-	b.sum = s.Value
-	b.min, b.max = s.Value, s.Value
-	b.count = 1
-	b.first, b.last = s, s
-}
-
-func (b *bucket) fold(s Sample) {
-	b.sum += s.Value
-	if s.Value < b.min {
-		b.min = s.Value
-	}
-	if s.Value > b.max {
-		b.max = s.Value
-	}
-	b.count++
-	if s.At.Before(b.first.At) {
-		b.first = s
-	}
-	if !s.At.Before(b.last.At) {
-		b.last = s
-	}
-}
-
-// rollupRing is one rollup tier of a series. It stores only what the raw
-// ring has evicted: buf holds the newest capN closed buckets of evicted
-// samples and open the bucket they are filling. The buckets the raw ring's
-// own samples make are rebuilt on read by continuing open over the ring
-// (walkRaw). head and closed follow the eager fold of every append — the
-// start of its open bucket and how many buckets it has closed — so a read
-// retains, and pickRes sees evicted, exactly what folding every sample on
-// append would have.
-type rollupRing struct {
-	buf            []bucket
-	start, n       int
-	pushed         int       // buckets ever pushed into buf
-	evictedThrough time.Time // end of the newest bucket buf evicted
-	open           bucket
-
-	head   time.Time
-	closed int
-}
-
-func (r *rollupRing) push(b bucket, width time.Duration, capN int) {
-	r.pushed++
-	if capN <= 0 {
-		return
-	}
-	if r.n < capN {
-		r.buf = append(r.buf, b)
-		r.n++
-		return
-	}
-	old := r.buf[r.start]
-	if end := old.start.Add(width); end.After(r.evictedThrough) {
-		r.evictedThrough = end
-	}
-	r.buf[r.start] = b
-	r.start = (r.start + 1) % len(r.buf)
-}
-
-func (r *rollupRing) at(i int) *bucket {
-	if i += r.start; i >= len(r.buf) {
-		i -= len(r.buf) // one wrap at most (i < n ≤ len); a % here costs a division per bucket folded
-	}
-	return &r.buf[i]
-}
-
-// note counts smp into the eager fold's bucket sequence: a sample in a later
-// bucket than head closes one. first marks the series' first append.
-func (r *rollupRing) note(width time.Duration, smp Sample, first bool) {
-	bs := smp.At.Truncate(width)
-	if first {
-		r.head = bs
-	} else if bs.After(r.head) {
-		r.head = bs
-		r.closed++
-	}
-}
-
-// evictedEnd is the tier's eviction state as pickRes reads it: whether the
-// eager fold has closed more than capN buckets, and if so the end of the
-// newest one it evicted — closing number closed−capN, counting from one.
-// That bucket is in buf or was buf's newest eviction, or else it is one
-// rebuilt from raw. A rebuilt bucket starts no earlier than open, which holds
-// the raw ring's newest eviction, so open's end stands in for it: both lie
-// past every window start pickRes asks the tier about.
-func (r *rollupRing) evictedEnd(width time.Duration, capN int) (time.Time, bool) {
-	j := r.closed - capN
-	if j <= 0 {
-		return time.Time{}, false
-	}
-	gone := r.pushed - r.n // closings buf has evicted; j ≥ gone always
-	switch {
-	case j == gone:
-		return r.evictedThrough, true
-	case j <= r.pushed:
-		return r.at(j - gone - 1).start.Add(width), true
-	}
-	return r.open.start.Add(width), true
-}
-
-// series is the internal representation: a raw sample ring plus two rollup
-// tiers behind it. The exported Series shape is materialised on demand by
-// Query/Snapshot.
+// series is the internal representation: a ring of the newest samples. The
+// exported Series shape is materialised on demand by Query/Snapshot.
 type series struct {
 	metric string
 	labels map[string]string
@@ -257,74 +113,23 @@ type series struct {
 
 	raw            []Sample
 	rawStart, rawN int
-	evicted        bool
-	evictedThrough time.Time // At of the newest evicted raw sample
 	// unordered is set, for good, by the first append older than its
-	// predecessor. While clear the raw ring is sorted by At and window reads
+	// predecessor. While clear the ring is sorted by At and window reads
 	// binary-search it; once set they scan the whole ring.
 	unordered bool
-
-	r10, r5m rollupRing
 }
 
 func (sr *series) append(cfg Config, smp Sample) {
-	first := sr.rawN == 0
-	if !first && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
+	if sr.rawN > 0 && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
 		sr.unordered = true
 	}
 	if sr.rawN < cfg.MaxSamples {
 		sr.raw = append(sr.raw, smp)
 		sr.rawN++
-	} else {
-		old := sr.raw[sr.rawStart]
-		sr.evicted = true
-		if old.At.After(sr.evictedThrough) {
-			sr.evictedThrough = old.At
-		}
-		foldRollup(&sr.r10, Rollup10sWidth, cfg.Rollup10s, old)
-		foldRollup(&sr.r5m, Rollup5mWidth, cfg.Rollup5m, old)
-		sr.raw[sr.rawStart] = smp
-		sr.rawStart = (sr.rawStart + 1) % len(sr.raw)
+		return
 	}
-	sr.r10.note(Rollup10sWidth, smp, first)
-	sr.r5m.note(Rollup5mWidth, smp, first)
-}
-
-// foldRollup folds a sample the raw ring evicts into the tier, closing the
-// open bucket into buf when the sample crosses into a later one.
-func foldRollup(r *rollupRing, width time.Duration, capN int, smp Sample) {
-	foldInto(&r.open, width, smp, func(b bucket) { r.push(b, width, capN) })
-}
-
-// foldInto adds a sample to the open bucket, first passing the bucket to
-// closeFn when the sample falls in a later one. Samples older than the open
-// bucket (out-of-order appends) fold into it rather than rewriting closed
-// history; rollup exactness assumes per-series appends arrive in time order,
-// which every writer in this repo satisfies.
-func foldInto(open *bucket, width time.Duration, smp Sample, closeFn func(bucket)) {
-	bs := smp.At.Truncate(width)
-	switch {
-	case open.count == 0:
-		open.reset(bs, smp)
-	case bs.After(open.start):
-		closeFn(*open)
-		open.reset(bs, smp)
-	default:
-		open.fold(smp)
-	}
-}
-
-// walkRaw continues the tier's open bucket over the raw ring in ring (=
-// append) order, as if each raw sample had been folded on append: emit gets
-// every bucket a sample closes, oldest first, and the bucket left open is
-// returned. Evicted samples preceded the raw ring, so the reset/fold calls
-// are the ones an eager fold of every append makes, and sums are bit-equal.
-func (sr *series) walkRaw(r *rollupRing, width time.Duration, emit func(bucket)) bucket {
-	open := r.open
-	for i := 0; i < sr.rawN; i++ {
-		foldInto(&open, width, sr.rawAt(i), emit)
-	}
-	return open
+	sr.raw[sr.rawStart] = smp
+	sr.rawStart = (sr.rawStart + 1) % len(sr.raw)
 }
 
 func (sr *series) rawAt(i int) Sample {
@@ -335,8 +140,8 @@ func (sr *series) rawAt(i int) Sample {
 }
 
 // Store holds series in memory. It is safe for concurrent use. Each series
-// is capped at Config.MaxSamples raw samples (oldest folded into rollups),
-// bounding memory for long runs.
+// is capped at Config.MaxSamples samples (the oldest evicted first), bounding
+// memory for long runs.
 type Store struct {
 	mu       sync.RWMutex
 	cfg      Config
@@ -426,7 +231,7 @@ func (s *Store) candidates(metric string, selector map[string]string) []*series 
 }
 
 // New returns a store capping each series at maxSamples (default 10000 when
-// ≤ 0), with default rollup retention and cardinality guard.
+// ≤ 0), with the default cardinality guard.
 func New(maxSamples int) *Store {
 	return NewWithConfig(Config{MaxSamples: maxSamples})
 }
@@ -440,11 +245,18 @@ func NewWithConfig(cfg Config) *Store {
 	}
 }
 
-func (s *Store) newSeriesLocked(metric string, labels map[string]string, key string) *series {
+// copyLabels returns a copy of the label set, so neither side of the store's
+// boundary can rename a series the other holds.
+func copyLabels(labels map[string]string) map[string]string {
 	copied := make(map[string]string, len(labels))
 	for k, v := range labels {
 		copied[k] = v
 	}
+	return copied
+}
+
+func (s *Store) newSeriesLocked(metric string, labels map[string]string, key string) *series {
+	copied := copyLabels(labels)
 	sr := &series{metric: metric, labels: copied, key: key}
 	s.series[key] = sr
 	mi := s.metricIndexLocked(metric)
@@ -560,7 +372,7 @@ func (s *Store) Query(metric string, selector map[string]string, from, to time.T
 	sortByKey(matched)
 	var out []Series
 	for _, sr := range matched {
-		copied := Series{Metric: sr.metric, Labels: sr.labels}
+		copied := Series{Metric: sr.metric, Labels: copyLabels(sr.labels)}
 		for i := 0; i < sr.rawN; i++ {
 			sample := sr.rawAt(i)
 			if !from.IsZero() && sample.At.Before(from) {
@@ -601,26 +413,11 @@ func (s *Store) Latest(metric string, selector map[string]string) (Sample, bool)
 	return best, found
 }
 
-// Resolution selects which retention tier a windowed aggregate reads from.
-type Resolution int
-
-const (
-	// ResAuto answers from raw samples when the window is fully inside raw
-	// retention, else from 10s rollups, else from 5m rollups — per series.
-	ResAuto Resolution = iota
-	ResRaw
-	Res10s
-	Res5m
-)
-
-// Agg is a windowed aggregate over every matching sample: moments plus the
-// first/last sample in the window (exact even when answered from rollups,
-// which retain them per bucket).
+// Agg is a windowed aggregate over every matching sample.
 type Agg struct {
-	Sum         float64
-	Min, Max    float64
-	Count       int
-	First, Last Sample
+	Sum      float64
+	Min, Max float64
+	Count    int
 }
 
 // Avg returns Sum/Count (0 when empty).
@@ -634,7 +431,6 @@ func (a Agg) Avg() float64 {
 func (a *Agg) foldSample(s Sample) {
 	if a.Count == 0 {
 		a.Min, a.Max = s.Value, s.Value
-		a.First, a.Last = s, s
 	} else {
 		if s.Value < a.Min {
 			a.Min = s.Value
@@ -642,156 +438,60 @@ func (a *Agg) foldSample(s Sample) {
 		if s.Value > a.Max {
 			a.Max = s.Value
 		}
-		if s.At.Before(a.First.At) {
-			a.First = s
-		}
-		if !s.At.Before(a.Last.At) {
-			a.Last = s
-		}
 	}
 	a.Sum += s.Value
 	a.Count++
 }
 
-func (a *Agg) foldBucket(b *bucket) {
-	if a.Count == 0 {
-		a.Min, a.Max = b.min, b.max
-		a.First, a.Last = b.first, b.last
-	} else {
-		if b.min < a.Min {
-			a.Min = b.min
-		}
-		if b.max > a.Max {
-			a.Max = b.max
-		}
-		if b.first.At.Before(a.First.At) {
-			a.First = b.first
-		}
-		if !b.last.At.Before(a.Last.At) {
-			a.Last = b.last
-		}
+// aggInto folds the series' samples in [from, to] into a, oldest first. The
+// fold starts at the first sample a walk of the whole ring would select and
+// stops at the first one past the window, so it visits exactly the samples
+// that walk selects, in the same order — sums are bit-equal to it. An
+// unordered ring is walked whole.
+func (sr *series) aggInto(a *Agg, from, to time.Time) {
+	i := 0
+	if !sr.unordered {
+		i = sort.Search(sr.rawN, func(i int) bool { return !sr.rawAt(i).At.Before(from) })
 	}
-	a.Sum += b.sum
-	a.Count += b.count
-}
-
-// pickRes chooses the finest tier that still covers the window start.
-// Falls through to 5m rollups as the best effort when nothing covers.
-func (sr *series) pickRes(cfg *Config, from time.Time) Resolution {
-	if !sr.evicted || from.After(sr.evictedThrough) {
-		return ResRaw
-	}
-	if end, ok := sr.r10.evictedEnd(Rollup10sWidth, cfg.Rollup10s); !ok || from.After(end) {
-		return Res10s
-	}
-	return Res5m
-}
-
-func bucketOverlaps(b *bucket, width time.Duration, from, to time.Time) bool {
-	return !b.start.After(to) && b.start.Add(width).After(from)
-}
-
-// aggInto folds the series' samples in [from, to] into a, oldest first.
-// Every tier is read in ring order from the first entry that can reach the
-// window to the first one past it, so the fold visits exactly the entries a
-// walk of the whole ring would select, in the same order — sums are
-// bit-equal to that walk at any retention depth.
-func (sr *series) aggInto(a *Agg, cfg *Config, from, to time.Time, res Resolution) {
-	if res == ResAuto {
-		res = sr.pickRes(cfg, from)
-	}
-	switch res {
-	case ResRaw:
-		i := 0
-		if !sr.unordered {
-			i = sort.Search(sr.rawN, func(i int) bool { return !sr.rawAt(i).At.Before(from) })
-		}
-		for ; i < sr.rawN; i++ {
-			smp := sr.rawAt(i)
-			if smp.At.Before(from) || smp.At.After(to) {
-				if sr.unordered {
-					continue
-				}
-				break // sorted and searched past from: this and all later ones are past to
+	for ; i < sr.rawN; i++ {
+		smp := sr.rawAt(i)
+		if smp.At.Before(from) || smp.At.After(to) {
+			if sr.unordered {
+				continue
 			}
-			a.foldSample(smp)
+			break // sorted and searched past from: this and all later ones are past to
 		}
-	case Res10s:
-		sr.aggRollup(a, &sr.r10, Rollup10sWidth, cfg.Rollup10s, from, to)
-	case Res5m:
-		sr.aggRollup(a, &sr.r5m, Rollup5mWidth, cfg.Rollup5m, from, to)
-	}
-}
-
-// aggRollup folds the tier's buckets overlapping [from, to] — the closed
-// ones in buf, those rebuilt from the raw ring, then the open one — keeping
-// only the newest capN closed buckets of the whole sequence, as an eager
-// tier retains. Bucket starts strictly increase whatever order samples
-// arrived in (foldInto only ever opens a later bucket), so the search over
-// buf needs no fallback.
-func (sr *series) aggRollup(a *Agg, r *rollupRing, width time.Duration, capN int, from, to time.Time) {
-	oldest := r.closed - capN // closings numbered up to here are evicted
-	lo := oldest - (r.pushed - r.n)
-	if lo < 0 {
-		lo = 0
-	}
-	if lo < r.n {
-		i := lo + sort.Search(r.n-lo, func(i int) bool { return r.at(lo + i).start.Add(width).After(from) })
-		for ; i < r.n; i++ {
-			b := r.at(i)
-			if b.start.After(to) {
-				break
-			}
-			a.foldBucket(b)
-		}
-	}
-	ord := r.pushed
-	open := sr.walkRaw(r, width, func(b bucket) {
-		if ord++; ord > oldest && bucketOverlaps(&b, width, from, to) {
-			a.foldBucket(&b)
-		}
-	})
-	if open.count > 0 && bucketOverlaps(&open, width, from, to) {
-		a.foldBucket(&open)
+		a.foldSample(smp)
 	}
 }
 
 // aggSeries is the one window fold behind every windowed read: the series of
 // srs matching selector, in slice (= creation) order, each folded over
-// [now-window, now] at the given resolution. Callers hold the store lock.
-func aggSeries(cfg *Config, srs []*series, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
+// [now-window, now]. Callers hold the store lock.
+func aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
 	from := now.Add(-window)
 	var agg Agg
 	for _, sr := range srs {
 		if matchesLabels(sr.labels, selector) {
-			sr.aggInto(&agg, cfg, from, now, res)
+			sr.aggInto(&agg, from, now)
 		}
 	}
 	return agg, agg.Count > 0
 }
 
 // AggOver aggregates every sample of the metric matching the selector in the
-// trailing window [now-window, now] (inclusive), auto-selecting resolution
-// per series. It allocates nothing, binary-searches each series' ring for
-// the window start rather than scanning its history, and iterates series in
-// creation order, so floating-point sums are identical run to run. ok=false
-// when no sample falls in the window. Callers that repeat a read should
-// Select once and read through the Selection, which examines only the
-// series it matches rather than all of the metric's.
+// trailing window [now-window, now] (inclusive). It allocates nothing,
+// binary-searches each series' ring for the window start rather than scanning
+// its history, and iterates series in creation order, so floating-point sums
+// are identical run to run. ok=false when no sample falls in the window. A
+// window that reaches past retention folds only the retained samples: each
+// series holds its newest Config.MaxSamples and nothing older. Callers that
+// repeat a read should Select once and read through the Selection, which
+// examines only the series it matches rather than all of the metric's.
 func (s *Store) AggOver(metric string, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
-	return s.AggOverRes(metric, selector, now, window, ResAuto)
-}
-
-// AggOverRes is AggOver pinned to a retention tier. Rollup answers include
-// every bucket overlapping the window, so a window not aligned to bucket
-// boundaries may over-cover by up to one bucket width at each edge; aligned
-// windows are exact. A rollup read also walks each series' raw ring once, to
-// rebuild the buckets its samples make, so it costs O(MaxSamples) per series
-// where a raw read costs O(log MaxSamples + samples in the window).
-func (s *Store) AggOverRes(metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return aggSeries(&s.cfg, s.candidates(metric, selector), selector, now, window, res)
+	return aggSeries(s.candidates(metric, selector), selector, now, window)
 }
 
 // Selection is a pre-resolved (metric, selector) pair for repeated windowed
@@ -824,10 +524,7 @@ func (s *Store) Select(metric string, selector map[string]string) *Selection {
 		sel.from = mi.all
 	}
 	if len(selector) > 1 {
-		sel.filter = make(map[string]string, len(selector))
-		for name, value := range selector {
-			sel.filter[name] = value
-		}
+		sel.filter = copyLabels(selector)
 	}
 	return sel
 }
@@ -836,7 +533,7 @@ func (s *Store) Select(metric string, selector map[string]string) *Selection {
 func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
 	sel.s.mu.RLock()
 	defer sel.s.mu.RUnlock()
-	return aggSeries(&sel.s.cfg, sel.from.srs, sel.filter, now, window, ResAuto)
+	return aggSeries(sel.from.srs, sel.filter, now, window)
 }
 
 // AvgOver is the mean of AggOver over the window.
@@ -895,7 +592,7 @@ func (s *Store) Snapshot() []Series {
 	defer s.mu.RUnlock()
 	out := make([]Series, 0, len(s.series))
 	for _, sr := range s.sortedSeriesLocked() {
-		copied := Series{Metric: sr.metric, Labels: sr.labels}
+		copied := Series{Metric: sr.metric, Labels: copyLabels(sr.labels)}
 		copied.Samples = make([]Sample, 0, sr.rawN)
 		for i := 0; i < sr.rawN; i++ {
 			copied.Samples = append(copied.Samples, sr.rawAt(i))

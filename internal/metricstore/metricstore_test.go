@@ -109,7 +109,17 @@ func TestLabelsCopiedAtBoundary(t *testing.T) {
 	labels["k"] = "mutated"
 	got := s.Query("m", map[string]string{"k": "v"}, time.Time{}, time.Time{})
 	if len(got) != 1 {
-		t.Error("caller mutation leaked into stored labels")
+		t.Fatal("caller mutation leaked into stored labels")
+	}
+	// The output side: labels handed out by Query and Snapshot are the
+	// caller's to edit, and the series keeps matching its own label set.
+	got[0].Labels["k"] = "w"
+	s.Snapshot()[0].Labels["k"] = "w"
+	if got := s.Query("m", map[string]string{"k": "v"}, time.Time{}, time.Time{}); len(got) != 1 || got[0].Labels["k"] != "v" {
+		t.Errorf("after editing returned labels, {k: v} matches %+v", got)
+	}
+	if got := s.Query("m", map[string]string{"k": "w"}, time.Time{}, time.Time{}); len(got) != 0 {
+		t.Errorf("after editing returned labels, {k: w} matches %+v", got)
 	}
 }
 

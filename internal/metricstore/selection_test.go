@@ -8,26 +8,23 @@ import (
 	"time"
 )
 
-// eagerModel is the reference the window fold is checked against. It knows
+// ringModel is the reference the window fold is checked against. It knows
 // nothing of the store's layout: it records every sample appended, per series
-// in creation order, and rebuilds from them the store as it was when every
-// append folded eagerly into both rollup tiers — a raw ring of the newest
-// MaxSamples samples, and per tier every closed bucket, of which the newest
-// capN are retained — then answers by walking each of those end to end with a
-// per-entry window test.
-type eagerModel struct {
+// in creation order, keeps the newest MaxSamples of each, and answers by
+// walking those end to end with a per-sample window test.
+type ringModel struct {
 	cfg     Config
 	order   map[string][]string // metric -> series keys in creation order
 	labels  map[string]map[string]string
 	samples map[string][]Sample
 }
 
-func newEagerModel(cfg Config) *eagerModel {
-	return &eagerModel{cfg: cfg.withDefaults(), order: map[string][]string{},
+func newRingModel(cfg Config) *ringModel {
+	return &ringModel{cfg: cfg.withDefaults(), order: map[string][]string{},
 		labels: map[string]map[string]string{}, samples: map[string][]Sample{}}
 }
 
-func (m *eagerModel) append(metric string, labels map[string]string, at time.Time, v float64) {
+func (m *ringModel) append(metric string, labels map[string]string, at time.Time, v float64) {
 	key := seriesKey(metric, labels)
 	if _, ok := m.samples[key]; !ok {
 		m.order[metric] = append(m.order[metric], key)
@@ -36,126 +33,55 @@ func (m *eagerModel) append(metric string, labels map[string]string, at time.Tim
 	m.samples[key] = append(m.samples[key], Sample{At: at, Value: v})
 }
 
-// eagerTier is one rollup tier folded from every append.
-type eagerTier struct {
-	width          time.Duration
-	kept           []bucket // the newest capN closed buckets
-	open           bucket
-	evicted        bool
-	evictedThrough time.Time
+// modelSeries is one series as the model retains it: its newest MaxSamples
+// samples in append order.
+type modelSeries struct {
+	labels map[string]string
+	kept   []Sample
 }
 
-func foldEager(samples []Sample, width time.Duration, capN int) eagerTier {
-	t := eagerTier{width: width}
-	var closed []bucket
-	for _, smp := range samples {
-		bs := smp.At.Truncate(width)
-		switch {
-		case t.open.count == 0:
-			t.open.reset(bs, smp)
-		case bs.After(t.open.start):
-			closed = append(closed, t.open)
-			t.open.reset(bs, smp)
-		default:
-			t.open.fold(smp)
-		}
-	}
-	if len(closed) > capN {
-		t.evicted = true
-		t.evictedThrough = closed[len(closed)-capN-1].start.Add(width)
-		closed = closed[len(closed)-capN:]
-	}
-	t.kept = closed
-	return t
-}
-
-// eagerSeries is one series as the eager store held it.
-type eagerSeries struct {
-	labels         map[string]string
-	raw            []Sample
-	evicted        bool
-	evictedThrough time.Time
-	r10, r5m       eagerTier
-}
-
-// build snapshots the eager store: metric -> series in creation order.
-func (m *eagerModel) build() map[string][]eagerSeries {
-	out := map[string][]eagerSeries{}
+// build snapshots the model: metric -> series in creation order.
+func (m *ringModel) build() map[string][]modelSeries {
+	out := map[string][]modelSeries{}
 	for metric, keys := range m.order {
 		for _, key := range keys {
-			all := m.samples[key]
-			es := eagerSeries{labels: m.labels[key], raw: all}
-			if drop := len(all) - m.cfg.MaxSamples; drop > 0 {
-				es.evicted = true
-				for _, smp := range all[:drop] {
-					if smp.At.After(es.evictedThrough) {
-						es.evictedThrough = smp.At
-					}
-				}
-				es.raw = all[drop:]
+			kept := m.samples[key]
+			if drop := len(kept) - m.cfg.MaxSamples; drop > 0 {
+				kept = kept[drop:]
 			}
-			es.r10 = foldEager(all, Rollup10sWidth, m.cfg.Rollup10s)
-			es.r5m = foldEager(all, Rollup5mWidth, m.cfg.Rollup5m)
-			out[metric] = append(out[metric], es)
+			out[metric] = append(out[metric], modelSeries{labels: m.labels[key], kept: kept})
 		}
 	}
 	return out
 }
 
-func refAgg(snap map[string][]eagerSeries, metric string, selector map[string]string, now time.Time, window time.Duration, res Resolution) (Agg, bool) {
+func refAgg(snap map[string][]modelSeries, metric string, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
 	from := now.Add(-window)
 	var a Agg
-	for _, es := range snap[metric] {
+	for _, ms := range snap[metric] {
 		match := true
 		for k, v := range selector {
-			if got, ok := es.labels[k]; !ok || got != v {
+			if got, ok := ms.labels[k]; !ok || got != v {
 				match = false
 			}
 		}
 		if !match {
 			continue
 		}
-		r := res
-		if r == ResAuto {
-			switch {
-			case !es.evicted || from.After(es.evictedThrough):
-				r = ResRaw
-			case !es.r10.evicted || from.After(es.r10.evictedThrough):
-				r = Res10s
-			default:
-				r = Res5m
+		for _, smp := range ms.kept {
+			if !smp.At.Before(from) && !smp.At.After(now) {
+				a.foldSample(smp)
 			}
-		}
-		tier := &es.r10
-		switch r {
-		case ResRaw:
-			for _, smp := range es.raw {
-				if !smp.At.Before(from) && !smp.At.After(now) {
-					a.foldSample(smp)
-				}
-			}
-			continue
-		case Res5m:
-			tier = &es.r5m
-		}
-		for i := range tier.kept {
-			if b := &tier.kept[i]; bucketOverlaps(b, tier.width, from, now) {
-				a.foldBucket(b)
-			}
-		}
-		if tier.open.count > 0 && bucketOverlaps(&tier.open, tier.width, from, now) {
-			a.foldBucket(&tier.open)
 		}
 	}
 	return a, a.Count > 0
 }
 
 // TestWindowFoldDifferential drives random stores — few or many series,
-// rings small enough to wrap and to push windows down to both rollup tiers,
-// ties, gaps, out-of-order appends, selections taken before and after the
-// series they match were minted — and requires the window fold, through the
-// Store methods at every resolution and through Selections, to equal the
-// eager reference model on every field, sums bit for bit.
+// rings small enough to wrap, ties, gaps, out-of-order appends, selections
+// taken before and after the series they match were minted — and requires
+// the window fold, through Store.AggOver and through Selections, to equal the
+// ring reference model on every field, sums bit for bit.
 func TestWindowFoldDifferential(t *testing.T) {
 	labelSets := []map[string]string{
 		nil,
@@ -182,17 +108,12 @@ func TestWindowFoldDifferential(t *testing.T) {
 		{"a": "nobody"},
 	}
 	windows := []time.Duration{0, time.Second, 29 * time.Second, 5 * time.Minute, time.Hour, 48 * time.Hour}
-	resolutions := []Resolution{ResAuto, ResRaw, Res10s, Res5m}
 
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{
-			MaxSamples: 2 + rng.Intn(40),
-			Rollup10s:  1 + rng.Intn(12),
-			Rollup5m:   1 + rng.Intn(6),
-		}
+		cfg := Config{MaxSamples: 2 + rng.Intn(40)}
 		s := NewWithConfig(cfg)
-		model := newEagerModel(cfg)
+		model := newRingModel(cfg)
 		unordered := rng.Intn(3) == 0
 		steps := 30 + rng.Intn(500)
 		// Selections are taken at random points of the append stream; label
@@ -204,39 +125,29 @@ func TestWindowFoldDifferential(t *testing.T) {
 			selectAt[i] = rng.Intn(steps)
 		}
 		ok := true
-		var snap map[string][]eagerSeries // the model at the current append
+		var snap map[string][]modelSeries // the model at the current append
 		verify := func(now time.Time, edges bool) {
-			// With edges, besides the fixed windows start one at, just
-			// before and just after every eviction edge, where ResAuto
-			// changes tier; only ResAuto reads are checked on those.
+			// With edges, besides the fixed windows start one just before, at
+			// and just after every series' oldest retained sample, where a
+			// window stops reaching past retention.
 			ws := append([]time.Duration(nil), windows...)
-			for _, es := range snap["m"] {
+			for _, ms := range snap["m"] {
 				if !edges {
 					break
 				}
-				for _, edge := range []time.Time{es.evictedThrough, es.r10.evictedThrough} {
-					for _, d := range []time.Duration{-time.Second, 0, time.Second} {
-						if w := now.Sub(edge.Add(d)); !edge.IsZero() && w >= 0 {
-							ws = append(ws, w)
-						}
+				oldest := ms.kept[0].At
+				for _, d := range []time.Duration{-time.Second, 0, time.Second} {
+					if w := now.Sub(oldest.Add(d)); w >= 0 {
+						ws = append(ws, w)
 					}
 				}
 			}
 			for si, selector := range selectors {
-				for wi, w := range ws {
-					want, wantOK := refAgg(snap, "m", selector, now, w, ResAuto)
-					for _, res := range resolutions {
-						if res != ResAuto && wi >= len(windows) {
-							continue
-						}
-						ref, refOK := want, wantOK
-						if res != ResAuto {
-							ref, refOK = refAgg(snap, "m", selector, now, w, res)
-						}
-						if got, gotOK := s.AggOverRes("m", selector, now, w, res); got != ref || gotOK != refOK {
-							t.Errorf("seed %d: AggOverRes(%v, %v, res %d) = %+v %v, reference %+v %v", seed, selector, w, res, got, gotOK, ref, refOK)
-							ok = false
-						}
+				for _, w := range ws {
+					want, wantOK := refAgg(snap, "m", selector, now, w)
+					if got, gotOK := s.AggOver("m", selector, now, w); got != want || gotOK != wantOK {
+						t.Errorf("seed %d: AggOver(%v, %v) = %+v %v, reference %+v %v", seed, selector, w, got, gotOK, want, wantOK)
+						ok = false
 					}
 					sel := sels[si]
 					if sel == nil {
@@ -290,9 +201,6 @@ func TestWindowFoldDifferential(t *testing.T) {
 				verify(now, true)
 				verify(now.Add(-time.Duration(rng.Intn(90))*time.Second), false)
 				verify(now.Add(time.Duration(rng.Intn(400))*time.Second), false)
-				// Window edges landing exactly on bucket boundaries.
-				verify(now.Truncate(Rollup10sWidth), false)
-				verify(now.Truncate(Rollup5mWidth), false)
 			}
 		}
 		return ok
@@ -305,7 +213,10 @@ func TestWindowFoldDifferential(t *testing.T) {
 // TestSelectionTracksNewSeries pins the lifecycle by hand: a selection taken
 // on an empty store picks up matching series as they are minted, ignores
 // non-matching ones, is unaffected by later edits to the caller's selector
-// map, and keeps creation order.
+// map, and keeps creation order. The cam values make the float64 sum depend
+// on that order: folded in creation order, 1e16+1 rounds back to 1e16 and the
+// sum is 0; folded in key order (edge 0, 1, 2) the large pair cancels first
+// and the sum is 1.
 func TestSelectionTracksNewSeries(t *testing.T) {
 	s := New(0)
 	selector := map[string]string{"app": "cam"}
@@ -314,13 +225,14 @@ func TestSelectionTracksNewSeries(t *testing.T) {
 	if _, ok := sel.AggOver(at(10), time.Hour); ok {
 		t.Fatal("selection on an empty store: want ok=false")
 	}
-	s.Append("goodput", map[string]string{"app": "cam", "edge": "1"}, at(1), 0.25)
+	s.Append("goodput", map[string]string{"app": "cam", "edge": "1"}, at(1), 1e16)
 	s.Append("goodput", map[string]string{"app": "web"}, at(2), 100)
-	s.Append("goodput", map[string]string{"app": "cam", "edge": "0"}, at(3), 0.5)
+	s.Append("goodput", map[string]string{"app": "cam", "edge": "2"}, at(3), 1)
 	s.Append("goodput", map[string]string{"app": "mutated"}, at(3), 1000)
+	s.Append("goodput", map[string]string{"app": "cam", "edge": "0"}, at(4), -1e16)
 	agg, ok := sel.AggOver(at(10), time.Hour)
-	if !ok || agg.Count != 2 || agg.Sum != 0.75 || agg.First.Value != 0.25 || agg.Last.Value != 0.5 {
-		t.Fatalf("selection after minting = %+v ok=%v, want the two cam series", agg, ok)
+	if !ok || agg.Count != 3 || agg.Sum != 0 || agg.Min != -1e16 || agg.Max != 1e16 {
+		t.Fatalf("selection after minting = %+v ok=%v, want the three cam series folded in creation order (sum 0)", agg, ok)
 	}
 	if want, _ := s.AggOver("goodput", map[string]string{"app": "cam"}, at(10), time.Hour); agg != want {
 		t.Errorf("selection %+v != store %+v", agg, want)

@@ -19,9 +19,6 @@ func TestAggOverBasics(t *testing.T) {
 	if agg.Count != 4 || agg.Sum != 30 || agg.Min != 6 || agg.Max != 9 {
 		t.Errorf("agg = %+v", agg)
 	}
-	if agg.First.Value != 6 || agg.Last.Value != 9 {
-		t.Errorf("first/last = %v/%v", agg.First, agg.Last)
-	}
 	if avg := agg.Avg(); avg != 7.5 {
 		t.Errorf("Avg = %v, want 7.5", avg)
 	}
@@ -30,76 +27,30 @@ func TestAggOverBasics(t *testing.T) {
 	}
 }
 
-// TestRollupRawEquivalence pins the rollup schema: on windows aligned to
-// bucket boundaries (with samples strictly inside buckets), aggregates
-// answered from the 10s and 5m rings must equal the raw answer exactly —
-// same Sum, Count, Min, Max, and the identical first/last samples.
-func TestRollupRawEquivalence(t *testing.T) {
-	s := New(0)
-	labels := map[string]string{"link": "a-b"}
-	// 30 minutes of samples every 2s. Values are 0.25-quantized so every
-	// partial sum is exactly representable in float64: bucket-sums-of-sums
-	// equal the flat raw sum bit for bit, making Agg equality exact rather
-	// than tolerance-based.
-	for sec := 0; sec < 1800; sec += 2 {
-		s.Append("headroom", labels, at(sec), float64((sec*7)%13)+0.25)
-	}
-	now := at(1799)
-	for _, window := range []time.Duration{100 * time.Second, 10 * time.Minute, 25 * time.Minute} {
-		r10, ok10 := s.AggOverRes("headroom", labels, now, window, Res10s)
-		r5m, ok5m := s.AggOverRes("headroom", labels, now, window, Res5m)
-		if !ok10 {
-			t.Fatalf("window %v: r10 ok=%v", window, ok10)
-		}
-		// Rollup windows round out to bucket boundaries, so compare against
-		// a raw query over the rounded-out window.
-		from10 := now.Add(-window).Truncate(Rollup10sWidth)
-		rawAligned10, _ := s.AggOverRes("headroom", labels, now, now.Sub(from10), ResRaw)
-		if r10 != rawAligned10 {
-			t.Errorf("window %v: 10s rollup %+v != raw-aligned %+v", window, r10, rawAligned10)
-		}
-		if ok5m {
-			from5m := now.Add(-window).Truncate(Rollup5mWidth)
-			rawAligned5m, _ := s.AggOverRes("headroom", labels, now, now.Sub(from5m), ResRaw)
-			if r5m != rawAligned5m {
-				t.Errorf("window %v: 5m rollup %+v != raw-aligned %+v", window, r5m, rawAligned5m)
-			}
-		}
-	}
-}
-
-// TestRollupOutlivesRawRetention pins the fallback: once raw samples are
-// evicted, ResAuto answers long windows from rollups instead of silently
-// under-counting from the truncated raw ring.
-func TestRollupOutlivesRawRetention(t *testing.T) {
-	s := NewWithConfig(Config{MaxSamples: 10, Rollup10s: 1000, Rollup5m: 1000})
+// TestWindowPastRetentionFoldsRetained pins the retention contract: a
+// window that reaches past the oldest retained sample folds only the samples
+// the ring still holds, and a window inside retention is unaffected.
+func TestWindowPastRetentionFoldsRetained(t *testing.T) {
+	s := NewWithConfig(Config{MaxSamples: 10})
 	for sec := 0; sec < 600; sec++ {
 		s.Append("m", nil, at(sec), 1)
 	}
-	// Raw ring holds only the last 10 samples; a 10-minute window must still
-	// see (roughly) all 600 via rollups.
+	// The ring holds seconds 590..599; a 10-minute window reaches back to 0.
 	agg, ok := s.AggOver("m", nil, at(599), 600*time.Second)
-	if !ok {
-		t.Fatal("no samples")
+	if !ok || agg.Count != 10 || agg.Sum != 10 {
+		t.Errorf("600 s window = %+v ok=%v, want the 10 retained samples", agg, ok)
 	}
-	if agg.Count != 600 {
-		t.Errorf("auto agg count = %d, want 600 (rollup fallback)", agg.Count)
-	}
-	if agg.First.At != at(0) || agg.Last.At != at(599) {
-		t.Errorf("first/last = %v/%v", agg.First.At, agg.Last.At)
-	}
-	// A short window fully covered by raw still answers from raw.
 	short, _ := s.AggOver("m", nil, at(599), 5*time.Second)
 	if short.Count != 6 {
-		t.Errorf("short window count = %d, want 6", short.Count)
+		t.Errorf("5 s window count = %d, want 6", short.Count)
 	}
 }
 
 // TestRetentionBound pins memory: per-series retention is exactly the
-// configured caps regardless of how many samples flow through, across a
+// configured cap regardless of how many samples flow through, across a
 // 10k-series synthetic load.
 func TestRetentionBound(t *testing.T) {
-	cfg := Config{MaxSamples: 16, Rollup10s: 8, Rollup5m: 4, MaxSeries: 20000}
+	cfg := Config{MaxSamples: 16, MaxSeries: 20000}
 	s := NewWithConfig(cfg)
 	const nSeries = 10000
 	const epochs = 200 // each series sees 200 appends at 10s spacing
@@ -121,12 +72,6 @@ func TestRetentionBound(t *testing.T) {
 	for _, sr := range s.series {
 		if sr.rawN > cfg.MaxSamples || len(sr.raw) > cfg.MaxSamples {
 			t.Fatalf("raw ring grew past cap: n=%d len=%d cap=%d", sr.rawN, len(sr.raw), cfg.MaxSamples)
-		}
-		if sr.r10.n > cfg.Rollup10s || len(sr.r10.buf) > cfg.Rollup10s {
-			t.Fatalf("10s ring grew past cap: n=%d", sr.r10.n)
-		}
-		if sr.r5m.n > cfg.Rollup5m || len(sr.r5m.buf) > cfg.Rollup5m {
-			t.Fatalf("5m ring grew past cap: n=%d", sr.r5m.n)
 		}
 	}
 }
@@ -179,50 +124,6 @@ func TestAggOverZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("windowed reads allocated %.1f times per run, want 0", allocs)
 	}
-
-	// Rollup reads, which rebuild the newest buckets from the raw ring, on a
-	// series whose raw ring has evicted into both tiers.
-	ev := NewWithConfig(Config{MaxSamples: 100})
-	for sec := 0; sec < 1000; sec++ {
-		ev.Append("headroom", labels, at(sec), float64(sec%17))
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		for _, res := range []Resolution{Res10s, Res5m, ResAuto} {
-			if _, ok := ev.AggOverRes("headroom", labels, now, 900*time.Second, res); !ok {
-				t.Fatal("no samples")
-			}
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("rollup reads allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestRollupsHoldOnlyEvicted pins the memory shape: a sample is kept once.
-// While the raw ring has room no rollup bucket is stored, yet rollup reads
-// answer as before; once it wraps, a tier stores only the buckets of evicted
-// samples.
-func TestRollupsHoldOnlyEvicted(t *testing.T) {
-	s := NewWithConfig(Config{MaxSamples: 600})
-	for sec := 0; sec < 600; sec++ {
-		s.Append("m", nil, at(sec), 1)
-	}
-	sr := s.series[seriesKey("m", nil)]
-	if sr.r10.n != 0 || sr.r5m.n != 0 || sr.r10.buf != nil || sr.r5m.buf != nil {
-		t.Fatalf("unfilled raw ring: 10s/5m tiers hold %d/%d closed buckets, want 0/0", sr.r10.n, sr.r5m.n)
-	}
-	if agg, _ := s.AggOverRes("m", nil, at(599), 599*time.Second, Res10s); agg.Count != 600 {
-		t.Errorf("10s read over an unfilled raw ring counts %d samples, want 600", agg.Count)
-	}
-	// 60 more samples evict seconds 0..59: six 10s buckets close, and the
-	// 5m bucket holding them is still open.
-	for sec := 600; sec < 660; sec++ {
-		s.Append("m", nil, at(sec), 1)
-	}
-	if sr.r10.n != 5 || sr.r10.open.count != 10 || sr.r5m.n != 0 || sr.r5m.open.count != 60 {
-		t.Errorf("after 60 evictions: 10s tier %d closed + %d open, 5m tier %d closed + %d open; want 5+10, 0+60",
-			sr.r10.n, sr.r10.open.count, sr.r5m.n, sr.r5m.open.count)
-	}
 }
 
 // TestRingQueryOrder pins that Query/Snapshot unwrap the raw ring in time
@@ -244,8 +145,8 @@ func TestRingQueryOrder(t *testing.T) {
 }
 
 // BenchmarkAppendRetained measures the steady-state append path at the
-// retention cap (ring overwrite + two rollup folds), which used to be an
-// O(MaxSamples) copy-shift per append.
+// retention cap (one ring overwrite), which used to be an O(MaxSamples)
+// copy-shift per append.
 func BenchmarkAppendRetained(b *testing.B) {
 	s := NewWithConfig(Config{MaxSamples: 1024})
 	labels := map[string]string{"link": "a-b"}
@@ -262,7 +163,7 @@ func BenchmarkAppendRetained(b *testing.B) {
 // BenchmarkRetention10kSeries is the synthetic million-user-day shape: 10k
 // series under continuous load, memory bounded by per-series caps.
 func BenchmarkRetention10kSeries(b *testing.B) {
-	cfg := Config{MaxSamples: 64, Rollup10s: 32, Rollup5m: 8, MaxSeries: 20000}
+	cfg := Config{MaxSamples: 64, MaxSeries: 20000}
 	s := NewWithConfig(cfg)
 	const nSeries = 10000
 	labels := make([]map[string]string, nSeries)

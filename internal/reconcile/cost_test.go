@@ -20,9 +20,7 @@ import (
 func convergedReconciler(tb testing.TB, apps int) *Reconciler {
 	tb.Helper()
 	h := newClusterHost(tb, 8)
-	plane := obs.NewPlane(obs.NewJournal(4096), metricstore.NewWithConfig(metricstore.Config{
-		MaxSamples: 256, Rollup10s: 64, Rollup5m: 16,
-	}), func() time.Duration { return h.now })
+	plane := obs.NewPlane(obs.NewJournal(4096), metricstore.NewWithConfig(metricstore.Config{MaxSamples: 256}), func() time.Duration { return h.now })
 	plane.SetTraceSeed(1)
 	r := New(Config{}, h)
 	r.SetObserver(plane)

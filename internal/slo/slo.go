@@ -28,10 +28,10 @@
 // the store's fold of the spec's slo_good samples over the inclusive window
 // [now-window, now] with two differences, neither reached by a product path:
 // samples appended to slo_good before Register are not counted, and where the
-// store's raw ring is shorter than a window (bassd -interval below ~0.36 s
-// against the default 10,000-sample ring) the store would answer from rollup
-// buckets that over-cover by up to a bucket at each edge, while the counts
-// stay exact. Virtual time must not run backwards between ticks.
+// store's ring is shorter than a window (bassd -interval below ~0.36 s
+// against the default 10,000-sample ring) the store would fold only the
+// samples it still retains, while the counts stay exact. Virtual time must
+// not run backwards between ticks.
 //
 // Determinism contract: evaluation runs serially at the end of each control
 // epoch, reads only virtual-time-stamped SLI samples written by serial

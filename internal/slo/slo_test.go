@@ -340,9 +340,7 @@ func TestDeterministicJournal(t *testing.T) {
 // at capacity and no alert transitions, Tick allocates nothing.
 func TestQuietTickZeroAlloc(t *testing.T) {
 	interval := 30 * time.Second
-	f := newFixture(t, Config{Interval: interval}, metricstore.Config{
-		MaxSamples: 64, Rollup10s: 8, Rollup5m: 4,
-	})
+	f := newFixture(t, Config{Interval: interval}, metricstore.Config{MaxSamples: 64})
 	for _, spec := range []Spec{
 		{Name: "hr", Kind: LinkHeadroom, GoodThreshold: 5},
 		{Name: "loop", Kind: ControlLatency},

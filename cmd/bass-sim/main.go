@@ -5,7 +5,6 @@
 // Usage:
 //
 //	bass-sim scenario.json [more.json ...]
-//	bass-sim -config scenario.json          # single-config compatibility form
 //	bass-sim -seeds 4 -workers 2 scenario.json
 //	bass-sim -example > scenario.json       # print a starter config
 //
@@ -38,14 +37,13 @@
 // Explicit fault lists are window-validated before generated chaos is merged
 // on top; a schedule with overlapping windows on one element, an unmatched
 // recovery, or an event at or past the horizon is rejected before anything
-// runs. "reconcile" (or the -reconcile flag) hands failure handling to the
-// declarative reconciliation loop and appends its convergence summary.
-// "batch" (or the -batch flag) places each application DAG as one joint
-// decision, refined by the budgeted k-best search; "batchBudget" and "batchK"
-// (or -batch-budget / -batch-k) tune it. "slo" (or the -slo flag) runs the
-// burn-rate SLO evaluator over the run — mesh headroom, control-loop cadence,
-// and per-app goodput specs — and appends a budget/alert summary; pair it
-// with -events-out to capture the alert journal for bass-trace.
+// runs. "reconcile" hands failure handling to the declarative reconciliation
+// loop and appends its convergence summary. "batch" places each application
+// DAG as one joint decision, refined by the budgeted k-best search;
+// "batchBudget" and "batchK" tune it. "slo" runs the burn-rate SLO evaluator
+// over the run — mesh headroom, control-loop cadence, and per-app goodput
+// specs — and appends a budget/alert summary; pair it with -events-out to
+// capture the alert journal for bass-trace.
 //
 // A key outside this schema is an error, reported with the file name before
 // anything runs: a misspelt key would otherwise run a different scenario.
@@ -217,18 +215,12 @@ func derivePath(base string, i, total int) string {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bass-sim", flag.ContinueOnError)
-	configPath := fs.String("config", "", "scenario JSON path (configs may also be positional arguments)")
 	example := fs.Bool("example", false, "print a starter scenario and exit")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel scenario runs (1 = sequential)")
 	seeds := fs.Int("seeds", 1, "per-scenario seed replicas (seed, seed+1, ...)")
 	eventsOut := fs.String("events-out", "", "write the decision journal as JSONL to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	metricsOut := fs.String("metrics-out", "", "write the collected metric series as JSON to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	traceOut := fs.String("trace-out", "", "write the decision journal as Chrome trace-event JSON (Perfetto-loadable) to this path (\".NNN\" run index inserted when running multiple scenarios)")
-	reconcile := fs.Bool("reconcile", false, "force the declarative reconciliation loop for every scenario (equivalent to \"reconcile\": true)")
-	sloFlag := fs.Bool("slo", false, "force the burn-rate SLO evaluator for every scenario (equivalent to \"slo\": true)")
-	batch := fs.Bool("batch", false, "force the batch joint-placement mode for every scenario (equivalent to \"batch\": true)")
-	batchBudget := fs.Int("batch-budget", 0, "force this batch search move budget for every scenario (0 = scenario value)")
-	batchK := fs.Int("batch-k", 0, "force this batch search frontier width for every scenario (0 = scenario value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -238,9 +230,6 @@ func run(args []string, stdout io.Writer) error {
 		return enc.Encode(exampleScenario())
 	}
 	paths := fs.Args()
-	if *configPath != "" {
-		paths = append([]string{*configPath}, paths...)
-	}
 	if len(paths) == 0 {
 		return fmt.Errorf("missing scenario config (try -example)")
 	}
@@ -258,21 +247,6 @@ func run(args []string, stdout io.Writer) error {
 		for s := 0; s < *seeds; s++ {
 			replica := sc
 			replica.Seed = sc.Seed + int64(s)
-			if *reconcile {
-				replica.Reconcile = true
-			}
-			if *sloFlag {
-				replica.SLO = true
-			}
-			if *batch {
-				replica.Batch = true
-			}
-			if *batchBudget != 0 {
-				replica.BatchBudget = *batchBudget
-			}
-			if *batchK != 0 {
-				replica.BatchK = *batchK
-			}
 			specs = append(specs, runSpec{
 				label: fmt.Sprintf("%s seed=%d", p, replica.Seed),
 				sc:    replica,

@@ -101,17 +101,19 @@ func TestExecuteWithSLO(t *testing.T) {
 	}
 }
 
-// TestRunSLOFlagForcesEvaluator checks the -slo flag reaches the scenario.
-func TestRunSLOFlagForcesEvaluator(t *testing.T) {
+// TestRunSLOKeyEnablesEvaluator checks the scenario file's "slo" key
+// reaches the run.
+func TestRunSLOKeyEnablesEvaluator(t *testing.T) {
 	sc := exampleScenario()
 	sc.HorizonSec = 120
+	sc.SLO = true
 	path := writeScenario(t, sc)
 	var out bytes.Buffer
-	if err := run([]string{"-slo", path}, &out); err != nil {
+	if err := run([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "slo: specs=3") {
-		t.Errorf("-slo flag did not enable the evaluator:\n%s", out.String())
+		t.Errorf("\"slo\": true did not enable the evaluator:\n%s", out.String())
 	}
 }
 
@@ -132,16 +134,12 @@ func TestRunWithConfigFile(t *testing.T) {
 	sc.HorizonSec = 30
 	path := writeScenario(t, sc)
 	var out strings.Builder
-	if err := run([]string{"-config", path}, &out); err != nil {
+	if err := run([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	// Single run: no per-run headers.
 	if strings.Contains(out.String(), "===") {
 		t.Errorf("single run printed headers:\n%s", out.String())
-	}
-	// Positional form is equivalent.
-	if err := run([]string{path}, io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -149,7 +147,7 @@ func TestRunMissingConfig(t *testing.T) {
 	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing config: want error")
 	}
-	if err := run([]string{"-config", "/nonexistent.json"}, io.Discard); err == nil {
+	if err := run([]string{filepath.Join(t.TempDir(), "missing.json")}, io.Discard); err == nil {
 		t.Error("missing file: want error")
 	}
 	path := filepath.Join(t.TempDir(), "bad.json")

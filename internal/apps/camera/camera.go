@@ -8,7 +8,6 @@
 package camera
 
 import (
-	"fmt"
 	"time"
 
 	"bass/internal/core"
@@ -26,91 +25,61 @@ const (
 	CompLblListener = "label-listener"
 )
 
+// The pipeline's fixed parameters.
+const (
+	// appName names the deployment.
+	appName = "camera"
+	// fps is the camera frame rate.
+	fps = 30
+	// annotatedKB is the annotated output frame size.
+	annotatedKB = 60
+	// labelBytes is the text label message size.
+	labelBytes = 300
+	// sampleFrac is the fraction of frames the sampler judges dissimilar and
+	// forwards to the detector.
+	sampleFrac = 0.1
+	// samplerDelay is the per-frame sampling compute time.
+	samplerDelay = 5 * time.Millisecond
+	// detectDelay is the detector's per-frame service time (YOLO-class
+	// inference on an 8-core CPU).
+	detectDelay = 200 * time.Millisecond
+	// paceMbps caps each frame transfer's rate, modelling RTP pacing.
+	paceMbps = 12
+	// cameraCPU, imgCPU and lblCPU are the CPU requests of the camera and
+	// the two listener stages.
+	cameraCPU = 2
+	imgCPU    = 2
+	lblCPU    = 1
+	// maxInflightFrames bounds frames in flight per pipeline stage; when a
+	// congested link backs transfers up past the bound, new frames are
+	// dropped — RTP behaviour, and what keeps a real pipeline live rather
+	// than ever-later (150 ≈ 5 s at 30 fps).
+	maxInflightFrames = 150
+)
+
 // Config describes the pipeline workload.
 type Config struct {
-	// AppName names the deployment (defaults to "camera").
-	AppName string
-	// FPS is the camera frame rate (default 30).
-	FPS float64
 	// FrameKB is the encoded frame size (default 25 KB).
 	FrameKB float64
-	// AnnotatedKB is the annotated output frame size (default 60 KB).
-	AnnotatedKB float64
-	// LabelBytes is the text label message size (default 300 B).
-	LabelBytes float64
-	// SampleFrac is the fraction of frames the sampler judges dissimilar and
-	// forwards to the detector (default 0.1).
-	SampleFrac float64
-	// SamplerDelay is the per-frame sampling compute time (default 5 ms).
-	SamplerDelay time.Duration
-	// DetectDelay is the detector's per-frame service time (default 200 ms,
-	// YOLO-class inference on an 8-core CPU).
-	DetectDelay time.Duration
-	// PaceMbps caps each frame transfer's rate, modelling RTP pacing
-	// (default 12 Mbps).
-	PaceMbps float64
-	// CameraCPU..ListenerCPU are per-stage CPU requests. Defaults mirror the
-	// paper's mesh experiment: 4 cores for the sampler, 8 for the detector.
-	CameraCPU   float64
+	// SamplerCPU and DetectorCPU are the sampler and detector CPU requests.
+	// Defaults mirror the paper's mesh experiment: 4 cores for the sampler,
+	// 8 for the detector.
 	SamplerCPU  float64
 	DetectorCPU float64
-	ImgCPU      float64
-	LblCPU      float64
 	// PinCamera optionally pins the camera stage to the node the physical
 	// camera feed enters the mesh at.
 	PinCamera string
-	// MaxInflightFrames bounds frames in flight per pipeline stage; when a
-	// congested link backs transfers up past the bound, new frames are
-	// dropped — RTP behaviour, and what keeps a real pipeline live rather
-	// than ever-later (default 150 ≈ 5 s at 30 fps).
-	MaxInflightFrames int
 }
 
 func (c Config) withDefaults() Config {
-	if c.AppName == "" {
-		c.AppName = "camera"
-	}
-	if c.FPS == 0 {
-		c.FPS = 30
-	}
 	if c.FrameKB == 0 {
 		c.FrameKB = 25
-	}
-	if c.AnnotatedKB == 0 {
-		c.AnnotatedKB = 60
-	}
-	if c.LabelBytes == 0 {
-		c.LabelBytes = 300
-	}
-	if c.SampleFrac == 0 {
-		c.SampleFrac = 0.1
-	}
-	if c.SamplerDelay == 0 {
-		c.SamplerDelay = 5 * time.Millisecond
-	}
-	if c.DetectDelay == 0 {
-		c.DetectDelay = 200 * time.Millisecond
-	}
-	if c.PaceMbps == 0 {
-		c.PaceMbps = 12
-	}
-	if c.CameraCPU == 0 {
-		c.CameraCPU = 2
 	}
 	if c.SamplerCPU == 0 {
 		c.SamplerCPU = 4
 	}
 	if c.DetectorCPU == 0 {
 		c.DetectorCPU = 8
-	}
-	if c.ImgCPU == 0 {
-		c.ImgCPU = 2
-	}
-	if c.LblCPU == 0 {
-		c.LblCPU = 1
-	}
-	if c.MaxInflightFrames == 0 {
-		c.MaxInflightFrames = 150
 	}
 	return c
 }
@@ -119,13 +88,13 @@ func (c Config) withDefaults() Config {
 // config, in Mbps: the offline profiling step of §5.
 func (c Config) EdgeBandwidths() map[[2]string]float64 {
 	c = c.withDefaults()
-	frameMbps := c.FPS * c.FrameKB * 8 / 1e3 // KB→Kb→Mb
-	sampledFPS := c.FPS * c.SampleFrac
+	frameMbps := fps * c.FrameKB * 8 / 1e3 // KB→Kb→Mb
+	sampledFPS := fps * sampleFrac
 	return map[[2]string]float64{
 		{CompCamera, CompSampler}:       frameMbps,
 		{CompSampler, CompDetector}:     sampledFPS * c.FrameKB * 8 / 1e3,
-		{CompDetector, CompImgListener}: sampledFPS * c.AnnotatedKB * 8 / 1e3,
-		{CompDetector, CompLblListener}: sampledFPS * c.LabelBytes * 8 / 1e6,
+		{CompDetector, CompImgListener}: sampledFPS * annotatedKB * 8 / 1e3,
+		{CompDetector, CompLblListener}: sampledFPS * labelBytes * 8 / 1e6,
 	}
 }
 
@@ -153,11 +122,8 @@ var _ core.Workload = (*App)(nil)
 // New builds the pipeline workload.
 func New(cfg Config) (*App, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SampleFrac < 0 || cfg.SampleFrac > 1 {
-		return nil, fmt.Errorf("camera: SampleFrac %v outside [0,1]", cfg.SampleFrac)
-	}
-	g := dag.NewGraph(cfg.AppName)
-	cam := dag.Component{Name: CompCamera, CPU: cfg.CameraCPU, MemoryMB: 512}
+	g := dag.NewGraph(appName)
+	cam := dag.Component{Name: CompCamera, CPU: cameraCPU, MemoryMB: 512}
 	if cfg.PinCamera != "" {
 		cam.Labels = dag.Pin(cfg.PinCamera)
 	}
@@ -165,8 +131,8 @@ func New(cfg Config) (*App, error) {
 		cam,
 		{Name: CompSampler, CPU: cfg.SamplerCPU, MemoryMB: 1024},
 		{Name: CompDetector, CPU: cfg.DetectorCPU, MemoryMB: 4096},
-		{Name: CompImgListener, CPU: cfg.ImgCPU, MemoryMB: 512},
-		{Name: CompLblListener, CPU: cfg.LblCPU, MemoryMB: 256},
+		{Name: CompImgListener, CPU: imgCPU, MemoryMB: 512},
+		{Name: CompLblListener, CPU: lblCPU, MemoryMB: 256},
 	} {
 		if err := g.AddComponent(comp); err != nil {
 			return nil, err
@@ -191,8 +157,7 @@ func (a *App) Graph() *dag.Graph { return a.graph }
 // Start begins publishing frames.
 func (a *App) Start(env *core.Env) error {
 	a.env = env
-	interval := time.Duration(float64(time.Second) / a.cfg.FPS)
-	env.Engine().Every(interval, a.publishFrame)
+	env.Engine().Every(time.Second/fps, a.publishFrame)
 	return nil
 }
 
@@ -217,14 +182,14 @@ func (a *App) publishFrame() {
 	birth := a.env.Now()
 	src := a.env.NodeOf(CompCamera)
 	dst := a.env.NodeOf(CompSampler)
-	if src == "" || dst == "" || a.inflightIngest >= a.cfg.MaxInflightFrames {
+	if src == "" || dst == "" || a.inflightIngest >= maxInflightFrames {
 		a.framesDropped++
 		return
 	}
 	a.inflightIngest++
 	_, err := a.env.Net().AddTransfer(
 		a.env.Tag(CompCamera, CompSampler), src, dst,
-		a.cfg.FrameKB*1e3, a.cfg.PaceMbps,
+		a.cfg.FrameKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightIngest--
 			if r.Failed {
@@ -242,12 +207,12 @@ func (a *App) publishFrame() {
 
 // onFrameAtSampler runs the sampling stage.
 func (a *App) onFrameAtSampler(birth time.Duration) {
-	a.env.Engine().After(a.cfg.SamplerDelay, func() {
-		if a.env.Engine().Rand().Float64() >= a.cfg.SampleFrac {
+	a.env.Engine().After(samplerDelay, func() {
+		if a.env.Engine().Rand().Float64() >= sampleFrac {
 			return // frame similar to previous; not forwarded
 		}
 		a.framesSampled++
-		if a.isDown(CompDetector) || a.inflightDetect >= a.cfg.MaxInflightFrames {
+		if a.isDown(CompDetector) || a.inflightDetect >= maxInflightFrames {
 			a.framesDropped++
 			return
 		}
@@ -256,7 +221,7 @@ func (a *App) onFrameAtSampler(birth time.Duration) {
 		a.inflightDetect++
 		_, err := a.env.Net().AddTransfer(
 			a.env.Tag(CompSampler, CompDetector), src, dst,
-			a.cfg.FrameKB*1e3, a.cfg.PaceMbps,
+			a.cfg.FrameKB*1e3, paceMbps,
 			func(r simnet.TransferResult) {
 				a.inflightDetect--
 				if r.Failed {
@@ -280,7 +245,7 @@ func (a *App) onFrameAtDetector(birth time.Duration) {
 	if a.busyUntil > start {
 		start = a.busyUntil
 	}
-	finish := start + a.cfg.DetectDelay
+	finish := start + detectDelay
 	a.busyUntil = finish
 	a.env.Engine().At(finish, func() { a.onDetectionDone(birth) })
 }
@@ -291,10 +256,10 @@ func (a *App) onDetectionDone(birth time.Duration) {
 	if dst := a.env.NodeOf(CompLblListener); dst != "" && !a.isDown(CompLblListener) {
 		_, _ = a.env.Net().AddTransfer(
 			a.env.Tag(CompDetector, CompLblListener), src, dst,
-			a.cfg.LabelBytes, a.cfg.PaceMbps, nil,
+			labelBytes, paceMbps, nil,
 		)
 	}
-	if a.isDown(CompImgListener) || a.inflightOut >= a.cfg.MaxInflightFrames {
+	if a.isDown(CompImgListener) || a.inflightOut >= maxInflightFrames {
 		a.framesDropped++
 		return
 	}
@@ -302,7 +267,7 @@ func (a *App) onDetectionDone(birth time.Duration) {
 	a.inflightOut++
 	_, err := a.env.Net().AddTransfer(
 		a.env.Tag(CompDetector, CompImgListener), src, dst,
-		a.cfg.AnnotatedKB*1e3, a.cfg.PaceMbps,
+		annotatedKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightOut--
 			if r.Failed {

@@ -1,6 +1,7 @@
 package camera
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -47,18 +48,39 @@ func TestGraphShape(t *testing.T) {
 	}
 }
 
-func TestEdgeBandwidthsScaleWithFPS(t *testing.T) {
-	low := Config{FPS: 10}.EdgeBandwidths()
-	high := Config{FPS: 30}.EdgeBandwidths()
+func TestEdgeBandwidthsScaleWithFrameKB(t *testing.T) {
+	low := Config{}.EdgeBandwidths()
+	high := Config{FrameKB: 30}.EdgeBandwidths()
 	k := [2]string{CompCamera, CompSampler}
 	if high[k] <= low[k] {
-		t.Errorf("30fps weight %v not above 10fps weight %v", high[k], low[k])
+		t.Errorf("30 KB weight %v not above 25 KB weight %v", high[k], low[k])
 	}
-}
-
-func TestInvalidSampleFrac(t *testing.T) {
-	if _, err := New(Config{SampleFrac: 2}); err == nil {
-		t.Error("want error for SampleFrac > 1")
+	// The weights' exact bits: the rates are products of fixed parameters, so
+	// a rewrite the compiler could fold to a constant must not move a bit.
+	want := map[float64]map[[2]string]uint64{
+		25: {
+			{CompCamera, CompSampler}:       0x4018000000000000, // 6
+			{CompSampler, CompDetector}:     0x3fe3333333333333, // 0.6
+			{CompDetector, CompImgListener}: 0x3ff70a3d70a3d70a, // 1.44
+			{CompDetector, CompLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+		},
+		30: {
+			{CompCamera, CompSampler}:       0x401ccccccccccccd, // 7.2
+			{CompSampler, CompDetector}:     0x3fe70a3d70a3d70a, // 0.72
+			{CompDetector, CompImgListener}: 0x3ff70a3d70a3d70a, // 1.44
+			{CompDetector, CompLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+		},
+	}
+	for frameKB, got := range map[float64]map[[2]string]float64{25: low, 30: high} {
+		if len(got) != len(want[frameKB]) {
+			t.Fatalf("FrameKB %v: %d edges, want %d", frameKB, len(got), len(want[frameKB]))
+		}
+		for edge, bits := range want[frameKB] {
+			if b := math.Float64bits(got[edge]); b != bits {
+				t.Errorf("FrameKB %v, %s->%s: bits %#016x (%v), want %#016x",
+					frameKB, edge[0], edge[1], b, got[edge], bits)
+			}
+		}
 	}
 }
 

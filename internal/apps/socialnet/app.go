@@ -11,35 +11,33 @@ import (
 	"bass/internal/workload"
 )
 
+// The deployment's fixed parameters.
+const (
+	// appName names the deployment.
+	appName = "socialnet"
+	// peakFactor scales observed traffic into the profiled bandwidth
+	// requirement written on DAG edges: requirements leave burst room above
+	// the average rate.
+	peakFactor = 1.6
+)
+
 // Config describes the social-network deployment and workload.
 type Config struct {
-	// AppName names the deployment (defaults to "socialnet").
-	AppName string
 	// ClientNode pins the load generator to a mesh node.
 	ClientNode string
 	// Arrival is the request process (e.g. workload.Constant{PerSecond: 50}).
 	Arrival workload.Arrival
-	// PeakFactor scales observed traffic into the profiled bandwidth
-	// requirement written on DAG edges (default 1.6): requirements leave
-	// burst room above the average rate.
-	PeakFactor float64
 	// ProfileRPS is the request rate the offline profiling ran at; DAG edge
 	// weights are computed for it. Defaults to the arrival rate.
 	ProfileRPS float64
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.AppName == "" {
-		c.AppName = "socialnet"
-	}
 	if c.ClientNode == "" {
 		return c, fmt.Errorf("socialnet: ClientNode is required")
 	}
 	if c.Arrival == nil {
 		c.Arrival = workload.Constant{PerSecond: 50}
-	}
-	if c.PeakFactor == 0 {
-		c.PeakFactor = 1.6
 	}
 	if c.ProfileRPS == 0 {
 		c.ProfileRPS = c.Arrival.Rate()
@@ -109,7 +107,7 @@ func New(cfg Config) (*App, error) {
 		a.byType[rt.name] = workload.NewLatencyRecorder(time.Second)
 	}
 
-	g := dag.NewGraph(cfg.AppName)
+	g := dag.NewGraph(appName)
 	if err := g.AddComponent(dag.Component{
 		Name:   ClientComponent,
 		Labels: dag.Pin(cfg.ClientNode),
@@ -156,7 +154,7 @@ func New(cfg Config) (*App, error) {
 		// DAG edge weight: profiled requirement at ProfileRPS with burst
 		// headroom, covering both directions (the pair's total traffic).
 		perMsgBits := (load.reqKBPerReq + load.respKBPerReq) / load.msgsPerReq * 8e3
-		reqMbps := cfg.PeakFactor * load.msgsPerReq * cfg.ProfileRPS * perMsgBits / 1e6
+		reqMbps := peakFactor * load.msgsPerReq * cfg.ProfileRPS * perMsgBits / 1e6
 		if err := g.AddEdge(key.from, key.to, reqMbps); err != nil {
 			return nil, err
 		}

@@ -130,7 +130,7 @@ func deploySocial(t *testing.T, topo *mesh.Topology, cfg Config, simCfg core.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Orch.Deploy(cfg.AppName, app); err != nil {
+	if _, err := sim.Orch.Deploy(appName, app); err != nil {
 		t.Fatal(err)
 	}
 	return app, sim
@@ -139,7 +139,6 @@ func deploySocial(t *testing.T, topo *mesh.Topology, cfg Config, simCfg core.Con
 func TestBaselineLatencySubSecond(t *testing.T) {
 	topo := mesh.FullMesh([]string{"node1", "node2", "node3", "node4"}, 1000, time.Millisecond, time.Hour)
 	cfg := Config{
-		AppName:    "socialnet",
 		ClientNode: "node4",
 		Arrival:    workload.Constant{PerSecond: 50},
 	}
@@ -165,7 +164,6 @@ func TestBaselineLatencySubSecond(t *testing.T) {
 func TestFig5ThrottleInflatesLatency(t *testing.T) {
 	topo := mesh.FullMesh([]string{"node1", "node2", "node3", "node4"}, 1000, time.Millisecond, time.Hour)
 	cfg := Config{
-		AppName:    "socialnet",
 		ClientNode: "node4",
 		Arrival:    workload.Exponential{MeanPerSecond: 400},
 	}
@@ -218,7 +216,6 @@ func TestFig5ThrottleInflatesLatency(t *testing.T) {
 func TestFig14aRestartSpike(t *testing.T) {
 	topo := mesh.FullMesh([]string{"node1", "node2", "node3", "node4"}, 1000, time.Millisecond, time.Hour)
 	cfg := Config{
-		AppName:    "socialnet",
 		ClientNode: "node4",
 		Arrival:    workload.Constant{PerSecond: 50},
 	}

@@ -21,10 +21,19 @@ import (
 // ServerComponent is the SFU component name.
 const ServerComponent = "sfu"
 
+// The conference's fixed parameters.
+const (
+	// appName names the deployment.
+	appName = "videoconf"
+	// serverCPU and serverMemoryMB are the SFU's resource requests.
+	serverCPU      = 2
+	serverMemoryMB = 1024
+	// sampleInterval is the bitrate sampling period.
+	sampleInterval = time.Second
+)
+
 // Config describes a conference.
 type Config struct {
-	// AppName names the deployment (defaults to "videoconf").
-	AppName string
 	// ClientsPerNode maps mesh node → number of participants there.
 	ClientsPerNode map[string]int
 	// PublishMbps is the bitrate of one published video stream (paper-scale
@@ -33,33 +42,16 @@ type Config struct {
 	// Publishers limits how many participants share video; 0 means all do
 	// (Fig 15b full-mesh mode). Fig 12 uses a single publisher.
 	Publishers int
-	// ServerCPU and ServerMemoryMB are the SFU's resource requests.
-	ServerCPU      float64
-	ServerMemoryMB float64
 	// InitialNode optionally forces the SFU's first placement (the paper's
 	// Fig 12 starts Pion on node 2); unlike a pin, the SFU stays migratable.
 	// Apply it by deploying with core.Orchestrator.DeployAt and the
 	// assignment from InitialAssignment.
 	InitialNode string
-	// SampleInterval is the bitrate sampling period (default 1 s).
-	SampleInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.AppName == "" {
-		c.AppName = "videoconf"
-	}
 	if c.PublishMbps == 0 {
 		c.PublishMbps = 1.8
-	}
-	if c.ServerCPU == 0 {
-		c.ServerCPU = 2
-	}
-	if c.ServerMemoryMB == 0 {
-		c.ServerMemoryMB = 1024
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = time.Second
 	}
 	return c
 }
@@ -105,11 +97,11 @@ func New(cfg Config) (*App, error) {
 	}
 	a := &App{cfg: cfg}
 
-	g := dag.NewGraph(cfg.AppName)
+	g := dag.NewGraph(appName)
 	server := dag.Component{
 		Name:     ServerComponent,
-		CPU:      cfg.ServerCPU,
-		MemoryMB: cfg.ServerMemoryMB,
+		CPU:      serverCPU,
+		MemoryMB: serverMemoryMB,
 	}
 	if err := g.AddComponent(server); err != nil {
 		return nil, err
@@ -190,7 +182,7 @@ func (a *App) Start(env *core.Env) error {
 	if err := a.connect(); err != nil {
 		return err
 	}
-	env.Engine().Every(a.cfg.SampleInterval, a.sample)
+	env.Engine().Every(sampleInterval, a.sample)
 	return nil
 }
 

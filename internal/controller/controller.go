@@ -26,12 +26,12 @@ type Config struct {
 	// ReMigrationInterval is the minimum spacing between migrations of the
 	// same component, preventing thrash.
 	ReMigrationInterval time.Duration
-	// FailureThreshold is the number of consecutive failed probe sweeps on
-	// EVERY link of a node before the controller declares it down (default 3).
-	// Lower detects faster; higher tolerates longer probe-loss windows
-	// without false positives.
-	FailureThreshold int
 }
+
+// FailureThreshold is the number of consecutive failed probe sweeps on EVERY
+// link of a node before the controller declares it down. Lower detects
+// faster; higher tolerates longer probe-loss windows without false positives.
+const FailureThreshold = 3
 
 // DefaultConfig returns the paper's defaults: 50% thresholds, one probing
 // interval of cooldown, and a 2-minute re-migration guard.
@@ -40,7 +40,6 @@ func DefaultConfig() Config {
 		Migration:           scheduler.DefaultMigrationConfig(),
 		Cooldown:            30 * time.Second,
 		ReMigrationInterval: 2 * time.Minute,
-		FailureThreshold:    3,
 	}
 }
 
@@ -81,9 +80,6 @@ type Controller struct {
 func New(monitor *netmon.Monitor, cfg Config, now func() time.Duration) *Controller {
 	if cfg.Migration.UtilizationThreshold == 0 && cfg.Migration.GoodputFloor == 0 {
 		cfg.Migration = scheduler.DefaultMigrationConfig()
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
 	}
 	return &Controller{
 		cfg:                cfg,
@@ -209,7 +205,7 @@ func (c *Controller) Observe(fullProbe func(mesh.LinkID) error) CycleObservation
 	for _, node := range c.monitor.Nodes() {
 		floor := c.monitor.NodeFailureFloor(node)
 		switch {
-		case floor >= c.cfg.FailureThreshold && !c.deadNodes[node]:
+		case floor >= FailureThreshold && !c.deadNodes[node]:
 			c.deadNodes[node] = true
 			nodesDown = append(nodesDown, node)
 			span := c.plane.EmitSpan(obs.Event{Type: obs.EventNodeDown, Node: node,

@@ -26,7 +26,7 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, topo)
 	net.Start()
-	mon := netmon.New(topo, net.Prober(), netmon.DefaultConfig(), eng.Now)
+	mon := netmon.New(topo, net.Prober(), eng.Now)
 	if err := mon.FullProbeAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,27 +199,25 @@ func TestEvaluateRequestsFullProbesOnHeadroomChange(t *testing.T) {
 
 // failureFixture builds an a-b-c line where node c can crash while a-b stays
 // probeable, plus an empty usage function.
-func failureFixture(t testing.TB, threshold int) (*fixture, *mesh.Topology) {
+func failureFixture(t testing.TB) (*fixture, *mesh.Topology) {
 	t.Helper()
 	topo := mesh.Line([]string{"a", "b", "c"}, 25, time.Millisecond, time.Hour)
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, topo)
 	net.Start()
-	mon := netmon.New(topo, net.Prober(), netmon.DefaultConfig(), eng.Now)
+	mon := netmon.New(topo, net.Prober(), eng.Now)
 	if err := mon.FullProbeAll(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.FailureThreshold = threshold
 	g := dag.NewGraph("app")
 	g.MustAddComponent(dag.Component{Name: "x", CPU: 1})
-	return &fixture{eng: eng, net: net, mon: mon, ctrl: New(mon, cfg, eng.Now), g: g}, topo
+	return &fixture{eng: eng, net: net, mon: mon, ctrl: New(mon, DefaultConfig(), eng.Now), g: g}, topo
 }
 
 func noUsage() []scheduler.DependencyUsage { return nil }
 
 func TestNodeDownVerdictAfterKFailures(t *testing.T) {
-	f, topo := failureFixture(t, 3)
+	f, topo := failureFixture(t)
 	if err := topo.SetNodeUp("c", false); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +260,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 }
 
 func TestProbeLossAloneNeverKillsAConnectedNode(t *testing.T) {
-	f, _ := failureFixture(t, 2)
+	f, _ := failureFixture(t)
 	// b-c probes are lossy, but b's other link (a-b) keeps answering: b must
 	// never be declared down, and c (whose only link is lossy) must be —
 	// indistinguishable from a crash, which is the detector's stated limit.
@@ -285,7 +283,7 @@ func TestProbeLossAloneNeverKillsAConnectedNode(t *testing.T) {
 }
 
 func TestEvaluateSurfacesFullProbeErrors(t *testing.T) {
-	f, topo := failureFixture(t, 3)
+	f, topo := failureFixture(t)
 	// Prime spare-capacity history so the next sweep reports changes.
 	f.runCycle(noUsage, nil)
 	// Load a link so its headroom changes, then kill it between the headroom

@@ -11,9 +11,9 @@ import (
 
 // observedFixture attaches a journal to the failure fixture's monitor and
 // controller, the way core.AttachObservability wires the full stack.
-func observedFixture(t testing.TB, threshold int) (*fixture, *mesh.Topology, *obs.Journal) {
+func observedFixture(t testing.TB) (*fixture, *mesh.Topology, *obs.Journal) {
 	t.Helper()
-	f, topo := failureFixture(t, threshold)
+	f, topo := failureFixture(t)
 	journal := obs.NewJournal(0)
 	plane := obs.NewPlane(journal, nil, f.eng.Now)
 	plane.SetTraceSeed(f.eng.Seed())
@@ -27,7 +27,7 @@ func observedFixture(t testing.TB, threshold int) (*fixture, *mesh.Topology, *ob
 // must survive serialisation and resolve to the same probe_error events, and
 // the node_down verdict that follows must cite one of them as its cause.
 func TestProbeErrorsRoundTripThroughJournal(t *testing.T) {
-	f, topo, journal := observedFixture(t, 3)
+	f, topo, journal := observedFixture(t)
 	if err := topo.SetNodeUp("c", false); err != nil {
 		t.Fatal(err)
 	}

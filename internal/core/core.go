@@ -84,12 +84,11 @@ func (e *Env) Tag(from, to string) string {
 type Config struct {
 	// Policy decides placement; defaults to the BASS longest-path scheduler.
 	Policy scheduler.Policy
-	// Monitor configures probing (defaults: §4.2 settings).
-	Monitor netmon.Config
 	// Controller configures migration decisions (defaults: §4.3 settings).
 	Controller controller.Config
 	// MonitorInterval is how often the controller evaluates the system — the
-	// paper's "bandwidth querying interval" (30/60/90 s sweeps).
+	// paper's "bandwidth querying interval" (30/60/90 s sweeps). Every cycle
+	// opens with a headroom-probe sweep, so it is also the probe period.
 	MonitorInterval time.Duration
 	// EnableMigration turns the controller loop on.
 	EnableMigration bool
@@ -143,8 +142,8 @@ type Config struct {
 // microseconds for the greedy seed alone.
 const DefaultBatchMoveBudget = 256
 
-// Fixed retry parameters. The backoff constants also configure the
-// reconciler, so both recovery paths retry on one schedule.
+// Fixed retry parameters. The backoff constants equal the reconciler's own,
+// so both recovery paths retry on one schedule.
 const (
 	// failoverMaxRetries bounds placement attempts for a component stranded
 	// by a node failure before it parks in the recovery queue.
@@ -276,7 +275,7 @@ func New(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluste
 		clus: clus,
 		apps: make(map[string]*deployedApp),
 	}
-	o.monitor = netmon.New(topo, net.Prober(), cfg.Monitor, eng.Now)
+	o.monitor = netmon.New(topo, net.Prober(), eng.Now)
 	o.ctrl = controller.New(o.monitor, cfg.Controller, eng.Now)
 	if cfg.EvalWorkers > 1 {
 		o.evalPool = sim.NewPool(cfg.EvalWorkers)
@@ -306,12 +305,7 @@ func New(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluste
 		o.cfg.Policy = batch
 	}
 	if cfg.EnableReconcile {
-		o.rec = reconcile.New(reconcile.Config{
-			Epoch:       cfg.MonitorInterval,
-			BackoffBase: failoverBackoffBase,
-			BackoffMax:  failoverBackoffMax,
-			JitterFrac:  failoverBackoffJitter,
-		}, reconcileHost{o})
+		o.rec = reconcile.New(reconcile.Config{Epoch: cfg.MonitorInterval}, reconcileHost{o})
 		o.nodeDownSpan = make(map[string]uint64)
 	}
 	return o

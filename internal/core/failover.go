@@ -43,7 +43,8 @@ type RecoveryReport struct {
 	// restarting on its new host (re-placement plus restart downtime). Time
 	// between the actual crash and its detection is not included — the
 	// control plane cannot observe it; add the detector's worst case
-	// (FailureThreshold × MonitorInterval) for crash-to-recovery bounds.
+	// (controller.FailureThreshold × MonitorInterval) for crash-to-recovery
+	// bounds.
 	MTTRMean time.Duration
 	MTTRMax  time.Duration
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bass/internal/cluster"
+	"bass/internal/controller"
 	"bass/internal/faults"
 	"bass/internal/mesh"
 	"bass/internal/obs"
@@ -85,8 +86,7 @@ func TestNodeCrashDetectedAndFailedOver(t *testing.T) {
 	// K=3 failed sweeps after the crash, plus one interval of slack for sweep
 	// phase alignment.
 	interval := s.Orch.cfg.MonitorInterval
-	threshold := s.Orch.ctrl.Config().FailureThreshold
-	if maxDetect := crashAt + time.Duration(threshold+1)*interval; det.DetectedAt > maxDetect {
+	if maxDetect := crashAt + (controller.FailureThreshold+1)*interval; det.DetectedAt > maxDetect {
 		t.Errorf("detected at %v, want within %v", det.DetectedAt, maxDetect)
 	}
 	if det.DetectedAt <= crashAt {

@@ -8,7 +8,6 @@ import (
 	"bass/internal/controller"
 	"bass/internal/core"
 	"bass/internal/mesh"
-	"bass/internal/netmon"
 	"bass/internal/scheduler"
 	"bass/internal/trace"
 	"bass/internal/workload"
@@ -166,9 +165,11 @@ func RunAblationCooldown(seed int64, cooldownsSec []int) (AblationResult, error)
 	return out, nil
 }
 
-// RunAblationProbeInterval sweeps the headroom-probing interval on the
-// CityLab mesh and reports the probing overhead fraction alongside latency:
-// the §6.3.4 trade-off between reaction time and network cost.
+// RunAblationProbeInterval sweeps core.Config.MonitorInterval on the CityLab
+// mesh and reports the probing overhead fraction alongside latency: the
+// §6.3.4 trade-off between reaction time and network cost. MonitorInterval
+// paces the headroom-probe sweeps, since every control cycle begins with
+// one.
 func RunAblationProbeInterval(seed int64, intervalsSec []int) (AblationResult, error) {
 	if len(intervalsSec) == 0 {
 		intervalsSec = []int{10, 30, 90}
@@ -186,7 +187,6 @@ func RunAblationProbeInterval(seed int64, intervalsSec []int) (AblationResult, e
 			seed:  seed,
 			simCfg: core.Config{
 				Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath),
-				Monitor:           netmon.Config{ProbeInterval: time.Duration(iv) * time.Second},
 				EnableMigration:   true,
 				MonitorInterval:   time.Duration(iv) * time.Second,
 				MigrationDowntime: 4300 * time.Millisecond,

@@ -43,7 +43,6 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 	}
 	defer sim.Close()
 	app, err := socialnet.New(socialnet.Config{
-		AppName:    "socialnet",
 		ClientNode: mesh.CityLabControl,
 		Arrival:    workload.Constant{PerSecond: 150},
 	})

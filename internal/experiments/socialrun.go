@@ -31,9 +31,6 @@ type socialOutcome struct {
 
 // run executes the scenario and leaves the simulation closed.
 func (s socialScenario) run() (socialOutcome, error) {
-	if s.appCfg.AppName == "" {
-		s.appCfg.AppName = "socialnet"
-	}
 	if s.appCfg.Arrival == nil {
 		s.appCfg.Arrival = workload.Constant{PerSecond: 50}
 	}
@@ -46,7 +43,7 @@ func (s socialScenario) run() (socialOutcome, error) {
 		sim.Close()
 		return socialOutcome{}, err
 	}
-	if _, err := sim.Orch.Deploy(s.appCfg.AppName, app); err != nil {
+	if _, err := sim.Orch.Deploy("socialnet", app); err != nil {
 		sim.Close()
 		return socialOutcome{}, err
 	}

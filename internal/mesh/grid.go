@@ -8,6 +8,17 @@ import (
 	"bass/internal/trace"
 )
 
+// The grid's fixed link parameters.
+const (
+	// gridMeanMbps is the average link capacity (the CityLab node3-node4
+	// class); gridJitterFrac spreads per-link means and step levels around
+	// it.
+	gridMeanMbps   = 25
+	gridJitterFrac = 0.3
+	// gridLatency is the per-hop one-way latency.
+	gridLatency = 3 * time.Millisecond
+)
+
 // GridOptions parameterises City-scale grid construction.
 type GridOptions struct {
 	// Rows and Cols set the lattice dimensions (Rows*Cols nodes).
@@ -16,34 +27,18 @@ type GridOptions struct {
 	Seed int64
 	// Duration is the trace horizon (default 10 min).
 	Duration time.Duration
-	// MeanMbps is the average link capacity (default 25, the CityLab
-	// node3-node4 class); JitterFrac spreads per-link means and step levels
-	// around it (default 0.3).
-	MeanMbps   float64
-	JitterFrac float64
 	// ChangesPerLink is the number of capacity steps each link takes over
 	// the horizon (default 6): enough churn that most 1-second grid ticks
 	// carry at least one capacity event at city scale.
 	ChangesPerLink int
-	// LatencyMS is the per-hop one-way latency (default 3 ms).
-	LatencyMS float64
 }
 
 func (o GridOptions) withDefaults() GridOptions {
 	if o.Duration == 0 {
 		o.Duration = 10 * time.Minute
 	}
-	if o.MeanMbps == 0 {
-		o.MeanMbps = 25
-	}
-	if o.JitterFrac == 0 {
-		o.JitterFrac = 0.3
-	}
 	if o.ChangesPerLink == 0 {
 		o.ChangesPerLink = 6
-	}
-	if o.LatencyMS == 0 {
-		o.LatencyMS = 3
 	}
 	return o
 }
@@ -67,18 +62,17 @@ func Grid(opts GridOptions) (*Topology, error) {
 			t.AddNode(GridNodeName(r, c))
 		}
 	}
-	latency := time.Duration(opts.LatencyMS * float64(time.Millisecond))
 	link := 0
 	for r := 0; r < opts.Rows; r++ {
 		for c := 0; c < opts.Cols; c++ {
 			if c+1 < opts.Cols {
-				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r, c+1), link, latency); err != nil {
+				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r, c+1), link); err != nil {
 					return nil, err
 				}
 				link++
 			}
 			if r+1 < opts.Rows {
-				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r+1, c), link, latency); err != nil {
+				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r+1, c), link); err != nil {
 					return nil, err
 				}
 				link++
@@ -91,10 +85,10 @@ func Grid(opts GridOptions) (*Topology, error) {
 // addGridLink attaches one step-trace link. Each link gets its own RNG
 // stream (seed mixed with the link index by a large prime, the same recipe
 // CityLab uses), so adding links never perturbs earlier traces.
-func addGridLink(t *Topology, opts GridOptions, a, b string, idx int, latency time.Duration) error {
+func addGridLink(t *Topology, opts GridOptions, a, b string, idx int) error {
 	rng := rand.New(rand.NewSource(opts.Seed + int64(idx)*7919))
 	level := func() float64 {
-		v := opts.MeanMbps * (1 + opts.JitterFrac*(2*rng.Float64()-1))
+		v := gridMeanMbps * (1 + gridJitterFrac*(2*rng.Float64()-1))
 		if v < 1 {
 			v = 1
 		}
@@ -108,5 +102,5 @@ func addGridLink(t *Topology, opts GridOptions, a, b string, idx int, latency ti
 		levels = append(levels, trace.Level{From: at, Mbps: level()})
 	}
 	tr := trace.StepTrace(MakeLinkID(a, b).String(), time.Second, opts.Duration, levels)
-	return t.AddLink(a, b, tr, latency)
+	return t.AddLink(a, b, tr, gridLatency)
 }

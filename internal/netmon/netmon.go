@@ -61,52 +61,20 @@ type Prober interface {
 	ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error))
 }
 
-// Config tunes the monitor.
-type Config struct {
-	// HeadroomFrac is the spare capacity to maintain on every link, as a
-	// fraction of its cached capacity (paper default: 0.2).
-	HeadroomFrac float64
-	// ProbeInterval is the headroom probing period (paper default: 30 s).
-	ProbeInterval time.Duration
-	// ProbeDuration is how long each probe lasts (paper: 1 s).
-	ProbeDuration time.Duration
-	// ProbeRateFrac is the probing rate as a fraction of link capacity
+// The monitor's parameters are the paper's settings (§4.2).
+const (
+	// headroomFrac is the spare capacity to maintain on every link, as a
+	// fraction of its cached capacity (paper: 0.2).
+	headroomFrac = 0.2
+	// probeDuration is how long each probe lasts (paper: 1 s).
+	probeDuration = time.Second
+	// probeRateFrac is the probing rate as a fraction of link capacity
 	// (paper: 0.1).
-	ProbeRateFrac float64
-	// ChangeTolerance is the relative spare-capacity change that counts as
-	// "headroom changed" and triggers a full probe (default 0.25).
-	ChangeTolerance float64
-}
-
-// DefaultConfig mirrors the paper's settings.
-func DefaultConfig() Config {
-	return Config{
-		HeadroomFrac:    0.2,
-		ProbeInterval:   30 * time.Second,
-		ProbeDuration:   time.Second,
-		ProbeRateFrac:   0.1,
-		ChangeTolerance: 0.25,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.HeadroomFrac == 0 {
-		c.HeadroomFrac = 0.2
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 30 * time.Second
-	}
-	if c.ProbeDuration == 0 {
-		c.ProbeDuration = time.Second
-	}
-	if c.ProbeRateFrac == 0 {
-		c.ProbeRateFrac = 0.1
-	}
-	if c.ChangeTolerance == 0 {
-		c.ChangeTolerance = 0.25
-	}
-	return c
-}
+	probeRateFrac = 0.1
+	// changeTolerance is the relative spare-capacity change that counts as
+	// "headroom changed" and triggers a full probe.
+	changeTolerance = 0.25
+)
 
 // LinkView is the monitor's cached knowledge of one link.
 type LinkView struct {
@@ -116,7 +84,7 @@ type LinkView struct {
 	// SpareMbps is the spare capacity from the last headroom probe.
 	SpareMbps float64
 	// HeadroomMbps is the spare capacity the system wants on this link
-	// (HeadroomFrac × capacity).
+	// (headroomFrac × capacity).
 	HeadroomMbps float64
 	// HeadroomOK reports whether the last probe found at least the wanted
 	// headroom.
@@ -146,7 +114,7 @@ type HeadroomEvent struct {
 	WantMbps  float64
 	// Violated is true when spare < want.
 	Violated bool
-	// Changed is true when spare moved more than ChangeTolerance relative to
+	// Changed is true when spare moved more than changeTolerance relative to
 	// the previous observation.
 	Changed bool
 	// Span is the trace ID downstream verdicts cite as their cause: the
@@ -174,12 +142,11 @@ func (s ProbeStats) OverheadFrac(horizon time.Duration, meanCapacityMbps float64
 }
 
 // Monitor caches link state. It is driven by its owner (the orchestrator
-// schedules FullProbeAll at startup and HeadroomProbeAll every
-// ProbeInterval); it does not spawn goroutines.
+// schedules FullProbeAll at startup and HeadroomProbeAll every monitoring
+// interval); it does not spawn goroutines.
 type Monitor struct {
 	topo   *mesh.Topology
 	prober Prober
-	cfg    Config
 	now    func() time.Duration
 
 	views map[mesh.LinkID]*LinkView
@@ -212,11 +179,10 @@ type Monitor struct {
 
 // New builds a monitor over the topology. now supplies virtual (or real)
 // time for staleness bookkeeping.
-func New(topo *mesh.Topology, prober Prober, cfg Config, now func() time.Duration) *Monitor {
+func New(topo *mesh.Topology, prober Prober, now func() time.Duration) *Monitor {
 	m := &Monitor{
 		topo:   topo,
 		prober: prober,
-		cfg:    cfg.withDefaults(),
 		now:    now,
 		views:  make(map[mesh.LinkID]*LinkView),
 	}
@@ -288,12 +254,12 @@ func (m *Monitor) FullProbe(id mesh.LinkID) error {
 	}
 	v.ConsecutiveFailures = 0
 	v.CapacityMbps = cap
-	v.HeadroomMbps = m.cfg.HeadroomFrac * cap
+	v.HeadroomMbps = headroomFrac * cap
 	v.LastFullProbe = m.now()
 	m.oracle.bump() // cached bottlenecks may include this link
 	m.stats.FullProbes++
-	// A full probe floods the link for ProbeDuration.
-	m.stats.OverheadMbits += cap * m.cfg.ProbeDuration.Seconds()
+	// A full probe floods the link for probeDuration.
+	m.stats.OverheadMbits += cap * probeDuration.Seconds()
 	if m.plane.Enabled() {
 		link := id.String()
 		m.plane.Emit(obs.Event{Type: obs.EventProbeFull, Link: link, Value: cap})
@@ -361,7 +327,7 @@ func (m *Monitor) applySpare(v *LinkView, spare float64, err error) (HeadroomEve
 	v.LastHeadroomProbe = m.now()
 	m.oracle.bump() // cached spare bottlenecks may include this link
 	m.stats.HeadroomProbes++
-	m.stats.OverheadMbits += v.CapacityMbps * m.cfg.ProbeRateFrac * m.cfg.ProbeDuration.Seconds()
+	m.stats.OverheadMbits += v.CapacityMbps * probeRateFrac * probeDuration.Seconds()
 
 	want := v.HeadroomMbps
 	ev := HeadroomEvent{
@@ -375,7 +341,7 @@ func (m *Monitor) applySpare(v *LinkView, spare float64, err error) (HeadroomEve
 		if rel < 0 {
 			rel = -rel
 		}
-		ev.Changed = rel > m.cfg.ChangeTolerance
+		ev.Changed = rel > changeTolerance
 	} else if spare > 0 {
 		ev.Changed = true
 	}

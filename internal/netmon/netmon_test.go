@@ -18,7 +18,7 @@ func harness(t testing.TB, mbps float64) (*sim.Engine, *simnet.Network, *Monitor
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, topo)
 	net.Start()
-	m := New(topo, net.Prober(), DefaultConfig(), eng.Now)
+	m := New(topo, net.Prober(), eng.Now)
 	return eng, net, m, topo
 }
 
@@ -277,7 +277,7 @@ func TestFullProbeTracksTraceChanges(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, topo)
 	net.Start()
-	m := New(topo, net.Prober(), DefaultConfig(), eng.Now)
+	m := New(topo, net.Prober(), eng.Now)
 	if err := m.FullProbeAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -83,52 +83,28 @@ type Spec struct {
 
 // Config bounds the loop.
 type Config struct {
-	// Epoch is the evaluation interval; drift is also re-checked eagerly on
-	// topology changes and explicit kicks.
+	// Epoch is the evaluation interval (default 30 s); drift is also
+	// re-checked eagerly on topology changes and explicit kicks.
 	Epoch time.Duration
-	// MaxActionsPerEpoch caps convergence work per tick so a storm cannot
-	// starve the rest of the control loop (bounded migration thrash).
-	MaxActionsPerEpoch int
-	// RetryBudget is the per-rung attempt budget before escalating.
-	RetryBudget int
-	// BackoffBase/BackoffMax bound the inter-retry delay.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterFrac spreads retries by ±frac around the exponential delay,
-	// drawn from the host's seeded RNG. Negative disables jitter.
-	JitterFrac float64
-	// RestoreCooldown is how long a shed app stays out after the mesh
-	// re-converges before re-admission is attempted.
-	RestoreCooldown time.Duration
 }
 
-// WithDefaults fills zero fields with production defaults.
-func (c Config) WithDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = 30 * time.Second
-	}
-	if c.MaxActionsPerEpoch <= 0 {
-		c.MaxActionsPerEpoch = 8
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Second
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Minute
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.2
-	} else if c.JitterFrac < 0 {
-		c.JitterFrac = 0
-	}
-	if c.RestoreCooldown <= 0 {
-		c.RestoreCooldown = time.Minute
-	}
-	return c
-}
+// The loop's fixed bounds.
+const (
+	// maxActionsPerEpoch caps convergence work per tick so a storm cannot
+	// starve the rest of the control loop (bounded migration thrash).
+	maxActionsPerEpoch = 8
+	// retryBudget is the per-rung attempt budget before escalating.
+	retryBudget = 3
+	// backoffBase/backoffMax bound the inter-retry delay.
+	backoffBase = 5 * time.Second
+	backoffMax  = 2 * time.Minute
+	// jitterFrac spreads retries by ±frac around the exponential delay,
+	// drawn from the host's seeded RNG.
+	jitterFrac = 0.2
+	// restoreCooldown is how long a shed app stays out after the mesh
+	// re-converges before re-admission is attempted.
+	restoreCooldown = time.Minute
+)
 
 // Action is one placement request handed to the host.
 type Action struct {
@@ -229,10 +205,13 @@ type Reconciler struct {
 	converges    []ConvergeRecord
 }
 
-// New builds a reconciler over host. cfg is completed via WithDefaults.
+// New builds a reconciler over host.
 func New(cfg Config, host Host) *Reconciler {
+	if cfg.Epoch <= 0 {
+		cfg.Epoch = 30 * time.Second
+	}
 	return &Reconciler{
-		cfg:      cfg.WithDefaults(),
+		cfg:      cfg,
 		host:     host,
 		specs:    make(map[string]*specState),
 		pendings: make(map[string]*pending),
@@ -426,12 +405,12 @@ func (r *Reconciler) scan() {
 }
 
 // act walks open drift in deterministic key order, attempting at most
-// MaxActionsPerEpoch placements whose backoff has elapsed.
+// maxActionsPerEpoch placements whose backoff has elapsed.
 func (r *Reconciler) act() {
 	now := r.host.Now()
 	actions := 0
 	for _, key := range append([]string(nil), r.order...) {
-		if actions >= r.cfg.MaxActionsPerEpoch {
+		if actions >= maxActionsPerEpoch {
 			break
 		}
 		p := r.pendings[key]
@@ -467,7 +446,7 @@ func (r *Reconciler) act() {
 			Value: float64(p.total), Cause: p.driftSpan,
 		})
 		p.attempts++
-		if p.attempts >= r.cfg.RetryBudget && p.rung < RungPark {
+		if p.attempts >= retryBudget && p.rung < RungPark {
 			p.rung++
 			p.attempts = 0
 			r.plane.Emit(obs.Event{
@@ -475,11 +454,9 @@ func (r *Reconciler) act() {
 				Reason: p.rung.String(), Value: float64(p.rung), Cause: p.driftSpan,
 			})
 		}
-		delay := Backoff(r.cfg.BackoffBase, r.cfg.BackoffMax, r.cfg.JitterFrac,
-			p.attempts+1, r.host.Rand())
+		delay := Backoff(backoffBase, backoffMax, jitterFrac, p.attempts+1, r.host.Rand())
 		if p.rung == RungPark {
-			delay = Backoff(r.cfg.BackoffMax, r.cfg.BackoffMax, r.cfg.JitterFrac,
-				1, r.host.Rand())
+			delay = Backoff(backoffMax, backoffMax, jitterFrac, 1, r.host.Rand())
 		}
 		// settle() arms the wake-up at the earliest nextRetryAt.
 		p.nextRetryAt = now + delay
@@ -528,7 +505,7 @@ func (r *Reconciler) settle() {
 		var cand *specState
 		for _, app := range r.specOrder {
 			st := r.specs[app]
-			if !st.shed || now < st.shedAt+r.cfg.RestoreCooldown {
+			if !st.shed || now < st.shedAt+restoreCooldown {
 				continue
 			}
 			if cand == nil || st.spec.Priority > cand.spec.Priority ||

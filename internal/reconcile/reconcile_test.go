@@ -139,13 +139,12 @@ func newTestReconciler(h *fakeHost) (*Reconciler, *obs.Plane) {
 	return newReconcilerOn(h, func() time.Duration { return h.now })
 }
 
-// newReconcilerOn builds the tests' reconciler over any host, journaling
-// into a fresh plane on the host's clock.
+// newReconcilerOn builds the tests' reconciler over any host, on the
+// production bounds, journaling into a fresh plane on the host's clock.
 func newReconcilerOn(h Host, now func() time.Duration) (*Reconciler, *obs.Plane) {
 	plane := obs.NewPlane(obs.NewJournal(0), nil, now)
 	plane.SetTraceSeed(1)
-	r := New(Config{Epoch: 30 * time.Second, RetryBudget: 2, BackoffBase: time.Second,
-		BackoffMax: 8 * time.Second, JitterFrac: -1, RestoreCooldown: 10 * time.Second}, h)
+	r := New(Config{Epoch: 30 * time.Second}, h)
 	r.SetObserver(plane)
 	return r, plane
 }
@@ -268,7 +267,7 @@ func TestLadderEscalatesThroughRungs(t *testing.T) {
 
 func TestShedPicksStrictlyLowerPriorityVictim(t *testing.T) {
 	h := newFakeHost()
-	h.failPlaces = 2 * 3 // exhaust migrate + reroute budgets, land on shed
+	h.failPlaces = 2 * retryBudget // exhaust migrate + reroute budgets, land on shed
 	r, plane := newTestReconciler(h)
 	r.SetSpec(spec1("hi", 2, "a"))
 	r.SetSpec(spec1("mid", 1, "b"))
@@ -289,8 +288,11 @@ func TestShedPicksStrictlyLowerPriorityVictim(t *testing.T) {
 	if h.placed["hi/a"] == "" {
 		t.Fatal("hi/a still unplaced after shedding lo")
 	}
-	// Restore: after the cooldown the shed app is re-admitted and re-placed.
-	h.run(h.now + time.Minute)
+	// Restore: the first epoch tick after the cooldown re-admits the shed
+	// app and re-places it.
+	h.run(h.now + restoreCooldown)
+	r.Tick()
+	h.run(h.now)
 	if len(eventsOf(plane, obs.EventReconcileRestore)) != 1 {
 		t.Fatal("expected exactly one restore event")
 	}
@@ -381,13 +383,12 @@ func TestTickIsIdempotent(t *testing.T) {
 func TestActionBudgetBoundsThrash(t *testing.T) {
 	h := newFakeHost()
 	r, _ := newTestReconciler(h)
-	r.cfg.MaxActionsPerEpoch = 2
-	r.SetSpec(spec1("cam", 1, "a", "b", "c", "d", "e"))
-	r.Tick() // scan opens 5 drifts, act is budget-capped
-	if len(h.placeCalls) != 2 {
-		t.Fatalf("actions this epoch = %d, want budget 2", len(h.placeCalls))
+	r.SetSpec(spec1("cam", 1, "a", "b", "c", "d", "e", "f", "g", "h", "i", "j"))
+	r.Tick() // scan opens 10 drifts, act is budget-capped
+	if len(h.placeCalls) != maxActionsPerEpoch {
+		t.Fatalf("actions this epoch = %d, want budget %d", len(h.placeCalls), maxActionsPerEpoch)
 	}
-	if r.OutstandingDrift() != 3 {
-		t.Fatalf("outstanding drift = %d, want 3", r.OutstandingDrift())
+	if want := 10 - maxActionsPerEpoch; r.OutstandingDrift() != want {
+		t.Fatalf("outstanding drift = %d, want %d", r.OutstandingDrift(), want)
 	}
 }

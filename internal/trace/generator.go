@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// floorMbps clamps generated capacity from below so links never fully vanish.
+const floorMbps = 0.1
+
 // GenConfig parameterises the synthetic CityLab-like trace generator.
 //
 // The generated process is a mean-reverting AR(1) (discrete
@@ -34,8 +37,6 @@ type GenConfig struct {
 	DipDepth float64
 	// DipMeanDuration is the mean dip length. Defaults to 45 s.
 	DipMeanDuration time.Duration
-	// FloorMbps clamps capacity from below so links never fully vanish.
-	FloorMbps float64
 	// Step is the sampling interval. Defaults to 1 s.
 	Step time.Duration
 	// Duration is the total trace length. Defaults to 20 min.
@@ -56,9 +57,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.Duration == 0 {
 		c.Duration = 20 * time.Minute
-	}
-	if c.FloorMbps == 0 {
-		c.FloorMbps = 0.1
 	}
 	return c
 }
@@ -117,8 +115,8 @@ func Generate(name string, cfg GenConfig) (*Trace, error) {
 			dipRemaining = 1 + int(rng.ExpFloat64()*mean)
 			v *= cfg.DipDepth
 		}
-		if v < cfg.FloorMbps {
-			v = cfg.FloorMbps
+		if v < floorMbps {
+			v = floorMbps
 		}
 		out.Mbps[i] = v
 	}

@@ -118,13 +118,13 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 func TestGenerateFloor(t *testing.T) {
-	cfg := GenConfig{MeanMbps: 1, StdFrac: 2, FloorMbps: 0.5, Seed: 3, Duration: 10 * time.Minute}
+	cfg := GenConfig{MeanMbps: 1, StdFrac: 2, Seed: 3, Duration: 10 * time.Minute}
 	tr, err := Generate("x", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Min() < 0.5 {
-		t.Errorf("Min = %v, want ≥ floor 0.5", tr.Min())
+	if tr.Min() != floorMbps {
+		t.Errorf("Min = %v, want the floor %v", tr.Min(), floorMbps)
 	}
 }
 

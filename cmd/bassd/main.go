@@ -1,14 +1,19 @@
-// Command bassd is the live BASS network-monitor daemon: the real-socket
-// counterpart of the simulated net-monitor. It runs an iperf3-like probe
-// server (optionally traffic-shaped to emulate a constrained wireless link),
-// periodically probes its peers — one max-capacity probe at startup, then
-// lightweight headroom probes every interval (§4.2) — records measurements
-// into an embedded Prometheus-like store, and serves both over HTTP.
+// Command bassd is the live BASS network-monitor daemon: the simulation's
+// net-monitor (package netmon, §4.2) over real sockets. It runs an
+// iperf3-like probe server (optionally traffic-shaped to emulate a
+// constrained wireless link) and monitors a star of links, one from its own
+// probe address to each peer: one max-capacity probe per link at startup,
+// then headroom probes every interval, and a fresh max-capacity probe of
+// every link whose headroom changed or was violated, or whose capacity
+// estimate is ten intervals old. The verdicts, failure streaks, journal
+// events and metric series are netmon's; only the prober, which measures
+// through netem, is the daemon's own. Measurements land in an embedded
+// Prometheus-like store, served over HTTP.
 //
 // Endpoints:
 //
 //	GET /stats          — raw probe history (JSON)
-//	GET /api/v1/query   — metric queries (metric=link_capacity_mbps|link_headroom_mbps, label.peer=<addr>)
+//	GET /api/v1/query   — metric queries (metric=link_capacity_mbps|link_headroom_mbps, label.link=<addr>-<addr>, endpoints sorted)
 //	GET /api/v1/metrics — metric names
 //	GET /metrics        — Prometheus text exposition (latest sample per series)
 //	GET /journal        — decision journal as JSONL (?n=K tails the last K events)
@@ -17,16 +22,17 @@
 //	GET /healthz        — readiness probe (JSON; 503 once the monitor goes stale)
 //	GET /debug/pprof/   — runtime profiling (CPU, heap, goroutines, ...)
 //
-// The daemon runs the SLO evaluator live: a mesh-headroom spec over every
-// monitored peer plus a monitor-cadence spec, evaluated after each probe
-// sweep with the same burn-rate ladder the simulation uses, so /journal
-// carries alert_fired/alert_resolved events and /stream carries budgets.
+// The daemon runs the SLO evaluator live: the simulation's mesh-headroom
+// spec over every monitored link plus a monitor-cadence spec, evaluated after
+// each probe sweep with the same burn-rate ladder the simulation uses, so
+// /journal carries alert_fired/alert_resolved events and /stream carries
+// budgets.
 //
 // Example (two shaped daemons on loopback):
 //
 //	bassd -probe-listen 127.0.0.1:9101 -http 127.0.0.1:9201 -shape-mbps 25 &
 //	bassd -probe-listen 127.0.0.1:9102 -http 127.0.0.1:9202 -shape-mbps 25 \
-//	      -peers 127.0.0.1:9101 -interval 5s -headroom-mbps 5
+//	      -peers 127.0.0.1:9101 -interval 5s
 package main
 
 import (
@@ -34,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -47,8 +52,10 @@ import (
 	"time"
 
 	"bass/internal/dash"
+	"bass/internal/mesh"
 	"bass/internal/metricstore"
 	"bass/internal/netem"
+	"bass/internal/netmon"
 	"bass/internal/obs"
 	"bass/internal/slo"
 )
@@ -66,8 +73,6 @@ func run(args []string) error {
 	shapeMbps := fs.Float64("shape-mbps", 0, "shape inbound probe traffic to this rate (0 = unshaped)")
 	peers := fs.String("peers", "", "comma-separated peer probe addresses to monitor")
 	interval := fs.Duration("interval", 30*time.Second, "headroom probing interval")
-	probeFor := fs.Duration("probe-duration", time.Second, "duration of each probe")
-	headroom := fs.Float64("headroom-mbps", 5, "spare capacity to verify on each headroom probe")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,7 +100,8 @@ func run(args []string) error {
 	if *peers != "" {
 		peerList = strings.Split(*peers, ",")
 	}
-	mon, err := newMonitor(peerList, journal, plane, *interval, *probeFor, *headroom)
+	// Probes last netmon's probeDuration, 1 s.
+	mon, err := newMonitor(probeSrv.Addr(), peerList, journal, plane, *interval, time.Second)
 	if err != nil {
 		return err
 	}
@@ -189,62 +195,120 @@ func newHTTPMux(stats http.Handler, store *metricstore.Store, journal *obs.Journ
 	return mux
 }
 
-// monitor owns the probing loop and everything derived from it: the SLO
-// evaluator (which must only ever run on the monitor goroutine — the same
-// serial-evaluation contract the simulated control plane keeps), the health
-// signals behind /healthz, and the latest dashboard frame behind /stream.
-// HTTP handlers read only the mutex-guarded caches, never the evaluator.
+// paceFactor scales a link's headroom target into the rate its headroom
+// probe paces at. A probe paced exactly at the target reads slightly under it
+// through a token-bucket shaper, so the verdict would flap; at 1.1× an
+// unconstrained link reads at or above the target, and a link shrunk below
+// the target reads well under it. netmon still accounts the probe's overhead
+// at the paper's 10 % of capacity.
+const paceFactor = 1.1
+
+// recheckSweeps is how many intervals a capacity estimate may age before a
+// sweep floods the link again: a paced probe cannot read above its pace, so
+// once a dip shrinks the estimate only a fresh flood sees the link recover.
+// At the default 30 s interval that is one 1 s flood per link per 5 minutes.
+const recheckSweeps = 10
+
+// peerProber measures the daemon's star of links over real sockets for
+// netmon.Monitor. Every link joins the daemon's own probe address to one
+// peer's probe server.
+type peerProber struct {
+	self     string
+	topo     *mesh.Topology
+	mon      *netmon.Monitor // read for each link's headroom target
+	duration time.Duration
+	skip     map[mesh.LinkID]bool // links whose capacity probe failed this sweep
+	// probe is netem.Probe; tests script it.
+	probe func(addr, kind string, duration time.Duration, rateMbps float64) (netem.ProbeResult, error)
+}
+
+// peer returns the probe address at the far end of a link.
+func (p *peerProber) peer(id mesh.LinkID) string {
+	if id.A == p.self {
+		return id.B
+	}
+	return id.A
+}
+
+// ProbeCapacity floods the link's peer.
+func (p *peerProber) ProbeCapacity(id mesh.LinkID) (float64, error) {
+	res, err := p.probe(p.peer(id), "flood", p.duration, 0)
+	return res.Mbps, err
+}
+
+// ProbeSpareAll paces a probe to each peer in sorted link order at
+// paceFactor × the link's headroom target and reports the achieved rate. A
+// link with no capacity estimate has no target, and rate 0 would flood it,
+// so it is skipped, as is a link in skip: its failed capacity probe is its
+// one counted failure this sweep.
+func (p *peerProber) ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error)) {
+	for _, l := range p.topo.Links() {
+		v, _ := p.mon.View(l.ID) // every topology link has a view
+		if v.CapacityMbps <= 0 || p.skip[l.ID] {
+			continue
+		}
+		res, err := p.probe(p.peer(l.ID), "rate", p.duration, paceFactor*v.HeadroomMbps)
+		visit(l.ID, res.Mbps, err)
+	}
+}
+
+// monitor owns the probing loop and everything derived from it: the netmon
+// monitor and its prober, the SLO evaluator (both must only ever run on the
+// monitor goroutine — the same serial-evaluation contract the simulated
+// control plane keeps), the health signals behind /healthz, and the latest
+// dashboard frame behind /stream. HTTP handlers read only the mutex-guarded
+// caches, never the monitor or the evaluator.
 type monitor struct {
-	peers   []string
-	journal *obs.Journal
-	plane   *obs.Plane
-	eval    *slo.Evaluator
-	// Per-peer metric handles bound to the plane's virtual clock — the SLO
-	// evaluator queries the store at plane-projected timestamps, so probe
-	// samples must land there too (never at raw wall time).
-	capH         map[string]obs.MetricHandle
-	headH        map[string]obs.MetricHandle
-	gapH         obs.MetricHandle
-	interval     time.Duration
-	probeFor     time.Duration
-	headroomMbps float64
-	clock        func() time.Time
+	net      *netmon.Monitor
+	prober   *peerProber
+	peers    int
+	journal  *obs.Journal
+	eval     *slo.Evaluator
+	gapH     obs.MetricHandle
+	interval time.Duration
+	clock    func() time.Time
 
 	mu        sync.Mutex
 	start     time.Time
 	sweeps    uint64
 	lastSweep time.Time
 	frame     dash.Frame
-	links     map[string]*dash.LinkStat
-	lastAt    map[string]time.Time
 }
 
-// newMonitor wires the evaluator and health state. The SLO specs mirror the
-// simulation's: mesh-wide probed headroom (good ≥ the verify target) and the
-// monitor's own cadence (good ≤ 2 intervals between sweeps).
-func newMonitor(peers []string, journal *obs.Journal, plane *obs.Plane,
-	interval, probeFor time.Duration, headroomMbps float64) (*monitor, error) {
-	m := &monitor{
-		peers:        peers,
-		journal:      journal,
-		plane:        plane,
-		capH:         make(map[string]obs.MetricHandle, len(peers)),
-		headH:        make(map[string]obs.MetricHandle, len(peers)),
-		interval:     interval,
-		probeFor:     probeFor,
-		headroomMbps: headroomMbps,
-		clock:        time.Now,
-		links:        make(map[string]*dash.LinkStat),
-		lastAt:       make(map[string]time.Time),
-	}
+// newMonitor builds the star topology from self (the daemon's probe address)
+// to each peer, the netmon monitor over it, and the evaluator and health
+// state. A peer that is empty, repeated or self is an error. The SLO specs
+// are the simulation's: mesh-wide probed headroom and the monitor's own
+// cadence (good ≤ 2 intervals between sweeps).
+func newMonitor(self string, peers []string, journal *obs.Journal, plane *obs.Plane,
+	interval, probeFor time.Duration) (*monitor, error) {
+	topo := mesh.NewTopology()
+	topo.AddNode(self)
 	for _, peer := range peers {
-		m.capH[peer] = plane.MetricHandle(obs.MetricLinkCapacity, map[string]string{"peer": peer})
-		m.headH[peer] = plane.MetricHandle(obs.MetricLinkHeadroom, map[string]string{"peer": peer})
+		if peer == "" {
+			return nil, errors.New("bassd: empty peer address")
+		}
+		topo.AddNode(peer)
+		// netmon never reads capacity traces, so links carry none.
+		if err := topo.AddLink(self, peer, nil, 0); err != nil {
+			return nil, err
+		}
 	}
+	m := &monitor{
+		prober:   &peerProber{self: self, topo: topo, duration: probeFor, probe: netem.Probe},
+		peers:    len(peers),
+		journal:  journal,
+		interval: interval,
+		clock:    time.Now,
+	}
+	m.start = m.clock()
+	m.net = netmon.New(topo, m.prober, func() time.Duration { return m.clock().Sub(m.start) })
+	m.net.SetObserver(plane)
+	m.prober.mon = m.net
 	m.eval = slo.New(plane, slo.Config{Interval: interval})
 	m.gapH = plane.MetricHandle(obs.MetricControlEpochGap, nil)
 	specs := []slo.Spec{
-		{Name: "mesh/headroom", Kind: slo.LinkHeadroom, GoodThreshold: headroomMbps},
+		{Name: "mesh/headroom", Kind: slo.LinkHeadroom},
 		{Name: "monitor/loop", Kind: slo.ControlLatency},
 	}
 	for _, s := range specs {
@@ -252,36 +316,20 @@ func newMonitor(peers []string, journal *obs.Journal, plane *obs.Plane,
 			return nil, err
 		}
 	}
-	m.start = m.clock()
 	m.publishFrame()
 	return m, nil
 }
 
-// run is the paper's probing discipline: one max-capacity probe per peer at
-// startup, then headroom probes every interval; a headroom violation
-// triggers a fresh max-capacity probe to refresh the cached estimate. Every
-// probe observation and violation verdict is journaled through the plane
-// with the same span/cause schema the simulated stack emits, so /journal
-// and /trace show live decisions in the same format. After each sweep the
-// SLO evaluator ticks and the dashboard frame refreshes.
+// run is the paper's probing schedule: startup, then one sweep every
+// interval. Every probe observation and verdict is journaled by netmon with
+// the schema the simulated stack emits, so /journal and /trace show live
+// decisions in the same format.
 func (m *monitor) run(ctx context.Context) {
-	if len(m.peers) == 0 {
+	if m.peers == 0 {
 		<-ctx.Done()
 		return
 	}
-	for _, peer := range m.peers {
-		capMbps, err := netem.ProbeCapacity(peer, m.probeFor)
-		if err != nil {
-			log.Printf("bassd: capacity probe %s: %v", peer, err)
-			m.plane.Emit(obs.Event{Type: obs.EventProbeError, Link: peer, Reason: err.Error()})
-			continue
-		}
-		m.capH[peer].Emit(capMbps)
-		m.plane.Emit(obs.Event{Type: obs.EventProbeFull, Link: peer, Value: capMbps})
-		m.recordLink(peer, -1, capMbps)
-		log.Printf("bassd: %s capacity %.1f Mbps", peer, capMbps)
-	}
-	m.finishSweep()
+	m.startup()
 	ticker := time.NewTicker(m.interval)
 	defer ticker.Stop()
 	for {
@@ -290,54 +338,50 @@ func (m *monitor) run(ctx context.Context) {
 			return
 		case <-ticker.C:
 		}
-		for _, peer := range m.peers {
-			achieved, ok, err := netem.ProbeHeadroom(peer, m.probeFor, m.headroomMbps)
-			if err != nil {
-				log.Printf("bassd: headroom probe %s: %v", peer, err)
-				m.plane.Emit(obs.Event{Type: obs.EventProbeError, Link: peer, Reason: err.Error()})
-				continue
-			}
-			m.headH[peer].Emit(achieved)
-			m.recordLink(peer, achieved, -1)
-			probeSpan := m.plane.EmitSpan(obs.Event{Type: obs.EventProbeHeadroom, Link: peer,
-				Value: achieved, Want: m.headroomMbps})
-			if !ok {
-				m.plane.Emit(obs.Event{Type: obs.EventHeadroomViolation, Link: peer,
-					Cause: probeSpan, Value: achieved, Want: m.headroomMbps})
-				log.Printf("bassd: %s headroom violated (%.1f < %.1f Mbps): full probe", peer, achieved, m.headroomMbps)
-				capMbps, perr := netem.ProbeCapacity(peer, m.probeFor)
-				if perr != nil {
-					log.Printf("bassd: capacity probe %s: %v", peer, perr)
-					m.plane.Emit(obs.Event{Type: obs.EventProbeError, Link: peer, Reason: perr.Error()})
-					continue
-				}
-				m.capH[peer].Emit(capMbps)
-				m.plane.Emit(obs.Event{Type: obs.EventProbeFull, Link: peer, Value: capMbps})
-				m.recordLink(peer, achieved, capMbps)
-				fmt.Printf("link %s capacity now %.1f Mbps\n", peer, capMbps)
-			}
-		}
-		m.finishSweep()
+		m.sweep()
 	}
 }
 
-// recordLink updates the dashboard's latest reading for one peer; negative
-// values leave the previous reading in place.
-func (m *monitor) recordLink(peer string, headroom, capacity float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ls := m.links[peer]
-	if ls == nil {
-		ls = &dash.LinkStat{Link: peer}
-		m.links[peer] = ls
+// startup measures every link's capacity. Unlike netmon's FullProbeAll it
+// does not stop at the first dead peer.
+func (m *monitor) startup() {
+	for _, v := range m.net.Views() {
+		m.fullProbe(v.ID)
 	}
-	if headroom >= 0 {
-		ls.HeadroomMbps = headroom
+	m.finishSweep()
+}
+
+// sweep is one monitoring interval: a capacity probe of each link that has
+// no estimate yet or one older than recheckSweeps intervals, a headroom
+// sweep, and a fresh capacity probe of each link the sweep reports (its
+// headroom changed or was violated, the rule the simulated controller
+// follows). A link whose capacity probe fails gets no headroom probe, so a
+// dead peer counts one failure per sweep.
+func (m *monitor) sweep() {
+	since := m.clock().Sub(m.start)
+	m.prober.skip = map[mesh.LinkID]bool{}
+	for _, v := range m.net.Views() {
+		if v.CapacityMbps <= 0 || since-v.LastFullProbe >= recheckSweeps*m.interval {
+			m.prober.skip[v.ID] = m.fullProbe(v.ID) != nil
+		}
 	}
-	if capacity >= 0 {
-		ls.CapacityMbps = capacity
+	events, fails := m.net.HeadroomProbeAll()
+	for _, pe := range fails {
+		log.Printf("bassd: %v", pe)
 	}
-	m.lastAt[peer] = m.clock()
+	for _, ev := range events {
+		m.fullProbe(ev.Link)
+	}
+	m.finishSweep()
+}
+
+// fullProbe refreshes one link's capacity; a failure is already journaled.
+func (m *monitor) fullProbe(id mesh.LinkID) error {
+	err := m.net.FullProbe(id)
+	if err != nil {
+		log.Printf("bassd: %v", err)
+	}
+	return err
 }
 
 // finishSweep is the monitor's epoch tail, mirroring the simulated control
@@ -370,15 +414,21 @@ func (m *monitor) publishFrame() {
 		JournalEvents:  len(events),
 		JournalDropped: m.journal.Dropped(),
 	}
-	m.mu.Lock()
-	f.Sweeps = m.sweeps
-	for _, peer := range m.peers {
-		if ls, ok := m.links[peer]; ok {
-			stat := *ls
-			stat.AgeSec = now.Sub(m.lastAt[peer]).Seconds()
-			f.Links = append(f.Links, stat)
+	// A link shows once it has a capacity estimate; its headroom is the
+	// last probed spare, its age counted from its latest probe.
+	since := now.Sub(m.start)
+	for _, v := range m.net.Views() {
+		if v.CapacityMbps > 0 {
+			f.Links = append(f.Links, dash.LinkStat{
+				Link:         v.ID.String(),
+				HeadroomMbps: v.SpareMbps,
+				CapacityMbps: v.CapacityMbps,
+				AgeSec:       (since - max(v.LastFullProbe, v.LastHeadroomProbe)).Seconds(),
+			})
 		}
 	}
+	m.mu.Lock()
+	f.Sweeps = m.sweeps
 	m.frame = f
 	m.mu.Unlock()
 }
@@ -457,13 +507,13 @@ func (m *monitor) healthStatus() healthState {
 	m.mu.Unlock()
 	st := healthState{
 		Status:         "ok",
-		Peers:          len(m.peers),
+		Peers:          m.peers,
 		Sweeps:         sweeps,
 		AlertsFiring:   firing,
 		JournalEvents:  m.journal.Len(),
 		JournalDropped: m.journal.Dropped(),
 	}
-	if len(m.peers) == 0 {
+	if m.peers == 0 {
 		return st
 	}
 	ref := start

@@ -121,10 +121,11 @@ func TestProbeCapacityMeasuresShapedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := startServer(t, shaper)
-	mbps, err := ProbeCapacity(srv.Addr(), 500*time.Millisecond)
+	res, err := Probe(srv.Addr(), "flood", 500*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mbps := res.Mbps
 	// Loopback raw speed is GBs; the shaper must cap the measurement near
 	// 40 Mbps (allow generous slack for scheduling jitter + burst credit).
 	if mbps < 20 || mbps > 80 {
@@ -132,6 +133,9 @@ func TestProbeCapacityMeasuresShapedLink(t *testing.T) {
 	}
 }
 
+// TestProbeHeadroom checks a paced probe reports the rate it achieved: about
+// the pacing rate on a link with room for it, and no more than the link
+// allows once the link is shrunk below it.
 func TestProbeHeadroom(t *testing.T) {
 	shaper, err := NewTokenBucket(40, 64*1024)
 	if err != nil {
@@ -139,31 +143,30 @@ func TestProbeHeadroom(t *testing.T) {
 	}
 	srv := startServer(t, shaper)
 
-	achieved, ok, err := ProbeHeadroom(srv.Addr(), 400*time.Millisecond, 5)
+	res, err := Probe(srv.Addr(), "rate", 400*time.Millisecond, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Errorf("5 Mbps headroom probe on a 40 Mbps link failed (achieved %.1f)", achieved)
+	if res.Mbps < 4.5 || res.Kind != "rate" {
+		t.Errorf("5 Mbps paced probe on a 40 Mbps link = %+v, want kind rate and >= 4.5 Mbps", res)
 	}
 
-	// Shrink the link below the probe rate: headroom must be reported
-	// missing.
+	// Shrink the link below the probe rate: the probe must fall short.
 	if err := srv.SetRate(2); err != nil {
 		t.Fatal(err)
 	}
-	achieved, ok, err = ProbeHeadroom(srv.Addr(), 400*time.Millisecond, 20)
+	res, err = Probe(srv.Addr(), "rate", 400*time.Millisecond, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Errorf("20 Mbps headroom reported available on a 2 Mbps link (achieved %.1f)", achieved)
+	if res.Mbps >= 18 {
+		t.Errorf("20 Mbps paced probe on a 2 Mbps link achieved %.1f Mbps", res.Mbps)
 	}
 }
 
 func TestProbeRecordsHistoryAndStatsEndpoint(t *testing.T) {
 	srv := startServer(t, nil)
-	if _, err := ProbeCapacity(srv.Addr(), 100*time.Millisecond); err != nil {
+	if _, err := Probe(srv.Addr(), "flood", 100*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
 	hist := srv.History()
@@ -197,7 +200,7 @@ func TestProbeRecordsHistoryAndStatsEndpoint(t *testing.T) {
 }
 
 func TestProbeBadAddress(t *testing.T) {
-	if _, err := ProbeCapacity("127.0.0.1:1", 50*time.Millisecond); err == nil {
+	if _, err := Probe("127.0.0.1:1", "flood", 50*time.Millisecond, 0); err == nil {
 		t.Error("probe to closed port: want error")
 	}
 }
@@ -222,85 +225,61 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// TestProbeRetriesDeadListenerWithBackoff dials a dead listener and checks
-// the bounded retry loop: MaxAttempts dials, jittered-exponential delays
-// between them, and the attempt count surfaced in the error.
-func TestProbeRetriesDeadListenerWithBackoff(t *testing.T) {
+// stubSleep records dial backoff delays instead of sleeping for the rest of
+// the test.
+func stubSleep(t *testing.T) *[]time.Duration {
+	t.Helper()
 	var delays []time.Duration
-	opts := ProbeOptions{
-		DialTimeout: 500 * time.Millisecond,
-		MaxAttempts: 4,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
-		Jitter:      func() float64 { return 0.5 },
-		Sleep:       func(d time.Duration) { delays = append(delays, d) },
-	}
-	res, err := ProbeWithOptions(deadAddr(t), "flood", 50*time.Millisecond, 0, opts)
+	dialSleep = func(d time.Duration) { delays = append(delays, d) }
+	t.Cleanup(func() { dialSleep = time.Sleep })
+	return &delays
+}
+
+// TestProbeRetriesDeadListenerWithBackoff dials a dead listener and checks
+// the bounded retry loop: dialAttempts dials, exponential delays between
+// them, and the attempt count surfaced in the error.
+func TestProbeRetriesDeadListenerWithBackoff(t *testing.T) {
+	delays := stubSleep(t)
+	res, err := Probe(deadAddr(t), "flood", 50*time.Millisecond, 0)
 	if err == nil {
 		t.Fatal("probe of dead listener succeeded")
 	}
-	if res.Attempts != 4 {
-		t.Errorf("attempts = %d, want 4", res.Attempts)
+	if res.Attempts != 3 {
+		t.Errorf("attempts = %d, want 3", res.Attempts)
 	}
-	if !strings.Contains(err.Error(), "4 attempts") {
+	if !strings.Contains(err.Error(), "3 attempts") {
 		t.Errorf("error does not report attempts: %v", err)
 	}
-	// Three sleeps between four attempts; doubling base with jitter=0.5
-	// yields 0.75× the pre-jitter delay: 75ms, 150ms, 300ms.
-	want := []time.Duration{75 * time.Millisecond, 150 * time.Millisecond, 300 * time.Millisecond}
-	if !reflect.DeepEqual(delays, want) {
-		t.Errorf("backoff delays = %v, want %v", delays, want)
+	// Two sleeps between three attempts: 0.75x the doubling 200 ms base.
+	want := []time.Duration{150 * time.Millisecond, 300 * time.Millisecond}
+	if !reflect.DeepEqual(*delays, want) {
+		t.Errorf("backoff delays = %v, want %v", *delays, want)
 	}
 }
 
-// TestProbeBackoffJitterAndCap pins the jittered-backoff envelope: delays
-// stay in [d/2, d) and respect BackoffMax.
+// TestProbeBackoffJitterAndCap pins the backoff envelope: each delay sits in
+// [d/2, d) of its pre-scaling delay d, and d stops doubling at
+// dialBackoffMax.
 func TestProbeBackoffJitterAndCap(t *testing.T) {
-	opts := ProbeOptions{BackoffBase: 100 * time.Millisecond, BackoffMax: 300 * time.Millisecond}.withDefaults()
-	for n, preJitter := range map[int]time.Duration{
-		1: 100 * time.Millisecond,
-		2: 200 * time.Millisecond,
-		3: 300 * time.Millisecond, // capped
-		9: 300 * time.Millisecond,
+	for n, pre := range map[int]time.Duration{
+		1: 200 * time.Millisecond,
+		2: 400 * time.Millisecond,
+		5: 3200 * time.Millisecond,
+		6: 5 * time.Second, // capped
+		9: 5 * time.Second,
 	} {
-		opts.Jitter = func() float64 { return 0 }
-		if got := opts.backoff(n); got != preJitter/2 {
-			t.Errorf("backoff(%d) floor = %v, want %v", n, got, preJitter/2)
+		got := backoff(n)
+		if got != pre*3/4 || got < pre/2 || got >= pre {
+			t.Errorf("backoff(%d) = %v, want %v in [%v, %v)", n, got, pre*3/4, pre/2, pre)
 		}
-		opts.Jitter = func() float64 { return 0.999 }
-		if got := opts.backoff(n); got < preJitter/2 || got >= preJitter {
-			t.Errorf("backoff(%d) = %v outside [%v, %v)", n, got, preJitter/2, preJitter)
-		}
-	}
-}
-
-// TestProbeSingleAttemptNoSleep checks MaxAttempts=1 never sleeps — the
-// pre-retry behaviour stays reachable.
-func TestProbeSingleAttemptNoSleep(t *testing.T) {
-	slept := false
-	opts := ProbeOptions{
-		DialTimeout: 200 * time.Millisecond,
-		MaxAttempts: 1,
-		Sleep:       func(time.Duration) { slept = true },
-	}
-	if _, err := ProbeWithOptions(deadAddr(t), "flood", 10*time.Millisecond, 0, opts); err == nil {
-		t.Fatal("want dial error")
-	}
-	if slept {
-		t.Error("MaxAttempts=1 slept between attempts")
 	}
 }
 
 // TestProbeAttemptsReportedOnSuccess checks a live server records one
 // attempt.
 func TestProbeAttemptsReportedOnSuccess(t *testing.T) {
-	srv, err := NewProbeServer("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
-	res, err := ProbeWithOptions(srv.Addr(), "flood", 50*time.Millisecond, 0, ProbeOptions{})
+	srv := startServer(t, nil)
+	res, err := Probe(srv.Addr(), "flood", 50*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

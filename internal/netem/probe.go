@@ -15,6 +15,12 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netem: server closed")
 
+// probeBufBytes caps both ends' socket buffers on a probe connection. With
+// the kernel's autotuned megabytes queued between client and shaper, a flood
+// would go on draining long after the client stopped: seconds on a slow
+// link, rather than the probe's duration.
+const probeBufBytes = 64 * 1024
+
 // ProbeResult is one bandwidth measurement.
 type ProbeResult struct {
 	// Peer is the probed endpoint address.
@@ -115,6 +121,7 @@ func (s *ProbeServer) History() []ProbeResult {
 // with a JSON ProbeResult line.
 func (s *ProbeServer) handle(conn net.Conn) {
 	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(probeBufBytes)
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
 	r := bufio.NewReader(conn)
 	header, err := r.ReadString('\n')
@@ -160,101 +167,66 @@ func (s *ProbeServer) handle(conn net.Conn) {
 	s.mu.Lock()
 	s.history = append(s.history, res)
 	s.mu.Unlock()
-	enc := json.NewEncoder(conn)
-	_ = enc.Encode(res)
+	_ = json.NewEncoder(conn).Encode(res)
 }
 
-// ProbeOptions tunes the client side of a probe. The zero value gets
-// sensible defaults; every knob exists because community-mesh links lose the
-// control plane often enough that a single hardcoded dial is wrong.
-type ProbeOptions struct {
-	// DialTimeout bounds each connection attempt (default 5 s).
-	DialTimeout time.Duration
-	// MaxAttempts bounds dial attempts, including the first (default 3).
-	MaxAttempts int
-	// BackoffBase is the delay before the second attempt; it doubles per
-	// retry (default 200 ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the (pre-jitter) backoff delay (default 5 s).
-	BackoffMax time.Duration
-	// Jitter returns a value in [0,1) scaling each delay into
-	// [delay/2, delay) so synchronised probers desynchronise. Nil uses the
-	// attempt-indexed default; probes with equal options stay deterministic.
-	Jitter func() float64
-	// Sleep blocks between attempts; nil uses time.Sleep. Injectable so
-	// tests assert the backoff sequence without waiting it out.
-	Sleep func(time.Duration)
-}
+// The client's dial policy. Community-mesh links lose the control plane often
+// enough that a single dial is wrong, so a probe retries with exponential
+// backoff: the n-th retry waits 3/4 of min(dialBackoffBase·2^(n-1),
+// dialBackoffMax), the same delay on every prober.
+const (
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 5 * time.Second
+	// dialAttempts bounds dial attempts, including the first.
+	dialAttempts = 3
+	// dialBackoffBase is the delay before the second attempt, before scaling;
+	// it doubles per retry.
+	dialBackoffBase = 200 * time.Millisecond
+	// dialBackoffMax caps the pre-scaling delay.
+	dialBackoffMax = 5 * time.Second
+)
 
-func (o ProbeOptions) withDefaults() ProbeOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 200 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-	return o
-}
+// dialSleep blocks between dial attempts; tests replace it to assert the
+// backoff sequence without waiting it out.
+var dialSleep = time.Sleep
 
-// backoff returns the jittered delay before attempt n+1 (n = attempts made
-// so far, n >= 1): min(base·2^(n-1), max) scaled into [d/2, d).
-func (o ProbeOptions) backoff(n int) time.Duration {
-	d := o.BackoffBase
-	for i := 1; i < n && d < o.BackoffMax; i++ {
+// backoff returns the delay before attempt n+1 (n = attempts made so far,
+// n >= 1).
+func backoff(n int) time.Duration {
+	d := dialBackoffBase
+	for i := 1; i < n && d < dialBackoffMax; i++ {
 		d *= 2
 	}
-	if d > o.BackoffMax {
-		d = o.BackoffMax
-	}
-	frac := 0.5
-	if o.Jitter != nil {
-		frac = o.Jitter()
-	}
-	return d/2 + time.Duration(frac*float64(d/2))
+	d = min(d, dialBackoffMax)
+	return d/2 + d/4
 }
 
-// dialRetry dials with per-attempt timeout and jittered exponential backoff,
+// dialRetry dials with the per-attempt timeout and exponential backoff,
 // reporting how many attempts were spent.
-func dialRetry(addr string, opts ProbeOptions) (net.Conn, int, error) {
-	var lastErr error
+func dialRetry(addr string) (net.Conn, int, error) {
 	for attempt := 1; ; attempt++ {
-		conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			return conn, attempt, nil
 		}
-		lastErr = err
-		if attempt >= opts.MaxAttempts {
-			return nil, attempt, fmt.Errorf("netem: dial %s (%d attempts): %w", addr, attempt, lastErr)
+		if attempt >= dialAttempts {
+			return nil, attempt, fmt.Errorf("netem: dial %s (%d attempts): %w", addr, attempt, err)
 		}
-		opts.Sleep(opts.backoff(attempt))
+		dialSleep(backoff(attempt))
 	}
 }
 
-// Probe measures throughput to a probe server with default ProbeOptions.
-// kind "flood" sends as fast as possible for the duration (max-capacity
-// probing); kind "rate" paces at rateMbps (headroom probing — success means
-// the link has that much spare).
+// Probe measures throughput to a probe server. kind "flood" sends as fast as
+// possible for the duration (max-capacity probing); kind "rate" paces at
+// rateMbps (headroom probing: the achieved rate is the spare capacity seen,
+// up to the pacing rate). A rateMbps of 0 floods whatever the kind.
 func Probe(addr string, kind string, duration time.Duration, rateMbps float64) (ProbeResult, error) {
-	return ProbeWithOptions(addr, kind, duration, rateMbps, ProbeOptions{})
-}
-
-// ProbeWithOptions is Probe with explicit client options.
-func ProbeWithOptions(addr string, kind string, duration time.Duration, rateMbps float64, opts ProbeOptions) (ProbeResult, error) {
-	opts = opts.withDefaults()
-	conn, attempts, err := dialRetry(addr, opts)
+	conn, attempts, err := dialRetry(addr)
 	if err != nil {
 		return ProbeResult{Attempts: attempts}, err
 	}
 	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetWriteBuffer(probeBufBytes)
 	_ = conn.SetDeadline(time.Now().Add(duration + 20*time.Second))
 	if _, err := fmt.Fprintf(conn, "PROBE %s\n", kind); err != nil {
 		return ProbeResult{}, fmt.Errorf("netem: send header: %w", err)
@@ -278,37 +250,13 @@ func ProbeWithOptions(addr string, kind string, duration time.Duration, rateMbps
 		}
 	}
 	// Half-close so the server sees EOF and reports.
-	type closeWriter interface{ CloseWrite() error }
-	if cw, ok := conn.(closeWriter); ok {
-		if err := cw.CloseWrite(); err != nil {
-			return ProbeResult{}, fmt.Errorf("netem: close write: %w", err)
-		}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		return ProbeResult{}, fmt.Errorf("netem: close write: %w", err)
 	}
 	var res ProbeResult
-	dec := json.NewDecoder(conn)
-	if err := dec.Decode(&res); err != nil {
+	if err := json.NewDecoder(conn).Decode(&res); err != nil {
 		return ProbeResult{}, fmt.Errorf("netem: read result: %w", err)
 	}
 	res.Attempts = attempts
 	return res, nil
-}
-
-// ProbeCapacity floods the peer for the duration and reports measured Mbps.
-func ProbeCapacity(addr string, duration time.Duration) (float64, error) {
-	res, err := Probe(addr, "flood", duration, 0)
-	if err != nil {
-		return 0, err
-	}
-	return res.Mbps, nil
-}
-
-// ProbeHeadroom checks whether at least wantMbps of spare capacity exists by
-// pacing a probe at that rate; it reports the achieved rate and whether it
-// reached ≥90% of the target.
-func ProbeHeadroom(addr string, duration time.Duration, wantMbps float64) (achievedMbps float64, ok bool, err error) {
-	res, err := Probe(addr, "rate", duration, wantMbps)
-	if err != nil {
-		return 0, false, err
-	}
-	return res.Mbps, res.Mbps >= 0.9*wantMbps, nil
 }

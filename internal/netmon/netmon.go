@@ -5,8 +5,9 @@
 // reports (~0.3% of link traffic).
 //
 // The monitor is substrate-agnostic: it probes through the Prober interface,
-// implemented by the simulated network (simnet). The live daemon (bassd)
-// probes real peers through netem directly.
+// implemented by the simulated network (simnet) and, over real sockets, by
+// the live daemon (bassd), which probes its peers through netem. Both run
+// this package's verdicts, failure streaks and journal schema.
 package netmon
 
 import (
@@ -49,15 +50,14 @@ type Prober interface {
 	// (max-capacity probing). It is expensive: it saturates the link for
 	// about a second.
 	ProbeCapacity(id mesh.LinkID) (float64, error)
-	// ProbeSpare measures the link's currently unused capacity in Mbps by
-	// probing at a small fraction of the cached capacity (headroom probing).
-	ProbeSpare(id mesh.LinkID) (float64, error)
-	// ProbeSpareAll measures every link's spare capacity in one sweep, with
-	// values identical to per-link ProbeSpare calls, and calls visit once per
-	// link. Implementations MUST visit links in the topology's sorted link
-	// order: the monitor's probe bookkeeping and journal emissions happen
-	// inside visit, and their order is part of the byte-identical output
-	// contract.
+	// ProbeSpareAll measures every link's currently unused capacity in Mbps
+	// in one sweep (headroom probing) and calls visit once for each link it
+	// probes, with the link's spare or the error that kept it from being
+	// measured. A link it does not probe this sweep goes unvisited, and its
+	// view is left as it was. Implementations MUST visit links in the topology's
+	// sorted link order: the monitor's probe bookkeeping and journal
+	// emissions happen inside visit, and their order is part of the
+	// byte-identical output contract.
 	ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err error))
 }
 
@@ -297,20 +297,9 @@ func (m *Monitor) collectSweep(ev HeadroomEvent, err error) {
 	}
 }
 
-// HeadroomProbe probes one link's spare capacity.
-func (m *Monitor) HeadroomProbe(id mesh.LinkID) (HeadroomEvent, error) {
-	v, ok := m.views[id]
-	if !ok {
-		return HeadroomEvent{}, fmt.Errorf("%w: %s", ErrUnknownLink, id)
-	}
-	spare, err := m.prober.ProbeSpare(id)
-	return m.applySpare(v, spare, err)
-}
-
 // applySpare folds one spare measurement (or its failure) into the link view:
 // failure streaks, staleness stamps, overhead accounting, change/violation
-// detection, and the probe's journal events. It is the shared tail of the
-// per-link and batch sweep forms.
+// detection, and the probe's journal events.
 func (m *Monitor) applySpare(v *LinkView, spare float64, err error) (HeadroomEvent, error) {
 	if err != nil {
 		v.ConsecutiveFailures++
@@ -388,14 +377,6 @@ func (m *Monitor) Views() []LinkView {
 
 // Stats returns probe overhead accounting.
 func (m *Monitor) Stats() ProbeStats { return m.stats }
-
-// ConsecutiveFailures reports a link's current failed-probe streak.
-func (m *Monitor) ConsecutiveFailures(id mesh.LinkID) int {
-	if v, ok := m.views[id]; ok {
-		return v.ConsecutiveFailures
-	}
-	return 0
-}
 
 // NodeFailureFloor is the minimum failed-probe streak across a node's links.
 // A positive floor means no probe involving the node has succeeded for that

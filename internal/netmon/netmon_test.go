@@ -55,9 +55,15 @@ func TestHeadroomProbeDetectsViolation(t *testing.T) {
 	if _, err := net.AddStream("load", "a", "b", 22); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := m.HeadroomProbe(mesh.MakeLinkID("a", "b"))
-	if err != nil {
-		t.Fatal(err)
+	evs, perrs := m.HeadroomProbeAll()
+	if len(perrs) != 0 {
+		t.Fatal(perrs)
+	}
+	var ev HeadroomEvent
+	for _, e := range evs {
+		if e.Link == mesh.MakeLinkID("a", "b") {
+			ev = e
+		}
 	}
 	if !ev.Violated {
 		t.Errorf("event = %+v, want violation (spare 3 < want 5)", ev)
@@ -154,9 +160,6 @@ func TestUnknownLinkErrors(t *testing.T) {
 	if err := m.FullProbe(ghost); !errors.Is(err, ErrUnknownLink) {
 		t.Errorf("FullProbe: %v", err)
 	}
-	if _, err := m.HeadroomProbe(ghost); !errors.Is(err, ErrUnknownLink) {
-		t.Errorf("HeadroomProbe: %v", err)
-	}
 	if _, err := m.View(ghost); !errors.Is(err, ErrUnknownLink) {
 		t.Errorf("View: %v", err)
 	}
@@ -218,11 +221,14 @@ func TestConsecutiveFailuresAndNodeFloor(t *testing.T) {
 			t.Errorf("sweep %d: error %v not ErrLinkUnreachable", i, perrs[0])
 		}
 		_ = evs
-		if got := m.ConsecutiveFailures(bc); got != i {
-			t.Errorf("sweep %d: b-c failures = %d", i, got)
-		}
-		if got := m.ConsecutiveFailures(ab); got != 0 {
-			t.Errorf("sweep %d: a-b failures = %d, want 0", i, got)
+		for id, want := range map[mesh.LinkID]int{bc: i, ab: 0} {
+			v, err := m.View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.ConsecutiveFailures != want {
+				t.Errorf("sweep %d: %s failures = %d, want %d", i, id, v.ConsecutiveFailures, want)
+			}
 		}
 	}
 	// b has a healthy link (a-b), so its floor stays 0; c's floor tracks the

@@ -45,6 +45,10 @@
 // specs — and appends a budget/alert summary; pair it with -events-out to
 // capture the alert journal for bass-trace.
 //
+// -events-out writes the decision journal as JSONL and -metrics-out the
+// metric series as JSON; `bass-trace convert` turns a journal into Chrome
+// trace-event JSON for Perfetto.
+//
 // A key outside this schema is an error, reported with the file name before
 // anything runs: a misspelt key would otherwise run a different scenario.
 package main
@@ -194,12 +198,10 @@ func main() {
 type runSpec struct {
 	label string
 	sc    scenario
-	// eventsPath/metricsPath/tracePath, when non-empty, receive the run's
-	// decision journal (JSONL), metric-store dump (JSON), and Chrome
-	// trace-event export (JSON, loadable in Perfetto).
+	// eventsPath/metricsPath, when non-empty, receive the run's decision
+	// journal (JSONL) and metric-store dump (JSON).
 	eventsPath  string
 	metricsPath string
-	tracePath   string
 }
 
 // derivePath returns the per-run output path: the base itself for a single
@@ -220,7 +222,6 @@ func run(args []string, stdout io.Writer) error {
 	seeds := fs.Int("seeds", 1, "per-scenario seed replicas (seed, seed+1, ...)")
 	eventsOut := fs.String("events-out", "", "write the decision journal as JSONL to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	metricsOut := fs.String("metrics-out", "", "write the collected metric series as JSON to this path (\".NNN\" run index inserted when running multiple scenarios)")
-	traceOut := fs.String("trace-out", "", "write the decision journal as Chrome trace-event JSON (Perfetto-loadable) to this path (\".NNN\" run index inserted when running multiple scenarios)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -256,7 +257,6 @@ func run(args []string, stdout io.Writer) error {
 	for i := range specs {
 		specs[i].eventsPath = derivePath(*eventsOut, i, len(specs))
 		specs[i].metricsPath = derivePath(*metricsOut, i, len(specs))
-		specs[i].tracePath = derivePath(*traceOut, i, len(specs))
 	}
 	return executeAll(specs, *workers, stdout)
 }
@@ -300,7 +300,7 @@ func executeAll(specs []runSpec, workers int, stdout io.Writer) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = executeObserved(specs[i].sc, &outputs[i], specs[i].eventsPath, specs[i].metricsPath, specs[i].tracePath)
+				errs[i] = executeObserved(specs[i].sc, &outputs[i], specs[i].eventsPath, specs[i].metricsPath)
 			}
 		}()
 	}
@@ -332,15 +332,14 @@ func executeAll(specs []runSpec, workers int, stdout io.Writer) error {
 }
 
 func execute(sc scenario, out io.Writer) error {
-	return executeObserved(sc, out, "", "", "")
+	return executeObserved(sc, out, "", "")
 }
 
-// executeObserved runs one scenario; non-empty eventsPath/metricsPath/
-// tracePath attach the observability plane and write the decision journal
-// (JSONL), metric dump (JSON), and Chrome trace export after the run. Runs
-// without any path attach nothing, so their output bytes — and hot paths —
-// are identical to earlier releases.
-func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath, tracePath string) error {
+// executeObserved runs one scenario; non-empty eventsPath/metricsPath attach
+// the observability plane and write the decision journal (JSONL) and metric
+// dump (JSON) after the run. Runs without either path attach nothing, so
+// their output bytes — and hot paths — are identical to earlier releases.
+func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath string) error {
 	if sc.HorizonSec <= 0 {
 		sc.HorizonSec = 600
 	}
@@ -376,8 +375,8 @@ func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath, traceP
 
 	var journal *obs.Journal
 	var store *metricstore.Store
-	if eventsPath != "" || metricsPath != "" || tracePath != "" || sc.SLO {
-		if eventsPath != "" || tracePath != "" {
+	if eventsPath != "" || metricsPath != "" || sc.SLO {
+		if eventsPath != "" {
 			journal = obs.NewJournal(0)
 		}
 		if metricsPath != "" || sc.SLO {
@@ -433,18 +432,12 @@ func executeObserved(sc scenario, out io.Writer, eventsPath, metricsPath, traceP
 		fmt.Fprintf(os.Stderr, "slo: seed=%d epochs=%d tick_wall_ms=%.3f control_wall_ms=%.3f\n",
 			sc.Seed, cs.Cycles, float64(cs.SLOTickNS)/1e6, float64(cs.WallNS)/1e6)
 	}
-	if journal != nil && eventsPath != "" {
+	if journal != nil {
 		if err := writeJournal(journal, eventsPath); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "journal: %d events (%d evicted) -> %s\n",
 			journal.Len(), journal.Dropped(), eventsPath)
-	}
-	if journal != nil && tracePath != "" {
-		if err := writeTrace(journal, tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trace: %d events -> %s\n", journal.Len(), tracePath)
 	}
 	if store != nil && metricsPath != "" {
 		if err := writeMetrics(store, metricsPath); err != nil {
@@ -462,20 +455,6 @@ func writeJournal(journal *obs.Journal, path string) error {
 		return err
 	}
 	if err := journal.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTrace exports the journal's span tree in Chrome trace-event format —
-// loadable in Perfetto / chrome://tracing. Same seed, same bytes.
-func writeTrace(journal *obs.Journal, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, journal.Events()); err != nil {
 		f.Close()
 		return err
 	}

@@ -340,8 +340,9 @@ func TestDerivePath(t *testing.T) {
 // scenarioContract is a seeded, faulted scenario run once through the CLI.
 // The JSON is written as a user would write it. The goldens are SHA-256
 // digests of stdout (output paths replaced by "DIR") and of each dump; a
-// dump is written (-events-out, -metrics-out, -trace-out) only when the
-// contract has a golden for it.
+// dump is written (-events-out, -metrics-out) only when the contract has a
+// golden for it. trace pins the journal's Chrome trace export (what
+// `bass-trace convert` writes).
 type scenarioContract struct {
 	name, scenario                  string
 	stdout, journal, metrics, trace string
@@ -442,22 +443,24 @@ func TestEventsOutDeterministic(t *testing.T) {
 }
 
 // TestTraceOutDeterministicAcrossDrivers runs the crash scenario with
-// -trace-out: the Chrome trace equals the golden captured when bass-sim
-// still had -polling and both network drivers produced these bytes.
+// -events-out and converts the journal as bass-trace convert does: the
+// Chrome trace equals the golden captured when bass-sim still had -polling
+// and both network drivers produced these bytes (then via -trace-out).
 func TestTraceOutDeterministicAcrossDrivers(t *testing.T) {
 	checkContract(t, scenarioContract{
 		scenario:  crashScenario,
-		stdout:    "3093674bce15e2d4b38684267a0909699b5caee59f78d381962322356c01513d",
+		stdout:    "aebe7f76d9f5ff3a37407edbd575847984ea5af144b00df039e8f000f00d144d",
+		journal:   "a7a6bfb7088b27e3ba7f121892b42aaddf30988755344b6296bc878eac77c99f",
 		trace:     "286110ecdc484eb8f9c49b5beb5ffe17ae015626b5488cf7e7859f5ff778a141",
-		wantLines: []string{"trace: "},
+		wantLines: []string{"journal: "},
 	})
 }
 
 // checkContract runs c once through the CLI and checks: stdout and every
 // dump equal their goldens; c's lines start stdout lines; a journal has c's
 // events, is one JSON object per line, and every decision's cause chain
-// passes obs.CheckCauses with exactly c.causes gated; a Chrome trace has
-// name/ph/ts on every event and balanced flow links.
+// passes obs.CheckCauses with exactly c.causes gated; its Chrome trace
+// export has name/ph/ts on every event and balanced flow links.
 func checkContract(t *testing.T, c scenarioContract) {
 	t.Helper()
 	dir := t.TempDir()
@@ -467,16 +470,12 @@ func checkContract(t *testing.T, c scenarioContract) {
 	}
 	evPath := filepath.Join(dir, "events.jsonl")
 	mtPath := filepath.Join(dir, "metrics.json")
-	trPath := filepath.Join(dir, "trace.json")
 	var args []string
 	if c.journal != "" {
 		args = append(args, "-events-out", evPath)
 	}
 	if c.metrics != "" {
 		args = append(args, "-metrics-out", mtPath)
-	}
-	if c.trace != "" {
-		args = append(args, "-trace-out", trPath)
 	}
 	var out strings.Builder
 	if err := run(append(args, path), &out); err != nil {
@@ -491,11 +490,6 @@ func checkContract(t *testing.T, c scenarioContract) {
 	}
 	if c.metrics != "" {
 		pin(t, "metrics", readFile(t, mtPath), c.metrics)
-	}
-	if c.trace != "" {
-		trace := readFile(t, trPath)
-		pin(t, "trace", trace, c.trace)
-		checkTraceShape(t, trace)
 	}
 	if c.journal == "" {
 		return
@@ -525,6 +519,14 @@ func checkContract(t *testing.T, c scenarioContract) {
 		t.Error(err)
 	} else if n != c.causes {
 		t.Errorf("cause check gated %+v, want %+v", n, c.causes)
+	}
+	if c.trace != "" {
+		var trace bytes.Buffer
+		if err := obs.WriteChromeTrace(&trace, events); err != nil {
+			t.Fatal(err)
+		}
+		pin(t, "trace", trace.Bytes(), c.trace)
+		checkTraceShape(t, trace.Bytes())
 	}
 }
 

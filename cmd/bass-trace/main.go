@@ -5,7 +5,7 @@
 //
 //	bass-trace explain journal.jsonl            # decisions with cause chains + scoreboards
 //	bass-trace explain -component b journal.jsonl
-//	bass-trace convert journal.jsonl -o trace.json   # Chrome trace-event / Perfetto export
+//	bass-trace convert -o trace.json journal.jsonl   # Chrome trace-event / Perfetto export
 //	bass-trace check trace.json                 # validate an exported trace's schema
 //	bass-trace check journal.jsonl              # validate reconcile drift cause chains
 //
@@ -15,8 +15,9 @@
 // probe sample — and renders the candidate scoreboard the scheduler
 // evaluated, one row per node with its score terms and typed rejection.
 // Alert events render with their budget-burn context: the long-window burn
-// rate against the tier threshold and the error budget remaining. convert
-// produces the same Chrome trace JSON as bass-sim -trace-out. check verifies
+// rate against the tier threshold and the error budget remaining. convert is
+// the one Chrome trace-event export of a journal (bass-sim and bassd write
+// only the JSONL). check verifies
 // an exported trace parses and every entry carries the required name/ph/ts
 // fields; handed a JSONL journal instead, it runs obs.CheckCauses: every
 // reconcile_drift and alert event's cause chain must resolve to a concrete

@@ -17,10 +17,12 @@
 //	GET /api/v1/metrics — metric names
 //	GET /metrics        — Prometheus text exposition (latest sample per series)
 //	GET /journal        — decision journal as JSONL (?n=K tails the last K events)
-//	GET /trace          — journal as Chrome trace-event JSON (Perfetto-loadable)
 //	GET /stream         — live dashboard frames as Server-Sent Events (?interval=1s; see internal/dash, cmd/bass-top)
 //	GET /healthz        — readiness probe (JSON; 503 once the monitor goes stale)
 //	GET /debug/pprof/   — runtime profiling (CPU, heap, goroutines, ...)
+//
+// bass-trace convert turns a saved /journal into Chrome trace-event JSON for
+// Perfetto.
 //
 // The daemon runs the SLO evaluator live: the simulation's mesh-headroom
 // spec over every monitored link plus a monitor-cadence spec, evaluated after
@@ -148,9 +150,8 @@ func run(args []string) error {
 }
 
 // newHTTPMux assembles the daemon's HTTP surface: probe stats, the query
-// API, Prometheus text exposition, the decision journal (JSONL tail and
-// Chrome-trace views), the SSE dashboard stream, a readiness endpoint, and
-// pprof. The default mux is avoided deliberately — pprof's init() registers
+// API, Prometheus text exposition, the decision journal (JSONL tail), the
+// SSE dashboard stream, a readiness endpoint, and pprof. The default mux is avoided deliberately — pprof's init() registers
 // there, and an explicit mux keeps the surface auditable and testable.
 func newHTTPMux(stats http.Handler, store *metricstore.Store, journal *obs.Journal, mon *monitor) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -171,10 +172,6 @@ func newHTTPMux(stats http.Handler, store *metricstore.Store, journal *obs.Journ
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = obs.WriteJSONL(w, events)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = obs.WriteChromeTrace(w, journal.Events())
 	})
 	mux.HandleFunc("/stream", mon.serveStream)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -322,8 +319,8 @@ func newMonitor(self string, peers []string, journal *obs.Journal, plane *obs.Pl
 
 // run is the paper's probing schedule: startup, then one sweep every
 // interval. Every probe observation and verdict is journaled by netmon with
-// the schema the simulated stack emits, so /journal and /trace show live
-// decisions in the same format.
+// the schema the simulated stack emits, so /journal shows live decisions in
+// the same format.
 func (m *monitor) run(ctx context.Context) {
 	if m.peers == 0 {
 		<-ctx.Done()

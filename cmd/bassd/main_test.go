@@ -345,37 +345,6 @@ func TestJournalEndpointEmpty(t *testing.T) {
 	}
 }
 
-func TestTraceEndpointServesChromeTrace(t *testing.T) {
-	mux, _, journal := testMux(t)
-	events := seedJournal(journal)
-
-	rec := get(t, mux, "/trace")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/trace status = %d, want 200", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/trace Content-Type = %q, want application/json", ct)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &trace); err != nil {
-		t.Fatalf("/trace body is not valid JSON: %v", err)
-	}
-	var slices int
-	for _, te := range trace.TraceEvents {
-		if te.Ph == "X" {
-			slices++
-		}
-	}
-	if slices != len(events) {
-		t.Errorf("/trace has %d slices, want one per journal event (%d)", slices, len(events))
-	}
-}
-
 // eventLine renders the fields of a probe event that a sweep determines.
 func eventLine(ev obs.Event) string {
 	return fmt.Sprintf("%s %s %g/%g", ev.Type, ev.Link, ev.Value, ev.Want)

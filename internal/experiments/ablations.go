@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/socialnet"
 	"bass/internal/controller"
-	"bass/internal/core"
-	"bass/internal/mesh"
 	"bass/internal/scheduler"
-	"bass/internal/trace"
-	"bass/internal/workload"
 )
 
 // AblationRow is one configuration of an ablation sweep.
@@ -53,64 +48,14 @@ func RunAblationPackLimit(seed int64, limits []float64) (AblationResult, error) 
 	if len(limits) == 0 {
 		limits = []float64{0.6, 0.8, 1.0}
 	}
-	const (
-		throttleAt  = 10 * time.Second
-		throttleFor = 3 * time.Minute
-		horizon     = 5 * time.Minute
-	)
 	out := AblationResult{Name: "scheduler pack limit (Fig 13 scenario)", Extra: "throttle_tail_mean_s"}
 	for _, limit := range limits {
-		nodes := withClientHost(microbenchNodes(3), "node4")
-		topo := LANTopology(nodes, horizon)
-		sc := socialScenario{
-			topo:  topo,
-			nodes: nodes,
-			seed:  seed,
-			simCfg: core.Config{
-				Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(limit)),
-				EnableMigration:   true,
-				MonitorInterval:   30 * time.Second,
-				MigrationDowntime: 4300 * time.Millisecond,
-			},
-			appCfg: socialnet.Config{
-				ClientNode: "node4",
-				Arrival:    workload.Exponential{MeanPerSecond: 400},
-				ProfileRPS: 400,
-			},
-			horizon: horizon,
-			prepared: func(app *socialnet.App, sim *core.Simulation) error {
-				shaped := trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
-					{From: 0, Mbps: 1000},
-					{From: throttleAt, Mbps: 25},
-					{From: throttleAt + throttleFor, Mbps: 1000},
-				})
-				for _, node := range []string{"node1", "node2"} {
-					if err := topo.ThrottleEgress(node, shaped); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		}
-		oc, err := sc.run()
+		oc, err := throttledLAN{interval: 30 * time.Second, packLimit: limit}.run(seed)
 		if err != nil {
 			return out, err
 		}
-		h := oc.app.Latency().Histogram()
-		series := oc.app.Latency().Series()
-		var tail []float64
-		for _, p := range series.Points() {
-			if p.At >= throttleAt+throttleFor-time.Minute && p.At < throttleAt+throttleFor {
-				tail = append(tail, p.Value)
-			}
-		}
-		out.Rows = append(out.Rows, AblationRow{
-			Setting:    fmt.Sprintf("pack=%.1f", limit),
-			MeanSec:    h.Mean(),
-			P99Sec:     h.P99(),
-			Migrations: len(oc.sim.Orch.Migrations()),
-			Extra:      mean(tail),
-		})
+		_, tail := throttledMeans(oc)
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("pack=%.1f", limit), oc, tail))
 	}
 	return out, nil
 }
@@ -122,45 +67,20 @@ func RunAblationCooldown(seed int64, cooldownsSec []int) (AblationResult, error)
 	if len(cooldownsSec) == 0 {
 		cooldownsSec = []int{0, 30, 120}
 	}
-	const horizon = 20 * time.Minute
 	out := AblationResult{Name: "controller cooldown (CityLab mesh)", Extra: "p90_s"}
 	for _, cd := range cooldownsSec {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
+		ctrl := controller.DefaultConfig()
+		ctrl.Cooldown = time.Duration(cd) * time.Second
+		oc, err := citySocial{
+			policy:  scheduler.NewBass(scheduler.HeuristicLongestPath),
+			migrate: true,
+			ctrl:    ctrl,
+			horizon: 20 * time.Minute,
+		}.run(seed)
 		if err != nil {
 			return out, err
 		}
-		ctrlCfg := controller.DefaultConfig()
-		ctrlCfg.Cooldown = time.Duration(cd) * time.Second
-		sc := socialScenario{
-			topo:  topo,
-			nodes: cityLabSocialNodes(),
-			seed:  seed,
-			simCfg: core.Config{
-				Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath),
-				Controller:        ctrlCfg,
-				EnableMigration:   true,
-				MonitorInterval:   30 * time.Second,
-				MigrationDowntime: 4300 * time.Millisecond,
-				ReservedCPU:       1,
-			},
-			appCfg: socialnet.Config{
-				ClientNode: mesh.CityLabControl,
-				Arrival:    workload.Constant{PerSecond: 150},
-			},
-			horizon: horizon,
-		}
-		oc, err := sc.run()
-		if err != nil {
-			return out, err
-		}
-		h := oc.app.Latency().Histogram()
-		out.Rows = append(out.Rows, AblationRow{
-			Setting:    fmt.Sprintf("cooldown=%ds", cd),
-			MeanSec:    h.Mean(),
-			P99Sec:     h.P99(),
-			Migrations: len(oc.sim.Orch.Migrations()),
-			Extra:      h.P90(),
-		})
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("cooldown=%ds", cd), oc, oc.app.Latency().Histogram().P90()))
 	}
 	return out, nil
 }
@@ -174,67 +94,44 @@ func RunAblationProbeInterval(seed int64, intervalsSec []int) (AblationResult, e
 	if len(intervalsSec) == 0 {
 		intervalsSec = []int{10, 30, 90}
 	}
-	const horizon = 20 * time.Minute
 	out := AblationResult{Name: "headroom probe interval (CityLab mesh)", Extra: "probe_overhead_frac"}
 	for _, iv := range intervalsSec {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
+		bed := citySocial{
+			policy:   scheduler.NewBass(scheduler.HeuristicLongestPath),
+			migrate:  true,
+			interval: time.Duration(iv) * time.Second,
+			horizon:  20 * time.Minute,
+		}
+		oc, err := bed.run(seed)
 		if err != nil {
 			return out, err
 		}
-		sc := socialScenario{
-			topo:  topo,
-			nodes: cityLabSocialNodes(),
-			seed:  seed,
-			simCfg: core.Config{
-				Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath),
-				EnableMigration:   true,
-				MonitorInterval:   time.Duration(iv) * time.Second,
-				MigrationDowntime: 4300 * time.Millisecond,
-				ReservedCPU:       1,
-			},
-			appCfg: socialnet.Config{
-				ClientNode: mesh.CityLabControl,
-				Arrival:    workload.Constant{PerSecond: 150},
-			},
-			horizon: horizon,
-		}
-		oc, err := sc.run()
-		if err != nil {
-			return out, err
-		}
-		h := oc.app.Latency().Histogram()
-		stats := oc.sim.Orch.Monitor().Stats()
-		out.Rows = append(out.Rows, AblationRow{
-			Setting:    fmt.Sprintf("interval=%ds", iv),
-			MeanSec:    h.Mean(),
-			P99Sec:     h.P99(),
-			Migrations: len(oc.sim.Orch.Migrations()),
-			Extra:      stats.OverheadFrac(horizon, 21, 6),
-		})
+		overhead := oc.sim.Orch.Monitor().Stats().OverheadFrac(bed.horizon, 21, 6)
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("interval=%ds", iv), oc, overhead))
 	}
 	return out, nil
 }
 
+// ablationRow summarises one run's latency and migrations under setting.
+func ablationRow(setting string, oc socialOutcome, extra float64) AblationRow {
+	h := oc.app.Latency().Histogram()
+	return AblationRow{
+		Setting:    setting,
+		MeanSec:    h.Mean(),
+		P99Sec:     h.P99(),
+		Migrations: len(oc.sim.Orch.Migrations()),
+		Extra:      extra,
+	}
+}
+
 func init() {
 	register("ablate-pack", func(p Params) ([]Table, error) {
-		r, err := RunAblationPackLimit(p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunAblationPackLimit(p.Seed, nil))
 	})
 	register("ablate-cooldown", func(p Params) ([]Table, error) {
-		r, err := RunAblationCooldown(p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunAblationCooldown(p.Seed, nil))
 	})
 	register("ablate-probe", func(p Params) ([]Table, error) {
-		r, err := RunAblationProbeInterval(p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunAblationProbeInterval(p.Seed, nil))
 	})
 }

@@ -321,10 +321,6 @@ func (r AlertQualityResult) Table() Table {
 
 func init() {
 	register("alertquality", func(p Params) ([]Table, error) {
-		r, err := RunAlertQuality(AlertQualityOptions{Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour)})
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunAlertQuality(AlertQualityOptions{Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour)}))
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/mesh"
-	"bass/internal/scheduler"
 )
 
 // Batch placement ablation (ROADMAP: "Optimization-based placement baselines
@@ -23,12 +22,10 @@ type BatchAblationOptions struct {
 	Nodes   int // grid node target (rounded up to Rows×Cols)
 	Apps    int // pipeline applications deployed
 	Density int // informational: the app-density multiplier this config represents
-	// Batch turns the joint search on; Budget and K pass through to
-	// scheduler.BatchConfig (zero Budget takes core.DefaultBatchMoveBudget).
-	Batch  bool
-	Budget int
-	K      int
-	Seed   int64
+	// Batch turns the joint search on, with core's default budget
+	// (core.DefaultBatchMoveBudget), K and search seed.
+	Batch bool
+	Seed  int64
 }
 
 func (o BatchAblationOptions) withDefaults() BatchAblationOptions {
@@ -40,9 +37,6 @@ func (o BatchAblationOptions) withDefaults() BatchAblationOptions {
 	}
 	if o.Density == 0 {
 		o.Density = 1
-	}
-	if o.Budget == 0 {
-		o.Budget = core.DefaultBatchMoveBudget
 	}
 	return o
 }
@@ -95,16 +89,12 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		}
 	}
 
-	cfg := core.Config{
+	s, err := core.NewSimulation(topo, nodes, opts.Seed, core.Config{
 		// Migration off: the ablation isolates initial placement quality.
 		EnableMigration: false,
 		MonitorInterval: 30 * time.Second,
-	}
-	if opts.Batch {
-		cfg.BatchPlacement = true
-		cfg.Batch = scheduler.BatchConfig{MoveBudget: opts.Budget, K: opts.K}
-	}
-	s, err := core.NewSimulation(topo, nodes, opts.Seed, cfg)
+		BatchPlacement:  opts.Batch,
+	})
 	if err != nil {
 		return BatchAblationResult{}, err
 	}
@@ -164,7 +154,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		Apps:       opts.Apps,
 		Density:    opts.Density,
 		Batch:      opts.Batch,
-		Budget:     opts.Budget,
+		Budget:     core.DefaultBatchMoveBudget,
 		CrossEdges: cross,
 		SolveMS:    solveNS / 1e6,
 	}

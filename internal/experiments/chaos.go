@@ -42,57 +42,91 @@ type ChaosResult struct {
 	JournalSummary string
 }
 
-// RunChaos executes the chaos scenario: a camera pipeline plus an 8 Mbps
-// component pair on a four-node full mesh, with a seeded Poisson storm of
-// node crashes, link flaps, and probe-loss windows injected over the run.
-// Failure detection (3 failed probe sweeps at 30 s intervals) and failover
-// with bounded-retry backoff are armed; the result reports MTTR,
-// availability, and requests lost. Equal seeds yield identical results.
-func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
-	if horizon == 0 {
-		horizon = 20 * time.Minute
+// stormRig is the fault-storm testbed, shared by chaos and longevity: a
+// camera pipeline plus an 8 Mbps component pair on a full mesh of 16-core
+// nodes joined by 25 Mbps links, BFS placement with migration, 30 s probe
+// sweeps (crash detection after 3 failed sweeps), a 5 s migration downtime
+// and the decision journal attached. Its fields are what those jobs vary.
+type stormRig struct {
+	nodes     int
+	reconcile bool
+}
+
+// stormRun is a started stormRig run; the caller closes sim.
+type stormRun struct {
+	sim     *core.Simulation
+	journal *obs.Journal
+	cam     *camera.App
+	pair    *pairApp
+}
+
+// start builds the rig for a run of horizon and deploys both workloads
+// without advancing the clock.
+func (r stormRig) start(seed int64, horizon time.Duration) (stormRun, error) {
+	names := make([]string, r.nodes)
+	nodes := make([]cluster.Node, r.nodes)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i+1)
+		nodes[i] = cluster.Node{Name: names[i], CPU: 16, MemoryMB: 16384}
 	}
-	names := []string{"n1", "n2", "n3", "n4"}
 	topo := mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute)
-	nodes := make([]cluster.Node, len(names))
-	for i, n := range names {
-		nodes[i] = cluster.Node{Name: n, CPU: 16, MemoryMB: 16384}
-	}
 	sim, err := core.NewSimulation(topo, nodes, seed, core.Config{
 		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
 		EnableMigration:   true,
+		EnableReconcile:   r.reconcile,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 5 * time.Second,
 	})
 	if err != nil {
-		return ChaosResult{}, err
+		return stormRun{}, err
 	}
-	defer sim.Close()
-	journal := obs.NewJournal(0)
-	sim.AttachObservability(journal, nil)
-
-	cam, err := camera.New(camera.Config{})
+	s := stormRun{sim: sim, journal: obs.NewJournal(0), pair: newPairApp("pair", 8, "", 2)}
+	sim.AttachObservability(s.journal, nil)
+	s.cam, err = camera.New(camera.Config{})
+	if err == nil {
+		_, err = sim.Orch.Deploy("camera", s.cam)
+	}
+	if err == nil {
+		_, err = sim.Orch.Deploy("pair", s.pair)
+	}
 	if err != nil {
-		return ChaosResult{}, err
+		sim.Close()
+		return stormRun{}, err
 	}
-	if _, err := sim.Orch.Deploy("camera", cam); err != nil {
-		return ChaosResult{}, err
-	}
-	pair := newPairApp("pair", 8, "", 2)
-	if _, err := sim.Orch.Deploy("pair", pair); err != nil {
-		return ChaosResult{}, err
-	}
+	return s, nil
+}
 
-	sched := faults.Generate(topo, faults.GeneratorConfig{
+// stormFaults is the rig's fault generator over [0, horizon): node crashes
+// at crashesPerHour, 6 link flaps and 2 probe-loss windows per hour.
+func stormFaults(topo *mesh.Topology, seed int64, horizon time.Duration, crashesPerHour float64) *faults.Schedule {
+	return faults.Generate(topo, faults.GeneratorConfig{
 		Seed:                    seed,
 		Horizon:                 horizon,
-		NodeCrashesPerHour:      6,
+		NodeCrashesPerHour:      crashesPerHour,
 		MeanNodeDowntime:        2 * time.Minute,
 		LinkFlapsPerHour:        6,
 		MeanLinkDowntime:        30 * time.Second,
 		ProbeLossWindowsPerHour: 2,
 		MeanProbeLossWindow:     time.Minute,
 	})
+}
+
+// RunChaos executes the chaos scenario: a seeded Poisson storm of node
+// crashes, link flaps, and probe-loss windows injected over a four-node
+// stormRig. Failure detection and failover with bounded-retry backoff are
+// armed; the result reports MTTR, availability, and requests lost. Equal
+// seeds yield identical results.
+func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
+	if horizon == 0 {
+		horizon = 20 * time.Minute
+	}
+	st, err := stormRig{nodes: 4}.start(seed, horizon)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	sim, pair := st.sim, st.pair
+	defer sim.Close()
+	sched := stormFaults(sim.Topo, seed, horizon, 6)
 	if _, err := sim.InjectFaults(sched); err != nil {
 		return ChaosResult{}, err
 	}
@@ -107,9 +141,9 @@ func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
 		MeanGoodput:     pair.Goodput().Mean(),
 		FailedTransfers: sim.Net.FailedTransfers(),
 		Migrations:      len(sim.Orch.Migrations()),
-		JournalSummary:  obs.Summarize(journal.Events()),
+		JournalSummary:  obs.Summarize(st.journal.Events()),
 	}
-	published, _, _, dropped := cam.Counters()
+	published, _, _, dropped := st.cam.Counters()
 	res.FramesPublished = published
 	res.FramesLost = dropped
 	pts := pair.Goodput().Points()
@@ -168,10 +202,6 @@ func (r ChaosResult) queuedFailovers() int {
 
 func init() {
 	register("chaos", func(p Params) ([]Table, error) {
-		r, err := RunChaos(p.Seed, p.Horizon(20*time.Minute))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunChaos(p.Seed, p.Horizon(20*time.Minute)))
 	})
 }

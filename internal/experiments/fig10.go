@@ -115,10 +115,6 @@ func (r Fig10Result) Table() Table {
 
 func init() {
 	register("fig10", func(p Params) ([]Table, error) {
-		r, err := RunFig10(p.Seed, p.Horizon(30*time.Minute))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig10(p.Seed, p.Horizon(30*time.Minute)))
 	})
 }

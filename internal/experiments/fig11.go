@@ -114,10 +114,6 @@ func init() {
 		if p.Quick {
 			rates = []float64{100, 300}
 		}
-		r, err := RunFig11(p.Seed, rates)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig11(p.Seed, rates))
 	})
 }

@@ -154,10 +154,6 @@ func init() {
 		if p.Quick {
 			intervals = []int{30, 0}
 		}
-		r, err := RunFig12(p.Seed, intervals)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig12(p.Seed, intervals))
 	})
 }

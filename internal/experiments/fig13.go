@@ -34,84 +34,101 @@ type Fig13Result struct {
 	Evaluations []core.EvaluationRecord
 }
 
-// RunFig13 reproduces Fig 13 (and records Table 1's data): the social
-// network at 400 RPS on 3 nodes; 10 s into the run the links of two worker
-// nodes are throttled for 3 minutes. BASS with a 30 s monitoring interval
-// migrates the offending components and cuts the latency inflation; without
-// migration, latency stays up to ~50% higher.
+// throttledLAN is the Fig 13 testbed, shared by Fig 13, Table 1 and the
+// pack-limit ablation: the social network at 400 RPS (exponential) on three
+// d710-class nodes plus a client host. 10 s in, the outgoing interfaces of
+// node1 and node2 are throttled to 25 Mbps for 3 minutes (tc on two of the
+// three nodes, as in the paper); node3 keeps full egress and becomes the
+// migration refuge. Its fields are what those jobs vary.
+type throttledLAN struct {
+	// interval is the monitor interval; zero disables migration.
+	interval time.Duration
+	// packLimit caps node packing so nodes keep room to receive migrated
+	// components.
+	packLimit float64
+}
+
+const (
+	lanThrottleAt  = 10 * time.Second
+	lanThrottleEnd = lanThrottleAt + 3*time.Minute
+	lanHorizon     = 5 * time.Minute
+)
+
+// run executes the testbed for seed and leaves the simulation closed.
+func (b throttledLAN) run(seed int64) (socialOutcome, error) {
+	nodes := withClientHost(microbenchNodes(3), "node4")
+	topo := LANTopology(nodes, lanHorizon)
+	return socialScenario{
+		topo:  topo,
+		nodes: nodes,
+		seed:  seed,
+		simCfg: core.Config{
+			Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(b.packLimit)),
+			EnableMigration:   b.interval > 0,
+			MonitorInterval:   b.interval,
+			MigrationDowntime: 4300 * time.Millisecond,
+		},
+		appCfg: socialnet.Config{
+			ClientNode: "node4",
+			Arrival:    workload.Exponential{MeanPerSecond: 400},
+			ProfileRPS: 400,
+		},
+		horizon: lanHorizon,
+		prepared: func(*socialnet.App, *core.Simulation) error {
+			shaped := trace.StepTrace("throttle", time.Second, lanHorizon, []trace.Level{
+				{From: 0, Mbps: 1000},
+				{From: lanThrottleAt, Mbps: 25},
+				{From: lanThrottleEnd, Mbps: 1000},
+			})
+			for _, node := range []string{"node1", "node2"} {
+				if err := topo.ThrottleEgress(node, shaped); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}.run()
+}
+
+// throttledMeans averages a throttledLAN run's per-second latency over the
+// restriction window and over its final minute, where migration benefits
+// have accrued.
+func throttledMeans(oc socialOutcome) (during, tail float64) {
+	var all, last []float64
+	for _, p := range oc.app.Latency().Series().Points() {
+		if p.At >= lanThrottleAt && p.At < lanThrottleEnd {
+			all = append(all, p.Value)
+			if p.At >= lanThrottleEnd-time.Minute {
+				last = append(last, p.Value)
+			}
+		}
+	}
+	return mean(all), mean(last)
+}
+
+// RunFig13 reproduces Fig 13 (and records Table 1's data) on throttledLAN
+// with packing capped at 80% ("we enable component scheduling on all 3
+// nodes"). BASS with a 30 s monitoring interval migrates the offending
+// components and cuts the latency inflation; without migration, latency
+// stays up to ~50% higher.
 func RunFig13(seed int64, intervals []int) (Fig13Result, error) {
 	if len(intervals) == 0 {
 		intervals = []int{30, 60, 90, 0}
 	}
-	const (
-		throttleAt  = 10 * time.Second
-		throttleFor = 3 * time.Minute
-		horizon     = 5 * time.Minute
-	)
 	var out Fig13Result
 	for _, interval := range intervals {
-		// Packing is capped at 80% so nodes keep room to receive migrated
-		// components ("we enable component scheduling on all 3 nodes").
-		nodes := withClientHost(microbenchNodes(3), "node4")
-		topo := LANTopology(nodes, horizon)
-		cfg := core.Config{
-			Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
-			EnableMigration:   interval > 0,
-			MigrationDowntime: 4300 * time.Millisecond,
-		}
-		if interval > 0 {
-			cfg.MonitorInterval = time.Duration(interval) * time.Second
-		}
-		sc := socialScenario{
-			topo:   topo,
-			nodes:  nodes,
-			seed:   seed,
-			simCfg: cfg,
-			appCfg: socialnet.Config{
-				ClientNode: "node4",
-				Arrival:    workload.Exponential{MeanPerSecond: 400},
-				ProfileRPS: 400,
-			},
-			horizon: horizon,
-			prepared: func(app *socialnet.App, sim *core.Simulation) error {
-				// Throttle the outgoing interfaces of the two worker nodes
-				// hosting the service chain (tc on two of the three nodes,
-				// as in the paper); node3 keeps full egress and becomes the
-				// migration refuge.
-				shaped := trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
-					{From: 0, Mbps: 1000},
-					{From: throttleAt, Mbps: 25},
-					{From: throttleAt + throttleFor, Mbps: 1000},
-				})
-				for _, node := range []string{"node1", "node2"} {
-					if err := topo.ThrottleEgress(node, shaped); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		}
-		oc, err := sc.run()
+		oc, err := throttledLAN{interval: time.Duration(interval) * time.Second, packLimit: 0.8}.run(seed)
 		if err != nil {
 			return out, err
 		}
 		h := oc.app.Latency().Histogram()
-		series := oc.app.Latency().Series()
-		var during, tail []float64
-		for _, p := range series.Points() {
-			if p.At >= throttleAt && p.At < throttleAt+throttleFor {
-				during = append(during, p.Value)
-				if p.At >= throttleAt+throttleFor-time.Minute {
-					tail = append(tail, p.Value)
-				}
-			}
-		}
+		during, tail := throttledMeans(oc)
 		out.Rows = append(out.Rows, Fig13Row{
 			IntervalSec:          interval,
 			MeanSec:              h.Mean(),
 			P99Sec:               h.P99(),
-			ThrottledMeanSec:     mean(during),
-			ThrottledTailMeanSec: mean(tail),
+			ThrottledMeanSec:     during,
+			ThrottledTailMeanSec: tail,
 			Migrations:           len(oc.sim.Orch.Migrations()),
 		})
 		if interval == 30 {
@@ -165,25 +182,23 @@ func (r Fig13Result) Table1() Table {
 	return t
 }
 
-// fig13Intervals returns the monitoring-interval sweep for the Fig 13 /
-// Table 1 scenario.
-func fig13Intervals(quick bool) []int {
-	if quick {
-		return []int{30, 0}
-	}
-	return []int{30, 60, 90, 0}
-}
-
 func init() {
+	// fig13 and table1 render the same monitoring-interval sweep.
+	run := func(p Params) (Fig13Result, error) {
+		if p.Quick {
+			return RunFig13(p.Seed, []int{30, 0})
+		}
+		return RunFig13(p.Seed, nil)
+	}
 	register("fig13", func(p Params) ([]Table, error) {
-		r, err := RunFig13(p.Seed, fig13Intervals(p.Quick))
+		r, err := run(p)
 		if err != nil {
 			return nil, err
 		}
 		return []Table{r.Table(), r.Table1()}, nil
 	})
 	register("table1", func(p Params) ([]Table, error) {
-		r, err := RunFig13(p.Seed, fig13Intervals(p.Quick))
+		r, err := run(p)
 		if err != nil {
 			return nil, err
 		}

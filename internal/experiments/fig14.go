@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"bass/internal/apps/socialnet"
-	"bass/internal/controller"
-	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/metrics"
 	"bass/internal/scheduler"
-	"bass/internal/workload"
 )
 
 // Fig14aResult quantifies the component-restart overhead.
@@ -25,33 +22,18 @@ type Fig14aResult struct {
 // latency during the restart window rises from ≈0.5 s to several seconds
 // (paper: 552 ms → 4.9 s).
 func RunFig14a(seed int64) (Fig14aResult, error) {
-	const (
-		horizon   = 10 * time.Minute
-		restartAt = 5 * time.Minute
-	)
-	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
+	const restartAt = 5 * time.Minute
+	bed := citySocial{policy: scheduler.NewBass(scheduler.HeuristicLongestPath), horizon: 10 * time.Minute}
+	sc, err := bed.scenario(seed)
 	if err != nil {
 		return Fig14aResult{}, err
 	}
-	sim, err := core.NewSimulation(topo, cityLabSocialNodes(), seed, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath),
-		MigrationDowntime: 4300 * time.Millisecond,
-		ReservedCPU:       1,
-	})
+	oc, err := sc.start()
 	if err != nil {
 		return Fig14aResult{}, err
 	}
+	sim, app := oc.sim, oc.app
 	defer sim.Close()
-	app, err := socialnet.New(socialnet.Config{
-		ClientNode: mesh.CityLabControl,
-		Arrival:    workload.Constant{PerSecond: 150},
-	})
-	if err != nil {
-		return Fig14aResult{}, err
-	}
-	if _, err := sim.Orch.Deploy("socialnet", app); err != nil {
-		return Fig14aResult{}, err
-	}
 	if err := sim.Run(restartAt); err != nil {
 		return Fig14aResult{}, err
 	}
@@ -64,7 +46,7 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 	if err := sim.Orch.ForceMigrate("socialnet", socialnet.SvcPostStorage, target); err != nil {
 		return Fig14aResult{}, err
 	}
-	if err := sim.Run(horizon); err != nil {
+	if err := sim.Run(bed.horizon); err != nil {
 		return Fig14aResult{}, err
 	}
 
@@ -112,37 +94,9 @@ type Fig14bResult struct {
 	Rows []Fig14bRow
 }
 
-// runFig14bVariant runs one (policy, migration) combination.
-func runFig14bVariant(seed int64, name string, policy scheduler.Policy, migrate bool, threshold, headroomMbps float64, horizon time.Duration) (Fig14bRow, error) {
-	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
-	if err != nil {
-		return Fig14bRow{}, err
-	}
-	ctrlCfg := controller.DefaultConfig()
-	ctrlCfg.Migration = scheduler.MigrationConfig{
-		UtilizationThreshold: threshold,
-		GoodputFloor:         0.5,
-		HeadroomMbps:         headroomMbps,
-	}
-	sc := socialScenario{
-		topo:  topo,
-		nodes: cityLabSocialNodes(),
-		seed:  seed,
-		simCfg: core.Config{
-			Policy:            policy,
-			Controller:        ctrlCfg,
-			EnableMigration:   migrate,
-			MonitorInterval:   30 * time.Second,
-			MigrationDowntime: 4300 * time.Millisecond,
-			ReservedCPU:       1,
-		},
-		appCfg: socialnet.Config{
-			ClientNode: mesh.CityLabControl,
-			Arrival:    workload.Constant{PerSecond: 150},
-		},
-		horizon: horizon,
-	}
-	oc, err := sc.run()
+// runFig14bVariant runs one CityLab testbed configuration as a named variant.
+func runFig14bVariant(seed int64, name string, bed citySocial) (Fig14bRow, error) {
+	oc, err := bed.run(seed)
 	if err != nil {
 		return Fig14bRow{}, err
 	}
@@ -163,7 +117,6 @@ func runFig14bVariant(seed int64, name string, policy scheduler.Policy, migrate 
 // cross-node flows pressed against dipping links — at 150 RPS.) The paper
 // reports p99 of 28 s for longest-path+migration vs 66 s for default k3s.
 func RunFig14b(seed int64) (Fig14bResult, error) {
-	const horizon = 20 * time.Minute
 	variants := []struct {
 		name    string
 		policy  scheduler.Policy
@@ -176,7 +129,12 @@ func RunFig14b(seed int64) (Fig14bResult, error) {
 	}
 	var out Fig14bResult
 	for _, v := range variants {
-		row, err := runFig14bVariant(seed, v.name, v.policy, v.migrate, 0.5, 2, horizon)
+		row, err := runFig14bVariant(seed, v.name, citySocial{
+			policy:  v.policy,
+			migrate: v.migrate,
+			ctrl:    thresholdController(0.5, 2),
+			horizon: 20 * time.Minute,
+		})
 		if err != nil {
 			return out, err
 		}
@@ -226,7 +184,6 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 	if len(headrooms) == 0 {
 		headrooms = []int{10, 20, 30}
 	}
-	const horizon = 20 * time.Minute
 	heuristics := []struct {
 		name   string
 		policy scheduler.Policy
@@ -238,11 +195,13 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 	for _, h := range heuristics {
 		for _, th := range thresholds {
 			for _, hr := range headrooms {
-				// Headroom expressed against a 20 Mbps-class mesh link.
-				headroomMbps := float64(hr) / 100 * 20
-				row, err := runFig14bVariant(seed,
-					fmt.Sprintf("%s/t%d/h%d", h.name, th, hr),
-					h.policy, true, float64(th)/100, headroomMbps, horizon)
+				row, err := runFig14bVariant(seed, fmt.Sprintf("%s/t%d/h%d", h.name, th, hr), citySocial{
+					policy:  h.policy,
+					migrate: true,
+					// Headroom expressed against a 20 Mbps-class mesh link.
+					ctrl:    thresholdController(float64(th)/100, float64(hr)/100*20),
+					horizon: 20 * time.Minute,
+				})
 				if err != nil {
 					return out, err
 				}
@@ -281,18 +240,10 @@ func (r Fig14cdResult) Table() Table {
 
 func init() {
 	register("fig14a", func(p Params) ([]Table, error) {
-		r, err := RunFig14a(p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig14a(p.Seed))
 	})
 	register("fig14b", func(p Params) ([]Table, error) {
-		r, err := RunFig14b(p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig14b(p.Seed))
 	})
 	register("fig14cd", func(p Params) ([]Table, error) {
 		thresholds := []int{25, 50, 65, 75, 95}
@@ -301,10 +252,6 @@ func init() {
 			thresholds = []int{25, 65, 95}
 			headrooms = []int{20}
 		}
-		r, err := RunFig14cd(p.Seed, thresholds, headrooms)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig14cd(p.Seed, thresholds, headrooms))
 	})
 }

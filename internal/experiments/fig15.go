@@ -144,10 +144,6 @@ func init() {
 		return []Table{Fig15aTable()}, nil
 	})
 	register("fig15b", func(p Params) ([]Table, error) {
-		r, err := RunFig15b(p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig15b(p.Seed))
 	})
 }

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/socialnet"
-	"bass/internal/controller"
-	"bass/internal/core"
-	"bass/internal/mesh"
 	"bass/internal/scheduler"
-	"bass/internal/workload"
 )
 
 // Fig16Row is one migration threshold under exponential arrivals.
@@ -35,38 +30,15 @@ func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{25, 50, 65, 75, 95}
 	}
-	const horizon = 20 * time.Minute
 	var out Fig16Result
 	for _, th := range thresholds {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
-		if err != nil {
-			return out, err
-		}
-		ctrlCfg := controller.DefaultConfig()
-		ctrlCfg.Migration = scheduler.MigrationConfig{
-			UtilizationThreshold: float64(th) / 100,
-			GoodputFloor:         0.5,
-			HeadroomMbps:         0.2 * 20, // 20% of a 20 Mbps-class link
-		}
-		sc := socialScenario{
-			topo:  topo,
-			nodes: cityLabSocialNodes(),
-			seed:  seed,
-			simCfg: core.Config{
-				Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath),
-				Controller:        ctrlCfg,
-				EnableMigration:   true,
-				MonitorInterval:   30 * time.Second,
-				MigrationDowntime: 4300 * time.Millisecond,
-				ReservedCPU:       1,
-			},
-			appCfg: socialnet.Config{
-				ClientNode: mesh.CityLabControl,
-				Arrival:    workload.Exponential{MeanPerSecond: 150},
-			},
-			horizon: horizon,
-		}
-		oc, err := sc.run()
+		oc, err := citySocial{
+			policy:  scheduler.NewBass(scheduler.HeuristicLongestPath),
+			migrate: true,
+			ctrl:    thresholdController(float64(th)/100, 0.2*20), // 20% of a 20 Mbps-class link
+			bursty:  true,
+			horizon: 20 * time.Minute,
+		}.run(seed)
 		if err != nil {
 			return out, err
 		}
@@ -104,10 +76,6 @@ func init() {
 		if p.Quick {
 			thresholds = []int{25, 65, 95}
 		}
-		r, err := RunFig16(p.Seed, thresholds)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig16(p.Seed, thresholds))
 	})
 }

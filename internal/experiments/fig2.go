@@ -67,10 +67,6 @@ func (r Fig2Result) Table() Table {
 
 func init() {
 	register("fig2", func(p Params) ([]Table, error) {
-		r, err := RunFig2(p.Seed, p.Horizon(20*time.Minute))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig2(p.Seed, p.Horizon(20*time.Minute)))
 	})
 }

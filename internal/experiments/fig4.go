@@ -102,10 +102,6 @@ func init() {
 		if p.Quick {
 			participants = []int{4, 10, 14}
 		}
-		r, err := RunFig4(p.Seed, participants, 3)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig4(p.Seed, participants, 3))
 	})
 }

@@ -111,10 +111,6 @@ func nonZero(v float64) float64 {
 
 func init() {
 	register("fig5", func(p Params) ([]Table, error) {
-		r, err := RunFig5(p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig5(p.Seed))
 	})
 }

@@ -67,10 +67,6 @@ func (r Fig6Result) Table() Table {
 
 func init() {
 	register("fig6", func(Params) ([]Table, error) {
-		r, err := RunFig6()
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig6())
 	})
 }

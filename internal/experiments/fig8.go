@@ -138,10 +138,6 @@ func (r Fig8Result) Table() Table {
 
 func init() {
 	register("fig8", func(p Params) ([]Table, error) {
-		r, err := RunFig8(p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunFig8(p.Seed))
 	})
 }

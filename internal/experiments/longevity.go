@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/camera"
-	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/faults"
-	"bass/internal/mesh"
 	"bass/internal/obs"
-	"bass/internal/scheduler"
 )
 
 // LongevityWave snapshots the reconciler just before a storm wave's quiet
@@ -53,10 +49,9 @@ type LongevityResult struct {
 	JournalSummary string
 }
 
-// RunLongevity executes the longevity soak: a camera pipeline plus an 8 Mbps
-// pair on a six-node full mesh, four storm waves of generated chaos each
-// clamped to the first half of its wave so the second half is quiet, and the
-// reconciler enabled. Equal seeds yield identical results.
+// RunLongevity executes the longevity soak on a six-node stormRig with the
+// reconciler enabled: four storm waves of generated chaos, each clamped to
+// the first half of its wave so the second half is quiet. Equal seeds yield identical results.
 func RunLongevity(seed int64, horizon time.Duration) (LongevityResult, error) {
 	r, _, err := runLongevity(seed, horizon)
 	return r, err
@@ -74,37 +69,12 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 	waveLen := horizon / longevityWaves
 	storm := waveLen / 2 // quiet second half: detection + re-convergence room
 
-	names := []string{"n1", "n2", "n3", "n4", "n5", "n6"}
-	topo := mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute)
-	nodes := make([]cluster.Node, len(names))
-	for i, n := range names {
-		nodes[i] = cluster.Node{Name: n, CPU: 16, MemoryMB: 16384}
-	}
-	sim, err := core.NewSimulation(topo, nodes, seed, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-		EnableMigration:   true,
-		EnableReconcile:   true,
-		MonitorInterval:   30 * time.Second,
-		MigrationDowntime: 5 * time.Second,
-	})
+	st, err := stormRig{nodes: 6, reconcile: true}.start(seed, horizon)
 	if err != nil {
 		return LongevityResult{}, nil, err
 	}
+	sim := st.sim
 	defer sim.Close()
-	journal := obs.NewJournal(0)
-	sim.AttachObservability(journal, nil)
-
-	cam, err := camera.New(camera.Config{})
-	if err != nil {
-		return LongevityResult{}, nil, err
-	}
-	if _, err := sim.Orch.Deploy("camera", cam); err != nil {
-		return LongevityResult{}, nil, err
-	}
-	pair := newPairApp("pair", 8, "", 2)
-	if _, err := sim.Orch.Deploy("pair", pair); err != nil {
-		return LongevityResult{}, nil, err
-	}
 
 	// Each wave draws its own seeded storm over [0, storm) and is clamped so
 	// every window closes inside the storm — the wave's quiet half starts
@@ -112,17 +82,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 	// so the merged schedule still passes window validation.
 	combined := &faults.Schedule{}
 	for w := 0; w < longevityWaves; w++ {
-		g := faults.Generate(topo, faults.GeneratorConfig{
-			Seed:                    seed + int64(w+1)*1000,
-			Horizon:                 storm,
-			NodeCrashesPerHour:      8,
-			MeanNodeDowntime:        2 * time.Minute,
-			LinkFlapsPerHour:        6,
-			MeanLinkDowntime:        30 * time.Second,
-			ProbeLossWindowsPerHour: 2,
-			MeanProbeLossWindow:     time.Minute,
-		})
-		wave := g.Clamp(storm)
+		wave := stormFaults(sim.Topo, seed+int64(w+1)*1000, storm, 8).Clamp(storm)
 		base := time.Duration(w) * waveLen
 		for i := range wave.Events {
 			wave.Events[i].AtSec += base.Seconds()
@@ -166,7 +126,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 		Restores:         rec.Restores(),
 		ConvergeEpisodes: len(rec.Converges()),
 		Report:           sim.Orch.RecoveryReport(),
-		JournalSummary:   obs.Summarize(journal.Events()),
+		JournalSummary:   obs.Summarize(st.journal.Events()),
 	}
 	prev := 0
 	for _, s := range snaps {
@@ -175,7 +135,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 		}
 		prev = s.Actions
 	}
-	return res, journal.Events(), nil
+	return res, st.journal.Events(), nil
 }
 
 // Table renders the soak's per-wave convergence and the run totals.
@@ -209,10 +169,6 @@ func (r LongevityResult) Table() Table {
 
 func init() {
 	register("longevity", func(p Params) ([]Table, error) {
-		r, err := RunLongevity(p.Seed, p.Horizon(80*time.Minute))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunLongevity(p.Seed, p.Horizon(80*time.Minute)))
 	})
 }

@@ -44,6 +44,14 @@ func register(name string, run func(Params) ([]Table, error)) {
 	registry[name] = Job{Name: name, Run: run}
 }
 
+// oneTable is the body of a job whose harness renders a single table.
+func oneTable[R interface{ Table() Table }](r R, err error) ([]Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []Table{r.Table()}, nil
+}
+
 // Lookup returns the job registered under name.
 func Lookup(name string) (Job, bool) {
 	j, ok := registry[name]

@@ -5,8 +5,10 @@ import (
 
 	"bass/internal/apps/socialnet"
 	"bass/internal/cluster"
+	"bass/internal/controller"
 	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scheduler"
 	"bass/internal/workload"
 )
 
@@ -31,9 +33,17 @@ type socialOutcome struct {
 
 // run executes the scenario and leaves the simulation closed.
 func (s socialScenario) run() (socialOutcome, error) {
-	if s.appCfg.Arrival == nil {
-		s.appCfg.Arrival = workload.Constant{PerSecond: 50}
+	oc, err := s.start()
+	if err != nil {
+		return oc, err
 	}
+	defer oc.sim.Close()
+	return oc, oc.sim.Run(s.horizon)
+}
+
+// start builds the simulation and deploys the social network without
+// advancing the clock; the caller runs and closes the simulation.
+func (s socialScenario) start() (socialOutcome, error) {
 	sim, err := core.NewSimulation(s.topo, s.nodes, s.seed, s.simCfg)
 	if err != nil {
 		return socialOutcome{}, err
@@ -53,11 +63,6 @@ func (s socialScenario) run() (socialOutcome, error) {
 			return socialOutcome{}, err
 		}
 	}
-	err = sim.Run(s.horizon)
-	sim.Close()
-	if err != nil {
-		return socialOutcome{}, err
-	}
 	return socialOutcome{app: app, sim: sim}, nil
 }
 
@@ -73,9 +78,67 @@ func withClientHost(nodes []cluster.Node, name string) []cluster.Node {
 	return append(nodes, cluster.Node{Name: name, CPU: 8, MemoryMB: 8192, Unschedulable: true})
 }
 
-// cityLabSocialNodes is the CityLab worker set for the social-network mesh
-// runs: the workload generator lives on the control-plane host (node0), and
-// all four workers are schedulable.
-func cityLabSocialNodes() []cluster.Node {
-	return CityLabWorkers()
+// citySocial is the CityLab testbed of §6.3, shared by Figs 14a-d, Fig 16
+// and the cooldown and probe-interval ablations: the social network at 150
+// RPS, its workload generator on the control-plane host, over the
+// trace-driven CityLab mesh, with one core per worker reserved and the
+// paper's 4.3 s migration downtime. Its fields are what those jobs vary.
+type citySocial struct {
+	policy  scheduler.Policy
+	migrate bool
+	// ctrl is the controller config; zero means controller.DefaultConfig.
+	ctrl controller.Config
+	// interval is the monitor interval; zero means core's 30 s default.
+	interval time.Duration
+	// bursty draws exponential rather than constant arrivals.
+	bursty  bool
+	horizon time.Duration
+}
+
+// scenario builds the testbed's run for seed.
+func (c citySocial) scenario(seed int64) (socialScenario, error) {
+	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: c.horizon})
+	if err != nil {
+		return socialScenario{}, err
+	}
+	var arrival workload.Arrival = workload.Constant{PerSecond: 150}
+	if c.bursty {
+		arrival = workload.Exponential{MeanPerSecond: 150}
+	}
+	return socialScenario{
+		topo:  topo,
+		nodes: CityLabWorkers(),
+		seed:  seed,
+		simCfg: core.Config{
+			Policy:            c.policy,
+			Controller:        c.ctrl,
+			EnableMigration:   c.migrate,
+			MonitorInterval:   c.interval,
+			MigrationDowntime: 4300 * time.Millisecond,
+			ReservedCPU:       1,
+		},
+		appCfg:  socialnet.Config{ClientNode: mesh.CityLabControl, Arrival: arrival},
+		horizon: c.horizon,
+	}, nil
+}
+
+// run executes the testbed for seed and leaves the simulation closed.
+func (c citySocial) run(seed int64) (socialOutcome, error) {
+	sc, err := c.scenario(seed)
+	if err != nil {
+		return socialOutcome{}, err
+	}
+	return sc.run()
+}
+
+// thresholdController is the default controller migrating at the given link
+// utilization threshold and headroom, with a 0.5 goodput floor.
+func thresholdController(threshold, headroomMbps float64) controller.Config {
+	c := controller.DefaultConfig()
+	c.Migration = scheduler.MigrationConfig{
+		UtilizationThreshold: threshold,
+		GoodputFloor:         0.5,
+		HeadroomMbps:         headroomMbps,
+	}
+	return c
 }

@@ -110,10 +110,6 @@ func (r Table2Result) Table() Table {
 
 func init() {
 	register("table2", func(p Params) ([]Table, error) {
-		r, err := RunTable2(p.Seed, p.Horizon(20*time.Minute))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table()}, nil
+		return oneTable(RunTable2(p.Seed, p.Horizon(20*time.Minute)))
 	})
 }

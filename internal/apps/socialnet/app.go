@@ -2,6 +2,7 @@ package socialnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,15 +76,29 @@ type App struct {
 	cfg   Config
 	graph *dag.Graph
 
-	env      *core.Env
-	channels map[edgeKey]*channel
-	svcTime  map[string]time.Duration
+	env *core.Env
+	// channels lists every caller→callee channel in sorted (from, to) order,
+	// the order streams are attached in, so equal seeds assign equal FlowIDs.
+	channels []*channel
 	types    []requestType
 
-	downUntil map[string]time.Duration
-	latency   *workload.LatencyRecorder
-	byType    map[string]*workload.LatencyRecorder
-	requests  int
+	// components names the dense component indices hops carry: the load
+	// generator, then the services in declaration order. nodes[i] is where
+	// components[i] runs, refreshed when the cluster's placement epoch moves
+	// (nodesEpoch) — migrations, evictions and failovers all move components.
+	components []string
+	nodes      []string
+	nodesEpoch uint64
+	// downUntil[i] is when component i finishes its restart (zero: never
+	// restarted). waited[i] == stamp marks a stall already charged to the
+	// request in flight; stamp advances per request.
+	downUntil []time.Duration
+	waited    []uint64
+	stamp     uint64
+
+	latency  *workload.LatencyRecorder
+	byType   []*workload.LatencyRecorder // indexed like types
+	requests int
 }
 
 var _ core.Workload = (*App)(nil)
@@ -95,16 +110,13 @@ func New(cfg Config) (*App, error) {
 		return nil, err
 	}
 	a := &App{
-		cfg:       cfg,
-		channels:  make(map[edgeKey]*channel),
-		svcTime:   make(map[string]time.Duration),
-		types:     requestTypes(),
-		downUntil: make(map[string]time.Duration),
-		latency:   workload.NewLatencyRecorder(time.Second),
-		byType:    make(map[string]*workload.LatencyRecorder),
+		cfg:        cfg,
+		types:      requestTypes(),
+		components: []string{ClientComponent},
+		latency:    workload.NewLatencyRecorder(time.Second),
 	}
-	for _, rt := range a.types {
-		a.byType[rt.name] = workload.NewLatencyRecorder(time.Second)
+	for range a.types {
+		a.byType = append(a.byType, workload.NewLatencyRecorder(time.Second))
 	}
 
 	g := dag.NewGraph(appName)
@@ -114,8 +126,10 @@ func New(cfg Config) (*App, error) {
 	}); err != nil {
 		return nil, err
 	}
+	svcTime := make(map[string]time.Duration)
 	for _, s := range services() {
-		a.svcTime[s.name] = s.svcTime
+		a.components = append(a.components, s.name)
+		svcTime[s.name] = s.svcTime
 		if err := g.AddComponent(dag.Component{
 			Name:     s.name,
 			CPU:      s.cpu,
@@ -124,6 +138,9 @@ func New(cfg Config) (*App, error) {
 			return nil, err
 		}
 	}
+	a.nodes = make([]string, len(a.components))
+	a.downUntil = make([]time.Duration, len(a.components))
+	a.waited = make([]uint64, len(a.components))
 
 	rate := cfg.Arrival.Rate()
 	loads := aggregateLoads()
@@ -140,6 +157,7 @@ func New(cfg Config) (*App, error) {
 		}
 		return keys[i].to < keys[j].to
 	})
+	byKey := make(map[edgeKey]*channel, len(keys))
 	for _, key := range keys {
 		load := loads[key]
 		ch := &channel{
@@ -150,7 +168,8 @@ func New(cfg Config) (*App, error) {
 			ch.reqBitsPerMsg = load.reqKBPerReq / load.msgsPerReq * 8e3
 			ch.respBitsPerMsg = load.respKBPerReq / load.msgsPerReq * 8e3
 		}
-		a.channels[key] = ch
+		a.channels = append(a.channels, ch)
+		byKey[key] = ch
 		// DAG edge weight: profiled requirement at ProfileRPS with burst
 		// headroom, covering both directions (the pair's total traffic).
 		perMsgBits := (load.reqKBPerReq + load.respKBPerReq) / load.msgsPerReq * 8e3
@@ -163,6 +182,17 @@ func New(cfg Config) (*App, error) {
 		return nil, err
 	}
 	a.graph = g
+
+	// Every hop's channel exists: aggregateLoads folds these very hops.
+	for t := range a.types {
+		for i := range a.types[t].hops {
+			h := &a.types[t].hops[i]
+			h.ch = byKey[edgeKey{from: h.from, to: h.to}]
+			h.svc = svcTime[h.to]
+			h.fromIdx = slices.Index(a.components, h.from)
+			h.toIdx = slices.Index(a.components, h.to)
+		}
+	}
 	return a, nil
 }
 
@@ -225,16 +255,19 @@ func (a *App) detachChannel(ch *channel) {
 // OnMigration reroutes the moved component's channels: its traffic drops
 // during the restart and re-attaches on the new node afterwards.
 func (a *App) OnMigration(env *core.Env, component, fromNode, toNode string, downtime time.Duration) {
+	c := slices.Index(a.components, component)
+	if c < 0 {
+		return // not one of ours: no channel touches it
+	}
 	until := env.Now() + downtime
-	a.downUntil[component] = until
+	a.downUntil[c] = until
 	for _, ch := range a.channels {
-		if ch.key.from != component && ch.key.to != component {
-			continue
+		if ch.key.from == component || ch.key.to == component {
+			a.detachChannel(ch)
 		}
-		a.detachChannel(ch)
 	}
 	env.Engine().At(until, func() {
-		if env.Now() < a.downUntil[component] {
+		if env.Now() < a.downUntil[c] {
 			return // superseded by a newer migration
 		}
 		for _, ch := range a.channels {
@@ -258,34 +291,49 @@ func (a *App) scheduleNext() {
 func (a *App) serveRequest() {
 	a.requests++
 	r := a.env.Engine().Rand().Float64()
-	rt := a.types[len(a.types)-1]
-	for _, t := range a.types {
+	k := len(a.types) - 1
+	for i, t := range a.types {
 		if r < t.frac {
-			rt = t
+			k = i
 			break
 		}
 		r -= t.frac
 	}
-	lat := a.requestLatency(rt)
+	lat := a.requestLatency(&a.types[k])
 	now := a.env.Now()
 	a.latency.Observe(now, lat)
-	a.byType[rt.name].Observe(now, lat)
+	a.byType[k].Observe(now, lat)
+}
+
+// syncNodes refreshes the component→node table if any placement changed
+// since it was built.
+func (a *App) syncNodes() {
+	ep := a.env.PlacementEpoch()
+	if ep == a.nodesEpoch {
+		return
+	}
+	a.nodesEpoch = ep
+	for i, c := range a.components {
+		a.nodes[i] = a.env.NodeOf(c)
+	}
 }
 
 // requestLatency evaluates the sequential RPC chain of a request under the
 // current placement, allocations, queue backlogs, and component downtimes.
-func (a *App) requestLatency(rt requestType) time.Duration {
+func (a *App) requestLatency(rt *requestType) time.Duration {
+	a.syncNodes()
+	a.stamp++
 	var lat time.Duration
-	waited := make(map[string]bool)
 	now := a.env.Now()
-	for _, h := range rt.hops {
+	for i := range rt.hops {
+		h := &rt.hops[i]
 		if h.async {
 			continue
 		}
 		// A restarting callee stalls the request until it is back.
-		if until, down := a.downUntil[h.to]; down && now < until && !waited[h.to] {
+		if until := a.downUntil[h.toIdx]; now < until && a.waited[h.toIdx] != a.stamp {
 			lat += until - now
-			waited[h.to] = true
+			a.waited[h.toIdx] = a.stamp
 		}
 		lat += a.hopLatency(h)
 	}
@@ -298,16 +346,12 @@ func (a *App) requestLatency(rt requestType) time.Duration {
 // Saturated directions fall back to transmission at the attainable rate plus
 // the fluid queue backlog — tc-style egress throttling therefore penalises
 // exactly the direction it shapes.
-func (a *App) hopLatency(h hop) time.Duration {
-	ch := a.channels[edgeKey{from: h.from, to: h.to}]
-	svc := a.svcTime[h.to]
-	fromNode := a.env.NodeOf(h.from)
-	toNode := a.env.NodeOf(h.to)
-	msgBits := (h.reqKB + h.respKB) * 8e3
-
+func (a *App) hopLatency(h *hop) time.Duration {
+	fromNode, toNode := a.nodes[h.fromIdx], a.nodes[h.toIdx]
 	if fromNode == "" || toNode == "" || fromNode == toNode {
+		msgBits := (h.reqKB + h.respKB) * 8e3
 		local := time.Duration(msgBits / (simnet.LocalMbps * 1e6) * float64(time.Second))
-		return local + svc
+		return local + h.svc
 	}
 
 	prop, err := a.env.Net().PathLatencyOf(fromNode, toNode)
@@ -316,44 +360,18 @@ func (a *App) hopLatency(h hop) time.Duration {
 	}
 	rtt := 2 * prop
 
-	var lambda float64
-	if ch != nil {
-		lambda = ch.msgsPerSec
-	}
-	wait := a.directionWait(fromNode, toNode, lambda, chReqBits(ch, h), streamRateOf(a, ch, true))
-	wait += a.directionWait(toNode, fromNode, lambda, chRespBits(ch, h), streamRateOf(a, ch, false))
-	return rtt + wait + svc
+	// The sojourns use the channel's mean message sizes; a zero size means no
+	// hop on the channel sends that way, and directionWait reads it as 0.
+	ch := h.ch
+	wait := a.directionWait(fromNode, toNode, ch.msgsPerSec, ch.reqBitsPerMsg, a.streamRate(ch.reqStream, ch.hasReq))
+	wait += a.directionWait(toNode, fromNode, ch.msgsPerSec, ch.respBitsPerMsg, a.streamRate(ch.respStream, ch.hasResp))
+	return rtt + wait + h.svc
 }
 
-// chReqBits returns the channel's mean request size, defaulting to the hop's.
-func chReqBits(ch *channel, h hop) float64 {
-	if ch != nil && ch.reqBitsPerMsg > 0 {
-		return ch.reqBitsPerMsg
-	}
-	return h.reqKB * 8e3
-}
-
-// chRespBits returns the channel's mean response size, defaulting to the
-// hop's.
-func chRespBits(ch *channel, h hop) float64 {
-	if ch != nil && ch.respBitsPerMsg > 0 {
-		return ch.respBitsPerMsg
-	}
-	return h.respKB * 8e3
-}
-
-// streamRateOf reads the current allocation of one of the channel's streams.
-func streamRateOf(a *App, ch *channel, req bool) float64 {
-	if ch == nil {
-		return 0
-	}
-	var id simnet.FlowID
-	switch {
-	case req && ch.hasReq:
-		id = ch.reqStream
-	case !req && ch.hasResp:
-		id = ch.respStream
-	default:
+// streamRate reads the current allocation of one of a channel's streams (0
+// while it is detached).
+func (a *App) streamRate(id simnet.FlowID, attached bool) float64 {
+	if !attached {
 		return 0
 	}
 	r, err := a.env.Net().StreamRate(id)
@@ -394,11 +412,12 @@ func (a *App) Latency() *workload.LatencyRecorder { return a.latency }
 
 // LatencyByType returns the per-request-type recorder.
 func (a *App) LatencyByType(name string) (*workload.LatencyRecorder, error) {
-	r, ok := a.byType[name]
-	if !ok {
-		return nil, fmt.Errorf("socialnet: unknown request type %q", name)
+	for i, t := range a.types {
+		if t.name == name {
+			return a.byType[i], nil
+		}
 	}
-	return r, nil
+	return nil, fmt.Errorf("socialnet: unknown request type %q", name)
 }
 
 // Requests reports how many requests were served.

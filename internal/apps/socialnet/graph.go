@@ -97,6 +97,13 @@ type hop struct {
 	reqKB    float64
 	respKB   float64
 	async    bool
+
+	// Resolved once by New, so a request reads no name-keyed table: the
+	// hop's channel, the callee's service time and the dense indices of both
+	// components (App.components order).
+	ch             *channel
+	svc            time.Duration
+	fromIdx, toIdx int
 }
 
 // requestType is one of the workload mix's request classes.

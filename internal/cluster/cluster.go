@@ -74,6 +74,11 @@ type Cluster struct {
 	// control-plane hosts — cordons come and go at runtime and block even
 	// zero-resource placements: nothing can land on a dead machine.
 	cordoned map[string]bool
+
+	// placeEpoch counts placement changes: every Place and Remove (so every
+	// Move) bumps it. Readers that cache component→node lookups refresh them
+	// when it moves.
+	placeEpoch uint64
 }
 
 // New returns a cluster with the given nodes.
@@ -234,6 +239,7 @@ func (c *Cluster) Place(p Placement) error {
 	}
 	idx.names = slices.Insert(idx.names, i, p.Component)
 	idx.placements = slices.Insert(idx.placements, i, p)
+	c.placeEpoch++
 	return nil
 }
 
@@ -255,6 +261,7 @@ func (c *Cluster) Remove(app, component string) error {
 	p := idx.placements[i]
 	c.usedCPU[p.Node] -= p.CPU
 	c.usedMem[p.Node] -= p.MemoryMB
+	c.placeEpoch++
 	if len(idx.names) == 1 {
 		delete(c.apps, app)
 		return nil
@@ -285,6 +292,11 @@ func (c *Cluster) Move(app, component, toNode string) error {
 	}
 	return nil
 }
+
+// PlacementEpoch reports the placement change counter: it advances on every
+// Place and Remove (Move included), so a cached NodeOf answer stays valid
+// while it is unchanged.
+func (c *Cluster) PlacementEpoch() uint64 { return c.placeEpoch }
 
 // PlacementOf returns the placement of a component.
 func (c *Cluster) PlacementOf(app, component string) (Placement, error) {

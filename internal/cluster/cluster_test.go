@@ -102,6 +102,45 @@ func TestMove(t *testing.T) {
 	}
 }
 
+// TestPlacementEpoch pins what advances the placement change counter: every
+// successful Place, Remove and Move, and nothing that leaves the placements
+// as they were — failed calls and reads.
+func TestPlacementEpoch(t *testing.T) {
+	c := threeNodes(t)
+	last := c.PlacementEpoch()
+	step := func(what string, moved bool) {
+		t.Helper()
+		ep := c.PlacementEpoch()
+		if (ep != last) != moved {
+			t.Errorf("%s: epoch %d -> %d, want moved=%v", what, last, ep, moved)
+		}
+		last = ep
+	}
+	if err := c.Place(Placement{App: "a", Component: "x", Node: "n1", CPU: 2}); err != nil {
+		t.Fatal(err)
+	}
+	step("Place", true)
+	if err := c.Place(Placement{App: "a", Component: "y", Node: "n2", CPU: 99}); err == nil {
+		t.Fatal("oversized place: want error")
+	}
+	step("failed Place", false)
+	_ = c.NodeOf("a", "x")
+	_ = c.AppComponents("a")
+	step("reads", false)
+	if err := c.Move("a", "x", "n2"); err != nil {
+		t.Fatal(err)
+	}
+	step("Move", true)
+	if err := c.Remove("a", "ghost"); err == nil {
+		t.Fatal("remove of an unplaced component: want error")
+	}
+	step("failed Remove", false)
+	if err := c.Remove("a", "x"); err != nil {
+		t.Fatal(err)
+	}
+	step("Remove", true)
+}
+
 func TestMoveFailureRestores(t *testing.T) {
 	c := threeNodes(t)
 	if err := c.Place(Placement{App: "a", Component: "x", Node: "n1", CPU: 2}); err != nil {

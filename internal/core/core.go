@@ -73,6 +73,11 @@ func (e *Env) NodeOf(component string) string {
 	return e.orch.clus.NodeOf(e.app, component)
 }
 
+// PlacementEpoch reports the cluster's placement change counter. It advances
+// on every placement change of any app — migrations, evictions, failovers —
+// so a workload that caches NodeOf answers refreshes them when it moves.
+func (e *Env) PlacementEpoch() uint64 { return e.orch.clus.PlacementEpoch() }
+
 // Tag builds the accounting tag for traffic between two components. The
 // orchestrator measures pair goodput by these tags, so workloads must use
 // them when creating streams and transfers.

@@ -12,9 +12,11 @@ import (
 // epoch; a destination costs a walk up the tree. See DESIGN.md "Routing
 // plane" for why this yields exactly the paths of a per-pair early-exit BFS.
 
-// endpoints resolves a route query's endpoints to node ids. Both must be
-// known and up.
-func (t *Topology) endpoints(src, dst string) (s, d int32, err error) {
+// Endpoints resolves a route query's endpoints to dense node ids, failing
+// exactly as Route would on them: both must be known and up. Ids are assigned
+// in AddNode order and never change, so a caller may key per-pair state by
+// them; a node added later gets the next id without advancing the epoch.
+func (t *Topology) Endpoints(src, dst string) (s, d int32, err error) {
 	s, ok := t.nodeID[src]
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, src)
@@ -93,7 +95,7 @@ func (t *Topology) treeLocked(src int32) []int32 {
 // shared with the cache: callers must treat it as read-only. Callers that
 // only need the hops should use WalkRoute, which retains nothing.
 func (t *Topology) Route(src, dst string) ([]string, error) {
-	s, d, err := t.endpoints(src, dst)
+	s, d, err := t.Endpoints(src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +132,7 @@ func (t *Topology) Route(src, dst string) ([]string, error) {
 // 64 hops excepted), which is what the simulator's flow set-up and the
 // monitor's path oracle want. visit must not mutate the topology.
 func (t *Topology) WalkRoute(src, dst string, visit func(from, to string, l *Link)) error {
-	s, d, err := t.endpoints(src, dst)
+	s, d, err := t.Endpoints(src, dst)
 	if err != nil || s == d {
 		return err
 	}

@@ -89,6 +89,95 @@ func checkCachedReads(t testing.TB, net *Network) {
 	checkDemandOrder(t, net)
 }
 
+// refRoute is the path reads' route before the read memo: a fresh WalkRoute
+// per call, each hop's link state looked up by name.
+func refRoute(net *Network, src, dst string) ([]*linkState, error) {
+	var hops []*linkState
+	if src == dst {
+		return hops, nil
+	}
+	err := net.topo.WalkRoute(src, dst, func(from, to string, _ *mesh.Link) {
+		if ls, ok := net.links[dhop{from: from, to: to}]; ok {
+			hops = append(hops, ls)
+		}
+	})
+	return hops, err
+}
+
+// refPathAllocatedMbps, refPathQueueDelay and refPathLatencyOf are the three
+// path reads as they were before the read memo: each resolves its route anew.
+func refPathAllocatedMbps(net *Network, src, dst string, demandMbps float64) (float64, error) {
+	net.flush()
+	hops, err := refRoute(net, src, dst)
+	if err != nil {
+		return 0, err
+	}
+	if len(hops) == 0 {
+		return min(demandMbps, LocalMbps), nil
+	}
+	rate := demandMbps
+	for _, ls := range hops {
+		if avail := spareMbps(ls); avail < rate {
+			rate = avail
+		}
+	}
+	return rate, nil
+}
+
+func refPathQueueDelay(net *Network, src, dst string) (time.Duration, error) {
+	net.flush()
+	hops, err := refRoute(net, src, dst)
+	if err != nil {
+		return 0, err
+	}
+	now := net.eng.Now()
+	var total time.Duration
+	for _, ls := range hops {
+		backlog := net.backlogAt(ls, now)
+		if backlog > 0 && ls.capacityBps > 0 {
+			total += time.Duration(backlog / ls.capacityBps * float64(time.Second))
+		}
+	}
+	return total, nil
+}
+
+func refPathLatencyOf(net *Network, src, dst string) (time.Duration, error) {
+	return net.topo.PathLatency(src, dst)
+}
+
+// sameErr reports whether two read errors agree: both nil, or the same text.
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// checkPathReads compares the memoized path reads with the references for
+// every ordered pair of names, values bit for bit and errors by text.
+func checkPathReads(t testing.TB, net *Network, names []string) {
+	t.Helper()
+	for _, src := range names {
+		for _, dst := range names {
+			got, err := net.PathAllocatedMbps(src, dst, 17)
+			want, rerr := refPathAllocatedMbps(net, src, dst, 17)
+			if !sameBits(got, want) || !sameErr(err, rerr) {
+				t.Errorf("%v PathAllocatedMbps(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, got, err, want, rerr)
+			}
+			q, err := net.PathQueueDelay(src, dst)
+			rq, rerr := refPathQueueDelay(net, src, dst)
+			if q != rq || !sameErr(err, rerr) {
+				t.Errorf("%v PathQueueDelay(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, q, err, rq, rerr)
+			}
+			l, err := net.PathLatencyOf(src, dst)
+			rl, rerr := refPathLatencyOf(net, src, dst)
+			if l != rl || !sameErr(err, rerr) {
+				t.Errorf("%v PathLatencyOf(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, l, err, rl, rerr)
+			}
+		}
+	}
+}
+
 // checkDemandOrder checks that the demand order kept across passes is
 // exactly the last pass's active set sorted by (demand, FlowID).
 func checkDemandOrder(t testing.TB, net *Network) {
@@ -134,12 +223,14 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 }
 
 // FuzzFlowChurnMatchesRescan decodes bytes into flow churn on a 3x3 grid —
-// streams and transfers added, removed, re-demanded and cancelled, links
-// flapped through ApplyTopologyState, time advanced — and after every
+// streams and transfers added, removed, re-demanded and cancelled, links and
+// nodes flapped through ApplyTopologyState, time advanced — and after every
 // operation, and inside every transfer callback, checks the per-pass caches
 // against rescans of the flow set. Zero-byte transfers finish inside the pass
 // that first sees them, and failed ones call back from inside a reroute: the
 // two places a flow leaves its directions without a pass being requested.
+// After every operation the memoized path reads of every pair of nodes (and
+// an unknown name) must also match their memo-free references.
 //
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
@@ -173,8 +264,10 @@ func replayChurn(t *testing.T, data []byte) {
 		return int(b)
 	}
 	node := func() string { b := next(); return mesh.GridNodeName(b%3, b/3%3) }
+	names := append(topo.Nodes(), "ghost")
 	var streams, transfers []FlowID
 	down := map[mesh.LinkID]bool{}
+	nodeDown := map[string]bool{}
 	var done func(TransferResult)
 	addTransfer := func(tag, src, dst string, bytes float64) {
 		if id, err := net.AddTransfer(tag, src, dst, bytes, 0, done); err == nil {
@@ -213,15 +306,24 @@ func replayChurn(t *testing.T, data []byte) {
 		case op == 8 && len(transfers) > 0:
 			_ = net.CancelTransfer(transfers[next()%len(transfers)]) // finished ones are unknown
 		default:
-			id := links[next()%len(links)].ID
-			down[id] = !down[id]
-			if err := topo.SetLinkUp(id.A, id.B, !down[id]); err != nil {
-				t.Fatal(err)
+			if b := next(); b%4 == 0 {
+				name := node()
+				nodeDown[name] = !nodeDown[name]
+				if err := topo.SetNodeUp(name, !nodeDown[name]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				id := links[b/4%len(links)].ID
+				down[id] = !down[id]
+				if err := topo.SetLinkUp(id.A, id.B, !down[id]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			net.ApplyTopologyState()
 		}
 		checkCachedReads(t, net)
 		checkTagRates(t, net, tags)
+		checkPathReads(t, net, names)
 		if t.Failed() {
 			t.FailNow()
 		}

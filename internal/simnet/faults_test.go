@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +195,51 @@ func TestNewTransferToDeadNodeFailsImmediately(t *testing.T) {
 	crash(t, net, "c")
 	if _, err := net.AddTransfer("x", "a", "c", 1e6, 0, nil); !errors.Is(err, mesh.ErrNodeDown) {
 		t.Errorf("AddTransfer to dead node err = %v, want ErrNodeDown", err)
+	}
+}
+
+// TestLinkAddedAfterNewIsAnError pins that a routed hop over a link the
+// network has no state for — one added to the topology after New — fails the
+// route instead of yielding a shorter path, for flows and for every path read,
+// and that no failure is memoized.
+func TestLinkAddedAfterNewIsAnError(t *testing.T) {
+	topo := mesh.Line([]string{"a", "b", "c"}, 100, time.Millisecond, time.Hour)
+	net := New(sim.NewEngine(1), topo)
+	defer net.Start()()
+	if _, err := net.PathLatencyOf("a", "c"); err != nil {
+		t.Fatal(err) // warm the memo on the two-hop route
+	}
+	if err := topo.AddLink("a", "c", trace.Constant("ac", time.Second, 100, 3600), time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "a->c") {
+			t.Errorf("%s over the unknown link: error %v, want one naming a->c", what, err)
+		}
+	}
+	for range 2 {
+		_, err := net.AddStream("s", "a", "c", 1)
+		check("AddStream", err)
+		_, err = net.PathAllocatedMbps("a", "c", 10)
+		check("PathAllocatedMbps", err)
+		_, err = net.PathQueueDelay("a", "c")
+		check("PathQueueDelay", err)
+		_, err = net.PathLatencyOf("a", "c")
+		check("PathLatencyOf", err)
+	}
+	if got, err := net.PathAllocatedMbps("a", "b", 10); err != nil || got != 10 {
+		t.Errorf("PathAllocatedMbps(a, b) = %v, %v; want 10 over the known link", got, err)
+	}
+	// A node added later takes the next id without an epoch bump: its reads
+	// grow the memo's rows, and its missing route is an error every time.
+	topo.AddNode("d")
+	for range 2 {
+		if _, err := net.PathAllocatedMbps("a", "d", 10); !errors.Is(err, mesh.ErrNoPath) {
+			t.Errorf("PathAllocatedMbps(a, d) to an unlinked node: error %v, want ErrNoPath", err)
+		}
+		if lat, err := net.PathLatencyOf("d", "d"); err != nil || lat != 0 {
+			t.Errorf("PathLatencyOf(d, d) = %v, %v; want 0, nil", lat, err)
+		}
 	}
 }

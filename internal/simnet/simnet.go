@@ -323,6 +323,11 @@ type Network struct {
 	transferScratch []*flow
 	batchScratch    []*flow // per-round demand-limited freeze batch
 	routeScratch    []*linkState
+
+	// The path reads' memo (see path): rows by source mesh id, entries by
+	// destination id, valid for availability epoch pathsEpoch.
+	paths      [][]pathEntry
+	pathsEpoch uint64
 }
 
 // New builds a network over the topology. Call Start to begin trace-driven
@@ -659,19 +664,80 @@ func (n *Network) backlogAt(ls *linkState, now time.Duration) float64 {
 
 // route resolves the link states along the mesh's routed path between two
 // nodes (empty for co-location) into a scratch buffer that the next call
-// overwrites: flows copy it, queries just iterate it.
+// overwrites: flows and the path memo copy it. A routed hop with no link
+// state — a link added to the topology after New — is an error, never a
+// silently shorter path.
 func (n *Network) route(src, dst string) ([]*linkState, error) {
 	hops := n.routeScratch[:0]
 	if src == dst {
 		return hops, nil
 	}
+	var missing error
 	err := n.topo.WalkRoute(src, dst, func(from, to string, _ *mesh.Link) {
 		if ls, ok := n.links[dhop{from: from, to: to}]; ok {
 			hops = append(hops, ls)
+		} else if missing == nil {
+			missing = fmt.Errorf("simnet: no link state for %s->%s (link added after the network was built)", from, to)
 		}
 	})
 	n.routeScratch = hops
+	if err == nil {
+		err = missing
+	}
 	return hops, err
+}
+
+// pathEntry is one memoized routed path: its link directions and its summed
+// one-way propagation latency.
+type pathEntry struct {
+	ok      bool
+	hops    []*linkState
+	latency time.Duration
+}
+
+// path serves the path reads: it resolves the names to mesh ids (failing
+// exactly as the mesh's Route does) and returns the pair's memoized path.
+// The memo is stamped with the topology's availability epoch and cleared in
+// place when the epoch moves, so routes and their link states are resolved
+// once per pair and epoch. A row of entries is allocated per source on its
+// first read and grown to the highest destination id read, so memory follows
+// the pairs actually read. Errors — unknown or down names, no route, a
+// missing link state — are returned, never memoized.
+func (n *Network) path(src, dst string) (*pathEntry, error) {
+	s, d, err := n.topo.Endpoints(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	if ep := n.topo.AvailabilityEpoch(); ep != n.pathsEpoch {
+		n.pathsEpoch = ep
+		for _, row := range n.paths {
+			for i := range row {
+				row[i].ok = false
+			}
+		}
+	}
+	if int(s) >= len(n.paths) {
+		n.paths = slices.Grow(n.paths, int(s)+1-len(n.paths))[:s+1]
+	}
+	row := n.paths[s]
+	if int(d) >= len(row) {
+		row = slices.Grow(row, int(d)+1-len(row))[:d+1]
+		n.paths[s] = row
+	}
+	e := &row[d]
+	if !e.ok {
+		hops, err := n.route(src, dst)
+		if err != nil {
+			return nil, err
+		}
+		e.hops = append(e.hops[:0], hops...)
+		e.latency = 0
+		for _, ls := range hops {
+			e.latency += ls.link.LatencyOneWay
+		}
+		e.ok = true
+	}
+	return e, nil
 }
 
 // addFlow registers a fully-built flow: id ordering, link crossing counts,

@@ -113,13 +113,16 @@ func (n *Network) QueueDelay(from, to string) (time.Duration, error) {
 // PathQueueDelay sums queueing delays along the routed path src→dst.
 func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
 	n.flush()
-	hops, err := n.route(src, dst)
+	if src == dst {
+		return 0, nil
+	}
+	p, err := n.path(src, dst)
 	if err != nil {
 		return 0, err
 	}
 	now := n.eng.Now()
 	var total time.Duration
-	for _, ls := range hops {
+	for _, ls := range p.hops {
 		backlog := n.backlogAt(ls, now)
 		if backlog > 0 && ls.capacityBps > 0 {
 			total += time.Duration(backlog / ls.capacityBps * float64(time.Second))
@@ -134,15 +137,15 @@ func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
 // see the node-local bus.
 func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float64, error) {
 	n.flush()
-	hops, err := n.route(src, dst)
+	if src == dst {
+		return min(demandMbps, LocalMbps), nil
+	}
+	p, err := n.path(src, dst)
 	if err != nil {
 		return 0, err
 	}
-	if len(hops) == 0 {
-		return min(demandMbps, LocalMbps), nil
-	}
 	rate := demandMbps
-	for _, ls := range hops {
+	for _, ls := range p.hops {
 		if avail := spareMbps(ls); avail < rate {
 			rate = avail
 		}
@@ -152,7 +155,11 @@ func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float6
 
 // PathLatencyOf sums one-way propagation latency along the routed path.
 func (n *Network) PathLatencyOf(src, dst string) (time.Duration, error) {
-	return n.topo.PathLatency(src, dst)
+	p, err := n.path(src, dst)
+	if err != nil {
+		return 0, err
+	}
+	return p.latency, nil
 }
 
 // BytesByTag returns cumulative megabytes carried per accounting tag,

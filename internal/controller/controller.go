@@ -52,12 +52,14 @@ type Controller struct {
 	monitor *netmon.Monitor
 	now     func() time.Duration
 
-	firstViolation map[string]time.Duration
+	// Violation windows and re-migration guards belong to one component of
+	// one application: two apps may both name a component "src".
+	firstViolation map[compKey]time.Duration
 	// firstViolationSpan remembers each candidate's migration_candidate span
 	// for as long as its violation window stays open, so a migration approved
 	// cycles later still cites the verdict that started its cooldown.
-	firstViolationSpan map[string]uint64
-	lastMigration      map[string]time.Duration
+	firstViolationSpan map[compKey]uint64
+	lastMigration      map[compKey]time.Duration
 	migrations         int
 
 	// deadNodes holds the controller's current node-down verdicts, so
@@ -65,11 +67,11 @@ type Controller struct {
 	deadNodes map[string]bool
 
 	// Per-cycle scratch, reused so a quiet cycle allocates nothing. exclude
-	// is the re-migration guard set built once in Observe; cycleCandidates
-	// accumulates every candidate seen by ResolveApp this cycle, so
-	// FinishCycle can expire the violation clocks that cleared.
-	exclude         map[string]bool
-	cycleCandidates map[string]bool
+	// is the per-app re-migration guard set built once in Observe;
+	// cycleCandidates accumulates every candidate seen by ResolveApp this
+	// cycle, so FinishCycle can expire the violation clocks that cleared.
+	exclude         map[string]map[string]bool
+	cycleCandidates map[compKey]bool
 
 	// plane journals verdicts (candidates entering cooldown, node liveness
 	// transitions) when observability is attached; nil costs nothing.
@@ -85,14 +87,17 @@ func New(monitor *netmon.Monitor, cfg Config, now func() time.Duration) *Control
 		cfg:                cfg,
 		monitor:            monitor,
 		now:                now,
-		firstViolation:     make(map[string]time.Duration),
-		firstViolationSpan: make(map[string]uint64),
-		lastMigration:      make(map[string]time.Duration),
+		firstViolation:     make(map[compKey]time.Duration),
+		firstViolationSpan: make(map[compKey]uint64),
+		lastMigration:      make(map[compKey]time.Duration),
 		deadNodes:          make(map[string]bool),
-		exclude:            make(map[string]bool),
-		cycleCandidates:    make(map[string]bool),
+		exclude:            make(map[string]map[string]bool),
+		cycleCandidates:    make(map[compKey]bool),
 	}
 }
+
+// compKey names one component of one deployed application.
+type compKey struct{ app, comp string }
 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
@@ -126,9 +131,10 @@ type CycleObservation struct {
 	// CycleCause is the probe evidence span this cycle's verdicts cite: the
 	// first violated headroom event, else the first probe observation.
 	CycleCause uint64
-	// Exclude marks components inside their re-migration guard; pass it to
+	// Exclude maps each application to its components inside their
+	// re-migration guard; pass Exclude[app] to
 	// scheduler.FindMigrationCandidates. Valid until the next Observe.
-	Exclude map[string]bool
+	Exclude map[string]map[string]bool
 
 	now time.Duration
 }
@@ -233,11 +239,19 @@ func (c *Controller) Observe(fullProbe func(mesh.LinkID) error) CycleObservation
 
 	// Components inside their re-migration guard cannot be candidates; their
 	// violating partners take their place (progressive relocation, Table 1).
+	// The per-app sets are cleared, not dropped, so a quiet cycle reuses them.
 	now := c.now()
-	clear(c.exclude)
-	for name, last := range c.lastMigration {
+	for _, set := range c.exclude {
+		clear(set)
+	}
+	for k, last := range c.lastMigration {
 		if now-last < c.cfg.ReMigrationInterval {
-			c.exclude[name] = true
+			set := c.exclude[k.app]
+			if set == nil {
+				set = make(map[string]bool)
+				c.exclude[k.app] = set
+			}
+			set[k.comp] = true
 		}
 	}
 
@@ -263,38 +277,40 @@ type AppDecision struct {
 	CandidateSpans map[string]uint64
 }
 
-// ResolveApp folds one application's Algorithm 3 report into the
+// ResolveApp folds application app's Algorithm 3 report into the
 // controller's cooldown state: new candidates open violation windows (and
 // journal migration_candidate verdicts citing the cycle cause), candidates
 // past the cooldown are approved. Serial — it journals and mutates clocks;
 // the orchestrator calls it app by app in deterministic order during the
 // commit phase, after the parallel evaluation produced the reports. Call
 // FinishCycle once all apps of the cycle are resolved.
-func (c *Controller) ResolveApp(o *CycleObservation, report scheduler.MigrationReport) AppDecision {
+func (c *Controller) ResolveApp(o *CycleObservation, app string, report scheduler.MigrationReport) AppDecision {
 	now := o.now
 	for _, name := range report.Candidates {
-		c.cycleCandidates[name] = true
-		if _, ok := c.firstViolation[name]; !ok {
-			c.firstViolation[name] = now
+		k := compKey{app, name}
+		c.cycleCandidates[k] = true
+		if _, ok := c.firstViolation[k]; !ok {
+			c.firstViolation[k] = now
 			// Journal the moment a component enters the violation window —
 			// the cooldown clock that explains a later migration starts here.
 			span := c.plane.EmitSpan(obs.Event{Type: obs.EventMigrationCandidate, Component: name,
 				Cause: o.CycleCause, Reason: "bandwidth violation observed; cooldown started"})
 			if span != 0 {
-				c.firstViolationSpan[name] = span
+				c.firstViolationSpan[k] = span
 			}
 		}
 	}
 
 	var dec AppDecision
 	for _, name := range report.Candidates {
-		if span, ok := c.firstViolationSpan[name]; ok {
+		k := compKey{app, name}
+		if span, ok := c.firstViolationSpan[k]; ok {
 			if dec.CandidateSpans == nil {
 				dec.CandidateSpans = make(map[string]uint64, len(report.Candidates))
 			}
 			dec.CandidateSpans[name] = span
 		}
-		if now-c.firstViolation[name] < c.cfg.Cooldown {
+		if now-c.firstViolation[k] < c.cfg.Cooldown {
 			continue
 		}
 		dec.Migrate = append(dec.Migrate, name)
@@ -306,10 +322,10 @@ func (c *Controller) ResolveApp(o *CycleObservation, report scheduler.MigrationR
 // windows whose components were candidates of no application this cycle —
 // reset their cooldown clocks.
 func (c *Controller) FinishCycle() {
-	for name := range c.firstViolation {
-		if !c.cycleCandidates[name] {
-			delete(c.firstViolation, name)
-			delete(c.firstViolationSpan, name)
+	for k := range c.firstViolation {
+		if !c.cycleCandidates[k] {
+			delete(c.firstViolation, k)
+			delete(c.firstViolationSpan, k)
 		}
 	}
 	clear(c.cycleCandidates)
@@ -318,18 +334,19 @@ func (c *Controller) FinishCycle() {
 // NodeDown reports whether the controller currently considers a node dead.
 func (c *Controller) NodeDown(node string) bool { return c.deadNodes[node] }
 
-// RecordMigration notes that a component was actually migrated, starting its
-// re-migration guard and clearing its violation clock.
-func (c *Controller) RecordMigration(component string) {
-	c.lastMigration[component] = c.now()
-	delete(c.firstViolation, component)
-	delete(c.firstViolationSpan, component)
+// RecordMigration notes that a component of app was actually migrated,
+// starting its re-migration guard and clearing its violation clock.
+func (c *Controller) RecordMigration(app, component string) {
+	k := compKey{app, component}
+	c.lastMigration[k] = c.now()
+	delete(c.firstViolation, k)
+	delete(c.firstViolationSpan, k)
 	c.migrations++
 }
 
 // RecordMigrationFailure clears the violation clock without counting a
 // migration, so the component is reconsidered after a fresh cooldown rather
 // than retried every cycle.
-func (c *Controller) RecordMigrationFailure(component string) {
-	c.firstViolation[component] = c.now()
+func (c *Controller) RecordMigrationFailure(app, component string) {
+	c.firstViolation[compKey{app, component}] = c.now()
 }

@@ -56,8 +56,8 @@ type cycleResult struct {
 // probe sweep, ResolveApp, and FinishCycle.
 func (f *fixture) runCycle(usages func() []scheduler.DependencyUsage, fullProbe func(mesh.LinkID) error) cycleResult {
 	o := f.ctrl.Observe(fullProbe)
-	report := scheduler.FindMigrationCandidates(f.g, usages(), f.ctrl.Config().Migration, o.Exclude)
-	dec := f.ctrl.ResolveApp(&o, report)
+	report := scheduler.FindMigrationCandidates(f.g, usages(), f.ctrl.Config().Migration, o.Exclude["app"])
+	dec := f.ctrl.ResolveApp(&o, "app", report)
 	f.ctrl.FinishCycle()
 	return cycleResult{CycleObservation: o, AppDecision: dec, Report: report}
 }
@@ -143,7 +143,7 @@ func TestReMigrationGuard(t *testing.T) {
 		t.Fatalf("want immediate migration with zero cooldown, got %v", d.Migrate)
 	}
 	comp := d.Migrate[0]
-	f.ctrl.RecordMigration(comp)
+	f.ctrl.RecordMigration("app", comp)
 	if f.ctrl.Migrations() != 1 {
 		t.Errorf("Migrations = %d", f.ctrl.Migrations())
 	}
@@ -172,7 +172,7 @@ func TestMigrationFailureDefersRetry(t *testing.T) {
 	if len(d.Migrate) != 1 {
 		t.Fatalf("Migrate = %v", d.Migrate)
 	}
-	f.ctrl.RecordMigrationFailure(d.Migrate[0])
+	f.ctrl.RecordMigrationFailure("app", d.Migrate[0])
 
 	// Immediately after a failure the cooldown restarts.
 	d = f.runCycle(badUsage, nil)

@@ -227,7 +227,7 @@ type Orchestrator struct {
 	evalPool        *sim.Pool
 	appScratch      []*appEvalScratch
 	evalTasks       []func()
-	cycleExclude    map[string]bool // controller's re-migration guard, set per cycle
+	cycleExclude    map[string]map[string]bool // controller's per-app re-migration guard, set per cycle
 	cycleNodes      []scheduler.NodeInfo
 	cycleNodesDirty bool
 	nodeView        []scheduler.NodeInfo // nodeInfos' reused buffer
@@ -658,7 +658,7 @@ func (o *Orchestrator) finishControlEpoch() {
 // commitMigration records and journals a committed move and notifies the
 // workload.
 func (o *Orchestrator) commitMigration(app *deployedApp, comp, from, target string, cause uint64) {
-	o.ctrl.RecordMigration(comp)
+	o.ctrl.RecordMigration(app.name, comp)
 	o.migrations = append(o.migrations, MigrationEvent{
 		At:        o.eng.Now(),
 		App:       app.name,

@@ -222,6 +222,78 @@ func TestFig8MigrationTimeline(t *testing.T) {
 	}
 }
 
+// TestReMigrationGuardIsPerApp deploys two pair apps, each on its own copy
+// of Fig 8's triangle (the copies joined by a thin link between their spare
+// nodes), so both apps name their components src and dst. A's link degrades
+// first and A's dst migrates; B's link degrades inside A's re-migration
+// guard. The guard belongs to A's dst alone: B's dst must migrate after its
+// own cooldown, not wait out A's guard.
+func TestReMigrationGuardIsPerApp(t *testing.T) {
+	const dropA, dropB = 300 * time.Second, 360 * time.Second
+	topo := mesh.NewTopology()
+	var nodes []cluster.Node
+	// Packing continues from a pinned src to the next-ranked node, so a3
+	// (less memory) ranks last: A's dst wraps to the top-ranked a4, and B's
+	// dst to b4 once A's dst has taken CPU off a4.
+	for _, side := range []struct {
+		p      string
+		dropAt time.Duration
+		srcMem float64
+	}{{"a", dropA, 4000}, {"b", dropB, 4096}} {
+		src, dst, spare := side.p+"3", side.p+"4", side.p+"1"
+		for _, n := range []string{src, dst, spare} {
+			topo.AddNode(n)
+		}
+		topo.MustAddLink(src, dst, trace.StepTrace(src+"-"+dst, time.Second, time.Hour, []trace.Level{
+			{From: 0, Mbps: 25},
+			{From: side.dropAt, Mbps: 7},
+		}), 3*time.Millisecond)
+		topo.MustAddLink(spare, src, trace.Constant(spare+"-"+src, time.Second, 20, 3600), 3*time.Millisecond)
+		topo.MustAddLink(spare, dst, trace.Constant(spare+"-"+dst, time.Second, 20, 3600), 3*time.Millisecond)
+		nodes = append(nodes,
+			cluster.Node{Name: src, CPU: 2, MemoryMB: side.srcMem},
+			cluster.Node{Name: dst, CPU: 8, MemoryMB: 8192},
+			cluster.Node{Name: spare, CPU: 8, MemoryMB: 8192})
+	}
+	topo.MustAddLink("a1", "b1", trace.Constant("a1-b1", time.Second, 1, 3600), 3*time.Millisecond)
+
+	sim, err := NewSimulation(topo, nodes, 1, Config{
+		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
+		EnableMigration:   true,
+		MonitorInterval:   30 * time.Second,
+		MigrationDowntime: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	for _, app := range []string{"a", "b"} {
+		assignment, err := sim.Orch.Deploy(app, newPairWorkload(app, 8, app+"3", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := app + "4"; assignment["dst"] != want {
+			t.Fatalf("app %s: dst on %q, want %q", app, assignment["dst"], want)
+		}
+	}
+
+	if err := sim.Run(dropB + 3*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	migs := sim.Orch.Migrations()
+	if len(migs) != 2 || migs[0].App != "a" || migs[1].App != "b" {
+		t.Fatalf("migrations = %+v, want A's dst then B's", migs)
+	}
+	a, b := migs[0], migs[1]
+	if a.Component != "dst" || a.To != "a1" || b.Component != "dst" || b.To != "b1" {
+		t.Fatalf("migrations = %+v, want dst a4→a1 and dst b4→b1", migs)
+	}
+	guard := sim.Orch.Controller().Config().ReMigrationInterval
+	if b.At < dropB || b.At >= a.At+guard {
+		t.Errorf("B's dst migrated at %v; want after its drop at %v and before A's guard ends at %v", b.At, dropB, a.At+guard)
+	}
+}
+
 func TestMigrationDisabledStaysPut(t *testing.T) {
 	const dropAt = 60 * time.Second
 	topo := fig8Topology(dropAt)

@@ -173,7 +173,7 @@ func (o *Orchestrator) evalApp(s *appEvalScratch) {
 			PathAvailableMbps: r.Metrics.SpareMbps,
 		})
 	}
-	s.report = scheduler.FindMigrationCandidates(g, s.usages, o.ctrl.Config().Migration, o.cycleExclude)
+	s.report = scheduler.FindMigrationCandidates(g, s.usages, o.ctrl.Config().Migration, o.cycleExclude[app.name])
 }
 
 // fastControlCycle is one controller epoch on the hot path: a single shared
@@ -206,7 +206,7 @@ func (o *Orchestrator) fastControlCycle() {
 			}
 		}
 		o.notePathQueryErrors(s.pathErrs)
-		dec := o.ctrl.ResolveApp(&cyc, s.report)
+		dec := o.ctrl.ResolveApp(&cyc, s.app.name, s.report)
 		if i == 0 {
 			// Liveness transitions are cycle-global; handle them once, after
 			// the first app's goodput samples and verdicts.
@@ -275,14 +275,14 @@ func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64)
 		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause)},
 	)
 	if err != nil {
-		o.ctrl.RecordMigrationFailure(comp)
+		o.ctrl.RecordMigrationFailure(app.name, comp)
 		o.plane.Emit(obs.Event{Type: obs.EventMigrationRejected, App: app.name,
 			Component: comp, Cause: cause, Reason: "no feasible target: " + err.Error()})
 		return false
 	}
 	from := s.assignment[comp]
 	if err := o.clus.Move(app.name, comp, target); err != nil {
-		o.ctrl.RecordMigrationFailure(comp)
+		o.ctrl.RecordMigrationFailure(app.name, comp)
 		o.plane.Emit(obs.Event{Type: obs.EventMigrationRejected, App: app.name,
 			Component: comp, To: target, Cause: cause, Reason: "commit failed: " + err.Error()})
 		return false

@@ -131,28 +131,6 @@ func (s *Schedule) Validate(topo *mesh.Topology) error {
 	return nil
 }
 
-// windowKey reports the element key a window event is tracked under and
-// whether it opens or closes a down-window. Node, link, and probe-loss
-// windows live in separate namespaces: probe loss on a link legitimately
-// overlaps an outage of the same link.
-func (e Event) windowKey() (key string, opens, closes bool) {
-	switch e.Type {
-	case NodeCrash:
-		return "node:" + e.Node, true, false
-	case NodeRecover:
-		return "node:" + e.Node, false, true
-	case LinkDown:
-		return "link:" + e.Link().String(), true, false
-	case LinkUp:
-		return "link:" + e.Link().String(), false, true
-	case ProbeLossStart:
-		return "probe:" + e.Link().String(), true, false
-	case ProbeLossEnd:
-		return "probe:" + e.Link().String(), false, true
-	}
-	return "", false, false
-}
-
 // ValidateWindows checks the schedule's window structure: down-windows on the
 // same element must not overlap (a second crash before the recovery), every
 // recovery must close a window that was opened, and — when horizon > 0 — no
@@ -169,23 +147,23 @@ func (e Event) windowKey() (key string, opens, closes bool) {
 func (s *Schedule) ValidateWindows(horizon time.Duration) error {
 	sorted := &Schedule{Events: append([]Event(nil), s.Events...)}
 	sorted.Sort()
-	open := make(map[string]Event)
+	open := make(map[windowID]Event)
 	for _, e := range sorted.Events {
-		key, opens, closes := e.windowKey()
+		id, opens, closes := e.window()
 		switch {
 		case opens:
-			if prev, isOpen := open[key]; isOpen {
+			if prev, isOpen := open[id]; isOpen {
 				return fmt.Errorf("%w: %s while %s still open", ErrOverlappingWindows, e, prev)
 			}
 			if horizon > 0 && e.At() >= horizon {
 				return fmt.Errorf("%w: %s at or past horizon %s", ErrBeyondHorizon, e, horizon)
 			}
-			open[key] = e
+			open[id] = e
 		case closes:
-			if _, isOpen := open[key]; !isOpen {
+			if _, isOpen := open[id]; !isOpen {
 				return fmt.Errorf("%w: %s closes nothing", ErrUnmatchedRecovery, e)
 			}
-			delete(open, key)
+			delete(open, id)
 		}
 	}
 	return nil
@@ -203,19 +181,19 @@ func (s *Schedule) Clamp(horizon time.Duration) *Schedule {
 		ev  Event
 		idx int
 	}
-	open := make(map[string]openEntry)
+	open := make(map[windowID]openEntry)
 	keep := make([]bool, len(sorted.Events))
 	for i, e := range sorted.Events {
-		key, opens, closes := e.windowKey()
+		id, opens, closes := e.window()
 		switch {
 		case opens:
-			open[key] = openEntry{ev: e, idx: i}
+			open[id] = openEntry{ev: e, idx: i}
 		case closes:
-			entry, isOpen := open[key]
+			entry, isOpen := open[id]
 			if !isOpen {
 				continue // unmatched recovery: drop
 			}
-			delete(open, key)
+			delete(open, id)
 			if entry.ev.At() < horizon && e.At() <= horizon {
 				keep[entry.idx] = true
 				keep[i] = true

@@ -26,18 +26,29 @@ type Window struct {
 	End   time.Duration `json:"endNs"`
 }
 
-// windowIdentity maps a window event to its (kind, element) identity;
-// ok=false for event types that do not open or close windows.
-func (e Event) windowIdentity() (kind WindowKind, key string, ok bool) {
+// windowID names the element whose window an event opens or closes. Node,
+// link, and probe-loss windows are distinct kinds: probe loss on a link
+// legitimately overlaps an outage of the same link.
+type windowID struct {
+	kind WindowKind
+	key  string // node name, or normalised link ID
+}
+
+// window maps a window event to the element whose down-window it opens or
+// closes; opens and closes are both false for other event types.
+func (e Event) window() (id windowID, opens, closes bool) {
 	switch e.Type {
 	case NodeCrash, NodeRecover:
-		return WindowNode, e.Node, true
+		id = windowID{WindowNode, e.Node}
 	case LinkDown, LinkUp:
-		return WindowLink, e.Link().String(), true
+		id = windowID{WindowLink, e.Link().String()}
 	case ProbeLossStart, ProbeLossEnd:
-		return WindowProbe, e.Link().String(), true
+		id = windowID{WindowProbe, e.Link().String()}
+	default:
+		return id, false, false
 	}
-	return "", "", false
+	opens = e.Type == NodeCrash || e.Type == LinkDown || e.Type == ProbeLossStart
+	return id, opens, !opens
 }
 
 // Windows reconstructs the schedule's degradation windows inside
@@ -55,19 +66,10 @@ func (s *Schedule) Windows(horizon time.Duration) []Window {
 	sorted := &Schedule{Events: append([]Event(nil), s.Events...)}
 	sorted.Sort()
 
-	type elem struct {
-		kind WindowKind
-		key  string
-	}
-	open := make(map[elem]time.Duration)
+	open := make(map[windowID]time.Duration)
 	var out []Window
 	for _, e := range sorted.Events {
-		kind, key, ok := e.windowIdentity()
-		if !ok {
-			continue
-		}
-		id := elem{kind, key}
-		_, opens, closes := e.windowKey()
+		id, opens, closes := e.window()
 		switch {
 		case opens:
 			if e.At() >= horizon {
@@ -86,7 +88,7 @@ func (s *Schedule) Windows(horizon time.Duration) []Window {
 			if end > horizon {
 				end = horizon
 			}
-			out = append(out, Window{Kind: kind, Key: key, Start: start, End: end})
+			out = append(out, Window{Kind: id.kind, Key: id.key, Start: start, End: end})
 		}
 	}
 	for id, start := range open {

@@ -262,7 +262,7 @@ func TestGeneratedWindowsMatchCounts(t *testing.T) {
 	windows := s.Windows(horizon)
 	opens := 0
 	for _, e := range s.Events {
-		if _, isOpen, _ := e.windowKey(); isOpen && e.At() < horizon {
+		if _, isOpen, _ := e.window(); isOpen && e.At() < horizon {
 			opens++
 		}
 	}

@@ -202,15 +202,10 @@ func (s *shard) scanNextEvent(n *Network, now time.Duration) {
 }
 
 // nextCapacityEventSharded parallelises the change-point walk. Minimum of
-// per-shard minima equals the serial minimum. Change-point indices are
-// (re)built serially first: a mid-run trace swap resets a trace's lazy index,
-// and both directions of a link share one trace, so the build must not race
-// between workers. BuildChangeIndex on an indexed trace is a branch.
+// per-shard minima equals the serial minimum. Workers may read a trace both
+// directions of a link share at once: a trace is immutable once built.
 func (n *Network) nextCapacityEventSharded(now time.Duration) (time.Duration, bool) {
 	sh := n.sh
-	for _, ls := range n.linkOrder {
-		ls.link.CapacityDir(ls.fwd).BuildChangeIndex()
-	}
 	sh.now = now
 	sh.pool.Run(sh.evFns)
 	var best time.Duration

@@ -72,8 +72,8 @@ func driveShardedScenario(t *testing.T, shards int, polling bool) (samples, back
 		}
 		net.ApplyTopologyState()
 	})
-	// Mid-run trace swap: the sharded event chain must rebuild the swapped
-	// change-point index without racing. Off-grid on purpose: a swap landing
+	// Mid-run trace swap: the sharded event chain must pick up the swapped
+	// trace's change-points. Off-grid on purpose: a swap landing
 	// exactly on a sampling tick is observed at that tick by polling but at
 	// the next tick by the event chain (gridAfter is strictly-after), a
 	// pre-existing driver boundary ambiguity outside the equivalence domain.

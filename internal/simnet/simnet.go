@@ -392,9 +392,9 @@ func (n *Network) SetPolling(v bool) {
 }
 
 // Start begins trace-driven capacity updates and returns a stop function. In
-// the default event-driven mode it builds each trace's change-point index and
-// arms a wake-up at the next 1-second tick where any link's observed capacity
-// will move; in polling mode it samples every link once per second.
+// the default event-driven mode it arms a wake-up at the next 1-second tick
+// where any link's observed capacity will move; in polling mode it samples
+// every link once per second.
 func (n *Network) Start() (stop func()) {
 	n.started = true
 	n.gridAnchor = n.eng.Now()
@@ -408,9 +408,6 @@ func (n *Network) Start() (stop func()) {
 				n.tickStop = nil
 			}
 		}
-	}
-	for _, ls := range n.linkOrder {
-		ls.link.CapacityDir(ls.fwd).BuildChangeIndex()
 	}
 	n.armChain()
 	return func() {

@@ -1,40 +1,35 @@
 package trace
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
-// cpRun is one run of equal consecutive samples: the sample index where the
+// run is one run of equal consecutive samples: the sample index where the
 // run starts and the value it holds.
-type cpRun struct {
+type run struct {
 	idx int
 	val float64
 }
 
-// changePoints returns the run-length encoding of the samples. A level-built
-// trace carries it from construction; a dense trace builds it from Mbps and
-// memoizes it on first use. The index is derived state: it is built
-// lazily by whichever goroutine first calls NextChangeAfter, so a Trace must
-// not be shared across goroutines while unindexed (simnet pre-builds the
-// index for every link trace when a network starts; the usual
-// one-topology-per-engine construction never shares traces anyway).
-func (t *Trace) changePoints() []cpRun {
-	if t.cpBuilt {
-		return t.cp
+// add appends count samples of value v, extending the last run when v
+// equals its value under ==. Every constructor builds its trace through it.
+func (t *Trace) add(v float64, count int) {
+	if count <= 0 {
+		return
 	}
-	runs := make([]cpRun, 0, 8)
-	for i, v := range t.Mbps {
-		if i == 0 || v != runs[len(runs)-1].val {
-			runs = append(runs, cpRun{idx: i, val: v})
-		}
+	if len(t.runs) == 0 || v != t.runs[len(t.runs)-1].val {
+		t.runs = append(t.runs, run{idx: t.n, val: v})
 	}
-	t.cp = runs
-	t.cpBuilt = true
-	return runs
+	t.n += count
 }
 
-// BuildChangeIndex forces construction of the change-point index now, so
-// later NextChangeAfter calls are read-only and safe to issue from code that
-// shares the trace.
-func (t *Trace) BuildChangeIndex() { t.changePoints() }
+// runAfter returns the index of the first run starting after sample i, so
+// run runAfter(i)-1 holds sample i. It is len(runs) when that is the last.
+func (t *Trace) runAfter(i int) int {
+	runs := t.runs
+	return sort.Search(len(runs), func(k int) bool { return runs[k].idx > i })
+}
 
 // NextChangeAfter returns the earliest offset strictly after d at which the
 // sampled capacity differs from the immediately preceding sample — the next
@@ -46,28 +41,25 @@ func (t *Trace) BuildChangeIndex() { t.changePoints() }
 // Offsets before zero behave like At: the first change after any negative d
 // is the first run boundary of cycle zero.
 func (t *Trace) NextChangeAfter(d time.Duration) (time.Duration, bool) {
-	runs := t.changePoints()
+	runs := t.runs
 	if len(runs) <= 1 {
 		return 0, false // constant (or empty): no boundaries, even across wrap
 	}
-	period := t.Duration()
 	if d < 0 {
 		return time.Duration(runs[1].idx) * t.Step, true
 	}
-	cycle := d / period
-	pos := d % period
-	base := cycle * period
-	for _, r := range runs[1:] {
-		if b := time.Duration(r.idx) * t.Step; b > pos {
-			return base + b, true
-		}
+	period := t.Duration()
+	base := d / period * period
+	// The first boundary b with b > d-base is the first run starting after
+	// sample (d-base)/Step.
+	if k := t.runAfter(int((d - base) / t.Step)); k < len(runs) {
+		return base + time.Duration(runs[k].idx)*t.Step, true
 	}
 	// Past the last boundary of this cycle. If the trace ends on a different
 	// value than it starts with, the wrap itself is a change at the cycle
 	// edge; otherwise the final run merges with the first across the wrap and
 	// the next boundary is the second run of the following cycle.
-	last := runs[len(runs)-1].val
-	if last != runs[0].val {
+	if runs[len(runs)-1].val != runs[0].val {
 		return base + period, true
 	}
 	return base + period + time.Duration(runs[1].idx)*t.Step, true

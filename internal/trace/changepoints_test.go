@@ -15,11 +15,11 @@ func TestNextChangeAfterConstantTrace(t *testing.T) {
 }
 
 func TestNextChangeAfterSingleSample(t *testing.T) {
-	tr := &Trace{Name: "one", Step: time.Second, Mbps: []float64{10}}
+	tr := fromSamples("one", time.Second, 10)
 	if at, ok := tr.NextChangeAfter(0); ok {
 		t.Errorf("single-sample trace reported change at %v", at)
 	}
-	empty := New("none", time.Second)
+	empty := &Trace{Name: "none", Step: time.Second}
 	if _, ok := empty.NextChangeAfter(0); ok {
 		t.Error("empty trace reported a change")
 	}
@@ -65,7 +65,7 @@ func TestNextChangeAfterStepBoundaries(t *testing.T) {
 func TestNextChangeAfterWrapBoundary(t *testing.T) {
 	// Trace ends on a different value than it starts: the wrap itself is a
 	// change-point at every cycle edge.
-	tr := &Trace{Name: "saw", Step: time.Second, Mbps: []float64{10, 10, 30}}
+	tr := fromSamples("saw", time.Second, 10, 10, 30)
 	got, ok := tr.NextChangeAfter(2 * time.Second)
 	if !ok || got != 3*time.Second {
 		t.Fatalf("NextChangeAfter(2s) = %v, %v; want 3s (wrap edge)", got, ok)
@@ -79,8 +79,7 @@ func TestNextChangeAfterWrapBoundary(t *testing.T) {
 
 func TestNextChangeAfterMatchesAtScan(t *testing.T) {
 	// Cross-check against brute force At sampling on a sub-second-step trace.
-	tr := &Trace{Name: "fine", Step: 250 * time.Millisecond,
-		Mbps: []float64{5, 5, 9, 9, 9, 2, 5, 5}}
+	tr := fromSamples("fine", 250*time.Millisecond, 5, 5, 9, 9, 9, 2, 5, 5)
 	for d := time.Duration(0); d < 3*tr.Duration(); d += 100 * time.Millisecond {
 		got, ok := tr.NextChangeAfter(d)
 		if !ok {
@@ -102,14 +101,5 @@ func TestNextChangeAfterMatchesAtScan(t *testing.T) {
 		if tr.At(got) == tr.At(got-time.Nanosecond) {
 			t.Fatalf("reported non-change at %v", got)
 		}
-	}
-}
-
-func TestBuildChangeIndexIdempotent(t *testing.T) {
-	tr := StepTrace("s", time.Second, 10*time.Second, []Level{{From: 0, Mbps: 1}, {From: 4 * time.Second, Mbps: 2}})
-	tr.BuildChangeIndex()
-	tr.BuildChangeIndex()
-	if got, ok := tr.NextChangeAfter(0); !ok || got != 4*time.Second {
-		t.Fatalf("NextChangeAfter(0) = %v, %v; want 4s", got, ok)
 	}
 }

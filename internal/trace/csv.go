@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -43,9 +44,12 @@ func (t *Trace) SaveCSV(path string) (err error) {
 	return t.WriteCSV(f)
 }
 
-// ReadCSV parses a trace from "offset_seconds,mbps" rows. The sampling step
-// is inferred from the first two rows; a single-row trace gets a 1 s step.
-// A header row is skipped if present.
+// ReadCSV parses a trace from "offset_seconds,mbps" rows. A header row is
+// skipped if present. Offsets carry millisecond resolution (WriteCSV prints
+// three decimals), so the sampling step is the gap between the first two
+// rows rounded to the millisecond, and every later gap must be positive and
+// within 1 ms of it; a single-row trace gets a 1 s step. Capacities must be
+// finite and non-negative. Errors name the offending data row.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -53,37 +57,51 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: read csv: %w", err)
 	}
+	if len(recs) > 0 {
+		if _, err := strconv.ParseFloat(recs[0][0], 64); err != nil {
+			recs = recs[1:] // skip header
+		}
+	}
 	if len(recs) == 0 {
 		return nil, ErrEmptyTrace
 	}
-	if _, err := strconv.ParseFloat(recs[0][0], 64); err != nil {
-		recs = recs[1:] // skip header
-	}
-	if len(recs) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	offsets := make([]float64, len(recs))
-	mbps := make([]float64, len(recs))
+	out := &Trace{Name: name, Step: time.Second}
+	var prev time.Duration
 	for i, rec := range recs {
 		off, err := strconv.ParseFloat(rec[0], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: bad offset %q: %w", i, rec[0], err)
 		}
+		// Bounding offsets to ±2^62 ns (~146 years) keeps every gap in range;
+		// the negated test also rejects NaN.
+		ns := math.Round(off * float64(time.Second))
+		if !(math.Abs(ns) < 1<<62) {
+			return nil, fmt.Errorf("trace: row %d: offset %q out of range", i, rec[0])
+		}
+		at := time.Duration(ns)
 		v, err := strconv.ParseFloat(rec[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: bad mbps %q: %w", i, rec[1], err)
 		}
-		offsets[i] = off
-		mbps[i] = v
-	}
-	step := time.Second
-	if len(offsets) > 1 {
-		step = time.Duration((offsets[1] - offsets[0]) * float64(time.Second))
-		if step <= 0 {
-			return nil, fmt.Errorf("trace: non-increasing offsets %v, %v", offsets[0], offsets[1])
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("trace: row %d: capacity %q is not a finite, non-negative Mbps", i, rec[1])
 		}
+		gap := at - prev
+		if i == 1 {
+			if out.Step = gap.Round(time.Millisecond); out.Step <= 0 {
+				return nil, fmt.Errorf("trace: row 1: offset %q is %v after row 0, want at least 1ms", rec[0], gap)
+			}
+		}
+		if i > 0 && (gap <= 0 || (gap-out.Step).Abs() > time.Millisecond) {
+			return nil, fmt.Errorf("trace: row %d: offset %q is %v after the previous row, want %v ± 1ms", i, rec[0], gap, out.Step)
+		}
+		prev = at
+		out.add(v, 1)
 	}
-	return &Trace{Name: name, Step: step, Mbps: mbps}, nil
+	if out.Step > math.MaxInt64/time.Duration(out.n) {
+		return nil, fmt.Errorf("trace: %d rows of step %v overflow a time.Duration", out.n, out.Step)
+	}
+	return out, nil
 }
 
 // LoadCSV reads a trace from a file, naming it after the path.

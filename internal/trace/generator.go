@@ -92,7 +92,7 @@ func Generate(name string, cfg GenConfig) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := int(cfg.Duration / cfg.Step)
-	out := &Trace{Name: name, Step: cfg.Step, Mbps: make([]float64, n)}
+	out := &Trace{Name: name, Step: cfg.Step}
 
 	// Stationary variance of AR(1): sigma^2 / (1-(1-theta)^2).
 	targetStd := cfg.StdFrac * cfg.MeanMbps
@@ -118,7 +118,7 @@ func Generate(name string, cfg GenConfig) (*Trace, error) {
 		if v < floorMbps {
 			v = floorMbps
 		}
-		out.Mbps[i] = v
+		out.add(v, 1)
 	}
 	return out, nil
 }
@@ -152,15 +152,15 @@ func CityLabVolatile(seed int64) GenConfig {
 // StepTrace builds a piecewise-constant trace from (start offset, Mbps)
 // breakpoints: sample i holds the Mbps of the last level, in slice order,
 // whose From ≤ i·step, or 0 while none applies. Levels need not be sorted,
-// and of two with the same From the later in the slice wins. The trace is
-// level-built: it stores its runs, O(levels) whatever the horizon, and its
-// Mbps field is empty (Samples expands it). Used to script controlled
-// experiments such as the paper's 25 Mbps throttling windows (Figs 3, 5, 11,
-// 13) and every mesh.Grid link.
+// and of two with the same From the later in the slice wins. It stores
+// O(levels) runs whatever the horizon. Used to script controlled experiments
+// such as the paper's 25 Mbps throttling windows (Figs 3, 5, 11, 13) and
+// every mesh.Grid link.
 func StepTrace(name string, step time.Duration, total time.Duration, levels []Level) *Trace {
+	out := &Trace{Name: name, Step: step}
 	n := int(total / step)
 	if n <= 0 {
-		return &Trace{Name: name, Step: step}
+		return out
 	}
 	// The sample value can change only where a level starts to apply: at
 	// index 0, and at ⌈From/step⌉ for a level starting later.
@@ -178,11 +178,8 @@ func StepTrace(name string, step time.Duration, total time.Duration, levels []Le
 		}
 	}
 	sort.Ints(starts)
-	out := &Trace{Name: name, Step: step, n: n, cpBuilt: true}
-	for k, i := range starts {
-		if k > 0 && i == starts[k-1] {
-			continue
-		}
+	starts = append(starts, n)
+	for k, i := range starts[:len(starts)-1] {
 		at := time.Duration(i) * step
 		v := 0.0
 		for _, l := range levels {
@@ -190,9 +187,7 @@ func StepTrace(name string, step time.Duration, total time.Duration, levels []Le
 				v = l.Mbps
 			}
 		}
-		if len(out.cp) == 0 || v != out.cp[len(out.cp)-1].val {
-			out.cp = append(out.cp, cpRun{idx: i, val: v})
-		}
+		out.add(v, starts[k+1]-i)
 	}
 	return out
 }

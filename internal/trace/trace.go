@@ -9,75 +9,51 @@ package trace
 import (
 	"errors"
 	"math"
-	"sort"
 	"time"
 )
 
 // ErrEmptyTrace is returned by operations that need at least one sample.
 var ErrEmptyTrace = errors.New("trace: empty trace")
 
-// Trace is a time-ordered series of link capacity samples in bits/second,
-// spaced Step apart starting at offset zero.
+// Trace is a time-ordered series of link capacity samples in Mbps, spaced
+// Step apart starting at offset zero. It stores the run-length encoding of
+// the samples, built once by its constructor, and is immutable after: a
+// Trace may be shared across goroutines.
 type Trace struct {
 	// Name identifies the link the trace was measured on, e.g. "node3-node4".
 	Name string
 	// Step is the sampling interval.
 	Step time.Duration
-	// Mbps holds capacity samples in megabits per second. It is empty on a
-	// level-built trace (StepTrace), which stores its runs instead; Samples
-	// reads the samples of either kind.
-	Mbps []float64
 
-	// cp is the change-point index (see changepoints.go): the run-length
-	// encoding of the samples. A dense trace derives it from Mbps lazily;
-	// mutating Mbps after the index is built is not supported (traces are
-	// treated as immutable once driving a simulation). On a level-built
-	// trace it is the only copy of the samples, and n is their count (0 on
-	// a dense trace).
-	cp      []cpRun
-	cpBuilt bool
-	n       int
+	// runs are the runs of equal consecutive samples (see changepoints.go),
+	// the only copy of the samples; n is their count.
+	runs []run
+	n    int
 }
 
-// New returns an empty trace with the given name and sampling step.
-func New(name string, step time.Duration) *Trace {
-	return &Trace{Name: name, Step: step}
-}
-
-// Constant returns a trace with n samples all equal to mbps.
+// Constant returns a trace with n samples all equal to mbps: one run.
 func Constant(name string, step time.Duration, mbps float64, n int) *Trace {
-	t := &Trace{Name: name, Step: step, Mbps: make([]float64, n)}
-	for i := range t.Mbps {
-		t.Mbps[i] = mbps
-	}
+	t := &Trace{Name: name, Step: step}
+	t.add(mbps, n)
 	return t
 }
 
 // Len reports the number of samples.
-func (t *Trace) Len() int {
-	if t.n > 0 {
-		return t.n
-	}
-	return len(t.Mbps)
-}
+func (t *Trace) Len() int { return t.n }
 
 // Duration reports the time covered by the trace.
 func (t *Trace) Duration() time.Duration {
-	return time.Duration(t.Len()) * t.Step
+	return time.Duration(t.n) * t.Step
 }
 
-// Samples returns the capacity samples in Mbps: Mbps itself on a dense
-// trace, a fresh slice expanded from the runs on a level-built one. Callers
-// must not modify the result.
+// Samples returns the capacity samples in Mbps, a fresh slice expanded from
+// the runs.
 func (t *Trace) Samples() []float64 {
-	if t.n == 0 {
-		return t.Mbps
-	}
 	out := make([]float64, t.n)
-	for k, r := range t.cp {
+	for k, r := range t.runs {
 		end := t.n
-		if k+1 < len(t.cp) {
-			end = t.cp[k+1].idx
+		if k+1 < len(t.runs) {
+			end = t.runs[k+1].idx
 		}
 		for i := r.idx; i < end; i++ {
 			out[i] = r.val
@@ -91,20 +67,14 @@ func (t *Trace) Samples() []float64 {
 // short trace can drive an arbitrarily long experiment (the paper replays a
 // 20-minute trace in a loop).
 func (t *Trace) At(d time.Duration) float64 {
-	n := t.Len()
-	if n == 0 {
+	if t.n == 0 {
 		return 0
 	}
 	idx := 0
 	if d >= 0 {
-		idx = int(d/t.Step) % n
+		idx = int(d/t.Step) % t.n
 	}
-	if t.n == 0 {
-		return t.Mbps[idx]
-	}
-	runs := t.cp
-	k := sort.Search(len(runs), func(k int) bool { return runs[k].idx > idx })
-	return runs[k-1].val
+	return t.runs[t.runAfter(idx)-1].val
 }
 
 // AtBps returns the capacity at offset d in bits per second.
@@ -186,7 +156,7 @@ func (t *Trace) RollingMean(window time.Duration) *Trace {
 	if w < 1 {
 		w = 1
 	}
-	out := &Trace{Name: t.Name, Step: t.Step, Mbps: make([]float64, len(in))}
+	out := &Trace{Name: t.Name, Step: t.Step}
 	var sum float64
 	for i, v := range in {
 		sum += v
@@ -197,7 +167,7 @@ func (t *Trace) RollingMean(window time.Duration) *Trace {
 		if n > w {
 			n = w
 		}
-		out.Mbps[i] = sum / float64(n)
+		out.add(sum/float64(n), 1)
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,7 +31,7 @@ func TestConstantTrace(t *testing.T) {
 }
 
 func TestTraceAtWrapsAround(t *testing.T) {
-	tr := &Trace{Name: "l", Step: time.Second, Mbps: []float64{1, 2, 3}}
+	tr := fromSamples("l", time.Second, 1, 2, 3)
 	if got := tr.At(4 * time.Second); got != 2 {
 		t.Errorf("At(4s) = %v, want wrap to 2", got)
 	}
@@ -43,7 +44,7 @@ func TestTraceAtWrapsAround(t *testing.T) {
 }
 
 func TestTraceAtEmpty(t *testing.T) {
-	tr := New("l", time.Second)
+	tr := &Trace{Name: "l", Step: time.Second}
 	if got := tr.At(0); got != 0 {
 		t.Errorf("empty At = %v", got)
 	}
@@ -95,9 +96,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Mbps {
-		if a.Mbps[i] != b.Mbps[i] {
-			t.Fatalf("same seed diverged at sample %d: %v vs %v", i, a.Mbps[i], b.Mbps[i])
+	as, bs := a.Samples(), b.Samples()
+	for i := range as {
+		if as[i] != bs[i] {
+			t.Fatalf("same seed diverged at sample %d: %v vs %v", i, as[i], bs[i])
 		}
 	}
 }
@@ -154,16 +156,15 @@ func TestStepTrace(t *testing.T) {
 }
 
 func TestRollingMeanWindowOne(t *testing.T) {
-	tr := &Trace{Name: "l", Step: time.Second, Mbps: []float64{1, 5, 9}}
-	rm := tr.RollingMean(time.Second)
-	for i := range tr.Mbps {
-		if rm.Mbps[i] != tr.Mbps[i] {
+	tr := fromSamples("l", time.Second, 1, 5, 9)
+	rm := tr.RollingMean(time.Second).Samples()
+	for i, v := range tr.Samples() {
+		if rm[i] != v {
 			t.Errorf("window-1 rolling mean changed sample %d", i)
 		}
 	}
-	rm2 := tr.RollingMean(2 * time.Second)
-	if rm2.Mbps[1] != 3 {
-		t.Errorf("rolling[1] = %v, want 3", rm2.Mbps[1])
+	if got := tr.RollingMean(2 * time.Second).At(time.Second); got != 3 {
+		t.Errorf("rolling[1] = %v, want 3", got)
 	}
 }
 
@@ -186,9 +187,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Step != tr.Step {
 		t.Fatalf("round trip step %v != %v", back.Step, tr.Step)
 	}
-	for i := range tr.Mbps {
-		if math.Abs(back.Mbps[i]-tr.Mbps[i]) > 1e-5 {
-			t.Fatalf("sample %d: %v != %v", i, back.Mbps[i], tr.Mbps[i])
+	bs := back.Samples()
+	for i, v := range tr.Samples() {
+		if math.Abs(bs[i]-v) > 1e-5 {
+			t.Fatalf("sample %d: %v != %v", i, bs[i], v)
 		}
 	}
 }
@@ -204,7 +206,7 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 10 || back.Mbps[0] != 12.5 {
+	if back.Len() != 10 || back.At(0) != 12.5 {
 		t.Errorf("loaded %+v", back)
 	}
 }
@@ -216,16 +218,21 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV("x", bytes.NewBufferString("offset_s,mbps\n")); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("header only: %v", err)
 	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("0,abc\n")); err == nil {
-		t.Error("bad value: want error")
+	for _, c := range badCSV {
+		_, err := ReadCSV("x", strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.row) {
+			t.Errorf("ReadCSV(%q) = %v, want an error naming %s", c.in, err, c.row)
+		}
 	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("5,1\n3,1\n")); err == nil {
-		t.Error("non-increasing offsets: want error")
+	// Offsets printed to 3 decimals wobble by up to 1 ms around the step.
+	tr, err := ReadCSV("x", strings.NewReader("0.000,1\n0.333,1\n0.667,2\n1.000,3\n"))
+	if err != nil || tr.Step != 333*time.Millisecond || tr.Len() != 4 {
+		t.Fatalf("1/3 s trace: %+v, %v", tr, err)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := New("x", time.Second).Summarize(); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := (&Trace{Name: "x", Step: time.Second}).Summarize(); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("want ErrEmptyTrace, got %v", err)
 	}
 }

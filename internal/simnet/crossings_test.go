@@ -8,6 +8,7 @@ import (
 
 	"bass/internal/mesh"
 	"bass/internal/sim"
+	"bass/internal/trace"
 )
 
 // scanAllocBps is the reference a direction's cached allocation must equal:
@@ -222,30 +223,63 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 	}
 }
 
-// FuzzFlowChurnMatchesRescan decodes bytes into flow churn on a 3x3 grid —
-// streams and transfers added, removed, re-demanded and cancelled, links and
-// nodes flapped through ApplyTopologyState, time advanced — and after every
-// operation, and inside every transfer callback, checks the per-pass caches
-// against rescans of the flow set. Zero-byte transfers finish inside the pass
-// that first sees them, and failed ones call back from inside a reroute: the
-// two places a flow leaves its directions without a pass being requested.
-// After every operation the memoized path reads of every pair of nodes (and
-// an unknown name) must also match their memo-free references.
+// FuzzFlowChurnMatchesRescan decodes bytes into flow churn on a grid of 24,
+// 62 or 120 directed links (3×3, 4×5, 6×6: one, two or four arg-min
+// blocks) — streams and transfers added, removed, re-demanded and cancelled,
+// link directions throttled to whole Mbps (so fair shares tie demands
+// exactly), links and nodes flapped through ApplyTopologyState, time
+// advanced — and after every operation, and inside every transfer callback,
+// checks the per-pass caches against rescans of the flow set. Zero-byte
+// transfers finish inside the pass that first sees them, and failed ones call
+// back from inside a reroute: the two places a flow leaves its directions
+// without a pass being requested. After every operation the memoized path
+// reads of every pair of nodes (and an unknown name) must also match their
+// memo-free references, and every rate and bottleneck flag must match the
+// reference pass (refPass: a scan of every link per round and FlowID
+// re-sorted batches).
 //
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
-	// The corpus: the byte streams of the deferred-pass script's seeds.
+	// The corpus: the byte streams of the deferred-pass script's seeds, on
+	// each grid (the first byte picks it).
 	for _, seed := range []int64{3, 11, 29} {
 		b := make([]byte, 256)
 		rand.New(rand.NewSource(seed)).Read(b)
-		f.Add(b)
+		for g := range byte(len(churnGrids)) {
+			f.Add(append([]byte{g}, b...))
+		}
 	}
+	// A fair share that equals a demand, in a batch collected out of FlowID
+	// order: on the 3×3 grid, r000c000 -> r000c001 throttled to 10 Mbps
+	// (taking effect at the 1 s tick) carries streams of 1 and 3 Mbps; the
+	// first is raised to 5 Mbps and must freeze at the share of 5.
+	f.Add([]byte{
+		0,        // 3×3 grid
+		9, 0, 18, // throttle the first link, forward, to 10 Mbps
+		7, 60, // run 1.2 s
+		0, 0, 0, 3, 0, // stream g0 r000c000 -> r000c001, 1 Mbps
+		0, 1, 0, 3, 2, // stream g1 r000c000 -> r000c001, 3 Mbps
+		4, 0, 4, // the first stream to 5 Mbps
+	})
 	f.Fuzz(replayChurn)
 }
 
+// churnGrids are the lattices replayChurn draws from: their linkOrders fill
+// one arg-min block, one and most of a second, and four.
+var churnGrids = []struct{ rows, cols int }{{3, 3}, {4, 5}, {6, 6}}
+
 // replayChurn runs one decoded churn script with the checks above.
 func replayChurn(t *testing.T, data []byte) {
-	topo, err := mesh.Grid(mesh.GridOptions{Rows: 3, Cols: 3, Seed: 5, Duration: 10 * time.Minute})
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	g := churnGrids[next()%len(churnGrids)]
+	topo, err := mesh.Grid(mesh.GridOptions{Rows: g.rows, Cols: g.cols, Seed: 5, Duration: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +289,7 @@ func replayChurn(t *testing.T, data []byte) {
 	links := topo.Links()
 	tags := []string{"g0", "g1", "g2", "g3"}
 
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
-	node := func() string { b := next(); return mesh.GridNodeName(b%3, b/3%3) }
+	node := func() string { b := next(); return mesh.GridNodeName(b%g.rows, b/g.rows%g.cols) }
 	names := append(topo.Nodes(), "ghost")
 	var streams, transfers []FlowID
 	down := map[mesh.LinkID]bool{}
@@ -276,12 +302,13 @@ func replayChurn(t *testing.T, data []byte) {
 	}
 	done = func(r TransferResult) {
 		checkCachedReads(t, net)
+		checkReferencePass(t, net)
 		if !r.Failed && r.ID%2 == 0 {
-			addTransfer(r.Tag, mesh.GridNodeName(int(r.ID)%3, 0), mesh.GridNodeName(2, int(r.ID)%3), 2e5)
+			addTransfer(r.Tag, mesh.GridNodeName(int(r.ID)%g.rows, 0), mesh.GridNodeName(g.rows-1, int(r.ID)%g.cols), 2e5)
 		}
 	}
 	for len(data) > 0 {
-		switch op := next() % 10; {
+		switch op := next() % 11; {
 		case op < 3:
 			id, err := net.AddStream(tags[next()%4], node(), node(), 1+float64(next()%32))
 			if err == nil {
@@ -305,6 +332,17 @@ func replayChurn(t *testing.T, data []byte) {
 			}
 		case op == 8 && len(transfers) > 0:
 			_ = net.CancelTransfer(transfers[next()%len(transfers)]) // finished ones are unknown
+		case op == 9:
+			// Observed at the next sampling tick, like any trace change.
+			id, b := links[next()%len(links)].ID, next()
+			from, to := id.A, id.B
+			if b%2 == 1 {
+				from, to = to, from
+			}
+			mbps := float64(1 + b/2%16)
+			if err := topo.SetDirectedCapacity(from, to, trace.Constant("throttle", time.Second, mbps, 600)); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			if b := next(); b%4 == 0 {
 				name := node()
@@ -322,6 +360,7 @@ func replayChurn(t *testing.T, data []byte) {
 			net.ApplyTopologyState()
 		}
 		checkCachedReads(t, net)
+		checkReferencePass(t, net)
 		checkTagRates(t, net, tags)
 		checkPathReads(t, net, names)
 		if t.Failed() {

@@ -16,10 +16,7 @@ import (
 // gridPopulation drives the city-grid stream population on a 6×6 lattice at
 // seed 42 for 10 s and returns the sum of every stream's horizon rate, summed
 // in FlowID order, and the SHA-256 of each rate's bits in that order followed
-// by the AllocStats counters. The population models a community mesh: demands in
-// three tiers (0.25 Mbps telemetry 80 %, 2 Mbps audio/video 15 %, 8 Mbps bulk
-// 5 %), 90 % of pairs near-local (endpoints within two grid steps), the rest
-// city-crossing, all 150 streams installed in one Batch.
+// by the AllocStats counters.
 func gridPopulation(t *testing.T, setup func(*Network)) (checksum float64, digest string) {
 	t.Helper()
 	const (
@@ -28,16 +25,47 @@ func gridPopulation(t *testing.T, setup func(*Network)) (checksum float64, diges
 		seed    = 42
 		horizon = 10 * time.Second
 	)
+	eng, net := gridNet(t, side, seed, horizon)
+	setup(net)
+	stop := net.Start()
+	defer stop()
+	ids := installGridStreams(t, net, side, streams, seed, 1)
+	if err := eng.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+	for _, id := range ids {
+		r, err := net.StreamRate(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checksum += r
+		binary.Write(h, binary.LittleEndian, math.Float64bits(r))
+	}
+	binary.Write(h, binary.LittleEndian, net.AllocStats())
+	return checksum, fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// gridNet builds an unstarted network over a side×side grid whose traces
+// outlast the horizon.
+func gridNet(t *testing.T, side int, seed int64, horizon time.Duration) (*sim.Engine, *Network) {
+	t.Helper()
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: side, Cols: side, Seed: seed, Duration: horizon + time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(seed)
-	net := New(eng, topo)
-	setup(net)
-	stop := net.Start()
-	defer stop()
+	return eng, New(eng, topo)
+}
 
+// installGridStreams installs the city-grid stream population in one Batch
+// and returns the stream ids. The population models a community mesh:
+// demands in three tiers (0.25 Mbps telemetry 80 %, 2 Mbps audio/video
+// 15 %, 8 Mbps bulk 5 %, each times load), 90 % of pairs near-local
+// (endpoints within two grid steps), the rest city-crossing.
+func installGridStreams(t *testing.T, net *Network, side, streams int, seed int64, load float64) []FlowID {
+	t.Helper()
 	edge := func(v int) int { return min(max(v, 0), side-1) }
 	rng := rand.New(rand.NewSource(seed * 7))
 	ids := make([]FlowID, 0, streams)
@@ -63,28 +91,14 @@ func gridPopulation(t *testing.T, setup func(*Network)) (checksum float64, diges
 			case p < 0.95:
 				mbps = 2
 			}
-			id, err := net.AddStream(fmt.Sprintf("scale/%d", i), mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc), mbps)
+			id, err := net.AddStream(fmt.Sprintf("scale/%d", i), mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc), mbps*load)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		}
 	})
-	if err := eng.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-
-	h := sha256.New()
-	for _, id := range ids {
-		r, err := net.StreamRate(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checksum += r
-		binary.Write(h, binary.LittleEndian, math.Float64bits(r))
-	}
-	binary.Write(h, binary.LittleEndian, net.AllocStats())
-	return checksum, fmt.Sprintf("%x", h.Sum(nil))
+	return ids
 }
 
 // TestGridPopulationGolden pins the city-grid population's horizon rates:

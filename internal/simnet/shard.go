@@ -14,7 +14,7 @@
 // water-filling arg-min — reduces lexicographically: each shard reports the
 // min fair share over its own constrained links tagged with the link's global
 // linkOrder index, and the global winner is the minimum (share, index) pair —
-// exactly the first-in-linkOrder strict-< winner the serial scan picks. Every
+// exactly the first-in-linkOrder strict-< winner the single-shard arg-min picks. Every
 // per-flow float operation (demand accumulation, progress advancement, freeze
 // application) runs in shared sequential code in global FlowID order, so the
 // two drivers execute literally the same float sequence.
@@ -262,9 +262,11 @@ var shardScanFloor = 16384
 
 // argMin is the sharded water-filling arg-min: per-shard scans in parallel,
 // then a sequential lexicographic (share, global link index) reduce — the
-// same winner as serialArgMin's first-in-linkOrder strict-< scan. It is the
-// only piece of the round loop that differs from the single-shard driver; see
-// the package comment for the identity argument.
+// same winner as the first-in-linkOrder strict-< rule blockedArgMin keeps.
+// It rescans every owned link each round and shares no cached state with the
+// blocked arg-min, so the sharded differential tests check one against the
+// other. It is the only piece of the round loop that differs from the
+// single-shard driver; see the package comment for the identity argument.
 func (sh *sharding) argMin() (float64, *linkState) {
 	if sh.nLinks < shardScanFloor {
 		for _, fn := range sh.scanFns {

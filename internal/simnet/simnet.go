@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -81,6 +82,12 @@ const gridStep = time.Second
 // walk exhausts the limit the network schedules a conservative wake at the
 // last examined tick (a no-op observation) and resumes the scan from there.
 const changeScanLimit = 64
+
+// argBlockLinks is the size of the water-filling arg-min's blocks: linkOrder
+// is cut into runs of this many directed links, each caching its minimum
+// share, so a round rescans only the runs its freezes touched. At 64 the
+// city-flows grid visited 24 % more links than at 32.
+const argBlockLinks = 32
 
 // compactDeadFlows is the minimum number of removed-but-retained flow slots
 // before removeFlow compacts the iteration order in one pass.
@@ -212,13 +219,24 @@ type linkState struct {
 	// Water-filling scratch state, valid only inside a full pass.
 	residual  float64
 	iterCount int
+	blk       *argBlock // the arg-min block holding this direction
 	// flows lists the live flows crossing this direction, ascending FlowID:
 	// the pass's active flows (built alongside iterCount), kept current
 	// between passes by syncCrossings. A bottleneck round freezes from this
-	// list directly instead of rescanning every active flow — at city scale
-	// (100k flows, thousands of rounds) the rescan was the dominant cost —
-	// and link reads sum allocations and in-flight bits over it.
+	// list, so a round costs the flows it freezes, not a rescan of the
+	// active set; link reads sum allocations and in-flight bits over it.
 	flows []*flow
+}
+
+// argBlock is one run of argBlockLinks directed links in linkOrder with the
+// run's cached arg-min: the first link with the least fair share, nil when
+// no link in the run is constrained. A freeze marks the blocks of the links
+// it touched dirty; only those are rescanned (see blockedArgMin).
+type argBlock struct {
+	links    []*linkState
+	minShare float64
+	minLink  *linkState
+	dirty    bool
 }
 
 // AllocStats counts allocation work since the network was built. Mutations
@@ -264,6 +282,7 @@ type Network struct {
 	tagSlab     []tagState
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
+	argBlocks   []argBlock   // linkOrder cut into arg-min blocks
 	lastAdvance time.Duration
 
 	// Driver state. The sampling grid is anchored at the Start time; both
@@ -318,6 +337,11 @@ type Network struct {
 	// changed demand since (see orderByDemand).
 	byDemand []*flow
 
+	// argMinRounds counts the single-shard arg-min's calls and argMinVisits
+	// the links and block minima they read: the work blocking saves. They
+	// stay out of AllocStats, which must not depend on the shard count.
+	argMinRounds, argMinVisits uint64
+
 	// Scratch buffers reused across full passes.
 	activeScratch   []*flow
 	transferScratch []*flow
@@ -367,6 +391,14 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		}
 		return strings.Compare(a.hop.to, b.hop.to)
 	})
+	n.argBlocks = make([]argBlock, (len(n.linkOrder)+argBlockLinks-1)/argBlockLinks)
+	for i := range n.argBlocks {
+		b := &n.argBlocks[i]
+		b.links = n.linkOrder[i*argBlockLinks : min((i+1)*argBlockLinks, len(n.linkOrder))]
+		for _, ls := range b.links {
+			ls.blk = b
+		}
+	}
 	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
 		// A trace swapped mid-run may introduce an earlier capacity event
@@ -1007,9 +1039,18 @@ func (n *Network) ParkedFlows() int {
 	return c
 }
 
+// validAmount reports whether v is a finite, non-negative demand or size.
+// Water-filling compares demands against fair shares and sorts by them, so
+// one NaN or negative demand would skew every flow sharing a link with it.
+func validAmount(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // AddStream registers a persistent flow offering demandMbps from src to dst.
-// The tag groups accounting (convention: "app/from->to").
+// The tag groups accounting (convention: "app/from->to"). The demand must be
+// finite and non-negative.
 func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, error) {
+	if !validAmount(demandMbps * 1e6) {
+		return 0, fmt.Errorf("simnet: stream %s: demand %v Mbps is not a finite non-negative rate", tag, demandMbps)
+	}
 	path, err := n.route(src, dst)
 	if err != nil {
 		return 0, fmt.Errorf("simnet: stream %s: %w", tag, err)
@@ -1031,12 +1072,16 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 	return f.id, nil
 }
 
-// SetStreamDemand updates a stream's offered rate. Setting the demand a
-// stream already offers is a no-op (no reallocation).
+// SetStreamDemand updates a stream's offered rate, which must be finite and
+// non-negative. Setting the demand a stream already offers is a no-op (no
+// reallocation).
 func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 	f, ok := n.flows[id]
 	if !ok || f.kind != KindStream {
 		return fmt.Errorf("%w: stream %d", ErrUnknownFlow, id)
+	}
+	if !validAmount(demandMbps * 1e6) {
+		return fmt.Errorf("simnet: stream %d: demand %v Mbps is not a finite non-negative rate", id, demandMbps)
 	}
 	if f.demandBps == demandMbps*1e6 {
 		return nil
@@ -1088,18 +1133,25 @@ func (n *Network) StreamLoss(id FlowID) (float64, error) {
 	return loss, nil
 }
 
-// AddTransfer starts a bounded transfer of the given size. capMbps limits the
-// transfer's rate (0 means unbounded). onComplete runs when the last bit is
-// delivered; it may start new flows. It never runs inside AddTransfer: a
-// transfer with nothing to send completes when the deferred pass runs, at
-// the same virtual time.
+// AddTransfer starts a bounded transfer of the given size, which must be
+// finite and non-negative. capMbps limits the transfer's rate (0 or +Inf
+// means unbounded; NaN and negative caps are errors). onComplete runs when
+// the last bit is delivered; it may start new flows. It never runs inside
+// AddTransfer: a transfer with nothing to send completes when the deferred
+// pass runs, at the same virtual time.
 func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float64, onComplete func(TransferResult)) (FlowID, error) {
+	if !validAmount(bytes * 8) {
+		return 0, fmt.Errorf("simnet: transfer %s: size %v bytes is not finite and non-negative", tag, bytes)
+	}
+	if !(capMbps >= 0) {
+		return 0, fmt.Errorf("simnet: transfer %s: rate cap %v Mbps is negative or NaN", tag, capMbps)
+	}
 	path, err := n.route(src, dst)
 	if err != nil {
 		return 0, fmt.Errorf("simnet: transfer %s: %w", tag, err)
 	}
 	demand := unboundedBps
-	if capMbps > 0 {
+	if capMbps > 0 && validAmount(capMbps*1e6) {
 		demand = capMbps * 1e6
 	}
 	n.nextID++
@@ -1360,7 +1412,10 @@ func (n *Network) fullReallocate() {
 	if n.sh != nil {
 		n.waterFill(active, remaining, n.sh.argMin)
 	} else {
-		n.waterFill(active, remaining, n.serialArgMin)
+		for i := range n.argBlocks {
+			n.argBlocks[i].dirty = true
+		}
+		n.waterFill(active, remaining, n.blockedArgMin)
 	}
 	// Every live flow crossing a direction is active (parked and co-located
 	// flows have empty paths), so the crossing lists are complete: sum them
@@ -1404,9 +1459,9 @@ func (n *Network) fullReallocate() {
 }
 
 // freezeFlow pins a flow's rate for the rest of the pass and withdraws it
-// from every link it crosses. Both water-fill drivers share it, so a freeze
-// performs the identical float operations regardless of how the flow was
-// selected.
+// from every link it crosses, marking their arg-min blocks for a rescan. Both
+// water-fill drivers share it, so a freeze performs the identical float
+// operations regardless of how the flow was selected.
 func (n *Network) freezeFlow(f *flow, rate float64) {
 	if rate < 0 {
 		rate = 0
@@ -1419,50 +1474,72 @@ func (n *Network) freezeFlow(f *flow, rate float64) {
 			ls.residual = 0
 		}
 		ls.iterCount--
+		ls.blk.dirty = true
 	}
 }
 
-// serialArgMin scans every constrained link for the minimum fair share, with
-// a first-in-linkOrder strict-< tie-break. The sharded driver replaces this
-// with per-shard scans and a lexicographic reduce that picks the same winner;
-// everything else in the round loop is shared code.
-func (n *Network) serialArgMin() (float64, *linkState) {
+// blockedArgMin finds the constrained link with the least fair share, the
+// first in linkOrder on a tie. Only the link shares a freeze changed can
+// move, so it rescans just the dirty blocks, then takes the first block
+// minimum strictly below those before it: a block's minimum is its first
+// least-share link, so that is the first least-share link in linkOrder, as
+// one strict-< scan of every link would pick. All-+Inf blocks yield nil. The
+// sharded driver replaces this with per-shard scans and a lexicographic
+// reduce that picks the same winner; everything else in the round loop is
+// shared code.
+func (n *Network) blockedArgMin() (float64, *linkState) {
+	n.argMinRounds++
+	n.argMinVisits += uint64(len(n.argBlocks))
 	minShare := math.Inf(1)
 	var bottleneck *linkState
-	for _, ls := range n.linkOrder {
-		if ls.iterCount <= 0 {
-			continue
+	for i := range n.argBlocks {
+		b := &n.argBlocks[i]
+		if b.dirty {
+			b.dirty = false
+			b.minShare, b.minLink = math.Inf(1), nil
+			for _, ls := range b.links {
+				if ls.iterCount <= 0 {
+					continue
+				}
+				if share := ls.residual / float64(ls.iterCount); share < b.minShare {
+					b.minShare, b.minLink = share, ls
+				}
+			}
+			n.argMinVisits += uint64(len(b.links))
 		}
-		if share := ls.residual / float64(ls.iterCount); share < minShare {
-			minShare = share
-			bottleneck = ls
+		if b.minShare < minShare {
+			minShare, bottleneck = b.minShare, b.minLink
 		}
 	}
 	return minShare, bottleneck
 }
 
 // waterFill is the progressive-filling round loop with demand caps, shared by
-// the single-shard and sharded drivers — only the arg-min scan differs.
+// the single-shard and sharded drivers — only the arg-min differs.
 //
-// Two indices keep the loop near-linear in the flow count where a naive
-// rescan-every-round formulation is quadratic (the difference between minutes
-// and seconds per pass at city scale), without changing a single freeze:
+// Each round costs what its freezes touch, not the size of the pass, without
+// changing a single freeze or float operation:
 //
+//   - the arg-min rescans only the link blocks the last round's freezes
+//     dirtied (blockedArgMin);
 //   - a demand-sorted view of the active set with a monotone cursor. A flow
 //     freezes demand-limited in the first round whose min share reaches its
 //     demand, so every flow past the cursor has demand above every share seen
-//     so far and flows behind it are already frozen — each round's batch is
-//     exactly the flows the full rescan would have caught, collected in
-//     amortized O(1). Batches are re-sorted by FlowID before freezing, which
-//     is the active-list order the rescan froze in. The view is kept across
-//     passes (orderByDemand), so a pass sorts only the flows that joined or
-//     changed demand since the last one. Tie order among equal demands never
-//     matters: the cursor always takes a whole equal-demand run or none of
-//     it, and every batch is re-sorted by FlowID.
+//     so far and flows behind it are already frozen: each round's batch is
+//     exactly the unfrozen active flows with demand at most the share,
+//     counted in amortized O(1). The batch freezes in FlowID order, the
+//     order of the active list. A batch of k flows the cursor did not
+//     collect in that order already is sorted when k log k is below the
+//     active count, and otherwise re-collected by one scan of the active
+//     list, so a round costs O(min(k log k, |active|)).
+//     The view is kept across passes (orderByDemand), so a pass sorts only
+//     the flows that joined or changed demand since the last one. Tie order
+//     among equal demands never matters: the cursor always takes a whole
+//     equal-demand run or none of it;
 //   - per-link crossing lists (linkState.flows, FlowID-ascending by
 //     construction). A bottleneck round freezes straight off the bottleneck's
-//     own list — the same flows, in the same order, the full path-membership
-//     scan selected.
+//     own list — the same flows, in the same order, a scan of the active list
+//     for flows crossing it would select.
 func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float64, *linkState)) {
 	byDemand := n.orderByDemand(active)
 	cursor := 0
@@ -1477,20 +1554,33 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 		}
 		// Freeze demand-limited flows first, in FlowID order.
 		batch = batch[:0]
+		sorted := true // the batch is already in FlowID order
 		for cursor < len(byDemand) && byDemand[cursor].demandBps <= minShare {
 			if f := byDemand[cursor]; !f.frozen {
+				sorted = sorted && (len(batch) == 0 || batch[len(batch)-1].id < f.id)
 				batch = append(batch, f)
 			}
 			cursor++
 		}
-		if len(batch) > 0 {
-			if len(batch) > 1 {
+		if k := len(batch); k > 0 {
+			switch {
+			case sorted:
+			case k*bits.Len(uint(k)) < len(active):
 				slices.SortFunc(batch, func(a, b *flow) int { return cmp.Compare(a.id, b.id) })
+			default:
+				batch = batch[:0]
+				for _, f := range active {
+					if !f.frozen && f.demandBps <= minShare {
+						if batch = append(batch, f); len(batch) == k {
+							break
+						}
+					}
+				}
 			}
 			for _, f := range batch {
 				n.freezeFlow(f, f.demandBps)
 			}
-			remaining -= len(batch)
+			remaining -= k
 			continue
 		}
 		if bottleneck == nil {
@@ -1504,6 +1594,9 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share.
+		// An arg-min link has unfrozen flows (iterCount > 0); a round that
+		// freezes none would spin forever, so it can only be a stale share.
+		before := remaining
 		for _, f := range bottleneck.flows {
 			if f.frozen {
 				continue
@@ -1511,14 +1604,17 @@ func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float6
 			n.freezeFlow(f, minShare)
 			remaining--
 		}
+		if remaining == before {
+			panic("simnet: water-filling bottleneck " + bottleneck.hop.from + "->" + bottleneck.hop.to + " has no unfrozen flow")
+		}
 	}
 	n.batchScratch = batch
 }
 
 // byDemandAsc orders flows by ascending demand, then FlowID. The tie-break
 // changes no freeze (see waterFill); it makes the kept order a function of
-// the active set alone, and a batch that spans few distinct demands comes
-// out in FlowID runs, which its re-sort gets through fastest.
+// the active set alone, and a batch of one demand comes out in FlowID order,
+// needing no sort.
 func byDemandAsc(a, b *flow) int {
 	switch {
 	case a.demandBps < b.demandBps:

@@ -548,6 +548,58 @@ func TestMaxMinFairnessOrder(t *testing.T) {
 	}
 }
 
+// TestInvalidAmountsRejected pins the max-min repro behind demand
+// validation: on one 10 Mbps link, streams of 1, NaN, 0.5, 2 and 0.25 Mbps
+// once left the 0.25 Mbps stream 2.25 Mbps, and a -3 Mbps stream got 1.8
+// Mbps. NaN, infinite and negative demands, transfer sizes and rate caps are
+// now errors, and the valid streams each get their demand.
+func TestInvalidAmountsRejected(t *testing.T) {
+	_, net := lineNet(t, 10)
+	want := map[FlowID]float64{}
+	for _, mbps := range []float64{1, math.NaN(), 0.5, 2, 0.25} {
+		id, err := net.AddStream("s", "a", "b", mbps)
+		if math.IsNaN(mbps) {
+			if err == nil {
+				t.Errorf("AddStream accepted a NaN demand")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = mbps
+	}
+	for _, mbps := range []float64{-3, math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+		if _, err := net.AddStream("s", "a", "b", mbps); err == nil {
+			t.Errorf("AddStream accepted a %v Mbps demand", mbps)
+		}
+	}
+	for id, mbps := range want {
+		for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+			if err := net.SetStreamDemand(id, bad); err == nil {
+				t.Errorf("SetStreamDemand(%d, %v) accepted", id, bad)
+			}
+		}
+		if got, err := net.StreamRate(id); err != nil || got != mbps {
+			t.Errorf("stream %d rate %v (%v), want its demand %v", id, got, err, mbps)
+		}
+	}
+	for _, tc := range []struct{ bytes, capMbps float64 }{
+		{math.NaN(), 0}, {math.Inf(1), 0}, {-1, 0}, {1e6, math.NaN()}, {1e6, -2},
+	} {
+		if _, err := net.AddTransfer("x", "a", "b", tc.bytes, tc.capMbps, nil); err == nil {
+			t.Errorf("AddTransfer(%v bytes, cap %v) accepted", tc.bytes, tc.capMbps)
+		}
+	}
+	id, err := net.AddTransfer("x", "a", "b", 1e6, math.Inf(1), nil)
+	if err != nil {
+		t.Fatalf("an infinite rate cap must mean unbounded: %v", err)
+	}
+	if got, err := net.StreamRate(id); err != nil || got != 10-3.75 {
+		t.Errorf("uncapped transfer rate %v (%v), want the 6.25 Mbps the streams leave", got, err)
+	}
+}
+
 func BenchmarkReallocate20Streams(b *testing.B) {
 	topo := mesh.FullMesh([]string{"a", "b", "c", "d", "e"}, 25, time.Millisecond, time.Hour)
 	eng := sim.NewEngine(1)

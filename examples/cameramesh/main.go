@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"bass/internal/apps/camera"
@@ -18,7 +20,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -33,7 +35,7 @@ func workers() []cluster.Node {
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const horizon = 10 * time.Minute
 	for _, policy := range []scheduler.Policy{
 		scheduler.NewBass(scheduler.HeuristicBFS),
@@ -68,15 +70,15 @@ func run() error {
 			return err
 		}
 
-		fmt.Printf("== %s ==\n", policy.Name())
+		fmt.Fprintf(w, "== %s ==\n", policy.Name())
 		for _, comp := range app.Graph().Components() {
-			fmt.Printf("  %-16s -> %s\n", comp, assignment[comp])
+			fmt.Fprintf(w, "  %-16s -> %s\n", comp, assignment[comp])
 		}
 		h := app.Latency().Histogram()
 		published, sampled, annotated, dropped := app.Counters()
-		fmt.Printf("  e2e latency: median=%.0fms mean=%.0fms p99=%.0fms\n",
+		fmt.Fprintf(w, "  e2e latency: median=%.0fms mean=%.0fms p99=%.0fms\n",
 			h.Median()*1e3, h.Mean()*1e3, h.P99()*1e3)
-		fmt.Printf("  frames: published=%d sampled=%d annotated=%d dropped=%d\n\n",
+		fmt.Fprintf(w, "  frames: published=%d sampled=%d annotated=%d dropped=%d\n\n",
 			published, sampled, annotated, dropped)
 		sim.Close()
 	}

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"bass/internal/apps/socialnet"
@@ -22,12 +24,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const (
 		horizon     = 5 * time.Minute
 		throttleAt  = 10 * time.Second
@@ -80,26 +82,26 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("served %d requests\n", app.Requests())
-	fmt.Printf("overall latency: %s\n\n", app.Latency().Histogram().Summary())
+	fmt.Fprintf(w, "served %d requests\n", app.Requests())
+	fmt.Fprintf(w, "overall latency: %s\n\n", app.Latency().Histogram().Summary())
 
-	fmt.Println("controller iterations (violating/candidates/migrated):")
+	fmt.Fprintln(w, "controller iterations (violating/candidates/migrated):")
 	for _, ev := range sim.Orch.Evaluations() {
 		if ev.Violating == 0 && ev.Migrated == 0 {
 			continue
 		}
-		fmt.Printf("  t=%3.0fs  %2d / %d / %d\n", ev.At.Seconds(), ev.Violating, ev.Candidates, ev.Migrated)
+		fmt.Fprintf(w, "  t=%3.0fs  %2d / %d / %d\n", ev.At.Seconds(), ev.Violating, ev.Candidates, ev.Migrated)
 	}
-	fmt.Println("\nmigrations:")
+	fmt.Fprintln(w, "\nmigrations:")
 	for _, m := range sim.Orch.Migrations() {
-		fmt.Printf("  t=%3.0fs  %-24s %s -> %s\n", m.At.Seconds(), m.Component, m.From, m.To)
+		fmt.Fprintf(w, "  t=%3.0fs  %-24s %s -> %s\n", m.At.Seconds(), m.Component, m.From, m.To)
 	}
 
 	series := app.Latency().Series()
-	fmt.Println("\navg latency timeline (30 s buckets):")
+	fmt.Fprintln(w, "\navg latency timeline (30 s buckets):")
 	for t := 15 * time.Second; t < horizon; t += 30 * time.Second {
 		if v, ok := series.At(t); ok {
-			fmt.Printf("  t=%3.0fs  %8.3fs\n", t.Seconds(), v)
+			fmt.Fprintf(w, "  t=%3.0fs  %8.3fs\n", t.Seconds(), v)
 		}
 	}
 	return nil

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"bass/internal/apps/videoconf"
@@ -20,7 +22,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -35,7 +37,7 @@ func workers() []cluster.Node {
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const horizon = 10 * time.Minute
 	for _, migrate := range []bool{false, true} {
 		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: 42, Duration: horizon})
@@ -86,15 +88,15 @@ func run() error {
 		if migrate {
 			label = "65% utilization threshold"
 		}
-		fmt.Printf("== %s ==\n", label)
+		fmt.Fprintf(w, "== %s ==\n", label)
 		for _, s := range app.StatsByNode() {
-			fmt.Printf("  %s: median=%.2f Mbps mean=%.2f Mbps loss=%.1f%%\n",
+			fmt.Fprintf(w, "  %s: median=%.2f Mbps mean=%.2f Mbps loss=%.1f%%\n",
 				s.Node, s.MedianBitrateMbps, s.MeanBitrateMbps, 100*s.MeanLossFrac)
 		}
 		for _, m := range sim.Orch.Migrations() {
-			fmt.Printf("  migration t=%.0fs: %s %s -> %s\n", m.At.Seconds(), m.Component, m.From, m.To)
+			fmt.Fprintf(w, "  migration t=%.0fs: %s %s -> %s\n", m.At.Seconds(), m.Component, m.From, m.To)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		sim.Close()
 	}
 	return nil

@@ -33,6 +33,9 @@ func TestAlertQualityScores(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("seed %d: scorecard\n got %+v\nwant %+v", tc.seed, got, tc.want)
 		}
+		if tc.seed == 42 {
+			pinDigest(t, "alert quality table", r.Table().String(), "098b7aacc98421af901bc195901d1685eb1ea8e58630beac63c3a31e8bd34671")
+		}
 	}
 }
 

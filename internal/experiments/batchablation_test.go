@@ -50,11 +50,16 @@ func TestBatchAblationImprovesAtDensity(t *testing.T) {
 	if len(sweep) != len(want) {
 		t.Fatalf("quick sweep has %d configs, want %d", len(sweep), len(want))
 	}
+	var entries []batchEntry
 	for i, opts := range sweep {
 		e, err := runBatchPair(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Solve time is wall-clock; the pinned table leaves it out.
+		row := e
+		row.GreedySolveMS, row.BatchSolveMS = 0, 0
+		entries = append(entries, row)
 		got := pinned{e.Density, e.GreedyGoodput, e.BatchGoodput, e.GreedyCross, e.BatchCross}
 		if got != want[i] {
 			t.Errorf("town %d×: got %+v, want %+v", opts.Density, got, want[i])
@@ -64,6 +69,7 @@ func TestBatchAblationImprovesAtDensity(t *testing.T) {
 				e.BatchGoodput, e.GreedyGoodput, e.Density)
 		}
 	}
+	pinDigest(t, "batchablation table", batchAblationTable(entries).String(), "886a833973305ff429881194dd1d0f13105b3f295642a16e235661b3f6d82fdc")
 }
 
 // TestBatchAblationDeterministic pins that everything except wall-clock solve

@@ -59,6 +59,7 @@ func TestFig4LossRisesPastBottleneck(t *testing.T) {
 	if large.PerClientMbps >= small.PerClientMbps {
 		t.Errorf("bitrate did not degrade: %.2f vs %.2f", large.PerClientMbps, small.PerClientMbps)
 	}
+	pinDigest(t, "fig4 table", r.Table().String(), "62580e3cb726eb5daec0d5e6a9032b99c01c88c2e8842f65c866e4057acb5468")
 }
 
 func TestFig8TwoMigrations(t *testing.T) {
@@ -115,6 +116,7 @@ func TestFig10BassBeatsK3s(t *testing.T) {
 	if camNode == "" || camNode != sampNode {
 		t.Errorf("BFS split camera (%s) from sampler (%s)", camNode, sampNode)
 	}
+	pinDigest(t, "fig10 table", r.Table().String(), "14e6dbe785e9a8af37f5914f104b175b944024f18ffc70d9a79c5ff38386cf94")
 }
 
 func TestFig12ShorterIntervalRecoversFaster(t *testing.T) {
@@ -140,6 +142,7 @@ func TestFig12ShorterIntervalRecoversFaster(t *testing.T) {
 		t.Errorf("30s interval (%.2f) worse than 90s (%.2f)",
 			byInterval[30].MeanMbpsDuringRestriction, byInterval[90].MeanMbpsDuringRestriction)
 	}
+	pinDigest(t, "fig12 table", r.Table().String(), "cd01dd70428bc3fcf70580ef2503c11c5db07f3c53091912df36b551b100a4c9")
 }
 
 func TestTable2BassFlatK3sInflates(t *testing.T) {
@@ -207,6 +210,7 @@ func TestFig15bAffectedNodeImproves(t *testing.T) {
 	if r.Migrations["65%"] > 3 {
 		t.Errorf("SFU thrash: %d migrations in 10 minutes", r.Migrations["65%"])
 	}
+	pinDigest(t, "fig15b table", r.Table().String(), "efd17ce59d5bdcba2037c7aaf4bb0b99a839e58c83e177aa3ee0e0e005d47e6c")
 }
 
 func TestTable34Shapes(t *testing.T) {

@@ -26,6 +26,7 @@ func TestHarnessSmoke(t *testing.T) {
 		if len(r.Table().Rows) == 0 {
 			t.Error("empty table")
 		}
+		pinDigest(t, "fig5 table", r.Table().String(), "8b8f39a85d8811dce44c851574f99e54520876cbc7fe1460171e983ce11513a8")
 	})
 	t.Run("fig11", func(t *testing.T) {
 		r, err := RunFig11(7, []float64{300})
@@ -50,6 +51,7 @@ func TestHarnessSmoke(t *testing.T) {
 		if k3s.P99Sec < lp.P99Sec*10 {
 			t.Errorf("restricted k3s p99 %.3f not ≫ longest-path %.3f", k3s.P99Sec, lp.P99Sec)
 		}
+		pinDigest(t, "fig11 table", r.Table().String(), "79673471ed689f76b82a466fc6902a371bb3e5b44ffb2984b0954586f6036762")
 	})
 	t.Run("fig13", func(t *testing.T) {
 		r, err := RunFig13(7, []int{30, 0})

@@ -13,9 +13,24 @@ import (
 
 	"bass/internal/faults"
 	"bass/internal/obs"
+	"bass/internal/scenario"
 )
 
-func writeScenario(t *testing.T, sc scenario) string {
+// execute runs sc as bass-sim runs a config file: through its JSON and
+// scenario.Decode, with no journal or metric dump.
+func execute(sc scenario.Spec, out io.Writer) error {
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		return err
+	}
+	spec, err := scenario.Decode(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	return executeObserved(spec, out, "", "")
+}
+
+func writeScenario(t *testing.T, sc scenario.Spec) string {
 	t.Helper()
 	raw, err := json.Marshal(sc)
 	if err != nil {
@@ -37,7 +52,7 @@ func TestExecuteCameraOnCityLab(t *testing.T) {
 }
 
 func TestExecuteSocialnetOnLAN(t *testing.T) {
-	sc := scenario{
+	sc := scenario.Spec{
 		Topology:   "lan",
 		LANNodes:   3,
 		App:        "socialnet",
@@ -53,7 +68,7 @@ func TestExecuteSocialnetOnLAN(t *testing.T) {
 }
 
 func TestExecuteVideoconf(t *testing.T) {
-	sc := scenario{
+	sc := scenario.Spec{
 		Topology:            "citylab",
 		App:                 "videoconf",
 		Scheduler:           "bfs",
@@ -72,7 +87,7 @@ func TestExecuteVideoconf(t *testing.T) {
 // budget intact. (Videoconf, not camera: the goodput SLI compares live flow
 // rate to declared demand, so intermittent frame transfers read as bad.)
 func TestExecuteWithSLO(t *testing.T) {
-	sc := scenario{
+	sc := scenario.Spec{
 		Topology:            "lan",
 		LANNodes:            3,
 		App:                 "videoconf",
@@ -118,13 +133,13 @@ func TestRunSLOKeyEnablesEvaluator(t *testing.T) {
 }
 
 func TestExecuteErrors(t *testing.T) {
-	if err := execute(scenario{Topology: "moon"}, io.Discard); err == nil {
+	if err := execute(scenario.Spec{Topology: "moon"}, io.Discard); err == nil {
 		t.Error("unknown topology: want error")
 	}
-	if err := execute(scenario{App: "pacman"}, io.Discard); err == nil {
+	if err := execute(scenario.Spec{App: "pacman"}, io.Discard); err == nil {
 		t.Error("unknown app: want error")
 	}
-	if err := execute(scenario{Scheduler: "random"}, io.Discard); err == nil {
+	if err := execute(scenario.Spec{Scheduler: "random"}, io.Discard); err == nil {
 		t.Error("unknown scheduler: want error")
 	}
 }
@@ -186,31 +201,63 @@ func TestRunExample(t *testing.T) {
 // a typo, or one this version no longer reads — fails the whole invocation,
 // naming the file and the key, before any scenario runs.
 func TestRunRejectsUnknownKeys(t *testing.T) {
-	good := writeScenario(t, exampleScenario())
 	for _, extra := range []string{
 		`"pollingNet": true`,
 		`"shards": 4`,
 		`"evalWorkers": 4`,
 		`"migraton": true`,
 	} {
-		raw := `{"topology": "lan", "horizonSec": 30, ` + extra + `}`
-		bad := filepath.Join(t.TempDir(), "bad.json")
-		if err := os.WriteFile(bad, []byte(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var out strings.Builder
-		err := run([]string{good, bad}, &out)
-		if err == nil {
-			t.Errorf("%s: want error", extra)
-			continue
-		}
-		key := strings.SplitN(extra, `"`, 3)[1]
-		if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), key) {
-			t.Errorf("%s: error %q should name the file and the key", extra, err)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: output produced before the config was rejected:\n%s", extra, out.String())
-		}
+		checkRejected(t, extra, strings.SplitN(extra, `"`, 3)[1])
+	}
+}
+
+// TestRunRejectsBadValues pins validation: a value that would otherwise
+// silently become a default, be ignored, or fail only once its simulation
+// is built fails the whole invocation, naming the file and the key, before
+// any scenario runs.
+func TestRunRejectsBadValues(t *testing.T) {
+	for _, c := range []struct{ extra, key string }{
+		{`"horizonSec": -5`, "horizonSec"},
+		{`"lanNodes": -2`, "lanNodes"},
+		{`"lanNodeCPU": -4`, "lanNodeCPU"},
+		{`"rps": -10`, "rps"},
+		{`"publishMbps": -1`, "publishMbps"},
+		{`"monitorIntervalSec": -30`, "monitorIntervalSec"},
+		{`"batchK": -1`, "batchK"},
+		{`"chaos": {"protected": ["ghost"]}`, "protected"},
+		{`"chaos": {"linkFlapsPerHour": -6}`, "linkFlapsPerHour"},
+		{`"clientNode": "nodeX"`, "clientNode"},
+		{`"faults": [{"atSec": 5, "type": "node-crash", "node": "node9"}]`, "faults"},
+		{`"app": "pacman"`, "app"},
+		{`"scheduler": "random"`, "scheduler"},
+		{`"topology": "moon"`, "topology"},
+	} {
+		checkRejected(t, c.extra, c.key)
+	}
+}
+
+// checkRejected runs a good config and then a bad one (a three-node LAN
+// plus extra) and demands an error naming the bad file and key, with
+// nothing printed.
+func checkRejected(t *testing.T, extra, key string) {
+	t.Helper()
+	good := writeScenario(t, exampleScenario())
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	raw := `{"topology": "lan", "horizonSec": 30, ` + extra + `}`
+	if err := os.WriteFile(bad, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{good, bad}, &out)
+	if err == nil {
+		t.Errorf("%s: want error", extra)
+		return
+	}
+	if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), key) {
+		t.Errorf("%s: error %q should name the file and the key", extra, err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("%s: output produced before the config was rejected:\n%s", extra, out.String())
 	}
 }
 
@@ -248,7 +295,7 @@ func TestRunSeedsParallelDeterministic(t *testing.T) {
 func TestRunMultipleConfigs(t *testing.T) {
 	cam := exampleScenario()
 	cam.HorizonSec = 30
-	lan := scenario{
+	lan := scenario.Spec{
 		Topology:   "lan",
 		App:        "socialnet",
 		Scheduler:  "lp",
@@ -274,7 +321,7 @@ func TestRunMultipleConfigs(t *testing.T) {
 // byte-identical output, with the recovery report present; the same
 // scenario without faults must not print recovery lines.
 func TestExecuteWithFaults(t *testing.T) {
-	sc := scenario{
+	sc := scenario.Spec{
 		Topology:           "lan",
 		LANNodes:           4,
 		App:                "camera",
@@ -287,7 +334,7 @@ func TestExecuteWithFaults(t *testing.T) {
 			{AtSec: 60, Type: faults.NodeCrash, Node: "node2"},
 			{AtSec: 240, Type: faults.NodeRecover, Node: "node2"},
 		},
-		Chaos: &chaosConfig{LinkFlapsPerHour: 12, MeanLinkDowntimeSec: 20},
+		Chaos: &scenario.Chaos{LinkFlapsPerHour: 12, MeanLinkDowntimeSec: 20},
 	}
 	var run1, run2 strings.Builder
 	if err := execute(sc, &run1); err != nil {
@@ -583,7 +630,7 @@ func checkTraceShape(t *testing.T, raw []byte) {
 // failover journal event carries a cause chain that resolves back to a
 // concrete probe sample, with the full candidate scoreboard attached.
 func TestJournalCauseChainsResolveToProbes(t *testing.T) {
-	scenarios := map[string]scenario{
+	scenarios := map[string]scenario.Spec{
 		// The throttled citylab uplink drives the SFU through repeated
 		// bandwidth-violation migrations.
 		"migration": {
@@ -650,7 +697,7 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 // TestExecuteRejectsBadFaultSchedule checks schedule validation surfaces as
 // an execute error.
 func TestExecuteRejectsBadFaultSchedule(t *testing.T) {
-	sc := scenario{
+	sc := scenario.Spec{
 		Topology:   "lan",
 		HorizonSec: 30,
 		Faults:     []faults.Event{{AtSec: 5, Type: faults.NodeCrash, Node: "no-such-node"}},

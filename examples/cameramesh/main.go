@@ -10,12 +10,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
 	"bass/internal/apps/camera"
-	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -25,54 +24,35 @@ func main() {
 	}
 }
 
-func workers() []cluster.Node {
-	return []cluster.Node{
-		{Name: mesh.CityLabControl, CPU: 12, MemoryMB: 8192, Unschedulable: true},
-		{Name: mesh.CityLabNode1, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode2, CPU: 8, MemoryMB: 8192},
-		{Name: mesh.CityLabNode3, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
-	}
-}
-
 func run(w io.Writer) error {
-	const horizon = 10 * time.Minute
 	for _, policy := range []scheduler.Policy{
 		scheduler.NewBass(scheduler.HeuristicBFS),
 		scheduler.NewK3s(),
 	} {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: 42, Duration: horizon})
-		if err != nil {
-			return err
-		}
-		sim, err := core.NewSimulation(topo, workers(), 42, core.Config{
-			Policy:      policy,
-			ReservedCPU: 1,
-		})
-		if err != nil {
-			return err
-		}
 		// The camera is physically attached at node2; 30 KB frames at 30 fps
 		// press on node2's volatile 7.62 Mbps link unless the sampler is
 		// co-located.
 		app, err := camera.New(camera.Config{FrameKB: 30, PinCamera: mesh.CityLabNode2})
 		if err != nil {
-			sim.Close()
 			return err
 		}
-		assignment, err := sim.Orch.Deploy("camera", app)
+		r, err := scenario.Build(scenario.Spec{
+			Topology:    "citylab",
+			Policy:      policy,
+			ReservedCPU: 1,
+			Deploy:      []core.Workload{app},
+			HorizonSec:  600,
+			Seed:        42,
+		})
 		if err != nil {
-			sim.Close()
 			return err
 		}
-		if err := sim.Run(horizon); err != nil {
-			sim.Close()
-			return err
-		}
-
 		fmt.Fprintf(w, "== %s ==\n", policy.Name())
 		for _, comp := range app.Graph().Components() {
-			fmt.Fprintf(w, "  %-16s -> %s\n", comp, assignment[comp])
+			fmt.Fprintf(w, "  %-16s -> %s\n", comp, r.Sim.Cluster.NodeOf("camera", comp))
+		}
+		if err := r.Complete(); err != nil {
+			return err
 		}
 		h := app.Latency().Histogram()
 		published, sampled, annotated, dropped := app.Counters()
@@ -80,7 +60,6 @@ func run(w io.Writer) error {
 			h.Median()*1e3, h.Mean()*1e3, h.P99()*1e3)
 		fmt.Fprintf(w, "  frames: published=%d sampled=%d annotated=%d dropped=%d\n\n",
 			published, sampled, annotated, dropped)
-		sim.Close()
 	}
 	return nil
 }

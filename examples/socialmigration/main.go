@@ -14,13 +14,9 @@ import (
 	"os"
 	"time"
 
-	"bass/internal/apps/socialnet"
-	"bass/internal/cluster"
-	"bass/internal/core"
-	"bass/internal/mesh"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 	"bass/internal/trace"
-	"bass/internal/workload"
 )
 
 func main() {
@@ -35,37 +31,28 @@ func run(w io.Writer) error {
 		throttleAt  = 10 * time.Second
 		throttleFor = 3 * time.Minute
 	)
-	nodes := []cluster.Node{
-		{Name: "node1", CPU: 8, MemoryMB: 12288},
-		{Name: "node2", CPU: 8, MemoryMB: 12288},
-		{Name: "node3", CPU: 8, MemoryMB: 12288},
-		{Name: "client", CPU: 8, MemoryMB: 8192, Unschedulable: true},
-	}
-	names := []string{"node1", "node2", "node3", "client"}
-	topo := mesh.FullMesh(names, 1000, time.Millisecond, horizon)
-
-	sim, err := core.NewSimulation(topo, nodes, 42, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
-		EnableMigration:   true,
-		MonitorInterval:   30 * time.Second,
-		MigrationDowntime: 4300 * time.Millisecond,
+	r, err := scenario.Build(scenario.Spec{
+		Topology:           "lan",
+		LANNodes:           3,
+		LANNodeCPU:         8,
+		LANNodeMemMB:       12288,
+		ClientHost:         "client",
+		Policy:             scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
+		Migration:          true,
+		MonitorIntervalSec: 30,
+		MigrationDowntime:  4300 * time.Millisecond,
+		App:                "socialnet",
+		RPS:                400,
+		Bursty:             true,
+		ProfileRPS:         400,
+		HorizonSec:         int(horizon / time.Second),
+		Seed:               42,
 	})
 	if err != nil {
 		return err
 	}
-	defer sim.Close()
-
-	app, err := socialnet.New(socialnet.Config{
-		ClientNode: "client",
-		Arrival:    workload.Exponential{MeanPerSecond: 400},
-		ProfileRPS: 400,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := sim.Orch.Deploy("socialnet", app); err != nil {
-		return err
-	}
+	defer r.Sim.Close()
+	sim, app := r.Sim, r.Social
 
 	// tc-style throttle on the outgoing interfaces of nodes 1 and 2.
 	shaped := trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
@@ -74,7 +61,7 @@ func run(w io.Writer) error {
 		{From: throttleAt + throttleFor, Mbps: 1000},
 	})
 	for _, node := range []string{"node1", "node2"} {
-		if err := topo.ThrottleEgress(node, shaped); err != nil {
+		if err := sim.Topo.ThrottleEgress(node, shaped); err != nil {
 			return err
 		}
 	}

@@ -13,11 +13,9 @@ import (
 	"os"
 	"time"
 
-	"bass/internal/apps/videoconf"
-	"bass/internal/cluster"
 	"bass/internal/controller"
-	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -27,60 +25,33 @@ func main() {
 	}
 }
 
-func workers() []cluster.Node {
-	return []cluster.Node{
-		{Name: mesh.CityLabControl, CPU: 12, MemoryMB: 8192, Unschedulable: true},
-		{Name: mesh.CityLabNode1, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode2, CPU: 8, MemoryMB: 8192},
-		{Name: mesh.CityLabNode3, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
-	}
-}
-
 func run(w io.Writer) error {
-	const horizon = 10 * time.Minute
 	for _, migrate := range []bool{false, true} {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: 42, Duration: horizon})
-		if err != nil {
-			return err
-		}
 		ctrlCfg := controller.DefaultConfig()
 		ctrlCfg.Migration = scheduler.MigrationConfig{
 			UtilizationThreshold: 0.65,
 			HeadroomMbps:         2,
 		}
 		ctrlCfg.ReMigrationInterval = 5 * time.Minute
-		sim, err := core.NewSimulation(topo, workers(), 42, core.Config{
-			Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-			Controller:        ctrlCfg,
-			EnableMigration:   migrate,
-			MonitorInterval:   30 * time.Second,
-			MigrationDowntime: 20 * time.Second,
-			ReservedCPU:       1,
+		r, err := scenario.Build(scenario.Spec{
+			Topology:            "citylab",
+			Scheduler:           "bfs",
+			Controller:          ctrlCfg,
+			Migration:           migrate,
+			MonitorIntervalSec:  30,
+			MigrationDowntime:   20 * time.Second,
+			ReservedCPU:         1,
+			App:                 "videoconf",
+			ParticipantsPerNode: 3,
+			PublishMbps:         0.5,
+			InitialNode:         mesh.CityLabNode4,
+			HorizonSec:          600,
+			Seed:                42,
 		})
 		if err != nil {
 			return err
 		}
-		app, err := videoconf.New(videoconf.Config{
-			ClientsPerNode: map[string]int{
-				mesh.CityLabNode1: 3,
-				mesh.CityLabNode2: 3,
-				mesh.CityLabNode3: 3,
-				mesh.CityLabNode4: 3,
-			},
-			PublishMbps: 0.5,
-			InitialNode: mesh.CityLabNode4,
-		})
-		if err != nil {
-			sim.Close()
-			return err
-		}
-		if _, err := sim.Orch.DeployAt("videoconf", app, app.InitialAssignment()); err != nil {
-			sim.Close()
-			return err
-		}
-		if err := sim.Run(horizon); err != nil {
-			sim.Close()
+		if err := r.Complete(); err != nil {
 			return err
 		}
 
@@ -89,15 +60,14 @@ func run(w io.Writer) error {
 			label = "65% utilization threshold"
 		}
 		fmt.Fprintf(w, "== %s ==\n", label)
-		for _, s := range app.StatsByNode() {
+		for _, s := range r.Video.StatsByNode() {
 			fmt.Fprintf(w, "  %s: median=%.2f Mbps mean=%.2f Mbps loss=%.1f%%\n",
 				s.Node, s.MedianBitrateMbps, s.MeanBitrateMbps, 100*s.MeanLossFrac)
 		}
-		for _, m := range sim.Orch.Migrations() {
+		for _, m := range r.Sim.Orch.Migrations() {
 			fmt.Fprintf(w, "  migration t=%.0fs: %s %s -> %s\n", m.At.Seconds(), m.Component, m.From, m.To)
 		}
 		fmt.Fprintln(w)
-		sim.Close()
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bass/internal/controller"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -50,12 +51,12 @@ func RunAblationPackLimit(seed int64, limits []float64) (AblationResult, error) 
 	}
 	out := AblationResult{Name: "scheduler pack limit (Fig 13 scenario)", Extra: "throttle_tail_mean_s"}
 	for _, limit := range limits {
-		oc, err := throttledLAN{interval: 30 * time.Second, packLimit: limit}.run(seed)
+		r, err := throttledLAN(seed, 30, limit)
 		if err != nil {
 			return out, err
 		}
-		_, tail := throttledMeans(oc)
-		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("pack=%.1f", limit), oc, tail))
+		_, tail := throttledMeans(r)
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("pack=%.1f", limit), r, tail))
 	}
 	return out, nil
 }
@@ -69,18 +70,16 @@ func RunAblationCooldown(seed int64, cooldownsSec []int) (AblationResult, error)
 	}
 	out := AblationResult{Name: "controller cooldown (CityLab mesh)", Extra: "p90_s"}
 	for _, cd := range cooldownsSec {
-		ctrl := controller.DefaultConfig()
-		ctrl.Cooldown = time.Duration(cd) * time.Second
-		oc, err := citySocial{
-			policy:  scheduler.NewBass(scheduler.HeuristicLongestPath),
-			migrate: true,
-			ctrl:    ctrl,
-			horizon: 20 * time.Minute,
-		}.run(seed)
+		spec := citySocial(seed)
+		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
+		spec.Migration = true
+		spec.Controller = controller.DefaultConfig()
+		spec.Controller.Cooldown = time.Duration(cd) * time.Second
+		r, err := complete(spec)
 		if err != nil {
 			return out, err
 		}
-		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("cooldown=%ds", cd), oc, oc.app.Latency().Histogram().P90()))
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("cooldown=%ds", cd), r, r.Social.Latency().Histogram().P90()))
 	}
 	return out, nil
 }
@@ -96,30 +95,28 @@ func RunAblationProbeInterval(seed int64, intervalsSec []int) (AblationResult, e
 	}
 	out := AblationResult{Name: "headroom probe interval (CityLab mesh)", Extra: "probe_overhead_frac"}
 	for _, iv := range intervalsSec {
-		bed := citySocial{
-			policy:   scheduler.NewBass(scheduler.HeuristicLongestPath),
-			migrate:  true,
-			interval: time.Duration(iv) * time.Second,
-			horizon:  20 * time.Minute,
-		}
-		oc, err := bed.run(seed)
+		spec := citySocial(seed)
+		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
+		spec.Migration = true
+		spec.MonitorIntervalSec = iv
+		r, err := complete(spec)
 		if err != nil {
 			return out, err
 		}
-		overhead := oc.sim.Orch.Monitor().Stats().OverheadFrac(bed.horizon, 21, 6)
-		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("interval=%ds", iv), oc, overhead))
+		overhead := r.Sim.Orch.Monitor().Stats().OverheadFrac(r.Horizon, 21, 6)
+		out.Rows = append(out.Rows, ablationRow(fmt.Sprintf("interval=%ds", iv), r, overhead))
 	}
 	return out, nil
 }
 
 // ablationRow summarises one run's latency and migrations under setting.
-func ablationRow(setting string, oc socialOutcome, extra float64) AblationRow {
-	h := oc.app.Latency().Histogram()
+func ablationRow(setting string, r *scenario.Run, extra float64) AblationRow {
+	h := r.Social.Latency().Histogram()
 	return AblationRow{
 		Setting:    setting,
 		MeanSec:    h.Mean(),
 		P99Sec:     h.P99(),
-		Migrations: len(oc.sim.Orch.Migrations()),
+		Migrations: len(r.Sim.Orch.Migrations()),
 		Extra:      extra,
 	}
 }

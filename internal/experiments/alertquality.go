@@ -11,9 +11,8 @@ import (
 	"bass/internal/core"
 	"bass/internal/faults"
 	"bass/internal/mesh"
-	"bass/internal/metricstore"
 	"bass/internal/obs"
-	"bass/internal/scheduler"
+	"bass/internal/scenario"
 	"bass/internal/trace"
 )
 
@@ -147,54 +146,44 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 		o.Horizon = 2 * time.Hour
 	}
 	const rows, cols = 2, 4
-	topo := ladderMesh(cols, 25)
 	var nodes []cluster.Node
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			nodes = append(nodes, cluster.Node{Name: mesh.GridNodeName(r, c), CPU: 8, MemoryMB: 16384})
 		}
 	}
-	sim, err := core.NewSimulation(topo, nodes, o.Seed, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-		EnableMigration:   true,
-		MonitorInterval:   30 * time.Second,
-		MigrationDowntime: 5 * time.Second,
-		EnableSLO:         true,
-	})
-	if err != nil {
-		return AlertQualityResult{}, err
-	}
-	defer sim.Close()
-	journal := obs.NewJournal(0)
-	sim.AttachObservability(journal, metricstore.New(0))
-
 	var pairs []*pairApp
+	var deploy []core.Workload
 	for r := 0; r < rows; r++ {
 		for i := 0; i < 4; i++ {
-			name := fmt.Sprintf("pair-r%d-%d", r, i)
-			p := newPinnedPairApp(name, 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1)
-			if _, err := sim.Orch.Deploy(name, p); err != nil {
-				return AlertQualityResult{}, err
-			}
+			p := newPinnedPairApp(fmt.Sprintf("pair-r%d-%d", r, i), 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1)
 			pairs = append(pairs, p)
+			deploy = append(deploy, p)
 		}
 	}
-
 	sched := alertStorm(o.Seed, o.Horizon)
-	if err := sched.ValidateWindows(o.Horizon); err != nil {
-		return AlertQualityResult{}, err
-	}
-	if _, err := sim.InjectFaults(sched); err != nil {
-		return AlertQualityResult{}, err
-	}
-	if err := sim.Run(o.Horizon); err != nil {
+	run, err := complete(scenario.Spec{
+		Topo:               ladderMesh(cols, 25),
+		Nodes:              nodes,
+		Scheduler:          "bfs",
+		Migration:          true,
+		MonitorIntervalSec: 30,
+		MigrationDowntime:  5 * time.Second,
+		SLO:                true,
+		Journal:            true,
+		Faults:             sched.Events,
+		Deploy:             deploy,
+		HorizonSec:         int(o.Horizon / time.Second),
+		Seed:               o.Seed,
+	})
+	if err != nil {
 		return AlertQualityResult{}, err
 	}
 
 	res := AlertQualityResult{
 		Seed:           o.Seed,
 		Horizon:        o.Horizon,
-		JournalSummary: obs.Summarize(journal.Events()),
+		JournalSummary: obs.Summarize(run.Journal.Events()),
 	}
 	goodput := 0.0
 	for _, p := range pairs {
@@ -214,7 +203,7 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 		}
 	}
 	res.LinkWindows = len(linkWins)
-	res.score(linkWins, journal.Events())
+	res.score(linkWins, run.Journal.Events())
 	return res, nil
 }
 

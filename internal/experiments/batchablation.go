@@ -8,6 +8,7 @@ import (
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scenario"
 )
 
 // Batch placement ablation (ROADMAP: "Optimization-based placement baselines
@@ -89,17 +90,6 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		}
 	}
 
-	s, err := core.NewSimulation(topo, nodes, opts.Seed, core.Config{
-		// Migration off: the ablation isolates initial placement quality.
-		EnableMigration: false,
-		MonitorInterval: 30 * time.Second,
-		BatchPlacement:  opts.Batch,
-	})
-	if err != nil {
-		return BatchAblationResult{}, err
-	}
-	defer s.Close()
-
 	// Pipelines demand 4.8×12 ≈ 58 Mbps across six edges on jittered ~25 Mbps
 	// links, so any edge left crossing the mesh is a real cost: quiet at 1×
 	// density, contended at 10×, oversubscribed at 100×. Pins model a
@@ -108,6 +98,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 	const demand = 12.0
 	rng := rand.New(rand.NewSource(opts.Seed * 31))
 	apps := make([]*streamApp, 0, opts.Apps)
+	deploy := make([]core.Workload, 0, opts.Apps)
 	for i := 0; i < opts.Apps; i++ {
 		sr, sc := rng.Intn(rows), rng.Intn(cols)
 		var dr, dc int
@@ -124,16 +115,23 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 			}
 		}
 		d := demand * (0.8 + 0.4*rng.Float64())
-		name := fmt.Sprintf("pipe-%04d", i)
-		app := newPipeApp(name, d, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc))
-		if _, err := s.Orch.Deploy(name, app); err != nil {
-			return BatchAblationResult{}, fmt.Errorf("batchablation: deploy %s: %w", name, err)
-		}
+		app := newPipeApp(fmt.Sprintf("pipe-%04d", i), d, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc))
 		apps = append(apps, app)
+		deploy = append(deploy, app)
 	}
 
-	if err := s.Run(horizon); err != nil {
-		return BatchAblationResult{}, err
+	run, err := complete(scenario.Spec{
+		Topo:  topo,
+		Nodes: nodes,
+		// Migration off: the ablation isolates initial placement quality.
+		MonitorIntervalSec: 30,
+		Batch:              opts.Batch,
+		Deploy:             deploy,
+		HorizonSec:         int(horizon / time.Second),
+		Seed:               opts.Seed,
+	})
+	if err != nil {
+		return BatchAblationResult{}, fmt.Errorf("batchablation: %w", err)
 	}
 
 	var achieved, required float64
@@ -145,7 +143,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		cross += c
 	}
 	var solveNS float64
-	for _, ns := range s.Orch.DAGProcessingNS() {
+	for _, ns := range run.Sim.Orch.DAGProcessingNS() {
 		solveNS += ns
 	}
 	res := BatchAblationResult{

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/camera"
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/faults"
 	"bass/internal/mesh"
 	"bass/internal/obs"
-	"bass/internal/scheduler"
+	"bass/internal/scenario"
 )
 
 // ChaosResult summarises one seeded fault-storm run: how the orchestrator
@@ -43,57 +42,31 @@ type ChaosResult struct {
 }
 
 // stormRig is the fault-storm testbed, shared by chaos and longevity: a
-// camera pipeline plus an 8 Mbps component pair on a full mesh of 16-core
-// nodes joined by 25 Mbps links, BFS placement with migration, 30 s probe
-// sweeps (crash detection after 3 failed sweeps), a 5 s migration downtime
-// and the decision journal attached. Its fields are what those jobs vary.
-type stormRig struct {
-	nodes     int
-	reconcile bool
-}
-
-// stormRun is a started stormRig run; the caller closes sim.
-type stormRun struct {
-	sim     *core.Simulation
-	journal *obs.Journal
-	cam     *camera.App
-	pair    *pairApp
-}
-
-// start builds the rig for a run of horizon and deploys both workloads
-// without advancing the clock.
-func (r stormRig) start(seed int64, horizon time.Duration) (stormRun, error) {
-	names := make([]string, r.nodes)
-	nodes := make([]cluster.Node, r.nodes)
+// camera pipeline plus pair (an 8 Mbps component pair, deployed second) on
+// a full mesh of 16-core nodes joined by 25 Mbps links, BFS placement with
+// migration, 30 s probe sweeps (crash detection after 3 failed sweeps), a
+// 5 s migration downtime and the decision journal attached. Those jobs set
+// the node count, faults and reconciliation.
+func stormRig(nodes int, seed int64, horizon time.Duration, pair *pairApp) scenario.Spec {
+	names := make([]string, nodes)
+	cl := make([]cluster.Node, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i+1)
-		nodes[i] = cluster.Node{Name: names[i], CPU: 16, MemoryMB: 16384}
+		cl[i] = cluster.Node{Name: names[i], CPU: 16, MemoryMB: 16384}
 	}
-	topo := mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute)
-	sim, err := core.NewSimulation(topo, nodes, seed, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-		EnableMigration:   true,
-		EnableReconcile:   r.reconcile,
-		MonitorInterval:   30 * time.Second,
-		MigrationDowntime: 5 * time.Second,
-	})
-	if err != nil {
-		return stormRun{}, err
+	return scenario.Spec{
+		Topo:               mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute),
+		Nodes:              cl,
+		App:                "camera",
+		Deploy:             []core.Workload{pair},
+		Scheduler:          "bfs",
+		Migration:          true,
+		MonitorIntervalSec: 30,
+		MigrationDowntime:  5 * time.Second,
+		Journal:            true,
+		HorizonSec:         int(horizon / time.Second),
+		Seed:               seed,
 	}
-	s := stormRun{sim: sim, journal: obs.NewJournal(0), pair: newPairApp("pair", 8, "", 2)}
-	sim.AttachObservability(s.journal, nil)
-	s.cam, err = camera.New(camera.Config{})
-	if err == nil {
-		_, err = sim.Orch.Deploy("camera", s.cam)
-	}
-	if err == nil {
-		_, err = sim.Orch.Deploy("pair", s.pair)
-	}
-	if err != nil {
-		sim.Close()
-		return stormRun{}, err
-	}
-	return s, nil
 }
 
 // stormFaults is the rig's fault generator over [0, horizon): node crashes
@@ -120,30 +93,24 @@ func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
-	st, err := stormRig{nodes: 4}.start(seed, horizon)
+	pair := newPairApp("pair", 8, "", 2)
+	spec := stormRig(4, seed, horizon, pair)
+	spec.Faults = stormFaults(spec.Topo, seed, horizon, 6).Events
+	r, err := complete(spec)
 	if err != nil {
-		return ChaosResult{}, err
-	}
-	sim, pair := st.sim, st.pair
-	defer sim.Close()
-	sched := stormFaults(sim.Topo, seed, horizon, 6)
-	if _, err := sim.InjectFaults(sched); err != nil {
-		return ChaosResult{}, err
-	}
-	if err := sim.Run(horizon); err != nil {
 		return ChaosResult{}, err
 	}
 
 	res := ChaosResult{
 		Horizon:         horizon,
-		EventCounts:     sched.Counts(),
-		Report:          sim.Orch.RecoveryReport(),
+		EventCounts:     r.Faults.Counts(),
+		Report:          r.Sim.Orch.RecoveryReport(),
 		MeanGoodput:     pair.Goodput().Mean(),
-		FailedTransfers: sim.Net.FailedTransfers(),
-		Migrations:      len(sim.Orch.Migrations()),
-		JournalSummary:  obs.Summarize(st.journal.Events()),
+		FailedTransfers: r.Sim.Net.FailedTransfers(),
+		Migrations:      len(r.Sim.Orch.Migrations()),
+		JournalSummary:  obs.Summarize(r.Journal.Events()),
 	}
-	published, _, _, dropped := st.cam.Counters()
+	published, _, _, dropped := r.Camera.Counters()
 	res.FramesPublished = published
 	res.FramesLost = dropped
 	pts := pair.Goodput().Points()

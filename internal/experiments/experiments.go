@@ -1,6 +1,6 @@
 // Package experiments contains one reproducible harness per table and figure
-// of the BASS paper's evaluation (§6). Each Run* function builds the
-// corresponding scenario on the simulated substrate, executes it, and
+// of the BASS paper's evaluation (§6). Each Run* function describes its
+// runs as scenario specs, builds and executes them with scenario.Build, and
 // returns a typed result whose Table method renders the same rows/series the
 // paper reports. The cmd/benchtab binary and the repository-root benchmarks
 // drive these harnesses.
@@ -9,10 +9,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bass/internal/cluster"
-	"bass/internal/mesh"
+	"bass/internal/scenario"
 )
 
 // Table is a printable experiment result: a header row plus data rows.
@@ -73,38 +72,5 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func ms(seconds float64) string { return fmt.Sprintf("%.0f", seconds*1e3) }
 
 // CityLabWorkers returns the paper's heterogeneous worker set for the
-// emulated mesh (§6.3): VMs with 8 GB RAM and 12 or 8 cores. node0 hosts
-// the control plane and is unschedulable.
-func CityLabWorkers() []cluster.Node {
-	return []cluster.Node{
-		{Name: mesh.CityLabControl, CPU: 12, MemoryMB: 8192, Unschedulable: true},
-		{Name: mesh.CityLabNode1, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode2, CPU: 8, MemoryMB: 8192},
-		{Name: mesh.CityLabNode3, CPU: 12, MemoryMB: 8192},
-		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
-	}
-}
-
-// LANNodes returns an n-node microbenchmark cluster: CloudLab-style machines
-// on a bridged 1 Gbps LAN. cpu/memMB pick the machine class (c6525-25g ≈ 16
-// cores / 128 GB; d710 ≈ 8 hardware threads / 12 GB).
-func LANNodes(n int, cpu, memMB float64) []cluster.Node {
-	nodes := make([]cluster.Node, n)
-	for i := range nodes {
-		nodes[i] = cluster.Node{
-			Name:     fmt.Sprintf("node%d", i+1),
-			CPU:      cpu,
-			MemoryMB: memMB,
-		}
-	}
-	return nodes
-}
-
-// LANTopology returns a full-mesh 1 Gbps topology over the given nodes.
-func LANTopology(nodes []cluster.Node, horizon time.Duration) *mesh.Topology {
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		names[i] = n.Name
-	}
-	return mesh.FullMesh(names, 1000, time.Millisecond, horizon)
-}
+// emulated mesh (scenario.CityLabWorkers).
+func CityLabWorkers() []cluster.Node { return scenario.CityLabWorkers() }

@@ -5,8 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"bass/internal/apps/camera"
-	"bass/internal/core"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -27,29 +26,23 @@ type Fig10Result struct {
 // runCamera deploys the camera pipeline under one policy and returns the
 // latency stats and placement.
 func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (Fig10Row, error) {
-	nodes := LANNodes(3, 16, 131072)
-	topo := LANTopology(nodes, horizon)
-	sim, err := core.NewSimulation(topo, nodes, seed, core.Config{
-		Policy:      policy,
-		ReservedCPU: 1,
+	r, err := complete(scenario.Spec{
+		Topology:     "lan",
+		LANNodes:     3,
+		LANNodeCPU:   16,
+		LANNodeMemMB: 131072,
+		App:          "camera",
+		Policy:       policy,
+		ReservedCPU:  1,
+		HorizonSec:   int(horizon / time.Second),
+		Seed:         seed,
 	})
 	if err != nil {
 		return Fig10Row{}, err
 	}
-	defer sim.Close()
-	app, err := camera.New(camera.Config{})
-	if err != nil {
-		return Fig10Row{}, err
-	}
-	if _, err := sim.Orch.Deploy("camera", app); err != nil {
-		return Fig10Row{}, err
-	}
-	if err := sim.Run(horizon); err != nil {
-		return Fig10Row{}, err
-	}
-	h := app.Latency().Histogram()
+	h := r.Camera.Latency().Histogram()
 	placement := make(map[string][]string)
-	for _, p := range sim.Cluster.Placements() {
+	for _, p := range r.Sim.Cluster.Placements() {
 		placement[p.Node] = append(placement[p.Node], p.Component)
 	}
 	return Fig10Row{

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/socialnet"
-	"bass/internal/core"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 	"bass/internal/trace"
-	"bass/internal/workload"
 )
 
 // Fig11Row is one (scheduler, restriction, rate) cell.
@@ -44,39 +42,11 @@ func RunFig11(seed int64, rates []float64) (Fig11Result, error) {
 	for _, restricted := range []bool{false, true} {
 		for _, policy := range policies {
 			for _, rps := range rates {
-				nodes := withClientHost(microbenchNodes(4), "node5")
-				topo := LANTopology(nodes, horizon)
-				sc := socialScenario{
-					topo:  topo,
-					nodes: nodes,
-					seed:  seed,
-					simCfg: core.Config{
-						Policy: policy,
-					},
-					appCfg: socialnet.Config{
-						ClientNode: "node5",
-						Arrival:    workload.Exponential{MeanPerSecond: rps},
-						ProfileRPS: 300,
-					},
-					horizon: horizon,
-				}
-				if restricted {
-					sc.prepared = func(app *socialnet.App, sim *core.Simulation) error {
-						// Restrict one fixed worker's interface to 25 Mbps (the
-						// paper throttles "bandwidth on one node"). The
-						// bandwidth-aware scheduler keeps its heavy pairs
-						// co-located, so the restricted node carries little of
-						// its traffic; the spreading baseline routes hot pairs
-						// through it.
-						return topo.ThrottleEgress("node3",
-							trace.Constant("throttle", time.Second, 25, int(horizon/time.Second)))
-					}
-				}
-				oc, err := sc.run()
+				r, err := runFig11Cell(seed, policy, restricted, rps, horizon)
 				if err != nil {
 					return out, err
 				}
-				h := oc.app.Latency().Histogram()
+				h := r.Social.Latency().Histogram()
 				out.Rows = append(out.Rows, Fig11Row{
 					Scheduler:  policy.Name(),
 					Restricted: restricted,
@@ -88,6 +58,30 @@ func RunFig11(seed int64, rates []float64) (Fig11Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// runFig11Cell runs the social network on four d710-class workers at rps.
+// restricted throttles one fixed worker's interface to 25 Mbps (the paper
+// throttles "bandwidth on one node"): the bandwidth-aware scheduler keeps
+// its heavy pairs co-located, so that node carries little of its traffic;
+// the spreading baseline routes hot pairs through it.
+func runFig11Cell(seed int64, policy scheduler.Policy, restricted bool, rps float64, horizon time.Duration) (*scenario.Run, error) {
+	spec := socialLAN(4, rps, seed)
+	spec.Policy = policy
+	spec.ProfileRPS = 300
+	spec.HorizonSec = int(horizon / time.Second)
+	r, err := scenario.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Sim.Close()
+	if restricted {
+		if err := r.Sim.Topo.ThrottleEgress("node3",
+			trace.Constant("throttle", time.Second, 25, int(horizon/time.Second))); err != nil {
+			return nil, err
+		}
+	}
+	return r, r.Sim.Run(horizon)
 }
 
 // Table renders the comparison.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/videoconf"
-	"bass/internal/core"
 	"bass/internal/mesh"
-	"bass/internal/scheduler"
+	"bass/internal/scenario"
 	"bass/internal/trace"
 )
 
@@ -60,38 +58,26 @@ func RunFig12(seed int64, intervals []int) (Fig12Result, error) {
 				return out, err
 			}
 		}
-		cfg := core.Config{
-			Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-			EnableMigration:   interval > 0,
-			MigrationDowntime: 25 * time.Second,
-		}
-		if interval > 0 {
-			cfg.MonitorInterval = time.Duration(interval) * time.Second
-		}
-		sim, err := core.NewSimulation(topo, LANNodes(3, 16, 131072), seed, cfg)
-		if err != nil {
-			return out, err
-		}
-		app, err := videoconf.New(videoconf.Config{
-			ClientsPerNode: map[string]int{"node1": 4, "node3": 5},
-			PublishMbps:    publish,
-			Publishers:     1,
-			InitialNode:    "node2",
+		r, err := complete(scenario.Spec{
+			Topo:               topo,
+			Nodes:              scenario.LANNodes(3, 16, 131072),
+			Scheduler:          "bfs",
+			Migration:          interval > 0,
+			MonitorIntervalSec: interval,
+			MigrationDowntime:  25 * time.Second,
+			App:                "videoconf",
+			VideoClients:       map[string]int{"node1": 4, "node3": 5},
+			PublishMbps:        publish,
+			Publishers:         1,
+			InitialNode:        "node2",
+			HorizonSec:         int(horizon / time.Second),
+			Seed:               seed,
 		})
 		if err != nil {
-			sim.Close()
-			return out, err
-		}
-		if _, err := sim.Orch.DeployAt("videoconf", app, app.InitialAssignment()); err != nil {
-			sim.Close()
-			return out, err
-		}
-		if err := sim.Run(horizon); err != nil {
-			sim.Close()
 			return out, err
 		}
 
-		series := app.BitrateSeries()
+		series := r.Video.BitrateSeries()
 		var during, after []float64
 		for _, p := range series.Points() {
 			switch {
@@ -102,14 +88,13 @@ func RunFig12(seed int64, intervals []int) (Fig12Result, error) {
 			}
 		}
 		row := Fig12Row{IntervalSec: interval, FirstMigrationSec: -1}
-		migs := sim.Orch.Migrations()
+		migs := r.Sim.Orch.Migrations()
 		row.Migrations = len(migs)
 		if len(migs) > 0 {
 			row.FirstMigrationSec = migs[0].At.Seconds()
 		}
 		row.MeanMbpsDuringRestriction = mean(during)
 		row.MeanMbpsAfterRecovery = mean(after)
-		sim.Close()
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/socialnet"
 	"bass/internal/core"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 	"bass/internal/trace"
-	"bass/internal/workload"
 )
 
 // Fig13Row is one monitoring-interval configuration of Fig 13.
@@ -34,18 +33,38 @@ type Fig13Result struct {
 	Evaluations []core.EvaluationRecord
 }
 
-// throttledLAN is the Fig 13 testbed, shared by Fig 13, Table 1 and the
-// pack-limit ablation: the social network at 400 RPS (exponential) on three
-// d710-class nodes plus a client host. 10 s in, the outgoing interfaces of
+// throttledLAN runs the Fig 13 testbed for seed, shared by Fig 13, Table 1
+// and the pack-limit ablation, and leaves it closed: socialLAN at 400 RPS
+// (profiled at 400) on three workers. 10 s in, the outgoing interfaces of
 // node1 and node2 are throttled to 25 Mbps for 3 minutes (tc on two of the
 // three nodes, as in the paper); node3 keeps full egress and becomes the
-// migration refuge. Its fields are what those jobs vary.
-type throttledLAN struct {
-	// interval is the monitor interval; zero disables migration.
-	interval time.Duration
-	// packLimit caps node packing so nodes keep room to receive migrated
-	// components.
-	packLimit float64
+// migration refuge. intervalSec is the monitor interval (0 disables
+// migration); packLimit caps node packing so nodes keep room to receive
+// migrated components.
+func throttledLAN(seed int64, intervalSec int, packLimit float64) (*scenario.Run, error) {
+	spec := socialLAN(3, 400, seed)
+	spec.ProfileRPS = 400
+	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(packLimit))
+	spec.Migration = intervalSec > 0
+	spec.MonitorIntervalSec = intervalSec
+	spec.MigrationDowntime = 4300 * time.Millisecond
+	spec.HorizonSec = int(lanHorizon / time.Second)
+	r, err := scenario.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Sim.Close()
+	shaped := trace.StepTrace("throttle", time.Second, lanHorizon, []trace.Level{
+		{From: 0, Mbps: 1000},
+		{From: lanThrottleAt, Mbps: 25},
+		{From: lanThrottleEnd, Mbps: 1000},
+	})
+	for _, node := range []string{"node1", "node2"} {
+		if err := r.Sim.Topo.ThrottleEgress(node, shaped); err != nil {
+			return nil, err
+		}
+	}
+	return r, r.Sim.Run(lanHorizon)
 }
 
 const (
@@ -54,48 +73,12 @@ const (
 	lanHorizon     = 5 * time.Minute
 )
 
-// run executes the testbed for seed and leaves the simulation closed.
-func (b throttledLAN) run(seed int64) (socialOutcome, error) {
-	nodes := withClientHost(microbenchNodes(3), "node4")
-	topo := LANTopology(nodes, lanHorizon)
-	return socialScenario{
-		topo:  topo,
-		nodes: nodes,
-		seed:  seed,
-		simCfg: core.Config{
-			Policy:            scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(b.packLimit)),
-			EnableMigration:   b.interval > 0,
-			MonitorInterval:   b.interval,
-			MigrationDowntime: 4300 * time.Millisecond,
-		},
-		appCfg: socialnet.Config{
-			ClientNode: "node4",
-			Arrival:    workload.Exponential{MeanPerSecond: 400},
-			ProfileRPS: 400,
-		},
-		horizon: lanHorizon,
-		prepared: func(*socialnet.App, *core.Simulation) error {
-			shaped := trace.StepTrace("throttle", time.Second, lanHorizon, []trace.Level{
-				{From: 0, Mbps: 1000},
-				{From: lanThrottleAt, Mbps: 25},
-				{From: lanThrottleEnd, Mbps: 1000},
-			})
-			for _, node := range []string{"node1", "node2"} {
-				if err := topo.ThrottleEgress(node, shaped); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}.run()
-}
-
 // throttledMeans averages a throttledLAN run's per-second latency over the
 // restriction window and over its final minute, where migration benefits
 // have accrued.
-func throttledMeans(oc socialOutcome) (during, tail float64) {
+func throttledMeans(r *scenario.Run) (during, tail float64) {
 	var all, last []float64
-	for _, p := range oc.app.Latency().Series().Points() {
+	for _, p := range r.Social.Latency().Series().Points() {
 		if p.At >= lanThrottleAt && p.At < lanThrottleEnd {
 			all = append(all, p.Value)
 			if p.At >= lanThrottleEnd-time.Minute {
@@ -117,22 +100,22 @@ func RunFig13(seed int64, intervals []int) (Fig13Result, error) {
 	}
 	var out Fig13Result
 	for _, interval := range intervals {
-		oc, err := throttledLAN{interval: time.Duration(interval) * time.Second, packLimit: 0.8}.run(seed)
+		r, err := throttledLAN(seed, interval, 0.8)
 		if err != nil {
 			return out, err
 		}
-		h := oc.app.Latency().Histogram()
-		during, tail := throttledMeans(oc)
+		h := r.Social.Latency().Histogram()
+		during, tail := throttledMeans(r)
 		out.Rows = append(out.Rows, Fig13Row{
 			IntervalSec:          interval,
 			MeanSec:              h.Mean(),
 			P99Sec:               h.P99(),
 			ThrottledMeanSec:     during,
 			ThrottledTailMeanSec: tail,
-			Migrations:           len(oc.sim.Orch.Migrations()),
+			Migrations:           len(r.Sim.Orch.Migrations()),
 		})
 		if interval == 30 {
-			out.Evaluations = oc.sim.Orch.Evaluations()
+			out.Evaluations = r.Sim.Orch.Evaluations()
 		}
 	}
 	return out, nil

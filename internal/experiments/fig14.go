@@ -7,6 +7,7 @@ import (
 	"bass/internal/apps/socialnet"
 	"bass/internal/mesh"
 	"bass/internal/metrics"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -23,16 +24,14 @@ type Fig14aResult struct {
 // (paper: 552 ms → 4.9 s).
 func RunFig14a(seed int64) (Fig14aResult, error) {
 	const restartAt = 5 * time.Minute
-	bed := citySocial{policy: scheduler.NewBass(scheduler.HeuristicLongestPath), horizon: 10 * time.Minute}
-	sc, err := bed.scenario(seed)
+	spec := citySocial(seed)
+	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
+	spec.HorizonSec = 10 * 60
+	r, err := scenario.Build(spec)
 	if err != nil {
 		return Fig14aResult{}, err
 	}
-	oc, err := sc.start()
-	if err != nil {
-		return Fig14aResult{}, err
-	}
-	sim, app := oc.sim, oc.app
+	sim, app := r.Sim, r.Social
 	defer sim.Close()
 	if err := sim.Run(restartAt); err != nil {
 		return Fig14aResult{}, err
@@ -46,7 +45,7 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 	if err := sim.Orch.ForceMigrate("socialnet", socialnet.SvcPostStorage, target); err != nil {
 		return Fig14aResult{}, err
 	}
-	if err := sim.Run(bed.horizon); err != nil {
+	if err := sim.Run(r.Horizon); err != nil {
 		return Fig14aResult{}, err
 	}
 
@@ -94,19 +93,19 @@ type Fig14bResult struct {
 	Rows []Fig14bRow
 }
 
-// runFig14bVariant runs one CityLab testbed configuration as a named variant.
-func runFig14bVariant(seed int64, name string, bed citySocial) (Fig14bRow, error) {
-	oc, err := bed.run(seed)
+// runFig14bVariant runs one CityLab testbed spec as a named variant.
+func runFig14bVariant(name string, spec scenario.Spec) (Fig14bRow, error) {
+	r, err := complete(spec)
 	if err != nil {
 		return Fig14bRow{}, err
 	}
-	h := oc.app.Latency().Histogram()
+	h := r.Social.Latency().Histogram()
 	return Fig14bRow{
 		Variant:    name,
 		MedianSec:  h.Median(),
 		P90Sec:     h.P90(),
 		P99Sec:     h.P99(),
-		Migrations: len(oc.sim.Orch.Migrations()),
+		Migrations: len(r.Sim.Orch.Migrations()),
 	}, nil
 }
 
@@ -129,12 +128,10 @@ func RunFig14b(seed int64) (Fig14bResult, error) {
 	}
 	var out Fig14bResult
 	for _, v := range variants {
-		row, err := runFig14bVariant(seed, v.name, citySocial{
-			policy:  v.policy,
-			migrate: v.migrate,
-			ctrl:    thresholdController(0.5, 2),
-			horizon: 20 * time.Minute,
-		})
+		spec := citySocial(seed)
+		spec.Policy, spec.Migration = v.policy, v.migrate
+		spec.Controller = thresholdController(0.5, 2)
+		row, err := runFig14bVariant(v.name, spec)
 		if err != nil {
 			return out, err
 		}
@@ -195,13 +192,11 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 	for _, h := range heuristics {
 		for _, th := range thresholds {
 			for _, hr := range headrooms {
-				row, err := runFig14bVariant(seed, fmt.Sprintf("%s/t%d/h%d", h.name, th, hr), citySocial{
-					policy:  h.policy,
-					migrate: true,
-					// Headroom expressed against a 20 Mbps-class mesh link.
-					ctrl:    thresholdController(float64(th)/100, float64(hr)/100*20),
-					horizon: 20 * time.Minute,
-				})
+				spec := citySocial(seed)
+				spec.Policy, spec.Migration = h.policy, true
+				// Headroom expressed against a 20 Mbps-class mesh link.
+				spec.Controller = thresholdController(float64(th)/100, float64(hr)/100*20)
+				row, err := runFig14bVariant(fmt.Sprintf("%s/t%d/h%d", h.name, th, hr), spec)
 				if err != nil {
 					return out, err
 				}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/videoconf"
 	"bass/internal/controller"
-	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -60,10 +59,6 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 	}
 	out := Fig15Result{Migrations: make(map[string]int)}
 	for _, s := range strategies {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
-		if err != nil {
-			return out, err
-		}
 		ctrlCfg := controller.DefaultConfig()
 		ctrlCfg.Migration = scheduler.MigrationConfig{
 			UtilizationThreshold: s.threshold,
@@ -73,42 +68,25 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 		// WebRTC reconnects cost ~20 s; space SFU moves out so the paid
 		// downtime amortises (§6.3.2's take-away).
 		ctrlCfg.ReMigrationInterval = 5 * time.Minute
-		cfg := core.Config{
-			Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-			Controller:        ctrlCfg,
-			EnableMigration:   s.threshold > 0,
-			MonitorInterval:   30 * time.Second,
-			MigrationDowntime: 20 * time.Second,
-			ReservedCPU:       1,
-		}
-		sim, err := core.NewSimulation(topo, CityLabWorkers(), seed, cfg)
-		if err != nil {
-			return out, err
-		}
-		app, err := videoconf.New(videoconf.Config{
-			ClientsPerNode: map[string]int{
-				mesh.CityLabNode1: 3,
-				mesh.CityLabNode2: 3,
-				mesh.CityLabNode3: 3,
-				mesh.CityLabNode4: 3,
-			},
-			PublishMbps: 0.5,
-			InitialNode: mesh.CityLabNode4,
+		r, err := complete(scenario.Spec{
+			Scheduler:           "bfs",
+			Controller:          ctrlCfg,
+			Migration:           s.threshold > 0,
+			MonitorIntervalSec:  30,
+			MigrationDowntime:   20 * time.Second,
+			ReservedCPU:         1,
+			App:                 "videoconf",
+			ParticipantsPerNode: 3,
+			PublishMbps:         0.5,
+			InitialNode:         mesh.CityLabNode4,
+			HorizonSec:          int(horizon / time.Second),
+			Seed:                seed,
 		})
 		if err != nil {
-			sim.Close()
 			return out, err
 		}
-		if _, err := sim.Orch.DeployAt("videoconf", app, app.InitialAssignment()); err != nil {
-			sim.Close()
-			return out, err
-		}
-		if err := sim.Run(horizon); err != nil {
-			sim.Close()
-			return out, err
-		}
-		out.Migrations[s.name] = len(sim.Orch.Migrations())
-		for _, ns := range app.StatsByNode() {
+		out.Migrations[s.name] = len(r.Sim.Orch.Migrations())
+		for _, ns := range r.Video.StatsByNode() {
 			out.Rows = append(out.Rows, Fig15Row{
 				Strategy:          s.name,
 				Node:              ns.Node,
@@ -116,7 +94,6 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 				MeanBitrateMbps:   ns.MeanBitrateMbps,
 			})
 		}
-		sim.Close()
 	}
 	return out, nil
 }

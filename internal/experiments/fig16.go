@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"bass/internal/scheduler"
 )
@@ -32,22 +31,21 @@ func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
 	}
 	var out Fig16Result
 	for _, th := range thresholds {
-		oc, err := citySocial{
-			policy:  scheduler.NewBass(scheduler.HeuristicLongestPath),
-			migrate: true,
-			ctrl:    thresholdController(float64(th)/100, 0.2*20), // 20% of a 20 Mbps-class link
-			bursty:  true,
-			horizon: 20 * time.Minute,
-		}.run(seed)
+		spec := citySocial(seed)
+		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
+		spec.Migration = true
+		spec.Controller = thresholdController(float64(th)/100, 0.2*20) // 20% of a 20 Mbps-class link
+		spec.Bursty = true
+		r, err := complete(spec)
 		if err != nil {
 			return out, err
 		}
-		h := oc.app.Latency().Histogram()
+		h := r.Social.Latency().Histogram()
 		out.Rows = append(out.Rows, Fig16Row{
 			ThresholdPct: th,
 			MedianSec:    h.Median(),
 			P90Sec:       h.P90(),
-			Migrations:   len(oc.sim.Orch.Migrations()),
+			Migrations:   len(r.Sim.Orch.Migrations()),
 		})
 	}
 	return out, nil

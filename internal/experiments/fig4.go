@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/videoconf"
-	"bass/internal/core"
 	"bass/internal/mesh"
-	"bass/internal/scheduler"
+	"bass/internal/scenario"
 	"bass/internal/trace"
 )
 
@@ -42,32 +40,22 @@ func RunFig4(seed int64, participants []int, publishMbps float64) (Fig4Result, e
 			trace.Constant("node2-node3", time.Second, 30, 3600)); err != nil {
 			return out, err
 		}
-		sim, err := core.NewSimulation(topo, LANNodes(3, 16, 131072), seed, core.Config{
-			Policy: scheduler.NewBass(scheduler.HeuristicBFS),
+		r, err := complete(scenario.Spec{
+			Topo:         topo,
+			Nodes:        scenario.LANNodes(3, 16, 131072),
+			Scheduler:    "bfs",
+			App:          "videoconf",
+			VideoClients: map[string]int{"node3": p},
+			PublishMbps:  publishMbps,
+			Publishers:   1,
+			InitialNode:  "node2",
+			HorizonSec:   3 * 60,
+			Seed:         seed,
 		})
 		if err != nil {
 			return out, err
 		}
-		app, err := videoconf.New(videoconf.Config{
-			ClientsPerNode: map[string]int{"node3": p},
-			PublishMbps:    publishMbps,
-			Publishers:     1,
-			InitialNode:    "node2",
-		})
-		if err != nil {
-			sim.Close()
-			return out, err
-		}
-		if _, err := sim.Orch.DeployAt("videoconf", app, app.InitialAssignment()); err != nil {
-			sim.Close()
-			return out, err
-		}
-		if err := sim.Run(3 * time.Minute); err != nil {
-			sim.Close()
-			return out, err
-		}
-		stats := app.StatsByNode()
-		sim.Close()
+		stats := r.Video.StatsByNode()
 		if len(stats) != 1 {
 			return out, fmt.Errorf("fig4: unexpected stats %+v", stats)
 		}

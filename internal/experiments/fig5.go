@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"bass/internal/apps/socialnet"
-	"bass/internal/core"
-	"bass/internal/scheduler"
+	"bass/internal/scenario"
 	"bass/internal/trace"
-	"bass/internal/workload"
 )
 
 // Fig5Result is the latency timeline of the motivation experiment.
@@ -38,37 +36,29 @@ func RunFig5(seed int64) (Fig5Result, error) {
 		throttleFor = 2 * time.Minute
 		horizon     = 5 * time.Minute
 	)
-	nodes := withClientHost(microbenchNodes(3), "node4")
-	topo := LANTopology(nodes, horizon)
-	sc := socialScenario{
-		topo:  topo,
-		nodes: nodes,
-		seed:  seed,
-		simCfg: core.Config{
-			Policy: scheduler.NewBass(scheduler.HeuristicLongestPath),
-		},
-		appCfg: socialnet.Config{
-			ClientNode: "node4",
-			Arrival:    workload.Exponential{MeanPerSecond: 400},
-		},
-		horizon: horizon,
-		prepared: func(app *socialnet.App, sim *core.Simulation) error {
-			nginxNode := sim.Cluster.NodeOf("socialnet", socialnet.SvcNginx)
-			if nginxNode == "" {
-				return fmt.Errorf("fig5: nginx not placed")
-			}
-			return topo.SetCapacity("node4", nginxNode, trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
-				{From: 0, Mbps: 1000},
-				{From: throttleAt, Mbps: 25},
-				{From: throttleAt + throttleFor, Mbps: 1000},
-			}))
-		},
-	}
-	oc, err := sc.run()
+	spec := socialLAN(3, 400, seed)
+	spec.Scheduler = "longest-path"
+	spec.HorizonSec = int(horizon / time.Second)
+	r, err := scenario.Build(spec)
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	series := oc.app.Latency().Series()
+	defer r.Sim.Close()
+	nginxNode := r.Sim.Cluster.NodeOf("socialnet", socialnet.SvcNginx)
+	if nginxNode == "" {
+		return Fig5Result{}, fmt.Errorf("fig5: nginx not placed")
+	}
+	if err := r.Sim.Topo.SetCapacity("node4", nginxNode, trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
+		{From: 0, Mbps: 1000},
+		{From: throttleAt, Mbps: 25},
+		{From: throttleAt + throttleFor, Mbps: 1000},
+	})); err != nil {
+		return Fig5Result{}, err
+	}
+	if err := r.Sim.Run(horizon); err != nil {
+		return Fig5Result{}, err
+	}
+	series := r.Social.Latency().Series()
 	var out Fig5Result
 	for _, p := range series.Points() {
 		out.Series = append(out.Series, SeriesPoint{AtSec: p.At.Seconds(), Value: p.Value})

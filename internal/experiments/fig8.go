@@ -9,6 +9,7 @@ import (
 	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/obs"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 	"bass/internal/trace"
 )
@@ -74,25 +75,21 @@ func RunFig8(seed int64) (Fig8Result, error) {
 		HeadroomMbps:         4, // ≈20% of the 25 Mbps link, per the paper
 	}
 	ctrlCfg.Cooldown = 30 * time.Second
-	sim, err := core.NewSimulation(topo, nodes, seed, core.Config{
-		Policy:            scheduler.NewBass(scheduler.HeuristicBFS),
-		Controller:        ctrlCfg,
-		EnableMigration:   true,
-		MonitorInterval:   30 * time.Second,
-		MigrationDowntime: 10 * time.Second,
+	app := newPairApp("pair", 8, mesh.CityLabNode3, 2)
+	r, err := complete(scenario.Spec{
+		Topo:               topo,
+		Nodes:              nodes,
+		Scheduler:          "bfs",
+		Controller:         ctrlCfg,
+		Migration:          true,
+		MonitorIntervalSec: 30,
+		MigrationDowntime:  10 * time.Second,
+		Journal:            true,
+		Deploy:             []core.Workload{app},
+		HorizonSec:         int(horizon / time.Second),
+		Seed:               seed,
 	})
 	if err != nil {
-		return Fig8Result{}, err
-	}
-	defer sim.Close()
-	journal := obs.NewJournal(0)
-	sim.AttachObservability(journal, nil)
-
-	app := newPairApp("pair", 8, mesh.CityLabNode3, 2)
-	if _, err := sim.Orch.Deploy("pair", app); err != nil {
-		return Fig8Result{}, err
-	}
-	if err := sim.Run(horizon); err != nil {
 		return Fig8Result{}, err
 	}
 
@@ -101,11 +98,11 @@ func RunFig8(seed int64) (Fig8Result, error) {
 		return v
 	}
 	res := Fig8Result{
-		Migrations:        sim.Orch.Migrations(),
+		Migrations:        r.Sim.Orch.Migrations(),
 		GoodputBeforeDrop: at(firstDrop - 10*time.Second),
 		GoodputDuringDrop: at(firstDrop + 45*time.Second),
 		GoodputEnd:        at(horizon - 30*time.Second),
-		JournalSummary:    obs.Summarize(journal.Events()),
+		JournalSummary:    obs.Summarize(r.Journal.Events()),
 	}
 	if len(res.Migrations) > 0 {
 		res.GoodputAfterFirstMigration = at(res.Migrations[0].At + 30*time.Second)

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"bass/internal/core"
-	"bass/internal/faults"
 	"bass/internal/obs"
+	"bass/internal/scenario"
 )
 
 // LongevityWave snapshots the reconciler just before a storm wave's quiet
@@ -69,33 +69,26 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 	waveLen := horizon / longevityWaves
 	storm := waveLen / 2 // quiet second half: detection + re-convergence room
 
-	st, err := stormRig{nodes: 6, reconcile: true}.start(seed, horizon)
-	if err != nil {
-		return LongevityResult{}, nil, err
-	}
-	sim := st.sim
-	defer sim.Close()
-
+	spec := stormRig(6, seed, horizon, newPairApp("pair", 8, "", 2))
+	spec.Reconcile = true
 	// Each wave draws its own seeded storm over [0, storm) and is clamped so
 	// every window closes inside the storm — the wave's quiet half starts
 	// with all elements recovered. Clamped waves occupy disjoint time ranges,
 	// so the merged schedule still passes window validation.
-	combined := &faults.Schedule{}
 	for w := 0; w < longevityWaves; w++ {
-		wave := stormFaults(sim.Topo, seed+int64(w+1)*1000, storm, 8).Clamp(storm)
+		wave := stormFaults(spec.Topo, seed+int64(w+1)*1000, storm, 8).Clamp(storm)
 		base := time.Duration(w) * waveLen
 		for i := range wave.Events {
 			wave.Events[i].AtSec += base.Seconds()
 		}
-		combined.Events = append(combined.Events, wave.Events...)
+		spec.Faults = append(spec.Faults, wave.Events...)
 	}
-	combined.Sort()
-	if err := combined.ValidateWindows(horizon); err != nil {
-		return LongevityResult{}, nil, fmt.Errorf("longevity: merged storm invalid: %w", err)
-	}
-	if _, err := sim.InjectFaults(combined); err != nil {
+	r, err := scenario.Build(spec)
+	if err != nil {
 		return LongevityResult{}, nil, err
 	}
+	sim := r.Sim
+	defer sim.Close()
 
 	rec := sim.Orch.Reconciler()
 	snaps := make([]LongevityWave, longevityWaves)
@@ -116,7 +109,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 
 	res := LongevityResult{
 		Horizon:          horizon,
-		FaultEvents:      len(combined.Events),
+		FaultEvents:      len(r.Faults.Events),
 		Waves:            snaps,
 		FinalConverged:   rec.Converged(),
 		FinalOutstanding: rec.OutstandingDrift(),
@@ -126,7 +119,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 		Restores:         rec.Restores(),
 		ConvergeEpisodes: len(rec.Converges()),
 		Report:           sim.Orch.RecoveryReport(),
-		JournalSummary:   obs.Summarize(st.journal.Events()),
+		JournalSummary:   obs.Summarize(r.Journal.Events()),
 	}
 	prev := 0
 	for _, s := range snaps {
@@ -135,7 +128,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 		}
 		prev = s.Actions
 	}
-	return res, st.journal.Events(), nil
+	return res, r.Journal.Events(), nil
 }
 
 // Table renders the soak's per-wave convergence and the run totals.

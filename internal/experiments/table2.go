@@ -7,6 +7,7 @@ import (
 	"bass/internal/apps/camera"
 	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/scenario"
 	"bass/internal/scheduler"
 )
 
@@ -49,30 +50,26 @@ func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
 			if err != nil {
 				return out, err
 			}
-			// Migration is disabled to isolate initial-placement effects;
-			// the paper likewise observed zero migrations in this workload.
-			sim, err := core.NewSimulation(topo, CityLabWorkers(), seed, core.Config{
-				Policy:      policy,
-				ReservedCPU: 1,
-			})
-			if err != nil {
-				return out, err
-			}
 			// The camera feed enters the mesh at node2 (a physical camera on
 			// a pole), and the 30 KB frames (≈7.2 Mbps) press on node2's
 			// volatile 7.62 Mbps link unless the sampler is co-located —
 			// which is exactly what the bandwidth-aware heuristics do.
 			app, err := camera.New(camera.Config{FrameKB: 30, PinCamera: mesh.CityLabNode2})
 			if err != nil {
-				sim.Close()
 				return out, err
 			}
-			if _, err := sim.Orch.Deploy("camera", app); err != nil {
-				sim.Close()
-				return out, err
-			}
-			if err := sim.Run(horizon); err != nil {
-				sim.Close()
+			// Migration is disabled to isolate initial-placement effects;
+			// the paper likewise observed zero migrations in this workload.
+			r, err := complete(scenario.Spec{
+				Topo:        topo,
+				Nodes:       CityLabWorkers(),
+				Policy:      policy,
+				ReservedCPU: 1,
+				Deploy:      []core.Workload{app},
+				HorizonSec:  int(horizon / time.Second),
+				Seed:        seed,
+			})
+			if err != nil {
 				return out, err
 			}
 			h := app.Latency().Histogram()
@@ -81,9 +78,8 @@ func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
 				Varying:    varying,
 				MedianSec:  h.Median(),
 				MeanSec:    h.Mean(),
-				Migrations: len(sim.Orch.Migrations()),
+				Migrations: len(r.Sim.Orch.Migrations()),
 			})
-			sim.Close()
 		}
 	}
 	return out, nil

@@ -108,9 +108,16 @@ func (s *Schedule) Sort() {
 	})
 }
 
+// Elements is the node and link set a schedule is validated against:
+// *mesh.Topology, or a scenario spec's before its topology is built.
+type Elements interface {
+	HasNode(name string) bool
+	HasLink(a, b string) bool
+}
+
 // Validate checks every event against the topology: known event types, known
 // nodes and links, non-negative times.
-func (s *Schedule) Validate(topo *mesh.Topology) error {
+func (s *Schedule) Validate(topo Elements) error {
 	for i, e := range s.Events {
 		if e.AtSec < 0 {
 			return fmt.Errorf("%w: event %d at negative time %g", ErrInvalidSchedule, i, e.AtSec)
@@ -121,7 +128,7 @@ func (s *Schedule) Validate(topo *mesh.Topology) error {
 				return fmt.Errorf("%w: event %d targets unknown node %q", ErrInvalidSchedule, i, e.Node)
 			}
 		case LinkDown, LinkUp, ProbeLossStart, ProbeLossEnd:
-			if _, ok := topo.Link(e.LinkA, e.LinkB); !ok {
+			if !topo.HasLink(e.LinkA, e.LinkB) {
 				return fmt.Errorf("%w: event %d targets unknown link %s", ErrInvalidSchedule, i, e.Link())
 			}
 		default:

@@ -393,6 +393,12 @@ func (t *Topology) Link(a, b string) (*Link, bool) {
 	return l, ok
 }
 
+// HasLink reports whether a link joins the two nodes.
+func (t *Topology) HasLink(a, b string) bool {
+	_, ok := t.links[MakeLinkID(a, b)]
+	return ok
+}
+
 // Links returns all links sorted by ID. The slice is cached and shared
 // between calls (invalidated by AddLink): callers must treat it as
 // read-only.

@@ -6,7 +6,6 @@ import (
 
 	"bass/internal/controller"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // AblationRow is one configuration of an ablation sweep.
@@ -71,7 +70,6 @@ func RunAblationCooldown(seed int64, cooldownsSec []int) (AblationResult, error)
 	out := AblationResult{Name: "controller cooldown (CityLab mesh)", Extra: "p90_s"}
 	for _, cd := range cooldownsSec {
 		spec := citySocial(seed)
-		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
 		spec.Migration = true
 		spec.Controller = controller.DefaultConfig()
 		spec.Controller.Cooldown = time.Duration(cd) * time.Second
@@ -96,7 +94,6 @@ func RunAblationProbeInterval(seed int64, intervalsSec []int) (AblationResult, e
 	out := AblationResult{Name: "headroom probe interval (CityLab mesh)", Extra: "probe_overhead_frac"}
 	for _, iv := range intervalsSec {
 		spec := citySocial(seed)
-		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
 		spec.Migration = true
 		spec.MonitorIntervalSec = iv
 		r, err := complete(spec)

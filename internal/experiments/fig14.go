@@ -25,7 +25,6 @@ type Fig14aResult struct {
 func RunFig14a(seed int64) (Fig14aResult, error) {
 	const restartAt = 5 * time.Minute
 	spec := citySocial(seed)
-	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
 	spec.HorizonSec = 10 * 60
 	r, err := scenario.Build(spec)
 	if err != nil {

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"bass/internal/scheduler"
-)
+import "fmt"
 
 // Fig16Row is one migration threshold under exponential arrivals.
 type Fig16Row struct {
@@ -32,7 +28,6 @@ func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
 	var out Fig16Result
 	for _, th := range thresholds {
 		spec := citySocial(seed)
-		spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath)
 		spec.Migration = true
 		spec.Controller = thresholdController(float64(th)/100, 0.2*20) // 20% of a 20 Mbps-class link
 		spec.Bursty = true

@@ -37,7 +37,6 @@ func RunFig5(seed int64) (Fig5Result, error) {
 		horizon     = 5 * time.Minute
 	)
 	spec := socialLAN(3, 400, seed)
-	spec.Scheduler = "longest-path"
 	spec.HorizonSec = int(horizon / time.Second)
 	r, err := scenario.Build(spec)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 // citySocial is the CityLab testbed of §6.3, shared by Figs 14a-d, Fig 16
 // and the cooldown and probe-interval ablations: the social network at 150
 // RPS, its workload generator on the control-plane host, over the
-// trace-driven CityLab mesh for 20 minutes, with one core per worker
-// reserved and the paper's 4.3 s migration downtime. Those jobs set the
-// policy, migration, controller, monitor interval, arrivals and horizon.
+// trace-driven CityLab mesh for 20 minutes under longest-path placement,
+// with one core per worker reserved and the paper's 4.3 s migration
+// downtime. Those jobs set the policy, migration, controller, monitor
+// interval, arrivals and horizon.
 func citySocial(seed int64) scenario.Spec {
 	return scenario.Spec{
 		App:               "socialnet",

@@ -313,8 +313,10 @@ func (r *Run) wire(s Spec) error {
 		}
 	}
 	deploy := func(w core.Workload, at scheduler.Assignment) error {
-		_, err := r.Sim.Orch.DeployAt(w.Graph().AppName, w, at)
-		return err
+		if _, err := r.Sim.Orch.DeployAt(w.Graph().AppName, w, at); err != nil {
+			return fmt.Errorf("deploy %s: %w", w.Graph().AppName, err)
+		}
+		return nil
 	}
 	var err error
 	switch s.App {

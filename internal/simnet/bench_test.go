@@ -44,10 +44,10 @@ func ringMesh(steppy bool) *mesh.Topology {
 	return topo
 }
 
-// addRingStreams installs 120 concurrent streams of 2–6 Mbps over the ring.
-func addRingStreams(tb testing.TB, net *Network) {
+// addRingStreams installs count concurrent streams of 2–6 Mbps over the ring.
+func addRingStreams(tb testing.TB, net *Network, count int) {
 	tb.Helper()
-	for f := 0; f < 120; f++ {
+	for f := 0; f < count; f++ {
 		src := fmt.Sprintf("n%d", f%8)
 		dst := fmt.Sprintf("n%d", (f+2+f/8%3)%8)
 		if src == dst {
@@ -72,7 +72,7 @@ func benchRing(b *testing.B, steppy, fullRecompute, polling bool) {
 		net.SetFullRecompute(fullRecompute)
 		net.SetPolling(polling)
 		net.Start()
-		addRingStreams(b, net)
+		addRingStreams(b, net, 120)
 		base := net.AllocStats()
 		b.StartTimer()
 		if err := eng.Run(5 * time.Minute); err != nil {
@@ -124,7 +124,7 @@ func TestQuietEventDrivenZeroAlloc(t *testing.T) {
 	net := New(eng, ringMesh(false))
 	stop := net.Start()
 	defer stop()
-	addRingStreams(t, net)
+	addRingStreams(t, net, 120)
 	until := eng.Now()
 	allocs := testing.AllocsPerRun(10, func() {
 		until += 5 * time.Minute
@@ -138,6 +138,42 @@ func TestQuietEventDrivenZeroAlloc(t *testing.T) {
 	if s := net.AllocStats(); s.FullPasses == 0 {
 		t.Errorf("AllocStats %+v: the streams were never allocated", s)
 	}
+}
+
+// BenchmarkLocalChurn measures churn on co-located flows beside routed
+// traffic, the paper-mesh shape: one op starts a co-located transfer beside
+// 128 routed streams on the quiet ring and runs the engine until it has
+// completed. Each op requests two deferred passes, local ones by default and
+// full water-filling ones under "full":
+//
+//	go test -run='^$' -bench=LocalChurn -benchmem ./internal/simnet/
+func BenchmarkLocalChurn(b *testing.B) {
+	b.Run("local", func(b *testing.B) { benchLocalChurn(b, false) })
+	b.Run("full", func(b *testing.B) { benchLocalChurn(b, true) })
+}
+
+func benchLocalChurn(b *testing.B, fullRecompute bool) {
+	eng := sim.NewEngine(1)
+	net := New(eng, ringMesh(false))
+	net.SetFullRecompute(fullRecompute)
+	stop := net.Start()
+	defer stop()
+	addRingStreams(b, net, 128)
+	base := net.AllocStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.AddTransfer("bus", "n0", "n0", 1e5, 0, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Run(eng.Now() + time.Millisecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s := net.AllocStats()
+	b.ReportMetric(float64(s.FullPasses-base.FullPasses)/float64(b.N), "full_passes/op")
+	b.ReportMetric(float64(s.LocalPasses-base.LocalPasses)/float64(b.N), "local_passes/op")
 }
 
 // loadedGrid installs 150 streams over 40 tags and 15 unbounded transfers
@@ -199,6 +235,41 @@ func TestFullPassZeroAlloc(t *testing.T) {
 	}
 	if got := net.AllocStats().FullPasses - base; got != 101 {
 		t.Errorf("%d full passes ran, want 101 (one per call)", got)
+	}
+}
+
+// TestLocalPassZeroAlloc pins the local pass at zero heap allocations on the
+// loaded grid: toggling a co-located stream's demand runs one local pass per
+// call, which settles every direction, rates the stream and reschedules the
+// 15 transfers without water-filling and without allocating.
+func TestLocalPassZeroAlloc(t *testing.T) {
+	net, _, _, stop := loadedGrid(t)
+	defer stop()
+	bus, err := net.AddStream("bus", "r000c000", "r000c000", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := 1.0
+	pass := func() {
+		demand = 3 - demand // toggles 1 ↔ 2 Mbps: every call is a real change
+		if err := net.SetStreamDemand(bus, demand); err != nil {
+			t.Fatal(err)
+		}
+		net.flush()
+	}
+	for i := 0; i < 200; i++ {
+		pass() // let the engine's free list reach its steady size
+	}
+	base := net.AllocStats()
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Errorf("a local pass allocates: %.2f allocs per pass, want 0", allocs)
+	}
+	s := net.AllocStats()
+	if full, local := s.FullPasses-base.FullPasses, s.LocalPasses-base.LocalPasses; full != 0 || local != 101 {
+		t.Errorf("%d full and %d local passes ran, want 0 and 101 (one local pass per call)", full, local)
+	}
+	if r, err := net.StreamRate(bus); err != nil || r != demand {
+		t.Errorf("co-located stream rate %v (%v), want its demand %v", r, err, demand)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"crypto/sha256"
 	"math"
 	"math/rand"
 	"testing"
@@ -226,17 +227,21 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // FuzzFlowChurnMatchesRescan decodes bytes into flow churn on a grid of 24,
 // 62 or 120 directed links (3×3, 4×5, 6×6: one, two or four arg-min
 // blocks) — streams and transfers added, removed, re-demanded and cancelled,
-// link directions throttled to whole Mbps (so fair shares tie demands
-// exactly), links and nodes flapped through ApplyTopologyState, time
-// advanced — and after every operation, and inside every transfer callback,
-// checks the per-pass caches against rescans of the flow set. Zero-byte
-// transfers finish inside the pass that first sees them, and failed ones call
-// back from inside a reroute: the two places a flow leaves its directions
-// without a pass being requested. After every operation the memoized path
-// reads of every pair of nodes (and an unknown name) must also match their
-// memo-free references, and every rate and bottleneck flag must match the
-// reference pass (refPass: a scan of every link per round and FlowID
-// re-sorted batches).
+// co-located ones among them, link directions throttled to whole Mbps (so
+// fair shares tie demands exactly), links and nodes flapped through
+// ApplyTopologyState, time advanced — and after every operation, and inside
+// every transfer callback, checks the per-pass caches against rescans of the
+// flow set. Zero-byte transfers finish inside the pass that first sees them,
+// and failed ones call back from inside a reroute: the two places a flow
+// leaves its directions without a pass being requested. After every
+// operation the memoized path reads of every pair of nodes (and an unknown
+// name) must also match their memo-free references, and every rate and
+// bottleneck flag must match the reference pass (refPass: a scan of every
+// link per round and FlowID re-sorted batches). A twin network built with
+// SetFullRecompute(true) replays the same script: until the network absorbs
+// a pass (see checkTwin), its digestNetwork and transfer results must equal
+// the network's after every operation and inside every callback, so local
+// passes are checked against the full passes they stand for.
 //
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
@@ -261,12 +266,45 @@ func FuzzFlowChurnMatchesRescan(f *testing.F) {
 		0, 1, 0, 3, 2, // stream g1 r000c000 -> r000c001, 3 Mbps
 		4, 0, 4, // the first stream to 5 Mbps
 	})
+	// Local passes beside a routed stream and a routed transfer: a
+	// co-located stream is added, re-demanded and removed, and a co-located
+	// transfer runs to completion, each with no routed flow changing.
+	f.Add([]byte{
+		0,             // 3×3 grid
+		0, 0, 0, 8, 9, // stream g0 r000c000 -> r002c002, 10 Mbps
+		5, 1, 0, 8, 2, // transfer g1 r000c000 -> r002c002, 2 MB
+		11, 4, 0, 5, // co-located stream g0 at r001c001, 6 Mbps
+		7, 5, // run 0.1 s
+		4, 1, 20, // the co-located stream to 21 Mbps
+		11, 4, 1, 3, // co-located transfer g0 at r001c001, 3 MB
+		7, 5, // run 0.1 s
+		3, 1, // remove the co-located stream
+		7, 100, // run 2 s
+	})
 	f.Fuzz(replayChurn)
 }
 
 // churnGrids are the lattices replayChurn draws from: their linkOrders fill
 // one arg-min block, one and most of a second, and four.
 var churnGrids = []struct{ rows, cols int }{{3, 3}, {4, 5}, {6, 6}}
+
+// churnSide is one network replayChurn drives, over its own copy of the grid
+// and its own engine: the network under test, or its full-recompute twin.
+type churnSide struct {
+	topo               *mesh.Topology
+	eng                *sim.Engine
+	net                *Network
+	streams, transfers []FlowID
+	// callbacks records each transfer callback's result and the network
+	// digest taken inside it, since the last operation.
+	callbacks []churnCallback
+}
+
+type churnCallback struct {
+	result   TransferResult
+	digest   [sha256.Size]byte
+	absorbed bool // the network had absorbed a pass by then
+}
 
 // replayChurn runs one decoded churn script with the checks above.
 func replayChurn(t *testing.T, data []byte) {
@@ -279,59 +317,88 @@ func replayChurn(t *testing.T, data []byte) {
 		return int(b)
 	}
 	g := churnGrids[next()%len(churnGrids)]
-	topo, err := mesh.Grid(mesh.GridOptions{Rows: g.rows, Cols: g.cols, Seed: 5, Duration: 10 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	sides := make([]*churnSide, 2) // the network under test, then its twin while comparable
+	for i := range sides {
+		topo, err := mesh.Grid(mesh.GridOptions{Rows: g.rows, Cols: g.cols, Seed: 5, Duration: 10 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewEngine(1)
+		s := &churnSide{topo: topo, eng: eng, net: New(eng, topo)}
+		s.net.SetFullRecompute(i == 1)
+		defer s.net.Start()()
+		sides[i] = s
 	}
-	eng := sim.NewEngine(1)
-	net := New(eng, topo)
-	defer net.Start()()
-	links := topo.Links()
+	net := sides[0].net
+	both := func(fn func(s *churnSide)) {
+		for _, s := range sides {
+			fn(s)
+		}
+	}
+	links := sides[0].topo.Links()
 	tags := []string{"g0", "g1", "g2", "g3"}
 
 	node := func() string { b := next(); return mesh.GridNodeName(b%g.rows, b/g.rows%g.cols) }
-	names := append(topo.Nodes(), "ghost")
-	var streams, transfers []FlowID
+	names := append(sides[0].topo.Nodes(), "ghost")
 	down := map[mesh.LinkID]bool{}
 	nodeDown := map[string]bool{}
-	var done func(TransferResult)
-	addTransfer := func(tag, src, dst string, bytes float64) {
-		if id, err := net.AddTransfer(tag, src, dst, bytes, 0, done); err == nil {
-			transfers = append(transfers, id)
+	var addTransfer func(s *churnSide, tag, src, dst string, bytes float64)
+	addTransfer = func(s *churnSide, tag, src, dst string, bytes float64) {
+		id, err := s.net.AddTransfer(tag, src, dst, bytes, 0, func(r TransferResult) {
+			if len(sides) > 1 {
+				s.callbacks = append(s.callbacks, churnCallback{r, digestNetwork(s.net), s.net.alloc.SkippedPasses > 0})
+			}
+			if s.net == net {
+				checkCachedReads(t, net)
+				checkReferencePass(t, net)
+			}
+			if !r.Failed && r.ID%2 == 0 {
+				addTransfer(s, r.Tag, mesh.GridNodeName(int(r.ID)%g.rows, 0), mesh.GridNodeName(g.rows-1, int(r.ID)%g.cols), 2e5)
+			}
+		})
+		if err == nil {
+			s.transfers = append(s.transfers, id)
 		}
 	}
-	done = func(r TransferResult) {
-		checkCachedReads(t, net)
-		checkReferencePass(t, net)
-		if !r.Failed && r.ID%2 == 0 {
-			addTransfer(r.Tag, mesh.GridNodeName(int(r.ID)%g.rows, 0), mesh.GridNodeName(g.rows-1, int(r.ID)%g.cols), 2e5)
+	addStream := func(s *churnSide, tag, src, dst string, mbps float64) {
+		if id, err := s.net.AddStream(tag, src, dst, mbps); err == nil {
+			s.streams = append(s.streams, id)
 		}
 	}
 	for len(data) > 0 {
-		switch op := next() % 11; {
+		streams, transfers := sides[0].streams, sides[0].transfers
+		switch op := next() % 12; {
 		case op < 3:
-			id, err := net.AddStream(tags[next()%4], node(), node(), 1+float64(next()%32))
-			if err == nil {
-				streams = append(streams, id)
-			}
+			tag, src, dst, mbps := tags[next()%4], node(), node(), 1+float64(next()%32)
+			both(func(s *churnSide) { addStream(s, tag, src, dst, mbps) })
 		case op == 3 && len(streams) > 0:
 			i := next() % len(streams)
-			if err := net.RemoveStream(streams[i]); err != nil {
-				t.Fatal(err)
-			}
-			streams = append(streams[:i], streams[i+1:]...)
+			both(func(s *churnSide) {
+				if err := s.net.RemoveStream(s.streams[i]); err != nil {
+					t.Fatal(err)
+				}
+				s.streams = append(s.streams[:i], s.streams[i+1:]...)
+			})
 		case op == 4 && len(streams) > 0:
-			if err := net.SetStreamDemand(streams[next()%len(streams)], 1+float64(next()%32)); err != nil {
-				t.Fatal(err)
-			}
+			i, mbps := next()%len(streams), 1+float64(next()%32)
+			both(func(s *churnSide) {
+				if err := s.net.SetStreamDemand(s.streams[i], mbps); err != nil {
+					t.Fatal(err)
+				}
+			})
 		case op < 7:
-			addTransfer(tags[next()%4], node(), node(), float64(next()%4)*1e6) // a quarter send nothing
+			tag, src, dst, bytes := tags[next()%4], node(), node(), float64(next()%4)*1e6 // a quarter send nothing
+			both(func(s *churnSide) { addTransfer(s, tag, src, dst, bytes) })
 		case op == 7:
-			if err := eng.Run(eng.Now() + time.Duration(next())*20*time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
+			until := sides[0].eng.Now() + time.Duration(next())*20*time.Millisecond
+			both(func(s *churnSide) {
+				if err := s.eng.Run(until); err != nil {
+					t.Fatal(err)
+				}
+			})
 		case op == 8 && len(transfers) > 0:
-			_ = net.CancelTransfer(transfers[next()%len(transfers)]) // finished ones are unknown
+			i := next() % len(transfers)
+			both(func(s *churnSide) { _ = s.net.CancelTransfer(s.transfers[i]) }) // finished ones are unknown
 		case op == 9:
 			// Observed at the next sampling tick, like any trace change.
 			id, b := links[next()%len(links)].ID, next()
@@ -339,25 +406,44 @@ func replayChurn(t *testing.T, data []byte) {
 			if b%2 == 1 {
 				from, to = to, from
 			}
-			mbps := float64(1 + b/2%16)
-			if err := topo.SetDirectedCapacity(from, to, trace.Constant("throttle", time.Second, mbps, 600)); err != nil {
-				t.Fatal(err)
+			tr := trace.Constant("throttle", time.Second, float64(1+b/2%16), 600)
+			both(func(s *churnSide) {
+				if err := s.topo.SetDirectedCapacity(from, to, tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+		case op == 11:
+			// Co-located churn: only the local pass sees it.
+			src, b := node(), next()
+			if b%2 == 0 {
+				mbps := 1 + float64(next()%32)
+				both(func(s *churnSide) { addStream(s, tags[b/2%4], src, src, mbps) })
+			} else {
+				bytes := float64(next()%4) * 1e6
+				both(func(s *churnSide) { addTransfer(s, tags[b/2%4], src, src, bytes) })
 			}
 		default:
 			if b := next(); b%4 == 0 {
 				name := node()
 				nodeDown[name] = !nodeDown[name]
-				if err := topo.SetNodeUp(name, !nodeDown[name]); err != nil {
-					t.Fatal(err)
-				}
+				both(func(s *churnSide) {
+					if err := s.topo.SetNodeUp(name, !nodeDown[name]); err != nil {
+						t.Fatal(err)
+					}
+				})
 			} else {
 				id := links[b/4%len(links)].ID
 				down[id] = !down[id]
-				if err := topo.SetLinkUp(id.A, id.B, !down[id]); err != nil {
-					t.Fatal(err)
-				}
+				both(func(s *churnSide) {
+					if err := s.topo.SetLinkUp(id.A, id.B, !down[id]); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			net.ApplyTopologyState()
+			both(func(s *churnSide) { s.net.ApplyTopologyState() })
+		}
+		if len(sides) > 1 && !checkTwin(t, sides[0], sides[1]) {
+			sides = sides[:1]
 		}
 		checkCachedReads(t, net)
 		checkReferencePass(t, net)
@@ -367,6 +453,36 @@ func replayChurn(t *testing.T, data []byte) {
 			t.FailNow()
 		}
 	}
+}
+
+// checkTwin compares the network under test with its full-recompute twin,
+// inside every transfer callback since the last operation and now, and
+// reports whether the twin stays comparable. An absorbed pass settles
+// nothing where a full pass settles every flow and link, so once the network
+// has absorbed one, its backlogs and carried bits part from the twin's in
+// their last bits, and so may a completion time by a nanosecond of ETA
+// rounding: the twin is compared up to the first absorbed pass.
+func checkTwin(t testing.TB, s, twin *churnSide) bool {
+	t.Helper()
+	defer func() { s.callbacks, twin.callbacks = s.callbacks[:0], twin.callbacks[:0] }()
+	for i, c := range s.callbacks {
+		if c.absorbed {
+			return false
+		}
+		if i >= len(twin.callbacks) || c != twin.callbacks[i] {
+			t.Fatalf("%v: transfer callback %d (%+v) differs from the full-recompute twin's", s.eng.Now(), i, c.result)
+		}
+	}
+	if s.net.alloc.SkippedPasses > 0 {
+		return false
+	}
+	if len(s.callbacks) != len(twin.callbacks) {
+		t.Fatalf("%v: %d transfer callbacks, full-recompute twin %d", s.eng.Now(), len(s.callbacks), len(twin.callbacks))
+	}
+	if digestNetwork(s.net) != digestNetwork(twin.net) {
+		t.Fatalf("%v: network digest differs from the full-recompute twin's", s.eng.Now())
+	}
+	return true
 }
 
 // TestStaleCrossingsResynced pins the case the per-pass allocation cache

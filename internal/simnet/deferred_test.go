@@ -70,8 +70,8 @@ func TestMutationsBetweenDispatchesCostOnePass(t *testing.T) {
 type deferredRun struct {
 	boundaries [][sha256.Size]byte // network digest at each dispatch boundary
 	log        []string            // mutation outcomes and transfer callbacks, in order
-	fullPasses uint64
-	sharedTime bool // some handler ran at the same virtual time as another
+	passes     uint64              // full and local passes run
+	sharedTime bool                // some handler ran at the same virtual time as another
 }
 
 // digestNetwork hashes everything a reader can observe: every live flow's
@@ -240,7 +240,8 @@ func replayDeferredScript(t *testing.T, seed int64, eager bool) deferredRun {
 		t.Fatal(err)
 	}
 	run.boundaries = append(run.boundaries, digestNetwork(net))
-	run.fullPasses = net.AllocStats().FullPasses
+	stats := net.AllocStats()
+	run.passes = stats.FullPasses + stats.LocalPasses
 	return run
 }
 
@@ -271,8 +272,8 @@ func TestDeferredPassMatchesEagerReads(t *testing.T) {
 			}
 			// The comparison is only meaningful if the schedules differed and
 			// the script exercised what it claims to.
-			if deferred.fullPasses >= eager.fullPasses {
-				t.Errorf("deferred run took %d full passes, eager %d; want fewer", deferred.fullPasses, eager.fullPasses)
+			if deferred.passes >= eager.passes {
+				t.Errorf("deferred run took %d passes, eager %d; want fewer", deferred.passes, eager.passes)
 			}
 			if !deferred.sharedTime {
 				t.Error("no two handlers shared a virtual time")
@@ -294,10 +295,10 @@ func TestDeferredPassMatchesEagerReads(t *testing.T) {
 }
 
 // goldenDeferredScript pins replayDeferredScript per seed, {eager, deferred}:
-// the SHA-256 of every boundary digest, every log line and the full-pass
-// count, captured before the per-pass allocation cache, the tag table and
-// the kept demand order landed. Those changes must leave every read
-// bit-equal, so the literals never move.
+// the SHA-256 of every boundary digest, every log line and the count of
+// passes run (full and local), captured before the per-pass allocation cache,
+// the tag table, the kept demand order and the local pass landed. Those
+// changes must leave every read bit-equal, so the literals never move.
 var goldenDeferredScript = map[int64][2]string{
 	3:  {"fa88d84199ca32f103d5d0d23e15c045db2cb2a97faeb7b96da20d057411c8ee", "026d249eeafbda551866bc32757c7f5d966ea9d1a987ebea172ebfeb65142328"},
 	11: {"09475419e0a135fdf162b42c9e96a3e79c58966e8d2bfb54235647c9e7227755", "40b1f4ad74affdd6dea6f8e874703426e774768af651372e29e64aa111252002"},
@@ -314,7 +315,7 @@ func hashDeferredRun(run deferredRun) string {
 		h.Write([]byte(l))
 		h.Write([]byte{'\n'})
 	}
-	binary.Write(h, binary.LittleEndian, run.fullPasses)
+	binary.Write(h, binary.LittleEndian, run.passes)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

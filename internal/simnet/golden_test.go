@@ -16,7 +16,8 @@ import (
 // gridPopulation drives the city-grid stream population on a 6×6 lattice at
 // seed 42 for 10 s and returns the sum of every stream's horizon rate, summed
 // in FlowID order, and the SHA-256 of each rate's bits in that order followed
-// by the AllocStats counters.
+// by the full and skipped pass counts. The population has no co-located
+// flow, so it must run no local pass.
 func gridPopulation(t *testing.T, setup func(*Network)) (checksum float64, digest string) {
 	t.Helper()
 	const (
@@ -43,7 +44,11 @@ func gridPopulation(t *testing.T, setup func(*Network)) (checksum float64, diges
 		checksum += r
 		binary.Write(h, binary.LittleEndian, math.Float64bits(r))
 	}
-	binary.Write(h, binary.LittleEndian, net.AllocStats())
+	stats := net.AllocStats()
+	binary.Write(h, binary.LittleEndian, [2]uint64{stats.FullPasses, stats.SkippedPasses})
+	if stats.LocalPasses != 0 {
+		t.Errorf("%d local passes on a population with no co-located flow", stats.LocalPasses)
+	}
 	return checksum, fmt.Sprintf("%x", h.Sum(nil))
 }
 

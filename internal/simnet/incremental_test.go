@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"sync"
@@ -310,6 +311,134 @@ func TestConcurrentNetworksIndependent(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("workers %d/%d diverge at sample %d: %v vs %v", w, w+1, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// localRun is what one replay of the local-pass scenario observed.
+type localRun struct {
+	boundaries [][sha256.Size]byte // network digest after each executed event
+	results    []TransferResult
+	stats      AllocStats
+}
+
+// driveLocalScenario runs routed streams and a camera-like frame chain on
+// steppyMesh: every 200 ms a frame is decoded on a node (a co-located
+// transfer), whose callback ships it across the mesh (a routed transfer),
+// whose callback post-processes it at the far end (co-located again). A
+// co-located stream has its demand raised past LocalMbps and is removed, and
+// a stream parked by a node crash is removed while the node is down. a-b is
+// oversubscribed by an excess with a full mantissa, so its backlog grows by
+// amounts whose float sum depends on where passes split the integral: a
+// skipped settle shows in the digest.
+//
+// The capacity driver is not started. An absorbed pass settles nothing where
+// a full pass settles every flow and link, so backlogs and carried bits
+// differ in their last bits from a full-recompute run once a pass is
+// absorbed. Without the driver no pass is absorbed, and capacities move only
+// through ApplyTopologyState, which resamples the traces and forces a full
+// pass.
+func driveLocalScenario(t *testing.T, fullRecompute bool) localRun {
+	t.Helper()
+	const horizon = 60 * time.Second
+	eng := sim.NewEngine(3)
+	net := New(eng, steppyMesh(horizon))
+	net.SetFullRecompute(fullRecompute)
+
+	var run localRun
+	lastExec := ^uint64(0)
+	eng.BeforeDispatch(func() {
+		if eng.Executed() != lastExec {
+			lastExec = eng.Executed()
+			run.boundaries = append(run.boundaries, digestNetwork(net))
+		}
+	})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	addStream := func(tag, src, dst string, mbps float64) FlowID {
+		id, err := net.AddStream(tag, src, dst, mbps)
+		must(err)
+		return id
+	}
+	addStream("s1", "a", "b", 47.123456789)
+	addStream("s2", "a", "c", 10)
+	addStream("s3", "b", "c", 15)
+	parked := addStream("parked", "a", "d", 5)
+	bus := addStream("bus", "b", "b", 50)
+
+	addTransfer := func(tag, src, dst string, bytes float64, done func(TransferResult)) {
+		_, err := net.AddTransfer(tag, src, dst, bytes, 0, func(r TransferResult) {
+			run.results = append(run.results, r)
+			if done != nil && !r.Failed {
+				done(r)
+			}
+		})
+		must(err)
+	}
+	frame := 0
+	stopFrames := eng.Every(200*time.Millisecond, func() {
+		frame++
+		src, dst := "c", "a"
+		if frame%2 == 0 {
+			src, dst = "b", "c"
+		}
+		tag := fmt.Sprintf("frame%d", frame)
+		addTransfer(tag+"/decode", src, src, 2e6, func(TransferResult) {
+			addTransfer(tag+"/ship", src, dst, 1e5, func(TransferResult) {
+				addTransfer(tag+"/post", dst, dst, 5e5, nil)
+			})
+		})
+	})
+	defer stopFrames()
+
+	eng.At(12*time.Second, func() { must(net.SetStreamDemand(bus, 2*LocalMbps)) })
+	eng.At(25*time.Second, func() {
+		must(net.topo.SetNodeUp("d", false))
+		net.ApplyTopologyState()
+	})
+	eng.At(27*time.Second, func() { must(net.RemoveStream(parked)) })
+	eng.At(30*time.Second, func() {
+		must(net.topo.SetNodeUp("d", true))
+		net.ApplyTopologyState()
+	})
+	eng.At(40*time.Second, func() { must(net.RemoveStream(bus)) })
+	must(eng.Run(horizon))
+	run.boundaries = append(run.boundaries, digestNetwork(net))
+	run.stats = net.AllocStats()
+	return run
+}
+
+// TestLocalPassMatchesFullRecompute: co-located and parked churn take the
+// local pass, which must leave the network bit-equal to the full pass it
+// replaces: at every dispatch boundary, and in every transfer result.
+func TestLocalPassMatchesFullRecompute(t *testing.T) {
+	local := driveLocalScenario(t, false)
+	full := driveLocalScenario(t, true)
+	if local.stats.LocalPasses == 0 || local.stats.SkippedPasses != 0 {
+		t.Errorf("AllocStats %+v: want local passes and no absorbed pass", local.stats)
+	}
+	if full.stats.LocalPasses != 0 {
+		t.Errorf("full-recompute run ran %d local passes, want 0", full.stats.LocalPasses)
+	}
+	t.Logf("local run %+v, full-recompute run %+v", local.stats, full.stats)
+	if len(local.results) != len(full.results) {
+		t.Fatalf("%d transfer results, full recompute %d", len(local.results), len(full.results))
+	}
+	for i := range local.results {
+		if local.results[i] != full.results[i] {
+			t.Fatalf("transfer result %d: %+v, full recompute %+v", i, local.results[i], full.results[i])
+		}
+	}
+	if len(local.boundaries) != len(full.boundaries) {
+		t.Fatalf("%d dispatch boundaries, full recompute %d", len(local.boundaries), len(full.boundaries))
+	}
+	for i := range local.boundaries {
+		if local.boundaries[i] != full.boundaries[i] {
+			t.Fatalf("dispatch boundary %d: network digest differs from full recompute", i)
 		}
 	}
 }

@@ -25,12 +25,14 @@
 //
 // Allocation is incremental: every link carries a dirty flag and the set of
 // links that acted as water-filling bottlenecks in the last full pass is
-// cached, so a deferred pass on an epoch where no flow changed and no
-// binding capacity moved is absorbed without re-running the full pass (see
-// AllocStats). All rate computations iterate flows and links in a fixed
-// order, so a given (topology, workload, seed) triple yields bit-identical
-// allocations run after run — the property the parallel experiment harness
-// relies on.
+// cached, so a deferred pass on an epoch where no routed flow changed and no
+// binding capacity moved never re-runs water-filling. With nothing changed it
+// is absorbed outright; when only co-located or parked flows came, went or
+// changed demand, a local pass settles state and rates the co-located flows
+// on the node-local bus, as the full pass would (see AllocStats). All rate
+// computations iterate flows and links in a fixed order, so a given
+// (topology, workload, seed) triple yields bit-identical allocations run
+// after run — the property the parallel experiment harness relies on.
 //
 // This plays the role CloudLab VMs + tc traffic shaping play in the paper's
 // evaluation: a controlled substrate that replays CityLab traces underneath
@@ -242,12 +244,12 @@ type argBlock struct {
 // AllocStats counts allocation work since the network was built. Mutations
 // only request a reallocation; requests made between two observation points
 // (a read, or the engine's next dispatch) coalesce into one deferred pass,
-// so both counters count deferred passes, not mutations. The invariant
-// behind SkippedPasses: a pass is only absorbed when no flow was added,
-// removed, or re-demanded and every capacity change since the last full pass
-// either touched a link no flow crosses or increased the capacity of a
-// non-bottleneck link — cases where the full water-filling pass would
-// provably reproduce the cached rates bit-for-bit.
+// so the counters count deferred passes, not mutations. Each deferred pass is
+// one of three kinds. The invariant behind the two cheap ones: no routed flow
+// was added, removed, or re-demanded and every capacity change since the
+// last full pass either touched a link no flow crosses or increased the
+// capacity of a non-bottleneck link — cases where the full water-filling
+// pass would provably reproduce the cached routed rates bit-for-bit.
 type AllocStats struct {
 	// FullPasses counts complete water-filling recomputations.
 	FullPasses uint64
@@ -257,6 +259,12 @@ type AllocStats struct {
 	// requests one at capacity events, so the counter stays near zero on
 	// quiet traces.
 	SkippedPasses uint64
+	// LocalPasses counts deferred passes that only co-located or parked flows
+	// asked for: they settle progress and backlogs, rate the co-located flows
+	// that joined or changed demand on the node-local bus and reschedule
+	// transfer completions, exactly as a full pass would, without
+	// water-filling.
+	LocalPasses uint64
 }
 
 // Network is the flow-level simulator. All methods must be called from the
@@ -271,6 +279,7 @@ type Network struct {
 	flows     map[FlowID]*flow
 	flowOrder []*flow // ascending FlowID; the deterministic iteration order
 	deadFlows int     // tombstoned entries in flowOrder
+	transfers []*flow // live transfers, ascending FlowID
 	// tags is the accounting-tag table. Each entry keeps the tag's settled
 	// carried bits and its live flows (ascending FlowID like flowOrder), so
 	// per-tag rate queries — the control plane issues one per deployed edge
@@ -313,8 +322,13 @@ type Network struct {
 	// fires on fault-driven availability changes.
 	topoHook func()
 
-	// Incremental-allocation state.
-	flowsDirty bool // flow set or a demand changed since the last full pass
+	// Incremental-allocation state. Flow changes are marked through
+	// flowChanged, never by setting the flags directly.
+	flowsDirty bool // routed churn, a reroute or an early completion since the last full pass
+	localDirty bool // a co-located or parked flow changed since the last pass
+	// busFlows are the co-located flows added or re-demanded since the last
+	// pass: the only rates a local pass sets.
+	busFlows   []*flow
 	dirtyCount int  // links with dirty capacity since the last full pass
 	fullOnly   bool // disable incremental absorption (always run the full pass)
 	alloc      AllocStats
@@ -479,8 +493,9 @@ func (n *Network) eventCause(f *flow) uint64 {
 func (n *Network) SetFullRecompute(v bool) { n.fullOnly = v }
 
 // AllocStats reports how many deferred reallocations ran the full
-// water-filling pass versus how many the incremental path absorbed. A pending
-// reallocation is flushed first, so the counts cover every mutation so far.
+// water-filling pass, how many ran the local pass and how many the
+// incremental path absorbed. A pending reallocation is flushed first, so the
+// counts cover every mutation so far.
 func (n *Network) AllocStats() AllocStats {
 	n.flush()
 	return n.alloc
@@ -770,10 +785,13 @@ func (n *Network) path(src, dst string) (*pathEntry, error) {
 }
 
 // addFlow registers a fully-built flow: id ordering, link crossing counts,
-// and the dirty flag that forces the next allocation through the full pass.
+// and the mark that decides the next pass's kind.
 func (n *Network) addFlow(f *flow) {
 	n.flows[f.id] = f
 	n.flowOrder = append(n.flowOrder, f) // ids are assigned in increasing order
+	if f.kind == KindTransfer {
+		n.transfers = append(n.transfers, f)
+	}
 	f.ts = n.tags[f.tag]
 	if f.ts == nil {
 		if len(n.tagSlab) == cap(n.tagSlab) {
@@ -787,7 +805,23 @@ func (n *Network) addFlow(f *flow) {
 	for _, ls := range f.linkPath {
 		ls.flowCount++
 	}
-	n.flowsDirty = true
+	n.flowChanged(f)
+}
+
+// flowChanged marks the pending pass for a flow that joined, left or changed
+// demand. A routed flow can move every rate, so it forces the full pass. A
+// co-located or parked one crosses no link, so no routed rate, link demand or
+// bottleneck can move: the local pass suffices, and it must rate a live
+// co-located flow on the bus.
+func (n *Network) flowChanged(f *flow) {
+	if len(f.linkPath) > 0 {
+		n.flowsDirty = true
+		return
+	}
+	n.localDirty = true
+	if !f.gone && !f.parked {
+		n.busFlows = append(n.busFlows, f)
+	}
 }
 
 // removeFlow is addFlow's inverse. The flowOrder slot is tombstoned rather
@@ -804,11 +838,16 @@ func (n *Network) removeFlow(f *flow) {
 	if i := slices.Index(f.ts.flows, f); i >= 0 {
 		f.ts.flows = slices.Delete(f.ts.flows, i, i+1)
 	}
+	if f.kind == KindTransfer {
+		if i, ok := slices.BinarySearchFunc(n.transfers, f.id, func(g *flow, id FlowID) int { return cmp.Compare(g.id, id) }); ok {
+			n.transfers = slices.Delete(n.transfers, i, i+1)
+		}
+	}
 	for _, ls := range f.linkPath {
 		ls.flowCount--
 	}
 	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
-	n.flowsDirty = true
+	n.flowChanged(f)
 	if n.deadFlows >= compactDeadFlows && n.deadFlows*2 > len(n.flowOrder) {
 		live := n.flowOrder[:0]
 		for _, g := range n.flowOrder {
@@ -1088,7 +1127,7 @@ func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 	}
 	f.demandBps = demandMbps * 1e6
 	f.inOrder = false // the next pass re-sorts it into byDemand
-	n.flowsDirty = true
+	n.flowChanged(f)
 	n.reallocate()
 	return nil
 }
@@ -1248,23 +1287,27 @@ func (n *Network) advanceProgress() {
 // would have left.
 func (n *Network) reallocate() { n.pending = true }
 
-// flush runs the pending reallocation, if any: it recomputes max-min fair
-// rates and reschedules transfer completion events — unless the incremental
-// path can prove the cached allocation is still exact and absorb the pass
-// outright. The absorb path touches no float state at all (only dirty flags
-// and the counter), so drivers that request different numbers of passes —
-// polling asks every second, event-driven only at capacity events — still
-// evolve bit-identical simulation state. A pass may finish transfers whose
-// callbacks mutate the network again, so flush loops until nothing is
-// pending.
+// flush runs the pending reallocation, if any, as one of three kinds of
+// pass. The full pass recomputes max-min fair rates and reschedules transfer
+// completion events. When the incremental path can prove the cached routed
+// allocation is still exact, it runs no water-filling: with only co-located
+// or parked flows changed it runs the local pass (localReallocate), and
+// otherwise it absorbs the pass outright. The absorb path touches no float
+// state at all (only dirty flags and the counter), so drivers that request
+// different numbers of passes — polling asks every second, event-driven only
+// at capacity events — still evolve bit-identical simulation state. A pass
+// may finish transfers whose callbacks mutate the network again, so flush
+// loops until nothing is pending.
 //
-// The absorption rule: with an unchanged flow set and demands, a capacity
-// change cannot move any rate when the link either carries no flows, or its
-// capacity only grew and it was never an arg-min ("bottleneck") link in the
-// last full pass. In the latter case the link's fair share only increases,
-// so every iteration of a hypothetical re-run would select the same
-// bottlenecks, freeze the same flows at the same values, and terminate with
-// bit-identical rates.
+// The absorption rule: with an unchanged routed flow set and demands, a
+// capacity change cannot move any rate when the link either carries no
+// flows, or its capacity only grew and it was never an arg-min
+// ("bottleneck") link in the last full pass. In the latter case the link's
+// fair share only increases, so every iteration of a hypothetical re-run
+// would select the same bottlenecks, freeze the same flows at the same
+// values, and terminate with bit-identical rates. Co-located and parked flows
+// cross no link, so their churn leaves that argument intact; it only changes
+// what the local pass does besides.
 //
 // After the passes, every direction's flows and allocBps describe the live
 // flows (syncCrossings), so link reads never rescan the flow set.
@@ -1272,7 +1315,11 @@ func (n *Network) flush() {
 	for n.pending {
 		n.pending = false
 		if !n.fullOnly && !n.flowsDirty && n.canAbsorbCapacityChanges() {
-			n.alloc.SkippedPasses++
+			if n.localDirty {
+				n.localReallocate()
+			} else {
+				n.alloc.SkippedPasses++
+			}
 			continue
 		}
 		n.fullReallocate()
@@ -1347,6 +1394,9 @@ func (n *Network) fullReallocate() {
 	now := n.eng.Now()
 	n.alloc.FullPasses++
 	n.flowsDirty = false
+	n.localDirty = false
+	clear(n.busFlows)
+	n.busFlows = n.busFlows[:0]
 	n.dirtyCount = 0
 
 	// Settle backlogs before the demands their integrals depend on change,
@@ -1389,14 +1439,7 @@ func (n *Network) fullReallocate() {
 			}
 		}
 		if len(f.linkPath) == 0 {
-			// Co-located: node-local bus. Streams stay capped at their
-			// offered rate; transfers deliver at bus speed (rate caps model
-			// network pacing, which does not apply in-process).
-			if f.kind == KindTransfer {
-				f.rateBps = LocalMbps * 1e6
-			} else {
-				f.rateBps = math.Min(f.demandBps, LocalMbps*1e6)
-			}
+			f.rateBps = busRate(f)
 			continue
 		}
 		f.frozen = false
@@ -1422,20 +1465,59 @@ func (n *Network) fullReallocate() {
 	// once here, and every link read until the next pass is O(1).
 	n.sumAllocations()
 	n.crossingsStale = false
+	n.rescheduleTransfers(now)
+}
 
-	// Reschedule transfer completions at the new rates. Completion callbacks
-	// may add or remove flows (requesting another pass, which flush runs next,
-	// or runs at once if the callback reads), so iterate a snapshot and skip
-	// flows that vanished underneath us.
+// busRate is a co-located flow's rate on the node-local bus. Streams stay
+// capped at their offered rate; transfers deliver at bus speed (rate caps
+// model network pacing, which does not apply in-process).
+func busRate(f *flow) float64 {
+	if f.kind == KindTransfer {
+		return LocalMbps * 1e6
+	}
+	return math.Min(f.demandBps, LocalMbps*1e6)
+}
+
+// localReallocate is the pass for churn no routed flow sees: only co-located
+// or parked flows joined, left or changed demand, and every capacity change
+// is absorbable. A full pass would then recompute the same routed rates,
+// bottleneck flags, link demands, allocBps and crossing lists (the absorb
+// argument, see flush), so this pass does only what it would change: settle
+// progress and every direction's backlog at now, set the bus rate of each
+// co-located flow that joined or changed demand, and reschedule every live
+// transfer in FlowID order.
+func (n *Network) localReallocate() {
+	n.advanceProgress()
+	now := n.eng.Now()
+	n.alloc.LocalPasses++
+	n.localDirty = false
+	for _, ls := range n.linkOrder {
+		n.settleBacklog(ls, now)
+	}
+	for _, f := range n.busFlows {
+		f.rateBps = busRate(f)
+	}
+	clear(n.busFlows)
+	n.busFlows = n.busFlows[:0]
+	n.rescheduleTransfers(now)
+}
+
+// rescheduleTransfers reschedules every live transfer's completion at its
+// current rate, finishing those with nothing left to send. Completion
+// callbacks may add or remove flows (requesting another pass, which flush
+// runs next, or runs at once if the callback reads), so iterate a snapshot
+// and skip flows that vanished underneath us.
+func (n *Network) rescheduleTransfers(now time.Duration) {
+	// A pass run from a callback below reuses this scratch, so how the
+	// scratch grows decides what this loop reads after it; copying one flow
+	// at a time keeps the growth the pinned digests were recorded with.
 	transfers := n.transferScratch[:0]
-	for _, f := range n.flowOrder {
-		if !f.gone && f.kind == KindTransfer {
-			transfers = append(transfers, f)
-		}
+	for _, f := range n.transfers {
+		transfers = append(transfers, f)
 	}
 	n.transferScratch = transfers
 	for _, f := range transfers {
-		if n.flows[f.id] != f {
+		if f.gone {
 			continue // removed by a reentrant completion callback
 		}
 		if f.hasEvent {

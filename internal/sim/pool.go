@@ -3,14 +3,15 @@ package sim
 import "sync"
 
 // Pool is a bounded pool of persistent workers for fanning one batch of
-// shard tasks out per allocator phase. The simulator calls Run thousands of
-// times per simulated second, so workers are spawned once and fed over a
-// channel rather than paying a goroutine spawn per phase.
+// shard tasks out per per-link phase of the network simulator. The simulator
+// calls Run thousands of times per simulated second, so workers are spawned
+// once and fed over a channel rather than paying a goroutine spawn per phase.
 //
-// A nil *Pool is valid and runs every batch serially on the caller — the
-// single-shard fallback. Because the sharded allocator fixes the order of
-// floating-point operations independently of where they execute, serial and
-// pooled execution produce bit-identical results.
+// A nil *Pool is valid and runs every batch in order on the caller, which is
+// how an unsharded network runs its one task per phase. Each task works on
+// its own run of links, and the caller folds their outputs in an order-free
+// way afterwards, so serial and pooled execution produce bit-identical
+// results.
 type Pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup

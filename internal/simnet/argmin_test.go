@@ -107,9 +107,10 @@ func (p *refPass) freeze(f *flow, rate float64) {
 // active flows and every link's bottleneck flag bit for bit against the
 // reference pass over the same flows at today's capacities. An absorbed
 // pass must reproduce a rerun exactly, so capacity changes since the pass
-// do not matter, with one exception the check skips: a transfer the pass
-// itself finished has left the live set with no pass since, so the rates
-// describe a flow set no rerun can see.
+// do not matter, with one exception the check skips: inside the failure
+// callback of a reroute or a shed, a removed transfer has left the live set
+// before the pass that follows, so the rates describe a flow set no rerun can
+// see. Outside callbacks no removed flow may remain (checkNoRemovedActive).
 func checkReferencePass(t testing.TB, net *Network) {
 	t.Helper()
 	net.flush()

@@ -232,21 +232,25 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // ApplyTopologyState, time advanced — and after every operation, and inside
 // every transfer callback, checks the per-pass caches against rescans of the
 // flow set. Zero-byte transfers finish inside the pass that first sees them,
-// and failed ones call back from inside a reroute: the two places a flow
-// leaves its directions without a pass being requested. After every
-// operation the memoized path reads of every pair of nodes (and an unknown
-// name) must also match their memo-free references, and every rate and
+// which must request the pass that drops them, and failed ones call back from
+// inside a reroute, the one place a flow leaves its directions before a pass
+// is requested. After every operation no removed flow may remain in the last
+// full pass's active set, the memoized path reads of every pair of nodes (and
+// an unknown name) must match their memo-free references, and every rate and
 // bottleneck flag must match the reference pass (refPass: a scan of every
-// link per round and FlowID re-sorted batches). A twin network built with
-// SetFullRecompute(true) replays the same script: until the network absorbs
-// a pass (see checkTwin), its digestNetwork and transfer results must equal
-// the network's after every operation and inside every callback, so local
-// passes are checked against the full passes they stand for.
+// link per round and FlowID re-sorted batches). The network under test runs
+// with 1, 2 or 3 shards, picked by the first byte (its value / 3), so the
+// per-link phases are checked cut into runs too. A twin network built with
+// SetFullRecompute(true) replays the same script on one shard: until the
+// network absorbs a pass (see checkTwin), its digestNetwork and transfer
+// results must equal the network's after every operation and inside every
+// callback, so local passes are checked against the full passes they stand
+// for.
 //
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
 	// The corpus: the byte streams of the deferred-pass script's seeds, on
-	// each grid (the first byte picks it).
+	// each grid (the first byte picks it) and one shard.
 	for _, seed := range []int64{3, 11, 29} {
 		b := make([]byte, 256)
 		rand.New(rand.NewSource(seed)).Read(b)
@@ -279,6 +283,22 @@ func FuzzFlowChurnMatchesRescan(f *testing.F) {
 		11, 4, 1, 3, // co-located transfer g0 at r001c001, 3 MB
 		7, 5, // run 0.1 s
 		3, 1, // remove the co-located stream
+		7, 100, // run 2 s
+	})
+	// Three shards under link flaps: the epoch refresh of every direction's
+	// availability, and change-point prediction for links coming back, run
+	// cut into runs of linkOrder.
+	f.Add([]byte{
+		6,             // 3×3 grid, 3 shards
+		0, 0, 0, 8, 9, // stream g0 r000c000 -> r002c002, 10 Mbps
+		5, 1, 0, 8, 2, // transfer g1 r000c000 -> r002c002, 2 MB
+		7, 30, // run 0.6 s
+		10, 1, // flap links[0] down
+		7, 60, // run 1.2 s
+		10, 1, // and up
+		10, 9, // flap links[2] down
+		7, 100, // run 2 s
+		10, 9, // and up
 		7, 100, // run 2 s
 	})
 	f.Fuzz(replayChurn)
@@ -316,7 +336,8 @@ func replayChurn(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	g := churnGrids[next()%len(churnGrids)]
+	first := next()
+	g := churnGrids[first%len(churnGrids)]
 	sides := make([]*churnSide, 2) // the network under test, then its twin while comparable
 	for i := range sides {
 		topo, err := mesh.Grid(mesh.GridOptions{Rows: g.rows, Cols: g.cols, Seed: 5, Duration: 10 * time.Minute})
@@ -326,6 +347,11 @@ func replayChurn(t *testing.T, data []byte) {
 		eng := sim.NewEngine(1)
 		s := &churnSide{topo: topo, eng: eng, net: New(eng, topo)}
 		s.net.SetFullRecompute(i == 1)
+		if i == 0 {
+			if err := s.net.SetShards(1 + first/3%3); err != nil {
+				t.Fatal(err)
+			}
+		}
 		defer s.net.Start()()
 		sides[i] = s
 	}
@@ -446,11 +472,25 @@ func replayChurn(t *testing.T, data []byte) {
 			sides = sides[:1]
 		}
 		checkCachedReads(t, net)
+		checkNoRemovedActive(t, net)
 		checkReferencePass(t, net)
 		checkTagRates(t, net, tags)
 		checkPathReads(t, net, names)
 		if t.Failed() {
 			t.FailNow()
+		}
+	}
+}
+
+// checkNoRemovedActive flushes, then checks that the last full pass's active
+// set holds no removed flow: a routed flow that left requested the pass that
+// drops it and hands its share to the rest.
+func checkNoRemovedActive(t testing.TB, net *Network) {
+	t.Helper()
+	net.flush()
+	for _, f := range net.activeScratch {
+		if f.gone {
+			t.Fatalf("%v: the last full pass rates removed flow %d", net.eng.Now(), f.id)
 		}
 	}
 }
@@ -487,32 +527,125 @@ func checkTwin(t testing.TB, s, twin *churnSide) bool {
 
 // TestStaleCrossingsResynced pins the case the per-pass allocation cache
 // must not miss: a zero-byte transfer finishes inside the pass that first
-// sees it, with no further pass requested, so the reads in its callback and
-// after it must drop it from every direction it crossed.
+// sees it. That pass requests the one that drops it, so the reads in its
+// callback and after it must see no trace of it: not in any direction's
+// crossings, and not in the stream's rate, which it held down to an even
+// share of the line while it was live.
 func TestStaleCrossingsResynced(t *testing.T) {
-	_, net := lineNet(t, 10)
-	if _, err := net.AddStream("s", "a", "c", 3); err != nil {
-		t.Fatal(err)
-	}
-	var inCallback float64
-	if _, err := net.AddTransfer("t", "a", "c", 0, 0, func(TransferResult) {
-		var err error
-		if inCallback, err = net.PathAllocatedMbps("a", "c", 100); err != nil {
-			t.Error(err)
+	for _, c := range []struct{ demand, spare float64 }{{3, 7}, {8, 2}} {
+		eng, net := lineNet(t, 10)
+		s, err := net.AddStream("s", "a", "c", c.demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inCallback := -1.0
+		if _, err := net.AddTransfer("t", "a", "c", 0, 0, func(TransferResult) {
+			var err error
+			if inCallback, err = net.PathAllocatedMbps("a", "c", 100); err != nil {
+				t.Error(err)
+			}
+			checkCachedReads(t, net)
+		}); err != nil {
+			t.Fatal(err)
 		}
 		checkCachedReads(t, net)
-	}); err != nil {
-		t.Fatal(err)
+		if inCallback != c.spare {
+			t.Errorf("%v Mbps stream: spare a->c inside the callback = %v, want %v (the finished transfer holds nothing)", c.demand, inCallback, c.spare)
+		}
+		if err := eng.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := net.StreamRate(s); err != nil || r != c.demand {
+			t.Errorf("%v Mbps stream reads %v (err %v) after the transfer finished", c.demand, r, err)
+		}
+		ls, err := net.LinkStats("a", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls.AllocatedMbps != c.demand {
+			t.Errorf("a->b allocated %v Mbps after the transfer finished, want %v", ls.AllocatedMbps, c.demand)
+		}
 	}
-	checkCachedReads(t, net)
-	if inCallback != 7 {
-		t.Errorf("spare a->c inside the callback = %v, want 7 (the finished transfer holds nothing)", inCallback)
+}
+
+// TestReentrantPassMatchesFullRecompute drives completion callbacks that read
+// the network mid-pass, each time with several transfers still live: the read
+// runs a nested pass, which reschedules every live transfer and refills the
+// scratch the outer pass iterates, so the outer pass must leave the
+// schedule as the nested one left it. Every transfer's result must match the
+// same script under SetFullRecompute(true), and under a script whose
+// callbacks do not read (so nothing nests).
+func TestReentrantPassMatchesFullRecompute(t *testing.T) {
+	run := func(fullOnly, read bool) []TransferResult {
+		eng, net := lineNet(t, 10)
+		net.SetFullRecompute(fullOnly)
+		var results []TransferResult
+		record := func(r TransferResult) { results = append(results, r) }
+		var probe func(TransferResult)
+		probe = func(r TransferResult) {
+			record(r)
+			if !read {
+				return
+			}
+			before := net.reschedules
+			if _, err := net.PathAllocatedMbps("a", "c", 100); err != nil {
+				t.Error(err)
+			}
+			if net.reschedules == before {
+				t.Errorf("%v: the callback's read ran no nested pass", eng.Now())
+			}
+			// The nested pass's schedule is final: the outer pass must not
+			// touch a completion event after the callback returns.
+			events := map[FlowID]sim.EventID{}
+			for _, f := range net.transfers {
+				events[f.id] = f.completionEv
+			}
+			eng.At(eng.Now(), func() {
+				for _, f := range net.transfers {
+					if ev, ok := events[f.id]; ok && ev != f.completionEv {
+						t.Errorf("%v: transfer %d rescheduled after the nested pass", eng.Now(), f.id)
+					}
+				}
+			})
+		}
+		add := func(tag, src, dst string, bytes float64, cb func(TransferResult)) {
+			if _, err := net.AddTransfer(tag, src, dst, bytes, 0, cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := net.AddStream("s", "a", "c", 6); err != nil {
+			t.Fatal(err)
+		}
+		add("t1", "a", "c", 1e6, func(r TransferResult) {
+			record(r)
+			add("z2", "a", "b", 0, probe) // nests again, t2 and t3 still live
+		})
+		add("t2", "a", "c", 2e6, record)
+		add("z1", "a", "c", 0, probe)
+		add("t3", "b", "c", 1.5e6, record)
+		eng.At(2*time.Second, func() { add("t4", "a", "b", 1e6, record) })
+		if err := eng.Run(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		return results
 	}
-	s, err := net.LinkStats("a", "b")
-	if err != nil {
-		t.Fatal(err)
+	want := run(true, true)
+	if len(want) != 6 {
+		t.Fatalf("full recompute finished %d transfers, want 6", len(want))
 	}
-	if s.AllocatedMbps != 3 {
-		t.Errorf("a->b allocated %v Mbps after the transfer finished, want 3", s.AllocatedMbps)
+	for _, c := range []struct {
+		name     string
+		fullOnly bool
+		read     bool
+	}{{"incremental", false, true}, {"no reads", false, false}} {
+		got := run(c.fullOnly, c.read)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, full recompute %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: result %d = %+v, full recompute %+v", c.name, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -10,8 +10,12 @@ import (
 )
 
 // shardGrid is the differential-test substrate: a 6x6 lattice with seeded
-// step traces, big enough that a 4-way partition has real interior regions
-// and gateway links, small enough to drive through faults quickly.
+// step traces, big enough that a 4-way cut splits flows' paths across runs,
+// small enough to drive through faults quickly.
+// shardGridLinks is shardGrid's directed-link count, the most shards
+// SetShards accepts on it.
+const shardGridLinks = 120
+
 func shardGrid(t *testing.T, horizon time.Duration) *mesh.Topology {
 	t.Helper()
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: 6, Cols: 6, Seed: 17, Duration: horizon})
@@ -39,7 +43,7 @@ func driveShardedScenario(t *testing.T, shards int, polling bool) (samples, back
 	defer stop()
 
 	nn := mesh.GridNodeName
-	// Corner-to-corner and edge flows so paths cross region boundaries.
+	// Corner-to-corner and edge flows so paths cross shard boundaries.
 	s1, err := net.AddStream("s1", nn(0, 0), nn(5, 5), 30)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +89,7 @@ func driveShardedScenario(t *testing.T, shards int, polling bool) (samples, back
 			t.Fatal(err)
 		}
 	})
-	// Link flap on a gateway-ish edge.
+	// Link flap mid-lattice.
 	eng.At(90*time.Second, func() {
 		if err := topo.SetLinkUp(nn(2, 3), nn(3, 3), false); err != nil {
 			t.Fatal(err)
@@ -172,39 +176,15 @@ func TestShardedPollingMatchesEventDriven(t *testing.T) {
 	}
 }
 
-// TestShardedParallelArgMin forces the pooled arg-min dispatch (normally
-// gated behind shardScanFloor, which this mesh is far below) and re-runs the
-// differential scenario, keeping the parallel scan+reduce path covered — and
-// raced, under -race — on meshes small enough to test.
-func TestShardedParallelArgMin(t *testing.T) {
-	old := shardScanFloor
-	shardScanFloor = 0
-	defer func() { shardScanFloor = old }()
-	oneS, oneB, oneF, _ := driveShardedScenario(t, 1, false)
-	shS, shB, shF, _ := driveShardedScenario(t, 4, false)
-	for i := range oneS {
-		if oneS[i] != shS[i] || oneB[i] != shB[i] {
-			t.Fatalf("sample %d: 1-shard (%v, %v) != 4-shard (%v, %v)", i, oneS[i], oneB[i], shS[i], shB[i])
-		}
-	}
-	if len(oneF) != len(shF) {
-		t.Fatalf("finish counts differ: %d vs %d", len(oneF), len(shF))
-	}
-	for i := range oneF {
-		if oneF[i] != shF[i] {
-			t.Fatalf("finish %d: %v != %v", i, oneF[i], shF[i])
-		}
-	}
-}
-
-// TestShardedMaxShards: every node its own region — the degenerate partition
-// where every link is a gateway — must still match the reference.
+// TestShardedMaxShards: one shard per directed link — the degenerate cut,
+// where the two directions of every link land in different runs — must still
+// match the reference.
 func TestShardedMaxShards(t *testing.T) {
 	oneS, _, oneF, _ := driveShardedScenario(t, 1, false)
-	shS, _, shF, _ := driveShardedScenario(t, 36, false)
+	shS, _, shF, _ := driveShardedScenario(t, shardGridLinks, false)
 	for i := range oneS {
 		if oneS[i] != shS[i] {
-			t.Fatalf("rate sample %d: 1-shard %v != 36-shard %v", i, oneS[i], shS[i])
+			t.Fatalf("rate sample %d: 1-shard %v != %d-shard %v", i, oneS[i], shardGridLinks, shS[i])
 		}
 	}
 	if len(oneF) != len(shF) {
@@ -218,8 +198,14 @@ func TestSetShardsValidation(t *testing.T) {
 	topo := shardGrid(t, time.Minute)
 	eng := sim.NewEngine(1)
 	net := New(eng, topo)
-	if err := net.SetShards(37); err == nil {
-		t.Error("SetShards(37) on a 36-node mesh did not error")
+	if n := len(net.linkOrder); n != shardGridLinks {
+		t.Fatalf("%d directed links, want %d", n, shardGridLinks)
+	}
+	if err := net.SetShards(shardGridLinks + 1); err == nil {
+		t.Errorf("SetShards(%d) over %d directed links did not error", shardGridLinks+1, shardGridLinks)
+	}
+	if err := net.SetShards(shardGridLinks); err != nil {
+		t.Errorf("SetShards(%d) over %d directed links: %v", shardGridLinks, shardGridLinks, err)
 	}
 	if err := net.SetShards(0); err != nil {
 		t.Errorf("SetShards(0) should fall back to single-shard, got %v", err)

@@ -333,17 +333,18 @@ type Network struct {
 	fullOnly   bool // disable incremental absorption (always run the full pass)
 	alloc      AllocStats
 
-	// Sharded-execution state (see shard.go); nil when single-shard.
-	sh *sharding
+	// The per-link phases' fan-out over runs of linkOrder (see shard.go).
+	phases linkPhases
 
 	// pending marks a reallocation requested since the last flush; the pass
 	// runs at the next read or dispatch boundary (see flush).
 	pending bool
 	// crossingsStale marks a flow that left (or moved between) directions
-	// since the last pass without one being requested — a transfer finished
-	// or failed inside a pass or a reroute, or a flow parked — so the
-	// per-direction flows and allocBps no longer describe the live flows
-	// until flush calls syncCrossings.
+	// since the last pass — a transfer finished, failed or was shed, or a
+	// flow parked or rerouted — so the per-direction flows and allocBps no
+	// longer describe the live flows until a full pass rebuilds them or, when
+	// a read comes first with no pass pending (a failure callback inside a
+	// reroute or a shed), flush calls syncCrossings.
 	crossingsStale bool
 
 	// byDemand is the last pass's active set sorted by ascending demand. It
@@ -351,10 +352,13 @@ type Network struct {
 	// changed demand since (see orderByDemand).
 	byDemand []*flow
 
-	// argMinRounds counts the single-shard arg-min's calls and argMinVisits
-	// the links and block minima they read: the work blocking saves. They
-	// stay out of AllocStats, which must not depend on the shard count.
+	// argMinRounds counts blockedArgMin's calls and argMinVisits the links
+	// and block minima they read: the work blocking saves.
 	argMinRounds, argMinVisits uint64
+
+	// reschedules counts rescheduleTransfers calls, so one can tell that a
+	// completion callback ran a nested pass.
+	reschedules uint64
 
 	// Scratch buffers reused across full passes.
 	activeScratch   []*flow
@@ -413,6 +417,7 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 			ls.blk = b
 		}
 	}
+	n.cutShards(1)
 	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
 		// A trace swapped mid-run may introduce an earlier capacity event
@@ -575,18 +580,13 @@ func (n *Network) gridAtOrAfter(t time.Duration) time.Duration {
 // value — the only future instant at which the polling driver would observe
 // a change.
 func (n *Network) nextCapacityEventAfter(now time.Duration) (time.Duration, bool) {
-	if n.sh != nil {
-		return n.nextCapacityEventSharded(now)
-	}
+	n.phases.now = now
+	n.phases.pool.Run(n.phases.nextEvent)
 	var best time.Duration
 	found := false
-	for _, ls := range n.linkOrder {
-		if !ls.avail {
-			continue // pinned at zero until ApplyTopologyState revives it
-		}
-		t, ok := n.linkNextEvent(ls, now)
-		if ok && (!found || t < best) {
-			best = t
+	for _, s := range n.phases.shards {
+		if s.hasNext && (!found || s.nextEvent < best) {
+			best = s.nextEvent
 			found = true
 		}
 	}
@@ -629,33 +629,15 @@ func (n *Network) linkNextEvent(ls *linkState, now time.Duration) (time.Duration
 // identical timing for changed links, which keeps the settle arithmetic —
 // and therefore all downstream float state — bit-identical across modes.
 func (n *Network) observeCapacities(now time.Duration) {
-	if n.sh != nil {
-		n.observeCapacitiesSharded(now)
-		return
-	}
+	n.phases.now = now
+	n.phases.refresh = false
 	if ep := n.topo.AvailabilityEpoch(); ep != n.lastAvailEpoch {
 		n.lastAvailEpoch = ep
-		for _, ls := range n.linkOrder {
-			ls.avail = n.topo.LinkAvailable(ls.lid)
-		}
+		n.phases.refresh = true
 	}
-	for _, ls := range n.linkOrder {
-		newCap := 0.0
-		if ls.avail {
-			newCap = ls.link.CapacityDir(ls.fwd).AtBps(now)
-		}
-		if newCap == ls.capacityBps {
-			continue
-		}
-		n.settleBacklog(ls, now)
-		if !ls.dirty {
-			ls.dirty = true
-			n.dirtyCount++
-		}
-		if newCap < ls.capacityBps {
-			ls.shrunk = true
-		}
-		ls.capacityBps = newCap
+	n.phases.pool.Run(n.phases.observe)
+	for _, s := range n.phases.shards {
+		n.dirtyCount += s.dirtyDelta
 	}
 }
 
@@ -1281,10 +1263,12 @@ func (n *Network) advanceProgress() {
 // mutation (TestDeferredPassMatchesEagerReads pins this). The one visible
 // difference is where, within the instant, a transfer that the pass itself
 // finishes (nothing left to send) reports completion: when the pass runs,
-// not inside the mutating call. Mutations whose outcome depends on which
-// transfers are still live (CancelTransfer, ShedFlowsByTagPrefix,
-// ApplyTopologyState) flush first, so they see what a pass per mutation
-// would have left.
+// not inside the mutating call. A routed transfer finished that way frees
+// its share, so it requests another pass at the same instant, which runs
+// before any read sees the rates (see rescheduleTransfers). Mutations whose
+// outcome depends on which transfers are still live (CancelTransfer,
+// ShedFlowsByTagPrefix, ApplyTopologyState) flush first, so they see what a
+// pass per mutation would have left.
 func (n *Network) reallocate() { n.pending = true }
 
 // flush runs the pending reallocation, if any, as one of three kinds of
@@ -1327,6 +1311,15 @@ func (n *Network) flush() {
 	if n.crossingsStale {
 		n.syncCrossings()
 	}
+}
+
+// Batch runs fn, then flushes the pending reallocation. Every mutation
+// already defers its pass to the next read or dispatch boundary, so Batch
+// adds nothing but the flush; it remains for callers that install a
+// workload outside any event and want the rates settled on return.
+func (n *Network) Batch(fn func()) {
+	fn()
+	n.flush()
 }
 
 // syncCrossings rebuilds every direction's crossing list from the live flows
@@ -1400,27 +1393,12 @@ func (n *Network) fullReallocate() {
 	n.dirtyCount = 0
 
 	// Settle backlogs before the demands their integrals depend on change,
-	// then reset per-link accounting and scratch state. Shard-parallel when
-	// sharded: the settle integral and resets are link-local.
-	if n.sh != nil {
-		n.sh.now = now
-		n.sh.pool.Run(n.sh.resetFns)
-	} else {
-		for _, ls := range n.linkOrder {
-			n.settleBacklog(ls, now)
-			ls.residual = ls.capacityBps
-			ls.iterCount = 0
-			ls.demandBps = 0
-			ls.bottleneck = false
-			ls.dirty = false
-			ls.shrunk = false
-			ls.flows = ls.flows[:0]
-		}
-	}
+	// then reset per-link accounting and scratch state (resetLinks).
+	n.phases.now = now
+	n.phases.pool.Run(n.phases.reset)
 
 	// Build the active set. Demand accumulation writes links across shard
-	// boundaries, so this prelude stays sequential in both modes (and
-	// therefore identical).
+	// boundaries, so this prelude stays sequential at every shard count.
 	active := n.activeScratch[:0]
 	remaining := 0
 	for _, f := range n.flowOrder {
@@ -1452,14 +1430,10 @@ func (n *Network) fullReallocate() {
 	}
 	n.activeScratch = active
 
-	if n.sh != nil {
-		n.waterFill(active, remaining, n.sh.argMin)
-	} else {
-		for i := range n.argBlocks {
-			n.argBlocks[i].dirty = true
-		}
-		n.waterFill(active, remaining, n.blockedArgMin)
+	for i := range n.argBlocks {
+		n.argBlocks[i].dirty = true
 	}
+	n.waterFill(active, remaining)
 	// Every live flow crossing a direction is active (parked and co-located
 	// flows have empty paths), so the crossing lists are complete: sum them
 	// once here, and every link read until the next pass is O(1).
@@ -1503,18 +1477,17 @@ func (n *Network) localReallocate() {
 }
 
 // rescheduleTransfers reschedules every live transfer's completion at its
-// current rate, finishing those with nothing left to send. Completion
-// callbacks may add or remove flows (requesting another pass, which flush
-// runs next, or runs at once if the callback reads), so iterate a snapshot
-// and skip flows that vanished underneath us.
+// current rate, finishing those with nothing left to send. A routed transfer
+// that finishes frees its share, so it requests another pass, which flush
+// runs next at the same instant. Completion callbacks may add or remove flows
+// too, so iterate a snapshot and skip flows that vanished underneath us. A
+// callback that reads runs that pass at once, nested in this one: it
+// reschedules every live transfer itself and refills the snapshot's scratch,
+// so this loop stops there.
 func (n *Network) rescheduleTransfers(now time.Duration) {
-	// A pass run from a callback below reuses this scratch, so how the
-	// scratch grows decides what this loop reads after it; copying one flow
-	// at a time keeps the growth the pinned digests were recorded with.
-	transfers := n.transferScratch[:0]
-	for _, f := range n.transfers {
-		transfers = append(transfers, f)
-	}
+	n.reschedules++
+	pass := n.reschedules
+	transfers := append(n.transferScratch[:0], n.transfers...)
 	n.transferScratch = transfers
 	for _, f := range transfers {
 		if f.gone {
@@ -1525,7 +1498,13 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 			f.hasEvent = false
 		}
 		if f.remainingBits <= 1e-9 {
+			if len(f.linkPath) > 0 {
+				n.reallocate()
+			}
 			n.finishTransfer(f)
+			if n.reschedules != pass {
+				return
+			}
 			continue
 		}
 		if f.rateBps <= 0 {
@@ -1541,9 +1520,7 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 }
 
 // freezeFlow pins a flow's rate for the rest of the pass and withdraws it
-// from every link it crosses, marking their arg-min blocks for a rescan. Both
-// water-fill drivers share it, so a freeze performs the identical float
-// operations regardless of how the flow was selected.
+// from every link it crosses, marking their arg-min blocks for a rescan.
 func (n *Network) freezeFlow(f *flow, rate float64) {
 	if rate < 0 {
 		rate = 0
@@ -1565,10 +1542,7 @@ func (n *Network) freezeFlow(f *flow, rate float64) {
 // move, so it rescans just the dirty blocks, then takes the first block
 // minimum strictly below those before it: a block's minimum is its first
 // least-share link, so that is the first least-share link in linkOrder, as
-// one strict-< scan of every link would pick. All-+Inf blocks yield nil. The
-// sharded driver replaces this with per-shard scans and a lexicographic
-// reduce that picks the same winner; everything else in the round loop is
-// shared code.
+// one strict-< scan of every link would pick. All-+Inf blocks yield nil.
 func (n *Network) blockedArgMin() (float64, *linkState) {
 	n.argMinRounds++
 	n.argMinVisits += uint64(len(n.argBlocks))
@@ -1596,8 +1570,7 @@ func (n *Network) blockedArgMin() (float64, *linkState) {
 	return minShare, bottleneck
 }
 
-// waterFill is the progressive-filling round loop with demand caps, shared by
-// the single-shard and sharded drivers — only the arg-min differs.
+// waterFill is the progressive-filling round loop with demand caps.
 //
 // Each round costs what its freezes touch, not the size of the pass, without
 // changing a single freeze or float operation:
@@ -1622,12 +1595,12 @@ func (n *Network) blockedArgMin() (float64, *linkState) {
 //     construction). A bottleneck round freezes straight off the bottleneck's
 //     own list — the same flows, in the same order, a scan of the active list
 //     for flows crossing it would select.
-func (n *Network) waterFill(active []*flow, remaining int, argMin func() (float64, *linkState)) {
+func (n *Network) waterFill(active []*flow, remaining int) {
 	byDemand := n.orderByDemand(active)
 	cursor := 0
 	batch := n.batchScratch[:0]
 	for remaining > 0 {
-		minShare, bottleneck := argMin()
+		minShare, bottleneck := n.blockedArgMin()
 		// Record every arg-min link, applied or not: its share bounded this
 		// iteration's demand comparisons, so the incremental path must treat
 		// it as binding.

@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer) error {
 		names[i] = strings.ToLower(name)
 		if _, ok := experiments.Lookup(names[i]); !ok {
 			return fmt.Errorf("unknown experiment %q (known: %s)",
-				name, strings.Join(experiments.JobNames(), " "))
+				name, strings.Join(experiments.CanonicalOrder(), " "))
 		}
 	}
 	if *replicas < 1 {

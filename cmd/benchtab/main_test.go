@@ -10,7 +10,7 @@ import (
 	"bass/internal/experiments"
 )
 
-// runOne executes a single named experiment straight from the registry.
+// runOne executes a single named experiment straight from the job list.
 func runOne(name string, seed int64, quick bool) ([]experiments.Table, error) {
 	job, ok := experiments.Lookup(strings.ToLower(name))
 	if !ok {

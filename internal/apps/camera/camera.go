@@ -18,11 +18,11 @@ import (
 
 // Component names of the five pipeline stages.
 const (
-	CompCamera      = "camera-stream"
-	CompSampler     = "frame-sampler"
-	CompDetector    = "object-detector"
-	CompImgListener = "image-listener"
-	CompLblListener = "label-listener"
+	compCamera      = "camera-stream"
+	compSampler     = "frame-sampler"
+	compDetector    = "object-detector"
+	compImgListener = "image-listener"
+	compLblListener = "label-listener"
 )
 
 // The pipeline's fixed parameters.
@@ -91,10 +91,10 @@ func (c Config) EdgeBandwidths() map[[2]string]float64 {
 	frameMbps := fps * c.FrameKB * 8 / 1e3 // KB→Kb→Mb
 	sampledFPS := fps * sampleFrac
 	return map[[2]string]float64{
-		{CompCamera, CompSampler}:       frameMbps,
-		{CompSampler, CompDetector}:     sampledFPS * c.FrameKB * 8 / 1e3,
-		{CompDetector, CompImgListener}: sampledFPS * annotatedKB * 8 / 1e3,
-		{CompDetector, CompLblListener}: sampledFPS * labelBytes * 8 / 1e6,
+		{compCamera, compSampler}:       frameMbps,
+		{compSampler, compDetector}:     sampledFPS * c.FrameKB * 8 / 1e3,
+		{compDetector, compImgListener}: sampledFPS * annotatedKB * 8 / 1e3,
+		{compDetector, compLblListener}: sampledFPS * labelBytes * 8 / 1e6,
 	}
 }
 
@@ -123,16 +123,16 @@ var _ core.Workload = (*App)(nil)
 func New(cfg Config) (*App, error) {
 	cfg = cfg.withDefaults()
 	g := dag.NewGraph(appName)
-	cam := dag.Component{Name: CompCamera, CPU: cameraCPU, MemoryMB: 512}
+	cam := dag.Component{Name: compCamera, CPU: cameraCPU, MemoryMB: 512}
 	if cfg.PinCamera != "" {
 		cam.Labels = dag.Pin(cfg.PinCamera)
 	}
 	for _, comp := range []dag.Component{
 		cam,
-		{Name: CompSampler, CPU: cfg.SamplerCPU, MemoryMB: 1024},
-		{Name: CompDetector, CPU: cfg.DetectorCPU, MemoryMB: 4096},
-		{Name: CompImgListener, CPU: imgCPU, MemoryMB: 512},
-		{Name: CompLblListener, CPU: lblCPU, MemoryMB: 256},
+		{Name: compSampler, CPU: cfg.SamplerCPU, MemoryMB: 1024},
+		{Name: compDetector, CPU: cfg.DetectorCPU, MemoryMB: 4096},
+		{Name: compImgListener, CPU: imgCPU, MemoryMB: 512},
+		{Name: compLblListener, CPU: lblCPU, MemoryMB: 256},
 	} {
 		if err := g.AddComponent(comp); err != nil {
 			return nil, err
@@ -175,20 +175,20 @@ func (a *App) isDown(component string) bool {
 // publishFrame emits one camera frame into the pipeline.
 func (a *App) publishFrame() {
 	a.framesPublished++
-	if a.isDown(CompCamera) || a.isDown(CompSampler) {
+	if a.isDown(compCamera) || a.isDown(compSampler) {
 		a.framesDropped++
 		return
 	}
 	birth := a.env.Now()
-	src := a.env.NodeOf(CompCamera)
-	dst := a.env.NodeOf(CompSampler)
+	src := a.env.NodeOf(compCamera)
+	dst := a.env.NodeOf(compSampler)
 	if src == "" || dst == "" || a.inflightIngest >= maxInflightFrames {
 		a.framesDropped++
 		return
 	}
 	a.inflightIngest++
 	_, err := a.env.Net().AddTransfer(
-		a.env.Tag(CompCamera, CompSampler), src, dst,
+		a.env.Tag(compCamera, compSampler), src, dst,
 		a.cfg.FrameKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightIngest--
@@ -212,15 +212,15 @@ func (a *App) onFrameAtSampler(birth time.Duration) {
 			return // frame similar to previous; not forwarded
 		}
 		a.framesSampled++
-		if a.isDown(CompDetector) || a.inflightDetect >= maxInflightFrames {
+		if a.isDown(compDetector) || a.inflightDetect >= maxInflightFrames {
 			a.framesDropped++
 			return
 		}
-		src := a.env.NodeOf(CompSampler)
-		dst := a.env.NodeOf(CompDetector)
+		src := a.env.NodeOf(compSampler)
+		dst := a.env.NodeOf(compDetector)
 		a.inflightDetect++
 		_, err := a.env.Net().AddTransfer(
-			a.env.Tag(CompSampler, CompDetector), src, dst,
+			a.env.Tag(compSampler, compDetector), src, dst,
 			a.cfg.FrameKB*1e3, paceMbps,
 			func(r simnet.TransferResult) {
 				a.inflightDetect--
@@ -252,21 +252,21 @@ func (a *App) onFrameAtDetector(birth time.Duration) {
 
 // onDetectionDone publishes the annotated image and the label message.
 func (a *App) onDetectionDone(birth time.Duration) {
-	src := a.env.NodeOf(CompDetector)
-	if dst := a.env.NodeOf(CompLblListener); dst != "" && !a.isDown(CompLblListener) {
+	src := a.env.NodeOf(compDetector)
+	if dst := a.env.NodeOf(compLblListener); dst != "" && !a.isDown(compLblListener) {
 		_, _ = a.env.Net().AddTransfer(
-			a.env.Tag(CompDetector, CompLblListener), src, dst,
+			a.env.Tag(compDetector, compLblListener), src, dst,
 			labelBytes, paceMbps, nil,
 		)
 	}
-	if a.isDown(CompImgListener) || a.inflightOut >= maxInflightFrames {
+	if a.isDown(compImgListener) || a.inflightOut >= maxInflightFrames {
 		a.framesDropped++
 		return
 	}
-	dst := a.env.NodeOf(CompImgListener)
+	dst := a.env.NodeOf(compImgListener)
 	a.inflightOut++
 	_, err := a.env.Net().AddTransfer(
-		a.env.Tag(CompDetector, CompImgListener), src, dst,
+		a.env.Tag(compDetector, compImgListener), src, dst,
 		annotatedKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightOut--

@@ -36,9 +36,9 @@ func TestGraphShape(t *testing.T) {
 	}
 	// The camera→sampler edge carries the full frame stream: it must be the
 	// heaviest edge (the property the BFS heuristic exploits, §6.2.2).
-	camSamp := g.Weight(CompCamera, CompSampler)
+	camSamp := g.Weight(compCamera, compSampler)
 	for _, e := range g.Edges() {
-		if e.From == CompCamera && e.To == CompSampler {
+		if e.From == compCamera && e.To == compSampler {
 			continue
 		}
 		if e.BandwidthMbps >= camSamp {
@@ -51,7 +51,7 @@ func TestGraphShape(t *testing.T) {
 func TestEdgeBandwidthsScaleWithFrameKB(t *testing.T) {
 	low := Config{}.EdgeBandwidths()
 	high := Config{FrameKB: 30}.EdgeBandwidths()
-	k := [2]string{CompCamera, CompSampler}
+	k := [2]string{compCamera, compSampler}
 	if high[k] <= low[k] {
 		t.Errorf("30 KB weight %v not above 25 KB weight %v", high[k], low[k])
 	}
@@ -59,16 +59,16 @@ func TestEdgeBandwidthsScaleWithFrameKB(t *testing.T) {
 	// a rewrite the compiler could fold to a constant must not move a bit.
 	want := map[float64]map[[2]string]uint64{
 		25: {
-			{CompCamera, CompSampler}:       0x4018000000000000, // 6
-			{CompSampler, CompDetector}:     0x3fe3333333333333, // 0.6
-			{CompDetector, CompImgListener}: 0x3ff70a3d70a3d70a, // 1.44
-			{CompDetector, CompLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+			{compCamera, compSampler}:       0x4018000000000000, // 6
+			{compSampler, compDetector}:     0x3fe3333333333333, // 0.6
+			{compDetector, compImgListener}: 0x3ff70a3d70a3d70a, // 1.44
+			{compDetector, compLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
 		},
 		30: {
-			{CompCamera, CompSampler}:       0x401ccccccccccccd, // 7.2
-			{CompSampler, CompDetector}:     0x3fe70a3d70a3d70a, // 0.72
-			{CompDetector, CompImgListener}: 0x3ff70a3d70a3d70a, // 1.44
-			{CompDetector, CompLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+			{compCamera, compSampler}:       0x401ccccccccccccd, // 7.2
+			{compSampler, compDetector}:     0x3fe70a3d70a3d70a, // 0.72
+			{compDetector, compImgListener}: 0x3ff70a3d70a3d70a, // 1.44
+			{compDetector, compLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
 		},
 	}
 	for frameKB, got := range map[float64]map[[2]string]float64{25: low, 30: high} {
@@ -89,7 +89,7 @@ func TestPinCamera(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := app.Graph().Component(CompCamera)
+	c, err := app.Graph().Component(compCamera)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func runPipeline(t *testing.T, policy scheduler.Policy, horizon time.Duration) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Orch.Deploy("camera", app); err != nil {
+	if _, err := sim.Orch.DeployAt("camera", app, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(horizon); err != nil {
@@ -168,8 +168,8 @@ func TestFig10SchedulerOrdering(t *testing.T) {
 func TestFig10Placements(t *testing.T) {
 	_, bfsSim := runPipeline(t, scheduler.NewBass(scheduler.HeuristicBFS), time.Second)
 	defer bfsSim.Close()
-	camNode := bfsSim.Cluster.NodeOf("camera", CompCamera)
-	sampNode := bfsSim.Cluster.NodeOf("camera", CompSampler)
+	camNode := bfsSim.Cluster.NodeOf("camera", compCamera)
+	sampNode := bfsSim.Cluster.NodeOf("camera", compSampler)
 	if camNode != sampNode {
 		t.Errorf("BFS split camera (%s) from sampler (%s)", camNode, sampNode)
 	}
@@ -177,7 +177,7 @@ func TestFig10Placements(t *testing.T) {
 	_, k3sSim := runPipeline(t, scheduler.NewK3s(), time.Second)
 	defer k3sSim.Close()
 	nodes := map[string]bool{}
-	for _, comp := range []string{CompCamera, CompSampler, CompDetector, CompImgListener, CompLblListener} {
+	for _, comp := range []string{compCamera, compSampler, compDetector, compImgListener, compLblListener} {
 		nodes[k3sSim.Cluster.NodeOf("camera", comp)] = true
 	}
 	if len(nodes) < 3 {
@@ -187,7 +187,7 @@ func TestFig10Placements(t *testing.T) {
 
 func TestMigrationDropsFramesDuringDowntime(t *testing.T) {
 	app, sim := runPipeline(t, scheduler.NewBass(scheduler.HeuristicBFS), time.Minute)
-	if err := sim.Orch.ForceMigrate("camera", CompSampler, "node3"); err != nil {
+	if err := sim.Orch.ForceMigrate("camera", compSampler, "node3"); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, droppedBefore := app.Counters()

@@ -112,7 +112,7 @@ func New(cfg Config) (*App, error) {
 	a := &App{
 		cfg:        cfg,
 		types:      requestTypes(),
-		components: []string{ClientComponent},
+		components: []string{clientComponent},
 		latency:    workload.NewLatencyRecorder(time.Second),
 	}
 	for range a.types {
@@ -121,7 +121,7 @@ func New(cfg Config) (*App, error) {
 
 	g := dag.NewGraph(appName)
 	if err := g.AddComponent(dag.Component{
-		Name:   ClientComponent,
+		Name:   clientComponent,
 		Labels: dag.Pin(cfg.ClientNode),
 	}); err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func TestGraphShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := g.Component(ClientComponent)
+	lg, err := g.Component(clientComponent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func TestGraphShape(t *testing.T) {
 		t.Errorf("load-gen pinned to %q", lg.PinnedTo())
 	}
 	// The client→frontend edge must be the heaviest (timeline responses).
-	front := g.Weight(ClientComponent, SvcNginx)
+	front := g.Weight(clientComponent, SvcNginx)
 	for _, e := range g.Edges() {
-		if e.From == ClientComponent {
+		if e.From == clientComponent {
 			continue
 		}
 		if e.BandwidthMbps > front {
@@ -106,7 +106,7 @@ func TestServicesCount(t *testing.T) {
 }
 
 func TestHopsReferenceKnownServices(t *testing.T) {
-	known := map[string]bool{ClientComponent: true}
+	known := map[string]bool{clientComponent: true}
 	for _, s := range services() {
 		known[s.name] = true
 	}
@@ -130,7 +130,7 @@ func deploySocial(t *testing.T, topo *mesh.Topology, cfg Config, simCfg core.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Orch.Deploy(appName, app); err != nil {
+	if _, err := sim.Orch.DeployAt(appName, app, nil); err != nil {
 		t.Fatal(err)
 	}
 	return app, sim

@@ -11,38 +11,38 @@ package socialnet
 
 import "time"
 
-// ClientComponent is the pinned workload-generator pseudo-component.
-const ClientComponent = "load-gen"
+// clientComponent is the pinned workload-generator pseudo-component.
+const clientComponent = "load-gen"
 
 // Service names (the 27 microservices of DeathStarBench's social network).
 const (
 	SvcNginx           = "nginx-web-server"
-	SvcMediaFrontend   = "media-frontend"
-	SvcComposePost     = "compose-post-service"
-	SvcText            = "text-service"
-	SvcUniqueID        = "unique-id-service"
-	SvcURLShorten      = "url-shorten-service"
-	SvcUserMention     = "user-mention-service"
-	SvcUser            = "user-service"
-	SvcMedia           = "media-service"
+	svcMediaFrontend   = "media-frontend"
+	svcComposePost     = "compose-post-service"
+	svcText            = "text-service"
+	svcUniqueID        = "unique-id-service"
+	svcURLShorten      = "url-shorten-service"
+	svcUserMention     = "user-mention-service"
+	svcUser            = "user-service"
+	svcMedia           = "media-service"
 	SvcPostStorage     = "post-storage-service"
-	SvcUserTimeline    = "user-timeline-service"
-	SvcHomeTimeline    = "home-timeline-service"
-	SvcSocialGraph     = "social-graph-service"
-	SvcJaeger          = "jaeger"
-	StoURLShortenMC    = "url-shorten-memcached"
-	StoURLShortenMongo = "url-shorten-mongodb"
-	StoUserMC          = "user-memcached"
-	StoUserMongo       = "user-mongodb"
-	StoMediaMC         = "media-memcached"
-	StoMediaMongo      = "media-mongodb"
-	StoPostStorageMC   = "post-storage-memcached"
-	StoPostMongo       = "post-storage-mongodb"
-	StoUserTLRedis     = "user-timeline-redis"
-	StoUserTLMongo     = "user-timeline-mongodb"
-	StoHomeTLRedis     = "home-timeline-redis"
-	StoSocialRedis     = "social-graph-redis"
-	StoSocialMongo     = "social-graph-mongodb"
+	svcUserTimeline    = "user-timeline-service"
+	svcHomeTimeline    = "home-timeline-service"
+	svcSocialGraph     = "social-graph-service"
+	svcJaeger          = "jaeger"
+	stoURLShortenMC    = "url-shorten-memcached"
+	stoURLShortenMongo = "url-shorten-mongodb"
+	stoUserMC          = "user-memcached"
+	stoUserMongo       = "user-mongodb"
+	stoMediaMC         = "media-memcached"
+	stoMediaMongo      = "media-mongodb"
+	stoPostStorageMC   = "post-storage-memcached"
+	stoPostMongo       = "post-storage-mongodb"
+	stoUserTLRedis     = "user-timeline-redis"
+	stoUserTLMongo     = "user-timeline-mongodb"
+	stoHomeTLRedis     = "home-timeline-redis"
+	stoSocialRedis     = "social-graph-redis"
+	stoSocialMongo     = "social-graph-mongodb"
 )
 
 // serviceSpec describes one microservice's resources and per-call compute
@@ -60,32 +60,32 @@ func services() []serviceSpec {
 	ms := time.Millisecond
 	return []serviceSpec{
 		{SvcNginx, 1.0, 512, 1 * ms},
-		{SvcMediaFrontend, 0.5, 256, 1 * ms},
-		{SvcComposePost, 1.0, 512, 2 * ms},
-		{SvcText, 0.5, 256, 1500 * time.Microsecond},
-		{SvcUniqueID, 0.25, 128, 500 * time.Microsecond},
-		{SvcURLShorten, 0.5, 256, 1 * ms},
-		{SvcUserMention, 0.5, 256, 1 * ms},
-		{SvcUser, 0.5, 512, 1500 * time.Microsecond},
-		{SvcMedia, 0.5, 512, 2 * ms},
+		{svcMediaFrontend, 0.5, 256, 1 * ms},
+		{svcComposePost, 1.0, 512, 2 * ms},
+		{svcText, 0.5, 256, 1500 * time.Microsecond},
+		{svcUniqueID, 0.25, 128, 500 * time.Microsecond},
+		{svcURLShorten, 0.5, 256, 1 * ms},
+		{svcUserMention, 0.5, 256, 1 * ms},
+		{svcUser, 0.5, 512, 1500 * time.Microsecond},
+		{svcMedia, 0.5, 512, 2 * ms},
 		{SvcPostStorage, 1.0, 1024, 2 * ms},
-		{SvcUserTimeline, 0.75, 512, 2 * ms},
-		{SvcHomeTimeline, 0.75, 512, 2 * ms},
-		{SvcSocialGraph, 0.5, 512, 1500 * time.Microsecond},
-		{SvcJaeger, 0.5, 512, 0},
-		{StoURLShortenMC, 0.25, 512, 300 * time.Microsecond},
-		{StoURLShortenMongo, 0.5, 1024, 2 * ms},
-		{StoUserMC, 0.25, 512, 300 * time.Microsecond},
-		{StoUserMongo, 0.5, 1024, 2 * ms},
-		{StoMediaMC, 0.25, 512, 300 * time.Microsecond},
-		{StoMediaMongo, 0.5, 1024, 2 * ms},
-		{StoPostStorageMC, 0.25, 512, 300 * time.Microsecond},
-		{StoPostMongo, 0.5, 1024, 2 * ms},
-		{StoUserTLRedis, 0.25, 512, 300 * time.Microsecond},
-		{StoUserTLMongo, 0.5, 1024, 2 * ms},
-		{StoHomeTLRedis, 0.25, 512, 300 * time.Microsecond},
-		{StoSocialRedis, 0.25, 512, 300 * time.Microsecond},
-		{StoSocialMongo, 0.5, 1024, 2 * ms},
+		{svcUserTimeline, 0.75, 512, 2 * ms},
+		{svcHomeTimeline, 0.75, 512, 2 * ms},
+		{svcSocialGraph, 0.5, 512, 1500 * time.Microsecond},
+		{svcJaeger, 0.5, 512, 0},
+		{stoURLShortenMC, 0.25, 512, 300 * time.Microsecond},
+		{stoURLShortenMongo, 0.5, 1024, 2 * ms},
+		{stoUserMC, 0.25, 512, 300 * time.Microsecond},
+		{stoUserMongo, 0.5, 1024, 2 * ms},
+		{stoMediaMC, 0.25, 512, 300 * time.Microsecond},
+		{stoMediaMongo, 0.5, 1024, 2 * ms},
+		{stoPostStorageMC, 0.25, 512, 300 * time.Microsecond},
+		{stoPostMongo, 0.5, 1024, 2 * ms},
+		{stoUserTLRedis, 0.25, 512, 300 * time.Microsecond},
+		{stoUserTLMongo, 0.5, 1024, 2 * ms},
+		{stoHomeTLRedis, 0.25, 512, 300 * time.Microsecond},
+		{stoSocialRedis, 0.25, 512, 300 * time.Microsecond},
+		{stoSocialMongo, 0.5, 1024, 2 * ms},
 	}
 }
 
@@ -121,58 +121,58 @@ func requestTypes() []requestType {
 			name: "read-home-timeline",
 			frac: 0.60,
 			hops: []hop{
-				{from: ClientComponent, to: SvcNginx, reqKB: 0.5, respKB: 20},
-				{from: SvcNginx, to: SvcHomeTimeline, reqKB: 0.5, respKB: 18},
-				{from: SvcHomeTimeline, to: StoHomeTLRedis, reqKB: 0.3, respKB: 1.5},
-				{from: SvcHomeTimeline, to: SvcPostStorage, reqKB: 1.0, respKB: 16},
-				{from: SvcPostStorage, to: StoPostStorageMC, reqKB: 1.0, respKB: 12},
-				{from: SvcPostStorage, to: StoPostMongo, reqKB: 0.5, respKB: 6},
-				{from: SvcNginx, to: SvcJaeger, reqKB: 1.0, respKB: 0, async: true},
+				{from: clientComponent, to: SvcNginx, reqKB: 0.5, respKB: 20},
+				{from: SvcNginx, to: svcHomeTimeline, reqKB: 0.5, respKB: 18},
+				{from: svcHomeTimeline, to: stoHomeTLRedis, reqKB: 0.3, respKB: 1.5},
+				{from: svcHomeTimeline, to: SvcPostStorage, reqKB: 1.0, respKB: 16},
+				{from: SvcPostStorage, to: stoPostStorageMC, reqKB: 1.0, respKB: 12},
+				{from: SvcPostStorage, to: stoPostMongo, reqKB: 0.5, respKB: 6},
+				{from: SvcNginx, to: svcJaeger, reqKB: 1.0, respKB: 0, async: true},
 			},
 		},
 		{
 			name: "read-user-timeline",
 			frac: 0.30,
 			hops: []hop{
-				{from: ClientComponent, to: SvcNginx, reqKB: 0.5, respKB: 20},
-				{from: SvcNginx, to: SvcUserTimeline, reqKB: 0.5, respKB: 18},
-				{from: SvcUserTimeline, to: StoUserTLRedis, reqKB: 0.3, respKB: 1.5},
-				{from: SvcUserTimeline, to: StoUserTLMongo, reqKB: 0.5, respKB: 4},
-				{from: SvcUserTimeline, to: SvcPostStorage, reqKB: 1.0, respKB: 16},
-				{from: SvcPostStorage, to: StoPostStorageMC, reqKB: 1.0, respKB: 12},
-				{from: SvcNginx, to: SvcJaeger, reqKB: 1.0, respKB: 0, async: true},
+				{from: clientComponent, to: SvcNginx, reqKB: 0.5, respKB: 20},
+				{from: SvcNginx, to: svcUserTimeline, reqKB: 0.5, respKB: 18},
+				{from: svcUserTimeline, to: stoUserTLRedis, reqKB: 0.3, respKB: 1.5},
+				{from: svcUserTimeline, to: stoUserTLMongo, reqKB: 0.5, respKB: 4},
+				{from: svcUserTimeline, to: SvcPostStorage, reqKB: 1.0, respKB: 16},
+				{from: SvcPostStorage, to: stoPostStorageMC, reqKB: 1.0, respKB: 12},
+				{from: SvcNginx, to: svcJaeger, reqKB: 1.0, respKB: 0, async: true},
 			},
 		},
 		{
 			name: "compose-post",
 			frac: 0.10,
 			hops: []hop{
-				{from: ClientComponent, to: SvcNginx, reqKB: 2, respKB: 1},
-				{from: SvcNginx, to: SvcMediaFrontend, reqKB: 30, respKB: 0.5},
-				{from: SvcMediaFrontend, to: SvcMedia, reqKB: 30, respKB: 0.5},
-				{from: SvcMedia, to: StoMediaMongo, reqKB: 30, respKB: 0.5},
-				{from: SvcMedia, to: StoMediaMC, reqKB: 5, respKB: 0.2},
-				{from: SvcNginx, to: SvcComposePost, reqKB: 2, respKB: 0.5},
-				{from: SvcComposePost, to: SvcUniqueID, reqKB: 0.2, respKB: 0.2},
-				{from: SvcComposePost, to: SvcText, reqKB: 1.5, respKB: 1},
-				{from: SvcText, to: SvcURLShorten, reqKB: 0.5, respKB: 0.5},
-				{from: SvcURLShorten, to: StoURLShortenMC, reqKB: 0.3, respKB: 0.2},
-				{from: SvcURLShorten, to: StoURLShortenMongo, reqKB: 0.4, respKB: 0.2},
-				{from: SvcText, to: SvcUserMention, reqKB: 0.5, respKB: 0.5},
-				{from: SvcUserMention, to: StoUserMC, reqKB: 0.3, respKB: 0.3},
-				{from: SvcComposePost, to: SvcUser, reqKB: 0.5, respKB: 0.5},
-				{from: SvcUser, to: StoUserMongo, reqKB: 0.5, respKB: 0.5},
-				{from: SvcComposePost, to: SvcPostStorage, reqKB: 3, respKB: 0.3},
-				{from: SvcPostStorage, to: StoPostMongo, reqKB: 3, respKB: 0.2},
-				{from: SvcComposePost, to: SvcHomeTimeline, reqKB: 0.5, respKB: 0.2},
-				{from: SvcHomeTimeline, to: SvcSocialGraph, reqKB: 0.3, respKB: 2},
-				{from: SvcSocialGraph, to: StoSocialRedis, reqKB: 0.3, respKB: 1.5},
-				{from: SvcSocialGraph, to: StoSocialMongo, reqKB: 0.3, respKB: 0.5},
-				{from: SvcHomeTimeline, to: StoHomeTLRedis, reqKB: 1.5, respKB: 0.2},
-				{from: SvcComposePost, to: SvcUserTimeline, reqKB: 0.5, respKB: 0.2},
-				{from: SvcUserTimeline, to: StoUserTLRedis, reqKB: 1.5, respKB: 0.2},
-				{from: SvcUserTimeline, to: StoUserTLMongo, reqKB: 1.5, respKB: 0.2},
-				{from: SvcNginx, to: SvcJaeger, reqKB: 1.5, respKB: 0, async: true},
+				{from: clientComponent, to: SvcNginx, reqKB: 2, respKB: 1},
+				{from: SvcNginx, to: svcMediaFrontend, reqKB: 30, respKB: 0.5},
+				{from: svcMediaFrontend, to: svcMedia, reqKB: 30, respKB: 0.5},
+				{from: svcMedia, to: stoMediaMongo, reqKB: 30, respKB: 0.5},
+				{from: svcMedia, to: stoMediaMC, reqKB: 5, respKB: 0.2},
+				{from: SvcNginx, to: svcComposePost, reqKB: 2, respKB: 0.5},
+				{from: svcComposePost, to: svcUniqueID, reqKB: 0.2, respKB: 0.2},
+				{from: svcComposePost, to: svcText, reqKB: 1.5, respKB: 1},
+				{from: svcText, to: svcURLShorten, reqKB: 0.5, respKB: 0.5},
+				{from: svcURLShorten, to: stoURLShortenMC, reqKB: 0.3, respKB: 0.2},
+				{from: svcURLShorten, to: stoURLShortenMongo, reqKB: 0.4, respKB: 0.2},
+				{from: svcText, to: svcUserMention, reqKB: 0.5, respKB: 0.5},
+				{from: svcUserMention, to: stoUserMC, reqKB: 0.3, respKB: 0.3},
+				{from: svcComposePost, to: svcUser, reqKB: 0.5, respKB: 0.5},
+				{from: svcUser, to: stoUserMongo, reqKB: 0.5, respKB: 0.5},
+				{from: svcComposePost, to: SvcPostStorage, reqKB: 3, respKB: 0.3},
+				{from: SvcPostStorage, to: stoPostMongo, reqKB: 3, respKB: 0.2},
+				{from: svcComposePost, to: svcHomeTimeline, reqKB: 0.5, respKB: 0.2},
+				{from: svcHomeTimeline, to: svcSocialGraph, reqKB: 0.3, respKB: 2},
+				{from: svcSocialGraph, to: stoSocialRedis, reqKB: 0.3, respKB: 1.5},
+				{from: svcSocialGraph, to: stoSocialMongo, reqKB: 0.3, respKB: 0.5},
+				{from: svcHomeTimeline, to: stoHomeTLRedis, reqKB: 1.5, respKB: 0.2},
+				{from: svcComposePost, to: svcUserTimeline, reqKB: 0.5, respKB: 0.2},
+				{from: svcUserTimeline, to: stoUserTLRedis, reqKB: 1.5, respKB: 0.2},
+				{from: svcUserTimeline, to: stoUserTLMongo, reqKB: 1.5, respKB: 0.2},
+				{from: SvcNginx, to: svcJaeger, reqKB: 1.5, respKB: 0, async: true},
 			},
 		},
 	}

@@ -206,7 +206,7 @@ func TestRequestLatencyMatchesReference(t *testing.T) {
 			return sim.Orch.ForceMigrate(appName, SvcPostStorage, other(SvcPostStorage))
 		}},
 		{30 * time.Second, func() error {
-			return sim.Cluster.Move(appName, SvcHomeTimeline, other(SvcHomeTimeline))
+			return sim.Cluster.Move(appName, svcHomeTimeline, other(svcHomeTimeline))
 		}},
 		{40 * time.Second, func() error {
 			sim.LinkDown(mesh.MakeLinkID("node4", sim.Cluster.NodeOf(appName, SvcNginx)))
@@ -288,7 +288,7 @@ func BenchmarkRequestLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.Orch.Deploy(appName, app); err != nil {
+	if _, err := sim.Orch.DeployAt(appName, app, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := sim.Run(time.Minute); err != nil {

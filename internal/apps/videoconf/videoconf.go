@@ -18,8 +18,8 @@ import (
 	"bass/internal/simnet"
 )
 
-// ServerComponent is the SFU component name.
-const ServerComponent = "sfu"
+// serverComponent is the SFU component name.
+const serverComponent = "sfu"
 
 // The conference's fixed parameters.
 const (
@@ -99,7 +99,7 @@ func New(cfg Config) (*App, error) {
 
 	g := dag.NewGraph(appName)
 	server := dag.Component{
-		Name:     ServerComponent,
+		Name:     serverComponent,
 		CPU:      serverCPU,
 		MemoryMB: serverMemoryMB,
 	}
@@ -155,7 +155,7 @@ func New(cfg Config) (*App, error) {
 			return nil, err
 		}
 		if subs > 0 {
-			if err := g.AddEdge(ServerComponent, c.name, float64(subs)*cfg.PublishMbps); err != nil {
+			if err := g.AddEdge(serverComponent, c.name, float64(subs)*cfg.PublishMbps); err != nil {
 				return nil, err
 			}
 		}
@@ -173,7 +173,7 @@ func (a *App) InitialAssignment() map[string]string {
 	if a.cfg.InitialNode == "" {
 		return nil
 	}
-	return map[string]string{ServerComponent: a.cfg.InitialNode}
+	return map[string]string{serverComponent: a.cfg.InitialNode}
 }
 
 // Start installs the conference's streams and the bitrate sampler.
@@ -189,14 +189,14 @@ func (a *App) Start(env *core.Env) error {
 // connect establishes all publish and subscribe streams at current
 // placement.
 func (a *App) connect() error {
-	serverNode := a.env.NodeOf(ServerComponent)
+	serverNode := a.env.NodeOf(serverComponent)
 	if serverNode == "" {
 		return fmt.Errorf("videoconf: sfu not placed")
 	}
 	net := a.env.Net()
 	for _, c := range a.clients {
 		if c.publisher {
-			id, err := net.AddStream(a.env.Tag(c.name, ServerComponent), c.node, serverNode, a.cfg.PublishMbps)
+			id, err := net.AddStream(a.env.Tag(c.name, serverComponent), c.node, serverNode, a.cfg.PublishMbps)
 			if err != nil {
 				return fmt.Errorf("videoconf: publish %s: %w", c.name, err)
 			}
@@ -208,7 +208,7 @@ func (a *App) connect() error {
 			if p == c || !p.publisher {
 				continue
 			}
-			id, err := net.AddStream(a.env.Tag(ServerComponent, c.name), serverNode, c.node, a.cfg.PublishMbps)
+			id, err := net.AddStream(a.env.Tag(serverComponent, c.name), serverNode, c.node, a.cfg.PublishMbps)
 			if err != nil {
 				return fmt.Errorf("videoconf: subscribe %s: %w", c.name, err)
 			}
@@ -236,7 +236,7 @@ func (a *App) disconnect() {
 // OnMigration restarts the SFU on its new node: streams drop now and WebRTC
 // connections re-establish after the downtime (the paper measures ~20-30 s).
 func (a *App) OnMigration(env *core.Env, component, fromNode, toNode string, downtime time.Duration) {
-	if component != ServerComponent {
+	if component != serverComponent {
 		return
 	}
 	a.disconnect()

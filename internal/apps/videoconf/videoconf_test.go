@@ -33,7 +33,7 @@ func TestGraphShape(t *testing.T) {
 		t.Fatalf("components = %d", got)
 	}
 	// All publish: each client subscribes to the other 2 → edge weight 4.
-	if got := g.Weight(ServerComponent, "client-node1-0"); got != 4 {
+	if got := g.Weight(serverComponent, "client-node1-0"); got != 4 {
 		t.Errorf("edge weight = %v, want 4", got)
 	}
 	if err := g.Validate(); err != nil {
@@ -52,10 +52,10 @@ func TestSinglePublisherGraph(t *testing.T) {
 	}
 	g := app.Graph()
 	// The publisher receives nothing; the two viewers receive one stream.
-	if got := g.Weight(ServerComponent, "client-node1-0"); got != 0 {
+	if got := g.Weight(serverComponent, "client-node1-0"); got != 0 {
 		t.Errorf("publisher download weight = %v, want 0 (no self-subscribe)", got)
 	}
-	if got := g.Weight(ServerComponent, "client-node1-1"); got != 2 {
+	if got := g.Weight(serverComponent, "client-node1-1"); got != 2 {
 		t.Errorf("viewer download weight = %v", got)
 	}
 }
@@ -165,7 +165,7 @@ func TestMigrationRestoresBitrate(t *testing.T) {
 	if len(migs) == 0 {
 		t.Fatal("SFU never migrated off the degraded node")
 	}
-	if migs[0].Component != ServerComponent {
+	if migs[0].Component != serverComponent {
 		t.Errorf("migrated %q, want the SFU", migs[0].Component)
 	}
 	// Bitrate at the end must be back at full publish rate via node1/node3

@@ -19,13 +19,13 @@ import (
 
 // Sentinel errors for allocation.
 var (
-	ErrUnknownNode       = errors.New("cluster: unknown node")
-	ErrDuplicateNode     = errors.New("cluster: duplicate node")
+	errUnknownNode       = errors.New("cluster: unknown node")
+	errDuplicateNode     = errors.New("cluster: duplicate node")
 	ErrInsufficient      = errors.New("cluster: insufficient resources")
-	ErrAlreadyPlaced     = errors.New("cluster: component already placed")
-	ErrNotPlaced         = errors.New("cluster: component not placed")
-	ErrNodeUnschedulable = errors.New("cluster: node unschedulable")
-	ErrNodeCordoned      = errors.New("cluster: node cordoned")
+	errAlreadyPlaced     = errors.New("cluster: component already placed")
+	errNotPlaced         = errors.New("cluster: component not placed")
+	errNodeUnschedulable = errors.New("cluster: node unschedulable")
+	errNodeCordoned      = errors.New("cluster: node cordoned")
 )
 
 // Node describes one compute node.
@@ -98,22 +98,13 @@ func New(nodes ...Node) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New for statically known clusters; it panics on error.
-func MustNew(nodes ...Node) *Cluster {
-	c, err := New(nodes...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // AddNode registers a node.
 func (c *Cluster) AddNode(n Node) error {
 	if n.Name == "" {
 		return errors.New("cluster: node with empty name")
 	}
 	if _, ok := c.nodes[n.Name]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateNode, n.Name)
+		return fmt.Errorf("%w: %q", errDuplicateNode, n.Name)
 	}
 	if n.CPU < 0 || n.MemoryMB < 0 {
 		return fmt.Errorf("cluster: node %q has negative capacity", n.Name)
@@ -127,7 +118,7 @@ func (c *Cluster) AddNode(n Node) error {
 func (c *Cluster) Node(name string) (Node, error) {
 	n, ok := c.nodes[name]
 	if !ok {
-		return Node{}, fmt.Errorf("%w: %q", ErrUnknownNode, name)
+		return Node{}, fmt.Errorf("%w: %q", errUnknownNode, name)
 	}
 	return n, nil
 }
@@ -155,7 +146,7 @@ func (c *Cluster) SchedulableNodesInto(buf []string) []string {
 // node is a no-op.
 func (c *Cluster) Cordon(name string) error {
 	if _, ok := c.nodes[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
+		return fmt.Errorf("%w: %q", errUnknownNode, name)
 	}
 	c.cordoned[name] = true
 	return nil
@@ -164,7 +155,7 @@ func (c *Cluster) Cordon(name string) error {
 // Uncordon reopens a node to placements.
 func (c *Cluster) Uncordon(name string) error {
 	if _, ok := c.nodes[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
+		return fmt.Errorf("%w: %q", errUnknownNode, name)
 	}
 	delete(c.cordoned, name)
 	return nil
@@ -212,20 +203,20 @@ func (c *Cluster) Fits(node string, cpu, memMB float64) bool {
 func (c *Cluster) Place(p Placement) error {
 	n, ok := c.nodes[p.Node]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, p.Node)
+		return fmt.Errorf("%w: %q", errUnknownNode, p.Node)
 	}
 	if c.cordoned[p.Node] {
-		return fmt.Errorf("%w: %q", ErrNodeCordoned, p.Node)
+		return fmt.Errorf("%w: %q", errNodeCordoned, p.Node)
 	}
 	if n.Unschedulable && (p.CPU > 0 || p.MemoryMB > 0) {
 		// Zero-resource placements model external endpoints (load
 		// generators, conference participants) that live on hosts the
 		// scheduler cannot use.
-		return fmt.Errorf("%w: %q", ErrNodeUnschedulable, p.Node)
+		return fmt.Errorf("%w: %q", errNodeUnschedulable, p.Node)
 	}
 	idx, i, placed := c.lookup(p.App, p.Component)
 	if placed {
-		return fmt.Errorf("%w: %s/%s", ErrAlreadyPlaced, p.App, p.Component)
+		return fmt.Errorf("%w: %s/%s", errAlreadyPlaced, p.App, p.Component)
 	}
 	if !c.Fits(p.Node, p.CPU, p.MemoryMB) {
 		return fmt.Errorf("%w: %s/%s needs cpu=%.2f mem=%.0fMB on %q (free cpu=%.2f mem=%.0fMB)",
@@ -256,7 +247,7 @@ func (c *Cluster) lookup(app, component string) (idx *appIndex, i int, ok bool) 
 func (c *Cluster) Remove(app, component string) error {
 	idx, i, ok := c.lookup(app, component)
 	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNotPlaced, app, component)
+		return fmt.Errorf("%w: %s/%s", errNotPlaced, app, component)
 	}
 	p := idx.placements[i]
 	c.usedCPU[p.Node] -= p.CPU
@@ -302,7 +293,7 @@ func (c *Cluster) PlacementEpoch() uint64 { return c.placeEpoch }
 func (c *Cluster) PlacementOf(app, component string) (Placement, error) {
 	idx, i, ok := c.lookup(app, component)
 	if !ok {
-		return Placement{}, fmt.Errorf("%w: %s/%s", ErrNotPlaced, app, component)
+		return Placement{}, fmt.Errorf("%w: %s/%s", errNotPlaced, app, component)
 	}
 	return idx.placements[i], nil
 }

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// mustNew is New for statically known clusters; it panics on error.
+func mustNew(nodes ...Node) *Cluster {
+	c, err := New(nodes...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func threeNodes(t testing.TB) *Cluster {
 	t.Helper()
 	c, err := New(
@@ -24,7 +33,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Node{Name: ""}); err == nil {
 		t.Error("empty name: want error")
 	}
-	if _, err := New(Node{Name: "a"}, Node{Name: "a"}); !errors.Is(err, ErrDuplicateNode) {
+	if _, err := New(Node{Name: "a"}, Node{Name: "a"}); !errors.Is(err, errDuplicateNode) {
 		t.Error("dup node: want ErrDuplicateNode")
 	}
 	if _, err := New(Node{Name: "a", CPU: -1}); err == nil {
@@ -57,10 +66,10 @@ func TestPlaceAndFree(t *testing.T) {
 
 func TestPlaceErrors(t *testing.T) {
 	c := threeNodes(t)
-	if err := c.Place(Placement{App: "a", Component: "x", Node: "ghost"}); !errors.Is(err, ErrUnknownNode) {
+	if err := c.Place(Placement{App: "a", Component: "x", Node: "ghost"}); !errors.Is(err, errUnknownNode) {
 		t.Errorf("unknown node: %v", err)
 	}
-	if err := c.Place(Placement{App: "a", Component: "x", Node: "control", CPU: 1}); !errors.Is(err, ErrNodeUnschedulable) {
+	if err := c.Place(Placement{App: "a", Component: "x", Node: "control", CPU: 1}); !errors.Is(err, errNodeUnschedulable) {
 		t.Errorf("unschedulable: %v", err)
 	}
 	// Zero-resource components model external endpoints and may sit on
@@ -75,10 +84,10 @@ func TestPlaceErrors(t *testing.T) {
 	if err := c.Place(ok); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Place(ok); !errors.Is(err, ErrAlreadyPlaced) {
+	if err := c.Place(ok); !errors.Is(err, errAlreadyPlaced) {
 		t.Errorf("double place: %v", err)
 	}
-	if err := c.Remove("a", "ghost"); !errors.Is(err, ErrNotPlaced) {
+	if err := c.Remove("a", "ghost"); !errors.Is(err, errNotPlaced) {
 		t.Errorf("remove unplaced: %v", err)
 	}
 }
@@ -195,7 +204,7 @@ func TestAllocationNeverNegative(t *testing.T) {
 		CPU  uint8
 	}
 	f := func(ops []op) bool {
-		c := MustNew(
+		c := mustNew(
 			Node{Name: "n0", CPU: 10, MemoryMB: 1000},
 			Node{Name: "n1", CPU: 10, MemoryMB: 1000},
 		)
@@ -228,7 +237,7 @@ func TestAllocationNeverNegative(t *testing.T) {
 
 func TestCordon(t *testing.T) {
 	c := threeNodes(t)
-	if err := c.Cordon("ghost"); !errors.Is(err, ErrUnknownNode) {
+	if err := c.Cordon("ghost"); !errors.Is(err, errUnknownNode) {
 		t.Errorf("cordon unknown node: %v", err)
 	}
 	if err := c.Cordon("n2"); err != nil {
@@ -238,7 +247,7 @@ func TestCordon(t *testing.T) {
 		t.Error("n2 not reported cordoned")
 	}
 	// Cordon blocks even zero-resource placements — unlike capacity checks.
-	if err := c.Place(Placement{App: "a", Component: "x", Node: "n2"}); !errors.Is(err, ErrNodeCordoned) {
+	if err := c.Place(Placement{App: "a", Component: "x", Node: "n2"}); !errors.Is(err, errNodeCordoned) {
 		t.Errorf("place on cordoned node: %v", err)
 	}
 	if c.Fits("n2", 0, 0) {
@@ -268,7 +277,7 @@ func TestMoveToCordonedNodeRestores(t *testing.T) {
 	if err := c.Cordon("n2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Move("a", "x", "n2"); !errors.Is(err, ErrNodeCordoned) {
+	if err := c.Move("a", "x", "n2"); !errors.Is(err, errNodeCordoned) {
 		t.Fatalf("move to cordoned node: %v", err)
 	}
 	if got := c.NodeOf("a", "x"); got != "n1" {
@@ -303,7 +312,7 @@ func TestMoveRestoreFailure(t *testing.T) {
 	}
 	// The wrapped chain carries the original placement error; the message
 	// names the restore failure.
-	if !errors.Is(err, ErrNodeCordoned) {
+	if !errors.Is(err, errNodeCordoned) {
 		t.Errorf("err = %v, want ErrNodeCordoned in chain", err)
 	}
 	if want := "restore after failed move"; !strings.Contains(err.Error(), want) {

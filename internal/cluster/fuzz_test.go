@@ -139,7 +139,7 @@ func (r *refCluster) apply(c *Cluster, o fuzzOp) error {
 		i := r.find(p.App, p.Component)
 		err := c.Move(p.App, p.Component, p.Node)
 		if i < 0 {
-			if !errors.Is(err, ErrNotPlaced) {
+			if !errors.Is(err, errNotPlaced) {
 				return errors.Join(errors.New("Move of an unplaced component did not fail"), err)
 			}
 			return nil
@@ -218,7 +218,7 @@ func (r *refCluster) check(t *testing.T, c *Cluster, step string) {
 			}
 			got, err := c.PlacementOf(app, comp)
 			if ref.Node == "" {
-				if !errors.Is(err, ErrNotPlaced) {
+				if !errors.Is(err, errNotPlaced) {
 					t.Fatalf("%s: PlacementOf(%q, %q) = %v, %v; want ErrNotPlaced", step, app, comp, got, err)
 				}
 			} else if err != nil || got != ref {
@@ -266,7 +266,7 @@ func FuzzClusterIndexMatchesScan(f *testing.F) {
 		op(opMove, 1, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := MustNew(fuzzNodes...)
+		c := mustNew(fuzzNodes...)
 		ref := &refCluster{cordoned: make(map[string]bool)}
 		for i, o := range decodeOps(data) {
 			step := "op " + strconv.Itoa(i)

@@ -53,7 +53,7 @@ func batchDiffRun(t *testing.T, seed int64, batch bool, moveBudget int) (journal
 		sr, sc := cell/cols, cell%cols
 		name := fmt.Sprintf("chain-%04d", i)
 		w := newBenchChain(name, 12, mesh.GridNodeName(sr, sc), mesh.GridNodeName((sr+2)%rows, (sc+1)%cols))
-		if _, err := s.Orch.Deploy(name, w); err != nil {
+		if _, err := s.Orch.DeployAt(name, w, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

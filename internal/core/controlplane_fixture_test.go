@@ -167,7 +167,7 @@ func setupControlPlaneObserved(tb testing.TB, rows, cols, apps int, storm bool, 
 		dr, dc := (sr+2)%rows, (sc+1)%cols
 		name := fmt.Sprintf("chain-%04d", i)
 		w := newBenchChain(name, demand, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc))
-		if _, err := s.Orch.Deploy(name, w); err != nil {
+		if _, err := s.Orch.DeployAt(name, w, nil); err != nil {
 			s.Close()
 			tb.Fatal(err)
 		}

@@ -26,8 +26,8 @@ import (
 
 // Sentinel errors.
 var (
-	ErrAppExists  = errors.New("core: application already deployed")
-	ErrUnknownApp = errors.New("core: unknown application")
+	errAppExists  = errors.New("core: application already deployed")
+	errUnknownApp = errors.New("core: unknown application")
 )
 
 // Workload is an application that can run on the orchestrator. Implementations
@@ -45,11 +45,11 @@ type Workload interface {
 	OnMigration(env *Env, component, fromNode, toNode string, downtime time.Duration)
 }
 
-// Prioritized lets a workload declare its shedding priority for the
+// prioritized lets a workload declare its shedding priority for the
 // reconciler's degraded-mode ladder: higher values are shed later. Workloads
 // that do not implement it are prioritized by deployment order (earlier
 // deployments rank higher).
-type Prioritized interface {
+type prioritized interface {
 	Priority() int
 }
 
@@ -269,8 +269,8 @@ type Orchestrator struct {
 	hasCycleTime bool
 }
 
-// New wires an orchestrator over an engine, topology, network, and cluster.
-func New(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluster.Cluster, cfg Config) *Orchestrator {
+// newOrchestrator wires an orchestrator over an engine, topology, network, and cluster.
+func newOrchestrator(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, clus *cluster.Cluster, cfg Config) *Orchestrator {
 	cfg = cfg.withDefaults()
 	o := &Orchestrator{
 		cfg:  cfg,
@@ -500,19 +500,14 @@ func (o *Orchestrator) appendNodeInfos(out []scheduler.NodeInfo) []scheduler.Nod
 	return out
 }
 
-// Deploy schedules and starts a workload. Call Bootstrap first so the
-// monitor has link capacities for node ranking.
-func (o *Orchestrator) Deploy(name string, w Workload) (scheduler.Assignment, error) {
-	return o.DeployAt(name, w, nil)
-}
-
-// DeployAt deploys like Deploy but forces the listed components onto the
-// given nodes for the initial placement (they remain migratable afterwards —
-// unlike a dag.Pin label). The paper's Fig 12 experiment starts the Pion
-// server on node 2 this way.
+// DeployAt schedules and starts a workload, forcing the listed components
+// (if any) onto the given nodes for the initial placement; they remain
+// migratable afterwards, unlike a dag.Pin label. Call Bootstrap first so the
+// monitor has link capacities for node ranking. The paper's Fig 12
+// experiment starts the Pion server on node 2 this way.
 func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Assignment) (scheduler.Assignment, error) {
 	if _, ok := o.apps[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrAppExists, name)
+		return nil, fmt.Errorf("%w: %q", errAppExists, name)
 	}
 	g := w.Graph()
 	if g.AppName != name {
@@ -575,7 +570,7 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 		// placed on a healthy node. Priority defaults to deployment order
 		// (earlier = higher) unless the workload declares its own.
 		prio := -(len(o.appOrder) - 1)
-		if p, ok := w.(Prioritized); ok {
+		if p, ok := w.(prioritized); ok {
 			prio = p.Priority()
 		}
 		spec := reconcile.Spec{App: name, Priority: prio}
@@ -704,7 +699,7 @@ func (o *Orchestrator) migrationDowntime(app *deployedApp, comp, from, to string
 func (o *Orchestrator) ForceMigrate(appName, comp, toNode string) error {
 	app, ok := o.apps[appName]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownApp, appName)
+		return fmt.Errorf("%w: %q", errUnknownApp, appName)
 	}
 	from := o.clus.NodeOf(appName, comp)
 	if err := o.clus.Move(appName, comp, toNode); err != nil {

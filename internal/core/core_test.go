@@ -110,7 +110,7 @@ func TestDeployPlacesPairAcrossLink(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "node3", 2)
-	assignment, err := sim.Orch.Deploy("pair", w)
+	assignment, err := sim.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestDeployDuplicateApp(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "", 1)
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	w2 := newPairWorkload("pair", 8, "", 1)
-	if _, err := sim.Orch.Deploy("pair", w2); !errors.Is(err, ErrAppExists) {
+	if _, err := sim.Orch.DeployAt("pair", w2, nil); !errors.Is(err, errAppExists) {
 		t.Errorf("want ErrAppExists, got %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestDeployNameMismatch(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "", 1)
-	if _, err := sim.Orch.Deploy("other-name", w); err == nil {
+	if _, err := sim.Orch.DeployAt("other-name", w, nil); err == nil {
 		t.Error("want error on app-name mismatch")
 	}
 }
@@ -171,7 +171,7 @@ func TestFig8MigrationTimeline(t *testing.T) {
 	defer sim.Close()
 
 	w := newPairWorkload("pair", 8, "node3", 2)
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,7 +268,7 @@ func TestReMigrationGuardIsPerApp(t *testing.T) {
 	}
 	defer sim.Close()
 	for _, app := range []string{"a", "b"} {
-		assignment, err := sim.Orch.Deploy(app, newPairWorkload(app, 8, app+"3", 2))
+		assignment, err := sim.Orch.DeployAt(app, newPairWorkload(app, 8, app+"3", 2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestMigrationDisabledStaysPut(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "node3", 2)
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(10 * time.Minute); err != nil {
@@ -332,7 +332,7 @@ func TestForceMigrate(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "node3", 2)
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Orch.ForceMigrate("pair", "dst", "node1"); err != nil {
@@ -341,7 +341,7 @@ func TestForceMigrate(t *testing.T) {
 	if got := sim.Cluster.NodeOf("pair", "dst"); got != "node1" {
 		t.Errorf("dst on %q", got)
 	}
-	if err := sim.Orch.ForceMigrate("ghost", "dst", "node1"); !errors.Is(err, ErrUnknownApp) {
+	if err := sim.Orch.ForceMigrate("ghost", "dst", "node1"); !errors.Is(err, errUnknownApp) {
 		t.Errorf("want ErrUnknownApp, got %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func TestSchedulingLatencyRecorded(t *testing.T) {
 	}
 	defer sim.Close()
 	w := newPairWorkload("pair", 8, "", 1)
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sim.Orch.SchedulingLatenciesNS()); got != 2 {

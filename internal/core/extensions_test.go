@@ -34,7 +34,7 @@ func downtimeAroundFirstMigration(t *testing.T, w *pairWorkload) time.Duration {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	if _, err := sim.Orch.Deploy("pair", w); err != nil {
+	if _, err := sim.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(dropAt + 5*time.Minute); err != nil {

@@ -28,7 +28,7 @@ func TestNodeRecoversMidEvacuationNoDoublePlace(t *testing.T) {
 	s := chaosSim(t, nodes, Config{})
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "n1", 2)
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLinkFlapShorterThanProbeIntervalLeaksNothing(t *testing.T) {
 	}
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "n1", 2)
-	if _, err := s.Orch.Deploy("pair", w); err != nil {
+	if _, err := s.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 

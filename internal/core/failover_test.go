@@ -57,7 +57,7 @@ func TestNodeCrashDetectedAndFailedOver(t *testing.T) {
 	s := chaosSim(t, nodes, Config{})
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "n1", 2)
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	journal := obs.NewJournal(0)
 	s.AttachObservability(journal, nil)
 	w := newPairWorkload("pair", 8, "", 4) // CPU 4: exactly one per big node
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestNodeDownEvacuatesEveryComponentOfAnApp(t *testing.T) {
 	journal := obs.NewJournal(0)
 	s.AttachObservability(journal, nil)
 	w := newBenchChain("tri", 1, "n2", "n2")
-	if _, err := s.Orch.Deploy("tri", w); err != nil {
+	if _, err := s.Orch.DeployAt("tri", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, comp := range w.comps {
@@ -252,7 +252,7 @@ func chaosRun(t *testing.T) (RecoveryReport, []MigrationEvent, []cluster.Placeme
 	s := chaosSim(t, fourNodes(), Config{})
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "", 2)
-	if _, err := s.Orch.Deploy("pair", w); err != nil {
+	if _, err := s.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	sched := faults.Generate(s.Topo, faults.GeneratorConfig{

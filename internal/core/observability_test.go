@@ -23,7 +23,7 @@ func obsCrashRun(t *testing.T) ([]byte, *metricstore.Store) {
 	store := metricstore.New(0)
 	s.AttachObservability(journal, store)
 	w := newPairWorkload("pair", 8, "n1", 2)
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestObservabilityForcedMigrationJournaled(t *testing.T) {
 		t.Fatal("Observability() does not expose the attached plane")
 	}
 	w := newPairWorkload("pair", 4, "n1", 1)
-	if _, err := s.Orch.Deploy("pair", w); err != nil {
+	if _, err := s.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	target := "n3"
@@ -135,7 +135,7 @@ func TestUnattachedOrchestratorRecordsNothing(t *testing.T) {
 		t.Fatal("fresh orchestrator has a plane attached")
 	}
 	w := newPairWorkload("pair", 4, "n1", 1)
-	if _, err := s.Orch.Deploy("pair", w); err != nil {
+	if _, err := s.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(2 * time.Minute); err != nil {

@@ -60,7 +60,7 @@ func diffRun(t *testing.T, grid diffGrid, seed int64, workers int) (journal, met
 		sr, sc := cell/cols, cell%cols
 		name := fmt.Sprintf("chain-%04d", i)
 		w := newBenchChain(name, 12, mesh.GridNodeName(sr, sc), mesh.GridNodeName((sr+2)%rows, (sc+1)%cols))
-		if _, err := s.Orch.Deploy(name, w); err != nil {
+		if _, err := s.Orch.DeployAt(name, w, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

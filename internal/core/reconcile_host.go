@@ -55,7 +55,7 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 	o := h.o
 	app, ok := o.apps[a.App]
 	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownApp, a.App)
+		return "", fmt.Errorf("%w: %q", errUnknownApp, a.App)
 	}
 	comp, err := app.graph.Component(a.Component)
 	if err != nil {

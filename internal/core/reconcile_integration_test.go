@@ -25,7 +25,7 @@ func TestReconcileConvergesAfterCrash(t *testing.T) {
 	s := chaosSim(t, nodes, Config{EnableReconcile: true})
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "n1", 2)
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReconcileParksThenConvergesWhenCapacityReturns(t *testing.T) {
 	s := chaosSim(t, nodes, Config{EnableReconcile: true})
 	defer s.Close()
 	w := newPairWorkload("pair", 8, "n1", 2)
-	if _, err := s.Orch.Deploy("pair", w); err != nil {
+	if _, err := s.Orch.DeployAt("pair", w, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func reconcileCrashRun(t *testing.T) []byte {
 	journal := obs.NewJournal(0)
 	s.AttachObservability(journal, metricstore.New(0))
 	w := newPairWorkload("pair", 8, "n1", 2)
-	assignment, err := s.Orch.Deploy("pair", w)
+	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

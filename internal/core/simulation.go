@@ -41,7 +41,7 @@ func NewSimulation(topo *mesh.Topology, nodes []cluster.Node, seed int64, cfg Co
 	}
 	eng := sim.NewEngine(seed)
 	net := simnet.New(eng, topo)
-	orch := New(eng, topo, net, clus, cfg)
+	orch := newOrchestrator(eng, topo, net, clus, cfg)
 	s := &Simulation{
 		Eng:     eng,
 		Topo:    topo,

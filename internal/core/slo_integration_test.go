@@ -45,7 +45,7 @@ func runSLOScenario(t *testing.T, seed int64, workers int) (*obs.Journal, []obs.
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("chain-r%d-%d", r, i)
 			w := newBenchChain(name, 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1))
-			if _, err := s.Orch.Deploy(name, w); err != nil {
+			if _, err := s.Orch.DeployAt(name, w, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

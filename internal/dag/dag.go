@@ -14,12 +14,12 @@ import (
 
 // Sentinel errors for graph validation and lookup.
 var (
-	ErrDuplicateComponent = errors.New("dag: duplicate component")
-	ErrUnknownComponent   = errors.New("dag: unknown component")
-	ErrSelfEdge           = errors.New("dag: self edge")
-	ErrDuplicateEdge      = errors.New("dag: duplicate edge")
-	ErrCycle              = errors.New("dag: graph contains a cycle")
-	ErrEmptyGraph         = errors.New("dag: empty graph")
+	errDuplicateComponent = errors.New("dag: duplicate component")
+	errUnknownComponent   = errors.New("dag: unknown component")
+	errSelfEdge           = errors.New("dag: self edge")
+	errDuplicateEdge      = errors.New("dag: duplicate edge")
+	errCycle              = errors.New("dag: graph contains a cycle")
+	errEmptyGraph         = errors.New("dag: empty graph")
 )
 
 // Component is one deployable unit of an application.
@@ -76,7 +76,7 @@ func (g *Graph) AddComponent(c Component) error {
 		return fmt.Errorf("dag: component with empty name")
 	}
 	if _, ok := g.components[c.Name]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateComponent, c.Name)
+		return fmt.Errorf("%w: %q", errDuplicateComponent, c.Name)
 	}
 	cc := c
 	if c.Labels != nil {
@@ -101,20 +101,20 @@ func (g *Graph) MustAddComponent(c Component) {
 // AddEdge adds a directed edge with a bandwidth requirement.
 func (g *Graph) AddEdge(from, to string, bandwidthMbps float64) error {
 	if from == to {
-		return fmt.Errorf("%w: %q", ErrSelfEdge, from)
+		return fmt.Errorf("%w: %q", errSelfEdge, from)
 	}
 	if _, ok := g.components[from]; !ok {
-		return fmt.Errorf("%w: edge source %q", ErrUnknownComponent, from)
+		return fmt.Errorf("%w: edge source %q", errUnknownComponent, from)
 	}
 	if _, ok := g.components[to]; !ok {
-		return fmt.Errorf("%w: edge target %q", ErrUnknownComponent, to)
+		return fmt.Errorf("%w: edge target %q", errUnknownComponent, to)
 	}
 	if bandwidthMbps < 0 {
 		return fmt.Errorf("dag: negative bandwidth %v on edge %s->%s", bandwidthMbps, from, to)
 	}
 	for _, e := range g.out[from] {
 		if e.To == to {
-			return fmt.Errorf("%w: %s->%s", ErrDuplicateEdge, from, to)
+			return fmt.Errorf("%w: %s->%s", errDuplicateEdge, from, to)
 		}
 	}
 	e := Edge{From: from, To: to, BandwidthMbps: bandwidthMbps}
@@ -134,7 +134,7 @@ func (g *Graph) MustAddEdge(from, to string, bandwidthMbps float64) {
 func (g *Graph) Component(name string) (*Component, error) {
 	c, ok := g.components[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownComponent, name)
+		return nil, fmt.Errorf("%w: %q", errUnknownComponent, name)
 	}
 	return c, nil
 }
@@ -206,11 +206,11 @@ func (g *Graph) Neighbors(name string) map[string]float64 {
 }
 
 // TopoSort returns the components in topological order. Ties are broken by
-// insertion order so results are deterministic. It returns ErrCycle if the
-// graph is not a DAG and ErrEmptyGraph if it has no components.
+// insertion order so results are deterministic. It returns errCycle if the
+// graph is not a DAG and errEmptyGraph if it has no components.
 func (g *Graph) TopoSort() ([]string, error) {
 	if len(g.components) == 0 {
-		return nil, ErrEmptyGraph
+		return nil, errEmptyGraph
 	}
 	indeg := make(map[string]int, len(g.components))
 	for _, name := range g.order {
@@ -241,7 +241,7 @@ func (g *Graph) TopoSort() ([]string, error) {
 		}
 	}
 	if len(out) != len(g.components) {
-		return nil, ErrCycle
+		return nil, errCycle
 	}
 	return out, nil
 }
@@ -250,7 +250,7 @@ func (g *Graph) TopoSort() ([]string, error) {
 // requests.
 func (g *Graph) Validate() error {
 	if len(g.components) == 0 {
-		return ErrEmptyGraph
+		return errEmptyGraph
 	}
 	for _, name := range g.order {
 		c := g.components[name]

@@ -40,30 +40,30 @@ func TestGraphBasics(t *testing.T) {
 func TestGraphErrors(t *testing.T) {
 	g := NewGraph("e")
 	g.MustAddComponent(Component{Name: "a"})
-	if err := g.AddComponent(Component{Name: "a"}); !errors.Is(err, ErrDuplicateComponent) {
+	if err := g.AddComponent(Component{Name: "a"}); !errors.Is(err, errDuplicateComponent) {
 		t.Errorf("dup component: %v", err)
 	}
 	if err := g.AddComponent(Component{}); err == nil {
 		t.Error("empty name: want error")
 	}
-	if err := g.AddEdge("a", "a", 1); !errors.Is(err, ErrSelfEdge) {
+	if err := g.AddEdge("a", "a", 1); !errors.Is(err, errSelfEdge) {
 		t.Errorf("self edge: %v", err)
 	}
-	if err := g.AddEdge("a", "zz", 1); !errors.Is(err, ErrUnknownComponent) {
+	if err := g.AddEdge("a", "zz", 1); !errors.Is(err, errUnknownComponent) {
 		t.Errorf("unknown target: %v", err)
 	}
-	if err := g.AddEdge("zz", "a", 1); !errors.Is(err, ErrUnknownComponent) {
+	if err := g.AddEdge("zz", "a", 1); !errors.Is(err, errUnknownComponent) {
 		t.Errorf("unknown source: %v", err)
 	}
 	g.MustAddComponent(Component{Name: "b"})
 	g.MustAddEdge("a", "b", 1)
-	if err := g.AddEdge("a", "b", 2); !errors.Is(err, ErrDuplicateEdge) {
+	if err := g.AddEdge("a", "b", 2); !errors.Is(err, errDuplicateEdge) {
 		t.Errorf("dup edge: %v", err)
 	}
 	if err := g.AddEdge("b", "a", -1); err == nil {
 		t.Error("negative bandwidth: want error")
 	}
-	if _, err := g.Component("zz"); !errors.Is(err, ErrUnknownComponent) {
+	if _, err := g.Component("zz"); !errors.Is(err, errUnknownComponent) {
 		t.Errorf("unknown component: %v", err)
 	}
 }
@@ -86,16 +86,16 @@ func TestTopoSortCycle(t *testing.T) {
 	g.MustAddComponent(Component{Name: "b"})
 	g.MustAddEdge("a", "b", 1)
 	g.MustAddEdge("b", "a", 1)
-	if _, err := g.TopoSort(); !errors.Is(err, ErrCycle) {
+	if _, err := g.TopoSort(); !errors.Is(err, errCycle) {
 		t.Errorf("want ErrCycle, got %v", err)
 	}
-	if err := g.Validate(); !errors.Is(err, ErrCycle) {
+	if err := g.Validate(); !errors.Is(err, errCycle) {
 		t.Errorf("Validate: want ErrCycle, got %v", err)
 	}
 }
 
 func TestTopoSortEmpty(t *testing.T) {
-	if _, err := NewGraph("e").TopoSort(); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := NewGraph("e").TopoSort(); !errors.Is(err, errEmptyGraph) {
 		t.Errorf("want ErrEmptyGraph, got %v", err)
 	}
 }

@@ -35,8 +35,8 @@ import (
 // blind the measurement plane without degrading service, so the evaluator's
 // no-data-is-good policy must keep them alert-free.
 
-// AlertQualityOptions configures one replay.
-type AlertQualityOptions struct {
+// alertQualityOptions configures one replay.
+type alertQualityOptions struct {
 	Seed    int64
 	Horizon time.Duration // 0 = 2h
 }
@@ -46,8 +46,8 @@ type AlertQualityOptions struct {
 // page tier's short lookback keeping the last in-window bad sample visible.
 const detectGrace = 2 * time.Minute
 
-// AlertQualityResult is one replay's scorecard.
-type AlertQualityResult struct {
+// alertQualityResult is one replay's scorecard.
+type alertQualityResult struct {
 	Seed    int64
 	Horizon time.Duration
 
@@ -139,9 +139,9 @@ func alertStorm(seed int64, horizon time.Duration) *faults.Schedule {
 	return sched
 }
 
-// RunAlertQuality replays one seeded schedule and scores the alert journal.
+// runAlertQuality replays one seeded schedule and scores the alert journal.
 // Equal seeds yield identical results.
-func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
+func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * time.Hour
 	}
@@ -177,10 +177,10 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 		Seed:               o.Seed,
 	})
 	if err != nil {
-		return AlertQualityResult{}, err
+		return alertQualityResult{}, err
 	}
 
-	res := AlertQualityResult{
+	res := alertQualityResult{
 		Seed:           o.Seed,
 		Horizon:        o.Horizon,
 		JournalSummary: obs.Summarize(run.Journal.Events()),
@@ -210,7 +210,7 @@ func RunAlertQuality(o AlertQualityOptions) (AlertQualityResult, error) {
 // score matches the journal's alert events against the ground-truth link
 // windows: an alert_fired is a true positive when it falls inside some
 // window's [start, end+grace]; a window is detected when at least one does.
-func (r *AlertQualityResult) score(linkWins []faults.Window, events []obs.Event) {
+func (r *alertQualityResult) score(linkWins []faults.Window, events []obs.Event) {
 	var fired, resolved []obs.Event
 	for _, ev := range events {
 		switch ev.Type {
@@ -288,7 +288,7 @@ func (r *AlertQualityResult) score(linkWins []faults.Window, events []obs.Event)
 }
 
 // Table renders one replay's scorecard.
-func (r AlertQualityResult) Table() Table {
+func (r alertQualityResult) Table() Table {
 	return Table{
 		Title: fmt.Sprintf("Alert quality: seeded fault replay over %s, event-driven net (page 1m/5m @14.4x, ticket 5m/30m @6x)",
 			r.Horizon),
@@ -306,10 +306,4 @@ func (r AlertQualityResult) Table() Table {
 			{"journal", r.JournalSummary},
 		},
 	}
-}
-
-func init() {
-	register("alertquality", func(p Params) ([]Table, error) {
-		return oneTable(RunAlertQuality(AlertQualityOptions{Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour)}))
-	})
 }

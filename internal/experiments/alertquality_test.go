@@ -24,7 +24,7 @@ func TestAlertQualityScores(t *testing.T) {
 		{43, card{15, 10, 10, 99, 99, 1, 1, 36593777396, 40609472000, 53693161795, 282712547373}},
 		{44, card{13, 9, 9, 90, 90, 1, 1, 36782105428, 40074073151, 55071539073, 291853330586}},
 	} {
-		r, err := RunAlertQuality(AlertQualityOptions{Seed: tc.seed})
+		r, err := runAlertQuality(alertQualityOptions{Seed: tc.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestAlertQualityScores(t *testing.T) {
 // driver and shard count produced when those were options here (see
 // golden_test.go).
 func TestAlertQualityDifferential(t *testing.T) {
-	r, err := RunAlertQuality(AlertQualityOptions{Seed: 7, Horizon: 30 * time.Minute})
+	r, err := runAlertQuality(alertQualityOptions{Seed: 7, Horizon: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 // placement: whatever goodput a mode reaches, it reached by choosing nodes,
 // not by repairing choices later.
 
-// BatchAblationOptions sizes one placement-ablation run.
-type BatchAblationOptions struct {
+// batchAblationOptions sizes one placement-ablation run.
+type batchAblationOptions struct {
 	Nodes   int // grid node target (rounded up to Rows×Cols)
 	Apps    int // pipeline applications deployed
 	Density int // informational: the app-density multiplier this config represents
@@ -29,7 +29,7 @@ type BatchAblationOptions struct {
 	Seed  int64
 }
 
-func (o BatchAblationOptions) withDefaults() BatchAblationOptions {
+func (o batchAblationOptions) withDefaults() batchAblationOptions {
 	if o.Nodes == 0 {
 		o.Nodes = 64
 	}
@@ -42,10 +42,10 @@ func (o BatchAblationOptions) withDefaults() BatchAblationOptions {
 	return o
 }
 
-// BatchAblationResult reports one mode's run. Goodput is the headline: the
+// batchAblationResult reports one mode's run. Goodput is the headline: the
 // fraction of the population's total required edge bandwidth the data plane
 // actually delivers at the end of the horizon.
-type BatchAblationResult struct {
+type batchAblationResult struct {
 	Nodes, Links, Apps, Density int
 	Batch                       bool
 	Budget                      int
@@ -55,9 +55,9 @@ type BatchAblationResult struct {
 	SolveMS    float64 // Σ DAG scheduling wall-clock, ms (not deterministic)
 }
 
-// RunBatchAblation deploys the pipeline population over a grid mesh with the
+// runBatchAblation deploys the pipeline population over a grid mesh with the
 // chosen placement mode and measures delivered goodput after the horizon.
-func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
+func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 	opts = opts.withDefaults()
 	rows, cols := gridDims(opts.Nodes)
 	horizon := time.Minute
@@ -68,7 +68,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		Duration: horizon + time.Minute,
 	})
 	if err != nil {
-		return BatchAblationResult{}, err
+		return batchAblationResult{}, err
 	}
 
 	// CPU sized with only 50% aggregate headroom (0.75 CPU per app). The
@@ -131,7 +131,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 		Seed:               opts.Seed,
 	})
 	if err != nil {
-		return BatchAblationResult{}, fmt.Errorf("batchablation: %w", err)
+		return batchAblationResult{}, fmt.Errorf("batchablation: %w", err)
 	}
 
 	var achieved, required float64
@@ -146,7 +146,7 @@ func RunBatchAblation(opts BatchAblationOptions) (BatchAblationResult, error) {
 	for _, ns := range run.Sim.Orch.DAGProcessingNS() {
 		solveNS += ns
 	}
-	res := BatchAblationResult{
+	res := batchAblationResult{
 		Nodes:      n,
 		Links:      len(topo.Links()),
 		Apps:       opts.Apps,
@@ -186,7 +186,7 @@ func clamp(v, n int) int {
 // app density. Each returned config is run twice — greedy and batch — and
 // paired into one batchEntry. quick is the reduced subset: town mesh only,
 // 1×/10×.
-func batchSweep(seed int64, quick bool) []BatchAblationOptions {
+func batchSweep(seed int64, quick bool) []batchAblationOptions {
 	type meshSize struct{ nodes, baseApps int }
 	meshes := []meshSize{{64, 8}, {196, 14}}
 	densities := []int{1, 10, 100}
@@ -194,10 +194,10 @@ func batchSweep(seed int64, quick bool) []BatchAblationOptions {
 		meshes = meshes[:1]
 		densities = densities[:2]
 	}
-	var sweep []BatchAblationOptions
+	var sweep []batchAblationOptions
 	for _, m := range meshes {
 		for _, d := range densities {
-			sweep = append(sweep, BatchAblationOptions{
+			sweep = append(sweep, batchAblationOptions{
 				Nodes: m.nodes, Apps: m.baseApps * d, Density: d, Seed: seed,
 			})
 		}
@@ -223,7 +223,7 @@ type batchEntry struct {
 
 // batchPairEntry folds a greedy run and a batch run of the same
 // configuration into one table row.
-func batchPairEntry(greedy, batch BatchAblationResult) batchEntry {
+func batchPairEntry(greedy, batch batchAblationResult) batchEntry {
 	e := batchEntry{
 		Nodes:         greedy.Nodes,
 		Apps:          greedy.Apps,
@@ -266,33 +266,18 @@ func batchAblationTable(entries []batchEntry) Table {
 }
 
 // runBatchPair runs one configuration in both modes and pairs the results.
-func runBatchPair(opts BatchAblationOptions) (batchEntry, error) {
+func runBatchPair(opts batchAblationOptions) (batchEntry, error) {
 	greedyOpts := opts
 	greedyOpts.Batch = false
-	greedy, err := RunBatchAblation(greedyOpts)
+	greedy, err := runBatchAblation(greedyOpts)
 	if err != nil {
 		return batchEntry{}, err
 	}
 	batchOpts := opts
 	batchOpts.Batch = true
-	batch, err := RunBatchAblation(batchOpts)
+	batch, err := runBatchAblation(batchOpts)
 	if err != nil {
 		return batchEntry{}, err
 	}
 	return batchPairEntry(greedy, batch), nil
-}
-
-func init() {
-	register("batchablation", func(p Params) ([]Table, error) {
-		sweep := batchSweep(p.Seed, p.Quick)
-		entries := make([]batchEntry, 0, len(sweep))
-		for _, opts := range sweep {
-			e, err := runBatchPair(opts)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-		}
-		return []Table{batchAblationTable(entries)}, nil
-	})
 }

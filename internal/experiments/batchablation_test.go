@@ -78,7 +78,7 @@ func TestBatchAblationDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run ablation; skipped in -short")
 	}
-	opts := BatchAblationOptions{Nodes: 16, Apps: 8, Density: 1, Seed: 5}
+	opts := batchAblationOptions{Nodes: 16, Apps: 8, Density: 1, Seed: 5}
 	a, err := runBatchPair(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestBatchAblationDeterministic(t *testing.T) {
 
 func TestBatchPairEntryGain(t *testing.T) {
 	e := batchPairEntry(
-		BatchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.5, CrossEdges: 10, SolveMS: 1},
-		BatchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.6, CrossEdges: 8, SolveMS: 2, Budget: 256, Batch: true},
+		batchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.5, CrossEdges: 10, SolveMS: 1},
+		batchAblationResult{Nodes: 64, Apps: 8, Density: 1, Goodput: 0.6, CrossEdges: 8, SolveMS: 2, Budget: 256, Batch: true},
 	)
 	if math.Abs(e.GainFrac-0.2) > 1e-12 {
 		t.Errorf("GainFrac = %v, want 0.2", e.GainFrac)
@@ -105,7 +105,7 @@ func TestBatchPairEntryGain(t *testing.T) {
 	if e.Budget != 256 || e.GreedyCross != 10 || e.BatchCross != 8 {
 		t.Errorf("entry fields wrong: %+v", e)
 	}
-	zero := batchPairEntry(BatchAblationResult{}, BatchAblationResult{Goodput: 0.5})
+	zero := batchPairEntry(batchAblationResult{}, batchAblationResult{Goodput: 0.5})
 	if zero.GainFrac != 0 {
 		t.Errorf("zero greedy goodput should leave GainFrac 0, got %v", zero.GainFrac)
 	}

@@ -12,10 +12,10 @@ import (
 	"bass/internal/scenario"
 )
 
-// ChaosResult summarises one seeded fault-storm run: how the orchestrator
+// chaosResult summarises one seeded fault-storm run: how the orchestrator
 // detected crashes, re-placed stranded components, and what the workloads
 // lost while it did.
-type ChaosResult struct {
+type chaosResult struct {
 	Horizon time.Duration
 	// EventCounts tallies the generated fault schedule by type.
 	EventCounts []struct {
@@ -84,12 +84,12 @@ func stormFaults(topo *mesh.Topology, seed int64, horizon time.Duration, crashes
 	})
 }
 
-// RunChaos executes the chaos scenario: a seeded Poisson storm of node
+// runChaos executes the chaos scenario: a seeded Poisson storm of node
 // crashes, link flaps, and probe-loss windows injected over a four-node
 // stormRig. Failure detection and failover with bounded-retry backoff are
 // armed; the result reports MTTR, availability, and requests lost. Equal
 // seeds yield identical results.
-func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
+func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
@@ -98,10 +98,10 @@ func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
 	spec.Faults = stormFaults(spec.Topo, seed, horizon, 6).Events
 	r, err := complete(spec)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 
-	res := ChaosResult{
+	res := chaosResult{
 		Horizon:         horizon,
 		EventCounts:     r.Faults.Counts(),
 		Report:          r.Sim.Orch.RecoveryReport(),
@@ -127,7 +127,7 @@ func RunChaos(seed int64, horizon time.Duration) (ChaosResult, error) {
 }
 
 // Table renders the recovery metrics.
-func (r ChaosResult) Table() Table {
+func (r chaosResult) Table() Table {
 	var events string
 	for i, c := range r.EventCounts {
 		if i > 0 {
@@ -157,7 +157,7 @@ func (r ChaosResult) Table() Table {
 	}
 }
 
-func (r ChaosResult) queuedFailovers() int {
+func (r chaosResult) queuedFailovers() int {
 	n := 0
 	for _, fo := range r.Report.Failovers {
 		if fo.FromQueue {
@@ -165,10 +165,4 @@ func (r ChaosResult) queuedFailovers() int {
 		}
 	}
 	return n
-}
-
-func init() {
-	register("chaos", func(p Params) ([]Table, error) {
-		return oneTable(RunChaos(p.Seed, p.Horizon(20*time.Minute)))
-	})
 }

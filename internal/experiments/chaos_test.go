@@ -10,11 +10,11 @@ import (
 // requires byte-identical tables — the PR's reproducibility guarantee for
 // fault injection.
 func TestChaosDeterministic(t *testing.T) {
-	r1, err := RunChaos(7, 5*time.Minute)
+	r1, err := runChaos(7, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunChaos(7, 5*time.Minute)
+	r2, err := runChaos(7, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestChaosDeterministic(t *testing.T) {
 // failure path: the seeded storm contains events, and any node-down verdict
 // is matched by failovers or a queue entry.
 func TestChaosProducesRecoveryMetrics(t *testing.T) {
-	r, err := RunChaos(7, 5*time.Minute)
+	r, err := runChaos(7, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package experiments contains one reproducible harness per table and figure
-// of the BASS paper's evaluation (§6). Each Run* function describes its
+// of the BASS paper's evaluation (§6). Each run* function describes its
 // runs as scenario specs, builds and executes them with scenario.Build, and
 // returns a typed result whose Table method renders the same rows/series the
-// paper reports. The cmd/benchtab binary and the repository-root benchmarks
-// drive these harnesses.
+// paper reports. The cmd/benchtab binary drives these harnesses through the
+// job list in runner.go.
 package experiments
 
 import (

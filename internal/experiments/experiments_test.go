@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig2ReproducesPaperStatistics(t *testing.T) {
-	r, err := RunFig2(42, time.Hour)
+	r, err := runFig2(42, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFig2ReproducesPaperStatistics(t *testing.T) {
 }
 
 func TestFig6MatchesPaperExactly(t *testing.T) {
-	r, err := RunFig6()
+	r, err := runFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFig6MatchesPaperExactly(t *testing.T) {
 }
 
 func TestFig4LossRisesPastBottleneck(t *testing.T) {
-	r, err := RunFig4(1, []int{4, 14}, 3)
+	r, err := runFig4(1, []int{4, 14}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFig4LossRisesPastBottleneck(t *testing.T) {
 }
 
 func TestFig8TwoMigrations(t *testing.T) {
-	r, err := RunFig8(1)
+	r, err := runFig8(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFig8TwoMigrations(t *testing.T) {
 }
 
 func TestFig10BassBeatsK3s(t *testing.T) {
-	r, err := RunFig10(1, 4*time.Minute)
+	r, err := runFig10(1, 4*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]Fig10Row{}
+	byName := map[string]fig10Row{}
 	for _, row := range r.Rows {
 		byName[row.Scheduler] = row
 	}
@@ -120,11 +120,11 @@ func TestFig10BassBeatsK3s(t *testing.T) {
 }
 
 func TestFig12ShorterIntervalRecoversFaster(t *testing.T) {
-	r, err := RunFig12(1, []int{30, 90, 0})
+	r, err := runFig12(1, []int{30, 90, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byInterval := map[int]Fig12Row{}
+	byInterval := map[int]fig12Row{}
 	for _, row := range r.Rows {
 		byInterval[row.IntervalSec] = row
 	}
@@ -146,7 +146,7 @@ func TestFig12ShorterIntervalRecoversFaster(t *testing.T) {
 }
 
 func TestTable2BassFlatK3sInflates(t *testing.T) {
-	r, err := RunTable2(42, 10*time.Minute)
+	r, err := runTable2(42, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTable2BassFlatK3sInflates(t *testing.T) {
 		sched   string
 		varying bool
 	}
-	cells := map[key]Table2Cell{}
+	cells := map[key]table2Cell{}
 	for _, c := range r.Cells {
 		cells[key{c.Scheduler, c.Varying}] = c
 	}
@@ -179,7 +179,7 @@ func TestTable2BassFlatK3sInflates(t *testing.T) {
 }
 
 func TestFig15bAffectedNodeImproves(t *testing.T) {
-	r, err := RunFig15b(42)
+	r, err := runFig15b(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +214,14 @@ func TestFig15bAffectedNodeImproves(t *testing.T) {
 }
 
 func TestTable34Shapes(t *testing.T) {
-	r, err := RunTable34(30)
+	r, err := runTable34(30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 apps × 2 policies", len(r.Rows))
 	}
-	byApp := map[string]Table34Row{}
+	byApp := map[string]table34Row{}
 	for _, row := range r.Rows {
 		if row.Policy == "bass-longest-path" {
 			byApp[row.App] = row
@@ -240,7 +240,7 @@ func TestTable34Shapes(t *testing.T) {
 }
 
 func TestFig15aTableRenders(t *testing.T) {
-	tab := Fig15aTable()
+	tab := fig15aTable()
 	if len(tab.Rows) != 6 {
 		t.Errorf("Fig 15a rows = %d, want 6 links", len(tab.Rows))
 	}

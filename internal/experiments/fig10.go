@@ -9,8 +9,8 @@ import (
 	"bass/internal/scheduler"
 )
 
-// Fig10Row is one scheduler's camera-pipeline outcome.
-type Fig10Row struct {
+// fig10Row is one scheduler's camera-pipeline outcome.
+type fig10Row struct {
 	Scheduler string
 	MeanSec   float64
 	MedianSec float64
@@ -18,14 +18,14 @@ type Fig10Row struct {
 	Placement map[string][]string
 }
 
-// Fig10Result compares schedulers for the camera pipeline on a LAN.
-type Fig10Result struct {
-	Rows []Fig10Row
+// fig10Result compares schedulers for the camera pipeline on a LAN.
+type fig10Result struct {
+	Rows []fig10Row
 }
 
 // runCamera deploys the camera pipeline under one policy and returns the
 // latency stats and placement.
-func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (Fig10Row, error) {
+func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (fig10Row, error) {
 	r, err := complete(scenario.Spec{
 		Topology:     "lan",
 		LANNodes:     3,
@@ -38,14 +38,14 @@ func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (Fig1
 		Seed:         seed,
 	})
 	if err != nil {
-		return Fig10Row{}, err
+		return fig10Row{}, err
 	}
 	h := r.Camera.Latency().Histogram()
 	placement := make(map[string][]string)
 	for _, p := range r.Sim.Cluster.Placements() {
 		placement[p.Node] = append(placement[p.Node], p.Component)
 	}
-	return Fig10Row{
+	return fig10Row{
 		Scheduler: policy.Name(),
 		MeanSec:   h.Mean(),
 		MedianSec: h.Median(),
@@ -53,12 +53,12 @@ func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (Fig1
 	}, nil
 }
 
-// RunFig10 reproduces Fig 10: the camera pipeline for 30 minutes on three
+// runFig10 reproduces Fig 10: the camera pipeline for 30 minutes on three
 // c6525-class machines with no bandwidth limits, under the BFS,
 // longest-path, and default k3s schedulers. The paper measures means of
 // 410/428/433 ms; the shape to reproduce is BASS ≤ k3s with BFS
 // co-locating the camera stream and sampler.
-func RunFig10(seed int64, horizon time.Duration) (Fig10Result, error) {
+func runFig10(seed int64, horizon time.Duration) (fig10Result, error) {
 	if horizon == 0 {
 		horizon = 30 * time.Minute
 	}
@@ -67,7 +67,7 @@ func RunFig10(seed int64, horizon time.Duration) (Fig10Result, error) {
 		scheduler.NewBass(scheduler.HeuristicLongestPath),
 		scheduler.NewK3s(),
 	}
-	var out Fig10Result
+	var out fig10Result
 	for _, p := range policies {
 		row, err := runCamera(seed, p, horizon)
 		if err != nil {
@@ -79,7 +79,7 @@ func RunFig10(seed int64, horizon time.Duration) (Fig10Result, error) {
 }
 
 // Table renders latency and placements.
-func (r Fig10Result) Table() Table {
+func (r fig10Result) Table() Table {
 	t := Table{
 		Title:  "Fig 10: camera pipeline e2e latency by scheduler, 3-node LAN (paper means: BFS 410 ms, longest-path 428 ms, k3s 433 ms)",
 		Header: []string{"scheduler", "mean_ms", "median_ms", "placement"},
@@ -104,10 +104,4 @@ func (r Fig10Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig10", func(p Params) ([]Table, error) {
-		return oneTable(RunFig10(p.Seed, p.Horizon(30*time.Minute)))
-	})
 }

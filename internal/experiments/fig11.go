@@ -9,8 +9,8 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig11Row is one (scheduler, restriction, rate) cell.
-type Fig11Row struct {
+// fig11Row is one (scheduler, restriction, rate) cell.
+type fig11Row struct {
 	Scheduler  string
 	Restricted bool
 	RPS        float64
@@ -18,18 +18,18 @@ type Fig11Row struct {
 	MeanSec    float64
 }
 
-// Fig11Result compares p99 latency of the longest-path and k3s schedulers
+// fig11Result compares p99 latency of the longest-path and k3s schedulers
 // with and without a 25 Mbps restriction.
-type Fig11Result struct {
-	Rows []Fig11Row
+type fig11Result struct {
+	Rows []fig11Row
 }
 
-// RunFig11 reproduces Fig 11: the social network on 4 d710-class nodes at
+// runFig11 reproduces Fig 11: the social network on 4 d710-class nodes at
 // 100/200/300 RPS, with and without one node's links restricted to 25 Mbps.
 // Unrestricted, the heuristic and default schedulers are comparable; with
 // the restriction, the bandwidth-oblivious k3s placement suffers orders of
 // magnitude higher tail latency at 200-300 RPS.
-func RunFig11(seed int64, rates []float64) (Fig11Result, error) {
+func runFig11(seed int64, rates []float64) (fig11Result, error) {
 	if len(rates) == 0 {
 		rates = []float64{100, 200, 300}
 	}
@@ -38,7 +38,7 @@ func RunFig11(seed int64, rates []float64) (Fig11Result, error) {
 		scheduler.NewBass(scheduler.HeuristicLongestPath),
 		scheduler.NewK3s(),
 	}
-	var out Fig11Result
+	var out fig11Result
 	for _, restricted := range []bool{false, true} {
 		for _, policy := range policies {
 			for _, rps := range rates {
@@ -47,7 +47,7 @@ func RunFig11(seed int64, rates []float64) (Fig11Result, error) {
 					return out, err
 				}
 				h := r.Social.Latency().Histogram()
-				out.Rows = append(out.Rows, Fig11Row{
+				out.Rows = append(out.Rows, fig11Row{
 					Scheduler:  policy.Name(),
 					Restricted: restricted,
 					RPS:        rps,
@@ -85,7 +85,7 @@ func runFig11Cell(seed int64, policy scheduler.Policy, restricted bool, rps floa
 }
 
 // Table renders the comparison.
-func (r Fig11Result) Table() Table {
+func (r fig11Result) Table() Table {
 	t := Table{
 		Title:  "Fig 11: social-network p99 latency, longest-path vs k3s, unrestricted vs one node at 25 Mbps",
 		Header: []string{"scheduler", "restricted", "rps", "p99_s", "mean_s"},
@@ -100,14 +100,4 @@ func (r Fig11Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig11", func(p Params) ([]Table, error) {
-		rates := []float64{100, 200, 300}
-		if p.Quick {
-			rates = []float64{100, 300}
-		}
-		return oneTable(RunFig11(p.Seed, rates))
-	})
 }

@@ -9,8 +9,8 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig12Row is one bandwidth-querying-interval configuration.
-type Fig12Row struct {
+// fig12Row is one bandwidth-querying-interval configuration.
+type fig12Row struct {
 	// IntervalSec is the monitoring interval; 0 means no migration.
 	IntervalSec int
 	// Migrations is how many times the SFU moved.
@@ -24,17 +24,17 @@ type Fig12Row struct {
 	FirstMigrationSec float64
 }
 
-// Fig12Result compares querying intervals for the videoconf migration.
-type Fig12Result struct {
-	Rows []Fig12Row
+// fig12Result compares querying intervals for the videoconf migration.
+type fig12Result struct {
+	Rows []fig12Row
 }
 
-// RunFig12 reproduces Fig 12: a 9-participant conference with one publisher;
+// runFig12 reproduces Fig 12: a 9-participant conference with one publisher;
 // the SFU starts on node2; 10 s into the run, node2's links are restricted
 // for 3 minutes. With bandwidth querying every 30 s the violation is
 // discovered and the SFU migrates (≈20-30 s of disruption); with no
 // migration the clients suffer for the whole restriction.
-func RunFig12(seed int64, intervals []int) (Fig12Result, error) {
+func runFig12(seed int64, intervals []int) (fig12Result, error) {
 	if len(intervals) == 0 {
 		intervals = []int{30, 60, 90, 0}
 	}
@@ -44,7 +44,7 @@ func RunFig12(seed int64, intervals []int) (Fig12Result, error) {
 		horizon     = 8 * time.Minute
 		publish     = 2.0
 	)
-	var out Fig12Result
+	var out fig12Result
 	for _, interval := range intervals {
 		topo := mesh.FullMesh([]string{"node1", "node2", "node3"}, 1000, time.Millisecond, horizon)
 		// Restrict node2's links (the paper throttles node2's outgoing
@@ -87,7 +87,7 @@ func RunFig12(seed int64, intervals []int) (Fig12Result, error) {
 				after = append(after, p.Value)
 			}
 		}
-		row := Fig12Row{IntervalSec: interval, FirstMigrationSec: -1}
+		row := fig12Row{IntervalSec: interval, FirstMigrationSec: -1}
 		migs := r.Sim.Orch.Migrations()
 		row.Migrations = len(migs)
 		if len(migs) > 0 {
@@ -112,7 +112,7 @@ func mean(vs []float64) float64 {
 }
 
 // Table renders the comparison.
-func (r Fig12Result) Table() Table {
+func (r fig12Result) Table() Table {
 	t := Table{
 		Title:  "Fig 12: videoconf bitrate under a 3-minute restriction, by bandwidth querying interval (0 = no migration)",
 		Header: []string{"interval_s", "migrations", "first_migration_s", "mbps_during_restriction", "mbps_after"},
@@ -131,14 +131,4 @@ func (r Fig12Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig12", func(p Params) ([]Table, error) {
-		intervals := []int{30, 60, 90, 0}
-		if p.Quick {
-			intervals = []int{30, 0}
-		}
-		return oneTable(RunFig12(p.Seed, intervals))
-	})
 }

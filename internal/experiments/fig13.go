@@ -10,8 +10,8 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig13Row is one monitoring-interval configuration of Fig 13.
-type Fig13Row struct {
+// fig13Row is one monitoring-interval configuration of Fig 13.
+type fig13Row struct {
 	IntervalSec int // 0 = no migration
 	MeanSec     float64
 	P99Sec      float64
@@ -25,9 +25,9 @@ type Fig13Row struct {
 	Migrations           int
 }
 
-// Fig13Result compares monitoring intervals for social-network migration.
-type Fig13Result struct {
-	Rows []Fig13Row
+// fig13Result compares monitoring intervals for social-network migration.
+type fig13Result struct {
+	Rows []fig13Row
 	// Evaluations feeds Table 1: the controller's per-cycle violation and
 	// migration counts for the 30 s interval run.
 	Evaluations []core.EvaluationRecord
@@ -89,16 +89,16 @@ func throttledMeans(r *scenario.Run) (during, tail float64) {
 	return mean(all), mean(last)
 }
 
-// RunFig13 reproduces Fig 13 (and records Table 1's data) on throttledLAN
+// runFig13 reproduces Fig 13 (and records Table 1's data) on throttledLAN
 // with packing capped at 80% ("we enable component scheduling on all 3
 // nodes"). BASS with a 30 s monitoring interval migrates the offending
 // components and cuts the latency inflation; without migration, latency
 // stays up to ~50% higher.
-func RunFig13(seed int64, intervals []int) (Fig13Result, error) {
+func runFig13(seed int64, intervals []int) (fig13Result, error) {
 	if len(intervals) == 0 {
 		intervals = []int{30, 60, 90, 0}
 	}
-	var out Fig13Result
+	var out fig13Result
 	for _, interval := range intervals {
 		r, err := throttledLAN(seed, interval, 0.8)
 		if err != nil {
@@ -106,7 +106,7 @@ func RunFig13(seed int64, intervals []int) (Fig13Result, error) {
 		}
 		h := r.Social.Latency().Histogram()
 		during, tail := throttledMeans(r)
-		out.Rows = append(out.Rows, Fig13Row{
+		out.Rows = append(out.Rows, fig13Row{
 			IntervalSec:          interval,
 			MeanSec:              h.Mean(),
 			P99Sec:               h.P99(),
@@ -122,7 +122,7 @@ func RunFig13(seed int64, intervals []int) (Fig13Result, error) {
 }
 
 // Table renders the interval comparison.
-func (r Fig13Result) Table() Table {
+func (r fig13Result) Table() Table {
 	t := Table{
 		Title:  "Fig 13: social-network latency under throttling, by monitoring interval (0 = no migration; paper: no-migration up to 50% worse, 30 s interval best)",
 		Header: []string{"interval_s", "mean_s", "p99_s", "throttled_mean_s", "throttle_tail_mean_s", "migrations"},
@@ -143,7 +143,7 @@ func (r Fig13Result) Table() Table {
 // Table1 renders the controller's successive iterations for the 30 s run —
 // the paper's Table 1 ("components exceeding link utilization quota" vs
 // "components migrated": 6/2, 1/1, 1/1).
-func (r Fig13Result) Table1() Table {
+func (r fig13Result) Table1() Table {
 	t := Table{
 		Title:  "Table 1: social-network component migration across scheduler iterations (30 s interval)",
 		Header: []string{"iteration", "t_s", "violating", "candidates", "migrated"},
@@ -165,26 +165,11 @@ func (r Fig13Result) Table1() Table {
 	return t
 }
 
-func init() {
-	// fig13 and table1 render the same monitoring-interval sweep.
-	run := func(p Params) (Fig13Result, error) {
-		if p.Quick {
-			return RunFig13(p.Seed, []int{30, 0})
-		}
-		return RunFig13(p.Seed, nil)
+// fig13Sweep runs the monitoring-interval sweep that fig13 and table1 both
+// render.
+func fig13Sweep(p Params) (fig13Result, error) {
+	if p.Quick {
+		return runFig13(p.Seed, []int{30, 0})
 	}
-	register("fig13", func(p Params) ([]Table, error) {
-		r, err := run(p)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table(), r.Table1()}, nil
-	})
-	register("table1", func(p Params) ([]Table, error) {
-		r, err := run(p)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table1()}, nil
-	})
+	return runFig13(p.Seed, nil)
 }

@@ -11,29 +11,29 @@ import (
 	"bass/internal/scheduler"
 )
 
-// Fig14aResult quantifies the component-restart overhead.
-type Fig14aResult struct {
+// fig14aResult quantifies the component-restart overhead.
+type fig14aResult struct {
 	BaselineMeanSec float64
 	RestartMeanSec  float64
 	CDF             []metrics.CDFPoint
 }
 
-// RunFig14a reproduces Fig 14(a): the social network on the
+// runFig14a reproduces Fig 14(a): the social network on the
 // CityLab mesh; mid-run one busy component is restarted. Mean end-to-end
 // latency during the restart window rises from ≈0.5 s to several seconds
 // (paper: 552 ms → 4.9 s).
-func RunFig14a(seed int64) (Fig14aResult, error) {
+func runFig14a(seed int64) (fig14aResult, error) {
 	const restartAt = 5 * time.Minute
 	spec := citySocial(seed)
 	spec.HorizonSec = 10 * 60
 	r, err := scenario.Build(spec)
 	if err != nil {
-		return Fig14aResult{}, err
+		return fig14aResult{}, err
 	}
 	sim, app := r.Sim, r.Social
 	defer sim.Close()
 	if err := sim.Run(restartAt); err != nil {
-		return Fig14aResult{}, err
+		return fig14aResult{}, err
 	}
 	// Restart the post-storage service on another worker.
 	from := sim.Cluster.NodeOf("socialnet", socialnet.SvcPostStorage)
@@ -42,10 +42,10 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 		target = mesh.CityLabNode3
 	}
 	if err := sim.Orch.ForceMigrate("socialnet", socialnet.SvcPostStorage, target); err != nil {
-		return Fig14aResult{}, err
+		return fig14aResult{}, err
 	}
 	if err := sim.Run(r.Horizon); err != nil {
-		return Fig14aResult{}, err
+		return fig14aResult{}, err
 	}
 
 	series := app.Latency().Series()
@@ -58,7 +58,7 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 			hot = append(hot, p.Value)
 		}
 	}
-	return Fig14aResult{
+	return fig14aResult{
 		BaselineMeanSec: mean(calm),
 		RestartMeanSec:  mean(hot),
 		CDF:             app.Latency().Histogram().CDF(),
@@ -66,7 +66,7 @@ func RunFig14a(seed int64) (Fig14aResult, error) {
 }
 
 // Table renders the restart overhead.
-func (r Fig14aResult) Table() Table {
+func (r fig14aResult) Table() Table {
 	return Table{
 		Title:  "Fig 14a: latency during a component restart (paper: 552 ms → 4.9 s)",
 		Header: []string{"phase", "mean_latency_s"},
@@ -78,8 +78,8 @@ func (r Fig14aResult) Table() Table {
 	}
 }
 
-// Fig14bRow is one scheduler variant on the CityLab trace.
-type Fig14bRow struct {
+// fig14bRow is one scheduler variant on the CityLab trace.
+type fig14bRow struct {
 	Variant    string
 	MedianSec  float64
 	P90Sec     float64
@@ -87,19 +87,19 @@ type Fig14bRow struct {
 	Migrations int
 }
 
-// Fig14bResult compares scheduler/migration variants under the trace.
-type Fig14bResult struct {
-	Rows []Fig14bRow
+// fig14bResult compares scheduler/migration variants under the trace.
+type fig14bResult struct {
+	Rows []fig14bRow
 }
 
 // runFig14bVariant runs one CityLab testbed spec as a named variant.
-func runFig14bVariant(name string, spec scenario.Spec) (Fig14bRow, error) {
+func runFig14bVariant(name string, spec scenario.Spec) (fig14bRow, error) {
 	r, err := complete(spec)
 	if err != nil {
-		return Fig14bRow{}, err
+		return fig14bRow{}, err
 	}
 	h := r.Social.Latency().Histogram()
-	return Fig14bRow{
+	return fig14bRow{
 		Variant:    name,
 		MedianSec:  h.Median(),
 		P90Sec:     h.P90(),
@@ -108,13 +108,13 @@ func runFig14bVariant(name string, spec scenario.Spec) (Fig14bRow, error) {
 	}, nil
 }
 
-// RunFig14b reproduces Fig 14(b): latency distributions of the longest-path
+// runFig14b reproduces Fig 14(b): latency distributions of the longest-path
 // and BFS schedulers with migration, k3s, and longest-path without
 // migration, all under the CityLab bandwidth trace. (The paper runs 50 RPS;
 // our lighter per-request traffic model reaches the same operating point —
 // cross-node flows pressed against dipping links — at 150 RPS.) The paper
 // reports p99 of 28 s for longest-path+migration vs 66 s for default k3s.
-func RunFig14b(seed int64) (Fig14bResult, error) {
+func runFig14b(seed int64) (fig14bResult, error) {
 	variants := []struct {
 		name    string
 		policy  scheduler.Policy
@@ -125,7 +125,7 @@ func RunFig14b(seed int64) (Fig14bResult, error) {
 		{name: "longest-path", policy: scheduler.NewBass(scheduler.HeuristicLongestPath), migrate: false},
 		{name: "k3s-default", policy: scheduler.NewK3s(), migrate: false},
 	}
-	var out Fig14bResult
+	var out fig14bResult
 	for _, v := range variants {
 		spec := citySocial(seed)
 		spec.Policy, spec.Migration = v.policy, v.migrate
@@ -140,7 +140,7 @@ func RunFig14b(seed int64) (Fig14bResult, error) {
 }
 
 // Table renders the distribution comparison.
-func (r Fig14bResult) Table() Table {
+func (r fig14bResult) Table() Table {
 	t := Table{
 		Title:  "Fig 14b: social-network latency on the CityLab trace (paper: longest-path+mig p99 28 s vs k3s 66 s)",
 		Header: []string{"variant", "p50_s", "p90_s", "p99_s", "migrations"},
@@ -154,8 +154,8 @@ func (r Fig14bResult) Table() Table {
 	return t
 }
 
-// Fig14cdCell is one (threshold, headroom) sweep cell.
-type Fig14cdCell struct {
+// fig14cdCell is one (threshold, headroom) sweep cell.
+type fig14cdCell struct {
 	Heuristic     string
 	ThresholdPct  int
 	HeadroomPct   int
@@ -164,16 +164,16 @@ type Fig14cdCell struct {
 	Migrations    int
 }
 
-// Fig14cdResult is the threshold × headroom grid of Figs 14(c) and (d).
-type Fig14cdResult struct {
-	Cells []Fig14cdCell
+// fig14cdResult is the threshold × headroom grid of Figs 14(c) and (d).
+type fig14cdResult struct {
+	Cells []fig14cdCell
 }
 
-// RunFig14cd reproduces Figs 14(c,d): the social network on the CityLab
+// runFig14cd reproduces Figs 14(c,d): the social network on the CityLab
 // trace, sweeping the migration threshold (25-95% link utilization) and
 // headroom (10-30% of capacity) for both heuristics. The paper finds 50-65%
 // thresholds balance premature and late migrations.
-func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) {
+func runFig14cd(seed int64, thresholds, headrooms []int) (fig14cdResult, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{25, 50, 65, 75, 95}
 	}
@@ -187,7 +187,7 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 		{name: "bfs", policy: scheduler.NewBass(scheduler.HeuristicBFS)},
 		{name: "longest-path", policy: scheduler.NewBass(scheduler.HeuristicLongestPath)},
 	}
-	var out Fig14cdResult
+	var out fig14cdResult
 	for _, h := range heuristics {
 		for _, th := range thresholds {
 			for _, hr := range headrooms {
@@ -199,7 +199,7 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 				if err != nil {
 					return out, err
 				}
-				out.Cells = append(out.Cells, Fig14cdCell{
+				out.Cells = append(out.Cells, fig14cdCell{
 					Heuristic:     h.name,
 					ThresholdPct:  th,
 					HeadroomPct:   hr,
@@ -214,7 +214,7 @@ func RunFig14cd(seed int64, thresholds, headrooms []int) (Fig14cdResult, error) 
 }
 
 // Table renders the sweep grid.
-func (r Fig14cdResult) Table() Table {
+func (r fig14cdResult) Table() Table {
 	t := Table{
 		Title:  "Fig 14c/d: latency under different migration thresholds and headroom (paper: 50-65% thresholds best for fixed arrivals)",
 		Header: []string{"heuristic", "threshold_pct", "headroom_pct", "p50_s", "p90_s", "migrations"},
@@ -230,22 +230,4 @@ func (r Fig14cdResult) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig14a", func(p Params) ([]Table, error) {
-		return oneTable(RunFig14a(p.Seed))
-	})
-	register("fig14b", func(p Params) ([]Table, error) {
-		return oneTable(RunFig14b(p.Seed))
-	})
-	register("fig14cd", func(p Params) ([]Table, error) {
-		thresholds := []int{25, 50, 65, 75, 95}
-		headrooms := []int{10, 20, 30}
-		if p.Quick {
-			thresholds = []int{25, 65, 95}
-			headrooms = []int{20}
-		}
-		return oneTable(RunFig14cd(p.Seed, thresholds, headrooms))
-	})
 }

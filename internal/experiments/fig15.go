@@ -10,9 +10,9 @@ import (
 	"bass/internal/scheduler"
 )
 
-// Fig15aTable renders the emulated 5-node CityLab subset (Fig 15a): nodes,
+// fig15aTable renders the emulated 5-node CityLab subset (Fig 15a): nodes,
 // links, and their configured mean bandwidths.
-func Fig15aTable() Table {
+func fig15aTable() Table {
 	t := Table{
 		Title:  "Fig 15a: emulated CityLab 5-node subset (node0 = control plane)",
 		Header: []string{"link", "mean_mbps", "std_pct", "latency_ms"},
@@ -28,26 +28,26 @@ func Fig15aTable() Table {
 	return t
 }
 
-// Fig15Row is one (strategy, node) cell of Fig 15(b).
-type Fig15Row struct {
+// fig15Row is one (strategy, node) cell of Fig 15(b).
+type fig15Row struct {
 	Strategy          string
 	Node              string
 	MedianBitrateMbps float64
 	MeanBitrateMbps   float64
 }
 
-// Fig15Result compares migration strategies on the emulated CityLab mesh.
-type Fig15Result struct {
-	Rows       []Fig15Row
+// fig15Result compares migration strategies on the emulated CityLab mesh.
+type fig15Result struct {
+	Rows       []fig15Row
 	Migrations map[string]int
 }
 
-// RunFig15b reproduces Fig 15(b): a 10-minute conference with 3 participants
+// runFig15b reproduces Fig 15(b): a 10-minute conference with 3 participants
 // at each of the 4 worker nodes of the CityLab subset, all publishing and
 // subscribing to everyone, under the replayed bandwidth trace. Strategies:
 // no migration, and migration at 65% / 85% link-utilization thresholds. The
 // paper sees the biggest gains for the participants at nodes 1 and 2.
-func RunFig15b(seed int64) (Fig15Result, error) {
+func runFig15b(seed int64) (fig15Result, error) {
 	const horizon = 10 * time.Minute
 	strategies := []struct {
 		name      string
@@ -57,7 +57,7 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 		{name: "65%", threshold: 0.65},
 		{name: "85%", threshold: 0.85},
 	}
-	out := Fig15Result{Migrations: make(map[string]int)}
+	out := fig15Result{Migrations: make(map[string]int)}
 	for _, s := range strategies {
 		ctrlCfg := controller.DefaultConfig()
 		ctrlCfg.Migration = scheduler.MigrationConfig{
@@ -87,7 +87,7 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 		}
 		out.Migrations[s.name] = len(r.Sim.Orch.Migrations())
 		for _, ns := range r.Video.StatsByNode() {
-			out.Rows = append(out.Rows, Fig15Row{
+			out.Rows = append(out.Rows, fig15Row{
 				Strategy:          s.name,
 				Node:              ns.Node,
 				MedianBitrateMbps: ns.MedianBitrateMbps,
@@ -99,7 +99,7 @@ func RunFig15b(seed int64) (Fig15Result, error) {
 }
 
 // Table renders per-node bitrates by strategy.
-func (r Fig15Result) Table() Table {
+func (r fig15Result) Table() Table {
 	t := Table{
 		Title:  "Fig 15b: average bitrate per participant node on the CityLab mesh (paper: node1 1.4→1.6 Mbps, node2 0.24→0.48 Mbps with 65% threshold)",
 		Header: []string{"strategy", "node", "median_mbps", "mean_mbps", "migrations"},
@@ -114,13 +114,4 @@ func (r Fig15Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig15a", func(Params) ([]Table, error) {
-		return []Table{Fig15aTable()}, nil
-	})
-	register("fig15b", func(p Params) ([]Table, error) {
-		return oneTable(RunFig15b(p.Seed))
-	})
 }

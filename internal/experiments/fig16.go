@@ -2,30 +2,30 @@ package experiments
 
 import "fmt"
 
-// Fig16Row is one migration threshold under exponential arrivals.
-type Fig16Row struct {
+// fig16Row is one migration threshold under exponential arrivals.
+type fig16Row struct {
 	ThresholdPct int
 	MedianSec    float64
 	P90Sec       float64
 	Migrations   int
 }
 
-// Fig16Result sweeps migration thresholds under a bursty workload.
-type Fig16Result struct {
-	Rows []Fig16Row
+// fig16Result sweeps migration thresholds under a bursty workload.
+type fig16Result struct {
+	Rows []fig16Row
 }
 
-// RunFig16 reproduces Fig 16: the longest-path scheduler with exponential
+// runFig16 reproduces Fig 16: the longest-path scheduler with exponential
 // request arrivals (20% headroom) on the CityLab trace,
 // sweeping the link-utilization migration threshold. With bursty arrivals,
 // lower thresholds (earlier migration) perform better than they do under
 // fixed arrivals, because bursts make high-utilization states transient
 // precursors of saturation.
-func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
+func runFig16(seed int64, thresholds []int) (fig16Result, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{25, 50, 65, 75, 95}
 	}
-	var out Fig16Result
+	var out fig16Result
 	for _, th := range thresholds {
 		spec := citySocial(seed)
 		spec.Migration = true
@@ -36,7 +36,7 @@ func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
 			return out, err
 		}
 		h := r.Social.Latency().Histogram()
-		out.Rows = append(out.Rows, Fig16Row{
+		out.Rows = append(out.Rows, fig16Row{
 			ThresholdPct: th,
 			MedianSec:    h.Median(),
 			P90Sec:       h.P90(),
@@ -47,7 +47,7 @@ func RunFig16(seed int64, thresholds []int) (Fig16Result, error) {
 }
 
 // Table renders the sweep.
-func (r Fig16Result) Table() Table {
+func (r fig16Result) Table() Table {
 	t := Table{
 		Title:  "Fig 16: longest-path scheduler with exponential arrivals (bursty arrivals), by migration threshold (paper: lower thresholds win under bursts)",
 		Header: []string{"threshold_pct", "p50_s", "p90_s", "migrations"},
@@ -61,14 +61,4 @@ func (r Fig16Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("fig16", func(p Params) ([]Table, error) {
-		thresholds := []int{25, 50, 65, 75, 95}
-		if p.Quick {
-			thresholds = []int{25, 65, 95}
-		}
-		return oneTable(RunFig16(p.Seed, thresholds))
-	})
 }

@@ -6,8 +6,8 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig2Result characterises the two CityLab-calibrated links of Fig 2.
-type Fig2Result struct {
+// fig2Result characterises the two CityLab-calibrated links of Fig 2.
+type fig2Result struct {
 	Stable   trace.Summary
 	Volatile trace.Summary
 	// Smoothed summaries over the 10-second rolling mean, as plotted.
@@ -15,11 +15,11 @@ type Fig2Result struct {
 	VolatileSmoothed trace.Summary
 }
 
-// RunFig2 generates the two bandwidth traces of Fig 2 and summarises them
+// runFig2 generates the two bandwidth traces of Fig 2 and summarises them
 // the way the paper captions them (mean, std as % of mean, over a 10 s
 // rolling mean).
-func RunFig2(seed int64, duration time.Duration) (Fig2Result, error) {
-	var out Fig2Result
+func runFig2(seed int64, duration time.Duration) (fig2Result, error) {
+	var out fig2Result
 	stableCfg := trace.CityLabStable(seed)
 	stableCfg.Duration = duration
 	volatileCfg := trace.CityLabVolatile(seed + 1)
@@ -49,7 +49,7 @@ func RunFig2(seed int64, duration time.Duration) (Fig2Result, error) {
 }
 
 // Table renders the Fig 2 caption statistics.
-func (r Fig2Result) Table() Table {
+func (r fig2Result) Table() Table {
 	row := func(name string, s trace.Summary) []string {
 		return []string{name, f2(s.MeanMbps), f2(s.StdMbps), f2(s.StdPctMean), f2(s.MinMbps), f2(s.MaxMbps)}
 	}
@@ -63,10 +63,4 @@ func (r Fig2Result) Table() Table {
 			row("volatile(10s-mean)", r.VolatileSmoothed),
 		},
 	}
-}
-
-func init() {
-	register("fig2", func(p Params) ([]Table, error) {
-		return oneTable(RunFig2(p.Seed, p.Horizon(20*time.Minute)))
-	})
 }

@@ -9,28 +9,28 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig5Result is the latency timeline of the motivation experiment.
-type Fig5Result struct {
+// fig5Result is the latency timeline of the motivation experiment.
+type fig5Result struct {
 	// CalmSec / ThrottledSec / RecoveredSec are average per-second latencies
 	// sampled before, during, and after the 25 Mbps window.
 	CalmSec      float64
 	ThrottledSec float64
 	RecoveredSec float64
 	// Series is the per-second average latency for plotting.
-	Series []SeriesPoint
+	Series []seriesPoint
 }
 
-// SeriesPoint is a (time, value) sample for rendered series.
-type SeriesPoint struct {
+// seriesPoint is a (time, value) sample for rendered series.
+type seriesPoint struct {
 	AtSec float64
 	Value float64
 }
 
-// RunFig5 reproduces Fig 5: the social network on a 3-node cluster at 400
+// runFig5 reproduces Fig 5: the social network on a 3-node cluster at 400
 // requests/second (exponential arrival); one link is reduced to 25 Mbps for
 // two minutes mid-run. Average end-to-end latency inflates by an order of
 // magnitude during the restriction and recovers afterwards.
-func RunFig5(seed int64) (Fig5Result, error) {
+func runFig5(seed int64) (fig5Result, error) {
 	const (
 		throttleAt  = 60 * time.Second
 		throttleFor = 2 * time.Minute
@@ -40,27 +40,27 @@ func RunFig5(seed int64) (Fig5Result, error) {
 	spec.HorizonSec = int(horizon / time.Second)
 	r, err := scenario.Build(spec)
 	if err != nil {
-		return Fig5Result{}, err
+		return fig5Result{}, err
 	}
 	defer r.Sim.Close()
 	nginxNode := r.Sim.Cluster.NodeOf("socialnet", socialnet.SvcNginx)
 	if nginxNode == "" {
-		return Fig5Result{}, fmt.Errorf("fig5: nginx not placed")
+		return fig5Result{}, fmt.Errorf("fig5: nginx not placed")
 	}
 	if err := r.Sim.Topo.SetCapacity("node4", nginxNode, trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
 		{From: 0, Mbps: 1000},
 		{From: throttleAt, Mbps: 25},
 		{From: throttleAt + throttleFor, Mbps: 1000},
 	})); err != nil {
-		return Fig5Result{}, err
+		return fig5Result{}, err
 	}
 	if err := r.Sim.Run(horizon); err != nil {
-		return Fig5Result{}, err
+		return fig5Result{}, err
 	}
 	series := r.Social.Latency().Series()
-	var out Fig5Result
+	var out fig5Result
 	for _, p := range series.Points() {
-		out.Series = append(out.Series, SeriesPoint{AtSec: p.At.Seconds(), Value: p.Value})
+		out.Series = append(out.Series, seriesPoint{AtSec: p.At.Seconds(), Value: p.Value})
 	}
 	at := func(t time.Duration) float64 {
 		v, _ := series.At(t)
@@ -73,7 +73,7 @@ func RunFig5(seed int64) (Fig5Result, error) {
 }
 
 // Table renders the landmark latencies and a decimated series.
-func (r Fig5Result) Table() Table {
+func (r fig5Result) Table() Table {
 	t := Table{
 		Title:  "Fig 5: social-network average latency with a 2-minute 25 Mbps restriction (400 RPS exponential)",
 		Header: []string{"phase", "avg_latency_s"},
@@ -96,10 +96,4 @@ func nonZero(v float64) float64 {
 		return 1e-12
 	}
 	return v
-}
-
-func init() {
-	register("fig5", func(p Params) ([]Table, error) {
-		return oneTable(RunFig5(p.Seed))
-	})
 }

@@ -7,15 +7,15 @@ import (
 	"bass/internal/scheduler"
 )
 
-// Fig6Result reports the component orderings of the paper's worked example.
-type Fig6Result struct {
+// fig6Result reports the component orderings of the paper's worked example.
+type fig6Result struct {
 	BFSOrder         []string
 	LongestPathOrder []string
 	Chains           [][]string
 }
 
-// Fig6Graph reconstructs the seven-component application DAG of Fig 6.
-func Fig6Graph() *dag.Graph {
+// fig6Graph reconstructs the seven-component application DAG of Fig 6.
+func fig6Graph() *dag.Graph {
 	g := dag.NewGraph("fig6")
 	for _, name := range []string{"1", "2", "3", "4", "5", "6", "7"} {
 		g.MustAddComponent(dag.Component{Name: name, CPU: 1})
@@ -29,27 +29,27 @@ func Fig6Graph() *dag.Graph {
 	return g
 }
 
-// RunFig6 computes both heuristic orderings on the Fig 6 DAG. The paper's
+// runFig6 computes both heuristic orderings on the Fig 6 DAG. The paper's
 // published answers are BFS → 1,3,2,4,5,7,6 and longest-path → 1,2,4,5,7,3,6.
-func RunFig6() (Fig6Result, error) {
-	g := Fig6Graph()
+func runFig6() (fig6Result, error) {
+	g := fig6Graph()
 	bfs, err := scheduler.BFSOrder(g)
 	if err != nil {
-		return Fig6Result{}, err
+		return fig6Result{}, err
 	}
 	chains, err := scheduler.LongestPathChains(g)
 	if err != nil {
-		return Fig6Result{}, err
+		return fig6Result{}, err
 	}
 	var lp []string
 	for _, c := range chains {
 		lp = append(lp, c...)
 	}
-	return Fig6Result{BFSOrder: bfs, LongestPathOrder: lp, Chains: chains}, nil
+	return fig6Result{BFSOrder: bfs, LongestPathOrder: lp, Chains: chains}, nil
 }
 
 // Table renders the orderings next to the paper's published ones.
-func (r Fig6Result) Table() Table {
+func (r fig6Result) Table() Table {
 	chainStrs := make([]string, len(r.Chains))
 	for i, c := range r.Chains {
 		chainStrs[i] = strings.Join(c, "-")
@@ -63,10 +63,4 @@ func (r Fig6Result) Table() Table {
 			{"lp-chains", strings.Join(chainStrs, " | "), "1-2-4-5-7 | 3-6"},
 		},
 	}
-}
-
-func init() {
-	register("fig6", func(Params) ([]Table, error) {
-		return oneTable(RunFig6())
-	})
 }

@@ -14,8 +14,8 @@ import (
 	"bass/internal/trace"
 )
 
-// Fig8Result is the migration timeline of Fig 8.
-type Fig8Result struct {
+// fig8Result is the migration timeline of Fig 8.
+type fig8Result struct {
 	// Migrations are the component moves, in order.
 	Migrations []core.MigrationEvent
 	// GoodputBeforeDrop, GoodputDuringDrop, GoodputAfterFirstMigration and
@@ -30,13 +30,13 @@ type Fig8Result struct {
 	JournalSummary string
 }
 
-// RunFig8 reproduces the Fig 8 scenario on the Fig 15(a) topology: a
+// runFig8 reproduces the Fig 8 scenario on the Fig 15(a) topology: a
 // component pair requiring 8 Mbps starts on nodes 3 and 4 (25 Mbps link,
 // 4 Mbps headroom, 50% goodput threshold, 30 s probing). The node3-node4
 // link degrades at t≈540 s, forcing a migration to node1; at t≈1119 s the
 // node1-node3 link degrades and node3-node4 recovers, forcing a migration
 // back.
-func RunFig8(seed int64) (Fig8Result, error) {
+func runFig8(seed int64) (fig8Result, error) {
 	const (
 		firstDrop  = 540 * time.Second
 		secondFlip = 1119 * time.Second
@@ -90,14 +90,14 @@ func RunFig8(seed int64) (Fig8Result, error) {
 		Seed:               seed,
 	})
 	if err != nil {
-		return Fig8Result{}, err
+		return fig8Result{}, err
 	}
 
 	at := func(t time.Duration) float64 {
 		v, _ := app.Goodput().At(t)
 		return v
 	}
-	res := Fig8Result{
+	res := fig8Result{
 		Migrations:        r.Sim.Orch.Migrations(),
 		GoodputBeforeDrop: at(firstDrop - 10*time.Second),
 		GoodputDuringDrop: at(firstDrop + 45*time.Second),
@@ -111,7 +111,7 @@ func RunFig8(seed int64) (Fig8Result, error) {
 }
 
 // Table renders the timeline.
-func (r Fig8Result) Table() Table {
+func (r fig8Result) Table() Table {
 	rows := [][]string{
 		{"goodput before drop (t=530s)", f2(r.GoodputBeforeDrop), "1.00"},
 		{"goodput during drop", f2(r.GoodputDuringDrop), "<0.9 (7/8 link)"},
@@ -131,10 +131,4 @@ func (r Fig8Result) Table() Table {
 		Header: []string{"event", "measured", "paper"},
 		Rows:   rows,
 	}
-}
-
-func init() {
-	register("fig8", func(p Params) ([]Table, error) {
-		return oneTable(RunFig8(p.Seed))
-	})
 }

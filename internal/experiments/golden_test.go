@@ -25,7 +25,7 @@ func pinDigest(t *testing.T, what, text, want string) {
 }
 
 func TestFig8OutputIdenticalAcrossDrivers(t *testing.T) {
-	r, err := RunFig8(42)
+	r, err := runFig8(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig8OutputIdenticalAcrossDrivers(t *testing.T) {
 }
 
 func TestTable2OutputIdenticalAcrossDrivers(t *testing.T) {
-	r, err := RunTable2(42, 5*time.Minute)
+	r, err := runTable2(42, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTable2OutputIdenticalAcrossDrivers(t *testing.T) {
 }
 
 func TestChaosOutputIdenticalAcrossDrivers(t *testing.T) {
-	r, err := RunChaos(42, 5*time.Minute)
+	r, err := runChaos(42, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

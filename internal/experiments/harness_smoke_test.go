@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestHarnessSmoke exercises every remaining Run* harness end-to-end with
+// TestHarnessSmoke exercises every remaining run* harness end-to-end with
 // reduced sweeps (the fast harnesses have dedicated shape tests). The
 // tables of the harnesses that share a testbed (Fig 13 with Table 1, the
 // CityLab social-network figures and the ablations) are pinned by SHA-256,
@@ -16,7 +16,7 @@ func TestHarnessSmoke(t *testing.T) {
 		t.Skip("heavy harness smoke test")
 	}
 	t.Run("fig5", func(t *testing.T) {
-		r, err := RunFig5(7)
+		r, err := runFig5(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig5 table", r.Table().String(), "8b8f39a85d8811dce44c851574f99e54520876cbc7fe1460171e983ce11513a8")
 	})
 	t.Run("fig11", func(t *testing.T) {
-		r, err := RunFig11(7, []float64{300})
+		r, err := runFig11(7, []float64{300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestHarnessSmoke(t *testing.T) {
 			t.Fatalf("rows = %d, want 2 schedulers × 2 restriction states", len(r.Rows))
 		}
 		// Restricted k3s must be far worse than restricted longest-path.
-		var lp, k3s Fig11Row
+		var lp, k3s fig11Row
 		for _, row := range r.Rows {
 			if !row.Restricted {
 				continue
@@ -54,7 +54,7 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig11 table", r.Table().String(), "79673471ed689f76b82a466fc6902a371bb3e5b44ffb2984b0954586f6036762")
 	})
 	t.Run("fig13", func(t *testing.T) {
-		r, err := RunFig13(7, []int{30, 0})
+		r, err := runFig13(7, []int{30, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig13 + table1 tables", r.Table().String()+r.Table1().String(), "bce299a1fc1e08805529274ec727bc10d4a483e8c0035b4586f5641a16c07f7d")
 	})
 	t.Run("fig14b", func(t *testing.T) {
-		r, err := RunFig14b(7)
+		r, err := runFig14b(7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byName := map[string]Fig14bRow{}
+		byName := map[string]fig14bRow{}
 		for _, row := range r.Rows {
 			byName[row.Variant] = row
 		}
@@ -88,7 +88,7 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig14b table", r.Table().String(), "7ed6718dee668abf972a3da14de35e51dace3112ae8cbb26fc49f67709477ffe")
 	})
 	t.Run("fig14cd", func(t *testing.T) {
-		r, err := RunFig14cd(7, []int{65}, []int{20})
+		r, err := runFig14cd(7, []int{65}, []int{20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig14cd table", r.Table().String(), "123bb015bf5e93324eb0742e4c0e056f3d2d6ef1d9f5cb8eb3b9fb93a1855885")
 	})
 	t.Run("fig16", func(t *testing.T) {
-		r, err := RunFig16(7, []int{65, 95})
+		r, err := runFig16(7, []int{65, 95})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig16 table", r.Table().String(), "8702196b6d4dbaa127278770a3e660a148bdeff350bee02043e9ddb366bf136f")
 	})
 	t.Run("fig14a", func(t *testing.T) {
-		r, err := RunFig14a(7)
+		r, err := runFig14a(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,21 +121,21 @@ func TestHarnessSmoke(t *testing.T) {
 		pinDigest(t, "fig14a table", r.Table().String(), "3b661fef8fa29790b1b133e6049d723f45765147dd3cf73c6d9924e412377f02")
 	})
 	t.Run("ablations", func(t *testing.T) {
-		pack, err := RunAblationPackLimit(7, []float64{0.8})
+		pack, err := runAblationPackLimit(7, []float64{0.8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pack.Rows) != 1 || pack.Table().Title == "" {
 			t.Errorf("pack ablation rows = %+v", pack.Rows)
 		}
-		cd, err := RunAblationCooldown(7, []int{30})
+		cd, err := runAblationCooldown(7, []int{30})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(cd.Rows) != 1 {
 			t.Errorf("cooldown ablation rows = %+v", cd.Rows)
 		}
-		probe, err := RunAblationProbeInterval(7, []int{30})
+		probe, err := runAblationProbeInterval(7, []int{30})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,9 @@ import (
 	"bass/internal/scenario"
 )
 
-// LongevityWave snapshots the reconciler just before a storm wave's quiet
+// longevityWave snapshots the reconciler just before a storm wave's quiet
 // period ends — the moment the system must have re-converged.
-type LongevityWave struct {
+type longevityWave struct {
 	Wave int
 	// Converged and Outstanding are the reconciler's state at the snapshot.
 	Converged   bool
@@ -21,16 +21,16 @@ type LongevityWave struct {
 	Actions int
 }
 
-// LongevityResult summarises a multi-wave fault-storm soak: repeated seeded
+// longevityResult summarises a multi-wave fault-storm soak: repeated seeded
 // storms separated by quiet periods, with the declarative reconciler (not the
 // one-shot retry path) responsible for driving observed placement back to the
 // desired spec after every wave — without ever restarting a component from
 // scratch.
-type LongevityResult struct {
+type longevityResult struct {
 	Horizon time.Duration
 	// FaultEvents is the merged schedule's event count across all waves.
 	FaultEvents int
-	Waves       []LongevityWave
+	Waves       []longevityWave
 	// FinalConverged and FinalOutstanding are the reconciler's state at the
 	// end of the run; a healthy soak ends converged with zero drift.
 	FinalConverged   bool
@@ -49,20 +49,15 @@ type LongevityResult struct {
 	JournalSummary string
 }
 
-// RunLongevity executes the longevity soak on a six-node stormRig with the
-// reconciler enabled: four storm waves of generated chaos, each clamped to
-// the first half of its wave so the second half is quiet. Equal seeds yield identical results.
-func RunLongevity(seed int64, horizon time.Duration) (LongevityResult, error) {
-	r, _, err := runLongevity(seed, horizon)
-	return r, err
-}
-
 // longevityWaves is the number of storm waves a soak always runs.
 const longevityWaves = 4
 
-// runLongevity is RunLongevity that also returns the raw decision journal, so
-// tests can check its cause chains and pin its bytes.
-func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Event, error) {
+// runLongevity executes the longevity soak on a six-node stormRig with the
+// reconciler enabled: four storm waves of generated chaos, each clamped to
+// the first half of its wave so the second half is quiet. Equal seeds yield
+// identical results. It also returns the raw decision journal, so tests can
+// check its cause chains and pin its bytes.
+func runLongevity(seed int64, horizon time.Duration) (longevityResult, []obs.Event, error) {
 	if horizon == 0 {
 		horizon = 80 * time.Minute
 	}
@@ -85,17 +80,17 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 	}
 	r, err := scenario.Build(spec)
 	if err != nil {
-		return LongevityResult{}, nil, err
+		return longevityResult{}, nil, err
 	}
 	sim := r.Sim
 	defer sim.Close()
 
 	rec := sim.Orch.Reconciler()
-	snaps := make([]LongevityWave, longevityWaves)
+	snaps := make([]longevityWave, longevityWaves)
 	for w := 0; w < longevityWaves; w++ {
 		w := w
 		sim.Eng.At(time.Duration(w+1)*waveLen-time.Second, func() {
-			snaps[w] = LongevityWave{
+			snaps[w] = longevityWave{
 				Wave:        w + 1,
 				Converged:   rec.Converged(),
 				Outstanding: rec.OutstandingDrift(),
@@ -104,10 +99,10 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 		})
 	}
 	if err := sim.Run(horizon); err != nil {
-		return LongevityResult{}, nil, err
+		return longevityResult{}, nil, err
 	}
 
-	res := LongevityResult{
+	res := longevityResult{
 		Horizon:          horizon,
 		FaultEvents:      len(r.Faults.Events),
 		Waves:            snaps,
@@ -132,7 +127,7 @@ func runLongevity(seed int64, horizon time.Duration) (LongevityResult, []obs.Eve
 }
 
 // Table renders the soak's per-wave convergence and the run totals.
-func (r LongevityResult) Table() Table {
+func (r longevityResult) Table() Table {
 	rows := [][]string{
 		{"fault events", fmt.Sprintf("%d over %d waves", r.FaultEvents, len(r.Waves))},
 	}
@@ -158,10 +153,4 @@ func (r LongevityResult) Table() Table {
 		Header: []string{"metric", "value"},
 		Rows:   rows,
 	}
-}
-
-func init() {
-	register("longevity", func(p Params) ([]Table, error) {
-		return oneTable(RunLongevity(p.Seed, p.Horizon(80*time.Minute)))
-	})
 }

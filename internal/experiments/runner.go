@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Params configures one execution of a registered experiment job.
+// Params configures one execution of an experiment job.
 type Params struct {
 	// Seed drives every random source in the run; equal Params yield
 	// byte-identical tables.
@@ -33,15 +32,135 @@ type Job struct {
 	Run  func(Params) ([]Table, error)
 }
 
-var registry = map[string]Job{}
-
-// register is called from init functions in the fig*/table*/ablations files;
-// each experiment entry point registers itself.
-func register(name string, run func(Params) ([]Table, error)) {
-	if _, dup := registry[name]; dup {
-		panic("experiments: duplicate job " + name)
-	}
-	registry[name] = Job{Name: name, Run: run}
+// jobs lists every job in the paper's presentation order, the order
+// `benchtab all` runs them in.
+var jobs = []Job{
+	{"fig2", func(p Params) ([]Table, error) {
+		return oneTable(runFig2(p.Seed, p.Horizon(20*time.Minute)))
+	}},
+	{"fig4", func(p Params) ([]Table, error) {
+		participants := []int{2, 4, 6, 8, 10, 12, 14}
+		if p.Quick {
+			participants = []int{4, 10, 14}
+		}
+		return oneTable(runFig4(p.Seed, participants, 3))
+	}},
+	{"fig5", func(p Params) ([]Table, error) {
+		return oneTable(runFig5(p.Seed))
+	}},
+	{"fig6", func(Params) ([]Table, error) {
+		return oneTable(runFig6())
+	}},
+	{"fig8", func(p Params) ([]Table, error) {
+		return oneTable(runFig8(p.Seed))
+	}},
+	{"fig10", func(p Params) ([]Table, error) {
+		return oneTable(runFig10(p.Seed, p.Horizon(30*time.Minute)))
+	}},
+	{"fig11", func(p Params) ([]Table, error) {
+		rates := []float64{100, 200, 300}
+		if p.Quick {
+			rates = []float64{100, 300}
+		}
+		return oneTable(runFig11(p.Seed, rates))
+	}},
+	{"fig12", func(p Params) ([]Table, error) {
+		intervals := []int{30, 60, 90, 0}
+		if p.Quick {
+			intervals = []int{30, 0}
+		}
+		return oneTable(runFig12(p.Seed, intervals))
+	}},
+	{"fig13", func(p Params) ([]Table, error) {
+		r, err := fig13Sweep(p)
+		if err != nil {
+			return nil, err
+		}
+		return []Table{r.Table(), r.Table1()}, nil
+	}},
+	{"table1", func(p Params) ([]Table, error) {
+		r, err := fig13Sweep(p)
+		if err != nil {
+			return nil, err
+		}
+		return []Table{r.Table1()}, nil
+	}},
+	{"table2", func(p Params) ([]Table, error) {
+		return oneTable(runTable2(p.Seed, p.Horizon(20*time.Minute)))
+	}},
+	{"fig14a", func(p Params) ([]Table, error) {
+		return oneTable(runFig14a(p.Seed))
+	}},
+	{"fig14b", func(p Params) ([]Table, error) {
+		return oneTable(runFig14b(p.Seed))
+	}},
+	{"fig14cd", func(p Params) ([]Table, error) {
+		thresholds := []int{25, 50, 65, 75, 95}
+		headrooms := []int{10, 20, 30}
+		if p.Quick {
+			thresholds = []int{25, 65, 95}
+			headrooms = []int{20}
+		}
+		return oneTable(runFig14cd(p.Seed, thresholds, headrooms))
+	}},
+	{"fig15a", func(Params) ([]Table, error) {
+		return []Table{fig15aTable()}, nil
+	}},
+	{"fig15b", func(p Params) ([]Table, error) {
+		return oneTable(runFig15b(p.Seed))
+	}},
+	{"fig16", func(p Params) ([]Table, error) {
+		thresholds := []int{25, 50, 65, 75, 95}
+		if p.Quick {
+			thresholds = []int{25, 65, 95}
+		}
+		return oneTable(runFig16(p.Seed, thresholds))
+	}},
+	{"table3", func(p Params) ([]Table, error) {
+		r, err := runTable34(table34Trials(p.Quick))
+		if err != nil {
+			return nil, err
+		}
+		return []Table{r.Table3()}, nil
+	}},
+	{"table4", func(p Params) ([]Table, error) {
+		r, err := runTable34(table34Trials(p.Quick))
+		if err != nil {
+			return nil, err
+		}
+		return []Table{r.Table4()}, nil
+	}},
+	{"ablate-pack", func(p Params) ([]Table, error) {
+		return oneTable(runAblationPackLimit(p.Seed, nil))
+	}},
+	{"ablate-cooldown", func(p Params) ([]Table, error) {
+		return oneTable(runAblationCooldown(p.Seed, nil))
+	}},
+	{"ablate-probe", func(p Params) ([]Table, error) {
+		return oneTable(runAblationProbeInterval(p.Seed, nil))
+	}},
+	{"chaos", func(p Params) ([]Table, error) {
+		return oneTable(runChaos(p.Seed, p.Horizon(20*time.Minute)))
+	}},
+	{"longevity", func(p Params) ([]Table, error) {
+		r, _, err := runLongevity(p.Seed, p.Horizon(80*time.Minute))
+		return oneTable(r, err)
+	}},
+	{"batchablation", func(p Params) ([]Table, error) {
+		sweep := batchSweep(p.Seed, p.Quick)
+		entries := make([]batchEntry, 0, len(sweep))
+		for _, opts := range sweep {
+			e, err := runBatchPair(opts)
+			if err != nil {
+				return nil, err
+			}
+			entries = append(entries, e)
+		}
+		return []Table{batchAblationTable(entries)}, nil
+	}},
+	{"alertquality", func(p Params) ([]Table, error) {
+		return oneTable(runAlertQuality(alertQualityOptions{Seed: p.Seed, Horizon: p.Horizon(2 * time.Hour)}))
+	}},
 }
 
 // oneTable is the body of a job whose harness renders a single table.
@@ -52,32 +171,23 @@ func oneTable[R interface{ Table() Table }](r R, err error) ([]Table, error) {
 	return []Table{r.Table()}, nil
 }
 
-// Lookup returns the job registered under name.
+// Lookup returns the job named name.
 func Lookup(name string) (Job, bool) {
-	j, ok := registry[name]
-	return j, ok
-}
-
-// JobNames returns every registered job name, sorted.
-func JobNames() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	for _, j := range jobs {
+		if j.Name == name {
+			return j, true
+		}
 	}
-	sort.Strings(names)
-	return names
+	return Job{}, false
 }
 
-// CanonicalOrder lists every job in the paper's presentation order — the
-// order `benchtab all` runs them in. A test pins it against the registry.
+// CanonicalOrder lists every job name in the paper's presentation order.
 func CanonicalOrder() []string {
-	return []string{
-		"fig2", "fig4", "fig5", "fig6", "fig8", "fig10", "fig11",
-		"fig12", "fig13", "table1", "table2", "fig14a", "fig14b",
-		"fig14cd", "fig15a", "fig15b", "fig16", "table3", "table4",
-		"ablate-pack", "ablate-cooldown", "ablate-probe", "chaos",
-		"longevity", "batchablation", "alertquality",
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.Name
 	}
+	return names
 }
 
 // Run is one scheduled execution of a named job.

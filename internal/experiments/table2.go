@@ -11,8 +11,8 @@ import (
 	"bass/internal/scheduler"
 )
 
-// Table2Cell is one (scheduler, variation) measurement.
-type Table2Cell struct {
+// table2Cell is one (scheduler, variation) measurement.
+type table2Cell struct {
 	Scheduler  string
 	Varying    bool
 	MedianSec  float64
@@ -20,17 +20,17 @@ type Table2Cell struct {
 	Migrations int
 }
 
-// Table2Result is the camera pipeline on the emulated CityLab mesh.
-type Table2Result struct {
-	Cells []Table2Cell
+// table2Result is the camera pipeline on the emulated CityLab mesh.
+type table2Result struct {
+	Cells []table2Cell
 }
 
-// RunTable2 reproduces Table 2: median camera-pipeline latency on the
+// runTable2 reproduces Table 2: median camera-pipeline latency on the
 // CityLab subset, with link capacities either pinned to their trace maxima
 // ("no variation") or replaying the trace, for BFS, longest-path, and k3s.
 // The paper's medians (ms): BFS 540/538, longest-path 551/552, k3s 577/692 —
 // BASS placements are insensitive to the variation while k3s inflates ~20%.
-func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
+func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
@@ -39,7 +39,7 @@ func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
 		scheduler.NewBass(scheduler.HeuristicLongestPath),
 		scheduler.NewK3s(),
 	}
-	var out Table2Result
+	var out table2Result
 	for _, varying := range []bool{false, true} {
 		for _, policy := range policies {
 			topo, err := mesh.CityLab(mesh.CityLabOptions{
@@ -73,7 +73,7 @@ func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
 				return out, err
 			}
 			h := app.Latency().Histogram()
-			out.Cells = append(out.Cells, Table2Cell{
+			out.Cells = append(out.Cells, table2Cell{
 				Scheduler:  policy.Name(),
 				Varying:    varying,
 				MedianSec:  h.Median(),
@@ -86,7 +86,7 @@ func RunTable2(seed int64, horizon time.Duration) (Table2Result, error) {
 }
 
 // Table renders the grid.
-func (r Table2Result) Table() Table {
+func (r table2Result) Table() Table {
 	t := Table{
 		Title:  "Table 2: camera median latency on CityLab mesh (paper ms: BFS 540/538, longest-path 551/552, k3s 577/692)",
 		Header: []string{"scenario", "scheduler", "median_ms", "mean_ms", "migrations"},
@@ -102,10 +102,4 @@ func (r Table2Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func init() {
-	register("table2", func(p Params) ([]Table, error) {
-		return oneTable(RunTable2(p.Seed, p.Horizon(20*time.Minute)))
-	})
 }

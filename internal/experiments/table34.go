@@ -39,8 +39,8 @@ func appGraphs() (map[string]*dag.Graph, error) {
 	}, nil
 }
 
-// Table34Row measures scheduling overheads for one (app, policy) pair.
-type Table34Row struct {
+// table34Row measures scheduling overheads for one (app, policy) pair.
+type table34Row struct {
 	App        string
 	Policy     string
 	Components int
@@ -52,25 +52,25 @@ type Table34Row struct {
 	DAGProcessSD float64
 }
 
-// Table34Result holds the measurements behind Tables 3 and 4.
-type Table34Result struct {
-	Rows []Table34Row
+// table34Result holds the measurements behind Tables 3 and 4.
+type table34Result struct {
+	Rows []table34Row
 }
 
-// RunTable34 measures per-component scheduling latency (Table 3) and DAG
+// runTable34 measures per-component scheduling latency (Table 3) and DAG
 // processing time (Table 4) for the three applications under the BASS
 // longest-path scheduler and the k3s baseline, over `trials` wall-clock
 // timed runs. The paper's absolute numbers include k3s API round-trips
 // (≈1.3 ms/component); the shape to reproduce is BASS ≈ k3s per component,
 // with DAG processing growing with component count yet remaining a
 // negligible one-time cost.
-func RunTable34(trials int) (Table34Result, error) {
+func runTable34(trials int) (table34Result, error) {
 	if trials <= 0 {
 		trials = 100
 	}
 	graphs, err := appGraphs()
 	if err != nil {
-		return Table34Result{}, err
+		return table34Result{}, err
 	}
 	nodes := []scheduler.NodeInfo{
 		{Name: mesh.CityLabNode1, FreeCPU: 64, FreeMemoryMB: 65536, TotalCPU: 64, TotalMemoryMB: 65536, LinkCapacityMbps: 50},
@@ -82,7 +82,7 @@ func RunTable34(trials int) (Table34Result, error) {
 		scheduler.NewBass(scheduler.HeuristicLongestPath),
 		scheduler.NewK3s(),
 	}
-	var out Table34Result
+	var out table34Result
 	for _, appName := range []string{"social-network", "video-conf", "camera"} {
 		g := graphs[appName]
 		for _, policy := range policies {
@@ -96,7 +96,7 @@ func RunTable34(trials int) (Table34Result, error) {
 				dagHist.Observe(float64(elapsed.Microseconds()))
 				perHist.Observe(float64(elapsed.Microseconds()) / float64(g.NumComponents()))
 			}
-			out.Rows = append(out.Rows, Table34Row{
+			out.Rows = append(out.Rows, table34Row{
 				App:            appName,
 				Policy:         policy.Name(),
 				Components:     g.NumComponents(),
@@ -111,7 +111,7 @@ func RunTable34(trials int) (Table34Result, error) {
 }
 
 // Table3 renders per-component scheduling latency.
-func (r Table34Result) Table3() Table {
+func (r table34Result) Table3() Table {
 	t := Table{
 		Title:  "Table 3: per-component scheduling latency (paper: ≈1.3-1.5 ms incl. k3s API; in-process here, shape: BASS ≈ k3s)",
 		Header: []string{"app", "policy", "per_component_us", "sd_us"},
@@ -125,7 +125,7 @@ func (r Table34Result) Table3() Table {
 }
 
 // Table4 renders DAG processing times.
-func (r Table34Result) Table4() Table {
+func (r table34Result) Table4() Table {
 	t := Table{
 		Title:  "Table 4: DAG processing time (paper: social 27 comps ≈ 64 ms, videoconf ≈ 26 ms, camera ≈ 31 ms incl. k3s API)",
 		Header: []string{"app", "policy", "components", "dag_process_us", "sd_us"},
@@ -145,21 +145,4 @@ func table34Trials(quick bool) int {
 		return 30
 	}
 	return 200
-}
-
-func init() {
-	register("table3", func(p Params) ([]Table, error) {
-		r, err := RunTable34(table34Trials(p.Quick))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table3()}, nil
-	})
-	register("table4", func(p Params) ([]Table, error) {
-		r, err := RunTable34(table34Trials(p.Quick))
-		if err != nil {
-			return nil, err
-		}
-		return []Table{r.Table4()}, nil
-	})
 }

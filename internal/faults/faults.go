@@ -32,25 +32,25 @@ const (
 	ProbeLossEnd   EventType = "probe-loss-end"
 )
 
-// ErrInvalidSchedule wraps schedule validation failures.
-var ErrInvalidSchedule = errors.New("faults: invalid schedule")
+// errInvalidSchedule wraps schedule validation failures.
+var errInvalidSchedule = errors.New("faults: invalid schedule")
 
-// Typed validation failures, all wrapping ErrInvalidSchedule so existing
-// errors.Is(err, ErrInvalidSchedule) checks keep matching.
+// Typed validation failures, all wrapping errInvalidSchedule so existing
+// errors.Is(err, errInvalidSchedule) checks keep matching.
 var (
-	// ErrOverlappingWindows marks two down-windows on the same element that
+	// errOverlappingWindows marks two down-windows on the same element that
 	// overlap (a crash before the previous recovery, a link going down twice).
-	ErrOverlappingWindows = fmt.Errorf("%w: overlapping windows", ErrInvalidSchedule)
-	// ErrBeyondHorizon marks a window-opening event scheduled at or past the
+	errOverlappingWindows = fmt.Errorf("%w: overlapping windows", errInvalidSchedule)
+	// errBeyondHorizon marks a window-opening event scheduled at or past the
 	// simulation horizon: it would silently never fire.
-	ErrBeyondHorizon = fmt.Errorf("%w: event beyond horizon", ErrInvalidSchedule)
-	// ErrUnmatchedRecovery marks a recovery/up/end event with no prior
+	errBeyondHorizon = fmt.Errorf("%w: event beyond horizon", errInvalidSchedule)
+	// errUnmatchedRecovery marks a recovery/up/end event with no prior
 	// matching window-opening event on the same element.
-	ErrUnmatchedRecovery = fmt.Errorf("%w: unmatched recovery", ErrInvalidSchedule)
-	// ErrInvalidGenerator marks a chaos-generator configuration that would
+	errUnmatchedRecovery = fmt.Errorf("%w: unmatched recovery", errInvalidSchedule)
+	// errInvalidGenerator marks a chaos-generator configuration that would
 	// silently produce nothing or loop badly (negative or non-finite rates,
 	// negative durations).
-	ErrInvalidGenerator = fmt.Errorf("%w: generator config", ErrInvalidSchedule)
+	errInvalidGenerator = fmt.Errorf("%w: generator config", errInvalidSchedule)
 )
 
 // Event is one scheduled fault. Node events set Node; link and probe-loss
@@ -120,19 +120,19 @@ type Elements interface {
 func (s *Schedule) Validate(topo Elements) error {
 	for i, e := range s.Events {
 		if e.AtSec < 0 {
-			return fmt.Errorf("%w: event %d at negative time %g", ErrInvalidSchedule, i, e.AtSec)
+			return fmt.Errorf("%w: event %d at negative time %g", errInvalidSchedule, i, e.AtSec)
 		}
 		switch e.Type {
 		case NodeCrash, NodeRecover:
 			if !topo.HasNode(e.Node) {
-				return fmt.Errorf("%w: event %d targets unknown node %q", ErrInvalidSchedule, i, e.Node)
+				return fmt.Errorf("%w: event %d targets unknown node %q", errInvalidSchedule, i, e.Node)
 			}
 		case LinkDown, LinkUp, ProbeLossStart, ProbeLossEnd:
 			if !topo.HasLink(e.LinkA, e.LinkB) {
-				return fmt.Errorf("%w: event %d targets unknown link %s", ErrInvalidSchedule, i, e.Link())
+				return fmt.Errorf("%w: event %d targets unknown link %s", errInvalidSchedule, i, e.Link())
 			}
 		default:
-			return fmt.Errorf("%w: event %d has unknown type %q", ErrInvalidSchedule, i, e.Type)
+			return fmt.Errorf("%w: event %d has unknown type %q", errInvalidSchedule, i, e.Type)
 		}
 	}
 	return nil
@@ -145,7 +145,7 @@ func (s *Schedule) Validate(topo Elements) error {
 // Windows left open at the end of the schedule are legal (the outage persists
 // to the end of the run), as are recoveries past the horizon (same effect).
 // The schedule is inspected in sorted order without being mutated. Returns
-// typed errors wrapping ErrInvalidSchedule.
+// typed errors wrapping errInvalidSchedule.
 //
 // Apply this to hand-written schedules before merging generated chaos on top:
 // the generator never overlaps windows on one element by construction, but a
@@ -160,15 +160,15 @@ func (s *Schedule) ValidateWindows(horizon time.Duration) error {
 		switch {
 		case opens:
 			if prev, isOpen := open[id]; isOpen {
-				return fmt.Errorf("%w: %s while %s still open", ErrOverlappingWindows, e, prev)
+				return fmt.Errorf("%w: %s while %s still open", errOverlappingWindows, e, prev)
 			}
 			if horizon > 0 && e.At() >= horizon {
-				return fmt.Errorf("%w: %s at or past horizon %s", ErrBeyondHorizon, e, horizon)
+				return fmt.Errorf("%w: %s at or past horizon %s", errBeyondHorizon, e, horizon)
 			}
 			open[id] = e
 		case closes:
 			if _, isOpen := open[id]; !isOpen {
-				return fmt.Errorf("%w: %s closes nothing", ErrUnmatchedRecovery, e)
+				return fmt.Errorf("%w: %s closes nothing", errUnmatchedRecovery, e)
 			}
 			delete(open, id)
 		}

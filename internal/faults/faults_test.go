@@ -32,7 +32,7 @@ func TestValidate(t *testing.T) {
 		{Events: []Event{{AtSec: 1, Type: LinkDown, LinkA: "a", LinkB: "c"}}},
 		{Events: []Event{{AtSec: 1, Type: "meteor-strike", Node: "a"}}},
 	} {
-		if err := bad.Validate(topo); !errors.Is(err, ErrInvalidSchedule) {
+		if err := bad.Validate(topo); !errors.Is(err, errInvalidSchedule) {
 			t.Errorf("schedule %+v: err = %v", bad.Events, err)
 		}
 	}

@@ -59,7 +59,7 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 // Validate rejects configurations the generator would otherwise consume
 // silently: negative or non-finite rates (a zero rate is legal and means
 // "none of this fault kind"), negative mean downtimes, and a negative
-// horizon. Errors wrap ErrInvalidGenerator (and thus ErrInvalidSchedule).
+// horizon. Errors wrap errInvalidGenerator (and thus errInvalidSchedule).
 func (c GeneratorConfig) Validate() error {
 	rates := []struct {
 		name string
@@ -71,7 +71,7 @@ func (c GeneratorConfig) Validate() error {
 	}
 	for _, r := range rates {
 		if r.v < 0 || math.IsNaN(r.v) || math.IsInf(r.v, 0) {
-			return fmt.Errorf("%w: %s = %v", ErrInvalidGenerator, r.name, r.v)
+			return fmt.Errorf("%w: %s = %v", errInvalidGenerator, r.name, r.v)
 		}
 	}
 	durs := []struct {
@@ -85,7 +85,7 @@ func (c GeneratorConfig) Validate() error {
 	}
 	for _, d := range durs {
 		if d.v < 0 {
-			return fmt.Errorf("%w: %s = %v", ErrInvalidGenerator, d.name, d.v)
+			return fmt.Errorf("%w: %s = %v", errInvalidGenerator, d.name, d.v)
 		}
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 type WindowKind string
 
 const (
-	WindowNode  WindowKind = "node"
+	windowNode  WindowKind = "node"
 	WindowLink  WindowKind = "link"
 	WindowProbe WindowKind = "probe"
 )
@@ -39,7 +39,7 @@ type windowID struct {
 func (e Event) window() (id windowID, opens, closes bool) {
 	switch e.Type {
 	case NodeCrash, NodeRecover:
-		id = windowID{WindowNode, e.Node}
+		id = windowID{windowNode, e.Node}
 	case LinkDown, LinkUp:
 		id = windowID{WindowLink, e.Link().String()}
 	case ProbeLossStart, ProbeLossEnd:

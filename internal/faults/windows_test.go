@@ -47,7 +47,7 @@ func TestValidateWindows(t *testing.T) {
 		{
 			name:    "overlapping windows on one node",
 			events:  []Event{crash(10, "n1"), crash(20, "n1"), recover(60, "n1")},
-			wantErr: ErrOverlappingWindows,
+			wantErr: errOverlappingWindows,
 		},
 		{
 			name: "same times on different nodes are fine",
@@ -59,7 +59,7 @@ func TestValidateWindows(t *testing.T) {
 		{
 			name:    "overlapping link windows",
 			events:  []Event{linkDown(5), linkDown(6), linkUp(10), linkUp(11)},
-			wantErr: ErrOverlappingWindows,
+			wantErr: errOverlappingWindows,
 		},
 		{
 			name:   "probe loss overlapping link outage is legal",
@@ -68,24 +68,24 @@ func TestValidateWindows(t *testing.T) {
 		{
 			name:    "unmatched recovery",
 			events:  []Event{recover(60, "n1")},
-			wantErr: ErrUnmatchedRecovery,
+			wantErr: errUnmatchedRecovery,
 		},
 		{
 			name:    "unmatched link up",
 			events:  []Event{linkUp(60)},
-			wantErr: ErrUnmatchedRecovery,
+			wantErr: errUnmatchedRecovery,
 		},
 		{
 			name:    "crash at horizon never fires",
 			events:  []Event{crash(300, "n1"), recover(400, "n1")},
 			horizon: 300 * time.Second,
-			wantErr: ErrBeyondHorizon,
+			wantErr: errBeyondHorizon,
 		},
 		{
 			name:    "crash past horizon",
 			events:  []Event{crash(400, "n1"), recover(500, "n1")},
 			horizon: 300 * time.Second,
-			wantErr: ErrBeyondHorizon,
+			wantErr: errBeyondHorizon,
 		},
 		{
 			name:    "zero horizon disables the horizon check",
@@ -106,7 +106,7 @@ func TestValidateWindows(t *testing.T) {
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("got %v, want %v", err, tc.wantErr)
 			}
-			if !errors.Is(err, ErrInvalidSchedule) {
+			if !errors.Is(err, errInvalidSchedule) {
 				t.Fatalf("%v must wrap ErrInvalidSchedule", err)
 			}
 		})
@@ -171,7 +171,7 @@ func TestGeneratorConfigValidate(t *testing.T) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			if !tc.ok {
-				if !errors.Is(err, ErrInvalidGenerator) || !errors.Is(err, ErrInvalidSchedule) {
+				if !errors.Is(err, errInvalidGenerator) || !errors.Is(err, errInvalidSchedule) {
 					t.Fatalf("got %v, want ErrInvalidGenerator wrapping ErrInvalidSchedule", err)
 				}
 			}
@@ -214,11 +214,11 @@ func TestWindowsGroundTruth(t *testing.T) {
 	horizon := 300 * time.Second
 	got := s.Windows(horizon)
 	want := []Window{
-		{Kind: WindowNode, Key: "n1", Start: 10 * time.Second, End: 60 * time.Second},
+		{Kind: windowNode, Key: "n1", Start: 10 * time.Second, End: 60 * time.Second},
 		{Kind: WindowLink, Key: "a-b", Start: 30 * time.Second, End: 90 * time.Second},
 		{Kind: WindowProbe, Key: "a-b", Start: 40 * time.Second, End: 50 * time.Second},
-		{Kind: WindowNode, Key: "n2", Start: 200 * time.Second, End: horizon},
-		{Kind: WindowNode, Key: "n3", Start: 250 * time.Second, End: horizon},
+		{Kind: windowNode, Key: "n2", Start: 200 * time.Second, End: horizon},
+		{Kind: windowNode, Key: "n3", Start: 250 * time.Second, End: horizon},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("windows = %+v\nwant %+v", got, want)

@@ -18,12 +18,12 @@ import (
 
 // Sentinel errors.
 var (
-	ErrUnknownNode   = errors.New("mesh: unknown node")
-	ErrDuplicateLink = errors.New("mesh: duplicate link")
+	errUnknownNode   = errors.New("mesh: unknown node")
+	errDuplicateLink = errors.New("mesh: duplicate link")
 	ErrNoPath        = errors.New("mesh: no path")
-	ErrSelfLink      = errors.New("mesh: self link")
+	errSelfLink      = errors.New("mesh: self link")
 	ErrNodeDown      = errors.New("mesh: node down")
-	ErrUnknownLink   = errors.New("mesh: unknown link")
+	errUnknownLink   = errors.New("mesh: unknown link")
 )
 
 // LinkID identifies an undirected link by its two endpoints in lexicographic
@@ -210,19 +210,19 @@ func (t *Topology) Nodes() []string {
 // AddLink joins two existing nodes with a capacity trace.
 func (t *Topology) AddLink(a, b string, capacity *trace.Trace, latency time.Duration) error {
 	if a == b {
-		return fmt.Errorf("%w: %q", ErrSelfLink, a)
+		return fmt.Errorf("%w: %q", errSelfLink, a)
 	}
 	ia, ok := t.nodeID[a]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, a)
+		return fmt.Errorf("%w: %q", errUnknownNode, a)
 	}
 	ib, ok := t.nodeID[b]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, b)
+		return fmt.Errorf("%w: %q", errUnknownNode, b)
 	}
 	id := MakeLinkID(a, b)
 	if _, ok := t.links[id]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicateLink, id)
+		return fmt.Errorf("%w: %s", errDuplicateLink, id)
 	}
 	l := &Link{ID: id, capFwd: capacity, capRev: capacity, LatencyOneWay: latency,
 		a: t.nodeID[id.A], b: t.nodeID[id.B]}
@@ -313,7 +313,7 @@ func (t *Topology) SetDirectedCapacity(from, to string, capacity *trace.Trace) e
 // every link of the node, modelling tc on the node's interface.
 func (t *Topology) ThrottleEgress(node string, capacity *trace.Trace) error {
 	if !t.HasNode(node) {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, node)
+		return fmt.Errorf("%w: %q", errUnknownNode, node)
 	}
 	for _, nb := range t.adj[node] {
 		if err := t.SetDirectedCapacity(node, nb, capacity); err != nil {
@@ -329,7 +329,7 @@ func (t *Topology) ThrottleEgress(node string, capacity *trace.Trace) error {
 func (t *Topology) SetNodeUp(name string, up bool) error {
 	id, ok := t.nodeID[name]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
+		return fmt.Errorf("%w: %q", errUnknownNode, name)
 	}
 	if up == !t.nodeDown[id] {
 		return nil // no transition: routes stay valid
@@ -351,7 +351,7 @@ func (t *Topology) SetLinkUp(a, b string, up bool) error {
 	id := MakeLinkID(a, b)
 	l, ok := t.links[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
+		return fmt.Errorf("%w: %s", errUnknownLink, id)
 	}
 	if up == !l.down {
 		return nil // no transition

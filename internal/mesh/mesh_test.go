@@ -41,16 +41,16 @@ func TestAddLinkErrors(t *testing.T) {
 	topo.AddNode("a")
 	topo.AddNode("b")
 	tr := trace.Constant("", time.Second, 1, 1)
-	if err := topo.AddLink("a", "a", tr, 0); !errors.Is(err, ErrSelfLink) {
+	if err := topo.AddLink("a", "a", tr, 0); !errors.Is(err, errSelfLink) {
 		t.Errorf("self link: %v", err)
 	}
-	if err := topo.AddLink("a", "zz", tr, 0); !errors.Is(err, ErrUnknownNode) {
+	if err := topo.AddLink("a", "zz", tr, 0); !errors.Is(err, errUnknownNode) {
 		t.Errorf("unknown node: %v", err)
 	}
 	if err := topo.AddLink("a", "b", tr, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.AddLink("b", "a", tr, 0); !errors.Is(err, ErrDuplicateLink) {
+	if err := topo.AddLink("b", "a", tr, 0); !errors.Is(err, errDuplicateLink) {
 		t.Errorf("duplicate (reversed) link: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestRouteNoPath(t *testing.T) {
 	if _, err := topo.Route("a", "island"); !errors.Is(err, ErrNoPath) {
 		t.Errorf("want ErrNoPath, got %v", err)
 	}
-	if _, err := topo.Route("ghost", "a"); !errors.Is(err, ErrUnknownNode) {
+	if _, err := topo.Route("ghost", "a"); !errors.Is(err, errUnknownNode) {
 		t.Errorf("want ErrUnknownNode, got %v", err)
 	}
 }
@@ -237,10 +237,10 @@ func TestAvailabilityState(t *testing.T) {
 	if !topo.NodeUp("a") || !topo.LinkUp("a", "b") || !topo.LinkAvailable(id) {
 		t.Fatal("fresh topology should be fully up")
 	}
-	if err := topo.SetNodeUp("ghost", false); !errors.Is(err, ErrUnknownNode) {
+	if err := topo.SetNodeUp("ghost", false); !errors.Is(err, errUnknownNode) {
 		t.Errorf("SetNodeUp unknown: %v", err)
 	}
-	if err := topo.SetLinkUp("a", "ghost", false); !errors.Is(err, ErrUnknownLink) {
+	if err := topo.SetLinkUp("a", "ghost", false); !errors.Is(err, errUnknownLink) {
 		t.Errorf("SetLinkUp unknown: %v", err)
 	}
 

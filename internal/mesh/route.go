@@ -19,11 +19,11 @@ import (
 func (t *Topology) Endpoints(src, dst string) (s, d int32, err error) {
 	s, ok := t.nodeID[src]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+		return 0, 0, fmt.Errorf("%w: %q", errUnknownNode, src)
 	}
 	d, ok = t.nodeID[dst]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
+		return 0, 0, fmt.Errorf("%w: %q", errUnknownNode, dst)
 	}
 	if t.nodeDown[s] {
 		return 0, 0, fmt.Errorf("%w: %q", ErrNodeDown, src)

@@ -19,10 +19,10 @@ import (
 // router must match path for path and error for error.
 func referenceRoute(t *Topology, src, dst string) ([]string, error) {
 	if !t.HasNode(src) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
+		return nil, fmt.Errorf("%w: %q", errUnknownNode, src)
 	}
 	if !t.HasNode(dst) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, dst)
+		return nil, fmt.Errorf("%w: %q", errUnknownNode, dst)
 	}
 	if !t.NodeUp(src) {
 		return nil, fmt.Errorf("%w: %q", ErrNodeDown, src)
@@ -68,7 +68,7 @@ func sameError(got, want error) bool {
 	if got == nil || want == nil {
 		return got == nil && want == nil
 	}
-	for _, sentinel := range []error{ErrUnknownNode, ErrNodeDown, ErrNoPath} {
+	for _, sentinel := range []error{errUnknownNode, ErrNodeDown, ErrNoPath} {
 		if errors.Is(got, sentinel) != errors.Is(want, sentinel) {
 			return false
 		}

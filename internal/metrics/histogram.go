@@ -16,12 +16,6 @@ type Histogram struct {
 	sorted  bool
 }
 
-// NewHistogram returns a histogram with capacity preallocated for hint
-// samples.
-func NewHistogram(hint int) *Histogram {
-	return &Histogram{samples: make([]float64, 0, hint)}
-}
-
 // Observe records one sample. NaN and infinite samples are ignored so that a
 // single bad measurement cannot poison percentile queries.
 func (h *Histogram) Observe(v float64) {

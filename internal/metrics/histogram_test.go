@@ -6,8 +6,14 @@ import (
 	"testing/quick"
 )
 
+// newHistogram returns a histogram with capacity preallocated for hint
+// samples.
+func newHistogram(hint int) *Histogram {
+	return &Histogram{samples: make([]float64, 0, hint)}
+}
+
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(8)
+	h := newHistogram(8)
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		h.Observe(v)
 	}
@@ -196,14 +202,14 @@ func TestCDFProperties(t *testing.T) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(b.N)
+	h := newHistogram(b.N)
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))
 	}
 }
 
 func BenchmarkHistogramP99(b *testing.B) {
-	h := NewHistogram(10000)
+	h := newHistogram(10000)
 	for i := 0; i < 10000; i++ {
 		h.Observe(float64(i * 7919 % 10000))
 	}

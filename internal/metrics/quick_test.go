@@ -29,7 +29,7 @@ func (sampleSet) Generate(r *rand.Rand, size int) reflect.Value {
 }
 
 func histOf(s sampleSet) *Histogram {
-	h := NewHistogram(len(s))
+	h := newHistogram(len(s))
 	for _, v := range s {
 		h.Observe(v)
 	}

@@ -49,10 +49,10 @@ type Series struct {
 // Self-observation metrics: the store reports its own pathologies as
 // ordinary series so a scrape sees them without a side channel.
 const (
-	// MetricDroppedSamples counts samples dropped by the cardinality guard
+	// metricDroppedSamples counts samples dropped by the cardinality guard
 	// (cumulative). It is appended to lazily, only when drops occur, so a
 	// healthy store carries no extra series.
-	MetricDroppedSamples = "metricstore_dropped_samples_total"
+	metricDroppedSamples = "metricstore_dropped_samples_total"
 )
 
 // Config sizes a store's per-series retention and its cardinality guard.
@@ -280,10 +280,10 @@ func (s *Store) Append(metric string, labels map[string]string, at time.Time, va
 	if !ok {
 		if len(s.series) >= s.cfg.MaxSeries {
 			s.dropped++
-			gk := seriesKey(MetricDroppedSamples, nil)
+			gk := seriesKey(metricDroppedSamples, nil)
 			guard, ok := s.series[gk]
 			if !ok {
-				guard = s.newSeriesLocked(MetricDroppedSamples, nil, gk)
+				guard = s.newSeriesLocked(metricDroppedSamples, nil, gk)
 			}
 			guard.append(s.cfg, Sample{At: at, Value: float64(s.dropped)})
 			return

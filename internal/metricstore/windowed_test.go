@@ -90,7 +90,7 @@ func TestCardinalityGuard(t *testing.T) {
 		t.Errorf("dropped = %d, want 7", stats.DroppedSamples)
 	}
 	// The guard surfaces as an ordinary queryable metric.
-	last, ok := s.Latest(MetricDroppedSamples, nil)
+	last, ok := s.Latest(metricDroppedSamples, nil)
 	if !ok || last.Value != 7 {
 		t.Errorf("guard metric latest = %+v ok=%v, want 7", last, ok)
 	}

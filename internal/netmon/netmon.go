@@ -20,8 +20,8 @@ import (
 	"bass/internal/obs"
 )
 
-// ErrUnknownLink is returned for probes of links not in the topology.
-var ErrUnknownLink = errors.New("netmon: unknown link")
+// errUnknownLink is returned for probes of links not in the topology.
+var errUnknownLink = errors.New("netmon: unknown link")
 
 // ProbeError reports one link's probe failure during a sweep. It wraps the
 // prober's underlying error, so errors.Is sees through it (e.g. to
@@ -241,7 +241,7 @@ func (m *Monitor) FullProbeAll() error {
 func (m *Monitor) FullProbe(id mesh.LinkID) error {
 	v, ok := m.views[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownLink, id)
+		return fmt.Errorf("%w: %s", errUnknownLink, id)
 	}
 	cap, err := m.prober.ProbeCapacity(id)
 	if err != nil {
@@ -355,7 +355,7 @@ func (m *Monitor) applySpare(v *LinkView, spare float64, err error) (HeadroomEve
 func (m *Monitor) View(id mesh.LinkID) (LinkView, error) {
 	v, ok := m.views[id]
 	if !ok {
-		return LinkView{}, fmt.Errorf("%w: %s", ErrUnknownLink, id)
+		return LinkView{}, fmt.Errorf("%w: %s", errUnknownLink, id)
 	}
 	return *v, nil
 }

@@ -157,10 +157,10 @@ func TestNodeLinkCapacity(t *testing.T) {
 func TestUnknownLinkErrors(t *testing.T) {
 	_, _, m, _ := harness(t, 25)
 	ghost := mesh.MakeLinkID("x", "y")
-	if err := m.FullProbe(ghost); !errors.Is(err, ErrUnknownLink) {
+	if err := m.FullProbe(ghost); !errors.Is(err, errUnknownLink) {
 		t.Errorf("FullProbe: %v", err)
 	}
-	if _, err := m.View(ghost); !errors.Is(err, ErrUnknownLink) {
+	if _, err := m.View(ghost); !errors.Is(err, errUnknownLink) {
 		t.Errorf("View: %v", err)
 	}
 }

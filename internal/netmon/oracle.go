@@ -9,12 +9,12 @@ import (
 	"bass/internal/mesh"
 )
 
-// ErrPathUnavailable is returned by cached path queries whose underlying
+// errPathUnavailable is returned by cached path queries whose underlying
 // route lookup failed: an endpoint is unknown or down, or no path survives
 // the current availability state. The oracle normalises the route layer's
 // sentinel errors to this one so cached and uncached misses are
 // indistinguishable to callers (which only branch on nil-ness).
-var ErrPathUnavailable = errors.New("netmon: path unavailable")
+var errPathUnavailable = errors.New("netmon: path unavailable")
 
 // PathMetrics is the monitor's combined view of one routed node pair: the
 // bottleneck cached capacity and spare capacity along the path, computed in a
@@ -172,7 +172,7 @@ func (e pathEntry) result() (PathMetrics, error) {
 	case pathLocal:
 		return PathMetrics{}, nil
 	default:
-		return PathMetrics{}, ErrPathUnavailable
+		return PathMetrics{}, errPathUnavailable
 	}
 }
 
@@ -205,7 +205,7 @@ func (m *Monitor) OracleStats() OracleStats {
 
 // PathMetrics reports the bottleneck capacity AND spare capacity between two
 // nodes in one lookup — one route walk on a miss, a flat-slot read on a hit.
-// Errors from cached queries are normalised to ErrPathUnavailable.
+// Errors from cached queries are normalised to errPathUnavailable.
 func (m *Monitor) PathMetrics(src, dst string) (PathMetrics, error) {
 	o := m.oracle
 	slot, ok := o.slot(src, dst)
@@ -219,7 +219,7 @@ func (m *Monitor) PathMetrics(src, dst string) (PathMetrics, error) {
 	}
 	pm, err := m.pathMetricsUncached(src, dst)
 	if err != nil {
-		err = ErrPathUnavailable
+		err = errPathUnavailable
 	}
 	o.fill(slot, ver, entryFrom(pm, err))
 	return pm, err
@@ -247,7 +247,7 @@ func (m *Monitor) pathMetricsUncached(src, dst string) (PathMetrics, error) {
 		v, ok := m.views[l.ID]
 		if !ok {
 			if unknown == nil {
-				unknown = fmt.Errorf("%w: %s", ErrUnknownLink, l.ID)
+				unknown = fmt.Errorf("%w: %s", errUnknownLink, l.ID)
 			}
 			return
 		}

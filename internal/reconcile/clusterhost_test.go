@@ -145,7 +145,7 @@ func TestUnexpectedComponentsAllEvictedInOneTick(t *testing.T) {
 	}
 	var drifts []string
 	for _, ev := range eventsOf(plane, obs.EventReconcileDrift) {
-		if ev.Reason != string(DriftUnexpected) || ev.Node != "n0" {
+		if ev.Reason != string(driftUnexpected) || ev.Node != "n0" {
 			t.Fatalf("drift %+v, want unexpected on n0", ev)
 		}
 		drifts = append(drifts, ev.App+"/"+ev.Component)

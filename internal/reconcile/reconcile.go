@@ -30,9 +30,9 @@ type Rung int
 const (
 	// RungMigrate re-places the component on a bandwidth-feasible node.
 	RungMigrate Rung = iota
-	// RungReroute accepts a bandwidth-infeasible node and lets the data
+	// rungReroute accepts a bandwidth-infeasible node and lets the data
 	// plane re-route (or park) the affected flows.
-	RungReroute
+	rungReroute
 	// RungShed removes the lowest-priority application outright to free
 	// capacity for the drifted one.
 	RungShed
@@ -45,7 +45,7 @@ func (r Rung) String() string {
 	switch r {
 	case RungMigrate:
 		return "migrate"
-	case RungReroute:
+	case rungReroute:
 		return "reroute"
 	case RungShed:
 		return "shed"
@@ -58,12 +58,12 @@ func (r Rung) String() string {
 type DriftKind string
 
 const (
-	// DriftMissing is a spec component with no observed placement.
-	DriftMissing DriftKind = "missing"
+	// driftMissing is a spec component with no observed placement.
+	driftMissing DriftKind = "missing"
 	// DriftDeadNode is a spec component observed on an unhealthy node.
 	DriftDeadNode DriftKind = "dead-node"
-	// DriftUnexpected is an observed component no spec asks for.
-	DriftUnexpected DriftKind = "unexpected"
+	// driftUnexpected is an observed component no spec asks for.
+	driftUnexpected DriftKind = "unexpected"
 )
 
 // ComponentSpec is one desired component and its resource ask.
@@ -381,7 +381,7 @@ func (r *Reconciler) scan() {
 			if node != "" {
 				r.addPending(app, cs.Name, DriftDeadNode, node, r.host.NodeDownCause(node))
 			} else {
-				r.addPending(app, cs.Name, DriftMissing, "", 0)
+				r.addPending(app, cs.Name, driftMissing, "", 0)
 			}
 		}
 		r.evict = append(r.evict, observed[j:]...)
@@ -390,7 +390,7 @@ func (r *Reconciler) scan() {
 		for _, comp := range r.evict {
 			span := r.plane.EmitSpan(obs.Event{
 				Type: obs.EventReconcileDrift, App: app, Component: comp,
-				Node: r.host.ObservedNode(app, comp), Reason: string(DriftUnexpected),
+				Node: r.host.ObservedNode(app, comp), Reason: string(driftUnexpected),
 			})
 			r.driftsSeen++
 			if err := r.host.Evict(app, comp, span); err == nil {
@@ -523,7 +523,7 @@ func (r *Reconciler) settle() {
 			for _, cs := range cand.spec.Components {
 				node := r.host.ObservedNode(cand.spec.App, cs.Name)
 				if node == "" || !r.host.NodeHealthy(node) {
-					r.addPending(cand.spec.App, cs.Name, DriftMissing, "", restoreSpan)
+					r.addPending(cand.spec.App, cs.Name, driftMissing, "", restoreSpan)
 				}
 			}
 		}

@@ -219,9 +219,9 @@ func TestNoteDriftDeduplicates(t *testing.T) {
 	h.failPlaces = 1000
 	r, _ := newTestReconciler(h)
 	r.SetSpec(spec1("cam", 1, "camera"))
-	r.NoteDrift("cam", "camera", DriftMissing, "", 1)
-	r.NoteDrift("cam", "camera", DriftMissing, "", 2)
-	r.NoteDrift("nosuch", "x", DriftMissing, "", 3)
+	r.NoteDrift("cam", "camera", driftMissing, "", 1)
+	r.NoteDrift("cam", "camera", driftMissing, "", 2)
+	r.NoteDrift("nosuch", "x", driftMissing, "", 3)
 	if r.DriftsSeen() != 1 {
 		t.Fatalf("drifts seen = %d, want 1 (dedup + unknown app ignored)", r.DriftsSeen())
 	}
@@ -232,7 +232,7 @@ func TestLadderEscalatesThroughRungs(t *testing.T) {
 	h.failPlaces = 1 << 30
 	r, plane := newTestReconciler(h)
 	r.SetSpec(spec1("cam", 1, "camera"))
-	r.NoteDrift("cam", "camera", DriftMissing, "", 1)
+	r.NoteDrift("cam", "camera", driftMissing, "", 1)
 	h.run(h.now + 10*time.Minute)
 
 	deg := eventsOf(plane, obs.EventReconcileDegraded)
@@ -275,7 +275,7 @@ func TestShedPicksStrictlyLowerPriorityVictim(t *testing.T) {
 	h.placed["mid/b"] = "n1"
 	h.placed["lo/c"] = "n1"
 
-	r.NoteDrift("hi", "a", DriftMissing, "", 1)
+	r.NoteDrift("hi", "a", driftMissing, "", 1)
 	h.run(h.now + 5*time.Minute)
 
 	if len(h.shedCalls) != 1 || h.shedCalls[0] != "lo" {
@@ -314,7 +314,7 @@ func TestEqualPrioritiesNeverShedEachOther(t *testing.T) {
 	r.SetSpec(spec1("a", 1, "x"))
 	r.SetSpec(spec1("b", 1, "y"))
 	h.placed["b/y"] = "n1"
-	r.NoteDrift("a", "x", DriftMissing, "", 1)
+	r.NoteDrift("a", "x", driftMissing, "", 1)
 	h.run(h.now + 10*time.Minute)
 	if len(h.shedCalls) != 0 {
 		t.Fatalf("equal-priority app was shed: %v", h.shedCalls)
@@ -326,7 +326,7 @@ func TestExternalResolutionClosesDrift(t *testing.T) {
 	h.failPlaces = 1 << 30
 	r, _ := newTestReconciler(h)
 	r.SetSpec(spec1("cam", 1, "camera"))
-	r.NoteDrift("cam", "camera", DriftMissing, "", 1)
+	r.NoteDrift("cam", "camera", driftMissing, "", 1)
 	h.run(h.now) // kick fails to place
 	if r.Converged() {
 		t.Fatal("should still be drifted")

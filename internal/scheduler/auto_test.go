@@ -34,14 +34,14 @@ func pipelineGraph() *dag.Graph {
 }
 
 func TestChooseHeuristic(t *testing.T) {
-	h, err := ChooseHeuristic(fanOutGraph())
+	h, err := chooseHeuristic(fanOutGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h != HeuristicBFS {
 		t.Errorf("fan-out graph chose %v, want bfs", h)
 	}
-	h, err = ChooseHeuristic(pipelineGraph())
+	h, err = chooseHeuristic(pipelineGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestChooseHeuristic(t *testing.T) {
 
 func TestAutoOrderDelegates(t *testing.T) {
 	g := fanOutGraph()
-	auto, err := Order(g, HeuristicAuto)
+	auto, err := order(g, heuristicAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs, err := Order(g, HeuristicBFS)
+	bfs, err := order(g, HeuristicBFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAutoOrderDelegates(t *testing.T) {
 }
 
 func TestAutoScheduleWorks(t *testing.T) {
-	sched := NewBass(HeuristicAuto)
+	sched := NewBass(heuristicAuto)
 	if sched.Name() != "bass-auto" {
 		t.Errorf("Name = %q", sched.Name())
 	}

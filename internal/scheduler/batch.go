@@ -109,8 +109,8 @@ func (b *Batch) Name() string {
 // Schedule assigns every component of g to a node: greedy seed, then the
 // budgeted joint search. It narrates through rec (nil = silent): the seed
 // policy's per-component scoreboards first (exactly as a greedy run records
-// them), then one ChoiceBatch explanation per relocation scan and swap probe,
-// then a final ChoiceBatch verdict whose pseudo-candidates "greedy" and
+// them), then one choiceBatch explanation per relocation scan and swap probe,
+// then a final choiceBatch verdict whose pseudo-candidates "greedy" and
 // "batch" carry the two joint scores — so a trace shows why batch beat (or
 // matched) greedy. A seed assignment that leaves a component unplaced is
 // returned as it is, unsearched.
@@ -642,10 +642,10 @@ func (s *batchSearch) run() ([]int32, bool) {
 	best := s.frontier[0]
 	improved := best.score > seedState.score+batchEps*math.Max(math.Abs(seedState.score), 1)
 	if s.rec != nil {
-		greedyRej, batchRej := RejectOutscored, RejectNone
+		greedyRej, batchRej := rejectOutscored, rejectNone
 		chosen := "batch"
 		if !improved {
-			greedyRej, batchRej = RejectNone, RejectOutscored
+			greedyRej, batchRej = rejectNone, rejectOutscored
 			chosen = "greedy"
 		}
 		// Pseudo-candidates: LocalMbps carries the network fraction and
@@ -656,7 +656,7 @@ func (s *batchSearch) run() ([]int32, bool) {
 			CandidateScore{Node: "batch", Feasible: true, Score: best.score,
 				LocalMbps: best.netFrac, RemoteMbps: best.balance, Rejection: batchRej})
 		s.rec.RecordExplanation(Explanation{
-			Kind: ChoiceBatch, Component: "joint", Chosen: chosen, Candidates: s.rows,
+			Kind: choiceBatch, Component: "joint", Chosen: chosen, Candidates: s.rows,
 		})
 	}
 	return best.assign, improved
@@ -683,10 +683,10 @@ func (s *batchSearch) expand(st batchState) bool {
 			s.next[comp] = target
 			cand, feasible := s.scoreMove(current, target)
 			if s.rec != nil {
-				row := CandidateScore{Node: s.hostName[target], Feasible: feasible, Rejection: RejectNoCapacity}
+				row := CandidateScore{Node: s.hostName[target], Feasible: feasible, Rejection: rejectNoCapacity}
 				if feasible {
 					row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
-					row.Rejection = RejectOutscored
+					row.Rejection = rejectOutscored
 				}
 				rows = append(rows, row)
 			}
@@ -703,11 +703,11 @@ func (s *batchSearch) expand(st batchState) bool {
 		if s.rec != nil && len(rows) > 0 {
 			for i := range rows {
 				if rows[i].Node == bestTarget {
-					rows[i].Rejection = RejectNone
+					rows[i].Rejection = rejectNone
 				}
 			}
 			s.rec.RecordExplanation(Explanation{
-				Kind: ChoiceBatch, Component: s.comps[comp], Current: s.hostName[current],
+				Kind: choiceBatch, Component: s.comps[comp], Current: s.hostName[current],
 				Chosen: bestTarget, Candidates: rows,
 			})
 		}
@@ -734,18 +734,18 @@ func (s *batchSearch) expand(st batchState) bool {
 		}
 		s.next[e.from], s.next[e.to] = nf, nt
 		if s.rec != nil {
-			row := CandidateScore{Node: s.hostName[nt], Feasible: feasible, Rejection: RejectNoCapacity}
+			row := CandidateScore{Node: s.hostName[nt], Feasible: feasible, Rejection: rejectNoCapacity}
 			if feasible {
 				row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
 				if cand.score > st.score+batchEps {
-					row.Rejection = RejectNone
+					row.Rejection = rejectNone
 				} else {
-					row.Rejection = RejectOutscored
+					row.Rejection = rejectOutscored
 				}
 			}
 			s.rows = append(s.rows[:0], row)
 			s.rec.RecordExplanation(Explanation{
-				Kind: ChoiceBatch, Component: s.comps[e.from] + "<->" + s.comps[e.to],
+				Kind: choiceBatch, Component: s.comps[e.from] + "<->" + s.comps[e.to],
 				Current: s.hostName[nf], Chosen: rowChosen(row), Candidates: s.rows,
 			})
 		}
@@ -754,7 +754,7 @@ func (s *batchSearch) expand(st batchState) bool {
 }
 
 func rowChosen(row CandidateScore) string {
-	if row.Rejection == RejectNone {
+	if row.Rejection == rejectNone {
 		return row.Node
 	}
 	return ""

@@ -272,14 +272,14 @@ func (s *refBatchSearch) run(seeded Assignment) (bool, Assignment) {
 	best := s.frontier[0]
 	improved := best.score > seedState.score+batchEps*math.Max(math.Abs(seedState.score), 1)
 	if s.rec != nil {
-		greedyRej, batchRej := RejectOutscored, RejectNone
+		greedyRej, batchRej := rejectOutscored, rejectNone
 		chosen := "batch"
 		if !improved {
-			greedyRej, batchRej = RejectNone, RejectOutscored
+			greedyRej, batchRej = rejectNone, rejectOutscored
 			chosen = "greedy"
 		}
 		s.rec.RecordExplanation(Explanation{
-			Kind: ChoiceBatch, Component: "joint", Chosen: chosen,
+			Kind: choiceBatch, Component: "joint", Chosen: chosen,
 			Candidates: []CandidateScore{
 				{Node: "greedy", Feasible: true, Score: seedState.score,
 					LocalMbps: seedState.netFrac, RemoteMbps: seedState.balance, Rejection: greedyRej},
@@ -313,10 +313,10 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 			next[comp] = target
 			cand, feasible := s.eval(next)
 			if s.rec != nil {
-				row := CandidateScore{Node: target, Feasible: feasible, Rejection: RejectNoCapacity}
+				row := CandidateScore{Node: target, Feasible: feasible, Rejection: rejectNoCapacity}
 				if feasible {
 					row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
-					row.Rejection = RejectOutscored
+					row.Rejection = rejectOutscored
 				}
 				rows = append(rows, row)
 			}
@@ -333,11 +333,11 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 		if s.rec != nil && len(rows) > 0 {
 			for i := range rows {
 				if rows[i].Node == bestTarget {
-					rows[i].Rejection = RejectNone
+					rows[i].Rejection = rejectNone
 				}
 			}
 			s.rec.RecordExplanation(Explanation{
-				Kind: ChoiceBatch, Component: comp, Current: current,
+				Kind: choiceBatch, Component: comp, Current: current,
 				Chosen: bestTarget, Candidates: rows,
 			})
 		}
@@ -361,21 +361,21 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 			changed = true
 		}
 		if s.rec != nil {
-			row := CandidateScore{Node: nt, Feasible: feasible, Rejection: RejectNoCapacity}
+			row := CandidateScore{Node: nt, Feasible: feasible, Rejection: rejectNoCapacity}
 			if feasible {
 				row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
 				if cand.score > st.score+batchEps {
-					row.Rejection = RejectNone
+					row.Rejection = rejectNone
 				} else {
-					row.Rejection = RejectOutscored
+					row.Rejection = rejectOutscored
 				}
 			}
 			chosen := ""
-			if row.Rejection == RejectNone {
+			if row.Rejection == rejectNone {
 				chosen = row.Node
 			}
 			s.rec.RecordExplanation(Explanation{
-				Kind: ChoiceBatch, Component: e.from + "<->" + e.to, Current: nf,
+				Kind: choiceBatch, Component: e.from + "<->" + e.to, Current: nf,
 				Chosen: chosen, Candidates: []CandidateScore{row},
 			})
 		}

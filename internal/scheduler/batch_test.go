@@ -143,9 +143,9 @@ func TestBatchRecordsSearchAndVerdict(t *testing.T) {
 	var sawSchedule, sawScan, sawVerdict bool
 	for _, ex := range rec.explanations {
 		switch ex.Kind {
-		case ChoiceSchedule:
+		case choiceSchedule:
 			sawSchedule = true
-		case ChoiceBatch:
+		case choiceBatch:
 			if ex.Component == "joint" {
 				sawVerdict = true
 				if len(ex.Candidates) != 2 {
@@ -155,10 +155,10 @@ func TestBatchRecordsSearchAndVerdict(t *testing.T) {
 					t.Errorf("verdict chose %q, want batch (it strictly improves here)", ex.Chosen)
 				}
 				for _, cs := range ex.Candidates {
-					if cs.Node == "batch" && cs.Rejection != RejectNone {
+					if cs.Node == "batch" && cs.Rejection != rejectNone {
 						t.Errorf("winning batch row has rejection %q", cs.Rejection)
 					}
-					if cs.Node == "greedy" && cs.Rejection != RejectOutscored {
+					if cs.Node == "greedy" && cs.Rejection != rejectOutscored {
 						t.Errorf("greedy row has rejection %q, want outscored", cs.Rejection)
 					}
 				}
@@ -179,7 +179,7 @@ func TestBatchRecordsSearchAndVerdict(t *testing.T) {
 	// The verdict must be the last explanation: the search narrative ends
 	// with its conclusion.
 	last := rec.explanations[len(rec.explanations)-1]
-	if last.Kind != ChoiceBatch || last.Component != "joint" {
+	if last.Kind != choiceBatch || last.Component != "joint" {
 		t.Errorf("last explanation is %+v, want the joint verdict", last)
 	}
 }

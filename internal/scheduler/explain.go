@@ -10,41 +10,41 @@ package scheduler
 type Choice string
 
 const (
-	// ChoiceSchedule is an initial placement (Bass/K3s Schedule).
-	ChoiceSchedule Choice = "schedule"
-	// ChoiceMigration is a live move off a congested placement.
-	ChoiceMigration Choice = "migration"
-	// ChoiceFailover is a re-placement after the host died.
-	ChoiceFailover Choice = "failover"
-	// ChoiceBatch is a joint whole-DAG decision made by the batch placement
+	// choiceSchedule is an initial placement (Bass/K3s Schedule).
+	choiceSchedule Choice = "schedule"
+	// choiceMigration is a live move off a congested placement.
+	choiceMigration Choice = "migration"
+	// choiceFailover is a re-placement after the host died.
+	choiceFailover Choice = "failover"
+	// choiceBatch is a joint whole-DAG decision made by the batch placement
 	// search: per-component relocation scans, swap probes, and the final
 	// greedy-vs-batch verdict all carry this kind.
-	ChoiceBatch Choice = "batch"
+	choiceBatch Choice = "batch"
 )
 
 // Rejection is the typed reason a candidate node was not chosen. The winner
-// carries RejectNone.
+// carries rejectNone.
 type Rejection string
 
 const (
-	// RejectNone marks the chosen node.
-	RejectNone Rejection = ""
-	// RejectInsufficientBandwidth: some placed remote dependency does not fit
+	// rejectNone marks the chosen node.
+	rejectNone Rejection = ""
+	// rejectInsufficientBandwidth: some placed remote dependency does not fit
 	// in the path's available capacity plus headroom.
-	RejectInsufficientBandwidth Rejection = "insufficient bandwidth"
-	// RejectOutscored: the node was feasible but another ranked higher.
-	RejectOutscored Rejection = "outscored"
-	// RejectNoCapacity: the node lacks the CPU or memory to host the
+	rejectInsufficientBandwidth Rejection = "insufficient bandwidth"
+	// rejectOutscored: the node was feasible but another ranked higher.
+	rejectOutscored Rejection = "outscored"
+	// rejectNoCapacity: the node lacks the CPU or memory to host the
 	// component at all.
-	RejectNoCapacity Rejection = "insufficient cpu/mem"
-	// RejectCurrentNode: migration never re-selects the current placement.
-	RejectCurrentNode Rejection = "current placement"
-	// RejectHysteresis: the best (infeasible) candidate did not beat the
+	rejectNoCapacity Rejection = "insufficient cpu/mem"
+	// rejectCurrentNode: migration never re-selects the current placement.
+	rejectCurrentNode Rejection = "current placement"
+	// rejectHysteresis: the best (infeasible) candidate did not beat the
 	// current placement's score by the anti-thrash margin, so the component
 	// stays put.
-	RejectHysteresis Rejection = "below hysteresis margin"
-	// RejectPinnedElsewhere: the component is pinned and this is not its node.
-	RejectPinnedElsewhere Rejection = "pinned elsewhere"
+	rejectHysteresis Rejection = "below hysteresis margin"
+	// rejectPinnedElsewhere: the component is pinned and this is not its node.
+	rejectPinnedElsewhere Rejection = "pinned elsewhere"
 )
 
 // CandidateScore is one node's evaluation within a choice pass.

@@ -114,7 +114,7 @@ func TestChooseMigrationTargetExplained(t *testing.T) {
 		t.Fatalf("recorded %d explanations, want 1", len(rec.explanations))
 	}
 	ex := rec.explanations[0]
-	if ex.Kind != ChoiceMigration || ex.Component != "producer" || ex.Current != "n1" || ex.Chosen != "n2" {
+	if ex.Kind != choiceMigration || ex.Component != "producer" || ex.Current != "n1" || ex.Chosen != "n2" {
 		t.Fatalf("explanation header = %+v", ex)
 	}
 	byNode := make(map[string]CandidateScore)
@@ -124,16 +124,16 @@ func TestChooseMigrationTargetExplained(t *testing.T) {
 	if len(byNode) != 4 {
 		t.Fatalf("scoreboard = %+v, want all 4 nodes", ex.Candidates)
 	}
-	if w := byNode["n2"]; w.Rejection != RejectNone || !w.Feasible || w.DepCount != 1 || w.LocalMbps != 8 || w.Score != 8 {
+	if w := byNode["n2"]; w.Rejection != rejectNone || !w.Feasible || w.DepCount != 1 || w.LocalMbps != 8 || w.Score != 8 {
 		t.Errorf("winner row = %+v", w)
 	}
-	if r := byNode["n3"]; r.Rejection != RejectInsufficientBandwidth || r.Feasible || r.RemoteMbps != 1 {
+	if r := byNode["n3"]; r.Rejection != rejectInsufficientBandwidth || r.Feasible || r.RemoteMbps != 1 {
 		t.Errorf("saturated row = %+v", r)
 	}
-	if r := byNode["n1"]; r.Rejection != RejectCurrentNode {
+	if r := byNode["n1"]; r.Rejection != rejectCurrentNode {
 		t.Errorf("current-node row = %+v", r)
 	}
-	if r := byNode["tiny"]; r.Rejection != RejectNoCapacity {
+	if r := byNode["tiny"]; r.Rejection != rejectNoCapacity {
 		t.Errorf("undersized row = %+v", r)
 	}
 }
@@ -163,8 +163,8 @@ func TestChooseMigrationTargetExplainsHysteresis(t *testing.T) {
 	for _, cs := range ex.Candidates {
 		if cs.Node == "n3" {
 			found = true
-			if cs.Rejection != RejectHysteresis {
-				t.Errorf("best fallback rejection = %q, want %q", cs.Rejection, RejectHysteresis)
+			if cs.Rejection != rejectHysteresis {
+				t.Errorf("best fallback rejection = %q, want %q", cs.Rejection, rejectHysteresis)
 			}
 		}
 	}
@@ -195,7 +195,7 @@ func TestChooseFailoverTargetExplained(t *testing.T) {
 		t.Fatalf("nil-recorder path chose %q, %v; explained chose %q", plain, err, got)
 	}
 	ex := rec.explanations[0]
-	if ex.Kind != ChoiceFailover || ex.Chosen != "n2" {
+	if ex.Kind != choiceFailover || ex.Chosen != "n2" {
 		t.Fatalf("explanation header = %+v", ex)
 	}
 	var winner, tiny *CandidateScore
@@ -207,10 +207,10 @@ func TestChooseFailoverTargetExplained(t *testing.T) {
 			tiny = &ex.Candidates[i]
 		}
 	}
-	if winner == nil || winner.Rejection != RejectNone || winner.DepCount != 1 {
+	if winner == nil || winner.Rejection != rejectNone || winner.DepCount != 1 {
 		t.Errorf("winner row = %+v", winner)
 	}
-	if tiny == nil || tiny.Rejection != RejectNoCapacity {
+	if tiny == nil || tiny.Rejection != rejectNoCapacity {
 		t.Errorf("undersized row = %+v", tiny)
 	}
 }
@@ -228,9 +228,9 @@ func TestChooseFailoverTargetExplainsPinned(t *testing.T) {
 		t.Fatalf("explanation = %+v", ex)
 	}
 	for _, cs := range ex.Candidates {
-		want := RejectPinnedElsewhere
+		want := rejectPinnedElsewhere
 		if cs.Node == "n3" {
-			want = RejectNone
+			want = rejectNone
 		}
 		if cs.Rejection != want {
 			t.Errorf("node %s rejection = %q, want %q", cs.Node, cs.Rejection, want)
@@ -267,7 +267,7 @@ func TestScheduleExplainedMatchesSchedule(t *testing.T) {
 				p.Name(), len(rec.explanations), g.NumComponents())
 		}
 		for _, ex := range rec.explanations {
-			if ex.Kind != ChoiceSchedule {
+			if ex.Kind != choiceSchedule {
 				t.Errorf("%s: kind = %q", p.Name(), ex.Kind)
 			}
 			if ex.Chosen != plain[ex.Component] {
@@ -345,9 +345,9 @@ func TestFailoverStrictness(t *testing.T) {
 		{name: "strict picks a feasible winner", g: pairGraph(t), nodes: explainNodes(), pathAvail: wide, strict: true,
 			want: "n2", wantScored: 3},
 		{name: "strict refuses partially-feasible candidates", g: pairGraph(t), nodes: explainNodes()[2:], pathAvail: saturated, strict: true,
-			wantErr: ErrNoFeasibleNode, wantScored: 1},
+			wantErr: errNoFeasibleNode, wantScored: 1},
 		{name: "strict with no node that fits", g: pairGraph(t), nodes: explainNodes()[3:], pathAvail: wide, strict: true,
-			wantErr: ErrNoFailoverNode},
+			wantErr: errNoFailoverNode},
 		{name: "pinned ignores strictness", g: pinned, nodes: explainNodes(), pathAvail: saturated, strict: true,
 			want: "n3"},
 	}
@@ -363,7 +363,7 @@ func TestFailoverStrictness(t *testing.T) {
 				t.Fatalf("recorded %d explanations, want 1", len(rec.explanations))
 			}
 			ex := rec.explanations[0]
-			if ex.Kind != ChoiceFailover || ex.Chosen != tc.want {
+			if ex.Kind != choiceFailover || ex.Chosen != tc.want {
 				t.Errorf("explanation header = %+v, want failover choosing %q", ex, tc.want)
 			}
 			if len(ex.Candidates) != len(tc.nodes) {

@@ -11,19 +11,19 @@ import (
 	"bass/internal/dag"
 )
 
-// ErrNoBetterNode is returned by ChooseMigrationTarget when no node improves
+// errNoBetterNode is returned by ChooseMigrationTarget when no node improves
 // on the component's current placement.
-var ErrNoBetterNode = errors.New("scheduler: no better node for component")
+var errNoBetterNode = errors.New("scheduler: no better node for component")
 
-// ErrNoFailoverNode is returned by ChooseFailoverTarget when no surviving
+// errNoFailoverNode is returned by ChooseFailoverTarget when no surviving
 // node can host the component at all.
-var ErrNoFailoverNode = errors.New("scheduler: no surviving node can host component")
+var errNoFailoverNode = errors.New("scheduler: no surviving node can host component")
 
-// ErrNoFeasibleNode is returned by a strict ChooseFailoverTarget when nodes
+// errNoFeasibleNode is returned by a strict ChooseFailoverTarget when nodes
 // have the CPU and memory but none can also carry the component's bandwidth —
 // the caller should escalate (re-route, shed) rather than accept a placement
 // the data plane cannot serve.
-var ErrNoFeasibleNode = errors.New("scheduler: no bandwidth-feasible node for component")
+var errNoFeasibleNode = errors.New("scheduler: no bandwidth-feasible node for component")
 
 // DependencyUsage is the controller's observation of one deployed component
 // pair (an edge of the application DAG whose endpoints sit on different
@@ -253,7 +253,7 @@ type TargetOptions struct {
 	// explanation bookkeeping.
 	Recorder Recorder
 	// Strict makes ChooseFailoverTarget refuse the partially-feasible
-	// fallback and return ErrNoFeasibleNode instead. Migration ignores it:
+	// fallback and return errNoFeasibleNode instead. Migration ignores it:
 	// its hysteresis margin already guards the fallback.
 	Strict bool
 }
@@ -354,14 +354,14 @@ func (s *choiceScratch) rankCandidates(
 ) {
 	s.cands, s.skipped = s.cands[:0], s.skipped[:0]
 	for _, n := range nodes {
-		reject := RejectNone
+		reject := rejectNone
 		switch {
 		case n.Name == current:
-			reject = RejectCurrentNode
+			reject = rejectCurrentNode
 		case !fits(n, comp):
-			reject = RejectNoCapacity
+			reject = rejectNoCapacity
 		}
-		if reject == RejectNone {
+		if reject == rejectNone {
 			c := scoreCandidate(s.deps, n.Name, pathAvail, headroomMbps)
 			c.node = n
 			s.cands = append(s.cands, c)
@@ -422,7 +422,7 @@ func largerFirst(a, b float64) int {
 }
 
 // scoreboard renders the ranked s.cands plus the pre-filtered s.skipped as
-// CandidateScores in the pooled board: the winner keeps RejectNone, feasible
+// CandidateScores in the pooled board: the winner keeps rejectNone, feasible
 // losers are outscored, infeasible ones lacked bandwidth — except a winning
 // infeasible fallback, and bestHysteresis marks the case where the best
 // fallback lost to the anti-thrash margin instead.
@@ -440,13 +440,13 @@ func (s *choiceScratch) scoreboard(chosen string, bestHysteresis bool) []Candida
 		}
 		switch {
 		case c.node.Name == chosen:
-			cs.Rejection = RejectNone
+			cs.Rejection = rejectNone
 		case i == 0 && bestHysteresis:
-			cs.Rejection = RejectHysteresis
+			cs.Rejection = rejectHysteresis
 		case !c.feasible:
-			cs.Rejection = RejectInsufficientBandwidth
+			cs.Rejection = rejectInsufficientBandwidth
 		default:
-			cs.Rejection = RejectOutscored
+			cs.Rejection = rejectOutscored
 		}
 		out = append(out, cs)
 	}
@@ -466,7 +466,7 @@ func targetOptions(opts []TargetOptions) TargetOptions {
 // nodes with sufficient CPU and memory, prefer the node hosting the most of
 // the component's DAG neighbors (minimising inter-node transfer), requiring
 // that every remote dependency's bandwidth fits within the path's available
-// capacity plus headroom. Returns ErrNoBetterNode when no candidate beats
+// capacity plus headroom. Returns errNoBetterNode when no candidate beats
 // the current placement. At most one TargetOptions is consulted; omitting it
 // means no recorder.
 func ChooseMigrationTarget(
@@ -485,8 +485,8 @@ func ChooseMigrationTarget(
 		return "", err
 	}
 	if comp.Pinned() {
-		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: assignment[component]})
-		return "", fmt.Errorf("%w: %q is pinned to %q", ErrNoBetterNode, component, comp.PinnedTo())
+		explain(rec, Explanation{Kind: choiceMigration, Component: component, Current: assignment[component]})
+		return "", fmt.Errorf("%w: %q is pinned to %q", errNoBetterNode, component, comp.PinnedTo())
 	}
 	current, ok := assignment[component]
 	if !ok {
@@ -497,8 +497,8 @@ func ChooseMigrationTarget(
 	s.deps = placedNeighbors(s.deps, g, component, assignment)
 	s.rankCandidates(comp, nodes, current, pathAvail, cfg.HeadroomMbps, rec)
 	if len(s.cands) == 0 {
-		explain(rec, Explanation{Kind: ChoiceMigration, Component: component, Current: current, Candidates: s.skipped})
-		return "", fmt.Errorf("%w: %q stays on %q", ErrNoBetterNode, component, current)
+		explain(rec, Explanation{Kind: choiceMigration, Component: component, Current: current, Candidates: s.skipped})
+		return "", fmt.Errorf("%w: %q stays on %q", errNoBetterNode, component, current)
 	}
 	best := &s.cands[0]
 	chosen := ""
@@ -523,7 +523,7 @@ func ChooseMigrationTarget(
 	}
 	if rec != nil {
 		rec.RecordExplanation(Explanation{
-			Kind:       ChoiceMigration,
+			Kind:       choiceMigration,
 			Component:  component,
 			Current:    current,
 			Chosen:     chosen,
@@ -533,7 +533,7 @@ func ChooseMigrationTarget(
 	if chosen != "" {
 		return chosen, nil
 	}
-	return "", fmt.Errorf("%w: %q stays on %q", ErrNoBetterNode, component, current)
+	return "", fmt.Errorf("%w: %q stays on %q", errNoBetterNode, component, current)
 }
 
 // ChooseFailoverTarget picks a node for a component whose host died. It is
@@ -543,11 +543,11 @@ func ChooseMigrationTarget(
 // placed remote dependency fits in path headroom) rank first by dependency
 // count then satisfiable bandwidth, exactly like migration; when none is
 // feasible the best partially-feasible node wins outright — unless
-// TargetOptions.Strict, which returns ErrNoFeasibleNode instead so the caller
+// TargetOptions.Strict, which returns errNoFeasibleNode instead so the caller
 // can escalate. nodes must already exclude dead or cordoned hosts; assignment
 // must not contain components stranded on dead nodes (their paths would be
 // meaningless). Only when no node has the CPU and memory does it return
-// ErrNoFailoverNode — the caller queues the component until capacity returns.
+// errNoFailoverNode — the caller queues the component until capacity returns.
 func ChooseFailoverTarget(
 	g *dag.Graph,
 	component string,
@@ -577,15 +577,15 @@ func ChooseFailoverTarget(
 			}
 		}
 		if rec != nil {
-			ex := Explanation{Kind: ChoiceFailover, Component: component, Chosen: chosen, Candidates: s.board[:0]}
+			ex := Explanation{Kind: choiceFailover, Component: component, Chosen: chosen, Candidates: s.board[:0]}
 			for _, n := range nodes {
-				cs := CandidateScore{Node: n.Name, Rejection: RejectPinnedElsewhere}
+				cs := CandidateScore{Node: n.Name, Rejection: rejectPinnedElsewhere}
 				if n.Name == comp.PinnedTo() {
 					cs.Feasible = fits(n, comp)
 					if cs.Feasible {
-						cs.Rejection = RejectNone
+						cs.Rejection = rejectNone
 					} else {
-						cs.Rejection = RejectNoCapacity
+						cs.Rejection = rejectNoCapacity
 					}
 				}
 				ex.Candidates = append(ex.Candidates, cs)
@@ -596,13 +596,13 @@ func ChooseFailoverTarget(
 		if chosen != "" {
 			return chosen, nil
 		}
-		return "", fmt.Errorf("%w: %q pinned to %q", ErrNoFailoverNode, component, comp.PinnedTo())
+		return "", fmt.Errorf("%w: %q pinned to %q", errNoFailoverNode, component, comp.PinnedTo())
 	}
 	s.deps = placedNeighbors(s.deps, g, component, assignment)
 	s.rankCandidates(comp, nodes, "", pathAvail, cfg.HeadroomMbps, rec)
 	if len(s.cands) == 0 {
-		explain(rec, Explanation{Kind: ChoiceFailover, Component: component, Candidates: s.skipped})
-		return "", fmt.Errorf("%w: %q", ErrNoFailoverNode, component)
+		explain(rec, Explanation{Kind: choiceFailover, Component: component, Candidates: s.skipped})
+		return "", fmt.Errorf("%w: %q", errNoFailoverNode, component)
 	}
 	// The component is down: ANY node that fits beats leaving it dead, so
 	// even an infeasible best candidate wins outright — no hysteresis. Strict
@@ -613,14 +613,14 @@ func ChooseFailoverTarget(
 	}
 	if rec != nil {
 		rec.RecordExplanation(Explanation{
-			Kind:       ChoiceFailover,
+			Kind:       choiceFailover,
 			Component:  component,
 			Chosen:     chosen,
 			Candidates: s.scoreboard(chosen, false),
 		})
 	}
 	if chosen == "" {
-		return "", fmt.Errorf("%w: %q", ErrNoFeasibleNode, component)
+		return "", fmt.Errorf("%w: %q", errNoFeasibleNode, component)
 	}
 	return chosen, nil
 }

@@ -269,7 +269,7 @@ func TestChooseMigrationTargetRequiresBandwidth(t *testing.T) {
 	cfg := DefaultMigrationConfig() // headroom 4: needs 10+4 on the path
 	t.Run("insufficient", func(t *testing.T) {
 		avail := func(_, _ string) float64 { return 12 }
-		if _, err := ChooseMigrationTarget(g, "a", assignment, nodes, avail, cfg); !errors.Is(err, ErrNoBetterNode) {
+		if _, err := ChooseMigrationTarget(g, "a", assignment, nodes, avail, cfg); !errors.Is(err, errNoBetterNode) {
 			t.Errorf("want ErrNoBetterNode, got %v", err)
 		}
 	})
@@ -290,7 +290,7 @@ func TestChooseMigrationTargetRejectsPinned(t *testing.T) {
 	g.MustAddComponent(dag.Component{Name: "a", CPU: 1, Labels: dag.Pin("node1")})
 	assignment := Assignment{"a": "node1"}
 	avail := func(_, _ string) float64 { return 100 }
-	if _, err := ChooseMigrationTarget(g, "a", assignment, migrationNodes(), avail, DefaultMigrationConfig()); !errors.Is(err, ErrNoBetterNode) {
+	if _, err := ChooseMigrationTarget(g, "a", assignment, migrationNodes(), avail, DefaultMigrationConfig()); !errors.Is(err, errNoBetterNode) {
 		t.Errorf("want ErrNoBetterNode for pinned component, got %v", err)
 	}
 }

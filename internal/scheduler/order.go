@@ -35,12 +35,12 @@ type Heuristic int
 
 // Supported ordering heuristics. The developer picks the one suited to the
 // application's data flow: BFS for high fan-out graphs, longest-path for
-// deep pipelines (§3.2.1) — or HeuristicAuto, which inspects the graph and
+// deep pipelines (§3.2.1) — or heuristicAuto, which inspects the graph and
 // picks per application (§8 lists combining the heuristics as future work).
 const (
 	HeuristicBFS Heuristic = iota + 1
 	HeuristicLongestPath
-	HeuristicAuto
+	heuristicAuto
 )
 
 // String names the heuristic.
@@ -50,21 +50,21 @@ func (h Heuristic) String() string {
 		return "bfs"
 	case HeuristicLongestPath:
 		return "longest-path"
-	case HeuristicAuto:
+	case heuristicAuto:
 		return "auto"
 	default:
 		return fmt.Sprintf("heuristic(%d)", int(h))
 	}
 }
 
-// ChooseHeuristic implements HeuristicAuto's decision (§8): compare the
+// chooseHeuristic implements heuristicAuto's decision (§8): compare the
 // bandwidth concentrated at fan-out points (the sum of out-edge weights of
 // vertices with two or more consumers) against the bandwidth of the single
 // heaviest path. Fan-out-dominated graphs (an SFU, a publisher feeding many
 // consumers) get BFS, which co-locates consumers with their producer;
 // chain-dominated graphs (frontend→service→cache→database pipelines) get
 // longest-path.
-func ChooseHeuristic(g *dag.Graph) (Heuristic, error) {
+func chooseHeuristic(g *dag.Graph) (Heuristic, error) {
 	chains, err := LongestPathChains(g)
 	if err != nil {
 		return 0, err
@@ -92,10 +92,10 @@ func ChooseHeuristic(g *dag.Graph) (Heuristic, error) {
 	return HeuristicLongestPath, nil
 }
 
-// Order returns the component placement order under the given heuristic.
-func Order(g *dag.Graph, h Heuristic) ([]string, error) {
-	if h == HeuristicAuto {
-		chosen, err := ChooseHeuristic(g)
+// order returns the component placement order under the given heuristic.
+func order(g *dag.Graph, h Heuristic) ([]string, error) {
+	if h == heuristicAuto {
+		chosen, err := chooseHeuristic(g)
 		if err != nil {
 			return nil, err
 		}

@@ -233,7 +233,7 @@ func TestLongestPathTiedWeightChainsDeterministic(t *testing.T) {
 
 func TestOrderUnknownHeuristic(t *testing.T) {
 	g := fig6Graph(t)
-	if _, err := Order(g, Heuristic(99)); err == nil {
+	if _, err := order(g, Heuristic(99)); err == nil {
 		t.Error("Order with unknown heuristic: want error, got nil")
 	}
 }
@@ -245,8 +245,8 @@ func TestHeuristicString(t *testing.T) {
 	if HeuristicLongestPath.String() != "longest-path" {
 		t.Errorf("HeuristicLongestPath.String() = %q", HeuristicLongestPath.String())
 	}
-	if HeuristicAuto.String() != "auto" {
-		t.Errorf("HeuristicAuto.String() = %q", HeuristicAuto.String())
+	if heuristicAuto.String() != "auto" {
+		t.Errorf("HeuristicAuto.String() = %q", heuristicAuto.String())
 	}
 }
 
@@ -276,7 +276,7 @@ func TestOrderingsArePermutations(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, n)
 		for _, h := range []Heuristic{HeuristicBFS, HeuristicLongestPath} {
-			order, err := Order(g, h)
+			order, err := order(g, h)
 			if err != nil {
 				return false
 			}

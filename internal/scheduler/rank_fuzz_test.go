@@ -105,9 +105,9 @@ func (fx rankFixture) refRank(current string) (ranked []candidate, skipped []Can
 	for _, n := range fx.nodes {
 		switch {
 		case n.Name == current:
-			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectCurrentNode})
+			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: rejectCurrentNode})
 		case !fits(n, comp):
-			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: RejectNoCapacity})
+			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: rejectNoCapacity})
 		default:
 			c := scoreCandidate(fx.deps, n.Name, fx.pathAvail, fx.cfg.HeadroomMbps)
 			c.node = n
@@ -123,14 +123,14 @@ func refBoard(ranked []candidate, chosen string, hysteresis bool, skipped []Cand
 	var out []CandidateScore
 	for i, c := range ranked {
 		cs := CandidateScore{Node: c.node.Name, Feasible: c.feasible, DepCount: c.depCount,
-			Score: c.score, LocalMbps: c.local, RemoteMbps: c.remote, Rejection: RejectOutscored}
+			Score: c.score, LocalMbps: c.local, RemoteMbps: c.remote, Rejection: rejectOutscored}
 		switch {
 		case c.node.Name == chosen:
-			cs.Rejection = RejectNone
+			cs.Rejection = rejectNone
 		case i == 0 && hysteresis:
-			cs.Rejection = RejectHysteresis
+			cs.Rejection = rejectHysteresis
 		case !c.feasible:
-			cs.Rejection = RejectInsufficientBandwidth
+			cs.Rejection = rejectInsufficientBandwidth
 		}
 		out = append(out, cs)
 	}
@@ -157,18 +157,18 @@ func checkBoard(t *testing.T, kind string, got, want []CandidateScore) {
 	}
 }
 
-// refScoreNodes is ScoreNodes written with sort.SliceStable over NodeRank
+// refScoreNodes is scoreNodes written with sort.SliceStable over nodeRank
 // values.
-func refScoreNodes(nodes []NodeInfo) []NodeRank {
+func refScoreNodes(nodes []NodeInfo) []nodeRank {
 	var maxCPU, maxMem, maxLink float64
 	for _, n := range nodes {
 		maxCPU = maxf(maxCPU, n.FreeCPU)
 		maxMem = maxf(maxMem, n.FreeMemoryMB)
 		maxLink = maxf(maxLink, n.LinkCapacityMbps)
 	}
-	out := make([]NodeRank, len(nodes))
+	out := make([]nodeRank, len(nodes))
 	for i, n := range nodes {
-		r := NodeRank{Node: n}
+		r := nodeRank{Node: n}
 		if maxCPU > 0 {
 			r.CPU = n.FreeCPU / maxCPU
 		}
@@ -194,7 +194,7 @@ func refScoreNodes(nodes []NodeInfo) []NodeRank {
 // list with tied, signed-zero and NaN capacities, and a path table with tied,
 // NaN and infinite spares. The migration and failover choosers must pick the
 // winner and record the scoreboard — row order, labels and score bits — that
-// a stable sort of candidate values gives, and ScoreNodes must return what
+// a stable sort of candidate values gives, and scoreNodes must return what
 // the sort.SliceStable formulation returns, bit for bit.
 func FuzzRankMatchesValueSort(f *testing.F) {
 	f.Add([]byte{})
@@ -220,7 +220,7 @@ func FuzzRankMatchesValueSort(f *testing.F) {
 		if len(ranked) > 0 {
 			want = ranked[0].node.Name
 		}
-		if got != want || (want == "") != errors.Is(err, ErrNoFailoverNode) {
+		if got != want || (want == "") != errors.Is(err, errNoFailoverNode) {
 			t.Fatalf("failover chose %q, %v; want %q", got, err, want)
 		}
 		if len(rec.explanations) != 1 {
@@ -247,7 +247,7 @@ func FuzzRankMatchesValueSort(f *testing.F) {
 				hysteresis = true
 			}
 		}
-		if got != want || (want == "") != errors.Is(err, ErrNoBetterNode) {
+		if got != want || (want == "") != errors.Is(err, errNoBetterNode) {
 			t.Fatalf("migration chose %q, %v; want %q", got, err, want)
 		}
 		if len(rec.explanations) != 1 {
@@ -255,8 +255,8 @@ func FuzzRankMatchesValueSort(f *testing.F) {
 		}
 		checkBoard(t, "migration", rec.explanations[0].Candidates, refBoard(ranked, want, hysteresis, skipped))
 
-		// Packing order: ScoreNodes against the value sort.
-		gotRanks, wantRanks := ScoreNodes(fx.nodes), refScoreNodes(fx.nodes)
+		// Packing order: scoreNodes against the value sort.
+		gotRanks, wantRanks := scoreNodes(fx.nodes), refScoreNodes(fx.nodes)
 		if len(gotRanks) != len(wantRanks) {
 			t.Fatalf("ScoreNodes returned %d rows, want %d", len(gotRanks), len(wantRanks))
 		}

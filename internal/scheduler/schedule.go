@@ -8,8 +8,8 @@ import (
 	"bass/internal/dag"
 )
 
-// ErrInfeasible is returned when no node can host a component.
-var ErrInfeasible = errors.New("scheduler: no feasible placement")
+// errInfeasible is returned when no node can host a component.
+var errInfeasible = errors.New("scheduler: no feasible placement")
 
 // NodeInfo is the scheduler's view of one node.
 type NodeInfo struct {
@@ -38,9 +38,9 @@ func (a Assignment) Clone() Assignment {
 	return out
 }
 
-// NodeRank is one node's ranking breakdown: the three normalised score terms
-// and their sum, in ScoreNodes order.
-type NodeRank struct {
+// nodeRank is one node's ranking breakdown: the three normalised score terms
+// and their sum, in scoreNodes order.
+type nodeRank struct {
 	Node NodeInfo
 	// CPU, Mem, and Link are the node's free CPU, free memory, and combined
 	// link capacity, each normalised by the maximum across nodes.
@@ -48,14 +48,14 @@ type NodeRank struct {
 	Score          float64
 }
 
-// ScoreNodes computes each node's ranking terms — free CPU, free memory, and
+// scoreNodes computes each node's ranking terms — free CPU, free memory, and
 // combined link capacity, each normalised by the maximum across nodes and
 // summed — and returns them in packing order: higher scores first, ties by
 // name for determinism. The result is a fresh slice the caller owns.
-func ScoreNodes(nodes []NodeInfo) []NodeRank {
+func scoreNodes(nodes []NodeInfo) []nodeRank {
 	s := choicePool.Get().(*choiceScratch)
 	defer choicePool.Put(s)
-	out := make([]NodeRank, 0, len(nodes))
+	out := make([]nodeRank, 0, len(nodes))
 	for _, i := range s.rankNodes(nodes) {
 		out = append(out, s.ranks[i])
 	}
@@ -64,7 +64,7 @@ func ScoreNodes(nodes []NodeInfo) []NodeRank {
 
 // rankNodes scores nodes into s.ranks, in node order, and returns s.order:
 // the indices of nodes in packing order. The order is a stable sort with the
-// comparator ScoreNodes has always used — higher score first, then name — so
+// comparator scoreNodes has always used — higher score first, then name — so
 // pairs that a NaN score leaves unordered keep node order.
 func (s *choiceScratch) rankNodes(nodes []NodeInfo) []int32 {
 	var maxCPU, maxMem, maxLink float64
@@ -75,7 +75,7 @@ func (s *choiceScratch) rankNodes(nodes []NodeInfo) []int32 {
 	}
 	s.ranks = s.ranks[:0]
 	for _, n := range nodes {
-		r := NodeRank{Node: n}
+		r := nodeRank{Node: n}
 		if maxCPU > 0 {
 			r.CPU = n.FreeCPU / maxCPU
 		}
@@ -155,8 +155,8 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 		return nil, err
 	}
 	heuristic := b.heuristic
-	if heuristic == HeuristicAuto {
-		chosen, err := ChooseHeuristic(g)
+	if heuristic == heuristicAuto {
+		chosen, err := chooseHeuristic(g)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 		}
 		chains = cs
 	default:
-		order, err := Order(g, heuristic)
+		order, err := order(g, heuristic)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +179,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 	}
 
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: no nodes", ErrInfeasible)
+		return nil, fmt.Errorf("%w: no nodes", errInfeasible)
 	}
 	s := choicePool.Get().(*choiceScratch)
 	defer choicePool.Put(s)
@@ -203,7 +203,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 		// explanation each, in spec order, before the packing narrative.
 		for _, name := range g.Components() {
 			if pin, pinned := assignment[name]; pinned {
-				rec.RecordExplanation(Explanation{Kind: ChoiceSchedule, Component: name, Chosen: pin})
+				rec.RecordExplanation(Explanation{Kind: choiceSchedule, Component: name, Chosen: pin})
 			}
 		}
 	}
@@ -246,7 +246,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 			}
 			if cursor < 0 {
 				return nil, fmt.Errorf("%w: component %q (cpu=%.2f mem=%.0fMB)",
-					ErrInfeasible, name, comp.CPU, comp.MemoryMB)
+					errInfeasible, name, comp.CPU, comp.MemoryMB)
 			}
 			if rec != nil {
 				rec.RecordExplanation(s.explainPlacement(comp, name, free, free[cursor].Name))
@@ -270,16 +270,16 @@ func (s *choiceScratch) explainPlacement(comp *dag.Component, component string, 
 		cs := CandidateScore{Node: r.Node.Name, Score: r.Score, Feasible: fits(r.Node, comp)}
 		switch {
 		case r.Node.Name == chosen:
-			cs.Rejection = RejectNone
+			cs.Rejection = rejectNone
 		case !cs.Feasible:
-			cs.Rejection = RejectNoCapacity
+			cs.Rejection = rejectNoCapacity
 		default:
-			cs.Rejection = RejectOutscored
+			cs.Rejection = rejectOutscored
 		}
 		board = append(board, cs)
 	}
 	s.board = board
-	return Explanation{Kind: ChoiceSchedule, Component: component, Chosen: chosen, Candidates: board}
+	return Explanation{Kind: choiceSchedule, Component: component, Chosen: chosen, Candidates: board}
 }
 
 func fits(n NodeInfo, c *dag.Component) bool {
@@ -314,10 +314,10 @@ func placePinned(g *dag.Graph, free []NodeInfo) (Assignment, error) {
 				assignment[name] = pin
 				continue
 			}
-			return nil, fmt.Errorf("%w: component %q pinned to unknown node %q", ErrInfeasible, name, pin)
+			return nil, fmt.Errorf("%w: component %q pinned to unknown node %q", errInfeasible, name, pin)
 		}
 		if !fits(free[idx], comp) {
-			return nil, fmt.Errorf("%w: pinned component %q does not fit on %q", ErrInfeasible, name, pin)
+			return nil, fmt.Errorf("%w: pinned component %q does not fit on %q", errInfeasible, name, pin)
 		}
 		free[idx].FreeCPU -= comp.CPU
 		free[idx].FreeMemoryMB -= comp.MemoryMB
@@ -366,7 +366,7 @@ func (*K3s) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, 
 	if rec != nil {
 		for _, name := range g.Components() {
 			if pin, pinned := assignment[name]; pinned {
-				rec.RecordExplanation(Explanation{Kind: ChoiceSchedule, Component: name, Chosen: pin})
+				rec.RecordExplanation(Explanation{Kind: choiceSchedule, Component: name, Chosen: pin})
 			}
 		}
 	}
@@ -391,27 +391,27 @@ func (*K3s) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, 
 		}
 		if best < 0 {
 			if rec != nil {
-				ex := Explanation{Kind: ChoiceSchedule, Component: name}
+				ex := Explanation{Kind: choiceSchedule, Component: name}
 				for _, n := range free {
-					ex.Candidates = append(ex.Candidates, CandidateScore{Node: n.Name, Rejection: RejectNoCapacity})
+					ex.Candidates = append(ex.Candidates, CandidateScore{Node: n.Name, Rejection: rejectNoCapacity})
 				}
 				rec.RecordExplanation(ex)
 			}
 			return nil, fmt.Errorf("%w: component %q (cpu=%.2f mem=%.0fMB)",
-				ErrInfeasible, name, comp.CPU, comp.MemoryMB)
+				errInfeasible, name, comp.CPU, comp.MemoryMB)
 		}
 		if rec != nil {
-			ex := Explanation{Kind: ChoiceSchedule, Component: name, Chosen: free[best].Name}
+			ex := Explanation{Kind: choiceSchedule, Component: name, Chosen: free[best].Name}
 			for _, n := range free {
 				cs := CandidateScore{Node: n.Name, Feasible: fits(n, comp)}
 				switch {
 				case !cs.Feasible:
-					cs.Rejection = RejectNoCapacity
+					cs.Rejection = rejectNoCapacity
 				case n.Name == free[best].Name:
 					cs.Score = k3sScore(n, comp)
 				default:
 					cs.Score = k3sScore(n, comp)
-					cs.Rejection = RejectOutscored
+					cs.Rejection = rejectOutscored
 				}
 				ex.Candidates = append(ex.Candidates, cs)
 			}

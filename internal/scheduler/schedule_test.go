@@ -23,7 +23,7 @@ func TestRankNodesPrefersCapacity(t *testing.T) {
 		{Name: "big", FreeCPU: 16, FreeMemoryMB: 65536, LinkCapacityMbps: 50},
 		{Name: "mid", FreeCPU: 8, FreeMemoryMB: 8192, LinkCapacityMbps: 30},
 	}
-	ranked := ScoreNodes(nodes)
+	ranked := scoreNodes(nodes)
 	want := []string{"big", "mid", "small"}
 	for i, r := range ranked {
 		if r.Node.Name != want[i] {
@@ -37,7 +37,7 @@ func TestRankNodesDeterministicTieBreak(t *testing.T) {
 		{Name: "b", FreeCPU: 4, FreeMemoryMB: 4096, LinkCapacityMbps: 20},
 		{Name: "a", FreeCPU: 4, FreeMemoryMB: 4096, LinkCapacityMbps: 20},
 	}
-	ranked := ScoreNodes(nodes)
+	ranked := scoreNodes(nodes)
 	if ranked[0].Node.Name != "a" {
 		t.Errorf("tie should break by name: got %q first", ranked[0].Node.Name)
 	}
@@ -104,7 +104,7 @@ func TestScheduleInfeasible(t *testing.T) {
 	g.MustAddComponent(dag.Component{Name: "huge", CPU: 64})
 	nodes := testNodes()
 	for _, policy := range []Policy{NewBass(HeuristicBFS), NewBass(HeuristicLongestPath), NewK3s()} {
-		if _, err := policy.Schedule(g, nodes, nil); !errors.Is(err, ErrInfeasible) {
+		if _, err := policy.Schedule(g, nodes, nil); !errors.Is(err, errInfeasible) {
 			t.Errorf("%s: want ErrInfeasible, got %v", policy.Name(), err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestScheduleHonorsPin(t *testing.T) {
 func TestSchedulePinToUnknownNode(t *testing.T) {
 	g := dag.NewGraph("app")
 	g.MustAddComponent(dag.Component{Name: "stuck", CPU: 1, Labels: dag.Pin("nowhere")})
-	if _, err := NewBass(HeuristicBFS).Schedule(g, testNodes(), nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := NewBass(HeuristicBFS).Schedule(g, testNodes(), nil); !errors.Is(err, errInfeasible) {
 		t.Errorf("want ErrInfeasible for pin to unknown node, got %v", err)
 	}
 }

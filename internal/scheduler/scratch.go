@@ -9,7 +9,7 @@ import (
 // ChooseMigrationTarget, ChooseFailoverTarget and Bass.Schedule — takes one
 // from choicePool at entry and returns it at exit, so a warm pass neither
 // copies nor allocates a per-node slice, and concurrent passes never share
-// one (ScoreNodes borrows one for its ranking too). The scoreboard a pass
+// one (scoreNodes borrows one for its ranking too). The scoreboard a pass
 // hands its Recorder lives here as well, which is why Explanation.Candidates
 // is valid only during RecordExplanation.
 type choiceScratch struct {
@@ -18,7 +18,7 @@ type choiceScratch struct {
 	skipped []CandidateScore // nodes filtered out before scoring
 	order   []int32          // stable sort permutation over cands or ranks
 	board   []CandidateScore // the scoreboard handed to the Recorder
-	ranks   []NodeRank       // packing scores, in node order
+	ranks   []nodeRank       // packing scores, in node order
 	free    []NodeInfo       // Bass.Schedule's packing view
 }
 

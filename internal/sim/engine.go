@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// ErrStopped is returned by Run when the engine was stopped explicitly.
-var ErrStopped = errors.New("sim: stopped")
+// errStopped is returned by Run when the engine was stopped explicitly.
+var errStopped = errors.New("sim: stopped")
 
 // Event is a scheduled callback.
 type event struct {
@@ -212,7 +212,7 @@ func (e *Engine) Run(until time.Duration) error {
 			break
 		}
 		if e.stopped {
-			return ErrStopped
+			return errStopped
 		}
 		next := e.queue[0]
 		if next.cancelled {

@@ -110,7 +110,7 @@ func TestStop(t *testing.T) {
 	count := 0
 	e.At(time.Second, func() { count++; e.Stop() })
 	e.At(2*time.Second, func() { count++ })
-	if err := e.Run(time.Minute); !errors.Is(err, ErrStopped) {
+	if err := e.Run(time.Minute); !errors.Is(err, errStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
 	if count != 1 {

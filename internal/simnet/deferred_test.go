@@ -375,3 +375,34 @@ func TestDeferredPassRunsCallbackMutations(t *testing.T) {
 		t.Errorf("follow-up transfer finished at %v, want %v (8 Mbit at 4 Mbps from 1s)", finished, want)
 	}
 }
+
+// TestCompletionCallbackReadsFreedShare: a finished transfer hands its share
+// of the link back before its completion callback runs, so a read inside the
+// callback sees its neighbours' new rates. An 8 Mbps stream beside a 1 MB
+// transfer on a 10 Mbps line gets 5 Mbps while the transfer runs and reads
+// its full 8 Mbps demand inside the transfer's callback.
+func TestCompletionCallbackReadsFreedShare(t *testing.T) {
+	eng, net := lineNet(t, 10)
+	stream, err := net.AddStream("stream", "a", "b", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	during, inCallback := -1.0, -1.0
+	if _, err := net.AddTransfer("xfer", "a", "b", 1e6, 0, func(TransferResult) {
+		if inCallback, err = net.StreamRate(stream); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.At(time.Second, func() { during, _ = net.StreamRate(stream) })
+	if err := eng.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if during != 5 {
+		t.Errorf("stream rate beside the transfer = %v Mbps, want the 5 Mbps fair share", during)
+	}
+	if inCallback != 8 {
+		t.Errorf("stream rate read in the transfer's completion callback = %v Mbps, want its 8 Mbps demand", inCallback)
+	}
+}

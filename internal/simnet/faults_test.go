@@ -146,7 +146,7 @@ func TestProbeErrorsAreTyped(t *testing.T) {
 	ab := mesh.MakeLinkID("a", "b")
 
 	net.SetProbeLoss(ab, true)
-	if _, err := p.ProbeCapacity(ab); !errors.Is(err, ErrProbeTimeout) {
+	if _, err := p.ProbeCapacity(ab); !errors.Is(err, errProbeTimeout) {
 		t.Errorf("lossy probe err = %v, want ErrProbeTimeout", err)
 	}
 	net.SetProbeLoss(ab, false)

@@ -16,8 +16,8 @@ var (
 	// ErrLinkUnreachable reports a probe across a link that is down or has a
 	// crashed endpoint.
 	ErrLinkUnreachable = errors.New("simnet: link unreachable")
-	// ErrProbeTimeout reports a probe lost to measurement-plane packet loss.
-	ErrProbeTimeout = errors.New("simnet: probe timeout")
+	// errProbeTimeout reports a probe lost to measurement-plane packet loss.
+	errProbeTimeout = errors.New("simnet: probe timeout")
 )
 
 // Prober adapts the simulated network to the netmon.Prober interface
@@ -44,7 +44,7 @@ func (p *Prober) directions(id mesh.LinkID) (*linkState, *linkState, error) {
 		return nil, nil, fmt.Errorf("probe %s: %w", id, ErrLinkUnreachable)
 	}
 	if p.n.probeLoss[id] {
-		return nil, nil, fmt.Errorf("probe %s: %w", id, ErrProbeTimeout)
+		return nil, nil, fmt.Errorf("probe %s: %w", id, errProbeTimeout)
 	}
 	return fwd, rev, nil
 }
@@ -92,7 +92,7 @@ func (p *Prober) ProbeSpareAll(visit func(id mesh.LinkID, spareMbps float64, err
 		case !n.topo.LinkAvailable(id):
 			visit(id, 0, fmt.Errorf("probe %s: %w", id, ErrLinkUnreachable))
 		case n.probeLoss[id]:
-			visit(id, 0, fmt.Errorf("probe %s: %w", id, ErrProbeTimeout))
+			visit(id, 0, fmt.Errorf("probe %s: %w", id, errProbeTimeout))
 		default:
 			visit(id, linkSpare(fwd, rev), nil)
 		}

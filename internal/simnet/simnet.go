@@ -56,7 +56,7 @@ import (
 
 // Sentinel errors.
 var (
-	ErrUnknownFlow = errors.New("simnet: unknown flow")
+	errUnknownFlow = errors.New("simnet: unknown flow")
 )
 
 // LocalMbps is the effective bandwidth between co-located components. The
@@ -67,11 +67,11 @@ const LocalMbps = 10_000
 // unboundedBps is the demand assigned to transfers without a rate cap.
 const unboundedBps = 1e15
 
-// DefaultMaxQueueSeconds bounds each link's fluid backlog to this many
+// defaultMaxQueueSeconds bounds each link's fluid backlog to this many
 // seconds of drain time at current capacity, modelling finite router buffers
 // plus application-level timeouts: sustained overload parks latency at the
 // cap instead of growing without bound.
-const DefaultMaxQueueSeconds = 30
+const defaultMaxQueueSeconds = 30
 
 // gridStep is the capacity sampling period: trace values are observed at
 // whole multiples of it past the Start time, in both drivers. It matches the
@@ -98,13 +98,13 @@ const compactDeadFlows = 32
 // FlowID identifies a stream or transfer.
 type FlowID uint64
 
-// Kind distinguishes flow types.
-type Kind int
+// kind distinguishes flow types.
+type kind int
 
 // Flow kinds.
 const (
-	KindStream Kind = iota + 1
-	KindTransfer
+	kindStream kind = iota + 1
+	kindTransfer
 )
 
 // dhop is one directed link traversal.
@@ -114,7 +114,7 @@ type dhop struct {
 
 type flow struct {
 	id   FlowID
-	kind Kind
+	kind kind
 	tag  string
 	ts   *tagState // the tag's entry in Network.tags
 	src  string
@@ -654,7 +654,7 @@ func (n *Network) settleBacklog(ls *linkState, now time.Duration) {
 	excess := ls.demandBps - ls.capacityBps
 	if excess > 0 {
 		ls.backlogBits += excess * dt
-		if maxBits := ls.capacityBps * DefaultMaxQueueSeconds; ls.backlogBits > maxBits {
+		if maxBits := ls.capacityBps * defaultMaxQueueSeconds; ls.backlogBits > maxBits {
 			ls.backlogBits = maxBits
 		}
 	} else if ls.backlogBits > 0 {
@@ -676,7 +676,7 @@ func (n *Network) backlogAt(ls *linkState, now time.Duration) float64 {
 	excess := ls.demandBps - ls.capacityBps
 	if excess > 0 {
 		b += excess * dt
-		if maxBits := ls.capacityBps * DefaultMaxQueueSeconds; b > maxBits {
+		if maxBits := ls.capacityBps * defaultMaxQueueSeconds; b > maxBits {
 			b = maxBits
 		}
 	} else if b > 0 {
@@ -771,7 +771,7 @@ func (n *Network) path(src, dst string) (*pathEntry, error) {
 func (n *Network) addFlow(f *flow) {
 	n.flows[f.id] = f
 	n.flowOrder = append(n.flowOrder, f) // ids are assigned in increasing order
-	if f.kind == KindTransfer {
+	if f.kind == kindTransfer {
 		n.transfers = append(n.transfers, f)
 	}
 	f.ts = n.tags[f.tag]
@@ -820,7 +820,7 @@ func (n *Network) removeFlow(f *flow) {
 	if i := slices.Index(f.ts.flows, f); i >= 0 {
 		f.ts.flows = slices.Delete(f.ts.flows, i, i+1)
 	}
-	if f.kind == KindTransfer {
+	if f.kind == kindTransfer {
 		if i, ok := slices.BinarySearchFunc(n.transfers, f.id, func(g *flow, id FlowID) int { return cmp.Compare(g.id, id) }); ok {
 			n.transfers = slices.Delete(n.transfers, i, i+1)
 		}
@@ -911,7 +911,7 @@ func (n *Network) ShedFlowsByTagPrefix(prefix string) int {
 			continue
 		}
 		shed++
-		if f.kind == KindTransfer {
+		if f.kind == kindTransfer {
 			n.failTransfer(f)
 			continue
 		}
@@ -958,7 +958,7 @@ func (n *Network) rerouteFlows() {
 		}
 		hops, err := n.route(f.src, f.dst)
 		if err != nil {
-			if f.kind == KindTransfer {
+			if f.kind == kindTransfer {
 				n.failTransfer(f)
 			} else {
 				n.parkFlow(f)
@@ -988,7 +988,7 @@ func (n *Network) parkFlow(f *flow) {
 	f.linkPath = f.linkPath[:0]
 	f.rateBps = 0
 	f.parked = true
-	if f.kind == KindTransfer && f.hasEvent {
+	if f.kind == kindTransfer && f.hasEvent {
 		n.eng.Cancel(f.completionEv)
 		f.hasEvent = false
 	}
@@ -1079,7 +1079,7 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 	n.nextID++
 	f := &flow{
 		id:        n.nextID,
-		kind:      KindStream,
+		kind:      kindStream,
 		tag:       tag,
 		src:       src,
 		dst:       dst,
@@ -1098,8 +1098,8 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 // reallocation).
 func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 	f, ok := n.flows[id]
-	if !ok || f.kind != KindStream {
-		return fmt.Errorf("%w: stream %d", ErrUnknownFlow, id)
+	if !ok || f.kind != kindStream {
+		return fmt.Errorf("%w: stream %d", errUnknownFlow, id)
 	}
 	if !validAmount(demandMbps * 1e6) {
 		return fmt.Errorf("simnet: stream %d: demand %v Mbps is not a finite non-negative rate", id, demandMbps)
@@ -1117,8 +1117,8 @@ func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 // RemoveStream deregisters a stream. Removing an unknown stream is an error.
 func (n *Network) RemoveStream(id FlowID) error {
 	f, ok := n.flows[id]
-	if !ok || f.kind != KindStream {
-		return fmt.Errorf("%w: stream %d", ErrUnknownFlow, id)
+	if !ok || f.kind != kindStream {
+		return fmt.Errorf("%w: stream %d", errUnknownFlow, id)
 	}
 	n.advanceProgress()
 	n.removeFlow(f)
@@ -1131,7 +1131,7 @@ func (n *Network) StreamRate(id FlowID) (float64, error) {
 	n.flush()
 	f, ok := n.flows[id]
 	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
+		return 0, fmt.Errorf("%w: %d", errUnknownFlow, id)
 	}
 	return f.rateBps / 1e6, nil
 }
@@ -1142,7 +1142,7 @@ func (n *Network) StreamLoss(id FlowID) (float64, error) {
 	n.flush()
 	f, ok := n.flows[id]
 	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
+		return 0, fmt.Errorf("%w: %d", errUnknownFlow, id)
 	}
 	if f.demandBps <= 0 {
 		return 0, nil
@@ -1178,7 +1178,7 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 	n.nextID++
 	f := &flow{
 		id:            n.nextID,
-		kind:          KindTransfer,
+		kind:          kindTransfer,
 		tag:           tag,
 		src:           src,
 		dst:           dst,
@@ -1201,8 +1201,8 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 func (n *Network) CancelTransfer(id FlowID) error {
 	n.flush() // a pending pass may finish the transfer before it is cancelled
 	f, ok := n.flows[id]
-	if !ok || f.kind != KindTransfer {
-		return fmt.Errorf("%w: transfer %d", ErrUnknownFlow, id)
+	if !ok || f.kind != kindTransfer {
+		return fmt.Errorf("%w: transfer %d", errUnknownFlow, id)
 	}
 	n.advanceProgress()
 	if f.hasEvent {
@@ -1236,7 +1236,7 @@ func (n *Network) advanceProgress() {
 			// a not-yet-allocated flow leaves no trace.
 			continue
 		}
-		if f.kind == KindTransfer {
+		if f.kind == kindTransfer {
 			if carried > f.remainingBits {
 				carried = f.remainingBits
 			}
@@ -1411,7 +1411,7 @@ func (n *Network) fullReallocate() {
 			f.rateBps = 0
 			continue
 		}
-		if f.kind == KindStream {
+		if f.kind == kindStream {
 			for _, ls := range f.linkPath {
 				ls.demandBps += f.demandBps
 			}
@@ -1446,7 +1446,7 @@ func (n *Network) fullReallocate() {
 // capped at their offered rate; transfers deliver at bus speed (rate caps
 // model network pacing, which does not apply in-process).
 func busRate(f *flow) float64 {
-	if f.kind == KindTransfer {
+	if f.kind == kindTransfer {
 		return LocalMbps * 1e6
 	}
 	return math.Min(f.demandBps, LocalMbps*1e6)
@@ -1744,8 +1744,10 @@ func (n *Network) completeTransfer(id FlowID) {
 		n.reallocate()
 		return
 	}
-	n.finishTransfer(f)
+	// Request the pass first, so a completion callback that reads sees the
+	// finished transfer's share already returned to its links.
 	n.reallocate()
+	n.finishTransfer(f)
 }
 
 func (n *Network) finishTransfer(f *flow) {

@@ -31,7 +31,7 @@ func (n *Network) LinkStats(from, to string) (LinkStats, error) {
 // cumulative counters.
 func (n *Network) inflightBits(f *flow, dt float64) float64 {
 	carried := f.rateBps * dt
-	if f.kind == KindTransfer && carried > f.remainingBits {
+	if f.kind == kindTransfer && carried > f.remainingBits {
 		carried = f.remainingBits
 	}
 	return carried
@@ -210,7 +210,7 @@ func (n *Network) ActiveFlows() (streams, transfers int) {
 		if f.gone {
 			continue
 		}
-		if f.kind == KindStream {
+		if f.kind == kindStream {
 			streams++
 		} else {
 			transfers++

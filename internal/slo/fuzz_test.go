@@ -20,7 +20,7 @@ var (
 	fuzzInterval = 30 * time.Second
 	// fuzzTiers adds a tier whose windows are not interval multiples, one of
 	// them shorter than an interval, to the default ladder.
-	fuzzTiers = append(DefaultTiers(), Tier{Name: "blip", Short: 10 * time.Second, Long: 45 * time.Second, Burn: 1})
+	fuzzTiers = append(defaultTiers(), Tier{Name: "blip", Short: 10 * time.Second, Long: 45 * time.Second, Burn: 1})
 )
 
 const fuzzMaxTicks = 400

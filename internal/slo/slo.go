@@ -105,10 +105,10 @@ type Tier struct {
 	Burn float64 `json:"burn"`
 }
 
-// DefaultTiers returns the two-tier page/ticket ladder from the SRE
+// defaultTiers returns the two-tier page/ticket ladder from the SRE
 // workbook, scaled to fit simulation horizons: a fast burn pages within a
 // couple of epochs, a slow burn files a ticket.
-func DefaultTiers() []Tier {
+func defaultTiers() []Tier {
 	return []Tier{
 		{Name: "page", Short: time.Minute, Long: 5 * time.Minute, Burn: 14.4},
 		{Name: "ticket", Short: 5 * time.Minute, Long: 30 * time.Minute, Burn: 6},
@@ -120,7 +120,7 @@ type Config struct {
 	// Interval is the evaluation epoch — one SLI verdict per spec per
 	// interval (default 30s; core wires its MonitorInterval).
 	Interval time.Duration
-	// Tiers is the burn-rate ladder (default DefaultTiers).
+	// Tiers is the burn-rate ladder (default defaultTiers).
 	Tiers []Tier
 }
 
@@ -129,7 +129,7 @@ func (c Config) withDefaults() Config {
 		c.Interval = 30 * time.Second
 	}
 	if len(c.Tiers) == 0 {
-		c.Tiers = DefaultTiers()
+		c.Tiers = defaultTiers()
 	}
 	return c
 }

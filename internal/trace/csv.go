@@ -44,13 +44,13 @@ func (t *Trace) SaveCSV(path string) (err error) {
 	return t.WriteCSV(f)
 }
 
-// ReadCSV parses a trace from "offset_seconds,mbps" rows. A header row is
+// readCSV parses a trace from "offset_seconds,mbps" rows. A header row is
 // skipped if present. Offsets carry millisecond resolution (WriteCSV prints
 // three decimals), so the sampling step is the gap between the first two
 // rows rounded to the millisecond, and every later gap must be positive and
 // within 1 ms of it; a single-row trace gets a 1 s step. Capacities must be
 // finite and non-negative. Errors name the offending data row.
-func ReadCSV(name string, r io.Reader) (*Trace, error) {
+func readCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	recs, err := cr.ReadAll()
@@ -63,7 +63,7 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 		}
 	}
 	if len(recs) == 0 {
-		return nil, ErrEmptyTrace
+		return nil, errEmptyTrace
 	}
 	out := &Trace{Name: name, Step: time.Second}
 	var prev time.Duration
@@ -111,5 +111,5 @@ func LoadCSV(path string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: open %q: %w", path, err)
 	}
 	defer f.Close()
-	return ReadCSV(path, f)
+	return readCSV(path, f)
 }

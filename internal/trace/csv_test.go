@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// badCSV are inputs ReadCSV must reject, each with the row its error names
+// badCSV are inputs readCSV must reject, each with the row its error names
 // (TestReadCSVErrors); they also seed FuzzReadCSV.
 var badCSV = []struct{ in, row string }{
 	{"0,abc\n", "row 0"},
@@ -45,7 +45,7 @@ func FuzzReadCSV(f *testing.F) {
 		f.Add(c.in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadCSV("f", strings.NewReader(in))
+		tr, err := readCSV("f", strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -62,7 +62,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := tr.WriteCSV(&out); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadCSV("f", &out)
+		back, err := readCSV("f", &out)
 		if err != nil {
 			t.Fatalf("re-reading WriteCSV output: %v\n%s", err, out.String())
 		}

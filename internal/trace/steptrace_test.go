@@ -57,7 +57,7 @@ func stepModel(step, total time.Duration, levels []Level) model {
 }
 
 // fromSamples builds a trace from samples through the constructors' shared
-// samples→runs helper, the path of Generate, ReadCSV and RollingMean.
+// samples→runs helper, the path of Generate, readCSV and RollingMean.
 func fromSamples(name string, step time.Duration, xs ...float64) *Trace {
 	t := &Trace{Name: name, Step: step}
 	for _, v := range xs {

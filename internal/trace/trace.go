@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// ErrEmptyTrace is returned by operations that need at least one sample.
-var ErrEmptyTrace = errors.New("trace: empty trace")
+// errEmptyTrace is returned by operations that need at least one sample.
+var errEmptyTrace = errors.New("trace: empty trace")
 
 // Trace is a time-ordered series of link capacity samples in Mbps, spaced
 // Step apart starting at offset zero. It stores the run-length encoding of
@@ -184,12 +184,12 @@ type Summary struct {
 	DurationSec float64
 }
 
-// Summarize computes the trace summary. It returns ErrEmptyTrace for an
+// Summarize computes the trace summary. It returns errEmptyTrace for an
 // empty trace.
 func (t *Trace) Summarize() (Summary, error) {
 	xs := t.Samples()
 	if len(xs) == 0 {
-		return Summary{}, ErrEmptyTrace
+		return Summary{}, errEmptyTrace
 	}
 	m := mean(xs)
 	std := stdDev(xs)

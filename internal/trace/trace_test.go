@@ -177,7 +177,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV("rt", &buf)
+	back, err := readCSV("rt", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,27 +212,27 @@ func TestCSVFileRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("x", bytes.NewBufferString("")); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := readCSV("x", bytes.NewBufferString("")); !errors.Is(err, errEmptyTrace) {
 		t.Errorf("empty: %v", err)
 	}
-	if _, err := ReadCSV("x", bytes.NewBufferString("offset_s,mbps\n")); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := readCSV("x", bytes.NewBufferString("offset_s,mbps\n")); !errors.Is(err, errEmptyTrace) {
 		t.Errorf("header only: %v", err)
 	}
 	for _, c := range badCSV {
-		_, err := ReadCSV("x", strings.NewReader(c.in))
+		_, err := readCSV("x", strings.NewReader(c.in))
 		if err == nil || !strings.Contains(err.Error(), c.row) {
 			t.Errorf("ReadCSV(%q) = %v, want an error naming %s", c.in, err, c.row)
 		}
 	}
 	// Offsets printed to 3 decimals wobble by up to 1 ms around the step.
-	tr, err := ReadCSV("x", strings.NewReader("0.000,1\n0.333,1\n0.667,2\n1.000,3\n"))
+	tr, err := readCSV("x", strings.NewReader("0.000,1\n0.333,1\n0.667,2\n1.000,3\n"))
 	if err != nil || tr.Step != 333*time.Millisecond || tr.Len() != 4 {
 		t.Fatalf("1/3 s trace: %+v, %v", tr, err)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := (&Trace{Name: "x", Step: time.Second}).Summarize(); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := (&Trace{Name: "x", Step: time.Second}).Summarize(); !errors.Is(err, errEmptyTrace) {
 		t.Errorf("want ErrEmptyTrace, got %v", err)
 	}
 }

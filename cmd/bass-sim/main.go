@@ -14,11 +14,14 @@
 // order, so the report is byte-identical whatever the worker count.
 //
 // A config is one JSON object; its keys are scenario.Spec's JSON fields,
-// documented there. -example prints this starter:
+// documented there. "apps" lists the applications deployed, in order: a
+// "camera", "socialnet", "videoconf" or "stream" entry each ("app": "K" is
+// shorthand for [{"K": {}}]). -example prints this starter, Table 2's
+// camera feed entering the mesh at node2:
 //
-//	{"topology": "citylab", "app": "camera", "scheduler": "bfs",
-//	 "horizonSec": 600, "seed": 42, "migration": true,
-//	 "monitorIntervalSec": 30}
+//	{"topology": "citylab", "scheduler": "bfs", "horizonSec": 600,
+//	 "seed": 42, "migration": true, "monitorIntervalSec": 30,
+//	 "apps": [{"camera": {"frameKB": 30, "pinCamera": "node2"}}]}
 //
 // "faults" lists explicit fault events and "chaos" arms the seeded generator;
 // either adds a recovery report (detections, failovers, MTTR). "reconcile"
@@ -31,8 +34,9 @@
 // trace-event JSON for Perfetto.
 //
 // Every config is decoded and validated before anything runs: an unknown
-// key, a negative size or rate, an unknown name, or a node the topology
-// lacks is an error naming the file and the key.
+// key, a negative size or rate, seconds too large for a duration, an
+// unknown name, a malformed apps entry, or a node the topology lacks is an
+// error naming the file and the key.
 package main
 
 import (
@@ -45,9 +49,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 
 	"bass/internal/core"
+	"bass/internal/experiments"
 	"bass/internal/faults"
 	"bass/internal/metricstore"
 	"bass/internal/obs"
@@ -58,7 +62,7 @@ import (
 func exampleScenario() scenario.Spec {
 	return scenario.Spec{
 		Topology:           "citylab",
-		App:                "camera",
+		Apps:               []scenario.App{{Camera: &scenario.Camera{FrameKB: 30, PinCamera: "node2"}}},
 		Scheduler:          "bfs",
 		HorizonSec:         600,
 		Seed:               42,
@@ -155,46 +159,33 @@ func loadScenario(path string) (scenario.Spec, error) {
 	return sc, nil
 }
 
-// executeAll runs every spec across a bounded worker pool, buffering each
-// run's output and flushing in input order so reports are deterministic.
-func executeAll(specs []runSpec, workers int, stdout io.Writer) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	outputs := make([]bytes.Buffer, len(specs))
-	errs := make([]error, len(specs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = executeObserved(specs[i].sc, &outputs[i], specs[i].eventsPath, specs[i].metricsPath)
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+// runOutput is one run's buffered report and error.
+type runOutput struct {
+	report bytes.Buffer
+	err    error
+}
 
+// executeAll runs every spec on the experiments' ordered worker pool,
+// buffering each run's output and flushing in input order so reports are
+// deterministic.
+func executeAll(specs []runSpec, workers int, stdout io.Writer) error {
+	outputs := experiments.Ordered(specs, workers, func(s runSpec) *runOutput {
+		o := &runOutput{}
+		o.err = executeObserved(s.sc, &o.report, s.eventsPath, s.metricsPath)
+		return o
+	}, nil)
 	var firstErr error
 	for i, spec := range specs {
 		if len(specs) > 1 {
 			fmt.Fprintf(stdout, "=== %s ===\n", spec.label)
 		}
-		if _, err := io.Copy(stdout, &outputs[i]); err != nil {
+		if _, err := io.Copy(stdout, &outputs[i].report); err != nil {
 			return err
 		}
-		if errs[i] != nil {
-			fmt.Fprintf(stdout, "error: %v\n", errs[i])
+		if err := outputs[i].err; err != nil {
+			fmt.Fprintf(stdout, "error: %v\n", err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", spec.label, errs[i])
+				firstErr = fmt.Errorf("%s: %w", spec.label, err)
 			}
 		}
 		if len(specs) > 1 {
@@ -206,8 +197,7 @@ func executeAll(specs []runSpec, workers int, stdout io.Writer) error {
 
 // executeObserved runs one scenario; non-empty eventsPath/metricsPath attach
 // the observability plane and write the decision journal (JSONL) and metric
-// dump (JSON) after the run. Runs without either path attach nothing, so
-// their output bytes — and hot paths — are identical to earlier releases.
+// dump (JSON) after the run. Runs without either path attach nothing.
 func executeObserved(sc scenario.Spec, out io.Writer, eventsPath, metricsPath string) error {
 	sc.Journal, sc.Metrics = eventsPath != "", metricsPath != ""
 	run, err := scenario.Build(sc)
@@ -314,8 +304,6 @@ func reportSLO(ev *slo.Evaluator, out io.Writer) {
 }
 
 // reportRecovery prints the failure-handling summary for runs with faults.
-// Runs without a fault schedule never reach here, so fault-free scenario
-// output is byte-identical to earlier releases.
 func reportRecovery(sim *core.Simulation, sched *faults.Schedule, out io.Writer) {
 	var parts []string
 	for _, c := range sched.Counts() {
@@ -340,20 +328,30 @@ func reportRecovery(sim *core.Simulation, sched *faults.Schedule, out io.Writer)
 	}
 }
 
-// reportApp writes the deployed application's metrics.
+// reportApp writes each deployed application's metrics: the paper
+// applications, then the streams in entry order.
 func reportApp(run *scenario.Run, out io.Writer) {
-	switch {
-	case run.Camera != nil:
+	if run.Camera != nil {
 		published, sampled, annotated, dropped := run.Camera.Counters()
 		fmt.Fprintf(out, "camera: %s\n", run.Camera.Latency().Histogram().Summary())
 		fmt.Fprintf(out, "frames: published=%d sampled=%d annotated=%d dropped=%d\n",
 			published, sampled, annotated, dropped)
-	case run.Social != nil:
+	}
+	if run.Social != nil {
 		fmt.Fprintf(out, "socialnet (%d requests): %s\n", run.Social.Requests(), run.Social.Latency().Histogram().Summary())
-	case run.Video != nil:
+	}
+	if run.Video != nil {
 		for _, s := range run.Video.StatsByNode() {
 			fmt.Fprintf(out, "videoconf %s: median=%.2f Mbps mean=%.2f Mbps loss=%.1f%% (%d clients)\n",
 				s.Node, s.MedianBitrateMbps, s.MeanBitrateMbps, 100*s.MeanLossFrac, s.Clients)
+		}
+	}
+	for _, s := range run.Streams {
+		achieved, required, cross := s.Measure()
+		fmt.Fprintf(out, "stream %s: %.2f of %.2f Mbps delivered at the horizon, %d cross-node edges\n",
+			s.Graph().AppName, achieved, required, cross)
+		if g := s.Goodput(); g != nil {
+			fmt.Fprintf(out, "  goodput mean=%.3f over %d samples\n", g.Mean(), g.Len())
 		}
 	}
 }

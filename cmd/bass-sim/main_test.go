@@ -55,12 +55,10 @@ func TestExecuteSocialnetOnLAN(t *testing.T) {
 	sc := scenario.Spec{
 		Topology:   "lan",
 		LANNodes:   3,
-		App:        "socialnet",
+		Apps:       []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 20, ClientNode: "node3"}}},
 		Scheduler:  "longest-path",
 		HorizonSec: 60,
 		Seed:       1,
-		RPS:        20,
-		ClientNode: "node3",
 	}
 	if err := execute(sc, io.Discard); err != nil {
 		t.Fatal(err)
@@ -69,12 +67,11 @@ func TestExecuteSocialnetOnLAN(t *testing.T) {
 
 func TestExecuteVideoconf(t *testing.T) {
 	sc := scenario.Spec{
-		Topology:            "citylab",
-		App:                 "videoconf",
-		Scheduler:           "bfs",
-		HorizonSec:          60,
-		Seed:                1,
-		ParticipantsPerNode: 2,
+		Topology:   "citylab",
+		Apps:       []scenario.App{{Videoconf: &scenario.Videoconf{ParticipantsPerNode: 2}}},
+		Scheduler:  "bfs",
+		HorizonSec: 60,
+		Seed:       1,
 	}
 	if err := execute(sc, io.Discard); err != nil {
 		t.Fatal(err)
@@ -88,15 +85,14 @@ func TestExecuteVideoconf(t *testing.T) {
 // rate to declared demand, so intermittent frame transfers read as bad.)
 func TestExecuteWithSLO(t *testing.T) {
 	sc := scenario.Spec{
-		Topology:            "lan",
-		LANNodes:            3,
-		App:                 "videoconf",
-		Scheduler:           "bfs",
-		HorizonSec:          300,
-		Seed:                42,
-		Migration:           true,
-		SLO:                 true,
-		ParticipantsPerNode: 2,
+		Topology:   "lan",
+		LANNodes:   3,
+		Apps:       []scenario.App{{Videoconf: &scenario.Videoconf{ParticipantsPerNode: 2}}},
+		Scheduler:  "bfs",
+		HorizonSec: 300,
+		Seed:       42,
+		Migration:  true,
+		SLO:        true,
 	}
 	var out bytes.Buffer
 	if err := execute(sc, &out); err != nil {
@@ -220,17 +216,44 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"horizonSec": -5`, "horizonSec"},
 		{`"lanNodes": -2`, "lanNodes"},
 		{`"lanNodeCPU": -4`, "lanNodeCPU"},
-		{`"rps": -10`, "rps"},
-		{`"publishMbps": -1`, "publishMbps"},
+		{`"apps": [{"socialnet": {"rps": -10}}]`, "rps"},
+		{`"apps": [{"videoconf": {"publishMbps": -1}}]`, "publishMbps"},
+		{`"apps": [{"videoconf": {"clients": {"node2": -3}}}]`, "clients"},
+		{`"apps": [{"camera": {"frameKB": -30}}]`, "frameKB"},
+		{`"apps": [{"camera": {"pinCamera": "node9"}}]`, "pinCamera"},
+		{`"apps": [{"stream": {"name": "s", "components": [{"name": "a", "cpu": -1}]}}]`, "cpu"},
+		{`"apps": [{"stream": {"name": "s", "components": [{"name": "a", "pin": "node9"}]}}]`, "pin"},
+		{`"apps": [{"stream": {"name": "s", "components": [{"name": "a"}], "edges": [{"from": "a", "to": "b", "mbps": 1}]}}]`, "edge"},
+		{`"apps": [{}]`, "apps[0]"},
+		{`"apps": [{"camera": {}, "socialnet": {}}]`, "apps[0]"},
+		{`"apps": [{"camera": {}}, {"camera": {}}]`, "apps[1]"},
+		{`"app": "camera", "apps": [{"camera": {}}]`, "app"},
 		{`"monitorIntervalSec": -30`, "monitorIntervalSec"},
 		{`"batchK": -1`, "batchK"},
 		{`"chaos": {"protected": ["ghost"]}`, "protected"},
 		{`"chaos": {"linkFlapsPerHour": -6}`, "linkFlapsPerHour"},
-		{`"clientNode": "nodeX"`, "clientNode"},
+		{`"apps": [{"socialnet": {"clientNode": "nodeX"}}]`, "clientNode"},
 		{`"faults": [{"atSec": 5, "type": "node-crash", "node": "node9"}]`, "faults"},
 		{`"app": "pacman"`, "app"},
 		{`"scheduler": "random"`, "scheduler"},
 		{`"topology": "moon"`, "topology"},
+	} {
+		checkRejected(t, c.extra, c.key)
+	}
+}
+
+// TestRunRejectsOverflowingSeconds: seconds whose nanoseconds overflow a
+// time.Duration would wrap to a short or negative time (a horizon that runs
+// zero frames, a fault that fires at once), so they fail validation, naming
+// the key.
+func TestRunRejectsOverflowingSeconds(t *testing.T) {
+	for _, c := range []struct{ extra, key string }{
+		{`"horizonSec": 10000000000`, "horizonSec"},
+		{`"monitorIntervalSec": 10000000000`, "monitorIntervalSec"},
+		{`"faults": [{"atSec": 1e300, "type": "node-crash", "node": "node2"}]`, "faults[0].atSec"},
+		{`"chaos": {"nodeCrashesPerHour": 1, "meanNodeDowntimeSec": 1e300}`, "meanNodeDowntimeSec"},
+		{`"chaos": {"linkFlapsPerHour": 1, "meanLinkDowntimeSec": 1e300}`, "meanLinkDowntimeSec"},
+		{`"chaos": {"probeLossWindowsPerHour": 1, "meanProbeLossWindowSec": 1e300}`, "meanProbeLossWindowSec"},
 	} {
 		checkRejected(t, c.extra, c.key)
 	}
@@ -297,11 +320,10 @@ func TestRunMultipleConfigs(t *testing.T) {
 	cam.HorizonSec = 30
 	lan := scenario.Spec{
 		Topology:   "lan",
-		App:        "socialnet",
+		Apps:       []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 10}}},
 		Scheduler:  "lp",
 		HorizonSec: 30,
 		Seed:       5,
-		RPS:        10,
 	}
 	p1, p2 := writeScenario(t, cam), writeScenario(t, lan)
 	var out strings.Builder
@@ -464,6 +486,30 @@ var scenarioContracts = []scenarioContract{
 		wantLines: []string{"reconcile: converged=true drift=0 "},
 		causes:    obs.CauseCounts{Drifts: 6},
 	},
+	{
+		// The camera pipeline and then a pinned producer→consumer stream,
+		// whose direct link goes down for three minutes: the pair reroutes.
+		name: "apps",
+		scenario: `{
+  "topology": "lan", "lanNodes": 4, "scheduler": "bfs", "horizonSec": 600, "seed": 3,
+  "migration": true, "monitorIntervalSec": 30,
+  "apps": [
+    {"camera": {}},
+    {"stream": {"name": "pair", "sampleGoodput": true,
+      "components": [{"name": "producer", "cpu": 1, "pin": "node1"},
+                     {"name": "consumer", "cpu": 1, "pin": "node4"}],
+      "edges": [{"from": "producer", "to": "consumer", "mbps": 5}]}}
+  ],
+  "faults": [
+    {"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node4"},
+    {"atSec": 300, "type": "link-up", "linkA": "node1", "linkB": "node4"}
+  ]
+}`,
+		stdout:     "9030bbba8b2df54602ab1200229b7c9cc6f8c2b26f543d52251ba923c2fa5b88",
+		journal:    "dc619d6babdeb5bf06fa3e80b36314ec68031edde7b3a1c9cd8823d9ea9d3d1a",
+		wantLines:  []string{"camera: ", "stream pair: ", "faults: link-down=1 link-up=1"},
+		wantEvents: []string{`"app":"pair"`, `"type":"fault"`},
+	},
 }
 
 // TestScenarioContracts runs each row once through the CLI with -events-out
@@ -489,11 +535,10 @@ func TestEventsOutDeterministic(t *testing.T) {
 	})
 }
 
-// TestTraceOutDeterministicAcrossDrivers runs the crash scenario with
-// -events-out and converts the journal as bass-trace convert does: the
-// Chrome trace equals the golden captured when bass-sim still had -polling
-// and both network drivers produced these bytes (then via -trace-out).
-func TestTraceOutDeterministicAcrossDrivers(t *testing.T) {
+// TestTraceOutDeterministic runs the crash scenario with -events-out and
+// converts the journal as bass-trace convert does: the Chrome trace equals
+// its golden.
+func TestTraceOutDeterministic(t *testing.T) {
 	checkContract(t, scenarioContract{
 		scenario:  crashScenario,
 		stdout:    "aebe7f76d9f5ff3a37407edbd575847984ea5af144b00df039e8f000f00d144d",

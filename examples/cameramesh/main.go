@@ -11,8 +11,6 @@ import (
 	"log"
 	"os"
 
-	"bass/internal/apps/camera"
-	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
 	"bass/internal/scheduler"
@@ -29,24 +27,21 @@ func run(w io.Writer) error {
 		scheduler.NewBass(scheduler.HeuristicBFS),
 		scheduler.NewK3s(),
 	} {
-		// The camera is physically attached at node2; 30 KB frames at 30 fps
-		// press on node2's volatile 7.62 Mbps link unless the sampler is
-		// co-located.
-		app, err := camera.New(camera.Config{FrameKB: 30, PinCamera: mesh.CityLabNode2})
-		if err != nil {
-			return err
-		}
 		r, err := scenario.Build(scenario.Spec{
 			Topology:    "citylab",
 			Policy:      policy,
 			ReservedCPU: 1,
-			Deploy:      []core.Workload{app},
-			HorizonSec:  600,
-			Seed:        42,
+			// The camera is physically attached at node2; 30 KB frames at
+			// 30 fps press on node2's volatile 7.62 Mbps link unless the
+			// sampler is co-located.
+			Apps:       []scenario.App{{Camera: &scenario.Camera{FrameKB: 30, PinCamera: mesh.CityLabNode2}}},
+			HorizonSec: 600,
+			Seed:       42,
 		})
 		if err != nil {
 			return err
 		}
+		app := r.Camera
 		fmt.Fprintf(w, "== %s ==\n", policy.Name())
 		for _, comp := range app.Graph().Components() {
 			fmt.Fprintf(w, "  %-16s -> %s\n", comp, r.Sim.Cluster.NodeOf("camera", comp))

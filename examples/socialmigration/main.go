@@ -41,10 +41,7 @@ func run(w io.Writer) error {
 		Migration:          true,
 		MonitorIntervalSec: 30,
 		MigrationDowntime:  4300 * time.Millisecond,
-		App:                "socialnet",
-		RPS:                400,
-		Bursty:             true,
-		ProfileRPS:         400,
+		Apps:               []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 400, Bursty: true, ProfileRPS: 400}}},
 		HorizonSec:         int(horizon / time.Second),
 		Seed:               42,
 	})

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -71,6 +72,61 @@ func countExported(m *module) counts {
 		}
 	}
 	return c
+}
+
+// size is the surface and line counts the first output line reports.
+type size struct {
+	configFields, specGoOnly, specKeys, lines int
+}
+
+func (s size) String() string {
+	return fmt.Sprintf("core.Config fields %d, scenario.Spec Go-only fields %d and JSON keys %d, non-test Go lines %d",
+		s.configFields, s.specGoOnly, s.specKeys, s.lines)
+}
+
+// measureSize counts core.Config's fields, scenario.Spec's fields tagged
+// json:"-" and its JSON keys, and the lines of the non-test files in
+// internal/ (the audit itself excluded), cmd/ and examples/. A struct the
+// module lacks counts 0.
+func measureSize(m *module) size {
+	var s size
+	if st := m.structType("internal/core", "Config"); st != nil {
+		s.configFields = st.NumFields()
+	}
+	if st := m.structType("internal/scenario", "Spec"); st != nil {
+		for i := 0; i < st.NumFields(); i++ {
+			if reflect.StructTag(st.Tag(i)).Get("json") == "-" {
+				s.specGoOnly++
+			} else {
+				s.specKeys++
+			}
+		}
+	}
+	for _, d := range m.dirs {
+		top, _, _ := strings.Cut(d.rel, "/")
+		if top != "internal" && top != "cmd" && top != "examples" || d.rel == "internal/audit" {
+			continue
+		}
+		for _, f := range d.files {
+			s.lines += m.fset.File(f.Pos()).LineCount()
+		}
+	}
+	return s
+}
+
+// structType is the struct type the package at rel (below the module root)
+// declares as name, or nil.
+func (m *module) structType(rel, name string) *types.Struct {
+	d := m.byPath[m.path+"/"+rel]
+	if d == nil || d.plain == nil {
+		return nil
+	}
+	obj := d.plain.pkg.Scope().Lookup(name)
+	if obj == nil {
+		return nil
+	}
+	st, _ := obj.Type().Underlying().(*types.Struct)
+	return st
 }
 
 // exportScope lists the exported top-level names of the audited packages

@@ -20,8 +20,10 @@
 //
 // Every finding needs a line in internal/audit/keep.txt, and every line
 // there must still be a finding; otherwise the command lists the difference
-// and exits 1. It also prints the exported names in internal/ by kind, the
-// count CHANGES.md entries quote.
+// and exits 1. Its first line prints the counts CHANGES.md entries quote:
+// the exported names in internal/ by kind, the fields of core.Config, the
+// Go-only fields and JSON keys of scenario.Spec, and the non-test Go lines
+// in internal/ (audit excluded), cmd/ and examples/.
 package main
 
 import (
@@ -88,7 +90,7 @@ func audit(root, keepPath string, w io.Writer) ([]problem, error) {
 		return nil, err
 	}
 	found := map[string][]string{"export": exportScope(m), "reach": reach, "knob": knobs(m)}
-	fmt.Fprintf(w, "exported names in internal/: %v\n", countExported(m))
+	fmt.Fprintf(w, "exported names in internal/: %v; %v\n", countExported(m), measureSize(m))
 	var problems []problem
 	for _, c := range checks {
 		kept := 0

@@ -189,16 +189,14 @@ func reconcileCrashRun(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// goldenReconcileJournal is the SHA-256 of reconcileCrashRun's journal,
-// captured when the polling network driver was still selectable here and both
-// drivers produced these bytes.
+// goldenReconcileJournal is the SHA-256 of reconcileCrashRun's journal.
 const goldenReconcileJournal = "9fca8d80708f481633f5c31a184940bd3afc68f8c0736d4b3a6b6ba2b0d58f35"
 
-// TestReconcileJournalIdenticalAcrossDrivers extends the determinism contract
-// to the reconciler: at equal seeds the full decision journal — drift,
-// actions, convergence, gauges — is byte-identical run to run, and equal to
-// the journal both network drivers once agreed on.
-func TestReconcileJournalIdenticalAcrossDrivers(t *testing.T) {
+// TestReconcileJournalGolden extends the determinism contract to the
+// reconciler: at equal seeds the full decision journal — drift, actions,
+// convergence, gauges — is byte-identical run to run, and equal to its
+// golden.
+func TestReconcileJournalGolden(t *testing.T) {
 	first := reconcileCrashRun(t)
 	if second := reconcileCrashRun(t); !bytes.Equal(first, second) {
 		t.Fatalf("reconcile journals differ at equal seeds: %d vs %d bytes", len(first), len(second))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bass/internal/cluster"
-	"bass/internal/core"
 	"bass/internal/faults"
 	"bass/internal/mesh"
 	"bass/internal/obs"
@@ -152,13 +151,13 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 			nodes = append(nodes, cluster.Node{Name: mesh.GridNodeName(r, c), CPU: 8, MemoryMB: 16384})
 		}
 	}
-	var pairs []*pairApp
-	var deploy []core.Workload
+	// Both ends of every pair are pinned, so rerouting-induced congestion,
+	// not a migration, is the only response to a link fault, keeping each
+	// SLI degradation window aligned with its injected fault window.
+	var pairs []scenario.App
 	for r := 0; r < rows; r++ {
 		for i := 0; i < 4; i++ {
-			p := newPinnedPairApp(fmt.Sprintf("pair-r%d-%d", r, i), 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1)
-			pairs = append(pairs, p)
-			deploy = append(deploy, p)
+			pairs = append(pairs, pair(fmt.Sprintf("pair-r%d-%d", r, i), 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1))
 		}
 	}
 	sched := alertStorm(o.Seed, o.Horizon)
@@ -172,7 +171,7 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 		SLO:                true,
 		Journal:            true,
 		Faults:             sched.Events,
-		Deploy:             deploy,
+		Apps:               pairs,
 		HorizonSec:         int(o.Horizon / time.Second),
 		Seed:               o.Seed,
 	})
@@ -186,7 +185,7 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 		JournalSummary: obs.Summarize(run.Journal.Events()),
 	}
 	goodput := 0.0
-	for _, p := range pairs {
+	for _, p := range run.Streams {
 		goodput += p.Goodput().Mean()
 	}
 	res.MeanGoodput = goodput / float64(len(pairs))

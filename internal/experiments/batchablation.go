@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"bass/internal/apps/stream"
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/mesh"
@@ -17,6 +18,27 @@ import (
 // density. Migration is disabled so the comparison isolates initial
 // placement: whatever goodput a mode reaches, it reached by choosing nodes,
 // not by repairing choices later.
+
+// pipe is the placement-ablation workload: a pipeline in→f1→f2→f3→out with
+// two skip edges (in→f2, f2→out at 40% of the main demand), so no single
+// chain ordering satisfies every edge and placement quality decides goodput.
+// The pinned endpoints are ingress/egress taps that use no CPU, so a pin
+// always fits and all capacity pressure lives on the movable middles.
+func pipe(name string, demandMbps float64, pinSrc, pinDst string) scenario.App {
+	in, f1, f2, f3, out := "in-"+name, "f1-"+name, "f2-"+name, "f3-"+name, "out-"+name
+	skip := 0.4 * demandMbps
+	return scenario.App{Stream: &stream.Config{
+		Name: name,
+		Components: []stream.Component{
+			{Name: in, Pin: pinSrc}, {Name: f1, CPU: 0.25}, {Name: f2, CPU: 0.25}, {Name: f3, CPU: 0.25}, {Name: out, Pin: pinDst},
+		},
+		Edges: []stream.Edge{
+			{From: in, To: f1, Mbps: demandMbps}, {From: f1, To: f2, Mbps: demandMbps},
+			{From: f2, To: f3, Mbps: demandMbps}, {From: f3, To: out, Mbps: demandMbps},
+			{From: in, To: f2, Mbps: skip}, {From: f2, To: out, Mbps: skip},
+		},
+	}}
+}
 
 // batchAblationOptions sizes one placement-ablation run.
 type batchAblationOptions struct {
@@ -97,8 +119,7 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 	// city-crossing.
 	const demand = 12.0
 	rng := rand.New(rand.NewSource(opts.Seed * 31))
-	apps := make([]*streamApp, 0, opts.Apps)
-	deploy := make([]core.Workload, 0, opts.Apps)
+	apps := make([]scenario.App, 0, opts.Apps)
 	for i := 0; i < opts.Apps; i++ {
 		sr, sc := rng.Intn(rows), rng.Intn(cols)
 		var dr, dc int
@@ -115,9 +136,7 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 			}
 		}
 		d := demand * (0.8 + 0.4*rng.Float64())
-		app := newPipeApp(fmt.Sprintf("pipe-%04d", i), d, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc))
-		apps = append(apps, app)
-		deploy = append(deploy, app)
+		apps = append(apps, pipe(fmt.Sprintf("pipe-%04d", i), d, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc)))
 	}
 
 	run, err := complete(scenario.Spec{
@@ -126,7 +145,7 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 		// Migration off: the ablation isolates initial placement quality.
 		MonitorIntervalSec: 30,
 		Batch:              opts.Batch,
-		Deploy:             deploy,
+		Apps:               apps,
 		HorizonSec:         int(horizon / time.Second),
 		Seed:               opts.Seed,
 	})
@@ -136,8 +155,8 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 
 	var achieved, required float64
 	cross := 0
-	for _, app := range apps {
-		a, r, c := app.measure()
+	for _, app := range run.Streams {
+		a, r, c := app.Measure()
 		achieved += a
 		required += r
 		cross += c

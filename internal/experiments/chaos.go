@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bass/internal/apps/stream"
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/faults"
@@ -41,13 +42,29 @@ type chaosResult struct {
 	JournalSummary string
 }
 
+// pair is the two-component stream of the paper's Fig 8: a producer
+// streaming mbps to a consumer, each requesting cpu cores, pinned where
+// pinSrc and pinDst name a node, with its goodput sampled each second
+// (Run.Streams' Goodput).
+func pair(name string, mbps float64, pinSrc, pinDst string, cpu float64) scenario.App {
+	return scenario.App{Stream: &stream.Config{
+		Name: name,
+		Components: []stream.Component{
+			{Name: "producer", CPU: cpu, Pin: pinSrc},
+			{Name: "consumer", CPU: cpu, Pin: pinDst},
+		},
+		Edges:         []stream.Edge{{From: "producer", To: "consumer", Mbps: mbps}},
+		SampleGoodput: true,
+	}}
+}
+
 // stormRig is the fault-storm testbed, shared by chaos and longevity: a
-// camera pipeline plus pair (an 8 Mbps component pair, deployed second) on
-// a full mesh of 16-core nodes joined by 25 Mbps links, BFS placement with
+// camera pipeline and then an unpinned 8 Mbps pair (Run.Streams[0]) on a
+// full mesh of 16-core nodes joined by 25 Mbps links, BFS placement with
 // migration, 30 s probe sweeps (crash detection after 3 failed sweeps), a
 // 5 s migration downtime and the decision journal attached. Those jobs set
 // the node count, faults and reconciliation.
-func stormRig(nodes int, seed int64, horizon time.Duration, pair *pairApp) scenario.Spec {
+func stormRig(nodes int, seed int64, horizon time.Duration) scenario.Spec {
 	names := make([]string, nodes)
 	cl := make([]cluster.Node, nodes)
 	for i := range names {
@@ -57,8 +74,7 @@ func stormRig(nodes int, seed int64, horizon time.Duration, pair *pairApp) scena
 	return scenario.Spec{
 		Topo:               mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute),
 		Nodes:              cl,
-		App:                "camera",
-		Deploy:             []core.Workload{pair},
+		Apps:               []scenario.App{{Camera: &scenario.Camera{}}, pair("pair", 8, "", "", 2)},
 		Scheduler:          "bfs",
 		Migration:          true,
 		MonitorIntervalSec: 30,
@@ -93,19 +109,19 @@ func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
-	pair := newPairApp("pair", 8, "", 2)
-	spec := stormRig(4, seed, horizon, pair)
+	spec := stormRig(4, seed, horizon)
 	spec.Faults = stormFaults(spec.Topo, seed, horizon, 6).Events
 	r, err := complete(spec)
 	if err != nil {
 		return chaosResult{}, err
 	}
 
+	goodput := r.Streams[0].Goodput()
 	res := chaosResult{
 		Horizon:         horizon,
 		EventCounts:     r.Faults.Counts(),
 		Report:          r.Sim.Orch.RecoveryReport(),
-		MeanGoodput:     pair.Goodput().Mean(),
+		MeanGoodput:     goodput.Mean(),
 		FailedTransfers: r.Sim.Net.FailedTransfers(),
 		Migrations:      len(r.Sim.Orch.Migrations()),
 		JournalSummary:  obs.Summarize(r.Journal.Events()),
@@ -113,7 +129,7 @@ func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 	published, _, _, dropped := r.Camera.Counters()
 	res.FramesPublished = published
 	res.FramesLost = dropped
-	pts := pair.Goodput().Points()
+	pts := goodput.Points()
 	if len(pts) > 0 {
 		ok := 0
 		for _, p := range pts {

@@ -68,7 +68,7 @@ func runFig11(seed int64, rates []float64) (fig11Result, error) {
 func runFig11Cell(seed int64, policy scheduler.Policy, restricted bool, rps float64, horizon time.Duration) (*scenario.Run, error) {
 	spec := socialLAN(4, rps, seed)
 	spec.Policy = policy
-	spec.ProfileRPS = 300
+	spec.Apps[0].Socialnet.ProfileRPS = 300
 	spec.HorizonSec = int(horizon / time.Second)
 	r, err := scenario.Build(spec)
 	if err != nil {

@@ -65,13 +65,11 @@ func runFig12(seed int64, intervals []int) (fig12Result, error) {
 			Migration:          interval > 0,
 			MonitorIntervalSec: interval,
 			MigrationDowntime:  25 * time.Second,
-			App:                "videoconf",
-			VideoClients:       map[string]int{"node1": 4, "node3": 5},
-			PublishMbps:        publish,
-			Publishers:         1,
-			InitialNode:        "node2",
-			HorizonSec:         int(horizon / time.Second),
-			Seed:               seed,
+			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+				Clients: map[string]int{"node1": 4, "node3": 5}, PublishMbps: publish, Publishers: 1, InitialNode: "node2",
+			}}},
+			HorizonSec: int(horizon / time.Second),
+			Seed:       seed,
 		})
 		if err != nil {
 			return out, err

@@ -43,7 +43,7 @@ type fig13Result struct {
 // migrated components.
 func throttledLAN(seed int64, intervalSec int, packLimit float64) (*scenario.Run, error) {
 	spec := socialLAN(3, 400, seed)
-	spec.ProfileRPS = 400
+	spec.Apps[0].Socialnet.ProfileRPS = 400
 	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(packLimit))
 	spec.Migration = intervalSec > 0
 	spec.MonitorIntervalSec = intervalSec

@@ -69,18 +69,17 @@ func runFig15b(seed int64) (fig15Result, error) {
 		// downtime amortises (§6.3.2's take-away).
 		ctrlCfg.ReMigrationInterval = 5 * time.Minute
 		r, err := complete(scenario.Spec{
-			Scheduler:           "bfs",
-			Controller:          ctrlCfg,
-			Migration:           s.threshold > 0,
-			MonitorIntervalSec:  30,
-			MigrationDowntime:   20 * time.Second,
-			ReservedCPU:         1,
-			App:                 "videoconf",
-			ParticipantsPerNode: 3,
-			PublishMbps:         0.5,
-			InitialNode:         mesh.CityLabNode4,
-			HorizonSec:          int(horizon / time.Second),
-			Seed:                seed,
+			Scheduler:          "bfs",
+			Controller:         ctrlCfg,
+			Migration:          s.threshold > 0,
+			MonitorIntervalSec: 30,
+			MigrationDowntime:  20 * time.Second,
+			ReservedCPU:        1,
+			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+				ParticipantsPerNode: 3, PublishMbps: 0.5, InitialNode: mesh.CityLabNode4,
+			}}},
+			HorizonSec: int(horizon / time.Second),
+			Seed:       seed,
 		})
 		if err != nil {
 			return out, err

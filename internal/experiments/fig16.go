@@ -30,7 +30,7 @@ func runFig16(seed int64, thresholds []int) (fig16Result, error) {
 		spec := citySocial(seed)
 		spec.Migration = true
 		spec.Controller = thresholdController(float64(th)/100, 0.2*20) // 20% of a 20 Mbps-class link
-		spec.Bursty = true
+		spec.Apps[0].Socialnet.Bursty = true
 		r, err := complete(spec)
 		if err != nil {
 			return out, err

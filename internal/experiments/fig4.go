@@ -41,16 +41,14 @@ func runFig4(seed int64, participants []int, publishMbps float64) (fig4Result, e
 			return out, err
 		}
 		r, err := complete(scenario.Spec{
-			Topo:         topo,
-			Nodes:        scenario.LANNodes(3, 16, 131072),
-			Scheduler:    "bfs",
-			App:          "videoconf",
-			VideoClients: map[string]int{"node3": p},
-			PublishMbps:  publishMbps,
-			Publishers:   1,
-			InitialNode:  "node2",
-			HorizonSec:   3 * 60,
-			Seed:         seed,
+			Topo:      topo,
+			Nodes:     scenario.LANNodes(3, 16, 131072),
+			Scheduler: "bfs",
+			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+				Clients: map[string]int{"node3": p}, PublishMbps: publishMbps, Publishers: 1, InitialNode: "node2",
+			}}},
+			HorizonSec: 3 * 60,
+			Seed:       seed,
 		})
 		if err != nil {
 			return out, err

@@ -75,7 +75,6 @@ func runFig8(seed int64) (fig8Result, error) {
 		HeadroomMbps:         4, // ≈20% of the 25 Mbps link, per the paper
 	}
 	ctrlCfg.Cooldown = 30 * time.Second
-	app := newPairApp("pair", 8, mesh.CityLabNode3, 2)
 	r, err := complete(scenario.Spec{
 		Topo:               topo,
 		Nodes:              nodes,
@@ -85,7 +84,7 @@ func runFig8(seed int64) (fig8Result, error) {
 		MonitorIntervalSec: 30,
 		MigrationDowntime:  10 * time.Second,
 		Journal:            true,
-		Deploy:             []core.Workload{app},
+		Apps:               []scenario.App{pair("pair", 8, mesh.CityLabNode3, "", 2)},
 		HorizonSec:         int(horizon / time.Second),
 		Seed:               seed,
 	})
@@ -94,7 +93,7 @@ func runFig8(seed int64) (fig8Result, error) {
 	}
 
 	at := func(t time.Duration) float64 {
-		v, _ := app.Goodput().At(t)
+		v, _ := r.Streams[0].Goodput().At(t)
 		return v
 	}
 	res := fig8Result{

@@ -24,7 +24,7 @@ func pinDigest(t *testing.T, what, text, want string) {
 	}
 }
 
-func TestFig8OutputIdenticalAcrossDrivers(t *testing.T) {
+func TestFig8OutputGolden(t *testing.T) {
 	r, err := runFig8(42)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestFig8OutputIdenticalAcrossDrivers(t *testing.T) {
 		"3ac3f110c4449b0d334b11c07759f20a685c4735f9a79866640f65f6f2afca8d")
 }
 
-func TestTable2OutputIdenticalAcrossDrivers(t *testing.T) {
+func TestTable2OutputGolden(t *testing.T) {
 	r, err := runTable2(42, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestTable2OutputIdenticalAcrossDrivers(t *testing.T) {
 		"24dbcc3b71e42a95a0a0c079aff2a9b648e2d440eae59518d0ddcdd8dc410e9a")
 }
 
-func TestChaosOutputIdenticalAcrossDrivers(t *testing.T) {
+func TestChaosOutputGolden(t *testing.T) {
 	r, err := runChaos(42, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func runLongevity(seed int64, horizon time.Duration) (longevityResult, []obs.Eve
 	waveLen := horizon / longevityWaves
 	storm := waveLen / 2 // quiet second half: detection + re-convergence room
 
-	spec := stormRig(6, seed, horizon, newPairApp("pair", 8, "", 2))
+	spec := stormRig(6, seed, horizon)
 	spec.Reconcile = true
 	// Each wave draws its own seeded storm over [0, storm) and is clamped so
 	// every window closes inside the storm — the wave's quiet half starts

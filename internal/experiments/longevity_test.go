@@ -57,10 +57,10 @@ func TestLongevityReconvergesAfterEveryWave(t *testing.T) {
 	}
 }
 
-// TestLongevityJournalIdenticalAcrossDrivers pins the determinism contract
-// for the soak: the seed-7 decision journal equals, byte for byte, the one the
-// event-driven and polling network drivers both produced (see golden_test.go).
-func TestLongevityJournalIdenticalAcrossDrivers(t *testing.T) {
+// TestLongevityJournalGolden pins the determinism contract for the soak: the
+// seed-7 decision journal equals its golden byte for byte (see
+// golden_test.go).
+func TestLongevityJournalGolden(t *testing.T) {
 	_, events, err := runLongevity(7, 40*time.Minute)
 	if err != nil {
 		t.Fatal(err)

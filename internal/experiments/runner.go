@@ -220,25 +220,25 @@ func Replicate(names []string, seed int64, replicas int, quick bool) []Run {
 	return runs
 }
 
-// ExecuteStream runs every Run across a bounded worker pool and returns
-// results in input order. workers <= 0 defaults to GOMAXPROCS. Because jobs
-// are pure functions of Params and aggregation is by submission index, the
-// returned results — and anything rendered from them — are byte-identical
-// whatever the worker count. emit (if non-nil) is called on the caller's
-// goroutine, once per run, strictly in input order, as soon as each result
-// and all its predecessors are ready.
+// ExecuteStream runs every Run on Ordered's pool. Because jobs are pure
+// functions of Params and aggregation is by submission index, the returned
+// results — and anything rendered from them — are byte-identical whatever
+// the worker count.
 func ExecuteStream(runs []Run, workers int, emit func(Result)) []Result {
+	return Ordered(runs, workers, execute, emit)
+}
+
+// Ordered calls do on every task across a bounded worker pool and returns
+// the results in input order. workers <= 0 defaults to GOMAXPROCS. emit (if
+// non-nil) is called on the caller's goroutine, once per task, strictly in
+// input order, as soon as each result and all its predecessors are ready.
+func Ordered[T, R any](tasks []T, workers int, do func(T) R, emit func(R)) []R {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	results := make([]Result, len(runs))
-	if len(runs) == 0 {
-		return results
-	}
-	ready := make([]chan struct{}, len(runs))
+	workers = min(workers, len(tasks))
+	results := make([]R, len(tasks))
+	ready := make([]chan struct{}, len(tasks))
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
@@ -249,18 +249,18 @@ func ExecuteStream(runs []Run, workers int, emit func(Result)) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = execute(runs[i])
+				results[i] = do(tasks[i])
 				close(ready[i])
 			}
 		}()
 	}
 	go func() {
-		for i := range runs {
+		for i := range tasks {
 			idx <- i
 		}
 		close(idx)
 	}()
-	for i := range runs {
+	for i := range tasks {
 		<-ready[i]
 		if emit != nil {
 			emit(results[i])

@@ -19,9 +19,7 @@ import (
 // interval, arrivals and horizon.
 func citySocial(seed int64) scenario.Spec {
 	return scenario.Spec{
-		App:               "socialnet",
-		RPS:               150,
-		ClientNode:        mesh.CityLabControl,
+		Apps:              []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 150, ClientNode: mesh.CityLabControl}}},
 		MigrationDowntime: 4300 * time.Millisecond,
 		ReservedCPU:       1,
 		HorizonSec:        20 * 60,
@@ -40,9 +38,7 @@ func socialLAN(n int, rps float64, seed int64) scenario.Spec {
 		LANNodeCPU:   8,
 		LANNodeMemMB: 12288,
 		ClientHost:   fmt.Sprintf("node%d", n+1),
-		App:          "socialnet",
-		RPS:          rps,
-		Bursty:       true,
+		Apps:         []scenario.App{{Socialnet: &scenario.Socialnet{RPS: rps, Bursty: true}}},
 		Seed:         seed,
 	}
 }

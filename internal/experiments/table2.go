@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/apps/camera"
-	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
 	"bass/internal/scheduler"
@@ -50,14 +48,6 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 			if err != nil {
 				return out, err
 			}
-			// The camera feed enters the mesh at node2 (a physical camera on
-			// a pole), and the 30 KB frames (≈7.2 Mbps) press on node2's
-			// volatile 7.62 Mbps link unless the sampler is co-located —
-			// which is exactly what the bandwidth-aware heuristics do.
-			app, err := camera.New(camera.Config{FrameKB: 30, PinCamera: mesh.CityLabNode2})
-			if err != nil {
-				return out, err
-			}
 			// Migration is disabled to isolate initial-placement effects;
 			// the paper likewise observed zero migrations in this workload.
 			r, err := complete(scenario.Spec{
@@ -65,14 +55,19 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 				Nodes:       CityLabWorkers(),
 				Policy:      policy,
 				ReservedCPU: 1,
-				Deploy:      []core.Workload{app},
-				HorizonSec:  int(horizon / time.Second),
-				Seed:        seed,
+				// The camera feed enters the mesh at node2 (a physical camera
+				// on a pole), and the 30 KB frames (≈7.2 Mbps) press on
+				// node2's volatile 7.62 Mbps link unless the sampler is
+				// co-located — which is exactly what the bandwidth-aware
+				// heuristics do.
+				Apps:       []scenario.App{{Camera: &scenario.Camera{FrameKB: 30, PinCamera: mesh.CityLabNode2}}},
+				HorizonSec: int(horizon / time.Second),
+				Seed:       seed,
 			})
 			if err != nil {
 				return out, err
 			}
-			h := app.Latency().Histogram()
+			h := r.Camera.Latency().Histogram()
 			out.Cells = append(out.Cells, table2Cell{
 				Scheduler:  policy.Name(),
 				Varying:    varying,

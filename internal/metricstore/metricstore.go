@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -148,6 +149,9 @@ type Store struct {
 	series   map[string]*series
 	byMetric map[string]*metricIndex
 	dropped  uint64 // samples refused by the cardinality guard
+	// visited counts the samples window reads have examined: a work count
+	// for the complexity tests. Reads share the lock, so it is atomic.
+	visited atomic.Uint64
 }
 
 // index is a list of series in creation order. Series are never deleted, so
@@ -336,6 +340,11 @@ type StoreStats struct {
 	DroppedSamples uint64 `json:"dropped_samples"`
 }
 
+// SamplesVisited is how many samples window reads (AggOver and its
+// Selection twins) have walked after their binary search, over the store's
+// life.
+func (s *Store) SamplesVisited() uint64 { return s.visited.Load() }
+
 // Stats reports current cardinality and guard activity.
 func (s *Store) Stats() StoreStats {
 	s.mu.RLock()
@@ -443,16 +452,18 @@ func (a *Agg) foldSample(s Sample) {
 	a.Count++
 }
 
-// aggInto folds the series' samples in [from, to] into a, oldest first. The
-// fold starts at the first sample a walk of the whole ring would select and
-// stops at the first one past the window, so it visits exactly the samples
-// that walk selects, in the same order — sums are bit-equal to it. An
-// unordered ring is walked whole.
-func (sr *series) aggInto(a *Agg, from, to time.Time) {
+// aggInto folds the series' samples in [from, to] into a, oldest first, and
+// returns how many samples its walk took in after the search. The fold starts at
+// the first sample a walk of the whole ring would select and stops at the
+// first one past the window, so it visits exactly the samples that walk
+// selects, in the same order — sums are bit-equal to it. An unordered ring
+// is walked whole.
+func (sr *series) aggInto(a *Agg, from, to time.Time) (visited int) {
 	i := 0
 	if !sr.unordered {
 		i = sort.Search(sr.rawN, func(i int) bool { return !sr.rawAt(i).At.Before(from) })
 	}
+	start := i
 	for ; i < sr.rawN; i++ {
 		smp := sr.rawAt(i)
 		if smp.At.Before(from) || smp.At.After(to) {
@@ -463,19 +474,22 @@ func (sr *series) aggInto(a *Agg, from, to time.Time) {
 		}
 		a.foldSample(smp)
 	}
+	return i - start
 }
 
 // aggSeries is the one window fold behind every windowed read: the series of
 // srs matching selector, in slice (= creation) order, each folded over
 // [now-window, now]. Callers hold the store lock.
-func aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
+func (s *Store) aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
 	from := now.Add(-window)
 	var agg Agg
+	visited := 0
 	for _, sr := range srs {
 		if matchesLabels(sr.labels, selector) {
-			sr.aggInto(&agg, from, now)
+			visited += sr.aggInto(&agg, from, now)
 		}
 	}
+	s.visited.Add(uint64(visited))
 	return agg, agg.Count > 0
 }
 
@@ -491,7 +505,7 @@ func aggSeries(srs []*series, selector map[string]string, now time.Time, window 
 func (s *Store) AggOver(metric string, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return aggSeries(s.candidates(metric, selector), selector, now, window)
+	return s.aggSeries(s.candidates(metric, selector), selector, now, window)
 }
 
 // Selection is a pre-resolved (metric, selector) pair for repeated windowed
@@ -533,7 +547,7 @@ func (s *Store) Select(metric string, selector map[string]string) *Selection {
 func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
 	sel.s.mu.RLock()
 	defer sel.s.mu.RUnlock()
-	return aggSeries(sel.from.srs, sel.filter, now, window)
+	return sel.s.aggSeries(sel.from.srs, sel.filter, now, window)
 }
 
 // AvgOver is the mean of AggOver over the window.

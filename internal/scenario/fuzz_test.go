@@ -3,11 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"bass/internal/apps/stream"
 	"bass/internal/faults"
 )
 
@@ -30,21 +32,53 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"topology": "lan", "lanNodes": 4, "app": "camera", "scheduler": "bfs", "horizonSec": 900, "seed": 7,
 		  "migration": true, "monitorIntervalSec": 30, "slo": true,
 		  "faults": [{"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node2"}, {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}]}`,
-		`{"app": "socialnet", "rps": 20, "clientNode": "node0", "batch": true, "batchBudget": -1, "batchK": 2,
+		`{"apps": [{"socialnet": {"rps": 20, "clientNode": "node0"}}], "batch": true, "batchBudget": -1, "batchK": 2,
 		  "chaos": {"probeLossWindowsPerHour": 2, "meanProbeLossWindowSec": 60, "protected": ["node0"]}}`,
-		`{"app": "videoconf", "participantsPerNode": 2, "publishMbps": 1.5, "reconcile": true,
+		`{"apps": [{"videoconf": {"participantsPerNode": 2, "publishMbps": 1.5}}], "reconcile": true,
 		  "faults": [{"atSec": 30, "type": "probe-loss-start", "linkA": "node2", "linkB": "node3"}]}`,
 		// Values Validate rejects.
 		`{"horizonSec": -5}`,
 		`{"topology": "lan", "lanNodes": -2}`,
 		`{"topology": "lan", "lanNodeCPU": -4}`,
-		`{"app": "socialnet", "rps": -10}`,
-		`{"app": "videoconf", "publishMbps": -1}`,
+		`{"apps": [{"socialnet": {"rps": -10}}]}`,
+		`{"apps": [{"videoconf": {"publishMbps": -1}}]}`,
 		`{"monitorIntervalSec": -30}`,
 		`{"chaos": {"protected": ["ghost"]}}`,
-		`{"app": "socialnet", "clientNode": "nodeX"}`,
+		`{"apps": [{"socialnet": {"clientNode": "nodeX"}}]}`,
 		`{"app": "pacman"}`,
 		`{"faults": [{"atSec": 5, "type": "node-crash", "node": "node1"}, {"atSec": 9, "type": "node-crash", "node": "node1"}]}`,
+		// Every apps entry kind with every key, and bass-sim's camera plus
+		// pinned stream pair contract.
+		`{"apps": [{"camera": {"frameKB": 30, "pinCamera": "node2"}}]}`,
+		`{"topology": "lan", "apps": [{"socialnet": {"rps": 400, "clientNode": "node3", "bursty": true, "profileRPS": 400}}]}`,
+		`{"apps": [{"videoconf": {"participantsPerNode": 3, "publishMbps": 0.5, "clients": {"node1": 4, "node3": 5},
+		  "publishers": 1, "initialNode": "node2"}}]}`,
+		`{"topology": "lan", "lanNodes": 4, "horizonSec": 600, "seed": 3, "migration": true, "apps": [{"camera": {}},
+		  {"stream": {"name": "pair", "components": [{"name": "producer", "cpu": 1, "pin": "node1"},
+		   {"name": "consumer", "cpu": 1, "pin": "node4"}], "edges": [{"from": "producer", "to": "consumer", "mbps": 5}],
+		   "sampleGoodput": true}}],
+		  "faults": [{"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node4"},
+		   {"atSec": 300, "type": "link-up", "linkA": "node1", "linkB": "node4"}]}`,
+		// Seconds whose nanoseconds overflow a time.Duration.
+		`{"topology": "lan", "app": "camera", "horizonSec": 10000000000}`,
+		`{"monitorIntervalSec": 10000000000}`,
+		`{"horizonSec": 120, "faults": [{"atSec": 1e300, "type": "node-crash", "node": "node2"}]}`,
+		`{"chaos": {"nodeCrashesPerHour": 1, "meanNodeDowntimeSec": 1e300}}`,
+		`{"chaos": {"linkFlapsPerHour": 1, "meanLinkDowntimeSec": 1e300}}`,
+		`{"chaos": {"probeLossWindowsPerHour": 1, "meanProbeLossWindowSec": 1e300}}`,
+		// Entries Validate rejects.
+		`{"apps": [{"camera": {"frameKB": -30}}]}`,
+		`{"apps": [{"videoconf": {"clients": {"node1": -2}, "publishers": -1}}]}`,
+		`{"apps": [{"videoconf": {"initialNode": "ghost"}}]}`,
+		`{"apps": [{"stream": {"name": "s", "components": [{"name": "a", "cpu": -1}]}}]}`,
+		`{"apps": [{"stream": {"name": "s", "components": [{"name": "a"}, {"name": "a"}]}}]}`,
+		`{"apps": [{"stream": {"name": "s", "components": [{"name": "a"}, {"name": "b"}],
+		  "edges": [{"from": "a", "to": "b", "mbps": 1}, {"from": "b", "to": "a", "mbps": 1}]}}]}`,
+		`{"apps": [{"stream": {"name": "", "components": [{"name": "a", "pin": "node1"}]}}]}`,
+		`{"apps": [{}]}`,
+		`{"apps": [{"camera": {}, "stream": {"name": "s", "components": [{"name": "a"}]}}]}`,
+		`{"apps": [{"socialnet": {}}, {"socialnet": {}}]}`,
+		`{"app": "camera", "apps": [{"camera": {}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -68,7 +102,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	})
 }
 
-// canonical treats an empty list as absent, as omitempty encodes it.
+// canonical treats an empty list or map as absent, as omitempty encodes
+// it.
 func canonical(s Spec) Spec {
 	if len(s.Faults) == 0 {
 		s.Faults = nil
@@ -78,12 +113,63 @@ func canonical(s Spec) Spec {
 		c.Protected = nil
 		s.Chaos = &c
 	}
+	s.Apps = slices.Clone(s.Apps)
+	for i, a := range s.Apps {
+		if a.Videoconf != nil && len(a.Videoconf.Clients) == 0 {
+			v := *a.Videoconf
+			v.Clients = nil
+			s.Apps[i].Videoconf = &v
+		}
+	}
 	return s
 }
 
 // checkAccepted fails unless an accepted spec keeps Validate's promises.
 func checkAccepted(t *testing.T, s Spec) {
 	t.Helper()
+	if s.App != "" || len(s.Apps) == 0 {
+		t.Fatalf("decoded spec keeps the app shorthand %q or deploys nothing: %+v", s.App, s.Apps)
+	}
+	var nodes []string
+	for i, a := range s.Apps {
+		kinds := 0
+		for _, k := range []any{a.Camera, a.Socialnet, a.Videoconf, a.Stream} {
+			if v := reflect.ValueOf(k); !v.IsNil() {
+				kinds++
+				checkAmounts(t, v.Elem())
+			}
+		}
+		if kinds != 1 {
+			t.Fatalf("apps[%d] sets %d kinds", i, kinds)
+		}
+		switch {
+		case a.Camera != nil:
+			nodes = append(nodes, a.Camera.PinCamera)
+		case a.Socialnet != nil:
+			nodes = append(nodes, a.Socialnet.ClientNode)
+		case a.Videoconf != nil:
+			nodes = append(nodes, a.Videoconf.InitialNode)
+			for n, k := range a.Videoconf.Clients {
+				if k < 0 {
+					t.Fatalf("accepted negative clients.%s = %d", n, k)
+				}
+				nodes = append(nodes, n)
+			}
+		case a.Stream != nil:
+			if _, err := stream.New(*a.Stream); err != nil {
+				t.Fatalf("accepted a malformed stream: %v", err)
+			}
+			for _, c := range a.Stream.Components {
+				nodes = append(nodes, c.Pin)
+			}
+		}
+		for j := range i {
+			if b := s.Apps[j]; a.Camera != nil && b.Camera != nil || a.Socialnet != nil && b.Socialnet != nil ||
+				a.Videoconf != nil && b.Videoconf != nil {
+				t.Fatalf("accepted a second paper app at apps[%d]", i)
+			}
+		}
+	}
 	v := reflect.ValueOf(s)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
@@ -101,10 +187,13 @@ func checkAccepted(t *testing.T, s Spec) {
 			}
 		}
 	}
+	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec)}
+	for _, e := range s.Faults {
+		secs = append(secs, e.AtSec)
+	}
 	if !slices.Contains([]string{"", "citylab", "lan"}, s.Topology) ||
-		!slices.Contains([]string{"camera", "socialnet", "videoconf"}, s.App) ||
 		!slices.Contains([]string{"", "bfs", "longest-path", "lp", "k3s"}, s.Scheduler) {
-		t.Fatalf("accepted unknown name: topology %q app %q scheduler %q", s.Topology, s.App, s.Scheduler)
+		t.Fatalf("accepted unknown name: topology %q scheduler %q", s.Topology, s.Scheduler)
 	}
 	if c := s.Chaos; c != nil {
 		for _, r := range []float64{c.NodeCrashesPerHour, c.MeanNodeDowntimeSec, c.LinkFlapsPerHour,
@@ -112,6 +201,12 @@ func checkAccepted(t *testing.T, s Spec) {
 			if r < 0 {
 				t.Fatalf("accepted negative chaos value in %+v", *c)
 			}
+		}
+		secs = append(secs, c.MeanNodeDowntimeSec, c.MeanLinkDowntimeSec, c.MeanProbeLossWindowSec)
+	}
+	for _, sec := range secs {
+		if time.Duration(sec*float64(time.Second)) < 0 || sec*float64(time.Second) >= math.MaxInt64 {
+			t.Fatalf("accepted %v s, which overflows a duration", sec)
 		}
 	}
 	if (&faults.Schedule{Events: s.Faults}).ValidateWindows(s.horizon()) != nil {
@@ -124,16 +219,35 @@ func checkAccepted(t *testing.T, s Spec) {
 	if err != nil {
 		t.Fatalf("accepted spec's topology fails to build: %v", err)
 	}
-	names := []string{s.ClientNode}
 	if s.Chaos != nil {
-		names = append(names, s.Chaos.Protected...)
+		nodes = append(nodes, s.Chaos.Protected...)
 	}
-	for _, n := range names {
+	for _, n := range nodes {
 		if n != "" && !topo.HasNode(n) {
 			t.Fatalf("accepted node %q missing from the topology", n)
 		}
 	}
 	if err := (&faults.Schedule{Events: s.Faults}).Validate(topo); err != nil {
 		t.Fatalf("accepted faults the topology rejects: %v", err)
+	}
+}
+
+// checkAmounts fails on a negative or non-finite number field of an apps
+// entry.
+func checkAmounts(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		var f float64
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int:
+			f = float64(fv.Int())
+		case reflect.Float64:
+			f = fv.Float()
+		default:
+			continue
+		}
+		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			t.Fatalf("accepted %s = %v in %s", v.Type().Field(i).Name, f, v.Type())
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 
 	"bass/internal/apps/camera"
 	"bass/internal/apps/socialnet"
+	"bass/internal/apps/stream"
 	"bass/internal/apps/videoconf"
 	"bass/internal/cluster"
 	"bass/internal/controller"
@@ -45,10 +47,13 @@ type Spec struct {
 	LANNodeCPU   float64 `json:"lanNodeCPU,omitempty"`
 	LANNodeMemMB float64 `json:"lanNodeMemMB,omitempty"`
 
-	// App is the paper application deployed: "camera", "socialnet" or
-	// "videoconf". Decode reads a missing app as "camera"; in Go an empty
-	// App deploys nothing.
-	App string `json:"app"`
+	// App is shorthand for a one-entry Apps list of that kind ("camera",
+	// "socialnet" or "videoconf") with every key at its default. A spec may
+	// give App or Apps, not both; Decode reads a spec with neither as
+	// camera, and in Go an empty list deploys nothing.
+	App string `json:"app,omitempty"`
+	// Apps are the applications deployed, in list order.
+	Apps []App `json:"apps,omitempty"`
 	// Scheduler is "bfs", "longest-path" (alias "lp", the default) or "k3s".
 	Scheduler string `json:"scheduler"`
 
@@ -75,16 +80,6 @@ type Spec struct {
 	BatchBudget int  `json:"batchBudget,omitempty"`
 	BatchK      int  `json:"batchK,omitempty"`
 
-	// Social network: constant arrivals at RPS (default 50) from ClientNode
-	// (default ClientHost, else node1).
-	RPS        float64 `json:"rps,omitempty"`
-	ClientNode string  `json:"clientNode,omitempty"`
-
-	// Video conferencing: ParticipantsPerNode (default 3) on every
-	// schedulable node, each publishing PublishMbps (default 0.5).
-	ParticipantsPerNode int     `json:"participantsPerNode,omitempty"`
-	PublishMbps         float64 `json:"publishMbps,omitempty"`
-
 	// Faults is an explicit fault schedule; Chaos arms the seeded generator
 	// over the horizon. The explicit list is window-validated before the
 	// generated events merge on top (the generator never overlaps windows
@@ -106,20 +101,6 @@ type Spec struct {
 	// ReservedCPU is held back on every node for the agent and daemons.
 	// Decode sets 1, as bass-sim always has.
 	ReservedCPU float64 `json:"-"`
-	// Bursty draws exponential rather than constant social arrivals;
-	// ProfileRPS is the rate the DAG's edge weights were profiled at
-	// (zero = the arrival rate).
-	Bursty     bool    `json:"-"`
-	ProfileRPS float64 `json:"-"`
-	// VideoClients, when set, places the participants instead of
-	// ParticipantsPerNode; Publishers limits who shares video (0 = all);
-	// InitialNode starts the SFU there, still migratable.
-	VideoClients map[string]int `json:"-"`
-	Publishers   int            `json:"-"`
-	InitialNode  string         `json:"-"`
-	// Deploy lists workloads deployed after App, in order, each under its
-	// graph's name.
-	Deploy []core.Workload `json:"-"`
 	// Journal and Metrics attach a decision journal and a metric store.
 	Journal bool `json:"-"`
 	Metrics bool `json:"-"`
@@ -138,10 +119,50 @@ type Chaos struct {
 	Protected               []string `json:"protected,omitempty"`
 }
 
+// App is one entry of Spec.Apps and sets exactly one kind. A spec deploys
+// at most one of each paper application and any number of streams.
+type App struct {
+	Camera    *Camera        `json:"camera,omitempty"`
+	Socialnet *Socialnet     `json:"socialnet,omitempty"`
+	Videoconf *Videoconf     `json:"videoconf,omitempty"`
+	Stream    *stream.Config `json:"stream,omitempty"`
+}
+
+// Camera is the camera pipeline: FrameKB-sized frames (default 25), the
+// camera stage pinned to PinCamera when set.
+type Camera struct {
+	FrameKB   float64 `json:"frameKB,omitempty"`
+	PinCamera string  `json:"pinCamera,omitempty"`
+}
+
+// Socialnet is the social network: constant arrivals at RPS (default 50),
+// exponential ones when Bursty, from ClientNode (default the spec's
+// ClientHost, else node1). ProfileRPS is the rate the DAG's edge weights
+// were profiled at (zero = the arrival rate).
+type Socialnet struct {
+	RPS        float64 `json:"rps,omitempty"`
+	ClientNode string  `json:"clientNode,omitempty"`
+	Bursty     bool    `json:"bursty,omitempty"`
+	ProfileRPS float64 `json:"profileRPS,omitempty"`
+}
+
+// Videoconf is video conferencing: ParticipantsPerNode (default 3) on every
+// schedulable node, or Clients participants per named node when given, each
+// publishing PublishMbps (default 0.5). Publishers limits who shares video
+// (0 = all); InitialNode starts the SFU there, still migratable.
+type Videoconf struct {
+	ParticipantsPerNode int            `json:"participantsPerNode,omitempty"`
+	PublishMbps         float64        `json:"publishMbps,omitempty"`
+	Clients             map[string]int `json:"clients,omitempty"`
+	Publishers          int            `json:"publishers,omitempty"`
+	InitialNode         string         `json:"initialNode,omitempty"`
+}
+
 // Decode reads one JSON scenario strictly: an unknown key or trailing data
 // is an error, so a typo such as "migraton" cannot silently run a different
-// scenario. A missing app means camera, and one core per node is reserved.
-// The result is validated.
+// scenario. "app" is rewritten into its one-entry "apps" list, a spec with
+// neither deploys camera, and one core per node is reserved. The result is
+// validated.
 func Decode(r io.Reader) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(r)
@@ -152,43 +173,78 @@ func Decode(r io.Reader) (Spec, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, fmt.Errorf("trailing data after the scenario object")
 	}
-	if s.App == "" {
+	if s.App == "" && len(s.Apps) == 0 {
 		s.App = "camera"
+	}
+	if err := s.expand(); err != nil {
+		return Spec{}, err
 	}
 	s.ReservedCPU = 1
 	return s, s.Validate()
 }
 
+// expand rewrites the App shorthand into its one-entry Apps list.
+func (s *Spec) expand() error {
+	if s.App == "" {
+		return nil
+	}
+	a, ok := map[string]App{"camera": {Camera: &Camera{}}, "socialnet": {Socialnet: &Socialnet{}},
+		"videoconf": {Videoconf: &Videoconf{}}}[s.App]
+	switch {
+	case !ok:
+		return fmt.Errorf("app: unknown %q", s.App)
+	case len(s.Apps) > 0:
+		return fmt.Errorf("app: %q given with apps; give one of the two", s.App)
+	}
+	s.App, s.Apps = "", []App{a}
+	return nil
+}
+
+// field is a number in a spec with the key an error names it by.
+type field struct {
+	key string
+	v   float64
+}
+
 // Validate rejects what a run would otherwise replace by a default or fail
 // on late: negative sizes, rates and intervals (a negative batchBudget is
-// legal), unknown topology, app or scheduler names, and nodes or links the
-// topology lacks. Errors name the key. It does not build the topology.
+// legal), seconds whose nanoseconds overflow a time.Duration, unknown
+// topology, app or scheduler names, a bad apps entry, and nodes or links
+// the topology lacks. Errors name the key. It does not build the topology.
 func (s Spec) Validate() error {
-	for _, f := range []struct {
-		key string
-		v   float64
-	}{
-		{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU},
-		{"lanNodeMemMB", s.LANNodeMemMB}, {"horizonSec", float64(s.HorizonSec)},
-		{"monitorIntervalSec", float64(s.MonitorIntervalSec)}, {"batchK", float64(s.BatchK)},
-		{"rps", s.RPS}, {"participantsPerNode", float64(s.ParticipantsPerNode)},
-		{"publishMbps", s.PublishMbps},
-	} {
+	if err := s.expand(); err != nil {
+		return err
+	}
+	secs := []field{{"horizonSec", float64(s.HorizonSec)}, {"monitorIntervalSec", float64(s.MonitorIntervalSec)}}
+	for i, e := range s.Faults {
+		secs = append(secs, field{fmt.Sprintf("faults[%d].atSec", i), e.AtSec})
+	}
+	if c := s.Chaos; c != nil {
+		secs = append(secs, field{"chaos.meanNodeDowntimeSec", c.MeanNodeDowntimeSec},
+			field{"chaos.meanLinkDowntimeSec", c.MeanLinkDowntimeSec}, field{"chaos.meanProbeLossWindowSec", c.MeanProbeLossWindowSec})
+	}
+	for _, f := range append([]field{{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU},
+		{"lanNodeMemMB", s.LANNodeMemMB}, {"batchK", float64(s.BatchK)}}, secs...) {
 		if f.v < 0 {
 			return fmt.Errorf("%s: %v is negative", f.key, f.v)
+		}
+	}
+	for _, f := range secs {
+		if f.v*float64(time.Second) >= math.MaxInt64 {
+			return fmt.Errorf("%s: %v s overflows a duration", f.key, f.v)
 		}
 	}
 	if s.Topo == nil && !slices.Contains([]string{"", "citylab", "lan"}, s.Topology) {
 		return fmt.Errorf("topology: unknown %q", s.Topology)
 	}
-	if !slices.Contains([]string{"", "camera", "socialnet", "videoconf"}, s.App) {
-		return fmt.Errorf("app: unknown %q", s.App)
-	}
 	if _, err := s.policy(); err != nil {
 		return err
 	}
-	if s.ClientNode != "" && !s.HasNode(s.ClientNode) {
-		return fmt.Errorf("clientNode: %q is not in the topology", s.ClientNode)
+	paper := map[string]bool{}
+	for i, a := range s.Apps {
+		if err := s.validateApp(a, paper); err != nil {
+			return fmt.Errorf("apps[%d]: %w", i, err)
+		}
 	}
 	explicit := &faults.Schedule{Events: s.Faults}
 	if err := cmp.Or(explicit.Validate(s), explicit.ValidateWindows(s.horizon())); err != nil {
@@ -203,6 +259,69 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("chaos: protected node %q is not in the topology", n)
 			}
 		}
+	}
+	return nil
+}
+
+// validateApp checks that an apps entry sets one kind, not a paper
+// application kind in paper (those earlier entries set), with finite
+// non-negative numbers, a well-formed stream and nodes the topology has.
+func (s Spec) validateApp(a App, paper map[string]bool) error {
+	var kinds []string
+	var nums []field
+	var nodes [][2]string // key, node
+	if c := a.Camera; c != nil {
+		kinds, nums = append(kinds, "camera"), append(nums, field{"frameKB", c.FrameKB})
+		nodes = append(nodes, [2]string{"pinCamera", c.PinCamera})
+	}
+	if c := a.Socialnet; c != nil {
+		kinds, nums = append(kinds, "socialnet"), append(nums, field{"rps", c.RPS}, field{"profileRPS", c.ProfileRPS})
+		nodes = append(nodes, [2]string{"clientNode", c.ClientNode})
+	}
+	if c := a.Videoconf; c != nil {
+		kinds = append(kinds, "videoconf")
+		nums = append(nums, field{"participantsPerNode", float64(c.ParticipantsPerNode)},
+			field{"publishMbps", c.PublishMbps}, field{"publishers", float64(c.Publishers)})
+		nodes = append(nodes, [2]string{"initialNode", c.InitialNode})
+		clients := make([]string, 0, len(c.Clients))
+		for n := range c.Clients {
+			clients = append(clients, n)
+		}
+		slices.Sort(clients) // the first bad client is the same every run
+		for _, n := range clients {
+			nums, nodes = append(nums, field{"clients." + n, float64(c.Clients[n])}), append(nodes, [2]string{"clients", n})
+		}
+	}
+	if c := a.Stream; c != nil {
+		kinds = append(kinds, "stream")
+		for _, comp := range c.Components {
+			nums, nodes = append(nums, field{comp.Name + ".cpu", comp.CPU}), append(nodes, [2]string{comp.Name + ".pin", comp.Pin})
+		}
+		for _, e := range c.Edges {
+			nums = append(nums, field{e.From + "->" + e.To + ".mbps", e.Mbps})
+		}
+	}
+	if len(kinds) != 1 {
+		return fmt.Errorf("want exactly one of camera, socialnet, videoconf or stream, got %v", kinds)
+	}
+	kind := kinds[0]
+	if kind != "stream" && paper[kind] {
+		return fmt.Errorf("a second %s entry", kind)
+	}
+	paper[kind] = true
+	for _, f := range nums {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s.%s: %v is negative or not finite", kind, f.key, f.v)
+		}
+	}
+	for _, n := range nodes {
+		if n[1] != "" && !s.HasNode(n[1]) {
+			return fmt.Errorf("%s.%s: %q is not in the topology", kind, n[0], n[1])
+		}
+	}
+	if a.Stream != nil {
+		_, err := stream.New(*a.Stream)
+		return err
 	}
 	return nil
 }
@@ -242,10 +361,12 @@ type Run struct {
 	Journal *obs.Journal       // nil unless Spec.Journal
 	Store   *metricstore.Store // nil unless Spec.Metrics or Spec.SLO
 	Faults  *faults.Schedule   // the injected schedule; nil without faults or chaos
-	// The App deployed; the other two are nil.
-	Camera *camera.App
-	Social *socialnet.App
-	Video  *videoconf.App
+	// The paper applications deployed, nil for a kind Apps lacks, and the
+	// streams in entry order.
+	Camera  *camera.App
+	Social  *socialnet.App
+	Video   *videoconf.App
+	Streams []*stream.App
 }
 
 // Complete runs the simulation to the horizon and closes it. Results stay
@@ -256,11 +377,12 @@ func (r *Run) Complete() error {
 }
 
 // Build validates the spec and wires its run in a fixed order: simulation,
-// observability, fault injection, App, then Deploy.
+// observability, fault injection, then the apps in list order.
 func Build(s Spec) (*Run, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	_ = s.expand() // Validate has checked the shorthand
 	r := &Run{Horizon: s.horizon()}
 	topo, nodes, err := s.topology(r.Horizon)
 	if err != nil {
@@ -312,48 +434,57 @@ func (r *Run) wire(s Spec) error {
 			return err
 		}
 	}
-	deploy := func(w core.Workload, at scheduler.Assignment) error {
+	for _, a := range s.Apps {
+		w, at, err := r.workload(s, a)
+		if err != nil {
+			return err
+		}
 		if _, err := r.Sim.Orch.DeployAt(w.Graph().AppName, w, at); err != nil {
 			return fmt.Errorf("deploy %s: %w", w.Graph().AppName, err)
 		}
-		return nil
 	}
+	return nil
+}
+
+// workload builds an apps entry's application, with the placement it
+// forces, and records it on the run.
+func (r *Run) workload(s Spec, a App) (core.Workload, scheduler.Assignment, error) {
 	var err error
-	switch s.App {
-	case "camera":
-		if r.Camera, err = camera.New(camera.Config{}); err == nil {
-			err = deploy(r.Camera, nil)
-		}
-	case "socialnet":
-		rps := cmp.Or(s.RPS, 50)
+	switch {
+	case a.Camera != nil:
+		r.Camera, err = camera.New(camera.Config{FrameKB: a.Camera.FrameKB, PinCamera: a.Camera.PinCamera})
+		return r.Camera, nil, err
+	case a.Socialnet != nil:
+		c := a.Socialnet
+		rps := cmp.Or(c.RPS, 50)
 		var arrival workload.Arrival = workload.Constant{PerSecond: rps}
-		if s.Bursty {
+		if c.Bursty {
 			arrival = workload.Exponential{MeanPerSecond: rps}
 		}
-		client := cmp.Or(s.ClientNode, s.ClientHost, mesh.CityLabNode1)
-		if r.Social, err = socialnet.New(socialnet.Config{ClientNode: client, Arrival: arrival, ProfileRPS: s.ProfileRPS}); err == nil {
-			err = deploy(r.Social, nil)
-		}
-	case "videoconf":
-		clients := s.VideoClients
-		if clients == nil {
+		client := cmp.Or(c.ClientNode, s.ClientHost, mesh.CityLabNode1)
+		r.Social, err = socialnet.New(socialnet.Config{ClientNode: client, Arrival: arrival, ProfileRPS: c.ProfileRPS})
+		return r.Social, nil, err
+	case a.Videoconf != nil:
+		c := a.Videoconf
+		clients := c.Clients
+		if len(clients) == 0 {
 			clients = make(map[string]int)
 			for _, n := range r.Sim.Cluster.SchedulableNodes() {
-				clients[n] = cmp.Or(s.ParticipantsPerNode, 3)
+				clients[n] = cmp.Or(c.ParticipantsPerNode, 3)
 			}
 		}
-		if r.Video, err = videoconf.New(videoconf.Config{ClientsPerNode: clients, PublishMbps: cmp.Or(s.PublishMbps, 0.5),
-			Publishers: s.Publishers, InitialNode: s.InitialNode}); err == nil {
-			err = deploy(r.Video, r.Video.InitialAssignment())
+		if r.Video, err = videoconf.New(videoconf.Config{ClientsPerNode: clients, PublishMbps: cmp.Or(c.PublishMbps, 0.5),
+			Publishers: c.Publishers, InitialNode: c.InitialNode}); err != nil {
+			return nil, nil, err
 		}
+		return r.Video, r.Video.InitialAssignment(), nil
 	}
-	for _, w := range s.Deploy {
-		if err != nil {
-			break
-		}
-		err = deploy(w, nil)
+	app, err := stream.New(*a.Stream)
+	if err != nil {
+		return nil, nil, err
 	}
-	return err
+	r.Streams = append(r.Streams, app)
+	return app, nil, nil
 }
 
 func (s Spec) horizon() time.Duration {

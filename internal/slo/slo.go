@@ -203,6 +203,9 @@ type Evaluator struct {
 	clock  []int64
 	base   int
 	trails []trail
+	// tailSteps counts the ticks every trail's tail has advanced past: a
+	// work count for the complexity tests.
+	tailSteps uint64
 
 	firing  int
 	firingH metricstore.Handle
@@ -357,6 +360,7 @@ func (e *Evaluator) advance(t int64) {
 		from := t - int64(tr.d)
 		for tr.tail < n && e.clock[tr.tail-e.base] < from {
 			tr.tail++
+			e.tailSteps++
 		}
 	}
 }

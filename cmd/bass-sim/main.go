@@ -23,6 +23,15 @@
 //	 "seed": 42, "migration": true, "monitorIntervalSec": 30,
 //	 "apps": [{"camera": {"frameKB": 30, "pinCamera": "node2"}}]}
 //
+// "links" shapes capacity before the run: each entry names a link ("a",
+// "b") or a node's "egress" and gives "mbps", "phases" or a "csv" trace
+// file, a relative path read from the config's directory. This replays a
+// tracegen (or measured) trace on CityLab's node2-node3 link:
+//
+//	tracegen -profile volatile -duration 20m -out volatile.csv
+//	{"topology": "citylab", "horizonSec": 1200, "app": "socialnet",
+//	 "links": [{"a": "node2", "b": "node3", "csv": "volatile.csv"}]}
+//
 // "faults" lists explicit fault events and "chaos" arms the seeded generator;
 // either adds a recovery report (detections, failovers, MTTR). "reconcile"
 // appends the reconciler's convergence summary and "slo" a budget/alert
@@ -33,10 +42,12 @@
 // metric series as JSON; `bass-trace convert` turns a journal into Chrome
 // trace-event JSON for Perfetto.
 //
-// Every config is decoded and validated before anything runs: an unknown
-// key, a negative size or rate, seconds too large for a duration, an
-// unknown name, a malformed apps entry, or a node the topology lacks is an
-// error naming the file and the key.
+// Every config is decoded and validated, and every trace file it cites
+// read, before anything runs: an unknown key, a negative size or rate,
+// seconds too large for a duration, an unknown name, a malformed apps or
+// links entry, a node or link the topology lacks, a pin on an unschedulable
+// node, or a missing or malformed trace file is an error naming the file
+// and the key (and a trace file's row).
 package main
 
 import (
@@ -125,7 +136,7 @@ func run(args []string, stdout io.Writer) error {
 	// Load and validate every config before running anything.
 	specs := make([]runSpec, 0, len(paths)**seeds)
 	for _, p := range paths {
-		sc, err := loadScenario(p)
+		sc, err := scenario.Load(p)
 		if err != nil {
 			return err
 		}
@@ -143,20 +154,6 @@ func run(args []string, stdout io.Writer) error {
 		specs[i].metricsPath = derivePath(*metricsOut, i, len(specs))
 	}
 	return executeAll(specs, *workers, stdout)
-}
-
-// loadScenario decodes and validates one scenario file (scenario.Decode).
-func loadScenario(path string) (scenario.Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	defer f.Close()
-	sc, err := scenario.Decode(f)
-	if err != nil {
-		return scenario.Spec{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
 }
 
 // runOutput is one run's buffered report and error.

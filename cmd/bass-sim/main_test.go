@@ -7,13 +7,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bass/internal/faults"
+	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
+	"bass/internal/trace"
 )
 
 // execute runs sc as bass-sim runs a config file: through its JSON and
@@ -188,7 +192,7 @@ func TestRunExample(t *testing.T) {
 	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadScenario(path); err != nil {
+	if _, err := scenario.Load(path); err != nil {
 		t.Fatalf("-example is not a valid scenario: %v\n%s", err, out.String())
 	}
 }
@@ -237,8 +241,35 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"app": "pacman"`, "app"},
 		{`"scheduler": "random"`, "scheduler"},
 		{`"topology": "moon"`, "topology"},
+		{`"migrationDowntimeSec": -4.3`, "migrationDowntimeSec"},
+		// Pins on CityLab's unschedulable control host.
+		{`"topology": "citylab", "apps": [{"camera": {"pinCamera": "node0"}}]`, "pinCamera"},
+		{`"topology": "citylab", "apps": [{"videoconf": {"initialNode": "node0"}}]`, "initialNode"},
+		{`"topology": "citylab", "apps": [{"stream": {"name": "s", "components": [{"name": "a", "pin": "node0"}]}}]`, "a.pin"},
+		{`"links": [{"a": "node1", "b": "node9", "mbps": 5}]`, "links[0]"},
+		{`"links": [{"egress": "node1", "mbps": 5}, {"a": "node2", "b": "node1", "mbps": 5}]`, "links[1]"},
+		{`"links": [{"egress": "node1", "mbps": 5, "csv": "t.csv"}]`, "links[0]"},
+		{`"links": [{"egress": "node1", "mbps": -5}]`, "links[0].mbps"},
+		{`"links": [{"egress": "node1", "phases": [{"durationSec": 0, "mbps": 5}]}]`, "links[0].phases[0].durationSec"},
 	} {
 		checkRejected(t, c.extra, c.key)
+	}
+}
+
+// TestRunRejectsBadTraceFiles: a links entry's missing or malformed CSV
+// fails the invocation before any config runs, naming the config, the key,
+// the trace file and, for a bad row, the row.
+func TestRunRejectsBadTraceFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "bad.csv"), []byte("offset_s,mbps\n0,5\n1,5\n2,fast\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ csv, want string }{
+		{"missing.csv", filepath.Join(dir, "missing.csv")},
+		{"bad.csv", filepath.Join(dir, "bad.csv") + ": trace: row 2"},
+	} {
+		checkRejectedIn(t, dir, `"links": [{"egress": "node2", "mbps": 5}, {"egress": "node1", "csv": "`+c.csv+`"}]`,
+			"links[1].csv", c.want)
 	}
 }
 
@@ -259,14 +290,24 @@ func TestRunRejectsOverflowingSeconds(t *testing.T) {
 	}
 }
 
-// checkRejected runs a good config and then a bad one (a three-node LAN
-// plus extra) and demands an error naming the bad file and key, with
-// nothing printed.
+// checkRejected runs a good config and then a bad one (a three-node LAN,
+// unless extra names the topology, plus extra) and demands an error naming
+// the bad file and key, with nothing printed.
 func checkRejected(t *testing.T, extra, key string) {
 	t.Helper()
+	checkRejectedIn(t, t.TempDir(), extra, key, "")
+}
+
+// checkRejectedIn is checkRejected with the bad config written to dir and
+// an error that also names want.
+func checkRejectedIn(t *testing.T, dir, extra, key, want string) {
+	t.Helper()
 	good := writeScenario(t, exampleScenario())
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	raw := `{"topology": "lan", "horizonSec": 30, ` + extra + `}`
+	bad := filepath.Join(dir, "bad.json")
+	raw := `{"horizonSec": 30, ` + extra + `}`
+	if !strings.Contains(extra, `"topology"`) {
+		raw = `{"topology": "lan", "horizonSec": 30, ` + extra + `}`
+	}
 	if err := os.WriteFile(bad, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +317,8 @@ func checkRejected(t *testing.T, extra, key string) {
 		t.Errorf("%s: want error", extra)
 		return
 	}
-	if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), key) {
-		t.Errorf("%s: error %q should name the file and the key", extra, err)
+	if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: error %q should name the file, the key and %q", extra, err, want)
 	}
 	if out.Len() != 0 {
 		t.Errorf("%s: output produced before the config was rejected:\n%s", extra, out.String())
@@ -415,6 +456,8 @@ func TestDerivePath(t *testing.T) {
 type scenarioContract struct {
 	name, scenario                  string
 	stdout, journal, metrics, trace string
+	// files are testdata files copied beside the config.
+	files []string
 	// wantLines must each start a stdout line; wantEvents must each appear
 	// in the journal.
 	wantLines, wantEvents []string
@@ -510,6 +553,26 @@ var scenarioContracts = []scenarioContract{
 		wantLines:  []string{"camera: ", "stream pair: ", "faults: link-down=1 link-up=1"},
 		wantEvents: []string{`"app":"pair"`, `"type":"fault"`},
 	},
+	{
+		// CityLab with node1-node3 replaying a 30 s CSV trace (a relative
+		// path, read beside the config) and node4's egress throttled to
+		// 2 Mbps from 60 s to 180 s.
+		name: "links",
+		scenario: `{
+  "topology": "citylab", "scheduler": "bfs", "horizonSec": 300, "seed": 5,
+  "migration": true, "monitorIntervalSec": 30,
+  "apps": [{"socialnet": {"rps": 50}}],
+  "links": [
+    {"a": "node1", "b": "node3", "csv": "node1-node3.csv"},
+    {"egress": "node4", "phases": [{"durationSec": 60, "mbps": 25}, {"durationSec": 120, "mbps": 2},
+                                   {"durationSec": 120, "mbps": 25}]}
+  ]
+}`,
+		files:     []string{"node1-node3.csv"},
+		stdout:    "a57081e26ae4b9c772a0074bb35dadc3b3f4a963459fb1c6f415a39cd88117c2",
+		journal:   "9f9b6a51632208618249e4457d83837c574ab9127c0d87cf80eba0729901a711",
+		wantLines: []string{"socialnet (15000 requests): "},
+	},
 }
 
 // TestScenarioContracts runs each row once through the CLI with -events-out
@@ -559,6 +622,11 @@ func checkContract(t *testing.T, c scenarioContract) {
 	path := filepath.Join(dir, "sc.json")
 	if err := os.WriteFile(path, []byte(c.scenario), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range c.files {
+		if err := os.WriteFile(filepath.Join(dir, f), readFile(t, filepath.Join("testdata", f)), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	evPath := filepath.Join(dir, "events.jsonl")
 	mtPath := filepath.Join(dir, "metrics.json")
@@ -749,5 +817,53 @@ func TestExecuteRejectsBadFaultSchedule(t *testing.T) {
 	}
 	if err := execute(sc, io.Discard); err == nil {
 		t.Error("invalid fault target: want error")
+	}
+}
+
+// TestTracegenCSVReplaysBitForBit runs tracegen to a CSV and bass-sim on a
+// CityLab config whose links entry cites it: stdout and journal equal a Go
+// run whose node2-node3 link carries the generator's own trace, because
+// WriteCSV prints each sample in its shortest round-tripping form.
+func TestTracegenCSVReplaysBitForBit(t *testing.T) {
+	cliDir, goDir := t.TempDir(), t.TempDir()
+	csv := filepath.Join(cliDir, "volatile.csv")
+	gen := exec.Command("go", "run", "bass/cmd/tracegen", "-profile", "volatile", "-duration", "5m", "-seed", "7", "-out", csv)
+	if out, err := gen.CombinedOutput(); err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, out)
+	}
+	path := filepath.Join(cliDir, "sc.json")
+	if err := os.WriteFile(path, []byte(`{"topology": "citylab", "app": "socialnet", "horizonSec": 300, "seed": 3,
+  "migration": true, "links": [{"a": "node2", "b": "node3", "csv": "volatile.csv"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cli strings.Builder
+	if err := run([]string{"-events-out", filepath.Join(cliDir, "events.jsonl"), path}, &cli); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := trace.CityLabVolatile(7)
+	cfg.Duration, cfg.Step = 5*time.Minute, time.Second
+	generated, err := trace.Generate("volatile", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: 3, Duration: 5 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetCapacity("node2", "node3", generated); err != nil {
+		t.Fatal(err)
+	}
+	var direct strings.Builder
+	if err := executeObserved(scenario.Spec{Topo: topo, Nodes: scenario.CityLabWorkers(), ReservedCPU: 1,
+		Apps: []scenario.App{{Socialnet: &scenario.Socialnet{}}}, HorizonSec: 300, Seed: 3, Migration: true,
+	}, &direct, filepath.Join(goDir, "events.jsonl"), ""); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := strings.ReplaceAll(cli.String(), cliDir, "DIR"), strings.ReplaceAll(direct.String(), goDir, "DIR"); a != b {
+		t.Errorf("bass-sim on the CSV printed\n%s\nthe Go run\n%s", a, b)
+	}
+	if !bytes.Equal(readFile(t, filepath.Join(cliDir, "events.jsonl")), readFile(t, filepath.Join(goDir, "events.jsonl"))) {
+		t.Error("journals differ")
 	}
 }

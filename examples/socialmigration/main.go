@@ -16,7 +16,6 @@ import (
 
 	"bass/internal/scenario"
 	"bass/internal/scheduler"
-	"bass/internal/trace"
 )
 
 func main() {
@@ -26,45 +25,32 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	const (
-		horizon     = 5 * time.Minute
-		throttleAt  = 10 * time.Second
-		throttleFor = 3 * time.Minute
-	)
+	const horizon = 5 * time.Minute
+	// tc-style throttle on the outgoing interfaces of nodes 1 and 2: 25 Mbps
+	// from 10 s for 3 minutes.
+	throttle := []scenario.Phase{{DurationSec: 10, Mbps: 1000}, {DurationSec: 180, Mbps: 25}, {DurationSec: 110, Mbps: 1000}}
 	r, err := scenario.Build(scenario.Spec{
-		Topology:           "lan",
-		LANNodes:           3,
-		LANNodeCPU:         8,
-		LANNodeMemMB:       12288,
-		ClientHost:         "client",
-		Policy:             scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		MigrationDowntime:  4300 * time.Millisecond,
-		Apps:               []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 400, Bursty: true, ProfileRPS: 400}}},
-		HorizonSec:         int(horizon / time.Second),
-		Seed:               42,
+		Topology:             "lan",
+		LANNodes:             3,
+		LANNodeCPU:           8,
+		LANNodeMemMB:         12288,
+		ClientHost:           "client",
+		Policy:               scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 4.3,
+		Apps:                 []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 400, Bursty: true, ProfileRPS: 400}}},
+		Links:                []scenario.Link{{Egress: "node1", Phases: throttle}, {Egress: "node2", Phases: throttle}},
+		HorizonSec:           int(horizon / time.Second),
+		Seed:                 42,
 	})
 	if err != nil {
 		return err
 	}
-	defer r.Sim.Close()
-	sim, app := r.Sim, r.Social
-
-	// tc-style throttle on the outgoing interfaces of nodes 1 and 2.
-	shaped := trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
-		{From: 0, Mbps: 1000},
-		{From: throttleAt, Mbps: 25},
-		{From: throttleAt + throttleFor, Mbps: 1000},
-	})
-	for _, node := range []string{"node1", "node2"} {
-		if err := sim.Topo.ThrottleEgress(node, shaped); err != nil {
-			return err
-		}
-	}
-	if err := sim.Run(horizon); err != nil {
+	if err := r.Complete(); err != nil {
 		return err
 	}
+	sim, app := r.Sim, r.Social
 
 	fmt.Fprintf(w, "served %d requests\n", app.Requests())
 	fmt.Fprintf(w, "overall latency: %s\n\n", app.Latency().Histogram().Summary())

@@ -34,13 +34,13 @@ func run(w io.Writer) error {
 		}
 		ctrlCfg.ReMigrationInterval = 5 * time.Minute
 		r, err := scenario.Build(scenario.Spec{
-			Topology:           "citylab",
-			Scheduler:          "bfs",
-			Controller:         ctrlCfg,
-			Migration:          migrate,
-			MonitorIntervalSec: 30,
-			MigrationDowntime:  20 * time.Second,
-			ReservedCPU:        1,
+			Topology:             "citylab",
+			Scheduler:            "bfs",
+			Controller:           ctrlCfg,
+			Migration:            migrate,
+			MonitorIntervalSec:   30,
+			MigrationDowntimeSec: 20,
+			ReservedCPU:          1,
 			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
 				ParticipantsPerNode: 3, PublishMbps: 0.5, InitialNode: mesh.CityLabNode4,
 			}}},

@@ -162,18 +162,18 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 	}
 	sched := alertStorm(o.Seed, o.Horizon)
 	run, err := complete(scenario.Spec{
-		Topo:               ladderMesh(cols, 25),
-		Nodes:              nodes,
-		Scheduler:          "bfs",
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		MigrationDowntime:  5 * time.Second,
-		SLO:                true,
-		Journal:            true,
-		Faults:             sched.Events,
-		Apps:               pairs,
-		HorizonSec:         int(o.Horizon / time.Second),
-		Seed:               o.Seed,
+		Topo:                 ladderMesh(cols, 25),
+		Nodes:                nodes,
+		Scheduler:            "bfs",
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 5,
+		SLO:                  true,
+		Journal:              true,
+		Faults:               sched.Events,
+		Apps:                 pairs,
+		HorizonSec:           int(o.Horizon / time.Second),
+		Seed:                 o.Seed,
 	})
 	if err != nil {
 		return alertQualityResult{}, err

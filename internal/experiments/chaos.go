@@ -72,16 +72,16 @@ func stormRig(nodes int, seed int64, horizon time.Duration) scenario.Spec {
 		cl[i] = cluster.Node{Name: names[i], CPU: 16, MemoryMB: 16384}
 	}
 	return scenario.Spec{
-		Topo:               mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute),
-		Nodes:              cl,
-		Apps:               []scenario.App{{Camera: &scenario.Camera{}}, pair("pair", 8, "", "", 2)},
-		Scheduler:          "bfs",
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		MigrationDowntime:  5 * time.Second,
-		Journal:            true,
-		HorizonSec:         int(horizon / time.Second),
-		Seed:               seed,
+		Topo:                 mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute),
+		Nodes:                cl,
+		Apps:                 []scenario.App{{Camera: &scenario.Camera{}}, pair("pair", 8, "", "", 2)},
+		Scheduler:            "bfs",
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 5,
+		Journal:              true,
+		HorizonSec:           int(horizon / time.Second),
+		Seed:                 seed,
 	}
 }
 

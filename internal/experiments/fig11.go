@@ -76,6 +76,7 @@ func runFig11Cell(seed int64, policy scheduler.Policy, restricted bool, rps floa
 	}
 	defer r.Sim.Close()
 	if restricted {
+		// Not a links entry: placement must see node3 at 1 Gbps, so the throttle lands after deploy.
 		if err := r.Sim.Topo.ThrottleEgress("node3",
 			trace.Constant("throttle", time.Second, 25, int(horizon/time.Second))); err != nil {
 			return nil, err

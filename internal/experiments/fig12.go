@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/trace"
 )
 
 // fig12Row is one bandwidth-querying-interval configuration.
@@ -44,27 +42,22 @@ func runFig12(seed int64, intervals []int) (fig12Result, error) {
 		horizon     = 8 * time.Minute
 		publish     = 2.0
 	)
+	// Restrict node2's links (the paper throttles node2's outgoing
+	// interface, Fig 3).
+	restrict := throttleWindow(restrictAt, restrictFor, horizon, 4)
 	var out fig12Result
 	for _, interval := range intervals {
-		topo := mesh.FullMesh([]string{"node1", "node2", "node3"}, 1000, time.Millisecond, horizon)
-		// Restrict node2's links (the paper throttles node2's outgoing
-		// interface, Fig 3).
-		for _, peer := range []string{"node1", "node3"} {
-			if err := topo.SetCapacity("node2", peer, trace.StepTrace("node2-"+peer, time.Second, horizon, []trace.Level{
-				{From: 0, Mbps: 1000},
-				{From: restrictAt, Mbps: 4},
-				{From: restrictAt + restrictFor, Mbps: 1000},
-			})); err != nil {
-				return out, err
-			}
-		}
 		r, err := complete(scenario.Spec{
-			Topo:               topo,
-			Nodes:              scenario.LANNodes(3, 16, 131072),
-			Scheduler:          "bfs",
-			Migration:          interval > 0,
-			MonitorIntervalSec: interval,
-			MigrationDowntime:  25 * time.Second,
+			Topology:     "lan",
+			LANNodeMemMB: 131072,
+			Links: []scenario.Link{
+				{A: "node2", B: "node1", Phases: restrict},
+				{A: "node2", B: "node3", Phases: restrict},
+			},
+			Scheduler:            "bfs",
+			Migration:            interval > 0,
+			MonitorIntervalSec:   interval,
+			MigrationDowntimeSec: 25,
 			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
 				Clients: map[string]int{"node1": 4, "node3": 5}, PublishMbps: publish, Publishers: 1, InitialNode: "node2",
 			}}},

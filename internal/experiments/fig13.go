@@ -7,7 +7,6 @@ import (
 	"bass/internal/core"
 	"bass/internal/scenario"
 	"bass/internal/scheduler"
-	"bass/internal/trace"
 )
 
 // fig13Row is one monitoring-interval configuration of Fig 13.
@@ -47,24 +46,11 @@ func throttledLAN(seed int64, intervalSec int, packLimit float64) (*scenario.Run
 	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(packLimit))
 	spec.Migration = intervalSec > 0
 	spec.MonitorIntervalSec = intervalSec
-	spec.MigrationDowntime = 4300 * time.Millisecond
+	spec.MigrationDowntimeSec = 4.3
 	spec.HorizonSec = int(lanHorizon / time.Second)
-	r, err := scenario.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Sim.Close()
-	shaped := trace.StepTrace("throttle", time.Second, lanHorizon, []trace.Level{
-		{From: 0, Mbps: 1000},
-		{From: lanThrottleAt, Mbps: 25},
-		{From: lanThrottleEnd, Mbps: 1000},
-	})
-	for _, node := range []string{"node1", "node2"} {
-		if err := r.Sim.Topo.ThrottleEgress(node, shaped); err != nil {
-			return nil, err
-		}
-	}
-	return r, r.Sim.Run(lanHorizon)
+	throttle := throttleWindow(lanThrottleAt, lanThrottleEnd-lanThrottleAt, lanHorizon, 25)
+	spec.Links = []scenario.Link{{Egress: "node1", Phases: throttle}, {Egress: "node2", Phases: throttle}}
+	return complete(spec)
 }
 
 const (

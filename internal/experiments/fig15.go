@@ -69,12 +69,12 @@ func runFig15b(seed int64) (fig15Result, error) {
 		// downtime amortises (§6.3.2's take-away).
 		ctrlCfg.ReMigrationInterval = 5 * time.Minute
 		r, err := complete(scenario.Spec{
-			Scheduler:          "bfs",
-			Controller:         ctrlCfg,
-			Migration:          s.threshold > 0,
-			MonitorIntervalSec: 30,
-			MigrationDowntime:  20 * time.Second,
-			ReservedCPU:        1,
+			Scheduler:            "bfs",
+			Controller:           ctrlCfg,
+			Migration:            s.threshold > 0,
+			MonitorIntervalSec:   30,
+			MigrationDowntimeSec: 20,
+			ReservedCPU:          1,
 			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
 				ParticipantsPerNode: 3, PublishMbps: 0.5, InitialNode: mesh.CityLabNode4,
 			}}},

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/trace"
 )
 
 // fig4Row is one participant-count configuration of Fig 4.
@@ -35,15 +32,11 @@ func runFig4(seed int64, participants []int, publishMbps float64) (fig4Result, e
 	}
 	var out fig4Result
 	for _, p := range participants {
-		topo := mesh.Line([]string{"node1", "node2", "node3"}, 1000, time.Millisecond, time.Hour)
-		if err := topo.SetCapacity("node2", "node3",
-			trace.Constant("node2-node3", time.Second, 30, 3600)); err != nil {
-			return out, err
-		}
 		r, err := complete(scenario.Spec{
-			Topo:      topo,
-			Nodes:     scenario.LANNodes(3, 16, 131072),
-			Scheduler: "bfs",
+			Topology:     "lan",
+			LANNodeMemMB: 131072,
+			Links:        []scenario.Link{{A: "node2", B: "node3", Mbps: 30}},
+			Scheduler:    "bfs",
 			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
 				Clients: map[string]int{"node3": p}, PublishMbps: publishMbps, Publishers: 1, InitialNode: "node2",
 			}}},

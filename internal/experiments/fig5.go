@@ -47,6 +47,7 @@ func runFig5(seed int64) (fig5Result, error) {
 	if nginxNode == "" {
 		return fig5Result{}, fmt.Errorf("fig5: nginx not placed")
 	}
+	// Not a links entry: the throttled link is the one to wherever nginx was placed.
 	if err := r.Sim.Topo.SetCapacity("node4", nginxNode, trace.StepTrace("throttle", time.Second, horizon, []trace.Level{
 		{From: 0, Mbps: 1000},
 		{From: throttleAt, Mbps: 25},

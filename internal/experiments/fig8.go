@@ -76,17 +76,17 @@ func runFig8(seed int64) (fig8Result, error) {
 	}
 	ctrlCfg.Cooldown = 30 * time.Second
 	r, err := complete(scenario.Spec{
-		Topo:               topo,
-		Nodes:              nodes,
-		Scheduler:          "bfs",
-		Controller:         ctrlCfg,
-		Migration:          true,
-		MonitorIntervalSec: 30,
-		MigrationDowntime:  10 * time.Second,
-		Journal:            true,
-		Apps:               []scenario.App{pair("pair", 8, mesh.CityLabNode3, "", 2)},
-		HorizonSec:         int(horizon / time.Second),
-		Seed:               seed,
+		Topo:                 topo,
+		Nodes:                nodes,
+		Scheduler:            "bfs",
+		Controller:           ctrlCfg,
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 10,
+		Journal:              true,
+		Apps:                 []scenario.App{pair("pair", 8, mesh.CityLabNode3, "", 2)},
+		HorizonSec:           int(horizon / time.Second),
+		Seed:                 seed,
 	})
 	if err != nil {
 		return fig8Result{}, err

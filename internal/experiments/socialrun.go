@@ -19,11 +19,11 @@ import (
 // interval, arrivals and horizon.
 func citySocial(seed int64) scenario.Spec {
 	return scenario.Spec{
-		Apps:              []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 150, ClientNode: mesh.CityLabControl}}},
-		MigrationDowntime: 4300 * time.Millisecond,
-		ReservedCPU:       1,
-		HorizonSec:        20 * 60,
-		Seed:              seed,
+		Apps:                 []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 150, ClientNode: mesh.CityLabControl}}},
+		MigrationDowntimeSec: 4.3,
+		ReservedCPU:          1,
+		HorizonSec:           20 * 60,
+		Seed:                 seed,
 	}
 }
 
@@ -50,6 +50,14 @@ func complete(spec scenario.Spec) (*scenario.Run, error) {
 		return nil, err
 	}
 	return r, r.Complete()
+}
+
+// throttleWindow is the phases of a 1 Gbps link held at mbps for dur from
+// at, over horizon: the paper's tc restriction windows (Figs 12 and 13).
+func throttleWindow(at, dur, horizon time.Duration, mbps float64) []scenario.Phase {
+	sec := func(d time.Duration) int { return int(d / time.Second) }
+	return []scenario.Phase{{DurationSec: sec(at), Mbps: 1000}, {DurationSec: sec(dur), Mbps: mbps},
+		{DurationSec: sec(horizon - at - dur), Mbps: 1000}}
 }
 
 // thresholdController is the default controller migrating at the given link

@@ -10,16 +10,20 @@ import (
 	"time"
 
 	"bass/internal/apps/stream"
+	"bass/internal/cluster"
 	"bass/internal/faults"
 )
 
 // FuzzDecodeSpec feeds arbitrary bytes through Decode (strict decoding plus
 // Validate). It must never panic; a spec it accepts must re-encode and
 // decode to an equal Spec, and must keep every promise Validate makes,
-// re-derived here: no negative size, rate or interval, known names, and
-// every node and link it names present in the topology Build would build
-// (checked on the built topology, with faults.Schedule.Validate, whenever
-// the spec is small enough to build quickly).
+// re-derived here: no negative size, rate or interval, known names, links
+// entries with one address and one capacity form, and every node and link
+// it names present in the topology Build would build, no pin on an
+// unschedulable node and no direction shaped twice (checked on the built
+// topology, with faults.Schedule.Validate, whenever the spec is small
+// enough to build quickly). Decode must not open a csv path: a seed names
+// /dev/zero.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range []string{
 		// bass-sim -example.
@@ -79,6 +83,45 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"apps": [{"camera": {}, "stream": {"name": "s", "components": [{"name": "a"}]}}]}`,
 		`{"apps": [{"socialnet": {}}, {"socialnet": {}}]}`,
 		`{"app": "camera", "apps": [{"camera": {}}]}`,
+		// Pins on CityLab's unschedulable control host; a client may run there.
+		`{"apps": [{"camera": {"pinCamera": "node0"}}]}`,
+		`{"apps": [{"videoconf": {"initialNode": "node0"}}]}`,
+		`{"apps": [{"videoconf": {"clients": {"node0": 2}}}]}`,
+		`{"apps": [{"stream": {"name": "s", "components": [{"name": "a", "pin": "node0"}]}}]}`,
+		// A migration downtime, and ones Validate rejects.
+		`{"migrationDowntimeSec": 4.3}`,
+		`{"migrationDowntimeSec": -1}`,
+		`{"migrationDowntimeSec": 1e300}`,
+		// Each links address and capacity form (the csv is never opened:
+		// Decode reads no file it names).
+		`{"links": [{"a": "node2", "b": "node3", "mbps": 30}]}`,
+		`{"topology": "lan", "links": [{"egress": "node1", "phases": [{"durationSec": 10, "mbps": 1000},
+		  {"durationSec": 180, "mbps": 25}, {"durationSec": 110, "mbps": 1000}]}, {"egress": "node2", "mbps": 25}]}`,
+		`{"links": [{"a": "node3", "b": "node2", "csv": "/dev/zero"}, {"egress": "node4", "mbps": 8}]}`,
+		`{"topology": "lan", "lanNodes": 5, "links": [{"a": "node1", "b": "node2", "mbps": 5}, {"a": "node3", "b": "node4", "mbps": 5},
+		  {"egress": "node5", "mbps": 1}]}`,
+		// Links entries Validate rejects.
+		`{"links": [{"a": "node2", "b": "node4", "mbps": 30}]}`,
+		`{"links": [{"a": "node2", "b": "ghost", "mbps": 30}]}`,
+		`{"links": [{"egress": "ghost", "mbps": 30}]}`,
+		`{"links": [{"a": "node2", "mbps": 30}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "egress": "node1", "mbps": 30}]}`,
+		`{"links": [{"mbps": 30}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "mbps": 30}, {"a": "node3", "b": "node2", "mbps": 5}]}`,
+		`{"links": [{"egress": "node2", "mbps": 30}, {"a": "node3", "b": "node2", "mbps": 5}]}`,
+		`{"links": [{"a": "node1", "b": "node2", "mbps": 30}, {"egress": "node1", "mbps": 5}]}`,
+		`{"links": [{"egress": "node1", "mbps": 30}, {"egress": "node1", "mbps": 5}]}`,
+		`{"links": [{"a": "node2", "b": "node3"}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "mbps": 30, "csv": "x.csv"}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "mbps": -30}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "mbps": 1e400}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "phases": []}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": 0, "mbps": 5}]}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": -10, "mbps": 5}]}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": 10, "mbps": -5}]}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": 9223372036, "mbps": 5}, {"durationSec": 9223372036, "mbps": 5}]}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "csv": ""}]}`,
+		`{"links": [{"a": "node2", "b": "node3", "mbps": 30, "latencyMs": 5}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -108,6 +151,9 @@ func canonical(s Spec) Spec {
 	if len(s.Faults) == 0 {
 		s.Faults = nil
 	}
+	if len(s.Links) == 0 {
+		s.Links = nil
+	}
 	if s.Chaos != nil && len(s.Chaos.Protected) == 0 {
 		c := *s.Chaos
 		c.Protected = nil
@@ -130,7 +176,7 @@ func checkAccepted(t *testing.T, s Spec) {
 	if s.App != "" || len(s.Apps) == 0 {
 		t.Fatalf("decoded spec keeps the app shorthand %q or deploys nothing: %+v", s.App, s.Apps)
 	}
-	var nodes []string
+	var nodes, pins []string
 	for i, a := range s.Apps {
 		kinds := 0
 		for _, k := range []any{a.Camera, a.Socialnet, a.Videoconf, a.Stream} {
@@ -144,11 +190,11 @@ func checkAccepted(t *testing.T, s Spec) {
 		}
 		switch {
 		case a.Camera != nil:
-			nodes = append(nodes, a.Camera.PinCamera)
+			pins = append(pins, a.Camera.PinCamera)
 		case a.Socialnet != nil:
 			nodes = append(nodes, a.Socialnet.ClientNode)
 		case a.Videoconf != nil:
-			nodes = append(nodes, a.Videoconf.InitialNode)
+			pins = append(pins, a.Videoconf.InitialNode)
 			for n, k := range a.Videoconf.Clients {
 				if k < 0 {
 					t.Fatalf("accepted negative clients.%s = %d", n, k)
@@ -160,7 +206,7 @@ func checkAccepted(t *testing.T, s Spec) {
 				t.Fatalf("accepted a malformed stream: %v", err)
 			}
 			for _, c := range a.Stream.Components {
-				nodes = append(nodes, c.Pin)
+				pins = append(pins, c.Pin)
 			}
 		}
 		for j := range i {
@@ -187,7 +233,7 @@ func checkAccepted(t *testing.T, s Spec) {
 			}
 		}
 	}
-	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec)}
+	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec), s.MigrationDowntimeSec}
 	for _, e := range s.Faults {
 		secs = append(secs, e.AtSec)
 	}
@@ -212,23 +258,78 @@ func checkAccepted(t *testing.T, s Spec) {
 	if (&faults.Schedule{Events: s.Faults}).ValidateWindows(s.horizon()) != nil {
 		t.Fatalf("accepted overlapping or late fault windows: %+v", s.Faults)
 	}
+	for i, l := range s.Links {
+		checkLinkForms(t, i, l)
+	}
 	if s.LANNodes > 16 || s.horizon() <= 0 || s.horizon() > time.Hour {
 		return
 	}
-	topo, _, err := s.topology(s.horizon())
+	topo, cl, err := s.topology(s.horizon())
 	if err != nil {
 		t.Fatalf("accepted spec's topology fails to build: %v", err)
 	}
 	if s.Chaos != nil {
 		nodes = append(nodes, s.Chaos.Protected...)
 	}
-	for _, n := range nodes {
+	for _, n := range append(nodes, pins...) {
 		if n != "" && !topo.HasNode(n) {
 			t.Fatalf("accepted node %q missing from the topology", n)
 		}
 	}
+	for _, n := range pins {
+		if slices.ContainsFunc(cl, func(c cluster.Node) bool { return c.Name == n && c.Unschedulable }) {
+			t.Fatalf("accepted a pin on unschedulable node %q", n)
+		}
+	}
+	shaped := map[[2]string]int{} // direction -> the entry shaping it
+	for i, l := range s.Links {
+		dirs := [][2]string{{l.A, l.B}, {l.B, l.A}}
+		if l.Egress != "" {
+			dirs = nil
+			for _, nb := range topo.Neighbors(l.Egress) {
+				dirs = append(dirs, [2]string{l.Egress, nb})
+			}
+		} else if !topo.HasLink(l.A, l.B) {
+			t.Fatalf("accepted links[%d] on %s-%s, which the topology lacks", i, l.A, l.B)
+		}
+		for _, d := range dirs {
+			if j, ok := shaped[d]; ok {
+				t.Fatalf("accepted links[%d] and links[%d] both shaping %s->%s", j, i, d[0], d[1])
+			}
+			shaped[d] = i
+		}
+	}
 	if err := (&faults.Schedule{Events: s.Faults}).Validate(topo); err != nil {
 		t.Fatalf("accepted faults the topology rejects: %v", err)
+	}
+}
+
+// checkLinkForms fails unless links entry i addresses one link or one
+// egress and gives one capacity form with finite non-negative Mbps and
+// positive phase durations that sum to a duration.
+func checkLinkForms(t *testing.T, i int, l Link) {
+	t.Helper()
+	if (l.Egress != "") == (l.A != "" && l.B != "") || l.Egress != "" && l.A+l.B != "" {
+		t.Fatalf("accepted links[%d] addressing a=%q b=%q egress=%q", i, l.A, l.B, l.Egress)
+	}
+	forms := 0
+	for _, set := range []bool{l.Mbps != 0, len(l.Phases) > 0, l.CSV != ""} {
+		if set {
+			forms++
+		}
+	}
+	if forms != 1 {
+		t.Fatalf("accepted links[%d] with %d capacity forms: %+v", i, forms, l)
+	}
+	total := 0.0
+	for _, p := range l.Phases {
+		if p.DurationSec <= 0 || p.Mbps < 0 || math.IsInf(p.Mbps, 0) {
+			t.Fatalf("accepted links[%d] phase %+v", i, p)
+		}
+		total += float64(p.DurationSec)
+	}
+	if l.Mbps < 0 || math.IsInf(l.Mbps, 0) || math.IsNaN(l.Mbps) || total*float64(time.Second) >= math.MaxInt64 {
+		t.Fatalf("accepted links[%d] capacity %+v", i, l)
 	}
 }
 

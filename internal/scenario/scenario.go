@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,6 +32,7 @@ import (
 	"bass/internal/metricstore"
 	"bass/internal/obs"
 	"bass/internal/scheduler"
+	"bass/internal/trace"
 	"bass/internal/workload"
 )
 
@@ -86,6 +89,12 @@ type Spec struct {
 	// on one element, but a merge legitimately stacks both kinds).
 	Faults []faults.Event `json:"faults,omitempty"`
 	Chaos  *Chaos         `json:"chaos,omitempty"`
+	// Links shape link capacity, applied in list order to the built mesh
+	// before the simulation starts.
+	Links []Link `json:"links,omitempty"`
+	// MigrationDowntimeSec is how long a migrated component is unavailable
+	// (zero = core's default, 20 s).
+	MigrationDowntimeSec float64 `json:"migrationDowntimeSec,omitempty"`
 
 	// Topo and Nodes replace Topology with a prebuilt mesh and its cluster.
 	Topo  *mesh.Topology `json:"-"`
@@ -96,8 +105,7 @@ type Spec struct {
 	// Policy, when set, is used instead of the Scheduler name.
 	Policy scheduler.Policy `json:"-"`
 	// Controller is the migration controller's config (zero = defaults).
-	Controller        controller.Config `json:"-"`
-	MigrationDowntime time.Duration     `json:"-"` // zero = core's default
+	Controller controller.Config `json:"-"`
 	// ReservedCPU is held back on every node for the agent and daemons.
 	// Decode sets 1, as bass-sim always has.
 	ReservedCPU float64 `json:"-"`
@@ -117,6 +125,33 @@ type Chaos struct {
 	ProbeLossWindowsPerHour float64  `json:"probeLossWindowsPerHour,omitempty"`
 	MeanProbeLossWindowSec  float64  `json:"meanProbeLossWindowSec,omitempty"`
 	Protected               []string `json:"protected,omitempty"`
+}
+
+// Link is one entry of Spec.Links: the capacity of a link, A and B, in
+// both directions (mesh.Topology.SetCapacity), or of every outgoing
+// direction of the node Egress, as tc on its interface shapes it
+// (ThrottleEgress). It gives the capacity in exactly one form: Mbps, a
+// constant over the horizon; Phases, played in order; or CSV, the path of
+// an "offset_s,mbps" trace file as tracegen writes it (trace.LoadCSV).
+// Mbps and Phases hold on a 1 s grid; a CSV keeps its rows' step. A trace
+// shorter than the run repeats (trace.Trace.At).
+type Link struct {
+	A      string  `json:"a,omitempty"`
+	B      string  `json:"b,omitempty"`
+	Egress string  `json:"egress,omitempty"`
+	Mbps   float64 `json:"mbps,omitempty"`
+	Phases []Phase `json:"phases,omitempty"`
+	// CSV is read by Load, against the config file's directory when
+	// relative, or else by Build. Decode and Validate never open it.
+	CSV string `json:"csv,omitempty"`
+
+	loaded *trace.Trace // what Load read from CSV
+}
+
+// Phase holds Mbps for DurationSec seconds.
+type Phase struct {
+	DurationSec int     `json:"durationSec"`
+	Mbps        float64 `json:"mbps"`
 }
 
 // App is one entry of Spec.Apps and sets exactly one kind. A spec deploys
@@ -183,6 +218,35 @@ func Decode(r io.Reader) (Spec, error) {
 	return s, s.Validate()
 }
 
+// Load reads the scenario file at path with Decode, then each links
+// entry's CSV trace, a relative path resolved against the file's
+// directory. Errors name the file and the key; a CSV error also names the
+// trace file and its row.
+func Load(path string) (Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Spec{}, err
+	}
+	defer f.Close()
+	s, err := Decode(f)
+	if err != nil {
+		return Spec{}, fmt.Errorf("%s: %w", path, err)
+	}
+	for i := range s.Links {
+		l := &s.Links[i]
+		if l.CSV == "" {
+			continue
+		}
+		if !filepath.IsAbs(l.CSV) {
+			l.CSV = filepath.Join(filepath.Dir(path), l.CSV)
+		}
+		if l.loaded, err = trace.LoadCSV(l.CSV); err != nil {
+			return Spec{}, fmt.Errorf("%s: links[%d].csv: %w", path, i, err)
+		}
+	}
+	return s, nil
+}
+
 // expand rewrites the App shorthand into its one-entry Apps list.
 func (s *Spec) expand() error {
 	if s.App == "" {
@@ -208,14 +272,17 @@ type field struct {
 
 // Validate rejects what a run would otherwise replace by a default or fail
 // on late: negative sizes, rates and intervals (a negative batchBudget is
-// legal), seconds whose nanoseconds overflow a time.Duration, unknown
-// topology, app or scheduler names, a bad apps entry, and nodes or links
-// the topology lacks. Errors name the key. It does not build the topology.
+// legal), seconds that are not a number or whose nanoseconds overflow a
+// time.Duration, unknown topology, app or scheduler names, a bad apps or
+// links entry, nodes or links the topology lacks, and a pin on an
+// unschedulable node. Errors name the key. It neither builds the topology
+// nor opens a file.
 func (s Spec) Validate() error {
 	if err := s.expand(); err != nil {
 		return err
 	}
-	secs := []field{{"horizonSec", float64(s.HorizonSec)}, {"monitorIntervalSec", float64(s.MonitorIntervalSec)}}
+	secs := []field{{"horizonSec", float64(s.HorizonSec)}, {"monitorIntervalSec", float64(s.MonitorIntervalSec)},
+		{"migrationDowntimeSec", s.MigrationDowntimeSec}}
 	for i, e := range s.Faults {
 		secs = append(secs, field{fmt.Sprintf("faults[%d].atSec", i), e.AtSec})
 	}
@@ -225,8 +292,8 @@ func (s Spec) Validate() error {
 	}
 	for _, f := range append([]field{{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU},
 		{"lanNodeMemMB", s.LANNodeMemMB}, {"batchK", float64(s.BatchK)}}, secs...) {
-		if f.v < 0 {
-			return fmt.Errorf("%s: %v is negative", f.key, f.v)
+		if !(f.v >= 0) {
+			return fmt.Errorf("%s: %v is negative or not a number", f.key, f.v)
 		}
 	}
 	for _, f := range secs {
@@ -245,6 +312,9 @@ func (s Spec) Validate() error {
 		if err := s.validateApp(a, paper); err != nil {
 			return fmt.Errorf("apps[%d]: %w", i, err)
 		}
+	}
+	if err := s.validateLinks(); err != nil {
+		return err
 	}
 	explicit := &faults.Schedule{Events: s.Faults}
 	if err := cmp.Or(explicit.Validate(s), explicit.ValidateWindows(s.horizon())); err != nil {
@@ -270,9 +340,10 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 	var kinds []string
 	var nums []field
 	var nodes [][2]string // key, node
+	var pins [][2]string  // key, node that must be schedulable
 	if c := a.Camera; c != nil {
 		kinds, nums = append(kinds, "camera"), append(nums, field{"frameKB", c.FrameKB})
-		nodes = append(nodes, [2]string{"pinCamera", c.PinCamera})
+		pins = append(pins, [2]string{"pinCamera", c.PinCamera})
 	}
 	if c := a.Socialnet; c != nil {
 		kinds, nums = append(kinds, "socialnet"), append(nums, field{"rps", c.RPS}, field{"profileRPS", c.ProfileRPS})
@@ -282,7 +353,7 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 		kinds = append(kinds, "videoconf")
 		nums = append(nums, field{"participantsPerNode", float64(c.ParticipantsPerNode)},
 			field{"publishMbps", c.PublishMbps}, field{"publishers", float64(c.Publishers)})
-		nodes = append(nodes, [2]string{"initialNode", c.InitialNode})
+		pins = append(pins, [2]string{"initialNode", c.InitialNode})
 		clients := make([]string, 0, len(c.Clients))
 		for n := range c.Clients {
 			clients = append(clients, n)
@@ -295,7 +366,7 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 	if c := a.Stream; c != nil {
 		kinds = append(kinds, "stream")
 		for _, comp := range c.Components {
-			nums, nodes = append(nums, field{comp.Name + ".cpu", comp.CPU}), append(nodes, [2]string{comp.Name + ".pin", comp.Pin})
+			nums, pins = append(nums, field{comp.Name + ".cpu", comp.CPU}), append(pins, [2]string{comp.Name + ".pin", comp.Pin})
 		}
 		for _, e := range c.Edges {
 			nums = append(nums, field{e.From + "->" + e.To + ".mbps", e.Mbps})
@@ -314,9 +385,14 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 			return fmt.Errorf("%s.%s: %v is negative or not finite", kind, f.key, f.v)
 		}
 	}
-	for _, n := range nodes {
+	for _, n := range append(nodes, pins...) {
 		if n[1] != "" && !s.HasNode(n[1]) {
 			return fmt.Errorf("%s.%s: %q is not in the topology", kind, n[0], n[1])
+		}
+	}
+	for _, n := range pins {
+		if n[1] != "" && s.unschedulable(n[1]) {
+			return fmt.Errorf("%s.%s: %q is unschedulable", kind, n[0], n[1])
 		}
 	}
 	if a.Stream != nil {
@@ -324,6 +400,96 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 		return err
 	}
 	return nil
+}
+
+// validateLinks checks that each links entry addresses one link or one
+// node's egress the topology has, that no two entries shape one direction,
+// and that it gives exactly one capacity form with finite non-negative
+// Mbps and positive phase durations.
+func (s Spec) validateLinks() error {
+	type direction struct {
+		from, to string // to "*": every neighbour
+		entry    int
+	}
+	var shaped []direction
+	for i, l := range s.Links {
+		dirs := []direction{{l.A, l.B, i}, {l.B, l.A, i}}
+		switch link := l.A != "" || l.B != ""; {
+		case link == (l.Egress != "") || link && (l.A == "" || l.B == ""):
+			return fmt.Errorf("links[%d]: want a and b, or egress, got a=%q b=%q egress=%q", i, l.A, l.B, l.Egress)
+		case l.Egress != "" && !s.HasNode(l.Egress):
+			return fmt.Errorf("links[%d].egress: %q is not in the topology", i, l.Egress)
+		case l.Egress != "":
+			dirs = []direction{{l.Egress, "*", i}}
+		case !s.HasLink(l.A, l.B):
+			return fmt.Errorf("links[%d]: the topology has no link %s-%s", i, l.A, l.B)
+		}
+		for _, d := range dirs {
+			for _, e := range shaped {
+				if d.from == e.from && (d.to == e.to || d.to == "*" || e.to == "*") {
+					return fmt.Errorf("links[%d]: shapes a direction links[%d] shapes", i, e.entry)
+				}
+			}
+		}
+		shaped = append(shaped, dirs...)
+		if err := l.validateCapacity(fmt.Sprintf("links[%d]", i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateCapacity checks the one capacity form of the links entry at key.
+func (l Link) validateCapacity(key string) error {
+	var forms []string
+	for _, f := range []struct {
+		key string
+		set bool
+	}{{"mbps", l.Mbps != 0}, {"phases", l.Phases != nil}, {"csv", l.CSV != ""}} {
+		if f.set {
+			forms = append(forms, f.key)
+		}
+	}
+	if len(forms) != 1 {
+		return fmt.Errorf("%s: want exactly one of mbps, phases or csv, got %v", key, forms)
+	}
+	finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
+	if forms[0] == "mbps" && !finite(l.Mbps) {
+		return fmt.Errorf("%s.mbps: %v is negative or not finite", key, l.Mbps)
+	}
+	if forms[0] != "phases" {
+		return nil
+	}
+	if len(l.Phases) == 0 {
+		return fmt.Errorf("%s.phases: empty", key)
+	}
+	total := 0.0
+	for k, p := range l.Phases {
+		if p.DurationSec <= 0 {
+			return fmt.Errorf("%s.phases[%d].durationSec: %d is not positive", key, k, p.DurationSec)
+		}
+		if !finite(p.Mbps) {
+			return fmt.Errorf("%s.phases[%d].mbps: %v is negative or not finite", key, k, p.Mbps)
+		}
+		total += float64(p.DurationSec)
+	}
+	if total*float64(time.Second) >= math.MaxInt64 {
+		return fmt.Errorf("%s.phases: %v s overflow a duration", key, total)
+	}
+	return nil
+}
+
+// unschedulable reports whether the spec's cluster has the node and keeps
+// workloads off it: CityLab's node0, a "lan" ClientHost, or a Nodes entry
+// so marked.
+func (s Spec) unschedulable(name string) bool {
+	switch {
+	case s.Topo != nil:
+		return slices.ContainsFunc(s.Nodes, func(n cluster.Node) bool { return n.Name == name && n.Unschedulable })
+	case s.Topology == "lan":
+		return name == s.ClientHost
+	}
+	return name == mesh.CityLabControl
 }
 
 // HasNode reports whether the spec's topology has the node, without
@@ -388,13 +554,16 @@ func Build(s Spec) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.shape(topo, r.Horizon); err != nil {
+		return nil, err
+	}
 	policy, _ := s.policy()
 	cfg := core.Config{
 		Policy:            policy,
 		Controller:        s.Controller,
 		MonitorInterval:   time.Duration(s.MonitorIntervalSec) * time.Second,
 		EnableMigration:   s.Migration,
-		MigrationDowntime: s.MigrationDowntime,
+		MigrationDowntime: time.Duration(math.Round(s.MigrationDowntimeSec * float64(time.Second))),
 		ReservedCPU:       s.ReservedCPU,
 		EnableReconcile:   s.Reconcile,
 		BatchPlacement:    s.Batch,
@@ -500,7 +669,12 @@ func (s Spec) topology(horizon time.Duration) (*mesh.Topology, []cluster.Node, e
 		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: s.Seed, Duration: horizon})
 		return topo, CityLabWorkers(), err
 	}
-	nodes := LANNodes(cmp.Or(s.LANNodes, 3), cmp.Or(s.LANNodeCPU, 16), cmp.Or(s.LANNodeMemMB, 65536))
+	// CloudLab-style machines on a bridged 1 Gbps LAN; CPU and memory pick
+	// the class (c6525-25g ≈ 16 cores / 128 GB; d710 ≈ 8 threads / 12 GB).
+	nodes := make([]cluster.Node, cmp.Or(s.LANNodes, 3))
+	for i := range nodes {
+		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i+1), CPU: cmp.Or(s.LANNodeCPU, 16), MemoryMB: cmp.Or(s.LANNodeMemMB, 65536)}
+	}
 	if s.ClientHost != "" {
 		nodes = append(nodes, cluster.Node{Name: s.ClientHost, CPU: 8, MemoryMB: 8192, Unschedulable: true})
 	}
@@ -509,6 +683,45 @@ func (s Spec) topology(horizon time.Duration) (*mesh.Topology, []cluster.Node, e
 		names[i] = n.Name
 	}
 	return mesh.FullMesh(names, 1000, time.Millisecond, horizon), nodes, nil
+}
+
+// shape applies the links entries to topo in list order.
+func (s Spec) shape(topo *mesh.Topology, horizon time.Duration) error {
+	for i, l := range s.Links {
+		capacity, err := l.capacity(horizon)
+		if err != nil {
+			return fmt.Errorf("links[%d].csv: %w", i, err)
+		}
+		if l.Egress != "" {
+			err = topo.ThrottleEgress(l.Egress, capacity)
+		} else {
+			err = topo.SetCapacity(l.A, l.B, capacity)
+		}
+		if err != nil {
+			return fmt.Errorf("links[%d]: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// capacity is a links entry's trace over the horizon.
+func (l Link) capacity(horizon time.Duration) (*trace.Trace, error) {
+	name := cmp.Or(l.Egress, mesh.MakeLinkID(l.A, l.B).String())
+	switch {
+	case l.loaded != nil:
+		return l.loaded, nil
+	case l.CSV != "":
+		return trace.LoadCSV(l.CSV)
+	case l.Phases != nil:
+		levels := make([]trace.Level, len(l.Phases))
+		var at time.Duration
+		for i, p := range l.Phases {
+			levels[i] = trace.Level{From: at, Mbps: p.Mbps}
+			at += time.Duration(p.DurationSec) * time.Second
+		}
+		return trace.StepTrace(name, time.Second, at, levels), nil
+	}
+	return trace.Constant(name, time.Second, l.Mbps, int(horizon/time.Second)), nil
 }
 
 func (s Spec) policy() (scheduler.Policy, error) {
@@ -554,16 +767,4 @@ func CityLabWorkers() []cluster.Node {
 		{Name: mesh.CityLabNode3, CPU: 12, MemoryMB: 8192},
 		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
 	}
-}
-
-// LANNodes returns an n-node microbenchmark cluster, node1..nodeN:
-// CloudLab-style machines on a bridged 1 Gbps LAN. cpu/memMB pick the
-// machine class (c6525-25g ≈ 16 cores / 128 GB; d710 ≈ 8 hardware threads /
-// 12 GB).
-func LANNodes(n int, cpu, memMB float64) []cluster.Node {
-	nodes := make([]cluster.Node, n)
-	for i := range nodes {
-		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i+1), CPU: cpu, MemoryMB: memMB}
-	}
-	return nodes
 }

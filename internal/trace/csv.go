@@ -10,7 +10,9 @@ import (
 	"time"
 )
 
-// WriteCSV writes the trace as "offset_seconds,mbps" rows with a header.
+// WriteCSV writes the trace as "offset_seconds,mbps" rows with a header:
+// offsets to the millisecond, each Mbps in the shortest form that parses
+// back to the same float64, so LoadCSV replays the samples bit for bit.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"offset_s", "mbps"}); err != nil {
@@ -20,7 +22,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		at := time.Duration(i) * t.Step
 		rec := []string{
 			strconv.FormatFloat(at.Seconds(), 'f', 3, 64),
-			strconv.FormatFloat(v, 'f', 6, 64),
+			strconv.FormatFloat(v, 'g', -1, 64),
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("trace: write row %d: %w", i, err)
@@ -104,12 +106,17 @@ func readCSV(name string, r io.Reader) (*Trace, error) {
 	return out, nil
 }
 
-// LoadCSV reads a trace from a file, naming it after the path.
+// LoadCSV reads a trace from a file, naming it after the path. Its errors
+// name the path.
 func LoadCSV(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: open %q: %w", path, err)
 	}
 	defer f.Close()
-	return readCSV(path, f)
+	t, err := readCSV(path, f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
 }

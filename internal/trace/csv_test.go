@@ -70,7 +70,7 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round trip Len/Step %d/%v, want %d/%v", back.Len(), back.Step, tr.Len(), tr.Step)
 		}
 		for i, v := range back.Samples() {
-			if math.Abs(v-samples[i]) > 1e-6 {
+			if math.Float64bits(v) != math.Float64bits(samples[i]) {
 				t.Fatalf("round trip sample %d = %v, want %v", i, v, samples[i])
 			}
 		}

@@ -16,8 +16,12 @@
 // A config is one JSON object; its keys are scenario.Spec's JSON fields,
 // documented there. "apps" lists the applications deployed, in order: a
 // "camera", "socialnet", "videoconf" or "stream" entry each ("app": "K" is
-// shorthand for [{"K": {}}]). -example prints this starter, Table 2's
-// camera feed entering the mesh at node2:
+// shorthand for [{"K": {}}]). "packLimit" caps a BASS scheduler's packing,
+// "controller" sets migration's thresholds and timers (a key left out keeps
+// its default), "clientHost" adds a workload-generator host to a "lan"
+// topology and "reservedCPU" holds cores back on every node (1 if absent).
+// -example prints this starter, Table 2's camera feed entering the mesh at
+// node2, with the controller's defaults and "reservedCPU" spelled out:
 //
 //	{"topology": "citylab", "scheduler": "bfs", "horizonSec": 600,
 //	 "seed": 42, "migration": true, "monitorIntervalSec": 30,
@@ -44,10 +48,10 @@
 //
 // Every config is decoded and validated, and every trace file it cites
 // read, before anything runs: an unknown key, a negative size or rate,
-// seconds too large for a duration, an unknown name, a malformed apps or
-// links entry, a node or link the topology lacks, a pin on an unschedulable
-// node, or a missing or malformed trace file is an error naming the file
-// and the key (and a trace file's row).
+// seconds too large for a duration, a fraction outside [0, 1], an unknown
+// name, a malformed apps or links entry, a node or link the topology lacks,
+// a pin on an unschedulable node, a misplaced client host, or a missing or
+// malformed trace file is an error naming the file and key (and trace line).
 package main
 
 import (
@@ -79,6 +83,8 @@ func exampleScenario() scenario.Spec {
 		Seed:               42,
 		Migration:          true,
 		MonitorIntervalSec: 30,
+		Controller:         scenario.DefaultController(),
+		ReservedCPU:        1,
 	}
 }
 

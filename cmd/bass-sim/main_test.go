@@ -233,7 +233,9 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"apps": [{"camera": {}}, {"camera": {}}]`, "apps[1]"},
 		{`"app": "camera", "apps": [{"camera": {}}]`, "app"},
 		{`"monitorIntervalSec": -30`, "monitorIntervalSec"},
-		{`"batchK": -1`, "batchK"},
+		// The batch search's budget and width are no keys.
+		{`"batch": true, "batchK": 2`, "batchK"},
+		{`"batch": true, "batchBudget": -1`, "batchBudget"},
 		{`"chaos": {"protected": ["ghost"]}`, "protected"},
 		{`"chaos": {"linkFlapsPerHour": -6}`, "linkFlapsPerHour"},
 		{`"apps": [{"socialnet": {"clientNode": "nodeX"}}]`, "clientNode"},
@@ -251,6 +253,18 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"links": [{"egress": "node1", "mbps": 5, "csv": "t.csv"}]`, "links[0]"},
 		{`"links": [{"egress": "node1", "mbps": -5}]`, "links[0].mbps"},
 		{`"links": [{"egress": "node1", "phases": [{"durationSec": 0, "mbps": 5}]}]`, "links[0].phases[0].durationSec"},
+		{`"controller": {"utilizationThreshold": 1.5}`, "controller.utilizationThreshold"},
+		{`"controller": {"goodputFloor": -0.1}`, "controller.goodputFloor"},
+		{`"controller": {"headroomMbps": -2}`, "controller.headroomMbps"},
+		{`"controller": {"cooldownSec": -30}`, "controller.cooldownSec"},
+		{`"controller": {"reMigrationSec": -1}`, "controller.reMigrationSec"},
+		{`"controller": {"cooldown": 30}`, "cooldown"},
+		{`"packLimit": 1.5`, "packLimit"},
+		{`"packLimit": -0.8`, "packLimit"},
+		{`"scheduler": "k3s", "packLimit": 0.8`, "packLimit"},
+		{`"clientHost": "node2"`, "clientHost"},
+		{`"topology": "citylab", "clientHost": "client"`, "clientHost"},
+		{`"reservedCPU": -1`, "reservedCPU"},
 	} {
 		checkRejected(t, c.extra, c.key)
 	}
@@ -258,7 +272,7 @@ func TestRunRejectsBadValues(t *testing.T) {
 
 // TestRunRejectsBadTraceFiles: a links entry's missing or malformed CSV
 // fails the invocation before any config runs, naming the config, the key,
-// the trace file and, for a bad row, the row.
+// the trace file and, for a bad row, its line.
 func TestRunRejectsBadTraceFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "bad.csv"), []byte("offset_s,mbps\n0,5\n1,5\n2,fast\n"), 0o644); err != nil {
@@ -266,7 +280,7 @@ func TestRunRejectsBadTraceFiles(t *testing.T) {
 	}
 	for _, c := range []struct{ csv, want string }{
 		{"missing.csv", filepath.Join(dir, "missing.csv")},
-		{"bad.csv", filepath.Join(dir, "bad.csv") + ": trace: row 2"},
+		{"bad.csv", filepath.Join(dir, "bad.csv") + ": trace: line 4"},
 	} {
 		checkRejectedIn(t, dir, `"links": [{"egress": "node2", "mbps": 5}, {"egress": "node1", "csv": "`+c.csv+`"}]`,
 			"links[1].csv", c.want)
@@ -285,6 +299,8 @@ func TestRunRejectsOverflowingSeconds(t *testing.T) {
 		{`"chaos": {"nodeCrashesPerHour": 1, "meanNodeDowntimeSec": 1e300}`, "meanNodeDowntimeSec"},
 		{`"chaos": {"linkFlapsPerHour": 1, "meanLinkDowntimeSec": 1e300}`, "meanLinkDowntimeSec"},
 		{`"chaos": {"probeLossWindowsPerHour": 1, "meanProbeLossWindowSec": 1e300}`, "meanProbeLossWindowSec"},
+		{`"controller": {"cooldownSec": 1e300}`, "controller.cooldownSec"},
+		{`"controller": {"reMigrationSec": 1e300}`, "controller.reMigrationSec"},
 	} {
 		checkRejected(t, c.extra, c.key)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 func main() {
@@ -23,13 +22,10 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	for _, policy := range []scheduler.Policy{
-		scheduler.NewBass(scheduler.HeuristicBFS),
-		scheduler.NewK3s(),
-	} {
+	for _, sched := range []string{"bfs", "k3s"} {
 		r, err := scenario.Build(scenario.Spec{
 			Topology:    "citylab",
-			Policy:      policy,
+			Scheduler:   sched,
 			ReservedCPU: 1,
 			// The camera is physically attached at node2; 30 KB frames at
 			// 30 fps press on node2's volatile 7.62 Mbps link unless the
@@ -42,7 +38,7 @@ func run(w io.Writer) error {
 			return err
 		}
 		app := r.Camera
-		fmt.Fprintf(w, "== %s ==\n", policy.Name())
+		fmt.Fprintf(w, "== %s ==\n", r.Policy)
 		for _, comp := range app.Graph().Components() {
 			fmt.Fprintf(w, "  %-16s -> %s\n", comp, r.Sim.Cluster.NodeOf("camera", comp))
 		}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func run(w io.Writer) error {
 		LANNodeCPU:           8,
 		LANNodeMemMB:         12288,
 		ClientHost:           "client",
-		Policy:               scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(0.8)),
+		PackLimit:            0.8,
 		Migration:            true,
 		MonitorIntervalSec:   30,
 		MigrationDowntimeSec: 4.3,

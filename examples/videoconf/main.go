@@ -11,12 +11,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
-	"bass/internal/controller"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 func main() {
@@ -27,16 +24,10 @@ func main() {
 
 func run(w io.Writer) error {
 	for _, migrate := range []bool{false, true} {
-		ctrlCfg := controller.DefaultConfig()
-		ctrlCfg.Migration = scheduler.MigrationConfig{
-			UtilizationThreshold: 0.65,
-			HeadroomMbps:         2,
-		}
-		ctrlCfg.ReMigrationInterval = 5 * time.Minute
 		r, err := scenario.Build(scenario.Spec{
 			Topology:             "citylab",
 			Scheduler:            "bfs",
-			Controller:           ctrlCfg,
+			Controller:           scenario.Controller{UtilizationThreshold: 0.65, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
 			Migration:            migrate,
 			MonitorIntervalSec:   30,
 			MigrationDowntimeSec: 20,

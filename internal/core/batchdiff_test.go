@@ -14,11 +14,9 @@ import (
 )
 
 // batchDiffRun executes a storm-loaded multi-app simulation with
-// observability attached, with or without the batch placement mode, and
-// returns the journal JSONL and the Prometheus metric dump. moveBudget only
-// applies when batch is true; a negative budget is the zero-move search the
-// differential below pins against greedy.
-func batchDiffRun(t *testing.T, seed int64, batch bool, moveBudget int) (journal, metrics []byte) {
+// observability attached under cfg's policy and batch placement mode, and
+// returns the journal JSONL and the Prometheus metric dump.
+func batchDiffRun(t *testing.T, seed int64, cfg Config) (journal, metrics []byte) {
 	t.Helper()
 	const rows, cols, apps = 6, 6, 12
 	topo, err := mesh.Grid(mesh.GridOptions{Rows: rows, Cols: cols, Seed: seed, Duration: 10 * time.Minute})
@@ -32,14 +30,8 @@ func batchDiffRun(t *testing.T, seed int64, batch bool, moveBudget int) (journal
 			nodes = append(nodes, cluster.Node{Name: mesh.GridNodeName(r, c), CPU: 2, MemoryMB: 16384})
 		}
 	}
-	cfg := Config{
-		EnableMigration: true,
-		MonitorInterval: 30 * time.Second,
-	}
-	if batch {
-		cfg.BatchPlacement = true
-		cfg.Batch = scheduler.BatchConfig{MoveBudget: moveBudget}
-	}
+	cfg.EnableMigration = true
+	cfg.MonitorInterval = 30 * time.Second
 	s, err := NewSimulation(topo, nodes, seed, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,19 +63,20 @@ func batchDiffRun(t *testing.T, seed int64, batch bool, moveBudget int) (journal
 }
 
 // TestBatchZeroBudgetByteIdenticalToGreedy pins the batch mode's containment
-// contract: with a zero-move budget (MoveBudget < 0 at the core level) the
-// batch-wrapped policy must produce byte-identical journals — including every
+// contract: with a zero-move budget (MoveBudget < 0) the batch-wrapped
+// policy must produce byte-identical journals — including every
 // sched_candidate scoreboard row — and metric dumps to the plain greedy path
 // at three seeds. The new mode cannot silently
 // perturb existing experiment output.
 func TestBatchZeroBudgetByteIdenticalToGreedy(t *testing.T) {
 	t.Run("event-driven", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
-			refJournal, refMetrics := batchDiffRun(t, seed, false, 0)
+			refJournal, refMetrics := batchDiffRun(t, seed, Config{})
 			if len(refJournal) == 0 {
 				t.Fatalf("seed %d: greedy run produced an empty journal", seed)
 			}
-			gotJournal, gotMetrics := batchDiffRun(t, seed, true, -1)
+			zero := scheduler.NewBatch(scheduler.NewBass(scheduler.HeuristicLongestPath), scheduler.BatchConfig{MoveBudget: -1})
+			gotJournal, gotMetrics := batchDiffRun(t, seed, Config{Policy: zero})
 			if !bytes.Equal(refJournal, gotJournal) {
 				t.Errorf("seed %d: zero-budget batch journal differs from greedy", seed)
 			}
@@ -95,14 +88,14 @@ func TestBatchZeroBudgetByteIdenticalToGreedy(t *testing.T) {
 }
 
 // TestBatchSearchDeterministicAndVisible pins the other half of the
-// contract: with a real budget the search is byte-deterministic (double-run
-// identical journals and metrics) and its decisions are visible — ChoiceBatch
-// scoreboards reach the journal through the recorder.
+// contract: with BatchPlacement's budget the search is byte-deterministic
+// (double-run identical journals and metrics) and its decisions are visible
+// — ChoiceBatch scoreboards reach the journal through the recorder.
 func TestBatchSearchDeterministicAndVisible(t *testing.T) {
 	t.Run("event-driven", func(t *testing.T) {
 		seed := int64(2)
-		j1, m1 := batchDiffRun(t, seed, true, 128)
-		j2, m2 := batchDiffRun(t, seed, true, 128)
+		j1, m1 := batchDiffRun(t, seed, Config{BatchPlacement: true})
+		j2, m2 := batchDiffRun(t, seed, Config{BatchPlacement: true})
 		if !bytes.Equal(j1, j2) {
 			t.Error("batch double-run journals differ")
 		}

@@ -120,15 +120,10 @@ type Config struct {
 	EvalWorkers int
 	// BatchPlacement wraps Policy in the batch joint search: each deployed
 	// DAG is first placed by the greedy seed policy, then improved by a
-	// budgeted k-best local search scored against the path oracle (see
-	// scheduler.Batch). Orthogonal to migration — it changes only where
-	// components start.
+	// k-best local search of DefaultBatchMoveBudget joint candidates scored
+	// against the path oracle (see scheduler.Batch). Orthogonal to
+	// migration — it changes only where components start.
 	BatchPlacement bool
-	// Batch tunes the batch search. A zero MoveBudget defaults to
-	// DefaultBatchMoveBudget; a negative one disables the search outright,
-	// making the run byte-identical to the plain greedy policy (the
-	// differential tests pin this). A zero Seed follows the engine seed.
-	Batch scheduler.BatchConfig
 	// EnableSLO runs the SLO evaluator at the end of every control cycle:
 	// a mesh-wide link-headroom spec and a control-loop latency spec are
 	// registered when observability attaches, plus a dependency-goodput spec
@@ -140,11 +135,11 @@ type Config struct {
 	EnableSLO bool
 }
 
-// DefaultBatchMoveBudget is the joint-candidate evaluation budget used when
-// BatchPlacement is on and Config.Batch.MoveBudget is zero. Solve time grows
-// linearly in the budget; at 256 one five-stage DAG on the 196-node city mesh
-// takes milliseconds to place (bench city-batch: place_ms_p50 8.3), against
-// microseconds for the greedy seed alone.
+// DefaultBatchMoveBudget is the joint-candidate evaluation budget of
+// BatchPlacement. Solve time grows linearly in the budget; at 256 one
+// five-stage DAG on the 196-node city mesh takes milliseconds to place
+// (bench city-batch: place_ms_p50 8.3), against microseconds for the greedy
+// seed alone.
 const DefaultBatchMoveBudget = 256
 
 // Fixed retry parameters. The backoff constants equal the reconciler's own,
@@ -298,14 +293,7 @@ func newOrchestrator(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, 
 		return spare
 	}
 	if cfg.BatchPlacement {
-		bcfg := o.cfg.Batch
-		if bcfg.MoveBudget == 0 {
-			bcfg.MoveBudget = DefaultBatchMoveBudget
-		}
-		if bcfg.Seed == 0 {
-			bcfg.Seed = eng.Seed()
-		}
-		batch := scheduler.NewBatch(o.cfg.Policy, bcfg)
+		batch := scheduler.NewBatch(o.cfg.Policy, scheduler.BatchConfig{MoveBudget: DefaultBatchMoveBudget, Seed: eng.Seed()})
 		batch.SetPathQuery(o.pathSpareFn)
 		o.cfg.Policy = batch
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"bass/internal/controller"
 	"bass/internal/scenario"
 )
 
@@ -50,7 +48,7 @@ func runAblationPackLimit(seed int64, limits []float64) (ablationResult, error) 
 	}
 	out := ablationResult{Name: "scheduler pack limit (Fig 13 scenario)", Extra: "throttle_tail_mean_s"}
 	for _, limit := range limits {
-		r, err := throttledLAN(seed, 30, limit)
+		r, err := complete(throttledLAN(seed, 30, limit))
 		if err != nil {
 			return out, err
 		}
@@ -69,17 +67,20 @@ func runAblationCooldown(seed int64, cooldownsSec []int) (ablationResult, error)
 	}
 	out := ablationResult{Name: "controller cooldown (CityLab mesh)", Extra: "p90_s"}
 	for _, cd := range cooldownsSec {
-		spec := citySocial(seed)
-		spec.Migration = true
-		spec.Controller = controller.DefaultConfig()
-		spec.Controller.Cooldown = time.Duration(cd) * time.Second
-		r, err := complete(spec)
+		r, err := complete(cooldownSocial(seed, cd))
 		if err != nil {
 			return out, err
 		}
 		out.Rows = append(out.Rows, summariseAblation(fmt.Sprintf("cooldown=%ds", cd), r, r.Social.Latency().Histogram().P90()))
 	}
 	return out, nil
+}
+
+// cooldownSocial is citySocial with migration after cooldownSec.
+func cooldownSocial(seed int64, cooldownSec int) scenario.Spec {
+	spec := citySocial(seed)
+	spec.Migration, spec.Controller.CooldownSec = true, float64(cooldownSec)
+	return spec
 }
 
 // runAblationProbeInterval sweeps core.Config.MonitorInterval on the CityLab

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // fig10Row is one scheduler's camera-pipeline outcome.
@@ -23,20 +22,26 @@ type fig10Result struct {
 	Rows []fig10Row
 }
 
-// runCamera deploys the camera pipeline under one policy and returns the
-// latency stats and placement.
-func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (fig10Row, error) {
-	r, err := complete(scenario.Spec{
+// cameraLAN is Fig 10's testbed: the camera pipeline under the named
+// scheduler on three c6525-class machines with no bandwidth limits.
+func cameraLAN(seed int64, sched string, horizon time.Duration) scenario.Spec {
+	return scenario.Spec{
 		Topology:     "lan",
 		LANNodes:     3,
 		LANNodeCPU:   16,
 		LANNodeMemMB: 131072,
-		App:          "camera",
-		Policy:       policy,
+		Apps:         []scenario.App{{Camera: &scenario.Camera{}}},
+		Scheduler:    sched,
 		ReservedCPU:  1,
 		HorizonSec:   int(horizon / time.Second),
 		Seed:         seed,
-	})
+	}
+}
+
+// runCamera runs a cameraLAN spec and returns the latency stats and
+// placement.
+func runCamera(spec scenario.Spec) (fig10Row, error) {
+	r, err := complete(spec)
 	if err != nil {
 		return fig10Row{}, err
 	}
@@ -46,7 +51,7 @@ func runCamera(seed int64, policy scheduler.Policy, horizon time.Duration) (fig1
 		placement[p.Node] = append(placement[p.Node], p.Component)
 	}
 	return fig10Row{
-		Scheduler: policy.Name(),
+		Scheduler: r.Policy,
 		MeanSec:   h.Mean(),
 		MedianSec: h.Median(),
 		Placement: placement,
@@ -62,14 +67,9 @@ func runFig10(seed int64, horizon time.Duration) (fig10Result, error) {
 	if horizon == 0 {
 		horizon = 30 * time.Minute
 	}
-	policies := []scheduler.Policy{
-		scheduler.NewBass(scheduler.HeuristicBFS),
-		scheduler.NewBass(scheduler.HeuristicLongestPath),
-		scheduler.NewK3s(),
-	}
 	var out fig10Result
-	for _, p := range policies {
-		row, err := runCamera(seed, p, horizon)
+	for _, sched := range []string{"bfs", "longest-path", "k3s"} {
+		row, err := runCamera(cameraLAN(seed, sched, horizon))
 		if err != nil {
 			return out, err
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 	"bass/internal/trace"
 )
 
@@ -34,21 +33,17 @@ func runFig11(seed int64, rates []float64) (fig11Result, error) {
 		rates = []float64{100, 200, 300}
 	}
 	const horizon = 4 * time.Minute
-	policies := []scheduler.Policy{
-		scheduler.NewBass(scheduler.HeuristicLongestPath),
-		scheduler.NewK3s(),
-	}
 	var out fig11Result
 	for _, restricted := range []bool{false, true} {
-		for _, policy := range policies {
+		for _, sched := range []string{"longest-path", "k3s"} {
 			for _, rps := range rates {
-				r, err := runFig11Cell(seed, policy, restricted, rps, horizon)
+				r, err := runFig11Cell(seed, sched, restricted, rps, horizon)
 				if err != nil {
 					return out, err
 				}
 				h := r.Social.Latency().Histogram()
 				out.Rows = append(out.Rows, fig11Row{
-					Scheduler:  policy.Name(),
+					Scheduler:  r.Policy,
 					Restricted: restricted,
 					RPS:        rps,
 					P99Sec:     h.P99(),
@@ -65,9 +60,9 @@ func runFig11(seed int64, rates []float64) (fig11Result, error) {
 // throttles "bandwidth on one node"): the bandwidth-aware scheduler keeps
 // its heavy pairs co-located, so that node carries little of its traffic;
 // the spreading baseline routes hot pairs through it.
-func runFig11Cell(seed int64, policy scheduler.Policy, restricted bool, rps float64, horizon time.Duration) (*scenario.Run, error) {
+func runFig11Cell(seed int64, sched string, restricted bool, rps float64, horizon time.Duration) (*scenario.Run, error) {
 	spec := socialLAN(4, rps, seed)
-	spec.Policy = policy
+	spec.Scheduler = sched
 	spec.Apps[0].Socialnet.ProfileRPS = 300
 	spec.HorizonSec = int(horizon / time.Second)
 	r, err := scenario.Build(spec)

@@ -6,7 +6,6 @@ import (
 
 	"bass/internal/core"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // fig13Row is one monitoring-interval configuration of Fig 13.
@@ -32,25 +31,25 @@ type fig13Result struct {
 	Evaluations []core.EvaluationRecord
 }
 
-// throttledLAN runs the Fig 13 testbed for seed, shared by Fig 13, Table 1
-// and the pack-limit ablation, and leaves it closed: socialLAN at 400 RPS
+// throttledLAN is the Fig 13 testbed for seed, shared by Fig 13, Table 1
+// and the pack-limit ablation: socialLAN at 400 RPS
 // (profiled at 400) on three workers. 10 s in, the outgoing interfaces of
 // node1 and node2 are throttled to 25 Mbps for 3 minutes (tc on two of the
 // three nodes, as in the paper); node3 keeps full egress and becomes the
 // migration refuge. intervalSec is the monitor interval (0 disables
 // migration); packLimit caps node packing so nodes keep room to receive
 // migrated components.
-func throttledLAN(seed int64, intervalSec int, packLimit float64) (*scenario.Run, error) {
+func throttledLAN(seed int64, intervalSec int, packLimit float64) scenario.Spec {
 	spec := socialLAN(3, 400, seed)
 	spec.Apps[0].Socialnet.ProfileRPS = 400
-	spec.Policy = scheduler.NewBass(scheduler.HeuristicLongestPath, scheduler.WithPackLimit(packLimit))
+	spec.PackLimit = packLimit
 	spec.Migration = intervalSec > 0
 	spec.MonitorIntervalSec = intervalSec
 	spec.MigrationDowntimeSec = 4.3
 	spec.HorizonSec = int(lanHorizon / time.Second)
 	throttle := throttleWindow(lanThrottleAt, lanThrottleEnd-lanThrottleAt, lanHorizon, 25)
 	spec.Links = []scenario.Link{{Egress: "node1", Phases: throttle}, {Egress: "node2", Phases: throttle}}
-	return complete(spec)
+	return spec
 }
 
 const (
@@ -86,7 +85,7 @@ func runFig13(seed int64, intervals []int) (fig13Result, error) {
 	}
 	var out fig13Result
 	for _, interval := range intervals {
-		r, err := throttledLAN(seed, interval, 0.8)
+		r, err := complete(throttledLAN(seed, interval, 0.8))
 		if err != nil {
 			return out, err
 		}

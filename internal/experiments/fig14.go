@@ -8,7 +8,6 @@ import (
 	"bass/internal/mesh"
 	"bass/internal/metrics"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // fig14aResult quantifies the component-restart overhead.
@@ -116,20 +115,18 @@ func runFig14bVariant(name string, spec scenario.Spec) (fig14bRow, error) {
 // reports p99 of 28 s for longest-path+migration vs 66 s for default k3s.
 func runFig14b(seed int64) (fig14bResult, error) {
 	variants := []struct {
-		name    string
-		policy  scheduler.Policy
-		migrate bool
+		name, sched string
+		migrate     bool
 	}{
-		{name: "longest-path+mig", policy: scheduler.NewBass(scheduler.HeuristicLongestPath), migrate: true},
-		{name: "bfs+mig", policy: scheduler.NewBass(scheduler.HeuristicBFS), migrate: true},
-		{name: "longest-path", policy: scheduler.NewBass(scheduler.HeuristicLongestPath), migrate: false},
-		{name: "k3s-default", policy: scheduler.NewK3s(), migrate: false},
+		{"longest-path+mig", "longest-path", true},
+		{"bfs+mig", "bfs", true},
+		{"longest-path", "longest-path", false},
+		{"k3s-default", "k3s", false},
 	}
 	var out fig14bResult
 	for _, v := range variants {
 		spec := citySocial(seed)
-		spec.Policy, spec.Migration = v.policy, v.migrate
-		spec.Controller = thresholdController(0.5, 2)
+		spec.Scheduler, spec.Migration, spec.Controller.HeadroomMbps = v.sched, v.migrate, 2
 		row, err := runFig14bVariant(v.name, spec)
 		if err != nil {
 			return out, err
@@ -180,27 +177,16 @@ func runFig14cd(seed int64, thresholds, headrooms []int) (fig14cdResult, error) 
 	if len(headrooms) == 0 {
 		headrooms = []int{10, 20, 30}
 	}
-	heuristics := []struct {
-		name   string
-		policy scheduler.Policy
-	}{
-		{name: "bfs", policy: scheduler.NewBass(scheduler.HeuristicBFS)},
-		{name: "longest-path", policy: scheduler.NewBass(scheduler.HeuristicLongestPath)},
-	}
 	var out fig14cdResult
-	for _, h := range heuristics {
+	for _, sched := range []string{"bfs", "longest-path"} {
 		for _, th := range thresholds {
 			for _, hr := range headrooms {
-				spec := citySocial(seed)
-				spec.Policy, spec.Migration = h.policy, true
-				// Headroom expressed against a 20 Mbps-class mesh link.
-				spec.Controller = thresholdController(float64(th)/100, float64(hr)/100*20)
-				row, err := runFig14bVariant(fmt.Sprintf("%s/t%d/h%d", h.name, th, hr), spec)
+				row, err := runFig14bVariant(fmt.Sprintf("%s/t%d/h%d", sched, th, hr), fig14cdSpec(seed, sched, th, hr))
 				if err != nil {
 					return out, err
 				}
 				out.Cells = append(out.Cells, fig14cdCell{
-					Heuristic:     h.name,
+					Heuristic:     sched,
 					ThresholdPct:  th,
 					HeadroomPct:   hr,
 					MedianSec:     row.MedianSec,
@@ -211,6 +197,16 @@ func runFig14cd(seed int64, thresholds, headrooms []int) (fig14cdResult, error) 
 		}
 	}
 	return out, nil
+}
+
+// fig14cdSpec is the Figs 14(c,d) cell of the named scheduler with migration
+// at thresholdPct link utilization and headroomPct of a 20 Mbps-class mesh
+// link as headroom.
+func fig14cdSpec(seed int64, sched string, thresholdPct, headroomPct int) scenario.Spec {
+	spec := citySocial(seed)
+	spec.Scheduler, spec.Migration = sched, true
+	spec.Controller.UtilizationThreshold, spec.Controller.HeadroomMbps = float64(thresholdPct)/100, float64(headroomPct)/100*20
+	return spec
 }
 
 // Table renders the sweep grid.

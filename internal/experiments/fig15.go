@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"bass/internal/controller"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // fig15aTable renders the emulated 5-node CityLab subset (Fig 15a): nodes,
@@ -48,7 +45,6 @@ type fig15Result struct {
 // no migration, and migration at 65% / 85% link-utilization thresholds. The
 // paper sees the biggest gains for the participants at nodes 1 and 2.
 func runFig15b(seed int64) (fig15Result, error) {
-	const horizon = 10 * time.Minute
 	strategies := []struct {
 		name      string
 		threshold float64
@@ -59,28 +55,7 @@ func runFig15b(seed int64) (fig15Result, error) {
 	}
 	out := fig15Result{Migrations: make(map[string]int)}
 	for _, s := range strategies {
-		ctrlCfg := controller.DefaultConfig()
-		ctrlCfg.Migration = scheduler.MigrationConfig{
-			UtilizationThreshold: s.threshold,
-			GoodputFloor:         0, // sweep isolates the utilization trigger
-			HeadroomMbps:         2,
-		}
-		// WebRTC reconnects cost ~20 s; space SFU moves out so the paid
-		// downtime amortises (§6.3.2's take-away).
-		ctrlCfg.ReMigrationInterval = 5 * time.Minute
-		r, err := complete(scenario.Spec{
-			Scheduler:            "bfs",
-			Controller:           ctrlCfg,
-			Migration:            s.threshold > 0,
-			MonitorIntervalSec:   30,
-			MigrationDowntimeSec: 20,
-			ReservedCPU:          1,
-			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
-				ParticipantsPerNode: 3, PublishMbps: 0.5, InitialNode: mesh.CityLabNode4,
-			}}},
-			HorizonSec: int(horizon / time.Second),
-			Seed:       seed,
-		})
+		r, err := complete(fig15bSpec(seed, s.threshold))
 		if err != nil {
 			return out, err
 		}
@@ -95,6 +70,27 @@ func runFig15b(seed int64) (fig15Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// fig15bSpec is Fig 15(b)'s conference for 10 minutes, migrating the SFU at
+// the given link-utilization threshold (0: no migration).
+func fig15bSpec(seed int64, threshold float64) scenario.Spec {
+	return scenario.Spec{
+		Scheduler: "bfs",
+		// The sweep isolates the utilization trigger (no goodput floor), and
+		// WebRTC reconnects cost ~20 s, so SFU moves are spaced 5 minutes
+		// apart for the paid downtime to amortise (§6.3.2's take-away).
+		Controller:           scenario.Controller{UtilizationThreshold: threshold, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
+		Migration:            threshold > 0,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 20,
+		ReservedCPU:          1,
+		Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+			ParticipantsPerNode: 3, PublishMbps: 0.5, InitialNode: mesh.CityLabNode4,
+		}}},
+		HorizonSec: 10 * 60,
+		Seed:       seed,
+	}
 }
 
 // Table renders per-node bitrates by strategy.

@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"bass/internal/scenario"
+)
 
 // fig16Row is one migration threshold under exponential arrivals.
 type fig16Row struct {
@@ -27,11 +31,7 @@ func runFig16(seed int64, thresholds []int) (fig16Result, error) {
 	}
 	var out fig16Result
 	for _, th := range thresholds {
-		spec := citySocial(seed)
-		spec.Migration = true
-		spec.Controller = thresholdController(float64(th)/100, 0.2*20) // 20% of a 20 Mbps-class link
-		spec.Apps[0].Socialnet.Bursty = true
-		r, err := complete(spec)
+		r, err := complete(fig16Spec(seed, th))
 		if err != nil {
 			return out, err
 		}
@@ -44,6 +44,16 @@ func runFig16(seed int64, thresholds []int) (fig16Result, error) {
 		})
 	}
 	return out, nil
+}
+
+// fig16Spec is citySocial with bursty arrivals and migration at
+// thresholdPct link utilization, keeping the default headroom (20% of a
+// 20 Mbps-class link).
+func fig16Spec(seed int64, thresholdPct int) scenario.Spec {
+	spec := citySocial(seed)
+	spec.Migration, spec.Controller.UtilizationThreshold = true, float64(thresholdPct)/100
+	spec.Apps[0].Socialnet.Bursty = true
+	return spec
 }
 
 // Table renders the sweep.

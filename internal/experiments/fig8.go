@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"bass/internal/cluster"
-	"bass/internal/controller"
 	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 	"bass/internal/trace"
 )
 
@@ -68,18 +66,10 @@ func runFig8(seed int64) (fig8Result, error) {
 		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
 		{Name: mesh.CityLabNode1, CPU: 8, MemoryMB: 8192},
 	}
-	ctrlCfg := controller.DefaultConfig()
-	ctrlCfg.Migration = scheduler.MigrationConfig{
-		UtilizationThreshold: 0.5,
-		GoodputFloor:         0.5,
-		HeadroomMbps:         4, // ≈20% of the 25 Mbps link, per the paper
-	}
-	ctrlCfg.Cooldown = 30 * time.Second
 	r, err := complete(scenario.Spec{
 		Topo:                 topo,
 		Nodes:                nodes,
 		Scheduler:            "bfs",
-		Controller:           ctrlCfg,
 		Migration:            true,
 		MonitorIntervalSec:   30,
 		MigrationDowntimeSec: 10,

@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"bass/internal/controller"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // citySocial is the CityLab testbed of §6.3, shared by Figs 14a-d, Fig 16
 // and the cooldown and probe-interval ablations: the social network at 150
 // RPS, its workload generator on the control-plane host, over the
-// trace-driven CityLab mesh for 20 minutes under longest-path placement,
-// with one core per worker reserved and the paper's 4.3 s migration
-// downtime. Those jobs set the policy, migration, controller, monitor
-// interval, arrivals and horizon.
+// trace-driven CityLab mesh for 20 minutes under longest-path placement and
+// the default controller, with one core per worker reserved and the paper's
+// 4.3 s migration downtime. Those jobs set the scheduler, migration,
+// controller fields, monitor interval, arrivals and horizon.
 func citySocial(seed int64) scenario.Spec {
 	return scenario.Spec{
 		Apps:                 []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 150, ClientNode: mesh.CityLabControl}}},
+		Controller:           scenario.DefaultController(),
 		MigrationDowntimeSec: 4.3,
 		ReservedCPU:          1,
 		HorizonSec:           20 * 60,
@@ -58,16 +57,4 @@ func throttleWindow(at, dur, horizon time.Duration, mbps float64) []scenario.Pha
 	sec := func(d time.Duration) int { return int(d / time.Second) }
 	return []scenario.Phase{{DurationSec: sec(at), Mbps: 1000}, {DurationSec: sec(dur), Mbps: mbps},
 		{DurationSec: sec(horizon - at - dur), Mbps: 1000}}
-}
-
-// thresholdController is the default controller migrating at the given link
-// utilization threshold and headroom, with a 0.5 goodput floor.
-func thresholdController(threshold, headroomMbps float64) controller.Config {
-	c := controller.DefaultConfig()
-	c.Migration = scheduler.MigrationConfig{
-		UtilizationThreshold: threshold,
-		GoodputFloor:         0.5,
-		HeadroomMbps:         headroomMbps,
-	}
-	return c
 }

@@ -6,7 +6,6 @@ import (
 
 	"bass/internal/mesh"
 	"bass/internal/scenario"
-	"bass/internal/scheduler"
 )
 
 // table2Cell is one (scheduler, variation) measurement.
@@ -32,14 +31,9 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
-	policies := []scheduler.Policy{
-		scheduler.NewBass(scheduler.HeuristicBFS),
-		scheduler.NewBass(scheduler.HeuristicLongestPath),
-		scheduler.NewK3s(),
-	}
 	var out table2Result
 	for _, varying := range []bool{false, true} {
-		for _, policy := range policies {
+		for _, sched := range []string{"bfs", "longest-path", "k3s"} {
 			topo, err := mesh.CityLab(mesh.CityLabOptions{
 				Seed:     seed,
 				Duration: horizon,
@@ -53,7 +47,7 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 			r, err := complete(scenario.Spec{
 				Topo:        topo,
 				Nodes:       CityLabWorkers(),
-				Policy:      policy,
+				Scheduler:   sched,
 				ReservedCPU: 1,
 				// The camera feed enters the mesh at node2 (a physical camera
 				// on a pole), and the 30 KB frames (≈7.2 Mbps) press on
@@ -69,7 +63,7 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 			}
 			h := r.Camera.Latency().Histogram()
 			out.Cells = append(out.Cells, table2Cell{
-				Scheduler:  policy.Name(),
+				Scheduler:  r.Policy,
 				Varying:    varying,
 				MedianSec:  h.Median(),
 				MeanSec:    h.Mean(),

@@ -17,13 +17,15 @@ import (
 // FuzzDecodeSpec feeds arbitrary bytes through Decode (strict decoding plus
 // Validate). It must never panic; a spec it accepts must re-encode and
 // decode to an equal Spec, and must keep every promise Validate makes,
-// re-derived here: no negative size, rate or interval, known names, links
+// re-derived here: no negative size, rate or interval, known names,
+// controller fractions and a pack limit in [0, 1] (none for k3s), a finite
+// headroom and reserved CPU, a client host only on a lan topology, links
 // entries with one address and one capacity form, and every node and link
 // it names present in the topology Build would build, no pin on an
-// unschedulable node and no direction shaped twice (checked on the built
-// topology, with faults.Schedule.Validate, whenever the spec is small
-// enough to build quickly). Decode must not open a csv path: a seed names
-// /dev/zero.
+// unschedulable node, no client host named like a worker and no direction
+// shaped twice (checked on the built topology, with faults.Schedule.Validate,
+// whenever the spec is small enough to build quickly). Decode must not open
+// a csv path: a seed names /dev/zero.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range []string{
 		// bass-sim -example.
@@ -36,7 +38,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"topology": "lan", "lanNodes": 4, "app": "camera", "scheduler": "bfs", "horizonSec": 900, "seed": 7,
 		  "migration": true, "monitorIntervalSec": 30, "slo": true,
 		  "faults": [{"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node2"}, {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}]}`,
-		`{"apps": [{"socialnet": {"rps": 20, "clientNode": "node0"}}], "batch": true, "batchBudget": -1, "batchK": 2,
+		`{"apps": [{"socialnet": {"rps": 20, "clientNode": "node0"}}], "batch": true,
 		  "chaos": {"probeLossWindowsPerHour": 2, "meanProbeLossWindowSec": 60, "protected": ["node0"]}}`,
 		`{"apps": [{"videoconf": {"participantsPerNode": 2, "publishMbps": 1.5}}], "reconcile": true,
 		  "faults": [{"atSec": 30, "type": "probe-loss-start", "linkA": "node2", "linkB": "node3"}]}`,
@@ -122,6 +124,30 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": 9223372036, "mbps": 5}, {"durationSec": 9223372036, "mbps": 5}]}]}`,
 		`{"links": [{"a": "node2", "b": "node3", "csv": ""}]}`,
 		`{"links": [{"a": "node2", "b": "node3", "mbps": 30, "latencyMs": 5}]}`,
+		// Each controller key, pack limit, client host and reserved CPU the
+		// paper jobs set, and the zeros that must survive decoding.
+		`{"controller": {"utilizationThreshold": 0.65, "goodputFloor": 0, "headroomMbps": 2, "cooldownSec": 30,
+		  "reMigrationSec": 300}, "scheduler": "bfs", "migration": true, "reservedCPU": 1}`,
+		`{"controller": {"cooldownSec": 0}, "migration": true, "reservedCPU": 0}`,
+		`{"controller": {}}`,
+		`{"topology": "lan", "lanNodes": 3, "lanNodeCPU": 8, "lanNodeMemMB": 12288, "clientHost": "node4", "packLimit": 0.8,
+		  "apps": [{"socialnet": {"rps": 400, "bursty": true, "profileRPS": 400}}], "reservedCPU": 0}`,
+		`{"topology": "lan", "clientHost": "client", "packLimit": 1, "apps": [{"videoconf": {"initialNode": "node1"}}]}`,
+		// Controller, pack limit, client host and reserved CPU values
+		// Validate rejects, and a key the controller lacks.
+		`{"controller": {"utilizationThreshold": 1.5}}`,
+		`{"controller": {"goodputFloor": -0.5}}`,
+		`{"controller": {"headroomMbps": -4}}`,
+		`{"controller": {"cooldownSec": -30}}`,
+		`{"controller": {"reMigrationSec": 1e300}}`,
+		`{"controller": {"cooldown": 30}}`,
+		`{"packLimit": 1.2}`,
+		`{"packLimit": -0.8}`,
+		`{"scheduler": "k3s", "packLimit": 0.8}`,
+		`{"topology": "lan", "clientHost": "node3"}`,
+		`{"clientHost": "client"}`,
+		`{"topology": "lan", "clientHost": "client", "apps": [{"camera": {"pinCamera": "client"}}]}`,
+		`{"reservedCPU": -1}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -219,7 +245,7 @@ func checkAccepted(t *testing.T, s Spec) {
 	v := reflect.ValueOf(s)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
-		if name == "Seed" || name == "BatchBudget" {
+		if name == "Seed" {
 			continue
 		}
 		switch fv := v.Field(i); fv.Kind() {
@@ -233,7 +259,24 @@ func checkAccepted(t *testing.T, s Spec) {
 			}
 		}
 	}
-	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec), s.MigrationDowntimeSec}
+	c := s.Controller
+	for _, v := range []float64{c.UtilizationThreshold, c.GoodputFloor, s.PackLimit} {
+		if v < 0 || v > 1 || math.IsNaN(v) {
+			t.Fatalf("accepted a controller fraction or pack limit outside [0, 1]: %+v, packLimit %v", c, s.PackLimit)
+		}
+	}
+	for _, v := range []float64{c.HeadroomMbps, s.ReservedCPU, s.LANNodeCPU, s.LANNodeMemMB} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("accepted a non-finite amount in %+v", s)
+		}
+	}
+	if _, err := s.policy(); err != nil || s.Scheduler == "k3s" && s.PackLimit != 0 {
+		t.Fatalf("accepted scheduler %q with pack limit %v: %v", s.Scheduler, s.PackLimit, err)
+	}
+	if s.ClientHost != "" && s.Topology != "lan" {
+		t.Fatalf("accepted client host %q on topology %q", s.ClientHost, s.Topology)
+	}
+	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec), s.MigrationDowntimeSec, c.CooldownSec, c.ReMigrationSec}
 	for _, e := range s.Faults {
 		secs = append(secs, e.AtSec)
 	}
@@ -279,6 +322,11 @@ func checkAccepted(t *testing.T, s Spec) {
 	for _, n := range pins {
 		if slices.ContainsFunc(cl, func(c cluster.Node) bool { return c.Name == n && c.Unschedulable }) {
 			t.Fatalf("accepted a pin on unschedulable node %q", n)
+		}
+	}
+	for i, n := range cl {
+		if slices.ContainsFunc(cl[i+1:], func(c cluster.Node) bool { return c.Name == n.Name }) {
+			t.Fatalf("accepted a client host named like worker %q", n.Name)
 		}
 	}
 	shaped := map[[2]string]int{} // direction -> the entry shaping it

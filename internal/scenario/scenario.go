@@ -59,6 +59,10 @@ type Spec struct {
 	Apps []App `json:"apps,omitempty"`
 	// Scheduler is "bfs", "longest-path" (alias "lp", the default) or "k3s".
 	Scheduler string `json:"scheduler"`
+	// PackLimit caps a BASS scheduler's initial packing at this fraction of
+	// each node's free capacity, in (0, 1] (zero = 1: pack completely); k3s
+	// takes none.
+	PackLimit float64 `json:"packLimit,omitempty"`
 
 	HorizonSec int   `json:"horizonSec"` // run length (default 600)
 	Seed       int64 `json:"seed"`
@@ -75,13 +79,11 @@ type Spec struct {
 	// its SLIs from a metric store, so it attaches one.
 	SLO bool `json:"slo,omitempty"`
 	// Batch places each DAG as one joint decision, refined by a budgeted
-	// k-best local search over the greedy seed. BatchBudget bounds the
-	// joint-candidate evaluations per DAG (0 = core's default; negative =
-	// zero-move passthrough, byte-identical to the plain scheduler); BatchK
-	// sets the frontier width (0 = default).
-	Batch       bool `json:"batch,omitempty"`
-	BatchBudget int  `json:"batchBudget,omitempty"`
-	BatchK      int  `json:"batchK,omitempty"`
+	// k-best local search over the greedy seed (core.BatchPlacement).
+	Batch bool `json:"batch,omitempty"`
+	// Controller configures migration; the zero value is
+	// controller.DefaultConfig().
+	Controller Controller `json:"controller"`
 
 	// Faults is an explicit fault schedule; Chaos arms the seeded generator
 	// over the horizon. The explicit list is window-validated before the
@@ -96,19 +98,16 @@ type Spec struct {
 	// (zero = core's default, 20 s).
 	MigrationDowntimeSec float64 `json:"migrationDowntimeSec,omitempty"`
 
+	// ClientHost adds an unschedulable 8-core host of this name to a "lan"
+	// cluster, beside its nodeN workers: the external workload generator.
+	ClientHost string `json:"clientHost,omitempty"`
+	// ReservedCPU is held back on every node for the agent and daemons.
+	// Decode reads an absent key as 1; in Go the zero value reserves none.
+	ReservedCPU float64 `json:"reservedCPU"`
+
 	// Topo and Nodes replace Topology with a prebuilt mesh and its cluster.
 	Topo  *mesh.Topology `json:"-"`
 	Nodes []cluster.Node `json:"-"`
-	// ClientHost adds an unschedulable 8-core host of this name to a "lan"
-	// cluster: the external workload generator.
-	ClientHost string `json:"-"`
-	// Policy, when set, is used instead of the Scheduler name.
-	Policy scheduler.Policy `json:"-"`
-	// Controller is the migration controller's config (zero = defaults).
-	Controller controller.Config `json:"-"`
-	// ReservedCPU is held back on every node for the agent and daemons.
-	// Decode sets 1, as bass-sim always has.
-	ReservedCPU float64 `json:"-"`
 	// Journal and Metrics attach a decision journal and a metric store.
 	Journal bool `json:"-"`
 	Metrics bool `json:"-"`
@@ -125,6 +124,33 @@ type Chaos struct {
 	ProbeLossWindowsPerHour float64  `json:"probeLossWindowsPerHour,omitempty"`
 	MeanProbeLossWindowSec  float64  `json:"meanProbeLossWindowSec,omitempty"`
 	Protected               []string `json:"protected,omitempty"`
+}
+
+// Controller configures migration (§4.3): a pair above UtilizationThreshold
+// of its bandwidth quota on a link short of HeadroomMbps, or below
+// GoodputFloor of its requirement, for CooldownSec, migrates, and no
+// component moves twice within ReMigrationSec. Thresholds are fractions in
+// [0, 1]. Decode starts from DefaultController, so a key a scenario file
+// leaves out keeps its default; in Go, all five zero is the default.
+type Controller struct {
+	UtilizationThreshold float64 `json:"utilizationThreshold"`
+	GoodputFloor         float64 `json:"goodputFloor"`
+	HeadroomMbps         float64 `json:"headroomMbps"`
+	CooldownSec          float64 `json:"cooldownSec"`
+	ReMigrationSec       float64 `json:"reMigrationSec"`
+}
+
+// DefaultController is controller.DefaultConfig as a Controller.
+func DefaultController() Controller {
+	c := controller.DefaultConfig()
+	m := c.Migration
+	return Controller{m.UtilizationThreshold, m.GoodputFloor, m.HeadroomMbps, c.Cooldown.Seconds(), c.ReMigrationInterval.Seconds()}
+}
+
+// config is the controller.Config c describes.
+func (c Controller) config() controller.Config {
+	m := scheduler.MigrationConfig{UtilizationThreshold: c.UtilizationThreshold, GoodputFloor: c.GoodputFloor, HeadroomMbps: c.HeadroomMbps}
+	return controller.Config{Migration: m, Cooldown: seconds(c.CooldownSec), ReMigrationInterval: seconds(c.ReMigrationSec)}
 }
 
 // Link is one entry of Spec.Links: the capacity of a link, A and B, in
@@ -196,10 +222,10 @@ type Videoconf struct {
 // Decode reads one JSON scenario strictly: an unknown key or trailing data
 // is an error, so a typo such as "migraton" cannot silently run a different
 // scenario. "app" is rewritten into its one-entry "apps" list, a spec with
-// neither deploys camera, and one core per node is reserved. The result is
-// validated.
+// neither deploys camera, and one core per node is reserved unless
+// "reservedCPU" says otherwise. The result is validated.
 func Decode(r io.Reader) (Spec, error) {
-	var s Spec
+	s := Spec{ReservedCPU: 1, Controller: DefaultController()}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
@@ -214,14 +240,13 @@ func Decode(r io.Reader) (Spec, error) {
 	if err := s.expand(); err != nil {
 		return Spec{}, err
 	}
-	s.ReservedCPU = 1
 	return s, s.Validate()
 }
 
 // Load reads the scenario file at path with Decode, then each links
 // entry's CSV trace, a relative path resolved against the file's
 // directory. Errors name the file and the key; a CSV error also names the
-// trace file and its row.
+// trace file and the line of its bad row.
 func Load(path string) (Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -271,18 +296,28 @@ type field struct {
 }
 
 // Validate rejects what a run would otherwise replace by a default or fail
-// on late: negative sizes, rates and intervals (a negative batchBudget is
-// legal), seconds that are not a number or whose nanoseconds overflow a
-// time.Duration, unknown topology, app or scheduler names, a bad apps or
-// links entry, nodes or links the topology lacks, and a pin on an
-// unschedulable node. Errors name the key. It neither builds the topology
-// nor opens a file.
+// on late: negative or non-finite sizes, rates and intervals, seconds whose
+// nanoseconds overflow a time.Duration, fractions outside [0, 1], a k3s
+// pack limit, unknown topology, app or scheduler names, a client host off a
+// "lan" topology or named like a worker, a bad apps or links entry, nodes
+// or links the topology lacks, and a pin on an unschedulable node. Errors
+// name the key. It neither builds the topology nor opens a file.
 func (s Spec) Validate() error {
 	if err := s.expand(); err != nil {
 		return err
 	}
 	secs := []field{{"horizonSec", float64(s.HorizonSec)}, {"monitorIntervalSec", float64(s.MonitorIntervalSec)},
 		{"migrationDowntimeSec", s.MigrationDowntimeSec}}
+	ctl := s.Controller
+	for _, f := range []field{{"controller.utilizationThreshold", ctl.UtilizationThreshold},
+		{"controller.goodputFloor", ctl.GoodputFloor}, {"packLimit", s.PackLimit}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("%s: %v is not in [0, 1]", f.key, f.v)
+		}
+	}
+	secs = append(secs, field{"controller.cooldownSec", ctl.CooldownSec}, field{"controller.reMigrationSec", ctl.ReMigrationSec})
+	amounts := []field{{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU}, {"lanNodeMemMB", s.LANNodeMemMB},
+		{"reservedCPU", s.ReservedCPU}, {"controller.headroomMbps", ctl.HeadroomMbps}}
 	for i, e := range s.Faults {
 		secs = append(secs, field{fmt.Sprintf("faults[%d].atSec", i), e.AtSec})
 	}
@@ -290,10 +325,9 @@ func (s Spec) Validate() error {
 		secs = append(secs, field{"chaos.meanNodeDowntimeSec", c.MeanNodeDowntimeSec},
 			field{"chaos.meanLinkDowntimeSec", c.MeanLinkDowntimeSec}, field{"chaos.meanProbeLossWindowSec", c.MeanProbeLossWindowSec})
 	}
-	for _, f := range append([]field{{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU},
-		{"lanNodeMemMB", s.LANNodeMemMB}, {"batchK", float64(s.BatchK)}}, secs...) {
-		if !(f.v >= 0) {
-			return fmt.Errorf("%s: %v is negative or not a number", f.key, f.v)
+	for _, f := range append(amounts, secs...) {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s: %v is negative or not finite", f.key, f.v)
 		}
 	}
 	for _, f := range secs {
@@ -303,6 +337,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Topo == nil && !slices.Contains([]string{"", "citylab", "lan"}, s.Topology) {
 		return fmt.Errorf("topology: unknown %q", s.Topology)
+	}
+	if h := s.ClientHost; h != "" && (s.Topo != nil || s.Topology != "lan" || s.lanWorker(h)) {
+		return fmt.Errorf("clientHost: %q needs a lan topology and a name no worker has", h)
 	}
 	if _, err := s.policy(); err != nil {
 		return err
@@ -499,11 +536,16 @@ func (s Spec) HasNode(name string) bool {
 	case s.Topo != nil:
 		return s.Topo.HasNode(name)
 	case s.Topology == "lan":
-		i, err := strconv.Atoi(strings.TrimPrefix(name, "node"))
-		return name != "" && name == s.ClientHost ||
-			err == nil && i >= 1 && i <= cmp.Or(s.LANNodes, 3) && name == "node"+strconv.Itoa(i)
+		return name != "" && name == s.ClientHost || s.lanWorker(name)
 	}
 	return slices.ContainsFunc(CityLabWorkers(), func(n cluster.Node) bool { return n.Name == name })
+}
+
+// lanWorker reports whether a "lan" topology of the spec's size has the
+// worker node1..nodeN of this name.
+func (s Spec) lanWorker(name string) bool {
+	i, err := strconv.Atoi(strings.TrimPrefix(name, "node"))
+	return err == nil && i >= 1 && i <= cmp.Or(s.LANNodes, 3) && name == "node"+strconv.Itoa(i)
 }
 
 // HasLink reports whether the spec's topology joins the two nodes, without
@@ -524,6 +566,7 @@ func (s Spec) HasLink(a, b string) bool {
 type Run struct {
 	Sim     *core.Simulation
 	Horizon time.Duration
+	Policy  string             // the placement policy's name ("bass-bfs", "k3s-default", ...)
 	Journal *obs.Journal       // nil unless Spec.Journal
 	Store   *metricstore.Store // nil unless Spec.Metrics or Spec.SLO
 	Faults  *faults.Schedule   // the injected schedule; nil without faults or chaos
@@ -558,19 +601,17 @@ func Build(s Spec) (*Run, error) {
 		return nil, err
 	}
 	policy, _ := s.policy()
+	r.Policy = policy.Name()
 	cfg := core.Config{
 		Policy:            policy,
-		Controller:        s.Controller,
+		Controller:        s.Controller.config(),
 		MonitorInterval:   time.Duration(s.MonitorIntervalSec) * time.Second,
 		EnableMigration:   s.Migration,
-		MigrationDowntime: time.Duration(math.Round(s.MigrationDowntimeSec * float64(time.Second))),
+		MigrationDowntime: seconds(s.MigrationDowntimeSec),
 		ReservedCPU:       s.ReservedCPU,
 		EnableReconcile:   s.Reconcile,
 		BatchPlacement:    s.Batch,
 		EnableSLO:         s.SLO,
-	}
-	if s.Batch {
-		cfg.Batch = scheduler.BatchConfig{MoveBudget: s.BatchBudget, K: s.BatchK}
 	}
 	if r.Sim, err = core.NewSimulation(topo, nodes, s.Seed, cfg); err != nil {
 		return nil, err
@@ -660,6 +701,11 @@ func (s Spec) horizon() time.Duration {
 	return time.Duration(cmp.Or(s.HorizonSec, 600)) * time.Second
 }
 
+// seconds is v seconds rounded to the nanosecond.
+func seconds(v float64) time.Duration {
+	return time.Duration(math.Round(v * float64(time.Second)))
+}
+
 // topology builds the mesh and cluster nodes.
 func (s Spec) topology(horizon time.Duration) (*mesh.Topology, []cluster.Node, error) {
 	if s.Topo != nil {
@@ -724,16 +770,18 @@ func (l Link) capacity(horizon time.Duration) (*trace.Trace, error) {
 	return trace.Constant(name, time.Second, l.Mbps, int(horizon/time.Second)), nil
 }
 
+// policy is the placement policy Scheduler and PackLimit name.
 func (s Spec) policy() (scheduler.Policy, error) {
-	if s.Policy != nil {
-		return s.Policy, nil
-	}
+	pack := scheduler.WithPackLimit(s.PackLimit) // zero keeps the default, 1
 	switch s.Scheduler {
 	case "bfs":
-		return scheduler.NewBass(scheduler.HeuristicBFS), nil
+		return scheduler.NewBass(scheduler.HeuristicBFS, pack), nil
 	case "longest-path", "", "lp":
-		return scheduler.NewBass(scheduler.HeuristicLongestPath), nil
+		return scheduler.NewBass(scheduler.HeuristicLongestPath, pack), nil
 	case "k3s":
+		if s.PackLimit != 0 {
+			return nil, fmt.Errorf("packLimit: the k3s scheduler takes none")
+		}
 		return scheduler.NewK3s(), nil
 	}
 	return nil, fmt.Errorf("scheduler: unknown %q", s.Scheduler)

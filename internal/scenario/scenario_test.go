@@ -59,3 +59,34 @@ func TestLinksShapeTheBuiltMesh(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeKeepsExplicitZeros pins the defaults of "reservedCPU" and the
+// "controller" keys: an absent key takes its default (one core, the
+// controller.DefaultConfig value), and an explicit zero stays zero.
+func TestDecodeKeepsExplicitZeros(t *testing.T) {
+	def := DefaultController()
+	floorless, eager := def, def
+	floorless.GoodputFloor = 0
+	eager.CooldownSec = 0
+	for _, c := range []struct {
+		in       string
+		reserved float64
+		ctl      Controller
+	}{
+		{`{}`, 1, def},
+		{`{"controller": {}}`, 1, def},
+		{`{"reservedCPU": 0, "controller": {"goodputFloor": 0}}`, 0, floorless},
+		{`{"reservedCPU": 2.5, "controller": {"cooldownSec": 0}}`, 2.5, eager},
+	} {
+		s, err := Decode(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: %v", c.in, err)
+		}
+		if s.ReservedCPU != c.reserved || s.Controller != c.ctl {
+			t.Errorf("%s: reservedCPU %v, controller %+v; want %v, %+v", c.in, s.ReservedCPU, s.Controller, c.reserved, c.ctl)
+		}
+	}
+	if def != (Controller{0.5, 0.5, 4, 30, 120}) {
+		t.Errorf("DefaultController() = %+v, want the paper's 50%% thresholds, 4 Mbps, 30 s and 2 min", def)
+	}
+}

@@ -10,20 +10,22 @@ import (
 	"time"
 )
 
-// badCSV are inputs readCSV must reject, each with the row its error names
-// (TestReadCSVErrors); they also seed FuzzReadCSV.
-var badCSV = []struct{ in, row string }{
-	{"0,abc\n", "row 0"},
-	{"5,1\n3,1\n", "row 1"},
-	{"0,1\n0.0004,1\n", "row 1"},         // step below the 1 ms resolution
-	{"0,1\n1,1\n5,1\n", "row 2"},         // gap 4 s after a 1 s step
-	{"0,1\n1,1\n2,1\n1.5,1\n", "row 3"},  // decreasing after row 2
-	{"0,1\n1,1\n2.002,1\n", "row 2"},     // 2 ms off the step
-	{"0,1\n1,NaN\n", "row 1"},            // capacities must be finite...
-	{"offset_s,mbps\n0,+Inf\n", "row 0"}, // ...
-	{"0,1\n1,-0.5\n", "row 1"},           // ...and non-negative
-	{"0,1\nNaN,1\n", "row 1"},
-	{"0,1\n1e300,1\n", "row 1"}, // offset beyond a time.Duration
+// badCSV are inputs readCSV must reject, each with the file line its error
+// names (TestReadCSVErrors); they also seed FuzzReadCSV.
+var badCSV = []struct{ in, line string }{
+	{"0,abc\n", "line 1"},
+	{"5,1\n3,1\n", "line 2"},
+	{"0,1\n0.0004,1\n", "line 2"},         // step below the 1 ms resolution
+	{"0,1\n1,1\n5,1\n", "line 3"},         // gap 4 s after a 1 s step
+	{"0,1\n1,1\n2,1\n1.5,1\n", "line 4"},  // decreasing after line 3
+	{"0,1\n1,1\n2.002,1\n", "line 3"},     // 2 ms off the step
+	{"0,1\n1,NaN\n", "line 2"},            // capacities must be finite...
+	{"offset_s,mbps\n0,+Inf\n", "line 2"}, // ...
+	{"0,1\n1,-0.5\n", "line 2"},           // ...and non-negative
+	{"0,1\nNaN,1\n", "line 2"},
+	{"0,1\n1e300,1\n", "line 2"},                     // offset beyond a time.Duration
+	{"offset_s,mbps\n0,5\n1,5\n2,fast\n", "line 4"},  // the header counts
+	{"offset_s,mbps\n\n0,5\n\n1,5\n3,5\n", "line 6"}, // and so do blank lines
 }
 
 func FuzzReadCSV(f *testing.F) {

@@ -220,8 +220,8 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	for _, c := range badCSV {
 		_, err := readCSV("x", strings.NewReader(c.in))
-		if err == nil || !strings.Contains(err.Error(), c.row) {
-			t.Errorf("ReadCSV(%q) = %v, want an error naming %s", c.in, err, c.row)
+		if err == nil || !strings.Contains(err.Error(), c.line+":") {
+			t.Errorf("ReadCSV(%q) = %v, want an error naming %s", c.in, err, c.line)
 		}
 	}
 	// Offsets printed to 3 decimals wobble by up to 1 ms around the step.

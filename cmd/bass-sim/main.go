@@ -18,7 +18,8 @@
 // "camera", "socialnet", "videoconf" or "stream" entry each ("app": "K" is
 // shorthand for [{"K": {}}]). "packLimit" caps a BASS scheduler's packing,
 // "controller" sets migration's thresholds and timers (a key left out keeps
-// its default), "clientHost" adds a workload-generator host to a "lan"
+// its default; all five at 0 is an error, since that reads as the
+// defaults), "clientHost" adds a workload-generator host to a "lan"
 // topology and "reservedCPU" holds cores back on every node (1 if absent).
 // -example prints this starter, Table 2's camera feed entering the mesh at
 // node2, with the controller's defaults and "reservedCPU" spelled out:

@@ -20,10 +20,20 @@ import (
 	"bass/internal/trace"
 )
 
+// encode is sc's JSON form. A Go spec's zero controller means the
+// defaults, and Decode rejects an all-zero "controller" object, so the form
+// spells the defaults out.
+func encode(sc scenario.Spec) ([]byte, error) {
+	if sc.Controller == (scenario.Controller{}) {
+		sc.Controller = scenario.DefaultController()
+	}
+	return json.Marshal(sc)
+}
+
 // execute runs sc as bass-sim runs a config file: through its JSON and
 // scenario.Decode, with no journal or metric dump.
 func execute(sc scenario.Spec, out io.Writer) error {
-	raw, err := json.Marshal(sc)
+	raw, err := encode(sc)
 	if err != nil {
 		return err
 	}
@@ -36,7 +46,7 @@ func execute(sc scenario.Spec, out io.Writer) error {
 
 func writeScenario(t *testing.T, sc scenario.Spec) string {
 	t.Helper()
-	raw, err := json.Marshal(sc)
+	raw, err := encode(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +269,7 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"controller": {"cooldownSec": -30}`, "controller.cooldownSec"},
 		{`"controller": {"reMigrationSec": -1}`, "controller.reMigrationSec"},
 		{`"controller": {"cooldown": 30}`, "cooldown"},
+		{`"controller": {"utilizationThreshold": 0, "goodputFloor": 0, "headroomMbps": 0, "cooldownSec": 0, "reMigrationSec": 0}`, "controller"},
 		{`"packLimit": 1.5`, "packLimit"},
 		{`"packLimit": -0.8`, "packLimit"},
 		{`"scheduler": "k3s", "packLimit": 0.8`, "packLimit"},

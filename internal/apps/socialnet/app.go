@@ -99,6 +99,10 @@ type App struct {
 	latency  *workload.LatencyRecorder
 	byType   []*workload.LatencyRecorder // indexed like types
 	requests int
+
+	// hopEvals counts hops whose latency was computed, hopHits those served
+	// from their memo.
+	hopEvals, hopHits uint64
 }
 
 var _ core.Workload = (*App)(nil)
@@ -320,8 +324,13 @@ func (a *App) syncNodes() {
 
 // requestLatency evaluates the sequential RPC chain of a request under the
 // current placement, allocations, queue backlogs, and component downtimes.
+// A hop's latency moves only with the placement, the network's rate epoch
+// and, for a saturated direction, the queue backlog, so an unsaturated hop
+// is computed once per (placement epoch, rate epoch) and read from its memo
+// until either moves; downtime stays per request.
 func (a *App) requestLatency(rt *requestType) time.Duration {
 	a.syncNodes()
+	rates := a.env.Net().RateEpoch()
 	a.stamp++
 	var lat time.Duration
 	now := a.env.Now()
@@ -335,7 +344,15 @@ func (a *App) requestLatency(rt *requestType) time.Duration {
 			lat += until - now
 			a.waited[h.toIdx] = a.stamp
 		}
-		lat += a.hopLatency(h)
+		if h.memoOK && h.memoNodes == a.nodesEpoch && h.memoRate == rates {
+			a.hopHits++
+			lat += h.memo
+			continue
+		}
+		a.hopEvals++
+		d, saturated := a.hopLatency(h)
+		h.memoOK, h.memoNodes, h.memoRate, h.memo = !saturated, a.nodesEpoch, rates, d
+		lat += d
 	}
 	return lat
 }
@@ -345,13 +362,14 @@ func (a *App) requestLatency(rt *requestType) time.Duration {
 // burst attains on that directed path, and the callee's compute time.
 // Saturated directions fall back to transmission at the attainable rate plus
 // the fluid queue backlog — tc-style egress throttling therefore penalises
-// exactly the direction it shapes.
-func (a *App) hopLatency(h *hop) time.Duration {
+// exactly the direction it shapes. It reports whether either direction is
+// saturated.
+func (a *App) hopLatency(h *hop) (time.Duration, bool) {
 	fromNode, toNode := a.nodes[h.fromIdx], a.nodes[h.toIdx]
 	if fromNode == "" || toNode == "" || fromNode == toNode {
 		msgBits := (h.reqKB + h.respKB) * 8e3
 		local := time.Duration(msgBits / (simnet.LocalMbps * 1e6) * float64(time.Second))
-		return local + h.svc
+		return local + h.svc, false
 	}
 
 	prop, err := a.env.Net().PathLatencyOf(fromNode, toNode)
@@ -363,9 +381,9 @@ func (a *App) hopLatency(h *hop) time.Duration {
 	// The sojourns use the channel's mean message sizes; a zero size means no
 	// hop on the channel sends that way, and directionWait reads it as 0.
 	ch := h.ch
-	wait := a.directionWait(fromNode, toNode, ch.msgsPerSec, ch.reqBitsPerMsg, a.streamRate(ch.reqStream, ch.hasReq))
-	wait += a.directionWait(toNode, fromNode, ch.msgsPerSec, ch.respBitsPerMsg, a.streamRate(ch.respStream, ch.hasResp))
-	return rtt + wait + h.svc
+	reqWait, reqSat := a.directionWait(fromNode, toNode, ch.msgsPerSec, ch.reqBitsPerMsg, a.streamRate(ch.reqStream, ch.hasReq))
+	respWait, respSat := a.directionWait(toNode, fromNode, ch.msgsPerSec, ch.respBitsPerMsg, a.streamRate(ch.respStream, ch.hasResp))
+	return rtt + reqWait + respWait + h.svc, reqSat || respSat
 }
 
 // streamRate reads the current allocation of one of a channel's streams (0
@@ -381,10 +399,11 @@ func (a *App) streamRate(id simnet.FlowID, attached bool) float64 {
 	return r
 }
 
-// directionWait is the M/M/1 sojourn of one message direction.
-func (a *App) directionWait(srcNode, dstNode string, lambda, meanBits, ownMbps float64) time.Duration {
+// directionWait is the M/M/1 sojourn of one message direction, and whether
+// the direction is saturated.
+func (a *App) directionWait(srcNode, dstNode string, lambda, meanBits, ownMbps float64) (time.Duration, bool) {
 	if meanBits <= 0 {
-		return 0
+		return 0, false
 	}
 	spare, err := a.env.Net().PathAllocatedMbps(srcNode, dstNode, simnet.LocalMbps)
 	if err != nil {
@@ -397,14 +416,14 @@ func (a *App) directionWait(srcNode, dstNode string, lambda, meanBits, ownMbps f
 	}
 	mu := burstBps / meanBits
 	if mu > lambda*1.02 {
-		return time.Duration(1 / (mu - lambda) * float64(time.Second))
+		return time.Duration(1 / (mu - lambda) * float64(time.Second)), false
 	}
 	// Saturated: transmission at the attainable rate plus queue drain.
 	q, qerr := a.env.Net().PathQueueDelay(srcNode, dstNode)
 	if qerr != nil {
 		q = 0
 	}
-	return time.Duration(meanBits/burstBps*float64(time.Second)) + q
+	return time.Duration(meanBits/burstBps*float64(time.Second)) + q, true
 }
 
 // Latency returns the all-requests latency recorder.

@@ -257,3 +257,45 @@ func TestLatencyByType(t *testing.T) {
 		t.Error("unknown type: want error")
 	}
 }
+
+// TestHopMemoCounts pins the request path's work: on a quiet four-node mesh
+// an unsaturated hop is computed once per placement and rate epoch and
+// served from its memo after, and a throttle deep enough to saturate the
+// client's link to the frontend makes its hops recompute on every request
+// until the throttle lifts. The counts are exact: the run is seeded.
+func TestHopMemoCounts(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		throttle    bool
+		requests    int
+		evals, hits uint64
+	}{
+		// 1,500 requests run 11,888 synchronous hops.
+		{"quiet", false, 1500, 37, 11851},
+		{"throttled", true, 1500, 608, 11280},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			topo := mesh.FullMesh([]string{"node1", "node2", "node3", "node4"}, 1000, time.Millisecond, time.Hour)
+			app, sim := deploySocial(t, topo, Config{ClientNode: "node4", Arrival: workload.Constant{PerSecond: 50}},
+				core.Config{Policy: scheduler.NewBass(scheduler.HeuristicLongestPath)})
+			defer sim.Close()
+			if c.throttle {
+				if err := topo.SetCapacity("node4", sim.Cluster.NodeOf(appName, SvcNginx), trace.StepTrace("throttle", time.Second, time.Hour, []trace.Level{
+					{From: 0, Mbps: 1000},
+					{From: 10 * time.Second, Mbps: 0.5},
+					{From: 20 * time.Second, Mbps: 1000},
+				})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sim.Run(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d requests, %d hop evaluations, %d memo hits", app.Requests(), app.hopEvals, app.hopHits)
+			if app.Requests() != c.requests || app.hopEvals != c.evals || app.hopHits != c.hits {
+				t.Errorf("%d requests, %d hop evaluations, %d memo hits; want %d, %d, %d",
+					app.Requests(), app.hopEvals, app.hopHits, c.requests, c.evals, c.hits)
+			}
+		})
+	}
+}

@@ -104,6 +104,13 @@ type hop struct {
 	ch             *channel
 	svc            time.Duration
 	fromIdx, toIdx int
+
+	// The hop's last hopLatency, valid while the placement epoch (memoNodes)
+	// and the network's rate epoch (memoRate) both hold. A hop with a
+	// saturated direction is never memoised: its queue delay moves with time.
+	memoOK              bool
+	memoNodes, memoRate uint64
+	memo                time.Duration
 }
 
 // requestType is one of the workload mix's request classes.

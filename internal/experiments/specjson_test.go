@@ -13,8 +13,9 @@ import (
 
 // TestJobSpecsRoundTripJSON pins that the paper jobs and examples that run
 // on a named topology are scenario files: each spec they build encodes to
-// JSON that scenario.Decode reads back to an equal spec, so bass-sim runs
-// the same experiment from the file.
+// JSON that scenario.Decode reads back to an equal spec (a zero controller
+// spelled as the defaults it runs), so bass-sim runs the same experiment
+// from the file.
 func TestJobSpecsRoundTripJSON(t *testing.T) {
 	const seed = 42
 	throttle := []scenario.Phase{{DurationSec: 10, Mbps: 1000}, {DurationSec: 180, Mbps: 25}, {DurationSec: 110, Mbps: 1000}}
@@ -48,7 +49,13 @@ func TestJobSpecsRoundTripJSON(t *testing.T) {
 			HorizonSec: 600, Seed: seed,
 		}},
 	} {
-		raw, err := json.Marshal(c.spec)
+		// A zero controller runs the defaults, and Decode rejects an
+		// all-zero "controller" object, so the JSON form spells them out.
+		want := c.spec
+		if want.Controller == (scenario.Controller{}) {
+			want.Controller = scenario.DefaultController()
+		}
+		raw, err := json.Marshal(want)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -56,8 +63,8 @@ func TestJobSpecsRoundTripJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, raw)
 		}
-		if !reflect.DeepEqual(back, c.spec) {
-			t.Errorf("%s: the JSON form decodes to a different spec\n%s\ngot  %+v\nwant %+v", c.name, raw, back, c.spec)
+		if !reflect.DeepEqual(back, want) {
+			t.Errorf("%s: the JSON form decodes to a different spec\n%s\ngot  %+v\nwant %+v", c.name, raw, back, want)
 		}
 	}
 }

@@ -148,6 +148,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"clientHost": "client"}`,
 		`{"topology": "lan", "clientHost": "client", "apps": [{"camera": {"pinCamera": "client"}}]}`,
 		`{"reservedCPU": -1}`,
+		`{"controller": {"utilizationThreshold": 0, "goodputFloor": 0, "headroomMbps": 0, "cooldownSec": 0, "reMigrationSec": 0}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -260,6 +261,9 @@ func checkAccepted(t *testing.T, s Spec) {
 		}
 	}
 	c := s.Controller
+	if c == (Controller{}) {
+		t.Fatalf("accepted an all-zero controller, which runs the defaults")
+	}
 	for _, v := range []float64{c.UtilizationThreshold, c.GoodputFloor, s.PackLimit} {
 		if v < 0 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("accepted a controller fraction or pack limit outside [0, 1]: %+v, packLimit %v", c, s.PackLimit)

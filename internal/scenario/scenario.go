@@ -223,7 +223,9 @@ type Videoconf struct {
 // is an error, so a typo such as "migraton" cannot silently run a different
 // scenario. "app" is rewritten into its one-entry "apps" list, a spec with
 // neither deploys camera, and one core per node is reserved unless
-// "reservedCPU" says otherwise. The result is validated.
+// "reservedCPU" says otherwise. A "controller" object that sets all five
+// keys to 0 is an error: it would run the defaults. The result is
+// validated.
 func Decode(r io.Reader) (Spec, error) {
 	s := Spec{ReservedCPU: 1, Controller: DefaultController()}
 	dec := json.NewDecoder(r)
@@ -233,6 +235,12 @@ func Decode(r io.Reader) (Spec, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, fmt.Errorf("trailing data after the scenario object")
+	}
+	// Decoding starts from the defaults, so an all-zero controller can only
+	// be an explicit object of zeros, which the orchestrator reads as "use
+	// the defaults" (a Go spec's zero value).
+	if s.Controller == (Controller{}) {
+		return Spec{}, fmt.Errorf("controller: every key is 0, which runs the default controller, not a zero one; leave the key out for the defaults")
 	}
 	if s.App == "" && len(s.Apps) == 0 {
 		s.App = "camera"

@@ -442,3 +442,87 @@ func TestLocalPassMatchesFullRecompute(t *testing.T) {
 		}
 	}
 }
+
+// earlyFireRun is what one replay of the early-fire script observed.
+type earlyFireRun struct {
+	before, fired AllocStats // just before the truncated ETA, and right after it
+	results       []TransferResult
+	boundaries    [][sha256.Size]byte // network digest after each step
+	rates         []float64           // the stream's rate after each step
+	bytes         []map[string]float64
+}
+
+// driveEarlyFire runs a 4 Mbps stream a→c beside a 1 MB transfer a→b on a
+// 10 Mbps line. The transfer gets 6 Mbps, so its ETA, 8 Mbit / 6 Mbps =
+// 1.333… s, is truncated to the nanosecond: the completion event fires with
+// a fraction of a bit left, and the transfer finishes a nanosecond later.
+func driveEarlyFire(t *testing.T, fullRecompute bool) earlyFireRun {
+	t.Helper()
+	eng, net := lineNet(t, 10)
+	net.SetFullRecompute(fullRecompute)
+	var run earlyFireRun
+	stream, err := net.AddStream("s", "a", "c", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.AddTransfer("t", "a", "b", 1e6, 0, func(r TransferResult) {
+		run.results = append(run.results, r)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bits, bps := 8e6, 6e6
+	fire := time.Duration(bits / bps * float64(time.Second)) // as rescheduleTransfers computes it
+	for i, until := range []time.Duration{time.Second, fire, fire + time.Nanosecond, 2 * time.Second} {
+		if err := eng.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 0:
+			run.before = net.AllocStats()
+		case 1:
+			run.fired = net.AllocStats()
+			if len(run.results) != 0 {
+				t.Fatalf("transfer finished at %v, want a fraction of a bit left at its truncated ETA", run.results[0].Finished)
+			}
+		}
+		rate, err := net.StreamRate(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.rates = append(run.rates, rate)
+		run.bytes = append(run.bytes, net.BytesByTag())
+		run.boundaries = append(run.boundaries, digestNetwork(net))
+	}
+	return run
+}
+
+// TestEarlyFireTakesLocalPass: a completion event that fires before the last
+// bit moved no rate, so the local pass reschedules it, and the network stays
+// bit-equal to the full pass it replaces: rates, the completion time and
+// bytes per tag.
+func TestEarlyFireTakesLocalPass(t *testing.T) {
+	local := driveEarlyFire(t, false)
+	full := driveEarlyFire(t, true)
+	if d := local.fired.LocalPasses - local.before.LocalPasses; d != 1 || local.fired.FullPasses != local.before.FullPasses {
+		t.Errorf("the early fire ran %d local and %d full passes, want 1 and 0", d, local.fired.FullPasses-local.before.FullPasses)
+	}
+	if len(local.results) != 1 || len(full.results) != 1 {
+		t.Fatalf("%d transfer results, full recompute %d; want 1 each", len(local.results), len(full.results))
+	}
+	if local.results[0] != full.results[0] {
+		t.Errorf("transfer result %+v, full recompute %+v", local.results[0], full.results[0])
+	}
+	for i := range local.boundaries {
+		if !sameBits(local.rates[i], full.rates[i]) {
+			t.Errorf("step %d: stream rate %v, full recompute %v", i, local.rates[i], full.rates[i])
+		}
+		for tag, mb := range full.bytes[i] {
+			if !sameBits(local.bytes[i][tag], mb) {
+				t.Errorf("step %d: tag %s carried %v MB, full recompute %v", i, tag, local.bytes[i][tag], mb)
+			}
+		}
+		if local.boundaries[i] != full.boundaries[i] {
+			t.Errorf("step %d: network digest differs from full recompute", i)
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 type shard struct {
 	links      []*linkState
 	dirtyDelta int
+	moved      bool // observeLinks changed some capacity
 	nextEvent  time.Duration
 	hasNext    bool
 }
@@ -102,6 +103,7 @@ func (n *Network) startPool() func() {
 func (n *Network) observeLinks(s *shard) {
 	now, refresh := n.phases.now, n.phases.refresh
 	s.dirtyDelta = 0
+	s.moved = false
 	for _, ls := range s.links {
 		if refresh {
 			ls.avail = n.topo.LinkAvailable(ls.lid)
@@ -114,6 +116,7 @@ func (n *Network) observeLinks(s *shard) {
 			continue
 		}
 		n.settleBacklog(ls, now)
+		s.moved = true
 		if !ls.dirty {
 			ls.dirty = true
 			s.dirtyDelta++

@@ -259,11 +259,11 @@ type AllocStats struct {
 	// requests one at capacity events, so the counter stays near zero on
 	// quiet traces.
 	SkippedPasses uint64
-	// LocalPasses counts deferred passes that only co-located or parked flows
-	// asked for: they settle progress and backlogs, rate the co-located flows
-	// that joined or changed demand on the node-local bus and reschedule
-	// transfer completions, exactly as a full pass would, without
-	// water-filling.
+	// LocalPasses counts deferred passes that only co-located or parked flows,
+	// or completion events that fired before the last bit, asked for: they
+	// settle progress and backlogs, rate the co-located flows that joined or
+	// changed demand on the node-local bus and reschedule transfer
+	// completions, exactly as a full pass would, without water-filling.
 	LocalPasses uint64
 }
 
@@ -324,8 +324,8 @@ type Network struct {
 
 	// Incremental-allocation state. Flow changes are marked through
 	// flowChanged, never by setting the flags directly.
-	flowsDirty bool // routed churn, a reroute or an early completion since the last full pass
-	localDirty bool // a co-located or parked flow changed since the last pass
+	flowsDirty bool // routed churn or a reroute since the last full pass
+	localDirty bool // a co-located or parked flow changed, or a completion fired early, since the last pass
 	// busFlows are the co-located flows added or re-demanded since the last
 	// pass: the only rates a local pass sets.
 	busFlows   []*flow
@@ -370,6 +370,11 @@ type Network struct {
 	// destination id, valid for availability epoch pathsEpoch.
 	paths      [][]pathEntry
 	pathsEpoch uint64
+
+	// rateEpoch advances whenever a routed rate, a direction's allocBps or
+	// capacity, or a route may have moved (see RateEpoch); rateAvailEpoch is
+	// the topology availability epoch it last folded in.
+	rateEpoch, rateAvailEpoch uint64
 }
 
 // New builds a network over the topology. Call Start to begin trace-driven
@@ -383,6 +388,7 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		links:          make(map[dhop]*linkState),
 		probeLoss:      make(map[mesh.LinkID]bool),
 		lastAvailEpoch: topo.AvailabilityEpoch(),
+		rateAvailEpoch: topo.AvailabilityEpoch(),
 	}
 	for _, l := range topo.Links() {
 		avail := topo.LinkAvailable(l.ID)
@@ -496,6 +502,25 @@ func (n *Network) eventCause(f *flow) uint64 {
 // water-filling pass (the pre-incremental behaviour). Benchmarks use it to
 // compare the two paths; production code should leave it off.
 func (n *Network) SetFullRecompute(v bool) { n.fullOnly = v }
+
+// RateEpoch reports a counter that advances whenever a routed read can
+// change value between two calls: a full pass (routed rates), a crossing
+// resync (a direction's allocBps), any observed capacity change, absorbed or
+// not (spare capacity is capacity minus allocation), and any topology
+// availability change (routes, and so path latency). What it does not cover
+// moves with time alone — backlogs and queue delays, carried bits — or is
+// set by a local pass, which rates only co-located flows on the bus. So a
+// path read of capacity, allocation or latency, or a routed stream's rate,
+// taken at one RateEpoch value may be reused while it holds. Like every
+// read it flushes a pending pass first.
+func (n *Network) RateEpoch() uint64 {
+	n.flush()
+	if ep := n.topo.AvailabilityEpoch(); ep != n.rateAvailEpoch {
+		n.rateAvailEpoch = ep
+		n.rateEpoch++
+	}
+	return n.rateEpoch
+}
 
 // AllocStats reports how many deferred reallocations ran the full
 // water-filling pass, how many ran the local pass and how many the
@@ -638,6 +663,9 @@ func (n *Network) observeCapacities(now time.Duration) {
 	n.phases.pool.Run(n.phases.observe)
 	for _, s := range n.phases.shards {
 		n.dirtyCount += s.dirtyDelta
+		if s.moved {
+			n.rateEpoch++ // spare capacity moves even when the pass is absorbed
+		}
 	}
 }
 
@@ -873,6 +901,7 @@ func (n *Network) ApplyTopologyState() {
 			ls.capacityBps = 0
 		}
 	}
+	n.rateEpoch++ // capacities resampled; reroute callbacks may read before the pass
 	n.rerouteFlows()
 	n.flowsDirty = true // routes and capacities moved: force the full pass
 	n.reallocate()
@@ -1328,6 +1357,7 @@ func (n *Network) Batch(fn func()) {
 // scan of flowOrder would add up: the same flows, in ascending FlowID order.
 func (n *Network) syncCrossings() {
 	n.crossingsStale = false
+	n.rateEpoch++
 	for _, ls := range n.linkOrder {
 		ls.flows = ls.flows[:0]
 	}
@@ -1386,6 +1416,7 @@ func (n *Network) fullReallocate() {
 	n.advanceProgress()
 	now := n.eng.Now()
 	n.alloc.FullPasses++
+	n.rateEpoch++
 	n.flowsDirty = false
 	n.localDirty = false
 	clear(n.busFlows)
@@ -1453,13 +1484,14 @@ func busRate(f *flow) float64 {
 }
 
 // localReallocate is the pass for churn no routed flow sees: only co-located
-// or parked flows joined, left or changed demand, and every capacity change
-// is absorbable. A full pass would then recompute the same routed rates,
-// bottleneck flags, link demands, allocBps and crossing lists (the absorb
-// argument, see flush), so this pass does only what it would change: settle
-// progress and every direction's backlog at now, set the bus rate of each
-// co-located flow that joined or changed demand, and reschedule every live
-// transfer in FlowID order.
+// or parked flows joined, left or changed demand, or a completion fired
+// early and needs rescheduling, and every capacity change is absorbable. A
+// full pass would then recompute the same routed rates, bottleneck flags,
+// link demands, allocBps and crossing lists (the absorb argument, see
+// flush), so this pass does only what it would change: settle progress and
+// every direction's backlog at now, set the bus rate of each co-located flow
+// that joined or changed demand, and reschedule every live transfer in
+// FlowID order.
 func (n *Network) localReallocate() {
 	n.advanceProgress()
 	now := n.eng.Now()
@@ -1735,12 +1767,15 @@ func (n *Network) completeTransfer(id FlowID) {
 	n.advanceProgress()
 	f.hasEvent = false
 	if f.remainingBits > 1e-9 {
-		// Conditions changed since the event was scheduled (or the event
-		// fired a nanosecond early from ETA truncation). The flow's
-		// completion event is gone, so force a full pass to reschedule it —
-		// the incremental path would otherwise absorb the request and stall
-		// the transfer.
-		n.flowsDirty = true
+		// The event fired before the last bit: its ETA was truncated to the
+		// nanosecond. No rate moved since it was scheduled — every pass that
+		// moves a rate reschedules every transfer, and an absorbed pass moves
+		// none — so the local pass, which reschedules every live transfer at
+		// its current rate, does what a full pass would, bit for bit. The
+		// flow's event is gone, so the pass must not be absorbed: mark it
+		// local. A pending capacity change that cannot be absorbed still
+		// runs the full pass (see flush).
+		n.localDirty = true
 		n.reallocate()
 		return
 	}

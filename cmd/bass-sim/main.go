@@ -19,14 +19,26 @@
 // shorthand for [{"K": {}}]). "packLimit" caps a BASS scheduler's packing,
 // "controller" sets migration's thresholds and timers (a key left out keeps
 // its default; all five at 0 is an error, since that reads as the
-// defaults), "clientHost" adds a workload-generator host to a "lan"
-// topology and "reservedCPU" holds cores back on every node (1 if absent).
+// defaults) and "reservedCPU" holds cores back on every node (1 if absent).
 // -example prints this starter, Table 2's camera feed entering the mesh at
 // node2, with the controller's defaults and "reservedCPU" spelled out:
 //
 //	{"topology": "citylab", "scheduler": "bfs", "horizonSec": 600,
 //	 "seed": 42, "migration": true, "monitorIntervalSec": 30,
 //	 "apps": [{"camera": {"frameKB": 30, "pinCamera": "node2"}}]}
+//
+// "nodes" lists the cluster, each {"name", "cpu", "memoryMB",
+// "unschedulable"}, and "topology" joins them: "citylab" (the default) is
+// the fixed 5-node CityLab mesh and takes none, "lan" a 1 Gbps, 1 ms full
+// mesh over them (node1..node3 at 16 cores and 65,536 MB when absent), and
+// "custom" has the links its "links" entries add. This LAN runs the social
+// network's workload generator on an unschedulable host:
+//
+//	{"topology": "lan", "horizonSec": 300,
+//	 "nodes": [{"name": "node1", "cpu": 8, "memoryMB": 12288},
+//	           {"name": "node2", "cpu": 8, "memoryMB": 12288},
+//	           {"name": "client", "cpu": 8, "memoryMB": 8192, "unschedulable": true}],
+//	 "apps": [{"socialnet": {"rps": 400, "bursty": true, "clientNode": "client"}}]}
 //
 // "links" shapes capacity before the run: each entry names a link ("a",
 // "b") or a node's "egress" and gives "mbps", "phases" or a "csv" trace
@@ -36,6 +48,27 @@
 //	tracegen -profile volatile -duration 20m -out volatile.csv
 //	{"topology": "citylab", "horizonSec": 1200, "app": "socialnet",
 //	 "links": [{"a": "node2", "b": "node3", "csv": "volatile.csv"}]}
+//
+// On "custom" each entry adds its link instead, 3 ms one way (custom takes
+// no "egress"). This is Fig 8's mesh and pair:
+//
+//	{"topology": "custom", "scheduler": "bfs", "horizonSec": 1500,
+//	 "migration": true, "monitorIntervalSec": 30, "migrationDowntimeSec": 10,
+//	 "reservedCPU": 0,
+//	 "nodes": [{"name": "node3", "cpu": 3, "memoryMB": 4096},
+//	           {"name": "node4", "cpu": 8, "memoryMB": 8192},
+//	           {"name": "node1", "cpu": 8, "memoryMB": 8192}],
+//	 "links": [
+//	   {"a": "node3", "b": "node4", "phases": [
+//	     {"durationSec": 540, "mbps": 25}, {"durationSec": 579, "mbps": 7},
+//	     {"durationSec": 381, "mbps": 25}]},
+//	   {"a": "node1", "b": "node3", "phases": [
+//	     {"durationSec": 1119, "mbps": 20}, {"durationSec": 381, "mbps": 3}]},
+//	   {"a": "node1", "b": "node4", "mbps": 20}],
+//	 "apps": [{"stream": {"name": "pair", "sampleGoodput": true,
+//	   "components": [{"name": "producer", "cpu": 2, "pin": "node3"},
+//	                  {"name": "consumer", "cpu": 2}],
+//	   "edges": [{"from": "producer", "to": "consumer", "mbps": 8}]}}]}
 //
 // "faults" lists explicit fault events and "chaos" arms the seeded generator;
 // either adds a recovery report (detections, failovers, MTTR). "reconcile"
@@ -50,9 +83,10 @@
 // Every config is decoded and validated, and every trace file it cites
 // read, before anything runs: an unknown key, a negative size or rate,
 // seconds too large for a duration, a fraction outside [0, 1], an unknown
+// name, a node list the topology does not take or an empty or repeated node
 // name, a malformed apps or links entry, a node or link the topology lacks,
-// a pin on an unschedulable node, a misplaced client host, or a missing or
-// malformed trace file is an error naming the file and key (and trace line).
+// a pin on an unschedulable node, or a missing or malformed trace file is an
+// error naming the file and key (and trace line).
 package main
 
 import (

@@ -13,27 +13,17 @@ import (
 	"testing"
 	"time"
 
+	"bass/internal/cluster"
 	"bass/internal/faults"
-	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
 	"bass/internal/trace"
 )
 
-// encode is sc's JSON form. A Go spec's zero controller means the
-// defaults, and Decode rejects an all-zero "controller" object, so the form
-// spells the defaults out.
-func encode(sc scenario.Spec) ([]byte, error) {
-	if sc.Controller == (scenario.Controller{}) {
-		sc.Controller = scenario.DefaultController()
-	}
-	return json.Marshal(sc)
-}
-
 // execute runs sc as bass-sim runs a config file: through its JSON and
 // scenario.Decode, with no journal or metric dump.
 func execute(sc scenario.Spec, out io.Writer) error {
-	raw, err := encode(sc)
+	raw, err := json.Marshal(sc)
 	if err != nil {
 		return err
 	}
@@ -46,7 +36,7 @@ func execute(sc scenario.Spec, out io.Writer) error {
 
 func writeScenario(t *testing.T, sc scenario.Spec) string {
 	t.Helper()
-	raw, err := encode(sc)
+	raw, err := json.Marshal(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +58,6 @@ func TestExecuteCameraOnCityLab(t *testing.T) {
 func TestExecuteSocialnetOnLAN(t *testing.T) {
 	sc := scenario.Spec{
 		Topology:   "lan",
-		LANNodes:   3,
 		Apps:       []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 20, ClientNode: "node3"}}},
 		Scheduler:  "longest-path",
 		HorizonSec: 60,
@@ -100,7 +89,6 @@ func TestExecuteVideoconf(t *testing.T) {
 func TestExecuteWithSLO(t *testing.T) {
 	sc := scenario.Spec{
 		Topology:   "lan",
-		LANNodes:   3,
 		Apps:       []scenario.App{{Videoconf: &scenario.Videoconf{ParticipantsPerNode: 2}}},
 		Scheduler:  "bfs",
 		HorizonSec: 300,
@@ -216,6 +204,10 @@ func TestRunRejectsUnknownKeys(t *testing.T) {
 		`"shards": 4`,
 		`"evalWorkers": 4`,
 		`"migraton": true`,
+		// The lan sizing keys and client host that "nodes" replaced.
+		`"lanNodes": 4`,
+		`"lanNodeCPU": 8`,
+		`"clientHost": "client"`,
 	} {
 		checkRejected(t, extra, strings.SplitN(extra, `"`, 3)[1])
 	}
@@ -228,8 +220,6 @@ func TestRunRejectsUnknownKeys(t *testing.T) {
 func TestRunRejectsBadValues(t *testing.T) {
 	for _, c := range []struct{ extra, key string }{
 		{`"horizonSec": -5`, "horizonSec"},
-		{`"lanNodes": -2`, "lanNodes"},
-		{`"lanNodeCPU": -4`, "lanNodeCPU"},
 		{`"apps": [{"socialnet": {"rps": -10}}]`, "rps"},
 		{`"apps": [{"videoconf": {"publishMbps": -1}}]`, "publishMbps"},
 		{`"apps": [{"videoconf": {"clients": {"node2": -3}}}]`, "clients"},
@@ -273,9 +263,20 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"packLimit": 1.5`, "packLimit"},
 		{`"packLimit": -0.8`, "packLimit"},
 		{`"scheduler": "k3s", "packLimit": 0.8`, "packLimit"},
-		{`"clientHost": "node2"`, "clientHost"},
-		{`"topology": "citylab", "clientHost": "client"`, "clientHost"},
 		{`"reservedCPU": -1`, "reservedCPU"},
+		// Cluster lists and custom topologies.
+		{`"nodes": [{"name": "node1", "cpu": 4}, {"name": "node1", "cpu": 4}]`, "nodes[1].name"},
+		{`"nodes": [{"name": "", "cpu": 4}]`, "nodes[0].name"},
+		{`"topology": "citylab", "nodes": [{"name": "node1", "cpu": 4}]`, "nodes"},
+		{`"topology": "custom"`, "nodes"},
+		{`"topology": "custom", "nodes": [{"name": "a"}], "links": [{"a": "a", "b": "ghost", "mbps": 5}]`, "links[0]"},
+		{`"nodes": [{"name": "node1", "cpu": -4}]`, "nodes[0].cpu"},
+		{`"nodes": [{"name": "node1", "cpu": 1e400}]`, "cpu"},
+		{`"nodes": [{"name": "node1", "memoryMB": -1}]`, "nodes[0].memoryMB"},
+		{`"nodes": [{"name": "node1", "memoryMB": 1e400}]`, "memoryMB"},
+		// A custom link's latency is fixed: the entry has no key for it.
+		{`"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"a": "a", "b": "b", "mbps": 5, "latencyMs": 3}]`, "latencyMs"},
+		{`"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"egress": "a", "mbps": 5}]`, "links[0].egress"},
 	} {
 		checkRejected(t, c.extra, c.key)
 	}
@@ -413,7 +414,7 @@ func TestRunMultipleConfigs(t *testing.T) {
 func TestExecuteWithFaults(t *testing.T) {
 	sc := scenario.Spec{
 		Topology:           "lan",
-		LANNodes:           4,
+		Nodes:              lanNodes(4),
 		App:                "camera",
 		Scheduler:          "bfs",
 		HorizonSec:         300,
@@ -491,9 +492,24 @@ type scenarioContract struct {
 	causes                obs.CauseCounts
 }
 
+// lan4 is a four-node LAN, each node as the default LAN's: 16 cores and
+// 65,536 MB.
+const lan4 = `"topology": "lan", "nodes": [
+    {"name": "node1", "cpu": 16, "memoryMB": 65536}, {"name": "node2", "cpu": 16, "memoryMB": 65536},
+    {"name": "node3", "cpu": 16, "memoryMB": 65536}, {"name": "node4", "cpu": 16, "memoryMB": 65536}]`
+
+// lanNodes is lan4's first n nodes in Go.
+func lanNodes(n int) []cluster.Node {
+	nodes := make([]cluster.Node, n)
+	for i := range nodes {
+		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i+1), CPU: 16, MemoryMB: 65536}
+	}
+	return nodes
+}
+
 // crashScenario crashes node2 at 60 s and brings it back at 240 s.
 const crashScenario = `{
-  "topology": "lan", "lanNodes": 4, "app": "camera",
+  ` + lan4 + `, "app": "camera",
   "scheduler": "bfs", "horizonSec": 300, "seed": 7,
   "migration": true, "monitorIntervalSec": 30,
   "faults": [
@@ -507,7 +523,7 @@ var scenarioContracts = []scenarioContract{
 	{
 		name: "chaos",
 		scenario: `{
-  "topology": "lan", "lanNodes": 4, "app": "camera",
+  ` + lan4 + `, "app": "camera",
   "scheduler": "bfs", "horizonSec": 300, "seed": 7,
   "migration": true, "monitorIntervalSec": 30,
   "faults": [
@@ -524,7 +540,7 @@ var scenarioContracts = []scenarioContract{
 	{
 		name: "slo",
 		scenario: `{
-  "topology": "lan", "lanNodes": 4, "app": "camera",
+  ` + lan4 + `, "app": "camera",
   "scheduler": "bfs", "horizonSec": 900, "seed": 7,
   "migration": true, "monitorIntervalSec": 30, "slo": true,
   "faults": [
@@ -541,7 +557,7 @@ var scenarioContracts = []scenarioContract{
 	{
 		name: "longevity",
 		scenario: `{
-  "topology": "lan", "lanNodes": 4, "app": "camera",
+  ` + lan4 + `, "app": "camera",
   "scheduler": "bfs", "horizonSec": 900, "seed": 42,
   "migration": true, "reconcile": true, "monitorIntervalSec": 30,
   "faults": [
@@ -561,7 +577,7 @@ var scenarioContracts = []scenarioContract{
 		// whose direct link goes down for three minutes: the pair reroutes.
 		name: "apps",
 		scenario: `{
-  "topology": "lan", "lanNodes": 4, "scheduler": "bfs", "horizonSec": 600, "seed": 3,
+  ` + lan4 + `, "scheduler": "bfs", "horizonSec": 600, "seed": 3,
   "migration": true, "monitorIntervalSec": 30,
   "apps": [
     {"camera": {}},
@@ -779,7 +795,7 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 		},
 		// The crashed LAN node strands components and drives failovers.
 		"failover": {
-			Topology: "lan", LANNodes: 4, App: "camera", Scheduler: "bfs",
+			Topology: "lan", Nodes: lanNodes(4), App: "camera", Scheduler: "bfs",
 			HorizonSec: 300, Seed: 9, Migration: true, MonitorIntervalSec: 30,
 			Faults: []faults.Event{
 				{AtSec: 60, Type: faults.NodeCrash, Node: "node2"},
@@ -874,15 +890,12 @@ func TestTracegenCSVReplaysBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: 3, Duration: 5 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.SetCapacity("node2", "node3", generated); err != nil {
-		t.Fatal(err)
+	var phases []scenario.Phase // one a sample
+	for _, v := range generated.Samples() {
+		phases = append(phases, scenario.Phase{DurationSec: 1, Mbps: v})
 	}
 	var direct strings.Builder
-	if err := executeObserved(scenario.Spec{Topo: topo, Nodes: scenario.CityLabWorkers(), ReservedCPU: 1,
+	if err := executeObserved(scenario.Spec{ReservedCPU: 1, Links: []scenario.Link{{A: "node2", B: "node3", Phases: phases}},
 		Apps: []scenario.App{{Socialnet: &scenario.Socialnet{}}}, HorizonSec: 300, Seed: 3, Migration: true,
 	}, &direct, filepath.Join(goDir, "events.jsonl"), ""); err != nil {
 		t.Fatal(err)

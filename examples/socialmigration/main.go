@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"bass/internal/cluster"
 	"bass/internal/scenario"
 )
 
@@ -29,19 +30,19 @@ func run(w io.Writer) error {
 	// from 10 s for 3 minutes.
 	throttle := []scenario.Phase{{DurationSec: 10, Mbps: 1000}, {DurationSec: 180, Mbps: 25}, {DurationSec: 110, Mbps: 1000}}
 	r, err := scenario.Build(scenario.Spec{
-		Topology:             "lan",
-		LANNodes:             3,
-		LANNodeCPU:           8,
-		LANNodeMemMB:         12288,
-		ClientHost:           "client",
+		Topology: "lan",
+		// Three d710-class workers and the workload generator's host.
+		Nodes: []cluster.Node{{Name: "node1", CPU: 8, MemoryMB: 12288}, {Name: "node2", CPU: 8, MemoryMB: 12288},
+			{Name: "node3", CPU: 8, MemoryMB: 12288}, {Name: "client", CPU: 8, MemoryMB: 8192, Unschedulable: true}},
 		PackLimit:            0.8,
 		Migration:            true,
 		MonitorIntervalSec:   30,
 		MigrationDowntimeSec: 4.3,
-		Apps:                 []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 400, Bursty: true, ProfileRPS: 400}}},
-		Links:                []scenario.Link{{Egress: "node1", Phases: throttle}, {Egress: "node2", Phases: throttle}},
-		HorizonSec:           int(horizon / time.Second),
-		Seed:                 42,
+		Apps: []scenario.App{{Socialnet: &scenario.Socialnet{RPS: 400, Bursty: true, ProfileRPS: 400,
+			ClientNode: "client"}}},
+		Links:      []scenario.Link{{Egress: "node1", Phases: throttle}, {Egress: "node2", Phases: throttle}},
+		HorizonSec: int(horizon / time.Second),
+		Seed:       42,
 	})
 	if err != nil {
 		return err

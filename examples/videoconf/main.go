@@ -27,7 +27,7 @@ func run(w io.Writer) error {
 		r, err := scenario.Build(scenario.Spec{
 			Topology:             "citylab",
 			Scheduler:            "bfs",
-			Controller:           scenario.Controller{UtilizationThreshold: 0.65, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
+			Controller:           &scenario.Controller{UtilizationThreshold: 0.65, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
 			Migration:            migrate,
 			MonitorIntervalSec:   30,
 			MigrationDowntimeSec: 20,

@@ -28,16 +28,17 @@ var (
 	errNodeCordoned      = errors.New("cluster: node cordoned")
 )
 
-// Node describes one compute node.
+// Node describes one compute node. Its JSON form is an entry of a scenario
+// file's "nodes" list.
 type Node struct {
 	// Name uniquely identifies the node; it must match the mesh vertex name.
-	Name string
+	Name string `json:"name"`
 	// CPU is the total number of cores.
-	CPU float64
+	CPU float64 `json:"cpu"`
 	// MemoryMB is the total memory in megabytes.
-	MemoryMB float64
+	MemoryMB float64 `json:"memoryMB"`
 	// Unschedulable marks control-plane nodes that must not run components.
-	Unschedulable bool
+	Unschedulable bool `json:"unschedulable,omitempty"`
 }
 
 // Placement records where one component runs.

@@ -94,10 +94,7 @@ func runAblationProbeInterval(seed int64, intervalsSec []int) (ablationResult, e
 	}
 	out := ablationResult{Name: "headroom probe interval (CityLab mesh)", Extra: "probe_overhead_frac"}
 	for _, iv := range intervalsSec {
-		spec := citySocial(seed)
-		spec.Migration = true
-		spec.MonitorIntervalSec = iv
-		r, err := complete(spec)
+		r, err := complete(probeSocial(seed, iv))
 		if err != nil {
 			return out, err
 		}
@@ -105,6 +102,13 @@ func runAblationProbeInterval(seed int64, intervalsSec []int) (ablationResult, e
 		out.Rows = append(out.Rows, summariseAblation(fmt.Sprintf("interval=%ds", iv), r, overhead))
 	}
 	return out, nil
+}
+
+// probeSocial is citySocial with migration, probing every intervalSec.
+func probeSocial(seed int64, intervalSec int) scenario.Spec {
+	spec := citySocial(seed)
+	spec.Migration, spec.MonitorIntervalSec = true, intervalSec
+	return spec
 }
 
 // summariseAblation summarises one run's latency and migrations under setting.

@@ -12,7 +12,6 @@ import (
 	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
-	"bass/internal/trace"
 )
 
 // The alertquality experiment replays a seeded fault schedule with the SLO
@@ -77,29 +76,6 @@ type alertQualityResult struct {
 	JournalSummary string
 }
 
-// ladderMesh builds the 2×cols constant-capacity ladder the scenario runs on.
-func ladderMesh(cols int, mbps float64) *mesh.Topology {
-	topo := mesh.NewTopology()
-	for r := 0; r < 2; r++ {
-		for c := 0; c < cols; c++ {
-			topo.AddNode(mesh.GridNodeName(r, c))
-		}
-	}
-	link := func(a, b string) {
-		tr := trace.Constant(mesh.MakeLinkID(a, b).String(), time.Second, mbps, 24*3600)
-		topo.MustAddLink(a, b, tr, 3*time.Millisecond)
-	}
-	for r := 0; r < 2; r++ {
-		for c := 0; c+1 < cols; c++ {
-			link(mesh.GridNodeName(r, c), mesh.GridNodeName(r, c+1))
-		}
-	}
-	for c := 0; c < cols; c++ {
-		link(mesh.GridNodeName(0, c), mesh.GridNodeName(1, c))
-	}
-	return topo
-}
-
 // alertStorm generates the seeded schedule: alternating 3–6 min outages of
 // the two middle links separated by 6–9 min recovery gaps (long enough for
 // the page tier to resolve before the next window), with a 1-minute
@@ -144,37 +120,9 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * time.Hour
 	}
-	const rows, cols = 2, 4
-	var nodes []cluster.Node
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			nodes = append(nodes, cluster.Node{Name: mesh.GridNodeName(r, c), CPU: 8, MemoryMB: 16384})
-		}
-	}
-	// Both ends of every pair are pinned, so rerouting-induced congestion,
-	// not a migration, is the only response to a link fault, keeping each
-	// SLI degradation window aligned with its injected fault window.
-	var pairs []scenario.App
-	for r := 0; r < rows; r++ {
-		for i := 0; i < 4; i++ {
-			pairs = append(pairs, pair(fmt.Sprintf("pair-r%d-%d", r, i), 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1))
-		}
-	}
-	sched := alertStorm(o.Seed, o.Horizon)
-	run, err := complete(scenario.Spec{
-		Topo:                 ladderMesh(cols, 25),
-		Nodes:                nodes,
-		Scheduler:            "bfs",
-		Migration:            true,
-		MonitorIntervalSec:   30,
-		MigrationDowntimeSec: 5,
-		SLO:                  true,
-		Journal:              true,
-		Faults:               sched.Events,
-		Apps:                 pairs,
-		HorizonSec:           int(o.Horizon / time.Second),
-		Seed:                 o.Seed,
-	})
+	spec := alertQualitySpec(o.Seed, o.Horizon)
+	sched := &faults.Schedule{Events: spec.Faults}
+	run, err := complete(spec)
 	if err != nil {
 		return alertQualityResult{}, err
 	}
@@ -188,7 +136,7 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 	for _, p := range run.Streams {
 		goodput += p.Goodput().Mean()
 	}
-	res.MeanGoodput = goodput / float64(len(pairs))
+	res.MeanGoodput = goodput / float64(len(run.Streams))
 
 	windows := sched.Windows(o.Horizon)
 	res.FaultWindows = len(windows)
@@ -204,6 +152,52 @@ func runAlertQuality(o alertQualityOptions) (alertQualityResult, error) {
 	res.LinkWindows = len(linkWins)
 	res.score(linkWins, run.Journal.Events())
 	return res, nil
+}
+
+// alertQualitySpec is the replay: a 2×4 ladder of 25 Mbps, 3 ms links
+// (each row a chain, then the rungs) carrying four pinned 5 Mbps pairs a
+// row under alertStorm's schedule, with the SLO evaluator and the decision
+// journal attached.
+func alertQualitySpec(seed int64, horizon time.Duration) scenario.Spec {
+	const rows, cols = 2, 4
+	var nodes []cluster.Node
+	var links []scenario.Link
+	link := func(a, b string) { links = append(links, scenario.Link{A: a, B: b, Mbps: 25}) }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			nodes = append(nodes, cluster.Node{Name: mesh.GridNodeName(r, c), CPU: 8, MemoryMB: 16384})
+			if c+1 < cols {
+				link(mesh.GridNodeName(r, c), mesh.GridNodeName(r, c+1))
+			}
+		}
+	}
+	for c := 0; c < cols; c++ {
+		link(mesh.GridNodeName(0, c), mesh.GridNodeName(1, c))
+	}
+	// Both ends of every pair are pinned, so rerouting-induced congestion,
+	// not a migration, is the only response to a link fault, keeping each
+	// SLI degradation window aligned with its injected fault window.
+	var pairs []scenario.App
+	for r := 0; r < rows; r++ {
+		for i := 0; i < 4; i++ {
+			pairs = append(pairs, pair(fmt.Sprintf("pair-r%d-%d", r, i), 5, mesh.GridNodeName(r, 0), mesh.GridNodeName(r, cols-1), 1))
+		}
+	}
+	return scenario.Spec{
+		Topology:             "custom",
+		Nodes:                nodes,
+		Links:                links,
+		Scheduler:            "bfs",
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 5,
+		SLO:                  true,
+		Journal:              true,
+		Faults:               alertStorm(seed, horizon).Events,
+		Apps:                 pairs,
+		HorizonSec:           secs(horizon),
+		Seed:                 seed,
+	}
 }
 
 // score matches the journal's alert events against the ground-truth link

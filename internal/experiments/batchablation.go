@@ -10,6 +10,7 @@ import (
 	"bass/internal/core"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
+	"bass/internal/trace"
 )
 
 // Batch placement ablation (ROADMAP: "Optimization-based placement baselines
@@ -81,6 +82,47 @@ type batchAblationResult struct {
 // chosen placement mode and measures delivered goodput after the horizon.
 func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 	opts = opts.withDefaults()
+	spec, err := batchAblationSpec(opts)
+	if err != nil {
+		return batchAblationResult{}, err
+	}
+	run, err := complete(spec)
+	if err != nil {
+		return batchAblationResult{}, fmt.Errorf("batchablation: %w", err)
+	}
+
+	var achieved, required float64
+	cross := 0
+	for _, app := range run.Streams {
+		a, r, c := app.Measure()
+		achieved += a
+		required += r
+		cross += c
+	}
+	var solveNS float64
+	for _, ns := range run.Sim.Orch.DAGProcessingNS() {
+		solveNS += ns
+	}
+	res := batchAblationResult{
+		Nodes:      len(spec.Nodes),
+		Links:      len(spec.Links),
+		Apps:       opts.Apps,
+		Density:    opts.Density,
+		Batch:      opts.Batch,
+		Budget:     core.DefaultBatchMoveBudget,
+		CrossEdges: cross,
+		SolveMS:    solveNS / 1e6,
+	}
+	if required > 0 {
+		res.Goodput = achieved / required
+	}
+	return res, nil
+}
+
+// batchAblationSpec is one mode's run: the pipeline population on the
+// squarest grid of at least opts.Nodes nodes, whose seeded step-trace links
+// the spec adds, for one minute.
+func batchAblationSpec(opts batchAblationOptions) (scenario.Spec, error) {
 	rows, cols := gridDims(opts.Nodes)
 	horizon := time.Minute
 	topo, err := mesh.Grid(mesh.GridOptions{
@@ -90,9 +132,8 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 		Duration: horizon + time.Minute,
 	})
 	if err != nil {
-		return batchAblationResult{}, err
+		return scenario.Spec{}, err
 	}
-
 	// CPU sized with only 50% aggregate headroom (0.75 CPU per app). The
 	// tightness is deliberate: at contended densities no node can absorb
 	// every app's middle stages, so the modes must actually choose relay
@@ -139,46 +180,37 @@ func runBatchAblation(opts batchAblationOptions) (batchAblationResult, error) {
 		apps = append(apps, pipe(fmt.Sprintf("pipe-%04d", i), d, mesh.GridNodeName(sr, sc), mesh.GridNodeName(dr, dc)))
 	}
 
-	run, err := complete(scenario.Spec{
-		Topo:  topo,
-		Nodes: nodes,
+	// The spec adds the grid's links with their seeded traces, in Grid's
+	// order, which is their sorted order; a custom link's 3 ms is Grid's.
+	var links []scenario.Link
+	for _, l := range topo.Links() {
+		links = append(links, scenario.Link{A: l.ID.A, B: l.ID.B, Phases: phases(l.CapacityFwd())})
+	}
+	return scenario.Spec{
+		Topology: "custom",
+		Nodes:    nodes,
+		Links:    links,
 		// Migration off: the ablation isolates initial placement quality.
 		MonitorIntervalSec: 30,
 		Batch:              opts.Batch,
 		Apps:               apps,
-		HorizonSec:         int(horizon / time.Second),
+		HorizonSec:         secs(horizon),
 		Seed:               opts.Seed,
-	})
-	if err != nil {
-		return batchAblationResult{}, fmt.Errorf("batchablation: %w", err)
-	}
+	}, nil
+}
 
-	var achieved, required float64
-	cross := 0
-	for _, app := range run.Streams {
-		a, r, c := app.Measure()
-		achieved += a
-		required += r
-		cross += c
+// phases is a 1 s-step trace as links phases: one per run of equal
+// samples.
+func phases(tr *trace.Trace) []scenario.Phase {
+	var out []scenario.Phase
+	for _, v := range tr.Samples() {
+		if n := len(out); n > 0 && out[n-1].Mbps == v {
+			out[n-1].DurationSec++
+		} else {
+			out = append(out, scenario.Phase{DurationSec: 1, Mbps: v})
+		}
 	}
-	var solveNS float64
-	for _, ns := range run.Sim.Orch.DAGProcessingNS() {
-		solveNS += ns
-	}
-	res := batchAblationResult{
-		Nodes:      n,
-		Links:      len(topo.Links()),
-		Apps:       opts.Apps,
-		Density:    opts.Density,
-		Batch:      opts.Batch,
-		Budget:     core.DefaultBatchMoveBudget,
-		CrossEdges: cross,
-		SolveMS:    solveNS / 1e6,
-	}
-	if required > 0 {
-		res.Goodput = achieved / required
-	}
-	return res, nil
+	return out
 }
 
 // gridDims is the squarest rows×cols cover of a node target.

@@ -8,7 +8,6 @@ import (
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/faults"
-	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
 )
@@ -60,44 +59,37 @@ func pair(name string, mbps float64, pinSrc, pinDst string, cpu float64) scenari
 
 // stormRig is the fault-storm testbed, shared by chaos and longevity: a
 // camera pipeline and then an unpinned 8 Mbps pair (Run.Streams[0]) on a
-// full mesh of 16-core nodes joined by 25 Mbps links, BFS placement with
-// migration, 30 s probe sweeps (crash detection after 3 failed sweeps), a
-// 5 s migration downtime and the decision journal attached. Those jobs set
-// the node count, faults and reconciliation.
+// full mesh of 16-core nodes n1..n<nodes> joined by 25 Mbps, 3 ms links,
+// BFS placement with migration, 30 s probe sweeps (crash detection after 3
+// failed sweeps), a 5 s migration downtime and the decision journal
+// attached. Those jobs set the faults and reconciliation.
 func stormRig(nodes int, seed int64, horizon time.Duration) scenario.Spec {
-	names := make([]string, nodes)
-	cl := make([]cluster.Node, nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i+1)
-		cl[i] = cluster.Node{Name: names[i], CPU: 16, MemoryMB: 16384}
-	}
-	return scenario.Spec{
-		Topo:                 mesh.FullMesh(names, 25, 3*time.Millisecond, horizon+time.Minute),
-		Nodes:                cl,
+	spec := scenario.Spec{
+		Topology:             "custom",
 		Apps:                 []scenario.App{{Camera: &scenario.Camera{}}, pair("pair", 8, "", "", 2)},
 		Scheduler:            "bfs",
 		Migration:            true,
 		MonitorIntervalSec:   30,
 		MigrationDowntimeSec: 5,
 		Journal:              true,
-		HorizonSec:           int(horizon / time.Second),
+		HorizonSec:           secs(horizon),
 		Seed:                 seed,
 	}
+	for i := 1; i <= nodes; i++ {
+		spec.Nodes = append(spec.Nodes, cluster.Node{Name: fmt.Sprintf("n%d", i), CPU: 16, MemoryMB: 16384})
+		for j := i + 1; j <= nodes; j++ {
+			spec.Links = append(spec.Links, scenario.Link{A: fmt.Sprintf("n%d", i), B: fmt.Sprintf("n%d", j), Mbps: 25})
+		}
+	}
+	return spec
 }
 
-// stormFaults is the rig's fault generator over [0, horizon): node crashes
-// at crashesPerHour, 6 link flaps and 2 probe-loss windows per hour.
-func stormFaults(topo *mesh.Topology, seed int64, horizon time.Duration, crashesPerHour float64) *faults.Schedule {
-	return faults.Generate(topo, faults.GeneratorConfig{
-		Seed:                    seed,
-		Horizon:                 horizon,
-		NodeCrashesPerHour:      crashesPerHour,
-		MeanNodeDowntime:        2 * time.Minute,
-		LinkFlapsPerHour:        6,
-		MeanLinkDowntime:        30 * time.Second,
-		ProbeLossWindowsPerHour: 2,
-		MeanProbeLossWindow:     time.Minute,
-	})
+// stormChaos is the rig's fault storm: node crashes at crashesPerHour with a
+// 2 min mean downtime, 6 link flaps (30 s) and 2 probe-loss windows (1 min)
+// per hour.
+func stormChaos(crashesPerHour float64) *scenario.Chaos {
+	return &scenario.Chaos{NodeCrashesPerHour: crashesPerHour, MeanNodeDowntimeSec: 120, LinkFlapsPerHour: 6,
+		MeanLinkDowntimeSec: 30, ProbeLossWindowsPerHour: 2, MeanProbeLossWindowSec: 60}
 }
 
 // runChaos executes the chaos scenario: a seeded Poisson storm of node
@@ -109,9 +101,7 @@ func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
-	spec := stormRig(4, seed, horizon)
-	spec.Faults = stormFaults(spec.Topo, seed, horizon, 6).Events
-	r, err := complete(spec)
+	r, err := complete(chaosSpec(seed, horizon))
 	if err != nil {
 		return chaosResult{}, err
 	}
@@ -140,6 +130,13 @@ func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 		res.Availability = float64(ok) / float64(len(pts))
 	}
 	return res, nil
+}
+
+// chaosSpec is a four-node stormRig under its storm, 6 crashes an hour.
+func chaosSpec(seed int64, horizon time.Duration) scenario.Spec {
+	spec := stormRig(4, seed, horizon)
+	spec.Chaos = stormChaos(6)
+	return spec
 }
 
 // Table renders the recovery metrics.

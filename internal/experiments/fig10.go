@@ -26,15 +26,13 @@ type fig10Result struct {
 // scheduler on three c6525-class machines with no bandwidth limits.
 func cameraLAN(seed int64, sched string, horizon time.Duration) scenario.Spec {
 	return scenario.Spec{
-		Topology:     "lan",
-		LANNodes:     3,
-		LANNodeCPU:   16,
-		LANNodeMemMB: 131072,
-		Apps:         []scenario.App{{Camera: &scenario.Camera{}}},
-		Scheduler:    sched,
-		ReservedCPU:  1,
-		HorizonSec:   int(horizon / time.Second),
-		Seed:         seed,
+		Topology:    "lan",
+		Nodes:       lanNodes(3, 16, 131072),
+		Apps:        []scenario.App{{Camera: &scenario.Camera{}}},
+		Scheduler:   sched,
+		ReservedCPU: 1,
+		HorizonSec:  secs(horizon),
+		Seed:        seed,
 	}
 }
 

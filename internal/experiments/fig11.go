@@ -55,17 +55,23 @@ func runFig11(seed int64, rates []float64) (fig11Result, error) {
 	return out, nil
 }
 
+// fig11Spec is socialLAN's four workers at rps under sched, its DAG
+// profiled at 300 RPS.
+func fig11Spec(seed int64, sched string, rps float64, horizon time.Duration) scenario.Spec {
+	spec := socialLAN(4, rps, seed)
+	spec.Scheduler = sched
+	spec.Apps[0].Socialnet.ProfileRPS = 300
+	spec.HorizonSec = secs(horizon)
+	return spec
+}
+
 // runFig11Cell runs the social network on four d710-class workers at rps.
 // restricted throttles one fixed worker's interface to 25 Mbps (the paper
 // throttles "bandwidth on one node"): the bandwidth-aware scheduler keeps
 // its heavy pairs co-located, so that node carries little of its traffic;
 // the spreading baseline routes hot pairs through it.
 func runFig11Cell(seed int64, sched string, restricted bool, rps float64, horizon time.Duration) (*scenario.Run, error) {
-	spec := socialLAN(4, rps, seed)
-	spec.Scheduler = sched
-	spec.Apps[0].Socialnet.ProfileRPS = 300
-	spec.HorizonSec = int(horizon / time.Second)
-	r, err := scenario.Build(spec)
+	r, err := scenario.Build(fig11Spec(seed, sched, rps, horizon))
 	if err != nil {
 		return nil, err
 	}

@@ -36,34 +36,9 @@ func runFig12(seed int64, intervals []int) (fig12Result, error) {
 	if len(intervals) == 0 {
 		intervals = []int{30, 60, 90, 0}
 	}
-	const (
-		restrictAt  = 10 * time.Second
-		restrictFor = 3 * time.Minute
-		horizon     = 8 * time.Minute
-		publish     = 2.0
-	)
-	// Restrict node2's links (the paper throttles node2's outgoing
-	// interface, Fig 3).
-	restrict := throttleWindow(restrictAt, restrictFor, horizon, 4)
 	var out fig12Result
 	for _, interval := range intervals {
-		r, err := complete(scenario.Spec{
-			Topology:     "lan",
-			LANNodeMemMB: 131072,
-			Links: []scenario.Link{
-				{A: "node2", B: "node1", Phases: restrict},
-				{A: "node2", B: "node3", Phases: restrict},
-			},
-			Scheduler:            "bfs",
-			Migration:            interval > 0,
-			MonitorIntervalSec:   interval,
-			MigrationDowntimeSec: 25,
-			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
-				Clients: map[string]int{"node1": 4, "node3": 5}, PublishMbps: publish, Publishers: 1, InitialNode: "node2",
-			}}},
-			HorizonSec: int(horizon / time.Second),
-			Seed:       seed,
-		})
+		r, err := complete(fig12Spec(seed, interval))
 		if err != nil {
 			return out, err
 		}
@@ -72,9 +47,9 @@ func runFig12(seed int64, intervals []int) (fig12Result, error) {
 		var during, after []float64
 		for _, p := range series.Points() {
 			switch {
-			case p.At >= restrictAt && p.At < restrictAt+restrictFor:
+			case p.At >= fig12RestrictAt && p.At < fig12RestrictAt+fig12RestrictFor:
 				during = append(during, p.Value)
-			case p.At >= restrictAt+restrictFor:
+			case p.At >= fig12RestrictAt+fig12RestrictFor:
 				after = append(after, p.Value)
 			}
 		}
@@ -89,6 +64,38 @@ func runFig12(seed int64, intervals []int) (fig12Result, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// Fig 12's restriction window.
+const (
+	fig12RestrictAt  = 10 * time.Second
+	fig12RestrictFor = 3 * time.Minute
+)
+
+// fig12Spec is Fig 12's conference for 8 minutes on a c6525-class LAN, the
+// SFU starting on node2, migrating every intervalSec (0: no migration).
+func fig12Spec(seed int64, intervalSec int) scenario.Spec {
+	const horizon = 8 * time.Minute
+	// Restrict node2's links (the paper throttles node2's outgoing
+	// interface, Fig 3).
+	restrict := throttleWindow(fig12RestrictAt, fig12RestrictFor, horizon, 4)
+	return scenario.Spec{
+		Topology: "lan",
+		Nodes:    lanNodes(3, 16, 131072),
+		Links: []scenario.Link{
+			{A: "node2", B: "node1", Phases: restrict},
+			{A: "node2", B: "node3", Phases: restrict},
+		},
+		Scheduler:            "bfs",
+		Migration:            intervalSec > 0,
+		MonitorIntervalSec:   intervalSec,
+		MigrationDowntimeSec: 25,
+		Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+			Clients: map[string]int{"node1": 4, "node3": 5}, PublishMbps: 2, Publishers: 1, InitialNode: "node2",
+		}}},
+		HorizonSec: secs(horizon),
+		Seed:       seed,
+	}
 }
 
 func mean(vs []float64) float64 {

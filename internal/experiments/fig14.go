@@ -23,9 +23,7 @@ type fig14aResult struct {
 // (paper: 552 ms → 4.9 s).
 func runFig14a(seed int64) (fig14aResult, error) {
 	const restartAt = 5 * time.Minute
-	spec := citySocial(seed)
-	spec.HorizonSec = 10 * 60
-	r, err := scenario.Build(spec)
+	r, err := scenario.Build(fig14aSpec(seed))
 	if err != nil {
 		return fig14aResult{}, err
 	}
@@ -107,6 +105,13 @@ func runFig14bVariant(name string, spec scenario.Spec) (fig14bRow, error) {
 	}, nil
 }
 
+// fig14aSpec is citySocial for 10 minutes.
+func fig14aSpec(seed int64) scenario.Spec {
+	spec := citySocial(seed)
+	spec.HorizonSec = 10 * 60
+	return spec
+}
+
 // runFig14b reproduces Fig 14(b): latency distributions of the longest-path
 // and BFS schedulers with migration, k3s, and longest-path without
 // migration, all under the CityLab bandwidth trace. (The paper runs 50 RPS;
@@ -125,15 +130,21 @@ func runFig14b(seed int64) (fig14bResult, error) {
 	}
 	var out fig14bResult
 	for _, v := range variants {
-		spec := citySocial(seed)
-		spec.Scheduler, spec.Migration, spec.Controller.HeadroomMbps = v.sched, v.migrate, 2
-		row, err := runFig14bVariant(v.name, spec)
+		row, err := runFig14bVariant(v.name, fig14bSpec(seed, v.sched, v.migrate))
 		if err != nil {
 			return out, err
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// fig14bSpec is one Fig 14(b) variant: citySocial under sched, migrating
+// when migrate, with 2 Mbps headroom.
+func fig14bSpec(seed int64, sched string, migrate bool) scenario.Spec {
+	spec := citySocial(seed)
+	spec.Scheduler, spec.Migration, spec.Controller.HeadroomMbps = sched, migrate, 2
+	return spec
 }
 
 // Table renders the distribution comparison.

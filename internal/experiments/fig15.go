@@ -80,7 +80,7 @@ func fig15bSpec(seed int64, threshold float64) scenario.Spec {
 		// The sweep isolates the utilization trigger (no goodput floor), and
 		// WebRTC reconnects cost ~20 s, so SFU moves are spaced 5 minutes
 		// apart for the paid downtime to amortise (§6.3.2's take-away).
-		Controller:           scenario.Controller{UtilizationThreshold: threshold, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
+		Controller:           &scenario.Controller{UtilizationThreshold: threshold, HeadroomMbps: 2, CooldownSec: 30, ReMigrationSec: 300},
 		Migration:            threshold > 0,
 		MonitorIntervalSec:   30,
 		MigrationDowntimeSec: 20,

@@ -32,17 +32,7 @@ func runFig4(seed int64, participants []int, publishMbps float64) (fig4Result, e
 	}
 	var out fig4Result
 	for _, p := range participants {
-		r, err := complete(scenario.Spec{
-			Topology:     "lan",
-			LANNodeMemMB: 131072,
-			Links:        []scenario.Link{{A: "node2", B: "node3", Mbps: 30}},
-			Scheduler:    "bfs",
-			Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
-				Clients: map[string]int{"node3": p}, PublishMbps: publishMbps, Publishers: 1, InitialNode: "node2",
-			}}},
-			HorizonSec: 3 * 60,
-			Seed:       seed,
-		})
+		r, err := complete(fig4Spec(seed, p, publishMbps))
 		if err != nil {
 			return out, err
 		}
@@ -57,6 +47,22 @@ func runFig4(seed int64, participants []int, publishMbps float64) (fig4Result, e
 		})
 	}
 	return out, nil
+}
+
+// fig4Spec is one Fig 4 point: participants clients on node3 of a
+// c6525-class LAN, the SFU on node2 behind a 30 Mbps node2-node3 link.
+func fig4Spec(seed int64, participants int, publishMbps float64) scenario.Spec {
+	return scenario.Spec{
+		Topology:  "lan",
+		Nodes:     lanNodes(3, 16, 131072),
+		Links:     []scenario.Link{{A: "node2", B: "node3", Mbps: 30}},
+		Scheduler: "bfs",
+		Apps: []scenario.App{{Videoconf: &scenario.Videoconf{
+			Clients: map[string]int{"node3": participants}, PublishMbps: publishMbps, Publishers: 1, InitialNode: "node2",
+		}}},
+		HorizonSec: 3 * 60,
+		Seed:       seed,
+	}
 }
 
 // Table renders the sweep.

@@ -26,6 +26,13 @@ type seriesPoint struct {
 	Value float64
 }
 
+// fig5Spec is socialLAN's three workers at 400 RPS over horizon.
+func fig5Spec(seed int64, horizon time.Duration) scenario.Spec {
+	spec := socialLAN(3, 400, seed)
+	spec.HorizonSec = secs(horizon)
+	return spec
+}
+
 // runFig5 reproduces Fig 5: the social network on a 3-node cluster at 400
 // requests/second (exponential arrival); one link is reduced to 25 Mbps for
 // two minutes mid-run. Average end-to-end latency inflates by an order of
@@ -36,9 +43,7 @@ func runFig5(seed int64) (fig5Result, error) {
 		throttleFor = 2 * time.Minute
 		horizon     = 5 * time.Minute
 	)
-	spec := socialLAN(3, 400, seed)
-	spec.HorizonSec = int(horizon / time.Second)
-	r, err := scenario.Build(spec)
+	r, err := scenario.Build(fig5Spec(seed, horizon))
 	if err != nil {
 		return fig5Result{}, err
 	}

@@ -9,7 +9,6 @@ import (
 	"bass/internal/mesh"
 	"bass/internal/obs"
 	"bass/internal/scenario"
-	"bass/internal/trace"
 )
 
 // fig8Result is the migration timeline of Fig 8.
@@ -35,49 +34,7 @@ type fig8Result struct {
 // node1-node3 link degrades and node3-node4 recovers, forcing a migration
 // back.
 func runFig8(seed int64) (fig8Result, error) {
-	const (
-		firstDrop  = 540 * time.Second
-		secondFlip = 1119 * time.Second
-		horizon    = 25 * time.Minute
-	)
-	topo := mesh.NewTopology()
-	for _, n := range []string{mesh.CityLabNode1, mesh.CityLabNode3, mesh.CityLabNode4} {
-		topo.AddNode(n)
-	}
-	n3n4 := trace.StepTrace("node3-node4", time.Second, horizon, []trace.Level{
-		{From: 0, Mbps: 25},
-		{From: firstDrop, Mbps: 7},
-		{From: secondFlip, Mbps: 25},
-	})
-	n1n3 := trace.StepTrace("node1-node3", time.Second, horizon, []trace.Level{
-		{From: 0, Mbps: 20},
-		{From: secondFlip, Mbps: 3},
-	})
-	n1n4 := trace.Constant("node1-node4", time.Second, 20, int(horizon/time.Second))
-	topo.MustAddLink(mesh.CityLabNode3, mesh.CityLabNode4, n3n4, 3*time.Millisecond)
-	topo.MustAddLink(mesh.CityLabNode1, mesh.CityLabNode3, n1n3, 3*time.Millisecond)
-	topo.MustAddLink(mesh.CityLabNode1, mesh.CityLabNode4, n1n4, 3*time.Millisecond)
-
-	nodes := []cluster.Node{
-		// node3 fits only the pinned producer; node4 outranks node1 by
-		// combined link capacity, so the consumer starts there (the paper
-		// deploys the pair on nodes 3 and 4).
-		{Name: mesh.CityLabNode3, CPU: 3, MemoryMB: 4096},
-		{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
-		{Name: mesh.CityLabNode1, CPU: 8, MemoryMB: 8192},
-	}
-	r, err := complete(scenario.Spec{
-		Topo:                 topo,
-		Nodes:                nodes,
-		Scheduler:            "bfs",
-		Migration:            true,
-		MonitorIntervalSec:   30,
-		MigrationDowntimeSec: 10,
-		Journal:              true,
-		Apps:                 []scenario.App{pair("pair", 8, mesh.CityLabNode3, "", 2)},
-		HorizonSec:           int(horizon / time.Second),
-		Seed:                 seed,
-	})
+	r, err := complete(fig8Spec(seed))
 	if err != nil {
 		return fig8Result{}, err
 	}
@@ -88,15 +45,54 @@ func runFig8(seed int64) (fig8Result, error) {
 	}
 	res := fig8Result{
 		Migrations:        r.Sim.Orch.Migrations(),
-		GoodputBeforeDrop: at(firstDrop - 10*time.Second),
-		GoodputDuringDrop: at(firstDrop + 45*time.Second),
-		GoodputEnd:        at(horizon - 30*time.Second),
+		GoodputBeforeDrop: at(fig8FirstDrop - 10*time.Second),
+		GoodputDuringDrop: at(fig8FirstDrop + 45*time.Second),
+		GoodputEnd:        at(fig8Horizon - 30*time.Second),
 		JournalSummary:    obs.Summarize(r.Journal.Events()),
 	}
 	if len(res.Migrations) > 0 {
 		res.GoodputAfterFirstMigration = at(res.Migrations[0].At + 30*time.Second)
 	}
 	return res, nil
+}
+
+// Fig 8's capacity landmarks and run length.
+const (
+	fig8FirstDrop  = 540 * time.Second
+	fig8SecondFlip = 1119 * time.Second
+	fig8Horizon    = 25 * time.Minute
+)
+
+// fig8Spec is Fig 8's run: the pair on a three-node custom mesh whose
+// links, 3 ms each, step at the landmarks, the decision journal attached.
+func fig8Spec(seed int64) scenario.Spec {
+	drop, flip, end := secs(fig8FirstDrop), secs(fig8SecondFlip), secs(fig8Horizon)
+	return scenario.Spec{
+		Topology: "custom",
+		Nodes: []cluster.Node{
+			// node3 fits only the pinned producer; node4 outranks node1 by
+			// combined link capacity, so the consumer starts there (the
+			// paper deploys the pair on nodes 3 and 4).
+			{Name: mesh.CityLabNode3, CPU: 3, MemoryMB: 4096},
+			{Name: mesh.CityLabNode4, CPU: 8, MemoryMB: 8192},
+			{Name: mesh.CityLabNode1, CPU: 8, MemoryMB: 8192},
+		},
+		Links: []scenario.Link{
+			{A: mesh.CityLabNode3, B: mesh.CityLabNode4, Phases: []scenario.Phase{
+				{DurationSec: drop, Mbps: 25}, {DurationSec: flip - drop, Mbps: 7}, {DurationSec: end - flip, Mbps: 25}}},
+			{A: mesh.CityLabNode1, B: mesh.CityLabNode3, Phases: []scenario.Phase{
+				{DurationSec: flip, Mbps: 20}, {DurationSec: end - flip, Mbps: 3}}},
+			{A: mesh.CityLabNode1, B: mesh.CityLabNode4, Mbps: 20},
+		},
+		Scheduler:            "bfs",
+		Migration:            true,
+		MonitorIntervalSec:   30,
+		MigrationDowntimeSec: 10,
+		Journal:              true,
+		Apps:                 []scenario.App{pair("pair", 8, mesh.CityLabNode3, "", 2)},
+		HorizonSec:           end,
+		Seed:                 seed,
+	}
 }
 
 // Table renders the timeline.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bass/internal/core"
+	"bass/internal/faults"
 	"bass/internal/obs"
 	"bass/internal/scenario"
 )
@@ -62,21 +63,9 @@ func runLongevity(seed int64, horizon time.Duration) (longevityResult, []obs.Eve
 		horizon = 80 * time.Minute
 	}
 	waveLen := horizon / longevityWaves
-	storm := waveLen / 2 // quiet second half: detection + re-convergence room
-
-	spec := stormRig(6, seed, horizon)
-	spec.Reconcile = true
-	// Each wave draws its own seeded storm over [0, storm) and is clamped so
-	// every window closes inside the storm — the wave's quiet half starts
-	// with all elements recovered. Clamped waves occupy disjoint time ranges,
-	// so the merged schedule still passes window validation.
-	for w := 0; w < longevityWaves; w++ {
-		wave := stormFaults(spec.Topo, seed+int64(w+1)*1000, storm, 8).Clamp(storm)
-		base := time.Duration(w) * waveLen
-		for i := range wave.Events {
-			wave.Events[i].AtSec += base.Seconds()
-		}
-		spec.Faults = append(spec.Faults, wave.Events...)
+	spec, err := longevitySpec(seed, horizon)
+	if err != nil {
+		return longevityResult{}, nil, err
 	}
 	r, err := scenario.Build(spec)
 	if err != nil {
@@ -124,6 +113,33 @@ func runLongevity(seed int64, horizon time.Duration) (longevityResult, []obs.Eve
 		prev = s.Actions
 	}
 	return res, r.Journal.Events(), nil
+}
+
+// longevitySpec is a six-node stormRig with the reconciler enabled and
+// longevityWaves storm waves as explicit faults. Each wave draws its own
+// seeded storm, 8 crashes an hour, over the first half of the wave and is
+// clamped so every window closes inside it: the wave's quiet half, room for
+// detection and re-convergence, starts with all elements recovered. Clamped
+// waves occupy disjoint time ranges, so the merged schedule still passes
+// window validation.
+func longevitySpec(seed int64, horizon time.Duration) (scenario.Spec, error) {
+	waveLen := horizon / longevityWaves
+	storm := waveLen / 2
+	spec := stormRig(6, seed, horizon)
+	spec.Reconcile = true
+	topo, err := spec.Mesh()
+	if err != nil {
+		return scenario.Spec{}, err
+	}
+	for w := 0; w < longevityWaves; w++ {
+		wave := faults.Generate(topo, stormChaos(8).Generator(seed+int64(w+1)*1000, storm)).Clamp(storm)
+		base := time.Duration(w) * waveLen
+		for i := range wave.Events {
+			wave.Events[i].AtSec += base.Seconds()
+		}
+		spec.Faults = append(spec.Faults, wave.Events...)
+	}
+	return spec, nil
 }
 
 // Table renders the soak's per-wave convergence and the run totals.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bass/internal/cluster"
 	"bass/internal/mesh"
 	"bass/internal/scenario"
 )
@@ -27,19 +28,29 @@ func citySocial(seed int64) scenario.Spec {
 }
 
 // socialLAN is the social-network microbenchmark testbed of §6.2 (Figs 5,
-// 11 and 13): n d710-class workers (8 threads, 12 GB) on a 1 Gbps LAN plus
-// an unschedulable host node<n+1> running the workload generator outside
-// the cluster (the paper's wrk2) at rps exponential arrivals.
+// 11 and 13): n d710-class workers (8 threads, 12 GB) node1..node<n> on a
+// 1 Gbps LAN plus an unschedulable 8-core host node<n+1> running the
+// workload generator outside the cluster (the paper's wrk2) at rps
+// exponential arrivals.
 func socialLAN(n int, rps float64, seed int64) scenario.Spec {
+	nodes := lanNodes(n, 8, 12288)
+	client := fmt.Sprintf("node%d", n+1)
+	nodes = append(nodes, cluster.Node{Name: client, CPU: 8, MemoryMB: 8192, Unschedulable: true})
 	return scenario.Spec{
-		Topology:     "lan",
-		LANNodes:     n,
-		LANNodeCPU:   8,
-		LANNodeMemMB: 12288,
-		ClientHost:   fmt.Sprintf("node%d", n+1),
-		Apps:         []scenario.App{{Socialnet: &scenario.Socialnet{RPS: rps, Bursty: true}}},
-		Seed:         seed,
+		Topology: "lan",
+		Nodes:    nodes,
+		Apps:     []scenario.App{{Socialnet: &scenario.Socialnet{RPS: rps, Bursty: true, ClientNode: client}}},
+		Seed:     seed,
 	}
+}
+
+// lanNodes is n LAN machines node1..node<n> of cpu cores and memMB each.
+func lanNodes(n int, cpu, memMB float64) []cluster.Node {
+	nodes := make([]cluster.Node, n)
+	for i := range nodes {
+		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i+1), CPU: cpu, MemoryMB: memMB}
+	}
+	return nodes
 }
 
 // complete builds and runs spec, leaving the simulation closed.
@@ -54,7 +65,9 @@ func complete(spec scenario.Spec) (*scenario.Run, error) {
 // throttleWindow is the phases of a 1 Gbps link held at mbps for dur from
 // at, over horizon: the paper's tc restriction windows (Figs 12 and 13).
 func throttleWindow(at, dur, horizon time.Duration, mbps float64) []scenario.Phase {
-	sec := func(d time.Duration) int { return int(d / time.Second) }
-	return []scenario.Phase{{DurationSec: sec(at), Mbps: 1000}, {DurationSec: sec(dur), Mbps: mbps},
-		{DurationSec: sec(horizon - at - dur), Mbps: 1000}}
+	return []scenario.Phase{{DurationSec: secs(at), Mbps: 1000}, {DurationSec: secs(dur), Mbps: mbps},
+		{DurationSec: secs(horizon - at - dur), Mbps: 1000}}
 }
+
+// secs is d in whole seconds, as spec keys take it.
+func secs(d time.Duration) int { return int(d / time.Second) }

@@ -31,33 +31,18 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 	if horizon == 0 {
 		horizon = 20 * time.Minute
 	}
+	pinned, err := pinnedCityLab(seed, horizon)
+	if err != nil {
+		return table2Result{}, err
+	}
 	var out table2Result
 	for _, varying := range []bool{false, true} {
 		for _, sched := range []string{"bfs", "longest-path", "k3s"} {
-			topo, err := mesh.CityLab(mesh.CityLabOptions{
-				Seed:     seed,
-				Duration: horizon,
-				Static:   !varying,
-			})
-			if err != nil {
-				return out, err
+			spec := table2Spec(seed, horizon, sched)
+			if !varying {
+				spec.Links = pinned
 			}
-			// Migration is disabled to isolate initial-placement effects;
-			// the paper likewise observed zero migrations in this workload.
-			r, err := complete(scenario.Spec{
-				Topo:        topo,
-				Nodes:       CityLabWorkers(),
-				Scheduler:   sched,
-				ReservedCPU: 1,
-				// The camera feed enters the mesh at node2 (a physical camera
-				// on a pole), and the 30 KB frames (≈7.2 Mbps) press on
-				// node2's volatile 7.62 Mbps link unless the sampler is
-				// co-located — which is exactly what the bandwidth-aware
-				// heuristics do.
-				Apps:       []scenario.App{{Camera: &scenario.Camera{FrameKB: 30, PinCamera: mesh.CityLabNode2}}},
-				HorizonSec: int(horizon / time.Second),
-				Seed:       seed,
-			})
+			r, err := complete(spec)
 			if err != nil {
 				return out, err
 			}
@@ -72,6 +57,38 @@ func runTable2(seed int64, horizon time.Duration) (table2Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// table2Spec is one Table 2 cell on the trace-driven CityLab mesh. Migration
+// is disabled to isolate initial-placement effects; the paper likewise
+// observed zero migrations in this workload.
+func table2Spec(seed int64, horizon time.Duration, sched string) scenario.Spec {
+	return scenario.Spec{
+		Scheduler:   sched,
+		ReservedCPU: 1,
+		// The camera feed enters the mesh at node2 (a physical camera on a
+		// pole), and the 30 KB frames (≈7.2 Mbps) press on node2's volatile
+		// 7.62 Mbps link unless the sampler is co-located — which is
+		// exactly what the bandwidth-aware heuristics do.
+		Apps:       []scenario.App{{Camera: &scenario.Camera{FrameKB: 30, PinCamera: mesh.CityLabNode2}}},
+		HorizonSec: secs(horizon),
+		Seed:       seed,
+	}
+}
+
+// pinnedCityLab is the "no variation" baseline as links entries: each
+// CityLab link pinned to the maximum of its seeded trace over horizon.
+func pinnedCityLab(seed int64, horizon time.Duration) ([]scenario.Link, error) {
+	topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: seed, Duration: horizon})
+	if err != nil {
+		return nil, err
+	}
+	var pinned []scenario.Link
+	for _, l := range mesh.CityLabLinks() {
+		link, _ := topo.Link(l.A, l.B)
+		pinned = append(pinned, scenario.Link{A: l.A, B: l.B, Mbps: link.CapacityFwd().Max()})
+	}
+	return pinned, nil
 }
 
 // Table renders the grid.

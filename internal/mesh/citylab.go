@@ -52,10 +52,6 @@ type CityLabOptions struct {
 	Seed int64
 	// Duration is the trace length (default 20 min, the paper's run length).
 	Duration time.Duration
-	// Static disables bandwidth variation: each link is pinned to the
-	// maximum value observed in its generated trace, matching the paper's
-	// "no bandwidth variation" baseline for Table 2.
-	Static bool
 }
 
 // CityLab builds the emulated 5-node CityLab subset with trace-driven link
@@ -85,9 +81,6 @@ func CityLab(opts CityLabOptions) (*Topology, error) {
 		tr, err := trace.Generate(MakeLinkID(spec.A, spec.B).String(), cfg)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Static {
-			tr = trace.Constant(tr.Name, tr.Step, tr.Max(), tr.Len())
 		}
 		latency := time.Duration(spec.LatencyMS * float64(time.Millisecond))
 		if err := t.AddLink(spec.A, spec.B, tr, latency); err != nil {

@@ -202,15 +202,6 @@ func TestCityLabTopology(t *testing.T) {
 	}
 }
 
-func TestCityLabStatic(t *testing.T) {
-	topo := MustCityLab(CityLabOptions{Seed: 1, Static: true, Duration: 5 * time.Minute})
-	for _, l := range topo.Links() {
-		if l.CapacityFwd().StdDev() > 1e-9 {
-			t.Errorf("static CityLab link %s varies (std=%v)", l.ID, l.CapacityFwd().StdDev())
-		}
-	}
-}
-
 func TestLineAndFullMesh(t *testing.T) {
 	names := []string{"n1", "n2", "n3"}
 	line := Line(names, 100, time.Millisecond, time.Minute)

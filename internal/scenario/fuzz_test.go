@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -17,25 +18,29 @@ import (
 // FuzzDecodeSpec feeds arbitrary bytes through Decode (strict decoding plus
 // Validate). It must never panic; a spec it accepts must re-encode and
 // decode to an equal Spec, and must keep every promise Validate makes,
-// re-derived here: no negative size, rate or interval, known names,
-// controller fractions and a pack limit in [0, 1] (none for k3s), a finite
-// headroom and reserved CPU, a client host only on a lan topology, links
-// entries with one address and one capacity form, and every node and link
-// it names present in the topology Build would build, no pin on an
-// unschedulable node, no client host named like a worker and no direction
-// shaped twice (checked on the built topology, with faults.Schedule.Validate,
-// whenever the spec is small enough to build quickly). Decode must not open
-// a csv path: a seed names /dev/zero.
+// re-derived here: no negative size, rate or interval, known names, no
+// all-zero controller, controller fractions and a pack limit in [0, 1]
+// (none for k3s), a finite headroom, reserved CPU and node sizes, no nodes
+// on citylab and some on custom, each named once, links entries with one
+// address and one capacity form, a latency only on custom and no egress
+// there, and every node and link it names present in the topology Build
+// would build, whose nodes are the list in order, no pin on an
+// unschedulable node and no direction shaped twice (checked on the built
+// topology, with faults.Schedule.Validate, whenever the spec is small
+// enough to build quickly). Decode must not open a csv path: seeds name
+// /dev/zero.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range []string{
 		// bass-sim -example.
 		`{"topology": "citylab", "app": "camera", "scheduler": "bfs", "horizonSec": 600, "seed": 42, "migration": true, "monitorIntervalSec": 30}`,
 		// bass-sim's scenario contracts (chaos, slo).
-		`{"topology": "lan", "lanNodes": 4, "app": "camera", "scheduler": "bfs", "horizonSec": 300, "seed": 7,
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 16, "memoryMB": 65536}, {"name": "node2", "cpu": 16, "memoryMB": 65536},
+		  {"name": "node3", "cpu": 16, "memoryMB": 65536}, {"name": "node4", "cpu": 16, "memoryMB": 65536}], "app": "camera", "scheduler": "bfs", "horizonSec": 300, "seed": 7,
 		  "migration": true, "monitorIntervalSec": 30,
 		  "faults": [{"atSec": 60, "type": "node-crash", "node": "node2"}, {"atSec": 240, "type": "node-recover", "node": "node2"}],
 		  "chaos": {"nodeCrashesPerHour": 6, "meanNodeDowntimeSec": 90, "linkFlapsPerHour": 12, "meanLinkDowntimeSec": 20}}`,
-		`{"topology": "lan", "lanNodes": 4, "app": "camera", "scheduler": "bfs", "horizonSec": 900, "seed": 7,
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 16, "memoryMB": 65536}, {"name": "node2", "cpu": 16, "memoryMB": 65536},
+		  {"name": "node3", "cpu": 16, "memoryMB": 65536}, {"name": "node4", "cpu": 16, "memoryMB": 65536}], "app": "camera", "scheduler": "bfs", "horizonSec": 900, "seed": 7,
 		  "migration": true, "monitorIntervalSec": 30, "slo": true,
 		  "faults": [{"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node2"}, {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}]}`,
 		`{"apps": [{"socialnet": {"rps": 20, "clientNode": "node0"}}], "batch": true,
@@ -44,8 +49,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		  "faults": [{"atSec": 30, "type": "probe-loss-start", "linkA": "node2", "linkB": "node3"}]}`,
 		// Values Validate rejects.
 		`{"horizonSec": -5}`,
-		`{"topology": "lan", "lanNodes": -2}`,
-		`{"topology": "lan", "lanNodeCPU": -4}`,
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": -2}]}`,
+		`{"topology": "lan", "nodes": [{"name": "node1", "memoryMB": -4}]}`,
 		`{"apps": [{"socialnet": {"rps": -10}}]}`,
 		`{"apps": [{"videoconf": {"publishMbps": -1}}]}`,
 		`{"monitorIntervalSec": -30}`,
@@ -59,7 +64,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"topology": "lan", "apps": [{"socialnet": {"rps": 400, "clientNode": "node3", "bursty": true, "profileRPS": 400}}]}`,
 		`{"apps": [{"videoconf": {"participantsPerNode": 3, "publishMbps": 0.5, "clients": {"node1": 4, "node3": 5},
 		  "publishers": 1, "initialNode": "node2"}}]}`,
-		`{"topology": "lan", "lanNodes": 4, "horizonSec": 600, "seed": 3, "migration": true, "apps": [{"camera": {}},
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 16, "memoryMB": 65536}, {"name": "node2", "cpu": 16, "memoryMB": 65536},
+		  {"name": "node3", "cpu": 16, "memoryMB": 65536}, {"name": "node4", "cpu": 16, "memoryMB": 65536}], "horizonSec": 600, "seed": 3, "migration": true, "apps": [{"camera": {}},
 		  {"stream": {"name": "pair", "components": [{"name": "producer", "cpu": 1, "pin": "node1"},
 		   {"name": "consumer", "cpu": 1, "pin": "node4"}], "edges": [{"from": "producer", "to": "consumer", "mbps": 5}],
 		   "sampleGoodput": true}}],
@@ -100,7 +106,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"topology": "lan", "links": [{"egress": "node1", "phases": [{"durationSec": 10, "mbps": 1000},
 		  {"durationSec": 180, "mbps": 25}, {"durationSec": 110, "mbps": 1000}]}, {"egress": "node2", "mbps": 25}]}`,
 		`{"links": [{"a": "node3", "b": "node2", "csv": "/dev/zero"}, {"egress": "node4", "mbps": 8}]}`,
-		`{"topology": "lan", "lanNodes": 5, "links": [{"a": "node1", "b": "node2", "mbps": 5}, {"a": "node3", "b": "node4", "mbps": 5},
+		`{"topology": "lan", "nodes": [{"name": "node1"}, {"name": "node2"}, {"name": "node3"}, {"name": "node4"}, {"name": "node5"}],
+		  "links": [{"a": "node1", "b": "node2", "mbps": 5}, {"a": "node3", "b": "node4", "mbps": 5},
 		  {"egress": "node5", "mbps": 1}]}`,
 		// Links entries Validate rejects.
 		`{"links": [{"a": "node2", "b": "node4", "mbps": 30}]}`,
@@ -124,16 +131,18 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"links": [{"a": "node2", "b": "node3", "phases": [{"durationSec": 9223372036, "mbps": 5}, {"durationSec": 9223372036, "mbps": 5}]}]}`,
 		`{"links": [{"a": "node2", "b": "node3", "csv": ""}]}`,
 		`{"links": [{"a": "node2", "b": "node3", "mbps": 30, "latencyMs": 5}]}`,
-		// Each controller key, pack limit, client host and reserved CPU the
+		// Each controller key, pack limit, client node and reserved CPU the
 		// paper jobs set, and the zeros that must survive decoding.
 		`{"controller": {"utilizationThreshold": 0.65, "goodputFloor": 0, "headroomMbps": 2, "cooldownSec": 30,
 		  "reMigrationSec": 300}, "scheduler": "bfs", "migration": true, "reservedCPU": 1}`,
 		`{"controller": {"cooldownSec": 0}, "migration": true, "reservedCPU": 0}`,
 		`{"controller": {}}`,
-		`{"topology": "lan", "lanNodes": 3, "lanNodeCPU": 8, "lanNodeMemMB": 12288, "clientHost": "node4", "packLimit": 0.8,
-		  "apps": [{"socialnet": {"rps": 400, "bursty": true, "profileRPS": 400}}], "reservedCPU": 0}`,
-		`{"topology": "lan", "clientHost": "client", "packLimit": 1, "apps": [{"videoconf": {"initialNode": "node1"}}]}`,
-		// Controller, pack limit, client host and reserved CPU values
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 8, "memoryMB": 12288}, {"name": "node2", "cpu": 8, "memoryMB": 12288},
+		  {"name": "node3", "cpu": 8, "memoryMB": 12288}, {"name": "node4", "cpu": 8, "memoryMB": 8192, "unschedulable": true}],
+		  "packLimit": 0.8, "apps": [{"socialnet": {"rps": 400, "bursty": true, "profileRPS": 400, "clientNode": "node4"}}], "reservedCPU": 0}`,
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 4}, {"name": "client", "unschedulable": true}], "packLimit": 1,
+		  "apps": [{"videoconf": {"initialNode": "node1"}}]}`,
+		// Controller, pack limit, node list and reserved CPU values
 		// Validate rejects, and a key the controller lacks.
 		`{"controller": {"utilizationThreshold": 1.5}}`,
 		`{"controller": {"goodputFloor": -0.5}}`,
@@ -144,11 +153,38 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"packLimit": 1.2}`,
 		`{"packLimit": -0.8}`,
 		`{"scheduler": "k3s", "packLimit": 0.8}`,
-		`{"topology": "lan", "clientHost": "node3"}`,
-		`{"clientHost": "client"}`,
-		`{"topology": "lan", "clientHost": "client", "apps": [{"camera": {"pinCamera": "client"}}]}`,
+		`{"topology": "lan", "nodes": [{"name": "node3"}, {"name": "node3"}]}`,
+		`{"nodes": [{"name": "node1", "cpu": 4}]}`,
+		`{"topology": "lan", "nodes": [{"name": "node1"}, {"name": "client", "unschedulable": true}], "apps": [{"camera": {"pinCamera": "client"}}]}`,
 		`{"reservedCPU": -1}`,
 		`{"controller": {"utilizationThreshold": 0, "goodputFloor": 0, "headroomMbps": 0, "cooldownSec": 0, "reMigrationSec": 0}}`,
+		// Custom topologies: Fig 8's mesh, a chain with faults on a link it
+		// adds, and a generator host beside a worker.
+		`{"topology": "custom", "nodes": [{"name": "node3", "cpu": 3, "memoryMB": 4096}, {"name": "node4", "cpu": 8, "memoryMB": 8192},
+		  {"name": "node1", "cpu": 8, "memoryMB": 8192}], "scheduler": "bfs", "migration": true, "horizonSec": 1500,
+		  "links": [{"a": "node3", "b": "node4", "phases": [{"durationSec": 540, "mbps": 25}, {"durationSec": 579, "mbps": 7},
+		   {"durationSec": 381, "mbps": 25}]}, {"a": "node1", "b": "node3", "phases": [{"durationSec": 1119, "mbps": 20},
+		   {"durationSec": 381, "mbps": 3}]}, {"a": "node1", "b": "node4", "mbps": 20}],
+		  "apps": [{"stream": {"name": "pair", "components": [{"name": "producer", "cpu": 2, "pin": "node3"}, {"name": "consumer", "cpu": 2}],
+		   "edges": [{"from": "producer", "to": "consumer", "mbps": 8}]}}]}`,
+		`{"topology": "custom", "nodes": [{"name": "a", "cpu": 4}, {"name": "b", "cpu": 4}, {"name": "c", "cpu": 4}],
+		  "links": [{"a": "a", "b": "b", "mbps": 25}, {"a": "c", "b": "b", "csv": "/dev/zero"}],
+		  "faults": [{"atSec": 5, "type": "link-down", "linkA": "b", "linkB": "c"}], "chaos": {"linkFlapsPerHour": 6, "meanLinkDowntimeSec": 30}}`,
+		`{"topology": "custom", "nodes": [{"name": "gen", "cpu": 8, "unschedulable": true}, {"name": "w", "cpu": 8, "memoryMB": 8192}],
+		  "links": [{"a": "w", "b": "gen", "mbps": 1000}], "apps": [{"socialnet": {"clientNode": "gen"}}]}`,
+		// Nodes and custom links Validate rejects.
+		`{"topology": "custom"}`,
+		`{"topology": "custom", "nodes": []}`,
+		`{"topology": "custom", "nodes": [{"name": "a"}], "links": [{"a": "a", "b": "ghost", "mbps": 5}]}`,
+		`{"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"a": "a", "b": "a", "mbps": 5}]}`,
+		`{"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"a": "a", "b": "b", "mbps": 5}, {"a": "b", "b": "a", "mbps": 5}]}`,
+		`{"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"egress": "a", "mbps": 5}]}`,
+		`{"topology": "custom", "nodes": [{"name": "a"}, {"name": "b"}], "links": [{"a": "a", "b": "b", "mbps": 5}],
+		  "apps": [{"camera": {"pinCamera": "c"}}]}`,
+		`{"topology": "lan", "nodes": [{"name": ""}]}`,
+		`{"topology": "lan", "nodes": [{"name": "node1", "cpu": 1e400}]}`,
+		`{"topology": "citylab", "nodes": [{"name": "node0"}]}`,
+		`{"topology": "lan", "nodes": [{"name": "node1"}, {"name": "node2"}], "faults": [{"atSec": 5, "type": "node-crash", "node": "node3"}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -175,6 +211,9 @@ func FuzzDecodeSpec(f *testing.F) {
 // canonical treats an empty list or map as absent, as omitempty encodes
 // it.
 func canonical(s Spec) Spec {
+	if len(s.Nodes) == 0 {
+		s.Nodes = nil
+	}
 	if len(s.Faults) == 0 {
 		s.Faults = nil
 	}
@@ -260,31 +299,38 @@ func checkAccepted(t *testing.T, s Spec) {
 			}
 		}
 	}
-	c := s.Controller
-	if c == (Controller{}) {
+	if s.Controller != nil && *s.Controller == (Controller{}) {
 		t.Fatalf("accepted an all-zero controller, which runs the defaults")
 	}
+	c := cmp.Or(s.Controller, DefaultController())
 	for _, v := range []float64{c.UtilizationThreshold, c.GoodputFloor, s.PackLimit} {
 		if v < 0 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("accepted a controller fraction or pack limit outside [0, 1]: %+v, packLimit %v", c, s.PackLimit)
 		}
 	}
-	for _, v := range []float64{c.HeadroomMbps, s.ReservedCPU, s.LANNodeCPU, s.LANNodeMemMB} {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("accepted a non-finite amount in %+v", s)
+	amounts := []float64{c.HeadroomMbps, s.ReservedCPU}
+	for i, n := range s.Nodes {
+		amounts = append(amounts, n.CPU, n.MemoryMB)
+		if n.Name == "" || slices.ContainsFunc(s.Nodes[:i], func(m cluster.Node) bool { return m.Name == n.Name }) {
+			t.Fatalf("accepted an empty or repeated node name at nodes[%d]: %+v", i, s.Nodes)
+		}
+	}
+	for _, v := range amounts {
+		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("accepted a negative or non-finite amount in %+v", s)
 		}
 	}
 	if _, err := s.policy(); err != nil || s.Scheduler == "k3s" && s.PackLimit != 0 {
 		t.Fatalf("accepted scheduler %q with pack limit %v: %v", s.Scheduler, s.PackLimit, err)
 	}
-	if s.ClientHost != "" && s.Topology != "lan" {
-		t.Fatalf("accepted client host %q on topology %q", s.ClientHost, s.Topology)
+	if s.citylab() && len(s.Nodes) > 0 || s.Topology == "custom" && len(s.Nodes) == 0 {
+		t.Fatalf("accepted topology %q with %d nodes", s.Topology, len(s.Nodes))
 	}
 	secs := []float64{float64(s.HorizonSec), float64(s.MonitorIntervalSec), s.MigrationDowntimeSec, c.CooldownSec, c.ReMigrationSec}
 	for _, e := range s.Faults {
 		secs = append(secs, e.AtSec)
 	}
-	if !slices.Contains([]string{"", "citylab", "lan"}, s.Topology) ||
+	if !slices.Contains([]string{"", "citylab", "lan", "custom"}, s.Topology) ||
 		!slices.Contains([]string{"", "bfs", "longest-path", "lp", "k3s"}, s.Scheduler) {
 		t.Fatalf("accepted unknown name: topology %q scheduler %q", s.Topology, s.Scheduler)
 	}
@@ -307,13 +353,33 @@ func checkAccepted(t *testing.T, s Spec) {
 	}
 	for i, l := range s.Links {
 		checkLinkForms(t, i, l)
+		if l.Egress != "" && s.Topology == "custom" {
+			t.Fatalf("accepted links[%d] %+v on topology %q", i, l, s.Topology)
+		}
 	}
-	if s.LANNodes > 16 || s.horizon() <= 0 || s.horizon() > time.Hour {
+	cl := s.clusterNodes()
+	if len(cl) > 16 || s.horizon() <= 0 || s.horizon() > time.Hour {
 		return
 	}
-	topo, cl, err := s.topology(s.horizon())
+	// Build the mesh with each csv trace replaced by a constant, so no file
+	// is opened.
+	built := s
+	built.Links = slices.Clone(s.Links)
+	for i := range built.Links {
+		if built.Links[i].CSV != "" {
+			built.Links[i].CSV, built.Links[i].Mbps = "", 1
+		}
+	}
+	topo, err := built.Mesh()
 	if err != nil {
 		t.Fatalf("accepted spec's topology fails to build: %v", err)
+	}
+	names := make([]string, len(cl))
+	for i, n := range cl {
+		names[i] = n.Name
+	}
+	if !slices.Equal(topo.Nodes(), names) {
+		t.Fatalf("built mesh nodes %v, want the cluster's %v in order", topo.Nodes(), names)
 	}
 	if s.Chaos != nil {
 		nodes = append(nodes, s.Chaos.Protected...)
@@ -328,11 +394,6 @@ func checkAccepted(t *testing.T, s Spec) {
 			t.Fatalf("accepted a pin on unschedulable node %q", n)
 		}
 	}
-	for i, n := range cl {
-		if slices.ContainsFunc(cl[i+1:], func(c cluster.Node) bool { return c.Name == n.Name }) {
-			t.Fatalf("accepted a client host named like worker %q", n.Name)
-		}
-	}
 	shaped := map[[2]string]int{} // direction -> the entry shaping it
 	for i, l := range s.Links {
 		dirs := [][2]string{{l.A, l.B}, {l.B, l.A}}
@@ -341,8 +402,10 @@ func checkAccepted(t *testing.T, s Spec) {
 			for _, nb := range topo.Neighbors(l.Egress) {
 				dirs = append(dirs, [2]string{l.Egress, nb})
 			}
-		} else if !topo.HasLink(l.A, l.B) {
+		} else if link, ok := topo.Link(l.A, l.B); !ok {
 			t.Fatalf("accepted links[%d] on %s-%s, which the topology lacks", i, l.A, l.B)
+		} else if s.Topology == "custom" && link.LatencyOneWay != 3*time.Millisecond {
+			t.Fatalf("links[%d] added %s-%s with latency %v, want 3 ms", i, l.A, l.B, link.LatencyOneWay)
 		}
 		for _, d := range dirs {
 			if j, ok := shaped[d]; ok {
@@ -361,7 +424,7 @@ func checkAccepted(t *testing.T, s Spec) {
 // positive phase durations that sum to a duration.
 func checkLinkForms(t *testing.T, i int, l Link) {
 	t.Helper()
-	if (l.Egress != "") == (l.A != "" && l.B != "") || l.Egress != "" && l.A+l.B != "" {
+	if (l.Egress != "") == (l.A != "" && l.B != "") || l.Egress != "" && l.A+l.B != "" || l.A != "" && l.A == l.B {
 		t.Fatalf("accepted links[%d] addressing a=%q b=%q egress=%q", i, l.A, l.B, l.Egress)
 	}
 	forms := 0

@@ -8,6 +8,7 @@
 package scenario
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -16,8 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"bass/internal/apps/camera"
@@ -41,14 +40,14 @@ import (
 // tagged json:"-" are for Go callers only, so a scenario file naming one is
 // rejected as an unknown key.
 type Spec struct {
-	// Topology is "citylab" (the default: the trace-driven 5-node CityLab
-	// subset, node0 an unschedulable control host) or "lan" (a 1 Gbps full
-	// mesh of LANNodes machines named node1..nodeN, default 3 × 16 cores ×
-	// 65536 MB).
-	Topology     string  `json:"topology"`
-	LANNodes     int     `json:"lanNodes,omitempty"`
-	LANNodeCPU   float64 `json:"lanNodeCPU,omitempty"`
-	LANNodeMemMB float64 `json:"lanNodeMemMB,omitempty"`
+	// Topology says how the nodes are joined: "citylab" (the default: the
+	// trace-driven 5-node CityLab subset, node0 an unschedulable control
+	// host; it takes no Nodes), "lan" (a 1 Gbps, 1 ms full mesh over Nodes)
+	// or "custom" (each links entry adds its link, 3 ms one way).
+	Topology string `json:"topology"`
+	// Nodes is the cluster, in the order the mesh numbers them. A "lan"
+	// without Nodes is node1..node3 at 16 cores and 65,536 MB each.
+	Nodes []cluster.Node `json:"nodes,omitempty"`
 
 	// App is shorthand for a one-entry Apps list of that kind ("camera",
 	// "socialnet" or "videoconf") with every key at its default. A spec may
@@ -81,9 +80,8 @@ type Spec struct {
 	// Batch places each DAG as one joint decision, refined by a budgeted
 	// k-best local search over the greedy seed (core.BatchPlacement).
 	Batch bool `json:"batch,omitempty"`
-	// Controller configures migration; the zero value is
-	// controller.DefaultConfig().
-	Controller Controller `json:"controller"`
+	// Controller configures migration; nil runs controller.DefaultConfig().
+	Controller *Controller `json:"controller,omitempty"`
 
 	// Faults is an explicit fault schedule; Chaos arms the seeded generator
 	// over the horizon. The explicit list is window-validated before the
@@ -92,22 +90,16 @@ type Spec struct {
 	Faults []faults.Event `json:"faults,omitempty"`
 	Chaos  *Chaos         `json:"chaos,omitempty"`
 	// Links shape link capacity, applied in list order to the built mesh
-	// before the simulation starts.
+	// before the simulation starts; on "custom" each adds its link.
 	Links []Link `json:"links,omitempty"`
 	// MigrationDowntimeSec is how long a migrated component is unavailable
 	// (zero = core's default, 20 s).
 	MigrationDowntimeSec float64 `json:"migrationDowntimeSec,omitempty"`
 
-	// ClientHost adds an unschedulable 8-core host of this name to a "lan"
-	// cluster, beside its nodeN workers: the external workload generator.
-	ClientHost string `json:"clientHost,omitempty"`
 	// ReservedCPU is held back on every node for the agent and daemons.
 	// Decode reads an absent key as 1; in Go the zero value reserves none.
 	ReservedCPU float64 `json:"reservedCPU"`
 
-	// Topo and Nodes replace Topology with a prebuilt mesh and its cluster.
-	Topo  *mesh.Topology `json:"-"`
-	Nodes []cluster.Node `json:"-"`
 	// Journal and Metrics attach a decision journal and a metric store.
 	Journal bool `json:"-"`
 	Metrics bool `json:"-"`
@@ -130,8 +122,7 @@ type Chaos struct {
 // of its bandwidth quota on a link short of HeadroomMbps, or below
 // GoodputFloor of its requirement, for CooldownSec, migrates, and no
 // component moves twice within ReMigrationSec. Thresholds are fractions in
-// [0, 1]. Decode starts from DefaultController, so a key a scenario file
-// leaves out keeps its default; in Go, all five zero is the default.
+// [0, 1]. A key a "controller" object leaves out keeps its default.
 type Controller struct {
 	UtilizationThreshold float64 `json:"utilizationThreshold"`
 	GoodputFloor         float64 `json:"goodputFloor"`
@@ -140,11 +131,22 @@ type Controller struct {
 	ReMigrationSec       float64 `json:"reMigrationSec"`
 }
 
-// DefaultController is controller.DefaultConfig as a Controller.
-func DefaultController() Controller {
+// DefaultController is controller.DefaultConfig as a new Controller.
+func DefaultController() *Controller {
 	c := controller.DefaultConfig()
 	m := c.Migration
-	return Controller{m.UtilizationThreshold, m.GoodputFloor, m.HeadroomMbps, c.Cooldown.Seconds(), c.ReMigrationInterval.Seconds()}
+	return &Controller{m.UtilizationThreshold, m.GoodputFloor, m.HeadroomMbps, c.Cooldown.Seconds(), c.ReMigrationInterval.Seconds()}
+}
+
+// UnmarshalJSON decodes a "controller" object strictly onto DefaultController.
+func (c *Controller) UnmarshalJSON(b []byte) error {
+	type plain Controller // without this method
+	p := (*plain)(DefaultController())
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(p)
+	*c = Controller(*p)
+	return err
 }
 
 // config is the controller.Config c describes.
@@ -156,9 +158,10 @@ func (c Controller) config() controller.Config {
 // Link is one entry of Spec.Links: the capacity of a link, A and B, in
 // both directions (mesh.Topology.SetCapacity), or of every outgoing
 // direction of the node Egress, as tc on its interface shapes it
-// (ThrottleEgress). It gives the capacity in exactly one form: Mbps, a
-// constant over the horizon; Phases, played in order; or CSV, the path of
-// an "offset_s,mbps" trace file as tracegen writes it (trace.LoadCSV).
+// (ThrottleEgress); on "custom" it adds the link A-B, 3 ms one way.
+// It gives the capacity in exactly one form: Mbps, a constant over the
+// horizon; Phases, played in order; or CSV, the path of an
+// "offset_s,mbps" trace file as tracegen writes it (trace.LoadCSV).
 // Mbps and Phases hold on a 1 s grid; a CSV keeps its rows' step. A trace
 // shorter than the run repeats (trace.Trace.At).
 type Link struct {
@@ -197,9 +200,9 @@ type Camera struct {
 }
 
 // Socialnet is the social network: constant arrivals at RPS (default 50),
-// exponential ones when Bursty, from ClientNode (default the spec's
-// ClientHost, else node1). ProfileRPS is the rate the DAG's edge weights
-// were profiled at (zero = the arrival rate).
+// exponential ones when Bursty, from ClientNode (default node1; may be
+// unschedulable, a generator outside the cluster). ProfileRPS is the rate
+// the DAG's edge weights were profiled at (zero = the arrival rate).
 type Socialnet struct {
 	RPS        float64 `json:"rps,omitempty"`
 	ClientNode string  `json:"clientNode,omitempty"`
@@ -223,11 +226,9 @@ type Videoconf struct {
 // is an error, so a typo such as "migraton" cannot silently run a different
 // scenario. "app" is rewritten into its one-entry "apps" list, a spec with
 // neither deploys camera, and one core per node is reserved unless
-// "reservedCPU" says otherwise. A "controller" object that sets all five
-// keys to 0 is an error: it would run the defaults. The result is
-// validated.
+// "reservedCPU" says otherwise. The result is validated.
 func Decode(r io.Reader) (Spec, error) {
-	s := Spec{ReservedCPU: 1, Controller: DefaultController()}
+	s := Spec{ReservedCPU: 1}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
@@ -235,12 +236,6 @@ func Decode(r io.Reader) (Spec, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, fmt.Errorf("trailing data after the scenario object")
-	}
-	// Decoding starts from the defaults, so an all-zero controller can only
-	// be an explicit object of zeros, which the orchestrator reads as "use
-	// the defaults" (a Go spec's zero value).
-	if s.Controller == (Controller{}) {
-		return Spec{}, fmt.Errorf("controller: every key is 0, which runs the default controller, not a zero one; leave the key out for the defaults")
 	}
 	if s.App == "" && len(s.Apps) == 0 {
 		s.App = "camera"
@@ -305,18 +300,21 @@ type field struct {
 
 // Validate rejects what a run would otherwise replace by a default or fail
 // on late: negative or non-finite sizes, rates and intervals, seconds whose
-// nanoseconds overflow a time.Duration, fractions outside [0, 1], a k3s
-// pack limit, unknown topology, app or scheduler names, a client host off a
-// "lan" topology or named like a worker, a bad apps or links entry, nodes
-// or links the topology lacks, and a pin on an unschedulable node. Errors
-// name the key. It neither builds the topology nor opens a file.
+// nanoseconds overflow a time.Duration, fractions outside [0, 1], an
+// all-zero controller, a k3s pack limit, unknown names, nodes on citylab or
+// none on custom, an empty or repeated node name, a bad apps or links entry,
+// nodes or links the topology lacks, and a pin on an unschedulable node.
+// Errors name the key. It neither builds the topology nor opens a file.
 func (s Spec) Validate() error {
 	if err := s.expand(); err != nil {
 		return err
 	}
 	secs := []field{{"horizonSec", float64(s.HorizonSec)}, {"monitorIntervalSec", float64(s.MonitorIntervalSec)},
 		{"migrationDowntimeSec", s.MigrationDowntimeSec}}
-	ctl := s.Controller
+	if s.Controller != nil && *s.Controller == (Controller{}) {
+		return fmt.Errorf("controller: every key is 0, which runs the default controller, not a zero one; leave the key out for the defaults")
+	}
+	ctl := cmp.Or(s.Controller, DefaultController())
 	for _, f := range []field{{"controller.utilizationThreshold", ctl.UtilizationThreshold},
 		{"controller.goodputFloor", ctl.GoodputFloor}, {"packLimit", s.PackLimit}} {
 		if !(f.v >= 0 && f.v <= 1) {
@@ -324,8 +322,13 @@ func (s Spec) Validate() error {
 		}
 	}
 	secs = append(secs, field{"controller.cooldownSec", ctl.CooldownSec}, field{"controller.reMigrationSec", ctl.ReMigrationSec})
-	amounts := []field{{"lanNodes", float64(s.LANNodes)}, {"lanNodeCPU", s.LANNodeCPU}, {"lanNodeMemMB", s.LANNodeMemMB},
-		{"reservedCPU", s.ReservedCPU}, {"controller.headroomMbps", ctl.HeadroomMbps}}
+	amounts := []field{{"reservedCPU", s.ReservedCPU}, {"controller.headroomMbps", ctl.HeadroomMbps}}
+	for i, n := range s.Nodes {
+		if n.Name == "" || slices.ContainsFunc(s.Nodes[:i], func(m cluster.Node) bool { return m.Name == n.Name }) {
+			return fmt.Errorf("nodes[%d].name: %q is empty or repeated", i, n.Name)
+		}
+		amounts = append(amounts, field{fmt.Sprintf("nodes[%d].cpu", i), n.CPU}, field{fmt.Sprintf("nodes[%d].memoryMB", i), n.MemoryMB})
+	}
 	for i, e := range s.Faults {
 		secs = append(secs, field{fmt.Sprintf("faults[%d].atSec", i), e.AtSec})
 	}
@@ -343,11 +346,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("%s: %v s overflows a duration", f.key, f.v)
 		}
 	}
-	if s.Topo == nil && !slices.Contains([]string{"", "citylab", "lan"}, s.Topology) {
+	if !slices.Contains([]string{"", "citylab", "lan", "custom"}, s.Topology) {
 		return fmt.Errorf("topology: unknown %q", s.Topology)
 	}
-	if h := s.ClientHost; h != "" && (s.Topo != nil || s.Topology != "lan" || s.lanWorker(h)) {
-		return fmt.Errorf("clientHost: %q needs a lan topology and a name no worker has", h)
+	if s.Topology != "lan" && s.citylab() == (len(s.Nodes) > 0) {
+		return fmt.Errorf("nodes: %d given; the citylab topology takes none, a custom one needs them", len(s.Nodes))
 	}
 	if _, err := s.policy(); err != nil {
 		return err
@@ -366,7 +369,7 @@ func (s Spec) Validate() error {
 		return err // "faults: ..."
 	}
 	if s.Chaos != nil {
-		if err := s.generator().Validate(); err != nil {
+		if err := s.Chaos.Generator(s.Seed, s.horizon()).Validate(); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
 		for _, n := range s.Chaos.Protected {
@@ -448,20 +451,24 @@ func (s Spec) validateApp(a App, paper map[string]bool) error {
 }
 
 // validateLinks checks that each links entry addresses one link or one
-// node's egress the topology has, that no two entries shape one direction,
-// and that it gives exactly one capacity form with finite non-negative
-// Mbps and positive phase durations.
+// node's egress the topology has (on custom, a link between two listed
+// nodes), that no two entries shape one
+// direction, and that it gives exactly one capacity form with finite
+// non-negative Mbps and positive phase durations.
 func (s Spec) validateLinks() error {
 	type direction struct {
 		from, to string // to "*": every neighbour
 		entry    int
 	}
 	var shaped []direction
+	custom := s.Topology == "custom"
 	for i, l := range s.Links {
 		dirs := []direction{{l.A, l.B, i}, {l.B, l.A, i}}
 		switch link := l.A != "" || l.B != ""; {
 		case link == (l.Egress != "") || link && (l.A == "" || l.B == ""):
 			return fmt.Errorf("links[%d]: want a and b, or egress, got a=%q b=%q egress=%q", i, l.A, l.B, l.Egress)
+		case l.Egress != "" && custom:
+			return fmt.Errorf("links[%d].egress: a custom topology takes link entries only", i)
 		case l.Egress != "" && !s.HasNode(l.Egress):
 			return fmt.Errorf("links[%d].egress: %q is not in the topology", i, l.Egress)
 		case l.Egress != "":
@@ -524,50 +531,42 @@ func (l Link) validateCapacity(key string) error {
 	return nil
 }
 
-// unschedulable reports whether the spec's cluster has the node and keeps
-// workloads off it: CityLab's node0, a "lan" ClientHost, or a Nodes entry
-// so marked.
-func (s Spec) unschedulable(name string) bool {
+// clusterNodes is the spec's cluster: CityLab's, a bare "lan"'s three, or Nodes.
+func (s Spec) clusterNodes() []cluster.Node {
 	switch {
-	case s.Topo != nil:
-		return slices.ContainsFunc(s.Nodes, func(n cluster.Node) bool { return n.Name == name && n.Unschedulable })
-	case s.Topology == "lan":
-		return name == s.ClientHost
+	case s.citylab():
+		return CityLabWorkers()
+	case len(s.Nodes) == 0 && s.Topology == "lan":
+		return []cluster.Node{{Name: "node1", CPU: 16, MemoryMB: 65536}, {Name: "node2", CPU: 16, MemoryMB: 65536},
+			{Name: "node3", CPU: 16, MemoryMB: 65536}}
 	}
-	return name == mesh.CityLabControl
+	return s.Nodes
+}
+
+func (s Spec) citylab() bool { return s.Topology == "" || s.Topology == "citylab" }
+
+// unschedulable reports whether the spec's cluster keeps workloads off the node.
+func (s Spec) unschedulable(name string) bool {
+	return slices.ContainsFunc(s.clusterNodes(), func(n cluster.Node) bool { return n.Name == name && n.Unschedulable })
 }
 
 // HasNode reports whether the spec's topology has the node, without
 // building it (faults.Elements).
 func (s Spec) HasNode(name string) bool {
-	switch {
-	case s.Topo != nil:
-		return s.Topo.HasNode(name)
-	case s.Topology == "lan":
-		return name != "" && name == s.ClientHost || s.lanWorker(name)
-	}
-	return slices.ContainsFunc(CityLabWorkers(), func(n cluster.Node) bool { return n.Name == name })
-}
-
-// lanWorker reports whether a "lan" topology of the spec's size has the
-// worker node1..nodeN of this name.
-func (s Spec) lanWorker(name string) bool {
-	i, err := strconv.Atoi(strings.TrimPrefix(name, "node"))
-	return err == nil && i >= 1 && i <= cmp.Or(s.LANNodes, 3) && name == "node"+strconv.Itoa(i)
+	return slices.ContainsFunc(s.clusterNodes(), func(n cluster.Node) bool { return n.Name == name })
 }
 
 // HasLink reports whether the spec's topology joins the two nodes, without
 // building it (faults.Elements).
 func (s Spec) HasLink(a, b string) bool {
+	id := mesh.MakeLinkID(a, b)
 	switch {
-	case s.Topo != nil:
-		return s.Topo.HasLink(a, b)
-	case s.Topology == "lan":
-		return a != b && s.HasNode(a) && s.HasNode(b)
+	case s.citylab():
+		return slices.ContainsFunc(mesh.CityLabLinks(), func(l mesh.CityLabLinkSpec) bool { return mesh.MakeLinkID(l.A, l.B) == id })
+	case a == b || !s.HasNode(a) || !s.HasNode(b):
+		return false
 	}
-	return slices.ContainsFunc(mesh.CityLabLinks(), func(l mesh.CityLabLinkSpec) bool {
-		return mesh.MakeLinkID(l.A, l.B) == mesh.MakeLinkID(a, b)
-	})
+	return s.Topology == "lan" || slices.ContainsFunc(s.Links, func(l Link) bool { return mesh.MakeLinkID(l.A, l.B) == id })
 }
 
 // Run is a built simulation with its workloads deployed, not yet started.
@@ -601,18 +600,15 @@ func Build(s Spec) (*Run, error) {
 	}
 	_ = s.expand() // Validate has checked the shorthand
 	r := &Run{Horizon: s.horizon()}
-	topo, nodes, err := s.topology(r.Horizon)
+	topo, err := s.Mesh()
 	if err != nil {
-		return nil, err
-	}
-	if err := s.shape(topo, r.Horizon); err != nil {
 		return nil, err
 	}
 	policy, _ := s.policy()
 	r.Policy = policy.Name()
 	cfg := core.Config{
 		Policy:            policy,
-		Controller:        s.Controller.config(),
+		Controller:        cmp.Or(s.Controller, DefaultController()).config(),
 		MonitorInterval:   time.Duration(s.MonitorIntervalSec) * time.Second,
 		EnableMigration:   s.Migration,
 		MigrationDowntime: seconds(s.MigrationDowntimeSec),
@@ -621,7 +617,7 @@ func Build(s Spec) (*Run, error) {
 		BatchPlacement:    s.Batch,
 		EnableSLO:         s.SLO,
 	}
-	if r.Sim, err = core.NewSimulation(topo, nodes, s.Seed, cfg); err != nil {
+	if r.Sim, err = core.NewSimulation(topo, s.clusterNodes(), s.Seed, cfg); err != nil {
 		return nil, err
 	}
 	if err := r.wire(s); err != nil {
@@ -645,7 +641,7 @@ func (r *Run) wire(s Spec) error {
 	if len(s.Faults) > 0 || s.Chaos != nil {
 		r.Faults = &faults.Schedule{Events: slices.Clone(s.Faults)}
 		if s.Chaos != nil {
-			r.Faults.Events = append(r.Faults.Events, faults.Generate(r.Sim.Topo, s.generator()).Events...)
+			r.Faults.Events = append(r.Faults.Events, faults.Generate(r.Sim.Topo, s.Chaos.Generator(s.Seed, r.Horizon)).Events...)
 		}
 		r.Faults.Sort()
 		if _, err := r.Sim.InjectFaults(r.Faults); err != nil {
@@ -679,7 +675,7 @@ func (r *Run) workload(s Spec, a App) (core.Workload, scheduler.Assignment, erro
 		if c.Bursty {
 			arrival = workload.Exponential{MeanPerSecond: rps}
 		}
-		client := cmp.Or(c.ClientNode, s.ClientHost, mesh.CityLabNode1)
+		client := cmp.Or(c.ClientNode, mesh.CityLabNode1)
 		r.Social, err = socialnet.New(socialnet.Config{ClientNode: client, Arrival: arrival, ProfileRPS: c.ProfileRPS})
 		return r.Social, nil, err
 	case a.Videoconf != nil:
@@ -714,48 +710,50 @@ func seconds(v float64) time.Duration {
 	return time.Duration(math.Round(v * float64(time.Second)))
 }
 
-// topology builds the mesh and cluster nodes.
-func (s Spec) topology(horizon time.Duration) (*mesh.Topology, []cluster.Node, error) {
-	if s.Topo != nil {
-		return s.Topo, s.Nodes, nil
+// Mesh builds the spec's topology over its horizon, as Build does: its nodes
+// in list order, then the links entries, each adding a link on "custom".
+func (s Spec) Mesh() (*mesh.Topology, error) {
+	horizon := s.horizon()
+	var topo *mesh.Topology
+	switch s.Topology {
+	case "lan":
+		// CloudLab-style machines on a bridged 1 Gbps LAN; CPU and memory
+		// pick the class (c6525-25g ≈ 16 cores / 128 GB; d710 ≈ 8 threads /
+		// 12 GB).
+		var names []string
+		for _, n := range s.clusterNodes() {
+			names = append(names, n.Name)
+		}
+		topo = mesh.FullMesh(names, 1000, time.Millisecond, horizon)
+	case "custom":
+		topo = mesh.NewTopology()
+		for _, n := range s.Nodes {
+			topo.AddNode(n.Name)
+		}
+	default:
+		var err error
+		if topo, err = mesh.CityLab(mesh.CityLabOptions{Seed: s.Seed, Duration: horizon}); err != nil {
+			return nil, err
+		}
 	}
-	if s.Topology != "lan" {
-		topo, err := mesh.CityLab(mesh.CityLabOptions{Seed: s.Seed, Duration: horizon})
-		return topo, CityLabWorkers(), err
-	}
-	// CloudLab-style machines on a bridged 1 Gbps LAN; CPU and memory pick
-	// the class (c6525-25g ≈ 16 cores / 128 GB; d710 ≈ 8 threads / 12 GB).
-	nodes := make([]cluster.Node, cmp.Or(s.LANNodes, 3))
-	for i := range nodes {
-		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i+1), CPU: cmp.Or(s.LANNodeCPU, 16), MemoryMB: cmp.Or(s.LANNodeMemMB, 65536)}
-	}
-	if s.ClientHost != "" {
-		nodes = append(nodes, cluster.Node{Name: s.ClientHost, CPU: 8, MemoryMB: 8192, Unschedulable: true})
-	}
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		names[i] = n.Name
-	}
-	return mesh.FullMesh(names, 1000, time.Millisecond, horizon), nodes, nil
-}
-
-// shape applies the links entries to topo in list order.
-func (s Spec) shape(topo *mesh.Topology, horizon time.Duration) error {
 	for i, l := range s.Links {
 		capacity, err := l.capacity(horizon)
 		if err != nil {
-			return fmt.Errorf("links[%d].csv: %w", i, err)
+			return nil, fmt.Errorf("links[%d].csv: %w", i, err)
 		}
-		if l.Egress != "" {
+		switch {
+		case s.Topology == "custom":
+			err = topo.AddLink(l.A, l.B, capacity, 3*time.Millisecond)
+		case l.Egress != "":
 			err = topo.ThrottleEgress(l.Egress, capacity)
-		} else {
+		default:
 			err = topo.SetCapacity(l.A, l.B, capacity)
 		}
 		if err != nil {
-			return fmt.Errorf("links[%d]: %w", i, err)
+			return nil, fmt.Errorf("links[%d]: %w", i, err)
 		}
 	}
-	return nil
+	return topo, nil
 }
 
 // capacity is a links entry's trace over the horizon.
@@ -795,13 +793,12 @@ func (s Spec) policy() (scheduler.Policy, error) {
 	return nil, fmt.Errorf("scheduler: unknown %q", s.Scheduler)
 }
 
-// generator is the chaos generator's config over the horizon.
-func (s Spec) generator() faults.GeneratorConfig {
+// Generator is c's fault generator config for seed over horizon.
+func (c *Chaos) Generator(seed int64, horizon time.Duration) faults.GeneratorConfig {
 	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
-	c := s.Chaos
 	return faults.GeneratorConfig{
-		Seed:                    s.Seed,
-		Horizon:                 s.horizon(),
+		Seed:                    seed,
+		Horizon:                 horizon,
 		NodeCrashesPerHour:      c.NodeCrashesPerHour,
 		MeanNodeDowntime:        sec(c.MeanNodeDowntimeSec),
 		LinkFlapsPerHour:        c.LinkFlapsPerHour,

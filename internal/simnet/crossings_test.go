@@ -242,10 +242,13 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // with 1, 2 or 3 shards, picked by the first byte (its value / 3), so the
 // per-link phases are checked cut into runs too. A twin network built with
 // SetFullRecompute(true) replays the same script on one shard: until the
-// network absorbs a pass (see checkTwin), its digestNetwork and transfer
-// results must equal the network's after every operation and inside every
-// callback, so local passes are checked against the full passes they stand
-// for.
+// network absorbs a pass, its digestNetwork and transfer results must equal
+// the network's after every operation and inside every callback, so local
+// passes are checked against the full passes they stand for; after it, the
+// network must still complete the same transfers with the same results, up
+// to completionSlack in their times (see checkTwin), so a pass absorbed
+// that should have run is caught too, until a completion lands within
+// completionSlack of an operation boundary.
 //
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
@@ -322,8 +325,8 @@ type churnSide struct {
 
 type churnCallback struct {
 	result   TransferResult
-	digest   [sha256.Size]byte
-	absorbed bool // the network had absorbed a pass by then
+	digest   [sha256.Size]byte // zero once a check has seen an absorbed pass
+	absorbed bool              // the network had absorbed a pass by then
 }
 
 // replayChurn runs one decoded churn script with the checks above.
@@ -338,7 +341,7 @@ func replayChurn(t *testing.T, data []byte) {
 	}
 	first := next()
 	g := churnGrids[first%len(churnGrids)]
-	sides := make([]*churnSide, 2) // the network under test, then its twin while comparable
+	sides := make([]*churnSide, 2) // the network under test, then its twin while in lockstep
 	for i := range sides {
 		topo, err := mesh.Grid(mesh.GridOptions{Rows: g.rows, Cols: g.cols, Seed: 5, Duration: 10 * time.Minute})
 		if err != nil {
@@ -368,11 +371,16 @@ func replayChurn(t *testing.T, data []byte) {
 	names := append(sides[0].topo.Nodes(), "ghost")
 	down := map[mesh.LinkID]bool{}
 	nodeDown := map[string]bool{}
+	digests := true // callbacks take digests until a check sees an absorbed pass
 	var addTransfer func(s *churnSide, tag, src, dst string, bytes float64)
 	addTransfer = func(s *churnSide, tag, src, dst string, bytes float64) {
 		id, err := s.net.AddTransfer(tag, src, dst, bytes, 0, func(r TransferResult) {
 			if len(sides) > 1 {
-				s.callbacks = append(s.callbacks, churnCallback{r, digestNetwork(s.net), s.net.alloc.SkippedPasses > 0})
+				c := churnCallback{result: r, absorbed: s.net.alloc.SkippedPasses > 0}
+				if digests {
+					c.digest = digestNetwork(s.net)
+				}
+				s.callbacks = append(s.callbacks, c)
 			}
 			if s.net == net {
 				checkCachedReads(t, net)
@@ -471,6 +479,7 @@ func replayChurn(t *testing.T, data []byte) {
 		if len(sides) > 1 && !checkTwin(t, sides[0], sides[1]) {
 			sides = sides[:1]
 		}
+		digests = net.alloc.SkippedPasses == 0
 		checkCachedReads(t, net)
 		checkNoRemovedActive(t, net)
 		checkReferencePass(t, net)
@@ -495,31 +504,71 @@ func checkNoRemovedActive(t testing.TB, net *Network) {
 	}
 }
 
+// completionSlack bounds how far a transfer's start and finish may stray
+// from its full-recompute twin's once the network has absorbed a pass: ETA
+// rounding moves a completion by a nanosecond, and a transfer a callback
+// starts inherits its caller's drift.
+const completionSlack = time.Microsecond
+
 // checkTwin compares the network under test with its full-recompute twin,
-// inside every transfer callback since the last operation and now, and
-// reports whether the twin stays comparable. An absorbed pass settles
-// nothing where a full pass settles every flow and link, so once the network
-// has absorbed one, its backlogs and carried bits part from the twin's in
-// their last bits, and so may a completion time by a nanosecond of ETA
-// rounding: the twin is compared up to the first absorbed pass.
+// in every transfer callback due since the last check, and now, and reports
+// whether the twin can still be driven in lockstep. Until the network
+// absorbs a pass the two must be bit-equal: each callback's result and
+// network digest, and the digest now. An absorbed pass settles nothing
+// where a full pass settles every flow and link, so after it the backlogs
+// and carried bits part from the twin's in their last bits, and so may a
+// completion time by a nanosecond of ETA rounding. From then on the network
+// must still complete the transfers the twin completes, in the same order,
+// with equal results but for start and finish times within completionSlack.
+// Two completions within completionSlack of each other may fire in either
+// order, and one within completionSlack of now on either side of this
+// operation boundary; after such a tie the two networks' transfer ids and
+// the script's transfer indices may name different transfers, so the twin
+// leaves the comparison there.
 func checkTwin(t testing.TB, s, twin *churnSide) bool {
 	t.Helper()
 	defer func() { s.callbacks, twin.callbacks = s.callbacks[:0], twin.callbacks[:0] }()
-	for i, c := range s.callbacks {
-		if c.absorbed {
-			return false
-		}
-		if i >= len(twin.callbacks) || c != twin.callbacks[i] {
-			t.Fatalf("%v: transfer callback %d (%+v) differs from the full-recompute twin's", s.eng.Now(), i, c.result)
-		}
-	}
-	if s.net.alloc.SkippedPasses > 0 {
-		return false
-	}
-	if len(s.callbacks) != len(twin.callbacks) {
+	s.net.flush() // run each side's requested pass: its callbacks are due now
+	twin.net.flush()
+	absorbed := s.net.alloc.SkippedPasses > 0
+	if !absorbed && len(s.callbacks) != len(twin.callbacks) {
 		t.Fatalf("%v: %d transfer callbacks, full-recompute twin %d", s.eng.Now(), len(s.callbacks), len(twin.callbacks))
 	}
-	if digestNetwork(s.net) != digestNetwork(twin.net) {
+	near := func(a, b time.Duration) bool { return a-b <= completionSlack && b-a <= completionSlack }
+	matched := min(len(s.callbacks), len(twin.callbacks))
+	for i, c := range s.callbacks[:matched] {
+		want := twin.callbacks[i]
+		if !c.absorbed {
+			if c != want {
+				t.Fatalf("%v: transfer callback %d (%+v) differs from the full-recompute twin's (%+v)", s.eng.Now(), i, c.result, want.result)
+			}
+			continue
+		}
+		got := c.result
+		if got.ID != want.result.ID && near(got.Finished, want.result.Finished) {
+			return false
+		}
+		if near(got.Started, want.result.Started) && near(got.Finished, want.result.Finished) {
+			got.Started, got.Finished = want.result.Started, want.result.Finished
+		}
+		if got != want.result {
+			t.Fatalf("%v: transfer callback %d (%+v) differs from the full-recompute twin's (%+v) beyond %v",
+				s.eng.Now(), i, c.result, want.result, completionSlack)
+		}
+	}
+	if len(s.callbacks) != len(twin.callbacks) {
+		unmatched, on := s.callbacks[matched:], "the network"
+		if len(twin.callbacks) > matched {
+			unmatched, on = twin.callbacks[matched:], "the full-recompute twin"
+		}
+		for _, c := range unmatched {
+			if !near(c.result.Finished, s.eng.Now()) {
+				t.Fatalf("%v: transfer callback %+v on %s only, more than %v before now", s.eng.Now(), c.result, on, completionSlack)
+			}
+		}
+		return false
+	}
+	if !absorbed && digestNetwork(s.net) != digestNetwork(twin.net) {
 		t.Fatalf("%v: network digest differs from the full-recompute twin's", s.eng.Now())
 	}
 	return true

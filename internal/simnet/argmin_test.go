@@ -40,7 +40,12 @@ func runRefPass(links []*linkState, active []*flow) *refPass {
 		}
 	}
 	byDemand := slices.Clone(active)
-	slices.SortFunc(byDemand, byDemandAsc)
+	slices.SortFunc(byDemand, func(a, b *flow) int {
+		if c := cmp.Compare(a.demandBps, b.demandBps); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	cursor, remaining := 0, len(active)
 	for remaining > 0 {
 		minShare := math.Inf(1)
@@ -87,7 +92,7 @@ func runRefPass(links []*linkState, active []*flow) *refPass {
 	return p
 }
 
-// freeze is freezeFlow's float sequence on the reference's own state.
+// freeze is fillState.freeze's float sequence on the reference's own state.
 func (p *refPass) freeze(f *flow, rate float64) {
 	if rate < 0 {
 		rate = 0
@@ -108,18 +113,17 @@ func (p *refPass) freeze(f *flow, rate float64) {
 // reference pass over the same flows at today's capacities. An absorbed
 // pass must reproduce a rerun exactly, so capacity changes since the pass
 // do not matter, with one exception the check skips: inside the failure
-// callback of a reroute or a shed, a removed transfer has left the live set
-// before the pass that follows, so the rates describe a flow set no rerun can
-// see. Outside callbacks no removed flow may remain (checkNoRemovedActive).
+// callback of a reroute or a shed, a routed flow has left or moved before
+// the pass that follows (flowsDirty is still set after the flush), so the
+// rates describe a flow set no rerun can see. Outside callbacks every such
+// change has run its pass (checkNoRemovedActive).
 func checkReferencePass(t testing.TB, net *Network) {
 	t.Helper()
 	net.flush()
-	active := net.activeScratch
-	for _, f := range active {
-		if f.gone {
-			return
-		}
+	if net.flowsDirty {
+		return
 	}
+	active := net.fill.flows
 	ref := runRefPass(net.linkOrder, active)
 	for _, f := range active {
 		if !sameBits(f.rateBps, ref.rate[f]) {

@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,30 +182,53 @@ func checkPathReads(t testing.TB, net *Network, names []string) {
 	}
 }
 
-// checkDemandOrder checks that the demand order kept across passes is
-// exactly the last pass's active set sorted by (demand, FlowID).
+// checkDemandOrder checks that the demand order kept across builds is
+// exactly the last build's active positions sorted by (demand, FlowID), that
+// each position names its flow, and that the flow side's demands, paths and
+// crossing lists describe the active flows as they stand.
 func checkDemandOrder(t testing.TB, net *Network) {
 	t.Helper()
-	order := net.byDemand
-	if len(order) != len(net.activeScratch) {
-		t.Fatalf("%v: demand order holds %d flows, the pass had %d active", net.eng.Now(), len(order), len(net.activeScratch))
+	d := &net.fill
+	order := d.order
+	if len(order) != len(d.flows) {
+		t.Fatalf("%v: demand order holds %d positions, the build had %d active", net.eng.Now(), len(order), len(d.flows))
 	}
-	in := make(map[*flow]bool, len(order))
-	for i, f := range order {
-		if !f.inOrder {
-			t.Fatalf("%v: flow %d in the demand order is not marked in order", net.eng.Now(), f.id)
+	seen := make([]bool, len(d.flows))
+	for i, p := range order {
+		f := d.flows[p]
+		if seen[p] || !f.inOrder || f.pos != p {
+			t.Fatalf("%v: position %d (flow %d) in the demand order: repeated %v, in order %v, pos %d", net.eng.Now(), p, f.id, seen[p], f.inOrder, f.pos)
 		}
-		in[f] = true
+		seen[p] = true
 		if i == 0 {
 			continue
 		}
-		if p := order[i-1]; p.demandBps > f.demandBps || p.demandBps == f.demandBps && p.id >= f.id {
-			t.Fatalf("%v: demand order not strictly sorted at %d: (%v, %d) then (%v, %d)", net.eng.Now(), i, p.demandBps, p.id, f.demandBps, f.id)
+		if q := d.flows[order[i-1]]; q.demandBps > f.demandBps || q.demandBps == f.demandBps && q.id >= f.id {
+			t.Fatalf("%v: demand order not strictly sorted at %d: (%v, %d) then (%v, %d)", net.eng.Now(), i, q.demandBps, q.id, f.demandBps, f.id)
 		}
 	}
-	for _, f := range net.activeScratch {
-		if !in[f] {
-			t.Fatalf("%v: active flow %d missing from the demand order", net.eng.Now(), f.id)
+	crossings := make([][]int32, len(net.linkOrder))
+	for p, f := range d.flows {
+		if p > 0 && d.flows[p-1].id >= f.id {
+			t.Fatalf("%v: active flows not in FlowID order at position %d", net.eng.Now(), p)
+		}
+		if r := d.fl[p]; !sameBits(r.demand, f.demandBps) || !sameBits(r.rate, f.rateBps) {
+			t.Fatalf("%v: flow %d: dense demand %v and rate %v, the flow's %v and %v", net.eng.Now(), f.id, r.demand, r.rate, f.demandBps, f.rateBps)
+		}
+		path := d.paths[d.fl[p].path:d.fl[p+1].path]
+		if len(path) != len(f.linkPath) {
+			t.Fatalf("%v: flow %d: dense path of %d hops, linkPath %d", net.eng.Now(), f.id, len(path), len(f.linkPath))
+		}
+		for i, l := range path {
+			if net.linkOrder[l] != f.linkPath[i] {
+				t.Fatalf("%v: flow %d hop %d: dense path names link %d", net.eng.Now(), f.id, i, l)
+			}
+			crossings[l] = append(crossings[l], int32(p))
+		}
+	}
+	for l := range net.linkOrder {
+		if got := d.crossing(int32(l)); !slices.Equal(got, crossings[l]) {
+			t.Fatalf("%v: link %d crossing list %v, the paths give %v", net.eng.Now(), l, got, crossings[l])
 		}
 	}
 }
@@ -241,10 +266,13 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // link per round and FlowID re-sorted batches). The network under test runs
 // with 1, 2 or 3 shards, picked by the first byte (its value / 3), so the
 // per-link phases are checked cut into runs too. A twin network built with
-// SetFullRecompute(true) replays the same script on one shard: until the
-// network absorbs a pass, its digestNetwork and transfer results must equal
-// the network's after every operation and inside every callback, so local
-// passes are checked against the full passes they stand for; after it, the
+// SetFullRecompute(true) replays the same script on one shard, rebuilding
+// its flow side on every pass and flushing inside its transfer callbacks as
+// the network's checks do: until the network absorbs a pass, its
+// digestNetwork and transfer results must equal the network's after every
+// operation and inside every callback, so local passes and capacity-only
+// passes that reuse the flow side are checked against the from-scratch full
+// passes they stand for; after it, the
 // network must still complete the same transfers with the same results, up
 // to completionSlack in their times (see checkTwin), so a pass absorbed
 // that should have run is caught too, until a completion lands within
@@ -304,7 +332,30 @@ func FuzzFlowChurnMatchesRescan(f *testing.F) {
 		10, 9, // and up
 		7, 100, // run 2 s
 	})
+	// Two transfers finishing at one instant, each of whose callbacks starts
+	// another: the twin must run the second completion nested in the first
+	// callback, as the network under test does when its callback's checks
+	// flush, or the two spawned transfers take their ids in opposite orders
+	// (g0 and g3 swap ID 31 at 8.40 s on the 6×6 grid).
+	r := rand.New(rand.NewSource(500))
+	b := make([]byte, 500)
+	for range 3 {
+		r.Read(b)
+	}
+	f.Add(b)
 	f.Fuzz(replayChurn)
+}
+
+// TestFlowChurnRandomScripts replays seeded random scripts of 40 to 640
+// bytes with every check of FuzzFlowChurnMatchesRescan, so each tier-1 run
+// covers churn beyond the corpus without a fuzzing session.
+func TestFlowChurnRandomScripts(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	for i := range 30 {
+		b := make([]byte, 40+r.Intn(601))
+		r.Read(b)
+		t.Run(fmt.Sprint(i), func(t *testing.T) { replayChurn(t, b) })
+	}
 }
 
 // churnGrids are the lattices replayChurn draws from: their linkOrders fill
@@ -328,6 +379,17 @@ type churnCallback struct {
 	digest   [sha256.Size]byte // zero once a check has seen an absorbed pass
 	absorbed bool              // the network had absorbed a pass by then
 }
+
+// churnMaxOps and churnMaxSim cap a decoded script: replayChurn stops after
+// churnMaxOps operations, or before the first one that would start at or
+// past churnMaxSim of simulated time. The operations it replays keep every
+// check. Every corpus seed ends before either cap (the longest runs 136
+// operations over 28.9 s); a fuzzed input that grows past them is cut there,
+// so no single input costs much more than a second of checks.
+const (
+	churnMaxOps = 150
+	churnMaxSim = 30 * time.Second
+)
 
 // replayChurn runs one decoded churn script with the checks above.
 func replayChurn(t *testing.T, data []byte) {
@@ -382,9 +444,13 @@ func replayChurn(t *testing.T, data []byte) {
 				}
 				s.callbacks = append(s.callbacks, c)
 			}
+			// Both sides flush here, so a callback's nested pass runs at the
+			// same point on each and spawned transfers get the same ids.
 			if s.net == net {
 				checkCachedReads(t, net)
 				checkReferencePass(t, net)
+			} else {
+				s.net.flush()
 			}
 			if !r.Failed && r.ID%2 == 0 {
 				addTransfer(s, r.Tag, mesh.GridNodeName(int(r.ID)%g.rows, 0), mesh.GridNodeName(g.rows-1, int(r.ID)%g.cols), 2e5)
@@ -399,7 +465,7 @@ func replayChurn(t *testing.T, data []byte) {
 			s.streams = append(s.streams, id)
 		}
 	}
-	for len(data) > 0 {
+	for ops := 0; len(data) > 0 && ops < churnMaxOps && sides[0].eng.Now() < churnMaxSim; ops++ {
 		streams, transfers := sides[0].streams, sides[0].transfers
 		switch op := next() % 12; {
 		case op < 3:
@@ -491,13 +557,17 @@ func replayChurn(t *testing.T, data []byte) {
 	}
 }
 
-// checkNoRemovedActive flushes, then checks that the last full pass's active
-// set holds no removed flow: a routed flow that left requested the pass that
-// drops it and hands its share to the rest.
+// checkNoRemovedActive flushes, then checks that no routed change awaits a
+// pass and that the last build's active set holds no removed flow: a routed
+// flow that left requested the pass that drops it and hands its share to
+// the rest.
 func checkNoRemovedActive(t testing.TB, net *Network) {
 	t.Helper()
 	net.flush()
-	for _, f := range net.activeScratch {
+	if net.flowsDirty {
+		t.Fatalf("%v: a routed flow changed without requesting a pass", net.eng.Now())
+	}
+	for _, f := range net.fill.flows {
 		if f.gone {
 			t.Fatalf("%v: the last full pass rates removed flow %d", net.eng.Now(), f.id)
 		}

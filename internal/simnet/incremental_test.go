@@ -526,3 +526,111 @@ func TestEarlyFireTakesLocalPass(t *testing.T) {
 		}
 	}
 }
+
+// TestCapacityPassReusesFlowSide pins when a full pass rebuilds the fill's
+// flow side. Static streams on a grid, one of whose loaded directions is
+// throttled a step lower every second (so no pass is absorbed), run at
+// least ten full passes on the install's one build; then
+// AddStream, RemoveStream, SetStreamDemand, a transfer finishing and
+// ApplyTopologyState each force exactly one rebuild. A SetFullRecompute twin
+// rebuilds on every pass: after every step the network's digest (every
+// rate, link read and carried byte) must equal the twin's bit for bit, and
+// its last pass must match the reference pass.
+func TestCapacityPassReusesFlowSide(t *testing.T) {
+	const (
+		side, streams, seed = 6, 150, 42
+		horizon             = 20 * time.Second
+	)
+	from, to := mesh.GridNodeName(2, 2), mesh.GridNodeName(2, 3)
+	var steps []trace.Level
+	for s := range 20 {
+		steps = append(steps, trace.Level{From: time.Duration(s) * time.Second, Mbps: float64(40 - s)})
+	}
+	throttle := trace.StepTrace("throttle", time.Second, horizon, steps)
+	type run struct {
+		eng *sim.Engine
+		net *Network
+		ids []FlowID
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := make([]*run, 2) // the network under test, then its twin
+	for i := range runs {
+		eng, net := gridNet(t, side, seed, horizon)
+		must(net.topo.SetDirectedCapacity(from, to, throttle))
+		net.SetFullRecompute(i == 1)
+		defer net.Start()()
+		runs[i] = &run{eng: eng, net: net, ids: installGridStreams(t, net, side, streams, seed, 1)}
+	}
+	net := runs[0].net
+	if net.links[dhop{from: from, to: to}].flowCount == 0 {
+		t.Fatalf("no flow crosses the throttled %s->%s", from, to)
+	}
+	if got := net.flowBuilds; got != 1 {
+		t.Fatalf("the install built the flow side %d times, want 1", got)
+	}
+	step := func(what string, builds uint64, fn func(r *run)) {
+		t.Helper()
+		before := net.flowBuilds
+		for _, r := range runs {
+			fn(r)
+			r.net.flush()
+		}
+		if got := net.flowBuilds - before; got != builds {
+			t.Errorf("%s: %d flow-side builds, want %d", what, got, builds)
+		}
+		checkReferencePass(t, net)
+		if digestNetwork(net) != digestNetwork(runs[1].net) {
+			t.Fatalf("%s at %v: network digest differs from the full-recompute twin's", what, net.eng.Now())
+		}
+	}
+	runFor := func(d time.Duration) func(r *run) {
+		return func(r *run) {
+			if err := r.eng.Run(r.eng.Now() + d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	base := net.AllocStats()
+	for range 12 {
+		step("capacity steps", 0, runFor(time.Second))
+	}
+	if s := net.AllocStats(); s.FullPasses-base.FullPasses < 10 || s.SkippedPasses != 0 {
+		t.Fatalf("capacity steps ran %d full passes (%+v), want at least 10 and none absorbed", s.FullPasses-base.FullPasses, s)
+	}
+	step("AddStream", 1, func(r *run) {
+		id, err := r.net.AddStream("extra", mesh.GridNodeName(0, 0), mesh.GridNodeName(2, 3), 3)
+		must(err)
+		r.ids = append(r.ids, id)
+	})
+	step("RemoveStream", 1, func(r *run) { must(r.net.RemoveStream(r.ids[7])) })
+	step("SetStreamDemand", 1, func(r *run) { must(r.net.SetStreamDemand(r.ids[11], 5)) })
+	finished := 0
+	step("AddTransfer", 1, func(r *run) {
+		_, err := r.net.AddTransfer("xfer", mesh.GridNodeName(1, 1), mesh.GridNodeName(4, 2), 1e5, 0, func(TransferResult) { finished++ })
+		must(err)
+	})
+	step("a transfer finishing", 1, runFor(2*time.Second))
+	if finished != 2 {
+		t.Fatalf("%d of the two sides' transfers finished, want both", finished)
+	}
+	id := net.topo.Links()[0].ID
+	step("ApplyTopologyState", 1, func(r *run) {
+		must(r.net.topo.SetLinkUp(id.A, id.B, false))
+		r.net.ApplyTopologyState()
+	})
+	if net.links[dhop{from: id.A, to: id.B}].flowCount+net.links[dhop{from: id.B, to: id.A}].flowCount != 0 {
+		t.Fatalf("flows still cross %s after it went down", id)
+	}
+	for range 3 {
+		step("capacity steps after the churn", 0, runFor(time.Second))
+	}
+	if s := net.AllocStats(); s.SkippedPasses != 0 {
+		t.Fatalf("%d passes absorbed: the twin's digest no longer applies", s.SkippedPasses)
+	}
+}

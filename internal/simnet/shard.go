@@ -147,17 +147,21 @@ func (n *Network) nextLinkEvent(s *shard) {
 }
 
 // resetLinks is the full-pass prelude over one shard's links: settle the
-// backlog integral at phases.now, then reset the allocation scratch.
+// backlog integral at phases.now, then load the direction's stream demand
+// from the fill's flow side and its residual and count for the round loop
+// (each shard writes only its own run of the fill's per-link records).
 func (n *Network) resetLinks(s *shard) {
 	now := n.phases.now
+	d := &n.fill
 	for _, ls := range s.links {
 		n.settleBacklog(ls, now)
-		ls.residual = ls.capacityBps
-		ls.iterCount = 0
-		ls.demandBps = 0
+		l := ls.idx
+		ls.demandBps = d.demandSum[l]
 		ls.bottleneck = false
 		ls.dirty = false
 		ls.shrunk = false
-		ls.flows = ls.flows[:0]
+		k := &d.links[l]
+		k.residual = ls.capacityBps
+		k.count = d.links[l+1].cross - k.cross
 	}
 }

@@ -29,10 +29,14 @@
 // binding capacity moved never re-runs water-filling. With nothing changed it
 // is absorbed outright; when only co-located or parked flows came, went or
 // changed demand, a local pass settles state and rates the co-located flows
-// on the node-local bus, as the full pass would (see AllocStats). All rate
-// computations iterate flows and links in a fixed order, so a given
-// (topology, workload, seed) triple yields bit-identical allocations run
-// after run — the property the parallel experiment harness relies on.
+// on the node-local bus, as the full pass would (see AllocStats). A full
+// pass water-fills over dense arrays — flows and links numbered, paths and
+// per-link crossing lists as int32 positions — and when only capacities
+// moved since the last one, it reuses that flow side and pays for the
+// water-filling alone. All rate computations iterate flows and links in a
+// fixed order, so a given (topology, workload, seed) triple yields
+// bit-identical allocations run after run — the property the parallel
+// experiment harness relies on.
 //
 // This plays the role CloudLab VMs + tc traffic shaping play in the paper's
 // evaluation: a controlled substrate that replays CityLab traces underneath
@@ -44,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -150,11 +153,11 @@ type flow struct {
 	// iteration skips it and removeFlow compacts the slice once tombstones
 	// dominate, replacing the old O(n) splice per removal.
 	gone bool
-	// frozen is water-filling scratch, valid during and after a full pass.
-	frozen bool
-	// inOrder marks a flow held in Network.byDemand at its current demand;
-	// SetStreamDemand clears it, and so does the pass that drops the flow.
+	// inOrder marks a flow held in the fill's demand order at its current
+	// demand, at position pos of the last flow-side build. SetStreamDemand
+	// and parkFlow clear it; a flow that is gone is never read again.
 	inOrder bool
+	pos     int32
 }
 
 // tagState is one accounting tag's entry in Network.tags.
@@ -193,7 +196,8 @@ type linkState struct {
 	hop  dhop
 	lid  mesh.LinkID
 	link *mesh.Link
-	fwd  bool // hop follows the link's A→B direction
+	fwd  bool  // hop follows the link's A→B direction
+	idx  int32 // position in Network.linkOrder, the link's index in the fill
 
 	capacityBps float64
 	avail       bool // cached topo.LinkAvailable, refreshed on epoch change
@@ -207,9 +211,10 @@ type linkState struct {
 
 	carriedBits float64 // cumulative, settled as of Network.lastAdvance
 	demandBps   float64 // stream demand routed over the direction (last full pass)
-	// allocBps is the sum of rateBps over flows, in its ascending-FlowID
-	// order. Rates only change in a full pass, which recomputes it; a flow
-	// leaving the direction between passes marks it stale (see syncCrossings).
+	// allocBps is the sum of the rates on the direction's crossing list
+	// (fillState.crossing), in its ascending-FlowID order. Rates only change
+	// in a full pass, which recomputes it; a flow leaving the direction
+	// between passes marks it stale (see syncCrossings).
 	allocBps float64
 
 	// Incremental-allocation bookkeeping.
@@ -217,28 +222,6 @@ type linkState struct {
 	bottleneck bool // was an arg-min link in any iteration of the last full pass
 	dirty      bool // capacity changed since the last full pass
 	shrunk     bool // capacity decreased since the last full pass
-
-	// Water-filling scratch state, valid only inside a full pass.
-	residual  float64
-	iterCount int
-	blk       *argBlock // the arg-min block holding this direction
-	// flows lists the live flows crossing this direction, ascending FlowID:
-	// the pass's active flows (built alongside iterCount), kept current
-	// between passes by syncCrossings. A bottleneck round freezes from this
-	// list, so a round costs the flows it freezes, not a rescan of the
-	// active set; link reads sum allocations and in-flight bits over it.
-	flows []*flow
-}
-
-// argBlock is one run of argBlockLinks directed links in linkOrder with the
-// run's cached arg-min: the first link with the least fair share, nil when
-// no link in the run is constrained. A freeze marks the blocks of the links
-// it touched dirty; only those are rescanned (see blockedArgMin).
-type argBlock struct {
-	links    []*linkState
-	minShare float64
-	minLink  *linkState
-	dirty    bool
 }
 
 // AllocStats counts allocation work since the network was built. Mutations
@@ -251,7 +234,11 @@ type argBlock struct {
 // capacity of a non-bottleneck link — cases where the full water-filling
 // pass would provably reproduce the cached routed rates bit-for-bit.
 type AllocStats struct {
-	// FullPasses counts complete water-filling recomputations.
+	// FullPasses counts complete water-filling recomputations. One with no
+	// routed flow added, removed, re-demanded, parked or rerouted since the
+	// last (a capacity-only pass) reuses that pass's flow side — the active
+	// list, paths, crossing lists, stream-demand sums and demand order —
+	// and recomputes every rate from it, bit-equal to a rebuild.
 	FullPasses uint64
 	// SkippedPasses counts deferred passes absorbed by the incremental path
 	// without recomputing any rate. The polling driver requests a pass every
@@ -291,7 +278,6 @@ type Network struct {
 	tagSlab     []tagState
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
-	argBlocks   []argBlock   // linkOrder cut into arg-min blocks
 	lastAdvance time.Duration
 
 	// Driver state. The sampling grid is anchored at the Start time; both
@@ -324,13 +310,13 @@ type Network struct {
 
 	// Incremental-allocation state. Flow changes are marked through
 	// flowChanged, never by setting the flags directly.
-	flowsDirty bool // routed churn or a reroute since the last full pass
+	flowsDirty bool // routed churn or a reroute since the last full pass: the fill's flow side is stale
 	localDirty bool // a co-located or parked flow changed, or a completion fired early, since the last pass
 	// busFlows are the co-located flows added or re-demanded since the last
 	// pass: the only rates a local pass sets.
 	busFlows   []*flow
 	dirtyCount int  // links with dirty capacity since the last full pass
-	fullOnly   bool // disable incremental absorption (always run the full pass)
+	fullOnly   bool // no reuse, no absorption: every pass is a full pass from scratch
 	alloc      AllocStats
 
 	// The per-link phases' fan-out over runs of linkOrder (see shard.go).
@@ -341,29 +327,27 @@ type Network struct {
 	pending bool
 	// crossingsStale marks a flow that left (or moved between) directions
 	// since the last pass — a transfer finished, failed or was shed, or a
-	// flow parked or rerouted — so the per-direction flows and allocBps no
-	// longer describe the live flows until a full pass rebuilds them or, when
-	// a read comes first with no pass pending (a failure callback inside a
-	// reroute or a shed), flush calls syncCrossings.
+	// flow parked or rerouted — so the crossing lists and allocBps no longer
+	// describe the live flows until a full pass rebuilds them or, when a read
+	// comes first with no pass pending (a failure callback inside a reroute
+	// or a shed), flush calls syncCrossings.
 	crossingsStale bool
 
-	// byDemand is the last pass's active set sorted by ascending demand. It
-	// persists between passes, so a pass only sorts the flows that joined or
-	// changed demand since (see orderByDemand).
-	byDemand []*flow
+	// fill is the full pass's dense state (see fill.go).
+	fill fillState
 
 	// argMinRounds counts blockedArgMin's calls and argMinVisits the links
-	// and block minima they read: the work blocking saves.
-	argMinRounds, argMinVisits uint64
+	// and block minima they read: the work blocking saves. flowBuilds counts
+	// buildFlowSide's calls: the passes and resyncs that rebuilt the flow
+	// side instead of reusing it.
+	argMinRounds, argMinVisits, flowBuilds uint64
 
 	// reschedules counts rescheduleTransfers calls, so one can tell that a
 	// completion callback ran a nested pass.
 	reschedules uint64
 
-	// Scratch buffers reused across full passes.
-	activeScratch   []*flow
+	// Scratch buffers reused across passes.
 	transferScratch []*flow
-	batchScratch    []*flow // per-round demand-limited freeze batch
 	routeScratch    []*linkState
 
 	// The path reads' memo (see path): rows by source mesh id, entries by
@@ -415,14 +399,10 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		}
 		return strings.Compare(a.hop.to, b.hop.to)
 	})
-	n.argBlocks = make([]argBlock, (len(n.linkOrder)+argBlockLinks-1)/argBlockLinks)
-	for i := range n.argBlocks {
-		b := &n.argBlocks[i]
-		b.links = n.linkOrder[i*argBlockLinks : min((i+1)*argBlockLinks, len(n.linkOrder))]
-		for _, ls := range b.links {
-			ls.blk = b
-		}
+	for i, ls := range n.linkOrder {
+		ls.idx = int32(i)
 	}
+	n.fill = newFillState(len(n.linkOrder))
 	n.cutShards(1)
 	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
@@ -499,8 +479,10 @@ func (n *Network) eventCause(f *flow) uint64 {
 }
 
 // SetFullRecompute forces every deferred pass through the full
-// water-filling pass (the pre-incremental behaviour). Benchmarks use it to
-// compare the two paths; production code should leave it off.
+// water-filling pass, rebuilding the flow side each time (the
+// pre-incremental behaviour): the from-scratch oracle the incremental
+// paths are tested against. Benchmarks use it to compare the two paths;
+// production code should leave it off.
 func (n *Network) SetFullRecompute(v bool) { n.fullOnly = v }
 
 // RateEpoch reports a counter that advances whenever a routed read can
@@ -1017,6 +999,7 @@ func (n *Network) parkFlow(f *flow) {
 	f.linkPath = f.linkPath[:0]
 	f.rateBps = 0
 	f.parked = true
+	f.inOrder = false // leaves the active set; rejoins the demand order on resume
 	if f.kind == kindTransfer && f.hasEvent {
 		n.eng.Cancel(f.completionEv)
 		f.hasEvent = false
@@ -1137,7 +1120,7 @@ func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 		return nil
 	}
 	f.demandBps = demandMbps * 1e6
-	f.inOrder = false // the next pass re-sorts it into byDemand
+	f.inOrder = false // the next build re-sorts it into the demand order
 	n.flowChanged(f)
 	n.reallocate()
 	return nil
@@ -1351,36 +1334,18 @@ func (n *Network) Batch(fn func()) {
 	n.flush()
 }
 
-// syncCrossings rebuilds every direction's crossing list from the live flows
-// after some left or moved between passes, and re-sums allocBps. Rates have
-// not changed since the last pass, so this reproduces exactly the sums a
-// scan of flowOrder would add up: the same flows, in ascending FlowID order.
+// syncCrossings rebuilds the flow side from the live flows after some left
+// or moved between passes, and re-sums allocBps. Rates have not changed
+// since the last pass, so this reproduces exactly the sums a scan of
+// flowOrder would add up: the same flows, in ascending FlowID order. Only a
+// full pass copies the rebuilt stream-demand sums onto the directions, and
+// the change that staled the lists also set flowsDirty, so the next full
+// pass rebuilds again rather than reuse this build.
 func (n *Network) syncCrossings() {
 	n.crossingsStale = false
 	n.rateEpoch++
-	for _, ls := range n.linkOrder {
-		ls.flows = ls.flows[:0]
-	}
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
-		for _, ls := range f.linkPath {
-			ls.flows = append(ls.flows, f)
-		}
-	}
+	n.buildFlowSide()
 	n.sumAllocations()
-}
-
-// sumAllocations sets each direction's allocBps from its crossing list.
-func (n *Network) sumAllocations() {
-	for _, ls := range n.linkOrder {
-		var bps float64
-		for _, f := range ls.flows {
-			bps += f.rateBps
-		}
-		ls.allocBps = bps
-	}
 }
 
 // canAbsorbCapacityChanges reports whether every dirty link's change is
@@ -1409,14 +1374,29 @@ func (n *Network) canAbsorbCapacityChanges() bool {
 }
 
 // fullReallocate settles all anchored state, runs progressive water-filling
-// with demand caps over every flow, records the bottleneck set for the
-// incremental path, and reschedules transfer completion events at the new
-// rates.
+// with demand caps over every routed flow, records the bottleneck set for
+// the incremental path, and reschedules transfer completion events at the
+// new rates.
+//
+// A full pass is a pure function of the flow set and the capacities. When
+// no routed flow joined, left, changed demand, parked or rerouted since the
+// last build (flowsDirty is false: a capacity-only pass), the fill's flow
+// side still describes the flow set, so the pass reuses it and only rates
+// the co-located flows that joined or changed demand on the bus; otherwise
+// buildFlowSide rebuilds it, sequentially in FlowID order at every shard
+// count. SetFullRecompute rebuilds on every pass.
 func (n *Network) fullReallocate() {
 	n.advanceProgress()
 	now := n.eng.Now()
 	n.alloc.FullPasses++
 	n.rateEpoch++
+	if n.flowsDirty || n.fullOnly {
+		n.buildFlowSide()
+	} else {
+		for _, f := range n.busFlows {
+			f.rateBps = busRate(f)
+		}
+	}
 	n.flowsDirty = false
 	n.localDirty = false
 	clear(n.busFlows)
@@ -1424,47 +1404,11 @@ func (n *Network) fullReallocate() {
 	n.dirtyCount = 0
 
 	// Settle backlogs before the demands their integrals depend on change,
-	// then reset per-link accounting and scratch state (resetLinks).
+	// then load each direction's demand, residual and count (resetLinks).
 	n.phases.now = now
 	n.phases.pool.Run(n.phases.reset)
 
-	// Build the active set. Demand accumulation writes links across shard
-	// boundaries, so this prelude stays sequential at every shard count.
-	active := n.activeScratch[:0]
-	remaining := 0
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
-		if f.parked {
-			// Stranded by a fault: holds no links (linkPath is empty, which
-			// would otherwise read as co-location) and carries nothing.
-			f.rateBps = 0
-			continue
-		}
-		if f.kind == kindStream {
-			for _, ls := range f.linkPath {
-				ls.demandBps += f.demandBps
-			}
-		}
-		if len(f.linkPath) == 0 {
-			f.rateBps = busRate(f)
-			continue
-		}
-		f.frozen = false
-		active = append(active, f)
-		remaining++
-		for _, ls := range f.linkPath {
-			ls.iterCount++
-			ls.flows = append(ls.flows, f)
-		}
-	}
-	n.activeScratch = active
-
-	for i := range n.argBlocks {
-		n.argBlocks[i].dirty = true
-	}
-	n.waterFill(active, remaining)
+	n.waterFill()
 	// Every live flow crossing a direction is active (parked and co-located
 	// flows have empty paths), so the crossing lists are complete: sum them
 	// once here, and every link read until the next pass is O(1).
@@ -1549,214 +1493,6 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 		f.completionEv = n.eng.At(now+eta, f.fire)
 		f.hasEvent = true
 	}
-}
-
-// freezeFlow pins a flow's rate for the rest of the pass and withdraws it
-// from every link it crosses, marking their arg-min blocks for a rescan.
-func (n *Network) freezeFlow(f *flow, rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	f.rateBps = rate
-	f.frozen = true
-	for _, ls := range f.linkPath {
-		ls.residual -= rate
-		if ls.residual < 0 {
-			ls.residual = 0
-		}
-		ls.iterCount--
-		ls.blk.dirty = true
-	}
-}
-
-// blockedArgMin finds the constrained link with the least fair share, the
-// first in linkOrder on a tie. Only the link shares a freeze changed can
-// move, so it rescans just the dirty blocks, then takes the first block
-// minimum strictly below those before it: a block's minimum is its first
-// least-share link, so that is the first least-share link in linkOrder, as
-// one strict-< scan of every link would pick. All-+Inf blocks yield nil.
-func (n *Network) blockedArgMin() (float64, *linkState) {
-	n.argMinRounds++
-	n.argMinVisits += uint64(len(n.argBlocks))
-	minShare := math.Inf(1)
-	var bottleneck *linkState
-	for i := range n.argBlocks {
-		b := &n.argBlocks[i]
-		if b.dirty {
-			b.dirty = false
-			b.minShare, b.minLink = math.Inf(1), nil
-			for _, ls := range b.links {
-				if ls.iterCount <= 0 {
-					continue
-				}
-				if share := ls.residual / float64(ls.iterCount); share < b.minShare {
-					b.minShare, b.minLink = share, ls
-				}
-			}
-			n.argMinVisits += uint64(len(b.links))
-		}
-		if b.minShare < minShare {
-			minShare, bottleneck = b.minShare, b.minLink
-		}
-	}
-	return minShare, bottleneck
-}
-
-// waterFill is the progressive-filling round loop with demand caps.
-//
-// Each round costs what its freezes touch, not the size of the pass, without
-// changing a single freeze or float operation:
-//
-//   - the arg-min rescans only the link blocks the last round's freezes
-//     dirtied (blockedArgMin);
-//   - a demand-sorted view of the active set with a monotone cursor. A flow
-//     freezes demand-limited in the first round whose min share reaches its
-//     demand, so every flow past the cursor has demand above every share seen
-//     so far and flows behind it are already frozen: each round's batch is
-//     exactly the unfrozen active flows with demand at most the share,
-//     counted in amortized O(1). The batch freezes in FlowID order, the
-//     order of the active list. A batch of k flows the cursor did not
-//     collect in that order already is sorted when k log k is below the
-//     active count, and otherwise re-collected by one scan of the active
-//     list, so a round costs O(min(k log k, |active|)).
-//     The view is kept across passes (orderByDemand), so a pass sorts only
-//     the flows that joined or changed demand since the last one. Tie order
-//     among equal demands never matters: the cursor always takes a whole
-//     equal-demand run or none of it;
-//   - per-link crossing lists (linkState.flows, FlowID-ascending by
-//     construction). A bottleneck round freezes straight off the bottleneck's
-//     own list — the same flows, in the same order, a scan of the active list
-//     for flows crossing it would select.
-func (n *Network) waterFill(active []*flow, remaining int) {
-	byDemand := n.orderByDemand(active)
-	cursor := 0
-	batch := n.batchScratch[:0]
-	for remaining > 0 {
-		minShare, bottleneck := n.blockedArgMin()
-		// Record every arg-min link, applied or not: its share bounded this
-		// iteration's demand comparisons, so the incremental path must treat
-		// it as binding.
-		if bottleneck != nil {
-			bottleneck.bottleneck = true
-		}
-		// Freeze demand-limited flows first, in FlowID order.
-		batch = batch[:0]
-		sorted := true // the batch is already in FlowID order
-		for cursor < len(byDemand) && byDemand[cursor].demandBps <= minShare {
-			if f := byDemand[cursor]; !f.frozen {
-				sorted = sorted && (len(batch) == 0 || batch[len(batch)-1].id < f.id)
-				batch = append(batch, f)
-			}
-			cursor++
-		}
-		if k := len(batch); k > 0 {
-			switch {
-			case sorted:
-			case k*bits.Len(uint(k)) < len(active):
-				slices.SortFunc(batch, func(a, b *flow) int { return cmp.Compare(a.id, b.id) })
-			default:
-				batch = batch[:0]
-				for _, f := range active {
-					if !f.frozen && f.demandBps <= minShare {
-						if batch = append(batch, f); len(batch) == k {
-							break
-						}
-					}
-				}
-			}
-			for _, f := range batch {
-				n.freezeFlow(f, f.demandBps)
-			}
-			remaining -= k
-			continue
-		}
-		if bottleneck == nil {
-			// No constrained links remain; all remaining flows get demand.
-			for _, f := range active {
-				if !f.frozen {
-					n.freezeFlow(f, f.demandBps)
-					remaining--
-				}
-			}
-			break
-		}
-		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		// An arg-min link has unfrozen flows (iterCount > 0); a round that
-		// freezes none would spin forever, so it can only be a stale share.
-		before := remaining
-		for _, f := range bottleneck.flows {
-			if f.frozen {
-				continue
-			}
-			n.freezeFlow(f, minShare)
-			remaining--
-		}
-		if remaining == before {
-			panic("simnet: water-filling bottleneck " + bottleneck.hop.from + "->" + bottleneck.hop.to + " has no unfrozen flow")
-		}
-	}
-	n.batchScratch = batch
-}
-
-// byDemandAsc orders flows by ascending demand, then FlowID. The tie-break
-// changes no freeze (see waterFill); it makes the kept order a function of
-// the active set alone, and a batch of one demand comes out in FlowID order,
-// needing no sort.
-func byDemandAsc(a, b *flow) int {
-	switch {
-	case a.demandBps < b.demandBps:
-		return -1
-	case a.demandBps > b.demandBps:
-		return 1
-	}
-	return cmp.Compare(a.id, b.id)
-}
-
-// orderByDemand brings n.byDemand up to date with this pass's active set,
-// sorted by byDemandAsc, and returns it. The kept order is compacted in
-// place, dropping flows that left
-// the active set or changed demand; the active flows not in it are sorted on
-// their own and merged in from the back. When they outnumber the kept ones
-// (a bulk install), one sort of the whole active set is cheaper.
-func (n *Network) orderByDemand(active []*flow) []*flow {
-	kept := n.byDemand[:0]
-	for _, f := range n.byDemand {
-		// Gone, parked and re-demanded flows drop out; parked flows have an
-		// empty path, and no co-located flow was ever in the order.
-		if f.inOrder && !f.gone && len(f.linkPath) > 0 {
-			kept = append(kept, f)
-		} else {
-			f.inOrder = false
-		}
-	}
-	clear(n.byDemand[len(kept):])
-	fresh := n.batchScratch[:0] // free until the round loop starts
-	for _, f := range active {
-		if !f.inOrder {
-			f.inOrder = true
-			fresh = append(fresh, f)
-		}
-	}
-	n.batchScratch = fresh
-	if len(fresh) > len(kept) {
-		n.byDemand = append(kept[:0], active...)
-		slices.SortFunc(n.byDemand, byDemandAsc)
-		return n.byDemand
-	}
-	slices.SortFunc(fresh, byDemandAsc)
-	i, j := len(kept)-1, len(fresh)-1
-	merged := slices.Grow(kept, len(fresh))[:len(kept)+len(fresh)]
-	for w := len(merged) - 1; j >= 0; w-- {
-		if i >= 0 && byDemandAsc(kept[i], fresh[j]) > 0 {
-			merged[w] = kept[i]
-			i--
-		} else {
-			merged[w] = fresh[j]
-			j--
-		}
-	}
-	n.byDemand = merged
-	return merged
 }
 
 func (n *Network) completeTransfer(id FlowID) {

@@ -45,8 +45,8 @@ func (n *Network) inflightBits(f *flow, dt float64) float64 {
 func (n *Network) statsOf(ls *linkState) LinkStats {
 	var inflight float64
 	if dt := (n.eng.Now() - n.lastAdvance).Seconds(); dt > 0 {
-		for _, f := range ls.flows {
-			inflight += n.inflightBits(f, dt)
+		for _, p := range n.fill.crossing(ls.idx) {
+			inflight += n.inflightBits(n.fill.flows[p], dt)
 		}
 	}
 	return LinkStats{

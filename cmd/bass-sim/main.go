@@ -74,7 +74,9 @@
 // either adds a recovery report (detections, failovers, MTTR). "reconcile"
 // appends the reconciler's convergence summary and "slo" a budget/alert
 // summary; pair "slo" with -events-out to capture the alert journal for
-// bass-trace.
+// bass-trace. Both need "migration": true: failure detection and the SLO
+// tick run only in the control loop, which only migration starts, so either
+// without it is an error.
 //
 // -events-out writes the decision journal as JSONL and -metrics-out the
 // metric series as JSON; `bass-trace convert` turns a journal into Chrome
@@ -82,8 +84,8 @@
 //
 // Every config is decoded and validated, and every trace file it cites
 // read, before anything runs: an unknown key, a negative size or rate,
-// seconds too large for a duration, a fraction outside [0, 1], an unknown
-// name, a node list the topology does not take or an empty or repeated node
+// seconds too large for a duration, a fraction outside [0, 1], "reconcile"
+// or "slo" without "migration", an unknown name, a node list the topology does not take or an empty or repeated node
 // name, a malformed apps or links entry, a node or link the topology lacks,
 // a pin on an unschedulable node, or a missing or malformed trace file is an
 // error naming the file and key (and trace line).

@@ -264,6 +264,11 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"packLimit": -0.8`, "packLimit"},
 		{`"scheduler": "k3s", "packLimit": 0.8`, "packLimit"},
 		{`"reservedCPU": -1`, "reservedCPU"},
+		// Failure detection and the SLO tick run only in the control loop,
+		// which only migration starts.
+		{`"reconcile": true`, "reconcile"},
+		{`"slo": true, "migration": false`, "slo"},
+		{`"app": "socialnet", "slo": true, "reconcile": true, "faults": [{"atSec": 10, "type": "node-crash", "node": "node2"}]`, "migration"},
 		// Cluster lists and custom topologies.
 		{`"nodes": [{"name": "node1", "cpu": 4}, {"name": "node1", "cpu": 4}]`, "nodes[1].name"},
 		{`"nodes": [{"name": "", "cpu": 4}]`, "nodes[0].name"},

@@ -282,7 +282,7 @@ type AppDecision struct {
 // journal migration_candidate verdicts citing the cycle cause), candidates
 // past the cooldown are approved. Serial — it journals and mutates clocks;
 // the orchestrator calls it app by app in deterministic order during the
-// commit phase, after the parallel evaluation produced the reports. Call
+// commit phase, after the evaluation phase produced the reports. Call
 // FinishCycle once all apps of the cycle are resolved.
 func (c *Controller) ResolveApp(o *CycleObservation, app string, report scheduler.MigrationReport) AppDecision {
 	now := o.now

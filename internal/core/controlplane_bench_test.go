@@ -16,8 +16,8 @@ import (
 // migrations included. Excluded from -race runs: AllocsPerRun and timing are both
 // meaningless under the race detector.
 
-func benchControlPlane(b *testing.B, rows, cols, apps int, storm bool, workers int) {
-	s := setupControlPlane(b, rows, cols, apps, storm, workers)
+func benchControlPlane(b *testing.B, rows, cols, apps int, storm bool) {
+	s := setupControlPlane(b, rows, cols, apps, storm)
 	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -36,11 +36,8 @@ func BenchmarkControlPlane(b *testing.B) {
 		apps := 8 * d
 		for _, load := range []string{"quiet", "storm"} {
 			storm := load == "storm"
-			b.Run(fmt.Sprintf("town/%dx-%s-serial", d, load), func(b *testing.B) {
-				benchControlPlane(b, 8, 8, apps, storm, 0)
-			})
-			b.Run(fmt.Sprintf("town/%dx-%s-parallel", d, load), func(b *testing.B) {
-				benchControlPlane(b, 8, 8, apps, storm, 4)
+			b.Run(fmt.Sprintf("town/%dx-%s", d, load), func(b *testing.B) {
+				benchControlPlane(b, 8, 8, apps, storm)
 			})
 		}
 	}
@@ -54,11 +51,8 @@ func BenchmarkControlPlaneCity(b *testing.B) {
 		apps := 14 * d
 		for _, load := range []string{"quiet", "storm"} {
 			storm := load == "storm"
-			b.Run(fmt.Sprintf("city/%dx-%s-serial", d, load), func(b *testing.B) {
-				benchControlPlane(b, 14, 14, apps, storm, 0)
-			})
-			b.Run(fmt.Sprintf("city/%dx-%s-parallel", d, load), func(b *testing.B) {
-				benchControlPlane(b, 14, 14, apps, storm, 4)
+			b.Run(fmt.Sprintf("city/%dx-%s", d, load), func(b *testing.B) {
+				benchControlPlane(b, 14, 14, apps, storm)
 			})
 		}
 	}
@@ -71,7 +65,7 @@ func BenchmarkControlPlaneCity(b *testing.B) {
 // amortized growth of the evaluations log (one append per app per cycle),
 // which stays far below one allocation per epoch on average.
 func TestQuietEpochZeroAlloc(t *testing.T) {
-	s := setupControlPlane(t, 8, 8, 8, false, 0)
+	s := setupControlPlane(t, 8, 8, 8, false)
 	defer s.Close()
 	avg := testing.AllocsPerRun(100, func() {
 		s.Orch.controlCycle()
@@ -84,26 +78,13 @@ func TestQuietEpochZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQuietEpochZeroAllocParallel is the same contract with the eval pool
-// engaged: fan-out over prebuilt task closures must not allocate either.
-func TestQuietEpochZeroAllocParallel(t *testing.T) {
-	s := setupControlPlane(t, 8, 8, 8, false, 4)
-	defer s.Close()
-	avg := testing.AllocsPerRun(100, func() {
-		s.Orch.controlCycle()
-	})
-	if avg >= 1 {
-		t.Fatalf("quiet parallel epoch allocates: %.2f allocs/op, want < 1", avg)
-	}
-}
-
 // TestQuietEpochZeroAllocSLO extends the contract to the observed control
 // plane: with a journal, a metric store, and the SLO evaluator all attached,
 // a quiet epoch — probe sweep, metric emission through pre-resolved handles,
 // SLI evaluation, burn-rate checks — still allocates nothing once every ring
 // has reached capacity.
 func TestQuietEpochZeroAllocSLO(t *testing.T) {
-	s := setupControlPlaneObserved(t, 8, 8, 8, false, 0, true)
+	s := setupControlPlaneObserved(t, 8, 8, 8, false, true)
 	defer s.Close()
 	// Prefill past every ring cap (store MaxSamples 256, journal 4096) so
 	// steady-state appends overwrite instead of growing.

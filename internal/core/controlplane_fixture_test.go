@@ -115,8 +115,8 @@ func staticGrid(rows, cols int, mbps float64) *mesh.Topology {
 // setupControlPlane deploys apps chain applications over a static grid and
 // settles the first epochs, returning the simulation ready for direct
 // controlCycle driving.
-func setupControlPlane(tb testing.TB, rows, cols, apps int, storm bool, workers int) *Simulation {
-	return setupControlPlaneObserved(tb, rows, cols, apps, storm, workers, false)
+func setupControlPlane(tb testing.TB, rows, cols, apps int, storm bool) *Simulation {
+	return setupControlPlaneObserved(tb, rows, cols, apps, storm, false)
 }
 
 // setupControlPlaneObserved is setupControlPlane with an optional
@@ -124,7 +124,7 @@ func setupControlPlane(tb testing.TB, rows, cols, apps int, storm bool, workers 
 // of the quiet-epoch allocation contract. The journal is a bounded ring and
 // the store's rings are sized small, so steady state overwrites instead of
 // growing.
-func setupControlPlaneObserved(tb testing.TB, rows, cols, apps int, storm bool, workers int, observed bool) *Simulation {
+func setupControlPlaneObserved(tb testing.TB, rows, cols, apps int, storm, observed bool) *Simulation {
 	tb.Helper()
 	topo := staticGrid(rows, cols, 25)
 	n := rows * cols
@@ -141,7 +141,6 @@ func setupControlPlaneObserved(tb testing.TB, rows, cols, apps int, storm bool, 
 	s, err := NewSimulation(topo, nodes, 42, Config{
 		EnableMigration: true,
 		MonitorInterval: 30 * time.Second,
-		EvalWorkers:     workers,
 		EnableSLO:       observed,
 	})
 	if err != nil {

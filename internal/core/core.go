@@ -110,13 +110,11 @@ type Config struct {
 	// MonitorInterval, converging through idempotent, bounded actions (see
 	// internal/reconcile).
 	EnableReconcile bool
-	// EvalWorkers sizes the worker pool for the controller's per-application
-	// evaluation fan-out (usage reads and candidate selection). 0 or 1
-	// evaluates serially. Migration-target scoring always runs serially in
-	// the commit phase. Decisions are byte-identical at any worker count:
-	// the parallel phase only reads shared state, and every journal event,
-	// metric, and placement mutation is committed serially in deployment
-	// order afterwards.
+	// EvalWorkers is ignored: the controller evaluates every application
+	// serially, in deployment order.
+	//
+	// Deprecated: kept only for callers that still set it; it will be
+	// removed.
 	EvalWorkers int
 	// BatchPlacement wraps Policy in the batch joint search: each deployed
 	// DAG is first placed by the greedy seed policy, then improved by a
@@ -216,12 +214,9 @@ type Orchestrator struct {
 	schedLat    ringF64 // per-component scheduling latencies (Table 3)
 	dagProc     ringF64 // DAG processing times (Table 4)
 
-	// Control-plane hot-path state (see hotpath.go). The scratch slices and
-	// prebuilt task closures let a quiet controller epoch run without
-	// allocating; the pool fans per-app evaluation out across workers.
-	evalPool        *sim.Pool
+	// Control-plane hot-path state (see hotpath.go). The scratch slices let
+	// a quiet controller epoch run without allocating.
 	appScratch      []*appEvalScratch
-	evalTasks       []func()
 	cycleExclude    map[string]map[string]bool // controller's per-app re-migration guard, set per cycle
 	cycleNodes      []scheduler.NodeInfo
 	cycleNodesDirty bool
@@ -277,9 +272,6 @@ func newOrchestrator(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, 
 	}
 	o.monitor = netmon.New(topo, net.Prober(), eng.Now)
 	o.ctrl = controller.New(o.monitor, cfg.Controller, eng.Now)
-	if cfg.EvalWorkers > 1 {
-		o.evalPool = sim.NewPool(cfg.EvalWorkers)
-	}
 	// Hoisted hot-path closures: allocated once here instead of per decision.
 	o.fullProbeFn = o.monitor.FullProbe
 	o.pathSpareFn = func(a, b string) float64 {
@@ -427,9 +419,7 @@ func (o *Orchestrator) Bootstrap() error {
 	return nil
 }
 
-// Stop halts the controller and reconciler loops and releases the evaluation
-// worker pool. Control cycles run after Stop fall back to serial evaluation —
-// decisions are byte-identical either way.
+// Stop halts the controller and reconciler loops.
 func (o *Orchestrator) Stop() {
 	if o.stopMonitor != nil {
 		o.stopMonitor()
@@ -439,11 +429,6 @@ func (o *Orchestrator) Stop() {
 		o.stopReconcile()
 		o.stopReconcile = nil
 		o.net.OnTopologyApplied(nil)
-	}
-	if o.evalPool != nil {
-		o.evalPool.Close()
-		o.evalPool = nil
-		o.evalTasks = o.evalTasks[:0]
 	}
 }
 
@@ -545,7 +530,6 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 	o.registerAppSLO(name)
 	app.scratch = o.newAppScratch(app)
 	o.appScratch = append(o.appScratch, app.scratch)
-	o.rebuildEvalTasks()
 	// Flows the workload opens at startup cite the deploy as their cause.
 	o.net.SetCause(deploySpan)
 	err = w.Start(env)
@@ -638,10 +622,10 @@ func (o *Orchestrator) finishControlEpoch() {
 	}
 }
 
-// commitMigration records and journals a committed move and notifies the
-// workload.
-func (o *Orchestrator) commitMigration(app *deployedApp, comp, from, target string, cause uint64) {
-	o.ctrl.RecordMigration(app.name, comp)
+// commitMigration records and journals a committed move, for the given
+// reason, and notifies the workload, which restarts the component after
+// MigrationDowntime.
+func (o *Orchestrator) commitMigration(app *deployedApp, comp, from, target string, cause uint64, reason string) {
 	o.migrations = append(o.migrations, MigrationEvent{
 		At:        o.eng.Now(),
 		App:       app.name,
@@ -650,36 +634,14 @@ func (o *Orchestrator) commitMigration(app *deployedApp, comp, from, target stri
 		To:        target,
 	})
 	migSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventMigration, App: app.name, Component: comp,
-		From: from, To: target, Cause: cause, Reason: "bandwidth violation persisted past cooldown"})
+		From: from, To: target, Cause: cause, Reason: reason})
 	if o.plane.Enabled() {
 		o.plane.Metric(obs.MetricMigrations, float64(len(o.migrations)))
 	}
-	// The state transfer and any flows the workload re-routes cite the move.
+	// Any flows the workload re-routes cite the move.
 	o.net.SetCause(migSpan)
-	app.workload.OnMigration(app.env, comp, from, target, o.migrationDowntime(app, comp, from, target))
+	app.workload.OnMigration(app.env, comp, from, target, o.cfg.MigrationDowntime)
 	o.net.SetCause(0)
-}
-
-// migrationDowntime charges the restart cost plus, for stateful components,
-// the time to ship their state across the mesh (§8's CRIU/Medes-style
-// stateful migration). The state transfer is also injected as real traffic
-// so it contends with application flows.
-func (o *Orchestrator) migrationDowntime(app *deployedApp, comp, from, to string) time.Duration {
-	downtime := o.cfg.MigrationDowntime
-	c, err := app.graph.Component(comp)
-	if err != nil || c.StateMB <= 0 || from == "" || from == to {
-		return downtime
-	}
-	capMbps, networked, cerr := o.monitor.PathCapacityMbps(from, to)
-	if cerr != nil || !networked {
-		return downtime
-	}
-	if capMbps < 0.5 {
-		capMbps = 0.5
-	}
-	transfer := time.Duration(c.StateMB * 8 / capMbps * float64(time.Second))
-	_, _ = o.net.AddTransfer(app.name+"/__state__/"+comp, from, to, c.StateMB*1e6, 0, nil)
-	return downtime + transfer
 }
 
 // ForceMigrate moves a component immediately (used by experiments that
@@ -693,16 +655,6 @@ func (o *Orchestrator) ForceMigrate(appName, comp, toNode string) error {
 	if err := o.clus.Move(appName, comp, toNode); err != nil {
 		return err
 	}
-	o.migrations = append(o.migrations, MigrationEvent{
-		At: o.eng.Now(), App: appName, Component: comp, From: from, To: toNode,
-	})
-	migSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventMigration, App: appName, Component: comp,
-		From: from, To: toNode, Reason: "forced by experiment script"})
-	if o.plane.Enabled() {
-		o.plane.Metric(obs.MetricMigrations, float64(len(o.migrations)))
-	}
-	o.net.SetCause(migSpan)
-	app.workload.OnMigration(app.env, comp, from, toNode, o.migrationDowntime(app, comp, from, toNode))
-	o.net.SetCause(0)
+	o.commitMigration(app, comp, from, toNode, 0, "forced by experiment script")
 	return nil
 }

@@ -20,10 +20,9 @@ type pairWorkload struct {
 	graph  *dag.Graph
 	demand float64
 
-	env          *Env
-	stream       simnet.FlowID
-	attached     bool
-	lastDowntime time.Duration
+	env      *Env
+	stream   simnet.FlowID
+	attached bool
 }
 
 func newPairWorkload(app string, demand float64, pinSrc string, cpu float64) *pairWorkload {
@@ -61,7 +60,6 @@ func (w *pairWorkload) attach() error {
 }
 
 func (w *pairWorkload) OnMigration(env *Env, component, fromNode, toNode string, downtime time.Duration) {
-	w.lastDowntime = downtime
 	if w.attached {
 		_ = env.Net().RemoveStream(w.stream)
 		w.attached = false

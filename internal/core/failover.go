@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bass/internal/cluster"
+	"bass/internal/dag"
 	"bass/internal/obs"
 	"bass/internal/reconcile"
 	"bass/internal/scheduler"
@@ -162,8 +163,8 @@ func (o *Orchestrator) tryFailover(p *pendingFailover) {
 	o.eng.After(delay, func() { o.tryFailover(p) })
 }
 
-// placeFailover runs the failover target choice and commits the placement,
-// reporting success.
+// placeFailover re-places one stranded component through replace, reporting
+// success, and journals the failover the restart cites.
 func (o *Orchestrator) placeFailover(app *deployedApp, p *pendingFailover) bool {
 	comp, err := app.graph.Component(p.component)
 	if err != nil {
@@ -175,6 +176,34 @@ func (o *Orchestrator) placeFailover(app *deployedApp, p *pendingFailover) bool 
 		// retrying would double-place and leak the pending record.
 		return true
 	}
+	fromQueue := p.attempts > failoverMaxRetries
+	target, err := o.replace(app, comp, p.fromNode, false, p.attempts, fromQueue, p.detectedAt, p.cause)
+	if err != nil {
+		return false
+	}
+	reason := "re-placed after node failure"
+	if fromQueue {
+		reason = "re-placed from recovery queue"
+	}
+	foSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventFailover, App: app.name, Component: p.component,
+		From: p.fromNode, To: target, Cause: p.cause, Reason: reason, Value: float64(p.attempts)})
+	// The component restarts cold on the new node, paying the restart cost.
+	// Flows the workload re-opens cite the failover.
+	o.net.SetCause(foSpan)
+	app.workload.OnMigration(app.env, p.component, p.fromNode, target, o.cfg.MigrationDowntime)
+	o.net.SetCause(0)
+	return true
+}
+
+// replace is the one re-placement both recovery paths share, the reactive
+// failover and the reconciler: choose a failover target for comp (strict
+// insists on a bandwidth-feasible one; otherwise the best partially-feasible
+// node will do and the data plane re-routes), commit the placement, and
+// record the failover with its MTTR, measured from drifted, the time the
+// component was found stranded. cause is the span the target choice's
+// explanations cite. Each caller journals its own event and restarts the
+// workload with its own cause.
+func (o *Orchestrator) replace(app *deployedApp, comp *dag.Component, from string, strict bool, attempts int, fromQueue bool, drifted time.Duration, cause uint64) (string, error) {
 	assignment := make(scheduler.Assignment)
 	for _, c := range app.graph.Components() {
 		if node := o.clus.NodeOf(app.name, c); node != "" {
@@ -182,51 +211,39 @@ func (o *Orchestrator) placeFailover(app *deployedApp, p *pendingFailover) bool 
 		}
 	}
 	target, err := scheduler.ChooseFailoverTarget(
-		app.graph, p.component, assignment, o.nodeInfos(), o.pathSpareFn,
+		app.graph, comp.Name, assignment, o.nodeInfos(), o.pathSpareFn,
 		o.ctrl.Config().Migration,
-		scheduler.TargetOptions{Recorder: o.recorder(app.name, p.cause)},
+		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause), Strict: strict},
 	)
 	if err != nil {
-		return false
+		return "", err
 	}
 	if err := o.clus.Place(cluster.Placement{
 		App:       app.name,
-		Component: p.component,
+		Component: comp.Name,
 		Node:      target,
 		CPU:       comp.CPU,
 		MemoryMB:  comp.MemoryMB,
 	}); err != nil {
-		return false
+		return "", err
 	}
 	o.cycleNodesDirty = true
 	o.failovers = append(o.failovers, FailoverEvent{
 		At:        o.eng.Now(),
 		App:       app.name,
-		Component: p.component,
-		From:      p.fromNode,
+		Component: comp.Name,
+		From:      from,
 		To:        target,
-		Attempts:  p.attempts,
-		FromQueue: p.attempts > failoverMaxRetries,
+		Attempts:  attempts,
+		FromQueue: fromQueue,
 	})
-	mttr := o.eng.Now() + o.cfg.MigrationDowntime - p.detectedAt
+	mttr := o.eng.Now() + o.cfg.MigrationDowntime - drifted
 	o.mttrs = append(o.mttrs, mttr)
-	reason := "re-placed after node failure"
-	if p.attempts > failoverMaxRetries {
-		reason = "re-placed from recovery queue"
-	}
-	foSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventFailover, App: app.name, Component: p.component,
-		From: p.fromNode, To: target, Cause: p.cause, Reason: reason, Value: float64(p.attempts)})
 	if o.plane.Enabled() {
 		o.plane.Metric(obs.MetricFailoverMTTR, mttr.Seconds(),
-			"app", app.name, "component", p.component)
+			"app", app.name, "component", comp.Name)
 	}
-	// The component restarts cold on the new node; state on the dead host is
-	// unreachable, so only the restart cost applies — never a state transfer.
-	// Flows the workload re-opens cite the failover.
-	o.net.SetCause(foSpan)
-	app.workload.OnMigration(app.env, p.component, p.fromNode, target, o.cfg.MigrationDowntime)
-	o.net.SetCause(0)
-	return true
+	return target, nil
 }
 
 // drainFailoverQueue retries every queued component once, keeping those that

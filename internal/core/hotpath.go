@@ -7,14 +7,12 @@ import (
 )
 
 // This file is the control-plane hot path: one probe sweep per cycle feeding
-// a parallel per-application read/score phase, then a serial commit phase in
-// deployment order. The split keeps the repo's headline invariant intact —
-// every journal event, metric, and placement mutation happens serially, so
-// output is byte-identical at any EvalWorkers setting — while letting the
-// expensive reads (path oracle queries, flow-rate lookups, candidate
-// selection) run concurrently across apps. All per-cycle state lives in
-// reused scratch, so a quiet epoch (no violations, no transitions) allocates
-// nothing.
+// a per-application read/score phase, then a commit phase, both in
+// deployment order. The read phase (path oracle queries, flow-rate lookups,
+// candidate selection) emits nothing; every journal event, metric, and
+// placement mutation happens in the commit phase. All per-cycle state lives
+// in reused scratch, so a quiet epoch (no violations, no transitions)
+// allocates nothing.
 
 // latencyRingCap bounds the Table 3/4 latency logs. A week-long city run
 // schedules far more DAGs than anyone tabulates; keeping the latest samples
@@ -106,37 +104,10 @@ func (o *Orchestrator) resolveEdgeHandles(s *appEvalScratch) {
 	}
 }
 
-// rebuildEvalTasks re-chunks the per-app fan-out after a deployment. The
-// closures are prebuilt so the cycle itself allocates nothing.
-func (o *Orchestrator) rebuildEvalTasks() {
-	o.evalTasks = o.evalTasks[:0]
-	if o.evalPool == nil || len(o.appScratch) < 2 {
-		return
-	}
-	chunk := (len(o.appScratch) + o.cfg.EvalWorkers - 1) / o.cfg.EvalWorkers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < len(o.appScratch); lo += chunk {
-		hi := lo + chunk
-		if hi > len(o.appScratch) {
-			hi = len(o.appScratch)
-		}
-		batch := o.appScratch[lo:hi]
-		o.evalTasks = append(o.evalTasks, func() {
-			for _, s := range batch {
-				o.evalApp(s)
-			}
-		})
-	}
-}
-
 // evalApp runs one application's read/score phase: assemble dependency
 // usages through the batch path oracle, and select migration candidates. It
-// only reads shared state (the oracle and route cache guard themselves),
-// writes only into per-app scratch, and emits nothing — safe to run
-// concurrently across apps and bit-identical to the serial order because
-// per-app work never depends on other apps.
+// writes only into per-app scratch and emits nothing; per-app work never
+// depends on other apps.
 func (o *Orchestrator) evalApp(s *appEvalScratch) {
 	app := s.app
 	g := app.graph
@@ -177,8 +148,8 @@ func (o *Orchestrator) evalApp(s *appEvalScratch) {
 }
 
 // fastControlCycle is one controller epoch on the hot path: a single shared
-// Observe, the parallel per-app read/score phase, then the serial commit in
-// deployment order.
+// Observe, the per-app read/score phase, then the commit, each in deployment
+// order.
 func (o *Orchestrator) fastControlCycle() {
 	if len(o.appScratch) == 0 {
 		o.drainFailoverQueue()
@@ -188,12 +159,8 @@ func (o *Orchestrator) fastControlCycle() {
 	o.cycleExclude = cyc.Exclude
 	o.cycleNodesDirty = true
 
-	if len(o.evalTasks) > 0 {
-		o.evalPool.Run(o.evalTasks)
-	} else {
-		for _, s := range o.appScratch {
-			o.evalApp(s)
-		}
+	for _, s := range o.appScratch {
+		o.evalApp(s)
 	}
 
 	for i, s := range o.appScratch {
@@ -289,7 +256,8 @@ func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64)
 	}
 	s.assignment[comp] = target
 	o.cycleNodesDirty = true
-	o.commitMigration(app, comp, from, target, cause)
+	o.ctrl.RecordMigration(app.name, comp)
+	o.commitMigration(app, comp, from, target, cause, "bandwidth violation persisted past cooldown")
 	return true
 }
 

@@ -5,16 +5,14 @@ import (
 	"math/rand"
 	"time"
 
-	"bass/internal/cluster"
 	"bass/internal/obs"
 	"bass/internal/reconcile"
-	"bass/internal/scheduler"
 )
 
 // reconcileHost adapts the orchestrator to the reconciler's Host interface:
 // the cluster is the observed state, the controller is the health oracle, and
-// placements run through the same scheduler/cluster/workload machinery the
-// reactive failover path uses — one placement implementation, two drivers.
+// placements run through Orchestrator.replace, as the reactive failover path's
+// do — one placement implementation, two drivers.
 type reconcileHost struct{ o *Orchestrator }
 
 func (h reconcileHost) Now() time.Duration { return h.o.eng.Now() }
@@ -70,43 +68,10 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 			return "", rerr
 		}
 	}
-	assignment := make(scheduler.Assignment)
-	for _, c := range app.graph.Components() {
-		if node := o.clus.NodeOf(a.App, c); node != "" {
-			assignment[c] = node
-		}
-	}
-	target, err := scheduler.ChooseFailoverTarget(
-		app.graph, a.Component, assignment, o.nodeInfos(), o.pathSpareFn,
-		o.ctrl.Config().Migration,
-		scheduler.TargetOptions{Recorder: o.recorder(a.App, a.Cause), Strict: a.Rung == reconcile.RungMigrate},
-	)
+	target, err := o.replace(app, comp, a.FromNode, a.Rung == reconcile.RungMigrate,
+		a.Attempt, a.Rung >= reconcile.RungShed, a.DriftedAt, a.Cause)
 	if err != nil {
 		return "", err
-	}
-	if perr := o.clus.Place(cluster.Placement{
-		App:       a.App,
-		Component: a.Component,
-		Node:      target,
-		CPU:       comp.CPU,
-		MemoryMB:  comp.MemoryMB,
-	}); perr != nil {
-		return "", perr
-	}
-	o.failovers = append(o.failovers, FailoverEvent{
-		At:        o.eng.Now(),
-		App:       a.App,
-		Component: a.Component,
-		From:      a.FromNode,
-		To:        target,
-		Attempts:  a.Attempt,
-		FromQueue: a.Rung >= reconcile.RungShed,
-	})
-	mttr := o.eng.Now() + o.cfg.MigrationDowntime - a.DriftedAt
-	o.mttrs = append(o.mttrs, mttr)
-	if o.plane.Enabled() {
-		o.plane.Metric(obs.MetricFailoverMTTR, mttr.Seconds(),
-			"app", a.App, "component", a.Component)
 	}
 	// Flows the workload re-opens cite the drift that forced the move.
 	o.net.SetCause(a.Cause)

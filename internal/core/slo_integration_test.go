@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // row 1, overcommitting the surviving middle link (~40 Mbps of demand on a
 // 25 Mbps link) — goodput and headroom SLIs both go bad for the fault
 // window, so alerts must fire and later resolve.
-func runSLOScenario(t *testing.T, seed int64, workers int) (*obs.Journal, []obs.Event) {
+func runSLOScenario(t *testing.T, seed int64) (*obs.Journal, []obs.Event) {
 	t.Helper()
 	rows, cols := 2, 4
 	topo := staticGrid(rows, cols, 25)
@@ -32,7 +33,6 @@ func runSLOScenario(t *testing.T, seed int64, workers int) (*obs.Journal, []obs.
 	s, err := NewSimulation(topo, nodes, seed, Config{
 		EnableMigration: true,
 		MonitorInterval: 30 * time.Second,
-		EvalWorkers:     workers,
 		EnableSLO:       true,
 	})
 	if err != nil {
@@ -82,13 +82,21 @@ func alertBytes(t *testing.T, alerts []obs.Event) []byte {
 	return buf.Bytes()
 }
 
+// goldenSLOAlerts holds the SHA-256 of alertBytes per seed, captured when
+// the per-app evaluation could still fan out across workers and every worker
+// count matched these bytes.
+var goldenSLOAlerts = map[int64]string{
+	42: "3c3ad8f33ef231ec88bd05118da6cf60af3cb47d583a1b25a71898722a902c94",
+	7:  "86ac966af026b61c0fe87934973ff68362b08a1d2ec30466f40566a72f54a002",
+}
+
 // TestSLOAlertJournalDifferential pins the determinism half of the SLO
-// contract: at equal seeds the alert journal is byte-identical at any
-// EvalWorkers count — and alerts actually fire during
-// the injected fault window and resolve after it.
+// contract: at equal seeds the alert journal is byte-identical to its golden
+// — and alerts actually fire during the injected fault window and resolve
+// after it.
 func TestSLOAlertJournalDifferential(t *testing.T) {
 	for _, seed := range []int64{42, 7} {
-		_, base := runSLOScenario(t, seed, 0)
+		_, base := runSLOScenario(t, seed)
 		fired, resolved := 0, 0
 		for _, ev := range base {
 			switch ev.Type {
@@ -104,10 +112,8 @@ func TestSLOAlertJournalDifferential(t *testing.T) {
 		if resolved == 0 {
 			t.Fatalf("seed %d: no alerts resolved after recovery", seed)
 		}
-		want := alertBytes(t, base)
-		_, alerts := runSLOScenario(t, seed, 4)
-		if got := alertBytes(t, alerts); !bytes.Equal(got, want) {
-			t.Errorf("seed %d workers=4: alert journal diverged\nwant:\n%s\ngot:\n%s", seed, want, got)
+		if got := fmt.Sprintf("%x", sha256.Sum256(alertBytes(t, base))); got != goldenSLOAlerts[seed] {
+			t.Errorf("seed %d: alert journal digest %s, want golden %s", seed, got, goldenSLOAlerts[seed])
 		}
 	}
 }
@@ -116,7 +122,7 @@ func TestSLOAlertJournalDifferential(t *testing.T) {
 // fault-driven run passes obs.CheckCauses — fired alerts root at a probe
 // sample or the injected fault, and resolves chain through their alert.
 func TestSLOAlertCauseChains(t *testing.T) {
-	journal, _ := runSLOScenario(t, 42, 0)
+	journal, _ := runSLOScenario(t, 42)
 	n, err := obs.CheckCauses(journal.Events())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +136,7 @@ func TestSLOAlertCauseChains(t *testing.T) {
 // headroom and control-latency specs at attach, and a goodput spec per
 // deployed app.
 func TestSLOAutoRegisteredSpecs(t *testing.T) {
-	s := setupControlPlaneObserved(t, 2, 2, 2, false, 0, true)
+	s := setupControlPlaneObserved(t, 2, 2, 2, false, true)
 	defer s.Close()
 	ev := s.Orch.SLO()
 	if ev == nil {

@@ -30,11 +30,6 @@ type Component struct {
 	CPU float64
 	// MemoryMB is the memory request in megabytes.
 	MemoryMB float64
-	// StateMB is the component state that must move with it during a
-	// migration (0 = stateless or discardable, the paper's base assumption;
-	// non-zero models CRIU/Medes-style stateful migration from §8, whose
-	// transfer time and network cost the orchestrator charges).
-	StateMB float64
 	// Labels carries free-form metadata from the deployment spec.
 	Labels map[string]string
 }

@@ -10,9 +10,10 @@ import (
 // The headline experiments' rendered output is pinned as SHA-256 literals.
 // They were captured while the network driver (event-driven or once-per-second
 // polling) and the shard count could still be chosen per run here, and every
-// choice rendered these bytes. Polling and sharding now live on only as
-// simnet's own differential references (TestEventDrivenMatchesPolling*,
-// TestShardedMatchesSingleShard, TestGridPopulationGolden), so the literals
+// choice rendered these bytes. Polling now lives on only as simnet's own
+// differential reference (TestEventDrivenMatchesPolling*,
+// TestShardedPollingMatchesEventDriven, TestGridPopulationGolden), and
+// sharding is gone, so the literals
 // are what keeps the experiment output from drifting. Horizons are shortened
 // where the full paper horizon adds run time but no coverage.
 

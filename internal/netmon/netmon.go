@@ -403,17 +403,10 @@ func (m *Monitor) NodeFailureFloor(node string) int {
 // was a measurable share of a quiet epoch's allocations).
 func (m *Monitor) Nodes() []string { return m.nodeOrder }
 
-// PathCapacityMbps estimates node-pair capacity as the bottleneck cached
-// capacity along the routed path (the paper's traceroute + per-link
+// PathSpareMbps estimates spare node-pair capacity as the bottleneck cached
+// spare capacity along the routed path (the paper's traceroute + per-link
 // bandwidth method). Co-located pairs report networked=false (no network
 // involved). Served from the path oracle.
-func (m *Monitor) PathCapacityMbps(src, dst string) (mbps float64, networked bool, err error) {
-	pm, err := m.PathMetrics(src, dst)
-	return pm.CapacityMbps, pm.Networked, err
-}
-
-// PathSpareMbps estimates spare node-pair capacity as the bottleneck cached
-// spare capacity along the routed path. Served from the path oracle.
 func (m *Monitor) PathSpareMbps(src, dst string) (mbps float64, networked bool, err error) {
 	pm, err := m.PathMetrics(src, dst)
 	return pm.SpareMbps, pm.Networked, err

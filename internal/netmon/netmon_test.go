@@ -118,12 +118,12 @@ func TestPathEstimates(t *testing.T) {
 	if _, perrs := m.HeadroomProbeAll(); len(perrs) != 0 {
 		t.Fatal(perrs)
 	}
-	capMbps, networked, err := m.PathCapacityMbps("a", "c")
+	pm, err := m.PathMetrics("a", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !networked || capMbps != 25 {
-		t.Errorf("path capacity = %v networked=%v", capMbps, networked)
+	if !pm.Networked || pm.CapacityMbps != 25 {
+		t.Errorf("path capacity = %v networked=%v", pm.CapacityMbps, pm.Networked)
 	}
 	spare, _, err := m.PathSpareMbps("a", "c")
 	if err != nil {
@@ -132,7 +132,7 @@ func TestPathEstimates(t *testing.T) {
 	if spare != 15 {
 		t.Errorf("path spare = %v, want bottleneck 15", spare)
 	}
-	_, networked, err = m.PathCapacityMbps("a", "a")
+	_, networked, err := m.PathSpareMbps("a", "a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,13 +63,12 @@ type pathEntry struct {
 // that never issue path queries (bassd agents, unit fixtures) pay only the
 // index map.
 //
-// Concurrency: the controller's parallel evaluation phase issues path
-// queries from pool workers while probes — the only writers of link views
-// and the generation — run strictly in the serial phases before it. The
-// RWMutex therefore only arbitrates concurrent entry fills; a duplicate fill
-// writes identical bytes. Cached values are pure functions of (generation,
-// link views, availability epoch), which is what keeps parallel evaluation
-// byte-identical to serial.
+// Concurrency: path queries may fill entries from several goroutines at
+// once, while probes — the only writers of link views and the generation —
+// never run concurrently with them. The RWMutex therefore only arbitrates
+// concurrent entry fills; a duplicate fill writes identical bytes. Cached
+// values are pure functions of (generation, link views, availability
+// epoch), so a query answers the same whichever goroutine fills it.
 type pathOracle struct {
 	mu      sync.RWMutex
 	idx     map[string]int

@@ -19,7 +19,8 @@ import (
 // Validate). It must never panic; a spec it accepts must re-encode and
 // decode to an equal Spec, and must keep every promise Validate makes,
 // re-derived here: no negative size, rate or interval, known names, no
-// all-zero controller, controller fractions and a pack limit in [0, 1]
+// all-zero controller, no reconcile or slo without migration, controller
+// fractions and a pack limit in [0, 1]
 // (none for k3s), a finite headroom, reserved CPU and node sizes, no nodes
 // on citylab and some on custom, each named once, links entries with one
 // address and one capacity form, a latency only on custom and no egress
@@ -45,7 +46,10 @@ func FuzzDecodeSpec(f *testing.F) {
 		  "faults": [{"atSec": 120, "type": "link-down", "linkA": "node1", "linkB": "node2"}, {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}]}`,
 		`{"apps": [{"socialnet": {"rps": 20, "clientNode": "node0"}}], "batch": true,
 		  "chaos": {"probeLossWindowsPerHour": 2, "meanProbeLossWindowSec": 60, "protected": ["node0"]}}`,
+		// Reconcile without migration, which Validate rejects, and with it.
 		`{"apps": [{"videoconf": {"participantsPerNode": 2, "publishMbps": 1.5}}], "reconcile": true,
+		  "faults": [{"atSec": 30, "type": "probe-loss-start", "linkA": "node2", "linkB": "node3"}]}`,
+		`{"apps": [{"videoconf": {"participantsPerNode": 2, "publishMbps": 1.5}}], "migration": true, "reconcile": true, "slo": true,
 		  "faults": [{"atSec": 30, "type": "probe-loss-start", "linkA": "node2", "linkB": "node3"}]}`,
 		// Values Validate rejects.
 		`{"horizonSec": -5}`,
@@ -301,6 +305,9 @@ func checkAccepted(t *testing.T, s Spec) {
 	}
 	if s.Controller != nil && *s.Controller == (Controller{}) {
 		t.Fatalf("accepted an all-zero controller, which runs the defaults")
+	}
+	if (s.Reconcile || s.SLO) && !s.Migration {
+		t.Fatalf("accepted reconcile=%v slo=%v without migration, which starts no control loop", s.Reconcile, s.SLO)
 	}
 	c := cmp.Or(s.Controller, DefaultController())
 	for _, v := range []float64{c.UtilizationThreshold, c.GoodputFloor, s.PackLimit} {

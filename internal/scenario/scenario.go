@@ -71,11 +71,13 @@ type Spec struct {
 	MonitorIntervalSec int  `json:"monitorIntervalSec,omitempty"`
 	// Reconcile enables the declarative reconciliation loop: desired-state
 	// specs, drift detection, idempotent convergence with the degraded-mode
-	// ladder.
+	// ladder. It needs Migration: the failure detector that finds dead
+	// nodes runs in the control loop.
 	Reconcile bool `json:"reconcile,omitempty"`
 	// SLO runs the burn-rate SLO evaluator each control epoch (mesh
 	// headroom, control-loop cadence, per-app dependency goodput). It reads
-	// its SLIs from a metric store, so it attaches one.
+	// its SLIs from a metric store, so it attaches one. It needs Migration,
+	// which runs the control loop.
 	SLO bool `json:"slo,omitempty"`
 	// Batch places each DAG as one joint decision, refined by a budgeted
 	// k-best local search over the greedy seed (core.BatchPlacement).
@@ -298,10 +300,11 @@ type field struct {
 	v   float64
 }
 
-// Validate rejects what a run would otherwise replace by a default or fail
-// on late: negative or non-finite sizes, rates and intervals, seconds whose
-// nanoseconds overflow a time.Duration, fractions outside [0, 1], an
-// all-zero controller, a k3s pack limit, unknown names, nodes on citylab or
+// Validate rejects what a run would otherwise replace by a default, ignore or
+// fail on late: negative or non-finite sizes, rates and intervals, seconds
+// whose nanoseconds overflow a time.Duration, fractions outside [0, 1], an
+// all-zero controller, reconcile or slo without migration (both act only
+// in the control loop), a k3s pack limit, unknown names, nodes on citylab or
 // none on custom, an empty or repeated node name, a bad apps or links entry,
 // nodes or links the topology lacks, and a pin on an unschedulable node.
 // Errors name the key. It neither builds the topology nor opens a file.
@@ -313,6 +316,12 @@ func (s Spec) Validate() error {
 		{"migrationDowntimeSec", s.MigrationDowntimeSec}}
 	if s.Controller != nil && *s.Controller == (Controller{}) {
 		return fmt.Errorf("controller: every key is 0, which runs the default controller, not a zero one; leave the key out for the defaults")
+	}
+	if s.Reconcile && !s.Migration {
+		return fmt.Errorf(`reconcile: needs "migration": true; the failure detector whose verdicts the reconciler acts on runs only in the control loop`)
+	}
+	if s.SLO && !s.Migration {
+		return fmt.Errorf(`slo: needs "migration": true; the SLO evaluator ticks only at the end of a control cycle`)
 	}
 	ctl := cmp.Or(s.Controller, DefaultController())
 	for _, f := range []field{{"controller.utilizationThreshold", ctl.UtilizationThreshold},

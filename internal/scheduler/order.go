@@ -35,12 +35,10 @@ type Heuristic int
 
 // Supported ordering heuristics. The developer picks the one suited to the
 // application's data flow: BFS for high fan-out graphs, longest-path for
-// deep pipelines (§3.2.1) — or heuristicAuto, which inspects the graph and
-// picks per application (§8 lists combining the heuristics as future work).
+// deep pipelines (§3.2.1).
 const (
 	HeuristicBFS Heuristic = iota + 1
 	HeuristicLongestPath
-	heuristicAuto
 )
 
 // String names the heuristic.
@@ -50,57 +48,13 @@ func (h Heuristic) String() string {
 		return "bfs"
 	case HeuristicLongestPath:
 		return "longest-path"
-	case heuristicAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("heuristic(%d)", int(h))
 	}
 }
 
-// chooseHeuristic implements heuristicAuto's decision (§8): compare the
-// bandwidth concentrated at fan-out points (the sum of out-edge weights of
-// vertices with two or more consumers) against the bandwidth of the single
-// heaviest path. Fan-out-dominated graphs (an SFU, a publisher feeding many
-// consumers) get BFS, which co-locates consumers with their producer;
-// chain-dominated graphs (frontend→service→cache→database pipelines) get
-// longest-path.
-func chooseHeuristic(g *dag.Graph) (Heuristic, error) {
-	chains, err := LongestPathChains(g)
-	if err != nil {
-		return 0, err
-	}
-	var chainWeight float64
-	if len(chains) > 0 {
-		chain := chains[0]
-		for i := 0; i+1 < len(chain); i++ {
-			chainWeight += g.Weight(chain[i], chain[i+1])
-		}
-	}
-	var fanWeight float64
-	for _, name := range g.Components() {
-		out := g.Out(name)
-		if len(out) < 2 {
-			continue
-		}
-		for _, e := range out {
-			fanWeight += e.BandwidthMbps
-		}
-	}
-	if fanWeight > chainWeight {
-		return HeuristicBFS, nil
-	}
-	return HeuristicLongestPath, nil
-}
-
 // order returns the component placement order under the given heuristic.
 func order(g *dag.Graph, h Heuristic) ([]string, error) {
-	if h == heuristicAuto {
-		chosen, err := chooseHeuristic(g)
-		if err != nil {
-			return nil, err
-		}
-		h = chosen
-	}
 	switch h {
 	case HeuristicBFS:
 		return BFSOrder(g)

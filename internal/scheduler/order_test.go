@@ -245,9 +245,6 @@ func TestHeuristicString(t *testing.T) {
 	if HeuristicLongestPath.String() != "longest-path" {
 		t.Errorf("HeuristicLongestPath.String() = %q", HeuristicLongestPath.String())
 	}
-	if heuristicAuto.String() != "auto" {
-		t.Errorf("HeuristicAuto.String() = %q", heuristicAuto.String())
-	}
 }
 
 // randomDAG builds a random DAG: edges only go from lower to higher index,

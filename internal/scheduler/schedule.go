@@ -154,16 +154,8 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	heuristic := b.heuristic
-	if heuristic == heuristicAuto {
-		chosen, err := chooseHeuristic(g)
-		if err != nil {
-			return nil, err
-		}
-		heuristic = chosen
-	}
 	var chains [][]string
-	switch heuristic {
+	switch b.heuristic {
 	case HeuristicLongestPath:
 		cs, err := LongestPathChains(g)
 		if err != nil {
@@ -171,7 +163,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 		}
 		chains = cs
 	default:
-		order, err := order(g, heuristic)
+		order, err := order(g, b.heuristic)
 		if err != nil {
 			return nil, err
 		}

@@ -263,11 +263,8 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // full pass's active set, the memoized path reads of every pair of nodes (and
 // an unknown name) must match their memo-free references, and every rate and
 // bottleneck flag must match the reference pass (refPass: a scan of every
-// link per round and FlowID re-sorted batches). The network under test runs
-// with 1, 2 or 3 shards, picked by the first byte (its value / 3), so the
-// per-link phases are checked cut into runs too. A twin network built with
-// SetFullRecompute(true) replays the same script on one shard, rebuilding
-// its flow side on every pass and flushing inside its transfer callbacks as
+// link per round and FlowID re-sorted batches). A twin network built with
+// SetFullRecompute(true) replays the same script, rebuilding its flow side on every pass and flushing inside its transfer callbacks as
 // the network's checks do: until the network absorbs a pass, its
 // digestNetwork and transfer results must equal the network's after every
 // operation and inside every callback, so local passes and capacity-only
@@ -281,7 +278,7 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 //	go test -run='^$' -fuzz=FuzzFlowChurnMatchesRescan -fuzztime=10s ./internal/simnet
 func FuzzFlowChurnMatchesRescan(f *testing.F) {
 	// The corpus: the byte streams of the deferred-pass script's seeds, on
-	// each grid (the first byte picks it) and one shard.
+	// each grid (the first byte picks it).
 	for _, seed := range []int64{3, 11, 29} {
 		b := make([]byte, 256)
 		rand.New(rand.NewSource(seed)).Read(b)
@@ -316,11 +313,10 @@ func FuzzFlowChurnMatchesRescan(f *testing.F) {
 		3, 1, // remove the co-located stream
 		7, 100, // run 2 s
 	})
-	// Three shards under link flaps: the epoch refresh of every direction's
-	// availability, and change-point prediction for links coming back, run
-	// cut into runs of linkOrder.
+	// Link flaps: the epoch refresh of every direction's availability, and
+	// change-point prediction for links coming back.
 	f.Add([]byte{
-		6,             // 3×3 grid, 3 shards
+		6,             // 3×3 grid
 		0, 0, 0, 8, 9, // stream g0 r000c000 -> r002c002, 10 Mbps
 		5, 1, 0, 8, 2, // transfer g1 r000c000 -> r002c002, 2 MB
 		7, 30, // run 0.6 s
@@ -412,11 +408,6 @@ func replayChurn(t *testing.T, data []byte) {
 		eng := sim.NewEngine(1)
 		s := &churnSide{topo: topo, eng: eng, net: New(eng, topo)}
 		s.net.SetFullRecompute(i == 1)
-		if i == 0 {
-			if err := s.net.SetShards(1 + first/3%3); err != nil {
-				t.Fatal(err)
-			}
-		}
 		defer s.net.Start()()
 		sides[i] = s
 	}

@@ -22,7 +22,7 @@ import (
 // between the mutations, so both schedules give bit-equal rates.
 func TestMutationsBetweenDispatchesCostOnePass(t *testing.T) {
 	build := func(readEach bool) ([]float64, uint64) {
-		topo := shardGrid(t, time.Minute)
+		topo := scenarioGrid(t, time.Minute)
 		eng := sim.NewEngine(5)
 		net := New(eng, topo)
 		net.Start()
@@ -122,7 +122,7 @@ func digestNetwork(net *Network) [sha256.Size]byte {
 func replayDeferredScript(t *testing.T, seed int64, eager bool) deferredRun {
 	t.Helper()
 	const horizon = 90 * time.Second
-	topo := shardGrid(t, horizon)
+	topo := scenarioGrid(t, horizon)
 	eng := sim.NewEngine(seed)
 	net := New(eng, topo)
 	stop := net.Start()
@@ -338,7 +338,7 @@ func TestDeferredScriptGolden(t *testing.T) {
 // transfer and so requests another pass. The flush must run that pass too,
 // at the same instant, before the engine moves the clock on.
 func TestDeferredPassRunsCallbackMutations(t *testing.T) {
-	topo := shardGrid(t, time.Minute)
+	topo := scenarioGrid(t, time.Minute)
 	eng := sim.NewEngine(9)
 	net := New(eng, topo)
 	net.Start()

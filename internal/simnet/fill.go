@@ -279,7 +279,7 @@ func (n *Network) blockedArgMin() (float64, int32) {
 }
 
 // waterFill is the progressive-filling round loop with demand caps over the
-// active set, from the residuals and counts resetLinks left. It ends by
+// active set, from the residuals and counts fullReallocate loaded. It ends by
 // writing every active flow's rate back to its struct.
 //
 // Each round costs what its freezes touch, not the size of the pass, without

@@ -107,9 +107,9 @@ func installGridStreams(t *testing.T, net *Network, side, streams int, seed int6
 }
 
 // TestGridPopulationGolden pins the city-grid population's horizon rates:
-// the event-driven driver, the per-second polling driver and a 4-way sharded
-// network must all land on the same literals. The digest covers AllocStats
-// too: all three run 11 full passes and absorb no reallocation request.
+// the event-driven driver and the per-second polling driver must both land
+// on the same literals. The digest covers AllocStats too: both run 11 full
+// passes and absorb no reallocation request.
 func TestGridPopulationGolden(t *testing.T) {
 	const (
 		wantChecksum = 128.5
@@ -121,11 +121,6 @@ func TestGridPopulationGolden(t *testing.T) {
 	}{
 		{"event-driven", func(*Network) {}},
 		{"polling", func(n *Network) { n.SetPolling(true) }},
-		{"shards4", func(n *Network) {
-			if err := n.SetShards(4); err != nil {
-				t.Fatal(err)
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checksum, digest := gridPopulation(t, tc.setup)

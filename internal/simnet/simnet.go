@@ -319,9 +319,6 @@ type Network struct {
 	fullOnly   bool // no reuse, no absorption: every pass is a full pass from scratch
 	alloc      AllocStats
 
-	// The per-link phases' fan-out over runs of linkOrder (see shard.go).
-	phases linkPhases
-
 	// pending marks a reallocation requested since the last flush; the pass
 	// runs at the next read or dispatch boundary (see flush).
 	pending bool
@@ -403,7 +400,6 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 		ls.idx = int32(i)
 	}
 	n.fill = newFillState(len(n.linkOrder))
-	n.cutShards(1)
 	eng.BeforeDispatch(n.flush)
 	topo.OnCapacityChange(func(mesh.LinkID) {
 		// A trace swapped mid-run may introduce an earlier capacity event
@@ -428,6 +424,13 @@ func (n *Network) SetPolling(v bool) {
 	n.polling = v
 }
 
+// SetShards does nothing and returns nil: the network runs its per-link
+// phases serially.
+//
+// Deprecated: kept only for callers that still set a shard count; it will
+// be removed.
+func (n *Network) SetShards(int) error { return nil }
+
 // Start begins trace-driven capacity updates and returns a stop function. In
 // the default event-driven mode it arms a wake-up at the next 1-second tick
 // where any link's observed capacity will move; in polling mode it samples
@@ -435,11 +438,9 @@ func (n *Network) SetPolling(v bool) {
 func (n *Network) Start() (stop func()) {
 	n.started = true
 	n.gridAnchor = n.eng.Now()
-	poolStop := n.startPool()
 	if n.polling {
 		n.tickStop = n.eng.Every(gridStep, n.pollTick)
 		return func() {
-			poolStop()
 			if n.tickStop != nil {
 				n.tickStop()
 				n.tickStop = nil
@@ -448,7 +449,6 @@ func (n *Network) Start() (stop func()) {
 	}
 	n.armChain()
 	return func() {
-		poolStop()
 		n.chainStopped = true
 		if n.hasArmed {
 			n.eng.Cancel(n.armedID)
@@ -585,15 +585,18 @@ func (n *Network) gridAtOrAfter(t time.Duration) time.Duration {
 // nextCapacityEventAfter returns the earliest grid tick strictly after now
 // at which any available link's sampled capacity differs from its current
 // value — the only future instant at which the polling driver would observe
-// a change.
+// a change. Links that are down stay pinned at zero until
+// ApplyTopologyState revives them.
 func (n *Network) nextCapacityEventAfter(now time.Duration) (time.Duration, bool) {
-	n.phases.now = now
-	n.phases.pool.Run(n.phases.nextEvent)
 	var best time.Duration
 	found := false
-	for _, s := range n.phases.shards {
-		if s.hasNext && (!found || s.nextEvent < best) {
-			best = s.nextEvent
+	for _, ls := range n.linkOrder {
+		if !ls.avail {
+			continue
+		}
+		t, ok := n.linkNextEvent(ls, now)
+		if ok && (!found || t < best) {
+			best = t
 			found = true
 		}
 	}
@@ -636,18 +639,37 @@ func (n *Network) linkNextEvent(ls *linkState, now time.Duration) (time.Duration
 // identical timing for changed links, which keeps the settle arithmetic —
 // and therefore all downstream float state — bit-identical across modes.
 func (n *Network) observeCapacities(now time.Duration) {
-	n.phases.now = now
-	n.phases.refresh = false
+	// The availability epoch moved: re-read every link's avail.
+	refresh := false
 	if ep := n.topo.AvailabilityEpoch(); ep != n.lastAvailEpoch {
 		n.lastAvailEpoch = ep
-		n.phases.refresh = true
+		refresh = true
 	}
-	n.phases.pool.Run(n.phases.observe)
-	for _, s := range n.phases.shards {
-		n.dirtyCount += s.dirtyDelta
-		if s.moved {
-			n.rateEpoch++ // spare capacity moves even when the pass is absorbed
+	moved := false
+	for _, ls := range n.linkOrder {
+		if refresh {
+			ls.avail = n.topo.LinkAvailable(ls.lid)
 		}
+		newCap := 0.0
+		if ls.avail {
+			newCap = ls.link.CapacityDir(ls.fwd).AtBps(now)
+		}
+		if newCap == ls.capacityBps {
+			continue
+		}
+		n.settleBacklog(ls, now)
+		moved = true
+		if !ls.dirty {
+			ls.dirty = true
+			n.dirtyCount++
+		}
+		if newCap < ls.capacityBps {
+			ls.shrunk = true
+		}
+		ls.capacityBps = newCap
+	}
+	if moved {
+		n.rateEpoch++ // spare capacity moves even when the pass is absorbed
 	}
 }
 
@@ -1383,8 +1405,8 @@ func (n *Network) canAbsorbCapacityChanges() bool {
 // last build (flowsDirty is false: a capacity-only pass), the fill's flow
 // side still describes the flow set, so the pass reuses it and only rates
 // the co-located flows that joined or changed demand on the bus; otherwise
-// buildFlowSide rebuilds it, sequentially in FlowID order at every shard
-// count. SetFullRecompute rebuilds on every pass.
+// buildFlowSide rebuilds it in FlowID order. SetFullRecompute rebuilds on
+// every pass.
 func (n *Network) fullReallocate() {
 	n.advanceProgress()
 	now := n.eng.Now()
@@ -1404,9 +1426,20 @@ func (n *Network) fullReallocate() {
 	n.dirtyCount = 0
 
 	// Settle backlogs before the demands their integrals depend on change,
-	// then load each direction's demand, residual and count (resetLinks).
-	n.phases.now = now
-	n.phases.pool.Run(n.phases.reset)
+	// then load each direction's stream demand from the fill's flow side and
+	// its residual and count for the round loop.
+	d := &n.fill
+	for _, ls := range n.linkOrder {
+		n.settleBacklog(ls, now)
+		l := ls.idx
+		ls.demandBps = d.demandSum[l]
+		ls.bottleneck = false
+		ls.dirty = false
+		ls.shrunk = false
+		k := &d.links[l]
+		k.residual = ls.capacityBps
+		k.count = d.links[l+1].cross - k.cross
+	}
 
 	n.waterFill()
 	// Every live flow crossing a direction is active (parked and co-located

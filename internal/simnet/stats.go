@@ -223,11 +223,7 @@ func (n *Network) ActiveFlows() (streams, transfers int) {
 // Served from the per-tag index in ascending FlowID order — the same
 // summation order as the full-scan form it replaced, so results are
 // bit-identical. Like every read it flushes a pending pass first, and it
-// writes nothing otherwise. Concurrent readers (the parallel evaluation
-// phase queries many tags at once) are safe because no pass is pending when
-// they fan out: the engine flushes at every dispatch boundary, and the
-// control tick mutates nothing before its fan-out, so each reader's flush is
-// a read of two false flags.
+// writes nothing otherwise.
 func (n *Network) FlowRateByTag(tag string) float64 {
 	n.flush()
 	var bps float64

@@ -34,8 +34,8 @@ func TestGenerateConcurrentDeterministic(t *testing.T) {
 		sequential[seed] = tr
 	}
 
-	// Every goroutine also walks the change-points of one shared trace, as
-	// sharded simnet workers read the trace both directions of a link share.
+	// Every goroutine also walks the change-points of one shared trace: a
+	// built trace is immutable, so concurrent readers need no lock.
 	shared := sequential[1]
 	walk := func() []time.Duration {
 		var at []time.Duration

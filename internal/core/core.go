@@ -108,7 +108,8 @@ type Config struct {
 	// declarative reconciliation loop: deployments register desired-state
 	// specs, and a reconciler diffs desired vs. observed placement every
 	// MonitorInterval, converging through idempotent, bounded actions (see
-	// internal/reconcile).
+	// internal/reconcile). Needs EnableMigration: failure verdicts come from
+	// the control loop (NewSimulation rejects it alone).
 	EnableReconcile bool
 	// EvalWorkers is ignored: the controller evaluates every application
 	// serially, in deployment order.
@@ -129,7 +130,8 @@ type Config struct {
 	// attached metric store and journals alert_fired/alert_resolved
 	// transitions (see internal/slo). Inert until AttachObservability
 	// supplies a store, and — like migration itself — only evaluated while
-	// the controller loop runs (EnableMigration).
+	// the controller loop runs, so it needs EnableMigration (NewSimulation
+	// rejects it alone).
 	EnableSLO bool
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -369,4 +370,31 @@ func TestNewSimulationRejectsForeignNode(t *testing.T) {
 	if err == nil {
 		t.Error("want error for node outside topology")
 	}
+}
+
+// TestNewSimulationRejectsLoopFeaturesWithoutMigration: reconciliation and
+// the SLO evaluator act only inside the control loop, which EnableMigration
+// starts, so either one alone would run inert (no detections, every SLO at
+// no-data). NewSimulation names the field and the reason; with migration
+// on, both are accepted.
+func TestNewSimulationRejectsLoopFeaturesWithoutMigration(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{EnableReconcile: true}, "EnableReconcile needs EnableMigration; the failure detector"},
+		{Config{EnableSLO: true}, "EnableSLO needs EnableMigration; the SLO evaluator ticks only"},
+		{Config{EnableReconcile: true, EnableSLO: true}, "EnableReconcile needs EnableMigration"},
+	} {
+		_, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: error %v, want one containing %q", c.cfg, err, c.want)
+		}
+	}
+	sim, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1,
+		Config{EnableMigration: true, EnableReconcile: true, EnableSLO: true})
+	if err != nil {
+		t.Fatalf("with migration: %v", err)
+	}
+	sim.Close()
 }

@@ -27,9 +27,17 @@ type Simulation struct {
 }
 
 // NewSimulation wires a simulation. Every node in nodes must exist in the
-// topology. The network's capacity ticks and the orchestrator's startup
-// probing round are armed; run with Run.
+// topology, and EnableReconcile and EnableSLO each need EnableMigration: both
+// act only inside the control loop, which migration starts, so without it
+// they would never run. The network's capacity ticks and the orchestrator's
+// startup probing round are armed; run with Run.
 func NewSimulation(topo *mesh.Topology, nodes []cluster.Node, seed int64, cfg Config) (*Simulation, error) {
+	if cfg.EnableReconcile && !cfg.EnableMigration {
+		return nil, fmt.Errorf("core: EnableReconcile needs EnableMigration; the failure detector whose verdicts the reconciler acts on runs only in the control loop")
+	}
+	if cfg.EnableSLO && !cfg.EnableMigration {
+		return nil, fmt.Errorf("core: EnableSLO needs EnableMigration; the SLO evaluator ticks only at the end of a control cycle")
+	}
 	for _, n := range nodes {
 		if !topo.HasNode(n.Name) {
 			return nil, fmt.Errorf("core: cluster node %q not in topology", n.Name)

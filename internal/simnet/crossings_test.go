@@ -93,60 +93,52 @@ func checkCachedReads(t testing.TB, net *Network) {
 	checkDemandOrder(t, net)
 }
 
-// refRoute is the path reads' route before the read memo: a fresh WalkRoute
-// per call, each hop's link state looked up by name.
-func refRoute(net *Network, src, dst string) ([]*linkState, error) {
+// refPathReads holds the three path reads as they were before the read
+// memo: PathAllocatedMbps, PathQueueDelay and PathLatencyOf, each with its
+// error.
+type refPathReads struct {
+	alloc              float64
+	queue, latency     time.Duration
+	allocErr, queueErr error
+	latencyErr         error
+}
+
+// readRefPath computes refPathReads from one fresh route walk, each hop's
+// link state looked up by name, so a pair costs one walk per operation.
+// Like the memoized reads, it flushes first. Co-located endpoints read the
+// node-local bus and no queue without checking their names; the latency is
+// the topology's PathLatency: the same walk's summed link latencies.
+func readRefPath(net *Network, src, dst string, demandMbps float64) refPathReads {
+	net.flush()
+	var r refPathReads
 	var hops []*linkState
-	if src == dst {
-		return hops, nil
-	}
-	err := net.topo.WalkRoute(src, dst, func(from, to string, _ *mesh.Link) {
+	err := net.topo.WalkRoute(src, dst, func(from, to string, l *mesh.Link) {
+		r.latency += l.LatencyOneWay
 		if ls, ok := net.links[dhop{from: from, to: to}]; ok {
 			hops = append(hops, ls)
 		}
 	})
-	return hops, err
-}
-
-// refPathAllocatedMbps, refPathQueueDelay and refPathLatencyOf are the three
-// path reads as they were before the read memo: each resolves its route anew.
-func refPathAllocatedMbps(net *Network, src, dst string, demandMbps float64) (float64, error) {
-	net.flush()
-	hops, err := refRoute(net, src, dst)
+	r.latencyErr = err
+	if src == dst {
+		r.alloc = min(demandMbps, LocalMbps)
+		return r
+	}
 	if err != nil {
-		return 0, err
+		r.allocErr, r.queueErr = err, err
+		return r
 	}
-	if len(hops) == 0 {
-		return min(demandMbps, LocalMbps), nil
-	}
-	rate := demandMbps
-	for _, ls := range hops {
-		if avail := spareMbps(ls); avail < rate {
-			rate = avail
-		}
-	}
-	return rate, nil
-}
-
-func refPathQueueDelay(net *Network, src, dst string) (time.Duration, error) {
-	net.flush()
-	hops, err := refRoute(net, src, dst)
-	if err != nil {
-		return 0, err
-	}
+	r.alloc = demandMbps
 	now := net.eng.Now()
-	var total time.Duration
 	for _, ls := range hops {
+		if avail := spareMbps(ls); avail < r.alloc {
+			r.alloc = avail
+		}
 		backlog := net.backlogAt(ls, now)
 		if backlog > 0 && ls.capacityBps > 0 {
-			total += time.Duration(backlog / ls.capacityBps * float64(time.Second))
+			r.queue += time.Duration(backlog / ls.capacityBps * float64(time.Second))
 		}
 	}
-	return total, nil
-}
-
-func refPathLatencyOf(net *Network, src, dst string) (time.Duration, error) {
-	return net.topo.PathLatency(src, dst)
+	return r
 }
 
 // sameErr reports whether two read errors agree: both nil, or the same text.
@@ -163,20 +155,18 @@ func checkPathReads(t testing.TB, net *Network, names []string) {
 	t.Helper()
 	for _, src := range names {
 		for _, dst := range names {
+			ref := readRefPath(net, src, dst, 17)
 			got, err := net.PathAllocatedMbps(src, dst, 17)
-			want, rerr := refPathAllocatedMbps(net, src, dst, 17)
-			if !sameBits(got, want) || !sameErr(err, rerr) {
-				t.Errorf("%v PathAllocatedMbps(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, got, err, want, rerr)
+			if !sameBits(got, ref.alloc) || !sameErr(err, ref.allocErr) {
+				t.Errorf("%v PathAllocatedMbps(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, got, err, ref.alloc, ref.allocErr)
 			}
 			q, err := net.PathQueueDelay(src, dst)
-			rq, rerr := refPathQueueDelay(net, src, dst)
-			if q != rq || !sameErr(err, rerr) {
-				t.Errorf("%v PathQueueDelay(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, q, err, rq, rerr)
+			if q != ref.queue || !sameErr(err, ref.queueErr) {
+				t.Errorf("%v PathQueueDelay(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, q, err, ref.queue, ref.queueErr)
 			}
 			l, err := net.PathLatencyOf(src, dst)
-			rl, rerr := refPathLatencyOf(net, src, dst)
-			if l != rl || !sameErr(err, rerr) {
-				t.Errorf("%v PathLatencyOf(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, l, err, rl, rerr)
+			if l != ref.latency || !sameErr(err, ref.latencyErr) {
+				t.Errorf("%v PathLatencyOf(%s, %s) = %v, %v; reference %v, %v", net.eng.Now(), src, dst, l, err, ref.latency, ref.latencyErr)
 			}
 		}
 	}
@@ -261,9 +251,11 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 // inside a reroute, the one place a flow leaves its directions before a pass
 // is requested. After every operation no removed flow may remain in the last
 // full pass's active set, the memoized path reads of every pair of nodes (and
-// an unknown name) must match their memo-free references, and every rate and
-// bottleneck flag must match the reference pass (refPass: a scan of every
-// link per round and FlowID re-sorted batches). A twin network built with
+// an unknown name) must match their memo-free references, every tag's bytes
+// and rate and every direction's carried bytes must match carryRef's
+// integral of each flow's rate, and every rate and bottleneck flag must
+// match the reference pass (refPass: a scan of every link per round and
+// FlowID re-sorted batches). A twin network built with
 // SetFullRecompute(true) replays the same script, rebuilding its flow side on every pass and flushing inside its transfer callbacks as
 // the network's checks do: until the network absorbs a pass, its
 // digestNetwork and transfer results must equal the network's after every
@@ -412,6 +404,7 @@ func replayChurn(t *testing.T, data []byte) {
 		sides[i] = s
 	}
 	net := sides[0].net
+	carried := newCarryRef(net)
 	both := func(fn func(s *churnSide)) {
 		for _, s := range sides {
 			fn(s)
@@ -541,6 +534,7 @@ func replayChurn(t *testing.T, data []byte) {
 		checkNoRemovedActive(t, net)
 		checkReferencePass(t, net)
 		checkTagRates(t, net, tags)
+		carried.check(t)
 		checkPathReads(t, net, names)
 		if t.Failed() {
 			t.FailNow()
@@ -708,11 +702,11 @@ func TestReentrantPassMatchesFullRecompute(t *testing.T) {
 			// touch a completion event after the callback returns.
 			events := map[FlowID]sim.EventID{}
 			for _, f := range net.transfers {
-				events[f.id] = f.completionEv
+				events[f.id] = f.xfer.completionEv
 			}
 			eng.At(eng.Now(), func() {
 				for _, f := range net.transfers {
-					if ev, ok := events[f.id]; ok && ev != f.completionEv {
+					if ev, ok := events[f.id]; ok && ev != f.xfer.completionEv {
 						t.Errorf("%v: transfer %d rescheduled after the nested pass", eng.Now(), f.id)
 					}
 				}

@@ -296,13 +296,17 @@ func TestDeferredPassMatchesEagerReads(t *testing.T) {
 
 // goldenDeferredScript pins replayDeferredScript per seed, {eager, deferred}:
 // the SHA-256 of every boundary digest, every log line and the count of
-// passes run (full and local), captured before the per-pass allocation cache,
-// the tag table, the kept demand order and the local pass landed. Those
-// changes must leave every read bit-equal, so the literals never move.
+// passes run (full and local). The per-pass allocation cache, the tag table,
+// the kept demand order and the local pass left every read bit-equal. The
+// literals were re-captured once, when progress stopped sweeping streams:
+// a stream now folds its bits per constant-rate interval and a direction
+// accrues allocBps × dt (unclipped at a transfer's last bit), which moves
+// BytesByTag and CarriedMB in their last bits. With those two reads left
+// out of digestNetwork, all six digests equal the ones before that change.
 var goldenDeferredScript = map[int64][2]string{
-	3:  {"fa88d84199ca32f103d5d0d23e15c045db2cb2a97faeb7b96da20d057411c8ee", "026d249eeafbda551866bc32757c7f5d966ea9d1a987ebea172ebfeb65142328"},
-	11: {"09475419e0a135fdf162b42c9e96a3e79c58966e8d2bfb54235647c9e7227755", "40b1f4ad74affdd6dea6f8e874703426e774768af651372e29e64aa111252002"},
-	29: {"52e2a7f8625f851a21e61622bc5bcdd55401a5846a0b30705753e521b03eba19", "2ada164ffc5d9ae9f4d82bcc6461a516648ce769b0f8b815a8b0b2138ecf85ca"},
+	3:  {"c6402db74efdb6ed3fd8ac2f0a8c4939994092bb3cbd8ff9f860314a2ec67b20", "d0303632f5a180483609e64df8d4e506f84ed75f2063cc74d1c171605b7baa11"},
+	11: {"492278b62c2ff8884775bd773433a70a411f6fbd58f4dc7b1bc8316cb3a55fb7", "9178e24c59c9fc458399827d0570ad0ed66028589858ea9ff27e2f7d976e4fce"},
+	29: {"68050f39b086203e1f0473f9108bffb6174aa3cc893f96b67f9e37cf429b3711", "f4bad64fe205f0285659476213d5ebe067558b8dd6caef6e449ebf14095f5eda"},
 }
 
 // hashDeferredRun folds one replay into a hex SHA-256.

@@ -94,13 +94,14 @@ func (d *fillState) crossing(l int32) []int32 {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // buildFlowSide renumbers the active set from flowOrder and rebuilds the
-// flow side from it. The same walk rates every parked flow at zero and every
-// co-located flow on the bus: a full pass needs that, and between passes it
-// restates the rates those flows already hold. Stream demand is summed per
-// direction in FlowID order, as the pass has always added it. Each
-// direction's flowCount is the length of its crossing list, so the lists are
-// laid out before the walk and filled in FlowID order during it, and every
-// slice is sized once: a city-scale install grows nothing by doubling.
+// flow side from it. The same walk drops flowOrder's tombstones and rates
+// every parked flow at zero and every co-located flow on the bus: a full
+// pass needs that, and between passes it restates the rates those flows
+// already hold. Stream demand is summed per direction in FlowID order, as
+// the pass has always added it. Each direction's flowCount is the length of
+// its crossing list, so the lists are laid out before the walk and filled in
+// FlowID order during it, and every slice is sized once: a city-scale
+// install grows nothing by doubling.
 func (n *Network) buildFlowSide() {
 	d := &n.fill
 	n.flowBuilds++
@@ -123,18 +124,23 @@ func (n *Network) buildFlowSide() {
 	fresh, demandSum := d.batch[:0], d.demandSum
 	clear(demandSum)
 	var at int32
-	for _, f := range n.flowOrder {
+	w := 0 // flowOrder's write cursor: the live flows walked so far
+	for i, f := range n.flowOrder {
 		if f.gone {
 			continue
 		}
+		if w < i {
+			n.flowOrder[w] = f
+		}
+		w++
 		if f.parked {
 			// Stranded by a fault: holds no links (linkPath is empty, which
 			// would otherwise read as co-location) and carries nothing.
-			f.rateBps = 0
+			n.setRate(f, 0)
 			continue
 		}
 		if len(f.linkPath) == 0 {
-			f.rateBps = busRate(f)
+			n.setRate(f, busRate(f))
 			continue
 		}
 		p := int32(len(flows))
@@ -161,6 +167,8 @@ func (n *Network) buildFlowSide() {
 		}
 	}
 	fl = append(fl, fillFlow{path: at})
+	clear(n.flowOrder[w:])
+	n.flowOrder, n.deadFlows = n.flowOrder[:w], 0
 	if len(flows) < prev {
 		clear(flows[len(flows):prev]) // drop references to flows that left
 	}
@@ -379,7 +387,7 @@ func (n *Network) waterFill() {
 	}
 	d.batch = batch
 	for p, f := range d.flows {
-		f.rateBps = active[p].rate
+		n.setRate(f, active[p].rate)
 	}
 }
 

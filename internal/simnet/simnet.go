@@ -14,14 +14,17 @@
 // Capacity scheduling is event-driven: each trace carries a change-point
 // index, and the network computes the exact next 1-second sampling tick at
 // which any link's observed capacity will move, then sleeps until it. Between
-// capacity events nothing is polled; flow progress and link backlogs are
-// anchored at the last settle point and integrated in closed form on demand
-// (read views) or at the next mutation (settles). SetPolling(true) restores
-// the legacy once-per-second polling driver; both drivers visit the same
-// 1-second sampling grid, settle state at the same virtual times with the
-// same arithmetic, and therefore produce bit-identical experiment output for
-// a given (topology, workload, seed) triple — the equivalence the package's
-// differential tests assert.
+// capacity events nothing is polled; progress and link backlogs are anchored
+// at the last settle point and integrated in closed form on demand (read
+// views) or at the next mutation (settles). A settle costs what moved, not
+// the flow set: it advances the live transfers, whose progress sets their
+// completion times, and each direction's carried bits by allocBps × dt,
+// while a stream folds its carried bits only when its rate changes.
+// SetPolling(true) restores the legacy once-per-second polling driver; both
+// drivers visit the same 1-second sampling grid, settle state at the same
+// virtual times with the same arithmetic, and therefore produce bit-identical
+// experiment output for a given (topology, workload, seed) triple — the
+// equivalence the package's differential tests assert.
 //
 // Allocation is incremental: every link carries a dirty flag and the set of
 // links that acted as water-filling bottlenecks in the last full pass is
@@ -102,7 +105,7 @@ const compactDeadFlows = 32
 type FlowID uint64
 
 // kind distinguishes flow types.
-type kind int
+type kind uint8
 
 // Flow kinds.
 const (
@@ -116,42 +119,44 @@ type dhop struct {
 }
 
 type flow struct {
-	id   FlowID
-	kind kind
-	tag  string
-	ts   *tagState // the tag's entry in Network.tags
-	src  string
-	dst  string
+	id  FlowID
+	tag string
+	ts  *tagState // the tag's entry in Network.tags
+	src string
+	dst string
 	// linkPath holds the link states along the routed path src→dst, in hop
 	// order (empty when co-located or parked), so the allocation hot loops
 	// never touch the link map.
 	linkPath []*linkState
 
 	demandBps float64 // rate cap; streams: offered rate, transfers: cap or unbounded
-	rateBps   float64 // current max-min allocation
+	rateBps   float64 // current max-min allocation; set through setRate
 
-	remainingBits float64 // transfers only; settled as of Network.lastAdvance
-	totalBits     float64
-	started       time.Duration
-	onComplete    func(TransferResult)
-	// fire is the transfer's completion-event callback, built once at
-	// AddTransfer so that rescheduling it in every full pass allocates nothing.
-	fire         func()
-	completionEv sim.EventID
+	// A stream's carried bits, folded one constant-rate interval at a time
+	// (see setRate and streamBits): carriedBits up to since, sinceRate from
+	// since to changedAt, and rateBps from changedAt on. A rate that moves
+	// and moves back within one instant, or is rewritten unchanged, folds
+	// nothing, so no schedule of passes leaves a trace in the sum.
+	carriedBits float64
+	sinceRate   float64
+	since       time.Duration
+	changedAt   time.Duration
+
+	xfer *transfer // transfers only: progress and completion
 
 	// cause is the journal span under which the flow was created (the deploy,
 	// migration, or failover that started it); network lifecycle events fall
 	// back to it when no fault is being applied.
 	cause uint64
 
-	hasEvent bool
+	kind kind // beside the flags, so the record packs into 160 bytes
 	// parked marks a flow whose endpoints are currently unreachable (node
 	// crash or partition): it holds no links, carries nothing, and resumes
 	// when a route reappears.
 	parked bool
 	// gone marks a removed flow still occupying a flowOrder slot; every
-	// iteration skips it and removeFlow compacts the slice once tombstones
-	// dominate, replacing the old O(n) splice per removal.
+	// iteration skips it, and the next flow-side build or a compaction in
+	// removeFlow drops it, replacing the old O(n) splice per removal.
 	gone bool
 	// inOrder marks a flow held in the fill's demand order at its current
 	// demand, at position pos of the last flow-side build. SetStreamDemand
@@ -160,9 +165,25 @@ type flow struct {
 	pos     int32
 }
 
+// transfer is a transfer's side of its flow record, allocated with it:
+// fields streams never use stay out of the flow, which every pass walks.
+type transfer struct {
+	remainingBits float64 // settled as of Network.lastAdvance
+	totalBits     float64
+	started       time.Duration
+	onComplete    func(TransferResult)
+	// fire is the transfer's completion-event callback, built once at
+	// AddTransfer so that rescheduling it in every full pass allocates nothing.
+	fire         func()
+	completionEv sim.EventID
+	hasEvent     bool
+}
+
 // tagState is one accounting tag's entry in Network.tags.
 type tagState struct {
-	bits float64 // cumulative bits carried, settled
+	// bits is the cumulative bits carried, settled: transfers credit it as
+	// they progress, streams when they leave.
+	bits float64
 	// seen marks a tag that has been credited at a settle (even with zero
 	// bits, when a transfer's last step was clipped to nothing): BytesByTag
 	// reports exactly the seen tags plus those of live flows.
@@ -336,8 +357,9 @@ type Network struct {
 	// argMinRounds counts blockedArgMin's calls and argMinVisits the links
 	// and block minima they read: the work blocking saves. flowBuilds counts
 	// buildFlowSide's calls: the passes and resyncs that rebuilt the flow
-	// side instead of reusing it.
-	argMinRounds, argMinVisits, flowBuilds uint64
+	// side instead of reusing it. sweptFlows counts the flows
+	// advanceProgress visited: the live transfers, never the streams.
+	argMinRounds, argMinVisits, flowBuilds, sweptFlows uint64
 
 	// reschedules counts rescheduleTransfers calls, so one can tell that a
 	// completion callback ran a nested pass.
@@ -838,13 +860,21 @@ func (n *Network) flowChanged(f *flow) {
 	}
 }
 
-// removeFlow is addFlow's inverse. The flowOrder slot is tombstoned rather
-// than spliced; once tombstones dominate, one compaction pass reclaims them,
-// making removal amortised O(1) instead of O(flows).
+// removeFlow is addFlow's inverse; a stream hands its carried bits to its
+// tag. The flowOrder slot is tombstoned rather than spliced; the next
+// flow-side build drops it, and once tombstones dominate before one, a
+// compaction pass reclaims them, making removal amortised O(1) instead of
+// O(flows).
 func (n *Network) removeFlow(f *flow) {
 	delete(n.flows, f.id)
 	f.gone = true
 	n.deadFlows++
+	if f.kind == kindStream {
+		if bits := streamBits(f, n.eng.Now()); bits != 0 {
+			f.ts.bits += bits
+			f.ts.seen = true
+		}
+	}
 	// Splice the flow out of its tag list, preserving ascending-ID order so
 	// per-tag float summation keeps the exact order of a flowOrder scan. Tag
 	// lists are per application edge — a handful of flows — so the copy is
@@ -950,10 +980,6 @@ func (n *Network) ShedFlowsByTagPrefix(prefix string) int {
 		}
 		n.plane.EmitSpan(obs.Event{Type: obs.EventFlowParked, Flow: f.tag,
 			Cause: n.eventCause(f), Reason: "application shed"})
-		if f.hasEvent {
-			n.eng.Cancel(f.completionEv)
-			f.hasEvent = false
-		}
 		n.removeFlow(f)
 	}
 	if shed > 0 {
@@ -1019,12 +1045,12 @@ func (n *Network) parkFlow(f *flow) {
 	}
 	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
 	f.linkPath = f.linkPath[:0]
-	f.rateBps = 0
+	n.setRate(f, 0)
 	f.parked = true
 	f.inOrder = false // leaves the active set; rejoins the demand order on resume
-	if f.kind == kindTransfer && f.hasEvent {
-		n.eng.Cancel(f.completionEv)
-		f.hasEvent = false
+	if x := f.xfer; x != nil && x.hasEvent {
+		n.eng.Cancel(x.completionEv)
+		x.hasEvent = false
 	}
 }
 
@@ -1045,20 +1071,21 @@ func (n *Network) setFlowPath(f *flow, hops []*linkState) {
 // failTransfer aborts a transfer whose endpoints became unreachable and
 // reports the loss to its callback.
 func (n *Network) failTransfer(f *flow) {
-	if f.hasEvent {
-		n.eng.Cancel(f.completionEv)
-		f.hasEvent = false
+	x := f.xfer
+	if x.hasEvent {
+		n.eng.Cancel(x.completionEv)
+		x.hasEvent = false
 	}
 	n.removeFlow(f)
 	n.failedTransfers++
 	n.plane.EmitSpan(obs.Event{Type: obs.EventTransferFailed, Flow: f.tag,
 		Cause: n.eventCause(f), Reason: "endpoints unreachable"})
-	if f.onComplete != nil {
-		f.onComplete(TransferResult{
+	if x.onComplete != nil {
+		x.onComplete(TransferResult{
 			ID:       f.id,
 			Tag:      f.tag,
-			Bits:     f.totalBits,
-			Started:  f.started,
+			Bits:     x.totalBits,
+			Started:  x.started,
 			Finished: n.eng.Now(),
 			Failed:   true,
 		})
@@ -1111,6 +1138,7 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 		return 0, fmt.Errorf("simnet: stream %s: %w", tag, err)
 	}
 	n.nextID++
+	now := n.eng.Now()
 	f := &flow{
 		id:        n.nextID,
 		kind:      kindStream,
@@ -1119,7 +1147,8 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 		dst:       dst,
 		linkPath:  slices.Clone(path),
 		demandBps: demandMbps * 1e6,
-		started:   n.eng.Now(),
+		since:     now,
+		changedAt: now,
 		cause:     n.causeSpan,
 	}
 	n.addFlow(f)
@@ -1210,22 +1239,32 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 		demand = capMbps * 1e6
 	}
 	n.nextID++
-	f := &flow{
-		id:            n.nextID,
-		kind:          kindTransfer,
-		tag:           tag,
-		src:           src,
-		dst:           dst,
-		linkPath:      slices.Clone(path),
-		demandBps:     demand,
-		remainingBits: bytes * 8,
-		totalBits:     bytes * 8,
-		started:       n.eng.Now(),
-		onComplete:    onComplete,
-		cause:         n.causeSpan,
+	// One allocation holds the flow and its transfer side.
+	rec := &struct {
+		f flow
+		x transfer
+	}{
+		f: flow{
+			id:        n.nextID,
+			kind:      kindTransfer,
+			tag:       tag,
+			src:       src,
+			dst:       dst,
+			linkPath:  slices.Clone(path),
+			demandBps: demand,
+			cause:     n.causeSpan,
+		},
+		x: transfer{
+			remainingBits: bytes * 8,
+			totalBits:     bytes * 8,
+			started:       n.eng.Now(),
+			onComplete:    onComplete,
+		},
 	}
+	f := &rec.f
+	f.xfer = &rec.x
 	id := f.id
-	f.fire = func() { n.completeTransfer(id) }
+	rec.x.fire = func() { n.completeTransfer(id) }
 	n.addFlow(f)
 	n.reallocate()
 	return f.id, nil
@@ -1239,19 +1278,24 @@ func (n *Network) CancelTransfer(id FlowID) error {
 		return fmt.Errorf("%w: transfer %d", errUnknownFlow, id)
 	}
 	n.advanceProgress()
-	if f.hasEvent {
-		n.eng.Cancel(f.completionEv)
+	if f.xfer.hasEvent {
+		n.eng.Cancel(f.xfer.completionEv)
 	}
 	n.removeFlow(f)
 	n.reallocate()
 	return nil
 }
 
-// advanceProgress credits every flow with the bits carried since the last
-// call, at the rates set by the previous allocation. Rates only change at
-// full passes and every full pass settles first, so deferring settles to
-// mutation points loses nothing; reads between settles go through the pure
-// views in stats.go.
+// advanceProgress settles progress since the last call at the rates set by
+// the previous allocation, touching only what the simulation reads back:
+// each live transfer's remainingBits (which its ETA comes from) and its
+// tag's bits, in FlowID order, and each direction's carried bits, which grow
+// by allocBps × dt — the sum of the rates crossing it, so a link costs O(1)
+// whatever crosses it. A stream's bits are not swept: it folds them when its
+// rate changes (setRate) and its tag collects them when it leaves
+// (removeFlow). Rates only change at passes and every pass settles first, so
+// deferring settles to mutation points loses nothing; reads between settles
+// go through the pure views in stats.go.
 func (n *Network) advanceProgress() {
 	now := n.eng.Now()
 	dt := (now - n.lastAdvance).Seconds()
@@ -1259,10 +1303,11 @@ func (n *Network) advanceProgress() {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range n.flowOrder {
-		if f.gone {
-			continue
-		}
+	for _, ls := range n.linkOrder {
+		ls.carriedBits += ls.allocBps * dt
+	}
+	n.sweptFlows += uint64(len(n.transfers))
+	for _, f := range n.transfers {
 		carried := f.rateBps * dt
 		if carried == 0 {
 			// Adding zero changes no value; skipping it keeps a tag unseen
@@ -1270,18 +1315,44 @@ func (n *Network) advanceProgress() {
 			// a not-yet-allocated flow leaves no trace.
 			continue
 		}
-		if f.kind == kindTransfer {
-			if carried > f.remainingBits {
-				carried = f.remainingBits
-			}
-			f.remainingBits -= carried
+		x := f.xfer
+		if carried > x.remainingBits {
+			carried = x.remainingBits
 		}
+		x.remainingBits -= carried
 		f.ts.bits += carried
 		f.ts.seen = true
-		for _, ls := range f.linkPath {
-			ls.carriedBits += carried
-		}
 	}
+}
+
+// setRate sets a flow's allocation. A stream whose rate moves at an instant
+// later than its last change first folds that change's interval, sinceRate
+// from since to changedAt, into its carried bits. So an interval closes only
+// after the instant its rate last changed: a rate moved and moved back
+// within one instant, or rewritten unchanged by a full pass, folds nothing.
+func (n *Network) setRate(f *flow, r float64) {
+	if r == f.rateBps {
+		return
+	}
+	if now := n.eng.Now(); f.kind == kindStream && now != f.changedAt {
+		if f.rateBps != f.sinceRate {
+			f.carriedBits += f.sinceRate * (f.changedAt - f.since).Seconds()
+			f.since, f.sinceRate = f.changedAt, f.rateBps
+		}
+		f.changedAt = now
+	}
+	f.rateBps = r
+}
+
+// streamBits reports the bits a stream has carried up to now: what setRate
+// folded, plus its last change's interval, plus the rate in force since.
+func streamBits(f *flow, now time.Duration) float64 {
+	bits, since, rate := f.carriedBits, f.since, f.sinceRate
+	if f.rateBps != rate {
+		bits += rate * (f.changedAt - since).Seconds()
+		since, rate = f.changedAt, f.rateBps
+	}
+	return bits + rate*(now-since).Seconds()
 }
 
 // reallocate requests a reallocation after a mutation. It only marks the
@@ -1416,7 +1487,7 @@ func (n *Network) fullReallocate() {
 		n.buildFlowSide()
 	} else {
 		for _, f := range n.busFlows {
-			f.rateBps = busRate(f)
+			n.setRate(f, busRate(f))
 		}
 	}
 	n.flowsDirty = false
@@ -1478,7 +1549,7 @@ func (n *Network) localReallocate() {
 		n.settleBacklog(ls, now)
 	}
 	for _, f := range n.busFlows {
-		f.rateBps = busRate(f)
+		n.setRate(f, busRate(f))
 	}
 	clear(n.busFlows)
 	n.busFlows = n.busFlows[:0]
@@ -1502,11 +1573,12 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 		if f.gone {
 			continue // removed by a reentrant completion callback
 		}
-		if f.hasEvent {
-			n.eng.Cancel(f.completionEv)
-			f.hasEvent = false
+		x := f.xfer
+		if x.hasEvent {
+			n.eng.Cancel(x.completionEv)
+			x.hasEvent = false
 		}
-		if f.remainingBits <= 1e-9 {
+		if x.remainingBits <= 1e-9 {
 			if len(f.linkPath) > 0 {
 				n.reallocate()
 			}
@@ -1519,12 +1591,12 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 		if f.rateBps <= 0 {
 			continue // stalled until conditions change
 		}
-		eta := time.Duration(f.remainingBits / f.rateBps * float64(time.Second))
+		eta := time.Duration(x.remainingBits / f.rateBps * float64(time.Second))
 		if eta < time.Nanosecond {
 			eta = time.Nanosecond
 		}
-		f.completionEv = n.eng.At(now+eta, f.fire)
-		f.hasEvent = true
+		x.completionEv = n.eng.At(now+eta, x.fire)
+		x.hasEvent = true
 	}
 }
 
@@ -1534,8 +1606,8 @@ func (n *Network) completeTransfer(id FlowID) {
 		return
 	}
 	n.advanceProgress()
-	f.hasEvent = false
-	if f.remainingBits > 1e-9 {
+	f.xfer.hasEvent = false
+	if f.xfer.remainingBits > 1e-9 {
 		// The event fired before the last bit: its ETA was truncated to the
 		// nanosecond. No rate moved since it was scheduled — every pass that
 		// moves a rate reschedules every transfer, and an absorbed pass moves
@@ -1556,12 +1628,12 @@ func (n *Network) completeTransfer(id FlowID) {
 
 func (n *Network) finishTransfer(f *flow) {
 	n.removeFlow(f)
-	if f.onComplete != nil {
-		f.onComplete(TransferResult{
+	if x := f.xfer; x.onComplete != nil {
+		x.onComplete(TransferResult{
 			ID:       f.id,
 			Tag:      f.tag,
-			Bits:     f.totalBits,
-			Started:  f.started,
+			Bits:     x.totalBits,
+			Started:  x.started,
 			Finished: n.eng.Now(),
 		})
 	}

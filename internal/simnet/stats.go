@@ -26,28 +26,28 @@ func (n *Network) LinkStats(from, to string) (LinkStats, error) {
 	return n.statsOf(ls), nil
 }
 
-// inflightBits reports the bits a flow has carried since the last settle —
-// the component the anchored accounting has not yet credited to the
-// cumulative counters.
-func (n *Network) inflightBits(f *flow, dt float64) float64 {
-	carried := f.rateBps * dt
-	if f.kind == kindTransfer && carried > f.remainingBits {
-		carried = f.remainingBits
+// liveBits reports the bits a live flow holds that its tag has not been
+// credited yet: a stream's whole carried total, or a transfer's progress
+// since the last settle, clipped to what it has left to send.
+func (n *Network) liveBits(f *flow, now time.Duration) float64 {
+	if f.kind == kindStream {
+		return streamBits(f, now)
 	}
-	return carried
+	dt := (now - n.lastAdvance).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return min(f.rateBps*dt, f.xfer.remainingBits)
 }
 
-// statsOf builds a pure point-in-time view after a flush: the allocation is
-// the pass's cached sum, and carried bytes and backlog are read from their
-// anchors plus the closed-form in-flight component, summed over the
-// direction's crossing list in ascending FlowID order, without settling
-// anything.
+// statsOf builds a pure point-in-time view after a flush, in O(1): the
+// allocation is the pass's cached sum, carried bytes are the settled count
+// plus allocBps × dt since the last settle, and the backlog its closed form,
+// without settling anything.
 func (n *Network) statsOf(ls *linkState) LinkStats {
 	var inflight float64
 	if dt := (n.eng.Now() - n.lastAdvance).Seconds(); dt > 0 {
-		for _, p := range n.fill.crossing(ls.idx) {
-			inflight += n.inflightBits(n.fill.flows[p], dt)
-		}
+		inflight = ls.allocBps * dt
 	}
 	return LinkStats{
 		From:          ls.hop.from,
@@ -163,22 +163,20 @@ func (n *Network) PathLatencyOf(src, dst string) (time.Duration, error) {
 }
 
 // BytesByTag returns cumulative megabytes carried per accounting tag,
-// including progress accrued since the last settle.
+// including progress accrued since the last settle: every tag that has been
+// credited, and every live flow's, whose bits it adds in FlowID order.
 func (n *Network) BytesByTag() map[string]float64 {
 	n.flush()
-	dt := (n.eng.Now() - n.lastAdvance).Seconds()
+	now := n.eng.Now()
 	out := make(map[string]float64, len(n.tags))
 	for tag, ts := range n.tags {
 		if ts.seen {
 			out[tag] = ts.bits / 8 / 1e6
 		}
 	}
-	if dt > 0 {
-		for _, f := range n.flowOrder {
-			if f.gone {
-				continue
-			}
-			out[f.tag] += n.inflightBits(f, dt) / 8 / 1e6
+	for _, f := range n.flowOrder {
+		if !f.gone {
+			out[f.tag] += n.liveBits(f, now) / 8 / 1e6
 		}
 	}
 	return out
@@ -195,10 +193,8 @@ func (n *Network) TagRate(tag string) float64 {
 	if ts := n.tags[tag]; ts != nil {
 		bits = ts.bits
 	}
-	if dt := (n.eng.Now() - n.lastAdvance).Seconds(); dt > 0 {
-		for _, f := range n.tagFlows(tag) {
-			bits += n.inflightBits(f, dt)
-		}
+	for _, f := range n.tagFlows(tag) {
+		bits += n.liveBits(f, n.eng.Now())
 	}
 	return bits / elapsed / 1e6 // bits per second → Mbps
 }

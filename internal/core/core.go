@@ -220,10 +220,7 @@ type Orchestrator struct {
 	// a quiet controller epoch run without allocating.
 	appScratch      []*appEvalScratch
 	cycleExclude    map[string]map[string]bool // controller's per-app re-migration guard, set per cycle
-	cycleNodes      []scheduler.NodeInfo
-	cycleNodesDirty bool
-	nodeView        []scheduler.NodeInfo // nodeInfos' reused buffer
-	schedNames      []string
+	view            nodeView                   // the scheduler's node view (nodeview.go)
 	fullProbeFn     func(mesh.LinkID) error
 	pathSpareFn     scheduler.PathQuery
 	pathQueryErrs   uint64
@@ -359,14 +356,16 @@ type planeRecorder struct {
 	cause uint64
 }
 
+// RecordExplanation fills one reused row per candidate, rewriting only the
+// fields that vary between candidates; EmitSpan stamps its own copy.
 func (r planeRecorder) RecordExplanation(ex scheduler.Explanation) {
-	for _, cs := range ex.Candidates {
-		r.plane.EmitSpan(obs.Event{
-			Type: obs.EventSchedCandidate, App: r.app, Component: ex.Component,
-			Node: cs.Node, Cause: r.cause, Reason: string(cs.Rejection),
-			Value: cs.Score, Want: float64(cs.DepCount),
-			Local: cs.LocalMbps, Remote: cs.RemoteMbps,
-		})
+	ev := obs.Event{Type: obs.EventSchedCandidate, App: r.app, Component: ex.Component, Cause: r.cause}
+	for i := range ex.Candidates {
+		cs := &ex.Candidates[i]
+		ev.Node, ev.Reason = cs.Node, string(cs.Rejection)
+		ev.Value, ev.Want = cs.Score, float64(cs.DepCount)
+		ev.Local, ev.Remote = cs.LocalMbps, cs.RemoteMbps
+		r.plane.EmitSpan(ev)
 	}
 }
 
@@ -437,44 +436,6 @@ func (o *Orchestrator) Stop() {
 // Reconciler exposes the reconciliation loop (nil unless EnableReconcile).
 func (o *Orchestrator) Reconciler() *reconcile.Reconciler { return o.rec }
 
-// nodeInfos rebuilds the scheduler's view of the cluster in a reused buffer
-// (deploy and failover paths; the control cycle reuses a snapshot via
-// cycleNodeInfos). The view is valid until the next call: no policy or
-// chooser keeps its nodes argument past returning.
-func (o *Orchestrator) nodeInfos() []scheduler.NodeInfo {
-	o.nodeView = o.appendNodeInfos(o.nodeView[:0])
-	return o.nodeView
-}
-
-// appendNodeInfos appends the scheduler's view of every schedulable node to
-// out, reusing its capacity.
-func (o *Orchestrator) appendNodeInfos(out []scheduler.NodeInfo) []scheduler.NodeInfo {
-	o.schedNames = o.clus.SchedulableNodesInto(o.schedNames[:0])
-	for _, name := range o.schedNames {
-		n, err := o.clus.Node(name)
-		if err != nil {
-			continue
-		}
-		free := o.clus.FreeCPU(name) - o.cfg.ReservedCPU
-		if free < 0 {
-			free = 0
-		}
-		total := n.CPU - o.cfg.ReservedCPU
-		if total < 0 {
-			total = 0
-		}
-		out = append(out, scheduler.NodeInfo{
-			Name:             name,
-			FreeCPU:          free,
-			FreeMemoryMB:     o.clus.FreeMemoryMB(name),
-			TotalCPU:         total,
-			TotalMemoryMB:    n.MemoryMB,
-			LinkCapacityMbps: o.monitor.NodeLinkCapacityMbps(name),
-		})
-	}
-	return out
-}
-
 // DeployAt schedules and starts a workload, forcing the listed components
 // (if any) onto the given nodes for the initial placement; they remain
 // migratable afterwards, unlike a dag.Pin label. Call Bootstrap first so the
@@ -509,7 +470,7 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 		if cerr != nil {
 			return nil, cerr
 		}
-		if perr := o.clus.Place(cluster.Placement{
+		if perr := o.place(cluster.Placement{
 			App:       name,
 			Component: comp,
 			Node:      node,
@@ -654,7 +615,7 @@ func (o *Orchestrator) ForceMigrate(appName, comp, toNode string) error {
 		return fmt.Errorf("%w: %q", errUnknownApp, appName)
 	}
 	from := o.clus.NodeOf(appName, comp)
-	if err := o.clus.Move(appName, comp, toNode); err != nil {
+	if err := o.move(appName, comp, toNode); err != nil {
 		return err
 	}
 	o.commitMigration(app, comp, from, toNode, 0, "forced by experiment script")

@@ -76,13 +76,13 @@ func (o *Orchestrator) handleNodeDown(node string, cause uint64) {
 	if err := o.clus.Cordon(node); err != nil {
 		return // unknown to the cluster: nothing placed there
 	}
-	o.cycleNodesDirty = true // cordon + evacuations change the node snapshot
+	o.view.built = false // the node set changed
 	cordonSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventCordon, Node: node,
 		Cause: cause, Reason: "node-down verdict"})
 	var stranded []pendingFailover
 	for _, appName := range o.appOrder {
 		for _, comp := range o.clus.ComponentsOn(appName, node) { // sorted
-			if err := o.clus.Remove(appName, comp); err != nil {
+			if err := o.remove(appName, comp); err != nil {
 				continue
 			}
 			evacSpan := o.plane.EmitSpan(obs.Event{Type: obs.EventEvacuate,
@@ -123,7 +123,7 @@ func (o *Orchestrator) handleNodeRecovered(node string, cause uint64) {
 	if err := o.clus.Uncordon(node); err != nil {
 		return
 	}
-	o.cycleNodesDirty = true
+	o.view.built = false // the node set changed
 	o.plane.Emit(obs.Event{Type: obs.EventUncordon, Node: node,
 		Cause: cause, Reason: "node recovered"})
 	if o.rec != nil {
@@ -218,7 +218,7 @@ func (o *Orchestrator) replace(app *deployedApp, comp *dag.Component, from strin
 	if err != nil {
 		return "", err
 	}
-	if err := o.clus.Place(cluster.Placement{
+	if err := o.place(cluster.Placement{
 		App:       app.name,
 		Component: comp.Name,
 		Node:      target,
@@ -227,7 +227,6 @@ func (o *Orchestrator) replace(app *deployedApp, comp *dag.Component, from strin
 	}); err != nil {
 		return "", err
 	}
-	o.cycleNodesDirty = true
 	o.failovers = append(o.failovers, FailoverEvent{
 		At:        o.eng.Now(),
 		App:       app.name,

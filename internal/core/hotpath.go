@@ -157,7 +157,6 @@ func (o *Orchestrator) fastControlCycle() {
 	}
 	cyc := o.ctrl.Observe(o.fullProbeFn)
 	o.cycleExclude = cyc.Exclude
-	o.cycleNodesDirty = true
 
 	for _, s := range o.appScratch {
 		o.evalApp(s)
@@ -218,26 +217,15 @@ func (o *Orchestrator) buildAssignment(s *appEvalScratch) {
 	}
 }
 
-// cycleNodeInfos returns the scheduler's node view for the current cycle,
-// rebuilding the reused snapshot only after something changed it (cycle
-// start, cordon/uncordon, any committed placement).
-func (o *Orchestrator) cycleNodeInfos() []scheduler.NodeInfo {
-	if o.cycleNodesDirty {
-		o.cycleNodes = o.appendNodeInfos(o.cycleNodes[:0])
-		o.cycleNodesDirty = false
-	}
-	return o.cycleNodes
-}
-
 // migrateFast moves one component to the best target node, reporting
-// success. It scores against the cycle's reused assignment and node snapshot.
+// success. It scores against the cycle's reused assignment and the node view.
 // cause is the span of the migration_candidate verdict that approved the
 // move; every journal event the move produces chains back to it.
 func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64) bool {
 	o.ctrlTargetScans++
 	app := s.app
 	target, err := scheduler.ChooseMigrationTarget(
-		app.graph, comp, s.assignment, o.cycleNodeInfos(), o.pathSpareFn,
+		app.graph, comp, s.assignment, o.nodeInfos(), o.pathSpareFn,
 		o.ctrl.Config().Migration,
 		scheduler.TargetOptions{Recorder: o.recorder(app.name, cause)},
 	)
@@ -248,14 +236,13 @@ func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64)
 		return false
 	}
 	from := s.assignment[comp]
-	if err := o.clus.Move(app.name, comp, target); err != nil {
+	if err := o.move(app.name, comp, target); err != nil {
 		o.ctrl.RecordMigrationFailure(app.name, comp)
 		o.plane.Emit(obs.Event{Type: obs.EventMigrationRejected, App: app.name,
 			Component: comp, To: target, Cause: cause, Reason: "commit failed: " + err.Error()})
 		return false
 	}
 	s.assignment[comp] = target
-	o.cycleNodesDirty = true
 	o.ctrl.RecordMigration(app.name, comp)
 	o.commitMigration(app, comp, from, target, cause, "bandwidth violation persisted past cooldown")
 	return true

@@ -64,7 +64,7 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 			return node, nil
 		}
 		// Still sitting on an unhealthy node: evacuate, then re-place.
-		if rerr := o.clus.Remove(a.App, a.Component); rerr != nil {
+		if rerr := o.remove(a.App, a.Component); rerr != nil {
 			return "", rerr
 		}
 	}
@@ -81,7 +81,7 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 }
 
 func (h reconcileHost) Evict(appName, component string, cause uint64) error {
-	if err := h.o.clus.Remove(appName, component); err != nil {
+	if err := h.o.remove(appName, component); err != nil {
 		return err
 	}
 	h.o.plane.Emit(obs.Event{Type: obs.EventEvacuate, App: appName,
@@ -101,7 +101,7 @@ func (h reconcileHost) Shed(appName string, cause uint64) {
 	}
 	for _, comp := range app.graph.Components() { // sorted: deterministic
 		if o.clus.NodeOf(appName, comp) != "" {
-			_ = o.clus.Remove(appName, comp)
+			_ = o.remove(appName, comp)
 		}
 	}
 	o.net.SetCause(cause)

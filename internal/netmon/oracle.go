@@ -3,8 +3,6 @@ package netmon
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"bass/internal/mesh"
 )
@@ -46,7 +44,7 @@ const (
 )
 
 // pathEntry is one memoised (src, dst) result in the oracle's flat
-// node-index-keyed table.
+// node-index-keyed table: 32 bytes, two to a cache line.
 type pathEntry struct {
 	version   uint64
 	capMbps   float64
@@ -63,19 +61,21 @@ type pathEntry struct {
 // that never issue path queries (bassd agents, unit fixtures) pay only the
 // index map.
 //
-// Concurrency: path queries may fill entries from several goroutines at
-// once, while probes — the only writers of link views and the generation —
-// never run concurrently with them. The RWMutex therefore only arbitrates
-// concurrent entry fills; a duplicate fill writes identical bytes. Cached
-// values are pure functions of (generation, link views, availability
-// epoch), so a query answers the same whichever goroutine fills it.
+// Layout: the table is destination-major, entry dst*n + src. A target
+// choice holds one placed dependency (the destination) fixed and varies the
+// candidate node (the source), so its reads walk one contiguous column
+// instead of striding a whole row per candidate.
+//
+// Concurrency: none. A monitor is driven by one goroutine — the simulation's
+// serial control plane, or bassd's monitor goroutine — and every query,
+// probe and generation bump runs on it, so reads, fills and the hit/miss
+// counters are plain memory operations.
 type pathOracle struct {
-	mu      sync.RWMutex
 	idx     map[string]int
 	n       int
-	entries []pathEntry
-	version uint64 // current generation; entries match or are stale
-	epoch   uint64 // topo availability epoch folded into version so far
+	entries []pathEntry // dst*n + src
+	version uint64      // current generation; entries match or are stale
+	epoch   uint64      // topo availability epoch folded into version so far
 
 	hits   uint64
 	misses uint64
@@ -90,31 +90,19 @@ func newPathOracle(nodes []string) *pathOracle {
 }
 
 // bump invalidates every cached entry.
-func (o *pathOracle) bump() {
-	o.mu.Lock()
-	o.version++
-	o.mu.Unlock()
-}
+func (o *pathOracle) bump() { o.version++ }
 
 // syncEpoch folds the topology's availability epoch into the generation:
 // route shapes changed, so every cached bottleneck is suspect.
 func (o *pathOracle) syncEpoch(epoch uint64) {
-	o.mu.RLock()
-	same := o.epoch == epoch
-	o.mu.RUnlock()
-	if same {
-		return
-	}
-	o.mu.Lock()
 	if o.epoch != epoch {
 		o.epoch = epoch
 		o.version++
 	}
-	o.mu.Unlock()
 }
 
-// slot maps a node pair to its table index, reporting whether both nodes are
-// known to the oracle.
+// slot maps a node pair to its table index, dst*n + src, reporting whether
+// both nodes are known to the oracle.
 func (o *pathOracle) slot(src, dst string) (int, bool) {
 	i, ok := o.idx[src]
 	if !ok {
@@ -124,43 +112,16 @@ func (o *pathOracle) slot(src, dst string) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return i*o.n + j, true
+	return j*o.n + i, true
 }
 
-// lookup returns the cached result for slot if its generation is current.
-// The boolean reports a hit; ver is the generation a subsequent fill must
-// still match.
-func (o *pathOracle) lookup(slot int) (pathEntry, uint64, bool) {
-	o.mu.RLock()
-	ver := o.version
-	var e pathEntry
-	hit := false
-	if o.entries != nil {
-		e = o.entries[slot]
-		hit = e.version == ver
+// entry returns the table entry for slot, allocating the table on first
+// use. The entry is current when its version equals o.version.
+func (o *pathOracle) entry(slot int) *pathEntry {
+	if o.entries == nil {
+		o.entries = make([]pathEntry, o.n*o.n)
 	}
-	o.mu.RUnlock()
-	if hit {
-		atomic.AddUint64(&o.hits, 1)
-	} else {
-		atomic.AddUint64(&o.misses, 1)
-	}
-	return e, ver, hit
-}
-
-// fill stores a computed result unless the generation moved underneath the
-// computation (a probe landed mid-fill), in which case the stale value is
-// discarded rather than poisoning the new generation.
-func (o *pathOracle) fill(slot int, ver uint64, e pathEntry) {
-	o.mu.Lock()
-	if o.version == ver {
-		if o.entries == nil {
-			o.entries = make([]pathEntry, o.n*o.n)
-		}
-		e.version = ver
-		o.entries[slot] = e
-	}
-	o.mu.Unlock()
+	return &o.entries[slot]
 }
 
 // result converts a cached entry back into the public shape.
@@ -187,19 +148,15 @@ func entryFrom(pm PathMetrics, err error) pathEntry {
 	}
 }
 
-// OracleStats reports the path oracle's hit accounting. Reads are not
-// synchronised with in-flight queries; call it from the same serial context
-// that drives the monitor.
+// OracleStats reports the path oracle's hit accounting. Call it from the
+// goroutine that drives the monitor.
 type OracleStats struct {
 	Hits, Misses uint64
 }
 
 // OracleStats exposes cache effectiveness for benchmarks and experiments.
 func (m *Monitor) OracleStats() OracleStats {
-	return OracleStats{
-		Hits:   atomic.LoadUint64(&m.oracle.hits),
-		Misses: atomic.LoadUint64(&m.oracle.misses),
-	}
+	return OracleStats{Hits: m.oracle.hits, Misses: m.oracle.misses}
 }
 
 // PathMetrics reports the bottleneck capacity AND spare capacity between two
@@ -212,22 +169,26 @@ func (m *Monitor) PathMetrics(src, dst string) (PathMetrics, error) {
 		return m.pathMetricsUncached(src, dst)
 	}
 	o.syncEpoch(m.topo.AvailabilityEpoch())
-	e, ver, hit := o.lookup(slot)
-	if hit {
+	e := o.entry(slot)
+	if e.version == o.version {
+		o.hits++
 		return e.result()
 	}
+	o.misses++
 	pm, err := m.pathMetricsUncached(src, dst)
 	if err != nil {
 		err = errPathUnavailable
 	}
-	o.fill(slot, ver, entryFrom(pm, err))
+	// The walk reads link views only, so no probe can have moved the
+	// generation underneath it.
+	*e = entryFrom(pm, err)
+	e.version = o.version
 	return pm, err
 }
 
-// PathMetricsBatch resolves every request into out (resliced and returned),
-// amortising the epoch sync and lock traffic across the batch — the shape
-// the control cycle wants: one call per application, one entry per deployed
-// edge.
+// PathMetricsBatch resolves every request, in order, into out (resliced and
+// returned) — the shape the control cycle wants: one call per application,
+// one entry per deployed edge, answered into reused scratch.
 func (m *Monitor) PathMetricsBatch(reqs []PathRequest, out []PathResult) []PathResult {
 	out = out[:0]
 	for _, r := range reqs {

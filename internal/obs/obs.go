@@ -204,7 +204,8 @@ type Event struct {
 }
 
 // Journal is a bounded ring buffer of events. It is safe for concurrent use;
-// a nil *Journal discards appends for free.
+// a nil *Journal discards appends for free. An appended event is copied
+// once, straight into its ring slot.
 type Journal struct {
 	mu      sync.Mutex
 	buf     []Event
@@ -230,16 +231,22 @@ func (j *Journal) Append(ev Event) {
 	if j == nil {
 		return
 	}
+	j.append(&ev)
+}
+
+// append copies *ev into its ring slot, evicting the oldest event when the
+// ring is full: the one copy Append and Plane.EmitSpan make of an event.
+func (j *Journal) append(ev *Event) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
+		j.buf[(j.start+j.n)%len(j.buf)] = *ev
 		j.n++
-		return
+	} else {
+		j.buf[j.start] = *ev
+		j.start = (j.start + 1) % len(j.buf)
+		j.dropped++
 	}
-	j.buf[j.start] = ev
-	j.start = (j.start + 1) % len(j.buf)
-	j.dropped++
+	j.mu.Unlock()
 }
 
 // Len reports the number of retained events.
@@ -408,7 +415,7 @@ func (p *Plane) EmitSpan(ev Event) uint64 {
 	if ev.Span == 0 {
 		ev.Span = p.nextSpan()
 	}
-	p.journal.Append(ev)
+	p.journal.append(&ev)
 	if p.tap != nil {
 		p.tap(ev)
 	}

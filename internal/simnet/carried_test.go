@@ -324,9 +324,14 @@ func TestAdvanceVisitsTransfersOnly(t *testing.T) {
 
 // TestFlowRecordSize keeps the flow record at 176 bytes or less: a
 // city-scale network holds 100k of them, and a stream's byte accounting
-// fields fit only because a transfer's fields live in its side record.
+// fields fit only because a transfer's fields live in its side record. A
+// transfer's combined flow+transfer allocation stays at 208 bytes, inside
+// the 208-byte size class rather than the 224-byte one.
 func TestFlowRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(flow{}); size > 176 {
 		t.Errorf("flow record is %d bytes, want at most 176", size)
+	}
+	if size := unsafe.Sizeof(transferRecord{}); size > 208 {
+		t.Errorf("transfer record is %d bytes, want at most 208", size)
 	}
 }

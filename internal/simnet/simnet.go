@@ -174,9 +174,17 @@ type transfer struct {
 	onComplete    func(TransferResult)
 	// fire is the transfer's completion-event callback, built once at
 	// AddTransfer so that rescheduling it in every full pass allocates nothing.
-	fire         func()
+	fire func()
+	// completionEv is the scheduled completion event, 0 when none is: engine
+	// ids start at 1, and every cancel or firing zeroes it.
 	completionEv sim.EventID
-	hasEvent     bool
+}
+
+// transferRecord is the one allocation AddTransfer makes for a transfer: the
+// flow and its transfer side together, 208 bytes, Go's 208-byte size class.
+type transferRecord struct {
+	f flow
+	x transfer
 }
 
 // tagState is one accounting tag's entry in Network.tags.
@@ -1048,9 +1056,9 @@ func (n *Network) parkFlow(f *flow) {
 	n.setRate(f, 0)
 	f.parked = true
 	f.inOrder = false // leaves the active set; rejoins the demand order on resume
-	if x := f.xfer; x != nil && x.hasEvent {
+	if x := f.xfer; x != nil && x.completionEv != 0 {
 		n.eng.Cancel(x.completionEv)
-		x.hasEvent = false
+		x.completionEv = 0
 	}
 }
 
@@ -1072,9 +1080,9 @@ func (n *Network) setFlowPath(f *flow, hops []*linkState) {
 // reports the loss to its callback.
 func (n *Network) failTransfer(f *flow) {
 	x := f.xfer
-	if x.hasEvent {
+	if x.completionEv != 0 {
 		n.eng.Cancel(x.completionEv)
-		x.hasEvent = false
+		x.completionEv = 0
 	}
 	n.removeFlow(f)
 	n.failedTransfers++
@@ -1239,11 +1247,7 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 		demand = capMbps * 1e6
 	}
 	n.nextID++
-	// One allocation holds the flow and its transfer side.
-	rec := &struct {
-		f flow
-		x transfer
-	}{
+	rec := &transferRecord{
 		f: flow{
 			id:        n.nextID,
 			kind:      kindTransfer,
@@ -1278,8 +1282,9 @@ func (n *Network) CancelTransfer(id FlowID) error {
 		return fmt.Errorf("%w: transfer %d", errUnknownFlow, id)
 	}
 	n.advanceProgress()
-	if f.xfer.hasEvent {
+	if f.xfer.completionEv != 0 {
 		n.eng.Cancel(f.xfer.completionEv)
+		f.xfer.completionEv = 0
 	}
 	n.removeFlow(f)
 	n.reallocate()
@@ -1574,9 +1579,9 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 			continue // removed by a reentrant completion callback
 		}
 		x := f.xfer
-		if x.hasEvent {
+		if x.completionEv != 0 {
 			n.eng.Cancel(x.completionEv)
-			x.hasEvent = false
+			x.completionEv = 0
 		}
 		if x.remainingBits <= 1e-9 {
 			if len(f.linkPath) > 0 {
@@ -1596,7 +1601,6 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 			eta = time.Nanosecond
 		}
 		x.completionEv = n.eng.At(now+eta, x.fire)
-		x.hasEvent = true
 	}
 }
 
@@ -1606,7 +1610,7 @@ func (n *Network) completeTransfer(id FlowID) {
 		return
 	}
 	n.advanceProgress()
-	f.xfer.hasEvent = false
+	f.xfer.completionEv = 0
 	if f.xfer.remainingBits > 1e-9 {
 		// The event fired before the last bit: its ETA was truncated to the
 		// nanosecond. No rate moved since it was scheduled — every pass that

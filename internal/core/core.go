@@ -244,8 +244,10 @@ type Orchestrator struct {
 	nodeDownSpan  map[string]uint64
 
 	// plane is the observability plane shared with the monitor and
-	// controller; nil (the default) records nothing at no cost.
-	plane *obs.Plane
+	// controller; nil (the default) records nothing at no cost. boardRows is
+	// planeRecorder's reused scoreboard.
+	plane     *obs.Plane
+	boardRows []obs.BoardRow
 
 	// SLO state (see internal/slo); sloEval is nil unless Config.EnableSLO
 	// and AttachObservability has run. epochGapH feeds the control loop's
@@ -351,22 +353,22 @@ func (o *Orchestrator) SLO() *slo.Evaluator { return o.sloEval }
 // row of an Explanation becomes one sched_candidate journal event under the
 // decision's cause span, so bass-trace explain can rebuild the scoreboard.
 type planeRecorder struct {
-	plane *obs.Plane
+	o     *Orchestrator
 	app   string
 	cause uint64
 }
 
-// RecordExplanation fills one reused row per candidate, rewriting only the
-// fields that vary between candidates; EmitSpan stamps its own copy.
+// RecordExplanation copies the scoreboard into the orchestrator's reused
+// board rows and journals them as one board.
 func (r planeRecorder) RecordExplanation(ex scheduler.Explanation) {
-	ev := obs.Event{Type: obs.EventSchedCandidate, App: r.app, Component: ex.Component, Cause: r.cause}
+	rows := r.o.boardRows[:0]
 	for i := range ex.Candidates {
 		cs := &ex.Candidates[i]
-		ev.Node, ev.Reason = cs.Node, string(cs.Rejection)
-		ev.Value, ev.Want = cs.Score, float64(cs.DepCount)
-		ev.Local, ev.Remote = cs.LocalMbps, cs.RemoteMbps
-		r.plane.EmitSpan(ev)
+		rows = append(rows, obs.BoardRow{Node: cs.Node, Reason: string(cs.Rejection),
+			Value: cs.Score, Want: float64(cs.DepCount), Local: cs.LocalMbps, Remote: cs.RemoteMbps})
 	}
+	r.o.boardRows = rows
+	r.o.plane.EmitBoard(obs.Event{Type: obs.EventSchedCandidate, App: r.app, Component: ex.Component, Cause: r.cause}, rows)
 }
 
 // recorder builds a scheduler Recorder journaling under the given cause, or
@@ -375,7 +377,7 @@ func (o *Orchestrator) recorder(app string, cause uint64) scheduler.Recorder {
 	if !o.plane.Enabled() {
 		return nil
 	}
-	return planeRecorder{plane: o.plane, app: app, cause: cause}
+	return planeRecorder{o: o, app: app, cause: cause}
 }
 
 // Observability returns the attached plane (nil when unattached).

@@ -105,7 +105,8 @@ func TestNodeViewMatchesRebuild(t *testing.T) {
 		if diff := sameNodeInfos(o.view.infos, o.appendNodeInfos(nil)); diff != "" {
 			t.Errorf("at %v after %s %s/%s: %s", ev.At, ev.Type, ev.App, ev.Component, diff)
 		}
-	})
+	}, obs.EventSchedule, obs.EventMigration, obs.EventFailover, obs.EventReconcileAction,
+		obs.EventCordon, obs.EventUncordon, obs.EventEvacuate, obs.EventProbeFull)
 
 	for i := 0; i < apps; i++ {
 		cell := (i * 7) % (rows * cols)

@@ -12,18 +12,19 @@
 //
 // Cost contract: an unattached plane is a nil pointer, every method on which
 // is a nil-check and return — components instrument unconditionally and pay
-// nothing until someone attaches a journal or store.
+// nothing until someone attaches a journal or store. An attached journal
+// costs what it holds: its ring is allocated in 1,024-record chunks as it
+// fills, each record is 112 bytes with no pointers (names are interned
+// symbols, resolved back to strings only by Events and WriteJSONL), so the
+// garbage collector scans just the intern table. An append writes one ring
+// slot in place; EmitBoard writes a choice's candidate rows under one lock;
+// the SLO tap is called only for the event types it registered.
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bass/internal/metricstore"
@@ -203,104 +204,6 @@ type Event struct {
 	Budget float64 `json:"budget,omitempty"`
 }
 
-// Journal is a bounded ring buffer of events. It is safe for concurrent use;
-// a nil *Journal discards appends for free. An appended event is copied
-// once, straight into its ring slot.
-type Journal struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live events in buf
-	dropped uint64
-}
-
-// DefaultJournalCapacity bounds journal memory when no capacity is given.
-const DefaultJournalCapacity = 1 << 14
-
-// NewJournal returns a journal retaining the last capacity events
-// (DefaultJournalCapacity when capacity ≤ 0).
-func NewJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = DefaultJournalCapacity
-	}
-	return &Journal{buf: make([]Event, capacity)}
-}
-
-// Append records an event, evicting the oldest when full. Nil-safe.
-func (j *Journal) Append(ev Event) {
-	if j == nil {
-		return
-	}
-	j.append(&ev)
-}
-
-// append copies *ev into its ring slot, evicting the oldest event when the
-// ring is full: the one copy Append and Plane.EmitSpan make of an event.
-func (j *Journal) append(ev *Event) {
-	j.mu.Lock()
-	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = *ev
-		j.n++
-	} else {
-		j.buf[j.start] = *ev
-		j.start = (j.start + 1) % len(j.buf)
-		j.dropped++
-	}
-	j.mu.Unlock()
-}
-
-// Len reports the number of retained events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-// Dropped reports how many events the ring evicted.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// Events returns the retained events, oldest first.
-func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Event, j.n)
-	for i := 0; i < j.n; i++ {
-		out[i] = j.buf[(j.start+i)%len(j.buf)]
-	}
-	return out
-}
-
-// WriteJSONL writes the retained events as one JSON object per line, oldest
-// first. Same events ⇒ same bytes: encoding uses only the fixed Event fields.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, j.Events())
-}
-
-// WriteJSONL encodes events as JSONL.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // Summarize renders "type:count" pairs sorted by type — the compact journal
 // annotation experiment tables print.
 func Summarize(events []Event) string {
@@ -326,6 +229,11 @@ func Summarize(events []Event) string {
 // Plane bundles a journal and a metric store behind one virtual clock.
 // Either half may be nil; a nil *Plane as a whole is the unattached fast
 // path.
+//
+// Emission is serial: one goroutine drives a plane (the simulation's event
+// loop, or bassd's monitor goroutine), so span allocation and the tap need
+// no synchronisation. The journal and store stay safe for concurrent
+// readers, such as bassd's HTTP handlers.
 type Plane struct {
 	journal *Journal
 	store   *metricstore.Store
@@ -337,23 +245,36 @@ type Plane struct {
 	// function of (seed, emission order): no wall clock, no randomness, so the
 	// byte-identical-at-equal-seeds journal guarantee extends to spans.
 	spanBase uint64
-	spanSeq  uint64 // accessed atomically
+	spanSeq  uint64
 
-	// tap, when set, sees every journaled event after it is stamped — the SLO
-	// evaluator's ground-truth tracker hangs here. Emission is serial by the
-	// control plane's commit-phase invariant, so the tap needs no locking of
-	// its own.
-	tap func(Event)
+	// tap, when set, sees each journaled event of the tapTypes after it is
+	// stamped — the SLO evaluator's ground-truth tracker hangs here.
+	tap      func(Event)
+	tapTypes []EventType
 }
 
-// SetTap registers a function observing every journaled event (nil clears
-// it). The tap runs inside EmitSpan on the emitting goroutine; keep it cheap
-// and allocation-free.
-func (p *Plane) SetTap(tap func(Event)) {
+// SetTap registers a function observing the journaled events of the given
+// types (nil clears it); events of other types never reach it. The tap runs
+// inside EmitSpan on the emitting goroutine; keep it cheap and
+// allocation-free.
+func (p *Plane) SetTap(tap func(Event), types ...EventType) {
 	if p == nil {
 		return
 	}
-	p.tap = tap
+	p.tap, p.tapTypes = tap, types
+}
+
+// tapped reports whether the tap observes events of type t.
+func (p *Plane) tapped(t EventType) bool {
+	if p.tap == nil {
+		return false
+	}
+	for _, tt := range p.tapTypes {
+		if tt == t {
+			return true
+		}
+	}
+	return false
 }
 
 // SetTraceSeed namespaces the plane's span IDs by the run seed: span =
@@ -368,7 +289,8 @@ func (p *Plane) SetTraceSeed(seed int64) {
 
 // nextSpan allocates the next deterministic span ID.
 func (p *Plane) nextSpan() uint64 {
-	return p.spanBase | atomic.AddUint64(&p.spanSeq, 1)
+	p.spanSeq++
+	return p.spanBase | p.spanSeq
 }
 
 // NewPlane wires a plane. now supplies virtual time; journal and store may
@@ -416,10 +338,35 @@ func (p *Plane) EmitSpan(ev Event) uint64 {
 		ev.Span = p.nextSpan()
 	}
 	p.journal.append(&ev)
-	if p.tap != nil {
+	if p.tapped(ev.Type) {
 		p.tap(ev)
 	}
 	return ev.Span
+}
+
+// EmitBoard journals one event per row, sharing tmpl's fields: the rows of
+// one choice's scoreboard. The rows get the virtual time and consecutive
+// spans that len(rows) EmitSpan calls would give them (tmpl.Span is
+// ignored), but the journal interns the template once and writes every row
+// under one lock. A tap of tmpl's type then sees each row in order.
+// Nil-safe.
+func (p *Plane) EmitBoard(tmpl Event, rows []BoardRow) {
+	if p == nil || p.journal == nil || len(rows) == 0 {
+		return
+	}
+	tmpl.At = p.now()
+	span0 := p.spanBase | (p.spanSeq + 1)
+	p.spanSeq += uint64(len(rows))
+	p.journal.appendBoard(&tmpl, span0, rows)
+	if p.tapped(tmpl.Type) {
+		for i := range rows {
+			ev, row := tmpl, &rows[i]
+			ev.Span = span0 + uint64(i)
+			ev.Node, ev.Reason = row.Node, row.Reason
+			ev.Value, ev.Want, ev.Local, ev.Remote = row.Value, row.Want, row.Local, row.Remote
+			p.tap(ev)
+		}
+	}
 }
 
 // Metric appends a labeled sample at the current virtual time. Labels are

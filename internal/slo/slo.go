@@ -230,13 +230,15 @@ func New(plane *obs.Plane, cfg Config) *Evaluator {
 	if e.store != nil {
 		e.firingH = e.store.Handle(obs.MetricAlertsFiring, nil)
 	}
-	plane.SetTap(e.observe)
+	plane.SetTap(e.observe, obs.EventHeadroomViolation, obs.EventProbeError, obs.EventFault,
+		obs.EventProbeFull, obs.EventProbeHeadroom)
 	return e
 }
 
 // observe is the plane tap: remember the newest ground-truth span so alerts
-// can point at the observation that breached the budget. Runs on the
-// emitting goroutine; emission is serial by the commit-phase invariant.
+// can point at the observation that breached the budget. The plane calls it
+// only for the five types it reads (see New). Runs on the emitting
+// goroutine; emission is serial (see obs.Plane).
 func (e *Evaluator) observe(ev obs.Event) {
 	switch ev.Type {
 	case obs.EventHeadroomViolation, obs.EventProbeError, obs.EventFault:

@@ -159,16 +159,16 @@ func newHTTPMux(stats http.Handler, store *metricstore.Store, journal *obs.Journ
 	mux.Handle("/api/v1/", store.Handler())
 	mux.Handle("/metrics", store.PrometheusHandler())
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
-		events := journal.Events()
+		var events []obs.Event
 		if q := r.URL.Query().Get("n"); q != "" {
 			n, err := strconv.Atoi(q)
 			if err != nil || n < 0 {
 				http.Error(w, "n must be a non-negative integer", http.StatusBadRequest)
 				return
 			}
-			if n < len(events) {
-				events = events[len(events)-n:]
-			}
+			events = journal.Tail(n, nil)
+		} else {
+			events = journal.Events()
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = obs.WriteJSONL(w, events)
@@ -397,18 +397,21 @@ func (m *monitor) finishSweep() {
 	m.publishFrame()
 }
 
+// frameRows is how many alert and activity rows a dashboard frame carries.
+const frameRows = 16
+
 // publishFrame rebuilds the cached /stream frame. Called from the monitor
-// goroutine only (the evaluator snapshot is not concurrency-safe).
+// goroutine only (the evaluator snapshot is not concurrency-safe). It reads
+// the journal's tail, so its cost follows the rows shown, not the ring.
 func (m *monitor) publishFrame() {
-	events := m.journal.Events()
 	now := m.clock()
 	f := dash.Frame{
 		AtMs:           now.UnixMilli(),
 		Firing:         m.eval.Firing(),
 		SLOs:           m.eval.Snapshot(),
-		Alerts:         dash.RecentAlerts(events, 16),
-		Activity:       dash.RecentActivity(events, 16),
-		JournalEvents:  len(events),
+		Alerts:         m.journal.Tail(frameRows, dash.IsAlert),
+		Activity:       m.journal.Tail(frameRows, dash.IsActivity),
+		JournalEvents:  m.journal.Len(),
 		JournalDropped: m.journal.Dropped(),
 	}
 	// A link shows once it has a capacity estimate; its headroom is the

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -577,5 +578,53 @@ func TestNewMonitorRejectsBadPeers(t *testing.T) {
 		if _, err := newMonitor(testSelf, peers, obs.NewJournal(0), plane, time.Second, time.Second); err == nil {
 			t.Errorf("%s: peers %q accepted", name, peers)
 		}
+	}
+}
+
+// TestPublishFrameReadsTail pins the dashboard's read of a full default
+// journal: the frame's alert and activity rows are the newest of each kind,
+// as the slice readers pick them from every event, and building the frame
+// allocates for the rows it shows, not for the ring (Events alone copies
+// every retained event, 16,384 × 240 B).
+func TestPublishFrameReadsTail(t *testing.T) {
+	journal := obs.NewJournal(0)
+	mon, _ := testMonitor(t, []string{"127.0.0.1:9101"}, journal, metricstore.New(0))
+	for i := 0; journal.Dropped() == 0; i++ {
+		ev := obs.Event{At: time.Duration(i) * time.Millisecond, Type: obs.EventProbeHeadroom, Link: "a-b", Value: float64(i)}
+		switch {
+		case i%701 == 0:
+			ev.Type, ev.SLO = obs.EventAlertFired, "mesh/headroom"
+		case i%499 == 0:
+			ev.Type, ev.App = obs.EventMigration, fmt.Sprintf("app%d", i)
+		}
+		journal.Append(ev)
+	}
+	mon.publishFrame()
+	f := mon.currentFrame()
+	events := journal.Events()
+	if want := dash.RecentAlerts(events, frameRows); len(f.Alerts) != frameRows || !reflect.DeepEqual(f.Alerts, want) {
+		t.Errorf("frame alerts = %d rows %+v, want %+v", len(f.Alerts), f.Alerts, want)
+	}
+	if want := dash.RecentActivity(events, frameRows); len(f.Activity) != frameRows || !reflect.DeepEqual(f.Activity, want) {
+		t.Errorf("frame activity = %d rows %+v, want %+v", len(f.Activity), f.Activity, want)
+	}
+	if f.JournalEvents != len(events) || f.JournalDropped != journal.Dropped() {
+		t.Errorf("frame counts %d events, %d dropped; want %d and %d", f.JournalEvents, f.JournalDropped, len(events), journal.Dropped())
+	}
+
+	allocs := testing.AllocsPerRun(20, mon.publishFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		mon.publishFrame()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("publishFrame on a full journal: %.0f allocs, %d B per frame", allocs, bytes)
+	// Two 16-row panes are 2 × 16 × 240 B = 7.5 KiB; the SLO snapshot and
+	// link rows add a few hundred bytes.
+	if allocs > 32 || bytes > 16<<10 {
+		t.Errorf("publishFrame allocates %.0f times, %d B per frame on a full journal; want ≤ 32 and ≤ 16 KiB", allocs, bytes)
 	}
 }

@@ -1,6 +1,7 @@
 package socialnet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -70,6 +71,36 @@ func TestGraphEdgeOrderDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Graph().Edges(), again.Graph().Edges()) {
 		t.Fatal("Graph().Edges() order differs between identical New calls")
+	}
+}
+
+// TestEdgeTotalsOneBitPattern pins the migration ranking's sort key: each
+// component's bandwidth total over its edges (scheduler's
+// FindMigrationCandidates ranks by it) has one bit pattern across 200 builds
+// in one process. A sum over the Neighbors map gave 6 of the 28 components
+// two or three totals, its order changing from build to build.
+func TestEdgeTotalsOneBitPattern(t *testing.T) {
+	totals := map[string]map[uint64]bool{}
+	for range 200 {
+		a, err := New(Config{ClientNode: "node1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := a.Graph()
+		for _, name := range g.Components() {
+			if totals[name] == nil {
+				totals[name] = map[uint64]bool{}
+			}
+			totals[name][math.Float64bits(g.EdgeMbps(name))] = true
+		}
+	}
+	if len(totals) != 28 {
+		t.Errorf("%d components, want 28", len(totals))
+	}
+	for name, seen := range totals {
+		if len(seen) != 1 {
+			t.Errorf("component %s has %d distinct totals over 200 builds, want 1", name, len(seen))
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ type Orchestrator struct {
 	apps        map[string]*deployedApp
 	appOrder    []string
 	migrations  []MigrationEvent
-	evaluations []EvaluationRecord
+	evaluations evalLog
 	stopMonitor func()
 	schedLat    ringF64 // per-component scheduling latencies (Table 3)
 	dagProc     ringF64 // DAG processing times (Table 4)
@@ -398,9 +398,7 @@ func (o *Orchestrator) Migrations() []MigrationEvent {
 
 // Evaluations returns the controller cycle log.
 func (o *Orchestrator) Evaluations() []EvaluationRecord {
-	out := make([]EvaluationRecord, len(o.evaluations))
-	copy(out, o.evaluations)
-	return out
+	return o.evaluations.all()
 }
 
 // Bootstrap performs the startup max-capacity probing round (§4.2) and, if

@@ -55,6 +55,35 @@ func (r *ringF64) snapshot() []float64 {
 	return append(out, r.buf...)
 }
 
+// evalChunkShift sizes the controller cycle log's chunks: 1<<10 records,
+// 32 KiB.
+const evalChunkShift = 10
+
+// evalLog is the controller cycle log: append-only, in fixed chunks
+// allocated as they fill, so it grows without copying what it holds.
+type evalLog struct {
+	chunks [][]EvaluationRecord
+	n      int
+}
+
+func (l *evalLog) append(r EvaluationRecord) {
+	if l.n&(1<<evalChunkShift-1) == 0 {
+		l.chunks = append(l.chunks, make([]EvaluationRecord, 0, 1<<evalChunkShift))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, r)
+	l.n++
+}
+
+// all returns the log's records in append order, copied.
+func (l *evalLog) all() []EvaluationRecord {
+	out := make([]EvaluationRecord, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // edgeState is one DAG edge with its accounting tag and goodput metric
 // handle precomputed, so the hot path never rebuilds tag strings or store
 // keys.
@@ -192,7 +221,7 @@ func (o *Orchestrator) fastControlCycle() {
 				}
 			}
 		}
-		o.evaluations = append(o.evaluations, EvaluationRecord{
+		o.evaluations.append(EvaluationRecord{
 			At:         o.eng.Now(),
 			Violating:  len(s.report.Violating),
 			Candidates: len(s.report.Candidates),

@@ -200,6 +200,21 @@ func (g *Graph) Neighbors(name string) map[string]float64 {
 	return out
 }
 
+// EdgeMbps returns the bandwidth on a component's edges in both directions,
+// summed over its out-edges and then its in-edges, each in insertion order:
+// one bit pattern per graph, where a sum over Neighbors' map would vary with
+// iteration order.
+func (g *Graph) EdgeMbps(name string) float64 {
+	total := 0.0
+	for _, e := range g.out[name] {
+		total += e.BandwidthMbps
+	}
+	for _, e := range g.in[name] {
+		total += e.BandwidthMbps
+	}
+	return total
+}
+
 // TopoSort returns the components in topological order. Ties are broken by
 // insertion order so results are deterministic. It returns errCycle if the
 // graph is not a DAG and errEmptyGraph if it has no components.

@@ -90,8 +90,13 @@ func ReadFrames(r io.Reader, fn func(Frame) bool) error {
 	return sc.Err()
 }
 
-// isActivity reports whether an event belongs in the frame's activity pane.
-func isActivity(t obs.EventType) bool {
+// IsAlert reports whether an event belongs in the frame's alert pane.
+func IsAlert(t obs.EventType) bool {
+	return t == obs.EventAlertFired || t == obs.EventAlertResolved
+}
+
+// IsActivity reports whether an event belongs in the frame's activity pane.
+func IsActivity(t obs.EventType) bool {
 	switch t {
 	case obs.EventMigration, obs.EventFailover, obs.EventFailoverQueued,
 		obs.EventEvacuate, obs.EventNodeDown, obs.EventNodeRecovered,
@@ -102,17 +107,17 @@ func isActivity(t obs.EventType) bool {
 	return false
 }
 
-// RecentAlerts returns the newest n alert events, oldest first.
+// RecentAlerts returns the newest n alert events of a slice, oldest first:
+// what Journal.Tail(n, IsAlert) reads off a journal.
 func RecentAlerts(events []obs.Event, n int) []obs.Event {
-	return tail(events, n, func(t obs.EventType) bool {
-		return t == obs.EventAlertFired || t == obs.EventAlertResolved
-	})
+	return tail(events, n, IsAlert)
 }
 
-// RecentActivity returns the newest n migration/failover/reconcile events,
-// oldest first.
+// RecentActivity returns the newest n migration/failover/reconcile events of
+// a slice, oldest first: what Journal.Tail(n, IsActivity) reads off a
+// journal.
 func RecentActivity(events []obs.Event, n int) []obs.Event {
-	return tail(events, n, isActivity)
+	return tail(events, n, IsActivity)
 }
 
 func tail(events []obs.Event, n int, keep func(obs.EventType) bool) []obs.Event {

@@ -25,12 +25,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -112,46 +112,136 @@ type series struct {
 	labels map[string]string
 	key    string
 
-	raw            []Sample
-	rawStart, rawN int
+	// chunks hold the ring's records, allocated as it first fills: the
+	// first starts at two records and grows by doubling up to chunkLen,
+	// each later one is chunkLen records, and the last is cut to what
+	// remains of MaxSamples.
+	chunks   [][]rec
+	start, n int // ring position of the oldest record, live records
+	// loc is the zone of the series' first sample; every sample is read
+	// back in it.
+	loc *time.Location
 	// unordered is set, for good, by the first append older than its
-	// predecessor. While clear the ring is sorted by At and window reads
-	// binary-search it; once set they scan the whole ring.
+	// predecessor. While clear the ring is sorted by instant and window
+	// reads binary-search it; once set they scan the whole ring.
 	unordered bool
 }
 
-func (sr *series) append(cfg Config, smp Sample) {
-	if sr.rawN > 0 && smp.At.Before(sr.rawAt(sr.rawN-1).At) {
-		sr.unordered = true
-	}
-	if sr.rawN < cfg.MaxSamples {
-		sr.raw = append(sr.raw, smp)
-		sr.rawN++
-		return
-	}
-	sr.raw[sr.rawStart] = smp
-	sr.rawStart = (sr.rawStart + 1) % len(sr.raw)
+// rec is one retained sample: its instant in Unix nanoseconds and its value.
+// It holds no pointer, so the garbage collector never scans a ring.
+type rec struct {
+	ns int64
+	v  float64
 }
 
-func (sr *series) rawAt(i int) Sample {
-	if i += sr.rawStart; i >= len(sr.raw) {
-		i -= len(sr.raw) // one wrap at most (i < rawN ≤ len); a % here costs a division per sample folded
+// chunkShift sizes a ring's chunks: 1<<8 records, 4 KiB.
+const (
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift
+)
+
+// The instants a record holds: int64 Unix nanoseconds span 1677-09-21 to
+// 2262-04-11 UTC.
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano returns at in Unix nanoseconds, ok=false when at lies outside
+// [minTime, maxTime] and an int64 cannot hold it.
+func unixNano(at time.Time) (ns int64, ok bool) {
+	if at.Before(minTime) || at.After(maxTime) {
+		return 0, false
 	}
-	return sr.raw[i]
+	return at.UnixNano(), true
+}
+
+// lowerBound returns the least holdable instant at or after t, ok=false
+// when there is none.
+func lowerBound(t time.Time) (ns int64, ok bool) {
+	if t.Before(minTime) {
+		return math.MinInt64, true
+	}
+	return unixNano(t)
+}
+
+// upperBound returns the greatest holdable instant at or before t, ok=false
+// when there is none.
+func upperBound(t time.Time) (ns int64, ok bool) {
+	if t.After(maxTime) {
+		return math.MaxInt64, true
+	}
+	return unixNano(t)
+}
+
+// append adds a record at instant at (within [minTime, maxTime]), evicting
+// the oldest once the ring holds maxSamples.
+func (sr *series) append(maxSamples int, at time.Time, r rec) {
+	if sr.loc == nil {
+		sr.loc = at.Location()
+	}
+	if sr.n > 0 && r.ns < sr.at(sr.n-1).ns {
+		sr.unordered = true
+	}
+	if sr.n == maxSamples {
+		*sr.at(0) = r
+		if sr.start++; sr.start == sr.n {
+			sr.start = 0
+		}
+		return
+	}
+	c := sr.n >> chunkShift
+	switch {
+	case c == 0 && len(sr.chunks) == 0:
+		sr.chunks = [][]rec{make([]rec, 0, min(2, maxSamples))}
+	case c == 0 && len(sr.chunks[0]) == cap(sr.chunks[0]):
+		first := make([]rec, len(sr.chunks[0]), min(2*cap(sr.chunks[0]), chunkLen, maxSamples))
+		copy(first, sr.chunks[0])
+		sr.chunks[0] = first
+	case c == len(sr.chunks):
+		sr.chunks = append(sr.chunks, make([]rec, 0, min(chunkLen, maxSamples-sr.n)))
+	}
+	sr.chunks[c] = append(sr.chunks[c], r)
+	sr.n++
+}
+
+// at returns the i-th live record, oldest first. Until the ring is full
+// start is 0, so a position wraps only in a full ring, whose length is n.
+func (sr *series) at(i int) *rec {
+	pos := sr.start + i
+	if pos >= sr.n {
+		pos -= sr.n // one wrap at most (i < n); a % here costs a division per sample folded
+	}
+	return &sr.chunks[pos>>chunkShift][pos&(chunkLen-1)]
+}
+
+// sample returns the i-th live record as a Sample, in the series' zone.
+func (sr *series) sample(i int) Sample {
+	r := sr.at(i)
+	return Sample{At: time.Unix(0, r.ns).In(sr.loc), Value: r.v}
 }
 
 // Store holds series in memory. It is safe for concurrent use. Each series
 // is capped at Config.MaxSamples samples (the oldest evicted first), bounding
 // memory for long runs.
+//
+// One plain mutex guards it. Every writer appends from one goroutine (the
+// simulation's event loop, or bassd's monitor) and reads are few (bassd's
+// HTTP handlers, the SLO evaluator's one window read per epoch), so a
+// reader-shared lock would buy no parallelism and its write unlock costs
+// more per append.
 type Store struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	cfg      Config
 	series   map[string]*series
 	byMetric map[string]*metricIndex
 	dropped  uint64 // samples refused by the cardinality guard
+	// outOfRange counts samples refused because no int64 Unix-nanosecond
+	// instant holds their At.
+	outOfRange uint64
 	// visited counts the samples window reads have examined: a work count
-	// for the complexity tests. Reads share the lock, so it is atomic.
-	visited atomic.Uint64
+	// for the complexity tests.
+	visited uint64
 }
 
 // index is a list of series in creation order. Series are never deleted, so
@@ -193,7 +283,7 @@ func (s *Store) metricIndexLocked(metric string) *metricIndex {
 }
 
 // labelIndex returns the list for one label pair, creating it empty if
-// absent. Callers hold the store's write lock.
+// absent. Callers hold the store lock.
 func (mi *metricIndex) labelIndex(lp labelPair) *index {
 	ix := mi.byLabel[lp]
 	if ix == nil {
@@ -276,10 +366,21 @@ func (s *Store) newSeriesLocked(metric string, labels map[string]string, key str
 // the cardinality guard it is dropped and counted in the
 // metricstore_dropped_samples_total self-metric (which is exempt from the
 // guard) — a series explosion degrades into a visible counter, not an OOM.
+//
+// A series holds instants as int64 Unix nanoseconds, so a sample whose At
+// lies before 1677-09-21 or after 2262-04-11 UTC (the zero Time among them)
+// is refused and counted in StoreStats.OutOfRangeSamples; it never wraps to
+// another instant. A sample reads back at the same instant, in the zone of
+// its series' first sample, without a monotonic clock reading.
 func (s *Store) Append(metric string, labels map[string]string, at time.Time, value float64) {
 	key := seriesKey(metric, labels)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ns, ok := unixNano(at)
+	if !ok {
+		s.outOfRange++
+		return
+	}
 	sr, ok := s.series[key]
 	if !ok {
 		if len(s.series) >= s.cfg.MaxSeries {
@@ -289,12 +390,12 @@ func (s *Store) Append(metric string, labels map[string]string, at time.Time, va
 			if !ok {
 				guard = s.newSeriesLocked(metricDroppedSamples, nil, gk)
 			}
-			guard.append(s.cfg, Sample{At: at, Value: float64(s.dropped)})
+			guard.append(s.cfg.MaxSamples, at, rec{ns, float64(s.dropped)})
 			return
 		}
 		sr = s.newSeriesLocked(metric, labels, key)
 	}
-	sr.append(s.cfg, Sample{At: at, Value: value})
+	sr.append(s.cfg.MaxSamples, at, rec{ns, value})
 }
 
 // Handle is a pre-resolved series for repeated appends: the canonical key is
@@ -323,13 +424,18 @@ func (s *Store) Handle(metric string, labels map[string]string) Handle {
 	return Handle{s: s, sr: sr}
 }
 
-// Append records a sample on the pre-resolved series.
+// Append records a sample on the pre-resolved series, refusing an At out of
+// range as Store.Append does.
 func (h Handle) Append(at time.Time, value float64) {
 	if h.s == nil {
 		return
 	}
 	h.s.mu.Lock()
-	h.sr.append(h.s.cfg, Sample{At: at, Value: value})
+	if ns, ok := unixNano(at); ok {
+		h.sr.append(h.s.cfg.MaxSamples, at, rec{ns, value})
+	} else {
+		h.s.outOfRange++
+	}
 	h.s.mu.Unlock()
 }
 
@@ -338,18 +444,26 @@ type StoreStats struct {
 	Series         int    `json:"series"`
 	MaxSeries      int    `json:"max_series"`
 	DroppedSamples uint64 `json:"dropped_samples"`
+	// OutOfRangeSamples counts samples refused because their At lies
+	// outside the int64 Unix-nanosecond range (years 1677–2262).
+	OutOfRangeSamples uint64 `json:"out_of_range_samples"`
 }
 
 // SamplesVisited is how many samples window reads (AggOver and its
 // Selection twins) have walked after their binary search, over the store's
 // life.
-func (s *Store) SamplesVisited() uint64 { return s.visited.Load() }
+func (s *Store) SamplesVisited() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.visited
+}
 
 // Stats reports current cardinality and guard activity.
 func (s *Store) Stats() StoreStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return StoreStats{Series: len(s.series), MaxSeries: s.cfg.MaxSeries, DroppedSamples: s.dropped}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return StoreStats{Series: len(s.series), MaxSeries: s.cfg.MaxSeries, DroppedSamples: s.dropped,
+		OutOfRangeSamples: s.outOfRange}
 }
 
 // matchesLabels reports whether the label set carries every selector label.
@@ -370,8 +484,8 @@ func matchesLabels(labels, selector map[string]string) bool {
 // Query returns copies of all series of the metric matching the selector
 // labels, with samples restricted to [from, to] (zero times = unbounded).
 func (s *Store) Query(metric string, selector map[string]string, from, to time.Time) []Series {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var matched []*series
 	for _, sr := range s.candidates(metric, selector) {
 		if matchesLabels(sr.labels, selector) {
@@ -379,18 +493,20 @@ func (s *Store) Query(metric string, selector map[string]string, from, to time.T
 		}
 	}
 	sortByKey(matched)
+	lo, hi, inRange := int64(math.MinInt64), int64(math.MaxInt64), true
+	if !from.IsZero() {
+		lo, inRange = lowerBound(from)
+	}
+	if !to.IsZero() && inRange {
+		hi, inRange = upperBound(to)
+	}
 	var out []Series
 	for _, sr := range matched {
 		copied := Series{Metric: sr.metric, Labels: copyLabels(sr.labels)}
-		for i := 0; i < sr.rawN; i++ {
-			sample := sr.rawAt(i)
-			if !from.IsZero() && sample.At.Before(from) {
-				continue
+		for i := 0; i < sr.n && inRange; i++ {
+			if r := sr.at(i); r.ns >= lo && r.ns <= hi {
+				copied.Samples = append(copied.Samples, sr.sample(i))
 			}
-			if !to.IsZero() && sample.At.After(to) {
-				continue
-			}
-			copied.Samples = append(copied.Samples, sample)
 		}
 		out = append(out, copied)
 	}
@@ -399,27 +515,25 @@ func (s *Store) Query(metric string, selector map[string]string, from, to time.T
 
 // Latest returns the most recent sample across the series matching the
 // metric and selector, with ok=false when absent or empty. It scans under the
-// read lock without copying — going through Query would deep-copy every
+// store lock without copying — going through Query would deep-copy every
 // matching series' full sample history per call, O(total samples) on the
 // controller's per-sweep read path just to look at the last element.
 func (s *Store) Latest(metric string, selector map[string]string) (Sample, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best Sample
-	found := false
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var best *series
 	for _, sr := range s.candidates(metric, selector) {
-		if !matchesLabels(sr.labels, selector) {
+		if !matchesLabels(sr.labels, selector) || sr.n == 0 {
 			continue
 		}
-		if sr.rawN > 0 {
-			last := sr.rawAt(sr.rawN - 1)
-			if !found || last.At.After(best.At) {
-				best = last
-				found = true
-			}
+		if best == nil || sr.at(sr.n-1).ns > best.at(best.n-1).ns {
+			best = sr
 		}
 	}
-	return best, found
+	if best == nil {
+		return Sample{}, false
+	}
+	return best.sample(best.n - 1), true
 }
 
 // Agg is a windowed aggregate over every matching sample.
@@ -437,42 +551,42 @@ func (a Agg) Avg() float64 {
 	return a.Sum / float64(a.Count)
 }
 
-func (a *Agg) foldSample(s Sample) {
+func (a *Agg) fold(v float64) {
 	if a.Count == 0 {
-		a.Min, a.Max = s.Value, s.Value
+		a.Min, a.Max = v, v
 	} else {
-		if s.Value < a.Min {
-			a.Min = s.Value
+		if v < a.Min {
+			a.Min = v
 		}
-		if s.Value > a.Max {
-			a.Max = s.Value
+		if v > a.Max {
+			a.Max = v
 		}
 	}
-	a.Sum += s.Value
+	a.Sum += v
 	a.Count++
 }
 
-// aggInto folds the series' samples in [from, to] into a, oldest first, and
-// returns how many samples its walk took in after the search. The fold starts at
-// the first sample a walk of the whole ring would select and stops at the
-// first one past the window, so it visits exactly the samples that walk
-// selects, in the same order — sums are bit-equal to it. An unordered ring
-// is walked whole.
-func (sr *series) aggInto(a *Agg, from, to time.Time) (visited int) {
+// aggInto folds the series' samples in [lo, hi] (Unix nanoseconds) into a,
+// oldest first, and returns how many samples its walk took in after the
+// search. The fold starts at the first sample a walk of the whole ring would
+// select and stops at the first one past the window, so it visits exactly
+// the samples that walk selects, in the same order — sums are bit-equal to
+// it. An unordered ring is walked whole.
+func (sr *series) aggInto(a *Agg, lo, hi int64) (visited int) {
 	i := 0
 	if !sr.unordered {
-		i = sort.Search(sr.rawN, func(i int) bool { return !sr.rawAt(i).At.Before(from) })
+		i = sort.Search(sr.n, func(i int) bool { return sr.at(i).ns >= lo })
 	}
 	start := i
-	for ; i < sr.rawN; i++ {
-		smp := sr.rawAt(i)
-		if smp.At.Before(from) || smp.At.After(to) {
+	for ; i < sr.n; i++ {
+		r := sr.at(i)
+		if r.ns < lo || r.ns > hi {
 			if sr.unordered {
 				continue
 			}
-			break // sorted and searched past from: this and all later ones are past to
+			break // sorted and searched past lo: this and all later ones are past hi
 		}
-		a.foldSample(smp)
+		a.fold(r.v)
 	}
 	return i - start
 }
@@ -481,15 +595,19 @@ func (sr *series) aggInto(a *Agg, from, to time.Time) (visited int) {
 // srs matching selector, in slice (= creation) order, each folded over
 // [now-window, now]. Callers hold the store lock.
 func (s *Store) aggSeries(srs []*series, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
-	from := now.Add(-window)
 	var agg Agg
+	lo, okLo := lowerBound(now.Add(-window))
+	hi, okHi := upperBound(now)
+	if !okLo || !okHi {
+		return agg, false
+	}
 	visited := 0
 	for _, sr := range srs {
 		if matchesLabels(sr.labels, selector) {
-			visited += sr.aggInto(&agg, from, now)
+			visited += sr.aggInto(&agg, lo, hi)
 		}
 	}
-	s.visited.Add(uint64(visited))
+	s.visited += uint64(visited)
 	return agg, agg.Count > 0
 }
 
@@ -503,8 +621,8 @@ func (s *Store) aggSeries(srs []*series, selector map[string]string, now time.Ti
 // repeat a read should Select once and read through the Selection, which
 // examines only the series it matches rather than all of the metric's.
 func (s *Store) AggOver(metric string, selector map[string]string, now time.Time, window time.Duration) (Agg, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.aggSeries(s.candidates(metric, selector), selector, now, window)
 }
 
@@ -545,8 +663,8 @@ func (s *Store) Select(metric string, selector map[string]string) *Selection {
 
 // AggOver is Store.AggOver over the selection.
 func (sel *Selection) AggOver(now time.Time, window time.Duration) (Agg, bool) {
-	sel.s.mu.RLock()
-	defer sel.s.mu.RUnlock()
+	sel.s.mu.Lock()
+	defer sel.s.mu.Unlock()
 	return sel.s.aggSeries(sel.from.srs, sel.filter, now, window)
 }
 
@@ -570,8 +688,8 @@ func (sel *Selection) MaxOver(now time.Time, window time.Duration) (float64, boo
 
 // Metrics lists distinct metric names, sorted.
 func (s *Store) Metrics() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.byMetric))
 	for m, mi := range s.byMetric {
 		if len(mi.all.srs) > 0 {
@@ -602,14 +720,14 @@ func sortByKey(srs []*series) {
 // Snapshot returns copies of every series, sorted by canonical key — the
 // deterministic whole-store dump behind bass-sim's -metrics-out.
 func (s *Store) Snapshot() []Series {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]Series, 0, len(s.series))
 	for _, sr := range s.sortedSeriesLocked() {
 		copied := Series{Metric: sr.metric, Labels: copyLabels(sr.labels)}
-		copied.Samples = make([]Sample, 0, sr.rawN)
-		for i := 0; i < sr.rawN; i++ {
-			copied.Samples = append(copied.Samples, sr.rawAt(i))
+		copied.Samples = make([]Sample, sr.n)
+		for i := range copied.Samples {
+			copied.Samples[i] = sr.sample(i)
 		}
 		out = append(out, copied)
 	}
@@ -624,7 +742,7 @@ var promLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // Prometheus text exposition format (version 0.0.4): a # TYPE line per
 // metric, then one sample line per series with millisecond timestamps.
 // Series order is deterministic (sorted by canonical key). The dump is
-// rendered under the read lock straight from each ring's newest slot — no
+// rendered under the store lock straight from each ring's newest slot — no
 // sample history is copied — and written to w in one call after the lock is
 // released, so a slow scraper never stalls appends.
 func (s *Store) WritePrometheus(w io.Writer) error {
@@ -633,13 +751,13 @@ func (s *Store) WritePrometheus(w io.Writer) error {
 }
 
 func (s *Store) renderPrometheus() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var b bytes.Buffer
 	var keys []string
 	lastMetric := ""
 	for _, sr := range s.sortedSeriesLocked() {
-		if sr.rawN == 0 {
+		if sr.n == 0 {
 			continue
 		}
 		if sr.metric != lastMetric {
@@ -667,7 +785,7 @@ func (s *Store) renderPrometheus() []byte {
 			}
 			b.WriteString("}")
 		}
-		last := sr.rawAt(sr.rawN - 1)
+		last := sr.sample(sr.n - 1)
 		b.WriteString(" ")
 		b.Write(strconv.AppendFloat(b.AvailableBuffer(), last.Value, 'g', -1, 64))
 		b.WriteString(" ")

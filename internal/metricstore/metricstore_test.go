@@ -383,7 +383,7 @@ func benchStore() *Store {
 }
 
 // BenchmarkLatest vs BenchmarkLatestViaQuery shows the win from scanning
-// under RLock instead of deep-copying through Query:
+// under the store lock instead of deep-copying through Query:
 //
 //	go test -bench=Latest -benchmem ./internal/metricstore
 func BenchmarkLatest(b *testing.B) {

@@ -70,7 +70,7 @@ func refAgg(snap map[string][]modelSeries, metric string, selector map[string]st
 		}
 		for _, smp := range ms.kept {
 			if !smp.At.Before(from) && !smp.At.After(now) {
-				a.foldSample(smp)
+				a.fold(smp.Value)
 			}
 		}
 	}

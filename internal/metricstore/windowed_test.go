@@ -64,16 +64,18 @@ func TestRetentionBound(t *testing.T) {
 			s.Append("headroom", labels[i], ts, float64(e+i))
 		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if got := len(s.series); got != nSeries {
 		t.Fatalf("series = %d, want %d", got, nSeries)
 	}
+	// Live records and the records the chunks hold stay within the cap.
 	for _, sr := range s.series {
-		if sr.rawN > cfg.MaxSamples || len(sr.raw) > cfg.MaxSamples {
-			t.Fatalf("raw ring grew past cap: n=%d len=%d cap=%d", sr.rawN, len(sr.raw), cfg.MaxSamples)
+		if sr.n > cfg.MaxSamples {
+			t.Fatalf("series %q holds %d live records, cap %d", sr.key, sr.n, cfg.MaxSamples)
 		}
 	}
+	checkLayout(t, epochs, s, cfg.MaxSamples)
 }
 
 func TestCardinalityGuard(t *testing.T) {
@@ -174,5 +176,21 @@ func BenchmarkRetention10kSeries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Append("headroom", labels[i%nSeries], at(10*(i/nSeries)), float64(i))
+	}
+}
+
+// BenchmarkHandleAppend is the per-epoch write path: one append through a
+// pre-resolved handle, as the SLO evaluator and the monitor's headroom
+// series make, onto a full ring (the write is a lock and a record store).
+func BenchmarkHandleAppend(b *testing.B) {
+	s := NewWithConfig(Config{MaxSamples: 1024})
+	h := s.Handle("slo_good", map[string]string{"slo": "goodput/app0001"})
+	for i := 0; i < 1024; i++ {
+		h.Append(at(i), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Append(at(1024+i), 1)
 	}
 }

@@ -300,6 +300,39 @@ func (j *Journal) Events() []Event {
 	return out
 }
 
+// Tail returns the newest n retained events whose type keep accepts (every
+// event when keep is nil), oldest first. It resolves only the events it
+// returns, so a reader showing a few rows of a full ring pays for those rows,
+// not for the ring. keep is called once per event type under the journal's
+// lock, so it must not call into the journal.
+func (j *Journal) Tail(n int, keep func(EventType) bool) []Event {
+	if j == nil || n <= 0 {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var accept [math.MaxUint8 + 1]bool
+	for code, name := range j.types.names {
+		accept[code] = keep == nil || keep(EventType(name))
+	}
+	found, first := 0, j.n
+	for i := j.n - 1; i >= 0 && found < n; i-- {
+		if accept[j.at(i).typ] {
+			found, first = found+1, i
+		}
+	}
+	if found == 0 {
+		return nil
+	}
+	out := make([]Event, 0, found)
+	for i := first; len(out) < found; i++ {
+		if r := j.at(i); accept[r.typ] {
+			out = append(out, j.event(r))
+		}
+	}
+	return out
+}
+
 // WriteJSONL writes the retained events as one JSON object per line, oldest
 // first. Same events ⇒ same bytes: encoding uses only the fixed Event fields.
 func (j *Journal) WriteJSONL(w io.Writer) error {

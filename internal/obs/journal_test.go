@@ -368,6 +368,13 @@ func checkAgainstValueRing(t *testing.T, op int, j *Journal, ref *valueRing) {
 		t.Fatalf("op %d: Events holds %d events, want %d; first difference at %d:\n%+v\nwant\n%+v",
 			op, len(got), len(want), i, got[i:], want[i:])
 	}
+	for _, n := range []int{0, 1, 3, len(want) + 1} {
+		for _, keep := range []func(EventType) bool{nil, isProbe} {
+			if got, wantTail := j.Tail(n, keep), valueTail(want, n, keep); !slices.Equal(got, wantTail) {
+				t.Fatalf("op %d: Tail(%d, probes only: %v) = %+v, want %+v", op, n, keep != nil, got, wantTail)
+			}
+		}
+	}
 	var gotJSON, wantJSON bytes.Buffer
 	if err := j.WriteJSONL(&gotJSON); err != nil {
 		t.Fatal(err)
@@ -378,6 +385,21 @@ func checkAgainstValueRing(t *testing.T, op int, j *Journal, ref *valueRing) {
 	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
 		t.Fatalf("op %d: JSONL differs:\n%s\nwant\n%s", op, gotJSON.String(), wantJSON.String())
 	}
+}
+
+func isProbe(t EventType) bool { return t == EventProbeFull || t == EventProbeHeadroom }
+
+// valueTail is Tail over a slice: the newest n events keep accepts (all when
+// keep is nil), oldest first; nil when none.
+func valueTail(events []Event, n int, keep func(EventType) bool) []Event {
+	var out []Event
+	for i := len(events) - 1; i >= 0 && len(out) < n; i-- {
+		if keep == nil || keep(events[i].Type) {
+			out = append(out, events[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // BenchmarkEmitBoard journals one city-storm-sized scoreboard (196 rows)

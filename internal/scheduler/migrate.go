@@ -181,12 +181,11 @@ func FindMigrationCandidates(g *dag.Graph, usages []DependencyUsage, cfg Migrati
 	}
 
 	// Total bandwidth requirement per component (both directions), used for
-	// the descending sort.
+	// the descending sort. EdgeMbps sums in edge order, so equal graphs rank
+	// alike.
 	bw := make(map[string]float64, g.NumComponents())
 	for _, name := range g.Components() {
-		for _, mbps := range g.Neighbors(name) {
-			bw[name] += mbps
-		}
+		bw[name] = g.EdgeMbps(name)
 	}
 
 	violating := make(map[string]bool)

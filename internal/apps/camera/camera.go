@@ -84,17 +84,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Edge is one profiled DAG edge weight, in Mbps.
+type Edge struct {
+	From, To string
+	Mbps     float64
+}
+
 // EdgeBandwidths reports the profiled DAG edge weights implied by the
-// config, in Mbps: the offline profiling step of §5.
-func (c Config) EdgeBandwidths() map[[2]string]float64 {
+// config, in Mbps: the offline profiling step of §5. The edges come in
+// pipeline order — camera→sampler, sampler→detector, detector→image
+// listener, detector→label listener — the order New adds them in.
+func (c Config) EdgeBandwidths() []Edge {
 	c = c.withDefaults()
 	frameMbps := fps * c.FrameKB * 8 / 1e3 // KB→Kb→Mb
 	sampledFPS := fps * sampleFrac
-	return map[[2]string]float64{
-		{compCamera, compSampler}:       frameMbps,
-		{compSampler, compDetector}:     sampledFPS * c.FrameKB * 8 / 1e3,
-		{compDetector, compImgListener}: sampledFPS * annotatedKB * 8 / 1e3,
-		{compDetector, compLblListener}: sampledFPS * labelBytes * 8 / 1e6,
+	return []Edge{
+		{compCamera, compSampler, frameMbps},
+		{compSampler, compDetector, sampledFPS * c.FrameKB * 8 / 1e3},
+		{compDetector, compImgListener, sampledFPS * annotatedKB * 8 / 1e3},
+		{compDetector, compLblListener, sampledFPS * labelBytes * 8 / 1e6},
 	}
 }
 
@@ -138,8 +146,8 @@ func New(cfg Config) (*App, error) {
 			return nil, err
 		}
 	}
-	for edge, mbps := range cfg.EdgeBandwidths() {
-		if err := g.AddEdge(edge[0], edge[1], mbps); err != nil {
+	for _, e := range cfg.EdgeBandwidths() {
+		if err := g.AddEdge(e.From, e.To, e.Mbps); err != nil {
 			return nil, err
 		}
 	}

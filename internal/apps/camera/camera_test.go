@@ -1,7 +1,9 @@
 package camera
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,35 +53,65 @@ func TestGraphShape(t *testing.T) {
 func TestEdgeBandwidthsScaleWithFrameKB(t *testing.T) {
 	low := Config{}.EdgeBandwidths()
 	high := Config{FrameKB: 30}.EdgeBandwidths()
-	k := [2]string{compCamera, compSampler}
-	if high[k] <= low[k] {
-		t.Errorf("30 KB weight %v not above 25 KB weight %v", high[k], low[k])
+	if high[0].Mbps <= low[0].Mbps {
+		t.Errorf("30 KB weight %v not above 25 KB weight %v", high[0].Mbps, low[0].Mbps)
 	}
-	// The weights' exact bits: the rates are products of fixed parameters, so
-	// a rewrite the compiler could fold to a constant must not move a bit.
-	want := map[float64]map[[2]string]uint64{
+	// The edges in pipeline order, with the weights' exact bits: the rates
+	// are products of fixed parameters, so a rewrite the compiler could fold
+	// to a constant must not move a bit.
+	type want struct {
+		from, to string
+		bits     uint64
+	}
+	wants := map[float64][]want{
 		25: {
-			{compCamera, compSampler}:       0x4018000000000000, // 6
-			{compSampler, compDetector}:     0x3fe3333333333333, // 0.6
-			{compDetector, compImgListener}: 0x3ff70a3d70a3d70a, // 1.44
-			{compDetector, compLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+			{compCamera, compSampler, 0x4018000000000000},       // 6
+			{compSampler, compDetector, 0x3fe3333333333333},     // 0.6
+			{compDetector, compImgListener, 0x3ff70a3d70a3d70a}, // 1.44
+			{compDetector, compLblListener, 0x3f7d7dbf487fcb92}, // 0.0072
 		},
 		30: {
-			{compCamera, compSampler}:       0x401ccccccccccccd, // 7.2
-			{compSampler, compDetector}:     0x3fe70a3d70a3d70a, // 0.72
-			{compDetector, compImgListener}: 0x3ff70a3d70a3d70a, // 1.44
-			{compDetector, compLblListener}: 0x3f7d7dbf487fcb92, // 0.0072
+			{compCamera, compSampler, 0x401ccccccccccccd},       // 7.2
+			{compSampler, compDetector, 0x3fe70a3d70a3d70a},     // 0.72
+			{compDetector, compImgListener, 0x3ff70a3d70a3d70a}, // 1.44
+			{compDetector, compLblListener, 0x3f7d7dbf487fcb92}, // 0.0072
 		},
 	}
-	for frameKB, got := range map[float64]map[[2]string]float64{25: low, 30: high} {
-		if len(got) != len(want[frameKB]) {
-			t.Fatalf("FrameKB %v: %d edges, want %d", frameKB, len(got), len(want[frameKB]))
+	for frameKB, got := range map[float64][]Edge{25: low, 30: high} {
+		if len(got) != len(wants[frameKB]) {
+			t.Fatalf("FrameKB %v: %d edges, want %d", frameKB, len(got), len(wants[frameKB]))
 		}
-		for edge, bits := range want[frameKB] {
-			if b := math.Float64bits(got[edge]); b != bits {
-				t.Errorf("FrameKB %v, %s->%s: bits %#016x (%v), want %#016x",
-					frameKB, edge[0], edge[1], b, got[edge], bits)
+		for i, w := range wants[frameKB] {
+			e := got[i]
+			if e.From != w.from || e.To != w.to {
+				t.Errorf("FrameKB %v, edge %d: %s->%s, want %s->%s", frameKB, i, e.From, e.To, w.from, w.to)
 			}
+			if b := math.Float64bits(e.Mbps); b != w.bits {
+				t.Errorf("FrameKB %v, %s->%s: bits %#016x (%v), want %#016x",
+					frameKB, e.From, e.To, b, e.Mbps, w.bits)
+			}
+		}
+	}
+}
+
+// TestGraphEdgeOrderIsFixed: the graph's edges come out in one order on
+// every build, so nothing downstream can see map iteration order.
+func TestGraphEdgeOrderIsFixed(t *testing.T) {
+	var want []string
+	for _, e := range (Config{}).EdgeBandwidths() {
+		want = append(want, fmt.Sprintf("%s->%s %v", e.From, e.To, e.Mbps))
+	}
+	for i := 0; i < 200; i++ {
+		app, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range app.Graph().Edges() {
+			got = append(got, fmt.Sprintf("%s->%s %v", e.From, e.To, e.BandwidthMbps))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d: edges %v, want %v", i, got, want)
 		}
 	}
 }

@@ -99,6 +99,9 @@ type App struct {
 	latency  *workload.LatencyRecorder
 	byType   []*workload.LatencyRecorder // indexed like types
 	requests int
+	// arrive serves one request and schedules the next arrival; built once
+	// in Start, so an arrival allocates no closure.
+	arrive func()
 
 	// hopEvals counts hops whose latency was computed, hopHits those served
 	// from their memo.
@@ -212,6 +215,10 @@ func (a *App) Start(env *core.Env) error {
 			return err
 		}
 	}
+	a.arrive = func() {
+		a.serveRequest()
+		a.scheduleNext()
+	}
 	a.scheduleNext()
 	return nil
 }
@@ -284,10 +291,7 @@ func (a *App) OnMigration(env *core.Env, component, fromNode, toNode string, dow
 
 func (a *App) scheduleNext() {
 	gap := a.cfg.Arrival.Next(a.env.Engine().Rand())
-	a.env.Engine().After(gap, func() {
-		a.serveRequest()
-		a.scheduleNext()
-	})
+	a.env.Engine().After(gap, a.arrive)
 }
 
 // serveRequest samples a request type, computes its end-to-end latency from

@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"bass/internal/trace"
@@ -45,7 +46,29 @@ func (o GridOptions) withDefaults() GridOptions {
 
 // GridNodeName names the lattice node at (row, col); zero-padded so node
 // order is identical under lexicographic and row-major sort.
-func GridNodeName(row, col int) string { return fmt.Sprintf("r%03dc%03d", row, col) }
+func GridNodeName(row, col int) string {
+	if row < 0 || col < 0 {
+		return fmt.Sprintf("r%03dc%03d", row, col)
+	}
+	var buf [16]byte
+	b := append(buf[:0], 'r')
+	b = appendPadded3(b, row)
+	b = append(b, 'c')
+	b = appendPadded3(b, col)
+	return string(b)
+}
+
+// appendPadded3 appends v >= 0 in decimal, zero-padded to three digits as
+// fmt's %03d pads it.
+func appendPadded3(b []byte, v int) []byte {
+	if v < 100 {
+		b = append(b, '0')
+		if v < 10 {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
 
 // Grid builds a Rows×Cols lattice mesh — the city-scale stand-in for a
 // community network laid out street by street — with right/down neighbour
@@ -62,17 +85,20 @@ func Grid(opts GridOptions) (*Topology, error) {
 			t.AddNode(GridNodeName(r, c))
 		}
 	}
+	// One source serves every link: addGridLink reseeds it per link, which
+	// gives the stream a fresh source would without allocating one.
+	rng := rand.New(rand.NewSource(opts.Seed))
 	link := 0
 	for r := 0; r < opts.Rows; r++ {
 		for c := 0; c < opts.Cols; c++ {
 			if c+1 < opts.Cols {
-				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r, c+1), link); err != nil {
+				if err := addGridLink(t, rng, opts, GridNodeName(r, c), GridNodeName(r, c+1), link); err != nil {
 					return nil, err
 				}
 				link++
 			}
 			if r+1 < opts.Rows {
-				if err := addGridLink(t, opts, GridNodeName(r, c), GridNodeName(r+1, c), link); err != nil {
+				if err := addGridLink(t, rng, opts, GridNodeName(r, c), GridNodeName(r+1, c), link); err != nil {
 					return nil, err
 				}
 				link++
@@ -84,9 +110,10 @@ func Grid(opts GridOptions) (*Topology, error) {
 
 // addGridLink attaches one step-trace link. Each link gets its own RNG
 // stream (seed mixed with the link index by a large prime, the same recipe
-// CityLab uses), so adding links never perturbs earlier traces.
-func addGridLink(t *Topology, opts GridOptions, a, b string, idx int) error {
-	rng := rand.New(rand.NewSource(opts.Seed + int64(idx)*7919))
+// CityLab uses), so adding links never perturbs earlier traces; rng is
+// reseeded to it here.
+func addGridLink(t *Topology, rng *rand.Rand, opts GridOptions, a, b string, idx int) error {
+	rng.Seed(opts.Seed + int64(idx)*7919)
 	level := func() float64 {
 		v := gridMeanMbps * (1 + gridJitterFrac*(2*rng.Float64()-1))
 		if v < 1 {

@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -71,4 +73,26 @@ func TestGridTracesStoreLevels(t *testing.T) {
 			t.Errorf("link %s: %d runs, want at most %d", l.ID, runs, changes+1)
 		}
 	}
+}
+
+// TestGridNodeNameMatchesSprintf: the hand-built name is byte-identical to
+// fmt's "r%03dc%03d", across the three-to-four-digit edge and for negative
+// arguments.
+func TestGridNodeNameMatchesSprintf(t *testing.T) {
+	check := func(r, c int) {
+		if got, want := GridNodeName(r, c), fmt.Sprintf("r%03dc%03d", r, c); got != want {
+			t.Fatalf("GridNodeName(%d, %d) = %q, want %q", r, c, got, want)
+		}
+	}
+	for r := 0; r <= 1100; r++ {
+		for c := 0; c <= 1100; c++ {
+			check(r, c)
+		}
+	}
+	for _, v := range []int{-1, -5, -99, -100, -1234} {
+		check(v, 7)
+		check(7, v)
+		check(v, v)
+	}
+	check(math.MaxInt, 0)
 }

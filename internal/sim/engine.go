@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,63 +14,39 @@ import (
 // errStopped is returned by Run when the engine was stopped explicitly.
 var errStopped = errors.New("sim: stopped")
 
-// Event is a scheduled callback.
+// event is one slot of the engine's slab. A slot is live while it sits in
+// the heap (pos >= 0) and free otherwise; gen counts the times it was freed,
+// so an EventID minted before the last free no longer matches it.
 type event struct {
-	at        time.Duration
-	seq       uint64 // tie-break so same-time events run in schedule order
-	fn        func()
-	id        uint64
-	cancelled bool
+	at  time.Duration
+	seq uint64 // tie-break so same-time events run in schedule order
+	fn  func()
+	gen uint32
+	pos int32 // index in Engine.heap, -1 while the slot is free
 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// compactThreshold is the minimum number of cancelled-but-queued events
-// before Cancel considers rebuilding the heap; below it, lazy reaping on pop
-// is cheaper than a rebuild.
-const compactThreshold = 64
 
 // Engine is a single-threaded discrete-event simulator. All callbacks run on
 // the goroutine that calls Run; scheduling from within callbacks is the
 // normal mode of operation.
+//
+// Events live by value in a slab whose free slots are reused, ordered by a
+// binary heap of slot indices on (at, seq); every event records its heap
+// position, so Cancel and Reschedule work in place and leave nothing behind.
 //
 // An Engine holds no package-level state and its random source is private to
 // the instance, so independent engines may run on concurrent goroutines —
 // the isolation the parallel experiment harness relies on. A single Engine
 // is not safe for concurrent use.
 type Engine struct {
-	now    time.Duration
-	queue  eventHeap
-	seq    uint64
-	nextID uint64
-	// pending maps the id of every live (queued, un-cancelled) event to its
-	// struct, so Cancel of an already-executed event is a true no-op instead
-	// of a permanently leaked tombstone.
-	pending    map[uint64]*event
-	ncancelled int // cancelled events still sitting in the heap
-	freeList   []*event
-	stopped    bool
-	seed       int64
-	rng        *rand.Rand
-	executed   uint64
+	now      time.Duration
+	slots    []event
+	free     []int32 // free slot indices, reused last-freed first
+	heap     []int32 // slot indices, a min-heap on (at, seq)
+	seq      uint64
+	stopped  bool
+	seed     int64
+	rng      *rand.Rand
+	executed uint64
 	// beforeDispatch runs at every dispatch boundary (see BeforeDispatch).
 	beforeDispatch []func()
 }
@@ -79,9 +54,8 @@ type Engine struct {
 // NewEngine returns an engine with a deterministic random source.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		pending: make(map[uint64]*event),
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -98,27 +72,24 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Executed reports the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// EventID identifies a scheduled event for cancellation.
+// EventID identifies a scheduled event for cancellation. It packs the slot's
+// generation in the high 32 bits and slot+1 in the low 32, so it is never 0:
+// callers may use 0 for "no event". Once the event runs or is cancelled its
+// slot's generation moves on, and the id matches nothing (a generation
+// wraps only after 2^32 reuses of one slot).
 type EventID uint64
 
-// alloc takes an event struct from the free list, or heap-allocates one.
-func (e *Engine) alloc() *event {
-	if n := len(e.freeList); n > 0 {
-		ev := e.freeList[n-1]
-		e.freeList[n-1] = nil
-		e.freeList = e.freeList[:n-1]
-		return ev
+// live returns the slot a still-queued event's id names, or -1.
+func (e *Engine) live(id EventID) int32 {
+	s := int64(uint32(id)) - 1
+	if s < 0 || s >= int64(len(e.slots)) {
+		return -1
 	}
-	return &event{}
-}
-
-// release returns an executed or reaped event to the free list. The struct
-// is unreferenced at this point: it left the heap and pending map, and
-// EventIDs are never dereferenced.
-func (e *Engine) release(ev *event) {
-	ev.fn = nil
-	ev.cancelled = false
-	e.freeList = append(e.freeList, ev)
+	ev := &e.slots[s]
+	if ev.gen != uint32(id>>32) || ev.pos < 0 {
+		return -1
+	}
+	return int32(s)
 }
 
 // At schedules fn at absolute virtual time at. Scheduling in the past runs
@@ -127,16 +98,21 @@ func (e *Engine) At(at time.Duration, fn func()) EventID {
 	if at < e.now {
 		at = e.now
 	}
+	var s int32
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		s = int32(len(e.slots))
+		e.slots = append(e.slots, event{})
+	}
 	e.seq++
-	e.nextID++
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.id = e.nextID
-	heap.Push(&e.queue, ev)
-	e.pending[ev.id] = ev
-	return EventID(e.nextID)
+	ev := &e.slots[s]
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	ev.pos = int32(len(e.heap))
+	e.heap = append(e.heap, s)
+	e.up(int(ev.pos))
+	return EventID(uint64(ev.gen)<<32 | uint64(s+1))
 }
 
 // After schedules fn after delay d from now.
@@ -145,40 +121,45 @@ func (e *Engine) After(d time.Duration, fn func()) EventID {
 }
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
-// already ran (or was already cancelled) is a no-op: long runs that cancel
-// completed transfers leak no bookkeeping. The cancelled event stays in the
-// heap to be reaped lazily on pop; if cancelled events come to dominate the
-// queue, the heap is compacted in one pass.
+// already ran (or was already cancelled), or the id 0, is a no-op. The event
+// leaves the heap at once and its slot is freed.
 func (e *Engine) Cancel(id EventID) {
-	ev, ok := e.pending[uint64(id)]
-	if !ok {
+	s := e.live(id)
+	if s < 0 {
 		return
 	}
-	ev.cancelled = true
-	ev.fn = nil // release the closure now; chaos runs cancel by the thousand
-	delete(e.pending, uint64(id))
-	e.ncancelled++
-	if e.ncancelled >= compactThreshold && e.ncancelled*2 > len(e.queue) {
-		e.compact()
-	}
+	e.remove(int(e.slots[s].pos))
+	e.release(s)
 }
 
-// compact rebuilds the heap without its cancelled entries.
-func (e *Engine) compact() {
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.cancelled {
-			e.release(ev)
-		} else {
-			live = append(live, ev)
-		}
+// Reschedule moves a queued event to absolute time at (clamped to now, as
+// At clamps), reporting false, and changing nothing, when id names no queued
+// event. The event takes a fresh sequence number, so it runs exactly where
+// Cancel followed by At would have placed it — after every event already
+// scheduled for the same instant — but keeps its id and callback.
+func (e *Engine) Reschedule(id EventID, at time.Duration) bool {
+	s := e.live(id)
+	if s < 0 {
+		return false
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
+	if at < e.now {
+		at = e.now
 	}
-	e.queue = live
-	e.ncancelled = 0
-	heap.Init(&e.queue)
+	e.seq++
+	ev := &e.slots[s]
+	ev.at, ev.seq = at, e.seq
+	e.fix(int(ev.pos))
+	return true
+}
+
+// release frees slot s: the callback is dropped now, and the generation
+// bump retires every id that named it.
+func (e *Engine) release(s int32) {
+	ev := &e.slots[s]
+	ev.fn = nil
+	ev.gen++
+	ev.pos = -1
+	e.free = append(e.free, s)
 }
 
 // Stop halts Run after the current event.
@@ -208,30 +189,17 @@ func (e *Engine) dispatchBoundary() {
 func (e *Engine) Run(until time.Duration) error {
 	for {
 		e.dispatchBoundary()
-		if len(e.queue) == 0 {
+		if len(e.heap) == 0 {
 			break
 		}
 		if e.stopped {
 			return errStopped
 		}
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
-			e.ncancelled--
-			e.release(next)
-			continue
-		}
-		if next.at > until {
+		if e.slots[e.heap[0]].at > until {
 			e.now = until
 			return nil
 		}
-		heap.Pop(&e.queue)
-		delete(e.pending, next.id)
-		e.now = next.at
-		e.executed++
-		fn := next.fn
-		e.release(next)
-		fn()
+		e.fire()
 	}
 	if e.now < until {
 		e.now = until
@@ -242,46 +210,116 @@ func (e *Engine) Run(until time.Duration) error {
 // Step executes exactly one pending event, reporting whether one ran.
 func (e *Engine) Step() bool {
 	e.dispatchBoundary()
-	for len(e.queue) > 0 {
-		next := heap.Pop(&e.queue).(*event)
-		if next.cancelled {
-			e.ncancelled--
-			e.release(next)
-			continue
-		}
-		delete(e.pending, next.id)
-		e.now = next.at
-		e.executed++
-		fn := next.fn
-		e.release(next)
-		fn()
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	e.fire()
+	return true
 }
 
-// Pending reports the number of events still queued (including cancelled
-// events not yet reaped or compacted away).
-func (e *Engine) Pending() int { return len(e.queue) }
+// fire pops the queue head, frees its slot and runs its callback, so the
+// callback sees its own id as stale and may reuse the slot.
+func (e *Engine) fire() {
+	s := e.heap[0]
+	e.remove(0)
+	ev := &e.slots[s]
+	e.now = ev.at
+	e.executed++
+	fn := ev.fn
+	e.release(s)
+	fn()
+}
+
+// Pending reports the number of events still queued.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Every schedules fn at now+period, then every period thereafter, until the
 // returned stop function is called or the run horizon ends. fn observes the
-// tick time via Engine.Now.
+// tick time via Engine.Now. One tick closure re-arms itself, so a period
+// allocates nothing.
 func (e *Engine) Every(period time.Duration, fn func()) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
 	}
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		e.After(period, func() {
-			if stopped {
-				return
-			}
-			fn()
-			schedule()
-		})
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		fn()
+		e.After(period, tick)
 	}
-	schedule()
+	e.After(period, tick)
 	return func() { stopped = true }
+}
+
+// less orders heap positions i and j by (at, seq).
+func (e *Engine) less(i, j int) bool {
+	a, b := &e.slots[e.heap[i]], &e.slots[e.heap[j]]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// swap exchanges heap positions i and j, keeping each event's pos current.
+func (e *Engine) swap(i, j int) {
+	h := e.heap
+	h[i], h[j] = h[j], h[i]
+	e.slots[h[i]].pos = int32(i)
+	e.slots[h[j]].pos = int32(j)
+}
+
+func (e *Engine) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts position i0 toward the leaves, reporting whether it moved.
+func (e *Engine) down(i0 int) bool {
+	n := len(e.heap)
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && e.less(r, l) {
+			j = r
+		}
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// fix restores heap order after the event at position i changed its key.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// remove takes position i out of the heap: the last entry moves into the
+// hole and is sifted whichever way its key demands.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	if i != n {
+		e.swap(i, n)
+	}
+	e.heap = e.heap[:n]
+	if i != n {
+		e.fix(i)
+	}
 }

@@ -205,44 +205,63 @@ func TestCancelAfterExecutionLeaksNothing(t *testing.T) {
 	if err := e.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Cancelling events that already ran must not accumulate state.
+	// Cancelling events that already ran must not touch the queue: the
+	// events scheduled after them reuse their slots and must all still run.
+	later := 0
+	for i := 0; i < 100; i++ {
+		e.At(2*time.Second, func() { later++ })
+	}
 	for _, id := range ids {
 		e.Cancel(id)
 	}
-	if len(e.pending) != 0 {
-		t.Errorf("pending map holds %d entries after all events ran", len(e.pending))
+	if e.Pending() != 100 {
+		t.Errorf("Pending = %d after cancelling executed events, want the 100 live ones", e.Pending())
 	}
-	if e.ncancelled != 0 {
-		t.Errorf("ncancelled = %d after cancelling executed events", e.ncancelled)
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if later != 100 || e.Executed() != 200 || e.Pending() != 0 {
+		t.Errorf("later = %d, Executed = %d, Pending = %d; want 100, 200, 0", later, e.Executed(), e.Pending())
 	}
 }
 
-func TestCancelledHeapCompaction(t *testing.T) {
+// TestMassCancelLeavesOnlyLiveEvents: a cancelled event leaves the queue at
+// once, so after a mass cancel Pending counts exactly the live events, and
+// the survivors and later events still run in order.
+func TestMassCancelLeavesOnlyLiveEvents(t *testing.T) {
 	e := NewEngine(1)
 	var ids []EventID
-	for i := 0; i < 2*compactThreshold; i++ {
+	for i := 0; i < 128; i++ {
 		ids = append(ids, e.At(time.Hour+time.Duration(i)*time.Second, func() {}))
 	}
 	keep := e.At(30*time.Minute, func() {})
-	for _, id := range ids {
+	var got []int
+	for i, id := range ids {
+		if i%16 == 5 {
+			e.At(time.Hour+time.Duration(i)*time.Second, func() { got = append(got, i) })
+		}
 		e.Cancel(id)
 	}
-	// Compaction triggers once cancelled events dominate; the queue must not
-	// retain all 2*compactThreshold tombstones.
-	if e.Pending() > compactThreshold+2 {
-		t.Errorf("queue holds %d events after mass cancel; want ≤ %d", e.Pending(), compactThreshold+2)
+	if e.Pending() != 1+8 {
+		t.Errorf("Pending = %d after mass cancel, want the 9 live events", e.Pending())
 	}
 	ran := false
-	e.Cancel(keep) // and cancelling the survivor still works post-compaction
+	e.Cancel(keep)
 	e.At(45*time.Minute, func() { ran = true })
+	if e.Pending() != 9 {
+		t.Errorf("Pending = %d, want 9", e.Pending())
+	}
 	if err := e.Run(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Error("event scheduled after compaction did not run")
+		t.Error("event scheduled after the mass cancel did not run")
 	}
-	if e.Executed() != 1 {
-		t.Errorf("Executed = %d, want 1", e.Executed())
+	if want := []int{5, 21, 37, 53, 69, 85, 101, 117}; !reflect.DeepEqual(got, want) {
+		t.Errorf("survivors ran as %v, want %v", got, want)
+	}
+	if e.Executed() != 9 {
+		t.Errorf("Executed = %d, want 9", e.Executed())
 	}
 }
 
@@ -269,9 +288,135 @@ func TestEventStructsAreReused(t *testing.T) {
 
 func TestCancelIsNoOpForUnknownID(t *testing.T) {
 	e := NewEngine(1)
-	e.Cancel(EventID(12345))
-	if len(e.pending) != 0 || e.ncancelled != 0 {
-		t.Error("cancel of unknown id mutated state")
+	ran := 0
+	e.At(time.Second, func() { ran++ })
+	for _, id := range []EventID{0, 12345, 1<<32 | 1, 2} {
+		e.Cancel(id)
+		if e.Reschedule(id, 0) {
+			t.Errorf("Reschedule(%#x) = true for an id never issued", uint64(id))
+		}
+	}
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d after cancelling unknown ids, want 1", e.Pending())
+	}
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1 {
+		t.Errorf("event ran %d times, want 1", ran)
+	}
+}
+
+// TestStaleIDCancelsNothing: an id whose event ran or was cancelled names
+// nothing even after its slot is reused by a new event.
+func TestStaleIDCancelsNothing(t *testing.T) {
+	e := NewEngine(1)
+	fired := e.At(time.Second, func() {})
+	if !e.Step() {
+		t.Fatal("Step ran nothing")
+	}
+	cancelled := e.At(2*time.Second, func() {})
+	e.Cancel(cancelled)
+	ran := 0
+	reuse := e.At(3*time.Second, func() { ran++ })
+	if uint32(reuse) != uint32(cancelled) || uint32(reuse) != uint32(fired) {
+		t.Fatalf("ids %#x %#x %#x: the slot was not reused", uint64(fired), uint64(cancelled), uint64(reuse))
+	}
+	for _, stale := range []EventID{fired, cancelled} {
+		e.Cancel(stale)
+		if e.Reschedule(stale, 10*time.Second) {
+			t.Errorf("Reschedule of stale id %#x = true", uint64(stale))
+		}
+	}
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1 || e.Now() != time.Minute {
+		t.Errorf("reused slot's event ran %d times, clock %v; want 1, 1m", ran, e.Now())
+	}
+}
+
+// TestRescheduleTakesAFreshSeq: a rescheduled event runs where Cancel and At
+// would have put it: after the events already scheduled for that instant,
+// before those scheduled later, and clamped to now.
+func TestRescheduleTakesAFreshSeq(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, fmt.Sprintf("%s@%v", s, e.Now())) } }
+	a := e.At(time.Second, note("a"))
+	e.At(2*time.Second, note("b"))
+	if !e.Reschedule(a, 2*time.Second) {
+		t.Fatal("Reschedule of a queued event = false")
+	}
+	e.At(2*time.Second, note("c"))
+	e.At(3*time.Second, func() {
+		got = append(got, "d")
+		e.Reschedule(a, 0) // a already ran: no-op
+	})
+	x := e.At(time.Hour, note("x"))
+	e.At(4*time.Second, func() {
+		if !e.Reschedule(x, 0) { // the past clamps to now
+			t.Error("Reschedule of x = false")
+		}
+	})
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"b@2s", "a@2s", "c@2s", "d", "x@4s"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// TestRescheduleAllocatesNothing: moving a queued event touches only its slot
+// and the heap.
+func TestRescheduleAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	var ids []EventID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, e.After(time.Duration(i)*time.Millisecond, fn))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if !e.Reschedule(ids[i%len(ids)], time.Duration(i*7919%64)*time.Millisecond) {
+			t.Fatal("Reschedule of a queued event = false")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Reschedule allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestEveryAllocatesNothingPerTick: one closure re-arms each period.
+func TestEveryAllocatesNothingPerTick(t *testing.T) {
+	e := NewEngine(1)
+	ticks := 0
+	e.Every(time.Millisecond, func() { ticks++ })
+	e.Step()
+	allocs := testing.AllocsPerRun(100, func() { e.Step() })
+	if allocs > 0 {
+		t.Errorf("a tick allocates %.1f objects, want 0", allocs)
+	}
+	if ticks != 102 {
+		t.Errorf("ticks = %d, want 102", ticks)
+	}
+}
+
+// BenchmarkEngineReschedule moves one of 85 queued events per op, the
+// paper-mesh queue's peak size.
+func BenchmarkEngineReschedule(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	ids := make([]EventID, 85)
+	for i := range ids {
+		ids[i] = e.After(time.Duration(i)*time.Millisecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reschedule(ids[i%len(ids)], time.Duration(i*7919%1000)*time.Millisecond)
 	}
 }
 

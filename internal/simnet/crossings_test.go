@@ -700,15 +700,10 @@ func TestReentrantPassMatchesFullRecompute(t *testing.T) {
 			}
 			// The nested pass's schedule is final: the outer pass must not
 			// touch a completion event after the callback returns.
-			events := map[FlowID]sim.EventID{}
-			for _, f := range net.transfers {
-				events[f.id] = f.xfer.completionEv
-			}
+			rearms := net.rearms
 			eng.At(eng.Now(), func() {
-				for _, f := range net.transfers {
-					if ev, ok := events[f.id]; ok && ev != f.xfer.completionEv {
-						t.Errorf("%v: transfer %d rescheduled after the nested pass", eng.Now(), f.id)
-					}
+				if net.rearms != rearms {
+					t.Errorf("%v: %d completion events rescheduled after the nested pass", eng.Now(), net.rearms-rearms)
 				}
 			})
 		}

@@ -175,8 +175,9 @@ type transfer struct {
 	// fire is the transfer's completion-event callback, built once at
 	// AddTransfer so that rescheduling it in every full pass allocates nothing.
 	fire func()
-	// completionEv is the scheduled completion event, 0 when none is: engine
-	// ids start at 1, and every cancel or firing zeroes it.
+	// completionEv is the scheduled completion event, 0 when none is: an
+	// engine id is never 0, and every cancel or firing zeroes it. A pass that
+	// keeps the event moves it with Reschedule.
 	completionEv sim.EventID
 }
 
@@ -370,8 +371,10 @@ type Network struct {
 	argMinRounds, argMinVisits, flowBuilds, sweptFlows uint64
 
 	// reschedules counts rescheduleTransfers calls, so one can tell that a
-	// completion callback ran a nested pass.
-	reschedules uint64
+	// completion callback ran a nested pass; rearms counts the completion
+	// events those calls scheduled or moved, so one can tell that no pass
+	// touched the schedule after it (Reschedule keeps an event's id).
+	reschedules, rearms uint64
 
 	// Scratch buffers reused across passes.
 	transferScratch []*flow
@@ -579,13 +582,12 @@ func (n *Network) armChain() {
 	if next > now+gridStep {
 		at = next - gridStep
 	}
-	if n.hasArmed {
-		if n.armedAt <= at {
-			return // the armed step fires first and will re-aim
-		}
-		n.eng.Cancel(n.armedID)
+	if n.hasArmed && n.armedAt <= at {
+		return // the armed step fires first and will re-aim
 	}
-	n.armedID = n.eng.At(at, n.chainEvent)
+	if !n.hasArmed || !n.eng.Reschedule(n.armedID, at) {
+		n.armedID = n.eng.At(at, n.chainEvent)
+	}
 	n.armedAt = at
 	n.hasArmed = true
 }
@@ -1579,28 +1581,34 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 			continue // removed by a reentrant completion callback
 		}
 		x := f.xfer
+		if x.remainingBits > 1e-9 && f.rateBps > 0 {
+			eta := time.Duration(x.remainingBits / f.rateBps * float64(time.Second))
+			if eta < time.Nanosecond {
+				eta = time.Nanosecond
+			}
+			// Reschedule gives the kept event a fresh seq, so it lands
+			// exactly where a cancel and a new At would; an id that no
+			// longer names a queued event falls back to At.
+			if x.completionEv == 0 || !n.eng.Reschedule(x.completionEv, now+eta) {
+				x.completionEv = n.eng.At(now+eta, x.fire)
+			}
+			n.rearms++
+			continue
+		}
 		if x.completionEv != 0 {
 			n.eng.Cancel(x.completionEv)
 			x.completionEv = 0
 		}
-		if x.remainingBits <= 1e-9 {
-			if len(f.linkPath) > 0 {
-				n.reallocate()
-			}
-			n.finishTransfer(f)
-			if n.reschedules != pass {
-				return
-			}
-			continue
-		}
-		if f.rateBps <= 0 {
+		if x.remainingBits > 1e-9 {
 			continue // stalled until conditions change
 		}
-		eta := time.Duration(x.remainingBits / f.rateBps * float64(time.Second))
-		if eta < time.Nanosecond {
-			eta = time.Nanosecond
+		if len(f.linkPath) > 0 {
+			n.reallocate()
 		}
-		x.completionEv = n.eng.At(now+eta, x.fire)
+		n.finishTransfer(f)
+		if n.reschedules != pass {
+			return
+		}
 	}
 }
 

@@ -71,24 +71,26 @@
 //	   "edges": [{"from": "producer", "to": "consumer", "mbps": 8}]}}]}
 //
 // "faults" lists explicit fault events and "chaos" arms the seeded generator;
-// either adds a recovery report (detections, failovers, MTTR). "reconcile"
-// appends the reconciler's convergence summary and "slo" a budget/alert
-// summary; pair "slo" with -events-out to capture the alert journal for
-// bass-trace. Both need "migration": true: failure detection and the SLO
-// tick run only in the control loop, which only migration starts, so either
-// without it is an error.
+// either adds a recovery report (detections, failovers, MTTR). "migration":
+// true runs the control loop, its failure detector and the reconciler, whose
+// convergence summary every such run prints. "slo" appends a budget/alert
+// summary; pair it with -events-out to capture the alert journal for
+// bass-trace. "slo" needs "migration": true: the SLO tick runs only in the
+// control loop, so without it it is an error.
 //
 // -events-out writes the decision journal as JSONL and -metrics-out the
 // metric series as JSON; `bass-trace convert` turns a journal into Chrome
 // trace-event JSON for Perfetto.
 //
 // Every config is decoded and validated, and every trace file it cites
-// read, before anything runs: an unknown key, a negative size or rate,
-// seconds too large for a duration, a fraction outside [0, 1], "reconcile"
-// or "slo" without "migration", an unknown name, a node list the topology does not take or an empty or repeated node
-// name, a malformed apps or links entry, a node or link the topology lacks,
-// a pin on an unschedulable node, or a missing or malformed trace file is an
-// error naming the file and key (and trace line).
+// read, before anything runs: an unknown key (among them "reconcile", which
+// the schema no longer has: the reconciler runs whenever migration does), a
+// negative size or rate, seconds too large for a duration, a fraction
+// outside [0, 1], "slo" without "migration", an unknown name, a node list
+// the topology does not take or an empty or repeated node name, a malformed
+// apps or links entry, a node or link the topology lacks, a pin on an
+// unschedulable node, or a missing or malformed trace file is an error
+// naming the file and key (and trace line).
 package main
 
 import (

@@ -264,11 +264,15 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{`"packLimit": -0.8`, "packLimit"},
 		{`"scheduler": "k3s", "packLimit": 0.8`, "packLimit"},
 		{`"reservedCPU": -1`, "reservedCPU"},
-		// Failure detection and the SLO tick run only in the control loop,
-		// which only migration starts.
-		{`"reconcile": true`, "reconcile"},
+		// The SLO tick runs only in the control loop, which only migration
+		// starts.
 		{`"slo": true, "migration": false`, "slo"},
-		{`"app": "socialnet", "slo": true, "reconcile": true, "faults": [{"atSec": 10, "type": "node-crash", "node": "node2"}]`, "migration"},
+		{`"app": "socialnet", "slo": true, "faults": [{"atSec": 10, "type": "node-crash", "node": "node2"}]`, "migration"},
+		// The schema has no "reconcile" key: the reconciler runs whenever
+		// migration does. A scenario that still names it is rejected, with
+		// or without migration, naming the key.
+		{`"reconcile": true`, "reconcile"},
+		{`"migration": true, "reconcile": true, "faults": [{"atSec": 10, "type": "node-crash", "node": "node2"}]`, `unknown field "reconcile"`},
 		// Cluster lists and custom topologies.
 		{`"nodes": [{"name": "node1", "cpu": 4}, {"name": "node1", "cpu": 4}]`, "nodes[1].name"},
 		{`"nodes": [{"name": "", "cpu": 4}]`, "nodes[0].name"},
@@ -538,9 +542,10 @@ var scenarioContracts = []scenarioContract{
   "chaos": {"nodeCrashesPerHour": 6, "meanNodeDowntimeSec": 90,
             "linkFlapsPerHour": 12, "meanLinkDowntimeSec": 20}
 }`,
-		stdout:    "7be60a54027a46a728c1f8083dd3dfe64b9e88ef65567db4bc8cf4a05b4afa88",
-		journal:   "61bea9452deb2a439a8525ffd030a4a57aeb159d03d28e44eec53af5edf60812",
-		wantLines: []string{"recovery: "},
+		stdout:    "b7dac9525763624ded85d4fb1b4d4ef4cf8986a014a67ff518b08df745e42769",
+		journal:   "8bb0c544277f0cbb26e132d010f4b4b6a9e5e534a35516ed2bbb706b5f582420",
+		wantLines: []string{"recovery: ", "reconcile: converged=true drift=0 "},
+		causes:    obs.CauseCounts{Drifts: 3},
 	},
 	{
 		name: "slo",
@@ -553,7 +558,7 @@ var scenarioContracts = []scenarioContract{
     {"atSec": 420, "type": "link-up", "linkA": "node1", "linkB": "node2"}
   ]
 }`,
-		stdout:     "88fde9834692c80dd2fd9a061c2189f3934310621283b2600a2a169e340b3c29",
+		stdout:     "f2a7c8c587255e8cabe48b22aa20f450ea58e47fa24c439a1c42398a0ecc3c73",
 		journal:    "283234e993651dc5c646e1cb48228333fc2aadbbf2ea47a2716cb688d8cc3205",
 		wantLines:  []string{"slo: specs=3 "},
 		wantEvents: []string{`"type":"alert_fired"`},
@@ -564,7 +569,7 @@ var scenarioContracts = []scenarioContract{
 		scenario: `{
   ` + lan4 + `, "app": "camera",
   "scheduler": "bfs", "horizonSec": 900, "seed": 42,
-  "migration": true, "reconcile": true, "monitorIntervalSec": 30,
+  "migration": true, "monitorIntervalSec": 30,
   "faults": [
     {"atSec": 60, "type": "node-crash", "node": "node2"},
     {"atSec": 240, "type": "node-recover", "node": "node2"}
@@ -596,7 +601,7 @@ var scenarioContracts = []scenarioContract{
     {"atSec": 300, "type": "link-up", "linkA": "node1", "linkB": "node4"}
   ]
 }`,
-		stdout:     "9030bbba8b2df54602ab1200229b7c9cc6f8c2b26f543d52251ba923c2fa5b88",
+		stdout:     "4935b18bc317f63cb79f345265f6dfde77cda2bd715cd1dc72d41cf63e237e38",
 		journal:    "dc619d6babdeb5bf06fa3e80b36314ec68031edde7b3a1c9cd8823d9ea9d3d1a",
 		wantLines:  []string{"camera: ", "stream pair: ", "faults: link-down=1 link-up=1"},
 		wantEvents: []string{`"app":"pair"`, `"type":"fault"`},
@@ -617,7 +622,7 @@ var scenarioContracts = []scenarioContract{
   ]
 }`,
 		files:     []string{"node1-node3.csv"},
-		stdout:    "a57081e26ae4b9c772a0074bb35dadc3b3f4a963459fb1c6f415a39cd88117c2",
+		stdout:    "6cff498a49c5e296eb8d261396e52504bea10a6ac35f33f5f8f1ed3a91befeaf",
 		journal:   "9f9b6a51632208618249e4457d83837c574ab9127c0d87cf80eba0729901a711",
 		wantLines: []string{"socialnet (15000 requests): "},
 	},
@@ -634,15 +639,16 @@ func TestScenarioContracts(t *testing.T) {
 // TestEventsOutDeterministic runs the crash scenario with -events-out and
 // -metrics-out: the journal and metric dump equal their goldens (same seed,
 // same bytes, across commits), the journal is non-empty, one JSON object per
-// line, and records the node failure, cordon and failover.
+// line, and records the node failure, cordon and re-placement.
 func TestEventsOutDeterministic(t *testing.T) {
 	checkContract(t, scenarioContract{
 		scenario:   crashScenario,
-		stdout:     "f6680455e482aa4b9491104564b1ea78b2f1f8887139f3156176befff70aa2c5",
-		journal:    "a7a6bfb7088b27e3ba7f121892b42aaddf30988755344b6296bc878eac77c99f",
-		metrics:    "dc44a1f5132f0d1189ee89aae2de375022e0e939aeab5f4704f071ac02ea8b06",
+		stdout:     "e7ed60cd47908aa6d9c78801297cb23db6fd9624dd0d886ab3912f574a820a17",
+		journal:    "2a97ae04c840d2bc4f4a9bc180cfb941f745c17bebc3e5bd9a43cc78b07fd9bd",
+		metrics:    "2c7da7601947f426c64bdd0a1d1605f12b6fd143e9e0aee7613d7d335416f4ac",
 		wantLines:  []string{"journal: ", "metrics: "},
-		wantEvents: []string{`"type":"node_down"`, `"type":"cordon"`, `"type":"failover"`},
+		wantEvents: []string{`"type":"node_down"`, `"type":"cordon"`, `"type":"reconcile_action"`},
+		causes:     obs.CauseCounts{Drifts: 2},
 	})
 }
 
@@ -652,10 +658,11 @@ func TestEventsOutDeterministic(t *testing.T) {
 func TestTraceOutDeterministic(t *testing.T) {
 	checkContract(t, scenarioContract{
 		scenario:  crashScenario,
-		stdout:    "aebe7f76d9f5ff3a37407edbd575847984ea5af144b00df039e8f000f00d144d",
-		journal:   "a7a6bfb7088b27e3ba7f121892b42aaddf30988755344b6296bc878eac77c99f",
-		trace:     "286110ecdc484eb8f9c49b5beb5ffe17ae015626b5488cf7e7859f5ff778a141",
+		stdout:    "5c4683cd265f9d63e4bf25b74769d99d46907f6637ed229beebcf9d4113a8828",
+		journal:   "2a97ae04c840d2bc4f4a9bc180cfb941f745c17bebc3e5bd9a43cc78b07fd9bd",
+		trace:     "1600d9c0c4e005abbfae57a62ed3842dae09322a18bab5da622e503c22182154",
 		wantLines: []string{"journal: "},
+		causes:    obs.CauseCounts{Drifts: 2},
 	})
 }
 
@@ -785,11 +792,13 @@ func checkTraceShape(t *testing.T, raw []byte) {
 	}
 }
 
-// TestJournalCauseChainsResolveToProbes pins the PR's headline acceptance
-// criterion end to end through the CLI: in a run with bandwidth-violation
-// migrations and in one with fault-driven failovers, every migration and
-// failover journal event carries a cause chain that resolves back to a
-// concrete probe sample, with the full candidate scoreboard attached.
+// TestJournalCauseChainsResolveToProbes pins the cause contract end to end
+// through the CLI: in a run with bandwidth-violation migrations and in one
+// with fault-driven re-placements, every migration and every reconciler
+// placement carries a cause chain that resolves back to a concrete probe
+// sample, with the full candidate scoreboard attached. A re-placement's
+// chain runs reconcile_action → reconcile_drift → evacuate → cordon →
+// node_down and on to the failed probes.
 func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 	scenarios := map[string]scenario.Spec{
 		// The throttled citylab uplink drives the SFU through repeated
@@ -798,7 +807,7 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 			Topology: "citylab", App: "videoconf", Scheduler: "bfs",
 			HorizonSec: 900, Seed: 5, Migration: true, MonitorIntervalSec: 30,
 		},
-		// The crashed LAN node strands components and drives failovers.
+		// The crashed LAN node strands components the reconciler re-places.
 		"failover": {
 			Topology: "lan", Nodes: lanNodes(4), App: "camera", Scheduler: "bfs",
 			HorizonSec: 300, Seed: 9, Migration: true, MonitorIntervalSec: 30,
@@ -824,13 +833,15 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := obs.EventMigration
+			want, via := obs.EventMigration, []obs.EventType(nil)
 			if name == "failover" {
-				want = obs.EventFailover
+				want = obs.EventReconcileAction
+				via = []obs.EventType{obs.EventReconcileAction, obs.EventReconcileDrift,
+					obs.EventEvacuate, obs.EventCordon, obs.EventNodeDown}
 			}
 			checked := 0
 			for _, e := range events {
-				if e.Type != want {
+				if e.Type != want || e.To == "" { // a placement, not a failed attempt
 					continue
 				}
 				checked++
@@ -844,6 +855,11 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 				if root := chain[len(chain)-1]; !root.IsProbeSample() {
 					t.Errorf("%s cause chain roots at %s, want a probe sample", want, root.Type)
 				}
+				for i, typ := range via {
+					if i >= len(chain) || chain[i].Type != typ {
+						t.Fatalf("%s cause chain %v, want it to start %v", want, chainTypes(chain), via)
+					}
+				}
 				if board := obs.Scoreboard(events, e); len(board) == 0 {
 					t.Errorf("%s event has no candidate scoreboard: %+v", want, e)
 				}
@@ -853,6 +869,14 @@ func TestJournalCauseChainsResolveToProbes(t *testing.T) {
 			}
 		})
 	}
+}
+
+func chainTypes(chain []obs.Event) []obs.EventType {
+	types := make([]obs.EventType, len(chain))
+	for i, ev := range chain {
+		types[i] = ev.Type
+	}
+	return types
 }
 
 // TestExecuteRejectsBadFaultSchedule checks schedule validation surfaces as

@@ -9,7 +9,7 @@
 //	bass-trace check trace.json                 # validate an exported trace's schema
 //	bass-trace check journal.jsonl              # validate reconcile drift cause chains
 //
-// explain walks every decision event (schedule, migration, failover,
+// explain walks every decision event (schedule, migration,
 // reconcile drift/action/converged, SLO alert fired/resolved, and their
 // rejections) back to root cause through Cause spans — typically a concrete
 // probe sample — and renders the candidate scoreboard the scheduler
@@ -80,8 +80,6 @@ var decisionTypes = map[obs.EventType]bool{
 	obs.EventSchedule:           true,
 	obs.EventMigration:          true,
 	obs.EventMigrationRejected:  true,
-	obs.EventFailover:           true,
-	obs.EventFailoverQueued:     true,
 	obs.EventReconcileDrift:     true,
 	obs.EventReconcileAction:    true,
 	obs.EventReconcileDegraded:  true,

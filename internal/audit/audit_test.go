@@ -17,6 +17,7 @@ func TestAuditReportsEachKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []problem{
+		{check: "deprecated", name: "lib.Config.Width"},
 		{check: "export", name: "lib.Label"},
 		{check: "knob", name: "lib.Config.Size"},
 		{check: "reach", name: "lib.Gone", stale: true},
@@ -41,6 +42,7 @@ func TestReadKeepRejectsMalformedLines(t *testing.T) {
 		"reach lib.F because",
 		"export lib.T signature",
 		"reach lib.F roadmap: Parallel by construction",
+		"deprecated lib.F fixture",
 		"reach lib.F fixture\nreach lib.F observer",
 	} {
 		keep := filepath.Join(dir, "keep.txt")
@@ -52,7 +54,8 @@ func TestReadKeepRejectsMalformedLines(t *testing.T) {
 		}
 	}
 	keep := filepath.Join(dir, "keep.txt")
-	ok := "# comment\n\nreach lib.F roadmap: Serial by construction\nexport lib.T signature: lib.New\n"
+	ok := "# comment\n\nreach lib.F roadmap: Serial by construction\nexport lib.T signature: lib.New\n" +
+		"deprecated lib.Config.F roadmap: Serial by construction\n"
 	if err := os.WriteFile(keep, []byte(ok), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestReadKeepRejectsMalformedLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got["reach"]["lib.F"] || !got["export"]["lib.T"] || len(got["knob"]) != 0 {
+	if !got["reach"]["lib.F"] || !got["export"]["lib.T"] || !got["deprecated"]["lib.Config.F"] || len(got["knob"]) != 0 {
 		t.Errorf("readKeep = %v", got)
 	}
 }

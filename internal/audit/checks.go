@@ -374,3 +374,81 @@ func setSelector(info *types.Info, e ast.Expr, set func(types.Object)) {
 		set(info.Selections[s].Obj())
 	}
 }
+
+// deprecatedNames lists the names declared in the audited packages' non-test
+// files whose doc comment has a line starting "Deprecated:": top-level
+// funcs, types, consts and vars, methods, and the fields of top-level struct
+// types. Methods are spelled as reach spells them, fields as knob does.
+func deprecatedNames(m *module) []string {
+	var out []string
+	for _, d := range m.dirs {
+		if !d.audited() {
+			continue
+		}
+		pkg := m.short(d.plain.pkg)
+		for _, f := range d.files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if fn, ok := d.plain.info.Defs[decl.Name].(*types.Func); ok && saysDeprecated(decl.Doc) {
+						out = append(out, strings.TrimPrefix(funcSymbol(fn), m.path+"/internal/"))
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						out = appendDeprecatedSpec(out, pkg, decl, spec)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// appendDeprecatedSpec appends the deprecated names one spec declares. A
+// lone spec's doc comment may sit on its declaration instead.
+func appendDeprecatedSpec(out []string, pkg string, decl *ast.GenDecl, spec ast.Spec) []string {
+	doc := func(own *ast.CommentGroup) *ast.CommentGroup {
+		if own == nil && len(decl.Specs) == 1 {
+			return decl.Doc
+		}
+		return own
+	}
+	switch spec := spec.(type) {
+	case *ast.TypeSpec:
+		if saysDeprecated(doc(spec.Doc)) {
+			out = append(out, pkg+"."+spec.Name.Name)
+		}
+		if st, ok := spec.Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				if !saysDeprecated(field.Doc) {
+					continue
+				}
+				for _, name := range field.Names {
+					out = append(out, pkg+"."+spec.Name.Name+"."+name.Name)
+				}
+			}
+		}
+	case *ast.ValueSpec:
+		if saysDeprecated(doc(spec.Doc)) {
+			for _, name := range spec.Names {
+				out = append(out, pkg+"."+name.Name)
+			}
+		}
+	}
+	return out
+}
+
+// saysDeprecated reports whether a doc comment has a "Deprecated:" line, the
+// form go doc and gopls recognise.
+func saysDeprecated(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, line := range strings.Split(doc.Text(), "\n") {
+		if strings.HasPrefix(line, "Deprecated:") {
+			return true
+		}
+	}
+	return false
+}

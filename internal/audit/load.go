@@ -142,7 +142,7 @@ func (m *module) parseDir(dir string) error {
 			}
 			continue
 		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -189,6 +189,7 @@ func (m *module) plain(path string) (*types.Package, error) {
 func (m *module) check(path string, files []*ast.File, self *unit) (*unit, error) {
 	u := &unit{path: path, files: files, info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}

@@ -4,7 +4,7 @@
 //
 //	go run ./internal/audit
 //
-// It type-checks every package once, tests included, and runs three checks:
+// It type-checks every package once, tests included, and runs four checks:
 //
 //   - export: an exported top-level func, type, const or var that no other
 //     package names. bench/, cmd/, examples/, other internal packages and
@@ -17,6 +17,10 @@
 //   - knob: a field of a *Config or *Options struct whose only non-test
 //     set-sites are in its own package's withDefaults or Default* function,
 //     so it has one value in use.
+//   - deprecated: a name declared in a non-test file whose doc comment says
+//     "Deprecated:". Its keep line must give the roadmap reason, naming the
+//     open ROADMAP.md item that deletes it, so no deprecation outlives its
+//     plan.
 //
 // Every finding needs a line in internal/audit/keep.txt, and every line
 // there must still be a finding; otherwise the command lists the difference
@@ -59,7 +63,7 @@ var reasons = map[string]bool{
 	"roadmap":     true,  // the open ROADMAP.md item that will use it
 }
 
-var checks = []string{"export", "reach", "knob"}
+var checks = []string{"export", "reach", "knob", "deprecated"}
 
 // A problem is a finding with no keep line, or a keep line with no finding.
 type problem struct {
@@ -74,7 +78,7 @@ func (p problem) String() string {
 	return fmt.Sprintf("%s %s: not kept; remove or unexport it, or add a keep line", p.check, p.name)
 }
 
-// audit runs the three checks on the module at root against the keep list
+// audit runs the four checks on the module at root against the keep list
 // at keepPath (relative to root), reports to w and returns the problems.
 func audit(root, keepPath string, w io.Writer) ([]problem, error) {
 	keep, err := readKeep(filepath.Join(root, keepPath), filepath.Join(root, "ROADMAP.md"))
@@ -89,7 +93,8 @@ func audit(root, keepPath string, w io.Writer) ([]problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	found := map[string][]string{"export": exportScope(m), "reach": reach, "knob": knobs(m)}
+	found := map[string][]string{"export": exportScope(m), "reach": reach, "knob": knobs(m),
+		"deprecated": deprecatedNames(m)}
 	fmt.Fprintf(w, "exported names in internal/: %v; %v\n", countExported(m), measureSize(m))
 	var problems []problem
 	for _, c := range checks {
@@ -164,6 +169,8 @@ func readKeep(keepPath, roadmapPath string) (map[string]map[string]bool, error) 
 			return nil, bad(reason + " needs a detail after a colon")
 		case reason == "roadmap" && !bytes.Contains(roadmap, []byte(detail)):
 			return nil, bad("no such item in ROADMAP.md")
+		case f[0] == "deprecated" && reason != "roadmap":
+			return nil, bad("a deprecated name is kept only for the roadmap item that deletes it")
 		case set[f[1]]:
 			return nil, bad("duplicate line")
 		}

@@ -8,6 +8,10 @@ type Config struct {
 	Name string
 	// Size is set only by withDefaults: a knob finding.
 	Size int
+	// Width is ignored.
+	//
+	// Deprecated: a deprecated finding.
+	Width int
 }
 
 func (c Config) withDefaults() Config {

@@ -95,7 +95,11 @@ type Config struct {
 	// paper's "bandwidth querying interval" (30/60/90 s sweeps). Every cycle
 	// opens with a headroom-probe sweep, so it is also the probe period.
 	MonitorInterval time.Duration
-	// EnableMigration turns the controller loop on.
+	// EnableMigration turns the controller loop on, and with it failure
+	// detection and the reconciler (internal/reconcile): each deployment
+	// registers its desired-state spec, and node-down verdicts become drift
+	// the reconciler converges through idempotent, bounded actions, checked
+	// again every MonitorInterval.
 	EnableMigration bool
 	// MigrationDowntime is how long a migrated component is unavailable
 	// (paper: ~20 s for the videoconf server to re-establish WebRTC, ~4 s
@@ -104,12 +108,11 @@ type Config struct {
 	// ReservedCPU is subtracted from every node's schedulable CPU to model
 	// the k3s agent and monitoring daemons.
 	ReservedCPU float64
-	// EnableReconcile replaces the reactive failover path with the
-	// declarative reconciliation loop: deployments register desired-state
-	// specs, and a reconciler diffs desired vs. observed placement every
-	// MonitorInterval, converging through idempotent, bounded actions (see
-	// internal/reconcile). Needs EnableMigration: failure verdicts come from
-	// the control loop (NewSimulation rejects it alone).
+	// EnableReconcile is ignored: the reconciler runs whenever
+	// EnableMigration does.
+	//
+	// Deprecated: kept only for callers that still set it; it will be
+	// removed.
 	EnableReconcile bool
 	// EvalWorkers is ignored: the controller evaluates every application
 	// serially, in deployment order.
@@ -141,22 +144,6 @@ type Config struct {
 // (bench city-batch: place_ms_p50 8.3), against microseconds for the greedy
 // seed alone.
 const DefaultBatchMoveBudget = 256
-
-// Fixed retry parameters. The backoff constants equal the reconciler's own,
-// so both recovery paths retry on one schedule.
-const (
-	// failoverMaxRetries bounds placement attempts for a component stranded
-	// by a node failure before it parks in the recovery queue.
-	failoverMaxRetries = 5
-	// failoverBackoffBase is the first retry delay after a failed failover
-	// placement; each subsequent retry doubles it.
-	failoverBackoffBase = 5 * time.Second
-	// failoverBackoffMax caps the failover retry delay.
-	failoverBackoffMax = 2 * time.Minute
-	// failoverBackoffJitter spreads each retry delay by ±frac, drawn from the
-	// engine's seeded RNG so equal seeds stay byte-identical.
-	failoverBackoffJitter = 0.2
-)
 
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
@@ -230,15 +217,13 @@ type Orchestrator struct {
 	ctrlWallNS      int64
 	sloTickNS       int64
 
-	// Failure-handling state (see failover.go).
+	// Failure-handling state (see recovery.go and reconcile_host.go); rec
+	// is nil unless Config.EnableMigration. nodeDownSpan remembers the
+	// verdict span of each currently-dead node so self-detected drift stays
+	// causally explainable.
 	detections    []DetectionRecord
 	failovers     []FailoverEvent
 	mttrs         []time.Duration
-	failoverQueue []*pendingFailover
-
-	// Reconciliation state (see reconcile_host.go); rec is nil unless
-	// Config.EnableReconcile. nodeDownSpan remembers the verdict span of each
-	// currently-dead node so self-detected drift stays causally explainable.
 	rec           *reconcile.Reconciler
 	stopReconcile func()
 	nodeDownSpan  map[string]uint64
@@ -290,7 +275,7 @@ func newOrchestrator(eng *sim.Engine, topo *mesh.Topology, net *simnet.Network, 
 		batch.SetPathQuery(o.pathSpareFn)
 		o.cfg.Policy = batch
 	}
-	if cfg.EnableReconcile {
+	if cfg.EnableMigration {
 		o.rec = reconcile.New(reconcile.Config{Epoch: cfg.MonitorInterval}, reconcileHost{o})
 		o.nodeDownSpan = make(map[string]uint64)
 	}
@@ -409,8 +394,6 @@ func (o *Orchestrator) Bootstrap() error {
 	}
 	if o.cfg.EnableMigration && o.stopMonitor == nil {
 		o.stopMonitor = o.eng.Every(o.cfg.MonitorInterval, o.controlCycle)
-	}
-	if o.rec != nil && o.stopReconcile == nil {
 		// The epoch tick is the reconciler's heartbeat; topology changes
 		// (injected faults) additionally kick an eager same-time pass so
 		// drift converges without waiting out the epoch.
@@ -433,7 +416,7 @@ func (o *Orchestrator) Stop() {
 	}
 }
 
-// Reconciler exposes the reconciliation loop (nil unless EnableReconcile).
+// Reconciler exposes the reconciliation loop (nil unless EnableMigration).
 func (o *Orchestrator) Reconciler() *reconcile.Reconciler { return o.rec }
 
 // DeployAt schedules and starts a workload, forcing the listed components
@@ -500,26 +483,7 @@ func (o *Orchestrator) DeployAt(name string, w Workload, overrides scheduler.Ass
 	if err != nil {
 		return nil, fmt.Errorf("core: start workload %q: %w", name, err)
 	}
-	if o.rec != nil {
-		// The DAG + policy become the app's desired state: every component
-		// placed on a healthy node. Priority defaults to deployment order
-		// (earlier = higher) unless the workload declares its own.
-		prio := -(len(o.appOrder) - 1)
-		if p, ok := w.(prioritized); ok {
-			prio = p.Priority()
-		}
-		spec := reconcile.Spec{App: name, Priority: prio}
-		for _, cname := range g.Components() {
-			c, cerr := g.Component(cname)
-			if cerr != nil {
-				continue
-			}
-			spec.Components = append(spec.Components, reconcile.ComponentSpec{
-				Name: cname, CPU: c.CPU, MemoryMB: c.MemoryMB,
-			})
-		}
-		o.rec.SetSpec(spec)
-	}
+	o.registerSpec(app)
 	return assignment, nil
 }
 

@@ -372,29 +372,34 @@ func TestNewSimulationRejectsForeignNode(t *testing.T) {
 	}
 }
 
-// TestNewSimulationRejectsLoopFeaturesWithoutMigration: reconciliation and
-// the SLO evaluator act only inside the control loop, which EnableMigration
-// starts, so either one alone would run inert (no detections, every SLO at
-// no-data). NewSimulation names the field and the reason; with migration
-// on, both are accepted.
+// TestNewSimulationRejectsLoopFeaturesWithoutMigration: the SLO evaluator
+// acts only inside the control loop, which EnableMigration starts, so alone
+// it would run inert (every SLO at no-data). NewSimulation names the field
+// and the reason; with migration on it is accepted. The reconciler is built
+// exactly when migration is on, whatever the deprecated EnableReconcile says.
 func TestNewSimulationRejectsLoopFeaturesWithoutMigration(t *testing.T) {
-	for _, c := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{EnableReconcile: true}, "EnableReconcile needs EnableMigration; the failure detector"},
-		{Config{EnableSLO: true}, "EnableSLO needs EnableMigration; the SLO evaluator ticks only"},
-		{Config{EnableReconcile: true, EnableSLO: true}, "EnableReconcile needs EnableMigration"},
-	} {
-		_, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1, c.cfg)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: error %v, want one containing %q", c.cfg, err, c.want)
+	for _, cfg := range []Config{{EnableSLO: true}, {EnableReconcile: true, EnableSLO: true}} {
+		_, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1, cfg)
+		if want := "EnableSLO needs EnableMigration; the SLO evaluator ticks only"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: error %v, want one containing %q", cfg, err, want)
 		}
 	}
-	sim, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1,
-		Config{EnableMigration: true, EnableReconcile: true, EnableSLO: true})
-	if err != nil {
-		t.Fatalf("with migration: %v", err)
+	for _, c := range []struct {
+		cfg     Config
+		wantRec bool
+	}{
+		{Config{}, false},
+		{Config{EnableReconcile: true}, false},
+		{Config{EnableMigration: true}, true},
+		{Config{EnableMigration: true, EnableSLO: true}, true},
+	} {
+		sim, err := NewSimulation(fig8Topology(time.Hour), fig8Nodes(), 1, c.cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.cfg, err)
+		}
+		if got := sim.Orch.Reconciler() != nil; got != c.wantRec {
+			t.Errorf("%+v: reconciler built = %v, want %v", c.cfg, got, c.wantRec)
+		}
+		sim.Close()
 	}
-	sim.Close()
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bass/internal/netmon"
 	"bass/internal/obs"
 	"bass/internal/scheduler"
@@ -114,6 +116,7 @@ type appEvalScratch struct {
 
 func (o *Orchestrator) newAppScratch(app *deployedApp) *appEvalScratch {
 	s := &appEvalScratch{app: app, comps: app.graph.Components()}
+	slices.Sort(s.comps) // the reconciler's spec shares the list (registerSpec)
 	for _, e := range app.graph.Edges() {
 		s.edges = append(s.edges, edgeState{from: e.From, to: e.To, tag: app.env.Tag(e.From, e.To)})
 	}
@@ -181,7 +184,6 @@ func (o *Orchestrator) evalApp(s *appEvalScratch) {
 // order.
 func (o *Orchestrator) fastControlCycle() {
 	if len(o.appScratch) == 0 {
-		o.drainFailoverQueue()
 		return
 	}
 	cyc := o.ctrl.Observe(o.fullProbeFn)
@@ -229,9 +231,6 @@ func (o *Orchestrator) fastControlCycle() {
 		})
 	}
 	o.ctrl.FinishCycle()
-	// Capacity can return without a node-recovery transition (e.g. another
-	// app released resources): give queued components a chance every cycle.
-	o.drainFailoverQueue()
 }
 
 // buildAssignment refreshes the app's component→node map from the cluster.

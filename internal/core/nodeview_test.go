@@ -48,7 +48,7 @@ func sameNodeInfos(got, want []scheduler.NodeInfo) string {
 // storm-loaded chain apps on a jittered grid with tight CPU, migration and
 // reconcile on, node crashes and link flaps — and checks the maintained
 // node view against a fresh appendNodeInfos rebuild after every deploy
-// placement, migration, failover or reconcile placement, cordon, uncordon,
+// placement, migration, reconcile placement, cordon, uncordon,
 // evacuation and full probe. Whenever the view reads as current it must
 // equal the rebuild bit for bit; after the orchestrator's own placement
 // changes it must read as current, so a skipped patch shows as a view that
@@ -68,7 +68,6 @@ func TestNodeViewMatchesRebuild(t *testing.T) {
 	}
 	s, err := NewSimulation(topo, nodes, seed, Config{
 		EnableMigration:   true,
-		EnableReconcile:   true,
 		MonitorInterval:   30 * time.Second,
 		MigrationDowntime: 5 * time.Second,
 		ReservedCPU:       0.1,
@@ -85,7 +84,7 @@ func TestNodeViewMatchesRebuild(t *testing.T) {
 	plane.SetTap(func(ev obs.Event) {
 		mustBeCurrent := false
 		switch ev.Type {
-		case obs.EventSchedule, obs.EventMigration, obs.EventFailover:
+		case obs.EventSchedule, obs.EventMigration:
 			mustBeCurrent = true
 		case obs.EventReconcileAction:
 			mustBeCurrent = strings.HasPrefix(ev.Reason, "placed via")
@@ -105,7 +104,7 @@ func TestNodeViewMatchesRebuild(t *testing.T) {
 		if diff := sameNodeInfos(o.view.infos, o.appendNodeInfos(nil)); diff != "" {
 			t.Errorf("at %v after %s %s/%s: %s", ev.At, ev.Type, ev.App, ev.Component, diff)
 		}
-	}, obs.EventSchedule, obs.EventMigration, obs.EventFailover, obs.EventReconcileAction,
+	}, obs.EventSchedule, obs.EventMigration, obs.EventReconcileAction,
 		obs.EventCordon, obs.EventUncordon, obs.EventEvacuate, obs.EventProbeFull)
 
 	for i := 0; i < apps; i++ {

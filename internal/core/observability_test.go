@@ -45,14 +45,14 @@ func obsCrashRun(t *testing.T) ([]byte, *metricstore.Store) {
 
 // TestObservabilityJournalsFailureHandling drives a crash through the regular
 // monitoring path and checks the journal tells the whole story: failing
-// probes, the down verdict, cordon, evacuation, and the failover, plus the
-// metric series the same components emitted.
+// probes, the down verdict, cordon, evacuation, and the reconciler's drift
+// and re-placement, plus the metric series the same components emitted.
 func TestObservabilityJournalsFailureHandling(t *testing.T) {
 	raw, store := obsCrashRun(t)
 	journal := string(raw)
 	for _, want := range []obs.EventType{
 		obs.EventProbeHeadroom, obs.EventProbeError, obs.EventNodeDown,
-		obs.EventCordon, obs.EventEvacuate, obs.EventFailover,
+		obs.EventCordon, obs.EventEvacuate, obs.EventReconcileDrift, obs.EventReconcileAction,
 	} {
 		if !bytes.Contains(raw, []byte(`"type":"`+string(want)+`"`)) {
 			t.Errorf("journal missing %q events:\n%s", want, journal)

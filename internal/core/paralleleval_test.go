@@ -81,20 +81,24 @@ func diffRun(t *testing.T, grid diffGrid, seed int64) (journal, metrics []byte, 
 // at seeds 1–3, captured at the commit before the target choosers were folded
 // into one scoring loop. Chain apps have at most two neighbors per component,
 // so those bytes were already reproducible there. Matching them is the
-// cross-commit proof that no scoreboard moved.
+// cross-commit proof that no scoreboard moved. The metric halves were
+// re-captured when the reconciler became the only recovery path and so ran
+// in every migration run: the dumps gained its three gauges
+// (reconcile_drift_total, reconcile_actions_total, degraded_mode) and
+// changed in nothing else; the journals held.
 var goldenDiffRun = map[int64][2]string{
-	1: {"a903c3c7a3a130db9b1c0b942ad6e1ef13874d69d0cc4a993a0e03029e94b2b3", "1bf812e9fb6085c62213be921ef4a2d94399a649fcfc7b68ea21c2f5b5a52087"},
-	2: {"786491fa755bb5cc41d88dd86a5eb6c1574a2d75de9e893a645b156a0b193f60", "888f060700bed61fd9f740aca89d903cb1b4bfb39fa9d99bf02ee6cf1cb6f362"},
-	3: {"07bdec4bcdf12ea78456f486de9de58d6c56b0d56eb8cf57a81c29476efb1345", "b4a45642d4077812ea84bc01bd5ad35f8119d8f4a0960d46344287390e0e5b07"},
+	1: {"a903c3c7a3a130db9b1c0b942ad6e1ef13874d69d0cc4a993a0e03029e94b2b3", "feef0191a9098a0008dd4da7bae16bd97c796e2f6e403c8ba37068140decf8cb"},
+	2: {"786491fa755bb5cc41d88dd86a5eb6c1574a2d75de9e893a645b156a0b193f60", "de75acebd15cb7dc6f42e1e24d7cc9d9a744aeee29a33808df28cb0ba5f71a01"},
+	3: {"07bdec4bcdf12ea78456f486de9de58d6c56b0d56eb8cf57a81c29476efb1345", "ce841e2c54b14820d9de53b0a534df8135988bbc4422175c0222e02607e3e1e3"},
 }
 
 // goldenDiffRunWide is goldenDiffRun on diffGridWide, captured when the
 // per-app evaluation could still fan out across workers and every worker
 // count matched these bytes.
 var goldenDiffRunWide = map[int64][2]string{
-	1: {"0e3a906fed381af22872803d41fe6a7986ad0d1b4d888ab760974a00f88c2c60", "759eeefa242ad72a18a75990815386af1dd84bc7dbef8c688114642d752ba65f"},
-	2: {"d144a78eb218b81bd9a17b0ef4b5a34f92d7dc838709cd58f5c991aa9cd3cd26", "82962b562b3ade4c87d983ca6cb3b7060cbccd8cc9bee539d99778df0f64236d"},
-	3: {"878e6b0f83894766427fdbe485d6129b8f2c3406e5db21c937b69f8c42997db8", "6900bab421158effac7e586a50a56341e932d45e2a8dc7bbdefaa4d77d86f2e4"},
+	1: {"0e3a906fed381af22872803d41fe6a7986ad0d1b4d888ab760974a00f88c2c60", "81b33cd1124e6da3884d23050479224a80db0c0a73620ff3659c6470e8935ed6"},
+	2: {"d144a78eb218b81bd9a17b0ef4b5a34f92d7dc838709cd58f5c991aa9cd3cd26", "35ca98380997293d1c734b229a2de6edbcf25b2197358a9ba0c00f7879606d4c"},
+	3: {"878e6b0f83894766427fdbe485d6129b8f2c3406e5db21c937b69f8c42997db8", "a01ce20991547574d8b176924bacaeb11e6f043689b218e87ed7fb7c7d8d49fb"},
 }
 
 // TestParallelEvalByteIdentical pins the hot path's determinism contract at

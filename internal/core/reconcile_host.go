@@ -11,8 +11,7 @@ import (
 
 // reconcileHost adapts the orchestrator to the reconciler's Host interface:
 // the cluster is the observed state, the controller is the health oracle, and
-// placements run through Orchestrator.replace, as the reactive failover path's
-// do — one placement implementation, two drivers.
+// placements run through Orchestrator.replace.
 type reconcileHost struct{ o *Orchestrator }
 
 func (h reconcileHost) Now() time.Duration { return h.o.eng.Now() }
@@ -46,9 +45,7 @@ func (h reconcileHost) NodeDownCause(node string) uint64 {
 // Place converges one component. Idempotent by construction: a component
 // already on a healthy node succeeds without side effects, so double
 // placement is structurally impossible whatever path resolved it first. The
-// ladder rung picks the scheduler's strictness — RungMigrate insists on a
-// bandwidth-feasible target, later rungs accept the best partially-feasible
-// node and let the data plane re-route.
+// ladder rung picks the scheduler's strictness (see replace).
 func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 	o := h.o
 	app, ok := o.apps[a.App]
@@ -68,8 +65,7 @@ func (h reconcileHost) Place(a reconcile.Action) (string, error) {
 			return "", rerr
 		}
 	}
-	target, err := o.replace(app, comp, a.FromNode, a.Rung == reconcile.RungMigrate,
-		a.Attempt, a.Rung >= reconcile.RungShed, a.DriftedAt, a.Cause)
+	target, err := o.replace(app, comp, a)
 	if err != nil {
 		return "", err
 	}
@@ -110,4 +106,18 @@ func (h reconcileHost) Shed(appName string, cause uint64) {
 	// needed here to stay collision-safe.
 	o.net.ShedFlowsByTagPrefix(appName)
 	o.net.SetCause(0)
+}
+
+// registerSpec makes a deployed app's DAG its desired state: every
+// component placed on a healthy node. The spec shares the app's frozen,
+// name-sorted component list (appEvalScratch.comps). Priority defaults to
+// deployment order (earlier = higher) unless the workload declares its own.
+// Without migration there is no reconciler, and the nil-safe SetSpec drops
+// the spec.
+func (o *Orchestrator) registerSpec(app *deployedApp) {
+	prio := -(len(o.appOrder) - 1)
+	if p, ok := app.workload.(prioritized); ok {
+		prio = p.Priority()
+	}
+	o.rec.SetSpec(reconcile.Spec{App: app.name, Priority: prio, Components: app.scratch.comps})
 }

@@ -10,6 +10,7 @@ import (
 	"bass/internal/faults"
 	"bass/internal/mesh"
 	"bass/internal/obs"
+	"bass/internal/reconcile"
 )
 
 // chaosSim builds a full-mesh simulation with failure detection armed: the
@@ -127,9 +128,9 @@ func TestNodeCrashDetectedAndFailedOver(t *testing.T) {
 	}
 }
 
-// TestFailoverQueuesUntilCapacityReturns exhausts the five placement retries
-// (no surviving node fits the component) and checks the component waits in
-// the recovery queue, then lands as soon as the crashed node returns.
+// TestFailoverQueuesUntilCapacityReturns strands a component no surviving
+// node fits and checks it waits as open drift, climbing the degraded-mode
+// ladder to its park rung, then lands on the crashed node once it returns.
 func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	nodes := []cluster.Node{
 		{Name: "n1", CPU: 4, MemoryMB: 4096},
@@ -138,8 +139,6 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 	}
 	s := chaosSim(t, nodes, Config{})
 	defer s.Close()
-	journal := obs.NewJournal(0)
-	s.AttachObservability(journal, nil)
 	w := newPairWorkload("pair", 8, "", 4) // CPU 4: exactly one per big node
 	assignment, err := s.Orch.DeployAt("pair", w, nil)
 	if err != nil {
@@ -155,10 +154,14 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mid-outage: retries exhausted, component parked in the queue.
+	// Mid-outage: every rung failed, the component waits for capacity.
+	rec := s.Orch.Reconciler()
 	s.Eng.At(300*time.Second, func() {
-		if q := s.Orch.QueuedFailovers(); len(q) != 1 || q[0] != "pair/dst" {
-			t.Errorf("at 300s queue = %v, want [pair/dst]", q)
+		if q := s.Orch.RecoveryReport().QueuedNow; q != 1 || rec.OutstandingDrift() != 1 {
+			t.Errorf("at 300s QueuedNow = %d, want 1 (pair/dst)", q)
+		}
+		if got := rec.DegradedMode(); got != reconcile.RungPark {
+			t.Errorf("at 300s degraded mode %v, want park", got)
 		}
 		if s.Cluster.NodeOf("pair", "dst") != "" {
 			t.Error("dst placed mid-outage despite nowhere to fit")
@@ -170,35 +173,23 @@ func TestFailoverQueuesUntilCapacityReturns(t *testing.T) {
 
 	report := s.Orch.RecoveryReport()
 	if report.QueuedNow != 0 {
-		t.Fatalf("still queued at end: %v", s.Orch.QueuedFailovers())
+		t.Fatalf("still queued at end: %d", report.QueuedNow)
 	}
 	if len(report.Failovers) != 1 {
 		t.Fatalf("failovers = %+v", report.Failovers)
 	}
 	fo := report.Failovers[0]
 	if !fo.FromQueue {
-		t.Errorf("failover %+v should have come from the queue", fo)
-	}
-	// The retry schedule: five attempts, the four gaps between them backing
-	// off 5+10+20+40 s, each jittered ±20 %, before the component parks.
-	var queued []obs.Event
-	for _, ev := range journal.Events() {
-		if ev.Type == obs.EventFailoverQueued {
-			queued = append(queued, ev)
-		}
-	}
-	if len(queued) != 1 || queued[0].Value != failoverMaxRetries {
-		t.Fatalf("failover_queued events = %+v, want one after %d attempts", queued, failoverMaxRetries)
-	}
-	const schedule = 75 * time.Second
-	if wait := queued[0].At - report.Detections[0].DetectedAt; wait < schedule*8/10 || wait > schedule*12/10 {
-		t.Errorf("parked %v after detection, want %v ±20%%", wait, schedule)
+		t.Errorf("failover %+v should have come from the park rung", fo)
 	}
 	if fo.To != victim {
 		t.Errorf("dst re-placed on %q, want the recovered %q (only node that fits)", fo.To, victim)
 	}
 	if got := s.Cluster.NodeOf("pair", "dst"); got != victim {
 		t.Errorf("dst on %q at end", got)
+	}
+	if fo.At < 360*time.Second {
+		t.Errorf("dst re-placed at %v, before its node recovered at 360s", fo.At)
 	}
 }
 
@@ -230,18 +221,34 @@ func TestNodeDownEvacuatesEveryComponentOfAnApp(t *testing.T) {
 	if got := s.Cluster.ComponentsOn("tri", "n2"); len(got) != 0 {
 		t.Fatalf("components left on the dead node: %v", got)
 	}
-	if det := s.Orch.Detections(); len(det) != 1 || det[0].Components != 3 {
+	rep := s.Orch.RecoveryReport()
+	if det := rep.Detections; len(det) != 1 || det[0].Components != 3 {
 		t.Fatalf("detections = %+v, want one stranding 3 components", det)
 	}
-	var evacuated []string
+	if rep.QueuedNow != 3 {
+		t.Fatalf("QueuedNow = %d, want every evacuated component as open drift", rep.QueuedNow)
+	}
+	// All three evacuations come first, in component order, and then one
+	// drift per component, each citing its own evacuation.
+	var order []string
+	evacSpan := map[string]uint64{}
 	for _, ev := range journal.Events() {
-		if ev.Type == obs.EventEvacuate && ev.Node == "n2" {
-			evacuated = append(evacuated, ev.Component)
+		switch ev.Type {
+		case obs.EventEvacuate:
+			order = append(order, "evacuate "+ev.Component)
+			evacSpan[ev.Component] = ev.Span
+		case obs.EventReconcileDrift:
+			order = append(order, "drift "+ev.Component)
+			if ev.Cause != evacSpan[ev.Component] || ev.Reason != string(reconcile.DriftDeadNode) {
+				t.Errorf("drift %s: cause %d reason %q, want its evacuation %d and %q",
+					ev.Component, ev.Cause, ev.Reason, evacSpan[ev.Component], reconcile.DriftDeadNode)
+			}
 		}
 	}
-	want := []string{"dst-tri", "mid-tri", "src-tri"}
-	if !reflect.DeepEqual(evacuated, want) {
-		t.Fatalf("evacuations = %v, want %v (sorted)", evacuated, want)
+	want := []string{"evacuate dst-tri", "evacuate mid-tri", "evacuate src-tri",
+		"drift dst-tri", "drift mid-tri", "drift src-tri"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("journal order = %v, want %v", order, want)
 	}
 }
 

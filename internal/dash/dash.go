@@ -42,7 +42,7 @@ type Frame struct {
 	SLOs   []slo.SpecStatus `json:"slos,omitempty"`
 	Links  []LinkStat       `json:"links,omitempty"`
 	// Alerts are the newest alert_fired/alert_resolved journal events,
-	// oldest first; Activity the newest migration/failover/reconcile ones.
+	// oldest first; Activity the newest migration/recovery/reconcile ones.
 	Alerts   []obs.Event `json:"alerts,omitempty"`
 	Activity []obs.Event `json:"activity,omitempty"`
 
@@ -98,8 +98,7 @@ func IsAlert(t obs.EventType) bool {
 // IsActivity reports whether an event belongs in the frame's activity pane.
 func IsActivity(t obs.EventType) bool {
 	switch t {
-	case obs.EventMigration, obs.EventFailover, obs.EventFailoverQueued,
-		obs.EventEvacuate, obs.EventNodeDown, obs.EventNodeRecovered,
+	case obs.EventMigration, obs.EventEvacuate, obs.EventNodeDown, obs.EventNodeRecovered,
 		obs.EventReconcileDrift, obs.EventReconcileAction, obs.EventReconcileDegraded,
 		obs.EventReconcileShed, obs.EventReconcileRestore:
 		return true
@@ -113,7 +112,7 @@ func RecentAlerts(events []obs.Event, n int) []obs.Event {
 	return tail(events, n, IsAlert)
 }
 
-// RecentActivity returns the newest n migration/failover/reconcile events of
+// RecentActivity returns the newest n migration/recovery/reconcile events of
 // a slice, oldest first: what Journal.Tail(n, IsActivity) reads off a
 // journal.
 func RecentActivity(events []obs.Event, n int) []obs.Event {

@@ -94,8 +94,8 @@ func stormChaos(crashesPerHour float64) *scenario.Chaos {
 
 // runChaos executes the chaos scenario: a seeded Poisson storm of node
 // crashes, link flaps, and probe-loss windows injected over a four-node
-// stormRig. Failure detection and failover with bounded-retry backoff are
-// armed; the result reports MTTR, availability, and requests lost. Equal
+// stormRig. Failure detection and the reconciler are armed; the result
+// reports MTTR, availability, and requests lost. Equal
 // seeds yield identical results.
 func runChaos(seed int64, horizon time.Duration) (chaosResult, error) {
 	if horizon == 0 {
@@ -163,7 +163,7 @@ func (r chaosResult) Table() Table {
 		{"journal", r.JournalSummary},
 	}
 	return Table{
-		Title: fmt.Sprintf("Chaos: seeded fault storm over %s (crash detect K=3 × 30 s probes, failover w/ backoff)",
+		Title: fmt.Sprintf("Chaos: seeded fault storm over %s (crash detect K=3 × 30 s probes, reconciler)",
 			r.Horizon),
 		Header: []string{"metric", "value"},
 		Rows:   rows,

@@ -28,7 +28,7 @@ func TestChaosDeterministic(t *testing.T) {
 
 // TestChaosProducesRecoveryMetrics checks the scenario actually exercises the
 // failure path: the seeded storm contains events, and any node-down verdict
-// is matched by failovers or a queue entry.
+// is matched by failovers or open drift.
 func TestChaosProducesRecoveryMetrics(t *testing.T) {
 	r, err := runChaos(7, 5*time.Minute)
 	if err != nil {

@@ -52,5 +52,5 @@ func TestChaosOutputGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinDigest(t, "chaos table", r.Table().String(),
-		"60bb01354bd1e4bb43d547f2d75ab50321237b56ed91ff3f87b44e13622df5d8")
+		"08fb715f3d70eaef5609395958aeeefdb90698e0292f33e1b6ce12a7d89ded50")
 }

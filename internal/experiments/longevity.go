@@ -115,8 +115,8 @@ func runLongevity(seed int64, horizon time.Duration) (longevityResult, []obs.Eve
 	return res, r.Journal.Events(), nil
 }
 
-// longevitySpec is a six-node stormRig with the reconciler enabled and
-// longevityWaves storm waves as explicit faults. Each wave draws its own
+// longevitySpec is a six-node stormRig (migration on, so the reconciler
+// runs) with longevityWaves storm waves as explicit faults. Each wave draws its own
 // seeded storm, 8 crashes an hour, over the first half of the wave and is
 // clamped so every window closes inside it: the wave's quiet half, room for
 // detection and re-convergence, starts with all elements recovered. Clamped
@@ -126,7 +126,6 @@ func longevitySpec(seed int64, horizon time.Duration) (scenario.Spec, error) {
 	waveLen := horizon / longevityWaves
 	storm := waveLen / 2
 	spec := stormRig(6, seed, horizon)
-	spec.Reconcile = true
 	topo, err := spec.Mesh()
 	if err != nil {
 		return scenario.Spec{}, err

@@ -43,7 +43,7 @@ func TestLongevityReconvergesAfterEveryWave(t *testing.T) {
 			res.MaxWaveActions, res.DriftsSeen)
 	}
 	if res.Report.QueuedNow != 0 {
-		t.Fatalf("legacy recovery queue used in reconcile mode: %d entries", res.Report.QueuedNow)
+		t.Fatalf("%d drift records still open at the end", res.Report.QueuedNow)
 	}
 
 	// Causal integrity: every drift event's cause chain must resolve to

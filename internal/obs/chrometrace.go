@@ -66,7 +66,7 @@ func trackOf(t EventType) int {
 		return trackScheduler
 	case EventFault, EventFlowParked, EventFlowResumed, EventTransferFailed:
 		return trackNetwork
-	default: // migration, cordon, evacuate, failover, reconcile actions, ...
+	default: // migration, cordon, evacuate, reconcile actions, ...
 		return trackActions
 	}
 }

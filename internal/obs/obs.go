@@ -65,11 +65,6 @@ const (
 	EventUncordon EventType = "uncordon"
 	// EventEvacuate is one component removed from a dead node.
 	EventEvacuate EventType = "evacuate"
-	// EventFailover is a stranded component re-placed (Value = attempts).
-	EventFailover EventType = "failover"
-	// EventFailoverQueued is a component that exhausted placement retries and
-	// parked in the recovery queue.
-	EventFailoverQueued EventType = "failover_queued"
 	// EventDeploy is an application entering the scheduler (the root cause of
 	// its components' initial placements).
 	EventDeploy EventType = "deploy"

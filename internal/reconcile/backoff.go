@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Backoff returns the delay before retry number attempt (1-based):
+// backoff returns the delay before retry number attempt (1-based):
 // exponential doubling from base, capped at max, then scaled by a uniform
 // jitter factor in [1-jitter, 1+jitter] drawn from rng.
 //
@@ -14,7 +14,7 @@ import (
 // non-positive jitter yields the pure exponential delay. jitter is clamped to
 // [0, 1] so the result can never go negative, and the jittered delay is
 // re-capped at max so max is a hard bound, not just a pre-jitter one.
-func Backoff(base, max time.Duration, jitter float64, attempt int, rng *rand.Rand) time.Duration {
+func backoff(base, max time.Duration, jitter float64, attempt int, rng *rand.Rand) time.Duration {
 	if base <= 0 {
 		base = time.Second
 	}

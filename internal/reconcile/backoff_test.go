@@ -13,7 +13,7 @@ func TestBackoffExponentialWithoutJitter(t *testing.T) {
 		80 * time.Second, 2 * time.Minute, 2 * time.Minute,
 	}
 	for i, w := range want {
-		if got := Backoff(base, max, 0, i+1, nil); got != w {
+		if got := backoff(base, max, 0, i+1, nil); got != w {
 			t.Errorf("attempt %d: got %v want %v", i+1, got, w)
 		}
 	}
@@ -22,11 +22,11 @@ func TestBackoffExponentialWithoutJitter(t *testing.T) {
 func TestBackoffOverflowSafe(t *testing.T) {
 	// A shift-based implementation would overflow long before attempt 500;
 	// the early cap must keep huge attempt counts pinned at max.
-	got := Backoff(5*time.Second, 2*time.Minute, 0, 500, nil)
+	got := backoff(5*time.Second, 2*time.Minute, 0, 500, nil)
 	if got != 2*time.Minute {
 		t.Fatalf("attempt 500: got %v want %v", got, 2*time.Minute)
 	}
-	if got := Backoff(5*time.Second, 2*time.Minute, 0, 1<<30, nil); got != 2*time.Minute {
+	if got := backoff(5*time.Second, 2*time.Minute, 0, 1<<30, nil); got != 2*time.Minute {
 		t.Fatalf("attempt 2^30: got %v want %v", got, 2*time.Minute)
 	}
 }
@@ -38,7 +38,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base, max, jitter := 5*time.Second, 2*time.Minute, 0.2
 	for attempt := 1; attempt <= 6; attempt++ {
-		exact := Backoff(base, max, 0, attempt, nil)
+		exact := backoff(base, max, 0, attempt, nil)
 		lo := time.Duration(float64(exact) * (1 - jitter))
 		hi := time.Duration(float64(exact) * (1 + jitter))
 		if hi > max {
@@ -48,7 +48,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 		distinct := make(map[time.Duration]bool)
 		const n = 2000
 		for i := 0; i < n; i++ {
-			d := Backoff(base, max, jitter, attempt, rng)
+			d := backoff(base, max, jitter, attempt, rng)
 			if d < lo || d > hi {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, lo, hi)
 			}
@@ -72,8 +72,8 @@ func TestBackoffEqualSeedsIdentical(t *testing.T) {
 	a := rand.New(rand.NewSource(42))
 	b := rand.New(rand.NewSource(42))
 	for attempt := 1; attempt <= 10; attempt++ {
-		da := Backoff(time.Second, time.Minute, 0.3, attempt, a)
-		db := Backoff(time.Second, time.Minute, 0.3, attempt, b)
+		da := backoff(time.Second, time.Minute, 0.3, attempt, a)
+		db := backoff(time.Second, time.Minute, 0.3, attempt, b)
 		if da != db {
 			t.Fatalf("attempt %d: equal seeds diverged: %v vs %v", attempt, da, db)
 		}
@@ -83,12 +83,12 @@ func TestBackoffEqualSeedsIdentical(t *testing.T) {
 func TestBackoffNeverNegativeAndCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		d := Backoff(time.Second, 2*time.Second, 5 /* clamped to 1 */, 3, rng)
+		d := backoff(time.Second, 2*time.Second, 5 /* clamped to 1 */, 3, rng)
 		if d < 0 || d > 2*time.Second {
 			t.Fatalf("delay %v outside [0, 2s]", d)
 		}
 	}
-	if d := Backoff(0, 0, 0, 1, nil); d <= 0 {
+	if d := backoff(0, 0, 0, 1, nil); d <= 0 {
 		t.Fatalf("zero config must default to a positive delay, got %v", d)
 	}
 }

@@ -100,7 +100,7 @@ func TestShedAppStragglersAllEvictedInOneTick(t *testing.T) {
 	}
 	// lo was shed earlier; an external path has since put four of its
 	// components back.
-	r.specs["lo"].shed = true
+	r.spec("lo").shed = true
 	for _, comp := range []string{"d", "b", "a", "c"} {
 		if err := h.place("lo", comp, "n1"); err != nil {
 			t.Fatal(err)

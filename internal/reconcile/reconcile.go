@@ -18,7 +18,9 @@ package reconcile
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"bass/internal/obs"
@@ -66,19 +68,14 @@ const (
 	driftUnexpected DriftKind = "unexpected"
 )
 
-// ComponentSpec is one desired component and its resource ask.
-type ComponentSpec struct {
-	Name     string
-	CPU      float64
-	MemoryMB float64
-}
-
 // Spec is an application's desired state: every named component placed on a
 // healthy node. Priority orders shedding — higher values are shed last.
 type Spec struct {
-	App        string
-	Priority   int
-	Components []ComponentSpec
+	App      string
+	Priority int
+	// Components names the desired components. SetSpec sorts the slice in
+	// place and keeps it, so the caller must not change it afterwards.
+	Components []string
 }
 
 // Config bounds the loop.
@@ -181,8 +178,7 @@ type Reconciler struct {
 	host  Host
 	plane *obs.Plane
 
-	specs     map[string]*specState
-	specOrder []string
+	specs []*specState // sorted by app: deterministic scan order
 
 	pendings map[string]*pending
 	order    []string // sorted pending keys: deterministic action order
@@ -213,7 +209,6 @@ func New(cfg Config, host Host) *Reconciler {
 	return &Reconciler{
 		cfg:      cfg,
 		host:     host,
-		specs:    make(map[string]*specState),
 		pendings: make(map[string]*pending),
 	}
 }
@@ -230,32 +225,45 @@ func (r *Reconciler) SetObserver(p *obs.Plane) {
 // Config reports the effective (defaulted) configuration.
 func (r *Reconciler) Config() Config { return r.cfg }
 
-// SetSpec registers or replaces an application's desired state. Components
-// are sorted by name so diff order is deterministic.
+// SetSpec registers or replaces an application's desired state. It sorts
+// s.Components by name, in place, so diff order is deterministic, and keeps
+// the slice. Nil-safe, like SetObserver.
 func (r *Reconciler) SetSpec(s Spec) {
-	comps := append([]ComponentSpec(nil), s.Components...)
-	sort.Slice(comps, func(i, j int) bool { return comps[i].Name < comps[j].Name })
-	s.Components = comps
-	if st, ok := r.specs[s.App]; ok {
-		st.spec = s
+	if r == nil {
 		return
 	}
-	r.specs[s.App] = &specState{spec: s, order: len(r.specOrder)}
-	i := sort.SearchStrings(r.specOrder, s.App)
-	r.specOrder = append(r.specOrder, "")
-	copy(r.specOrder[i+1:], r.specOrder[i:])
-	r.specOrder[i] = s.App
+	slices.Sort(s.Components)
+	i, found := r.specIndex(s.App)
+	if found {
+		r.specs[i].spec = s
+		return
+	}
+	r.specs = slices.Insert(r.specs, i, &specState{spec: s, order: len(r.specs)})
+}
+
+// specIndex is where app's spec is, or would be inserted, in r.specs.
+func (r *Reconciler) specIndex(app string) (int, bool) {
+	return slices.BinarySearchFunc(r.specs, app, func(st *specState, app string) int {
+		return strings.Compare(st.spec.App, app)
+	})
+}
+
+// spec is app's registered state, or nil.
+func (r *Reconciler) spec(app string) *specState {
+	if i, found := r.specIndex(app); found {
+		return r.specs[i]
+	}
+	return nil
 }
 
 func pendingKey(app, component string) string { return app + "\x00" + component }
 
-// NoteDrift records drift observed by a reactive path (node-down evacuation,
-// failed migration) so the next tick converges it. cause is the span of the
+// NoteDrift records drift observed outside the scan (a node-down
+// evacuation) so the next tick converges it. cause is the span of the
 // event that explains the drift. Unknown or shed apps are ignored; duplicate
 // notes of the same component are deduplicated.
 func (r *Reconciler) NoteDrift(app, component string, kind DriftKind, fromNode string, cause uint64) {
-	st, ok := r.specs[app]
-	if !ok || st.shed {
+	if st := r.spec(app); st == nil || st.shed {
 		return
 	}
 	if _, dup := r.pendings[pendingKey(app, component)]; dup {
@@ -339,8 +347,8 @@ func (r *Reconciler) Tick() {
 // merge walk per app finds missing, dead-node and unexpected components.
 // Evictions change the host's observed list, so they walk r.evict, a copy.
 func (r *Reconciler) scan() {
-	for _, app := range r.specOrder {
-		st := r.specs[app]
+	for _, st := range r.specs {
+		app := st.spec.App
 		observed := r.host.ObservedComponents(app)
 		if st.shed {
 			// A shed app's desired state is "absent": evict stragglers.
@@ -357,31 +365,31 @@ func (r *Reconciler) scan() {
 		}
 		r.evict = r.evict[:0]
 		j := 0
-		for _, cs := range st.spec.Components {
-			for j < len(observed) && observed[j] < cs.Name {
+		for _, comp := range st.spec.Components {
+			for j < len(observed) && observed[j] < comp {
 				r.evict = append(r.evict, observed[j])
 				j++
 			}
-			if j < len(observed) && observed[j] == cs.Name {
+			if j < len(observed) && observed[j] == comp {
 				j++
 			}
-			node := r.host.ObservedNode(app, cs.Name)
+			node := r.host.ObservedNode(app, comp)
 			if node != "" && r.host.NodeHealthy(node) {
 				// Converged (possibly by an external path): close the record.
 				// With none open, skip building the key: the quiet tick stays
 				// allocation-free whatever the name lengths.
 				if len(r.pendings) > 0 {
-					r.removePending(pendingKey(app, cs.Name))
+					r.removePending(pendingKey(app, comp))
 				}
 				continue
 			}
-			if _, open := r.pendings[pendingKey(app, cs.Name)]; open {
+			if _, open := r.pendings[pendingKey(app, comp)]; open {
 				continue
 			}
 			if node != "" {
-				r.addPending(app, cs.Name, DriftDeadNode, node, r.host.NodeDownCause(node))
+				r.addPending(app, comp, DriftDeadNode, node, r.host.NodeDownCause(node))
 			} else {
-				r.addPending(app, cs.Name, driftMissing, "", 0)
+				r.addPending(app, comp, driftMissing, "", 0)
 			}
 		}
 		r.evict = append(r.evict, observed[j:]...)
@@ -454,9 +462,9 @@ func (r *Reconciler) act() {
 				Reason: p.rung.String(), Value: float64(p.rung), Cause: p.driftSpan,
 			})
 		}
-		delay := Backoff(backoffBase, backoffMax, jitterFrac, p.attempts+1, r.host.Rand())
+		delay := backoff(backoffBase, backoffMax, jitterFrac, p.attempts+1, r.host.Rand())
 		if p.rung == RungPark {
-			delay = Backoff(backoffMax, backoffMax, jitterFrac, 1, r.host.Rand())
+			delay = backoff(backoffMax, backoffMax, jitterFrac, 1, r.host.Rand())
 		}
 		// settle() arms the wake-up at the earliest nextRetryAt.
 		p.nextRetryAt = now + delay
@@ -467,11 +475,10 @@ func (r *Reconciler) act() {
 // p's own priority (latest-registered on ties). Strictly lower only — equal
 // priorities never shed each other, so no shed cycle can form.
 func (r *Reconciler) shedOne(p *pending) {
-	reqPrio := r.specs[p.app].spec.Priority
+	reqPrio := r.spec(p.app).spec.Priority
 	var victim *specState
-	for _, app := range r.specOrder {
-		st := r.specs[app]
-		if st.shed || app == p.app || st.spec.Priority >= reqPrio {
+	for _, st := range r.specs {
+		if st.shed || st.spec.App == p.app || st.spec.Priority >= reqPrio {
 			continue
 		}
 		if victim == nil || st.spec.Priority < victim.spec.Priority ||
@@ -503,8 +510,7 @@ func (r *Reconciler) settle() {
 		// first, after its cooldown — restores trickle back instead of
 		// re-creating the overload that shed them.
 		var cand *specState
-		for _, app := range r.specOrder {
-			st := r.specs[app]
+		for _, st := range r.specs {
 			if !st.shed || now < st.shedAt+restoreCooldown {
 				continue
 			}
@@ -520,10 +526,10 @@ func (r *Reconciler) settle() {
 				Type: obs.EventReconcileRestore, App: cand.spec.App,
 				Cause: cand.shedSpan,
 			})
-			for _, cs := range cand.spec.Components {
-				node := r.host.ObservedNode(cand.spec.App, cs.Name)
+			for _, comp := range cand.spec.Components {
+				node := r.host.ObservedNode(cand.spec.App, comp)
 				if node == "" || !r.host.NodeHealthy(node) {
-					r.addPending(cand.spec.App, cs.Name, driftMissing, "", restoreSpan)
+					r.addPending(cand.spec.App, comp, driftMissing, "", restoreSpan)
 				}
 			}
 		}

@@ -128,11 +128,7 @@ func (h *fakeHost) Shed(app string, cause uint64) {
 }
 
 func spec1(app string, prio int, comps ...string) Spec {
-	s := Spec{App: app, Priority: prio}
-	for _, c := range comps {
-		s.Components = append(s.Components, ComponentSpec{Name: c, CPU: 1, MemoryMB: 64})
-	}
-	return s
+	return Spec{App: app, Priority: prio, Components: comps}
 }
 
 func newTestReconciler(h *fakeHost) (*Reconciler, *obs.Plane) {
@@ -331,7 +327,7 @@ func TestExternalResolutionClosesDrift(t *testing.T) {
 	if r.Converged() {
 		t.Fatal("should still be drifted")
 	}
-	// Another path (say, the recovery queue) places it meanwhile.
+	// Another path (say, an operator or a migration) places it meanwhile.
 	h.placed["cam/camera"] = "n3"
 	r.Tick()
 	if !r.Converged() {

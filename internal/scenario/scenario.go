@@ -66,14 +66,10 @@ type Spec struct {
 	HorizonSec int   `json:"horizonSec"` // run length (default 600)
 	Seed       int64 `json:"seed"`
 	// Migration runs the controller loop every MonitorIntervalSec (default
-	// 30), which opens with a headroom-probe sweep.
+	// 30), which opens with a headroom-probe sweep, and with it failure
+	// detection and the reconciler (core.Config.EnableMigration).
 	Migration          bool `json:"migration"`
 	MonitorIntervalSec int  `json:"monitorIntervalSec,omitempty"`
-	// Reconcile enables the declarative reconciliation loop: desired-state
-	// specs, drift detection, idempotent convergence with the degraded-mode
-	// ladder. It needs Migration: the failure detector that finds dead
-	// nodes runs in the control loop.
-	Reconcile bool `json:"reconcile,omitempty"`
 	// SLO runs the burn-rate SLO evaluator each control epoch (mesh
 	// headroom, control-loop cadence, per-app dependency goodput). It reads
 	// its SLIs from a metric store, so it attaches one. It needs Migration,
@@ -303,8 +299,8 @@ type field struct {
 // Validate rejects what a run would otherwise replace by a default, ignore or
 // fail on late: negative or non-finite sizes, rates and intervals, seconds
 // whose nanoseconds overflow a time.Duration, fractions outside [0, 1], an
-// all-zero controller, reconcile or slo without migration (both act only
-// in the control loop), a k3s pack limit, unknown names, nodes on citylab or
+// all-zero controller, slo without migration (it acts only in the control
+// loop), a k3s pack limit, unknown names, nodes on citylab or
 // none on custom, an empty or repeated node name, a bad apps or links entry,
 // nodes or links the topology lacks, and a pin on an unschedulable node.
 // Errors name the key. It neither builds the topology nor opens a file.
@@ -316,9 +312,6 @@ func (s Spec) Validate() error {
 		{"migrationDowntimeSec", s.MigrationDowntimeSec}}
 	if s.Controller != nil && *s.Controller == (Controller{}) {
 		return fmt.Errorf("controller: every key is 0, which runs the default controller, not a zero one; leave the key out for the defaults")
-	}
-	if s.Reconcile && !s.Migration {
-		return fmt.Errorf(`reconcile: needs "migration": true; the failure detector whose verdicts the reconciler acts on runs only in the control loop`)
 	}
 	if s.SLO && !s.Migration {
 		return fmt.Errorf(`slo: needs "migration": true; the SLO evaluator ticks only at the end of a control cycle`)
@@ -622,7 +615,6 @@ func Build(s Spec) (*Run, error) {
 		EnableMigration:   s.Migration,
 		MigrationDowntime: seconds(s.MigrationDowntimeSec),
 		ReservedCPU:       s.ReservedCPU,
-		EnableReconcile:   s.Reconcile,
 		BatchPlacement:    s.Batch,
 		EnableSLO:         s.SLO,
 	}

@@ -185,8 +185,10 @@ func (e *Engine) dispatchBoundary() {
 
 // Run executes events until the queue is empty or virtual time would exceed
 // until. The clock finishes at min(until, last event time); if events remain
-// beyond until the clock is set to until exactly.
+// beyond until the clock is set to until exactly. A horizon before Now runs
+// nothing and leaves the clock where it is: time never goes backwards.
 func (e *Engine) Run(until time.Duration) error {
+	until = max(until, e.now)
 	for {
 		e.dispatchBoundary()
 		if len(e.heap) == 0 {
@@ -201,9 +203,7 @@ func (e *Engine) Run(until time.Duration) error {
 		}
 		e.fire()
 	}
-	if e.now < until {
-		e.now = until
-	}
+	e.now = until
 	return nil
 }
 

@@ -62,6 +62,32 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
+// TestRunEarlierHorizonKeepsClock: a horizon before Now, with an event still
+// queued, runs nothing and leaves the clock where it was, so a later At is
+// not clamped to an instant already passed.
+func TestRunEarlierHorizonKeepsClock(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.At(10*time.Second, func() { ran = true })
+	if err := e.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ran || e.Now() != 5*time.Second {
+		t.Fatalf("after Run(5s), Run(1s): ran=%v Now=%v, want false and 5s", ran, e.Now())
+	}
+	var at time.Duration
+	e.At(2*time.Second, func() { at = e.Now() })
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if at != 5*time.Second {
+		t.Errorf("a past At fired at %v, want clamped to 5s", at)
+	}
+}
+
 func TestScheduleFromCallback(t *testing.T) {
 	e := NewEngine(1)
 	var times []time.Duration

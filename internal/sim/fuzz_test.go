@@ -138,6 +138,7 @@ func (q *refQueue) Step() bool {
 }
 
 func (q *refQueue) Run(until time.Duration) error {
+	until = max(until, q.now) // an earlier horizon never moves the clock back
 	for len(q.queued) > 0 {
 		if q.stopped {
 			return errStopped
@@ -148,7 +149,7 @@ func (q *refQueue) Run(until time.Duration) error {
 		}
 		q.fire()
 	}
-	q.now = max(q.now, until)
+	q.now = until
 	return nil
 }
 
@@ -216,7 +217,8 @@ func script(q queue, data []byte) []string {
 		case 7:
 			res = fmt.Sprint("step=", q.Step())
 		case 8:
-			res = fmt.Sprint("run=", q.Run(q.Now()+ms(arg)) != nil)
+			// A horizon of -2..13 ms: the past runs nothing and keeps the clock.
+			res = fmt.Sprint("run=", q.Run(q.Now()+time.Duration(int(arg%16)-2)*time.Millisecond) != nil)
 		}
 		out = append(out, fmt.Sprintf("op %d code %d %s fired %v now %v executed %d pending %d",
 			label, code%9, res, fired, q.Now(), q.Executed(), q.Pending()))
@@ -241,6 +243,9 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		{0, 12, 0, 0, 15, 0, 0, 4, 0, 0, 8, 0, 0, 13, 0, 0, 5, 0, 0, 3, 0, 4, 0, 1, 8, 15, 0},
 		// Every with a stop, nested reschedules and a nested Stop.
 		{2, 2, 0, 1, 3, 2, 1, 5, 26, 8, 15, 0, 3, 0, 0, 8, 15, 0, 0, 3, 4, 8, 15, 0},
+		// An event at 10 ms, a run to 5 ms, then a run to a horizon 2 ms in
+		// the past: the clock stays at 5 ms and the event stays queued.
+		{0, 12, 0, 8, 7, 0, 8, 0, 0, 8, 15, 0},
 	} {
 		f.Add(seed)
 	}

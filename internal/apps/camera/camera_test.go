@@ -10,6 +10,7 @@ import (
 	"bass/internal/cluster"
 	"bass/internal/core"
 	"bass/internal/mesh"
+	"bass/internal/obs"
 	"bass/internal/scheduler"
 )
 
@@ -231,4 +232,64 @@ func TestMigrationDropsFramesDuringDowntime(t *testing.T) {
 		t.Error("no frames dropped during sampler downtime")
 	}
 	sim.Close()
+}
+
+// TestPinnedStageJournalsNoBoard deploys the pipeline with its camera pinned
+// and a journal attached, under both initial-placement policies. Each
+// unpinned stage's placement journals exactly one sched_candidate board
+// under the deploy span, a row per node on consecutive spans; the pinned
+// camera was never a choice and journals none.
+func TestPinnedStageJournalsNoBoard(t *testing.T) {
+	nodes := lanNodes()
+	for _, policy := range []scheduler.Policy{scheduler.NewBass(scheduler.HeuristicBFS), scheduler.NewK3s()} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			topo := mesh.FullMesh([]string{"node1", "node2", "node3"}, 1000, time.Millisecond, time.Hour)
+			sim, err := core.NewSimulation(topo, nodes, 1, core.Config{Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			journal := obs.NewJournal(0)
+			sim.AttachObservability(journal, nil)
+			app, err := New(Config{PinCamera: "node2"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Orch.DeployAt(appName, app, nil); err != nil {
+				t.Fatal(err)
+			}
+
+			var deploySpan uint64
+			rows := make(map[string][]obs.Event)
+			for _, ev := range journal.Events() {
+				switch ev.Type {
+				case obs.EventDeploy:
+					deploySpan = ev.Span
+				case obs.EventSchedCandidate:
+					if ev.Cause != deploySpan {
+						t.Errorf("board row %+v does not cite the deploy span %d", ev, deploySpan)
+					}
+					rows[ev.Component] = append(rows[ev.Component], ev)
+				}
+			}
+			for _, name := range app.Graph().Components() {
+				got := rows[name]
+				if name == compCamera {
+					if len(got) != 0 {
+						t.Errorf("pinned %s journaled %d board rows, want none", name, len(got))
+					}
+					continue
+				}
+				if len(got) != len(nodes) {
+					t.Errorf("%s journaled %d board rows, want one board of %d", name, len(got), len(nodes))
+					continue
+				}
+				for i := range got {
+					if got[i].Span != got[0].Span+uint64(i) {
+						t.Errorf("%s rows on spans %d and %d are not one board", name, got[0].Span, got[i].Span)
+					}
+				}
+			}
+		})
+	}
 }

@@ -111,23 +111,17 @@ func (c *Controller) Migrations() int { return c.migrations }
 // CycleObservation is the application-independent half of one evaluation
 // cycle: the probe sweep, its derived liveness transitions, the cycle's
 // cause span, and the re-migration exclusion set. One Observe feeds every
-// application's ResolveApp that cycle; the orchestrator's parallel
-// evaluation phase reads it without synchronisation because Observe — the
-// only writer — runs strictly before the fan-out.
+// application's ResolveApp that cycle, in deployment order.
 type CycleObservation struct {
 	// FullProbeLinks are links whose headroom changed enough that the
 	// cached capacity was refreshed with a max-capacity probe.
 	FullProbeLinks []mesh.LinkID
-	// HeadroomEvents are the probe observations that feed this cycle.
-	HeadroomEvents []netmon.HeadroomEvent
 	// ProbeErrors are the links that could not be probed this cycle.
 	ProbeErrors []netmon.ProbeError
 	// NodesDown / NodesRecovered list this cycle's liveness transitions,
-	// with the spans of their journal verdicts.
-	NodesDown          []string
-	NodesRecovered     []string
-	NodeDownSpans      map[string]uint64
-	NodeRecoveredSpans map[string]uint64
+	// each with the span of its journal verdict.
+	NodesDown      []NodeVerdict
+	NodesRecovered []NodeVerdict
 	// CycleCause is the probe evidence span this cycle's verdicts cite: the
 	// first violated headroom event, else the first probe observation.
 	CycleCause uint64
@@ -137,6 +131,13 @@ type CycleObservation struct {
 	Exclude map[string]map[string]bool
 
 	now time.Duration
+}
+
+// NodeVerdict is one liveness transition: the node and the span of the
+// node_down or node_recovered event that journaled it (0 without a journal).
+type NodeVerdict struct {
+	Node string
+	Span uint64
 }
 
 // Observe runs the shared half of one monitoring cycle: headroom-probe all
@@ -206,34 +207,21 @@ func (c *Controller) Observe(fullProbe func(mesh.LinkID) error) CycleObservation
 	// Failure detection: a node whose every link has failed FailureThreshold
 	// consecutive sweeps is declared down; one answered probe brings it back.
 	// Only transitions are reported.
-	var nodesDown, nodesRecovered []string
-	var nodeDownSpans, nodeRecoveredSpans map[string]uint64
+	var nodesDown, nodesRecovered []NodeVerdict
 	for _, node := range c.monitor.Nodes() {
 		floor := c.monitor.NodeFailureFloor(node)
 		switch {
 		case floor >= FailureThreshold && !c.deadNodes[node]:
 			c.deadNodes[node] = true
-			nodesDown = append(nodesDown, node)
 			span := c.plane.EmitSpan(obs.Event{Type: obs.EventNodeDown, Node: node,
 				Cause:  nodeEvidence(node, true),
 				Reason: "all links failed K consecutive sweeps", Value: float64(floor)})
-			if span != 0 {
-				if nodeDownSpans == nil {
-					nodeDownSpans = make(map[string]uint64)
-				}
-				nodeDownSpans[node] = span
-			}
+			nodesDown = append(nodesDown, NodeVerdict{node, span})
 		case floor == 0 && c.deadNodes[node]:
 			delete(c.deadNodes, node)
-			nodesRecovered = append(nodesRecovered, node)
 			span := c.plane.EmitSpan(obs.Event{Type: obs.EventNodeRecovered, Node: node,
 				Cause: nodeEvidence(node, false), Reason: "probe answered"})
-			if span != 0 {
-				if nodeRecoveredSpans == nil {
-					nodeRecoveredSpans = make(map[string]uint64)
-				}
-				nodeRecoveredSpans[node] = span
-			}
+			nodesRecovered = append(nodesRecovered, NodeVerdict{node, span})
 		}
 	}
 
@@ -256,16 +244,13 @@ func (c *Controller) Observe(fullProbe func(mesh.LinkID) error) CycleObservation
 	}
 
 	return CycleObservation{
-		FullProbeLinks:     probeLinks,
-		HeadroomEvents:     events,
-		ProbeErrors:        probeErrs,
-		NodesDown:          nodesDown,
-		NodesRecovered:     nodesRecovered,
-		NodeDownSpans:      nodeDownSpans,
-		NodeRecoveredSpans: nodeRecoveredSpans,
-		CycleCause:         cycleCause,
-		Exclude:            c.exclude,
-		now:                now,
+		FullProbeLinks: probeLinks,
+		ProbeErrors:    probeErrs,
+		NodesDown:      nodesDown,
+		NodesRecovered: nodesRecovered,
+		CycleCause:     cycleCause,
+		Exclude:        c.exclude,
+		now:            now,
 	}
 }
 
@@ -280,10 +265,10 @@ type AppDecision struct {
 // ResolveApp folds application app's Algorithm 3 report into the
 // controller's cooldown state: new candidates open violation windows (and
 // journal migration_candidate verdicts citing the cycle cause), candidates
-// past the cooldown are approved. Serial — it journals and mutates clocks;
-// the orchestrator calls it app by app in deterministic order during the
-// commit phase, after the evaluation phase produced the reports. Call
-// FinishCycle once all apps of the cycle are resolved.
+// past the cooldown are approved. It journals and mutates clocks, so the
+// orchestrator calls it app by app in deployment order, once the cycle's
+// Algorithm 3 reports are built. Call FinishCycle once all apps of the cycle
+// are resolved.
 func (c *Controller) ResolveApp(o *CycleObservation, app string, report scheduler.MigrationReport) AppDecision {
 	now := o.now
 	for _, name := range report.Candidates {

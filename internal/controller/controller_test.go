@@ -233,7 +233,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 		}
 	}
 	d := f.runCycle(noUsage, nil)
-	if len(d.NodesDown) != 1 || d.NodesDown[0] != "c" {
+	if len(d.NodesDown) != 1 || d.NodesDown[0].Node != "c" {
 		t.Fatalf("third cycle verdict = %v, want [c]", d.NodesDown)
 	}
 	if !f.ctrl.NodeDown("c") {
@@ -251,7 +251,7 @@ func TestNodeDownVerdictAfterKFailures(t *testing.T) {
 	}
 	f.net.ApplyTopologyState()
 	d = f.runCycle(noUsage, nil)
-	if len(d.NodesRecovered) != 1 || d.NodesRecovered[0] != "c" {
+	if len(d.NodesRecovered) != 1 || d.NodesRecovered[0].Node != "c" {
 		t.Errorf("recovery = %v, want [c]", d.NodesRecovered)
 	}
 	if f.ctrl.NodeDown("c") {
@@ -268,11 +268,11 @@ func TestProbeLossAloneNeverKillsAConnectedNode(t *testing.T) {
 	var cDown bool
 	for i := 0; i < 5; i++ {
 		d := f.runCycle(noUsage, nil)
-		for _, n := range d.NodesDown {
-			if n == "b" {
+		for _, v := range d.NodesDown {
+			if v.Node == "b" {
 				t.Fatalf("cycle %d: declared b down with a healthy link", i)
 			}
-			if n == "c" {
+			if v.Node == "c" {
 				cDown = true
 			}
 		}

@@ -41,7 +41,7 @@ func TestProbeErrorsRoundTripThroughJournal(t *testing.T) {
 			verdictDecision = d
 		}
 	}
-	if len(verdictDecision.NodesDown) != 1 || verdictDecision.NodesDown[0] != "c" {
+	if len(verdictDecision.NodesDown) != 1 || verdictDecision.NodesDown[0].Node != "c" {
 		t.Fatalf("no node-down verdict after 3 cycles; last decision %+v", lastDecision)
 	}
 	for _, pe := range verdictDecision.ProbeErrors {
@@ -76,7 +76,7 @@ func TestProbeErrorsRoundTripThroughJournal(t *testing.T) {
 	}
 
 	// The node_down verdict's cause chain ends at one of the probe errors.
-	downSpan := verdictDecision.NodeDownSpans["c"]
+	downSpan := verdictDecision.NodesDown[0].Span
 	if downSpan == 0 {
 		t.Fatal("verdict decision has no node_down span for c")
 	}

@@ -229,10 +229,8 @@ type Orchestrator struct {
 	nodeDownSpan  map[string]uint64
 
 	// plane is the observability plane shared with the monitor and
-	// controller; nil (the default) records nothing at no cost. boardRows is
-	// planeRecorder's reused scoreboard.
-	plane     *obs.Plane
-	boardRows []obs.BoardRow
+	// controller; nil (the default) records nothing at no cost.
+	plane *obs.Plane
 
 	// SLO state (see internal/slo); sloEval is nil unless Config.EnableSLO
 	// and AttachObservability has run. epochGapH feeds the control loop's
@@ -334,35 +332,28 @@ func (o *Orchestrator) registerAppSLO(app string) {
 // attached) for dashboards and experiments.
 func (o *Orchestrator) SLO() *slo.Evaluator { return o.sloEval }
 
-// planeRecorder adapts the plane to the scheduler's Recorder: every candidate
-// row of an Explanation becomes one sched_candidate journal event under the
-// decision's cause span, so bass-trace explain can rebuild the scoreboard.
+// planeRecorder journals each scheduler scoreboard as it is: the rows are
+// the journal's own, so each becomes one sched_candidate event under the
+// decision's cause span, and bass-trace explain rebuilds the scoreboard.
 type planeRecorder struct {
-	o     *Orchestrator
+	plane *obs.Plane
 	app   string
 	cause uint64
 }
 
-// RecordExplanation copies the scoreboard into the orchestrator's reused
-// board rows and journals them as one board.
-func (r planeRecorder) RecordExplanation(ex scheduler.Explanation) {
-	rows := r.o.boardRows[:0]
-	for i := range ex.Candidates {
-		cs := &ex.Candidates[i]
-		rows = append(rows, obs.BoardRow{Node: cs.Node, Reason: string(cs.Rejection),
-			Value: cs.Score, Want: float64(cs.DepCount), Local: cs.LocalMbps, Remote: cs.RemoteMbps})
-	}
-	r.o.boardRows = rows
-	r.o.plane.EmitBoard(obs.Event{Type: obs.EventSchedCandidate, App: r.app, Component: ex.Component, Cause: r.cause}, rows)
+// RecordBoard journals one choice's rows as one board.
+func (r planeRecorder) RecordBoard(component string, rows []obs.BoardRow) {
+	r.plane.EmitBoard(obs.Event{Type: obs.EventSchedCandidate, App: r.app, Component: component, Cause: r.cause}, rows)
 }
 
 // recorder builds a scheduler Recorder journaling under the given cause, or
-// nil when no plane is attached so choice passes skip all bookkeeping.
+// nil when no journal is attached (a store-only plane keeps no boards), so
+// choice passes skip all scoreboard bookkeeping.
 func (o *Orchestrator) recorder(app string, cause uint64) scheduler.Recorder {
-	if !o.plane.Enabled() {
+	if o.plane.Journal() == nil {
 		return nil
 	}
-	return planeRecorder{o: o, app: app, cause: cause}
+	return planeRecorder{plane: o.plane, app: app, cause: cause}
 }
 
 // Observability returns the attached plane (nil when unattached).
@@ -521,22 +512,15 @@ func (o *Orchestrator) DAGProcessingNS() []float64 {
 	return o.dagProc.snapshot()
 }
 
-// controlCycle runs one controller evaluation across all apps on the hot
-// path (hotpath.go) and accounts the wall-clock the control plane spent.
-func (o *Orchestrator) controlCycle() {
-	start := time.Now()
-	o.fastControlCycle()
+// finishControlEpoch is the serial tail every control cycle shares: account
+// the wall-clock the control plane spent since start, record the loop's own
+// epoch-to-epoch cadence and run the SLO evaluator, after all the cycle's
+// metrics and journal events have been committed. Quiet epochs pass through
+// without allocating.
+func (o *Orchestrator) finishControlEpoch(start time.Time) {
 	o.ctrlWallNS += time.Since(start).Nanoseconds()
 	o.ctrlCycles++
 	o.ctrlAppEvals += len(o.appOrder)
-	o.finishControlEpoch()
-}
-
-// finishControlEpoch is the serial tail every control cycle shares: record
-// the loop's own epoch-to-epoch cadence and run the SLO evaluator, after all
-// the cycle's metrics and journal events have been committed. Quiet epochs
-// pass through without allocating.
-func (o *Orchestrator) finishControlEpoch() {
 	now := o.eng.Now()
 	if o.hasCycleTime {
 		o.epochGapH.Emit((now - o.lastCycleAt).Seconds())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"bass/internal/netmon"
 	"bass/internal/obs"
@@ -179,10 +180,11 @@ func (o *Orchestrator) evalApp(s *appEvalScratch) {
 	s.report = scheduler.FindMigrationCandidates(g, s.usages, o.ctrl.Config().Migration, o.cycleExclude[app.name])
 }
 
-// fastControlCycle is one controller epoch on the hot path: a single shared
-// Observe, the per-app read/score phase, then the commit, each in deployment
-// order.
-func (o *Orchestrator) fastControlCycle() {
+// controlCycle is one controller epoch: a single shared Observe, the per-app
+// read/score phase, then the commit, each in deployment order, and last the
+// epoch tail, which accounts the cycle.
+func (o *Orchestrator) controlCycle() {
+	defer o.finishControlEpoch(time.Now())
 	if len(o.appScratch) == 0 {
 		return
 	}
@@ -207,18 +209,18 @@ func (o *Orchestrator) fastControlCycle() {
 		if i == 0 {
 			// Liveness transitions are cycle-global; handle them once, after
 			// the first app's goodput samples and verdicts.
-			for _, node := range cyc.NodesDown {
-				o.handleNodeDown(node, cyc.NodeDownSpans[node])
+			for _, v := range cyc.NodesDown {
+				o.handleNodeDown(v.Node, v.Span)
 			}
-			for _, node := range cyc.NodesRecovered {
-				o.handleNodeRecovered(node, cyc.NodeRecoveredSpans[node])
+			for _, v := range cyc.NodesRecovered {
+				o.handleNodeRecovered(v.Node, v.Span)
 			}
 		}
 		migrated := 0
 		if len(dec.Migrate) > 0 {
 			o.buildAssignment(s)
 			for _, comp := range dec.Migrate {
-				if o.migrateFast(s, comp, dec.CandidateSpans[comp]) {
+				if o.migrate(s, comp, dec.CandidateSpans[comp]) {
 					migrated++
 				}
 			}
@@ -245,11 +247,11 @@ func (o *Orchestrator) buildAssignment(s *appEvalScratch) {
 	}
 }
 
-// migrateFast moves one component to the best target node, reporting
+// migrate moves one component to the best target node, reporting
 // success. It scores against the cycle's reused assignment and the node view.
 // cause is the span of the migration_candidate verdict that approved the
 // move; every journal event the move produces chains back to it.
-func (o *Orchestrator) migrateFast(s *appEvalScratch, comp string, cause uint64) bool {
+func (o *Orchestrator) migrate(s *appEvalScratch, comp string, cause uint64) bool {
 	o.ctrlTargetScans++
 	app := s.app
 	target, err := scheduler.ChooseMigrationTarget(

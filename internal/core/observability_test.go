@@ -142,3 +142,27 @@ func TestUnattachedOrchestratorRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStoreOnlyPlaneBuildsNoBoards pins where scoreboards go: only a journal
+// keeps them, so a plane with a metric store but no journal (an SLO run, or
+// metrics exported without events) hands choice passes a nil recorder and
+// they build no board at all.
+func TestStoreOnlyPlaneBuildsNoBoards(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		journal *obs.Journal
+		store   *metricstore.Store
+		want    bool
+	}{
+		{"store only", nil, metricstore.New(0), false},
+		{"journal only", obs.NewJournal(0), nil, true},
+		{"journal and store", obs.NewJournal(0), metricstore.New(0), true},
+	} {
+		s := chaosSim(t, fourNodes(), Config{})
+		s.AttachObservability(tc.journal, tc.store)
+		if got := s.Orch.recorder("pair", 0) != nil; got != tc.want {
+			t.Errorf("%s: choice passes get a recorder = %v, want %v", tc.name, got, tc.want)
+		}
+		s.Close()
+	}
+}

@@ -109,7 +109,7 @@ func (o *Orchestrator) handleNodeRecovered(node string, cause uint64) {
 // later rungs take the best partially-feasible node and let the data plane
 // re-route), commit the placement, and record the failover with its MTTR,
 // measured from the action's DriftedAt, the time the component was found
-// stranded. The target choice's explanations cite the action's drift span.
+// stranded. The target choice's scoreboard cites the action's drift span.
 func (o *Orchestrator) replace(app *deployedApp, comp *dag.Component, a reconcile.Action) (string, error) {
 	assignment := make(scheduler.Assignment)
 	for _, c := range app.graph.Components() {

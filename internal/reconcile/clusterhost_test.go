@@ -20,6 +20,7 @@ type clusterHost struct {
 	clus *cluster.Cluster
 
 	evicted []string // "app/comp", in eviction order
+	timer   func()   // the last callback After armed, until fire runs it
 }
 
 func newClusterHost(t testing.TB, nodes int) *clusterHost {
@@ -35,14 +36,22 @@ func newClusterHost(t testing.TB, nodes int) *clusterHost {
 	return &clusterHost{rng: rand.New(rand.NewSource(1)), clus: c}
 }
 
-func (h *clusterHost) Now() time.Duration              { return h.now }
-func (h *clusterHost) Rand() *rand.Rand                { return h.rng }
-func (h *clusterHost) After(time.Duration, func())     {}
-func (h *clusterHost) NodeDownCause(string) uint64     { return 0 }
-func (h *clusterHost) ObservedNode(a, c string) string { return h.clus.NodeOf(a, c) }
+func (h *clusterHost) Now() time.Duration               { return h.now }
+func (h *clusterHost) Rand() *rand.Rand                 { return h.rng }
+func (h *clusterHost) After(_ time.Duration, fn func()) { h.timer = fn }
+func (h *clusterHost) NodeDownCause(string) uint64      { return 0 }
+func (h *clusterHost) ObservedNode(a, c string) string  { return h.clus.NodeOf(a, c) }
 
 func (h *clusterHost) ObservedComponents(app string) []string {
 	return h.clus.AppComponents(app)
+}
+
+// fire runs the callback After last armed, if any, at the current time.
+func (h *clusterHost) fire() {
+	if fn := h.timer; fn != nil {
+		h.timer = nil
+		fn()
+	}
 }
 
 func (h *clusterHost) NodeHealthy(node string) bool {

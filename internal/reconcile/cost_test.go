@@ -54,6 +54,28 @@ func TestQuietReconcileTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestKickZeroAlloc pins a kick's cost on a converged system: arming the
+// kick and running the quiet tick it schedules allocate nothing.
+func TestKickZeroAlloc(t *testing.T) {
+	r := convergedReconciler(t, 80)
+	h := r.host.(*clusterHost)
+	h.fire() // a kick left armed during convergence
+	kick := func() {
+		r.Kick()
+		if h.timer == nil {
+			t.Fatal("Kick armed no callback")
+		}
+		h.fire()
+	}
+	if avg := testing.AllocsPerRun(100, kick); avg != 0 {
+		t.Fatalf("kick plus quiet tick allocates: %.2f allocs/op, want 0", avg)
+	}
+	if !r.Converged() || r.ActionsTotal() != 240 {
+		t.Fatalf("quiet kicks acted: converged=%v actions=%d, want 240 placements only",
+			r.Converged(), r.ActionsTotal())
+	}
+}
+
 // BenchmarkReconcileQuietTick measures one converged tick over 80
 // three-component specs: the bench's reconcile.tick_quiet_ns in isolation.
 func BenchmarkReconcileQuietTick(b *testing.B) {

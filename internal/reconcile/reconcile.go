@@ -183,7 +183,10 @@ type Reconciler struct {
 	pendings map[string]*pending
 	order    []string // sorted pending keys: deterministic action order
 
+	// kickArmed coalesces kicks; kickFn is the one callback every kick
+	// arms, built in New so a kick allocates nothing.
 	kickArmed bool
+	kickFn    func()
 
 	// evict is scan's reused copy of the components it is about to evict:
 	// the host's observed list may alias state that eviction changes.
@@ -206,11 +209,16 @@ func New(cfg Config, host Host) *Reconciler {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 30 * time.Second
 	}
-	return &Reconciler{
+	r := &Reconciler{
 		cfg:      cfg,
 		host:     host,
 		pendings: make(map[string]*pending),
 	}
+	r.kickFn = func() {
+		r.kickArmed = false
+		r.Tick()
+	}
+	return r
 }
 
 // SetObserver attaches the causal-tracing plane (nil detaches). Nil-safe so
@@ -324,10 +332,7 @@ func (r *Reconciler) Kick() {
 		return
 	}
 	r.kickArmed = true
-	r.host.After(0, func() {
-		r.kickArmed = false
-		r.Tick()
-	})
+	r.host.After(0, r.kickFn)
 }
 
 // Tick runs one reconcile pass: scan for drift, act on it within the epoch's

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // batchEps is the relative margin a candidate joint score must clear to count
@@ -53,7 +54,7 @@ const (
 type BatchConfig struct {
 	// MoveBudget caps how many joint candidate assignments the local search
 	// may evaluate. Zero or negative disables the search entirely: Schedule
-	// returns the greedy seed's assignment (and name, and explanations)
+	// returns the greedy seed's assignment (and name, and scoreboards)
 	// unchanged, byte-identical to running the seed policy alone.
 	MoveBudget int
 	// K is the k-best frontier width: how many distinct joint assignments the
@@ -109,11 +110,12 @@ func (b *Batch) Name() string {
 // Schedule assigns every component of g to a node: greedy seed, then the
 // budgeted joint search. It narrates through rec (nil = silent): the seed
 // policy's per-component scoreboards first (exactly as a greedy run records
-// them), then one choiceBatch explanation per relocation scan and swap probe,
-// then a final choiceBatch verdict whose pseudo-candidates "greedy" and
-// "batch" carry the two joint scores — so a trace shows why batch beat (or
-// matched) greedy. A seed assignment that leaves a component unplaced is
-// returned as it is, unsearched.
+// them), then one scoreboard per relocation scan (under the component's
+// name) and swap probe (under "a<->b"), then a final verdict board for
+// "joint" whose pseudo-candidates "greedy" and "batch" carry the two joint
+// scores — so a trace shows why batch beat (or matched) greedy. A seed
+// assignment that leaves a component unplaced is returned as it is,
+// unsearched.
 func (b *Batch) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	seeded, err := b.seed.Schedule(g, nodes, rec)
 	if err != nil || b.cfg.MoveBudget <= 0 {
@@ -214,7 +216,7 @@ type batchSearch struct {
 	next    []int32 // the candidate being scored
 	ranked  []batchTarget
 	targets []int32
-	rows    []CandidateScore
+	rows    []obs.BoardRow
 }
 
 var batchPool = sync.Pool{New: func() any {
@@ -643,21 +645,17 @@ func (s *batchSearch) run() ([]int32, bool) {
 	improved := best.score > seedState.score+batchEps*math.Max(math.Abs(seedState.score), 1)
 	if s.rec != nil {
 		greedyRej, batchRej := rejectOutscored, rejectNone
-		chosen := "batch"
 		if !improved {
 			greedyRej, batchRej = rejectNone, rejectOutscored
-			chosen = "greedy"
 		}
-		// Pseudo-candidates: LocalMbps carries the network fraction and
-		// RemoteMbps the balance term of each joint score.
+		// Pseudo-candidates: Local carries the network fraction and Remote
+		// the balance term of each joint score.
 		s.rows = append(s.rows[:0],
-			CandidateScore{Node: "greedy", Feasible: true, Score: seedState.score,
-				LocalMbps: seedState.netFrac, RemoteMbps: seedState.balance, Rejection: greedyRej},
-			CandidateScore{Node: "batch", Feasible: true, Score: best.score,
-				LocalMbps: best.netFrac, RemoteMbps: best.balance, Rejection: batchRej})
-		s.rec.RecordExplanation(Explanation{
-			Kind: choiceBatch, Component: "joint", Chosen: chosen, Candidates: s.rows,
-		})
+			obs.BoardRow{Node: "greedy", Value: seedState.score,
+				Local: seedState.netFrac, Remote: seedState.balance, Reason: greedyRej},
+			obs.BoardRow{Node: "batch", Value: best.score,
+				Local: best.netFrac, Remote: best.balance, Reason: batchRej})
+		s.rec.RecordBoard("joint", s.rows)
 	}
 	return best.assign, improved
 }
@@ -683,10 +681,10 @@ func (s *batchSearch) expand(st batchState) bool {
 			s.next[comp] = target
 			cand, feasible := s.scoreMove(current, target)
 			if s.rec != nil {
-				row := CandidateScore{Node: s.hostName[target], Feasible: feasible, Rejection: rejectNoCapacity}
+				row := obs.BoardRow{Node: s.hostName[target], Reason: rejectNoCapacity}
 				if feasible {
-					row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
-					row.Rejection = rejectOutscored
+					row.Value, row.Local, row.Remote = cand.score, cand.netFrac, cand.balance
+					row.Reason = rejectOutscored
 				}
 				rows = append(rows, row)
 			}
@@ -703,13 +701,10 @@ func (s *batchSearch) expand(st batchState) bool {
 		if s.rec != nil && len(rows) > 0 {
 			for i := range rows {
 				if rows[i].Node == bestTarget {
-					rows[i].Rejection = rejectNone
+					rows[i].Reason = rejectNone
 				}
 			}
-			s.rec.RecordExplanation(Explanation{
-				Kind: choiceBatch, Component: s.comps[comp], Current: s.hostName[current],
-				Chosen: bestTarget, Candidates: rows,
-			})
+			s.rec.RecordBoard(s.comps[comp], rows)
 		}
 		s.rows = rows
 	}
@@ -734,30 +729,19 @@ func (s *batchSearch) expand(st batchState) bool {
 		}
 		s.next[e.from], s.next[e.to] = nf, nt
 		if s.rec != nil {
-			row := CandidateScore{Node: s.hostName[nt], Feasible: feasible, Rejection: rejectNoCapacity}
+			row := obs.BoardRow{Node: s.hostName[nt], Reason: rejectNoCapacity}
 			if feasible {
-				row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
+				row.Value, row.Local, row.Remote = cand.score, cand.netFrac, cand.balance
+				row.Reason = rejectOutscored
 				if cand.score > st.score+batchEps {
-					row.Rejection = rejectNone
-				} else {
-					row.Rejection = rejectOutscored
+					row.Reason = rejectNone
 				}
 			}
 			s.rows = append(s.rows[:0], row)
-			s.rec.RecordExplanation(Explanation{
-				Kind: choiceBatch, Component: s.comps[e.from] + "<->" + s.comps[e.to],
-				Current: s.hostName[nf], Chosen: rowChosen(row), Candidates: s.rows,
-			})
+			s.rec.RecordBoard(s.comps[e.from]+"<->"+s.comps[e.to], s.rows)
 		}
 	}
 	return changed
-}
-
-func rowChosen(row CandidateScore) string {
-	if row.Rejection == rejectNone {
-		return row.Node
-	}
-	return ""
 }
 
 // relocationTargets ranks candidate hosts for comp under the joint

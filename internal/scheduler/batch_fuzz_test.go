@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // refBatchSchedule is Batch.Schedule over the name-keyed search this package
@@ -273,19 +274,14 @@ func (s *refBatchSearch) run(seeded Assignment) (bool, Assignment) {
 	improved := best.score > seedState.score+batchEps*math.Max(math.Abs(seedState.score), 1)
 	if s.rec != nil {
 		greedyRej, batchRej := rejectOutscored, rejectNone
-		chosen := "batch"
 		if !improved {
 			greedyRej, batchRej = rejectNone, rejectOutscored
-			chosen = "greedy"
 		}
-		s.rec.RecordExplanation(Explanation{
-			Kind: choiceBatch, Component: "joint", Chosen: chosen,
-			Candidates: []CandidateScore{
-				{Node: "greedy", Feasible: true, Score: seedState.score,
-					LocalMbps: seedState.netFrac, RemoteMbps: seedState.balance, Rejection: greedyRej},
-				{Node: "batch", Feasible: true, Score: best.score,
-					LocalMbps: best.netFrac, RemoteMbps: best.balance, Rejection: batchRej},
-			},
+		s.rec.RecordBoard("joint", []obs.BoardRow{
+			{Node: "greedy", Value: seedState.score,
+				Local: seedState.netFrac, Remote: seedState.balance, Reason: greedyRej},
+			{Node: "batch", Value: best.score,
+				Local: best.netFrac, Remote: best.balance, Reason: batchRej},
 		})
 	}
 	if !improved {
@@ -302,7 +298,7 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 		}
 		current := st.assign[comp]
 		targets := s.relocationTargets(comp, st.assign, current)
-		var rows []CandidateScore
+		var rows []obs.BoardRow
 		bestScore, bestTarget := st.score, ""
 		for _, target := range targets {
 			if s.budget <= 0 {
@@ -313,10 +309,10 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 			next[comp] = target
 			cand, feasible := s.eval(next)
 			if s.rec != nil {
-				row := CandidateScore{Node: target, Feasible: feasible, Rejection: rejectNoCapacity}
+				row := obs.BoardRow{Node: target, Reason: rejectNoCapacity}
 				if feasible {
-					row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
-					row.Rejection = rejectOutscored
+					row.Value, row.Local, row.Remote = cand.score, cand.netFrac, cand.balance
+					row.Reason = rejectOutscored
 				}
 				rows = append(rows, row)
 			}
@@ -333,13 +329,10 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 		if s.rec != nil && len(rows) > 0 {
 			for i := range rows {
 				if rows[i].Node == bestTarget {
-					rows[i].Rejection = rejectNone
+					rows[i].Reason = rejectNone
 				}
 			}
-			s.rec.RecordExplanation(Explanation{
-				Kind: choiceBatch, Component: comp, Current: current,
-				Chosen: bestTarget, Candidates: rows,
-			})
+			s.rec.RecordBoard(comp, rows)
 		}
 	}
 	for _, e := range s.edges {
@@ -361,23 +354,16 @@ func (s *refBatchSearch) expand(st refBatchState) bool {
 			changed = true
 		}
 		if s.rec != nil {
-			row := CandidateScore{Node: nt, Feasible: feasible, Rejection: rejectNoCapacity}
+			row := obs.BoardRow{Node: nt, Reason: rejectNoCapacity}
 			if feasible {
-				row.Score, row.LocalMbps, row.RemoteMbps = cand.score, cand.netFrac, cand.balance
+				row.Value, row.Local, row.Remote = cand.score, cand.netFrac, cand.balance
 				if cand.score > st.score+batchEps {
-					row.Rejection = rejectNone
+					row.Reason = rejectNone
 				} else {
-					row.Rejection = rejectOutscored
+					row.Reason = rejectOutscored
 				}
 			}
-			chosen := ""
-			if row.Rejection == rejectNone {
-				chosen = row.Node
-			}
-			s.rec.RecordExplanation(Explanation{
-				Kind: choiceBatch, Component: e.from + "<->" + e.to, Current: nf,
-				Chosen: chosen, Candidates: []CandidateScore{row},
-			})
+			s.rec.RecordBoard(e.from+"<->"+e.to, []obs.BoardRow{row})
 		}
 	}
 	return changed
@@ -546,8 +532,8 @@ func decodeBatchFixture(data []byte) batchFixture {
 
 // schedule runs one batch placement with the recorder on, through the
 // package's search (ref false) or the reference, and reports the assignment,
-// the error, every explanation and the path-oracle call sequence.
-func (fx batchFixture) schedule(ref bool) (Assignment, error, []Explanation, []string) {
+// the error, every scoreboard and the path-oracle call sequence.
+func (fx batchFixture) schedule(ref bool) (Assignment, error, []board, []string) {
 	b := NewBatch(NewBass(HeuristicLongestPath), fx.cfg)
 	log := &pathLog{answer: fx.paths}
 	if fx.paths != nil {
@@ -561,22 +547,22 @@ func (fx batchFixture) schedule(ref bool) (Assignment, error, []Explanation, []s
 	} else {
 		a, err = b.Schedule(fx.g, fx.nodes, rec)
 	}
-	return a, err, rec.explanations, log.calls
+	return a, err, rec.boards, log.calls
 }
 
-// explanationText renders explanations with every float in shortest
-// round-trip form, so NaN scores compare equal to themselves.
-func explanationText(exs []Explanation) string {
+// boardText renders scoreboards, one line each, with every float in
+// shortest round-trip form, so NaN scores compare equal to themselves.
+func boardText(boards []board) string {
 	var sb strings.Builder
-	for _, ex := range exs {
-		fmt.Fprintf(&sb, "%+v\n", ex)
+	for _, b := range boards {
+		fmt.Fprintf(&sb, "%s %+v\n", b.Component, b.Rows)
 	}
 	return sb.String()
 }
 
 // FuzzBatchMatchesReference checks the batch search against the name-keyed
 // reference on random DAGs, node lists, path tables and configurations:
-// equal assignments and errors, equal explanations row for row, and the same
+// equal assignments and errors, equal scoreboards row for row, and the same
 // sequence of path-oracle calls (the oracle caches and counts its lookups, so
 // the order of first calls is observable).
 func FuzzBatchMatchesReference(f *testing.F) {
@@ -585,16 +571,16 @@ func FuzzBatchMatchesReference(f *testing.F) {
 	f.Add([]byte{38, 0, 7, 11, 200, 3, 2, 1, 0, 5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 10, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 40, 3, 8, 255, 9, 4, 77, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fx := decodeBatchFixture(data)
-		got, gotErr, gotEx, gotCalls := fx.schedule(false)
-		want, wantErr, wantEx, wantCalls := fx.schedule(true)
+		got, gotErr, gotBoards, gotCalls := fx.schedule(false)
+		want, wantErr, wantBoards, wantCalls := fx.schedule(true)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("error %v, reference %v", gotErr, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("assignment %v, reference %v", got, want)
 		}
-		if g, w := explanationText(gotEx), explanationText(wantEx); g != w {
-			t.Fatalf("explanations diverge from the reference:\n%s\nvs\n%s", g, w)
+		if g, w := boardText(gotBoards), boardText(wantBoards); g != w {
+			t.Fatalf("scoreboards diverge from the reference:\n%s\nvs\n%s", g, w)
 		}
 		if !reflect.DeepEqual(gotCalls, wantCalls) {
 			t.Fatalf("path-oracle calls diverge:\n%v\nvs\n%v", gotCalls, wantCalls)
@@ -643,10 +629,11 @@ func batchPipePaths(from, to string) float64 {
 }
 
 // TestBatchSearchGolden pins positive-budget batch searches: the assignments
-// and every explanation of four pipelines on 196 nodes at three seeds, as one
-// SHA-256 captured from the name-keyed search.
+// and every scoreboard of four pipelines on 196 nodes at three seeds, as one
+// SHA-256. The digest was captured from the name-keyed search, projecting its
+// recorded candidates onto journal rows exactly as the journal stored them.
 func TestBatchSearchGolden(t *testing.T) {
-	const want = "13a5308ccb110f6ca85802624a8091d722f54e7c87b7dec772cadcdc5d1a142f"
+	const want = "03c9c3724f99e8aa043738d5069fe24f595dbd0cc2b602da51119002d8d39557"
 	nodes := batchPipeNodes(196)
 	h := sha256.New()
 	improved := 0
@@ -667,8 +654,8 @@ func TestBatchSearchGolden(t *testing.T) {
 			for _, c := range comps {
 				fmt.Fprintf(h, "%s=%s;", c, a[c])
 			}
-			io.WriteString(h, explanationText(rec.explanations))
-			if last := rec.explanations[len(rec.explanations)-1]; last.Chosen == "batch" {
+			io.WriteString(h, boardText(rec.boards))
+			if last := rec.boards[len(rec.boards)-1]; last.chosen() == "batch" {
 				improved++
 			}
 		}

@@ -66,9 +66,9 @@ func TestBatchZeroBudgetIsSeedExactly(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("zero-budget assignment = %v, want greedy %v", got, want)
 	}
-	if !reflect.DeepEqual(batchRec.explanations, greedyRec.explanations) {
-		t.Errorf("zero-budget explanations diverge from greedy:\n%+v\nvs\n%+v",
-			batchRec.explanations, greedyRec.explanations)
+	if !reflect.DeepEqual(batchRec.boards, greedyRec.boards) {
+		t.Errorf("zero-budget scoreboards diverge from greedy:\n%+v\nvs\n%+v",
+			batchRec.boards, greedyRec.boards)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestBatchDeterministicAcrossRuns(t *testing.T) {
 		if !reflect.DeepEqual(got, got2) {
 			t.Fatalf("run %d: assignments diverge: %v vs %v", run, got, got2)
 		}
-		if !reflect.DeepEqual(rec.explanations, rec2.explanations) {
-			t.Fatalf("run %d: explanations diverge", run)
+		if !reflect.DeepEqual(rec.boards, rec2.boards) {
+			t.Fatalf("run %d: scoreboards diverge", run)
 		}
 	}
 }
@@ -140,47 +140,35 @@ func TestBatchRecordsSearchAndVerdict(t *testing.T) {
 	if _, err := batch.Schedule(g, batchTriangleNodes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	var sawSchedule, sawScan, sawVerdict bool
-	for _, ex := range rec.explanations {
-		switch ex.Kind {
-		case choiceSchedule:
-			sawSchedule = true
-		case choiceBatch:
-			if ex.Component == "joint" {
-				sawVerdict = true
-				if len(ex.Candidates) != 2 {
-					t.Errorf("verdict has %d candidates, want greedy+batch", len(ex.Candidates))
-				}
-				if ex.Chosen != "batch" {
-					t.Errorf("verdict chose %q, want batch (it strictly improves here)", ex.Chosen)
-				}
-				for _, cs := range ex.Candidates {
-					if cs.Node == "batch" && cs.Rejection != rejectNone {
-						t.Errorf("winning batch row has rejection %q", cs.Rejection)
-					}
-					if cs.Node == "greedy" && cs.Rejection != rejectOutscored {
-						t.Errorf("greedy row has rejection %q, want outscored", cs.Rejection)
-					}
-				}
-			} else {
-				sawScan = true
-			}
+	// The narrative is the seed's one packing board (mid is the only
+	// unpinned component), then the search's scans, then its verdict.
+	if len(rec.boards) < 3 {
+		t.Fatalf("recorded %d boards, want seed, scans and verdict: %+v", len(rec.boards), rec.boards)
+	}
+	seed, scans, last := rec.boards[0], rec.boards[1:len(rec.boards)-1], rec.boards[len(rec.boards)-1]
+	if seed.Component != "mid" || len(seed.Rows) != len(batchTriangleNodes()) {
+		t.Errorf("first board is %+v, want the seed's packing of mid over every node", seed)
+	}
+	for _, b := range scans {
+		if b.Component == "joint" {
+			t.Errorf("a verdict %+v precedes the last board", b)
 		}
 	}
-	if !sawSchedule {
-		t.Error("no seed ChoiceSchedule explanations recorded")
+	// The verdict must be the last board: the search narrative ends with
+	// its conclusion.
+	if last.Component != "joint" || len(last.Rows) != 2 {
+		t.Fatalf("last board is %+v, want the greedy-vs-batch verdict", last)
 	}
-	if !sawScan {
-		t.Error("no ChoiceBatch relocation-scan explanations recorded")
+	if last.chosen() != "batch" {
+		t.Errorf("verdict chose %q, want batch (it strictly improves here)", last.chosen())
 	}
-	if !sawVerdict {
-		t.Error("no final greedy-vs-batch verdict recorded")
-	}
-	// The verdict must be the last explanation: the search narrative ends
-	// with its conclusion.
-	last := rec.explanations[len(rec.explanations)-1]
-	if last.Kind != choiceBatch || last.Component != "joint" {
-		t.Errorf("last explanation is %+v, want the joint verdict", last)
+	for _, row := range last.Rows {
+		if row.Node == "batch" && row.Reason != rejectNone {
+			t.Errorf("winning batch row has rejection %q", row.Reason)
+		}
+		if row.Node == "greedy" && row.Reason != rejectOutscored {
+			t.Errorf("greedy row has rejection %q, want outscored", row.Reason)
+		}
 	}
 }
 
@@ -273,7 +261,7 @@ func TestBatchMovableOrderIgnoresMapOrder(t *testing.T) {
 			TotalCPU: 4, TotalMemoryMB: 4096, LinkCapacityMbps: 100}
 	}
 	paths := func(from, to string) float64 { return float64(len(from)+len(to)) / 40 }
-	var first []Explanation
+	var first []board
 	var firstAssign Assignment
 	for run := 0; run < 50; run++ {
 		batch := NewBatch(NewBass(HeuristicLongestPath), BatchConfig{MoveBudget: 12, K: 1, Seed: 3})
@@ -284,10 +272,10 @@ func TestBatchMovableOrderIgnoresMapOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if run == 0 {
-			first, firstAssign = rec.explanations, got
+			first, firstAssign = rec.boards, got
 			continue
 		}
-		if !reflect.DeepEqual(got, firstAssign) || !reflect.DeepEqual(rec.explanations, first) {
+		if !reflect.DeepEqual(got, firstAssign) || !reflect.DeepEqual(rec.boards, first) {
 			t.Fatalf("run %d diverges from run 0", run)
 		}
 	}
@@ -311,7 +299,7 @@ func TestBatchConcurrentMatchesSerial(t *testing.T) {
 		if err != nil {
 			return err.Error()
 		}
-		return fmt.Sprint(a) + explanationText(rec.explanations)
+		return fmt.Sprint(a) + boardText(rec.boards)
 	}
 	jobs := make([]*job, 8)
 	for i := range jobs {

@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // countingRecorder counts scoreboard rows and keeps none of them.
 type countingRecorder struct{ rows int }
 
-func (r *countingRecorder) RecordExplanation(ex Explanation) { r.rows += len(ex.Candidates) }
+func (r *countingRecorder) RecordBoard(_ string, rows []obs.BoardRow) { r.rows += len(rows) }
 
 // chainApp is a k-stage chain of 1-CPU components with 4 Mbps edges.
 func chainApp(k int) *dag.Graph {
@@ -41,7 +42,7 @@ func packingNodes(n int) []NodeInfo {
 // TestChoicePassSteadyStateAllocs pins the cost of a warm choice pass. A
 // migration choice over 196 nodes allocates at most 2 objects per op with or
 // without a (non-retaining) recorder: the scored candidates, their ranking
-// and the scoreboard all live in pooled scratch. A Bass packing pass
+// and the scoreboard all live in pooled scratch. A Bass or K3s packing pass
 // allocates per component, never per node: quadrupling the node list must
 // add neither allocations nor bytes.
 func TestChoicePassSteadyStateAllocs(t *testing.T) {
@@ -63,9 +64,8 @@ func TestChoicePassSteadyStateAllocs(t *testing.T) {
 	}
 
 	app := chainApp(12)
-	sched := NewBass(HeuristicLongestPath)
 	type cost struct{ allocs, bytes float64 }
-	scheduleCost := func(n int, rec Recorder) cost {
+	scheduleCost := func(sched Policy, n int, rec Recorder) cost {
 		nodes := packingNodes(n)
 		pass := func() {
 			if _, err := sched.Schedule(app, nodes, rec); err != nil {
@@ -87,10 +87,13 @@ func TestChoicePassSteadyStateAllocs(t *testing.T) {
 		}
 		return c
 	}
-	for name, rec := range map[string]Recorder{"no recorder": nil, "recorder": &countingRecorder{}} {
-		small, large := scheduleCost(49, rec), scheduleCost(196, rec)
-		if large.allocs > small.allocs || large.bytes > 1.05*small.bytes {
-			t.Errorf("Bass.Schedule, %s: %+v per op on 196 nodes vs %+v on 49: cost grows with nodes", name, large, small)
+	for _, sched := range []Policy{NewBass(HeuristicLongestPath), NewK3s()} {
+		for name, rec := range map[string]Recorder{"no recorder": nil, "recorder": &countingRecorder{}} {
+			small, large := scheduleCost(sched, 49, rec), scheduleCost(sched, 196, rec)
+			if large.allocs > small.allocs || large.bytes > 1.05*small.bytes {
+				t.Errorf("%s, %s: %+v per op on 196 nodes vs %+v on 49: cost grows with nodes",
+					sched.Name(), name, large, small)
+			}
 		}
 	}
 }
@@ -121,6 +124,20 @@ func BenchmarkChooseMigrationTarget(b *testing.B) {
 func BenchmarkBassSchedule(b *testing.B) {
 	app, nodes := chainApp(12), packingNodes(196)
 	sched := NewBass(HeuristicLongestPath)
+	rec := &countingRecorder{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Schedule(app, nodes, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkK3sSchedule places a 12-stage chain on 196 nodes with the k3s
+// baseline, recording every placement scoreboard.
+func BenchmarkK3sSchedule(b *testing.B) {
+	app, nodes := chainApp(12), packingNodes(196)
+	sched := NewK3s()
 	rec := &countingRecorder{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -11,17 +11,35 @@ import (
 	"testing"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
-// captureRecorder collects explanations for assertion. It clones each
-// scoreboard: the choosers hand over a board they reuse for the next choice.
-type captureRecorder struct {
-	explanations []Explanation
+// board is one recorded scoreboard: the component a choice placed and its
+// rows.
+type board struct {
+	Component string
+	Rows      []obs.BoardRow
 }
 
-func (r *captureRecorder) RecordExplanation(ex Explanation) {
-	ex.Candidates = slices.Clone(ex.Candidates)
-	r.explanations = append(r.explanations, ex)
+// chosen is the node of the board's winning row, the one no reason
+// rejected, or "" when the choice chose nothing.
+func (b board) chosen() string {
+	for _, row := range b.Rows {
+		if row.Reason == rejectNone {
+			return row.Node
+		}
+	}
+	return ""
+}
+
+// captureRecorder collects scoreboards for assertion. It clones each board's
+// rows: the choosers hand over rows they reuse for the next choice.
+type captureRecorder struct {
+	boards []board
+}
+
+func (r *captureRecorder) RecordBoard(component string, rows []obs.BoardRow) {
+	r.boards = append(r.boards, board{component, slices.Clone(rows)})
 }
 
 // explainNodes builds a small cluster for target-choice tests.
@@ -110,30 +128,30 @@ func TestChooseMigrationTargetExplained(t *testing.T) {
 	if err != nil || plain != got {
 		t.Fatalf("nil-recorder path chose %q, %v; explained chose %q", plain, err, got)
 	}
-	if len(rec.explanations) != 1 {
-		t.Fatalf("recorded %d explanations, want 1", len(rec.explanations))
+	if len(rec.boards) != 1 {
+		t.Fatalf("recorded %d boards, want 1", len(rec.boards))
 	}
-	ex := rec.explanations[0]
-	if ex.Kind != choiceMigration || ex.Component != "producer" || ex.Current != "n1" || ex.Chosen != "n2" {
-		t.Fatalf("explanation header = %+v", ex)
+	b := rec.boards[0]
+	if b.Component != "producer" || b.chosen() != "n2" {
+		t.Fatalf("board for %q chose %q, want producer on n2", b.Component, b.chosen())
 	}
-	byNode := make(map[string]CandidateScore)
-	for _, cs := range ex.Candidates {
-		byNode[cs.Node] = cs
+	byNode := make(map[string]obs.BoardRow)
+	for _, row := range b.Rows {
+		byNode[row.Node] = row
 	}
 	if len(byNode) != 4 {
-		t.Fatalf("scoreboard = %+v, want all 4 nodes", ex.Candidates)
+		t.Fatalf("scoreboard = %+v, want all 4 nodes", b.Rows)
 	}
-	if w := byNode["n2"]; w.Rejection != rejectNone || !w.Feasible || w.DepCount != 1 || w.LocalMbps != 8 || w.Score != 8 {
+	if w := byNode["n2"]; w.Reason != rejectNone || w.Want != 1 || w.Local != 8 || w.Value != 8 {
 		t.Errorf("winner row = %+v", w)
 	}
-	if r := byNode["n3"]; r.Rejection != rejectInsufficientBandwidth || r.Feasible || r.RemoteMbps != 1 {
+	if r := byNode["n3"]; r.Reason != rejectInsufficientBandwidth || r.Remote != 1 {
 		t.Errorf("saturated row = %+v", r)
 	}
-	if r := byNode["n1"]; r.Rejection != rejectCurrentNode {
+	if r := byNode["n1"]; r.Reason != rejectCurrentNode {
 		t.Errorf("current-node row = %+v", r)
 	}
-	if r := byNode["tiny"]; r.Rejection != rejectNoCapacity {
+	if r := byNode["tiny"]; r.Reason != rejectNoCapacity {
 		t.Errorf("undersized row = %+v", r)
 	}
 }
@@ -155,21 +173,21 @@ func TestChooseMigrationTargetExplainsHysteresis(t *testing.T) {
 	if err == nil {
 		t.Fatal("saturated mesh produced a move")
 	}
-	ex := rec.explanations[0]
-	if ex.Chosen != "" {
-		t.Fatalf("chosen = %q, want none", ex.Chosen)
+	b := rec.boards[0]
+	if b.chosen() != "" {
+		t.Fatalf("chosen = %q, want none", b.chosen())
 	}
 	found := false
-	for _, cs := range ex.Candidates {
-		if cs.Node == "n3" {
+	for _, row := range b.Rows {
+		if row.Node == "n3" {
 			found = true
-			if cs.Rejection != rejectHysteresis {
-				t.Errorf("best fallback rejection = %q, want %q", cs.Rejection, rejectHysteresis)
+			if row.Reason != rejectHysteresis {
+				t.Errorf("best fallback rejection = %q, want %q", row.Reason, rejectHysteresis)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("n3 missing from scoreboard: %+v", ex.Candidates)
+		t.Fatalf("n3 missing from scoreboard: %+v", b.Rows)
 	}
 }
 
@@ -194,23 +212,23 @@ func TestChooseFailoverTargetExplained(t *testing.T) {
 	if err != nil || plain != got {
 		t.Fatalf("nil-recorder path chose %q, %v; explained chose %q", plain, err, got)
 	}
-	ex := rec.explanations[0]
-	if ex.Kind != choiceFailover || ex.Chosen != "n2" {
-		t.Fatalf("explanation header = %+v", ex)
+	b := rec.boards[0]
+	if b.Component != "producer" || b.chosen() != "n2" {
+		t.Fatalf("board for %q chose %q, want producer on n2", b.Component, b.chosen())
 	}
-	var winner, tiny *CandidateScore
-	for i := range ex.Candidates {
-		switch ex.Candidates[i].Node {
+	var winner, tiny *obs.BoardRow
+	for i := range b.Rows {
+		switch b.Rows[i].Node {
 		case "n2":
-			winner = &ex.Candidates[i]
+			winner = &b.Rows[i]
 		case "tiny":
-			tiny = &ex.Candidates[i]
+			tiny = &b.Rows[i]
 		}
 	}
-	if winner == nil || winner.Rejection != rejectNone || winner.DepCount != 1 {
+	if winner == nil || winner.Reason != rejectNone || winner.Want != 1 {
 		t.Errorf("winner row = %+v", winner)
 	}
-	if tiny == nil || tiny.Rejection != rejectNoCapacity {
+	if tiny == nil || tiny.Reason != rejectNoCapacity {
 		t.Errorf("undersized row = %+v", tiny)
 	}
 }
@@ -223,17 +241,17 @@ func TestChooseFailoverTargetExplainsPinned(t *testing.T) {
 	if err != nil || got != "n3" {
 		t.Fatalf("chose %q, %v; want pinned n3", got, err)
 	}
-	ex := rec.explanations[0]
-	if ex.Chosen != "n3" {
-		t.Fatalf("explanation = %+v", ex)
+	b := rec.boards[0]
+	if b.chosen() != "n3" {
+		t.Fatalf("board = %+v, want n3 chosen", b)
 	}
-	for _, cs := range ex.Candidates {
+	for _, row := range b.Rows {
 		want := rejectPinnedElsewhere
-		if cs.Node == "n3" {
+		if row.Node == "n3" {
 			want = rejectNone
 		}
-		if cs.Rejection != want {
-			t.Errorf("node %s rejection = %q, want %q", cs.Node, cs.Rejection, want)
+		if row.Reason != want {
+			t.Errorf("node %s rejection = %q, want %q", row.Node, row.Reason, want)
 		}
 	}
 }
@@ -262,17 +280,19 @@ func TestScheduleExplainedMatchesSchedule(t *testing.T) {
 		if !reflect.DeepEqual(explained, plain) {
 			t.Errorf("%s: explained assignment %v differs from plain %v", p.Name(), explained, plain)
 		}
-		if len(rec.explanations) != g.NumComponents() {
-			t.Fatalf("%s: %d explanations, want one per component (%d)",
-				p.Name(), len(rec.explanations), g.NumComponents())
+		// One board per unpinned component; the pinned one was never a
+		// choice and records none.
+		if len(rec.boards) != g.NumComponents()-1 {
+			t.Fatalf("%s: %d boards, want one per unpinned component (%d)",
+				p.Name(), len(rec.boards), g.NumComponents()-1)
 		}
-		for _, ex := range rec.explanations {
-			if ex.Kind != choiceSchedule {
-				t.Errorf("%s: kind = %q", p.Name(), ex.Kind)
+		for _, b := range rec.boards {
+			if b.Component == "pin" {
+				t.Errorf("%s: the pinned component recorded a board: %+v", p.Name(), b)
 			}
-			if ex.Chosen != plain[ex.Component] {
-				t.Errorf("%s: explanation for %q chose %q, assignment says %q",
-					p.Name(), ex.Component, ex.Chosen, plain[ex.Component])
+			if b.chosen() != plain[b.Component] {
+				t.Errorf("%s: board for %q chose %q, assignment says %q",
+					p.Name(), b.Component, b.chosen(), plain[b.Component])
 			}
 		}
 	}
@@ -306,11 +326,11 @@ func TestCandidateScoresBitReproducible(t *testing.T) {
 			MigrationConfig{HeadroomMbps: 1}, TargetOptions{Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}
-		for _, cs := range rec.explanations[0].Candidates {
-			if seen[cs.Node] == nil {
-				seen[cs.Node] = make(map[bits]int)
+		for _, row := range rec.boards[0].Rows {
+			if seen[row.Node] == nil {
+				seen[row.Node] = make(map[bits]int)
 			}
-			seen[cs.Node][bits{math.Float64bits(cs.Score), math.Float64bits(cs.RemoteMbps)}]++
+			seen[row.Node][bits{math.Float64bits(row.Value), math.Float64bits(row.Remote)}]++
 		}
 	}
 	if len(seen["n5"]) == 0 {
@@ -359,24 +379,24 @@ func TestFailoverStrictness(t *testing.T) {
 			if got != tc.want || !errors.Is(err, tc.wantErr) {
 				t.Fatalf("chose %q, %v; want %q, %v", got, err, tc.want, tc.wantErr)
 			}
-			if len(rec.explanations) != 1 {
-				t.Fatalf("recorded %d explanations, want 1", len(rec.explanations))
+			if len(rec.boards) != 1 {
+				t.Fatalf("recorded %d boards, want 1", len(rec.boards))
 			}
-			ex := rec.explanations[0]
-			if ex.Kind != choiceFailover || ex.Chosen != tc.want {
-				t.Errorf("explanation header = %+v, want failover choosing %q", ex, tc.want)
+			b := rec.boards[0]
+			if b.Component != "producer" || b.chosen() != tc.want {
+				t.Errorf("board for %q chose %q, want producer on %q", b.Component, b.chosen(), tc.want)
 			}
-			if len(ex.Candidates) != len(tc.nodes) {
-				t.Errorf("scoreboard has %d rows, want every node (%d): %+v", len(ex.Candidates), len(tc.nodes), ex.Candidates)
+			if len(b.Rows) != len(tc.nodes) {
+				t.Errorf("scoreboard has %d rows, want every node (%d): %+v", len(b.Rows), len(tc.nodes), b.Rows)
 			}
 			scored := 0
-			for _, cs := range ex.Candidates {
-				if cs.Score > 0 {
+			for _, row := range b.Rows {
+				if row.Value > 0 {
 					scored++
 				}
 			}
 			if scored != tc.wantScored {
-				t.Errorf("%d scored rows, want %d: %+v", scored, tc.wantScored, ex.Candidates)
+				t.Errorf("%d scored rows, want %d: %+v", scored, tc.wantScored, b.Rows)
 			}
 		})
 	}
@@ -429,20 +449,20 @@ func TestTargetOptionsDoNotChangeTheChoice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantEx []Explanation
+			var wantBoards []board
 			for run := 0; run < 2; run++ {
 				rec := &captureRecorder{}
 				got, err := choose(TargetOptions{Recorder: rec})
 				if err != nil || got != want {
 					t.Errorf("run %d with recorder: chose %q, %v; want %q", run, got, err, want)
 				}
-				if len(rec.explanations) != 1 || len(rec.explanations[0].Candidates) != n {
-					t.Fatalf("run %d: recorded %+v, want one explanation with %d rows", run, rec.explanations, n)
+				if len(rec.boards) != 1 || len(rec.boards[0].Rows) != n {
+					t.Fatalf("run %d: recorded %+v, want one board with %d rows", run, rec.boards, n)
 				}
-				if wantEx == nil {
-					wantEx = rec.explanations
-				} else if !reflect.DeepEqual(rec.explanations, wantEx) {
-					t.Errorf("run %d: explanation differs from the first recorded one", run)
+				if wantBoards == nil {
+					wantBoards = rec.boards
+				} else if !reflect.DeepEqual(rec.boards, wantBoards) {
+					t.Errorf("run %d: board differs from the first recorded one", run)
 				}
 			}
 		})
@@ -456,9 +476,9 @@ type renderingRecorder struct {
 	rendered []string
 }
 
-func (r *renderingRecorder) RecordExplanation(ex Explanation) {
-	r.rendered = append(r.rendered, fmt.Sprintf("%+v", ex.Candidates))
-	r.captureRecorder.RecordExplanation(ex)
+func (r *renderingRecorder) RecordBoard(component string, rows []obs.BoardRow) {
+	r.rendered = append(r.rendered, fmt.Sprintf("%+v", rows))
+	r.captureRecorder.RecordBoard(component, rows)
 }
 
 // TestRecordedBoardSurvivesNextChoice records two different choices back to
@@ -480,16 +500,16 @@ func TestRecordedBoardSurvivesNextChoice(t *testing.T) {
 	if _, err := NewBass(HeuristicBFS).Schedule(fig6Graph(t), testNodes(), rec); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.explanations) != 2+7 {
-		t.Fatalf("recorded %d explanations, want 9", len(rec.explanations))
+	if len(rec.boards) != 2+7 {
+		t.Fatalf("recorded %d boards, want 9", len(rec.boards))
 	}
 	if rec.rendered[0] == rec.rendered[1] {
 		t.Fatal("the two target choices recorded the same board; the check below would prove nothing")
 	}
-	for i, ex := range rec.explanations {
-		if got := fmt.Sprintf("%+v", ex.Candidates); got != rec.rendered[i] {
-			t.Errorf("explanation %d (%s %s) changed after later choices:\n got %s\nwant %s",
-				i, ex.Kind, ex.Component, got, rec.rendered[i])
+	for i, b := range rec.boards {
+		if got := fmt.Sprintf("%+v", b.Rows); got != rec.rendered[i] {
+			t.Errorf("board %d (%s) changed after later choices:\n got %s\nwant %s",
+				i, b.Component, got, rec.rendered[i])
 		}
 	}
 }
@@ -502,7 +522,7 @@ func TestChoosersConcurrentMatchSerial(t *testing.T) {
 	type outcome struct {
 		migration, failover string
 		assignment          Assignment
-		boards              []Explanation
+		boards              []board
 	}
 	run := func(i int) (outcome, error) {
 		g, assignment, nodes, pathAvail := hubChoice(96+8*i, i)
@@ -519,7 +539,7 @@ func TestChoosersConcurrentMatchSerial(t *testing.T) {
 		}
 		app := randomDAG(rand.New(rand.NewSource(int64(i))), 6+i)
 		out.assignment, err = NewBass(HeuristicLongestPath).Schedule(app, nodes[:16+i], rec)
-		out.boards = rec.explanations
+		out.boards = rec.boards
 		return out, err
 	}
 	const workers = 8

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // errNoBetterNode is returned by ChooseMigrationTarget when no node improves
@@ -249,7 +250,7 @@ type PathQuery func(fromNode, toNode string) float64
 // zero value is the default: silent and lenient.
 type TargetOptions struct {
 	// Recorder receives the full candidate scoreboard. Nil skips all
-	// explanation bookkeeping.
+	// scoreboard bookkeeping.
 	Recorder Recorder
 	// Strict makes ChooseFailoverTarget refuse the partially-feasible
 	// fallback and return errNoFeasibleNode instead. Migration ignores it:
@@ -365,7 +366,7 @@ func (s *choiceScratch) rankCandidates(
 			c.node = n
 			s.cands = append(s.cands, c)
 		} else if rec != nil {
-			s.skipped = append(s.skipped, CandidateScore{Node: n.Name, Rejection: reject})
+			s.skipped = append(s.skipped, obs.BoardRow{Node: n.Name, Reason: reject})
 		}
 	}
 	cands := s.cands
@@ -421,33 +422,27 @@ func largerFirst(a, b float64) int {
 }
 
 // scoreboard renders the ranked s.cands plus the pre-filtered s.skipped as
-// CandidateScores in the pooled board: the winner keeps rejectNone, feasible
-// losers are outscored, infeasible ones lacked bandwidth — except a winning
-// infeasible fallback, and bestHysteresis marks the case where the best
-// fallback lost to the anti-thrash margin instead.
-func (s *choiceScratch) scoreboard(chosen string, bestHysteresis bool) []CandidateScore {
+// rows of the pooled board: the winner keeps rejectNone, feasible losers are
+// outscored, infeasible ones lacked bandwidth — except a winning infeasible
+// fallback, and bestHysteresis marks the case where the best fallback lost
+// to the anti-thrash margin instead.
+func (s *choiceScratch) scoreboard(chosen string, bestHysteresis bool) []obs.BoardRow {
 	out := s.board[:0]
 	for i := range s.cands {
 		c := &s.cands[i]
-		cs := CandidateScore{
-			Node:       c.node.Name,
-			Feasible:   c.feasible,
-			DepCount:   c.depCount,
-			Score:      c.score,
-			LocalMbps:  c.local,
-			RemoteMbps: c.remote,
-		}
+		row := obs.BoardRow{Node: c.node.Name, Value: c.score, Want: float64(c.depCount),
+			Local: c.local, Remote: c.remote}
 		switch {
 		case c.node.Name == chosen:
-			cs.Rejection = rejectNone
+			row.Reason = rejectNone
 		case i == 0 && bestHysteresis:
-			cs.Rejection = rejectHysteresis
+			row.Reason = rejectHysteresis
 		case !c.feasible:
-			cs.Rejection = rejectInsufficientBandwidth
+			row.Reason = rejectInsufficientBandwidth
 		default:
-			cs.Rejection = rejectOutscored
+			row.Reason = rejectOutscored
 		}
-		out = append(out, cs)
+		out = append(out, row)
 	}
 	s.board = append(out, s.skipped...)
 	return s.board
@@ -484,7 +479,6 @@ func ChooseMigrationTarget(
 		return "", err
 	}
 	if comp.Pinned() {
-		explain(rec, Explanation{Kind: choiceMigration, Component: component, Current: assignment[component]})
 		return "", fmt.Errorf("%w: %q is pinned to %q", errNoBetterNode, component, comp.PinnedTo())
 	}
 	current, ok := assignment[component]
@@ -496,7 +490,9 @@ func ChooseMigrationTarget(
 	s.deps = placedNeighbors(s.deps, g, component, assignment)
 	s.rankCandidates(comp, nodes, current, pathAvail, cfg.HeadroomMbps, rec)
 	if len(s.cands) == 0 {
-		explain(rec, Explanation{Kind: choiceMigration, Component: component, Current: current, Candidates: s.skipped})
+		if rec != nil {
+			rec.RecordBoard(component, s.skipped)
+		}
 		return "", fmt.Errorf("%w: %q stays on %q", errNoBetterNode, component, current)
 	}
 	best := &s.cands[0]
@@ -521,13 +517,7 @@ func ChooseMigrationTarget(
 		}
 	}
 	if rec != nil {
-		rec.RecordExplanation(Explanation{
-			Kind:       choiceMigration,
-			Component:  component,
-			Current:    current,
-			Chosen:     chosen,
-			Candidates: s.scoreboard(chosen, hysteresis),
-		})
+		rec.RecordBoard(component, s.scoreboard(chosen, hysteresis))
 	}
 	if chosen != "" {
 		return chosen, nil
@@ -576,21 +566,19 @@ func ChooseFailoverTarget(
 			}
 		}
 		if rec != nil {
-			ex := Explanation{Kind: choiceFailover, Component: component, Chosen: chosen, Candidates: s.board[:0]}
+			board := s.board[:0]
 			for _, n := range nodes {
-				cs := CandidateScore{Node: n.Name, Rejection: rejectPinnedElsewhere}
+				row := obs.BoardRow{Node: n.Name, Reason: rejectPinnedElsewhere}
 				if n.Name == comp.PinnedTo() {
-					cs.Feasible = fits(n, comp)
-					if cs.Feasible {
-						cs.Rejection = rejectNone
-					} else {
-						cs.Rejection = rejectNoCapacity
+					row.Reason = rejectNoCapacity
+					if fits(n, comp) {
+						row.Reason = rejectNone
 					}
 				}
-				ex.Candidates = append(ex.Candidates, cs)
+				board = append(board, row)
 			}
-			s.board = ex.Candidates
-			rec.RecordExplanation(ex)
+			s.board = board
+			rec.RecordBoard(component, board)
 		}
 		if chosen != "" {
 			return chosen, nil
@@ -600,7 +588,9 @@ func ChooseFailoverTarget(
 	s.deps = placedNeighbors(s.deps, g, component, assignment)
 	s.rankCandidates(comp, nodes, "", pathAvail, cfg.HeadroomMbps, rec)
 	if len(s.cands) == 0 {
-		explain(rec, Explanation{Kind: choiceFailover, Component: component, Candidates: s.skipped})
+		if rec != nil {
+			rec.RecordBoard(component, s.skipped)
+		}
 		return "", fmt.Errorf("%w: %q", errNoFailoverNode, component)
 	}
 	// The component is down: ANY node that fits beats leaving it dead, so
@@ -611,12 +601,7 @@ func ChooseFailoverTarget(
 		chosen = ""
 	}
 	if rec != nil {
-		rec.RecordExplanation(Explanation{
-			Kind:       choiceFailover,
-			Component:  component,
-			Chosen:     chosen,
-			Candidates: s.scoreboard(chosen, false),
-		})
+		rec.RecordBoard(component, s.scoreboard(chosen, false))
 	}
 	if chosen == "" {
 		return "", fmt.Errorf("%w: %q", errNoFeasibleNode, component)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // Value palettes for the ranking fuzzer. Small palettes make exact ties
@@ -100,14 +101,14 @@ func decodeRankFixture(data []byte) rankFixture {
 
 // refRank is the reference ranking: every node that is not current and fits
 // x, scored in node order and stable-sorted by value with the comparator.
-func (fx rankFixture) refRank(current string) (ranked []candidate, skipped []CandidateScore) {
+func (fx rankFixture) refRank(current string) (ranked []candidate, skipped []obs.BoardRow) {
 	comp, _ := fx.g.Component("x")
 	for _, n := range fx.nodes {
 		switch {
 		case n.Name == current:
-			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: rejectCurrentNode})
+			skipped = append(skipped, obs.BoardRow{Node: n.Name, Reason: rejectCurrentNode})
 		case !fits(n, comp):
-			skipped = append(skipped, CandidateScore{Node: n.Name, Rejection: rejectNoCapacity})
+			skipped = append(skipped, obs.BoardRow{Node: n.Name, Reason: rejectNoCapacity})
 		default:
 			c := scoreCandidate(fx.deps, n.Name, fx.pathAvail, fx.cfg.HeadroomMbps)
 			c.node = n
@@ -119,33 +120,32 @@ func (fx rankFixture) refRank(current string) (ranked []candidate, skipped []Can
 }
 
 // refBoard labels the reference rows the way a recorded scoreboard does.
-func refBoard(ranked []candidate, chosen string, hysteresis bool, skipped []CandidateScore) []CandidateScore {
-	var out []CandidateScore
+func refBoard(ranked []candidate, chosen string, hysteresis bool, skipped []obs.BoardRow) []obs.BoardRow {
+	var out []obs.BoardRow
 	for i, c := range ranked {
-		cs := CandidateScore{Node: c.node.Name, Feasible: c.feasible, DepCount: c.depCount,
-			Score: c.score, LocalMbps: c.local, RemoteMbps: c.remote, Rejection: rejectOutscored}
+		row := obs.BoardRow{Node: c.node.Name, Want: float64(c.depCount),
+			Value: c.score, Local: c.local, Remote: c.remote, Reason: rejectOutscored}
 		switch {
 		case c.node.Name == chosen:
-			cs.Rejection = rejectNone
+			row.Reason = rejectNone
 		case i == 0 && hysteresis:
-			cs.Rejection = rejectHysteresis
+			row.Reason = rejectHysteresis
 		case !c.feasible:
-			cs.Rejection = rejectInsufficientBandwidth
+			row.Reason = rejectInsufficientBandwidth
 		}
-		out = append(out, cs)
+		out = append(out, row)
 	}
 	return append(out, skipped...)
 }
 
 // sameRow compares two scoreboard rows, floats by bit pattern.
-func sameRow(a, b CandidateScore) bool {
+func sameRow(a, b obs.BoardRow) bool {
 	bits := math.Float64bits
-	return a.Node == b.Node && a.Feasible == b.Feasible && a.DepCount == b.DepCount &&
-		a.Rejection == b.Rejection && bits(a.Score) == bits(b.Score) &&
-		bits(a.LocalMbps) == bits(b.LocalMbps) && bits(a.RemoteMbps) == bits(b.RemoteMbps)
+	return a.Node == b.Node && a.Reason == b.Reason && bits(a.Want) == bits(b.Want) &&
+		bits(a.Value) == bits(b.Value) && bits(a.Local) == bits(b.Local) && bits(a.Remote) == bits(b.Remote)
 }
 
-func checkBoard(t *testing.T, kind string, got, want []CandidateScore) {
+func checkBoard(t *testing.T, kind string, got, want []obs.BoardRow) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: scoreboard has %d rows, want %d:\n got %+v\nwant %+v", kind, len(got), len(want), got, want)
@@ -223,10 +223,10 @@ func FuzzRankMatchesValueSort(f *testing.F) {
 		if got != want || (want == "") != errors.Is(err, errNoFailoverNode) {
 			t.Fatalf("failover chose %q, %v; want %q", got, err, want)
 		}
-		if len(rec.explanations) != 1 {
-			t.Fatalf("failover: recorded %d explanations, want 1", len(rec.explanations))
+		if len(rec.boards) != 1 {
+			t.Fatalf("failover: recorded %d boards, want 1", len(rec.boards))
 		}
-		checkBoard(t, "failover", rec.explanations[0].Candidates, refBoard(ranked, want, false, skipped))
+		checkBoard(t, "failover", rec.boards[0].Rows, refBoard(ranked, want, false, skipped))
 
 		// Migration: the current node is skipped, and an infeasible best must
 		// clear the hysteresis margin over the current placement.
@@ -250,10 +250,10 @@ func FuzzRankMatchesValueSort(f *testing.F) {
 		if got != want || (want == "") != errors.Is(err, errNoBetterNode) {
 			t.Fatalf("migration chose %q, %v; want %q", got, err, want)
 		}
-		if len(rec.explanations) != 1 {
-			t.Fatalf("migration: recorded %d explanations, want 1", len(rec.explanations))
+		if len(rec.boards) != 1 {
+			t.Fatalf("migration: recorded %d boards, want 1", len(rec.boards))
 		}
-		checkBoard(t, "migration", rec.explanations[0].Candidates, refBoard(ranked, want, hysteresis, skipped))
+		checkBoard(t, "migration", rec.boards[0].Rows, refBoard(ranked, want, hysteresis, skipped))
 
 		// Packing order: scoreNodes against the value sort.
 		gotRanks, wantRanks := scoreNodes(fx.nodes), refScoreNodes(fx.nodes)

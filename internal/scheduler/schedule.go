@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"bass/internal/dag"
+	"bass/internal/obs"
 )
 
 // errInfeasible is returned when no node can host a component.
@@ -147,9 +148,9 @@ func (b *Bass) Name() string { return "bass-" + b.heuristic.String() }
 // advances — so heuristic-adjacent (bandwidth-heavy) components co-locate.
 // For the longest-path heuristic, each extracted chain restarts the cursor
 // at the best-ranked node with remaining capacity, keeping whole chains
-// together when possible. One Explanation per component — the ranked node
-// scoreboard at the instant it was placed — goes through rec; a nil rec
-// skips all explanation bookkeeping.
+// together when possible. One scoreboard per unpinned component — the
+// ranked nodes at the instant it was placed — goes through rec; a nil rec
+// skips all scoreboard bookkeeping.
 func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -189,15 +190,6 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 	assignment, err := placePinned(g, free)
 	if err != nil {
 		return nil, err
-	}
-	if rec != nil {
-		// Pinned placements are decisions too, if foregone ones: one
-		// explanation each, in spec order, before the packing narrative.
-		for _, name := range g.Components() {
-			if pin, pinned := assignment[name]; pinned {
-				rec.RecordExplanation(Explanation{Kind: choiceSchedule, Component: name, Chosen: pin})
-			}
-		}
 	}
 	nodeIdx := func(nodeName string) int {
 		for i := range free {
@@ -241,7 +233,7 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 					errInfeasible, name, comp.CPU, comp.MemoryMB)
 			}
 			if rec != nil {
-				rec.RecordExplanation(s.explainPlacement(comp, name, free, free[cursor].Name))
+				rec.RecordBoard(name, s.placementBoard(comp, free, free[cursor].Name))
 			}
 			free[cursor].FreeCPU -= comp.CPU
 			free[cursor].FreeMemoryMB -= comp.MemoryMB
@@ -251,27 +243,24 @@ func (b *Bass) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignmen
 	return assignment, nil
 }
 
-// explainPlacement snapshots the scoreboard for one packing decision, in the
-// pooled board: every node in the current free view with its rank score,
-// feasibility against the component, and why it lost (capacity, or outranked
-// by the cursor's pick).
-func (s *choiceScratch) explainPlacement(comp *dag.Component, component string, free []NodeInfo, chosen string) Explanation {
+// placementBoard snapshots the scoreboard for one packing decision, in the
+// pooled board: every node in the current free view with its rank score and
+// why it lost (capacity, or outranked by the cursor's pick).
+func (s *choiceScratch) placementBoard(comp *dag.Component, free []NodeInfo, chosen string) []obs.BoardRow {
 	board := s.board[:0]
 	for _, i := range s.rankNodes(free) {
 		r := &s.ranks[i]
-		cs := CandidateScore{Node: r.Node.Name, Score: r.Score, Feasible: fits(r.Node, comp)}
+		row := obs.BoardRow{Node: r.Node.Name, Value: r.Score, Reason: rejectOutscored}
 		switch {
 		case r.Node.Name == chosen:
-			cs.Rejection = rejectNone
-		case !cs.Feasible:
-			cs.Rejection = rejectNoCapacity
-		default:
-			cs.Rejection = rejectOutscored
+			row.Reason = rejectNone
+		case !fits(r.Node, comp):
+			row.Reason = rejectNoCapacity
 		}
-		board = append(board, cs)
+		board = append(board, row)
 	}
 	s.board = board
-	return Explanation{Kind: choiceSchedule, Component: component, Chosen: chosen, Candidates: board}
+	return board
 }
 
 func fits(n NodeInfo, c *dag.Component) bool {
@@ -342,25 +331,21 @@ func NewK3s() *K3s { return &K3s{} }
 func (*K3s) Name() string { return "k3s-default" }
 
 // Schedule assigns every component of g to a node, one component at a time,
-// recording one Explanation per component — every node's k3s score at
-// placement time — through rec. A nil rec skips all explanation bookkeeping.
+// recording one scoreboard per unpinned component — every node's k3s score
+// at placement time — through rec. A nil rec skips all scoreboard
+// bookkeeping. Like Bass.Schedule, it packs and records in pooled scratch.
 func (*K3s) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	free := make([]NodeInfo, len(nodes))
-	copy(free, nodes)
+	s := choicePool.Get().(*choiceScratch)
+	defer choicePool.Put(s)
+	s.free = append(s.free[:0], nodes...)
+	free := s.free
 
 	assignment, err := placePinned(g, free)
 	if err != nil {
 		return nil, err
-	}
-	if rec != nil {
-		for _, name := range g.Components() {
-			if pin, pinned := assignment[name]; pinned {
-				rec.RecordExplanation(Explanation{Kind: choiceSchedule, Component: name, Chosen: pin})
-			}
-		}
 	}
 	for _, name := range g.Components() {
 		if _, pinned := assignment[name]; pinned {
@@ -376,38 +361,31 @@ func (*K3s) Schedule(g *dag.Graph, nodes []NodeInfo, rec Recorder) (Assignment, 
 			if !fits(n, comp) {
 				continue
 			}
-			s := k3sScore(n, comp)
-			if s > bestScore || (s == bestScore && best >= 0 && n.Name < free[best].Name) {
-				best, bestScore = i, s
+			score := k3sScore(n, comp)
+			if score > bestScore || (score == bestScore && best >= 0 && n.Name < free[best].Name) {
+				best, bestScore = i, score
 			}
-		}
-		if best < 0 {
-			if rec != nil {
-				ex := Explanation{Kind: choiceSchedule, Component: name}
-				for _, n := range free {
-					ex.Candidates = append(ex.Candidates, CandidateScore{Node: n.Name, Rejection: rejectNoCapacity})
-				}
-				rec.RecordExplanation(ex)
-			}
-			return nil, fmt.Errorf("%w: component %q (cpu=%.2f mem=%.0fMB)",
-				errInfeasible, name, comp.CPU, comp.MemoryMB)
 		}
 		if rec != nil {
-			ex := Explanation{Kind: choiceSchedule, Component: name, Chosen: free[best].Name}
+			// A node that fits means some node won: best < 0 only when
+			// every row is a capacity rejection.
+			board := s.board[:0]
 			for _, n := range free {
-				cs := CandidateScore{Node: n.Name, Feasible: fits(n, comp)}
-				switch {
-				case !cs.Feasible:
-					cs.Rejection = rejectNoCapacity
-				case n.Name == free[best].Name:
-					cs.Score = k3sScore(n, comp)
-				default:
-					cs.Score = k3sScore(n, comp)
-					cs.Rejection = rejectOutscored
+				row := obs.BoardRow{Node: n.Name, Reason: rejectNoCapacity}
+				if fits(n, comp) {
+					row.Value, row.Reason = k3sScore(n, comp), rejectOutscored
+					if n.Name == free[best].Name {
+						row.Reason = rejectNone
+					}
 				}
-				ex.Candidates = append(ex.Candidates, cs)
+				board = append(board, row)
 			}
-			rec.RecordExplanation(ex)
+			s.board = board
+			rec.RecordBoard(name, board)
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("%w: component %q (cpu=%.2f mem=%.0fMB)",
+				errInfeasible, name, comp.CPU, comp.MemoryMB)
 		}
 		free[best].FreeCPU -= comp.CPU
 		free[best].FreeMemoryMB -= comp.MemoryMB

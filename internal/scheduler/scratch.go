@@ -3,23 +3,26 @@ package scheduler
 import (
 	"slices"
 	"sync"
+
+	"bass/internal/obs"
 )
 
 // choiceScratch holds the per-node buffers of one choice pass. Each pass —
-// ChooseMigrationTarget, ChooseFailoverTarget and Bass.Schedule — takes one
-// from choicePool at entry and returns it at exit, so a warm pass neither
-// copies nor allocates a per-node slice, and concurrent passes never share
-// one (scoreNodes borrows one for its ranking too). The scoreboard a pass
-// hands its Recorder lives here as well, which is why Explanation.Candidates
-// is valid only during RecordExplanation.
+// ChooseMigrationTarget, ChooseFailoverTarget, Bass.Schedule and
+// K3s.Schedule — takes one from choicePool at entry and returns it at exit,
+// so a warm pass neither copies nor allocates a per-node slice, and
+// concurrent passes never share one (scoreNodes borrows one for its ranking
+// too). The scoreboard a pass
+// hands its Recorder lives here as well, which is why its rows are valid
+// only during RecordBoard.
 type choiceScratch struct {
-	deps    []neighbor       // the re-homed component's placed neighbours
-	cands   []candidate      // scored target nodes, ranked in place
-	skipped []CandidateScore // nodes filtered out before scoring
-	order   []int32          // stable sort permutation over cands or ranks
-	board   []CandidateScore // the scoreboard handed to the Recorder
-	ranks   []nodeRank       // packing scores, in node order
-	free    []NodeInfo       // Bass.Schedule's packing view
+	deps    []neighbor     // the re-homed component's placed neighbours
+	cands   []candidate    // scored target nodes, ranked in place
+	skipped []obs.BoardRow // nodes filtered out before scoring
+	order   []int32        // stable sort permutation over cands or ranks
+	board   []obs.BoardRow // the scoreboard handed to the Recorder
+	ranks   []nodeRank     // packing scores, in node order
+	free    []NodeInfo     // the packing view of Bass and K3s Schedule
 }
 
 var choicePool = sync.Pool{New: func() any { return new(choiceScratch) }}

@@ -116,6 +116,10 @@ type App struct {
 	latency   *workload.LatencyRecorder
 	downUntil map[string]time.Duration
 
+	// The four edges' accounting tags, built once at Start: every frame
+	// tags up to four transfers with them.
+	tagIngest, tagDetect, tagImage, tagLabel string
+
 	framesPublished int
 	framesSampled   int
 	framesAnnotated int
@@ -165,6 +169,10 @@ func (a *App) Graph() *dag.Graph { return a.graph }
 // Start begins publishing frames.
 func (a *App) Start(env *core.Env) error {
 	a.env = env
+	a.tagIngest = env.Tag(compCamera, compSampler)
+	a.tagDetect = env.Tag(compSampler, compDetector)
+	a.tagImage = env.Tag(compDetector, compImgListener)
+	a.tagLabel = env.Tag(compDetector, compLblListener)
 	env.Engine().Every(time.Second/fps, a.publishFrame)
 	return nil
 }
@@ -196,7 +204,7 @@ func (a *App) publishFrame() {
 	}
 	a.inflightIngest++
 	_, err := a.env.Net().AddTransfer(
-		a.env.Tag(compCamera, compSampler), src, dst,
+		a.tagIngest, src, dst,
 		a.cfg.FrameKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightIngest--
@@ -228,7 +236,7 @@ func (a *App) onFrameAtSampler(birth time.Duration) {
 		dst := a.env.NodeOf(compDetector)
 		a.inflightDetect++
 		_, err := a.env.Net().AddTransfer(
-			a.env.Tag(compSampler, compDetector), src, dst,
+			a.tagDetect, src, dst,
 			a.cfg.FrameKB*1e3, paceMbps,
 			func(r simnet.TransferResult) {
 				a.inflightDetect--
@@ -263,7 +271,7 @@ func (a *App) onDetectionDone(birth time.Duration) {
 	src := a.env.NodeOf(compDetector)
 	if dst := a.env.NodeOf(compLblListener); dst != "" && !a.isDown(compLblListener) {
 		_, _ = a.env.Net().AddTransfer(
-			a.env.Tag(compDetector, compLblListener), src, dst,
+			a.tagLabel, src, dst,
 			labelBytes, paceMbps, nil,
 		)
 	}
@@ -274,7 +282,7 @@ func (a *App) onDetectionDone(birth time.Duration) {
 	dst := a.env.NodeOf(compImgListener)
 	a.inflightOut++
 	_, err := a.env.Net().AddTransfer(
-		a.env.Tag(compDetector, compImgListener), src, dst,
+		a.tagImage, src, dst,
 		annotatedKB*1e3, paceMbps,
 		func(r simnet.TransferResult) {
 			a.inflightOut--

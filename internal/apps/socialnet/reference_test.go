@@ -1,6 +1,8 @@
 package socialnet
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -310,6 +312,21 @@ func FuzzRequestLatencyMatchesReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(replayLatencyScript)
+}
+
+// TestRequestLatencyRandomScripts replays 24 seeded random scripts of 40 to
+// 400 bytes through replayLatencyScript in every plain go test, as
+// TestFlowChurnRandomScripts does for flow churn: migrations, flaps,
+// throttles, capped bulk transfers and sheds in random order, so transfers
+// start, finish, fail and are shed in the network's reused slots under the
+// memo-free reference's checks.
+func TestRequestLatencyRandomScripts(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	for i := range 24 {
+		b := make([]byte, 40+r.Intn(361))
+		r.Read(b)
+		t.Run(fmt.Sprint(i), func(t *testing.T) { replayLatencyScript(t, b) })
+	}
 }
 
 // fuzzMbps are the capacities a throttle alternates between.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,6 +31,7 @@ type pkgDir struct {
 	path                    string // import path
 	rel                     string // slash path relative to the module root
 	files, tests, xtests    []*ast.File
+	imports                 []string // module packages the non-test files import
 	plain, withTests, xtest *unit
 	checking                bool // plain is being type-checked
 }
@@ -86,7 +88,7 @@ func loadModule(root string) (*module, error) {
 			}
 		}
 		if len(d.tests) > 0 {
-			d.withTests, err = m.check(d.path, append(append([]*ast.File{}, d.files...), d.tests...), nil)
+			d.withTests, err = m.check(d.path, append(append([]*ast.File{}, d.files...), d.tests...), nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +98,7 @@ func loadModule(root string) (*module, error) {
 			if d.withTests != nil {
 				self = d.withTests
 			}
-			d.xtest, err = m.check(d.path+"_test", d.xtests, self)
+			d.xtest, err = m.check(d.path+"_test", d.xtests, self, map[string]*types.Package{})
 			if err != nil {
 				return nil, err
 			}
@@ -149,6 +151,11 @@ func (m *module) parseDir(dir string) error {
 		switch {
 		case !strings.HasSuffix(name, "_test.go"):
 			d.files = append(d.files, f)
+			for _, spec := range f.Imports {
+				if p := strings.Trim(spec.Path.Value, `"`); strings.HasPrefix(p, m.path+"/") && !slices.Contains(d.imports, p) {
+					d.imports = append(d.imports, p)
+				}
+			}
 		case strings.HasSuffix(f.Name.Name, "_test"):
 			d.xtests = append(d.xtests, f)
 		default:
@@ -176,7 +183,7 @@ func (m *module) plain(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("%s: no non-test Go files", path)
 	}
 	d.checking = true
-	u, err := m.check(path, d.files, nil)
+	u, err := m.check(path, d.files, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -185,8 +192,11 @@ func (m *module) plain(path string) (*types.Package, error) {
 }
 
 // check type-checks files as the package path. self, when set, is what an
-// external test package imports for the package it tests.
-func (m *module) check(path string, files []*ast.File, self *unit) (*unit, error) {
+// external test package imports for the package it tests, and every module
+// package that imports that package, directly or through others, is checked
+// again against it into variants, as go test recompiles them for the test
+// binary: their types then agree with self's.
+func (m *module) check(path string, files []*ast.File, self *unit, variants map[string]*types.Package) (*unit, error) {
 	u := &unit{path: path, files: files, info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -196,6 +206,9 @@ func (m *module) check(path string, files []*ast.File, self *unit) (*unit, error
 	imp := importerFunc(func(p string) (*types.Package, error) {
 		if self != nil && p == self.path {
 			return self.pkg, nil
+		}
+		if self != nil && m.dependsOn(p, self.path) {
+			return m.variant(p, self, variants)
 		}
 		if _, ok := m.byPath[p]; ok {
 			return m.plain(p)
@@ -210,6 +223,41 @@ func (m *module) check(path string, files []*ast.File, self *unit) (*unit, error
 	}
 	u.pkg = pkg
 	return u, nil
+}
+
+// variant returns module package p checked against the test build self, as
+// check describes.
+func (m *module) variant(p string, self *unit, variants map[string]*types.Package) (*types.Package, error) {
+	if pkg, ok := variants[p]; ok {
+		return pkg, nil
+	}
+	u, err := m.check(p, m.byPath[p].files, self, variants)
+	if err != nil {
+		return nil, err
+	}
+	variants[p] = u.pkg
+	return u.pkg, nil
+}
+
+// dependsOn reports whether module package p imports target, directly or
+// through other module packages.
+func (m *module) dependsOn(p, target string) bool {
+	seen := map[string]bool{}
+	var walk func(p string) bool
+	walk = func(p string) bool {
+		d := m.byPath[p]
+		if d == nil || seen[p] {
+			return false
+		}
+		seen[p] = true
+		for _, q := range d.imports {
+			if q == target || walk(q) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(p)
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -152,6 +152,11 @@ func (e *Engine) Reschedule(id EventID, at time.Duration) bool {
 	return true
 }
 
+// Queued reports whether id names an event still waiting in the queue. An
+// event's own callback sees it as not queued: the engine frees the slot
+// before running it.
+func (e *Engine) Queued(id EventID) bool { return e.live(id) >= 0 }
+
 // release frees slot s: the callback is dropped now, and the generation
 // bump retires every id that named it.
 func (e *Engine) release(s int32) {

@@ -13,6 +13,7 @@ import (
 // frozen by a scan of the active list, with its own scratch state: the
 // reference the blocked arg-min and the scan-or-sort batches must match.
 type refPass struct {
+	paths     map[*flow][]*linkState
 	residual  map[*linkState]float64
 	iterCount map[*linkState]int
 	frozen    map[*flow]bool
@@ -21,10 +22,12 @@ type refPass struct {
 	bottleneck map[*linkState]bool
 }
 
-// runRefPass water-fills active (ascending FlowID) over links (in
-// linkOrder) at the links' current capacities, touching no network state.
-func runRefPass(links []*linkState, active []*flow) *refPass {
+// runRefPass water-fills active (ascending FlowID) over the network's links
+// at their current capacities, touching no network state.
+func runRefPass(net *Network, active []*flow) *refPass {
+	links := net.linkOrder
 	p := &refPass{
+		paths:      map[*flow][]*linkState{},
 		residual:   map[*linkState]float64{},
 		iterCount:  map[*linkState]int{},
 		frozen:     map[*flow]bool{},
@@ -35,7 +38,8 @@ func runRefPass(links []*linkState, active []*flow) *refPass {
 		p.residual[ls] = ls.capacityBps
 	}
 	for _, f := range active {
-		for _, ls := range f.linkPath {
+		p.paths[f] = hopStates(net, f)
+		for _, ls := range p.paths[f] {
 			p.iterCount[ls]++
 		}
 	}
@@ -83,7 +87,7 @@ func runRefPass(links []*linkState, active []*flow) *refPass {
 			if bottleneck == nil {
 				p.freeze(f, f.demandBps)
 				remaining--
-			} else if slices.Contains(f.linkPath, bottleneck) {
+			} else if slices.Contains(p.paths[f], bottleneck) {
 				p.freeze(f, minShare)
 				remaining--
 			}
@@ -99,7 +103,7 @@ func (p *refPass) freeze(f *flow, rate float64) {
 	}
 	p.rate[f] = rate
 	p.frozen[f] = true
-	for _, ls := range f.linkPath {
+	for _, ls := range p.paths[f] {
 		p.residual[ls] -= rate
 		if p.residual[ls] < 0 {
 			p.residual[ls] = 0
@@ -123,8 +127,8 @@ func checkReferencePass(t testing.TB, net *Network) {
 	if net.flowsDirty {
 		return
 	}
-	active := net.fill.flows
-	ref := runRefPass(net.linkOrder, active)
+	active := flowsAt(net, net.fill.flows)
+	ref := runRefPass(net, active)
 	for _, f := range active {
 		if !sameBits(f.rateBps, ref.rate[f]) {
 			t.Errorf("%v flow %d: rate %v, reference pass %v", net.eng.Now(), f.id, f.rateBps, ref.rate[f])

@@ -14,20 +14,43 @@ import (
 	"bass/internal/trace"
 )
 
+// flowsAt returns the records of the flows in slots.
+func flowsAt(net *Network, slots []int32) []*flow {
+	out := make([]*flow, len(slots))
+	for i, s := range slots {
+		out[i] = net.flow(s)
+	}
+	return out
+}
+
+// liveFlows returns every live flow, ascending FlowID.
+func liveFlows(net *Network) []*flow {
+	var out []*flow
+	for _, f := range flowsAt(net, net.flowOrder) {
+		if !f.gone {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// hopStates returns the link states along f's path, in hop order.
+func hopStates(net *Network, f *flow) []*linkState {
+	var out []*linkState
+	for _, l := range net.linkPath(f) {
+		out = append(out, net.linkOrder[l])
+	}
+	return out
+}
+
 // scanAllocBps is the reference a direction's cached allocation must equal:
 // the flowOrder rescan link reads ran before allocations were cached per
 // pass, summing every live flow crossing ls in ascending FlowID order.
 func scanAllocBps(net *Network, ls *linkState) float64 {
 	var alloc float64
-	for _, f := range net.flowOrder {
-		if f.gone {
-			continue
-		}
-		for _, l := range f.linkPath {
-			if l == ls {
-				alloc += f.rateBps
-				break
-			}
+	for _, f := range liveFlows(net) {
+		if slices.Contains(net.linkPath(f), ls.idx) {
+			alloc += f.rateBps
 		}
 	}
 	return alloc
@@ -82,7 +105,7 @@ func checkCachedReads(t testing.TB, net *Network) {
 		}
 		want := float64(LocalMbps)
 		for _, h := range hops {
-			if s := scanSpareMbps(net, h); s < want {
+			if s := scanSpareMbps(net, net.linkOrder[h]); s < want {
 				want = s
 			}
 		}
@@ -183,9 +206,10 @@ func checkDemandOrder(t testing.TB, net *Network) {
 	if len(order) != len(d.flows) {
 		t.Fatalf("%v: demand order holds %d positions, the build had %d active", net.eng.Now(), len(order), len(d.flows))
 	}
-	seen := make([]bool, len(d.flows))
+	active := flowsAt(net, d.flows)
+	seen := make([]bool, len(active))
 	for i, p := range order {
-		f := d.flows[p]
+		f := active[p]
 		if seen[p] || !f.inOrder || f.pos != p {
 			t.Fatalf("%v: position %d (flow %d) in the demand order: repeated %v, in order %v, pos %d", net.eng.Now(), p, f.id, seen[p], f.inOrder, f.pos)
 		}
@@ -193,26 +217,23 @@ func checkDemandOrder(t testing.TB, net *Network) {
 		if i == 0 {
 			continue
 		}
-		if q := d.flows[order[i-1]]; q.demandBps > f.demandBps || q.demandBps == f.demandBps && q.id >= f.id {
+		if q := active[order[i-1]]; q.demandBps > f.demandBps || q.demandBps == f.demandBps && q.id >= f.id {
 			t.Fatalf("%v: demand order not strictly sorted at %d: (%v, %d) then (%v, %d)", net.eng.Now(), i, q.demandBps, q.id, f.demandBps, f.id)
 		}
 	}
 	crossings := make([][]int32, len(net.linkOrder))
-	for p, f := range d.flows {
-		if p > 0 && d.flows[p-1].id >= f.id {
+	for p, f := range active {
+		if p > 0 && active[p-1].id >= f.id {
 			t.Fatalf("%v: active flows not in FlowID order at position %d", net.eng.Now(), p)
 		}
 		if r := d.fl[p]; !sameBits(r.demand, f.demandBps) || !sameBits(r.rate, f.rateBps) {
 			t.Fatalf("%v: flow %d: dense demand %v and rate %v, the flow's %v and %v", net.eng.Now(), f.id, r.demand, r.rate, f.demandBps, f.rateBps)
 		}
 		path := d.paths[d.fl[p].path:d.fl[p+1].path]
-		if len(path) != len(f.linkPath) {
-			t.Fatalf("%v: flow %d: dense path of %d hops, linkPath %d", net.eng.Now(), f.id, len(path), len(f.linkPath))
+		if d.fl[p].path != f.path || int32(len(path)) != f.hops {
+			t.Fatalf("%v: flow %d: dense path of %d hops at %d, the flow's %d at %d", net.eng.Now(), f.id, len(path), d.fl[p].path, f.hops, f.path)
 		}
-		for i, l := range path {
-			if net.linkOrder[l] != f.linkPath[i] {
-				t.Fatalf("%v: flow %d hop %d: dense path names link %d", net.eng.Now(), f.id, i, l)
-			}
+		for _, l := range path {
 			crossings[l] = append(crossings[l], int32(p))
 		}
 	}
@@ -228,8 +249,8 @@ func checkTagRates(t testing.TB, net *Network, tags []string) {
 	t.Helper()
 	for _, tag := range tags {
 		var bps float64
-		for _, f := range net.flowOrder {
-			if !f.gone && f.tag == tag {
+		for _, f := range liveFlows(net) {
+			if net.tags.name(f.tag) == tag {
 				bps += f.rateBps
 			}
 		}
@@ -552,7 +573,7 @@ func checkNoRemovedActive(t testing.TB, net *Network) {
 	if net.flowsDirty {
 		t.Fatalf("%v: a routed flow changed without requesting a pass", net.eng.Now())
 	}
-	for _, f := range net.fill.flows {
+	for _, f := range flowsAt(net, net.fill.flows) {
 		if f.gone {
 			t.Fatalf("%v: the last full pass rates removed flow %d", net.eng.Now(), f.id)
 		}

@@ -88,11 +88,9 @@ func digestNetwork(net *Network) [sha256.Size]byte {
 			putF(f)
 		}
 	}
-	for _, f := range net.flowOrder {
-		if !f.gone {
-			put(uint64(f.id))
-			putF(f.rateBps)
-		}
+	for _, f := range liveFlows(net) {
+		put(uint64(f.id))
+		putF(f.rateBps)
 	}
 	bytes := net.BytesByTag()
 	tags := make([]string, 0, len(bytes))

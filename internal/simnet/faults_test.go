@@ -113,9 +113,9 @@ func TestLinkDownReroutesAroundOutage(t *testing.T) {
 	if rate != 10 {
 		t.Errorf("rerouted stream rate = %v, want full demand 10", rate)
 	}
-	f := net.flows[id]
-	if len(f.linkPath) != 3 {
-		t.Errorf("rerouted path = %d hops, want 3 hops via d,c", len(f.linkPath))
+	s, _ := net.slotOf(id)
+	if hops := net.flow(s).hops; hops != 3 {
+		t.Errorf("rerouted path = %d hops, want 3 hops via d,c", hops)
 	}
 }
 

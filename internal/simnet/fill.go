@@ -10,7 +10,7 @@ import (
 // that take part in water-filling (the active set: live, neither parked nor
 // co-located), numbered 0…n−1 in FlowID order, and every directed link by
 // its position in linkOrder (linkState.idx). The water-fill runs on these
-// flat slices alone; it touches a flow struct only to write its rate back.
+// flat slices alone; it touches a flow record only to write its rate back.
 //
 // The flow side — the active list, the paths, the crossing lists, each
 // direction's stream-demand sum and the demand order — is a function of the
@@ -19,11 +19,19 @@ import (
 // last build (Network.flowsDirty), or on every pass under SetFullRecompute;
 // a capacity-only full pass reuses it as it stands.
 type fillState struct {
-	flows []*flow // the active flows, ascending FlowID: position p's flow
+	flows []int32 // the active flows' slots, ascending FlowID: position p's flow
 	// fl holds each position's fill record, plus one past the last whose
 	// path offset ends the last path.
-	fl    []fillFlow
-	paths []int32 // every active path's link positions, in hop order, end to end
+	fl []fillFlow
+	// paths is the arena every flow's path lives in (flow.path, flow.hops).
+	// The last build laid the active paths out end to end in FlowID order
+	// from offset 0, so a position's path runs from its record's offset to
+	// the next one's; a flow that joined or rerouted since is appended past
+	// them, and one that left or parked leaves dead space. Each build writes
+	// the live paths into spare and swaps the two, so the arena is compacted
+	// as it is read and the pair is reused, never reallocated, in a steady
+	// state.
+	paths, spare []int32
 	// order is the active positions by ascending demand, then position
 	// (FlowID). It is kept across builds, so a build sorts only the flows
 	// that joined the active set or changed demand (see sortByDemand).
@@ -85,6 +93,13 @@ func newFillState(links int) fillState {
 	}
 }
 
+// appendPath copies a path into the arena, returning its offset and length.
+func (d *fillState) appendPath(path []int32) (int32, int32) {
+	at := int32(len(d.paths))
+	d.paths = append(d.paths, path...)
+	return at, int32(len(path))
+}
+
 // crossing returns the positions of the active flows crossing link l.
 func (d *fillState) crossing(l int32) []int32 {
 	return d.cross[d.links[l].cross:d.links[l+1].cross]
@@ -94,14 +109,15 @@ func (d *fillState) crossing(l int32) []int32 {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // buildFlowSide renumbers the active set from flowOrder and rebuilds the
-// flow side from it. The same walk drops flowOrder's tombstones and rates
-// every parked flow at zero and every co-located flow on the bus: a full
-// pass needs that, and between passes it restates the rates those flows
-// already hold. Stream demand is summed per direction in FlowID order, as
-// the pass has always added it. Each direction's flowCount is the length of
-// its crossing list, so the lists are laid out before the walk and filled in
-// FlowID order during it, and every slice is sized once: a city-scale
-// install grows nothing by doubling.
+// flow side from it. The same walk drops flowOrder's tombstones, freeing
+// their slots, compacts the path arena and rates every parked flow at zero
+// and every co-located flow on the bus: a full pass needs that, and between
+// passes it restates the rates those flows already hold. Stream demand is
+// summed per direction in FlowID order, as the pass has always added it.
+// Each direction's flowCount is the length of its crossing list, so the
+// lists are laid out before the walk and filled in FlowID order during it,
+// and every slice is sized once: a city-scale install grows nothing by
+// doubling.
 func (n *Network) buildFlowSide() {
 	d := &n.fill
 	n.flowBuilds++
@@ -118,29 +134,30 @@ func (n *Network) buildFlowSide() {
 		hops += int32(ls.flowCount)
 	}
 	links[len(n.linkOrder)].cross = hops
-	cross, paths := resized(d.cross, int(hops)), resized(d.paths, int(hops))
+	cross, paths := resized(d.cross, int(hops)), resized(d.spare, int(hops))
 	live := len(n.flowOrder) - n.deadFlows // at least the active count
 	flows, fl := slices.Grow(d.flows[:0], live), slices.Grow(d.fl[:0], live+1)
 	fresh, demandSum := d.batch[:0], d.demandSum
 	clear(demandSum)
 	var at int32
 	w := 0 // flowOrder's write cursor: the live flows walked so far
-	for i, f := range n.flowOrder {
+	for _, s := range n.flowOrder {
+		f := n.flow(s)
 		if f.gone {
+			n.flows.release(s)
 			continue
 		}
-		if w < i {
-			n.flowOrder[w] = f
-		}
+		n.flowOrder[w] = s
 		w++
-		if f.parked {
-			// Stranded by a fault: holds no links (linkPath is empty, which
-			// would otherwise read as co-location) and carries nothing.
-			n.setRate(f, 0)
-			continue
-		}
-		if len(f.linkPath) == 0 {
-			n.setRate(f, busRate(f))
+		if f.hops == 0 {
+			f.path = 0 // an empty run anywhere in the compacted arena
+			if f.parked {
+				// Stranded by a fault: holds no links (which would otherwise
+				// read as co-location) and carries nothing.
+				n.setRate(f, 0)
+			} else {
+				n.setRate(f, busRate(f))
+			}
 			continue
 		}
 		p := int32(len(flows))
@@ -151,11 +168,10 @@ func (n *Network) buildFlowSide() {
 			fresh = append(fresh, p)
 		}
 		f.pos = p
-		flows = append(flows, f)
+		flows = append(flows, s)
 		fl = append(fl, fillFlow{demand: f.demandBps, rate: f.rateBps, path: at})
 		stream := f.kind == kindStream
-		for _, ls := range f.linkPath {
-			l := ls.idx
+		for _, l := range d.paths[f.path : f.path+f.hops] {
 			paths[at] = l
 			at++
 			k := &links[l]
@@ -165,14 +181,12 @@ func (n *Network) buildFlowSide() {
 				demandSum[l] += f.demandBps
 			}
 		}
+		f.path = at - f.hops
 	}
 	fl = append(fl, fillFlow{path: at})
-	clear(n.flowOrder[w:])
 	n.flowOrder, n.deadFlows = n.flowOrder[:w], 0
-	if len(flows) < prev {
-		clear(flows[len(flows):prev]) // drop references to flows that left
-	}
-	d.flows, d.fl, d.paths, d.cross = flows, fl, paths, cross
+	d.flows, d.fl, d.cross = flows, fl, cross
+	d.paths, d.spare = paths, d.paths[:0]
 
 	kept := d.order[:0]
 	for _, q := range d.order {
@@ -386,8 +400,8 @@ func (n *Network) waterFill() {
 		}
 	}
 	d.batch = batch
-	for p, f := range d.flows {
-		n.setRate(f, active[p].rate)
+	for p, s := range d.flows {
+		n.setRate(n.flow(s), active[p].rate)
 	}
 }
 

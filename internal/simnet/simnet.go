@@ -118,93 +118,6 @@ type dhop struct {
 	from, to string
 }
 
-type flow struct {
-	id  FlowID
-	tag string
-	ts  *tagState // the tag's entry in Network.tags
-	src string
-	dst string
-	// linkPath holds the link states along the routed path src→dst, in hop
-	// order (empty when co-located or parked), so the allocation hot loops
-	// never touch the link map.
-	linkPath []*linkState
-
-	demandBps float64 // rate cap; streams: offered rate, transfers: cap or unbounded
-	rateBps   float64 // current max-min allocation; set through setRate
-
-	// A stream's carried bits, folded one constant-rate interval at a time
-	// (see setRate and streamBits): carriedBits up to since, sinceRate from
-	// since to changedAt, and rateBps from changedAt on. A rate that moves
-	// and moves back within one instant, or is rewritten unchanged, folds
-	// nothing, so no schedule of passes leaves a trace in the sum.
-	carriedBits float64
-	sinceRate   float64
-	since       time.Duration
-	changedAt   time.Duration
-
-	xfer *transfer // transfers only: progress and completion
-
-	// cause is the journal span under which the flow was created (the deploy,
-	// migration, or failover that started it); network lifecycle events fall
-	// back to it when no fault is being applied.
-	cause uint64
-
-	kind kind // beside the flags, so the record packs into 160 bytes
-	// parked marks a flow whose endpoints are currently unreachable (node
-	// crash or partition): it holds no links, carries nothing, and resumes
-	// when a route reappears.
-	parked bool
-	// gone marks a removed flow still occupying a flowOrder slot; every
-	// iteration skips it, and the next flow-side build or a compaction in
-	// removeFlow drops it, replacing the old O(n) splice per removal.
-	gone bool
-	// inOrder marks a flow held in the fill's demand order at its current
-	// demand, at position pos of the last flow-side build. SetStreamDemand
-	// and parkFlow clear it; a flow that is gone is never read again.
-	inOrder bool
-	pos     int32
-}
-
-// transfer is a transfer's side of its flow record, allocated with it:
-// fields streams never use stay out of the flow, which every pass walks.
-type transfer struct {
-	remainingBits float64 // settled as of Network.lastAdvance
-	totalBits     float64
-	started       time.Duration
-	onComplete    func(TransferResult)
-	// fire is the transfer's completion-event callback, built once at
-	// AddTransfer so that rescheduling it in every full pass allocates nothing.
-	fire func()
-	// completionEv is the scheduled completion event, 0 when none is: an
-	// engine id is never 0, and every cancel or firing zeroes it. A pass that
-	// keeps the event moves it with Reschedule.
-	completionEv sim.EventID
-}
-
-// transferRecord is the one allocation AddTransfer makes for a transfer: the
-// flow and its transfer side together, 208 bytes, Go's 208-byte size class.
-type transferRecord struct {
-	f flow
-	x transfer
-}
-
-// tagState is one accounting tag's entry in Network.tags.
-type tagState struct {
-	// bits is the cumulative bits carried, settled: transfers credit it as
-	// they progress, streams when they leave.
-	bits float64
-	// seen marks a tag that has been credited at a settle (even with zero
-	// bits, when a transfer's last step was clipped to nothing): BytesByTag
-	// reports exactly the seen tags plus those of live flows.
-	seen  bool
-	flows []*flow // live flows with the tag, ascending FlowID
-}
-
-// tagSlabSize is how many tagStates one allocation provides. A slab per tag
-// would cost an allocation per tag; one growing slice would copy itself (and
-// hold the old copies) as a city-scale install mints 100k tags.
-const tagSlabSize = 256
-
 // TransferResult reports a finished transfer to its completion callback.
 type TransferResult struct {
 	ID       FlowID
@@ -292,20 +205,25 @@ type Network struct {
 	eng  *sim.Engine
 	topo *mesh.Topology
 
-	nextID    FlowID
-	flows     map[FlowID]*flow
-	flowOrder []*flow // ascending FlowID; the deterministic iteration order
+	nextID FlowID
+	// flows holds every flow record by value; a slot is freed once its
+	// flow is gone and its flowOrder entry dropped (see removeFlow).
+	flows     slab[flow]
+	flowOrder []int32 // slots, ascending FlowID; the deterministic iteration order
 	deadFlows int     // tombstoned entries in flowOrder
-	transfers []*flow // live transfers, ascending FlowID
-	// tags is the accounting-tag table. Each entry keeps the tag's settled
-	// carried bits and its live flows (ascending FlowID like flowOrder), so
-	// per-tag rate queries — the control plane issues one per deployed edge
-	// per cycle — cost O(flows-with-tag), and a settle credits a flow's tag
-	// through f.ts without hashing the tag. Entries outlive their flows: the
-	// carried bits stay reportable. tagSlab is the current slab new entries
-	// are carved from.
-	tags        map[string]*tagState
-	tagSlab     []tagState
+	transfers []int32 // slots of the live transfers, ascending FlowID
+	xfers     slab[transfer]
+	// tags numbers the accounting tags and tagStates holds each one's
+	// settled carried bits and its live flows (ascending FlowID like
+	// flowOrder), so per-tag rate queries — the control plane issues one per
+	// deployed edge per cycle — cost O(flows-with-tag), and a settle credits
+	// a flow's tag by number without hashing it. Entries outlive their
+	// flows: the carried bits stay reportable.
+	tags      interner
+	tagStates slab[tagState]
+	// ends numbers flow endpoints. Co-located endpoints need not be mesh
+	// nodes, so these are not the mesh's ids.
+	ends        interner
 	links       map[dhop]*linkState
 	linkOrder   []*linkState // sorted by (from, to); deterministic iteration order
 	lastAdvance time.Duration
@@ -344,7 +262,7 @@ type Network struct {
 	localDirty bool // a co-located or parked flow changed, or a completion fired early, since the last pass
 	// busFlows are the co-located flows added or re-demanded since the last
 	// pass: the only rates a local pass sets.
-	busFlows   []*flow
+	busFlows   []handle
 	dirtyCount int  // links with dirty capacity since the last full pass
 	fullOnly   bool // no reuse, no absorption: every pass is a full pass from scratch
 	alloc      AllocStats
@@ -376,9 +294,12 @@ type Network struct {
 	// touched the schedule after it (Reschedule keeps an event's id).
 	reschedules, rearms uint64
 
-	// Scratch buffers reused across passes.
-	transferScratch []*flow
-	routeScratch    []*linkState
+	// Scratch buffers reused across passes. walk is a stack: each of
+	// rerouteFlows and ShedFlowsByTagPrefix pushes its handles and pops them
+	// when done, so one nested in the other's callbacks keeps both walks.
+	transferScratch []handle
+	walk            []handle
+	routeScratch    []int32
 
 	// The path reads' memo (see path): rows by source mesh id, entries by
 	// destination id, valid for availability epoch pathsEpoch.
@@ -397,8 +318,8 @@ func New(eng *sim.Engine, topo *mesh.Topology) *Network {
 	n := &Network{
 		eng:            eng,
 		topo:           topo,
-		flows:          make(map[FlowID]*flow),
-		tags:           make(map[string]*tagState),
+		tags:           newInterner(),
+		ends:           newInterner(),
 		links:          make(map[dhop]*linkState),
 		probeLoss:      make(map[mesh.LinkID]bool),
 		lastAvailEpoch: topo.AvailabilityEpoch(),
@@ -752,12 +673,12 @@ func (n *Network) backlogAt(ls *linkState, now time.Duration) float64 {
 	return b
 }
 
-// route resolves the link states along the mesh's routed path between two
-// nodes (empty for co-location) into a scratch buffer that the next call
-// overwrites: flows and the path memo copy it. A routed hop with no link
-// state — a link added to the topology after New — is an error, never a
-// silently shorter path.
-func (n *Network) route(src, dst string) ([]*linkState, error) {
+// route resolves the mesh's routed path between two nodes (empty for
+// co-location) into the link positions it crosses, in hop order, in a
+// scratch buffer that the next call overwrites: flows and the path memo copy
+// it. A routed hop with no link state — a link added to the topology after
+// New — is an error, never a silently shorter path.
+func (n *Network) route(src, dst string) ([]int32, error) {
 	hops := n.routeScratch[:0]
 	if src == dst {
 		return hops, nil
@@ -765,7 +686,7 @@ func (n *Network) route(src, dst string) ([]*linkState, error) {
 	var missing error
 	err := n.topo.WalkRoute(src, dst, func(from, to string, _ *mesh.Link) {
 		if ls, ok := n.links[dhop{from: from, to: to}]; ok {
-			hops = append(hops, ls)
+			hops = append(hops, ls.idx)
 		} else if missing == nil {
 			missing = fmt.Errorf("simnet: no link state for %s->%s (link added after the network was built)", from, to)
 		}
@@ -777,11 +698,11 @@ func (n *Network) route(src, dst string) ([]*linkState, error) {
 	return hops, err
 }
 
-// pathEntry is one memoized routed path: its link directions and its summed
+// pathEntry is one memoized routed path: its link positions and its summed
 // one-way propagation latency.
 type pathEntry struct {
 	ok      bool
-	hops    []*linkState
+	hops    []int32
 	latency time.Duration
 }
 
@@ -822,36 +743,115 @@ func (n *Network) path(src, dst string) (*pathEntry, error) {
 		}
 		e.hops = append(e.hops[:0], hops...)
 		e.latency = 0
-		for _, ls := range hops {
-			e.latency += ls.link.LatencyOneWay
+		for _, l := range hops {
+			e.latency += n.linkOrder[l].link.LatencyOneWay
 		}
 		e.ok = true
 	}
 	return e, nil
 }
 
-// addFlow registers a fully-built flow: id ordering, link crossing counts,
-// and the mark that decides the next pass's kind.
-func (n *Network) addFlow(f *flow) {
-	n.flows[f.id] = f
-	n.flowOrder = append(n.flowOrder, f) // ids are assigned in increasing order
-	if f.kind == kindTransfer {
-		n.transfers = append(n.transfers, f)
+// flow returns slot s's record.
+func (n *Network) flow(s int32) *flow { return n.flows.at(s) }
+
+// live returns the flow h names, or nil once it is gone.
+func (n *Network) live(h handle) *flow {
+	if f := n.flow(h.slot); f.id == h.id && !f.gone {
+		return f
 	}
-	f.ts = n.tags[f.tag]
-	if f.ts == nil {
-		if len(n.tagSlab) == cap(n.tagSlab) {
-			n.tagSlab = make([]tagState, 0, tagSlabSize)
+	return nil
+}
+
+// linkPath returns f's path, link positions in hop order, in the fill's
+// arena: valid until the next path is added or the flow side rebuilt.
+func (n *Network) linkPath(f *flow) []int32 { return n.fill.paths[f.path : f.path+f.hops] }
+
+// slotOf finds the live flow with the id. flowOrder holds distinct ids in
+// ascending order, none above nextID, so id sits at most id−1 entries from
+// the front and at most nextID−id from the back: the binary search runs
+// between those bounds, which meet while no id has been compacted away (a
+// static install looks every flow up in one probe).
+func (n *Network) slotOf(id FlowID) (int32, bool) {
+	order := n.flowOrder
+	if id == 0 || id > n.nextID || len(order) == 0 {
+		return 0, false
+	}
+	last := uint64(len(order) - 1)
+	hi := min(last, uint64(id-1))
+	lo := uint64(0)
+	if back := uint64(n.nextID - id); back < last {
+		lo = last - back
+	}
+	for lo <= hi {
+		mid := lo + (hi-lo)/2
+		switch got := n.flow(order[mid]).id; {
+		case got < id:
+			lo = mid + 1
+		case got > id:
+			if mid == 0 {
+				return 0, false
+			}
+			hi = mid - 1
+		default:
+			s := order[mid]
+			return s, !n.flow(s).gone
 		}
-		n.tagSlab = n.tagSlab[:len(n.tagSlab)+1]
-		f.ts = &n.tagSlab[len(n.tagSlab)-1]
-		n.tags[f.tag] = f.ts
 	}
-	f.ts.flows = append(f.ts.flows, f)
-	for _, ls := range f.linkPath {
-		ls.flowCount++
+	return 0, false
+}
+
+// newFlow takes a slot for a flow and fills in what every flow holds: the
+// next FlowID, its tag and endpoints by number, its path appended to the
+// arena and the ambient cause. The caller sets the rest and calls addFlow.
+func (n *Network) newFlow(k kind, tag, src, dst string, path []int32, demandBps float64) (int32, *flow) {
+	n.nextID++
+	s := n.flows.take()
+	f := n.flow(s)
+	srcNum, _ := n.ends.intern(src)
+	dstNum, _ := n.ends.intern(dst)
+	*f = flow{
+		id:        n.nextID,
+		kind:      k,
+		demandBps: demandBps,
+		cause:     n.causeSpan,
+		tag:       n.internTag(tag),
+		src:       srcNum,
+		dst:       dstNum,
+		tagNext:   -1,
+		xfer:      -1,
 	}
-	n.flowChanged(f)
+	f.path, f.hops = n.fill.appendPath(path)
+	return s, f
+}
+
+// internTag returns the tag's number, adding an entry for a new tag.
+func (n *Network) internTag(tag string) int32 {
+	t, fresh := n.tags.intern(tag)
+	if fresh {
+		*n.tagStates.at(n.tagStates.take()) = tagState{head: -1, tail: -1}
+	}
+	return t
+}
+
+// addFlow registers a fully-built flow: id ordering, its tag's list, link
+// crossing counts, and the mark that decides the next pass's kind.
+func (n *Network) addFlow(s int32) {
+	f := n.flow(s)
+	n.flowOrder = append(n.flowOrder, s) // ids are assigned in increasing order
+	if f.kind == kindTransfer {
+		n.transfers = append(n.transfers, s)
+	}
+	ts := n.tagStates.at(f.tag)
+	if ts.tail < 0 {
+		ts.head = s
+	} else {
+		n.flow(ts.tail).tagNext = s
+	}
+	ts.tail = s
+	for _, l := range n.linkPath(f) {
+		n.linkOrder[l].flowCount++
+	}
+	n.flowChanged(s)
 }
 
 // flowChanged marks the pending pass for a flow that joined, left or changed
@@ -859,58 +859,73 @@ func (n *Network) addFlow(f *flow) {
 // co-located or parked one crosses no link, so no routed rate, link demand or
 // bottleneck can move: the local pass suffices, and it must rate a live
 // co-located flow on the bus.
-func (n *Network) flowChanged(f *flow) {
-	if len(f.linkPath) > 0 {
+func (n *Network) flowChanged(s int32) {
+	f := n.flow(s)
+	if f.hops > 0 {
 		n.flowsDirty = true
 		return
 	}
 	n.localDirty = true
 	if !f.gone && !f.parked {
-		n.busFlows = append(n.busFlows, f)
+		n.busFlows = append(n.busFlows, handle{id: f.id, slot: s})
 	}
 }
 
 // removeFlow is addFlow's inverse; a stream hands its carried bits to its
-// tag. The flowOrder slot is tombstoned rather than spliced; the next
-// flow-side build drops it, and once tombstones dominate before one, a
-// compaction pass reclaims them, making removal amortised O(1) instead of
-// O(flows).
-func (n *Network) removeFlow(f *flow) {
-	delete(n.flows, f.id)
+// tag, and a transfer frees its slot in xfers (its completion event is
+// already gone, and callers read its callback side first). The flowOrder
+// entry is tombstoned rather than spliced, and the flow's slot stays taken
+// until the entry goes: the next flow-side build drops it, and once
+// tombstones dominate before one, a compaction pass reclaims them, making
+// removal amortised O(1) instead of O(flows).
+func (n *Network) removeFlow(s int32) {
+	f := n.flow(s)
 	f.gone = true
 	n.deadFlows++
+	ts := n.tagStates.at(f.tag)
 	if f.kind == kindStream {
 		if bits := streamBits(f, n.eng.Now()); bits != 0 {
-			f.ts.bits += bits
-			f.ts.seen = true
+			ts.bits += bits
+			ts.seen = true
 		}
 	}
-	// Splice the flow out of its tag list, preserving ascending-ID order so
-	// per-tag float summation keeps the exact order of a flowOrder scan. Tag
-	// lists are per application edge — a handful of flows — so the copy is
-	// cheap.
-	if i := slices.Index(f.ts.flows, f); i >= 0 {
-		f.ts.flows = slices.Delete(f.ts.flows, i, i+1)
+	// Unlink the flow from its tag's list, which stays in ascending-ID order
+	// so per-tag float summation keeps the exact order of a flowOrder scan.
+	// Tag lists are per application edge — a handful of flows — so the walk
+	// is short.
+	prev := int32(-1)
+	for c := ts.head; c != s; c = n.flow(c).tagNext {
+		prev = c
+	}
+	if prev < 0 {
+		ts.head = f.tagNext
+	} else {
+		n.flow(prev).tagNext = f.tagNext
+	}
+	if ts.tail == s {
+		ts.tail = prev
 	}
 	if f.kind == kindTransfer {
-		if i, ok := slices.BinarySearchFunc(n.transfers, f.id, func(g *flow, id FlowID) int { return cmp.Compare(g.id, id) }); ok {
+		if i, ok := slices.BinarySearchFunc(n.transfers, f.id, func(g int32, id FlowID) int { return cmp.Compare(n.flow(g).id, id) }); ok {
 			n.transfers = slices.Delete(n.transfers, i, i+1)
 		}
+		x := n.xfers.at(f.xfer)
+		x.onComplete = nil
+		n.xfers.release(f.xfer)
 	}
-	for _, ls := range f.linkPath {
-		ls.flowCount--
+	for _, l := range n.linkPath(f) {
+		n.linkOrder[l].flowCount--
 	}
-	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
-	n.flowChanged(f)
+	n.crossingsStale = n.crossingsStale || f.hops > 0
+	n.flowChanged(s)
 	if n.deadFlows >= compactDeadFlows && n.deadFlows*2 > len(n.flowOrder) {
 		live := n.flowOrder[:0]
 		for _, g := range n.flowOrder {
-			if !g.gone {
+			if n.flow(g).gone {
+				n.flows.release(g)
+			} else {
 				live = append(live, g)
 			}
-		}
-		for i := len(live); i < len(n.flowOrder); i++ {
-			n.flowOrder[i] = nil
 		}
 		n.flowOrder = live
 		n.deadFlows = 0
@@ -976,26 +991,43 @@ func (n *Network) OnTopologyApplied(fn func()) { n.topoHook = fn }
 func (n *Network) ShedFlowsByTagPrefix(prefix string) int {
 	n.flush() // a pending pass may finish transfers that would otherwise fail
 	n.advanceProgress()
-	snapshot := make([]*flow, len(n.flowOrder))
-	copy(snapshot, n.flowOrder)
 	shed := 0
-	for _, f := range snapshot {
-		if f.gone || n.flows[f.id] != f || !tagMatchesPrefix(f.tag, prefix) {
-			continue
+	base := n.pushWalk()
+	for i := base; i < len(n.walk); i++ {
+		h := n.walk[i]
+		f := n.live(h)
+		if f == nil || !tagMatchesPrefix(n.tags.name(f.tag), prefix) {
+			continue // removed by an earlier failure callback, or spared
 		}
 		shed++
 		if f.kind == kindTransfer {
-			n.failTransfer(f)
+			n.failTransfer(h.slot)
 			continue
 		}
-		n.plane.EmitSpan(obs.Event{Type: obs.EventFlowParked, Flow: f.tag,
+		n.plane.EmitSpan(obs.Event{Type: obs.EventFlowParked, Flow: n.tags.name(f.tag),
 			Cause: n.eventCause(f), Reason: "application shed"})
-		n.removeFlow(f)
+		n.removeFlow(h.slot)
 	}
+	n.walk = n.walk[:base]
 	if shed > 0 {
 		n.reallocate()
 	}
 	return shed
+}
+
+// pushWalk pushes a handle for every live flow, in FlowID order, onto the
+// walk stack and returns where they start. The walk reads entries by index,
+// since a nested walk may grow the stack, and pops back to that start when
+// done; failure callbacks may remove flows or add new ones, which the
+// handles skip.
+func (n *Network) pushWalk() int {
+	base := len(n.walk)
+	for _, s := range n.flowOrder {
+		if f := n.flow(s); !f.gone {
+			n.walk = append(n.walk, handle{id: f.id, slot: s})
+		}
+	}
+	return base
 }
 
 // tagMatchesPrefix reports whether tag belongs to the application named by
@@ -1014,21 +1046,22 @@ func tagMatchesPrefix(tag, prefix string) bool {
 
 // rerouteFlows recomputes every networked flow's route against the current
 // topology, in deterministic FlowID order. Failure callbacks may mutate the
-// flow set, so iteration walks a snapshot.
+// flow set, so iteration walks handles (see pushWalk).
 func (n *Network) rerouteFlows() {
-	snapshot := make([]*flow, len(n.flowOrder))
-	copy(snapshot, n.flowOrder)
-	for _, f := range snapshot {
-		if f.gone || n.flows[f.id] != f {
+	base := n.pushWalk()
+	for i := base; i < len(n.walk); i++ {
+		h := n.walk[i]
+		f := n.live(h)
+		if f == nil {
 			continue // removed by an earlier failure callback
 		}
 		if f.src == f.dst {
 			continue // co-located: no network involved
 		}
-		hops, err := n.route(f.src, f.dst)
+		hops, err := n.route(n.ends.name(f.src), n.ends.name(f.dst))
 		if err != nil {
 			if f.kind == kindTransfer {
-				n.failTransfer(f)
+				n.failTransfer(h.slot)
 			} else {
 				n.parkFlow(f)
 			}
@@ -1036,43 +1069,41 @@ func (n *Network) rerouteFlows() {
 		}
 		if f.parked {
 			n.parkedResumes++
-			n.plane.EmitSpan(obs.Event{Type: obs.EventFlowResumed, Flow: f.tag,
+			n.plane.EmitSpan(obs.Event{Type: obs.EventFlowResumed, Flow: n.tags.name(f.tag),
 				Cause: n.eventCause(f), Reason: "route restored"})
 		}
 		n.setFlowPath(f, hops)
 	}
+	n.walk = n.walk[:base]
 }
 
-// parkFlow strands a flow whose endpoints are unreachable: it releases its
+// parkFlow strands a stream whose endpoints are unreachable: it releases its
 // links and carries nothing until rerouteFlows finds it a path again.
 func (n *Network) parkFlow(f *flow) {
 	if !f.parked {
-		n.plane.EmitSpan(obs.Event{Type: obs.EventFlowParked, Flow: f.tag,
+		n.plane.EmitSpan(obs.Event{Type: obs.EventFlowParked, Flow: n.tags.name(f.tag),
 			Cause: n.eventCause(f), Reason: "no route between endpoints"})
 	}
-	for _, ls := range f.linkPath {
-		ls.flowCount--
+	for _, l := range n.linkPath(f) {
+		n.linkOrder[l].flowCount--
 	}
-	n.crossingsStale = n.crossingsStale || len(f.linkPath) > 0
-	f.linkPath = f.linkPath[:0]
+	n.crossingsStale = n.crossingsStale || f.hops > 0
+	f.hops = 0
 	n.setRate(f, 0)
 	f.parked = true
 	f.inOrder = false // leaves the active set; rejoins the demand order on resume
-	if x := f.xfer; x != nil && x.completionEv != 0 {
-		n.eng.Cancel(x.completionEv)
-		x.completionEv = 0
-	}
 }
 
-// setFlowPath rebinds a flow (possibly parked) onto a new hop path, copying
-// hops into the flow's own storage.
-func (n *Network) setFlowPath(f *flow, hops []*linkState) {
-	for _, ls := range f.linkPath {
-		ls.flowCount--
+// setFlowPath rebinds a flow (possibly parked) onto a new hop path, appended
+// to the arena: the old run is dead space until the next flow-side build
+// compacts the arena.
+func (n *Network) setFlowPath(f *flow, hops []int32) {
+	for _, l := range n.linkPath(f) {
+		n.linkOrder[l].flowCount--
 	}
-	f.linkPath = append(f.linkPath[:0], hops...)
-	for _, ls := range f.linkPath {
-		ls.flowCount++
+	f.path, f.hops = n.fill.appendPath(hops)
+	for _, l := range n.linkPath(f) {
+		n.linkOrder[l].flowCount++
 	}
 	f.parked = false
 	n.crossingsStale = true
@@ -1080,25 +1111,34 @@ func (n *Network) setFlowPath(f *flow, hops []*linkState) {
 
 // failTransfer aborts a transfer whose endpoints became unreachable and
 // reports the loss to its callback.
-func (n *Network) failTransfer(f *flow) {
-	x := f.xfer
+func (n *Network) failTransfer(s int32) {
+	f := n.flow(s)
+	x := n.xfers.at(f.xfer)
 	if x.completionEv != 0 {
 		n.eng.Cancel(x.completionEv)
 		x.completionEv = 0
 	}
-	n.removeFlow(f)
+	res, done := n.transferResult(f, x), x.onComplete
+	res.Failed = true
+	cause := n.eventCause(f)
+	n.removeFlow(s)
 	n.failedTransfers++
-	n.plane.EmitSpan(obs.Event{Type: obs.EventTransferFailed, Flow: f.tag,
-		Cause: n.eventCause(f), Reason: "endpoints unreachable"})
-	if x.onComplete != nil {
-		x.onComplete(TransferResult{
-			ID:       f.id,
-			Tag:      f.tag,
-			Bits:     x.totalBits,
-			Started:  x.started,
-			Finished: n.eng.Now(),
-			Failed:   true,
-		})
+	n.plane.EmitSpan(obs.Event{Type: obs.EventTransferFailed, Flow: res.Tag,
+		Cause: cause, Reason: "endpoints unreachable"})
+	if done != nil {
+		done(res)
+	}
+}
+
+// transferResult is what a transfer's callback is told when it ends now.
+// Bits is its total size, delivered or, when the caller sets Failed, lost.
+func (n *Network) transferResult(f *flow, x *transfer) TransferResult {
+	return TransferResult{
+		ID:       f.id,
+		Tag:      n.tags.name(f.tag),
+		Bits:     x.totalBits,
+		Started:  x.started,
+		Finished: n.eng.Now(),
 	}
 }
 
@@ -1123,8 +1163,8 @@ func (n *Network) FailedTransfers() int {
 func (n *Network) ParkedFlows() int {
 	n.flush()
 	var c int
-	for _, f := range n.flowOrder {
-		if !f.gone && f.parked {
+	for _, s := range n.flowOrder {
+		if f := n.flow(s); !f.gone && f.parked {
 			c++
 		}
 	}
@@ -1147,32 +1187,29 @@ func (n *Network) AddStream(tag, src, dst string, demandMbps float64) (FlowID, e
 	if err != nil {
 		return 0, fmt.Errorf("simnet: stream %s: %w", tag, err)
 	}
-	n.nextID++
+	s, f := n.newFlow(kindStream, tag, src, dst, path, demandMbps*1e6)
 	now := n.eng.Now()
-	f := &flow{
-		id:        n.nextID,
-		kind:      kindStream,
-		tag:       tag,
-		src:       src,
-		dst:       dst,
-		linkPath:  slices.Clone(path),
-		demandBps: demandMbps * 1e6,
-		since:     now,
-		changedAt: now,
-		cause:     n.causeSpan,
-	}
-	n.addFlow(f)
+	f.since, f.changedAt = now, now
+	n.addFlow(s)
 	n.reallocate()
 	return f.id, nil
+}
+
+// stream returns the live stream with the id.
+func (n *Network) stream(id FlowID) (int32, *flow, error) {
+	if s, ok := n.slotOf(id); ok && n.flow(s).kind == kindStream {
+		return s, n.flow(s), nil
+	}
+	return 0, nil, fmt.Errorf("%w: stream %d", errUnknownFlow, id)
 }
 
 // SetStreamDemand updates a stream's offered rate, which must be finite and
 // non-negative. Setting the demand a stream already offers is a no-op (no
 // reallocation).
 func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
-	f, ok := n.flows[id]
-	if !ok || f.kind != kindStream {
-		return fmt.Errorf("%w: stream %d", errUnknownFlow, id)
+	s, f, err := n.stream(id)
+	if err != nil {
+		return err
 	}
 	if !validAmount(demandMbps * 1e6) {
 		return fmt.Errorf("simnet: stream %d: demand %v Mbps is not a finite non-negative rate", id, demandMbps)
@@ -1182,19 +1219,19 @@ func (n *Network) SetStreamDemand(id FlowID, demandMbps float64) error {
 	}
 	f.demandBps = demandMbps * 1e6
 	f.inOrder = false // the next build re-sorts it into the demand order
-	n.flowChanged(f)
+	n.flowChanged(s)
 	n.reallocate()
 	return nil
 }
 
 // RemoveStream deregisters a stream. Removing an unknown stream is an error.
 func (n *Network) RemoveStream(id FlowID) error {
-	f, ok := n.flows[id]
-	if !ok || f.kind != kindStream {
-		return fmt.Errorf("%w: stream %d", errUnknownFlow, id)
+	s, _, err := n.stream(id)
+	if err != nil {
+		return err
 	}
 	n.advanceProgress()
-	n.removeFlow(f)
+	n.removeFlow(s)
 	n.reallocate()
 	return nil
 }
@@ -1202,21 +1239,22 @@ func (n *Network) RemoveStream(id FlowID) error {
 // StreamRate reports a stream's current allocation in Mbps.
 func (n *Network) StreamRate(id FlowID) (float64, error) {
 	n.flush()
-	f, ok := n.flows[id]
+	s, ok := n.slotOf(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", errUnknownFlow, id)
 	}
-	return f.rateBps / 1e6, nil
+	return n.flow(s).rateBps / 1e6, nil
 }
 
 // StreamLoss reports the fraction of a stream's offered rate that the
 // network cannot carry: max(0, 1-alloc/demand).
 func (n *Network) StreamLoss(id FlowID) (float64, error) {
 	n.flush()
-	f, ok := n.flows[id]
+	s, ok := n.slotOf(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", errUnknownFlow, id)
 	}
+	f := n.flow(s)
 	if f.demandBps <= 0 {
 		return 0, nil
 	}
@@ -1248,30 +1286,19 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 	if capMbps > 0 && validAmount(capMbps*1e6) {
 		demand = capMbps * 1e6
 	}
-	n.nextID++
-	rec := &transferRecord{
-		f: flow{
-			id:        n.nextID,
-			kind:      kindTransfer,
-			tag:       tag,
-			src:       src,
-			dst:       dst,
-			linkPath:  slices.Clone(path),
-			demandBps: demand,
-			cause:     n.causeSpan,
-		},
-		x: transfer{
-			remainingBits: bytes * 8,
-			totalBits:     bytes * 8,
-			started:       n.eng.Now(),
-			onComplete:    onComplete,
-		},
+	s, f := n.newFlow(kindTransfer, tag, src, dst, path, demand)
+	f.xfer = n.xfers.take()
+	x := n.xfers.at(f.xfer)
+	if x.fire == nil {
+		xs := f.xfer
+		x.fire = func() { n.completeTransfer(xs) }
 	}
-	f := &rec.f
-	f.xfer = &rec.x
-	id := f.id
-	rec.x.fire = func() { n.completeTransfer(id) }
-	n.addFlow(f)
+	x.remainingBits, x.totalBits = bytes*8, bytes*8
+	x.started = n.eng.Now()
+	x.completionEv = 0
+	x.flow = s
+	x.onComplete = onComplete
+	n.addFlow(s)
 	n.reallocate()
 	return f.id, nil
 }
@@ -1279,16 +1306,16 @@ func (n *Network) AddTransfer(tag, src, dst string, bytes float64, capMbps float
 // CancelTransfer aborts an in-flight transfer without invoking its callback.
 func (n *Network) CancelTransfer(id FlowID) error {
 	n.flush() // a pending pass may finish the transfer before it is cancelled
-	f, ok := n.flows[id]
-	if !ok || f.kind != kindTransfer {
+	s, ok := n.slotOf(id)
+	if !ok || n.flow(s).kind != kindTransfer {
 		return fmt.Errorf("%w: transfer %d", errUnknownFlow, id)
 	}
 	n.advanceProgress()
-	if f.xfer.completionEv != 0 {
-		n.eng.Cancel(f.xfer.completionEv)
-		f.xfer.completionEv = 0
+	if x := n.xfers.at(n.flow(s).xfer); x.completionEv != 0 {
+		n.eng.Cancel(x.completionEv)
+		x.completionEv = 0
 	}
-	n.removeFlow(f)
+	n.removeFlow(s)
 	n.reallocate()
 	return nil
 }
@@ -1314,7 +1341,8 @@ func (n *Network) advanceProgress() {
 		ls.carriedBits += ls.allocBps * dt
 	}
 	n.sweptFlows += uint64(len(n.transfers))
-	for _, f := range n.transfers {
+	for _, s := range n.transfers {
+		f := n.flow(s)
 		carried := f.rateBps * dt
 		if carried == 0 {
 			// Adding zero changes no value; skipping it keeps a tag unseen
@@ -1322,13 +1350,14 @@ func (n *Network) advanceProgress() {
 			// a not-yet-allocated flow leaves no trace.
 			continue
 		}
-		x := f.xfer
+		x := n.xfers.at(f.xfer)
 		if carried > x.remainingBits {
 			carried = x.remainingBits
 		}
 		x.remainingBits -= carried
-		f.ts.bits += carried
-		f.ts.seen = true
+		ts := n.tagStates.at(f.tag)
+		ts.bits += carried
+		ts.seen = true
 	}
 }
 
@@ -1493,13 +1522,10 @@ func (n *Network) fullReallocate() {
 	if n.flowsDirty || n.fullOnly {
 		n.buildFlowSide()
 	} else {
-		for _, f := range n.busFlows {
-			n.setRate(f, busRate(f))
-		}
+		n.rateBusFlows()
 	}
 	n.flowsDirty = false
 	n.localDirty = false
-	clear(n.busFlows)
 	n.busFlows = n.busFlows[:0]
 	n.dirtyCount = 0
 
@@ -1538,6 +1564,16 @@ func busRate(f *flow) float64 {
 	return math.Min(f.demandBps, LocalMbps*1e6)
 }
 
+// rateBusFlows sets the bus rate of every co-located flow that joined or
+// changed demand since the last pass and is still live.
+func (n *Network) rateBusFlows() {
+	for _, h := range n.busFlows {
+		if f := n.live(h); f != nil {
+			n.setRate(f, busRate(f))
+		}
+	}
+}
+
 // localReallocate is the pass for churn no routed flow sees: only co-located
 // or parked flows joined, left or changed demand, or a completion fired
 // early and needs rescheduling, and every capacity change is absorbable. A
@@ -1555,10 +1591,7 @@ func (n *Network) localReallocate() {
 	for _, ls := range n.linkOrder {
 		n.settleBacklog(ls, now)
 	}
-	for _, f := range n.busFlows {
-		n.setRate(f, busRate(f))
-	}
-	clear(n.busFlows)
+	n.rateBusFlows()
 	n.busFlows = n.busFlows[:0]
 	n.rescheduleTransfers(now)
 }
@@ -1574,13 +1607,17 @@ func (n *Network) localReallocate() {
 func (n *Network) rescheduleTransfers(now time.Duration) {
 	n.reschedules++
 	pass := n.reschedules
-	transfers := append(n.transferScratch[:0], n.transfers...)
+	transfers := n.transferScratch[:0]
+	for _, s := range n.transfers {
+		transfers = append(transfers, handle{id: n.flow(s).id, slot: s})
+	}
 	n.transferScratch = transfers
-	for _, f := range transfers {
-		if f.gone {
+	for _, h := range transfers {
+		f := n.live(h)
+		if f == nil {
 			continue // removed by a reentrant completion callback
 		}
-		x := f.xfer
+		x := n.xfers.at(f.xfer)
 		if x.remainingBits > 1e-9 && f.rateBps > 0 {
 			eta := time.Duration(x.remainingBits / f.rateBps * float64(time.Second))
 			if eta < time.Nanosecond {
@@ -1602,24 +1639,30 @@ func (n *Network) rescheduleTransfers(now time.Duration) {
 		if x.remainingBits > 1e-9 {
 			continue // stalled until conditions change
 		}
-		if len(f.linkPath) > 0 {
+		if f.hops > 0 {
 			n.reallocate()
 		}
-		n.finishTransfer(f)
+		n.finishTransfer(h.slot)
 		if n.reschedules != pass {
 			return
 		}
 	}
 }
 
-func (n *Network) completeTransfer(id FlowID) {
-	f, ok := n.flows[id]
-	if !ok {
+// completeTransfer runs when the completion event of xfers slot xs fires. It
+// acts only if the slot's transfer armed that event: one armed event per
+// slot at most, and the engine frees an event before running it, so the
+// slot's completionEv is then set and no longer queued. An event left behind
+// by a transfer that ended would find the slot free (completionEv 0) or
+// another transfer's event still queued, and does nothing.
+func (n *Network) completeTransfer(xs int32) {
+	x := n.xfers.at(xs)
+	if x.completionEv == 0 || n.eng.Queued(x.completionEv) {
 		return
 	}
 	n.advanceProgress()
-	f.xfer.completionEv = 0
-	if f.xfer.remainingBits > 1e-9 {
+	x.completionEv = 0
+	if x.remainingBits > 1e-9 {
 		// The event fired before the last bit: its ETA was truncated to the
 		// nanosecond. No rate moved since it was scheduled — every pass that
 		// moves a rate reschedules every transfer, and an absorbed pass moves
@@ -1635,18 +1678,17 @@ func (n *Network) completeTransfer(id FlowID) {
 	// Request the pass first, so a completion callback that reads sees the
 	// finished transfer's share already returned to its links.
 	n.reallocate()
-	n.finishTransfer(f)
+	n.finishTransfer(x.flow)
 }
 
-func (n *Network) finishTransfer(f *flow) {
-	n.removeFlow(f)
-	if x := f.xfer; x.onComplete != nil {
-		x.onComplete(TransferResult{
-			ID:       f.id,
-			Tag:      f.tag,
-			Bits:     x.totalBits,
-			Started:  x.started,
-			Finished: n.eng.Now(),
-		})
+// finishTransfer removes a transfer that delivered its last bit and reports
+// it to its callback.
+func (n *Network) finishTransfer(s int32) {
+	f := n.flow(s)
+	x := n.xfers.at(f.xfer)
+	res, done := n.transferResult(f, x), x.onComplete
+	n.removeFlow(s)
+	if done != nil {
+		done(res)
 	}
 }

@@ -458,7 +458,8 @@ func TestMaxMinInvariants(t *testing.T) {
 			if rate < -1e-9 || loss < -1e-9 || loss > 1+1e-9 {
 				return false
 			}
-			f := net.flows[id]
+			s, _ := net.slotOf(id)
+			f := net.flow(s)
 			if f.rateBps > f.demandBps+1e-3 {
 				return false
 			}

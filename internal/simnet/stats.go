@@ -37,7 +37,7 @@ func (n *Network) liveBits(f *flow, now time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	return min(f.rateBps*dt, f.xfer.remainingBits)
+	return min(f.rateBps*dt, n.xfers.at(f.xfer).remainingBits)
 }
 
 // statsOf builds a pure point-in-time view after a flush, in O(1): the
@@ -122,7 +122,8 @@ func (n *Network) PathQueueDelay(src, dst string) (time.Duration, error) {
 	}
 	now := n.eng.Now()
 	var total time.Duration
-	for _, ls := range p.hops {
+	for _, l := range p.hops {
+		ls := n.linkOrder[l]
 		backlog := n.backlogAt(ls, now)
 		if backlog > 0 && ls.capacityBps > 0 {
 			total += time.Duration(backlog / ls.capacityBps * float64(time.Second))
@@ -145,8 +146,8 @@ func (n *Network) PathAllocatedMbps(src, dst string, demandMbps float64) (float6
 		return 0, err
 	}
 	rate := demandMbps
-	for _, ls := range p.hops {
-		if avail := spareMbps(ls); avail < rate {
+	for _, l := range p.hops {
+		if avail := spareMbps(n.linkOrder[l]); avail < rate {
 			rate = avail
 		}
 	}
@@ -168,15 +169,15 @@ func (n *Network) PathLatencyOf(src, dst string) (time.Duration, error) {
 func (n *Network) BytesByTag() map[string]float64 {
 	n.flush()
 	now := n.eng.Now()
-	out := make(map[string]float64, len(n.tags))
-	for tag, ts := range n.tags {
-		if ts.seen {
-			out[tag] = ts.bits / 8 / 1e6
+	out := make(map[string]float64, n.tags.names.n)
+	for t := range n.tags.names.n {
+		if ts := n.tagStates.at(t); ts.seen {
+			out[n.tags.name(t)] = ts.bits / 8 / 1e6
 		}
 	}
-	for _, f := range n.flowOrder {
-		if !f.gone {
-			out[f.tag] += n.liveBits(f, now) / 8 / 1e6
+	for _, s := range n.flowOrder {
+		if f := n.flow(s); !f.gone {
+			out[n.tags.name(f.tag)] += n.liveBits(f, now) / 8 / 1e6
 		}
 	}
 	return out
@@ -189,12 +190,14 @@ func (n *Network) TagRate(tag string) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	var bits float64
-	if ts := n.tags[tag]; ts != nil {
-		bits = ts.bits
+	t, ok := n.tags.find(tag)
+	if !ok {
+		return 0
 	}
-	for _, f := range n.tagFlows(tag) {
-		bits += n.liveBits(f, n.eng.Now())
+	ts := n.tagStates.at(t)
+	bits := ts.bits
+	for s := ts.head; s >= 0; s = n.flow(s).tagNext {
+		bits += n.liveBits(n.flow(s), n.eng.Now())
 	}
 	return bits / elapsed / 1e6 // bits per second → Mbps
 }
@@ -202,7 +205,8 @@ func (n *Network) TagRate(tag string) float64 {
 // ActiveFlows reports the number of active streams and transfers.
 func (n *Network) ActiveFlows() (streams, transfers int) {
 	n.flush()
-	for _, f := range n.flowOrder {
+	for _, s := range n.flowOrder {
+		f := n.flow(s)
 		if f.gone {
 			continue
 		}
@@ -223,29 +227,24 @@ func (n *Network) ActiveFlows() (streams, transfers int) {
 func (n *Network) FlowRateByTag(tag string) float64 {
 	n.flush()
 	var bps float64
-	for _, f := range n.tagFlows(tag) {
-		bps += f.rateBps
+	if t, ok := n.tags.find(tag); ok {
+		for s := n.tagStates.at(t).head; s >= 0; s = n.flow(s).tagNext {
+			bps += n.flow(s).rateBps
+		}
 	}
 	return bps / 1e6
-}
-
-// tagFlows returns the live flows with the tag, ascending FlowID.
-func (n *Network) tagFlows(tag string) []*flow {
-	if ts := n.tags[tag]; ts != nil {
-		return ts.flows
-	}
-	return nil
 }
 
 // FlowDemandByTag sums current demands (Mbps) across flows with the tag.
 func (n *Network) FlowDemandByTag(tag string) float64 {
 	n.flush()
 	var bps float64
-	for _, f := range n.tagFlows(tag) {
-		if f.demandBps >= unboundedBps {
-			continue
+	if t, ok := n.tags.find(tag); ok {
+		for s := n.tagStates.at(t).head; s >= 0; s = n.flow(s).tagNext {
+			if d := n.flow(s).demandBps; d < unboundedBps {
+				bps += d
+			}
 		}
-		bps += f.demandBps
 	}
 	return bps / 1e6
 }
